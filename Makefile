@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race chaos determinism bench bench-json eval trace examples clean
+.PHONY: all build vet lint test race chaos determinism bench bench-json benchmark-smoke eval trace examples clean
 
 all: build vet lint test
 
@@ -57,6 +57,15 @@ BENCH_OUT ?= BENCH_PR10.json
 
 bench-json:
 	$(GO) run ./cmd/fractos-bench -json > $(BENCH_OUT)
+
+# benchmark-smoke exercises the repository's benchmark (BENCHMARK.json,
+# benchmark/README.md): it is a module of its own, so `make test` never
+# builds it. Vet and test the module, then run the shortest workload end
+# to end for one second; the run checks its own outputs and the exit
+# status is the gate.
+benchmark-smoke:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh --workload invoke-null --seed 1 --seconds 1 --trace 0
 
 # Regenerate every table and figure of the paper's evaluation.
 eval:

@@ -12,13 +12,16 @@
 package main
 
 import (
+	"runtime"
 	"testing"
 
 	"fractos/internal/cap"
 	"fractos/internal/core"
 	"fractos/internal/exp"
+	"fractos/internal/fabric"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -142,6 +145,182 @@ func TestAllocGateCapValidate(t *testing.T) {
 	}); per > 0 {
 		t.Errorf("Controller.Validate allocates %.2f objects/op at %d live caps, want 0", per, soak)
 	}
+}
+
+// mallocs reads the process-wide count of heap objects allocated so
+// far. The gates below take its difference around a loop running
+// inside one simulation task: exactly one goroutine executes at a time
+// under the kernel, so the difference is the loop's own allocations.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// TestAllocGateNetSend pins what one message costs on the fabric: the
+// encode → bytes → decode round trip of Net.Send, the in-flight record
+// and its delivery event allocate only the decoded message. For the
+// canonical ReqInvoke (one 64-byte immediate, two capability slots)
+// that is the struct — which carries room for its one immediate
+// argument — the immediate's bytes and the slot list; for a fixed-size
+// Completion it is the struct alone.
+func TestAllocGateNetSend(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const msgs = 2000
+	cases := []struct {
+		name string
+		m    wire.Message
+		max  float64
+	}{
+		{"ReqInvoke", &wire.ReqInvoke{Token: 42, Cid: 7,
+			Imms: []wire.ImmArg{{Offset: 0, Data: make([]byte, 64)}},
+			Caps: []wire.CapSlot{{Slot: 0, Cid: 9}, {Slot: 1, Cid: 11}}}, 3},
+		{"Completion", &wire.Completion{Token: 17, Cid: 5, Aux: 4096}, 1},
+	}
+	for _, c := range cases {
+		k := sim.New(11)
+		net := fabric.New(k, fabric.DefaultProfile())
+		src := net.Attach("src", fabric.Location{Node: 0}, 0)
+		dst := net.Attach("dst", fabric.Location{Node: 1}, 0)
+		k.Spawn("rx", func(tk *sim.Task) {
+			for {
+				if _, ok := dst.Inbox.Recv(tk); !ok {
+					return
+				}
+			}
+		})
+		var per float64
+		k.Spawn("tx", func(tk *sim.Task) {
+			send := func(n int) {
+				for i := 0; i < n; i++ {
+					if !net.Send(src.ID, dst.ID, c.m) {
+						t.Errorf("%s: send refused", c.name)
+					}
+					tk.Sleep(1000)
+				}
+			}
+			send(100) // warm the record, event and waiter pools
+			before := mallocs()
+			send(msgs)
+			per = float64(mallocs()-before) / msgs
+		})
+		k.Run()
+		k.Shutdown()
+		if per > c.max+0.01 {
+			t.Errorf("Net.Send of a %s allocates %.2f objects/message, want <= %.0f (the decoded message only)", c.name, per, c.max)
+		}
+	}
+}
+
+// TestAllocGateFutureWait pins the future's allocation contract on a
+// reused future: waiting on an already-resolved future, and parking
+// the single waiter until a kernel event resolves it (Due), both
+// allocate nothing.
+func TestAllocGateFutureWait(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const rounds = 2000
+	k := sim.New(5)
+	var resolved, parked float64
+	k.Spawn("waiter", func(tk *sim.Task) {
+		f := sim.NewFuture[int]()
+		loop := func(n int, park bool) {
+			for i := 0; i < n; i++ {
+				if park {
+					k.AfterCall(10, f.Due(i))
+				} else {
+					f.Set(i)
+				}
+				if v, err := f.Wait(tk); v != i || err != nil {
+					t.Errorf("round %d: got %d, %v", i, v, err)
+				}
+				f.Reset()
+			}
+		}
+		loop(10, true) // warm the kernel's event pool
+		before := mallocs()
+		loop(rounds, false)
+		mid := mallocs()
+		loop(rounds, true)
+		resolved = float64(mid-before) / rounds
+		parked = float64(mallocs()-mid) / rounds
+	})
+	k.Run()
+	k.Shutdown()
+	if resolved > 0.01 {
+		t.Errorf("resolve-then-wait allocates %.2f objects/round, want 0", resolved)
+	}
+	if parked > 0.01 {
+		t.Errorf("single-waiter park allocates %.2f objects/round, want 0", parked)
+	}
+}
+
+// TestAllocGateNullCall pins the whole control path end to end: one
+// cross-node proc.Call of a null Request — the paper's Table 3 / §6.1
+// exchange, 16 wire messages and 6 syscalls over two Controllers. The
+// ledger of what is left (decoded messages and their payloads, the
+// syscall messages libfractos builds, the two Delivery descriptors and
+// the reply Request's object) is in docs/PERFORMANCE.md; this workload
+// allocated 113 objects per call before the per-message path was made
+// allocation-free.
+func TestAllocGateNullCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const (
+		warm, calls = 200, 2000
+		echoTag     = 1
+		replySlot   = 15
+		maxPerCall  = 45
+	)
+	var per float64
+	testbed.RunT(t, testbed.Spec{Nodes: 2, Seed: 5}, func(tk *sim.Task, d *testbed.Deployment) {
+		srv := d.Attach(1, "echo", 0)
+		root, err := srv.RequestCreate(tk, echoTag, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		cli := d.Attach(0, "client", 0)
+		req, err := proc.GrantCap(srv, root, cli)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		d.Spawn("echo-loop", func(et *sim.Task) {
+			for {
+				dv, ok := srv.Receive(et)
+				if !ok {
+					return
+				}
+				if rep, ok := dv.Cap(replySlot); ok {
+					_ = srv.Invoke(et, rep, []wire.ImmArg{proc.U64Arg(0, dv.U64(0))}, nil)
+				}
+				dv.Done()
+			}
+		})
+		call := func(from, n int) {
+			for i := from; i < from+n; i++ {
+				seq := uint64(i) + 1
+				dv, err := cli.Call(tk, req, []wire.ImmArg{proc.U64Arg(0, seq)}, nil, replySlot)
+				if err != nil || dv.U64(0) != seq {
+					t.Errorf("call %d: reply %v, err %v", i, dv, err)
+					return
+				}
+			}
+		}
+		call(0, warm)
+		before := mallocs()
+		call(warm, calls)
+		per = float64(mallocs()-before) / calls
+	})
+	if per > maxPerCall {
+		t.Errorf("null cross-node Call allocates %.2f objects, want <= %d", per, maxPerCall)
+	}
+	t.Logf("null cross-node Call: %.2f allocs", per)
 }
 
 // runExp drives one experiment through the benchmark loop, reporting

@@ -90,7 +90,7 @@ func (p *Peer) Call(t *sim.Task, dst fabric.EndpointID, kind uint32, data []byte
 
 // CallAsync starts an RPC and returns the future of its response.
 func (p *Peer) CallAsync(dst fabric.EndpointID, kind uint32, data []byte, isData bool) *sim.Future[*wire.Raw] {
-	f := sim.NewFuture[*wire.Raw](p.net.Kernel())
+	f := sim.NewFuture[*wire.Raw]()
 	p.nextToken++
 	token := p.nextToken
 	p.pending[token] = f

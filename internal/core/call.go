@@ -1,0 +1,352 @@
+package core
+
+import (
+	"slices"
+
+	"fractos/internal/cap"
+	"fractos/internal/sim"
+	"fractos/internal/wire"
+)
+
+// callKind names what an inter-Controller call asks of the owner and
+// what happens here when the answer arrives. It is the continuation
+// of a multi-round operation in data form: frame rebuilds the request
+// message from the record, finish runs the second half of the
+// operation on the reply.
+type callKind uint8
+
+const (
+	callInvoke      callKind = iota + 1 // request_invoke forwarded to the Request's owner
+	callDeriveMem                       // memory_diminish of a remote Memory object
+	callDeriveReq                       // request_create refining a remote Request
+	callRevtree                         // cap_create_revtree under a remote object
+	callRevoke                          // cap_revoke of a remote object
+	callWatch                           // monitor_receive on a remote object
+	callLeaseRevoke                     // a dead or expired remote lease: revoke, nobody waits
+	callCleanup                         // revocation-cleanup broadcast to one peer
+	callValidate                        // memory_copy locating a remote Memory object
+)
+
+// pendingCall is an outstanding inter-Controller request awaiting its
+// response: a pooled record parked in Controller.pending under the
+// call's token from call until resolvePending. attempt drives
+// timeout-based retransmission over a lossy fabric (cfg.RPCTimeout),
+// which re-sends frame(pc) under the same token.
+//
+// The fields past entry are the union of what the kinds need; each
+// call site fills the ones its kind reads. imms aliases the decoded
+// syscall message (which the record therefore keeps alive); caps is
+// storage the record owns and recycles.
+type pendingCall struct {
+	kind    callKind
+	attempt int
+
+	// The syscall to complete (kinds callInvoke through callWatch).
+	ps  *procState
+	tok uint64
+
+	// entry.Ref is the object at the owner the call is about (for
+	// callCleanup just the owner: only Ref.Ctrl is set), so Ref.Ctrl is
+	// the peer the call is addressed to. For the derivations the rest
+	// of entry is the capability to install once the owner has named
+	// the new object.
+	entry    cap.Entry
+	cid      cap.CapID      // callRevoke: the caller's entry to drop afterwards
+	imms     []wire.ImmArg  // callInvoke, callDeriveReq: refinements
+	caps     []wire.CapXfer // callInvoke, callDeriveReq: resolved capability arguments
+	off      uint64         // callDeriveMem: window offset
+	size     uint64         // callDeriveMem: window size
+	rights   cap.Rights     // callDeriveMem: rights to drop; callValidate: rights needed
+	callback uint64         // callWatch: the watcher's callback id
+
+	batch *cleanupBatch             // callCleanup
+	fut   *sim.Future[wire.Message] // callValidate
+}
+
+// cleanupBatch is one coalesced revocation-cleanup broadcast: the refs
+// every peer is asked to purge, and the revoked stubs erased once the
+// last peer has answered (or been observed dead).
+type cleanupBatch struct {
+	refs      []cap.Ref
+	stubs     []*cap.Node
+	remaining int
+}
+
+// newCall takes a pending-call record off the free list, for a call
+// of the given kind about ref, addressed to ref's owner.
+//
+//fractos:pool-acquire pendingcall
+func (c *Controller) newCall(kind callKind, ref cap.Ref) *pendingCall {
+	pc := c.calls.Get()
+	pc.kind, pc.entry.Ref = kind, ref
+	return pc
+}
+
+// peer is the Controller the call is addressed to. It is what lets
+// calls be aborted when that Controller is observed to have failed or
+// rebooted.
+func (pc *pendingCall) peer() cap.ControllerID { return pc.entry.Ref.Ctrl }
+
+// putCall clears a record — dropping its references to the syscall
+// message and the Process, keeping the caps storage — and returns it
+// to the free list.
+//
+//fractos:pool-release pendingcall
+func (c *Controller) putCall(pc *pendingCall) {
+	*pc = pendingCall{caps: pc.caps[:0]}
+	c.calls.Put(pc)
+}
+
+// keepCaps copies a syscall's resolved capability arguments out of the
+// Controller's scratch into storage the record owns.
+func (pc *pendingCall) keepCaps(args []wire.CapXfer) {
+	pc.caps = append(pc.caps[:0], args...)
+}
+
+// forward is call for a syscall handler: the handler's duty to
+// complete the Process's token passes to the record, and finishSyscall
+// discharges it exactly once when the call resolves.
+//
+//fractos:pool-handoff pendingcall
+func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
+	pc.ps, pc.tok = ps, tok
+	c.call(pc)
+}
+
+// call issues an inter-Controller request described by pc, taking
+// ownership of the record. finish(pc, reply) runs exactly once, in
+// simulation context, when the matching response arrives — or with a
+// synthetic failure CtrlAck when the call cannot complete: the peer's
+// endpoint is torn down (StatusNoProc), the peer is observed dead or
+// rebooted (StatusAborted via abortPendingTo), this Controller itself
+// crashes (StatusAborted via Crash), or, with cfg.RPCTimeout armed,
+// every retransmission attempt times out (StatusAborted).
+//
+//fractos:pool-handoff pendingcall
+func (c *Controller) call(pc *pendingCall) {
+	ep, ok := c.peers[pc.peer()]
+	if !ok {
+		c.retire(pc, &wire.CtrlAck{Status: wire.StatusUnknownObj})
+		return
+	}
+	c.nextToken++
+	token := c.nextToken
+	c.pending[token] = pc
+	if !c.net.Send(c.ep.ID, ep, c.frame(pc, token)) {
+		// A torn-down endpoint is locally observable (unlike in-flight
+		// loss): fail fast, no retransmission.
+		c.resolvePending(token, &wire.CtrlAck{Status: wire.StatusNoProc})
+		return
+	}
+	if c.cfg.RPCTimeout > 0 {
+		c.armResend(token, 0, c.cfg.RPCTimeout)
+	}
+}
+
+// revokeRemoteLease asks a lease's owner to revoke it. Nobody waits
+// for the answer: the holder failed or the lease expired, and an owner
+// that is gone revokes its world through the epoch announcement.
+func (c *Controller) revokeRemoteLease(ref cap.Ref) {
+	c.call(c.newCall(callLeaseRevoke, ref))
+}
+
+// frame builds the request message of a pending call under the given
+// token. The hot kind reuses a Controller-owned struct: Net.Send
+// encodes it before returning and retains nothing.
+func (c *Controller) frame(pc *pendingCall, token uint64) wire.Message {
+	ref := pc.entry.Ref
+	switch pc.kind {
+	case callInvoke:
+		c.txInvoke = wire.CtrlInvoke{Token: token, Src: c.id, Ref: ref, Imms: pc.imms, Caps: pc.caps}
+		return &c.txInvoke
+	case callDeriveMem:
+		return &wire.CtrlDeriveMem{Token: token, Src: c.id, From: ref, Offset: pc.off, Size: pc.size, Drop: pc.rights}
+	case callDeriveReq:
+		return &wire.CtrlDeriveReq{Token: token, Src: c.id, From: ref, Imms: pc.imms, Caps: pc.caps}
+	case callRevtree:
+		return &wire.CtrlRevtree{Token: token, Src: c.id, From: ref}
+	case callRevoke, callLeaseRevoke:
+		return &wire.CtrlRevoke{Token: token, Src: c.id, From: ref}
+	case callWatch:
+		return &wire.CtrlWatch{Token: token, Src: c.id, Ref: ref,
+			WatcherProc: pc.ps.id, WatcherCtrl: c.id, Callback: pc.callback}
+	case callCleanup:
+		return &wire.CtrlCleanup{Token: token, Refs: pc.batch.refs}
+	default: // callValidate
+		return &wire.CtrlValidate{Token: token, Src: c.id, Ref: ref, Need: pc.rights}
+	}
+}
+
+// finish runs a call's continuation on its reply (real or synthetic).
+func (c *Controller) finish(pc *pendingCall, reply wire.Message) {
+	switch pc.kind {
+	case callLeaseRevoke:
+		// Fire and forget: the owner revoked the lease or is gone.
+	case callCleanup:
+		b := pc.batch
+		b.remaining--
+		if b.remaining == 0 {
+			c.removeStubs(b.stubs)
+		}
+	case callValidate:
+		pc.fut.Set(reply)
+	default:
+		c.finishSyscall(pc, reply)
+	}
+}
+
+// finishSyscall is the second half of a syscall that needed the
+// owner's answer: it completes the Process's token exactly once on
+// every path (statuscheck holds it to the same rule as a handler).
+func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
+	ack, ok := reply.(*wire.CtrlAck)
+	st := wire.StatusUnknownObj
+	if ok {
+		st = ack.Status
+	}
+	switch pc.kind {
+	case callDeriveMem, callDeriveReq, callRevtree:
+		if st != wire.StatusOK {
+			c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
+			return
+		}
+		// Install the derived capability: pc.entry carries what it
+		// inherits from the parent entry, the owner supplies the new
+		// object — and, for Memory, its authoritative extent and rights.
+		e := pc.entry
+		e.Ref = cap.Ref{Ctrl: e.Ref.Ctrl, Obj: ack.Obj, Epoch: ack.Epoch}
+		var aux uint64
+		if pc.kind == callDeriveMem {
+			e.Rights &= ack.Rights
+			e.Size, aux = ack.Size, ack.Size
+		}
+		cid, st := c.install(pc.ps, e)
+		if st != wire.StatusOK {
+			c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
+			return
+		}
+		c.complete(pc.ps, pc.tok, wire.StatusOK, cid, aux)
+	case callRevoke:
+		pc.ps.space.Drop(pc.cid)
+		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
+	default: // callInvoke, callWatch
+		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
+	}
+}
+
+// rpcTimer is the retransmission timeout of one send attempt, as a
+// pooled event target. It names the call by token and attempt rather
+// than pointing at the record, so a stale timer — call answered, or
+// superseded by a later attempt — finds nothing to do even after the
+// record has been recycled for another call.
+type rpcTimer struct {
+	c       *Controller
+	token   uint64
+	attempt int
+}
+
+// armResend schedules resend(token, attempt) after d.
+func (c *Controller) armResend(token uint64, attempt int, d sim.Time) {
+	tm := c.getTimer()
+	tm.c, tm.token, tm.attempt = c, token, attempt
+	c.startTimer(tm, d)
+}
+
+//fractos:pool-acquire rpctimer
+func (c *Controller) getTimer() *rpcTimer { return c.timers.Get() }
+
+//fractos:pool-release rpctimer
+func (c *Controller) putTimer(tm *rpcTimer) {
+	*tm = rpcTimer{}
+	c.timers.Put(tm)
+}
+
+// startTimer hands the timer to the kernel; Fire releases it.
+//
+//fractos:pool-handoff rpctimer
+func (c *Controller) startTimer(tm *rpcTimer, d sim.Time) { c.k.AfterCall(d, tm) }
+
+// Fire implements sim.Callback.
+func (tm *rpcTimer) Fire() {
+	c, token, attempt := tm.c, tm.token, tm.attempt
+	c.putTimer(tm)
+	c.resend(token, attempt)
+}
+
+// resend fires when attempt's timeout expires: if the call is still
+// unanswered, retransmit with the same token and double the timeout;
+// after cfg.RPCRetries attempts resolve it as aborted. Stale timers
+// (call answered, or already superseded by a later attempt) are
+// no-ops, so arming them never perturbs a healthy exchange.
+func (c *Controller) resend(token uint64, attempt int) {
+	pc, ok := c.pending[token]
+	if !ok || pc.attempt != attempt || c.down {
+		return
+	}
+	if attempt+1 >= c.cfg.RPCRetries {
+		c.metrics.RPCAborted++
+		c.resolvePending(token, &wire.CtrlAck{Token: token, Status: wire.StatusAborted})
+		return
+	}
+	pc.attempt = attempt + 1
+	c.metrics.Retransmits++
+	if !c.net.Send(c.ep.ID, c.peers[pc.peer()], c.frame(pc, token)) {
+		c.resolvePending(token, &wire.CtrlAck{Token: token, Status: wire.StatusNoProc})
+		return
+	}
+	c.armResend(token, pc.attempt, c.cfg.RPCTimeout<<uint(pc.attempt))
+}
+
+// resolvePending retires the call parked under token, if any: run its
+// continuation on m, then recycle the record.
+func (c *Controller) resolvePending(token uint64, m wire.Message) {
+	pc, ok := c.pending[token]
+	if !ok {
+		return
+	}
+	delete(c.pending, token)
+	c.retire(pc, m)
+}
+
+// retire ends a call's life: run its continuation on the reply (real
+// or synthetic), then recycle the record.
+//
+//fractos:pool-release pendingcall
+func (c *Controller) retire(pc *pendingCall, reply wire.Message) {
+	c.finish(pc, reply)
+	c.putCall(pc)
+}
+
+// sortedPendingTokens returns the tokens of the outstanding calls
+// selected by keep (all of them when keep is nil) in ascending order:
+// aborts must not publish map iteration order into the message stream.
+func (c *Controller) sortedPendingTokens(keep func(*pendingCall) bool) []uint64 {
+	tokens := make([]uint64, 0, len(c.pending))
+	for tok, pc := range c.pending {
+		if keep == nil || keep(pc) {
+			tokens = append(tokens, tok)
+		}
+	}
+	slices.Sort(tokens)
+	return tokens
+}
+
+// abortPendingTo fails every outstanding call addressed to a peer that
+// has been observed dead or rebooted, so syscalls waiting on it
+// complete with an error instead of hanging.
+func (c *Controller) abortPendingTo(peer cap.ControllerID) {
+	for _, tok := range c.sortedPendingTokens(func(pc *pendingCall) bool { return pc.peer() == peer }) {
+		c.resolvePending(tok, &wire.CtrlAck{Token: tok, Status: wire.StatusAborted})
+	}
+}
+
+// abortAllPending fails every outstanding inter-Controller call, in
+// ascending token order, with StatusAborted. Used by Crash so that a
+// failing Controller deterministically unwinds its own in-flight RPCs
+// instead of leaking their continuations across the reboot.
+func (c *Controller) abortAllPending() {
+	for _, tok := range c.sortedPendingTokens(nil) {
+		c.metrics.RPCAborted++
+		c.resolvePending(tok, &wire.CtrlAck{Token: tok, Status: wire.StatusAborted})
+	}
+}

@@ -36,8 +36,10 @@ type Controller struct {
 	peerEPs    map[fabric.EndpointID]bool
 	peerEpochs map[cap.ControllerID]cap.Epoch
 
-	pending   map[uint64]pendingCall
+	pending   map[uint64]*pendingCall
 	nextToken uint64
+	calls     sim.FreeList[pendingCall] // recycled pending-call records
+	timers    sim.FreeList[rpcTimer]    // recycled retransmission timers
 	// dedup is the receiver half of the at-most-once RPC contract:
 	// per-peer-endpoint caches of replies already sent, so a
 	// retransmitted (or fabric-duplicated) request is answered from
@@ -59,21 +61,22 @@ type Controller struct {
 	leaseClean int          // lease-free slots swept since a lease was last seen
 	leasePids  []cap.ProcID // scratch for sorted tick iteration
 
+	// Per-message scratch. Net.Send encodes its argument before it
+	// returns and retains nothing, and handlers never yield between
+	// filling one of these and sending it, so the messages on the
+	// per-request path are built in place instead of allocated: the
+	// syscall completion, the forwarded invocation (frame), and the
+	// request_receive descriptor with the buffers an invocation merges
+	// its arguments in (deliverInvoke).
+	txCompletion wire.Completion
+	txInvoke     wire.CtrlInvoke
+	txDeliver    wire.Deliver
+	immScratch   immBuf         // preset + invoke-time immediates
+	argScratch   []wire.CapXfer // a syscall's resolved capability arguments
+	capScratch   []wire.CapXfer // preset + invoke-time capability arguments
+
 	metrics Metrics
 	down    bool
-}
-
-// pendingCall is an outstanding inter-Controller request awaiting its
-// response. The peer is recorded so calls can be aborted when that
-// Controller is observed to have failed or rebooted. build and
-// attempt drive timeout-based retransmission over a lossy fabric
-// (cfg.RPCTimeout): build re-materializes the frame with the same
-// token, attempt invalidates stale timers after a resend.
-type pendingCall struct {
-	peer    cap.ControllerID
-	cb      func(wire.Message)
-	build   func(token uint64) wire.Message
-	attempt int
 }
 
 // dedupState is the per-sender at-most-once cache: replies already
@@ -83,7 +86,11 @@ type pendingCall struct {
 // side effects already happened.
 type dedupState struct {
 	replies map[uint64]wire.Message
-	order   []uint64 // insertion order, for eviction
+	// order is a ring of the cached tokens in insertion order, for
+	// eviction: it grows to dedupCap slots and then overwrites the
+	// oldest in place, so a long lossy run never regrows or pins it.
+	order []uint64
+	head  int // index of the oldest token once the ring is full
 }
 
 // dedupCap bounds cached replies per peer. Retransmissions arrive
@@ -102,7 +109,7 @@ type procState struct {
 	window      int // remaining delivery credits (congestion control)
 	deliverSeq  uint64
 	outstanding map[uint64]struct{}
-	queue       []*wire.Deliver
+	queue       []*wire.Deliver // deliveries awaiting a window credit, oldest first
 
 	// gcCursor is the lease GC's resume position in this space, so
 	// each tick sweeps a bounded slice instead of the whole slab.
@@ -127,7 +134,7 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 		peers:      make(map[cap.ControllerID]fabric.EndpointID),
 		peerEPs:    make(map[fabric.EndpointID]bool),
 		peerEpochs: make(map[cap.ControllerID]cap.Epoch),
-		pending:    make(map[uint64]pendingCall),
+		pending:    make(map[uint64]*pendingCall),
 		dedup:      make(map[fabric.EndpointID]*dedupState),
 		bounceSem:  sim.NewSemaphore(cfg.BouncePairs),
 	}
@@ -457,7 +464,8 @@ func (c *Controller) complete(ps *procState, token uint64, st wire.Status, cid c
 	if ps.failed {
 		return
 	}
-	if !c.net.Send(c.ep.ID, ps.ep.ID, &wire.Completion{Token: token, Status: st, Cid: cid, Aux: aux}) { // fractos:alloc-ok the completion message is the reply itself, one per syscall by design
+	c.txCompletion = wire.Completion{Token: token, Status: st, Cid: cid, Aux: aux}
+	if !c.net.Send(c.ep.ID, ps.ep.ID, &c.txCompletion) {
 		c.metrics.SendFailed++
 	}
 }
@@ -480,11 +488,13 @@ func (c *Controller) reply(from fabric.EndpointID, token uint64, m wire.Message)
 			c.dedup[from] = ds
 		}
 		if _, exists := ds.replies[token]; !exists {
-			ds.replies[token] = m              // fractos:alloc-ok armed only: map growth bounded by dedupCap
-			ds.order = append(ds.order, token) // fractos:alloc-ok armed only: ring bounded by dedupCap
-			if len(ds.order) > dedupCap {
-				delete(ds.replies, ds.order[0])
-				ds.order = ds.order[1:]
+			ds.replies[token] = m // fractos:alloc-ok armed only: map growth bounded by dedupCap
+			if len(ds.order) < dedupCap {
+				ds.order = append(ds.order, token) // fractos:alloc-ok armed only: ring bounded by dedupCap
+			} else {
+				delete(ds.replies, ds.order[ds.head])
+				ds.order[ds.head] = token
+				ds.head = (ds.head + 1) % dedupCap
 			}
 		}
 	}
@@ -514,121 +524,6 @@ func (c *Controller) dedupArmed() bool {
 // incarnation must never answer tokens of the next one.
 func (c *Controller) dropDedup(ep fabric.EndpointID) {
 	delete(c.dedup, ep)
-}
-
-// call issues an inter-Controller request; cb runs exactly once, in
-// simulation context, when the matching response arrives — or with a
-// synthetic failure CtrlAck when the call cannot complete: the peer's
-// endpoint is torn down (StatusNoProc), the peer is observed dead or
-// rebooted (StatusAborted via abortPendingTo), this Controller itself
-// crashes (StatusAborted via Crash), or, with cfg.RPCTimeout armed,
-// every retransmission attempt times out (StatusAborted).
-func (c *Controller) call(peer cap.ControllerID, build func(token uint64) wire.Message, cb func(wire.Message)) {
-	ep, ok := c.peers[peer]
-	if !ok {
-		cb(&wire.CtrlAck{Status: wire.StatusUnknownObj})
-		return
-	}
-	c.nextToken++
-	token := c.nextToken
-	c.pending[token] = pendingCall{peer: peer, cb: cb, build: build}
-	if !c.net.Send(c.ep.ID, ep, build(token)) {
-		// A torn-down endpoint is locally observable (unlike in-flight
-		// loss): fail fast, no retransmission.
-		delete(c.pending, token)
-		cb(&wire.CtrlAck{Status: wire.StatusNoProc})
-		return
-	}
-	if c.cfg.RPCTimeout > 0 {
-		c.k.After(c.cfg.RPCTimeout, func() { c.resend(token, 0) })
-	}
-}
-
-// resend fires when attempt's timeout expires: if the call is still
-// unanswered, retransmit with the same token and double the timeout;
-// after cfg.RPCRetries attempts resolve it as aborted. Stale timers
-// (call answered, or already superseded by a later attempt) are
-// no-ops, so arming them never perturbs a healthy exchange.
-func (c *Controller) resend(token uint64, attempt int) {
-	pc, ok := c.pending[token]
-	if !ok || pc.attempt != attempt || c.down {
-		return
-	}
-	if attempt+1 >= c.cfg.RPCRetries {
-		c.metrics.RPCAborted++
-		c.resolvePending(token, &wire.CtrlAck{Token: token, Status: wire.StatusAborted})
-		return
-	}
-	pc.attempt = attempt + 1
-	c.pending[token] = pc
-	c.metrics.Retransmits++
-	if !c.net.Send(c.ep.ID, c.peers[pc.peer], pc.build(token)) {
-		c.resolvePending(token, &wire.CtrlAck{Token: token, Status: wire.StatusNoProc})
-		return
-	}
-	c.k.After(c.cfg.RPCTimeout<<uint(pc.attempt), func() { c.resend(token, pc.attempt) })
-}
-
-// callF is call with a future, for spawned sub-tasks.
-func (c *Controller) callF(peer cap.ControllerID, build func(token uint64) wire.Message) *sim.Future[wire.Message] {
-	f := sim.NewFuture[wire.Message](c.k)
-	c.call(peer, build, func(m wire.Message) { f.Set(m) })
-	return f
-}
-
-func (c *Controller) resolvePending(token uint64, m wire.Message) {
-	pc, ok := c.pending[token]
-	if !ok {
-		return
-	}
-	delete(c.pending, token)
-	pc.cb(m)
-}
-
-// abortPendingTo fails every outstanding call addressed to a peer that
-// has been observed dead or rebooted, so syscalls waiting on it
-// complete with an error instead of hanging.
-func (c *Controller) abortPendingTo(peer cap.ControllerID) {
-	var tokens []uint64
-	for tok, pc := range c.pending {
-		if pc.peer == peer {
-			tokens = append(tokens, tok)
-		}
-	}
-	// Deterministic order.
-	for i := 0; i < len(tokens); i++ {
-		for j := i + 1; j < len(tokens); j++ {
-			if tokens[j] < tokens[i] {
-				tokens[i], tokens[j] = tokens[j], tokens[i]
-			}
-		}
-	}
-	for _, tok := range tokens {
-		pc := c.pending[tok]
-		delete(c.pending, tok)
-		pc.cb(&wire.CtrlAck{Token: tok, Status: wire.StatusAborted})
-	}
-}
-
-// abortAllPending fails every outstanding inter-Controller call, in
-// ascending token order, with StatusAborted. Used by Crash so that a
-// failing Controller deterministically unwinds its own in-flight RPCs
-// instead of leaking their callbacks across the reboot.
-func (c *Controller) abortAllPending() {
-	if len(c.pending) == 0 {
-		return
-	}
-	tokens := make([]uint64, 0, len(c.pending))
-	for tok := range c.pending {
-		tokens = append(tokens, tok)
-	}
-	sort.Slice(tokens, func(i, j int) bool { return tokens[i] < tokens[j] })
-	for _, tok := range tokens {
-		pc := c.pending[tok]
-		delete(c.pending, tok)
-		c.metrics.RPCAborted++
-		pc.cb(&wire.CtrlAck{Token: tok, Status: wire.StatusAborted})
-	}
 }
 
 // ref builds a Ref for an object owned by this Controller.
@@ -710,15 +605,18 @@ func (c *Controller) resolveEntry(ps *procState, cid cap.CapID, kind cap.Kind, n
 }
 
 // resolveCapSlots turns syscall capability arguments (cids) into
-// transferable capability arguments, enforcing the Grant right.
-func (c *Controller) resolveCapSlots(ps *procState, slots []wire.CapSlot) ([]capSlotArg, wire.Status) {
-	args := make([]capSlotArg, 0, len(slots))
+// transferable capability arguments, enforcing the Grant right. The
+// result lives in the Controller's argument scratch: it is valid until
+// the next syscall resolves its arguments, and a caller that parks it
+// (a forwarded call awaiting retransmission) copies it out.
+func (c *Controller) resolveCapSlots(ps *procState, slots []wire.CapSlot) ([]wire.CapXfer, wire.Status) {
+	args := c.argScratch[:0]
 	for _, s := range slots {
 		e, st := c.resolveEntry(ps, s.Cid, 0, cap.Grant)
 		if st != wire.StatusOK {
 			return nil, st
 		}
-		arg := capArg{ref: e.Ref, kind: e.Kind, rights: e.Rights, size: e.Size, monitored: e.Monitored}
+		arg := wire.CapXfer{Slot: s.Slot, Ref: e.Ref, Kind: e.Kind, Rights: e.Rights, Size: e.Size, Monitored: e.Monitored}
 		// Delegating a monitored capability creates a separately
 		// revocable child at the owner so the delegator can observe
 		// its destruction (§3.6). Monitored entries only exist at the
@@ -729,12 +627,13 @@ func (c *Controller) resolveCapSlots(ps *procState, slots []wire.CapSlot) ([]cap
 			if st != wire.StatusOK {
 				return nil, st
 			}
-			arg.ref = child
-			arg.monitored = false
-			arg.leased = true
+			arg.Ref = child
+			arg.Monitored = false
+			arg.Leased = true
 		}
-		args = append(args, capSlotArg{slot: s.Slot, arg: arg})
+		args = append(args, arg)
 	}
+	c.argScratch = args[:0]
 	return args, wire.StatusOK
 }
 
@@ -754,32 +653,6 @@ func (c *Controller) deriveDelegatee(ref cap.Ref) (cap.Ref, wire.Status) {
 	return c.ref(child.ID), wire.StatusOK
 }
 
-// xferToArgs converts on-wire capability transfers into capability
-// arguments.
-func xferToArgs(xs []wire.CapXfer) []capSlotArg {
-	args := make([]capSlotArg, 0, len(xs))
-	for _, x := range xs {
-		args = append(args, capSlotArg{slot: x.Slot, arg: capArg{
-			ref: x.Ref, kind: x.Kind, rights: x.Rights, size: x.Size,
-			monitored: x.Monitored, leased: x.Leased,
-		}})
-	}
-	return args
-}
-
-// argsToXfer converts capability arguments to on-wire form.
-func argsToXfer(args []capSlotArg) []wire.CapXfer {
-	xs := make([]wire.CapXfer, 0, len(args))
-	for _, a := range args {
-		xs = append(xs, wire.CapXfer{
-			Slot: a.slot, Ref: a.arg.ref, Kind: a.arg.kind,
-			Rights: a.arg.rights, Size: a.arg.size,
-			Monitored: a.arg.monitored, Leased: a.arg.leased,
-		})
-	}
-	return xs
-}
-
 // sortedPeers returns peer Controller ids in ascending order, so
 // broadcasts are deterministic (map iteration order is not).
 func (c *Controller) sortedPeers() []cap.ControllerID {
@@ -789,24 +662,6 @@ func (c *Controller) sortedPeers() []cap.ControllerID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// sortedSlots returns the request's capability slots in ascending
-// order for deterministic delivery.
-func sortedSlots(caps map[uint16]capArg) []uint16 {
-	slots := make([]uint16, 0, len(caps))
-	for s := range caps {
-		slots = append(slots, s)
-	}
-	// Insertion sort: requests carry a handful of slots at most, and
-	// this avoids the sort.Slice closure allocation on the per-invoke
-	// path.
-	for i := 1; i < len(slots); i++ {
-		for j := i; j > 0 && slots[j] < slots[j-1]; j-- {
-			slots[j], slots[j-1] = slots[j-1], slots[j]
-		}
-	}
-	return slots
 }
 
 // discardObject rolls back a freshly created object that was never

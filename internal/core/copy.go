@@ -143,9 +143,12 @@ func (c *Controller) locate(t *sim.Task, ref cap.Ref, need cap.Rights) (memLoc, 
 		}
 		return memLoc{ep: uint32(mo.ep), base: mo.base, size: mo.size}, wire.StatusOK
 	}
-	reply, err := c.callF(ref.Ctrl, func(tok uint64) wire.Message {
-		return &wire.CtrlValidate{Token: tok, Src: c.id, Ref: ref, Need: need}
-	}).Wait(t)
+	pc := c.newCall(callValidate, ref)
+	pc.rights = need
+	f := sim.NewFuture[wire.Message]()
+	pc.fut = f
+	c.call(pc)
+	reply, err := f.Wait(t)
 	if err != nil {
 		return memLoc{}, wire.StatusAborted
 	}

@@ -37,10 +37,7 @@ func (c *Controller) procFailed(ps *procState) {
 				"core: leased-entry revocation failed with status %v", st)
 			return
 		}
-		ref := e.Ref
-		c.call(ref.Ctrl, func(t uint64) wire.Message {
-			return &wire.CtrlRevoke{Token: t, Src: c.id, From: ref}
-		}, func(wire.Message) {})
+		c.revokeRemoteLease(e.Ref)
 	})
 
 	// Revoke every root object owned/provided by the failed Process.
@@ -143,7 +140,7 @@ func (c *Controller) Reboot() {
 	c.tree = cap.NewTree()
 	c.procs = make(map[cap.ProcID]*procState)
 	c.byEP = make(map[fabric.EndpointID]*procState)
-	c.pending = make(map[uint64]pendingCall)
+	c.pending = make(map[uint64]*pendingCall)
 	// The at-most-once cache died with the instance: replies recorded
 	// before the crash must not answer post-reboot retransmissions
 	// (their tokens reference state that no longer exists — the sender

@@ -33,24 +33,23 @@ func (c *Controller) handleReqInvoke(t *sim.Task, ps *procState, m *wire.ReqInvo
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
-	tok := m.Token
-	imms := m.Imms
-	c.call(e.Ref.Ctrl, func(t uint64) wire.Message {
-		return &wire.CtrlInvoke{Token: t, Src: c.id, Ref: e.Ref, Imms: imms, Caps: argsToXfer(capArgs)}
-	}, func(reply wire.Message) {
-		ack, ok := reply.(*wire.CtrlAck)
-		st := wire.StatusUnknownObj
-		if ok {
-			st = ack.Status
-		}
-		c.complete(ps, tok, st, cap.NilCap, 0)
-	})
+	pc := c.newCall(callInvoke, e.Ref)
+	pc.imms = m.Imms
+	pc.keepCaps(capArgs)
+	c.forward(pc, ps, m.Token)
 }
 
 // deliverInvoke performs the owner-side invocation: validate the
 // Request, merge invoke-time arguments, delegate capability arguments
 // into the provider's space, and deliver a request_receive descriptor.
-func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []capSlotArg) wire.Status {
+//
+// The merge never touches the Request object (§3.4) and never copies
+// it either: preset and invoke-time arguments meet in Controller-owned
+// scratch — the immediates under the same write-once rule a derivation
+// applies, the capabilities in one slot-sorted list — and the
+// descriptor is encoded straight from there. Only a descriptor that
+// must wait for a window credit is copied out.
+func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire.CapXfer) wire.Status {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
 		return st
@@ -64,48 +63,48 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []capS
 		return wire.StatusNoProc
 	}
 
-	// Merge arguments on a scratch copy.
-	merged := ro.clone()
-	if st := merged.applyImms(imms); st != wire.StatusOK {
+	c.immScratch.copyFrom(&ro.imms)
+	if st := c.immScratch.apply(imms); st != wire.StatusOK {
 		return st
 	}
-	if st := merged.applyCaps(extra); st != wire.StatusOK {
+	merged, st := mergeCaps(append(c.capScratch[:0], ro.caps...), extra)
+	c.capScratch = merged[:0]
+	if st != wire.StatusOK {
 		return st
 	}
 
 	// Delegate capability arguments: install entries in the provider's
 	// capability space, in slot order for determinism. On quota
 	// exhaustion the whole delegation is rolled back.
-	slots := sortedSlots(merged.caps)
-	dcaps := make([]wire.DeliveredCap, 0, len(slots))
-	for _, s := range slots {
-		a := merged.caps[s]
+	d := &c.txDeliver
+	d.Caps = d.Caps[:0]
+	for _, a := range merged {
 		cid, st := c.install(prov, cap.Entry{
-			Ref: a.ref, Kind: a.kind, Rights: a.rights, Size: a.size, Leased: a.leased,
+			Ref: a.Ref, Kind: a.Kind, Rights: a.Rights, Size: a.Size, Leased: a.Leased,
 		})
 		if st != wire.StatusOK {
-			for _, dc := range dcaps {
+			for _, dc := range d.Caps {
 				prov.space.Drop(dc.Cid)
 			}
 			return st
 		}
-		dcaps = append(dcaps, wire.DeliveredCap{
-			Slot: s, Cid: cid, Kind: a.kind, Rights: a.rights, Size: a.size,
+		d.Caps = append(d.Caps, wire.DeliveredCap{
+			Slot: a.Slot, Cid: cid, Kind: a.Kind, Rights: a.Rights, Size: a.Size,
 		})
 	}
 
 	prov.deliverSeq++
-	d := &wire.Deliver{
-		Seq:  prov.deliverSeq,
-		Tag:  merged.tag,
-		Imms: merged.imms.bytes(),
-		Caps: dcaps,
-	}
+	d.Seq, d.Tag, d.Imms = prov.deliverSeq, ro.tag, c.immScratch.bytes()
 	if prov.window <= 0 {
 		// Congestion control: queue until the provider acknowledges
-		// earlier deliveries (§4's back-pressure).
+		// earlier deliveries (§4's back-pressure). The queued descriptor
+		// outlives this invocation, so it gets its own storage.
 		c.metrics.Backpressured++
-		prov.queue = append(prov.queue, d)
+		prov.queue = append(prov.queue, &wire.Deliver{
+			Seq: d.Seq, Tag: d.Tag,
+			Imms: append([]byte(nil), d.Imms...),
+			Caps: append([]wire.DeliveredCap(nil), d.Caps...),
+		})
 		return wire.StatusOK
 	}
 	c.sendDeliver(prov, d)
@@ -118,6 +117,6 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []capS
 // retransmitted CtrlInvoke must be answered without re-delivering.
 func (c *Controller) peerInvoke(t *sim.Task, from fabric.EndpointID, m *wire.CtrlInvoke) {
 	c.metrics.Invokes++
-	st := c.deliverInvoke(m.Ref, m.Imms, xferToArgs(m.Caps))
+	st := c.deliverInvoke(m.Ref, m.Imms, m.Caps)
 	c.reply(from, m.Token, &wire.CtrlAck{Token: m.Token, Status: st})
 }

@@ -130,10 +130,7 @@ func (c *Controller) leaseGCTick() {
 		// the delegatee child. A failed call is fine: the owner's death
 		// revokes its world via the epoch announcement anyway.
 		x.ps.space.Purge(x.cid)
-		ref := x.ref
-		c.call(ref.Ctrl, func(t uint64) wire.Message {
-			return &wire.CtrlRevoke{Token: t, Src: c.id, From: ref}
-		}, func(wire.Message) {})
+		c.revokeRemoteLease(x.ref)
 	}
 
 	// Self-quiescing rearm: stop only after sweeping one full cycle

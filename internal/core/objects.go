@@ -16,62 +16,55 @@ type memObject struct {
 	rights cap.Rights
 }
 
-// capArg is a capability argument held inside a Request object.
-type capArg struct {
-	ref       cap.Ref
-	kind      cap.Kind
-	rights    cap.Rights
-	size      uint64
-	monitored bool
-	leased    bool
-}
-
 // reqObject is the owner-side record of a Request object: an RPC
-// endpoint with accumulated, write-once arguments (§3.4).
+// endpoint with accumulated, write-once arguments (§3.4). Capability
+// arguments are kept in their transfer form, sorted by slot, so an
+// invocation delivers them in slot order without sorting or copying.
 type reqObject struct {
 	provider cap.ProcID
 	tag      uint64
 	imms     immBuf
-	caps     map[uint16]capArg
+	caps     []wire.CapXfer // ascending Slot, one entry per slot
 }
 
 // clone deep-copies the request for derivation.
 func (r *reqObject) clone() *reqObject {
-	n := &reqObject{provider: r.provider, tag: r.tag, imms: r.imms.clone(),
-		caps: make(map[uint16]capArg, len(r.caps))}
-	for k, v := range r.caps {
-		n.caps[k] = v
-	}
-	return n
+	return &reqObject{provider: r.provider, tag: r.tag, imms: r.imms.clone(),
+		caps: append([]wire.CapXfer(nil), r.caps...)}
 }
 
 // applyImms refines the immediate buffer. Already-written bytes are
 // immutable: overlap fails with StatusImmutable.
 func (r *reqObject) applyImms(imms []wire.ImmArg) wire.Status {
-	for _, a := range imms {
-		if s := r.imms.write(int(a.Offset), a.Data); s != wire.StatusOK {
-			return s
-		}
-	}
-	return wire.StatusOK
+	return r.imms.apply(imms)
 }
 
 // applyCaps refines the capability slots; occupied slots are
 // immutable.
-func (r *reqObject) applyCaps(args []capSlotArg) wire.Status {
-	for _, a := range args {
-		if _, taken := r.caps[a.slot]; taken {
-			return wire.StatusImmutable
-		}
-		r.caps[a.slot] = a.arg
-	}
-	return wire.StatusOK
+func (r *reqObject) applyCaps(args []wire.CapXfer) wire.Status {
+	var st wire.Status
+	r.caps, st = mergeCaps(r.caps, args)
+	return st
 }
 
-// capSlotArg pairs a slot index with a resolved capability argument.
-type capSlotArg struct {
-	slot uint16
-	arg  capArg
+// mergeCaps inserts args into the slot-sorted list caps, in order,
+// growing it in place; a slot that is already occupied — by a preset
+// argument or by an earlier element of args — is StatusImmutable.
+// Requests carry a handful of slots, so insertion is a short shift.
+func mergeCaps(caps, args []wire.CapXfer) ([]wire.CapXfer, wire.Status) {
+	for _, a := range args {
+		i := len(caps)
+		for i > 0 && caps[i-1].Slot >= a.Slot {
+			i--
+		}
+		if i < len(caps) && caps[i].Slot == a.Slot {
+			return caps, wire.StatusImmutable
+		}
+		caps = append(caps, wire.CapXfer{})
+		copy(caps[i+1:], caps[i:])
+		caps[i] = a
+	}
+	return caps, wire.StatusOK
 }
 
 // maxImmBuf bounds a Request's immediate-argument buffer.
@@ -86,7 +79,28 @@ type immBuf struct {
 }
 
 func (b *immBuf) clone() immBuf {
-	return immBuf{data: append([]byte(nil), b.data...), set: append([]bool(nil), b.set...)}
+	var n immBuf
+	n.copyFrom(b)
+	return n
+}
+
+// copyFrom makes b a copy of src, reusing b's storage: an invocation
+// merges its arguments on a Controller-owned scratch buffer instead of
+// cloning the Request.
+func (b *immBuf) copyFrom(src *immBuf) {
+	b.data = append(b.data[:0], src.data...)
+	b.set = append(b.set[:0], src.set...)
+}
+
+// apply writes each immediate argument in order, stopping at the
+// first one the write-once rule rejects.
+func (b *immBuf) apply(imms []wire.ImmArg) wire.Status {
+	for _, a := range imms {
+		if s := b.write(int(a.Offset), a.Data); s != wire.StatusOK {
+			return s
+		}
+	}
+	return wire.StatusOK
 }
 
 // write stores p at off, failing with StatusImmutable if any target

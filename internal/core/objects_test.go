@@ -84,8 +84,8 @@ func TestImmBufNeverRewritesProperty(t *testing.T) {
 }
 
 func TestReqObjectCloneIsolation(t *testing.T) {
-	orig := &reqObject{provider: 7, tag: 42, caps: map[uint16]capArg{
-		1: {ref: cap.Ref{Ctrl: 1, Obj: 2}, kind: cap.KindMemory},
+	orig := &reqObject{provider: 7, tag: 42, caps: []wire.CapXfer{
+		{Slot: 1, Ref: cap.Ref{Ctrl: 1, Obj: 2}, Kind: cap.KindMemory},
 	}}
 	orig.applyImms([]wire.ImmArg{{Offset: 0, Data: []byte("base")}})
 
@@ -93,7 +93,7 @@ func TestReqObjectCloneIsolation(t *testing.T) {
 	if st := cl.applyImms([]wire.ImmArg{{Offset: 8, Data: []byte("more")}}); st != wire.StatusOK {
 		t.Fatal(st)
 	}
-	if st := cl.applyCaps([]capSlotArg{{slot: 2, arg: capArg{kind: cap.KindRequest}}}); st != wire.StatusOK {
+	if st := cl.applyCaps([]wire.CapXfer{{Slot: 2, Kind: cap.KindRequest}}); st != wire.StatusOK {
 		t.Fatal(st)
 	}
 	// The original is untouched.
@@ -106,11 +106,11 @@ func TestReqObjectCloneIsolation(t *testing.T) {
 }
 
 func TestReqObjectSlotImmutable(t *testing.T) {
-	r := &reqObject{caps: map[uint16]capArg{}}
-	if st := r.applyCaps([]capSlotArg{{slot: 3, arg: capArg{kind: cap.KindMemory}}}); st != wire.StatusOK {
+	r := &reqObject{}
+	if st := r.applyCaps([]wire.CapXfer{{Slot: 3, Kind: cap.KindMemory}}); st != wire.StatusOK {
 		t.Fatal(st)
 	}
-	if st := r.applyCaps([]capSlotArg{{slot: 3, arg: capArg{kind: cap.KindRequest}}}); st != wire.StatusImmutable {
+	if st := r.applyCaps([]wire.CapXfer{{Slot: 3, Kind: cap.KindRequest}}); st != wire.StatusImmutable {
 		t.Fatalf("slot overwrite: %v", st)
 	}
 }

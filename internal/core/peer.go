@@ -16,7 +16,7 @@ func (c *Controller) peerDeriveMem(from fabric.EndpointID, m *wire.CtrlDeriveMem
 
 // peerDeriveReq serves a remote request_create derivation at the owner.
 func (c *Controller) peerDeriveReq(from fabric.EndpointID, m *wire.CtrlDeriveReq) {
-	ref, st := c.deriveReqLocal(m.From, m.Imms, xferToArgs(m.Caps))
+	ref, st := c.deriveReqLocal(m.From, m.Imms, m.Caps)
 	c.reply(from, m.Token, &wire.CtrlAck{
 		Token: m.Token, Status: st, Obj: ref.Obj, Epoch: ref.Epoch,
 	})
@@ -212,25 +212,22 @@ func (c *Controller) flushCleanup() {
 		return
 	}
 	c.metrics.CleanupsSent++
-	removeStubs := func() {
-		for i := len(stubs) - 1; i >= 0; i-- {
-			c.tree.Remove(stubs[i].ID)
-		}
-	}
-	remaining := len(c.peers)
-	if remaining == 0 {
-		removeStubs()
+	if len(c.peers) == 0 {
+		c.removeStubs(stubs)
 		return
 	}
+	batch := &cleanupBatch{refs: refs, stubs: stubs, remaining: len(c.peers)}
 	for _, peer := range c.sortedPeers() {
-		c.call(peer, func(tok uint64) wire.Message {
-			return &wire.CtrlCleanup{Token: tok, Refs: refs}
-		}, func(wire.Message) {
-			remaining--
-			if remaining == 0 {
-				removeStubs()
-			}
-		})
+		pc := c.newCall(callCleanup, cap.Ref{Ctrl: peer})
+		pc.batch = batch
+		c.call(pc)
+	}
+}
+
+// removeStubs erases revoked nodes, children before parents.
+func (c *Controller) removeStubs(stubs []*cap.Node) {
+	for i := len(stubs) - 1; i >= 0; i-- {
+		c.tree.Remove(stubs[i].ID)
 	}
 }
 

@@ -53,31 +53,10 @@ func (c *Controller) handleMemDiminish(ps *procState, m *wire.MemDiminish) {
 		c.complete(ps, m.Token, wire.StatusOK, cid, size)
 		return
 	}
-	tok, off, size, drop := m.Token, m.Offset, m.Size, m.Drop
-	c.call(e.Ref.Ctrl, func(t uint64) wire.Message {
-		return &wire.CtrlDeriveMem{Token: t, Src: c.id, From: e.Ref, Offset: off, Size: size, Drop: drop}
-	}, func(reply wire.Message) {
-		ack, ok := reply.(*wire.CtrlAck)
-		if !ok || ack.Status != wire.StatusOK {
-			st := wire.StatusUnknownObj
-			if ok {
-				st = ack.Status
-			}
-			c.complete(ps, tok, st, cap.NilCap, 0)
-			return
-		}
-		cid, st := c.install(ps, cap.Entry{
-			Ref:    cap.Ref{Ctrl: e.Ref.Ctrl, Obj: ack.Obj, Epoch: ack.Epoch},
-			Kind:   cap.KindMemory,
-			Rights: entryRights & ack.Rights,
-			Size:   ack.Size,
-		})
-		if st != wire.StatusOK {
-			c.complete(ps, tok, st, cap.NilCap, 0)
-			return
-		}
-		c.complete(ps, tok, wire.StatusOK, cid, ack.Size)
-	})
+	pc := c.newCall(callDeriveMem, e.Ref)
+	pc.entry = cap.Entry{Ref: e.Ref, Kind: cap.KindMemory, Rights: entryRights}
+	pc.off, pc.size, pc.rights = m.Offset, m.Size, m.Drop
+	c.forward(pc, ps, m.Token)
 }
 
 // deriveMemLocal performs the owner-side memory derivation.
@@ -116,7 +95,7 @@ func (c *Controller) handleReqCreate(ps *procState, m *wire.ReqCreate) {
 	}
 	if m.Parent == cap.NilCap {
 		// New Request: the caller is the provider.
-		obj := &reqObject{provider: ps.id, tag: m.Tag, caps: make(map[uint16]capArg)}
+		obj := &reqObject{provider: ps.id, tag: m.Tag}
 		if st := obj.applyImms(m.Imms); st != wire.StatusOK {
 			c.complete(ps, m.Token, st, cap.NilCap, 0)
 			return
@@ -159,36 +138,16 @@ func (c *Controller) handleReqCreate(ps *procState, m *wire.ReqCreate) {
 		c.complete(ps, m.Token, wire.StatusOK, cid, 0)
 		return
 	}
-	tok := m.Token
-	imms := m.Imms
-	c.call(e.Ref.Ctrl, func(t uint64) wire.Message {
-		return &wire.CtrlDeriveReq{Token: t, Src: c.id, From: e.Ref, Imms: imms, Caps: argsToXfer(capArgs)}
-	}, func(reply wire.Message) {
-		ack, ok := reply.(*wire.CtrlAck)
-		if !ok || ack.Status != wire.StatusOK {
-			st := wire.StatusUnknownObj
-			if ok {
-				st = ack.Status
-			}
-			c.complete(ps, tok, st, cap.NilCap, 0)
-			return
-		}
-		cid, st := c.install(ps, cap.Entry{
-			Ref:    cap.Ref{Ctrl: e.Ref.Ctrl, Obj: ack.Obj, Epoch: ack.Epoch},
-			Kind:   cap.KindRequest,
-			Rights: e.Rights,
-		})
-		if st != wire.StatusOK {
-			c.complete(ps, tok, st, cap.NilCap, 0)
-			return
-		}
-		c.complete(ps, tok, wire.StatusOK, cid, 0)
-	})
+	pc := c.newCall(callDeriveReq, e.Ref)
+	pc.entry = cap.Entry{Ref: e.Ref, Kind: cap.KindRequest, Rights: e.Rights}
+	pc.imms = m.Imms
+	pc.keepCaps(capArgs)
+	c.forward(pc, ps, m.Token)
 }
 
 // deriveReqLocal performs the owner-side Request derivation: the child
 // inherits all arguments and may only add new ones.
-func (c *Controller) deriveReqLocal(ref cap.Ref, imms []wire.ImmArg, capArgs []capSlotArg) (cap.Ref, wire.Status) {
+func (c *Controller) deriveReqLocal(ref cap.Ref, imms []wire.ImmArg, capArgs []wire.CapXfer) (cap.Ref, wire.Status) {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
 		return cap.Ref{}, st
@@ -241,31 +200,9 @@ func (c *Controller) handleCapRevtree(ps *procState, m *wire.CapRevtree) {
 		c.complete(ps, m.Token, wire.StatusOK, cid, 0)
 		return
 	}
-	tok := m.Token
-	c.call(e.Ref.Ctrl, func(t uint64) wire.Message {
-		return &wire.CtrlRevtree{Token: t, Src: c.id, From: e.Ref}
-	}, func(reply wire.Message) {
-		ack, ok := reply.(*wire.CtrlAck)
-		if !ok || ack.Status != wire.StatusOK {
-			st := wire.StatusUnknownObj
-			if ok {
-				st = ack.Status
-			}
-			c.complete(ps, tok, st, cap.NilCap, 0)
-			return
-		}
-		cid, st := c.install(ps, cap.Entry{
-			Ref:    cap.Ref{Ctrl: e.Ref.Ctrl, Obj: ack.Obj, Epoch: ack.Epoch},
-			Kind:   e.Kind,
-			Rights: e.Rights,
-			Size:   e.Size,
-		})
-		if st != wire.StatusOK {
-			c.complete(ps, tok, st, cap.NilCap, 0)
-			return
-		}
-		c.complete(ps, tok, wire.StatusOK, cid, 0)
-	})
+	pc := c.newCall(callRevtree, e.Ref)
+	pc.entry = cap.Entry{Ref: e.Ref, Kind: e.Kind, Rights: e.Rights, Size: e.Size}
+	c.forward(pc, ps, m.Token)
 }
 
 // handleCapRevoke revokes a capability (cap_revoke): one message to
@@ -282,18 +219,9 @@ func (c *Controller) handleCapRevoke(ps *procState, m *wire.CapRevoke) {
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
-	tok, cid := m.Token, m.Cid
-	c.call(e.Ref.Ctrl, func(t uint64) wire.Message {
-		return &wire.CtrlRevoke{Token: t, Src: c.id, From: e.Ref}
-	}, func(reply wire.Message) {
-		ack, ok := reply.(*wire.CtrlAck)
-		st := wire.StatusUnknownObj
-		if ok {
-			st = ack.Status
-		}
-		ps.space.Drop(cid)
-		c.complete(ps, tok, st, cap.NilCap, 0)
-	})
+	pc := c.newCall(callRevoke, e.Ref)
+	pc.cid = m.Cid
+	c.forward(pc, ps, m.Token)
 }
 
 // handleCapDrop discards a capability-space entry without revoking.
@@ -356,18 +284,9 @@ func (c *Controller) handleMonitorReceive(ps *procState, m *wire.MonitorReceive)
 		c.complete(ps, m.Token, wire.StatusOK, cap.NilCap, 0)
 		return
 	}
-	tok := m.Token
-	c.call(e.Ref.Ctrl, func(t uint64) wire.Message {
-		return &wire.CtrlWatch{Token: t, Src: c.id, Ref: e.Ref,
-			WatcherProc: w.Proc, WatcherCtrl: w.Ctrl, Callback: w.Callback}
-	}, func(reply wire.Message) {
-		ack, ok := reply.(*wire.CtrlAck)
-		st := wire.StatusUnknownObj
-		if ok {
-			st = ack.Status
-		}
-		c.complete(ps, tok, st, cap.NilCap, 0)
-	})
+	pc := c.newCall(callWatch, e.Ref)
+	pc.callback = m.Callback
+	c.forward(pc, ps, m.Token)
 }
 
 // handleDeliverDone releases one congestion-window credit (§4).
@@ -382,9 +301,14 @@ func (c *Controller) handleDeliverDone(ps *procState, m *wire.DeliverDone) {
 
 // drainQueue sends queued deliveries while window credits remain.
 func (c *Controller) drainQueue(ps *procState) {
+	// Pop by in-place shift, not ps.queue[1:]: re-slicing drifts through
+	// the backing array, which under sustained back-pressure pins every
+	// delivery ever queued and regrows without bound.
 	for ps.window > 0 && len(ps.queue) > 0 {
 		d := ps.queue[0]
-		ps.queue = ps.queue[1:]
+		n := copy(ps.queue, ps.queue[1:])
+		ps.queue[n] = nil
+		ps.queue = ps.queue[:n]
 		c.sendDeliver(ps, d)
 	}
 }

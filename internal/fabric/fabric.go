@@ -14,6 +14,7 @@ package fabric
 import (
 	"fmt"
 
+	"fractos/internal/assert"
 	"fractos/internal/sim"
 	"fractos/internal/wire"
 )
@@ -284,6 +285,76 @@ type Net struct {
 	// keeps the fault-free send path branch-cheap and byte-identical
 	// to a build without the layer.
 	faults *faultState
+
+	// rd decodes every frame this Net carries (wire.UnmarshalWith), and
+	// flights recycles the in-flight records that carry decoded
+	// messages to their inboxes. Both belong to the Net's kernel
+	// context alone.
+	rd      wire.Reader
+	flights sim.FreeList[flight]
+}
+
+// flight is one frame in flight: the decoded message on its way to
+// dst's inbox. It is the target of the delivery event (sim.Callback),
+// so a send schedules its delivery without allocating a closure. A
+// record is live from launch until its event fires — delivery, or the
+// drop at a receiver that disconnected meanwhile — and is cleared on
+// release: a stale reference finds net == nil and trips the asserts.
+type flight struct {
+	net   *Net
+	dst   *Endpoint
+	from  EndpointID
+	msg   wire.Message
+	bytes int
+}
+
+// getFlight takes an in-flight record off the free list.
+//
+//fractos:hotpath
+//fractos:pool-acquire flight
+func (n *Net) getFlight() *flight {
+	return n.flights.Get()
+}
+
+// putFlight clears a record and returns it to the free list.
+//
+//fractos:hotpath
+//fractos:pool-release flight
+func (n *Net) putFlight(f *flight) {
+	assert.True(f.net == n, "fabric: in-flight record released twice or to the wrong fabric")
+	*f = flight{}
+	n.flights.Put(f)
+}
+
+// launch hands a filled record to the kernel: its delivery event owns
+// it from here until Fire releases it.
+//
+//fractos:hotpath
+//fractos:pool-handoff flight
+func (n *Net) launch(f *flight, delay sim.Time) {
+	f.net = n
+	n.k.AfterCall(delay, f)
+}
+
+// Fire is the delivery event: release the record, then hand the
+// message to the receiver unless it disconnected while the frame was
+// on the wire.
+//
+//fractos:hotpath
+func (f *flight) Fire() {
+	assert.True(f.net != nil, "fabric: in-flight record fired after release")
+	dst, d := f.dst, Delivery{From: f.from, Msg: f.msg, Bytes: f.bytes}
+	f.net.putFlight(f)
+	if !dst.disconnected {
+		dst.Inbox.TrySend(d)
+	}
+}
+
+// decode parses a frame through the Net's own Reader.
+//
+//fractos:hotpath
+func (n *Net) decode(frame []byte) (wire.Message, error) {
+	return wire.UnmarshalWith(&n.rd, frame) // fractos:alloc-ok eager decode allocates the delivered message (struct and payload copies) once per send by design
 }
 
 // New creates a fabric over the given kernel with profile p.
@@ -454,16 +525,16 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 	if src == nil || dst == nil || src.disconnected || dst.disconnected {
 		return false
 	}
-	// Encode into a pooled frame buffer and decode eagerly. Unmarshal
+	// Encode into a pooled frame buffer and decode eagerly. Decoding
 	// copies every variable-length payload, so the decoded message never
 	// aliases the frame and the buffer can return to the pool before the
-	// delivery is even scheduled. The delivery closure then captures only
-	// the decoded message — no per-send frame allocation survives.
+	// delivery is even scheduled. What stays in flight is a recycled
+	// record holding only the decoded message.
 	w := wire.GetWriter(wire.SizeOf(m))
 	wire.MarshalTo(w, m)
 	frame := w.Bytes()
 	nBytes := len(frame)
-	decoded, derr := wire.Unmarshal(frame) // fractos:alloc-ok eager decode allocates the delivered message once per send by design
+	decoded, derr := n.decode(frame)
 	cross := src.Loc.Node != dst.Loc.Node
 
 	// Chaos pipeline (cross-node frames only; see faults.go for the
@@ -483,7 +554,7 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 			if fs.dup > 0 && fs.rng.Float64() < fs.dup && !lost && derr == nil {
 				// The duplicate is decoded independently so the two
 				// deliveries never share mutable payloads.
-				dup2, _ = wire.Unmarshal(frame) // fractos:alloc-ok chaos-only path: the duplicate gets its own decode
+				dup2, _ = n.decode(frame)
 			}
 			if fs.jitter > 0 {
 				extra = sim.Time(fs.rng.Int63n(int64(fs.jitter)))
@@ -509,13 +580,9 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 		// (failure as revocation).
 		return true
 	}
-	// fractos:alloc-ok the delivery closure is the per-send in-flight record; it captures only the decoded message
-	n.k.After(done+extra-now, func() {
-		if dst.disconnected {
-			return
-		}
-		dst.Inbox.TrySend(Delivery{From: from, Msg: decoded, Bytes: nBytes})
-	})
+	f := n.getFlight()
+	f.dst, f.from, f.msg, f.bytes = dst, from, decoded, nBytes
+	n.launch(f, done+extra-now)
 	if dup2 != nil {
 		// The duplicate pays for the wire a second time and lands
 		// strictly after the original (uplink serialization).
@@ -525,13 +592,9 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 		if n.trace != nil {
 			n.trace(TraceEvent{At: now, From: from, To: to, Type: m.WireType(), Bytes: nBytes, Class: m.Class()})
 		}
-		// fractos:alloc-ok chaos-only path: the duplicate needs its own in-flight record
-		n.k.After(done2+extra-now, func() {
-			if dst.disconnected {
-				return
-			}
-			dst.Inbox.TrySend(Delivery{From: from, Msg: dup2, Bytes: nBytes})
-		})
+		f2 := n.getFlight()
+		f2.dst, f2.from, f2.msg, f2.bytes = dst, from, dup2, nBytes
+		n.launch(f2, done2+extra-now)
 	}
 	return true
 }
@@ -604,7 +667,7 @@ func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nB
 // remoteOff into initiator's arena at localOff. The returned future
 // resolves at the modeled completion time.
 func (n *Net) RDMARead(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) *sim.Future[int] {
-	f := sim.NewFuture[int](n.k)
+	f := sim.NewFuture[int]()
 	ini := n.lookup(initiator)
 	rem := n.lookup(remote)
 	if ini == nil || rem == nil {
@@ -616,14 +679,14 @@ func (n *Net) RDMARead(initiator EndpointID, localOff int, remote EndpointID, re
 		f.Fail(err)
 		return f
 	}
-	n.k.After(done-n.k.Now(), func() { f.Set(nBytes) })
+	n.k.AfterCall(done-n.k.Now(), f.Due(nBytes))
 	return f
 }
 
 // RDMAWrite starts a one-sided write of nBytes from initiator's arena
 // at localOff into remote's arena at remoteOff.
 func (n *Net) RDMAWrite(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) *sim.Future[int] {
-	f := sim.NewFuture[int](n.k)
+	f := sim.NewFuture[int]()
 	ini := n.lookup(initiator)
 	rem := n.lookup(remote)
 	if ini == nil || rem == nil {
@@ -635,7 +698,7 @@ func (n *Net) RDMAWrite(initiator EndpointID, localOff int, remote EndpointID, r
 		f.Fail(err)
 		return f
 	}
-	n.k.After(done-n.k.Now(), func() { f.Set(nBytes) })
+	n.k.AfterCall(done-n.k.Now(), f.Due(nBytes))
 	return f
 }
 
@@ -643,7 +706,7 @@ func (n *Net) RDMAWrite(initiator EndpointID, localOff int, remote EndpointID, r
 // to move bytes directly into dst's arena ("HW copies" in Figure 5 —
 // hardware support the paper models but the testbed NICs lack).
 func (n *Net) RDMACopy(initiator EndpointID, src EndpointID, srcOff int, dst EndpointID, dstOff, nBytes int) *sim.Future[int] {
-	f := sim.NewFuture[int](n.k)
+	f := sim.NewFuture[int]()
 	ini := n.lookup(initiator)
 	se := n.lookup(src)
 	de := n.lookup(dst)
@@ -656,6 +719,6 @@ func (n *Net) RDMACopy(initiator EndpointID, src EndpointID, srcOff int, dst End
 		f.Fail(err)
 		return f
 	}
-	n.k.After(done-n.k.Now(), func() { f.Set(nBytes) })
+	n.k.AfterCall(done-n.k.Now(), f.Due(nBytes))
 	return f
 }

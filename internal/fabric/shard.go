@@ -158,7 +158,7 @@ func (m *Mesh) Send(from, to EndpointID, msg wire.Message) bool {
 	wire.MarshalTo(w, msg)
 	frame := w.Bytes()
 	nBytes := len(frame)
-	decoded, derr := wire.Unmarshal(frame) // fractos:alloc-ok eager decode allocates the delivered message once per send by design
+	decoded, derr := net.decode(frame)
 	w.Release()
 
 	now := k.Now()
@@ -183,7 +183,10 @@ func (m *Mesh) Send(from, to EndpointID, msg wire.Message) bool {
 	if derr != nil {
 		return true // line corruption: bytes were charged, frame dropped
 	}
-	// fractos:alloc-ok the delivery closure is the per-send in-flight record; it captures only the decoded message
+	// The delivery may run on another shard's kernel, so it cannot be a
+	// record from the sending Net's single-owner free list (acquired
+	// here, released there); a closure carries the decoded message.
+	// fractos:alloc-ok one closure per send is the cross-shard in-flight record
 	k.Post(m.owner[dst.Loc.Node], done-now, func() {
 		if dst.disconnected {
 			return

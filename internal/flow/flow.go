@@ -81,7 +81,7 @@ func Join(t *sim.Task, p *proc.Process, n int) (*JoinHandle, error) {
 		return nil, err
 	}
 	ch := p.Subscribe(tag)
-	done := sim.NewFuture[[]*proc.Delivery](p.Kernel())
+	done := sim.NewFuture[[]*proc.Delivery]()
 	p.Kernel().Spawn("flow-join", func(jt *sim.Task) {
 		var all []*proc.Delivery
 		for len(all) < n {

@@ -38,6 +38,14 @@ type Process struct {
 
 	nextToken uint64
 	pending   map[uint64]*sim.Future[*wire.Completion]
+	// futures recycles the completion futures of synchronous syscalls:
+	// the caller blocks until its completion arrives, so the future is
+	// free again the moment the call returns. The Async variants hand
+	// their future to the caller and allocate it.
+	futures sim.FreeList[sim.Future[*wire.Completion]]
+	// slots is scratch for a syscall's capability-argument list; the
+	// message that carries it is encoded before submit returns.
+	slots []wire.CapSlot
 
 	nextTag  uint64
 	waiters  map[uint64]*sim.Future[*Delivery]
@@ -192,7 +200,14 @@ func (p *Process) checkArgs(args []Arg) error {
 
 // submit posts a syscall and returns the future of its completion.
 func (p *Process) submit(build func(token uint64) wire.Message) *sim.Future[*wire.Completion] {
-	f := sim.NewFuture[*wire.Completion](p.k)
+	f := sim.NewFuture[*wire.Completion]()
+	p.post(f, build)
+	return f
+}
+
+// post sends the syscall build describes under a fresh token; f
+// resolves with its completion.
+func (p *Process) post(f *sim.Future[*wire.Completion], build func(token uint64) wire.Message) {
 	p.nextToken++
 	token := p.nextToken
 	p.pending[token] = f
@@ -200,7 +215,25 @@ func (p *Process) submit(build func(token uint64) wire.Message) *sim.Future[*wir
 		delete(p.pending, token)
 		f.Fail(ErrDisconnected)
 	}
-	return f
+}
+
+// syscall posts a syscall and blocks until it completes, on a
+// recycled future.
+func (p *Process) syscall(t *sim.Task, build func(token uint64) wire.Message) (*wire.Completion, error) {
+	f := p.getFuture()
+	p.post(f, build)
+	m, err := wait(t, f)
+	p.putFuture(f)
+	return m, err
+}
+
+//fractos:pool-acquire procfuture
+func (p *Process) getFuture() *sim.Future[*wire.Completion] { return p.futures.Get() }
+
+//fractos:pool-release procfuture
+func (p *Process) putFuture(f *sim.Future[*wire.Completion]) {
+	f.Reset()
+	p.futures.Put(f)
 }
 
 // wait blocks on a syscall completion and converts its status.
@@ -217,18 +250,18 @@ func wait(t *sim.Task, f *sim.Future[*wire.Completion]) (*wire.Completion, error
 
 // Null performs the no-op syscall (Table 3's micro-benchmark).
 func (p *Process) Null(t *sim.Task) error {
-	_, err := wait(t, p.submit(func(tok uint64) wire.Message {
+	_, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.Null{Token: tok}
-	}))
+	})
 	return err
 }
 
 // MemoryCreate registers [base, base+size) of the arena as a Memory
 // object (memory_create).
 func (p *Process) MemoryCreate(t *sim.Task, base, size uint64, perms cap.Rights) (Cap, error) {
-	m, err := wait(t, p.submit(func(tok uint64) wire.Message {
+	m, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.MemCreate{Token: tok, Base: base, Size: size, Perms: perms}
-	}))
+	})
 	if err != nil {
 		return Cap{}, err
 	}
@@ -257,9 +290,9 @@ func (p *Process) MemoryDiminish(t *sim.Task, c Cap, offset, size uint64, drop c
 	if err := p.checkOwn(c); err != nil {
 		return Cap{}, err
 	}
-	m, err := wait(t, p.submit(func(tok uint64) wire.Message {
+	m, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.MemDiminish{Token: tok, Cid: c.id, Offset: offset, Size: size, Drop: drop}
-	}))
+	})
 	if err != nil {
 		return Cap{}, err
 	}
@@ -277,7 +310,7 @@ func (p *Process) MemoryCopy(t *sim.Task, src, dst Cap) error {
 // future, for pipelined transfers.
 func (p *Process) MemoryCopyAsync(src, dst Cap) *sim.Future[*wire.Completion] {
 	if err := p.checkOwn(src, dst); err != nil {
-		f := sim.NewFuture[*wire.Completion](p.k)
+		f := sim.NewFuture[*wire.Completion]()
 		f.Fail(err)
 		return f
 	}
@@ -294,9 +327,9 @@ func (p *Process) RequestCreate(t *sim.Task, tag uint64, imms []wire.ImmArg, arg
 	if err := p.checkArgs(args); err != nil {
 		return Cap{}, err
 	}
-	m, err := wait(t, p.submit(func(tok uint64) wire.Message {
-		return &wire.ReqCreate{Token: tok, Parent: cap.NilCap, Tag: tag, Imms: imms, Caps: toSlots(args)}
-	}))
+	m, err := p.syscall(t, func(tok uint64) wire.Message {
+		return &wire.ReqCreate{Token: tok, Parent: cap.NilCap, Tag: tag, Imms: imms, Caps: p.capSlots(args, nil)}
+	})
 	if err != nil {
 		return Cap{}, err
 	}
@@ -313,9 +346,9 @@ func (p *Process) Derive(t *sim.Task, parent Cap, imms []wire.ImmArg, args []Arg
 	if err := p.checkArgs(args); err != nil {
 		return Cap{}, err
 	}
-	m, err := wait(t, p.submit(func(tok uint64) wire.Message {
-		return &wire.ReqCreate{Token: tok, Parent: parent.id, Imms: imms, Caps: toSlots(args)}
-	}))
+	m, err := p.syscall(t, func(tok uint64) wire.Message {
+		return &wire.ReqCreate{Token: tok, Parent: parent.id, Imms: imms, Caps: p.capSlots(args, nil)}
+	})
 	if err != nil {
 		return Cap{}, err
 	}
@@ -327,24 +360,41 @@ func (p *Process) Derive(t *sim.Task, parent Cap, imms []wire.ImmArg, args []Arg
 // delivered/queued at the provider; results, if any, arrive through
 // continuation Requests.
 func (p *Process) Invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg) error {
-	_, err := wait(t, p.InvokeAsync(req, imms, args))
+	return p.invoke(t, req, imms, args, nil)
+}
+
+// invoke is Invoke with one more capability argument after args when
+// last is non-nil: Call passes its reply Request this way instead of
+// copying the caller's args to extend them.
+func (p *Process) invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, last *Arg) error {
+	if err := p.checkInvoke(req, args); err != nil {
+		return err
+	}
+	_, err := p.syscall(t, func(tok uint64) wire.Message {
+		return &wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args, last)}
+	})
 	return err
 }
 
 // InvokeAsync starts an invocation and returns its acceptance future.
 func (p *Process) InvokeAsync(req Cap, imms []wire.ImmArg, args []Arg) *sim.Future[*wire.Completion] {
-	err := p.checkOwn(req)
-	if err == nil {
-		err = p.checkArgs(args)
-	}
-	if err != nil {
-		f := sim.NewFuture[*wire.Completion](p.k)
+	if err := p.checkInvoke(req, args); err != nil {
+		f := sim.NewFuture[*wire.Completion]()
 		f.Fail(err)
 		return f
 	}
 	return p.submit(func(tok uint64) wire.Message {
-		return &wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: toSlots(args)}
+		return &wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args, nil)}
 	})
+}
+
+// checkInvoke verifies the handles of an invocation belong to this
+// Process.
+func (p *Process) checkInvoke(req Cap, args []Arg) error {
+	if err := p.checkOwn(req); err != nil {
+		return err
+	}
+	return p.checkArgs(args)
 }
 
 // Revtree creates a separately revocable child capability
@@ -353,9 +403,9 @@ func (p *Process) Revtree(t *sim.Task, c Cap) (Cap, error) {
 	if err := p.checkOwn(c); err != nil {
 		return Cap{}, err
 	}
-	m, err := wait(t, p.submit(func(tok uint64) wire.Message {
+	m, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.CapRevtree{Token: tok, Cid: c.id}
-	}))
+	})
 	if err != nil {
 		return Cap{}, err
 	}
@@ -369,9 +419,9 @@ func (p *Process) Revoke(t *sim.Task, c Cap) error {
 	if err := p.checkOwn(c); err != nil {
 		return err
 	}
-	_, err := wait(t, p.submit(func(tok uint64) wire.Message {
+	_, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.CapRevoke{Token: tok, Cid: c.id}
-	}))
+	})
 	return err
 }
 
@@ -380,9 +430,9 @@ func (p *Process) Drop(t *sim.Task, c Cap) error {
 	if err := p.checkOwn(c); err != nil {
 		return err
 	}
-	_, err := wait(t, p.submit(func(tok uint64) wire.Message {
+	_, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.CapDrop{Token: tok, Cid: c.id}
-	}))
+	})
 	return err
 }
 
@@ -394,9 +444,9 @@ func (p *Process) MonitorDelegate(t *sim.Task, c Cap, fn func()) error {
 	p.nextCB++
 	id := p.nextCB
 	p.monitors[id] = func(uint8) { fn() }
-	_, err := wait(t, p.submit(func(tok uint64) wire.Message {
+	_, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.MonitorDelegate{Token: tok, Cid: c.id, Callback: id}
-	}))
+	})
 	if err != nil {
 		delete(p.monitors, id)
 	}
@@ -409,9 +459,9 @@ func (p *Process) MonitorReceive(t *sim.Task, c Cap, fn func()) error {
 	p.nextCB++
 	id := p.nextCB
 	p.monitors[id] = func(uint8) { fn() }
-	_, err := wait(t, p.submit(func(tok uint64) wire.Message {
+	_, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.MonitorReceive{Token: tok, Cid: c.id, Callback: id}
-	}))
+	})
 	if err != nil {
 		delete(p.monitors, id)
 	}
@@ -427,14 +477,18 @@ func (p *Process) Bye() {
 	p.net.Send(p.ep.ID, p.ctrlEP, &wire.ProcBye{})
 }
 
-func toSlots(args []Arg) []wire.CapSlot {
-	if len(args) == 0 {
-		return nil
-	}
-	out := make([]wire.CapSlot, 0, len(args))
+// capSlots converts argument handles (plus last, if non-nil) to their
+// wire form in the Process's scratch list, which stays valid until the
+// next syscall is built.
+func (p *Process) capSlots(args []Arg, last *Arg) []wire.CapSlot {
+	out := p.slots[:0]
 	for _, a := range args {
 		out = append(out, wire.CapSlot{Slot: a.Slot, Cid: a.Cap.id})
 	}
+	if last != nil {
+		out = append(out, wire.CapSlot{Slot: last.Slot, Cid: last.Cap.id})
+	}
+	p.slots = out[:0]
 	return out
 }
 

@@ -93,7 +93,7 @@ func (p *Process) NewTag() uint64 {
 func (p *Process) WaitTag(tag uint64) *sim.Future[*Delivery] {
 	f, ok := p.waiters[tag]
 	if !ok {
-		f = sim.NewFuture[*Delivery](p.k)
+		f = sim.NewFuture[*Delivery]()
 		p.waiters[tag] = f
 	}
 	return f
@@ -161,8 +161,7 @@ func (p *Process) CallTimeout(t *sim.Task, req Cap, imms []wire.ImmArg, args []A
 		return nil, err
 	}
 	f := p.WaitTag(tag)
-	allArgs := append(append([]Arg(nil), args...), Arg{Slot: replySlot, Cap: reply})
-	if err := p.Invoke(t, req, imms, allArgs); err != nil {
+	if err := p.invoke(t, req, imms, args, &Arg{Slot: replySlot, Cap: reply}); err != nil {
 		delete(p.waiters, tag)
 		_ = p.Drop(t, reply)
 		return nil, err

@@ -30,8 +30,8 @@ type Chan[T any] struct {
 	// pending timer closure after the receive completes, so those are
 	// always freshly allocated. Reuse is deterministic — waiter identity
 	// is never observed, and contents are fully reset on reuse.
-	freeRecv []*recvWaiter[T]
-	freeSend []*sendWaiter[T]
+	freeRecv FreeList[recvWaiter[T]]
+	freeSend FreeList[sendWaiter[T]]
 }
 
 type sendWaiter[T any] struct {
@@ -59,13 +59,9 @@ func NewChan[T any](k *Kernel, name string, capacity int) *Chan[T] {
 //fractos:hotpath
 //fractos:pool-acquire chanwaiter
 func (c *Chan[T]) getRecv(t *Task) *recvWaiter[T] {
-	if n := len(c.freeRecv); n > 0 {
-		rw := c.freeRecv[n-1]
-		c.freeRecv = c.freeRecv[:n-1]
-		*rw = recvWaiter[T]{t: t}
-		return rw
-	}
-	return &recvWaiter[T]{t: t} // fractos:alloc-ok cold refill; steady state recycles via putRecv
+	rw := c.freeRecv.Get()
+	*rw = recvWaiter[T]{t: t}
+	return rw
 }
 
 // putRecv recycles a waiter whose wait has fully completed. The caller
@@ -78,7 +74,7 @@ func (c *Chan[T]) putRecv(rw *recvWaiter[T]) {
 	var zero T
 	rw.v = zero
 	rw.t = nil
-	c.freeRecv = append(c.freeRecv, rw) // fractos:alloc-ok free-list growth is amortized
+	c.freeRecv.Put(rw)
 }
 
 // getSend returns a recycled (or new) send waiter carrying v.
@@ -86,13 +82,9 @@ func (c *Chan[T]) putRecv(rw *recvWaiter[T]) {
 //fractos:hotpath
 //fractos:pool-acquire chanwaiter
 func (c *Chan[T]) getSend(t *Task, v T) *sendWaiter[T] {
-	if n := len(c.freeSend); n > 0 {
-		sw := c.freeSend[n-1]
-		c.freeSend = c.freeSend[:n-1]
-		*sw = sendWaiter[T]{t: t, v: v}
-		return sw
-	}
-	return &sendWaiter[T]{t: t, v: v} // fractos:alloc-ok cold refill; steady state recycles via putSend
+	sw := c.freeSend.Get()
+	*sw = sendWaiter[T]{t: t, v: v}
+	return sw
 }
 
 // putSend recycles a send waiter whose wait has fully completed.
@@ -103,7 +95,7 @@ func (c *Chan[T]) putSend(sw *sendWaiter[T]) {
 	var zero T
 	sw.v = zero
 	sw.t = nil
-	c.freeSend = append(c.freeSend, sw) // fractos:alloc-ok free-list growth is amortized
+	c.freeSend.Put(sw)
 }
 
 // Len reports how many values are buffered.

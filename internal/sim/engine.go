@@ -142,7 +142,7 @@ func (k *Kernel) Post(dst int, d Time, fn func()) {
 	e := k.eng
 	assert.True(e != nil, "sim: Post on a kernel without an engine")
 	if dst == k.shard {
-		k.schedule(k.now+d, nil, fn)
+		k.schedule(k.now+d, nil, funcCall(fn))
 		return
 	}
 	assert.True(d >= e.lookahead, "sim: cross-shard post under the lookahead window")
@@ -302,7 +302,7 @@ func (k *Kernel) scheduleAt(at Time, fn func()) {
 	assert.True(at > k.now, "sim: cross-shard delivery in this shard's past")
 	e := k.alloc()
 	k.seq++
-	e.at, e.seq, e.fn = at, k.seq, fn
+	e.at, e.seq, e.cb = at, k.seq, funcCall(fn)
 	k.heap.push(e)
 }
 

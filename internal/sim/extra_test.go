@@ -157,7 +157,7 @@ func TestWaitGroupImmediateWait(t *testing.T) {
 
 func TestFutureSetBeforeWait(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k)
+	f := NewFuture[int]()
 	f.Set(9)
 	var got int
 	k.Spawn("w", func(tk *Task) { got, _ = f.Wait(tk) })
@@ -170,7 +170,7 @@ func TestFutureSetBeforeWait(t *testing.T) {
 
 func TestDoubleResolvePanics(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k)
+	f := NewFuture[int]()
 	f.Set(1)
 	defer func() {
 		if recover() == nil {
@@ -183,7 +183,7 @@ func TestDoubleResolvePanics(t *testing.T) {
 
 func TestFutureWaitTimeout(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k)
+	f := NewFuture[int]()
 	var err error
 	var at Time
 	k.Spawn("w", func(tk *Task) {
@@ -208,7 +208,7 @@ func TestFutureWaitTimeout(t *testing.T) {
 
 func TestFutureWaitTimeoutResolvedInTime(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k)
+	f := NewFuture[int]()
 	var got int
 	var err error
 	k.Spawn("w", func(tk *Task) {
@@ -230,7 +230,7 @@ func TestFutureWaitTimeoutResolvedInTime(t *testing.T) {
 
 func TestFutureWaitTimeoutAlreadyDone(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k)
+	f := NewFuture[int]()
 	f.Set(5)
 	var got int
 	k.Spawn("w", func(tk *Task) { got, _ = f.WaitTimeout(tk, time.Microsecond) })
@@ -245,7 +245,7 @@ func TestFutureWaitTimeoutAlreadyDone(t *testing.T) {
 // same virtual instant must not double-wake the task.
 func TestFutureTimeoutRaceWithResolve(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k)
+	f := NewFuture[int]()
 	ch := NewChan[int](k, "after", 0)
 	k.Spawn("w", func(tk *Task) {
 		v, err := f.WaitTimeout(tk, 50*time.Microsecond)

@@ -7,17 +7,23 @@ import "fractos/internal/assert"
 // Process library wraps them in Futures to offer synchronous-looking
 // APIs, mirroring the promise/future library the paper's C++ prototype
 // built for the same purpose.
+//
+// The zero value is an unresolved future, so owners that recycle
+// futures (Reset) can keep them in a FreeList.
 type Future[T any] struct {
-	k       *Kernel
-	done    bool
-	val     T
-	err     error
-	waiters []*Task
+	done bool
+	val  T
+	err  error
+	// first is the earliest waiter, held inline: almost every future
+	// has exactly one (the task that issued the operation), so parking
+	// on it allocates nothing. Later waiters queue behind it in more.
+	first *Task
+	more  []*Task
 }
 
 // NewFuture creates an unresolved future.
-func NewFuture[T any](k *Kernel) *Future[T] {
-	return &Future[T]{k: k}
+func NewFuture[T any]() *Future[T] {
+	return &Future[T]{}
 }
 
 // Done reports whether the future has been resolved.
@@ -33,22 +39,64 @@ func (f *Future[T]) Fail(err error) {
 	f.resolve(zero, err)
 }
 
+// Due stores v and returns the event target that resolves the future
+// with it, so k.AfterCall(d, f.Due(v)) is a modeled-latency completion
+// (an RDMA op finishing on the wire) as one kernel event aimed at the
+// future itself, with no closure in between.
+func (f *Future[T]) Due(v T) Callback {
+	f.val = v
+	return (*dueFuture[T])(f)
+}
+
+// dueFuture is Future as the event target Due returns; a separate
+// type keeps Fire out of Future's method set.
+type dueFuture[T any] Future[T]
+
+func (d *dueFuture[T]) Fire() {
+	f := (*Future[T])(d)
+	f.resolve(f.val, nil)
+}
+
+// Reset returns a resolved future to the unresolved state so its
+// owner can reuse it for the next operation. Every task that waited
+// has already been woken by then; resetting a future that still has
+// parked waiters is a bug.
+func (f *Future[T]) Reset() {
+	assert.That(f.first == nil && len(f.more) == 0, "sim: future reset with parked waiters")
+	var zero T
+	f.done, f.val, f.err = false, zero, nil
+}
+
 func (f *Future[T]) resolve(v T, err error) {
 	assert.That(!f.done, "sim: future resolved twice")
 	f.done = true
 	f.val = v
 	f.err = err
-	for _, t := range f.waiters {
-		t.wakeAfter(0)
+	if f.first != nil {
+		f.first.wakeAfter(0)
+		f.first = nil
 	}
-	f.waiters = nil
+	for i, t := range f.more {
+		t.wakeAfter(0)
+		f.more[i] = nil
+	}
+	f.more = f.more[:0]
+}
+
+// enqueue registers t as a waiter, in arrival order.
+func (f *Future[T]) enqueue(t *Task) {
+	if f.first == nil {
+		f.first = t
+		return
+	}
+	f.more = append(f.more, t)
 }
 
 // Wait blocks the task until the future resolves, then returns its
 // value and error.
 func (f *Future[T]) Wait(t *Task) (T, error) {
 	for !f.done {
-		f.waiters = append(f.waiters, t)
+		f.enqueue(t)
 		t.park()
 	}
 	return f.val, f.err
@@ -68,15 +116,24 @@ func (f *Future[T]) WaitTimeout(t *Task, d Time) (T, error) {
 	if f.done {
 		return f.val, f.err
 	}
-	f.waiters = append(f.waiters, t)
-	f.k.After(d, func() {
+	f.enqueue(t)
+	t.k.After(d, func() {
 		// Wake the task only if it is still waiting on this future;
 		// if resolve already woke it (and cleared the waiter list),
 		// issuing another wake would spuriously resume an unrelated
 		// later park.
-		for i, w := range f.waiters {
+		if f.first == t {
+			f.first = nil
+			if len(f.more) > 0 {
+				f.first = f.more[0]
+				f.more = f.more[:copy(f.more, f.more[1:])]
+			}
+			t.wakeAfter(0)
+			return
+		}
+		for i, w := range f.more {
 			if w == t {
-				f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
+				f.more = append(f.more[:i], f.more[i+1:]...)
 				t.wakeAfter(0)
 				return
 			}

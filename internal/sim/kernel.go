@@ -52,15 +52,30 @@ type Time = time.Duration
 // maxTime is a sentinel beyond every schedulable timestamp.
 const maxTime = Time(math.MaxInt64)
 
+// Callback is a typed event target: Fire runs in kernel context when
+// the event scheduled with AfterCall comes due, and must not block.
+// Per-message machinery (the fabric's in-flight records, RPC timers)
+// implements it on pooled structs, so scheduling an occurrence costs
+// no closure allocation; a pointer stored in the interface is free.
+type Callback interface {
+	Fire()
+}
+
+// funcCall adapts a plain closure to Callback. Func values are
+// pointer-shaped, so the conversion does not allocate.
+type funcCall func()
+
+func (f funcCall) Fire() { f() }
+
 // event is a scheduled occurrence: either waking a parked task or
-// running a closure in kernel context. Events are pooled by the
+// firing a callback in kernel context. Events are pooled by the
 // kernel; user code never sees them.
 type event struct {
 	at   Time
-	seq  uint64 // tiebreaker: FIFO among events at the same instant
-	task *Task  // non-nil: wake this task
-	fn   func() // non-nil: run in kernel context (must not block)
-	pos  int32  // heap index; posRunq while in the run queue, posFree otherwise
+	seq  uint64   // tiebreaker: FIFO among events at the same instant
+	task *Task    // non-nil: wake this task
+	cb   Callback // non-nil: fire in kernel context (must not block)
+	pos  int32    // heap index; posRunq while in the run queue, posFree otherwise
 }
 
 const (
@@ -387,7 +402,7 @@ func (k *Kernel) alloc() *event {
 //fractos:pool-release simevent
 func (k *Kernel) release(e *event) {
 	e.task = nil
-	e.fn = nil
+	e.cb = nil
 	e.pos = posFree
 	k.free = append(k.free, e) // fractos:alloc-ok free-list growth is amortized
 }
@@ -396,10 +411,10 @@ func (k *Kernel) release(e *event) {
 // the FIFO run-queue fast path; future events go through the heap.
 //
 //fractos:hotpath
-func (k *Kernel) schedule(at Time, t *Task, fn func()) *event {
+func (k *Kernel) schedule(at Time, t *Task, cb Callback) *event {
 	e := k.alloc()
 	k.seq++
-	e.at, e.seq, e.task, e.fn = at, k.seq, t, fn
+	e.at, e.seq, e.task, e.cb = at, k.seq, t, cb
 	if at == k.now {
 		e.pos = posRunq
 		k.runq.push(e)
@@ -421,7 +436,7 @@ func (k *Kernel) cancel(e *event) {
 	}
 	if e.pos == posRunq {
 		e.task = nil
-		e.fn = nil
+		e.cb = nil
 	}
 }
 
@@ -430,10 +445,20 @@ func (k *Kernel) cancel(e *event) {
 //
 //fractos:hotpath
 func (k *Kernel) After(d Time, fn func()) {
+	k.AfterCall(d, funcCall(fn))
+}
+
+// AfterCall schedules cb.Fire to run in kernel context at now+d. It is
+// After for typed targets: the event carries cb itself, so a caller
+// that keeps its per-occurrence state in a pooled struct schedules
+// without allocating.
+//
+//fractos:hotpath
+func (k *Kernel) AfterCall(d Time, cb Callback) {
 	if d < 0 {
 		d = 0
 	}
-	k.schedule(k.now+d, nil, fn)
+	k.schedule(k.now+d, nil, cb)
 }
 
 // park blocks the calling task until the kernel wakes it.
@@ -455,8 +480,8 @@ func (t *Task) park() {
 		e := k.runq.front()
 		nt := e.task
 		if nt == nil {
-			if e.fn != nil {
-				break // kernel-context closure: the run loop must execute it
+			if e.cb != nil {
+				break // kernel-context callback: the run loop must fire it
 			}
 			k.runq.popFront() // cancelled tombstone: reclaim and keep scanning
 			k.processed++
@@ -597,10 +622,10 @@ func (k *Kernel) loop(bound Time, mode int8) Time {
 				//fractos:panic-ok re-surfacing a task's panic on the driver goroutine
 				panic(msg)
 			}
-		case e.fn != nil:
-			fn := e.fn
+		case e.cb != nil:
+			cb := e.cb
 			k.release(e)
-			fn()
+			cb.Fire()
 		default:
 			// Tombstone from a cancelled run-queue entry.
 			k.release(e)

@@ -224,7 +224,7 @@ func TestRecvTimeoutDeliveredInTime(t *testing.T) {
 
 func TestFutureResolvesWaiters(t *testing.T) {
 	k := New(1)
-	f := NewFuture[string](k)
+	f := NewFuture[string]()
 	var got [2]string
 	for i := 0; i < 2; i++ {
 		i := i
@@ -248,7 +248,7 @@ func TestFutureResolvesWaiters(t *testing.T) {
 
 func TestFutureFail(t *testing.T) {
 	k := New(1)
-	f := NewFuture[int](k)
+	f := NewFuture[int]()
 	var err error
 	k.Spawn("w", func(tk *Task) { _, err = f.Wait(tk) })
 	k.Spawn("fail", func(tk *Task) { f.Fail(fmt.Errorf("boom")) })

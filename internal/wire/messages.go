@@ -61,8 +61,22 @@ func init() {
 	Register(TMemCreate, func() Message { return new(MemCreate) })
 	Register(TMemDiminish, func() Message { return new(MemDiminish) })
 	Register(TMemCopy, func() Message { return new(MemCopy) })
-	Register(TReqCreate, func() Message { return new(ReqCreate) })
-	Register(TReqInvoke, func() Message { return new(ReqInvoke) })
+	Register(TReqCreate, func() Message {
+		b := new(struct {
+			m   ReqCreate
+			imm [1]ImmArg
+		})
+		b.m.Imms = b.imm[:0]
+		return &b.m
+	})
+	Register(TReqInvoke, func() Message {
+		b := new(struct {
+			m   ReqInvoke
+			imm [1]ImmArg
+		})
+		b.m.Imms = b.imm[:0]
+		return &b.m
+	})
 	Register(TCapRevtree, func() Message { return new(CapRevtree) })
 	Register(TCapRevoke, func() Message { return new(CapRevoke) })
 	Register(TCapDrop, func() Message { return new(CapDrop) })
@@ -75,12 +89,26 @@ func init() {
 	Register(TDeliver, func() Message { return new(Deliver) })
 	Register(TMonitorCB, func() Message { return new(MonitorCB) })
 	Register(TCtrlDeriveMem, func() Message { return new(CtrlDeriveMem) })
-	Register(TCtrlDeriveReq, func() Message { return new(CtrlDeriveReq) })
+	Register(TCtrlDeriveReq, func() Message {
+		b := new(struct {
+			m   CtrlDeriveReq
+			imm [1]ImmArg
+		})
+		b.m.Imms = b.imm[:0]
+		return &b.m
+	})
 	Register(TCtrlRevtree, func() Message { return new(CtrlRevtree) })
 	Register(TCtrlRevoke, func() Message { return new(CtrlRevoke) })
 	Register(TCtrlValidate, func() Message { return new(CtrlValidate) })
 	Register(TCtrlValInfo, func() Message { return new(CtrlValInfo) })
-	Register(TCtrlInvoke, func() Message { return new(CtrlInvoke) })
+	Register(TCtrlInvoke, func() Message {
+		b := new(struct {
+			m   CtrlInvoke
+			imm [1]ImmArg
+		})
+		b.m.Imms = b.imm[:0]
+		return &b.m
+	})
 	Register(TCtrlAck, func() Message { return new(CtrlAck) })
 	Register(TCtrlCleanup, func() Message { return new(CtrlCleanup) })
 	Register(TCtrlDelegNote, func() Message { return new(CtrlDelegNote) })
@@ -110,12 +138,22 @@ func encodeImms(w *Writer, imms []ImmArg) {
 	}
 }
 
-func decodeImms(r *Reader) []ImmArg {
+// decodeImms reads an immediate-arg list, appending into spare[:0]
+// when its capacity suffices. The decode constructors of the
+// invocation messages (init above) allocate the message together with
+// room for one immediate — what nearly every invocation carries — and
+// seed Imms with it, so the list costs no allocation of its own; a
+// message built any other way has no spare room and gets a fresh
+// slice.
+func decodeImms(r *Reader, spare []ImmArg) []ImmArg {
 	n := int(r.U16())
 	if n == 0 || r.Err() != nil {
 		return nil
 	}
-	imms := make([]ImmArg, 0, n)
+	imms := spare[:0]
+	if n > capacity(imms) {
+		imms = make([]ImmArg, 0, n)
+	}
 	for i := 0; i < n; i++ {
 		imms = append(imms, ImmArg{Offset: r.U32(), Data: r.Bytes32()})
 	}
@@ -369,7 +407,7 @@ func (m *ReqCreate) Encode(w *Writer) {
 }
 func (m *ReqCreate) Decode(r *Reader) error {
 	m.Token, m.Parent, m.Tag = r.U64(), cap.CapID(r.U32()), r.U64()
-	m.Imms = decodeImms(r)
+	m.Imms = decodeImms(r, m.Imms)
 	m.Caps = decodeCapSlots(r)
 	return r.Err()
 }
@@ -399,7 +437,7 @@ func (m *ReqInvoke) Encode(w *Writer) {
 }
 func (m *ReqInvoke) Decode(r *Reader) error {
 	m.Token, m.Cid = r.U64(), cap.CapID(r.U32())
-	m.Imms = decodeImms(r)
+	m.Imms = decodeImms(r, m.Imms)
 	m.Caps = decodeCapSlots(r)
 	return r.Err()
 }
@@ -671,7 +709,7 @@ func (m *CtrlDeriveReq) Encode(w *Writer) {
 func (m *CtrlDeriveReq) Decode(r *Reader) error {
 	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
 	m.From = decodeRef(r)
-	m.Imms = decodeImms(r)
+	m.Imms = decodeImms(r, m.Imms)
 	m.Caps = decodeCapXfers(r)
 	return r.Err()
 }
@@ -795,7 +833,7 @@ func (m *CtrlInvoke) Encode(w *Writer) {
 func (m *CtrlInvoke) Decode(r *Reader) error {
 	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
 	m.Ref = decodeRef(r)
-	m.Imms = decodeImms(r)
+	m.Imms = decodeImms(r, m.Imms)
 	m.Caps = decodeCapXfers(r)
 	return r.Err()
 }

@@ -244,6 +244,10 @@ func (r *Reader) Bytes32() []byte {
 // String32 reads a length-prefixed string.
 func (r *Reader) String32() string { return string(r.Bytes32()) }
 
+// capacity is the builtin cap, for messages.go where the capability
+// package's name shadows it.
+func capacity[T any](s []T) int { return cap(s) }
+
 // Type identifies a message's concrete kind on the wire.
 type Type uint16
 
@@ -329,12 +333,22 @@ func MarshalTo(w *Writer, m Message) {
 	m.Encode(w)
 }
 
-// Unmarshal decodes a framed message produced by Marshal. The Reader
-// lives on the stack; the only allocations are the message struct
-// itself and copies of any variable-length payloads, so the returned
-// message never aliases b and b may be reused immediately.
+// Unmarshal decodes a framed message produced by Marshal. The
+// allocations are the message struct, copies of its variable-length
+// payloads (so the returned message never aliases b and b may be
+// reused immediately) — and the Reader: it escapes through the
+// m.Decode interface call, so a Reader declared here lives on the
+// heap. Per-message callers keep one Reader and use UnmarshalWith.
 func Unmarshal(b []byte) (Message, error) {
-	r := Reader{buf: b}
+	return UnmarshalWith(new(Reader), b)
+}
+
+// UnmarshalWith is Unmarshal decoding through a caller-owned Reader,
+// which it resets first; the Reader holds no reference the caller
+// needs to outlive the call. A single-threaded owner (fabric.Net)
+// reuses one Reader for every frame and pays nothing for it.
+func UnmarshalWith(r *Reader, b []byte) (Message, error) {
+	r.Reset(b)
 	t := Type(r.U16())
 	if r.err != nil {
 		return nil, r.err
@@ -344,7 +358,7 @@ func Unmarshal(b []byte) (Message, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
 	m := fn()
-	if err := m.Decode(&r); err != nil {
+	if err := m.Decode(r); err != nil {
 		return nil, err
 	}
 	if r.err != nil {

@@ -72,12 +72,12 @@ var derefs = map[string]bool{
 // Controller before the next statement runs; slab Entry pointers must
 // not survive them.
 var yields = map[string]bool{
-	"Sleep": true,
-	"Recv":  true,
-	"Wait":  true,
-	"Yield": true,
-	"call":  true, // inter-Controller RPC (async continuation)
-	"callF": true,
+	"Sleep":   true,
+	"Recv":    true,
+	"Wait":    true,
+	"Yield":   true,
+	"call":    true, // inter-Controller RPC (async continuation)
+	"forward": true, // call on behalf of a syscall
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

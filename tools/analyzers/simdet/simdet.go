@@ -81,8 +81,8 @@ var seededRandFuncs = map[string]bool{
 // these per element publishes Go's randomized map order into the
 // event stream.
 var orderSinks = map[string]bool{
-	"Send": true, "TrySend": true, "Spawn": true, "After": true,
-	"call": true, "callF": true, "complete": true, "sendDeliver": true,
+	"Send": true, "TrySend": true, "Spawn": true, "After": true, "AfterCall": true,
+	"call": true, "forward": true, "resolvePending": true, "complete": true, "sendDeliver": true,
 	"notifyWatcher": true, "Set": true, "Fail": true, "Signal": true,
 	"wakeAfter": true, "Deliver": true, "Invoke": true,
 }
@@ -91,7 +91,7 @@ var orderSinks = map[string]bool{
 // shard's event loop: calling them on another shard's kernel from
 // task context races with (or reorders against) that shard's window.
 var shardBoundFuncs = map[string]bool{
-	"Spawn": true, "After": true, "Now": true, "Rand": true,
+	"Spawn": true, "After": true, "AfterCall": true, "Now": true, "Rand": true,
 	"Stop": true, "Run": true, "RunUntil": true,
 }
 

@@ -14,12 +14,15 @@
 // call complete exactly once on every control-flow path. Zero
 // completions hang the issuing Process forever; two corrupt its
 // token table. The analysis is path-sensitive over if/switch/return
-// and follows the package's continuation idiom: a callback passed to
-// call/callF is invoked exactly once by the pending-call machinery
-// (reply, send failure, or abort), and a function literal handed to
-// Spawn or After runs exactly once, so their bodies — and
-// same-package functions they call, such as runCopy — count toward
-// the handler's completion total.
+// and follows the package's continuation idioms. A handler that needs
+// the owner's answer parks a pending-call record with forward, which
+// passes the completion duty to the record's continuation: the
+// pending-call machinery runs finishSyscall exactly once per record
+// (reply, send failure, or abort), so forward counts as the handler's
+// one completion and finishSyscall is itself held to the exactly-once
+// rule. A function literal handed to Spawn or After runs exactly once,
+// so its body — and same-package functions it calls, such as runCopy —
+// counts toward the handler's completion total.
 package statuscheck
 
 import (
@@ -209,9 +212,11 @@ func checkCompletions(pass *analysis.Pass) {
 			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 				c.decls[obj] = fd
 			}
-			if strings.HasPrefix(fd.Name.Name, "handle") &&
-				astq.ReceiverTypeName(fd) == "Controller" &&
-				handlerHasToken(pass, fd) {
+			if astq.ReceiverTypeName(fd) != "Controller" {
+				continue
+			}
+			if fd.Name.Name == "finishSyscall" ||
+				strings.HasPrefix(fd.Name.Name, "handle") && handlerHasToken(pass, fd) {
 				handlers = append(handlers, fd)
 			}
 		}
@@ -453,10 +458,19 @@ func (c *checker) callCounts(call *ast.CallExpr) counts {
 	switch astq.CalleeName(call) {
 	case "complete":
 		return one
-	case "call", "callF", "Spawn", "After":
+	case "forward":
+		// The completion duty moves to the pending-call record;
+		// finishSyscall discharges it (and is checked as a root).
+		return one
+	case "call":
+		// The bare pending-call machinery serves internal operations
+		// (cleanup broadcasts, lease revocations, memory_copy's
+		// validation round) that owe no Process a completion; a syscall
+		// enters it only through forward.
+		return zero
+	case "Spawn", "After":
 		// Continuation primitives: a func-literal argument runs
-		// exactly once (on reply, send failure, or abort for
-		// call/callF; as a scheduled task for Spawn/After).
+		// exactly once, as a scheduled task.
 		out := zero
 		for _, arg := range call.Args {
 			if lit, ok := arg.(*ast.FuncLit); ok {

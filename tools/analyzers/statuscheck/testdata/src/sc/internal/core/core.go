@@ -12,7 +12,9 @@ type Controller struct{ peers map[uint32]bool }
 
 func (c *Controller) complete(ps *proc, token uint64, st wire.Status) {}
 
-func (c *Controller) call(peer uint32, build func(seq uint64) int, cb func(reply int)) {}
+type pendingCall struct{ kind int }
+
+func (c *Controller) forward(pc *pendingCall, ps *proc, token uint64) {}
 
 func (c *Controller) Spawn(name string, fn func()) {}
 
@@ -63,12 +65,33 @@ func (c *Controller) handleGoodSwitch(ps *proc, m *wire.MemCreate) {
 	}
 }
 
-// handleGoodCall defers completion to the reply continuation, which
-// the pending-call machinery invokes exactly once.
-func (c *Controller) handleGoodCall(ps *proc, m *wire.MemCreate) {
-	c.call(2, func(seq uint64) int { return int(seq) }, func(reply int) {
-		c.complete(ps, m.Token, wire.StatusOK)
-	})
+// handleGoodForward passes the completion duty to a pending-call
+// record, whose continuation the machinery runs exactly once.
+func (c *Controller) handleGoodForward(ps *proc, m *wire.MemCreate) {
+	if m.Bytes == 0 {
+		c.complete(ps, m.Token, wire.StatusPerm)
+		return
+	}
+	c.forward(&pendingCall{}, ps, m.Token)
+}
+
+// handleBadForward completes and also forwards the duty.
+func (c *Controller) handleBadForward(ps *proc, m *wire.MemCreate) { // want `handleBadForward can fall off the end having completed 2\+ times`
+	c.complete(ps, m.Token, wire.StatusOK)
+	c.forward(&pendingCall{}, ps, m.Token)
+}
+
+// finishSyscall is the continuation forward defers to: every kind
+// must complete exactly once.
+func (c *Controller) finishSyscall(pc *pendingCall, ps *proc, token uint64) { // want `finishSyscall can fall off the end having completed 0 or 1 times`
+	switch pc.kind {
+	case 1:
+		c.complete(ps, token, wire.StatusOK)
+	case 2:
+		// forgot to complete
+	default:
+		c.complete(ps, token, wire.StatusPerm)
+	}
 }
 
 // handleGoodSpawn hands completion to a spawned task that runs a
