@@ -37,14 +37,14 @@ chaos:
 		./internal/core/ ./internal/fabric/ ./internal/proc/ \
 		./internal/services/ ./internal/testbed/ ./internal/exp/
 
-# determinism runs the PDES acceptance matrix under the race detector
-# at 1 and 4 CPUs: byte-identical traces and event counts across runs,
-# shard counts, and GOMAXPROCS (sim engine ordering property tests,
-# the fabric mesh ring, and the full-stack experiment matrix).
+# determinism runs the determinism acceptance under the race detector
+# at 1 and 4 CPUs: byte-identical traces, tables, pick sequences and
+# event counts across runs and GOMAXPROCS, and the fabric traces held
+# to their pinned SHA-256 digests (TestTraceDigestsPinned).
 determinism:
 	$(GO) test -race -cpu 1,4 -count=1 \
-		-run 'Determinism|EnginePost|EngineSingleShard|MeshRing' \
-		./internal/sim/ ./internal/fabric/ ./internal/exp/
+		-run 'Determinism|TraceDigests' \
+		./internal/sim/ ./internal/exp/ ./internal/route/
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -52,8 +52,7 @@ bench:
 # bench-json runs the wall-clock perf suite (internal/perf) and writes
 # the machine-readable report tracked across PRs; see
 # docs/PERFORMANCE.md for the methodology and how to compare runs.
-# Override the output file per PR: make bench-json BENCH_OUT=BENCH_PR10.json
-BENCH_OUT ?= BENCH_PR10.json
+BENCH_OUT ?= BENCH.json
 
 bench-json:
 	$(GO) run ./cmd/fractos-bench -json > $(BENCH_OUT)

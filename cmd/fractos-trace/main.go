@@ -16,9 +16,9 @@ import (
 	"os"
 
 	"fractos/internal/app/faceverify"
-	"fractos/internal/core"
 	"fractos/internal/fabric"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -27,12 +27,10 @@ func main() {
 	batch := flag.Int("batch", 8, "request batch size")
 	flag.Parse()
 
-	cl := core.NewCluster(core.ClusterConfig{Nodes: 4})
 	cfg := faceverify.Config{Batch: *batch, Files: 1, Slots: 1}
 
-	done := false
-	cl.K.Spawn("trace-main", func(tk *sim.Task) {
-		defer func() { done = true }()
+	testbed.Run(testbed.Spec{Nodes: 4}, func(tk *sim.Task, d *testbed.Deployment) {
+		cl := d.Cl
 		var verify func(*sim.Task, *faceverify.Request) ([]byte, error)
 		var db *faceverify.DB
 		if *useBaseline {
@@ -85,10 +83,10 @@ func main() {
 			return
 		}
 		cl.Net.SetTrace(nil)
-		d := cl.Net.Stats().Sub(before)
+		st := cl.Net.Stats().Sub(before)
 		fmt.Printf("\nverdicts ok: %v\n", req.CheckResults(out))
 		fmt.Printf("totals: %d messages (%d control, %d data), %d bytes on the wire, %d cross-node\n",
-			d.TotalMsgs(), d.ControlMsgs, d.DataMsgs, d.TotalBytes(), d.CrossNodeMsgs)
+			st.TotalMsgs(), st.ControlMsgs, st.DataMsgs, st.TotalBytes(), st.CrossNodeMsgs)
 		if !*useBaseline {
 			fmt.Println("\ncontroller counters:")
 			for _, ctrl := range cl.Ctrls {
@@ -100,10 +98,4 @@ func main() {
 			}
 		}
 	})
-	cl.K.Run()
-	cl.K.Shutdown()
-	if !done {
-		fmt.Fprintln(os.Stderr, "trace did not complete")
-		os.Exit(1)
-	}
 }

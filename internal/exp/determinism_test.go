@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -75,94 +76,77 @@ func diffTraces(t *testing.T, name, a, b string) {
 	t.Errorf("%s traces diverge in length: %d vs %d events", name, len(la), len(lb))
 }
 
-// TestTraceDeterminism replays two end-to-end workloads — the §6.2
-// multi-stage pipeline in all three composition models, and the
-// face-verification application — and requires the complete fabric
-// event stream (every message and RDMA transfer, with virtual
-// timestamps) to be byte-identical across runs.
-func TestTraceDeterminism(t *testing.T) {
-	pipelineRun := func(tk *sim.Task, d *testbed.Deployment) {
+// Determinism workloads: the §6.2 multi-stage pipeline in all three
+// composition models, and the face-verification application. Each
+// returns the complete fabric event stream of one fresh run.
+var fvTraceCfg = faceverify.Config{Batch: 8, Files: 2, Slots: 1}
+
+func pipelineTrace(t *testing.T) string {
+	return captureTrace(t, testbed.Spec{Nodes: 5}, func(tk *sim.Task, d *testbed.Deployment) {
 		pl := newPipeline(tk, d.Cl, 4, 4<<10)
 		pl.runStar(tk)
 		pl.runFastStar(tk)
 		pl.runChain(tk)
-	}
-	cfg := faceverify.Config{Batch: 8, Files: 2, Slots: 1}
-	appWorkload := func(fv *stacks.FaceVerify) func(tk *sim.Task, d *testbed.Deployment) {
-		return func(tk *sim.Task, d *testbed.Deployment) {
-			rng := newRand(5)
-			for i := 0; i < cfg.Files; i++ {
-				r := faceverify.MakeRequest(fv.DB, i, cfg.Batch, rng)
-				out, err := fv.Verify(tk, r)
-				if err != nil {
-					t.Errorf("faceverify request %d: %v", i, err)
-					return
-				}
-				if !r.CheckResults(out) {
-					t.Errorf("faceverify request %d: wrong verdicts", i)
-				}
+	})
+}
+
+func faceverifyTrace(t *testing.T) string {
+	fv := &stacks.FaceVerify{Cfg: fvTraceCfg}
+	spec := testbed.Spec{Nodes: 4, Placement: core.CtrlOnSNIC,
+		Services: []testbed.Service{fv}}
+	return captureTrace(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
+		rng := newRand(5)
+		for i := 0; i < fvTraceCfg.Files; i++ {
+			r := faceverify.MakeRequest(fv.DB, i, fvTraceCfg.Batch, rng)
+			out, err := fv.Verify(tk, r)
+			if err != nil {
+				t.Errorf("faceverify request %d: %v", i, err)
+				return
+			}
+			if !r.CheckResults(out) {
+				t.Errorf("faceverify request %d: wrong verdicts", i)
 			}
 		}
-	}
+	})
+}
 
-	type workload struct {
-		name string
-		mk   func() (testbed.Spec, func(tk *sim.Task, d *testbed.Deployment))
-	}
-	workloads := []workload{
-		{"pipeline", func() (testbed.Spec, func(tk *sim.Task, d *testbed.Deployment)) {
-			return testbed.Spec{Nodes: 5}, pipelineRun
-		}},
-		{"faceverify", func() (testbed.Spec, func(tk *sim.Task, d *testbed.Deployment)) {
-			fv := &stacks.FaceVerify{Cfg: cfg}
-			return testbed.Spec{Nodes: 4, Placement: core.CtrlOnSNIC,
-				Services: []testbed.Service{fv}}, appWorkload(fv)
-		}},
-	}
-	for _, w := range workloads {
-		specA, runA := w.mk()
-		a := captureTrace(t, specA, runA)
-		specB, runB := w.mk()
-		b := captureTrace(t, specB, runB)
-		diffTraces(t, w.name, a, b)
+// TestTraceDeterminism replays both workloads and requires the
+// complete fabric event stream (every message and RDMA transfer, with
+// virtual timestamps) to be byte-identical across runs.
+func TestTraceDeterminism(t *testing.T) {
+	diffTraces(t, "pipeline", pipelineTrace(t), pipelineTrace(t))
+	diffTraces(t, "faceverify", faceverifyTrace(t), faceverifyTrace(t))
+}
+
+// Pinned SHA-256 digests of the two workload traces (computed at
+// PR 12, commit 900f301). A change that claims "byte-identical fabric
+// traces" is checked against these in-tree; a change that means to
+// move a timestamp or a byte count updates them and says why.
+const (
+	pipelineTraceSHA256   = "fb51a1cfc055fe2c7fbd7349d083b024a9a68c2ec80924f8888e6e877cead795"
+	faceverifyTraceSHA256 = "cdaa0df1ec69cd4418cd08306fd58e81a063dd26773ab3bef18716fd23e2ddee"
+)
+
+func checkDigest(t *testing.T, name, trace, want string) {
+	t.Helper()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(trace))); got != want {
+		t.Errorf("%s trace digest = %s, pinned %s", name, got, want)
 	}
 }
 
-// TestShardMatrixDeterminism is the acceptance matrix for the
-// partition-parallel kernel: every experiment that goes through the
-// testbed must produce byte-identical fabric traces, identical result
-// tables, and an identical event count whether it runs on the classic
-// single kernel or under a multi-shard engine, at any GOMAXPROCS.
-// The cluster workload stays shard-0-resident (Spec.Shards doc), so
-// the multi-shard runs exercise the conservative windowing machinery —
-// window bounds, barrier scans, inline single-shard dispatch — without
-// changing the schedule.
-func TestShardMatrixDeterminism(t *testing.T) {
-	cfg := faceverify.Config{Batch: 8, Files: 2, Slots: 1}
-	fvTrace := func() string {
-		fv := &stacks.FaceVerify{Cfg: cfg}
-		spec := testbed.Spec{Nodes: 4, Placement: core.CtrlOnSNIC,
-			Services: []testbed.Service{fv}}
-		return captureTrace(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
-			rng := newRand(5)
-			for i := 0; i < cfg.Files; i++ {
-				r := faceverify.MakeRequest(fv.DB, i, cfg.Batch, rng)
-				if _, err := fv.Verify(tk, r); err != nil {
-					t.Errorf("faceverify request %d: %v", i, err)
-					return
-				}
-			}
-		})
-	}
-	plTrace := func() string {
-		return captureTrace(t, testbed.Spec{Nodes: 5}, func(tk *sim.Task, d *testbed.Deployment) {
-			pl := newPipeline(tk, d.Cl, 4, 4<<10)
-			pl.runStar(tk)
-			pl.runFastStar(tk)
-			pl.runChain(tk)
-		})
-	}
+// TestTraceDigestsPinned holds the fabric traces to the pinned
+// digests above.
+func TestTraceDigestsPinned(t *testing.T) {
+	checkDigest(t, "pipeline", pipelineTrace(t), pipelineTraceSHA256)
+	checkDigest(t, "faceverify", faceverifyTrace(t), faceverifyTraceSHA256)
+}
 
+// TestDeterminismMatrix is the full-stack determinism acceptance:
+// fabric traces (held to the pinned digests), result tables and the
+// processed-event count must be identical across runs at GOMAXPROCS 1
+// and 4 — the task pool and the event counter are the only state
+// shared between host threads, and neither may leak into a result.
+func TestDeterminismMatrix(t *testing.T) {
 	type snapshot struct {
 		fvTrace, plTrace string
 		figure8, chaos   *Table
@@ -171,38 +155,36 @@ func TestShardMatrixDeterminism(t *testing.T) {
 	capture := func() snapshot {
 		var s snapshot
 		e0 := sim.TotalEvents()
-		s.fvTrace = fvTrace()
-		s.plTrace = plTrace()
+		s.fvTrace = faceverifyTrace(t)
+		s.plTrace = pipelineTrace(t)
 		s.figure8 = Figure8()
 		s.chaos = ChaosFaceVerify()
 		s.events = sim.TotalEvents() - e0
 		return s
 	}
 
-	base := capture() // shards=1, ambient GOMAXPROCS
-	for _, shards := range []int{1, 2, 4} {
-		for _, procs := range []int{1, 4} {
-			oldShards := testbed.SetDefaultShards(shards)
-			oldProcs := runtime.GOMAXPROCS(procs)
-			got := capture()
-			runtime.GOMAXPROCS(oldProcs)
-			testbed.SetDefaultShards(oldShards)
+	base := capture() // ambient GOMAXPROCS
+	checkDigest(t, "faceverify", base.fvTrace, faceverifyTraceSHA256)
+	checkDigest(t, "pipeline", base.plTrace, pipelineTraceSHA256)
+	for _, procs := range []int{1, 4} {
+		oldProcs := runtime.GOMAXPROCS(procs)
+		got := capture()
+		runtime.GOMAXPROCS(oldProcs)
 
-			name := fmt.Sprintf("shards=%d procs=%d", shards, procs)
-			diffTraces(t, name+" faceverify", base.fvTrace, got.fvTrace)
-			diffTraces(t, name+" pipeline", base.plTrace, got.plTrace)
-			if !reflect.DeepEqual(base.figure8.Rows, got.figure8.Rows) ||
-				!reflect.DeepEqual(base.figure8.Metrics, got.figure8.Metrics) {
-				t.Errorf("%s: figure8 results differ from single-shard run", name)
-			}
-			if !reflect.DeepEqual(base.chaos.Rows, got.chaos.Rows) ||
-				!reflect.DeepEqual(base.chaos.Metrics, got.chaos.Metrics) {
-				t.Errorf("%s: chaos-fv results differ from single-shard run", name)
-			}
-			if got.events != base.events {
-				t.Errorf("%s: processed %d events, single-shard run processed %d",
-					name, got.events, base.events)
-			}
+		name := fmt.Sprintf("procs=%d", procs)
+		diffTraces(t, name+" faceverify", base.fvTrace, got.fvTrace)
+		diffTraces(t, name+" pipeline", base.plTrace, got.plTrace)
+		if !reflect.DeepEqual(base.figure8.Rows, got.figure8.Rows) ||
+			!reflect.DeepEqual(base.figure8.Metrics, got.figure8.Metrics) {
+			t.Errorf("%s: figure8 results differ from the base run", name)
+		}
+		if !reflect.DeepEqual(base.chaos.Rows, got.chaos.Rows) ||
+			!reflect.DeepEqual(base.chaos.Metrics, got.chaos.Metrics) {
+			t.Errorf("%s: chaos-fv results differ from the base run", name)
+		}
+		if got.events != base.events {
+			t.Errorf("%s: processed %d events, base run processed %d",
+				name, got.events, base.events)
 		}
 	}
 }

@@ -261,13 +261,14 @@ func (l *link) reserve(now sim.Time, n int) sim.Time {
 	return l.busyUntil
 }
 
-// nodeLinks bundles a node's three transmission resources: switch
-// uplink (tx), switch downlink (rx), and the local/PCIe path. Stored
-// by value in a slice indexed by node so the hot send path does no
-// map lookups and no per-link pointer chasing.
+// nodeLinks bundles a node's two transmission resources: switch
+// uplink (tx) and the local/PCIe path. The switch downlink (rx) is
+// not modelled, so incast at a receiver does not queue. Stored by
+// value in a slice indexed by node so the hot send path does no map
+// lookups and no per-link pointer chasing.
 type nodeLinks struct {
-	up, dn, loc link
-	valid       bool
+	up, loc link
+	valid   bool
 }
 
 // Net is the simulated fabric.
@@ -392,26 +393,14 @@ func (n *Net) ResetStats() { n.stats = Stats{} }
 // Attach registers an endpoint at loc with an arena of arenaSize
 // bytes (0 for none).
 func (n *Net) Attach(name string, loc Location, arenaSize int) *Endpoint {
-	return n.attachAt(EndpointID(len(n.eps)), name, loc, arenaSize)
-}
-
-// attachAt registers an endpoint under a caller-chosen id, leaving nil
-// gaps below it. The Mesh uses this to give every endpoint in a
-// partitioned fabric a globally unique id (so traces are identical no
-// matter how nodes map to shards) while each shard's Net only holds
-// its own endpoints.
-func (n *Net) attachAt(id EndpointID, name string, loc Location, arenaSize int) *Endpoint {
-	for len(n.eps) <= int(id) {
-		n.eps = append(n.eps, nil)
-	}
 	e := &Endpoint{
-		ID:    id,
+		ID:    EndpointID(len(n.eps)),
 		Name:  name,
 		Loc:   loc,
 		Inbox: sim.NewChan[Delivery](n.k, name+".inbox", 0),
 	}
 	e.arenaSize = arenaSize
-	n.eps[id] = e
+	n.eps = append(n.eps, e)
 	n.ensureLinks(loc.Node)
 	return e
 }
@@ -423,7 +412,6 @@ func (n *Net) ensureLinks(node int) {
 	l := &n.links[node]
 	if !l.valid {
 		l.up = link{bw: n.prof.WireBW}
-		l.dn = link{bw: n.prof.WireBW}
 		l.loc = link{bw: n.prof.LocalBW}
 		l.valid = true
 	}
@@ -501,10 +489,7 @@ func (n *Net) transferTime(now sim.Time, src, dst Location, nBytes int) sim.Time
 		return done + lat
 	}
 	lat += n.prof.CrossNode
-	up := n.links[src.Node].up.reserve(now, nBytes)
-	down := n.links[dst.Node].dn.reserve(up, 0) // rx link rarely the bottleneck for distinct nodes
-	_ = down
-	return up + lat
+	return n.links[src.Node].up.reserve(now, nBytes) + lat
 }
 
 // Send serializes m, charges the fabric model, and schedules delivery
@@ -646,7 +631,6 @@ func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nB
 		done += n.prof.RDMARemote + n.prof.RDMARemote
 	} else {
 		done = n.links[srcEp.Loc.Node].up.reserve(now+lat, nBytes)
-		n.links[dstEp.Loc.Node].dn.reserve(done, 0)
 		done += n.prof.CrossNode + n.prof.RDMARemote + n.prof.RDMARemote
 	}
 	// Completion notification back to the initiator.

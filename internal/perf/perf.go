@@ -75,7 +75,6 @@ func Cases() []Case {
 		{"exp/figure8", benchFigure8},
 		{"exp/faceverify", benchFaceVerify},
 	}
-	cs = append(cs, scaleCases()...)
 	return append(cs, capScaleCases()...)
 }
 

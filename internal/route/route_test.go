@@ -5,6 +5,7 @@
 package route_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"strings"
@@ -134,10 +135,10 @@ func TestBalancerFailsOverOnCrash(t *testing.T) {
 // captureRouted runs a routed workload with the fabric trace hook
 // installed and returns the rendered event log plus the balancer's
 // recorded pick sequence.
-func captureRouted(t *testing.T, policy string, shards int) (trace, picks string) {
+func captureRouted(t *testing.T, policy string) (trace, picks string) {
 	t.Helper()
 	s := &stacks.Routed{Replicas: 4, Policy: policy, MaxQueue: 8}
-	spec := testbed.Spec{Nodes: 3, Seed: 11, Shards: shards, Services: []testbed.Service{s}}
+	spec := testbed.Spec{Nodes: 3, Seed: 11, Services: []testbed.Service{s}}
 	var b strings.Builder
 	testbed.RunT(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
 		s.B.Record = true
@@ -155,40 +156,58 @@ func captureRouted(t *testing.T, policy string, shards int) (trace, picks string
 	return b.String(), fmt.Sprint(s.B.Picks)
 }
 
+// Pinned SHA-256 digests of each policy's fabric trace followed by
+// its pick sequence (computed at PR 12, commit 900f301; see the pinned
+// digests in internal/exp/determinism_test.go for the contract).
+var routedSHA256 = map[string]string{
+	"rr":    "03abed289d6ff08fe2d3c66ca458aa5f8cf9d71d673bbf3e73438b5656bce2d0",
+	"least": "bf243384d2431c99593be8621b0136c449e00f8dded00d22ad398ebc9426d534",
+}
+
+// TestTraceDigestsPinned holds the routed workload — every fabric
+// transfer and every member the balancer picked — to the pinned
+// digests above.
+func TestTraceDigestsPinned(t *testing.T) {
+	for _, policy := range []string{"rr", "least"} {
+		trace, picks := captureRouted(t, policy)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(trace+picks))); got != routedSHA256[policy] {
+			t.Errorf("%s: trace+picks digest = %s, pinned %s", policy, got, routedSHA256[policy])
+		}
+	}
+}
+
 // TestRoutingDeterminismMatrix is the routing half of the determinism
 // acceptance: for each policy, the member selection sequence and the
-// complete fabric event stream must be byte-identical across shard
-// counts {1, 2, 4} and GOMAXPROCS {1, 4}.
+// complete fabric event stream must be byte-identical across runs at
+// GOMAXPROCS 1 and 4.
 func TestRoutingDeterminismMatrix(t *testing.T) {
 	for _, policy := range []string{"rr", "least"} {
-		baseTrace, basePicks := captureRouted(t, policy, 1)
+		baseTrace, basePicks := captureRouted(t, policy)
 		if basePicks == "[]" {
 			t.Fatalf("%s: no picks recorded", policy)
 		}
-		for _, shards := range []int{1, 2, 4} {
-			for _, procs := range []int{1, 4} {
-				oldProcs := runtime.GOMAXPROCS(procs)
-				gotTrace, gotPicks := captureRouted(t, policy, shards)
-				runtime.GOMAXPROCS(oldProcs)
-				name := fmt.Sprintf("%s shards=%d procs=%d", policy, shards, procs)
-				if gotPicks != basePicks {
-					t.Errorf("%s: pick sequence differs\n base: %s\n got:  %s", name, basePicks, gotPicks)
+		for _, procs := range []int{1, 4} {
+			oldProcs := runtime.GOMAXPROCS(procs)
+			gotTrace, gotPicks := captureRouted(t, policy)
+			runtime.GOMAXPROCS(oldProcs)
+			name := fmt.Sprintf("%s procs=%d", policy, procs)
+			if gotPicks != basePicks {
+				t.Errorf("%s: pick sequence differs\n base: %s\n got:  %s", name, basePicks, gotPicks)
+			}
+			if gotTrace != baseTrace {
+				la, lb := strings.Split(baseTrace, "\n"), strings.Split(gotTrace, "\n")
+				n := len(la)
+				if len(lb) < n {
+					n = len(lb)
 				}
-				if gotTrace != baseTrace {
-					la, lb := strings.Split(baseTrace, "\n"), strings.Split(gotTrace, "\n")
-					n := len(la)
-					if len(lb) < n {
-						n = len(lb)
+				for i := 0; i < n; i++ {
+					if la[i] != lb[i] {
+						t.Errorf("%s: traces diverge at event %d:\n base: %s\n got:  %s", name, i, la[i], lb[i])
+						break
 					}
-					for i := 0; i < n; i++ {
-						if la[i] != lb[i] {
-							t.Errorf("%s: traces diverge at event %d:\n base: %s\n got:  %s", name, i, la[i], lb[i])
-							break
-						}
-					}
-					if len(la) != len(lb) {
-						t.Errorf("%s: traces diverge in length: %d vs %d events", name, len(la), len(lb))
-					}
+				}
+				if len(la) != len(lb) {
+					t.Errorf("%s: traces diverge in length: %d vs %d events", name, len(la), len(lb))
 				}
 			}
 		}

@@ -16,10 +16,9 @@ import (
 	"fractos/internal/wire"
 )
 
-// Registry Request tags. A name now binds a *set* of members (replicas
-// of one service); the v1 single-cap operations remain decodable so
-// capabilities granted before the redesign keep working for one
-// release (see the deprecation notes below).
+// Registry Request tags. A name binds a *set* of members (replicas of
+// one service); TagLookup is the single-capability view of a set,
+// TagResolveSet the full one.
 const (
 	// TagRegister adds a member to a name's replica set.
 	// imm[0:8) = provider node + 1 (0 = unknown; v1 clients send 0),
@@ -28,11 +27,7 @@ const (
 	// member id, [16:24) = membership version).
 	TagRegister uint64 = 0x40
 	// TagLookup resolves a name to a single capability — the live
-	// member with the lowest id.
-	//
-	// Deprecated wire surface: v1 clients that only ever hold one
-	// instance per name keep working, but new code should go through
-	// Client.Resolve (same tag) or Client.ResolveSet.
+	// member with the lowest id. Client.Resolve is its sender.
 	// imm[8:16) = name length, [16:..) = name; caps: SlotCont = reply
 	// (imm[0:8) = wire.Status; caps SlotCap = the capability).
 	TagLookup uint64 = 0x41

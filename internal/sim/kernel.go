@@ -19,13 +19,9 @@
 // None of this changes the event order contract above — the merged pop
 // order is exactly the global (timestamp, sequence) order the original
 // binary heap produced.
-//
-// For partition-parallel simulation (conservative-lookahead PDES
-// across multiple kernels) see engine.go.
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -48,9 +44,6 @@ func TotalEvents() uint64 { return totalEvents.Load() }
 // of the simulation. It deliberately mirrors time.Duration so that
 // durations and timestamps compose with ordinary arithmetic.
 type Time = time.Duration
-
-// maxTime is a sentinel beyond every schedulable timestamp.
-const maxTime = Time(math.MaxInt64)
 
 // Callback is a typed event target: Fire runs in kernel context when
 // the event scheduled with AfterCall comes due, and must not block.
@@ -247,7 +240,6 @@ type killSignal struct{}
 const (
 	modeAll      int8 = iota // drain everything
 	modeDeadline             // events at <= bound; clamp clock to bound on exit
-	modeWindow               // events at < bound; leave clock at the last event
 )
 
 // Kernel is a discrete-event scheduler. Create one with New, populate
@@ -256,8 +248,7 @@ const (
 // A Kernel is not safe for concurrent use from multiple OS threads;
 // all interaction must happen either from the goroutine that calls
 // Run, or from within task functions (which are serialized by the
-// kernel itself). Under an Engine each shard kernel is driven by at
-// most one worker at a time, preserving the same exclusivity.
+// kernel itself).
 type Kernel struct {
 	now      Time
 	seq      uint64
@@ -283,17 +274,6 @@ type Kernel struct {
 	// same-instant fast-path switches (Task.park); flushed into the
 	// process-wide totalEvents counter when a run loop exits.
 	processed uint64
-
-	// Engine wiring (nil/zero outside partition-parallel runs).
-	eng     *Engine   // owning engine, nil for a standalone kernel
-	shard   int       // this kernel's shard index under eng
-	outbox  [][]xpost // per-destination-shard cross-shard posts, drained at barriers
-	postSeq uint64    // sequence numbers for this shard's cross-shard posts
-
-	// wall-clock pacing (see realtime.go).
-	rtFactor float64
-	rtAnchor time.Time
-	rtBase   Time
 }
 
 // New returns an empty kernel with its virtual clock at zero. The seed
@@ -312,8 +292,7 @@ func (k *Kernel) Now() Time { return k.now }
 // Rand returns the kernel's deterministic random source, built lazily
 // from the seed (rand.Source construction is a measurable cost for
 // short-lived kernels that never draw randomness). It must only be
-// used from this kernel's task or kernel context, and never retained
-// by state shared across shards.
+// used from this kernel's task or kernel context.
 func (k *Kernel) Rand() *rand.Rand {
 	if k.rng == nil {
 		k.rng = rand.New(rand.NewSource(k.seed))
@@ -561,15 +540,6 @@ func (k *Kernel) RunUntil(deadline Time) Time {
 	return k.loop(deadline, modeDeadline)
 }
 
-// runWindow executes events with timestamps strictly below limit and
-// returns. Unlike RunUntil it never advances the clock to the bound:
-// the clock stays at the last processed event, so a later window (or
-// a cross-shard delivery between windows) continues seamlessly. Used
-// by the Engine's conservative-lookahead loop.
-func (k *Kernel) runWindow(limit Time) {
-	k.loop(limit, modeWindow)
-}
-
 //fractos:hotpath
 func (k *Kernel) loop(bound Time, mode int8) Time {
 	defer k.flushProcessed()
@@ -589,9 +559,6 @@ func (k *Kernel) loop(bound Time, mode int8) Time {
 			k.now = bound
 			return k.now
 		}
-		if mode == modeWindow && e.at >= bound {
-			return k.now
-		}
 		if fromHeap {
 			k.heap.pop()
 		} else {
@@ -599,7 +566,6 @@ func (k *Kernel) loop(bound Time, mode int8) Time {
 		}
 		k.processed++
 		if e.at > k.now {
-			k.pace(e.at)
 			k.now = e.at
 		}
 		switch {
@@ -639,17 +605,6 @@ func (k *Kernel) loop(bound Time, mode int8) Time {
 func (k *Kernel) flushProcessed() {
 	totalEvents.Add(k.processed)
 	k.processed = 0
-}
-
-// nextAt reports the timestamp of the kernel's earliest pending event.
-func (k *Kernel) nextAt() (Time, bool) {
-	if k.runq.n > 0 {
-		return k.now, true
-	}
-	if k.heap.len() > 0 {
-		return k.heap.es[0].at, true
-	}
-	return 0, false
 }
 
 // Stop makes Run return after the current event completes.

@@ -20,16 +20,16 @@ import (
 // goroutines forever. Overflowing the bounded stack instead lets the
 // trampoline return, ending its goroutine.
 //
-// Safety across kernels and engine shards: the stack is shared by
-// every kernel in the process (including parallel shard workers), so
-// pushes and pops are mutex-serialized; a task is only repooled after
-// its kernel has unlinked it from the task table and cancelled any
-// pending wake, so a pooled Task is referenced by nothing but the
-// stack and its own goroutine. Which physical Task struct a Spawn
-// receives is scheduling-dependent under parallel shards — that is
-// fine because task identity is never observable: ids are per-kernel
-// spawn-ordered, and all scheduling state (wake, done, killed) is
-// reset on re-arm.
+// Safety across kernels: the stack is shared by every kernel in the
+// process, and independent kernels may be driven from different
+// goroutines, so pushes and pops are mutex-serialized; a task is only
+// repooled after its kernel has unlinked it from the task table and
+// cancelled any pending wake, so a pooled Task is referenced by
+// nothing but the stack and its own goroutine. Which physical Task
+// struct a Spawn receives is scheduling-dependent when kernels run
+// concurrently — that is fine because task identity is never
+// observable: ids are per-kernel spawn-ordered, and all scheduling
+// state (wake, done, killed) is reset on re-arm.
 
 // maxPooledTasks bounds the free stack (and thus the number of idle
 // parked goroutines kept alive).

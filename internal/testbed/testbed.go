@@ -57,16 +57,6 @@ type Spec struct {
 	Ctrl      core.Config    // Controller template; Loc is set per controller
 	Profile   fabric.Profile // zero value = fabric.DefaultProfile()
 	Seed      int64
-	// Shards selects the simulation engine width: 0 means "use the
-	// package default" (SetDefaultShards, normally 1), 1 runs the
-	// classic single-kernel path, and N>1 drives the deployment under a
-	// partition-parallel sim.Engine with the cluster on shard 0. The
-	// cluster workload itself stays shard-0-resident either way, so the
-	// observable trace is byte-identical across shard counts — the
-	// knob exists to run the full evaluation through the conservative
-	// windowing machinery (the determinism matrix) and to give
-	// workloads access to the remaining shards via Deployment.Eng.
-	Shards int
 	// Watch adds a failure-injection NodeWatch to the deployment
 	// (examples/failover, recovery tests).
 	Watch bool
@@ -116,10 +106,6 @@ func SpecOf(cfg core.ClusterConfig, svcs ...Service) Spec {
 // Spec's services exposed at deploy time.
 type Deployment struct {
 	Cl *core.Cluster
-	// Eng is the simulation engine driving the deployment. Its shard 0
-	// carries the cluster; with Spec.Shards > 1 the remaining shards
-	// are available for partitioned auxiliary load.
-	Eng *sim.Engine
 	// Watch is non-nil iff Spec.Watch was set.
 	Watch *services.NodeWatch
 }
@@ -160,32 +146,9 @@ func RunT(tb TB, s Spec, fn func(tk *sim.Task, d *Deployment)) {
 	}
 }
 
-// defaultShards is the engine width used when Spec.Shards is zero.
-var defaultShards = 1
-
-// SetDefaultShards overrides the engine width for Specs that leave
-// Shards at zero, returning the previous default. The determinism
-// matrix uses this to sweep every experiment through multi-shard
-// engines without threading a parameter into each Spec.
-func SetDefaultShards(n int) int {
-	old := defaultShards
-	if n < 1 {
-		n = 1
-	}
-	defaultShards = n
-	return old
-}
-
 func run(s Spec, fn func(tk *sim.Task, d *Deployment)) bool {
-	shards := s.Shards
-	if shards == 0 {
-		shards = defaultShards
-	}
-	eng := sim.NewEngine(s.Seed, shards)
-	cfg := s.ClusterConfig()
-	cfg.K = eng.Shard(0)
-	cl := core.NewCluster(cfg)
-	d := &Deployment{Cl: cl, Eng: eng}
+	cl := core.NewCluster(s.ClusterConfig())
+	d := &Deployment{Cl: cl}
 	if s.Watch || s.Heartbeat != nil {
 		d.Watch = services.NewNodeWatch(cl)
 	}
@@ -203,8 +166,8 @@ func run(s Spec, fn func(tk *sim.Task, d *Deployment)) bool {
 			d.Watch.Stop()
 		}
 	})
-	eng.Run()
-	eng.Shutdown()
+	cl.K.Run()
+	cl.K.Shutdown()
 	return done
 }
 

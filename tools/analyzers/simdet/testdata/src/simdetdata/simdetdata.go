@@ -17,24 +17,6 @@ type kernel struct{}
 func (k *kernel) Spawn(name string, fn func()) {}
 func (k *kernel) Now() int64                   { return 0 }
 
-// Kernel/Task/Engine mirror the internal/sim shapes the shard-safety
-// checks key on (the analyzer matches by type name).
-type Kernel struct{}
-
-func (k *Kernel) Rand() *rand.Rand              { return nil }
-func (k *Kernel) Now() int64                    { return 0 }
-func (k *Kernel) Spawn(name string, fn func())  {}
-func (k *Kernel) After(d int64, fn func())      {}
-func (k *Kernel) Post(dst int, d int64, fn any) {}
-
-type Task struct{}
-
-func (t *Task) Kernel() *Kernel { return &Kernel{} }
-
-type Engine struct{}
-
-func (e *Engine) Shard(i int) *Kernel { return &Kernel{} }
-
 // wallClock demonstrates every forbidden time call.
 func wallClock(k *kernel) {
 	t0 := time.Now()              // want `time.Now reads the wall clock`
@@ -93,42 +75,4 @@ func mapOrder(n *net, peers map[uint32]string) {
 	for id, p := range peers {
 		n.Send(id, p)
 	}
-}
-
-// retainer holds a stream across calls — the shape hole 5 forbids.
-type retainer struct {
-	rng *rand.Rand
-}
-
-var globalStream *rand.Rand
-
-// retainedRand demonstrates the kernel-RNG retention ban.
-func retainedRand(k *Kernel, r *retainer) {
-	r.rng = k.Rand()        // want `Kernel.Rand\(\) retained beyond its call site`
-	globalStream = k.Rand() // want `Kernel.Rand\(\) retained beyond its call site`
-	local := k.Rand()       // local use at the draw site: fine
-	_ = local.Intn(10)
-	//fractos:nondet-ok single-kernel harness, stream provably shard-local
-	r.rng = k.Rand()
-}
-
-// shardAccess demonstrates the cross-shard task-body ban.
-func shardAccess(e *Engine, k *Kernel) {
-	// Setup context (no *Task in scope): Shard() wiring is fine.
-	e.Shard(1).Spawn("w", func() {})
-
-	k.Spawn("driver", func() {})
-	taskBody := func(t *Task) {
-		e.Shard(1).Spawn("w", func() {})    // want `cross-shard kernel access \(Shard\(i\)\.Spawn\) from a task body`
-		_ = e.Shard(2).Now()                // want `cross-shard kernel access \(Shard\(i\)\.Now\) from a task body`
-		t.Kernel().Post(1, 1000, func() {}) // the legal interaction
-		//fractos:nondet-ok engine is quiescent here by construction
-		e.Shard(3).Spawn("w", func() {})
-
-		nested := func(t2 *Task) {
-			_ = e.Shard(0).Rand() // want `cross-shard kernel access \(Shard\(i\)\.Rand\) from a task body`
-		}
-		_ = nested
-	}
-	_ = taskBody
 }
