@@ -258,25 +258,17 @@ func TestAllocGateFutureWait(t *testing.T) {
 	}
 }
 
-// TestAllocGateNullCall pins the whole control path end to end: one
-// cross-node proc.Call of a null Request — the paper's Table 3 / §6.1
-// exchange, 16 wire messages and 6 syscalls over two Controllers. The
-// ledger of what is left (decoded messages and their payloads, the
-// syscall messages libfractos builds, the two Delivery descriptors and
-// the reply Request's object) is in docs/PERFORMANCE.md; this workload
-// allocated 113 objects per call before the per-message path was made
-// allocation-free.
-func TestAllocGateNullCall(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
+// nullCalls runs the paper's Table 3 / §6.1 exchange on a fresh
+// two-node deployment: warm+calls cross-node proc.Calls of a null
+// Request, 16 wire messages and 6 syscalls over two Controllers each.
+// It returns the objects allocated per call over the last `calls` of
+// them and the kernel events of the whole run, set-up included.
+func nullCalls(t *testing.T, warm, calls int) (allocsPerCall float64, events uint64) {
 	const (
-		warm, calls = 200, 2000
-		echoTag     = 1
-		replySlot   = 15
-		maxPerCall  = 45
+		echoTag   = 1
+		replySlot = 15
 	)
-	var per float64
+	e0 := sim.TotalEvents()
 	testbed.RunT(t, testbed.Spec{Nodes: 2, Seed: 5}, func(tk *sim.Task, d *testbed.Deployment) {
 		srv := d.Attach(1, "echo", 0)
 		root, err := srv.RequestCreate(tk, echoTag, nil, nil)
@@ -315,12 +307,47 @@ func TestAllocGateNullCall(t *testing.T) {
 		call(0, warm)
 		before := mallocs()
 		call(warm, calls)
-		per = float64(mallocs()-before) / calls
+		allocsPerCall = float64(mallocs()-before) / float64(calls)
 	})
+	return allocsPerCall, sim.TotalEvents() - e0
+}
+
+// TestAllocGateNullCall pins the whole control path end to end (see
+// nullCalls). The ledger of what is left (decoded messages and their
+// payloads, the syscall messages libfractos builds, the two Delivery
+// descriptors and the reply Request's object) is in
+// docs/PERFORMANCE.md; this workload allocated 113 objects per call
+// before the per-message path was made allocation-free.
+func TestAllocGateNullCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const maxPerCall = 45
+	per, _ := nullCalls(t, 200, 2000)
 	if per > maxPerCall {
 		t.Errorf("null cross-node Call allocates %.2f objects, want <= %d", per, maxPerCall)
 	}
 	t.Logf("null cross-node Call: %.2f allocs", per)
+}
+
+// TestEventGateNullCall pins the kernel events one unloaded cross-node
+// Call costs: 16 frame deliveries, 10 Controller service times and 6
+// application-task wakes (the ledger is in docs/PERFORMANCE.md). The
+// count is a property of the program, not of the host, so the gate is
+// an equality and runs under -race too; it was 47 while Controllers and
+// libfractos' receive demultiplexers were tasks woken once per frame
+// that found them idle.
+func TestEventGateNullCall(t *testing.T) {
+	const (
+		short, long   = 100, 300
+		eventsPerCall = 32
+	)
+	_, e1 := nullCalls(t, 0, short)
+	_, e2 := nullCalls(t, 0, long)
+	if got := e2 - e1; got != eventsPerCall*(long-short) {
+		t.Errorf("%d more null cross-node Calls cost %d more kernel events (%.2f each), want exactly %d each",
+			long-short, got, float64(got)/(long-short), eventsPerCall)
+	}
 }
 
 // runExp drives one experiment through the benchmark loop, reporting

@@ -46,37 +46,33 @@ type Peer struct {
 	SendFailed int
 }
 
-// NewPeer attaches a baseline endpoint and starts its receive loop.
+// NewPeer attaches a baseline endpoint.
 func NewPeer(k *sim.Kernel, net *fabric.Net, name string, loc fabric.Location) *Peer {
 	p := &Peer{
 		net:      net,
-		EP:       net.Attach(name, loc, 0),
 		pending:  make(map[uint64]*sim.Future[*wire.Raw]),
 		incoming: sim.NewChan[Request](k, name+".req", 0),
 	}
-	k.Spawn(name+".rx", p.rxLoop)
+	p.EP = net.AttachHandler(name, loc, 0, p)
 	return p
 }
 
-func (p *Peer) rxLoop(t *sim.Task) {
-	for {
-		d, ok := p.EP.Inbox.Recv(t)
-		if !ok {
-			return
-		}
-		raw, ok := d.Msg.(*wire.Raw)
-		if !ok {
-			continue
-		}
-		if raw.Kind&replyBit != 0 {
-			if f, ok := p.pending[raw.Token]; ok {
-				delete(p.pending, raw.Token)
-				f.Set(raw)
-			}
-			continue
-		}
-		p.incoming.Send(t, Request{From: d.From, Kind: raw.Kind, Token: raw.Token, Data: raw.Data})
+// Deliver implements fabric.Handler: replies resolve calls, requests queue.
+//
+//fractos:hotpath
+func (p *Peer) Deliver(d fabric.Delivery) {
+	raw, ok := d.Msg.(*wire.Raw)
+	if !ok {
+		return
 	}
+	if raw.Kind&replyBit != 0 {
+		if f, ok := p.pending[raw.Token]; ok {
+			delete(p.pending, raw.Token)
+			f.Set(raw)
+		}
+		return
+	}
+	p.incoming.TrySend(Request{From: d.From, Kind: raw.Kind, Token: raw.Token, Data: raw.Data})
 }
 
 // Call performs a synchronous RPC to dst.

@@ -102,7 +102,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 				a.AddPeer(b.ID(), b.EndpointID())
 			}
 		}
-		a.Start()
 	}
 	return cl
 }

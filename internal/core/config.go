@@ -4,8 +4,8 @@
 // operation, orchestrate third-party memory copies, and translate
 // failures into capability revocations.
 //
-// Controllers run as tasks on the simulated cluster and can be
-// deployed on a node's host CPU or its SmartNIC (§6 evaluates both);
+// Controllers run as message handlers on their fabric endpoints and can
+// be deployed on a node's host CPU or its SmartNIC (§6 evaluates both);
 // the deployment only changes where the Controller's endpoint attaches
 // and which column of the operation-cost table applies.
 package core

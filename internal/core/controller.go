@@ -15,11 +15,11 @@ import (
 // Processes it manages, and exchanges the inter-Controller protocol
 // with its peers.
 //
-// A Controller is driven by a single task (Start); all handlers run in
-// that task, serialized, with processing time modeled by the Perf
-// table. Multi-round operations (remote derivations, memory copies)
-// park their continuation in the pending table or run as spawned
-// sub-tasks so the main loop stays responsive.
+// A Controller is a serial run-to-completion server (§4's polling
+// loop): the fabric hands it frames in kernel context (Deliver), each
+// occupies it for its Perf-table processing time, then its handler runs
+// (Fire). No handler blocks: multi-round operations park a continuation
+// in the pending table or spawn a sub-task (memory copies).
 type Controller struct {
 	id    cap.ControllerID
 	cfg   Config
@@ -75,6 +75,8 @@ type Controller struct {
 	argScratch   []wire.CapXfer // a syscall's resolved capability arguments
 	capScratch   []wire.CapXfer // preset + invoke-time capability arguments
 
+	rxQueue []fabric.Delivery // received, oldest first; the head is in service
+
 	metrics Metrics
 	down    bool
 }
@@ -117,7 +119,7 @@ type procState struct {
 }
 
 // New creates a Controller with the given identity and configuration,
-// attached to the fabric at cfg.Loc. Call Start to begin serving.
+// attached to the fabric at cfg.Loc and serving from then on.
 func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	arena := cfg.BouncePairs * 2 * cfg.BounceChunk
@@ -126,7 +128,6 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 		cfg:        cfg,
 		k:          k,
 		net:        net,
-		ep:         net.Attach(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, arena),
 		epoch:      1,
 		tree:       cap.NewTree(),
 		procs:      make(map[cap.ProcID]*procState),
@@ -138,6 +139,7 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 		dedup:      make(map[fabric.EndpointID]*dedupState),
 		bounceSem:  sim.NewSemaphore(cfg.BouncePairs),
 	}
+	c.ep = net.AttachHandler(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, arena, c)
 	// Descending order: popBounce takes from the end, so chunks are
 	// handed out lowest-offset first and a lightly loaded Controller
 	// keeps reusing the front of its bounce arena. Combined with the
@@ -171,9 +173,10 @@ func (c *Controller) AddPeer(id cap.ControllerID, ep fabric.EndpointID) {
 // AttachProcess registers a Process to be managed by this Controller.
 // The Process's endpoint (and RDMA arena) lives at loc, which need not
 // equal the Controller's own location: §6 evaluates co-located,
-// SmartNIC, and remote ("Shared HAL") deployments.
-func (c *Controller) AttachProcess(pid cap.ProcID, name string, loc fabric.Location, arenaSize int) *fabric.Endpoint {
-	ep := c.net.Attach(name, loc, arenaSize)
+// SmartNIC, and remote ("Shared HAL") deployments. rx (libfractos)
+// receives its frames; nil leaves them in the endpoint's Inbox.
+func (c *Controller) AttachProcess(pid cap.ProcID, name string, loc fabric.Location, arenaSize int, rx fabric.Handler) *fabric.Endpoint {
+	ep := c.net.AttachHandler(name, loc, arenaSize, rx)
 	ps := &procState{
 		id:          pid,
 		ep:          ep,
@@ -238,25 +241,44 @@ func (c *Controller) install(ps *procState, e cap.Entry) (cap.CapID, wire.Status
 // tests and resource accounting).
 func (c *Controller) ObjectCount() int { return c.tree.LiveLen() }
 
-// Start spawns the Controller's serving task.
-func (c *Controller) Start() {
-	c.k.Spawn(c.ep.Name, func(t *sim.Task) { c.serve(t) })
+// Deliver implements fabric.Handler: a frame joins the receive queue;
+// an idle Controller starts on it at once, a crashed one drops it.
+//
+//fractos:hotpath
+func (c *Controller) Deliver(d fabric.Delivery) {
+	if c.down {
+		return
+	}
+	c.rxQueue = append(c.rxQueue, d) // fractos:alloc-ok queue growth is amortized: popFront shifts in place, so the backing array is reused
+	if len(c.rxQueue) == 1 {
+		c.k.AfterCall(c.cost(d.Msg), c)
+	}
 }
 
-func (c *Controller) serve(t *sim.Task) {
-	for {
-		d, ok := c.ep.Inbox.Recv(t)
-		if !ok {
-			return
-		}
-		if c.down {
-			continue
-		}
-		if cost := c.cost(d.Msg); cost > 0 {
-			t.Sleep(cost)
-		}
-		c.dispatch(t, d)
+// Fire implements sim.Callback: the head's processing time is over, so
+// its handler runs. A crash meanwhile loses what queued behind it:
+// never served, even after Reboot.
+func (c *Controller) Fire() {
+	var d fabric.Delivery
+	d, c.rxQueue = popFront(c.rxQueue)
+	c.dispatch(d)
+	if c.down {
+		clear(c.rxQueue)
+		c.rxQueue = c.rxQueue[:0]
+	} else if len(c.rxQueue) > 0 {
+		c.k.AfterCall(c.cost(c.rxQueue[0].Msg), c)
 	}
+}
+
+// popFront takes the head off a queue by shifting in place and clearing
+// the vacated slot. Re-slicing q[1:] instead drifts through the backing
+// array: under a sustained backlog it regrows without bound and pins
+// everything that was ever queued.
+func popFront[T any](q []T) (head T, rest []T) {
+	head = q[0]
+	n := copy(q, q[1:])
+	clear(q[n:])
+	return head, q[:n]
 }
 
 // cost models the Controller's processing time for a message,
@@ -265,8 +287,6 @@ func (c *Controller) cost(m wire.Message) sim.Time {
 	dom := c.cfg.Loc.Domain
 	p := &c.cfg.Perf
 	switch m := m.(type) {
-	case *wire.Null, *wire.DeliverDone, *wire.ProcBye:
-		return p.Null.On(dom)
 	case *wire.MemCreate, *wire.MemDiminish, *wire.CapRevtree,
 		*wire.CapRevoke, *wire.CapDrop, *wire.MonitorDelegate, *wire.MonitorReceive:
 		return p.CapOp.On(dom)
@@ -282,17 +302,12 @@ func (c *Controller) cost(m wire.Message) sim.Time {
 		return p.CapOp.On(dom) + p.CtrlSerial.On(dom) + sim.Time(len(m.Caps))*p.PerCap.On(dom)
 	case *wire.CtrlDeriveMem, *wire.CtrlRevtree, *wire.CtrlRevoke, *wire.CtrlWatch:
 		return p.CapOp.On(dom) + p.CtrlSerial.On(dom)
-	case *wire.CtrlValidate:
-		return p.Null.On(dom)
-	case *wire.CtrlAck, *wire.CtrlValInfo, *wire.CtrlDelegNoteAck,
-		*wire.CtrlCleanup, *wire.CtrlNotify, *wire.CtrlEpoch:
-		return p.Null.On(dom)
 	default:
-		return p.Null.On(dom)
+		return p.Null.On(dom) // null/done/bye syscalls, validation, acks, cleanup, notifications
 	}
 }
 
-func (c *Controller) dispatch(t *sim.Task, d fabric.Delivery) {
+func (c *Controller) dispatch(d fabric.Delivery) {
 	// Processes are untrusted (§3.2): anything arriving from a managed
 	// Process is a syscall, never Controller protocol — otherwise a
 	// malicious Process could forge acks for our pending calls or
@@ -301,15 +316,15 @@ func (c *Controller) dispatch(t *sim.Task, d fabric.Delivery) {
 		if ps.failed {
 			return
 		}
-		c.dispatchSyscall(t, ps, d.Msg)
+		c.dispatchSyscall(ps, d.Msg)
 		return
 	}
 
 	// Health probes are answered for anyone who can reach us — the
 	// monitoring service (services.NodeWatch) is not a peer Controller
 	// and has no capability state here. A crashed Controller never
-	// answers: serve() discards deliveries while c.down, which is
-	// exactly the silence the failure detector interprets.
+	// answers: its endpoint is severed and Fire discards what was
+	// queued, exactly the silence the failure detector interprets.
 	if ping, ok := d.Msg.(*wire.WatchPing); ok {
 		pong := &wire.WatchPong{Seq: ping.Seq, Ctrl: c.id, Epoch: c.epoch}
 		if !c.net.Send(c.ep.ID, d.From, pong) {
@@ -336,10 +351,10 @@ func (c *Controller) dispatch(t *sim.Task, d fabric.Delivery) {
 		c.resolvePending(m.Token, m)
 		return
 	}
-	c.dispatchPeer(t, d.From, d.Msg)
+	c.dispatchPeer(d.From, d.Msg)
 }
 
-func (c *Controller) dispatchSyscall(t *sim.Task, ps *procState, m wire.Message) {
+func (c *Controller) dispatchSyscall(ps *procState, m wire.Message) {
 	switch m := m.(type) {
 	case *wire.Null:
 		c.metrics.NullOps++
@@ -358,7 +373,7 @@ func (c *Controller) dispatchSyscall(t *sim.Task, ps *procState, m wire.Message)
 		c.handleReqCreate(ps, m)
 	case *wire.ReqInvoke:
 		c.metrics.Invokes++
-		c.handleReqInvoke(t, ps, m)
+		c.handleReqInvoke(ps, m)
 	case *wire.CapRevtree:
 		c.metrics.CapOps++
 		c.handleCapRevtree(ps, m)
@@ -412,7 +427,7 @@ func peerToken(m wire.Message) (uint64, bool) {
 	return 0, false
 }
 
-func (c *Controller) dispatchPeer(t *sim.Task, from fabric.EndpointID, m wire.Message) {
+func (c *Controller) dispatchPeer(from fabric.EndpointID, m wire.Message) {
 	// At-most-once execution: a token we have already answered for
 	// this peer endpoint is a retransmission (or a fabric duplicate) —
 	// its side effects must not run again. Re-send the cached reply:
@@ -440,7 +455,7 @@ func (c *Controller) dispatchPeer(t *sim.Task, from fabric.EndpointID, m wire.Me
 	case *wire.CtrlValidate:
 		c.peerValidate(from, m)
 	case *wire.CtrlInvoke:
-		c.peerInvoke(t, from, m)
+		c.peerInvoke(from, m)
 	case *wire.CtrlCleanup:
 		c.peerCleanup(from, m)
 	case *wire.CtrlWatch:

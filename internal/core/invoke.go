@@ -3,7 +3,6 @@ package core
 import (
 	"fractos/internal/cap"
 	"fractos/internal/fabric"
-	"fractos/internal/sim"
 	"fractos/internal/wire"
 )
 
@@ -17,7 +16,7 @@ import (
 // the invocation is local: syscall → delivery, two hops. Otherwise it
 // is forwarded to the owning Controller: three hops each way at most,
 // as in §6.1.
-func (c *Controller) handleReqInvoke(t *sim.Task, ps *procState, m *wire.ReqInvoke) {
+func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 	e, st := c.resolveEntry(ps, m.Cid, cap.KindRequest, cap.Invoke)
 	if st != wire.StatusOK {
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
@@ -115,7 +114,7 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 // The reply goes through the at-most-once cache: deliverInvoke is not
 // idempotent (it delivers a descriptor to the provider), so a
 // retransmitted CtrlInvoke must be answered without re-delivering.
-func (c *Controller) peerInvoke(t *sim.Task, from fabric.EndpointID, m *wire.CtrlInvoke) {
+func (c *Controller) peerInvoke(from fabric.EndpointID, m *wire.CtrlInvoke) {
 	c.metrics.Invokes++
 	st := c.deliverInvoke(m.Ref, m.Imms, m.Caps)
 	c.reply(from, m.Token, &wire.CtrlAck{Token: m.Token, Status: st})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 	"unsafe"
 
 	fcap "fractos/internal/cap" // aliased: the test needs the builtin cap
@@ -27,9 +28,8 @@ func TestBackpressureQueueDoesNotDrift(t *testing.T) {
 	net := fabric.New(k, fabric.DefaultProfile())
 	loc := fabric.Location{Node: 0, Domain: fabric.Host}
 	c := New(k, net, 1, Config{Loc: loc, Window: window})
-	c.Start()
-	provEP := c.AttachProcess(1, "prov", loc, 0)
-	cliEP := c.AttachProcess(2, "cli", loc, 0)
+	provEP := c.AttachProcess(1, "prov", loc, 0, nil)
+	cliEP := c.AttachProcess(2, "cli", loc, 0, nil)
 	prov := c.procs[1]
 
 	// The provider's Request, handed to the client through the
@@ -99,6 +99,126 @@ func TestBackpressureQueueDoesNotDrift(t *testing.T) {
 	}
 	if maxCap == 0 || maxCap > 4*backlog {
 		t.Errorf("cap(queue) peaked at %d for a backlog of %d", maxCap, backlog)
+	}
+}
+
+// TestControllerRxQueueDoesNotDrift keeps a Controller permanently
+// backlogged — a client holds 16 null syscalls outstanding, and every
+// completion releases the next — for 100k messages. They wait in
+// rxQueue behind the one in service, which pops by in-place shift: its
+// backing array must stay the one the first burst grew, and a vacated
+// slot must not keep its decoded message alive.
+func TestControllerRxQueueDoesNotDrift(t *testing.T) {
+	const (
+		backlog  = 16
+		syscalls = 100_000
+	)
+	k := sim.New(1)
+	net := fabric.New(k, fabric.DefaultProfile())
+	loc := fabric.Location{Node: 0, Domain: fabric.Host}
+	c := New(k, net, 1, Config{Loc: loc})
+	cliEP := c.AttachProcess(1, "cli", loc, 0, nil)
+
+	credits := sim.NewSemaphore(backlog)
+	k.Spawn("client", func(tk *sim.Task) {
+		for i := 0; i < syscalls; i++ {
+			credits.Acquire(tk)
+			if !net.Send(cliEP.ID, c.EndpointID(), &wire.Null{Token: uint64(i + 1)}) {
+				t.Error("client syscall refused")
+			}
+		}
+	})
+	var stableAt unsafe.Pointer // backing array once the backlog has built up
+	maxLen, maxCap, done := 0, 0, 0
+	k.Spawn("client-rx", func(tk *sim.Task) {
+		for done < syscalls {
+			if _, ok := cliEP.Inbox.Recv(tk); !ok {
+				return
+			}
+			done++
+			maxLen, maxCap = max(maxLen, len(c.rxQueue)), max(maxCap, cap(c.rxQueue))
+			if at := unsafe.Pointer(unsafe.SliceData(c.rxQueue)); done == 1000 {
+				stableAt = at
+			} else if done > 1000 && at != stableAt {
+				t.Errorf("completion %d: rxQueue backing array moved (cap %d): the queue drifts", done, cap(c.rxQueue))
+				done = syscalls
+			}
+			credits.Release()
+		}
+	})
+	k.Run()
+	k.Shutdown()
+
+	if done != syscalls || c.Metrics().NullOps != syscalls {
+		t.Fatalf("%d completions for %d null syscalls served, want %d of each", done, c.Metrics().NullOps, syscalls)
+	}
+	if maxLen < backlog/2 {
+		t.Fatalf("rxQueue never held more than %d messages; the queue was not exercised", maxLen)
+	}
+	if maxCap > 4*backlog {
+		t.Errorf("cap(rxQueue) peaked at %d for a backlog of %d", maxCap, backlog)
+	}
+	if len(c.rxQueue) != 0 {
+		t.Fatalf("drained Controller has %d messages queued", len(c.rxQueue))
+	}
+	for i, d := range c.rxQueue[:cap(c.rxQueue)] {
+		if d.Msg != nil {
+			t.Fatalf("vacated rxQueue slot %d still holds a %T", i, d.Msg)
+		}
+	}
+}
+
+// TestCrashDiscardsQueuedMessages pins what a crash does to the
+// receive side. Three probes reach a Controller back to back, so the
+// first is in service and two wait behind it when Crash lands. The one
+// in service still runs its handler when its service time ends — the
+// answer is refused by the severed endpoint and counted — while the two
+// queued ones are discarded as they are taken: they are neither
+// answered nor replayed after Reboot, and the rebooted Controller serves
+// again. Health probes stand in for syscalls because they are the
+// traffic whose handling stays observable: Crash also fails every
+// managed Process, and dispatch drops a failed Process's syscalls
+// before they are counted anywhere.
+func TestCrashDiscardsQueuedMessages(t *testing.T) {
+	k := sim.New(1)
+	net := fabric.New(k, fabric.DefaultProfile())
+	c := New(k, net, 1, Config{Loc: fabric.Location{Node: 0, Domain: fabric.Host}})
+	prober := net.Attach("prober", fabric.Location{Node: 1}, 0)
+	ping := func(seq uint64) {
+		if !net.Send(prober.ID, c.EndpointID(), &wire.WatchPing{Seq: seq}) {
+			t.Fatalf("ping %d refused", seq)
+		}
+	}
+
+	for seq := uint64(1); seq <= 3; seq++ {
+		ping(seq)
+	}
+	for len(c.rxQueue) < 3 {
+		if k.Now() > time.Millisecond {
+			t.Fatalf("three pings never queued up: %d in the queue", len(c.rxQueue))
+		}
+		k.RunUntil(k.Now() + 10)
+	}
+	c.Crash()
+	k.Run()
+	if got := c.Metrics().SendFailed; got != 1 {
+		t.Fatalf("%d refused sends after the crash, want 1: only the probe in service runs its handler", got)
+	}
+	if len(c.rxQueue) != 0 {
+		t.Fatalf("crashed Controller still has %d messages queued", len(c.rxQueue))
+	}
+
+	c.Reboot()
+	k.Run()
+	if n := prober.Inbox.Len(); n != 0 || c.Metrics().SendFailed != 1 {
+		t.Fatalf("reboot replayed queued probes: %d pongs, %d refused sends", n, c.Metrics().SendFailed)
+	}
+	ping(4)
+	k.Run()
+	d, ok := prober.Inbox.TryRecv()
+	pong, isPong := d.Msg.(*wire.WatchPong)
+	if !ok || !isPong || pong.Seq != 4 || pong.Epoch != 2 || prober.Inbox.Len() != 0 {
+		t.Fatalf("rebooted Controller answered ping 4 with %+v (%d more queued), want one epoch-2 pong", d.Msg, prober.Inbox.Len())
 	}
 }
 

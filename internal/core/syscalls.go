@@ -301,14 +301,9 @@ func (c *Controller) handleDeliverDone(ps *procState, m *wire.DeliverDone) {
 
 // drainQueue sends queued deliveries while window credits remain.
 func (c *Controller) drainQueue(ps *procState) {
-	// Pop by in-place shift, not ps.queue[1:]: re-slicing drifts through
-	// the backing array, which under sustained back-pressure pins every
-	// delivery ever queued and regrows without bound.
 	for ps.window > 0 && len(ps.queue) > 0 {
-		d := ps.queue[0]
-		n := copy(ps.queue, ps.queue[1:])
-		ps.queue[n] = nil
-		ps.queue = ps.queue[:n]
+		var d *wire.Deliver
+		d, ps.queue = popFront(ps.queue)
 		c.sendDeliver(ps, d)
 	}
 }

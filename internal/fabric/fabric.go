@@ -111,20 +111,28 @@ func (p *Profile) entry(d Domain) sim.Time {
 	return p.HostEntry
 }
 
-// Delivery is a message as it arrives at an endpoint's inbox.
+// Delivery is a message as it arrives at an endpoint.
 type Delivery struct {
 	From  EndpointID
 	Msg   wire.Message
 	Bytes int
 }
 
-// Endpoint is an attached entity with an inbox and (optionally) an
-// RDMA-registered memory arena.
+// Handler receives an endpoint's frames: the delivery event calls
+// Deliver in kernel context, where it may Send, Spawn, resolve futures
+// and TrySend but never block (it has no *sim.Task to block on).
+type Handler interface {
+	Deliver(d Delivery)
+}
+
+// Endpoint is an attached entity with a Handler or, failing that, an
+// Inbox for its frames, and (optionally) an RDMA-registered arena.
 type Endpoint struct {
 	ID    EndpointID
 	Name  string
 	Loc   Location
 	Inbox *sim.Chan[Delivery]
+	rx    Handler
 
 	// arena is materialized lazily on first byte access: many endpoints
 	// (notably per-cluster controller bounce arenas in the evaluation
@@ -289,14 +297,14 @@ type Net struct {
 
 	// rd decodes every frame this Net carries (wire.UnmarshalWith), and
 	// flights recycles the in-flight records that carry decoded
-	// messages to their inboxes. Both belong to the Net's kernel
+	// messages to their endpoints. Both belong to the Net's kernel
 	// context alone.
 	rd      wire.Reader
 	flights sim.FreeList[flight]
 }
 
 // flight is one frame in flight: the decoded message on its way to
-// dst's inbox. It is the target of the delivery event (sim.Callback),
+// dst. It is the target of the delivery event (sim.Callback),
 // so a send schedules its delivery without allocating a closure. A
 // record is live from launch until its event fires — delivery, or the
 // drop at a receiver that disconnected meanwhile — and is cleared on
@@ -346,7 +354,12 @@ func (f *flight) Fire() {
 	assert.True(f.net != nil, "fabric: in-flight record fired after release")
 	dst, d := f.dst, Delivery{From: f.from, Msg: f.msg, Bytes: f.bytes}
 	f.net.putFlight(f)
-	if !dst.disconnected {
+	if dst.disconnected {
+		return
+	}
+	if dst.rx != nil {
+		dst.rx.Deliver(d)
+	} else {
 		dst.Inbox.TrySend(d)
 	}
 }
@@ -391,15 +404,18 @@ func (n *Net) Stats() Stats { return n.stats }
 func (n *Net) ResetStats() { n.stats = Stats{} }
 
 // Attach registers an endpoint at loc with an arena of arenaSize
-// bytes (0 for none).
+// bytes (0 for none), whose frames queue in Inbox for a task to Recv.
 func (n *Net) Attach(name string, loc Location, arenaSize int) *Endpoint {
-	e := &Endpoint{
-		ID:    EndpointID(len(n.eps)),
-		Name:  name,
-		Loc:   loc,
-		Inbox: sim.NewChan[Delivery](n.k, name+".inbox", 0),
+	return n.AttachHandler(name, loc, arenaSize, nil)
+}
+
+// AttachHandler is Attach for an endpoint whose frames go to rx
+// instead: it has no Inbox (unless rx is nil).
+func (n *Net) AttachHandler(name string, loc Location, arenaSize int, rx Handler) *Endpoint {
+	e := &Endpoint{ID: EndpointID(len(n.eps)), Name: name, Loc: loc, rx: rx, arenaSize: arenaSize}
+	if rx == nil {
+		e.Inbox = sim.NewChan[Delivery](n.k, name+".inbox", 0)
 	}
-	e.arenaSize = arenaSize
 	n.eps = append(n.eps, e)
 	n.ensureLinks(loc.Node)
 	return e
@@ -493,7 +509,7 @@ func (n *Net) transferTime(now sim.Time, src, dst Location, nBytes int) sim.Time
 }
 
 // Send serializes m, charges the fabric model, and schedules delivery
-// into dst's inbox. It does not block the caller (DMA semantics). It
+// to dst. It does not block the caller (DMA semantics). It
 // reports false if either endpoint is unknown or disconnected (the
 // message is dropped, as on a severed channel).
 //

@@ -45,7 +45,8 @@ type Process struct {
 	futures sim.FreeList[sim.Future[*wire.Completion]]
 	// slots is scratch for a syscall's capability-argument list; the
 	// message that carries it is encoded before submit returns.
-	slots []wire.CapSlot
+	slots  []wire.CapSlot
+	txDone wire.DeliverDone // built in place: Net.Send retains nothing
 
 	nextTag  uint64
 	waiters  map[uint64]*sim.Future[*Delivery]
@@ -53,8 +54,10 @@ type Process struct {
 	stale    map[uint64]bool
 	incoming *sim.Chan[*Delivery]
 
+	// Monitor callbacks may issue syscalls: each runs as a task (cbName).
 	nextCB   uint64
-	monitors map[uint64]func(kind uint8)
+	monitors map[uint64]func(*sim.Task)
+	cbName   string
 
 	alloc *allocator
 	dead  bool
@@ -101,12 +104,10 @@ func Attach(cl *core.Cluster, node int, name string, arenaSize int) *Process {
 // AttachTo creates a Process managed by an explicit Controller.
 func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.ProcID,
 	name string, loc fabric.Location, arenaSize int) *Process {
-	ep := ctrl.AttachProcess(pid, name, loc, arenaSize)
 	p := &Process{
 		k:        k,
 		net:      net,
 		id:       pid,
-		ep:       ep,
 		ctrl:     ctrl,
 		ctrlEP:   ctrl.EndpointID(),
 		pending:  make(map[uint64]*sim.Future[*wire.Completion]),
@@ -114,10 +115,11 @@ func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.Pro
 		subs:     make(map[uint64]*sim.Chan[*Delivery]),
 		stale:    make(map[uint64]bool),
 		incoming: sim.NewChan[*Delivery](k, name+".deliveries", 0),
-		monitors: make(map[uint64]func(uint8)),
+		monitors: make(map[uint64]func(*sim.Task)),
+		cbName:   name + ".monitorcb",
 		alloc:    newAllocator(arenaSize),
 	}
-	k.Spawn(name+".rx", p.rxLoop)
+	p.ep = ctrl.AttachProcess(pid, name, loc, arenaSize, p)
 	return p
 }
 
@@ -133,47 +135,41 @@ func (p *Process) Endpoint() fabric.EndpointID { return p.ep.ID }
 // Kernel returns the simulation kernel.
 func (p *Process) Kernel() *sim.Kernel { return p.k }
 
-// rxLoop demultiplexes traffic from the Controller.
-func (p *Process) rxLoop(t *sim.Task) {
-	for {
-		d, ok := p.ep.Inbox.Recv(t)
-		if !ok {
+// Deliver implements fabric.Handler: it demultiplexes traffic from the
+// Controller without blocking (unbounded queues, spawned callbacks).
+//
+//fractos:hotpath
+func (p *Process) Deliver(d fabric.Delivery) {
+	switch m := d.Msg.(type) {
+	case *wire.Completion:
+		if f, ok := p.pending[m.Token]; ok {
+			delete(p.pending, m.Token)
+			f.Set(m)
+		}
+	case *wire.Deliver:
+		if p.stale[m.Tag] {
+			// A reply to a call that already timed out (CallTimeout):
+			// ack at once so the provider's congestion-window credit is
+			// not leaked, and discard it. Caps it delegated are children
+			// of the caller's revoked reply Request and die with it.
+			delete(p.stale, m.Tag)
+			p.txDone = wire.DeliverDone{Seq: m.Seq}
+			//fractos:send-ok a failed ack means the Controller tore us down already
+			p.net.Send(p.ep.ID, p.ctrlEP, &p.txDone)
 			return
 		}
-		switch m := d.Msg.(type) {
-		case *wire.Completion:
-			if f, ok := p.pending[m.Token]; ok {
-				delete(p.pending, m.Token)
-				f.Set(m)
-			}
-		case *wire.Deliver:
-			if p.stale[m.Tag] {
-				// A reply to a call that already timed out (CallTimeout):
-				// ack immediately so the provider-side congestion-window
-				// credit is not leaked, and discard the payload. Any caps
-				// it delegated are children of the caller's revoked reply
-				// Request and die with it.
-				delete(p.stale, m.Tag)
-				//fractos:send-ok a failed ack means the Controller tore us down already
-				p.net.Send(p.ep.ID, p.ctrlEP, &wire.DeliverDone{Seq: m.Seq})
-				continue
-			}
-			dv := &Delivery{p: p, Seq: m.Seq, Tag: m.Tag, Imms: m.Imms, Caps: m.Caps}
-			if ch, ok := p.subs[m.Tag]; ok {
-				ch.Send(t, dv)
-			} else if f, ok := p.waiters[m.Tag]; ok {
-				delete(p.waiters, m.Tag)
-				f.Set(dv)
-			} else {
-				p.incoming.Send(t, dv)
-			}
-		case *wire.MonitorCB:
-			if fn, ok := p.monitors[m.Callback]; ok {
-				kind := m.Kind
-				// Callbacks may issue syscalls, so they must not run
-				// inside the receive loop.
-				p.k.Spawn(p.ep.Name+".monitorcb", func(*sim.Task) { fn(kind) })
-			}
+		dv := &Delivery{p: p, Seq: m.Seq, Tag: m.Tag, Imms: m.Imms, Caps: m.Caps} // fractos:alloc-ok the request_receive descriptor is the application's to keep: one per delivery by design
+		if ch, ok := p.subs[m.Tag]; ok {
+			ch.TrySend(dv)
+		} else if f, ok := p.waiters[m.Tag]; ok {
+			delete(p.waiters, m.Tag)
+			f.Set(dv)
+		} else {
+			p.incoming.TrySend(dv)
+		}
+	case *wire.MonitorCB:
+		if fn, ok := p.monitors[m.Callback]; ok {
+			p.k.Spawn(p.cbName, fn)
 		}
 	}
 }
@@ -443,7 +439,7 @@ func (p *Process) Drop(t *sim.Task, c Cap) error {
 func (p *Process) MonitorDelegate(t *sim.Task, c Cap, fn func()) error {
 	p.nextCB++
 	id := p.nextCB
-	p.monitors[id] = func(uint8) { fn() }
+	p.monitors[id] = func(*sim.Task) { fn() }
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.MonitorDelegate{Token: tok, Cid: c.id, Callback: id}
 	})
@@ -458,7 +454,7 @@ func (p *Process) MonitorDelegate(t *sim.Task, c Cap, fn func()) error {
 func (p *Process) MonitorReceive(t *sim.Task, c Cap, fn func()) error {
 	p.nextCB++
 	id := p.nextCB
-	p.monitors[id] = func(uint8) { fn() }
+	p.monitors[id] = func(*sim.Task) { fn() }
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
 		return &wire.MonitorReceive{Token: tok, Cid: c.id, Callback: id}
 	})

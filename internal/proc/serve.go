@@ -63,8 +63,10 @@ func (d *Delivery) Done() {
 		return
 	}
 	d.acked = true
-	if !d.p.net.Send(d.p.ep.ID, d.p.ctrlEP, &wire.DeliverDone{Seq: d.Seq}) {
-		d.p.dead = true
+	p := d.p
+	p.txDone = wire.DeliverDone{Seq: d.Seq}
+	if !p.net.Send(p.ep.ID, p.ctrlEP, &p.txDone) {
+		p.dead = true
 	}
 }
 

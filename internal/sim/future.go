@@ -68,7 +68,7 @@ func (f *Future[T]) Reset() {
 }
 
 func (f *Future[T]) resolve(v T, err error) {
-	assert.That(!f.done, "sim: future resolved twice")
+	assert.True(!f.done, "sim: future resolved twice")
 	f.done = true
 	f.val = v
 	f.err = err

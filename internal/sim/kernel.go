@@ -1,10 +1,11 @@
 // Package sim implements a deterministic discrete-event simulation
-// kernel. All FractOS entities (Controllers, Processes, devices, NICs)
+// kernel. FractOS entities that block (applications, adaptors, devices)
 // run as cooperatively scheduled actors ("tasks") under a virtual
-// clock. Exactly one task executes at any moment; control is handed
-// between the kernel and tasks over channels, so task code can be
-// written in a natural blocking style while the simulation stays
-// deterministic and race-free.
+// clock; those that only react (Controllers, receive demultiplexers)
+// run in kernel context as Callbacks. Exactly one task executes at any
+// moment; control is handed between the kernel and tasks over channels,
+// so task code can be written in a natural blocking style while the
+// simulation stays deterministic and race-free.
 //
 // Two runs of the same program over the same kernel produce identical
 // event orders and identical virtual timestamps.
