@@ -19,6 +19,7 @@ import (
 	"fractos/internal/core"
 	"fractos/internal/exp"
 	"fractos/internal/fabric"
+	"fractos/internal/load"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
@@ -258,22 +259,46 @@ func TestAllocGateFutureWait(t *testing.T) {
 	}
 }
 
+const (
+	echoTag   = 1
+	replySlot = 15
+)
+
+// deployEcho attaches the null-Request echo server on node 1: it
+// answers every delivery by invoking the reply Request in replySlot
+// with the caller's sequence number. srv is nil if set-up failed.
+func deployEcho(t *testing.T, tk *sim.Task, d *testbed.Deployment) (srv *proc.Process, root proc.Cap) {
+	srv = d.Attach(1, "echo", 0)
+	root, err := srv.RequestCreate(tk, echoTag, nil, nil)
+	if err != nil {
+		t.Error(err)
+		return nil, root
+	}
+	d.Spawn("echo-loop", func(et *sim.Task) {
+		for {
+			dv, ok := srv.Receive(et)
+			if !ok {
+				return
+			}
+			if rep, ok := dv.Cap(replySlot); ok {
+				_ = srv.Invoke(et, rep, []wire.ImmArg{proc.U64Arg(0, dv.U64(0))}, nil)
+			}
+			dv.Done()
+		}
+	})
+	return srv, root
+}
+
 // nullCalls runs the paper's Table 3 / §6.1 exchange on a fresh
 // two-node deployment: warm+calls cross-node proc.Calls of a null
 // Request, 16 wire messages and 6 syscalls over two Controllers each.
 // It returns the objects allocated per call over the last `calls` of
 // them and the kernel events of the whole run, set-up included.
 func nullCalls(t *testing.T, warm, calls int) (allocsPerCall float64, events uint64) {
-	const (
-		echoTag   = 1
-		replySlot = 15
-	)
 	e0 := sim.TotalEvents()
 	testbed.RunT(t, testbed.Spec{Nodes: 2, Seed: 5}, func(tk *sim.Task, d *testbed.Deployment) {
-		srv := d.Attach(1, "echo", 0)
-		root, err := srv.RequestCreate(tk, echoTag, nil, nil)
-		if err != nil {
-			t.Error(err)
+		srv, root := deployEcho(t, tk, d)
+		if srv == nil {
 			return
 		}
 		cli := d.Attach(0, "client", 0)
@@ -282,18 +307,6 @@ func nullCalls(t *testing.T, warm, calls int) (allocsPerCall float64, events uin
 			t.Error(err)
 			return
 		}
-		d.Spawn("echo-loop", func(et *sim.Task) {
-			for {
-				dv, ok := srv.Receive(et)
-				if !ok {
-					return
-				}
-				if rep, ok := dv.Cap(replySlot); ok {
-					_ = srv.Invoke(et, rep, []wire.ImmArg{proc.U64Arg(0, dv.U64(0))}, nil)
-				}
-				dv.Done()
-			}
-		})
 		call := func(from, n int) {
 			for i := from; i < from+n; i++ {
 				seq := uint64(i) + 1
@@ -347,6 +360,69 @@ func TestEventGateNullCall(t *testing.T) {
 	if got := e2 - e1; got != eventsPerCall*(long-short) {
 		t.Errorf("%d more null cross-node Calls cost %d more kernel events (%.2f each), want exactly %d each",
 			long-short, got, float64(got)/(long-short), eventsPerCall)
+	}
+}
+
+// lossyCalls runs 4 closed-loop clients of cross-node null Calls
+// against one echo server (the invoke-lossy workload in miniature) on a
+// fabric dropping the given share of cross-node frames.
+func lossyCalls(t *testing.T, drop float64, perClient int) (p99 sim.Time, retx, aborted, dropped int64) {
+	const clients = 4
+	spec := testbed.Spec{Nodes: 2, Seed: 5, Chaos: fabric.Faults{Drop: drop, Seed: 17}}
+	testbed.RunT(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
+		srv, root := deployEcho(t, tk, d)
+		if srv == nil {
+			return
+		}
+		var err error
+		clis, reqs := make([]*proc.Process, clients), make([]proc.Cap, clients)
+		for i := range clis {
+			clis[i] = d.Attach(0, "client", 0)
+			if reqs[i], err = proc.GrantCap(srv, root, clis[i]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		st := load.Closed{Clients: clients, PerClient: perClient}.Run(tk,
+			func(ct *sim.Task, c, seq int) error {
+				id := uint64(c*perClient+seq) + 1
+				dv, err := clis[c].Call(ct, reqs[c], []wire.ImmArg{proc.U64Arg(0, id)}, nil, replySlot)
+				if err == nil && dv.U64(0) != id {
+					t.Errorf("client %d call %d: echoed %d", c, seq, dv.U64(0))
+				}
+				return err
+			})
+		if st.Errors != 0 {
+			t.Errorf("%d of %d calls failed at %.0f %% loss", st.Errors, clients*perClient, 100*drop)
+		}
+		p99 = st.Hist.P99()
+		for _, c := range d.Cl.Ctrls {
+			m := c.Metrics()
+			retx, aborted = retx+m.Retransmits, aborted+m.RPCAborted
+		}
+		dropped = d.Net().FaultStats().Dropped
+	})
+	return p99, retx, aborted, dropped
+}
+
+// TestVirtGateLossyCall is the virtual-clock gate of the retransmission
+// timer: at 1 % frame loss the p99 of a null Call stays within 3× of the
+// fault-free p99 (it was 100× while the timer was a constant 5 ms), with
+// no resend the fabric did not cause and nothing aborted. Virtual time
+// is exact per seed, so the gate runs under -race too.
+func TestVirtGateLossyCall(t *testing.T) {
+	const perClient = 2500
+	clean, _, _, _ := lossyCalls(t, 0, perClient)
+	lossy, retx, aborted, dropped := lossyCalls(t, 0.01, perClient)
+	t.Logf("p99 %v fault-free, %v at 1 %% loss; %d frames dropped, %d retransmits", clean, lossy, dropped, retx)
+	if lossy > 3*clean {
+		t.Errorf("p99 at 1 %% loss = %v, want <= 3x the fault-free %v", lossy, clean)
+	}
+	if dropped == 0 || 100*retx > 105*dropped {
+		t.Errorf("%d retransmits for %d dropped frames, want <= 1.05x (and > 0 drops)", retx, dropped)
+	}
+	if aborted != 0 {
+		t.Errorf("%d calls aborted under 1 %% loss", aborted)
 	}
 }
 

@@ -118,7 +118,7 @@ func main() {
 
 	hb := &services.WatchConfig{
 		Every:       3 * ms,
-		Suspect:     2,
+		Suspect:     3,
 		RebootAfter: 6 * ms,
 		Node:        0, // monitor from the majority side of the partition
 		OnEvent: func(e services.WatchEvent) {

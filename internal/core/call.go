@@ -29,8 +29,8 @@ const (
 
 // pendingCall is an outstanding inter-Controller request awaiting its
 // response: a pooled record parked in Controller.pending under the
-// call's token from call until resolvePending. attempt drives
-// timeout-based retransmission over a lossy fabric (cfg.RPCTimeout),
+// call's token from call until resolvePending. With cfg.RPCBudget
+// armed, sent/rto/attempt drive retransmission over a lossy fabric,
 // which re-sends frame(pc) under the same token.
 //
 // The fields past entry are the union of what the kinds need; each
@@ -38,7 +38,14 @@ const (
 // syscall message (which the record therefore keeps alive); caps is
 // storage the record owns and recycles.
 type pendingCall struct {
-	kind    callKind
+	kind callKind
+
+	// Retransmission state (cfg.RPCBudget armed): when the call was
+	// first sent — its deadline is cfg.RPCBudget later — the timeout of
+	// the current attempt (doubling from the peer's RTO up to
+	// rtoCeiling), and how many resends went out.
+	sent    sim.Time
+	rto     sim.Time
 	attempt int
 
 	// The syscall to complete (kinds callInvoke through callWatch).
@@ -119,12 +126,12 @@ func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 // synthetic failure CtrlAck when the call cannot complete: the peer's
 // endpoint is torn down (StatusNoProc), the peer is observed dead or
 // rebooted (StatusAborted via abortPendingTo), this Controller itself
-// crashes (StatusAborted via Crash), or, with cfg.RPCTimeout armed,
-// every retransmission attempt times out (StatusAborted).
+// crashes (StatusAborted via Crash), or, with cfg.RPCBudget armed, the
+// call's deadline passes unanswered (StatusAborted).
 //
 //fractos:pool-handoff pendingcall
 func (c *Controller) call(pc *pendingCall) {
-	ep, ok := c.peers[pc.peer()]
+	p, ok := c.peers[pc.peer()]
 	if !ok {
 		c.retire(pc, &wire.CtrlAck{Status: wire.StatusUnknownObj})
 		return
@@ -132,14 +139,15 @@ func (c *Controller) call(pc *pendingCall) {
 	c.nextToken++
 	token := c.nextToken
 	c.pending[token] = pc
-	if !c.net.Send(c.ep.ID, ep, c.frame(pc, token)) {
+	if !c.net.Send(c.ep.ID, p.ep, c.frame(pc, token)) {
 		// A torn-down endpoint is locally observable (unlike in-flight
 		// loss): fail fast, no retransmission.
 		c.resolvePending(token, &wire.CtrlAck{Status: wire.StatusNoProc})
 		return
 	}
-	if c.cfg.RPCTimeout > 0 {
-		c.armResend(token, 0, c.cfg.RPCTimeout)
+	if c.cfg.RPCBudget > 0 {
+		pc.sent, pc.rto = c.k.Now(), p.rtt.rto()
+		c.armResend(token, 0, pc.rto)
 	}
 }
 
@@ -274,27 +282,56 @@ func (tm *rpcTimer) Fire() {
 }
 
 // resend fires when attempt's timeout expires: if the call is still
-// unanswered, retransmit with the same token and double the timeout;
-// after cfg.RPCRetries attempts resolve it as aborted. Stale timers
-// (call answered, or already superseded by a later attempt) are
-// no-ops, so arming them never perturbs a healthy exchange.
+// unanswered, retransmit with the same token and double the timeout up
+// to rtoCeiling; once the call's deadline has passed resolve it as
+// aborted. Stale timers (call answered, or already superseded by a
+// later attempt) are no-ops, so arming them never perturbs a healthy
+// exchange.
 func (c *Controller) resend(token uint64, attempt int) {
 	pc, ok := c.pending[token]
 	if !ok || pc.attempt != attempt || c.down {
 		return
 	}
-	if attempt+1 >= c.cfg.RPCRetries {
-		c.metrics.RPCAborted++
-		c.resolvePending(token, &wire.CtrlAck{Token: token, Status: wire.StatusAborted})
+	left := pc.sent + c.cfg.RPCBudget - c.k.Now()
+	if left <= 0 {
+		c.abortCall(token)
 		return
 	}
+	p := c.peers[pc.peer()]
 	pc.attempt = attempt + 1
 	c.metrics.Retransmits++
-	if !c.net.Send(c.ep.ID, c.peers[pc.peer()], c.frame(pc, token)) {
+	if !c.net.Send(c.ep.ID, p.ep, c.frame(pc, token)) {
 		c.resolvePending(token, &wire.CtrlAck{Token: token, Status: wire.StatusNoProc})
 		return
 	}
-	c.armResend(token, pc.attempt, c.cfg.RPCTimeout<<uint(pc.attempt))
+	pc.rto = min(2*pc.rto, rtoCeiling)
+	p.rtt.backOff(pc.rto)
+	c.armResend(token, pc.attempt, min(pc.rto, left))
+}
+
+// answered takes a peer's response to one of our calls. The round trip
+// of a call that was never resent is a sample for that peer's
+// estimator — Karn's rule: after a resend the response cannot be
+// matched to a send — then the call resolves.
+func (c *Controller) answered(token uint64, m wire.Message) {
+	pc, ok := c.pending[token]
+	if !ok {
+		return
+	}
+	if c.cfg.RPCBudget > 0 && pc.attempt == 0 {
+		c.peers[pc.peer()].rtt.sample(c.k.Now() - pc.sent)
+	}
+	delete(c.pending, token)
+	c.retire(pc, m)
+}
+
+// abortCall resolves the call parked under token with a synthetic
+// StatusAborted. Every source of that status — deadline passed, peer
+// observed dead or rebooted, own crash — mints it here, so RPCAborted
+// counts them all.
+func (c *Controller) abortCall(token uint64) {
+	c.metrics.RPCAborted++
+	c.resolvePending(token, &wire.CtrlAck{Token: token, Status: wire.StatusAborted})
 }
 
 // resolvePending retires the call parked under token, if any: run its
@@ -336,7 +373,7 @@ func (c *Controller) sortedPendingTokens(keep func(*pendingCall) bool) []uint64 
 // complete with an error instead of hanging.
 func (c *Controller) abortPendingTo(peer cap.ControllerID) {
 	for _, tok := range c.sortedPendingTokens(func(pc *pendingCall) bool { return pc.peer() == peer }) {
-		c.resolvePending(tok, &wire.CtrlAck{Token: tok, Status: wire.StatusAborted})
+		c.abortCall(tok)
 	}
 }
 
@@ -346,7 +383,6 @@ func (c *Controller) abortPendingTo(peer cap.ControllerID) {
 // instead of leaking their continuations across the reboot.
 func (c *Controller) abortAllPending() {
 	for _, tok := range c.sortedPendingTokens(nil) {
-		c.metrics.RPCAborted++
-		c.resolvePending(tok, &wire.CtrlAck{Token: tok, Status: wire.StatusAborted})
+		c.abortCall(tok)
 	}
 }

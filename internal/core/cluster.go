@@ -44,7 +44,7 @@ type ClusterConfig struct {
 	// Faults, when Enabled, installs the fault-injection layer on the
 	// fabric (docs/FAULTS.md) and — unless the Ctrl template already
 	// sets one — arms the Controllers' retransmission protocol with
-	// DefaultRPCTimeout. A zero Faults keeps the fabric and the
+	// DefaultRPCBudget. A zero Faults keeps the fabric and the
 	// Controllers byte-identical to a fault-free deployment.
 	Faults fabric.Faults
 }
@@ -73,8 +73,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	net := fabric.New(k, cfg.Profile)
 	if cfg.Faults.Enabled() {
 		net.InstallFaults(cfg.Faults)
-		if cfg.Ctrl.RPCTimeout == 0 {
-			cfg.Ctrl.RPCTimeout = DefaultRPCTimeout
+		if cfg.Ctrl.RPCBudget == 0 {
+			cfg.Ctrl.RPCBudget = DefaultRPCBudget
 		}
 	}
 	cl := &Cluster{K: k, Net: net, placement: cfg.Placement, nodes: cfg.Nodes}

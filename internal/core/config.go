@@ -100,19 +100,15 @@ type Config struct {
 	// managed Process (§4's quota on capability-space memory).
 	// 0 means unlimited.
 	CapQuota int
-	// RPCTimeout arms sequence-numbered retransmission on the
-	// inter-Controller call path: an outstanding call unanswered for
-	// this long (virtual time) is resent, with the timeout doubling on
-	// every attempt. 0 disables retransmission — the right setting for
-	// a reliable fabric, where it would only add idle timer events.
-	// Deployments with a lossy fabric (fabric.Faults) must set it; the
-	// testbed layer arms DefaultRPCTimeout automatically when a chaos
-	// profile is configured.
-	RPCTimeout sim.Time
-	// RPCRetries bounds send attempts per call (first send included).
-	// After the last timeout expires the call resolves with
-	// StatusAborted. 0 means DefaultRPCRetries when RPCTimeout > 0.
-	RPCRetries int
+	// RPCBudget arms retransmission on the inter-Controller call path
+	// and is each call's virtual deadline: an unanswered call is resent
+	// on the peer's RTT-driven timer (rtt.go) until this much time has
+	// passed since its first send, then resolves with StatusAborted. 0
+	// disables retransmission — the right setting for a reliable
+	// fabric, where it would only add idle timer events. Deployments
+	// with a lossy fabric (fabric.Faults) must set it; NewCluster arms
+	// DefaultRPCBudget when it installs faults.
+	RPCBudget sim.Time
 	// LeaseTTL, when > 0, bounds the lifetime of Leased capability
 	// entries (monitor_delegatee children, §3.6): an entry not dropped
 	// within LeaseTTL of its installation is treated as abandoned by
@@ -136,12 +132,10 @@ const (
 	DefaultWindow      = 32
 	DefaultBounceChunk = 16 << 10
 	DefaultBouncePairs = 8
-	// DefaultRPCTimeout/Retries: first resend after 5 ms virtual,
-	// doubling each attempt — six attempts cover a ~315 ms outage,
-	// comfortably past the partition windows the chaos suite injects
-	// while staying well above any legitimate reply latency.
-	DefaultRPCTimeout = 5 * sim.Time(time.Millisecond)
-	DefaultRPCRetries = 6
+	// DefaultRPCBudget: an outage shorter than this is masked by
+	// retransmission, a longer one surfaces as StatusAborted —
+	// comfortably past the partition windows the chaos suite injects.
+	DefaultRPCBudget = 315 * sim.Time(time.Millisecond)
 	// DefaultLeaseGCInterval/Batch: sweep every 1 ms virtual in slices
 	// of 4096 slots — an expired lease is noticed within roughly
 	// TTL + interval × ⌈slots/batch⌉ while each tick stays bounded.
@@ -161,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BouncePairs == 0 {
 		c.BouncePairs = DefaultBouncePairs
-	}
-	if c.RPCTimeout > 0 && c.RPCRetries == 0 {
-		c.RPCRetries = DefaultRPCRetries
 	}
 	if c.LeaseTTL > 0 && c.LeaseGCInterval == 0 {
 		c.LeaseGCInterval = DefaultLeaseGCInterval

@@ -32,9 +32,8 @@ type Controller struct {
 	procs map[cap.ProcID]*procState
 	byEP  map[fabric.EndpointID]*procState
 
-	peers      map[cap.ControllerID]fabric.EndpointID
-	peerEPs    map[fabric.EndpointID]bool
-	peerEpochs map[cap.ControllerID]cap.Epoch
+	peers   map[cap.ControllerID]*peerState
+	peerEPs map[fabric.EndpointID]bool // peers' endpoints: the sender check on the receive path
 
 	pending   map[uint64]*pendingCall
 	nextToken uint64
@@ -95,10 +94,15 @@ type dedupState struct {
 	head  int // index of the oldest token once the ring is full
 }
 
-// dedupCap bounds cached replies per peer. Retransmissions arrive
-// within cfg.RPCRetries timeouts of the original, long before a busy
-// peer can mint dedupCap newer tokens, so eviction never breaks the
-// at-most-once contract in practice.
+// dedupCap bounds cached replies per peer. A request is retransmitted
+// only until its caller's deadline (cfg.RPCBudget after the first
+// send), and the first resend follows the original by one RTO — tens of
+// µs, a handful of tokens behind. Eviction could break the at-most-once
+// contract only if the same sender had dedupCap newer calls answered
+// here while every resend of the older one (one per backoff step, then
+// one per rtoCeiling) was lost in a row, which the deadline makes a
+// bounded run. TestChaosRetransmitSweep checks the contract at 20 %
+// loss.
 const dedupCap = 512
 
 // procState is the Controller-side record of one managed Process.
@@ -124,20 +128,19 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 	cfg = cfg.withDefaults()
 	arena := cfg.BouncePairs * 2 * cfg.BounceChunk
 	c := &Controller{
-		id:         id,
-		cfg:        cfg,
-		k:          k,
-		net:        net,
-		epoch:      1,
-		tree:       cap.NewTree(),
-		procs:      make(map[cap.ProcID]*procState),
-		byEP:       make(map[fabric.EndpointID]*procState),
-		peers:      make(map[cap.ControllerID]fabric.EndpointID),
-		peerEPs:    make(map[fabric.EndpointID]bool),
-		peerEpochs: make(map[cap.ControllerID]cap.Epoch),
-		pending:    make(map[uint64]*pendingCall),
-		dedup:      make(map[fabric.EndpointID]*dedupState),
-		bounceSem:  sim.NewSemaphore(cfg.BouncePairs),
+		id:        id,
+		cfg:       cfg,
+		k:         k,
+		net:       net,
+		epoch:     1,
+		tree:      cap.NewTree(),
+		procs:     make(map[cap.ProcID]*procState),
+		byEP:      make(map[fabric.EndpointID]*procState),
+		peers:     make(map[cap.ControllerID]*peerState),
+		peerEPs:   make(map[fabric.EndpointID]bool),
+		pending:   make(map[uint64]*pendingCall),
+		dedup:     make(map[fabric.EndpointID]*dedupState),
+		bounceSem: sim.NewSemaphore(cfg.BouncePairs),
 	}
 	c.ep = net.AttachHandler(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, arena, c)
 	// Descending order: popBounce takes from the end, so chunks are
@@ -165,9 +168,8 @@ func (c *Controller) Loc() fabric.Location { return c.cfg.Loc }
 
 // AddPeer registers another Controller in the deployment directory.
 func (c *Controller) AddPeer(id cap.ControllerID, ep fabric.EndpointID) {
-	c.peers[id] = ep
+	c.peers[id] = &peerState{ep: ep, epoch: 1}
 	c.peerEPs[ep] = true
-	c.peerEpochs[id] = 1
 }
 
 // AttachProcess registers a Process to be managed by this Controller.
@@ -342,13 +344,13 @@ func (c *Controller) dispatch(d fabric.Delivery) {
 	// Responses to our own inter-Controller calls.
 	switch m := d.Msg.(type) {
 	case *wire.CtrlAck:
-		c.resolvePending(m.Token, m)
+		c.answered(m.Token, m)
 		return
 	case *wire.CtrlValInfo:
-		c.resolvePending(m.Token, m)
+		c.answered(m.Token, m)
 		return
 	case *wire.CtrlDelegNoteAck:
-		c.resolvePending(m.Token, m)
+		c.answered(m.Token, m)
 		return
 	}
 	c.dispatchPeer(d.From, d.Msg)
@@ -522,16 +524,16 @@ func (c *Controller) reply(from fabric.EndpointID, token uint64, m wire.Message)
 
 // dedupArmed reports whether the at-most-once reply cache must be
 // maintained. Repeated tokens have exactly two sources — sender
-// retransmission (cfg.RPCTimeout armed) and fabric duplication (chaos
+// retransmission (cfg.RPCBudget armed) and fabric duplication (chaos
 // layer installed) — so when neither is possible the cache would only
-// accumulate dead weight. core.NewCluster arms RPCTimeout whenever it
+// accumulate dead weight. core.NewCluster arms RPCBudget whenever it
 // installs faults, which keeps this check a pure receiver-side
 // optimization there; direct InstallFaults users are covered by the
 // Lossy probe.
 //
 //fractos:hotpath
 func (c *Controller) dedupArmed() bool {
-	return c.cfg.RPCTimeout > 0 || c.net.Lossy()
+	return c.cfg.RPCBudget > 0 || c.net.Lossy()
 }
 
 // dropDedup forgets the at-most-once cache for a peer endpoint. Called
@@ -612,7 +614,7 @@ func (c *Controller) resolveEntry(ps *procState, cid cap.CapID, kind cap.Kind, n
 			c.metrics.StaleRejected++
 			return e, wire.StatusStale
 		}
-	} else if known, ok := c.peerEpochs[e.Ref.Ctrl]; ok && e.Ref.Epoch < known {
+	} else if p, ok := c.peers[e.Ref.Ctrl]; ok && e.Ref.Epoch < p.epoch {
 		c.metrics.StaleRejected++
 		return e, wire.StatusStale
 	}

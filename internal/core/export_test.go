@@ -1,0 +1,18 @@
+package core
+
+import "fractos/internal/cap"
+
+// Quiescence probes for the black-box suites (package core_test), which
+// drive Controllers through libfractos and so cannot live in package
+// core themselves.
+
+// PendingCalls is the number of inter-Controller calls awaiting a reply.
+func (c *Controller) PendingCalls() int { return len(c.pending) }
+
+// DeliveryState reports a managed Process's congestion window: credits
+// left, deliveries awaiting their DeliverDone, and deliveries queued for
+// a credit.
+func (c *Controller) DeliveryState(pid cap.ProcID) (window, outstanding, queued int) {
+	ps := c.procs[pid]
+	return ps.window, len(ps.outstanding), len(ps.queue)
+}

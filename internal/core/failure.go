@@ -144,8 +144,12 @@ func (c *Controller) Reboot() {
 	// The at-most-once cache died with the instance: replies recorded
 	// before the crash must not answer post-reboot retransmissions
 	// (their tokens reference state that no longer exists — the sender
-	// aborts them via the epoch announcement instead).
+	// aborts them via the epoch announcement instead). So did the
+	// round-trip estimates: the new instance knows nothing of its paths.
 	c.dedup = make(map[fabric.EndpointID]*dedupState)
+	for _, p := range c.peers {
+		p.rtt = rttEstimator{}
+	}
 	c.down = false
 	c.net.Reconnect(c.ep.ID)
 	c.AnnounceEpoch()
@@ -158,7 +162,7 @@ func (c *Controller) Reboot() {
 // cycle, so a frame lost here is repaired by the detector.
 func (c *Controller) AnnounceEpoch() {
 	for _, peer := range c.sortedPeers() {
-		if !c.net.Send(c.ep.ID, c.peers[peer], &wire.CtrlEpoch{Ctrl: c.id, Epoch: c.epoch}) {
+		if !c.net.Send(c.ep.ID, c.peers[peer].ep, &wire.CtrlEpoch{Ctrl: c.id, Epoch: c.epoch}) {
 			c.metrics.SendFailed++
 		}
 	}

@@ -3,7 +3,7 @@ package core_test
 // Chaos matrix: the Controller RPC layer (retransmission + at-most-once
 // dedup + stale-epoch rejection, docs/FAULTS.md) exercised over the
 // fabric fault injector across a grid of loss rates, a partition that
-// heals inside the retransmission window, and a Controller crash in
+// heals inside the call budget, and a Controller crash in
 // the middle of a partition. Every scenario asserts liveness (bounded
 // calls — the workload can never hang) and the whole matrix asserts
 // determinism (double runs produce byte-identical traces).
@@ -88,7 +88,7 @@ func (r *echoRig) call(tk *sim.Task, payload string, deadline sim.Time) error {
 
 // TestCrashAbortsPendingPeerCalls pins the Crash/abortAllPending edge:
 // an inter-Controller call parked with no retransmission armed (the
-// frame was lost to a partition; RPCTimeout is zero) must be resolved
+// frame was lost to a partition; RPCBudget is zero) must be resolved
 // with StatusAborted when the *issuing* Controller crashes, instead of
 // leaking its callback across the reboot.
 func TestCrashAbortsPendingPeerCalls(t *testing.T) {
@@ -127,6 +127,47 @@ func TestCrashAbortsPendingPeerCalls(t *testing.T) {
 		}
 		if cl.CtrlFor(0).Epoch() != 2 {
 			t.Errorf("epoch after reboot = %d, want 2", cl.CtrlFor(0).Epoch())
+		}
+	})
+}
+
+// TestPeerCrashAbortsPendingCalls pins the other synthetic abort: a
+// call parked towards a peer that is then observed under a new epoch
+// resolves StatusAborted (abortPendingTo) and is counted in RPCAborted
+// like the aborts of a passed deadline and of an own crash — the three
+// sources the counter documents.
+func TestPeerCrashAbortsPendingCalls(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2, Seed: 5}, func(tk *sim.Task, cl *core.Cluster) {
+		r := newEchoRig(tk, cl, 1, 0)
+		if err := r.call(tk, "warm", 20*fms); err != nil {
+			t.Fatalf("healthy path: %v", err)
+		}
+		// Retransmission is unarmed: the forwarded CtrlInvoke is lost to
+		// the partition and stays parked at Controller 0.
+		cl.Net.PartitionNodes([]int{1})
+		var invokeErr error
+		finished := false
+		cl.K.Spawn("stuck-invoke", func(st *sim.Task) {
+			invokeErr = r.client.Invoke(st, r.creq, nil, nil)
+			finished = true
+		})
+		tk.Sleep(50 * fms)
+		if finished || cl.CtrlFor(0).PendingCalls() != 1 {
+			t.Fatalf("want one call parked across the partition: finished=%v pending=%d",
+				finished, cl.CtrlFor(0).PendingCalls())
+		}
+		cl.Net.HealPartitions()
+		cl.CtrlFor(1).Crash()
+		cl.CtrlFor(1).Reboot() // announces epoch 2 to Controller 0
+		tk.Sleep(5 * fms)
+		if !finished || invokeErr == nil {
+			t.Fatalf("invoke across the peer's reboot: finished=%v err=%v, want an abort", finished, invokeErr)
+		}
+		if got := cl.CtrlFor(0).Metrics().RPCAborted; got != 1 {
+			t.Errorf("RPCAborted=%d after the peer's epoch bump, want 1", got)
+		}
+		if got := cl.CtrlFor(0).PendingCalls(); got != 0 {
+			t.Errorf("%d calls still pending after the abort", got)
 		}
 	})
 }
@@ -178,8 +219,8 @@ func TestChaosMatrixLoss(t *testing.T) {
 	}
 }
 
-// TestChaosPartitionHeal: a partition shorter than the retransmission
-// window is fully masked — every call issued across the outage still
+// TestChaosPartitionHeal: a partition shorter than the call budget
+// is fully masked — every call issued across the outage still
 // completes once the fabric heals, via retransmission and dedup.
 func TestChaosPartitionHeal(t *testing.T) {
 	cfg := core.ClusterConfig{
@@ -210,14 +251,14 @@ func TestChaosPartitionHeal(t *testing.T) {
 			t.Error("partition masked without retransmissions?")
 		}
 		if m0.RPCAborted != 0 {
-			t.Errorf("RPCAborted=%d — a sub-window partition should be fully masked", m0.RPCAborted)
+			t.Errorf("RPCAborted=%d — a partition shorter than the budget should be fully masked", m0.RPCAborted)
 		}
 	})
 }
 
 // TestChaosCrashMidPartition: the service-side Controller crashes while
 // partitioned away. Calls during the outage fail in bounded time
-// (retries exhaust → StatusAborted), the reboot announces a fresh
+// (the call budget runs out → StatusAborted), the reboot announces a fresh
 // epoch after the heal, stale capabilities are rejected, and a
 // redeployed service restores end-to-end health.
 func TestChaosCrashMidPartition(t *testing.T) {
@@ -235,9 +276,9 @@ func TestChaosCrashMidPartition(t *testing.T) {
 		cl.Net.PartitionNodes([]int{1})
 		cl.CtrlFor(1).Crash()
 
-		// Bounded failure during the outage: the retransmission window
-		// (5 ms doubling × 6 attempts ≈ 315 ms) exhausts and the client
-		// sees an error — never a hang.
+		// Bounded failure during the outage: the call's budget
+		// (core.DefaultRPCBudget, 315 ms) runs out and the client sees
+		// an error — never a hang.
 		if err := r.call(tk, "mid", 1000*fms); err == nil {
 			t.Fatal("call succeeded against a crashed, partitioned Controller")
 		}

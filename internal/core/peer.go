@@ -109,23 +109,24 @@ func (c *Controller) peerNotify(m *wire.CtrlNotify) {
 // peerEpoch records a peer's new epoch. Entries minted under older
 // epochs of that Controller are implicitly revoked: purge them now and
 // reject them on use (§3.6's failure-to-revocation translation).
-// Outstanding calls to the peer abort, and the at-most-once cache for
-// its endpoint is dropped — replies minted for the previous
-// incarnation must never answer the next one.
+// Outstanding calls to the peer abort, and what was learned about the
+// previous incarnation goes with it: the at-most-once cache for its
+// endpoint — replies minted for the old incarnation must never answer
+// the next one — and the round-trip estimate.
 func (c *Controller) peerEpoch(m *wire.CtrlEpoch) {
-	if cur, ok := c.peerEpochs[m.Ctrl]; ok && m.Epoch <= cur {
+	p, ok := c.peers[m.Ctrl]
+	if !ok || m.Epoch <= p.epoch {
 		return
 	}
-	c.peerEpochs[m.Ctrl] = m.Epoch
+	p.epoch = m.Epoch
 	for _, ps := range c.procs {
 		ps.space.PurgeRefs(func(r cap.Ref) bool {
 			return r.Ctrl == m.Ctrl && r.Epoch < m.Epoch
 		})
 	}
 	c.abortPendingTo(m.Ctrl)
-	if ep, ok := c.peers[m.Ctrl]; ok {
-		c.dropDedup(ep)
-	}
+	c.dropDedup(p.ep)
+	p.rtt = rttEstimator{}
 }
 
 // revokeLocal invalidates an object owned here and its whole
@@ -243,8 +244,8 @@ func (c *Controller) notifyWatcher(w cap.Watcher, kind uint8) {
 		}
 		return
 	}
-	if ep, ok := c.peers[w.Ctrl]; ok {
-		if !c.net.Send(c.ep.ID, ep, &wire.CtrlNotify{Proc: w.Proc, Callback: w.Callback, Kind: kind}) {
+	if p, ok := c.peers[w.Ctrl]; ok {
+		if !c.net.Send(c.ep.ID, p.ep, &wire.CtrlNotify{Proc: w.Proc, Callback: w.Callback, Kind: kind}) {
 			// Peer crashed: its reboot announcement revokes the watched
 			// object's world anyway.
 			c.metrics.SendFailed++

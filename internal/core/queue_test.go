@@ -230,7 +230,7 @@ func TestDedupRingBounded(t *testing.T) {
 	k := sim.New(1)
 	net := fabric.New(k, fabric.DefaultProfile())
 	loc := fabric.Location{Node: 0, Domain: fabric.Host}
-	c := New(k, net, 1, Config{Loc: loc, RPCTimeout: DefaultRPCTimeout})
+	c := New(k, net, 1, Config{Loc: loc, RPCBudget: DefaultRPCBudget})
 	peer := net.Attach("peer", fabric.Location{Node: 1}, 0)
 	for tok := uint64(1); tok <= tokens; tok++ {
 		c.reply(peer.ID, tok, &wire.CtrlAck{Token: tok})

@@ -385,7 +385,7 @@ func (n *Net) Kernel() *sim.Kernel { return n.k }
 
 // Lossy reports whether the chaos layer is installed: frames may be
 // dropped, duplicated, delayed, or cut. Receivers use it (together
-// with an armed RPCTimeout) to decide whether at-most-once machinery
+// with an armed RPCBudget) to decide whether at-most-once machinery
 // needs to run at all.
 //
 //fractos:hotpath

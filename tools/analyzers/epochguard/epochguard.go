@@ -8,8 +8,8 @@
 // Inside packages matching internal/core, every method of Controller
 // named peer* (the dispatchPeer targets) whose call graph reaches the
 // object tree (the Controller's tree field) must also reach an epoch
-// consultation: a read of the Controller's own epoch or of the
-// peerEpochs table. The analysis is transitive over same-package
+// consultation: a read of the Controller's own epoch or of a peer
+// record's (both fields are named epoch). The analysis is transitive over same-package
 // calls, so handlers that delegate to resolveOwned — which performs
 // the epoch check — are recognized as guarded.
 package epochguard
@@ -32,7 +32,7 @@ var Analyzer = &analysis.Analyzer{
 
 type funcFacts struct {
 	decl       *ast.FuncDecl
-	epochCheck bool // reads epoch / peerEpochs
+	epochCheck bool // reads its own or a peer's epoch
 	treeTouch  bool // reads the object tree
 	callees    []*types.Func
 }
@@ -58,7 +58,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
 					switch n.Sel.Name {
-					case "epoch", "peerEpochs":
+					case "epoch":
 						ff.epochCheck = true
 					case "tree":
 						ff.treeTouch = true
@@ -89,7 +89,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		checks := reaches(facts, obj, func(f *funcFacts) bool { return f.epochCheck })
 		if !checks {
 			pass.Reportf(ff.decl.Pos(),
-				"peer handler %s reaches the object tree without consulting epoch/peerEpochs (stale-epoch peers must be rejected, §3.6)",
+				"peer handler %s reaches the object tree without consulting its own or the peer's epoch (stale-epoch peers must be rejected, §3.6)",
 				name)
 		}
 	}

@@ -31,11 +31,14 @@ type msg struct {
 
 // Controller mirrors the real Controller's peer-handler conventions.
 type Controller struct {
-	id         uint32
-	epoch      Epoch
-	tree       *tree
-	peerEpochs map[uint32]Epoch
+	id    uint32
+	epoch Epoch
+	tree  *tree
+	peers map[uint32]*peerState
 }
+
+// peerState mirrors the real per-peer record.
+type peerState struct{ epoch Epoch }
 
 func (c *Controller) send(m *msg) {}
 
@@ -57,10 +60,10 @@ func (c *Controller) peerGuarded(m *msg) {
 	c.send(m)
 }
 
-// peerDirect consults peerEpochs itself before touching the tree:
+// peerDirect consults the peer's epoch itself before touching the tree:
 // clean.
 func (c *Controller) peerDirect(m *msg) {
-	if known, ok := c.peerEpochs[m.From.Ctrl]; ok && m.From.Epoch < known {
+	if p, ok := c.peers[m.From.Ctrl]; ok && m.From.Epoch < p.epoch {
 		return
 	}
 	c.tree.Revoke(m.From.Obj)
@@ -68,14 +71,14 @@ func (c *Controller) peerDirect(m *msg) {
 
 // peerUnguarded reaches the tree with no epoch consultation anywhere
 // in its call graph: a stale peer could revive revoked state.
-func (c *Controller) peerUnguarded(m *msg) { // want `peer handler peerUnguarded reaches the object tree without consulting epoch/peerEpochs`
+func (c *Controller) peerUnguarded(m *msg) { // want `peer handler peerUnguarded reaches the object tree without consulting its own or the peer's epoch`
 	c.tree.Revoke(m.From.Obj)
 	c.send(m)
 }
 
 // peerIndirectUnguarded reaches the tree through a helper that never
 // checks epochs: still a bug.
-func (c *Controller) peerIndirectUnguarded(m *msg) { // want `peer handler peerIndirectUnguarded reaches the object tree without consulting epoch/peerEpochs`
+func (c *Controller) peerIndirectUnguarded(m *msg) { // want `peer handler peerIndirectUnguarded reaches the object tree without consulting its own or the peer's epoch`
 	c.rawRevoke(m.From)
 }
 
