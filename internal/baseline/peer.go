@@ -57,12 +57,17 @@ func NewPeer(k *sim.Kernel, net *fabric.Net, name string, loc fabric.Location) *
 	return p
 }
 
-// Deliver implements fabric.Handler: replies resolve calls, requests queue.
+// Deliver implements fabric.Handler: replies resolve calls, requests
+// queue. Both keep the message's payload, so the decode is an owning
+// one.
 //
 //fractos:hotpath
-func (p *Peer) Deliver(d fabric.Delivery) {
-	raw, ok := d.Msg.(*wire.Raw)
-	if !ok {
+func (p *Peer) Deliver(f *fabric.Frame) {
+	from := f.From
+	m, err := f.Unmarshal()
+	f.Release()
+	raw, ok := m.(*wire.Raw)
+	if err != nil || !ok {
 		return
 	}
 	if raw.Kind&replyBit != 0 {
@@ -72,7 +77,7 @@ func (p *Peer) Deliver(d fabric.Delivery) {
 		}
 		return
 	}
-	p.incoming.TrySend(Request{From: d.From, Kind: raw.Kind, Token: raw.Token, Data: raw.Data})
+	p.incoming.TrySend(Request{From: from, Kind: raw.Kind, Token: raw.Token, Data: raw.Data})
 }
 
 // Call performs a synchronous RPC to dst.

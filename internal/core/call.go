@@ -34,9 +34,11 @@ const (
 // which re-sends frame(pc) under the same token.
 //
 // The fields past entry are the union of what the kinds need; each
-// call site fills the ones its kind reads. imms aliases the decoded
-// syscall message (which the record therefore keeps alive); caps is
-// storage the record owns and recycles.
+// call site fills the ones its kind reads. imms (with immData, the
+// bytes its elements point into) and caps are storage the record owns
+// and recycles: the syscall message they are copied from is borrowed
+// and gone when its handler returns, the record lives until the owner
+// answers and rebuilds the request from them on every resend.
 type pendingCall struct {
 	kind callKind
 
@@ -60,14 +62,15 @@ type pendingCall struct {
 	entry    cap.Entry
 	cid      cap.CapID      // callRevoke: the caller's entry to drop afterwards
 	imms     []wire.ImmArg  // callInvoke, callDeriveReq: refinements
+	immData  []byte         // the bytes of imms, back to back
 	caps     []wire.CapXfer // callInvoke, callDeriveReq: resolved capability arguments
 	off      uint64         // callDeriveMem: window offset
 	size     uint64         // callDeriveMem: window size
 	rights   cap.Rights     // callDeriveMem: rights to drop; callValidate: rights needed
 	callback uint64         // callWatch: the watcher's callback id
 
-	batch *cleanupBatch             // callCleanup
-	fut   *sim.Future[wire.Message] // callValidate
+	batch *cleanupBatch                 // callCleanup
+	fut   *sim.Future[wire.CtrlValInfo] // callValidate
 }
 
 // cleanupBatch is one coalesced revocation-cleanup broadcast: the refs
@@ -94,14 +97,31 @@ func (c *Controller) newCall(kind callKind, ref cap.Ref) *pendingCall {
 // rebooted.
 func (pc *pendingCall) peer() cap.ControllerID { return pc.entry.Ref.Ctrl }
 
-// putCall clears a record — dropping its references to the syscall
-// message and the Process, keeping the caps storage — and returns it
-// to the free list.
+// putCall clears a record — dropping its reference to the Process,
+// keeping the argument storage — and returns it to the free list.
 //
 //fractos:pool-release pendingcall
 func (c *Controller) putCall(pc *pendingCall) {
-	*pc = pendingCall{caps: pc.caps[:0]}
+	*pc = pendingCall{imms: pc.imms[:0], immData: pc.immData[:0], caps: pc.caps[:0]}
 	c.calls.Put(pc)
+}
+
+// keepImms copies a syscall's immediate arguments — the list, which is
+// the Decoder's, and the bytes, which are the frame's — into storage
+// the record owns.
+func (pc *pendingCall) keepImms(imms []wire.ImmArg) {
+	total := 0
+	for _, a := range imms {
+		total += len(a.Data)
+	}
+	// Sized before the first element points into it, so it never moves.
+	pc.immData = slices.Grow(pc.immData[:0], total)
+	pc.imms = pc.imms[:0]
+	for _, a := range imms {
+		at := len(pc.immData)
+		pc.immData = append(pc.immData, a.Data...)
+		pc.imms = append(pc.imms, wire.ImmArg{Offset: a.Offset, Data: pc.immData[at:len(pc.immData):len(pc.immData)]})
+	}
 }
 
 // keepCaps copies a syscall's resolved capability arguments out of the
@@ -159,8 +179,9 @@ func (c *Controller) revokeRemoteLease(ref cap.Ref) {
 }
 
 // frame builds the request message of a pending call under the given
-// token. The hot kind reuses a Controller-owned struct: Net.Send
-// encodes it before returning and retains nothing.
+// token. The hot kinds (an invocation, a memory_copy's validation)
+// reuse Controller-owned structs: Net.Send encodes them before
+// returning and retains nothing.
 func (c *Controller) frame(pc *pendingCall, token uint64) wire.Message {
 	ref := pc.entry.Ref
 	switch pc.kind {
@@ -181,7 +202,8 @@ func (c *Controller) frame(pc *pendingCall, token uint64) wire.Message {
 	case callCleanup:
 		return &wire.CtrlCleanup{Token: token, Refs: pc.batch.refs}
 	default: // callValidate
-		return &wire.CtrlValidate{Token: token, Src: c.id, Ref: ref, Need: pc.rights}
+		c.txValidate = wire.CtrlValidate{Token: token, Src: c.id, Ref: ref, Need: pc.rights}
+		return &c.txValidate
 	}
 }
 
@@ -197,7 +219,17 @@ func (c *Controller) finish(pc *pendingCall, reply wire.Message) {
 			c.removeStubs(b.stubs)
 		}
 	case callValidate:
-		pc.fut.Set(reply)
+		// locate reads the answer after a wake, when reply — borrowed
+		// from the Decoder — is gone: it travels by value. A call that
+		// failed here was answered with a synthetic CtrlAck.
+		switch m := reply.(type) {
+		case *wire.CtrlValInfo:
+			pc.fut.Set(*m)
+		case *wire.CtrlAck:
+			pc.fut.Set(wire.CtrlValInfo{Status: m.Status})
+		default:
+			pc.fut.Set(wire.CtrlValInfo{Status: wire.StatusAborted})
+		}
 	default:
 		c.finishSyscall(pc, reply)
 	}

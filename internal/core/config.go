@@ -8,6 +8,15 @@
 // be deployed on a node's host CPU or its SmartNIC (§6 evaluates both);
 // the deployment only changes where the Controller's endpoint attaches
 // and which column of the operation-cost table applies.
+//
+// A Controller receives encoded frames and decodes each when it gets to
+// it, through its own wire.Decoder: a handler's message is borrowed
+// until the next decode, its byte payloads until the frame is released
+// after the handler returns. Handlers therefore answer with messages
+// built in place, and the few records that outlive a handler — a
+// pending inter-Controller call, a delivery queued for a window credit,
+// a reply in the at-most-once cache, a memory_copy's validation result
+// — hold copies in storage of their own.
 package core
 
 import (

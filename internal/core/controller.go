@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"fractos/internal/assert"
 	"fractos/internal/cap"
 	"fractos/internal/fabric"
 	"fractos/internal/sim"
@@ -20,6 +21,13 @@ import (
 // occupies it for its Perf-table processing time, then its handler runs
 // (Fire). No handler blocks: multi-round operations park a continuation
 // in the pending table or spawn a sub-task (memory copies).
+//
+// A frame is decoded when it reaches the head of the queue, through the
+// Controller's own wire.Decoder, and its handler works on that borrowed
+// message: it is gone at the next decode, so whatever a handler parks
+// past its own return — a forwarded call's arguments, a queued
+// descriptor, a cached reply — it copies into storage the parking
+// record owns (keepImms, keepCaps, remember).
 type Controller struct {
 	id    cap.ControllerID
 	cfg   Config
@@ -47,6 +55,7 @@ type Controller struct {
 
 	bounceFree []int          // free bounce-chunk offsets in our arena
 	bounceSem  *sim.Semaphore // admits BouncePairs concurrent copies
+	copyName   string         // what a memory_copy's sub-task is called
 
 	// Revocation-cleanup batch: refs and revoked stubs accumulated by
 	// processRevocations at one virtual instant, flushed as a single
@@ -64,17 +73,23 @@ type Controller struct {
 	// returns and retains nothing, and handlers never yield between
 	// filling one of these and sending it, so the messages on the
 	// per-request path are built in place instead of allocated: the
-	// syscall completion, the forwarded invocation (frame), and the
-	// request_receive descriptor with the buffers an invocation merges
-	// its arguments in (deliverInvoke).
+	// syscall completion, the forwarded invocation (frame), the answers
+	// to a peer (ack, peerValidate), and the request_receive descriptor
+	// with the buffers an invocation merges its arguments in
+	// (deliverInvoke).
 	txCompletion wire.Completion
 	txInvoke     wire.CtrlInvoke
+	txValidate   wire.CtrlValidate
+	txAck        wire.CtrlAck
+	txValInfo    wire.CtrlValInfo
 	txDeliver    wire.Deliver
 	immScratch   immBuf         // preset + invoke-time immediates
 	argScratch   []wire.CapXfer // a syscall's resolved capability arguments
 	capScratch   []wire.CapXfer // preset + invoke-time capability arguments
 
-	rxQueue []fabric.Delivery // received, oldest first; the head is in service
+	rxQueue []*fabric.Frame // received, oldest first; the head is in service
+	rxMsg   wire.Message    // the head, decoded: borrowed from dec until Fire has dispatched it
+	dec     *wire.Decoder
 
 	metrics Metrics
 	down    bool
@@ -141,8 +156,10 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 		pending:   make(map[uint64]*pendingCall),
 		dedup:     make(map[fabric.EndpointID]*dedupState),
 		bounceSem: sim.NewSemaphore(cfg.BouncePairs),
+		dec:       wire.NewDecoder(),
 	}
 	c.ep = net.AttachHandler(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, arena, c)
+	c.copyName = c.ep.Name + ".memcopy"
 	// Descending order: popBounce takes from the end, so chunks are
 	// handed out lowest-offset first and a lightly loaded Controller
 	// keeps reusing the front of its bounce arena. Combined with the
@@ -247,29 +264,58 @@ func (c *Controller) ObjectCount() int { return c.tree.LiveLen() }
 // an idle Controller starts on it at once, a crashed one drops it.
 //
 //fractos:hotpath
-func (c *Controller) Deliver(d fabric.Delivery) {
+func (c *Controller) Deliver(f *fabric.Frame) {
 	if c.down {
+		f.Release()
 		return
 	}
-	c.rxQueue = append(c.rxQueue, d) // fractos:alloc-ok queue growth is amortized: popFront shifts in place, so the backing array is reused
+	c.rxQueue = append(c.rxQueue, f) // fractos:alloc-ok queue growth is amortized: popFront shifts in place, so the backing array is reused
 	if len(c.rxQueue) == 1 {
-		c.k.AfterCall(c.cost(d.Msg), c)
+		c.serveHead()
+	}
+}
+
+// serveHead starts on the frame at the head of the queue: decode it —
+// its processing time depends on its type and capability count, and
+// Fire dispatches the same borrowed message — and occupy the Controller
+// for that long. A frame that does not decode is dropped unserved, like
+// line corruption.
+//
+//fractos:hotpath
+func (c *Controller) serveHead() {
+	for len(c.rxQueue) > 0 {
+		m, err := c.dec.Decode(c.rxQueue[0].Bytes())
+		if err == nil {
+			c.rxMsg = m
+			c.k.AfterCall(c.cost(m), c)
+			return
+		}
+		var f *fabric.Frame
+		f, c.rxQueue = popFront(c.rxQueue)
+		f.Release()
 	}
 }
 
 // Fire implements sim.Callback: the head's processing time is over, so
-// its handler runs. A crash meanwhile loses what queued behind it:
-// never served, even after Reboot.
+// its handler runs, and the frame the message borrowed from goes back
+// to the fabric. A crash meanwhile loses what queued behind it: never
+// served, even after Reboot.
 func (c *Controller) Fire() {
-	var d fabric.Delivery
-	d, c.rxQueue = popFront(c.rxQueue)
-	c.dispatch(d)
+	var f *fabric.Frame
+	f, c.rxQueue = popFront(c.rxQueue)
+	m := c.rxMsg
+	c.rxMsg = nil
+	c.dispatch(f.From, m)
+	f.Release()
 	if c.down {
+		for _, q := range c.rxQueue {
+			q.Release()
+		}
 		clear(c.rxQueue)
 		c.rxQueue = c.rxQueue[:0]
-	} else if len(c.rxQueue) > 0 {
-		c.k.AfterCall(c.cost(c.rxQueue[0].Msg), c)
+		return
 	}
+	c.serveHead()
 }
 
 // popFront takes the head off a queue by shifting in place and clearing
@@ -285,6 +331,8 @@ func popFront[T any](q []T) (head T, rest []T) {
 
 // cost models the Controller's processing time for a message,
 // according to the deployment domain (host CPU vs SmartNIC).
+//
+//fractos:hotpath
 func (c *Controller) cost(m wire.Message) sim.Time {
 	dom := c.cfg.Loc.Domain
 	p := &c.cfg.Perf
@@ -309,16 +357,18 @@ func (c *Controller) cost(m wire.Message) sim.Time {
 	}
 }
 
-func (c *Controller) dispatch(d fabric.Delivery) {
+// dispatch runs the handler of a received message. m is borrowed from
+// the Controller's Decoder: it is valid until this returns.
+func (c *Controller) dispatch(from fabric.EndpointID, m wire.Message) {
 	// Processes are untrusted (§3.2): anything arriving from a managed
 	// Process is a syscall, never Controller protocol — otherwise a
 	// malicious Process could forge acks for our pending calls or
 	// inject derivations.
-	if ps, fromProc := c.byEP[d.From]; fromProc {
+	if ps, fromProc := c.byEP[from]; fromProc {
 		if ps.failed {
 			return
 		}
-		c.dispatchSyscall(ps, d.Msg)
+		c.dispatchSyscall(ps, m)
 		return
 	}
 
@@ -327,9 +377,9 @@ func (c *Controller) dispatch(d fabric.Delivery) {
 	// and has no capability state here. A crashed Controller never
 	// answers: its endpoint is severed and Fire discards what was
 	// queued, exactly the silence the failure detector interprets.
-	if ping, ok := d.Msg.(*wire.WatchPing); ok {
+	if ping, ok := m.(*wire.WatchPing); ok {
 		pong := &wire.WatchPong{Seq: ping.Seq, Ctrl: c.id, Epoch: c.epoch}
-		if !c.net.Send(c.ep.ID, d.From, pong) {
+		if !c.net.Send(c.ep.ID, from, pong) {
 			c.metrics.SendFailed++
 		}
 		return
@@ -337,12 +387,12 @@ func (c *Controller) dispatch(d fabric.Delivery) {
 
 	// Only pre-deployed peer Controllers speak the Controller
 	// protocol; traffic from any other endpoint is dropped.
-	if !c.peerEPs[d.From] {
+	if !c.peerEPs[from] {
 		return
 	}
 
 	// Responses to our own inter-Controller calls.
-	switch m := d.Msg.(type) {
+	switch m := m.(type) {
 	case *wire.CtrlAck:
 		c.answered(m.Token, m)
 		return
@@ -353,7 +403,7 @@ func (c *Controller) dispatch(d fabric.Delivery) {
 		c.answered(m.Token, m)
 		return
 	}
-	c.dispatchPeer(d.From, d.Msg)
+	c.dispatchPeer(from, m)
 }
 
 func (c *Controller) dispatchSyscall(ps *procState, m wire.Message) {
@@ -487,38 +537,66 @@ func (c *Controller) complete(ps *procState, token uint64, st wire.Status, cid c
 	}
 }
 
+// ack answers a token-carrying peer request with a CtrlAck, built in
+// place.
+//
+//fractos:hotpath
+func (c *Controller) ack(from fabric.EndpointID, a wire.CtrlAck) {
+	c.txAck = a
+	c.reply(from, a.Token, &c.txAck)
+}
+
 // reply answers a token-carrying peer request, recording the reply in
 // the at-most-once cache so a retransmission of the same request is
 // answered identically without re-execution. All peer handlers must
-// send their responses through here.
+// send their responses through here. m is one of the Controller's
+// in-place messages (txAck, txValInfo): the cache keeps a copy.
 //
 // The cache is only maintained while dedupArmed: on a reliable fabric
 // with retransmission disarmed no token can ever repeat, so the
-// fault-free hot path skips the per-reply map/slice work entirely.
+// fault-free hot path skips the per-reply clone and map/ring work
+// entirely.
 //
 //fractos:hotpath
 func (c *Controller) reply(from fabric.EndpointID, token uint64, m wire.Message) {
 	if c.dedupArmed() {
-		ds := c.dedup[from]
-		if ds == nil {
-			ds = &dedupState{replies: make(map[uint64]wire.Message)} // fractos:alloc-ok armed only under loss or retransmission
-			c.dedup[from] = ds
-		}
-		if _, exists := ds.replies[token]; !exists {
-			ds.replies[token] = m // fractos:alloc-ok armed only: map growth bounded by dedupCap
-			if len(ds.order) < dedupCap {
-				ds.order = append(ds.order, token) // fractos:alloc-ok armed only: ring bounded by dedupCap
-			} else {
-				delete(ds.replies, ds.order[ds.head])
-				ds.order[ds.head] = token
-				ds.head = (ds.head + 1) % dedupCap
-			}
-		}
+		c.remember(from, token, m) // fractos:alloc-ok armed only under loss or retransmission: the cached copy, and map and ring growth bounded by dedupCap
 	}
 	if !c.net.Send(c.ep.ID, from, m) {
 		// The peer's endpoint is severed (crash in progress). Its
 		// epoch announcement will abort the caller's pending call.
 		c.metrics.SendFailed++
+	}
+}
+
+// remember caches a copy of the reply to from's request token, evicting
+// the oldest entry once the ring is full. The first reply to a token
+// stands.
+func (c *Controller) remember(from fabric.EndpointID, token uint64, m wire.Message) {
+	ds := c.dedup[from]
+	if ds == nil {
+		ds = &dedupState{replies: make(map[uint64]wire.Message)}
+		c.dedup[from] = ds
+	}
+	if _, exists := ds.replies[token]; exists {
+		return
+	}
+	switch m := m.(type) {
+	case *wire.CtrlAck:
+		cp := *m
+		ds.replies[token] = &cp
+	case *wire.CtrlValInfo:
+		cp := *m
+		ds.replies[token] = &cp
+	default:
+		assert.That(false, "core: reply of type %T has no cached form", m)
+	}
+	if len(ds.order) < dedupCap {
+		ds.order = append(ds.order, token)
+	} else {
+		delete(ds.replies, ds.order[ds.head])
+		ds.order[ds.head] = token
+		ds.head = (ds.head + 1) % dedupCap
 	}
 }
 

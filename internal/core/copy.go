@@ -37,18 +37,27 @@ func (c *Controller) handleMemCopy(ps *procState, m *wire.MemCopy) {
 	token := m.Token
 	// The copy spans several network round trips; run it as a sub-task
 	// so the Controller keeps serving.
-	c.k.Spawn(c.ep.Name+".memcopy", func(t *sim.Task) {
+	c.k.Spawn(c.copyName, func(t *sim.Task) {
 		c.runCopy(t, ps, token, src, dst)
 	})
 }
 
 func (c *Controller) runCopy(t *sim.Task, ps *procState, token uint64, src, dst cap.Entry) {
-	srcLoc, st := c.locate(t, src.Ref, cap.Read)
+	// The copy's futures, each Reset once waited for: one for the two
+	// validations, one read and two write completions for every chunk.
+	// They live and die with this copy, so the event of a write still on
+	// the wire when the copy aborts fires on a future nobody reuses.
+	var fut struct {
+		loc sim.Future[wire.CtrlValInfo]
+		rd  sim.Future[int]
+		wr  [2]sim.Future[int]
+	}
+	srcLoc, st := c.locate(t, &fut.loc, src.Ref, cap.Read)
 	if st != wire.StatusOK {
 		c.complete(ps, token, st, cap.NilCap, 0)
 		return
 	}
-	dstLoc, st := c.locate(t, dst.Ref, cap.Write)
+	dstLoc, st := c.locate(t, &fut.loc, dst.Ref, cap.Write)
 	if st != wire.StatusOK {
 		c.complete(ps, token, st, cap.NilCap, 0)
 		return
@@ -84,7 +93,7 @@ func (c *Controller) runCopy(t *sim.Task, ps *procState, token uint64, src, dst 
 
 	chunk := c.cfg.BounceChunk
 	perChunk := c.cfg.Perf.PerChunk.On(c.cfg.Loc.Domain)
-	var wf [2]*sim.Future[int] // outstanding write per bounce buffer
+	var writing [2]bool // the bounce buffer's write-out is outstanding
 	for off, i := 0, 0; off < n; off, i = off+chunk, i+1 {
 		cn := chunk
 		if n-off < cn {
@@ -93,32 +102,37 @@ func (c *Controller) runCopy(t *sim.Task, ps *procState, token uint64, src, dst 
 		b := i % 2
 		// Reusing a bounce buffer requires its previous write-out to
 		// have drained.
-		if wf[b] != nil {
-			if _, err := wf[b].Wait(t); err != nil {
+		if writing[b] {
+			if _, err := fut.wr[b].Wait(t); err != nil {
 				c.complete(ps, token, wire.StatusAborted, cap.NilCap, 0)
 				return
 			}
-			wf[b] = nil
+			fut.wr[b].Reset()
+			writing[b] = false
 		}
 		t.Sleep(perChunk)
-		if _, err := c.net.RDMARead(c.ep.ID, bufs[b], fabricEP(srcLoc.ep), int(srcLoc.base)+off, cn).Wait(t); err != nil {
+		c.net.RDMAReadInto(&fut.rd, c.ep.ID, bufs[b], fabricEP(srcLoc.ep), int(srcLoc.base)+off, cn)
+		if _, err := fut.rd.Wait(t); err != nil {
 			c.complete(ps, token, wire.StatusAborted, cap.NilCap, 0)
 			return
 		}
+		fut.rd.Reset()
 		// Write out asynchronously: the next chunk's read overlaps
 		// with this write (double buffering).
-		wf[b] = c.net.RDMAWrite(c.ep.ID, bufs[b], fabricEP(dstLoc.ep), int(dstLoc.base)+off, cn)
+		c.net.RDMAWriteInto(&fut.wr[b], c.ep.ID, bufs[b], fabricEP(dstLoc.ep), int(dstLoc.base)+off, cn)
+		writing[b] = true
 		if c.cfg.SingleBuffer {
-			if _, err := wf[b].Wait(t); err != nil {
+			if _, err := fut.wr[b].Wait(t); err != nil {
 				c.complete(ps, token, wire.StatusAborted, cap.NilCap, 0)
 				return
 			}
-			wf[b] = nil
+			fut.wr[b].Reset()
+			writing[b] = false
 		}
 	}
-	for b := 0; b < 2; b++ {
-		if wf[b] != nil {
-			if _, err := wf[b].Wait(t); err != nil {
+	for b := range writing {
+		if writing[b] {
+			if _, err := fut.wr[b].Wait(t); err != nil {
 				c.complete(ps, token, wire.StatusAborted, cap.NilCap, 0)
 				return
 			}
@@ -130,8 +144,9 @@ func (c *Controller) runCopy(t *sim.Task, ps *procState, token uint64, src, dst 
 
 // locate resolves a Memory reference to its physical location,
 // contacting the owner for remote objects (every use validates at the
-// owner, which is what makes revocation immediate, §3.5).
-func (c *Controller) locate(t *sim.Task, ref cap.Ref, need cap.Rights) (memLoc, wire.Status) {
+// owner, which is what makes revocation immediate, §3.5) and waiting
+// for its answer on f, which it leaves unresolved again.
+func (c *Controller) locate(t *sim.Task, f *sim.Future[wire.CtrlValInfo], ref cap.Ref, need cap.Rights) (memLoc, wire.Status) {
 	if ref.Ctrl == c.id {
 		n, st := c.Validate(ref, need)
 		if st != wire.StatusOK {
@@ -145,19 +160,11 @@ func (c *Controller) locate(t *sim.Task, ref cap.Ref, need cap.Rights) (memLoc, 
 	}
 	pc := c.newCall(callValidate, ref)
 	pc.rights = need
-	f := sim.NewFuture[wire.Message]()
 	pc.fut = f
 	c.call(pc)
-	reply, err := f.Wait(t)
+	info, err := f.Wait(t)
+	f.Reset()
 	if err != nil {
-		return memLoc{}, wire.StatusAborted
-	}
-	info, ok := reply.(*wire.CtrlValInfo)
-	if !ok {
-		// Aborted calls answer with a CtrlAck.
-		if ack, isAck := reply.(*wire.CtrlAck); isAck {
-			return memLoc{}, ack.Status
-		}
 		return memLoc{}, wire.StatusAborted
 	}
 	if info.Status != wire.StatusOK {

@@ -33,7 +33,7 @@ func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 		return
 	}
 	pc := c.newCall(callInvoke, e.Ref)
-	pc.imms = m.Imms
+	pc.keepImms(m.Imms)
 	pc.keepCaps(capArgs)
 	c.forward(pc, ps, m.Token)
 }
@@ -117,5 +117,5 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 func (c *Controller) peerInvoke(from fabric.EndpointID, m *wire.CtrlInvoke) {
 	c.metrics.Invokes++
 	st := c.deliverInvoke(m.Ref, m.Imms, m.Caps)
-	c.reply(from, m.Token, &wire.CtrlAck{Token: m.Token, Status: st})
+	c.ack(from, wire.CtrlAck{Token: m.Token, Status: st})
 }

@@ -9,7 +9,7 @@ import (
 // peerDeriveMem serves a remote memory_diminish at the owner.
 func (c *Controller) peerDeriveMem(from fabric.EndpointID, m *wire.CtrlDeriveMem) {
 	ref, size, rights, st := c.deriveMemLocal(m.From, m.Offset, m.Size, m.Drop)
-	c.reply(from, m.Token, &wire.CtrlAck{
+	c.ack(from, wire.CtrlAck{
 		Token: m.Token, Status: st, Obj: ref.Obj, Epoch: ref.Epoch, Size: size, Rights: rights,
 	})
 }
@@ -17,7 +17,7 @@ func (c *Controller) peerDeriveMem(from fabric.EndpointID, m *wire.CtrlDeriveMem
 // peerDeriveReq serves a remote request_create derivation at the owner.
 func (c *Controller) peerDeriveReq(from fabric.EndpointID, m *wire.CtrlDeriveReq) {
 	ref, st := c.deriveReqLocal(m.From, m.Imms, m.Caps)
-	c.reply(from, m.Token, &wire.CtrlAck{
+	c.ack(from, wire.CtrlAck{
 		Token: m.Token, Status: st, Obj: ref.Obj, Epoch: ref.Epoch,
 	})
 }
@@ -26,15 +26,15 @@ func (c *Controller) peerDeriveReq(from fabric.EndpointID, m *wire.CtrlDeriveReq
 func (c *Controller) peerRevtree(from fabric.EndpointID, m *wire.CtrlRevtree) {
 	n, st := c.resolveOwned(m.From)
 	if st != wire.StatusOK {
-		c.reply(from, m.Token, &wire.CtrlAck{Token: m.Token, Status: st})
+		c.ack(from, wire.CtrlAck{Token: m.Token, Status: st})
 		return
 	}
 	child := c.tree.Derive(n.ID, n.Payload)
 	if child == nil {
-		c.reply(from, m.Token, &wire.CtrlAck{Token: m.Token, Status: wire.StatusRevoked})
+		c.ack(from, wire.CtrlAck{Token: m.Token, Status: wire.StatusRevoked})
 		return
 	}
-	c.reply(from, m.Token, &wire.CtrlAck{
+	c.ack(from, wire.CtrlAck{
 		Token: m.Token, Status: wire.StatusOK, Obj: child.ID, Epoch: c.epoch,
 	})
 }
@@ -42,7 +42,7 @@ func (c *Controller) peerRevtree(from fabric.EndpointID, m *wire.CtrlRevtree) {
 // peerRevoke serves a remote cap_revoke at the owner.
 func (c *Controller) peerRevoke(from fabric.EndpointID, m *wire.CtrlRevoke) {
 	st := c.revokeLocal(m.From)
-	c.reply(from, m.Token, &wire.CtrlAck{Token: m.Token, Status: st})
+	c.ack(from, wire.CtrlAck{Token: m.Token, Status: st})
 }
 
 // peerValidate answers an owner-side validation: is the object live,
@@ -50,20 +50,16 @@ func (c *Controller) peerRevoke(from fabric.EndpointID, m *wire.CtrlRevoke) {
 // bytes physically live. Every use of a capability contacts the owner,
 // which is what makes revocation immediate (§3.5).
 func (c *Controller) peerValidate(from fabric.EndpointID, m *wire.CtrlValidate) {
-	n, st := c.Validate(m.Ref, m.Need)
-	if st != wire.StatusOK {
-		c.reply(from, m.Token, &wire.CtrlValInfo{Token: m.Token, Status: st})
-		return
+	info := &c.txValInfo
+	*info = wire.CtrlValInfo{Token: m.Token, Status: wire.StatusOK}
+	if n, st := c.Validate(m.Ref, m.Need); st != wire.StatusOK {
+		info.Status = st
+	} else if mo, ok := n.Payload.(*memObject); !ok {
+		info.Status = wire.StatusKind
+	} else {
+		info.Endpoint, info.Base, info.Size, info.Rights = uint32(mo.ep), mo.base, mo.size, mo.rights
 	}
-	mo, ok := n.Payload.(*memObject)
-	if !ok {
-		c.reply(from, m.Token, &wire.CtrlValInfo{Token: m.Token, Status: wire.StatusKind})
-		return
-	}
-	c.reply(from, m.Token, &wire.CtrlValInfo{
-		Token: m.Token, Status: wire.StatusOK,
-		Endpoint: uint32(mo.ep), Base: mo.base, Size: mo.size, Rights: mo.rights,
-	})
+	c.reply(from, m.Token, info)
 }
 
 // peerCleanup purges capability-space entries referencing revoked
@@ -77,20 +73,20 @@ func (c *Controller) peerCleanup(from fabric.EndpointID, m *wire.CtrlCleanup) {
 	for _, ps := range c.procs {
 		c.metrics.EntriesPurged += int64(len(ps.space.PurgeRefs(func(r cap.Ref) bool { return dead[r] })))
 	}
-	c.reply(from, m.Token, &wire.CtrlAck{Token: m.Token, Status: wire.StatusOK})
+	c.ack(from, wire.CtrlAck{Token: m.Token, Status: wire.StatusOK})
 }
 
 // peerWatch registers a remote monitor_receive watcher at the owner.
 func (c *Controller) peerWatch(from fabric.EndpointID, m *wire.CtrlWatch) {
 	n, st := c.resolveOwned(m.Ref)
 	if st != wire.StatusOK {
-		c.reply(from, m.Token, &wire.CtrlAck{Token: m.Token, Status: st})
+		c.ack(from, wire.CtrlAck{Token: m.Token, Status: st})
 		return
 	}
 	n.Watchers = append(n.Watchers, cap.Watcher{
 		Proc: m.WatcherProc, Ctrl: m.WatcherCtrl, Callback: m.Callback,
 	})
-	c.reply(from, m.Token, &wire.CtrlAck{Token: m.Token, Status: wire.StatusOK})
+	c.ack(from, wire.CtrlAck{Token: m.Token, Status: wire.StatusOK})
 }
 
 // peerNotify forwards a monitor callback to a Process we manage.

@@ -161,9 +161,9 @@ func TestControllerRxQueueDoesNotDrift(t *testing.T) {
 	if len(c.rxQueue) != 0 {
 		t.Fatalf("drained Controller has %d messages queued", len(c.rxQueue))
 	}
-	for i, d := range c.rxQueue[:cap(c.rxQueue)] {
-		if d.Msg != nil {
-			t.Fatalf("vacated rxQueue slot %d still holds a %T", i, d.Msg)
+	for i, f := range c.rxQueue[:cap(c.rxQueue)] {
+		if f != nil {
+			t.Fatalf("vacated rxQueue slot %d still holds a frame", i)
 		}
 	}
 }
@@ -173,12 +173,12 @@ func TestControllerRxQueueDoesNotDrift(t *testing.T) {
 // first is in service and two wait behind it when Crash lands. The one
 // in service still runs its handler when its service time ends — the
 // answer is refused by the severed endpoint and counted — while the two
-// queued ones are discarded as they are taken: they are neither
-// answered nor replayed after Reboot, and the rebooted Controller serves
-// again. Health probes stand in for syscalls because they are the
-// traffic whose handling stays observable: Crash also fails every
-// managed Process, and dispatch drops a failed Process's syscalls
-// before they are counted anywhere.
+// queued ones are discarded as they are taken, their frames handed back
+// to the fabric: they are neither answered nor replayed after Reboot,
+// and the rebooted Controller serves again. Health probes stand in for
+// syscalls because they are the traffic whose handling stays
+// observable: Crash also fails every managed Process, and dispatch
+// drops a failed Process's syscalls before they are counted anywhere.
 func TestCrashDiscardsQueuedMessages(t *testing.T) {
 	k := sim.New(1)
 	net := fabric.New(k, fabric.DefaultProfile())
@@ -204,8 +204,8 @@ func TestCrashDiscardsQueuedMessages(t *testing.T) {
 	if got := c.Metrics().SendFailed; got != 1 {
 		t.Fatalf("%d refused sends after the crash, want 1: only the probe in service runs its handler", got)
 	}
-	if len(c.rxQueue) != 0 {
-		t.Fatalf("crashed Controller still has %d messages queued", len(c.rxQueue))
+	if len(c.rxQueue) != 0 || net.LiveFrames() != 0 {
+		t.Fatalf("crashed Controller still has %d messages queued, %d frames were not released", len(c.rxQueue), net.LiveFrames())
 	}
 
 	c.Reboot()

@@ -81,6 +81,9 @@ func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
 		if n := c0.PendingCalls() + c1.PendingCalls(); n != 0 {
 			bad("%d calls still pending at quiescence", n)
 		}
+		if n := cl.Net.LiveFrames(); n != 0 {
+			bad("%d frames neither delivered nor released at quiescence", n)
+		}
 		if w, out, q := c1.DeliveryState(srv.ID()); w != core.DefaultWindow || out != 0 || q != 0 {
 			bad("provider window not conserved: %d credits (want %d), %d outstanding, %d queued",
 				w, core.DefaultWindow, out, q)
@@ -101,8 +104,9 @@ func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
 
 // TestChaosRetransmitSweep: seeds 1–20 × loss × duplication × jitter.
 // Every call resolves, no request reaches the provider twice and every
-// request whose caller saw success reached it once, window credits and
-// the pending table are conserved, nothing aborts inside the budget,
+// request whose caller saw success reached it once, window credits,
+// the pending table and the fabric's frames are conserved, nothing
+// aborts inside the budget,
 // and (while jitter stays under the RTO floor) resends track the frames
 // the fabric actually lost. A failure names the (seed, faults) tuple
 // that reproduces it.

@@ -143,21 +143,14 @@ func (r *rtoRig) run(body func(tk *sim.Task)) {
 // waits for it: the status it resolved with and how long that took.
 func (r *rtoRig) validate(tk *sim.Task) (wire.Status, sim.Time) {
 	pc := r.c.newCall(callValidate, fcap.Ref{Ctrl: rigPeer, Obj: 1, Epoch: 1})
-	pc.fut = sim.NewFuture[wire.Message]()
+	pc.fut = sim.NewFuture[wire.CtrlValInfo]()
 	f, start := pc.fut, tk.Now()
 	r.c.call(pc)
-	m, err := f.Wait(tk)
+	info, err := f.Wait(tk)
 	if err != nil {
 		r.t.Fatalf("call future failed: %v", err)
 	}
-	switch m := m.(type) {
-	case *wire.CtrlValInfo:
-		return m.Status, tk.Now() - start
-	case *wire.CtrlAck: // synthetic: aborted
-		return m.Status, tk.Now() - start
-	}
-	r.t.Fatalf("call resolved with a %T", m)
-	return 0, 0
+	return info.Status, tk.Now() - start
 }
 
 func (r *rtoRig) est() *rttEstimator { return &r.c.peers[rigPeer].rtt }

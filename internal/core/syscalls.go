@@ -140,7 +140,7 @@ func (c *Controller) handleReqCreate(ps *procState, m *wire.ReqCreate) {
 	}
 	pc := c.newCall(callDeriveReq, e.Ref)
 	pc.entry = cap.Entry{Ref: e.Ref, Kind: cap.KindRequest, Rights: e.Rights}
-	pc.imms = m.Imms
+	pc.keepImms(m.Imms)
 	pc.keepCaps(capArgs)
 	c.forward(pc, ps, m.Token)
 }

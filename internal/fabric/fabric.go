@@ -9,6 +9,12 @@
 // traffic-reduction experiments. RDMA read/write/third-party-copy
 // primitives move real bytes between registered memory arenas with
 // modeled latency, standing in for the verbs API.
+//
+// What travels is the encoded Frame, and it is decoded where it is
+// consumed: a Handler endpoint is handed the Frame and decodes it
+// through its own wire.Decoder when it gets to it, then releases it; a
+// bare endpoint's Inbox gets an owning wire.Unmarshal at delivery. Send
+// itself never decodes.
 package fabric
 
 import (
@@ -111,7 +117,8 @@ func (p *Profile) entry(d Domain) sim.Time {
 	return p.HostEntry
 }
 
-// Delivery is a message as it arrives at an endpoint.
+// Delivery is a message as it arrives in a bare endpoint's Inbox:
+// decoded at delivery, owned by whoever receives it.
 type Delivery struct {
 	From  EndpointID
 	Msg   wire.Message
@@ -120,9 +127,13 @@ type Delivery struct {
 
 // Handler receives an endpoint's frames: the delivery event calls
 // Deliver in kernel context, where it may Send, Spawn, resolve futures
-// and TrySend but never block (it has no *sim.Task to block on).
+// and TrySend but never block (it has no *sim.Task to block on). The
+// Frame is the handler's from then on: it decodes f.Bytes() when it
+// gets to it — now, or after queueing the Frame behind earlier ones —
+// and calls f.Release exactly once when it is done with everything
+// that decode borrowed from the frame.
 type Handler interface {
-	Deliver(d Delivery)
+	Deliver(f *Frame)
 }
 
 // Endpoint is an attached entity with a Handler or, failing that, an
@@ -295,80 +306,104 @@ type Net struct {
 	// to a build without the layer.
 	faults *faultState
 
-	// rd decodes every frame this Net carries (wire.UnmarshalWith), and
-	// flights recycles the in-flight records that carry decoded
-	// messages to their endpoints. Both belong to the Net's kernel
-	// context alone.
-	rd      wire.Reader
-	flights sim.FreeList[flight]
+	// rd serves the owning decodes (Frame.Unmarshal), and frames
+	// recycles the Frame records with their buffers. Both belong to the
+	// Net's kernel context alone.
+	rd     wire.Reader
+	frames sim.FreeList[Frame]
+	live   int // frames encoded and not yet released
 }
 
-// flight is one frame in flight: the decoded message on its way to
-// dst. It is the target of the delivery event (sim.Callback),
-// so a send schedules its delivery without allocating a closure. A
-// record is live from launch until its event fires — delivery, or the
-// drop at a receiver that disconnected meanwhile — and is cleared on
-// release: a stale reference finds net == nil and trips the asserts.
-type flight struct {
-	net   *Net
-	dst   *Endpoint
-	from  EndpointID
-	msg   wire.Message
-	bytes int
+// Frame is one encoded message on its way to dst and then in its
+// receiver's hands: a pooled record that owns the buffer the message
+// was encoded into. It is the target of the delivery event
+// (sim.Callback), so a send schedules its delivery without allocating a
+// closure. A Frame is live from launch until Release — by its Handler,
+// by Fire after a bare endpoint's message has been decoded out of it, or
+// by Fire at a receiver that disconnected meanwhile — and is cleared
+// then: a stale reference finds net == nil and trips the asserts, and
+// under the race detector reads a buffer of 0xDB (poison_race.go).
+type Frame struct {
+	From EndpointID
+	net  *Net
+	dst  *Endpoint
+	w    wire.Writer
 }
 
-// getFlight takes an in-flight record off the free list.
+// maxPooledFrame bounds the buffer a released Frame keeps, so a rare
+// giant message does not pin its size for the rest of the run (the
+// wire package's rule for pooled Writers).
+const maxPooledFrame = 1 << 20
+
+// Bytes returns the encoded message, type header included. It is valid
+// until Release.
 //
 //fractos:hotpath
-//fractos:pool-acquire flight
-func (n *Net) getFlight() *flight {
-	return n.flights.Get()
-}
+func (f *Frame) Bytes() []byte { return f.w.Bytes() }
 
-// putFlight clears a record and returns it to the free list.
+// Unmarshal is the owning decode of the frame: a message that shares
+// nothing with it, for a receiver that keeps what it receives (a bare
+// endpoint's Inbox, the baseline protocols' Peer).
 //
 //fractos:hotpath
-//fractos:pool-release flight
-func (n *Net) putFlight(f *flight) {
-	assert.True(f.net == n, "fabric: in-flight record released twice or to the wrong fabric")
-	*f = flight{}
-	n.flights.Put(f)
+func (f *Frame) Unmarshal() (wire.Message, error) {
+	return wire.UnmarshalWith(&f.net.rd, f.Bytes()) // fractos:alloc-ok an owning decode allocates the message (struct and payload copies), once per delivery by design
 }
 
-// launch hands a filled record to the kernel: its delivery event owns
-// it from here until Fire releases it.
+// Release clears the Frame and returns it, with its buffer, to the
+// free list of the fabric that launched it.
 //
 //fractos:hotpath
-//fractos:pool-handoff flight
-func (n *Net) launch(f *flight, delay sim.Time) {
-	f.net = n
+//fractos:pool-release frame
+func (f *Frame) Release() {
+	n := f.net
+	assert.True(n != nil, "fabric: frame released twice")
+	poisonFrame(f.w.Bytes())
+	if cap(f.w.Bytes()) > maxPooledFrame {
+		f.w = wire.Writer{}
+	}
+	f.w.Reset()
+	f.From, f.net, f.dst = 0, nil, nil
+	n.live--
+	n.frames.Put(f)
+}
+
+// LiveFrames reports the frames that are on the wire or in a Handler's
+// hands. It is zero at quiescence unless a receiver leaked one.
+func (n *Net) LiveFrames() int { return n.live }
+
+// launch hands an encoded Frame to the kernel: its delivery event owns
+// it from here until Fire passes it on or releases it.
+//
+//fractos:hotpath
+//fractos:pool-handoff frame
+func (n *Net) launch(f *Frame, delay sim.Time) {
 	n.k.AfterCall(delay, f)
 }
 
-// Fire is the delivery event: release the record, then hand the
-// message to the receiver unless it disconnected while the frame was
-// on the wire.
+// Fire is the delivery event. A receiver that disconnected while the
+// frame was on the wire never sees it; a Handler takes the Frame over;
+// a bare endpoint gets the message decoded into storage of its own, and
+// a frame that does not decode is dropped like line corruption.
 //
 //fractos:hotpath
-func (f *flight) Fire() {
-	assert.True(f.net != nil, "fabric: in-flight record fired after release")
-	dst, d := f.dst, Delivery{From: f.from, Msg: f.msg, Bytes: f.bytes}
-	f.net.putFlight(f)
+func (f *Frame) Fire() {
+	assert.True(f.net != nil, "fabric: frame fired after release")
+	dst := f.dst
 	if dst.disconnected {
+		f.Release()
 		return
 	}
 	if dst.rx != nil {
-		dst.rx.Deliver(d)
-	} else {
+		dst.rx.Deliver(f)
+		return
+	}
+	m, err := f.Unmarshal()
+	d := Delivery{From: f.From, Msg: m, Bytes: len(f.Bytes())}
+	f.Release()
+	if err == nil {
 		dst.Inbox.TrySend(d)
 	}
-}
-
-// decode parses a frame through the Net's own Reader.
-//
-//fractos:hotpath
-func (n *Net) decode(frame []byte) (wire.Message, error) {
-	return wire.UnmarshalWith(&n.rd, frame) // fractos:alloc-ok eager decode allocates the delivered message (struct and payload copies) once per send by design
 }
 
 // New creates a fabric over the given kernel with profile p.
@@ -509,9 +544,10 @@ func (n *Net) transferTime(now sim.Time, src, dst Location, nBytes int) sim.Time
 }
 
 // Send serializes m, charges the fabric model, and schedules delivery
-// to dst. It does not block the caller (DMA semantics). It
-// reports false if either endpoint is unknown or disconnected (the
-// message is dropped, as on a severed channel).
+// of the encoded frame to dst; m is the caller's again when it returns.
+// It does not block the caller (DMA semantics). It reports false if
+// either endpoint is unknown or disconnected (the message is dropped,
+// as on a severed channel).
 //
 // With the chaos layer installed (faults.go) a cross-node frame may
 // additionally be lost, duplicated, or delayed — and Send still
@@ -526,22 +562,14 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 	if src == nil || dst == nil || src.disconnected || dst.disconnected {
 		return false
 	}
-	// Encode into a pooled frame buffer and decode eagerly. Decoding
-	// copies every variable-length payload, so the decoded message never
-	// aliases the frame and the buffer can return to the pool before the
-	// delivery is even scheduled. What stays in flight is a recycled
-	// record holding only the decoded message.
-	w := wire.GetWriter(wire.SizeOf(m))
-	wire.MarshalTo(w, m)
-	frame := w.Bytes()
-	nBytes := len(frame)
-	decoded, derr := n.decode(frame)
+	// What is charged to the wire, and what arrives, is the encoding.
+	f := n.encode(from, dst, m)
+	nBytes := len(f.Bytes())
 	cross := src.Loc.Node != dst.Loc.Node
 
 	// Chaos pipeline (cross-node frames only; see faults.go for the
 	// fault model and determinism rules).
-	var lost bool
-	var dup2 wire.Message
+	var lost, dup bool
 	var extra sim.Time
 	if fs := n.faults; fs != nil && cross {
 		if fs.cut(src.Loc.Node, dst.Loc.Node) {
@@ -552,11 +580,7 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 				lost = true
 				fs.stats.Dropped++
 			}
-			if fs.dup > 0 && fs.rng.Float64() < fs.dup && !lost && derr == nil {
-				// The duplicate is decoded independently so the two
-				// deliveries never share mutable payloads.
-				dup2, _ = n.decode(frame)
-			}
+			dup = fs.dup > 0 && fs.rng.Float64() < fs.dup && !lost
 			if fs.jitter > 0 {
 				extra = sim.Time(fs.rng.Int63n(int64(fs.jitter)))
 				if extra > 0 {
@@ -565,39 +589,48 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 			}
 		}
 	}
-	w.Release()
 	now := n.k.Now()
 	done := n.transferTime(now, src.Loc, dst.Loc, nBytes)
 	n.account(m.Class(), nBytes, cross, false)
 	if n.trace != nil {
 		n.trace(TraceEvent{At: now, From: from, To: to, Type: m.WireType(), Bytes: nBytes, Class: m.Class(), Lost: lost})
 	}
-	if derr != nil || lost {
-		// An undecodable frame is treated like line corruption, a lost
-		// one like switch loss: the fabric accounts the bytes on the
-		// wire but drops the frame instead of tearing down the
-		// simulation. Upper layers already tolerate loss — pending
-		// calls unwind through retransmission or the peer-failure path
-		// (failure as revocation).
+	if lost {
+		// Switch loss: the fabric accounts the bytes on the wire but
+		// drops the frame instead of tearing down the simulation. Upper
+		// layers already tolerate loss — pending calls unwind through
+		// retransmission or the peer-failure path (failure as
+		// revocation).
+		f.Release()
 		return true
 	}
-	f := n.getFlight()
-	f.dst, f.from, f.msg, f.bytes = dst, from, decoded, nBytes
 	n.launch(f, done+extra-now)
-	if dup2 != nil {
+	if dup {
 		// The duplicate pays for the wire a second time and lands
-		// strictly after the original (uplink serialization).
+		// strictly after the original (uplink serialization), in a frame
+		// of its own: the two deliveries share no bytes.
 		n.faults.stats.Duplicated++
 		done2 := n.transferTime(now, src.Loc, dst.Loc, nBytes)
 		n.account(m.Class(), nBytes, cross, false)
 		if n.trace != nil {
 			n.trace(TraceEvent{At: now, From: from, To: to, Type: m.WireType(), Bytes: nBytes, Class: m.Class()})
 		}
-		f2 := n.getFlight()
-		f2.dst, f2.from, f2.msg, f2.bytes = dst, from, dup2, nBytes
-		n.launch(f2, done2+extra-now)
+		n.launch(n.encode(from, dst, m), done2+extra-now)
 	}
 	return true
+}
+
+// encode takes a Frame off the free list and fills it with m on its
+// way from one endpoint to dst.
+//
+//fractos:hotpath
+//fractos:pool-acquire frame
+func (n *Net) encode(from EndpointID, dst *Endpoint, m wire.Message) *Frame {
+	f := n.frames.Get()
+	n.live++
+	f.From, f.net, f.dst = from, n, dst
+	wire.MarshalTo(&f.w, m)
+	return f
 }
 
 // rdmaLatency is the fixed part of a one-sided RDMA op between two
@@ -668,38 +701,51 @@ func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nB
 // resolves at the modeled completion time.
 func (n *Net) RDMARead(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) *sim.Future[int] {
 	f := sim.NewFuture[int]()
+	n.RDMAReadInto(f, initiator, localOff, remote, remoteOff, nBytes)
+	return f
+}
+
+// RDMAReadInto is RDMARead completing a future the caller supplies —
+// unresolved: a loop of transfers Resets one future between them
+// instead of allocating one per op.
+func (n *Net) RDMAReadInto(f *sim.Future[int], initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) {
 	ini := n.lookup(initiator)
 	rem := n.lookup(remote)
 	if ini == nil || rem == nil {
 		f.Fail(fmt.Errorf("fabric: unknown endpoint"))
-		return f
+		return
 	}
 	done, err := n.rdmaTransfer(ini, rem, ini, remoteOff, localOff, nBytes, true)
 	if err != nil {
 		f.Fail(err)
-		return f
+		return
 	}
 	n.k.AfterCall(done-n.k.Now(), f.Due(nBytes))
-	return f
 }
 
 // RDMAWrite starts a one-sided write of nBytes from initiator's arena
 // at localOff into remote's arena at remoteOff.
 func (n *Net) RDMAWrite(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) *sim.Future[int] {
 	f := sim.NewFuture[int]()
+	n.RDMAWriteInto(f, initiator, localOff, remote, remoteOff, nBytes)
+	return f
+}
+
+// RDMAWriteInto is RDMAWrite completing a future the caller supplies,
+// as RDMAReadInto does.
+func (n *Net) RDMAWriteInto(f *sim.Future[int], initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) {
 	ini := n.lookup(initiator)
 	rem := n.lookup(remote)
 	if ini == nil || rem == nil {
 		f.Fail(fmt.Errorf("fabric: unknown endpoint"))
-		return f
+		return
 	}
 	done, err := n.rdmaTransfer(ini, ini, rem, localOff, remoteOff, nBytes, false)
 	if err != nil {
 		f.Fail(err)
-		return f
+		return
 	}
 	n.k.AfterCall(done-n.k.Now(), f.Due(nBytes))
-	return f
 }
 
 // RDMACopy is a third-party transfer: the initiator commands src's NIC

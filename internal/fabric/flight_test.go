@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -53,24 +55,24 @@ func flightChaos(t *testing.T) (transcript string, free [2]int) {
 	}
 	k.Spawn("tx", func(tk *sim.Task) { burst(tk, 0) })
 	k.Run()
-	free[0] = n.flights.Len()
+	free[0] = n.frames.Len()
 	k.Spawn("tx2", func(tk *sim.Task) { burst(tk, 1_000_000) })
 	k.Run()
-	free[1] = n.flights.Len()
+	free[1] = n.frames.Len()
 
 	// Every record parked on the free list was cleared on release: a
 	// stale reference could not have delivered anything through it.
-	var parked []*flight
-	for n.flights.Len() > 0 {
-		f := n.getFlight()
-		if *f != (flight{}) {
-			t.Errorf("parked in-flight record not cleared: %+v", *f)
+	var parked []*Frame
+	for n.frames.Len() > 0 {
+		f := n.frames.Get()
+		if f.From != 0 || f.net != nil || f.dst != nil || len(f.Bytes()) != 0 {
+			t.Errorf("parked frame not cleared: %+v", *f)
 		}
 		parked = append(parked, f)
 	}
 	for _, f := range parked {
-		f.net = n // what launch stamps; putFlight insists on it
-		n.putFlight(f)
+		f.net = n // what encode stamps; Release insists on it
+		f.Release()
 	}
 	st := n.FaultStats()
 	if st.Dropped == 0 || st.Duplicated == 0 || st.Delayed == 0 {
@@ -114,7 +116,7 @@ func TestFlightDoubleReleasePanics(t *testing.T) {
 	b := n.Attach("b", Location{Node: 1}, 0)
 	n.Send(a.ID, b.ID, &wire.Null{Token: 1})
 	k.Run()
-	f := n.getFlight() // the record that just delivered, cleared
+	f := n.frames.Get() // the record that just delivered, cleared
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -125,5 +127,91 @@ func TestFlightDoubleReleasePanics(t *testing.T) {
 		fn()
 	}
 	mustPanic("fire after release", f.Fire)
-	mustPanic("second release", func() { n.putFlight(f) })
+	mustPanic("second release", f.Release)
+}
+
+// hoarder is a Handler that, like a Controller, queues the frames it is
+// handed and gets to them later.
+type hoarder struct{ queue []*Frame }
+
+func (h *hoarder) Deliver(f *Frame) { h.queue = append(h.queue, f) }
+
+// unregistered encodes like any message but has no decoder: the
+// receiver's decode of its frame fails.
+type unregistered struct{ wire.Null }
+
+func (*unregistered) WireType() wire.Type { return 999 }
+
+// TestHandlerOwnsItsFrames pins the hand-over to a Handler endpoint. A
+// frame the handler has not released is never recycled under it — 100
+// queued frames still decode to the 100 messages sent, while further
+// traffic runs through the fabric — and each comes back to the free
+// list exactly once when released. A chaos duplicate arrives in a frame
+// of its own with the same bytes. A frame that cannot be decoded is
+// charged to the wire like any other, reaches a Handler as bytes, and
+// never reaches a bare endpoint's Inbox.
+func TestHandlerOwnsItsFrames(t *testing.T) {
+	k, n := newNet()
+	a := n.Attach("a", Location{Node: 0}, 0)
+	h := &hoarder{}
+	b := n.AttachHandler("b", Location{Node: 1}, 0, h)
+	c := n.Attach("c", Location{Node: 1}, 0)
+	const queued = 100
+	for i := 0; i < queued; i++ {
+		n.Send(a.ID, b.ID, &wire.Deliver{Seq: uint64(i), Imms: []byte{byte(i), byte(i), byte(i)}})
+	}
+	k.Run()
+	for i := 0; i < 3*queued; i++ { // bystander traffic through the same free list
+		n.Send(a.ID, c.ID, &wire.Null{Token: 0xFFFF_FFFF_FFFF_FFFF})
+	}
+	k.Run()
+	if len(h.queue) != queued || c.Inbox.Len() != 3*queued {
+		t.Fatalf("%d frames queued at the handler, %d messages in the inbox", len(h.queue), c.Inbox.Len())
+	}
+	dec := wire.NewDecoder()
+	free := n.frames.Len()
+	for i, f := range h.queue {
+		m, err := dec.Decode(f.Bytes())
+		d, ok := m.(*wire.Deliver)
+		if err != nil || !ok || d.Seq != uint64(i) || !bytes.Equal(d.Imms, []byte{byte(i), byte(i), byte(i)}) || f.From != a.ID {
+			t.Fatalf("queued frame %d from %d decodes to %+v, %v", i, f.From, m, err)
+		}
+		f.Release()
+	}
+	if got := n.frames.Len(); got != free+queued || n.LiveFrames() != 0 {
+		t.Errorf("free list grew by %d on %d releases, %d frames still live", got-free, queued, n.LiveFrames())
+	}
+
+	h.queue = h.queue[:0]
+	n.InstallFaults(Faults{Dup: 1, Seed: 1})
+	n.Send(a.ID, b.ID, &wire.Completion{Token: 7, Aux: 9})
+	k.Run()
+	if len(h.queue) != 2 || h.queue[0] == h.queue[1] || !bytes.Equal(h.queue[0].Bytes(), h.queue[1].Bytes()) ||
+		&h.queue[0].Bytes()[0] == &h.queue[1].Bytes()[0] {
+		t.Fatalf("a duplicated frame arrived as %d frames sharing storage or differing in bytes", len(h.queue))
+	}
+	h.queue[0].Release()
+	h.queue[1].Release()
+
+	h.queue = h.queue[:0]
+	before := n.Stats()
+	bogus := &unregistered{wire.Null{Token: 5}}
+	if !n.Send(a.ID, b.ID, bogus) || !n.Send(a.ID, c.ID, bogus) {
+		t.Fatal("send of an undecodable message refused")
+	}
+	k.Run()
+	if d := n.Stats().Sub(before); d.ControlMsgs != 4 || d.ControlBytes != 4*int64(wire.SizeOf(bogus)) {
+		t.Errorf("two undecodable frames (each duplicated) charged as %d messages, %d bytes", d.ControlMsgs, d.ControlBytes)
+	}
+	if len(h.queue) != 2 {
+		t.Fatalf("handler got %d frames of the undecodable message and its duplicate", len(h.queue))
+	}
+	if _, err := dec.Decode(h.queue[0].Bytes()); !errors.Is(err, wire.ErrUnknownType) {
+		t.Errorf("decode of the undecodable frame: %v", err)
+	}
+	h.queue[0].Release()
+	h.queue[1].Release()
+	if c.Inbox.Len() != 3*queued {
+		t.Errorf("an undecodable frame was delivered to a bare endpoint's inbox")
+	}
 }

@@ -4,6 +4,7 @@ package proc_test
 // mechanics, and misuse handling.
 
 import (
+	"errors"
 	"testing"
 
 	"fractos/internal/cap"
@@ -35,7 +36,7 @@ func TestInvokeAsyncPipelining(t *testing.T) {
 
 		// Pipelined.
 		start = tk.Now()
-		futs := make([]*sim.Future[*wire.Completion], k)
+		futs := make([]*sim.Future[wire.Completion], k)
 		for i := 0; i < k; i++ {
 			futs[i] = cli.InvokeAsync(creq, nil, nil)
 		}
@@ -119,6 +120,35 @@ func TestByeRevokesProvidedObjects(t *testing.T) {
 			t.Fatal("invoke on exited service succeeded")
 		}
 	})
+}
+
+// TestSyscallAfterByeFailsAtOnce: the Controller drops whatever a
+// Process sends behind its ProcBye, so a syscall posted after Bye would
+// wait for a completion that never comes. libfractos knows it said
+// goodbye and fails the call on the spot instead.
+func TestSyscallAfterByeFailsAtOnce(t *testing.T) {
+	returned := false
+	run(t, cpuCluster(), func(tk *sim.Task, cl *core.Cluster) {
+		p := proc.Attach(cl, 0, "app", 0)
+		if err := p.Null(tk); err != nil {
+			t.Fatalf("null before Bye: %v", err)
+		}
+		p.Bye()
+		at := tk.Now()
+		err := p.Null(tk)
+		returned = true
+		if !errors.Is(err, proc.ErrDisconnected) || tk.Now() != at {
+			t.Errorf("null after Bye: %v after %v, want ErrDisconnected at once", err, tk.Now()-at)
+		}
+		if f := p.MemoryCopyAsync(proc.Cap{}, proc.Cap{}); !f.Done() {
+			t.Error("an asynchronous syscall after Bye left its future unresolved")
+		} else if _, err := f.Wait(tk); !errors.Is(err, proc.ErrDisconnected) {
+			t.Errorf("asynchronous syscall after Bye: %v, want ErrDisconnected", err)
+		}
+	})
+	if !returned {
+		t.Fatal("a syscall posted after Bye never returned: its task is parked for good")
+	}
 }
 
 // TestDerivedRightsNeverGrow is the end-to-end monotonicity property:

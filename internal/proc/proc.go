@@ -37,16 +37,38 @@ type Process struct {
 	ctrlEP fabric.EndpointID
 
 	nextToken uint64
-	pending   map[uint64]*sim.Future[*wire.Completion]
+	pending   map[uint64]*sim.Future[wire.Completion]
 	// futures recycles the completion futures of synchronous syscalls:
 	// the caller blocks until its completion arrives, so the future is
 	// free again the moment the call returns. The Async variants hand
-	// their future to the caller and allocate it.
-	futures sim.FreeList[sim.Future[*wire.Completion]]
+	// their future to the caller and allocate it. replies does the same
+	// for the reply a Call without a deadline waits for.
+	futures sim.FreeList[sim.Future[wire.Completion]]
+	replies sim.FreeList[sim.Future[*Delivery]]
 	// slots is scratch for a syscall's capability-argument list; the
 	// message that carries it is encoded before submit returns.
-	slots  []wire.CapSlot
-	txDone wire.DeliverDone // built in place: Net.Send retains nothing
+	slots []wire.CapSlot
+	// tx holds every message libfractos sends, built in place: Net.Send
+	// encodes its argument before it returns and retains nothing, and no
+	// caller yields between filling one and posting it.
+	tx struct {
+		null            wire.Null
+		memCreate       wire.MemCreate
+		memDiminish     wire.MemDiminish
+		memCopy         wire.MemCopy
+		reqCreate       wire.ReqCreate
+		reqInvoke       wire.ReqInvoke
+		capRevtree      wire.CapRevtree
+		capRevoke       wire.CapRevoke
+		capDrop         wire.CapDrop
+		monitorDelegate wire.MonitorDelegate
+		monitorReceive  wire.MonitorReceive
+		done            wire.DeliverDone
+	}
+	// dec decodes what the Controller sends: Deliver is finished with a
+	// message — copied out what the application keeps — before it sees
+	// the next one.
+	dec *wire.Decoder
 
 	nextTag  uint64
 	waiters  map[uint64]*sim.Future[*Delivery]
@@ -60,7 +82,11 @@ type Process struct {
 	cbName   string
 
 	alloc *allocator
-	dead  bool
+	// dead is set once the channel to the Controller is known to be gone
+	// — Bye was sent, or a send found it severed: a syscall posted after
+	// that fails at once instead of waiting for a completion that the
+	// Controller, which drops a failed Process's frames, never sends.
+	dead bool
 }
 
 // Cap is a Process-side handle to a capability: a cid plus cached
@@ -110,7 +136,8 @@ func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.Pro
 		id:       pid,
 		ctrl:     ctrl,
 		ctrlEP:   ctrl.EndpointID(),
-		pending:  make(map[uint64]*sim.Future[*wire.Completion]),
+		pending:  make(map[uint64]*sim.Future[wire.Completion]),
+		dec:      wire.NewDecoder(),
 		waiters:  make(map[uint64]*sim.Future[*Delivery]),
 		subs:     make(map[uint64]*sim.Chan[*Delivery]),
 		stale:    make(map[uint64]bool),
@@ -137,14 +164,30 @@ func (p *Process) Kernel() *sim.Kernel { return p.k }
 
 // Deliver implements fabric.Handler: it demultiplexes traffic from the
 // Controller without blocking (unbounded queues, spawned callbacks).
+// The message is borrowed from the frame and the Process's Decoder, so
+// what leaves here leaves by value: a completion resolves its future
+// with a copy, a request_receive descriptor owns its arguments.
 //
 //fractos:hotpath
-func (p *Process) Deliver(d fabric.Delivery) {
-	switch m := d.Msg.(type) {
+func (p *Process) Deliver(f *fabric.Frame) {
+	m, err := p.dec.Decode(f.Bytes())
+	if err == nil {
+		p.demux(m)
+	}
+	f.Release()
+}
+
+// demux routes one message from the Controller: a completion to the
+// future of its syscall, a delivery to whoever waits for its tag, a
+// monitor callback to a task of its own.
+//
+//fractos:hotpath
+func (p *Process) demux(m wire.Message) {
+	switch m := m.(type) {
 	case *wire.Completion:
 		if f, ok := p.pending[m.Token]; ok {
 			delete(p.pending, m.Token)
-			f.Set(m)
+			f.Set(*m)
 		}
 	case *wire.Deliver:
 		if p.stale[m.Tag] {
@@ -153,12 +196,12 @@ func (p *Process) Deliver(d fabric.Delivery) {
 			// not leaked, and discard it. Caps it delegated are children
 			// of the caller's revoked reply Request and die with it.
 			delete(p.stale, m.Tag)
-			p.txDone = wire.DeliverDone{Seq: m.Seq}
+			p.tx.done = wire.DeliverDone{Seq: m.Seq}
 			//fractos:send-ok a failed ack means the Controller tore us down already
-			p.net.Send(p.ep.ID, p.ctrlEP, &p.txDone)
+			p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done)
 			return
 		}
-		dv := &Delivery{p: p, Seq: m.Seq, Tag: m.Tag, Imms: m.Imms, Caps: m.Caps} // fractos:alloc-ok the request_receive descriptor is the application's to keep: one per delivery by design
+		dv := p.newDelivery(m) // fractos:alloc-ok the request_receive descriptor is the application's to keep: one per delivery by design
 		if ch, ok := p.subs[m.Tag]; ok {
 			ch.TrySend(dv)
 		} else if f, ok := p.waiters[m.Tag]; ok {
@@ -195,15 +238,19 @@ func (p *Process) checkArgs(args []Arg) error {
 }
 
 // submit posts a syscall and returns the future of its completion.
-func (p *Process) submit(build func(token uint64) wire.Message) *sim.Future[*wire.Completion] {
-	f := sim.NewFuture[*wire.Completion]()
+func (p *Process) submit(build func(token uint64) wire.Message) *sim.Future[wire.Completion] {
+	f := sim.NewFuture[wire.Completion]()
 	p.post(f, build)
 	return f
 }
 
 // post sends the syscall build describes under a fresh token; f
 // resolves with its completion.
-func (p *Process) post(f *sim.Future[*wire.Completion], build func(token uint64) wire.Message) {
+func (p *Process) post(f *sim.Future[wire.Completion], build func(token uint64) wire.Message) {
+	if p.dead {
+		f.Fail(ErrDisconnected)
+		return
+	}
 	p.nextToken++
 	token := p.nextToken
 	p.pending[token] = f
@@ -215,7 +262,7 @@ func (p *Process) post(f *sim.Future[*wire.Completion], build func(token uint64)
 
 // syscall posts a syscall and blocks until it completes, on a
 // recycled future.
-func (p *Process) syscall(t *sim.Task, build func(token uint64) wire.Message) (*wire.Completion, error) {
+func (p *Process) syscall(t *sim.Task, build func(token uint64) wire.Message) (wire.Completion, error) {
 	f := p.getFuture()
 	p.post(f, build)
 	m, err := wait(t, f)
@@ -224,19 +271,19 @@ func (p *Process) syscall(t *sim.Task, build func(token uint64) wire.Message) (*
 }
 
 //fractos:pool-acquire procfuture
-func (p *Process) getFuture() *sim.Future[*wire.Completion] { return p.futures.Get() }
+func (p *Process) getFuture() *sim.Future[wire.Completion] { return p.futures.Get() }
 
 //fractos:pool-release procfuture
-func (p *Process) putFuture(f *sim.Future[*wire.Completion]) {
+func (p *Process) putFuture(f *sim.Future[wire.Completion]) {
 	f.Reset()
 	p.futures.Put(f)
 }
 
 // wait blocks on a syscall completion and converts its status.
-func wait(t *sim.Task, f *sim.Future[*wire.Completion]) (*wire.Completion, error) {
+func wait(t *sim.Task, f *sim.Future[wire.Completion]) (wire.Completion, error) {
 	m, err := f.Wait(t)
 	if err != nil {
-		return nil, err
+		return m, err
 	}
 	if m.Status != wire.StatusOK {
 		return m, m.Status.Err()
@@ -247,7 +294,8 @@ func wait(t *sim.Task, f *sim.Future[*wire.Completion]) (*wire.Completion, error
 // Null performs the no-op syscall (Table 3's micro-benchmark).
 func (p *Process) Null(t *sim.Task) error {
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.Null{Token: tok}
+		p.tx.null = wire.Null{Token: tok}
+		return &p.tx.null
 	})
 	return err
 }
@@ -256,7 +304,8 @@ func (p *Process) Null(t *sim.Task) error {
 // object (memory_create).
 func (p *Process) MemoryCreate(t *sim.Task, base, size uint64, perms cap.Rights) (Cap, error) {
 	m, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.MemCreate{Token: tok, Base: base, Size: size, Perms: perms}
+		p.tx.memCreate = wire.MemCreate{Token: tok, Base: base, Size: size, Perms: perms}
+		return &p.tx.memCreate
 	})
 	if err != nil {
 		return Cap{}, err
@@ -287,7 +336,8 @@ func (p *Process) MemoryDiminish(t *sim.Task, c Cap, offset, size uint64, drop c
 		return Cap{}, err
 	}
 	m, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.MemDiminish{Token: tok, Cid: c.id, Offset: offset, Size: size, Drop: drop}
+		p.tx.memDiminish = wire.MemDiminish{Token: tok, Cid: c.id, Offset: offset, Size: size, Drop: drop}
+		return &p.tx.memDiminish
 	})
 	if err != nil {
 		return Cap{}, err
@@ -304,14 +354,15 @@ func (p *Process) MemoryCopy(t *sim.Task, src, dst Cap) error {
 
 // MemoryCopyAsync starts a memory_copy and returns its completion
 // future, for pipelined transfers.
-func (p *Process) MemoryCopyAsync(src, dst Cap) *sim.Future[*wire.Completion] {
+func (p *Process) MemoryCopyAsync(src, dst Cap) *sim.Future[wire.Completion] {
 	if err := p.checkOwn(src, dst); err != nil {
-		f := sim.NewFuture[*wire.Completion]()
+		f := sim.NewFuture[wire.Completion]()
 		f.Fail(err)
 		return f
 	}
 	return p.submit(func(tok uint64) wire.Message {
-		return &wire.MemCopy{Token: tok, SrcCid: src.id, DstCid: dst.id}
+		p.tx.memCopy = wire.MemCopy{Token: tok, SrcCid: src.id, DstCid: dst.id}
+		return &p.tx.memCopy
 	})
 }
 
@@ -324,7 +375,8 @@ func (p *Process) RequestCreate(t *sim.Task, tag uint64, imms []wire.ImmArg, arg
 		return Cap{}, err
 	}
 	m, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.ReqCreate{Token: tok, Parent: cap.NilCap, Tag: tag, Imms: imms, Caps: p.capSlots(args, nil)}
+		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: cap.NilCap, Tag: tag, Imms: imms, Caps: p.capSlots(args, nil)}
+		return &p.tx.reqCreate
 	})
 	if err != nil {
 		return Cap{}, err
@@ -343,7 +395,8 @@ func (p *Process) Derive(t *sim.Task, parent Cap, imms []wire.ImmArg, args []Arg
 		return Cap{}, err
 	}
 	m, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.ReqCreate{Token: tok, Parent: parent.id, Imms: imms, Caps: p.capSlots(args, nil)}
+		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: parent.id, Imms: imms, Caps: p.capSlots(args, nil)}
+		return &p.tx.reqCreate
 	})
 	if err != nil {
 		return Cap{}, err
@@ -367,20 +420,22 @@ func (p *Process) invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, l
 		return err
 	}
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args, last)}
+		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args, last)}
+		return &p.tx.reqInvoke
 	})
 	return err
 }
 
 // InvokeAsync starts an invocation and returns its acceptance future.
-func (p *Process) InvokeAsync(req Cap, imms []wire.ImmArg, args []Arg) *sim.Future[*wire.Completion] {
+func (p *Process) InvokeAsync(req Cap, imms []wire.ImmArg, args []Arg) *sim.Future[wire.Completion] {
 	if err := p.checkInvoke(req, args); err != nil {
-		f := sim.NewFuture[*wire.Completion]()
+		f := sim.NewFuture[wire.Completion]()
 		f.Fail(err)
 		return f
 	}
 	return p.submit(func(tok uint64) wire.Message {
-		return &wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args, nil)}
+		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args, nil)}
+		return &p.tx.reqInvoke
 	})
 }
 
@@ -400,7 +455,8 @@ func (p *Process) Revtree(t *sim.Task, c Cap) (Cap, error) {
 		return Cap{}, err
 	}
 	m, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.CapRevtree{Token: tok, Cid: c.id}
+		p.tx.capRevtree = wire.CapRevtree{Token: tok, Cid: c.id}
+		return &p.tx.capRevtree
 	})
 	if err != nil {
 		return Cap{}, err
@@ -416,7 +472,8 @@ func (p *Process) Revoke(t *sim.Task, c Cap) error {
 		return err
 	}
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.CapRevoke{Token: tok, Cid: c.id}
+		p.tx.capRevoke = wire.CapRevoke{Token: tok, Cid: c.id}
+		return &p.tx.capRevoke
 	})
 	return err
 }
@@ -427,7 +484,8 @@ func (p *Process) Drop(t *sim.Task, c Cap) error {
 		return err
 	}
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.CapDrop{Token: tok, Cid: c.id}
+		p.tx.capDrop = wire.CapDrop{Token: tok, Cid: c.id}
+		return &p.tx.capDrop
 	})
 	return err
 }
@@ -441,7 +499,8 @@ func (p *Process) MonitorDelegate(t *sim.Task, c Cap, fn func()) error {
 	id := p.nextCB
 	p.monitors[id] = func(*sim.Task) { fn() }
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.MonitorDelegate{Token: tok, Cid: c.id, Callback: id}
+		p.tx.monitorDelegate = wire.MonitorDelegate{Token: tok, Cid: c.id, Callback: id}
+		return &p.tx.monitorDelegate
 	})
 	if err != nil {
 		delete(p.monitors, id)
@@ -456,7 +515,8 @@ func (p *Process) MonitorReceive(t *sim.Task, c Cap, fn func()) error {
 	id := p.nextCB
 	p.monitors[id] = func(*sim.Task) { fn() }
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
-		return &wire.MonitorReceive{Token: tok, Cid: c.id, Callback: id}
+		p.tx.monitorReceive = wire.MonitorReceive{Token: tok, Cid: c.id, Callback: id}
+		return &p.tx.monitorReceive
 	})
 	if err != nil {
 		delete(p.monitors, id)

@@ -21,6 +21,29 @@ type Delivery struct {
 	Caps []wire.DeliveredCap
 
 	acked bool
+
+	// The descriptor owns its arguments — the message they arrived in
+	// was borrowed from the frame — and arguments of the usual size live
+	// in the descriptor itself: one allocation per delivery.
+	immStore [inlineImm]byte
+	capStore [inlineCaps]wire.DeliveredCap
+}
+
+// A null RPC carries one 8-byte immediate and the reply Request; the
+// evaluation's services pass up to 64 bytes of header, name and kernel
+// arguments and, but for a few lists of 4 to 16, at most two
+// capabilities. Larger argument lists spill to the heap.
+const (
+	inlineImm  = 64
+	inlineCaps = 2
+)
+
+// newDelivery copies a request_receive descriptor out of its message.
+func (p *Process) newDelivery(m *wire.Deliver) *Delivery {
+	dv := &Delivery{p: p, Seq: m.Seq, Tag: m.Tag}
+	dv.Imms = append(dv.immStore[:0], m.Imms...)
+	dv.Caps = append(dv.capStore[:0], m.Caps...)
+	return dv
 }
 
 // Cap returns the delegated capability in the given argument slot.
@@ -64,8 +87,8 @@ func (d *Delivery) Done() {
 	}
 	d.acked = true
 	p := d.p
-	p.txDone = wire.DeliverDone{Seq: d.Seq}
-	if !p.net.Send(p.ep.ID, p.ctrlEP, &p.txDone) {
+	p.tx.done = wire.DeliverDone{Seq: d.Seq}
+	if !p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done) {
 		p.dead = true
 	}
 }
@@ -158,11 +181,34 @@ func (p *Process) Call(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, rep
 // capability layer cannot signal (a crashed Controller's revocation
 // trees die with it).
 func (p *Process) CallTimeout(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, d sim.Time) (*Delivery, error) {
+	if d > 0 {
+		// The deadline's timer refers to the future past the wait, so
+		// this one is the call's alone.
+		return p.call(t, sim.NewFuture[*Delivery](), req, imms, args, replySlot, d)
+	}
+	f := p.getReply()
+	dv, err := p.call(t, f, req, imms, args, replySlot, 0)
+	p.putReply(f)
+	return dv, err
+}
+
+//fractos:pool-acquire procfuture
+func (p *Process) getReply() *sim.Future[*Delivery] { return p.replies.Get() }
+
+//fractos:pool-release procfuture
+func (p *Process) putReply(f *sim.Future[*Delivery]) {
+	f.Reset()
+	p.replies.Put(f)
+}
+
+// call is CallTimeout waiting on f, which is unresolved when it starts
+// and neither registered as a waiter nor waited on when it returns.
+func (p *Process) call(t *sim.Task, f *sim.Future[*Delivery], req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, d sim.Time) (*Delivery, error) {
 	reply, tag, err := p.ReplyRequest(t)
 	if err != nil {
 		return nil, err
 	}
-	f := p.WaitTag(tag)
+	p.waiters[tag] = f
 	if err := p.invoke(t, req, imms, args, &Arg{Slot: replySlot, Cap: reply}); err != nil {
 		delete(p.waiters, tag)
 		_ = p.Drop(t, reply)

@@ -123,6 +123,46 @@ func init() {
 
 // ---- shared argument encodings ----
 
+// lists is a Decoder's list storage: one list per element type, which
+// is all a message can carry of each.
+type lists struct {
+	imms  []ImmArg
+	slots []CapSlot
+	xfers []CapXfer
+	dcaps []DeliveredCap
+	refs  []cap.Ref
+}
+
+// count reads a list's length, rejecting one the rest of the frame
+// cannot hold at elemSize encoded bytes each before anything is sized
+// by it: a corrupt count must not cost (or, in a Decoder, pin) a 64 Ki
+// element list.
+func count(r *Reader, elemSize int) int {
+	n := int(r.U16())
+	if r.err == nil && n*elemSize > r.Remaining() {
+		r.err = ErrShort
+	}
+	return n
+}
+
+// list returns the n-element list a list decoder fills in: the
+// Decoder's own, grown if need be and kept for the next frame (own is
+// nil without a Decoder), else spare, else — when that is too small — a
+// fresh one.
+func list[T any](own *[]T, spare []T, n int) []T {
+	if own != nil {
+		spare = *own
+	}
+	if n > capacity(spare) {
+		spare = make([]T, n)
+	}
+	spare = spare[:n]
+	if own != nil {
+		*own = spare
+	}
+	return spare
+}
+
 // ImmArg writes Data into a Request's immediate-argument buffer at
 // Offset. Once written, those bytes are immutable (§3.4).
 type ImmArg struct {
@@ -138,24 +178,25 @@ func encodeImms(w *Writer, imms []ImmArg) {
 	}
 }
 
-// decodeImms reads an immediate-arg list, appending into spare[:0]
-// when its capacity suffices. The decode constructors of the
-// invocation messages (init above) allocate the message together with
-// room for one immediate — what nearly every invocation carries — and
-// seed Imms with it, so the list costs no allocation of its own; a
+// decodeImms reads an immediate-arg list. An owning decode appends
+// into spare[:0] when its capacity suffices: the decode constructors of
+// the invocation messages (init above) allocate the message together
+// with room for one immediate — what nearly every invocation carries —
+// and seed Imms with it, so the list costs no allocation of its own; a
 // message built any other way has no spare room and gets a fresh
 // slice.
 func decodeImms(r *Reader, spare []ImmArg) []ImmArg {
-	n := int(r.U16())
+	n := count(r, 4+4)
 	if n == 0 || r.Err() != nil {
 		return nil
 	}
-	imms := spare[:0]
-	if n > capacity(imms) {
-		imms = make([]ImmArg, 0, n)
+	var own *[]ImmArg
+	if r.dec != nil {
+		own = &r.dec.imms
 	}
-	for i := 0; i < n; i++ {
-		imms = append(imms, ImmArg{Offset: r.U32(), Data: r.Bytes32()})
+	imms := list(own, spare, n)
+	for i := range imms {
+		imms[i] = ImmArg{Offset: r.U32(), Data: r.Bytes32()}
 	}
 	return imms
 }
@@ -199,13 +240,17 @@ func encodeCapSlots(w *Writer, cs []CapSlot) {
 }
 
 func decodeCapSlots(r *Reader) []CapSlot {
-	n := int(r.U16())
+	n := count(r, capSlotSize)
 	if n == 0 || r.Err() != nil {
 		return nil
 	}
-	cs := make([]CapSlot, 0, n)
-	for i := 0; i < n; i++ {
-		cs = append(cs, CapSlot{Slot: r.U16(), Cid: cap.CapID(r.U32())})
+	var own *[]CapSlot
+	if r.dec != nil {
+		own = &r.dec.slots
+	}
+	cs := list(own, nil, n)
+	for i := range cs {
+		cs[i] = CapSlot{Slot: r.U16(), Cid: cap.CapID(r.U32())}
 	}
 	return cs
 }
@@ -238,6 +283,22 @@ func decodeRef(r *Reader) cap.Ref {
 	}
 }
 
+func decodeRefs(r *Reader) []cap.Ref {
+	n := count(r, refSize)
+	if n == 0 || r.Err() != nil {
+		return nil
+	}
+	var own *[]cap.Ref
+	if r.dec != nil {
+		own = &r.dec.refs
+	}
+	refs := list(own, nil, n)
+	for i := range refs {
+		refs[i] = decodeRef(r)
+	}
+	return refs
+}
+
 func encodeCapXfers(w *Writer, xs []CapXfer) {
 	w.U16(uint16(len(xs)))
 	for _, x := range xs {
@@ -252,13 +313,17 @@ func encodeCapXfers(w *Writer, xs []CapXfer) {
 }
 
 func decodeCapXfers(r *Reader) []CapXfer {
-	n := int(r.U16())
+	n := count(r, capXferSize)
 	if n == 0 || r.Err() != nil {
 		return nil
 	}
-	xs := make([]CapXfer, 0, n)
-	for i := 0; i < n; i++ {
-		xs = append(xs, CapXfer{
+	var own *[]CapXfer
+	if r.dec != nil {
+		own = &r.dec.xfers
+	}
+	xs := list(own, nil, n)
+	for i := range xs {
+		xs[i] = CapXfer{
 			Slot:      r.U16(),
 			Ref:       decodeRef(r),
 			Kind:      cap.Kind(r.U8()),
@@ -266,7 +331,7 @@ func decodeCapXfers(r *Reader) []CapXfer {
 			Size:      r.U64(),
 			Monitored: r.Bool(),
 			Leased:    r.Bool(),
-		})
+		}
 	}
 	return xs
 }
@@ -293,19 +358,23 @@ func encodeDelivered(w *Writer, ds []DeliveredCap) {
 }
 
 func decodeDelivered(r *Reader) []DeliveredCap {
-	n := int(r.U16())
+	n := count(r, deliveredSize)
 	if n == 0 || r.Err() != nil {
 		return nil
 	}
-	ds := make([]DeliveredCap, 0, n)
-	for i := 0; i < n; i++ {
-		ds = append(ds, DeliveredCap{
+	var own *[]DeliveredCap
+	if r.dec != nil {
+		own = &r.dec.dcaps
+	}
+	ds := list(own, nil, n)
+	for i := range ds {
+		ds[i] = DeliveredCap{
 			Slot:   r.U16(),
 			Cid:    cap.CapID(r.U32()),
 			Kind:   cap.Kind(r.U8()),
 			Rights: cap.Rights(r.U8()),
 			Size:   r.U64(),
-		})
+		}
 	}
 	return ds
 }
@@ -888,10 +957,7 @@ func (m *CtrlCleanup) Encode(w *Writer) {
 }
 func (m *CtrlCleanup) Decode(r *Reader) error {
 	m.Token = r.U64()
-	n := int(r.U16())
-	for i := 0; i < n; i++ {
-		m.Refs = append(m.Refs, decodeRef(r))
-	}
+	m.Refs = decodeRefs(r)
 	return r.Err()
 }
 
@@ -1094,15 +1160,25 @@ func (m *Raw) Decode(r *Reader) error {
 // Epoch u32).
 const refSize = 4 + 8 + 4
 
+// Encoded lengths of the list elements: a capability slot (slot u16 +
+// cid u32), a capability in transfer (slot u16 + ref + kind u8 +
+// rights u8 + size u64 + 2 bools) and a delivered capability (slot u16
+// + cid u32 + kind u8 + rights u8 + size u64).
+const (
+	capSlotSize   = 2 + 4
+	capXferSize   = 2 + refSize + 1 + 1 + 8 + 1 + 1
+	deliveredSize = 2 + 4 + 1 + 1 + 8
+)
+
 // sizeCapSlots returns the encoded length of a capability-slot list.
-func sizeCapSlots(cs []CapSlot) int { return 2 + 6*len(cs) }
+func sizeCapSlots(cs []CapSlot) int { return 2 + capSlotSize*len(cs) }
 
 // sizeCapXfers returns the encoded length of a capability-transfer
-// list (slot u16 + ref + kind u8 + rights u8 + size u64 + 2 bools).
-func sizeCapXfers(xs []CapXfer) int { return 2 + (2+refSize+1+1+8+1+1)*len(xs) }
+// list.
+func sizeCapXfers(xs []CapXfer) int { return 2 + capXferSize*len(xs) }
 
 // sizeDelivered returns the encoded length of a delivered-cap list.
-func sizeDelivered(ds []DeliveredCap) int { return 2 + (2+4+1+1+8)*len(ds) }
+func sizeDelivered(ds []DeliveredCap) int { return 2 + deliveredSize*len(ds) }
 
 func (m *MemCreate) EncodedSize() int       { return 8 + 8 + 8 + 1 }
 func (m *MemDiminish) EncodedSize() int     { return 8 + 4 + 8 + 8 + 1 }

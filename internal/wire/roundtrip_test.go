@@ -114,9 +114,13 @@ func TestInvokeRoundTripRandomized(t *testing.T) {
 	}
 }
 
-// TestDecodedMessageDoesNotAliasFrame verifies the ownership rule the
-// fabric's frame pooling depends on: after Unmarshal, mutating the
-// frame buffer must not affect the decoded message's payloads.
+// TestDecodedMessageDoesNotAliasFrame verifies the two ownership rules
+// frame pooling depends on. After Unmarshal, mutating the frame buffer
+// must not affect the decoded message's payloads: the owning decode
+// shares nothing with the frame. After Decoder.Decode it must: a
+// borrowed message's payload is the frame's bytes (that is the
+// documented contract — valid until the frame is released), and
+// appending to it must not grow into the frame behind it.
 func TestDecodedMessageDoesNotAliasFrame(t *testing.T) {
 	m := &ReqInvoke{Token: 7, Cid: 9,
 		Imms: []ImmArg{{Offset: 4, Data: []byte("payload-bytes")}},
@@ -126,12 +130,25 @@ func TestDecodedMessageDoesNotAliasFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded := decodedAny.(*ReqInvoke)
+	borrowedAny, err := NewDecoder().Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, borrowed := decodedAny.(*ReqInvoke), borrowedAny.(*ReqInvoke)
 	want := append([]byte(nil), decoded.Imms[0].Data...)
+	if !bytes.Equal(borrowed.Imms[0].Data, want) {
+		t.Fatalf("borrowed payload %x, want %x", borrowed.Imms[0].Data, want)
+	}
 	for i := range frame {
 		frame[i] = 0xFF
 	}
 	if !bytes.Equal(decoded.Imms[0].Data, want) {
 		t.Fatalf("decoded payload aliases the frame: %x", decoded.Imms[0].Data)
+	}
+	if !bytes.Equal(borrowed.Imms[0].Data, bytes.Repeat([]byte{0xFF}, len(want))) {
+		t.Fatalf("borrowed payload does not alias the frame: %x", borrowed.Imms[0].Data)
+	}
+	if d := borrowed.Imms[0].Data; capacity(d) != len(d) {
+		t.Fatalf("borrowed payload has the %d frame bytes behind it as spare capacity", capacity(d)-len(d))
 	}
 }

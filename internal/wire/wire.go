@@ -8,6 +8,15 @@
 // experiments count. This keeps the reproduction honest: the paper's
 // network-message and byte reductions fall out of actual serialized
 // traffic, not hand-written constants.
+//
+// There is one Decode method per message type and two ways to reach it.
+// Unmarshal is the owning decode: a fresh struct and copies of every
+// variable-length payload, so the result never aliases the frame.
+// Decoder.Decode is the borrowing decode of a run-to-completion
+// receiver: the struct and its lists are the Decoder's and payload
+// bytes alias the frame, so the message is valid only until the
+// Decoder's next Decode or the frame's release, whichever comes first —
+// whatever outlives that is copied into storage its keeper owns.
 package wire
 
 import (
@@ -140,6 +149,9 @@ type Reader struct {
 	buf []byte
 	off int
 	err error
+	// dec is set while a Decoder reads through this Reader: byte
+	// payloads then alias buf and lists land in dec's storage.
+	dec *Decoder
 }
 
 // NewReader wraps a buffer for decoding.
@@ -153,6 +165,7 @@ func (r *Reader) Reset(b []byte) {
 	r.buf = b
 	r.off = 0
 	r.err = nil
+	r.dec = nil
 }
 
 // Err returns the first decoding error, if any.
@@ -225,7 +238,8 @@ func (r *Reader) U64() uint64 {
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
 // Bytes32 reads a length-prefixed byte slice. The result is a copy so
-// callers may retain it.
+// callers may retain it — except under a Decoder, where it aliases the
+// buffer (capacity clipped, so appending to it cannot write the frame).
 func (r *Reader) Bytes32() []byte {
 	n := int(r.U32())
 	if r.err != nil {
@@ -236,6 +250,9 @@ func (r *Reader) Bytes32() []byte {
 		return nil
 	}
 	b := r.take(n)
+	if r.dec != nil {
+		return b[:n:n]
+	}
 	out := make([]byte, n)
 	copy(out, b)
 	return out
@@ -345,25 +362,91 @@ func Unmarshal(b []byte) (Message, error) {
 
 // UnmarshalWith is Unmarshal decoding through a caller-owned Reader,
 // which it resets first; the Reader holds no reference the caller
-// needs to outlive the call. A single-threaded owner (fabric.Net)
-// reuses one Reader for every frame and pays nothing for it.
+// needs to outlive the call. A single-threaded owner (fabric.Net, for
+// its bare endpoints) reuses one Reader for every frame and pays
+// nothing for it.
 func UnmarshalWith(r *Reader, b []byte) (Message, error) {
-	r.Reset(b)
-	t := Type(r.U16())
-	if r.err != nil {
-		return nil, r.err
+	t, err := r.header(b)
+	if err != nil {
+		return nil, err
 	}
-	fn, ok := registry[t]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
+	fn, err := constructor(t)
+	if err != nil {
+		return nil, err
 	}
 	m := fn()
 	if err := m.Decode(r); err != nil {
 		return nil, err
 	}
-	if r.err != nil {
-		return nil, r.err
+	return m, nil
+}
+
+// header points r at a frame and reads its type.
+//
+//fractos:hotpath
+func (r *Reader) header(frame []byte) (Type, error) {
+	r.Reset(frame)
+	t := Type(r.U16())
+	return t, r.err
+}
+
+// constructor returns what Register installed for t.
+func constructor(t Type) (func() Message, error) {
+	fn, ok := registry[t]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}
+	return fn, nil
+}
+
+// Decoder is the borrowing decode of a receiver that is finished with
+// each message before it looks at the next (a Controller serving its
+// queue, libfractos' receive demultiplexer). It keeps one message value
+// per type and one list of each element type and decodes every frame
+// into them, so a steady-state Decode allocates nothing.
+//
+// The returned message is borrowed: its struct and lists are
+// overwritten by the Decoder's next Decode and its byte payloads alias
+// the frame. Under the race detector both are actively scribbled when
+// their time is up (poison_race.go), so a receiver that kept one reads
+// garbage in the very test run that exercises it.
+type Decoder struct {
+	r    Reader
+	msgs map[Type]Message
+	last Message // what the previous Decode returned, for the race-build scribble
+	lists
+}
+
+// NewDecoder returns an empty Decoder.
+func NewDecoder() *Decoder {
+	return &Decoder{msgs: make(map[Type]Message)}
+}
+
+// Decode parses frame into the Decoder's storage. It returns exactly
+// what Unmarshal(frame) would — the same message, deep-equal, or the
+// same error — minus the ownership.
+//
+//fractos:hotpath
+func (d *Decoder) Decode(frame []byte) (Message, error) {
+	d.scribble()
+	t, err := d.r.header(frame)
+	if err != nil {
+		return nil, err
+	}
+	d.r.dec = d
+	m, ok := d.msgs[t]
+	if !ok {
+		fn, err := constructor(t) // fractos:alloc-ok once per type a receiver ever sees: the lookup's error allocates, and so does the value fn builds
+		if err != nil {
+			return nil, err
+		}
+		m = fn()
+		d.msgs[t] = m
+	}
+	if err := m.Decode(&d.r); err != nil {
+		return nil, err
+	}
+	d.last = m
 	return m, nil
 }
 

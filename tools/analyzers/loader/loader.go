@@ -12,19 +12,24 @@
 //     which type-checks GOROOT sources directly — no pre-built export
 //     data is required.
 //
-// The loader is deliberately simple: no build tags, no cgo, no vendor
-// directories — none of which this repository uses.
+// The loader is deliberately simple: no cgo, no vendor directories —
+// neither of which this repository uses — and //go:build lines are
+// evaluated for the normal build of this host only, so the race-tagged
+// retention-poisoning files (internal/wire, internal/fabric) are left
+// to the compiler and `make race`.
 package loader
 
 import (
 	"fmt"
 	"go/ast"
+	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -221,6 +226,30 @@ func goFilesIn(dir string, includeTests bool) []string {
 	return files
 }
 
+// buildable reports whether a file's //go:build line, if it has one,
+// holds for a normal build on this host: its OS and architecture, any
+// Go release, and no optional tag such as race.
+func buildable(af *ast.File) bool {
+	for _, cg := range af.Comments {
+		if cg.Pos() > af.Package {
+			break
+		}
+		for _, c := range cg.List {
+			if !constraint.IsGoBuild(c.Text) {
+				continue
+			}
+			x, err := constraint.Parse(c.Text)
+			if err != nil {
+				return true // the compiler reports it
+			}
+			return x.Eval(func(tag string) bool {
+				return tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" || strings.HasPrefix(tag, "go1.")
+			})
+		}
+	}
+	return true
+}
+
 // Import implements types.Importer for packages under our source
 // roots, falling back to the stdlib source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
@@ -281,7 +310,9 @@ func (l *Loader) check(path, dir string) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		pkg.Files = append(pkg.Files, af)
+		if buildable(af) {
+			pkg.Files = append(pkg.Files, af)
+		}
 	}
 	conf := types.Config{
 		Importer: l,
