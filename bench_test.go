@@ -381,45 +381,40 @@ func TestAllocGateNullCall(t *testing.T) {
 	t.Logf("null cross-node Call: %.2f allocs", per)
 }
 
-// TestAllocGateMemCopy pins the data path: a cross-node 64 KiB
-// memory_copy is one syscall, one validation round trip to the
-// destination's owner and 16 bounce-buffer chunks — 32 RDMA operations
-// that share the copy's futures instead of allocating one each. What is
-// left belongs to the copy as a whole: the completion future
-// MemoryCopyAsync hands out, the sub-task's closure and its futures.
-// The bound is the measured count plus one.
-func TestAllocGateMemCopy(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	const (
-		size       = 64 << 10
-		warm, n    = 50, 500
-		maxPerCopy = 4
-	)
-	var per float64
+// memCopies runs warm+n cross-node memory_copies of size bytes on a
+// fresh two-node deployment, all issued by a Process on node 0: pushes
+// of its own memory to node 1, or pulls the other way. Every copy is
+// one syscall, one validation round trip to the remote end's owner and
+// size/16 KiB bounce-buffer chunks, and is checked end to end. It
+// returns the objects allocated per copy over the last n of them and
+// the kernel events of the whole run, set-up included.
+func memCopies(t *testing.T, size int, pull bool, warm, n int) (allocsPerCopy float64, events uint64) {
+	e0 := sim.TotalEvents()
 	testbed.RunT(t, testbed.Spec{Nodes: 2, Seed: 5}, func(tk *sim.Task, d *testbed.Deployment) {
 		local, remote := d.Attach(0, "local", size), d.Attach(1, "remote", size)
-		src, buf, err := local.AllocMemory(tk, size, cap.MemRights)
+		lmem, lbuf, err := local.AllocMemory(tk, size, cap.MemRights)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		rdst, rbuf, err := remote.AllocMemory(tk, size, cap.MemRights)
+		rmem, rbuf, err := remote.AllocMemory(tk, size, cap.MemRights)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		dst, err := proc.GrantCap(remote, rdst, local)
-		if err != nil {
+		if rmem, err = proc.GrantCap(remote, rmem, local); err != nil {
 			t.Error(err)
 			return
 		}
-		copies := func(from, n int) {
-			for i := from; i < from+n; i++ {
-				buf[0], buf[size-1] = byte(i), byte(i>>8)
-				if err := local.MemoryCopy(tk, src, dst); err != nil || rbuf[0] != byte(i) || rbuf[size-1] != byte(i>>8) {
-					t.Errorf("copy %d: err %v, arrived %d,%d", i, err, rbuf[0], rbuf[size-1])
+		src, dst, from, to := lmem, rmem, lbuf, rbuf
+		if pull {
+			src, dst, from, to = rmem, lmem, rbuf, lbuf
+		}
+		copies := func(first, n int) {
+			for i := first; i < first+n; i++ {
+				from[0], from[size-1] = byte(i), byte(i>>8)
+				if err := local.MemoryCopy(tk, src, dst); err != nil || to[0] != byte(i) || to[size-1] != byte(i>>8) {
+					t.Errorf("copy %d: err %v, arrived %d,%d", i, err, to[0], to[size-1])
 					return
 				}
 			}
@@ -427,8 +422,24 @@ func TestAllocGateMemCopy(t *testing.T) {
 		copies(0, warm)
 		before := mallocs()
 		copies(warm, n)
-		per = float64(mallocs()-before) / n
+		allocsPerCopy = float64(mallocs()-before) / float64(n)
 	})
+	return allocsPerCopy, sim.TotalEvents() - e0
+}
+
+// TestAllocGateMemCopy pins the data path: a cross-node 64 KiB
+// memory_copy — 8 RDMA operations, every one an event aimed at the
+// copy's pooled record — allocates nothing, and neither does waiting
+// for it: the blocking MemoryCopy waits on a recycled future. It was 3
+// objects while the copy ran as a spawned task (the future
+// MemoryCopyAsync hands out, the task's closure, its futures). The
+// bound is the measured count plus one.
+func TestAllocGateMemCopy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const maxPerCopy = 1
+	per, _ := memCopies(t, 64<<10, false, 50, 500)
 	if per > maxPerCopy {
 		t.Errorf("cross-node 64 KiB memory_copy allocates %.2f objects, want <= %d", per, maxPerCopy)
 	}
@@ -436,22 +447,54 @@ func TestAllocGateMemCopy(t *testing.T) {
 }
 
 // TestEventGateNullCall pins the kernel events one unloaded cross-node
-// Call costs: 16 frame deliveries, 10 Controller service times and 6
-// application-task wakes (the ledger is in docs/PERFORMANCE.md). The
-// count is a property of the program, not of the host, so the gate is
-// an equality and runs under -race too; it was 47 while Controllers and
-// libfractos' receive demultiplexers were tasks woken once per frame
-// that found them idle.
+// Call costs: 16 frame deliveries, 10 Controller service times and 3
+// application-task wakes — the echo server's two and the one that ends
+// the Call (the ledger is in docs/PERFORMANCE.md). The count is a
+// property of the program, not of the host, so the gate is an equality
+// and runs under -race too; it was 47 while Controllers and libfractos'
+// receive demultiplexers were tasks woken once per frame that found
+// them idle, and 32 while Call woke its caller after each of its own
+// four syscalls.
 func TestEventGateNullCall(t *testing.T) {
 	const (
 		short, long   = 100, 300
-		eventsPerCall = 32
+		eventsPerCall = 29
 	)
 	_, e1 := nullCalls(t, 0, short)
 	_, e2 := nullCalls(t, 0, long)
 	if got := e2 - e1; got != eventsPerCall*(long-short) {
 		t.Errorf("%d more null cross-node Calls cost %d more kernel events (%.2f each), want exactly %d each",
 			long-short, got, float64(got)/(long-short), eventsPerCall)
+	}
+}
+
+// TestEventGateMemCopy pins the kernel events of one unloaded
+// cross-node memory_copy, push or pull: 8 for the copy as a whole — the
+// syscall's frame and its service, the validation round trip's two
+// frames and two services, the completion's frame, the caller's wake —
+// and 3 per 16 KiB chunk: its processing time, its read's completion,
+// its write's. No event stands between two of those: the copy is a
+// record stepped by what it waits for (docs/PERFORMANCE.md § 3e). As a
+// task it cost 15, 30/27 and 330/267.
+func TestEventGateMemCopy(t *testing.T) {
+	const short, long = 10, 30
+	for _, tc := range []struct {
+		name          string
+		size          int
+		eventsPerCopy uint64
+	}{
+		{"4 KiB", 4 << 10, 8 + 3*1},
+		{"64 KiB", 64 << 10, 8 + 3*4},
+		{"1 MiB", 1 << 20, 8 + 3*64},
+	} {
+		for _, pull := range []bool{false, true} {
+			_, e1 := memCopies(t, tc.size, pull, 0, short)
+			_, e2 := memCopies(t, tc.size, pull, 0, long)
+			if got := e2 - e1; got != tc.eventsPerCopy*(long-short) {
+				t.Errorf("%s, pull %v: %d more copies cost %d more kernel events (%.2f each), want exactly %d each",
+					tc.name, pull, long-short, got, float64(got)/(long-short), tc.eventsPerCopy)
+			}
+		}
 	}
 }
 

@@ -29,9 +29,10 @@ const (
 
 // pendingCall is an outstanding inter-Controller request awaiting its
 // response: a pooled record parked in Controller.pending under the
-// call's token from call until resolvePending. With cfg.RPCBudget
-// armed, sent/rto/attempt drive retransmission over a lossy fabric,
-// which re-sends frame(pc) under the same token.
+// call's token from call until retire. With cfg.RPCBudget armed the
+// record is also the target of its own retransmission timer — one
+// event, re-armed per attempt and stopped when the call retires — and
+// sent/rto/attempt drive the resends of frame(pc) under the same token.
 //
 // The fields past entry are the union of what the kinds need; each
 // call site fills the ones its kind reads. imms (with immData, the
@@ -40,15 +41,18 @@ const (
 // and gone when its handler returns, the record lives until the owner
 // answers and rebuilds the request from them on every resend.
 type pendingCall struct {
-	kind callKind
+	kind  callKind
+	c     *Controller
+	token uint64 // the key in c.pending, from call on
 
 	// Retransmission state (cfg.RPCBudget armed): when the call was
 	// first sent — its deadline is cfg.RPCBudget later — the timeout of
 	// the current attempt (doubling from the peer's RTO up to
-	// rtoCeiling), and how many resends went out.
+	// rtoCeiling), how many resends went out, and the pending timeout.
 	sent    sim.Time
 	rto     sim.Time
 	attempt int
+	timer   sim.Timer
 
 	// The syscall to complete (kinds callInvoke through callWatch).
 	ps  *procState
@@ -69,8 +73,8 @@ type pendingCall struct {
 	rights   cap.Rights     // callDeriveMem: rights to drop; callValidate: rights needed
 	callback uint64         // callWatch: the watcher's callback id
 
-	batch *cleanupBatch                 // callCleanup
-	fut   *sim.Future[wire.CtrlValInfo] // callValidate
+	batch *cleanupBatch // callCleanup
+	copy  *copyOp       // callValidate: the memory_copy to resume
 }
 
 // cleanupBatch is one coalesced revocation-cleanup broadcast: the refs
@@ -88,7 +92,7 @@ type cleanupBatch struct {
 //fractos:pool-acquire pendingcall
 func (c *Controller) newCall(kind callKind, ref cap.Ref) *pendingCall {
 	pc := c.calls.Get()
-	pc.kind, pc.entry.Ref = kind, ref
+	pc.kind, pc.c, pc.entry.Ref = kind, c, ref
 	return pc
 }
 
@@ -135,6 +139,7 @@ func (pc *pendingCall) keepCaps(args []wire.CapXfer) {
 // discharges it exactly once when the call resolves.
 //
 //fractos:pool-handoff pendingcall
+//fractos:completion-handoff
 func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 	pc.ps, pc.tok = ps, tok
 	c.call(pc)
@@ -157,17 +162,17 @@ func (c *Controller) call(pc *pendingCall) {
 		return
 	}
 	c.nextToken++
-	token := c.nextToken
-	c.pending[token] = pc
-	if !c.net.Send(c.ep.ID, p.ep, c.frame(pc, token)) {
+	pc.token = c.nextToken
+	c.pending[pc.token] = pc
+	if !c.net.Send(c.ep.ID, p.ep, c.frame(pc)) {
 		// A torn-down endpoint is locally observable (unlike in-flight
 		// loss): fail fast, no retransmission.
-		c.resolvePending(token, &wire.CtrlAck{Status: wire.StatusNoProc})
+		c.resolvePending(pc.token, &wire.CtrlAck{Status: wire.StatusNoProc})
 		return
 	}
 	if c.cfg.RPCBudget > 0 {
 		pc.sent, pc.rto = c.k.Now(), p.rtt.rto()
-		c.armResend(token, 0, pc.rto)
+		pc.timer = c.k.AfterCall(pc.rto, pc)
 	}
 }
 
@@ -178,12 +183,12 @@ func (c *Controller) revokeRemoteLease(ref cap.Ref) {
 	c.call(c.newCall(callLeaseRevoke, ref))
 }
 
-// frame builds the request message of a pending call under the given
-// token. The hot kinds (an invocation, a memory_copy's validation)
-// reuse Controller-owned structs: Net.Send encodes them before
-// returning and retains nothing.
-func (c *Controller) frame(pc *pendingCall, token uint64) wire.Message {
-	ref := pc.entry.Ref
+// frame builds the request message of a pending call under its token.
+// The hot kinds (an invocation, a memory_copy's validation) reuse
+// Controller-owned structs: Net.Send encodes them before returning and
+// retains nothing.
+func (c *Controller) frame(pc *pendingCall) wire.Message {
+	ref, token := pc.entry.Ref, pc.token
 	switch pc.kind {
 	case callInvoke:
 		c.txInvoke = wire.CtrlInvoke{Token: token, Src: c.id, Ref: ref, Imms: pc.imms, Caps: pc.caps}
@@ -219,16 +224,15 @@ func (c *Controller) finish(pc *pendingCall, reply wire.Message) {
 			c.removeStubs(b.stubs)
 		}
 	case callValidate:
-		// locate reads the answer after a wake, when reply — borrowed
-		// from the Decoder — is gone: it travels by value. A call that
-		// failed here was answered with a synthetic CtrlAck.
+		// The copy resumes right here, on the borrowed reply. A call that
+		// failed on this side was answered with a synthetic CtrlAck.
 		switch m := reply.(type) {
 		case *wire.CtrlValInfo:
-			pc.fut.Set(*m)
+			pc.copy.located(memLoc{ep: m.Endpoint, base: m.Base, size: m.Size}, m.Status)
 		case *wire.CtrlAck:
-			pc.fut.Set(wire.CtrlValInfo{Status: m.Status})
+			pc.copy.located(memLoc{}, m.Status)
 		default:
-			pc.fut.Set(wire.CtrlValInfo{Status: wire.StatusAborted})
+			pc.copy.located(memLoc{}, wire.StatusAborted)
 		}
 	default:
 		c.finishSyscall(pc, reply)
@@ -274,71 +278,27 @@ func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 	}
 }
 
-// rpcTimer is the retransmission timeout of one send attempt, as a
-// pooled event target. It names the call by token and attempt rather
-// than pointing at the record, so a stale timer — call answered, or
-// superseded by a later attempt — finds nothing to do even after the
-// record has been recycled for another call.
-type rpcTimer struct {
-	c       *Controller
-	token   uint64
-	attempt int
-}
-
-// armResend schedules resend(token, attempt) after d.
-func (c *Controller) armResend(token uint64, attempt int, d sim.Time) {
-	tm := c.getTimer()
-	tm.c, tm.token, tm.attempt = c, token, attempt
-	c.startTimer(tm, d)
-}
-
-//fractos:pool-acquire rpctimer
-func (c *Controller) getTimer() *rpcTimer { return c.timers.Get() }
-
-//fractos:pool-release rpctimer
-func (c *Controller) putTimer(tm *rpcTimer) {
-	*tm = rpcTimer{}
-	c.timers.Put(tm)
-}
-
-// startTimer hands the timer to the kernel; Fire releases it.
-//
-//fractos:pool-handoff rpctimer
-func (c *Controller) startTimer(tm *rpcTimer, d sim.Time) { c.k.AfterCall(d, tm) }
-
-// Fire implements sim.Callback.
-func (tm *rpcTimer) Fire() {
-	c, token, attempt := tm.c, tm.token, tm.attempt
-	c.putTimer(tm)
-	c.resend(token, attempt)
-}
-
-// resend fires when attempt's timeout expires: if the call is still
-// unanswered, retransmit with the same token and double the timeout up
-// to rtoCeiling; once the call's deadline has passed resolve it as
-// aborted. Stale timers (call answered, or already superseded by a
-// later attempt) are no-ops, so arming them never perturbs a healthy
-// exchange.
-func (c *Controller) resend(token uint64, attempt int) {
-	pc, ok := c.pending[token]
-	if !ok || pc.attempt != attempt || c.down {
-		return
-	}
+// Fire implements sim.Callback: the current attempt's timeout expired
+// with the call still unanswered — a call that retires stops its timer.
+// Retransmit under the same token and double the timeout up to
+// rtoCeiling; once the call's deadline has passed resolve it as aborted.
+func (pc *pendingCall) Fire() {
+	c := pc.c
 	left := pc.sent + c.cfg.RPCBudget - c.k.Now()
 	if left <= 0 {
-		c.abortCall(token)
+		c.abortCall(pc.token)
 		return
 	}
 	p := c.peers[pc.peer()]
-	pc.attempt = attempt + 1
+	pc.attempt++
 	c.metrics.Retransmits++
-	if !c.net.Send(c.ep.ID, p.ep, c.frame(pc, token)) {
-		c.resolvePending(token, &wire.CtrlAck{Token: token, Status: wire.StatusNoProc})
+	if !c.net.Send(c.ep.ID, p.ep, c.frame(pc)) {
+		c.resolvePending(pc.token, &wire.CtrlAck{Token: pc.token, Status: wire.StatusNoProc})
 		return
 	}
 	pc.rto = min(2*pc.rto, rtoCeiling)
 	p.rtt.backOff(pc.rto)
-	c.armResend(token, pc.attempt, min(pc.rto, left))
+	pc.timer = c.k.AfterCall(min(pc.rto, left), pc)
 }
 
 // answered takes a peer's response to one of our calls. The round trip
@@ -377,11 +337,13 @@ func (c *Controller) resolvePending(token uint64, m wire.Message) {
 	c.retire(pc, m)
 }
 
-// retire ends a call's life: run its continuation on the reply (real
-// or synthetic), then recycle the record.
+// retire ends a call's life, however it ended — answered, undeliverable,
+// aborted: withdraw its retransmission timer, run its continuation on
+// the reply (real or synthetic), then recycle the record.
 //
 //fractos:pool-release pendingcall
 func (c *Controller) retire(pc *pendingCall, reply wire.Message) {
+	pc.timer.Stop()
 	c.finish(pc, reply)
 	c.putCall(pc)
 }

@@ -7,7 +7,12 @@
 // Controllers run as message handlers on their fabric endpoints and can
 // be deployed on a node's host CPU or its SmartNIC (§6 evaluates both);
 // the deployment only changes where the Controller's endpoint attaches
-// and which column of the operation-cost table applies.
+// and which column of the operation-cost table applies. Nothing in a
+// Controller is a task: an operation that outlives its handler is a
+// pooled record stepped in kernel context by the events it waits for —
+// a pendingCall by its answer or its retransmission timer (call.go), a
+// memory copy by its validations, its admission to a bounce pair, its
+// per-chunk cost and its RDMA completions (copyOp, copy.go).
 //
 // A Controller receives encoded frames and decodes each when it gets to
 // it, through its own wire.Decoder: a handler's message is borrowed
@@ -15,8 +20,8 @@
 // after the handler returns. Handlers therefore answer with messages
 // built in place, and the few records that outlive a handler — a
 // pending inter-Controller call, a delivery queued for a window credit,
-// a reply in the at-most-once cache, a memory_copy's validation result
-// — hold copies in storage of their own.
+// a reply in the at-most-once cache, the locations a memory copy was
+// told — hold copies in storage of their own.
 package core
 
 import (

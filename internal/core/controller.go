@@ -20,7 +20,8 @@ import (
 // loop): the fabric hands it frames in kernel context (Deliver), each
 // occupies it for its Perf-table processing time, then its handler runs
 // (Fire). No handler blocks: multi-round operations park a continuation
-// in the pending table or spawn a sub-task (memory copies).
+// in the pending table, and a memory copy is a record stepped by its own
+// events (copyOp). The Controller runs no task at all.
 //
 // A frame is decoded when it reaches the head of the queue, through the
 // Controller's own wire.Decoder, and its handler works on that borrowed
@@ -46,16 +47,19 @@ type Controller struct {
 	pending   map[uint64]*pendingCall
 	nextToken uint64
 	calls     sim.FreeList[pendingCall] // recycled pending-call records
-	timers    sim.FreeList[rpcTimer]    // recycled retransmission timers
 	// dedup is the receiver half of the at-most-once RPC contract:
 	// per-peer-endpoint caches of replies already sent, so a
 	// retransmitted (or fabric-duplicated) request is answered from
 	// the cache instead of being re-executed. See docs/FAULTS.md.
 	dedup map[fabric.EndpointID]*dedupState
 
-	bounceFree []int          // free bounce-chunk offsets in our arena
-	bounceSem  *sim.Semaphore // admits BouncePairs concurrent copies
-	copyName   string         // what a memory_copy's sub-task is called
+	// The copy engine (copy.go): a copy stages data through a pair of
+	// bounce chunks, so the BouncePairs pairs of the arena bound how many
+	// transfer at once; the rest wait their turn in copyWait.
+	bounceFree []int                // free bounce-chunk offsets in our arena
+	copyWait   []*copyOp            // copies waiting for a bounce pair, oldest first
+	copyOps    sim.FreeList[copyOp] // recycled copy records
+	copyLive   int                  // copies started and not yet recycled
 
 	// Revocation-cleanup batch: refs and revoked stubs accumulated by
 	// processRevocations at one virtual instant, flushed as a single
@@ -143,23 +147,21 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 	cfg = cfg.withDefaults()
 	arena := cfg.BouncePairs * 2 * cfg.BounceChunk
 	c := &Controller{
-		id:        id,
-		cfg:       cfg,
-		k:         k,
-		net:       net,
-		epoch:     1,
-		tree:      cap.NewTree(),
-		procs:     make(map[cap.ProcID]*procState),
-		byEP:      make(map[fabric.EndpointID]*procState),
-		peers:     make(map[cap.ControllerID]*peerState),
-		peerEPs:   make(map[fabric.EndpointID]bool),
-		pending:   make(map[uint64]*pendingCall),
-		dedup:     make(map[fabric.EndpointID]*dedupState),
-		bounceSem: sim.NewSemaphore(cfg.BouncePairs),
-		dec:       wire.NewDecoder(),
+		id:      id,
+		cfg:     cfg,
+		k:       k,
+		net:     net,
+		epoch:   1,
+		tree:    cap.NewTree(),
+		procs:   make(map[cap.ProcID]*procState),
+		byEP:    make(map[fabric.EndpointID]*procState),
+		peers:   make(map[cap.ControllerID]*peerState),
+		peerEPs: make(map[fabric.EndpointID]bool),
+		pending: make(map[uint64]*pendingCall),
+		dedup:   make(map[fabric.EndpointID]*dedupState),
+		dec:     wire.NewDecoder(),
 	}
 	c.ep = net.AttachHandler(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, arena, c)
-	c.copyName = c.ep.Name + ".memcopy"
 	// Descending order: popBounce takes from the end, so chunks are
 	// handed out lowest-offset first and a lightly loaded Controller
 	// keeps reusing the front of its bounce arena. Combined with the

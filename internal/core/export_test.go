@@ -16,3 +16,11 @@ func (c *Controller) DeliveryState(pid cap.ProcID) (window, outstanding, queued 
 	ps := c.procs[pid]
 	return ps.window, len(ps.outstanding), len(ps.queue)
 }
+
+// CopyEngine reports the memory_copy engine's resources: free bounce
+// chunks, copies waiting for a bounce pair, and copy records started
+// and not yet recycled (a record outlives its copy by the RDMA
+// completions the copy left on the wire).
+func (c *Controller) CopyEngine() (freeChunks, waiting, live int) {
+	return len(c.bounceFree), len(c.copyWait), c.copyLive
+}

@@ -110,8 +110,8 @@ func (c *Controller) FailProcess(pid cap.ProcID) bool {
 //
 // Every in-flight cross-Controller call this instance issued is
 // resolved with StatusAborted, in ascending token order: a crash must
-// not leak pending callbacks (continuations parked in sub-tasks would
-// otherwise wait forever on futures nobody can resolve).
+// not leak pending continuations (a memory copy waiting for its
+// validation would otherwise hold its record and its place forever).
 func (c *Controller) Crash() {
 	if c.down {
 		return

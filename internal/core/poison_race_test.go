@@ -1,0 +1,42 @@
+//go:build race
+
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"fractos/internal/fabric"
+	"fractos/internal/sim"
+)
+
+// TestLateCompletionFindsReleasedCopyOp is the negative test of the
+// race build's copy-record quarantine, which has no knob and is
+// therefore active in every test `make race` runs. An RDMA completion
+// that outlived its copy — the bug the in-flight count exists to
+// prevent — would, in a normal build, step whichever copy had reused
+// the record. Here the next copy gets a record of its own, and the
+// stale completion trips the assert.
+func TestLateCompletionFindsReleasedCopyOp(t *testing.T) {
+	k := sim.New(1)
+	c := New(k, fabric.New(k, fabric.DefaultProfile()), 1, Config{Loc: fabric.Location{Node: 0}})
+	c.AttachProcess(1, "p", fabric.Location{Node: 0}, 0, nil)
+	ps := c.procs[1]
+	stale := c.getCopyOp(ps, 1)
+	c.putCopyOp(stale)
+	next := c.getCopyOp(ps, 2)
+	if next == stale {
+		t.Fatal("a released copy record was recycled under the race detector")
+	}
+	next.writing[0], next.inflight = true, 1 // a copy that would have swallowed the completion whole
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "copy op") {
+			t.Errorf("a completion fired on a released record: recovered %q, want the assert", msg)
+		}
+		if !next.writing[0] || next.inflight != 1 {
+			t.Error("the stale completion stepped the next copy")
+		}
+	}()
+	(*copyWrote0)(stale).Fire()
+}

@@ -80,6 +80,13 @@ type rtoRig struct {
 	c    *Controller
 	peer *fabric.Endpoint
 
+	// The calls under test are the validation rounds of memory copies
+	// issued on behalf of proc, a bare endpoint: it sees each copy's
+	// completion, sent at doneAt.
+	proc   *fabric.Endpoint
+	tokens uint64
+	doneAt sim.Time
+
 	// answer is consulted per arriving request frame: copy counts the
 	// frames seen under that token, this one included.
 	answer func(token uint64, copy int) (delay sim.Time, ok bool)
@@ -96,6 +103,12 @@ func newRTORig(t *testing.T) *rtoRig {
 	r.c = New(k, net, 1, Config{Loc: fabric.Location{Node: 0, Domain: fabric.Host}, RPCBudget: DefaultRPCBudget})
 	r.peer = net.Attach("scripted-peer", fabric.Location{Node: 1, Domain: fabric.Host}, 0)
 	r.c.AddPeer(rigPeer, r.peer.ID)
+	r.proc = r.c.AttachProcess(1, "rig-proc", fabric.Location{Node: 0, Domain: fabric.Host}, 0, nil)
+	net.SetTrace(func(ev fabric.TraceEvent) {
+		if ev.To == r.proc.ID {
+			r.doneAt = ev.At
+		}
+	})
 	k.Spawn("scripted-peer", func(tk *sim.Task) {
 		for {
 			d, ok := r.peer.Inbox.Recv(tk)
@@ -140,17 +153,24 @@ func (r *rtoRig) run(body func(tk *sim.Task)) {
 }
 
 // validate issues one inter-Controller call to the scripted peer and
-// waits for it: the status it resolved with and how long that took.
+// waits for it: the status it resolved with and how long that took. The
+// call is the validation of a memory copy's destination — a copy of no
+// bytes, which completes with the call's status the instant it resolves.
 func (r *rtoRig) validate(tk *sim.Task) (wire.Status, sim.Time) {
-	pc := r.c.newCall(callValidate, fcap.Ref{Ctrl: rigPeer, Obj: 1, Epoch: 1})
-	pc.fut = sim.NewFuture[wire.CtrlValInfo]()
-	f, start := pc.fut, tk.Now()
-	r.c.call(pc)
-	info, err := f.Wait(tk)
-	if err != nil {
-		r.t.Fatalf("call future failed: %v", err)
+	start := tk.Now()
+	r.tokens++
+	op := r.c.getCopyOp(r.c.procs[1], r.tokens)
+	op.state = copyLocateDst
+	op.locate(fcap.Ref{Ctrl: rigPeer, Obj: 1, Epoch: 1}, fcap.Write)
+	d, ok := r.proc.Inbox.Recv(tk)
+	if !ok {
+		r.t.Fatal("the copy never completed")
 	}
-	return info.Status, tk.Now() - start
+	cm, ok := d.Msg.(*wire.Completion)
+	if !ok || cm.Token != r.tokens {
+		r.t.Fatalf("rig-proc received %+v, want the completion of copy %d", d.Msg, r.tokens)
+	}
+	return cm.Status, r.doneAt - start
 }
 
 func (r *rtoRig) est() *rttEstimator { return &r.c.peers[rigPeer].rtt }
@@ -280,7 +300,8 @@ func TestRPCDeadline(t *testing.T) {
 				t.Errorf("%s: %v after %v, want %v within [%v, %v]", tc.name, st, took, tc.wantStatus, tc.min, tc.max)
 			}
 		})
-		// The run has drained: every late timer has fired too.
+		// The run has drained: had a retired call left a timer behind, it
+		// would have fired by now.
 		m := r.c.Metrics()
 		if m.RPCAborted != tc.wantAborted {
 			t.Errorf("%s: RPCAborted = %d, want %d", tc.name, m.RPCAborted, tc.wantAborted)

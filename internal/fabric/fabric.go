@@ -18,6 +18,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 
 	"fractos/internal/assert"
@@ -187,7 +188,7 @@ func (e *Endpoint) arenaRange(off, n int) []byte {
 		if newLen > e.arenaSize {
 			newLen = e.arenaSize
 		}
-		nb := make([]byte, newLen)
+		nb := make([]byte, newLen) // fractos:alloc-ok the arena's touched prefix materializes geometrically up to the registered size, then never again
 		copy(nb, e.arena)
 		e.arena = nb
 	}
@@ -643,11 +644,32 @@ func (n *Net) rdmaLatency(initiator, passive Location) sim.Time {
 	return n.prof.exit(initiator.Domain) + n.prof.CrossNode + n.prof.RDMARemote
 }
 
+// Why a one-sided op could not start. The copy engine issues RDMA ops
+// from its per-chunk steps, so refusing one formats nothing.
+var (
+	errUnknownEndpoint = errors.New("fabric: unknown endpoint")
+	errDisconnected    = errors.New("fabric: endpoint disconnected")
+	errPathCut         = errors.New("fabric: path cut between nodes")
+)
+
+// rangeError is an op addressing bytes outside a registered arena.
+type rangeError struct {
+	side   string // "source" or "dest"
+	off, n int
+	ep     *Endpoint
+}
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("fabric: %s range [%d,%d) outside arena of %s", e.side, e.off, e.off+e.n, e.ep.Name)
+}
+
 // rdmaTransfer performs the byte movement and timing shared by the
 // RDMA primitives, returning completion time. Data flows srcEp→dstEp.
+//
+//fractos:hotpath
 func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nBytes int, extraRTT bool) (sim.Time, error) {
 	if srcEp.disconnected || dstEp.disconnected || initiator.disconnected {
-		return 0, fmt.Errorf("fabric: endpoint disconnected")
+		return 0, errDisconnected
 	}
 	// RDMA rides a reliable transport (hardware retransmit absorbs
 	// probabilistic loss) but cannot cross a cut path: a down link or
@@ -657,14 +679,14 @@ func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nB
 		if fs.cut2(initiator.Loc.Node, srcEp.Loc.Node) ||
 			fs.cut2(initiator.Loc.Node, dstEp.Loc.Node) ||
 			fs.cut2(srcEp.Loc.Node, dstEp.Loc.Node) {
-			return 0, fmt.Errorf("fabric: path cut between nodes")
+			return 0, errPathCut
 		}
 	}
 	if srcOff < 0 || srcOff+nBytes > srcEp.arenaSize {
-		return 0, fmt.Errorf("fabric: source range [%d,%d) outside arena of %s", srcOff, srcOff+nBytes, srcEp.Name)
+		return 0, rangeError{"source", srcOff, nBytes, srcEp}
 	}
 	if dstOff < 0 || dstOff+nBytes > dstEp.arenaSize {
-		return 0, fmt.Errorf("fabric: dest range [%d,%d) outside arena of %s", dstOff, dstOff+nBytes, dstEp.Name)
+		return 0, rangeError{"dest", dstOff, nBytes, dstEp}
 	}
 	now := n.k.Now()
 	// Request leg (reads and third-party ops pay an extra half RTT to
@@ -696,75 +718,78 @@ func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nB
 	return done, nil
 }
 
-// RDMARead starts a one-sided read of nBytes from remote's arena at
-// remoteOff into initiator's arena at localOff. The returned future
-// resolves at the modeled completion time.
+// rdmaStart issues one op — data flows src→dst, commanded by initiator
+// — and schedules done for its modeled completion time. An op that
+// cannot start returns why and never fires done.
+//
+//fractos:hotpath
+func (n *Net) rdmaStart(done sim.Callback, initiator, src, dst EndpointID, srcOff, dstOff, nBytes int, extraRTT bool) error {
+	ini, se, de := n.lookup(initiator), n.lookup(src), n.lookup(dst)
+	if ini == nil || se == nil || de == nil {
+		return errUnknownEndpoint
+	}
+	at, err := n.rdmaTransfer(ini, se, de, srcOff, dstOff, nBytes, extraRTT)
+	if err != nil {
+		return err
+	}
+	n.k.AfterCall(at-n.k.Now(), done)
+	return nil
+}
+
+// RDMAReadThen starts a one-sided read of nBytes from remote's arena at
+// remoteOff into initiator's arena at localOff, and fires done in
+// kernel context at the modeled completion time. An op that cannot
+// start — an endpoint unknown or disconnected, the path cut, a range
+// outside its arena — returns the error instead, and done never fires.
+// The bytes move when the op starts; a completion is never an error.
+//
+//fractos:hotpath
+func (n *Net) RDMAReadThen(done sim.Callback, initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) error {
+	return n.rdmaStart(done, initiator, remote, initiator, remoteOff, localOff, nBytes, true)
+}
+
+// RDMAWriteThen is RDMAReadThen for a one-sided write of nBytes from
+// initiator's arena at localOff into remote's arena at remoteOff.
+//
+//fractos:hotpath
+func (n *Net) RDMAWriteThen(done sim.Callback, initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) error {
+	return n.rdmaStart(done, initiator, initiator, remote, localOff, remoteOff, nBytes, false)
+}
+
+// RDMACopyThen is RDMAReadThen for a third-party transfer: the
+// initiator commands src's NIC to move bytes directly into dst's arena
+// ("HW copies" in Figure 5 — hardware support the paper models but the
+// testbed NICs lack).
+//
+//fractos:hotpath
+func (n *Net) RDMACopyThen(done sim.Callback, initiator EndpointID, src EndpointID, srcOff int, dst EndpointID, dstOff, nBytes int) error {
+	return n.rdmaStart(done, initiator, src, dst, srcOff, dstOff, nBytes, true)
+}
+
+// RDMARead is RDMAReadThen for a task: the returned future resolves
+// with nBytes at the completion time, or at once with the error of an
+// op that could not start.
 func (n *Net) RDMARead(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) *sim.Future[int] {
 	f := sim.NewFuture[int]()
-	n.RDMAReadInto(f, initiator, localOff, remote, remoteOff, nBytes)
-	return f
+	return orFailed(f, n.RDMAReadThen(f.Due(nBytes), initiator, localOff, remote, remoteOff, nBytes))
 }
 
-// RDMAReadInto is RDMARead completing a future the caller supplies —
-// unresolved: a loop of transfers Resets one future between them
-// instead of allocating one per op.
-func (n *Net) RDMAReadInto(f *sim.Future[int], initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) {
-	ini := n.lookup(initiator)
-	rem := n.lookup(remote)
-	if ini == nil || rem == nil {
-		f.Fail(fmt.Errorf("fabric: unknown endpoint"))
-		return
-	}
-	done, err := n.rdmaTransfer(ini, rem, ini, remoteOff, localOff, nBytes, true)
-	if err != nil {
-		f.Fail(err)
-		return
-	}
-	n.k.AfterCall(done-n.k.Now(), f.Due(nBytes))
-}
-
-// RDMAWrite starts a one-sided write of nBytes from initiator's arena
-// at localOff into remote's arena at remoteOff.
+// RDMAWrite is RDMAWriteThen for a task, as RDMARead.
 func (n *Net) RDMAWrite(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) *sim.Future[int] {
 	f := sim.NewFuture[int]()
-	n.RDMAWriteInto(f, initiator, localOff, remote, remoteOff, nBytes)
-	return f
+	return orFailed(f, n.RDMAWriteThen(f.Due(nBytes), initiator, localOff, remote, remoteOff, nBytes))
 }
 
-// RDMAWriteInto is RDMAWrite completing a future the caller supplies,
-// as RDMAReadInto does.
-func (n *Net) RDMAWriteInto(f *sim.Future[int], initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) {
-	ini := n.lookup(initiator)
-	rem := n.lookup(remote)
-	if ini == nil || rem == nil {
-		f.Fail(fmt.Errorf("fabric: unknown endpoint"))
-		return
-	}
-	done, err := n.rdmaTransfer(ini, ini, rem, localOff, remoteOff, nBytes, false)
-	if err != nil {
-		f.Fail(err)
-		return
-	}
-	n.k.AfterCall(done-n.k.Now(), f.Due(nBytes))
-}
-
-// RDMACopy is a third-party transfer: the initiator commands src's NIC
-// to move bytes directly into dst's arena ("HW copies" in Figure 5 —
-// hardware support the paper models but the testbed NICs lack).
+// RDMACopy is RDMACopyThen for a task, as RDMARead.
 func (n *Net) RDMACopy(initiator EndpointID, src EndpointID, srcOff int, dst EndpointID, dstOff, nBytes int) *sim.Future[int] {
 	f := sim.NewFuture[int]()
-	ini := n.lookup(initiator)
-	se := n.lookup(src)
-	de := n.lookup(dst)
-	if ini == nil || se == nil || de == nil {
-		f.Fail(fmt.Errorf("fabric: unknown endpoint"))
-		return f
-	}
-	done, err := n.rdmaTransfer(ini, se, de, srcOff, dstOff, nBytes, true)
+	return orFailed(f, n.RDMACopyThen(f.Due(nBytes), initiator, src, srcOff, dst, dstOff, nBytes))
+}
+
+// orFailed fails f with the error of an op that did not start.
+func orFailed(f *sim.Future[int], err error) *sim.Future[int] {
 	if err != nil {
 		f.Fail(err)
-		return f
 	}
-	n.k.AfterCall(done-n.k.Now(), f.Due(nBytes))
 	return f
 }

@@ -4,7 +4,10 @@
 // queues. All syscalls are posted asynchronously (Table 1) and this
 // runtime pairs completions back to callers through futures, giving
 // the synchronous-looking API the paper's C++ prototype builds with
-// its promise/future library.
+// its promise/future library. A blocking call wakes its caller once:
+// a single syscall when its completion arrives, and Call — four
+// syscalls and a reply — when the last of them has, the steps between
+// being taken by the receive path itself (callOp, call.go).
 package proc
 
 import (
@@ -37,14 +40,14 @@ type Process struct {
 	ctrlEP fabric.EndpointID
 
 	nextToken uint64
-	pending   map[uint64]*sim.Future[wire.Completion]
+	pending   map[uint64]sysWaiter
 	// futures recycles the completion futures of synchronous syscalls:
 	// the caller blocks until its completion arrives, so the future is
 	// free again the moment the call returns. The Async variants hand
-	// their future to the caller and allocate it. replies does the same
-	// for the reply a Call without a deadline waits for.
+	// their future to the caller and allocate it. calls does the same for
+	// the records of Calls (call.go).
 	futures sim.FreeList[sim.Future[wire.Completion]]
-	replies sim.FreeList[sim.Future[*Delivery]]
+	calls   sim.FreeList[callOp]
 	// slots is scratch for a syscall's capability-argument list; the
 	// message that carries it is encoded before submit returns.
 	slots []wire.CapSlot
@@ -71,7 +74,7 @@ type Process struct {
 	dec *wire.Decoder
 
 	nextTag  uint64
-	waiters  map[uint64]*sim.Future[*Delivery]
+	waiters  map[uint64]tagWaiter
 	subs     map[uint64]*sim.Chan[*Delivery]
 	stale    map[uint64]bool
 	incoming *sim.Chan[*Delivery]
@@ -87,6 +90,20 @@ type Process struct {
 	// that fails at once instead of waiting for a completion that the
 	// Controller, which drops a failed Process's frames, never sends.
 	dead bool
+}
+
+// sysWaiter is who a syscall's completion goes to: the future of a
+// blocking or Async syscall, or the Call it is a step of.
+type sysWaiter struct {
+	fut *sim.Future[wire.Completion]
+	op  *callOp
+}
+
+// tagWaiter is who the next delivery with a tag goes to: WaitTag's
+// future, or the Call whose reply it is.
+type tagWaiter struct {
+	fut *sim.Future[*Delivery]
+	op  *callOp
 }
 
 // Cap is a Process-side handle to a capability: a cid plus cached
@@ -136,9 +153,9 @@ func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.Pro
 		id:       pid,
 		ctrl:     ctrl,
 		ctrlEP:   ctrl.EndpointID(),
-		pending:  make(map[uint64]*sim.Future[wire.Completion]),
+		pending:  make(map[uint64]sysWaiter),
 		dec:      wire.NewDecoder(),
-		waiters:  make(map[uint64]*sim.Future[*Delivery]),
+		waiters:  make(map[uint64]tagWaiter),
 		subs:     make(map[uint64]*sim.Chan[*Delivery]),
 		stale:    make(map[uint64]bool),
 		incoming: sim.NewChan[*Delivery](k, name+".deliveries", 0),
@@ -178,16 +195,20 @@ func (p *Process) Deliver(f *fabric.Frame) {
 }
 
 // demux routes one message from the Controller: a completion to the
-// future of its syscall, a delivery to whoever waits for its tag, a
-// monitor callback to a task of its own.
+// future of its syscall or the Call it steps, a delivery to whoever
+// waits for its tag, a monitor callback to a task of its own.
 //
 //fractos:hotpath
 func (p *Process) demux(m wire.Message) {
 	switch m := m.(type) {
 	case *wire.Completion:
-		if f, ok := p.pending[m.Token]; ok {
+		if w, ok := p.pending[m.Token]; ok {
 			delete(p.pending, m.Token)
-			f.Set(*m)
+			if w.op != nil {
+				w.op.completed(m)
+			} else {
+				w.fut.Set(*m)
+			}
 		}
 	case *wire.Deliver:
 		if p.stale[m.Tag] {
@@ -204,9 +225,13 @@ func (p *Process) demux(m wire.Message) {
 		dv := p.newDelivery(m) // fractos:alloc-ok the request_receive descriptor is the application's to keep: one per delivery by design
 		if ch, ok := p.subs[m.Tag]; ok {
 			ch.TrySend(dv)
-		} else if f, ok := p.waiters[m.Tag]; ok {
+		} else if w, ok := p.waiters[m.Tag]; ok {
 			delete(p.waiters, m.Tag)
-			f.Set(dv)
+			if w.op != nil {
+				w.op.delivered(dv)
+			} else {
+				w.fut.Set(dv)
+			}
 		} else {
 			p.incoming.TrySend(dv)
 		}
@@ -247,17 +272,27 @@ func (p *Process) submit(build func(token uint64) wire.Message) *sim.Future[wire
 // post sends the syscall build describes under a fresh token; f
 // resolves with its completion.
 func (p *Process) post(f *sim.Future[wire.Completion], build func(token uint64) wire.Message) {
-	if p.dead {
-		f.Fail(ErrDisconnected)
-		return
-	}
 	p.nextToken++
-	token := p.nextToken
-	p.pending[token] = f
-	if !p.net.Send(p.ep.ID, p.ctrlEP, build(token)) {
-		delete(p.pending, token)
+	if !p.send(sysWaiter{fut: f}, p.nextToken, build(p.nextToken)) {
 		f.Fail(ErrDisconnected)
 	}
+}
+
+// send posts m, a syscall carrying token, whose completion goes to w.
+// It reports false, with nothing registered, when the channel to the
+// Controller is gone.
+//
+//fractos:hotpath
+func (p *Process) send(w sysWaiter, token uint64, m wire.Message) bool {
+	if p.dead {
+		return false
+	}
+	p.pending[token] = w
+	if !p.net.Send(p.ep.ID, p.ctrlEP, m) {
+		delete(p.pending, token)
+		return false
+	}
+	return true
 }
 
 // syscall posts a syscall and blocks until it completes, on a
@@ -348,7 +383,13 @@ func (p *Process) MemoryDiminish(t *sim.Task, c Cap, offset, size uint64, drop c
 // MemoryCopy copies all bytes from src into dst (memory_copy),
 // wherever either lives.
 func (p *Process) MemoryCopy(t *sim.Task, src, dst Cap) error {
-	_, err := wait(t, p.MemoryCopyAsync(src, dst))
+	if err := p.checkOwn(src, dst); err != nil {
+		return err
+	}
+	_, err := p.syscall(t, func(tok uint64) wire.Message {
+		p.tx.memCopy = wire.MemCopy{Token: tok, SrcCid: src.id, DstCid: dst.id}
+		return &p.tx.memCopy
+	})
 	return err
 }
 
@@ -375,7 +416,7 @@ func (p *Process) RequestCreate(t *sim.Task, tag uint64, imms []wire.ImmArg, arg
 		return Cap{}, err
 	}
 	m, err := p.syscall(t, func(tok uint64) wire.Message {
-		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: cap.NilCap, Tag: tag, Imms: imms, Caps: p.capSlots(args, nil)}
+		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: cap.NilCap, Tag: tag, Imms: imms, Caps: p.capSlots(args)}
 		return &p.tx.reqCreate
 	})
 	if err != nil {
@@ -395,7 +436,7 @@ func (p *Process) Derive(t *sim.Task, parent Cap, imms []wire.ImmArg, args []Arg
 		return Cap{}, err
 	}
 	m, err := p.syscall(t, func(tok uint64) wire.Message {
-		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: parent.id, Imms: imms, Caps: p.capSlots(args, nil)}
+		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: parent.id, Imms: imms, Caps: p.capSlots(args)}
 		return &p.tx.reqCreate
 	})
 	if err != nil {
@@ -409,18 +450,11 @@ func (p *Process) Derive(t *sim.Task, parent Cap, imms []wire.ImmArg, args []Arg
 // delivered/queued at the provider; results, if any, arrive through
 // continuation Requests.
 func (p *Process) Invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg) error {
-	return p.invoke(t, req, imms, args, nil)
-}
-
-// invoke is Invoke with one more capability argument after args when
-// last is non-nil: Call passes its reply Request this way instead of
-// copying the caller's args to extend them.
-func (p *Process) invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, last *Arg) error {
 	if err := p.checkInvoke(req, args); err != nil {
 		return err
 	}
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
-		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args, last)}
+		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args)}
 		return &p.tx.reqInvoke
 	})
 	return err
@@ -434,7 +468,7 @@ func (p *Process) InvokeAsync(req Cap, imms []wire.ImmArg, args []Arg) *sim.Futu
 		return f
 	}
 	return p.submit(func(tok uint64) wire.Message {
-		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args, nil)}
+		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args)}
 		return &p.tx.reqInvoke
 	})
 }
@@ -533,18 +567,18 @@ func (p *Process) Bye() {
 	p.net.Send(p.ep.ID, p.ctrlEP, &wire.ProcBye{})
 }
 
-// capSlots converts argument handles (plus last, if non-nil) to their
-// wire form in the Process's scratch list, which stays valid until the
-// next syscall is built.
-func (p *Process) capSlots(args []Arg, last *Arg) []wire.CapSlot {
-	out := p.slots[:0]
+// capSlots converts argument handles to their wire form in the
+// Process's scratch list, which stays valid until the next syscall is
+// built.
+func (p *Process) capSlots(args []Arg) []wire.CapSlot {
+	p.slots = appendSlots(p.slots[:0], args)
+	return p.slots
+}
+
+func appendSlots(out []wire.CapSlot, args []Arg) []wire.CapSlot {
 	for _, a := range args {
 		out = append(out, wire.CapSlot{Slot: a.Slot, Cid: a.Cap.id})
 	}
-	if last != nil {
-		out = append(out, wire.CapSlot{Slot: last.Slot, Cid: last.Cap.id})
-	}
-	p.slots = out[:0]
 	return out
 }
 

@@ -2,8 +2,6 @@ package proc
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 
 	"fractos/internal/sim"
 	"fractos/internal/wire"
@@ -116,12 +114,12 @@ func (p *Process) NewTag() uint64 {
 // bypassing the Receive queue. Register interest before invoking to
 // avoid racing the reply into the shared queue.
 func (p *Process) WaitTag(tag uint64) *sim.Future[*Delivery] {
-	f, ok := p.waiters[tag]
+	w, ok := p.waiters[tag]
 	if !ok {
-		f = sim.NewFuture[*Delivery]()
-		p.waiters[tag] = f
+		w.fut = sim.NewFuture[*Delivery]()
+		p.waiters[tag] = w
 	}
-	return f
+	return w.fut
 }
 
 // Subscribe routes every delivery with the given tag into a dedicated
@@ -152,92 +150,6 @@ func (p *Process) ReplyRequest(t *sim.Task) (Cap, uint64, error) {
 		return Cap{}, 0, err
 	}
 	return c, tag, nil
-}
-
-// ErrCallTimeout is returned by CallTimeout when the reply does not
-// arrive within the deadline. It classifies as transient (Retryable):
-// the usual cause is a provider whose Controller died after admitting
-// the request — its revocation tree died with it, so no failure
-// notification will ever resolve the continuation (§3.6) — and
-// re-issuing against another replica can succeed.
-var ErrCallTimeout = errors.New("proc: call timed out awaiting reply")
-
-// Call performs a synchronous RPC over a Request (§3.4's A→B→A'
-// pattern): it creates a one-shot reply Request, passes it in
-// replySlot, invokes req, and waits for the continuation to be invoked
-// back. The reply delivery is acknowledged automatically.
-func (p *Process) Call(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16) (*Delivery, error) {
-	return p.CallTimeout(t, req, imms, args, replySlot, 0)
-}
-
-// CallTimeout is Call with a virtual-time bound on the reply (0 means
-// wait forever). On timeout it revokes the reply Request — a late
-// reply then bounces off the provider's delegated continuation with
-// StatusRevoked instead of being delivered — and arranges for a reply
-// already in flight to be acknowledged and discarded, then returns
-// ErrCallTimeout. Callers that fan requests out over replaceable
-// providers (the route package's balancer) use the bound to detect
-// providers that died *after* admitting a request, the one failure the
-// capability layer cannot signal (a crashed Controller's revocation
-// trees die with it).
-func (p *Process) CallTimeout(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, d sim.Time) (*Delivery, error) {
-	if d > 0 {
-		// The deadline's timer refers to the future past the wait, so
-		// this one is the call's alone.
-		return p.call(t, sim.NewFuture[*Delivery](), req, imms, args, replySlot, d)
-	}
-	f := p.getReply()
-	dv, err := p.call(t, f, req, imms, args, replySlot, 0)
-	p.putReply(f)
-	return dv, err
-}
-
-//fractos:pool-acquire procfuture
-func (p *Process) getReply() *sim.Future[*Delivery] { return p.replies.Get() }
-
-//fractos:pool-release procfuture
-func (p *Process) putReply(f *sim.Future[*Delivery]) {
-	f.Reset()
-	p.replies.Put(f)
-}
-
-// call is CallTimeout waiting on f, which is unresolved when it starts
-// and neither registered as a waiter nor waited on when it returns.
-func (p *Process) call(t *sim.Task, f *sim.Future[*Delivery], req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, d sim.Time) (*Delivery, error) {
-	reply, tag, err := p.ReplyRequest(t)
-	if err != nil {
-		return nil, err
-	}
-	p.waiters[tag] = f
-	if err := p.invoke(t, req, imms, args, &Arg{Slot: replySlot, Cap: reply}); err != nil {
-		delete(p.waiters, tag)
-		_ = p.Drop(t, reply)
-		return nil, err
-	}
-	var dv *Delivery
-	if d > 0 {
-		dv, err = f.WaitTimeout(t, d)
-	} else {
-		dv, err = f.Wait(t)
-	}
-	if err != nil {
-		delete(p.waiters, tag)
-		if errors.Is(err, sim.ErrTimeout) {
-			// Mark the tag stale so a reply that raced the timeout is
-			// acked (not leaked), and revoke the continuation so a reply
-			// not yet sent fails fast at the provider.
-			p.stale[tag] = true
-			if rerr := p.Revoke(t, reply); rerr != nil {
-				return nil, fmt.Errorf("proc: revoke timed-out reply request: %w", rerr)
-			}
-			return nil, ErrCallTimeout
-		}
-		return nil, err
-	}
-	dv.Done()
-	// The one-shot reply Request is not reused; drop our entry.
-	_ = p.Drop(t, reply)
-	return dv, nil
 }
 
 // CallWith invokes req and waits for an invocation with replyTag to

@@ -68,6 +68,13 @@ type Balancer struct {
 	depth    map[uint64]int
 	breakers map[uint64]*proc.Breaker
 	stats    BalancerStats
+
+	// classify is Retry.Classify extended, built on the first Call. view
+	// and kept are pick's scratch: a Policy returns an index and keeps
+	// nothing, and pick does not yield between filling and reading them.
+	classify func(error) bool
+	view     []MemberView
+	kept     []services.Member
 }
 
 // DefaultCallAttempts is Balancer.Call's retry budget when Retry.Max
@@ -110,14 +117,17 @@ func (b *Balancer) Call(t *sim.Task, imms []wire.ImmArg, args []proc.Arg) (*proc
 	if pol.Max < 1 {
 		pol.Max = DefaultCallAttempts
 	}
-	base := pol.Classify
-	if base == nil {
-		base = proc.Retryable
+	if b.classify == nil {
+		base := pol.Classify
+		if base == nil {
+			base = proc.Retryable
+		}
+		b.classify = func(err error) bool {
+			return base(err) || memberFatal(err) ||
+				errors.Is(err, proc.ErrCircuitOpen) || errors.Is(err, ErrNoMembers)
+		}
 	}
-	pol.Classify = func(err error) bool {
-		return base(err) || memberFatal(err) ||
-			errors.Is(err, proc.ErrCircuitOpen) || errors.Is(err, ErrNoMembers)
-	}
+	pol.Classify = b.classify
 	var out *proc.Delivery
 	err := pol.Do(t, func(t *sim.Task) error {
 		return b.attempt(t, imms, args, &out)
@@ -189,8 +199,7 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *proc.Breaker, error) {
 		b.valid = true
 		b.stats.Resolves++
 	}
-	view := make([]MemberView, 0, len(b.set.Members))
-	kept := make([]services.Member, 0, len(b.set.Members))
+	view, kept := b.view[:0], b.kept[:0]
 	for _, m := range b.set.Members {
 		if b.breakerFor(m.ID).State(t.Now()) == "open" {
 			continue
@@ -198,6 +207,7 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *proc.Breaker, error) {
 		view = append(view, MemberView{ID: m.ID, Node: m.Node, Load: b.inflight[m.ID] + b.depth[m.ID]})
 		kept = append(kept, m)
 	}
+	b.view, b.kept = view, kept
 	if len(view) == 0 {
 		// Empty set (service not registered yet, or fully fenced) or
 		// every breaker open: re-resolve on the next attempt.

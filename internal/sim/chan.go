@@ -25,11 +25,8 @@ type Chan[T any] struct {
 	closedMsg string
 
 	// freeRecv/freeSend recycle waiter structs across blocking
-	// operations on this channel. Only waiters from plain Send/Recv are
-	// recycled: a RecvTimeout waiter may still be referenced by its
-	// pending timer closure after the receive completes, so those are
-	// always freshly allocated. Reuse is deterministic — waiter identity
-	// is never observed, and contents are fully reset on reuse.
+	// operations on this channel. Reuse is deterministic — waiter
+	// identity is never observed, and contents are fully reset on reuse.
 	freeRecv FreeList[recvWaiter[T]]
 	freeSend FreeList[sendWaiter[T]]
 }
@@ -65,8 +62,9 @@ func (c *Chan[T]) getRecv(t *Task) *recvWaiter[T] {
 }
 
 // putRecv recycles a waiter whose wait has fully completed. The caller
-// must guarantee no other reference to rw survives (true for plain
-// Recv: the waker removes it from recvq before the task resumes).
+// must guarantee no other reference to rw survives: the waker removes
+// it from recvq before the task resumes, and a wait that timed out
+// removes it itself.
 //
 //fractos:hotpath
 //fractos:pool-release chanwaiter
@@ -179,7 +177,19 @@ func (c *Chan[T]) TrySend(v T) bool {
 // was closed and drained.
 //
 //fractos:hotpath
-func (c *Chan[T]) Recv(t *Task) (v T, ok bool) {
+func (c *Chan[T]) Recv(t *Task) (v T, ok bool) { return c.recv(t, -1) }
+
+// RecvTimeout is Recv with a virtual-time deadline. ok is false on
+// timeout or close.
+func (c *Chan[T]) RecvTimeout(t *Task, d Time) (v T, ok bool) { return c.recv(t, max(d, 0)) }
+
+// recv is Recv giving up after d (never, if negative). The deadline is
+// the task's own wake, queued d ahead: a sender's wake for now replaces
+// it (wakeAfter drops the one it supersedes from the heap), so a
+// receive that is served in time leaves no event behind.
+//
+//fractos:hotpath
+func (c *Chan[T]) recv(t *Task, d Time) (v T, ok bool) {
 	if len(c.buf) > 0 {
 		v = c.takeBuffered()
 		return v, true
@@ -189,8 +199,14 @@ func (c *Chan[T]) Recv(t *Task) (v T, ok bool) {
 		return zero, false
 	}
 	rw := c.getRecv(t)
-	c.recvq = append(c.recvq, rw) // fractos:pool-ok fractos:alloc-ok parked waiter; the waker unlinks it from recvq before putRecv reuses it
+	c.recvq = append(c.recvq, rw) // fractos:pool-ok fractos:alloc-ok parked waiter; whoever wakes the task unlinks it from recvq — a sender, Close, or the timeout below — before putRecv reuses it
+	if d >= 0 {
+		t.wakeAfter(d)
+	}
 	t.park()
+	if !rw.rm {
+		c.removeRecv(rw) // timed out: nobody took it off the queue
+	}
 	v, ok = rw.v, rw.ok
 	c.putRecv(rw)
 	return v, ok
@@ -206,36 +222,6 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	}
 	var zero T
 	return zero, false
-}
-
-// RecvTimeout is Recv with a virtual-time deadline. ok is false on
-// timeout or close.
-func (c *Chan[T]) RecvTimeout(t *Task, d Time) (v T, ok bool) {
-	if len(c.buf) > 0 {
-		return c.takeBuffered(), true
-	}
-	if c.closed {
-		var zero T
-		return zero, false
-	}
-	rw := &recvWaiter[T]{t: t}
-	c.recvq = append(c.recvq, rw)
-	fired := false
-	c.k.After(d, func() {
-		if rw.rm {
-			return // already satisfied
-		}
-		fired = true
-		rw.rm = true
-		c.removeRecv(rw)
-		t.wakeAfter(0)
-	})
-	t.park()
-	if fired {
-		var zero T
-		return zero, false
-	}
-	return rw.v, rw.ok
 }
 
 // takeBuffered pops the oldest buffered value. Queues pop by shifting
@@ -287,7 +273,9 @@ func (c *Chan[T]) popRecv() *recvWaiter[T] {
 func (c *Chan[T]) removeRecv(rw *recvWaiter[T]) {
 	for i, w := range c.recvq {
 		if w == rw {
-			c.recvq = append(c.recvq[:i], c.recvq[i+1:]...)
+			n := i + copy(c.recvq[i:], c.recvq[i+1:])
+			c.recvq[n] = nil
+			c.recvq = c.recvq[:n]
 			return
 		}
 	}

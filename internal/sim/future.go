@@ -111,40 +111,41 @@ type errTimeout struct{}
 func (errTimeout) Error() string { return "sim: wait timed out" }
 
 // WaitTimeout is Wait with a virtual-time deadline. On timeout the
-// future stays unresolved and may be waited on again later.
+// future stays unresolved and may be waited on again later. The
+// deadline is the task's own wake, queued d ahead: a resolve replaces
+// it with a wake for now (wakeAfter drops the one it supersedes from
+// the heap), so a wait that is answered in time leaves no event behind.
 func (f *Future[T]) WaitTimeout(t *Task, d Time) (T, error) {
 	if f.done {
 		return f.val, f.err
 	}
 	f.enqueue(t)
-	t.k.After(d, func() {
-		// Wake the task only if it is still waiting on this future;
-		// if resolve already woke it (and cleared the waiter list),
-		// issuing another wake would spuriously resume an unrelated
-		// later park.
-		if f.first == t {
-			f.first = nil
-			if len(f.more) > 0 {
-				f.first = f.more[0]
-				f.more = f.more[:copy(f.more, f.more[1:])]
-			}
-			t.wakeAfter(0)
-			return
-		}
-		for i, w := range f.more {
-			if w == t {
-				f.more = append(f.more[:i], f.more[i+1:]...)
-				t.wakeAfter(0)
-				return
-			}
-		}
-	})
+	t.wakeAfter(max(d, 0))
 	t.park()
 	if f.done {
 		return f.val, f.err
 	}
+	f.dequeue(t)
 	var zero T
 	return zero, ErrTimeout
+}
+
+// dequeue withdraws t, whose wait timed out, from the waiters.
+func (f *Future[T]) dequeue(t *Task) {
+	if f.first == t {
+		f.first = nil
+		if len(f.more) > 0 {
+			f.first = f.more[0]
+			f.more = f.more[:copy(f.more, f.more[1:])]
+		}
+		return
+	}
+	for i, w := range f.more {
+		if w == t {
+			f.more = append(f.more[:i], f.more[i+1:]...)
+			return
+		}
+	}
 }
 
 // WaitGroup counts outstanding work items, like sync.WaitGroup but

@@ -2,10 +2,13 @@
 // kernel. FractOS entities that block (applications, adaptors, devices)
 // run as cooperatively scheduled actors ("tasks") under a virtual
 // clock; those that only react (Controllers, receive demultiplexers)
-// run in kernel context as Callbacks. Exactly one task executes at any
-// moment; control is handed between the kernel and tasks over channels,
-// so task code can be written in a natural blocking style while the
-// simulation stays deterministic and race-free.
+// and operations that wait only for their own events (a memory copy, a
+// Call) run in kernel context as Callbacks, scheduled with AfterCall
+// and withdrawn again through the Timer it returns. Exactly one task
+// executes at any moment; control is handed between the kernel and
+// tasks over channels, so task code can be written in a natural
+// blocking style while the simulation stays deterministic and
+// race-free.
 //
 // Two runs of the same program over the same kernel produce identical
 // event orders and identical virtual timestamps.
@@ -48,9 +51,10 @@ type Time = time.Duration
 
 // Callback is a typed event target: Fire runs in kernel context when
 // the event scheduled with AfterCall comes due, and must not block.
-// Per-message machinery (the fabric's in-flight records, RPC timers)
-// implements it on pooled structs, so scheduling an occurrence costs
-// no closure allocation; a pointer stored in the interface is free.
+// Per-message machinery (the fabric's frames, pending calls, copies in
+// progress) implements it on pooled structs, so scheduling an
+// occurrence costs no closure allocation; a pointer stored in the
+// interface is free.
 type Callback interface {
 	Fire()
 }
@@ -343,7 +347,7 @@ func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 	t := getTask()
 	t.k, t.id, t.name, t.fn = k, k.nextID, name, fn
 	t.done, t.killed = false, false
-	k.tasks[t.id] = t // fractos:pool-ok fractos:alloc-ok task table and trampoline share ownership; exec unlinks before the trampoline repools
+	k.tasks[t.id] = t // fractos:pool-ok task table and trampoline share ownership; exec unlinks before the trampoline repools
 	t.wake = k.schedule(k.now, t, nil)
 	return t
 }
@@ -431,14 +435,43 @@ func (k *Kernel) After(d Time, fn func()) {
 // AfterCall schedules cb.Fire to run in kernel context at now+d. It is
 // After for typed targets: the event carries cb itself, so a caller
 // that keeps its per-occurrence state in a pooled struct schedules
-// without allocating.
+// without allocating. The returned Timer withdraws the event again; a
+// caller that never cancels ignores it.
 //
 //fractos:hotpath
-func (k *Kernel) AfterCall(d Time, cb Callback) {
+func (k *Kernel) AfterCall(d Time, cb Callback) Timer {
 	if d < 0 {
 		d = 0
 	}
-	k.schedule(k.now+d, nil, cb)
+	e := k.schedule(k.now+d, nil, cb)
+	return Timer{k: k, e: e, seq: e.seq}
+}
+
+// Timer is the handle of one AfterCall event, for the caller that may
+// have to withdraw it: a deadline that was met, a retransmission that
+// was answered. Events are pooled, so the handle names its event by
+// sequence number as well as by pointer: once the event has fired or
+// been stopped — and its struct perhaps reused for somebody else's —
+// the handle is inert. The zero Timer is inert too.
+type Timer struct {
+	k   *Kernel
+	e   *event
+	seq uint64
+}
+
+// Stop withdraws the event if it is still pending and reports whether
+// it was: removed in place from the heap, so a stopped timer costs no
+// event at all (one scheduled for the current instant is tombstoned in
+// the run queue and reclaimed on pop, like a task's stale wake).
+//
+//fractos:hotpath
+func (tm Timer) Stop() bool {
+	e := tm.e
+	if e == nil || e.seq != tm.seq || e.cb == nil {
+		return false
+	}
+	tm.k.cancel(e)
+	return true
 }
 
 // park blocks the calling task until the kernel wakes it.

@@ -14,15 +14,17 @@
 // call complete exactly once on every control-flow path. Zero
 // completions hang the issuing Process forever; two corrupt its
 // token table. The analysis is path-sensitive over if/switch/return
-// and follows the package's continuation idioms. A handler that needs
-// the owner's answer parks a pending-call record with forward, which
-// passes the completion duty to the record's continuation: the
-// pending-call machinery runs finishSyscall exactly once per record
-// (reply, send failure, or abort), so forward counts as the handler's
-// one completion and finishSyscall is itself held to the exactly-once
-// rule. A function literal handed to Spawn or After runs exactly once,
-// so its body — and same-package functions it calls, such as runCopy —
-// counts toward the handler's completion total.
+// and follows the package's continuation idioms. A handler whose
+// operation outlives it passes the completion duty to a record, through
+// a function whose doc comment carries //fractos:completion-handoff:
+// calling it counts as the handler's one completion, and the record's
+// machinery discharges the duty exactly once. forward parks a
+// pending-call record whose continuation, finishSyscall, runs exactly
+// once per record (reply, send failure, or abort) and is itself held to
+// the exactly-once rule; startCopy hands a memory_copy to its copyOp,
+// whose finish completes it. A function literal handed to Spawn or
+// After runs exactly once, so its body — and same-package functions it
+// calls — counts toward the handler's completion total.
 package statuscheck
 
 import (
@@ -43,6 +45,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 const suppression = "fractos:status-ok"
+
+// handoff marks, in its doc comment, a function that takes over its
+// caller's duty to complete the syscall.
+const handoff = "fractos:completion-handoff"
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	checkDrops(pass)
@@ -458,10 +464,6 @@ func (c *checker) callCounts(call *ast.CallExpr) counts {
 	switch astq.CalleeName(call) {
 	case "complete":
 		return one
-	case "forward":
-		// The completion duty moves to the pending-call record;
-		// finishSyscall discharges it (and is checked as a root).
-		return one
 	case "call":
 		// The bare pending-call machinery serves internal operations
 		// (cleanup broadcasts, lease revocations, memory_copy's
@@ -480,6 +482,11 @@ func (c *checker) callCounts(call *ast.CallExpr) counts {
 		return out
 	}
 	if fn := astq.CalledFunc(c.pass.TypesInfo, call); fn != nil && fn.Pkg() == c.pass.Pkg {
+		if takesOver(c.decls[fn]) {
+			// The completion duty moves to a record (a pending call, a
+			// copy op) whose machinery discharges it.
+			return one
+		}
 		return c.summary(fn)
 	}
 	out := zero
@@ -487,6 +494,20 @@ func (c *checker) callCounts(call *ast.CallExpr) counts {
 		out = out.add(c.exprCounts(arg))
 	}
 	return out
+}
+
+// takesOver reports whether fd's doc comment carries the handoff
+// directive (as a comment line of its own, not prose mentioning it).
+func takesOver(fd *ast.FuncDecl) bool {
+	if fd == nil || fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if strings.HasPrefix(strings.TrimPrefix(c.Text, "//"), handoff) {
+			return true
+		}
+	}
+	return false
 }
 
 // funcLitCounts analyzes a literal that will be invoked exactly once,

@@ -14,7 +14,11 @@ func (c *Controller) complete(ps *proc, token uint64, st wire.Status) {}
 
 type pendingCall struct{ kind int }
 
+//fractos:completion-handoff
 func (c *Controller) forward(pc *pendingCall, ps *proc, token uint64) {}
+
+// park looks like forward but does not take the completion duty over.
+func (c *Controller) park(pc *pendingCall, ps *proc, token uint64) {}
 
 func (c *Controller) Spawn(name string, fn func()) {}
 
@@ -73,6 +77,12 @@ func (c *Controller) handleGoodForward(ps *proc, m *wire.MemCreate) {
 		return
 	}
 	c.forward(&pendingCall{}, ps, m.Token)
+}
+
+// handleBadPark parks a record in a function that is not annotated as
+// taking the duty over, and never completes.
+func (c *Controller) handleBadPark(ps *proc, m *wire.MemCreate) { // want `handleBadPark can fall off the end having completed 0 times`
+	c.park(&pendingCall{}, ps, m.Token)
 }
 
 // handleBadForward completes and also forwards the duty.
