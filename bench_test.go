@@ -325,22 +325,32 @@ func deployEcho(t *testing.T, tk *sim.Task, d *testbed.Deployment) (srv *proc.Pr
 	return srv, root
 }
 
+// deployEchoClient is deployEcho plus one client on node 0 holding the
+// echo Request. cli is nil if set-up failed.
+func deployEchoClient(t *testing.T, tk *sim.Task, d *testbed.Deployment) (cli *proc.Process, req proc.Cap) {
+	srv, root := deployEcho(t, tk, d)
+	if srv == nil {
+		return nil, req
+	}
+	cli = d.Attach(0, "client", 0)
+	req, err := proc.GrantCap(srv, root, cli)
+	if err != nil {
+		t.Error(err)
+		return nil, req
+	}
+	return cli, req
+}
+
 // nullCalls runs the paper's Table 3 / §6.1 exchange on a fresh
 // two-node deployment: warm+calls cross-node proc.Calls of a null
-// Request, 16 wire messages and 6 syscalls over two Controllers each.
+// Request, 12 wire messages and 4 syscalls over two Controllers each.
 // It returns the objects allocated per call over the last `calls` of
 // them and the kernel events of the whole run, set-up included.
 func nullCalls(t *testing.T, warm, calls int) (allocsPerCall float64, events uint64) {
 	e0 := sim.TotalEvents()
 	testbed.RunT(t, testbed.Spec{Nodes: 2, Seed: 5}, func(tk *sim.Task, d *testbed.Deployment) {
-		srv, root := deployEcho(t, tk, d)
-		if srv == nil {
-			return
-		}
-		cli := d.Attach(0, "client", 0)
-		req, err := proc.GrantCap(srv, root, cli)
-		if err != nil {
-			t.Error(err)
+		cli, req := deployEchoClient(t, tk, d)
+		if cli == nil {
 			return
 		}
 		call := func(from, n int) {
@@ -362,18 +372,19 @@ func nullCalls(t *testing.T, warm, calls int) (allocsPerCall float64, events uin
 }
 
 // TestAllocGateNullCall pins the whole control path end to end (see
-// nullCalls). The seven objects left are the reply Request's object,
-// the two request_receive descriptors (each owns its arguments inline)
-// and the benchmark's own immediate arguments at both ends; the ledger
-// is in docs/PERFORMANCE.md. The bound is the measured count plus one:
-// this workload allocated 113 objects per call before the per-message
-// path was made allocation-free and 39 while every frame was decoded
-// into a fresh message at send time.
+// nullCalls). The six objects left are the two request_receive
+// descriptors (each owns its arguments inline) and the benchmark's own
+// immediate arguments at both ends; the ledger is in
+// docs/PERFORMANCE.md. The bound is the measured count plus one: this
+// workload allocated 113 objects per call before the per-message path
+// was made allocation-free, 39 while every frame was decoded into a
+// fresh message at send time, and 7 while every Call created a reply
+// Request.
 func TestAllocGateNullCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const maxPerCall = 8
+	const maxPerCall = 7
 	per, _ := nullCalls(t, 200, 2000)
 	if per > maxPerCall {
 		t.Errorf("null cross-node Call allocates %.2f objects, want <= %d", per, maxPerCall)
@@ -447,18 +458,21 @@ func TestAllocGateMemCopy(t *testing.T) {
 }
 
 // TestEventGateNullCall pins the kernel events one unloaded cross-node
-// Call costs: 16 frame deliveries, 10 Controller service times and 3
+// Call costs: 12 frame deliveries, 8 Controller service times and 3
 // application-task wakes — the echo server's two and the one that ends
 // the Call (the ledger is in docs/PERFORMANCE.md). The count is a
 // property of the program, not of the host, so the gate is an equality
 // and runs under -race too; it was 47 while Controllers and libfractos'
 // receive demultiplexers were tasks woken once per frame that found
-// them idle, and 32 while Call woke its caller after each of its own
-// four syscalls.
+// them idle, 32 while Call woke its caller after each of its own
+// syscalls, and 29 while every Call created its reply Request and
+// dropped it afterwards: the six events gone are the request_create's
+// and the cap_drop's syscall frames, their two services at the caller's
+// Controller and their two completion frames.
 func TestEventGateNullCall(t *testing.T) {
 	const (
 		short, long   = 100, 300
-		eventsPerCall = 29
+		eventsPerCall = 23
 	)
 	_, e1 := nullCalls(t, 0, short)
 	_, e2 := nullCalls(t, 0, long)
@@ -496,6 +510,60 @@ func TestEventGateMemCopy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVirtGateNullCall pins the virtual clock of the same exchange, so
+// that no round trip comes back onto a Call's critical path unnoticed.
+// A warm cross-node null Call, one issued as the last returns, takes the
+// pre-exchanged round trip of Figure 6 (16.288 µs) plus the service of
+// the DeliverDone the previous reply's arrival posted ahead of it, and is
+// four syscalls — the caller's and the echo server's request_invoke, each
+// forwarded, and neither a request_create nor a capability syscall — in
+// 12 fabric sends. Virtual time is exact, so the gate is an equality and
+// runs under -race too.
+func TestVirtGateNullCall(t *testing.T) {
+	const (
+		calls   = 100
+		perCall = sim.Time(16863) // ns
+	)
+	testbed.RunT(t, testbed.Spec{Nodes: 2, Seed: 5}, func(tk *sim.Task, d *testbed.Deployment) {
+		cli, req := deployEchoClient(t, tk, d)
+		if cli == nil {
+			return
+		}
+		call := func(i int) sim.Time {
+			start := tk.Now()
+			if _, err := cli.Call(tk, req, []wire.ImmArg{proc.U64Arg(0, uint64(i))}, nil, replySlot); err != nil {
+				t.Error(err)
+			}
+			return tk.Now() - start
+		}
+		// What the Controllers served and the fabric carried, once the
+		// last acknowledgements have drained.
+		counters := func() (m core.Metrics, sends int64) {
+			tk.Sleep(testbed.USec(100))
+			for _, c := range d.Cl.Ctrls {
+				cm := c.Metrics()
+				m.ReqCreates, m.CapOps, m.Invokes = m.ReqCreates+cm.ReqCreates, m.CapOps+cm.CapOps, m.Invokes+cm.Invokes
+			}
+			st := d.Net().Stats()
+			return m, st.ControlMsgs + st.DataMsgs
+		}
+		call(0) // creates the reply Request
+		m0, s0 := counters()
+		call(1)
+		for i := 2; i < 2+calls; i++ {
+			if took := call(i); took != perCall {
+				t.Errorf("call %d took %v, want %v", i, took, perCall)
+				return
+			}
+		}
+		m1, s1 := counters()
+		if n := int64(calls + 1); s1-s0 != 12*n || m1.ReqCreates != m0.ReqCreates || m1.CapOps != m0.CapOps || m1.Invokes-m0.Invokes != 4*n {
+			t.Errorf("%d warm calls: %d fabric sends, %d request_create, %d capability syscalls, %d invocations handled; want %d, 0, 0, %d",
+				n, s1-s0, m1.ReqCreates-m0.ReqCreates, m1.CapOps-m0.CapOps, m1.Invokes-m0.Invokes, 12*n, 4*n)
+		}
+	})
 }
 
 // lossyCalls runs 4 closed-loop clients of cross-node null Calls

@@ -64,7 +64,7 @@ type pendingCall struct {
 	// of entry is the capability to install once the owner has named
 	// the new object.
 	entry    cap.Entry
-	cid      cap.CapID      // callRevoke: the caller's entry to drop afterwards
+	cid      cap.CapID      // callRevoke: the caller's entry to drop afterwards; callInvoke: if spent
 	imms     []wire.ImmArg  // callInvoke, callDeriveReq: refinements
 	immData  []byte         // the bytes of imms, back to back
 	caps     []wire.CapXfer // callInvoke, callDeriveReq: resolved capability arguments
@@ -274,6 +274,9 @@ func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 		pc.ps.space.Drop(pc.cid)
 		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
 	default: // callInvoke, callWatch
+		if pc.kind == callInvoke {
+			c.invoked(pc.ps, pc.cid, pc.caps, st, ok && ack.Spent)
+		}
 		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
 	}
 }

@@ -27,20 +27,51 @@ func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
+	c.armReplies(ps, capArgs, true)
 	if e.Ref.Ctrl == c.id {
-		st := c.deliverInvoke(e.Ref, m.Imms, capArgs)
+		st, spent := c.deliverInvoke(e.Ref, m.Imms, capArgs)
+		c.invoked(ps, m.Cid, capArgs, st, spent)
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
 	pc := c.newCall(callInvoke, e.Ref)
+	pc.cid = m.Cid
 	pc.keepImms(m.Imms)
 	pc.keepCaps(capArgs)
 	c.forward(pc, ps, m.Token)
 }
 
+// armReplies arms, or disarms again, the reply Requests ps provides among
+// an invocation's capability arguments: passed along by their provider,
+// they are good for one delivery. They are created here, at its Controller.
+func (c *Controller) armReplies(ps *procState, args []wire.CapXfer, armed bool) {
+	for i := range args {
+		if a := &args[i]; a.Kind == cap.KindRequest && a.Ref.Ctrl == c.id {
+			if n, st := c.resolveOwned(a.Ref); st == wire.StatusOK {
+				if ro, ok := n.Payload.(*reqObject); ok && ro.reply() && ro.provider == ps.id {
+					ro.armed = armed
+				}
+			}
+		}
+	}
+}
+
+// invoked settles an invocation by ps once its outcome is known: refused,
+// it takes back the arming of the reply Requests it passed; having spent
+// a reply Request, it leaves ps without the entry it went through.
+func (c *Controller) invoked(ps *procState, cid cap.CapID, args []wire.CapXfer, st wire.Status, spent bool) {
+	if st != wire.StatusOK {
+		c.armReplies(ps, args, false)
+	} else if spent {
+		ps.space.Drop(cid)
+	}
+}
+
 // deliverInvoke performs the owner-side invocation: validate the
 // Request, merge invoke-time arguments, delegate capability arguments
 // into the provider's space, and deliver a request_receive descriptor.
+// A reply Request delivers only while armed, and the delivery disarms
+// it: spent then tells the invoker's Controller to drop the used entry.
 //
 // The merge never touches the Request object (§3.4) and never copies
 // it either: preset and invoke-time arguments meet in Controller-owned
@@ -48,28 +79,31 @@ func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 // applies, the capabilities in one slot-sorted list — and the
 // descriptor is encoded straight from there. Only a descriptor that
 // must wait for a window credit is copied out.
-func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire.CapXfer) wire.Status {
+func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire.CapXfer) (st wire.Status, spent bool) {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
-		return st
+		return st, false
 	}
 	ro, ok := n.Payload.(*reqObject)
 	if !ok {
-		return wire.StatusKind
+		return wire.StatusKind, false
+	}
+	if ro.reply() && !ro.armed {
+		return wire.StatusRevoked, false // a delegation already used, or never made
 	}
 	prov, ok := c.procs[ro.provider]
 	if !ok || prov.failed {
-		return wire.StatusNoProc
+		return wire.StatusNoProc, false
 	}
 
 	c.immScratch.copyFrom(&ro.imms)
 	if st := c.immScratch.apply(imms); st != wire.StatusOK {
-		return st
+		return st, false
 	}
 	merged, st := mergeCaps(append(c.capScratch[:0], ro.caps...), extra)
 	c.capScratch = merged[:0]
 	if st != wire.StatusOK {
-		return st
+		return st, false
 	}
 
 	// Delegate capability arguments: install entries in the provider's
@@ -85,13 +119,14 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 			for _, dc := range d.Caps {
 				prov.space.Drop(dc.Cid)
 			}
-			return st
+			return st, false
 		}
 		d.Caps = append(d.Caps, wire.DeliveredCap{
 			Slot: a.Slot, Cid: cid, Kind: a.Kind, Rights: a.Rights, Size: a.Size,
 		})
 	}
 
+	spent, ro.armed = ro.armed, false
 	prov.deliverSeq++
 	d.Seq, d.Tag, d.Imms = prov.deliverSeq, ro.tag, c.immScratch.bytes()
 	if prov.window <= 0 {
@@ -104,10 +139,10 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 			Imms: append([]byte(nil), d.Imms...),
 			Caps: append([]wire.DeliveredCap(nil), d.Caps...),
 		})
-		return wire.StatusOK
+		return wire.StatusOK, spent
 	}
 	c.sendDeliver(prov, d)
-	return wire.StatusOK
+	return wire.StatusOK, spent
 }
 
 // peerInvoke handles an invocation arriving from another Controller.
@@ -116,6 +151,6 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 // retransmitted CtrlInvoke must be answered without re-delivering.
 func (c *Controller) peerInvoke(from fabric.EndpointID, m *wire.CtrlInvoke) {
 	c.metrics.Invokes++
-	st := c.deliverInvoke(m.Ref, m.Imms, m.Caps)
-	c.ack(from, wire.CtrlAck{Token: m.Token, Status: st})
+	st, spent := c.deliverInvoke(m.Ref, m.Imms, m.Caps)
+	c.ack(from, wire.CtrlAck{Token: m.Token, Status: st, Spent: spent})
 }

@@ -20,14 +20,25 @@ type memObject struct {
 // endpoint with accumulated, write-once arguments (§3.4). Capability
 // arguments are kept in their transfer form, sorted by slot, so an
 // invocation delivers them in slot order without sorting or copying.
+//
+// A reply Request (wire.ReplyTag in the tag) is a continuation its
+// provider reuses from call to call, so its delegation is single-use: it
+// delivers only while armed. The provider arms it by passing it as an
+// invocation argument — always at this, its own Controller — and one
+// delivery disarms it (DESIGN.md, "Call convention").
 type reqObject struct {
 	provider cap.ProcID
 	tag      uint64
 	imms     immBuf
 	caps     []wire.CapXfer // ascending Slot, one entry per slot
+	armed    bool           // reply Requests: one delivery is owed
 }
 
-// clone deep-copies the request for derivation.
+// reply reports whether r is a reply Request.
+func (r *reqObject) reply() bool { return r.tag&wire.ReplyTag != 0 }
+
+// clone deep-copies the request for derivation. A child of a reply
+// Request is one too, and nobody arms it.
 func (r *reqObject) clone() *reqObject {
 	return &reqObject{provider: r.provider, tag: r.tag, imms: r.imms.clone(),
 		caps: append([]wire.CapXfer(nil), r.caps...)}

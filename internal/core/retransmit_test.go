@@ -18,8 +18,9 @@ import (
 )
 
 // sweepRun drives 4 closed-loop callers on node 0 against a null Request
-// served on node 1 — every invocation crosses the lossy Controller hop
-// as one CtrlInvoke/CtrlAck exchange — and returns what was violated.
+// served on node 1 — every Call crosses the lossy Controller hop as two
+// CtrlInvoke/CtrlAck exchanges, the invocation and the reply through the
+// caller's reused reply Request — and returns what was violated.
 func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
 	const (
 		clients   = 4
@@ -47,22 +48,53 @@ func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
 					return
 				}
 				delivered[d.U64(0)]++
+				if rep, ok := d.Cap(0); ok {
+					_ = srv.Invoke(st, rep, []wire.ImmArg{proc.U64Arg(0, d.U64(0))}, nil)
+				}
 				d.Done()
 			}
 		})
+		call := func(ct *sim.Task, id uint64) error {
+			dv, err := cli.Call(ct, req, []wire.ImmArg{proc.U64Arg(0, id)}, nil, 0)
+			if err == nil && dv.U64(0) != id {
+				err = fmt.Errorf("call %d was answered %d", id, dv.U64(0))
+			}
+			return err
+		}
+		c0, c1 := cl.CtrlFor(0), cl.CtrlFor(1)
+		held := func() [4]int64 {
+			return [4]int64{c0.Footprint().CapSpaceBytes, int64(c0.ObjectCount()),
+				c1.Footprint().CapSpaceBytes, int64(c1.ObjectCount())}
+		}
+		// Quiescence: the last deliveries and their DeliverDones drain,
+		// the last resent acknowledgement has arrived.
+		settle := func() {
+			for budget := core.DefaultRPCBudget; budget > 0 && c0.PendingCalls()+c1.PendingCalls() != 0; budget -= fms {
+				tk.Sleep(fms)
+			}
+			tk.Sleep(5 * fms)
+		}
+		// Warm-up: one call per client, all at once, creates every reply
+		// Request the run will use.
+		load.Closed{Clients: clients, PerClient: 1}.Run(tk,
+			func(ct *sim.Task, client, _ int) error { return call(ct, uint64(1000+client)) })
+		settle()
+		warm := held()
 
 		succeeded := make(map[uint64]bool)
 		start := tk.Now()
 		stats := load.Closed{Clients: clients, PerClient: perClient}.Run(tk,
 			func(ct *sim.Task, client, seq int) error {
 				id := uint64(client*perClient+seq) + 1
-				err := cli.Invoke(ct, req, []wire.ImmArg{proc.U64Arg(0, id)}, nil)
+				err := call(ct, id)
 				succeeded[id] = err == nil
 				return err
 			})
 		elapsed := tk.Now() - start
-		// Quiescence: the last deliveries and their DeliverDones drain.
-		tk.Sleep(5 * fms)
+		settle()
+		if got := held(); got != warm {
+			bad("{caller space, objects, provider space, objects} = %v at quiescence, %v after the warm-up", got, warm)
+		}
 
 		if got := stats.Requests + stats.Errors; got != clients*perClient {
 			bad("%d of %d calls resolved", got, clients*perClient)
@@ -77,7 +109,6 @@ func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
 				bad("request %d succeeded at its caller but was delivered %d times", id, delivered[id])
 			}
 		}
-		c0, c1 := cl.CtrlFor(0), cl.CtrlFor(1)
 		if n := c0.PendingCalls() + c1.PendingCalls(); n != 0 {
 			bad("%d calls still pending at quiescence", n)
 		}
@@ -104,9 +135,12 @@ func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
 
 // TestChaosRetransmitSweep: seeds 1–20 × loss × duplication × jitter.
 // Every call resolves, no request reaches the provider twice and every
-// request whose caller saw success reached it once, window credits,
-// the pending table and the fabric's frames are conserved, nothing
-// aborts inside the budget,
+// request whose caller saw success reached it once and was answered
+// once, window credits, the pending table, the fabric's frames, both
+// capability spaces and both object counts are conserved (a resent
+// CtrlInvoke answered from the at-most-once cache neither disarms a
+// reply Request twice nor spends its delegation twice), nothing aborts
+// inside the budget,
 // and (while jitter stays under the RTO floor) resends track the frames
 // the fabric actually lost. A failure names the (seed, faults) tuple
 // that reproduces it.

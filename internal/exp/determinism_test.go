@@ -118,13 +118,27 @@ func TestTraceDeterminism(t *testing.T) {
 	diffTraces(t, "faceverify", faceverifyTrace(t), faceverifyTrace(t))
 }
 
-// Pinned SHA-256 digests of the two workload traces (computed at
-// PR 12, commit 900f301). A change that claims "byte-identical fabric
-// traces" is checked against these in-tree; a change that means to
-// move a timestamp or a byte count updates them and says why.
+// Pinned SHA-256 digests of the two workload traces. A change that
+// claims "byte-identical fabric traces" is checked against these
+// in-tree; a change that means to move a timestamp or a byte count
+// updates them and says why.
+//
+// Last moved when Call stopped creating and dropping a reply Request per
+// call (they were fb51a1cf… and cdaa0df1… from PR 12 until then). First
+// diverging event, pipeline: the 53rd, at 93 941 ns — the cap_drop
+// (type 107, 14 bytes) the client posted beside the DeliverDone of its
+// first Call's reply is gone, and its next syscall, the memory_copy
+// (type 102) that used to wait for the drop's completion until 97 545 ns,
+// leaves in its place. Faceverify: the first, the frontend's memory_copy
+// — at 1 509 611 ns instead of 1 729 411, because the registry Calls of
+// the set-up, before the trace starts, each lost two round trips; the
+// requests themselves use pre-exchanged continuations, and what differs
+// after the shift is the tail of the set-up's last Call (a Completion and
+// a DeliverDone at the registry's Controller) now overlapping the first
+// request instead of being waited out.
 const (
-	pipelineTraceSHA256   = "fb51a1cfc055fe2c7fbd7349d083b024a9a68c2ec80924f8888e6e877cead795"
-	faceverifyTraceSHA256 = "cdaa0df1ec69cd4418cd08306fd58e81a063dd26773ab3bef18716fd23e2ddee"
+	pipelineTraceSHA256   = "19af0e22a39c2127746943fa1323f7309aa4890e1ec83c89a1c578af5dd0409a"
+	faceverifyTraceSHA256 = "ddbd30e2493b47f74ac6f8f4de4ba8bf61d8efcbe4439213b6a417f694e2a1d6"
 )
 
 func checkDigest(t *testing.T, name, trace, want string) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"fractos/internal/assert"
 	"fractos/internal/cap"
 	"fractos/internal/sim"
 	"fractos/internal/wire"
@@ -18,9 +19,11 @@ import (
 var ErrCallTimeout = errors.New("proc: call timed out awaiting reply")
 
 // Call performs a synchronous RPC over a Request (§3.4's A→B→A'
-// pattern): it creates a one-shot reply Request, passes it in
-// replySlot, invokes req, and waits for the continuation to be invoked
-// back. The reply delivery is acknowledged automatically.
+// pattern): it passes one of the Process's reply Requests in replySlot,
+// invokes req, and waits for the continuation to be invoked back. The
+// reply delivery is acknowledged automatically. Reply Requests are
+// reused from call to call — a call creates one only when every other is
+// in use — and each delegation is good for one reply (wire.ReplyTag).
 func (p *Process) Call(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16) (*Delivery, error) {
 	return p.CallTimeout(t, req, imms, args, replySlot, 0)
 }
@@ -36,9 +39,8 @@ func (p *Process) Call(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, rep
 // capability layer cannot signal (a crashed Controller's revocation
 // trees die with it).
 //
-// The call's four syscalls and its reply are steps of a callOp, taken
-// where their messages arrive: the caller is woken once, when the call
-// is over.
+// The call's syscalls and its reply are steps of a callOp, taken where
+// their messages arrive: the caller is woken once, when the call is over.
 func (p *Process) CallTimeout(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, d sim.Time) (*Delivery, error) {
 	op := p.getCallOp()
 	op.start(req, imms, args, replySlot, d)
@@ -48,18 +50,48 @@ func (p *Process) CallTimeout(t *sim.Task, req Cap, imms []wire.ImmArg, args []A
 	return dv, err
 }
 
+// replyReq is a reply Request of this Process: its capability and the
+// tag its invocations arrive under. Calls take theirs from
+// Process.replies and put them back as they found them, so the set holds
+// as many as Calls have been in progress at once.
+type replyReq struct {
+	cid cap.CapID
+	tag uint64
+}
+
+// getReply takes a reply Request off the set or, when every one is in
+// use, a record with a tag and no capability yet: the call creates it.
+//
+//fractos:pool-acquire replyreq
+func (p *Process) getReply() *replyReq {
+	r := p.replies.Get()
+	if r.tag == 0 {
+		r.tag = wire.ReplyTag | p.NewTag()
+	}
+	return r
+}
+
+//fractos:pool-release replyreq
+func (p *Process) putReply(r *replyReq) { p.replies.Put(r) }
+
+// hold makes r the call's until release, or for good (a revoked one).
+//
+//fractos:pool-handoff replyreq
+func (op *callOp) hold(r *replyReq) { op.reply = r }
+
 // callOp is one Call in progress: a pooled record stepped in kernel
 // context (from demux, and by its deadline) through
 //
-//	request_create of the reply Request → request_invoke, posted the
-//	instant the reply Request's cid arrives → the reply's delivery:
-//	Done → cap_drop of the reply Request → over
+//	request_invoke, passing a free reply Request → the reply's
+//	delivery: Done, the reply Request is free again → over
 //
-// and its error legs: a refused invoke skips to the cap_drop; the
-// deadline marks the tag stale and ends with a cap_revoke instead; a
-// syscall that finds the channel to the Controller severed ends the
-// call on the spot. imms is the blocked caller's; the capability
-// arguments are copied into the op, the reply Request's slot last.
+// with a request_create in front when no reply Request is free, and its
+// error legs: a refused invoke frees the reply Request at once; the
+// deadline marks the tag stale and ends with a cap_revoke, and that
+// reply Request is never used again; a syscall that finds the channel to
+// the Controller severed ends the call on the spot. imms is the blocked
+// caller's; the capability arguments are copied into the op, the reply
+// Request's slot last.
 type callOp struct {
 	p     *Process
 	state callState
@@ -70,8 +102,7 @@ type callOp struct {
 	d        sim.Time
 	deadline sim.Timer
 
-	reply cap.CapID // the reply Request, once created
-	tag   uint64    // and its tag
+	reply *replyReq // the reply Request this call holds
 
 	// The outcome, for result: the reply, or why there is none — err, the
 	// status of the syscall that was refused, the deadline (with err or
@@ -90,8 +121,7 @@ const (
 	callCreating callState = iota + 1 // the reply Request's completion
 	callInvoking                      // the invocation's completion
 	callWaiting                       // the reply
-	callDropping                      // the completion of the reply Request's cap_drop
-	callRevoking                      // or of its cap_revoke, past the deadline
+	callRevoking                      // the completion of the reply Request's cap_revoke, past the deadline
 )
 
 //fractos:pool-acquire callop
@@ -101,39 +131,63 @@ func (p *Process) getCallOp() *callOp {
 	return op
 }
 
+// putCallOp clears an op, so that a message or deadline that outlived
+// its call trips the assert its step starts with, and recycles it —
+// except under the race detector (poison_race.go).
+//
 //fractos:pool-release callop
 func (p *Process) putCallOp(op *callOp) {
 	*op = callOp{slots: op.slots[:0]}
-	p.calls.Put(op)
+	if recycleCallOps {
+		p.calls.Put(op)
+	}
 }
 
-// start posts the request_create of the reply Request. A handle of
-// another Process among the arguments fails the call where the
-// invocation would have been posted.
+// start posts the invocation with a free reply Request, or the
+// request_create of a new one. A handle of another Process among the
+// arguments fails the call before anything is posted.
 func (op *callOp) start(req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, d sim.Time) {
 	p := op.p
+	if op.err = p.checkInvoke(req, args); op.err != nil {
+		op.done.Set(struct{}{})
+		return
+	}
 	op.req, op.imms, op.d = req, imms, d
-	op.err = p.checkInvoke(req, args)
 	op.slots = append(appendSlots(op.slots[:0], args), wire.CapSlot{Slot: replySlot})
-	op.tag = p.NewTag()
+	op.hold(p.getReply())
+	if op.reply.cid != cap.NilCap {
+		op.invoke()
+		return
+	}
 	op.state = callCreating
 	p.nextToken++
-	p.tx.reqCreate = wire.ReqCreate{Token: p.nextToken, Parent: cap.NilCap, Tag: op.tag}
+	p.tx.reqCreate = wire.ReqCreate{Token: p.nextToken, Parent: cap.NilCap, Tag: op.reply.tag}
 	op.post(p.nextToken, &p.tx.reqCreate)
 }
 
+// invoke posts the invocation, the reply Request in its slot.
+//
+//fractos:hotpath
+func (op *callOp) invoke() {
+	p := op.p
+	op.slots[len(op.slots)-1].Cid = op.reply.cid
+	op.state = callInvoking
+	p.nextToken++
+	p.tx.reqInvoke = wire.ReqInvoke{Token: p.nextToken, Cid: op.req.id, Imms: op.imms, Caps: op.slots}
+	if op.post(p.nextToken, &p.tx.reqInvoke) {
+		p.waiters[op.reply.tag] = tagWaiter{op: op}
+	}
+}
+
 // post sends one of the call's syscalls. If the channel to the
-// Controller is severed the call is over: with ErrDisconnected, unless
-// all that is lost is the cap_drop after an outcome it cannot change.
+// Controller is severed the call is over, with ErrDisconnected.
 //
 //fractos:hotpath
 func (op *callOp) post(token uint64, m wire.Message) bool {
 	if op.p.send(sysWaiter{op: op}, token, m) {
 		return true
 	}
-	if op.state != callDropping {
-		op.err = ErrDisconnected
-	}
+	op.err = ErrDisconnected
 	op.done.Set(struct{}{})
 	return false
 }
@@ -150,26 +204,17 @@ func (op *callOp) completed(m *wire.Completion) {
 			op.done.Set(struct{}{})
 			return
 		}
-		op.reply = m.Cid
-		if op.err != nil {
-			op.drop()
-			return
-		}
-		op.slots[len(op.slots)-1].Cid = m.Cid
-		op.state = callInvoking
-		p.nextToken++
-		p.tx.reqInvoke = wire.ReqInvoke{Token: p.nextToken, Cid: op.req.id, Imms: op.imms, Caps: op.slots}
-		if op.post(p.nextToken, &p.tx.reqInvoke) {
-			p.waiters[op.tag] = tagWaiter{op: op}
-		}
+		op.reply.cid = m.Cid
+		op.invoke()
 	case callInvoking:
 		switch {
 		case m.Status != wire.StatusOK:
-			delete(p.waiters, op.tag)
+			// The Controller took the arming of the reply Request back.
+			delete(p.waiters, op.reply.tag)
 			op.refused = m.Status
-			op.drop()
+			op.release()
 		case op.dv != nil:
-			op.replied() // the reply overtook the invocation's completion
+			op.release() // the reply overtook the invocation's completion
 		default:
 			op.state = callWaiting
 			if op.d > 0 {
@@ -179,10 +224,8 @@ func (op *callOp) completed(m *wire.Completion) {
 	case callRevoking:
 		op.refused = m.Status
 		op.done.Set(struct{}{})
-	case callDropping:
-		// The reply Request is one-shot: whether the drop took or not,
-		// the call is over.
-		op.done.Set(struct{}{})
+	default:
+		assert.True(false, "proc: a completion for a call that waits for none")
 	}
 }
 
@@ -190,30 +233,25 @@ func (op *callOp) completed(m *wire.Completion) {
 //
 //fractos:hotpath
 func (op *callOp) delivered(dv *Delivery) {
+	assert.True(op.dv == nil && (op.state == callInvoking || op.state == callWaiting), "proc: a reply for a call that waits for none")
 	op.dv = dv
 	if op.state == callWaiting {
 		op.deadline.Stop()
-		op.replied()
+		op.release()
 	}
 }
 
-// replied acknowledges the reply and drops the reply Request.
+// release ends a call that leaves its reply Request as it found it —
+// unarmed, nobody waiting on its tag — for the next call to take. A
+// reply that came is acknowledged.
 //
 //fractos:hotpath
-func (op *callOp) replied() {
-	op.dv.Done()
-	op.drop()
-}
-
-// drop posts the cap_drop of the reply Request, the call's last step.
-//
-//fractos:hotpath
-func (op *callOp) drop() {
-	p := op.p
-	op.state = callDropping
-	p.nextToken++
-	p.tx.capDrop = wire.CapDrop{Token: p.nextToken, Cid: op.reply}
-	op.post(p.nextToken, &p.tx.capDrop)
+func (op *callOp) release() {
+	if op.dv != nil {
+		op.dv.Done()
+	}
+	op.p.putReply(op.reply)
+	op.done.Set(struct{}{})
 }
 
 // Fire implements sim.Callback: the deadline passed with no reply. Mark
@@ -223,13 +261,14 @@ func (op *callOp) drop() {
 //
 //fractos:hotpath
 func (op *callOp) Fire() {
+	assert.True(op.state == callWaiting, "proc: a deadline for a call that waits for no reply")
 	p := op.p
-	delete(p.waiters, op.tag)
-	p.stale[op.tag] = true
+	delete(p.waiters, op.reply.tag)
+	p.stale[op.reply.tag] = true
 	op.timedOut = true
 	op.state = callRevoking
 	p.nextToken++
-	p.tx.capRevoke = wire.CapRevoke{Token: p.nextToken, Cid: op.reply}
+	p.tx.capRevoke = wire.CapRevoke{Token: p.nextToken, Cid: op.reply.cid}
 	op.post(p.nextToken, &p.tx.capRevoke)
 }
 

@@ -1,14 +1,16 @@
 package proc_test
 
-// The error legs of Call's state machine (call.go): what the call
-// leaves behind when its invocation is refused, and that a call whose
-// channel to the Controller is severed part-way returns instead of
-// waiting for a completion nobody will send.
+// Call's convention and the error legs of its state machine (call.go):
+// reply Requests are reused and their delegations single-use, so calls
+// leave nothing behind in any capability space — answered, refused or
+// timed out — and a call whose channel to the Controller is severed
+// part-way returns instead of waiting for a completion nobody will send.
 
 import (
 	"errors"
 	"testing"
 
+	"fractos/internal/cap"
 	"fractos/internal/core"
 	"fractos/internal/fabric"
 	"fractos/internal/proc"
@@ -16,50 +18,319 @@ import (
 	"fractos/internal/wire"
 )
 
-// TestCallRefusedInvokeDropsReplyRequest: the Request is revoked at its
-// owner while the call is creating its reply Request, so the invocation
-// comes back StatusRevoked. The call must return that status and take
-// the reply Request it had created back out of the caller's capability
-// space: nothing of the call is left there.
-func TestCallRefusedInvokeDropsReplyRequest(t *testing.T) {
+// callPair is a provider of one Request and a caller holding it on node
+// 0. With the provider on node 1 each is alone at its Controller: that
+// Controller's footprint is the one Process's capability space.
+type callPair struct {
+	cl        *core.Cluster
+	srv, cli  *proc.Process
+	req, creq proc.Cap
+}
+
+func newCallPair(t *testing.T, tk *sim.Task, cl *core.Cluster, srvNode int) *callPair {
+	t.Helper()
+	c := &callPair{cl: cl, srv: proc.Attach(cl, srvNode, "srv", 0), cli: proc.Attach(cl, 0, "cli", 0)}
+	var err error
+	if c.req, err = c.srv.RequestCreate(tk, 1, nil, nil); err != nil {
+		t.Error(err)
+	}
+	if c.creq, err = proc.GrantCap(c.srv, c.req, c.cli); err != nil {
+		t.Error(err)
+	}
+	return c
+}
+
+// echo serves the provider's Receive queue: each invocation is answered
+// through the capability in slot 0 with its first immediate plus one,
+// before its Done or after. first, if set, is shown the first
+// invocation's reply capability before the answer leaves.
+func (c *callPair) echo(doneFirst bool, first func(st *sim.Task, rep proc.Cap)) {
+	c.cl.K.Spawn("echo", func(st *sim.Task) {
+		for {
+			d, ok := c.srv.Receive(st)
+			if !ok {
+				return
+			}
+			rep, _ := d.Cap(0)
+			if first != nil {
+				first(st, rep)
+				first = nil
+			}
+			if doneFirst {
+				d.Done()
+			}
+			_ = c.srv.Invoke(st, rep, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
+			d.Done()
+		}
+	})
+}
+
+// call is one Call of the pair's Request that must come back echoed.
+func (c *callPair) call(t *testing.T, tk *sim.Task, v uint64) bool {
+	t.Helper()
+	dv, err := c.cli.Call(tk, c.creq, []wire.ImmArg{proc.U64Arg(0, v)}, nil, 0)
+	if err != nil || dv.U64(0) != v+1 {
+		t.Errorf("call %d: %v, %v; want the echo", v, dv, err)
+		return false
+	}
+	return true
+}
+
+// held is what the two Controllers keep: capability-space bytes and live
+// objects, the caller's then the provider's.
+func (c *callPair) held() [4]int64 {
+	c0, c1 := c.cl.CtrlFor(0), c.cl.CtrlFor(1)
+	return [4]int64{c0.Footprint().CapSpaceBytes, int64(c0.ObjectCount()),
+		c1.Footprint().CapSpaceBytes, int64(c1.ObjectCount())}
+}
+
+// nothingReceived checks that no invocation reached cli's Receive queue.
+func nothingReceived(t *testing.T, tk *sim.Task, cli *proc.Process) {
+	t.Helper()
+	if d, ok := cli.ReceiveTimeout(tk, us(100)); ok {
+		t.Errorf("an invocation with tag %#x reached the caller's Receive queue", d.Tag)
+	}
+}
+
+// TestCallLeavesNothingBehind: a thousand Calls later both capability
+// spaces and both Controllers' object counts are where the first call
+// left them — the caller reuses its reply Request, and the provider's
+// Controller drops the delegated reply capability the moment it has been
+// invoked, whether the provider answers before its Done or after, from
+// another node or from the caller's own.
+func TestCallLeavesNothingBehind(t *testing.T) {
+	for _, tc := range []struct {
+		srvNode   int
+		doneFirst bool
+	}{{1, false}, {1, true}, {0, false}} {
+		srvNode, doneFirst := tc.srvNode, tc.doneFirst
+		run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+			c := newCallPair(t, tk, cl, srvNode)
+			c.echo(doneFirst, nil)
+			if !c.call(t, tk, 0) {
+				return
+			}
+			tk.Sleep(us(100)) // the owner's answer to the provider's Controller
+			after1 := c.held()
+			before := cl.CtrlFor(0).Metrics()
+			for i := uint64(1); i <= 1000; i++ {
+				if !c.call(t, tk, i) {
+					return
+				}
+			}
+			tk.Sleep(us(100))
+			if got := c.held(); got != after1 {
+				t.Errorf("provider on node %d, done first %v: after 1000 more calls {caller space, objects, provider space, objects} = %v, after the first %v",
+					srvNode, doneFirst, got, after1)
+			}
+			m := cl.CtrlFor(0).Metrics()
+			if m.ReqCreates != before.ReqCreates || m.CapOps != before.CapOps {
+				t.Errorf("1000 warm calls posted %d request_create and %d capability syscalls, want none",
+					m.ReqCreates-before.ReqCreates, m.CapOps-before.CapOps)
+			}
+		})
+	}
+}
+
+// TestConcurrentCallsUseDistinctReplyRequests: K Calls in progress at
+// once on one Process pass K different reply Requests, and K is all the
+// Process ever creates: later rounds, as deep or shallower, reuse them.
+func TestConcurrentCallsUseDistinctReplyRequests(t *testing.T) {
+	const k = 5
 	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-		srv := proc.Attach(cl, 1, "srv", 0)
-		cli := proc.Attach(cl, 0, "cli", 0)
-		req, err := srv.RequestCreate(tk, 1, nil, nil)
-		if err != nil {
-			t.Error(err)
+		c := newCallPair(t, tk, cl, 1)
+		c0, c1 := cl.CtrlFor(0), cl.CtrlFor(1)
+		// The provider answers a round only once all depth of it has arrived.
+		depth := 0
+		var seen []map[cap.Ref]bool
+		cl.K.Spawn("rounds", func(st *sim.Task) {
+			for {
+				var ds []*proc.Delivery
+				refs := make(map[cap.Ref]bool)
+				for len(ds) == 0 || len(ds) < depth {
+					d, ok := c.srv.Receive(st)
+					if !ok {
+						return
+					}
+					rep, _ := d.Cap(0)
+					e, _ := c1.EntryOf(c.srv.ID(), rep.ID())
+					refs[e.Ref] = true
+					ds = append(ds, d)
+				}
+				seen = append(seen, refs)
+				for _, d := range ds {
+					rep, _ := d.Cap(0)
+					_ = c.srv.Invoke(st, rep, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
+					d.Done()
+				}
+			}
+		})
+		objects := c0.ObjectCount()
+		for round, n := range []int{k, k, 3} {
+			creates := c0.Metrics().ReqCreates
+			depth = n
+			var wg sim.WaitGroup
+			wg.Add(n)
+			for i := 0; i < n; i++ {
+				cl.K.Spawn("caller", func(ct *sim.Task) {
+					defer wg.Done()
+					c.call(t, ct, uint64(100*round+i))
+				})
+			}
+			wg.Wait(tk)
+			want := 0
+			if round == 0 {
+				want = k
+			}
+			if got := c0.Metrics().ReqCreates - creates; got != int64(want) {
+				t.Errorf("round %d, %d calls at once: %d reply Requests created, want %d", round, n, got, want)
+			}
+			if len(seen) != round+1 || len(seen[round]) != n {
+				t.Errorf("round %d: %d calls at once passed %d distinct reply Requests", round, n, len(seen[round]))
+				return
+			}
+			for ref := range seen[round] {
+				if !seen[0][ref] {
+					t.Errorf("round %d passed %v, which is not one of the first round's %d", round, ref, k)
+				}
+			}
+		}
+		if got := c0.ObjectCount() - objects; got != k {
+			t.Errorf("the caller's Controller holds %d reply Requests, want %d", got, k)
+		}
+	})
+}
+
+// TestReplyCapabilityIsSingleUse: the delegated reply capability is good
+// for one invocation. A second one through it finds the entry gone, and
+// a copy handed to a third Process before the answer is refused at the
+// owner once the call is over — neither reaches the caller, whose next
+// call reuses the Request undisturbed.
+func TestReplyCapabilityIsSingleUse(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		spy := proc.Attach(cl, 1, "spy", 0)
+		var kept, copied proc.Cap
+		c.echo(false, func(st *sim.Task, rep proc.Cap) {
+			var err error
+			if copied, err = proc.GrantCap(c.srv, rep, spy); err != nil {
+				t.Error(err)
+			}
+			kept = rep
+		})
+		if !c.call(t, tk, 1) {
 			return
 		}
-		creq, err := proc.GrantCap(srv, req, cli)
-		if err != nil {
-			t.Error(err)
-			return
+		tk.Sleep(us(100))
+		if err := c.srv.Invoke(tk, kept, nil, nil); !wire.IsStatus(err, wire.StatusNoCap) {
+			t.Errorf("second invocation through a delivered reply capability: %v, want StatusNoCap", err)
 		}
-		// Controller 0 manages cli alone, and cli holds creq alone: the
-		// footprint of its capability spaces is that one entry's.
-		ctrl := cl.CtrlFor(0)
-		oneEntry := ctrl.Footprint().CapSpaceBytes
-		// Late enough that the invocation has left for the owner before
-		// the revocation's cleanup broadcast purges creq here, early
-		// enough that the owner has revoked before it arrives.
-		cl.K.Spawn("revoker", func(rt *sim.Task) {
-			rt.Sleep(us(2.5))
-			if err := srv.Revoke(rt, req); err != nil {
+		if err := spy.Invoke(tk, copied, nil, nil); !wire.IsStatus(err, wire.StatusRevoked) {
+			t.Errorf("invocation through a copy kept past the reply: %v, want StatusRevoked", err)
+		}
+		nothingReceived(t, tk, c.cli)
+		c.call(t, tk, 2)
+	})
+}
+
+// TestCallRefusedInvokeReturnsReplyRequest: the Request is revoked at
+// its owner as a warm call invokes it, so the invocation comes back
+// StatusRevoked. The call must return that status and leave the caller's
+// capability space as the first call left it, with no syscall spent on
+// it: the reply Request goes back to the set — disarmed, so the copy of
+// its delegation an earlier provider kept does not deliver.
+func TestCallRefusedInvokeReturnsReplyRequest(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		spy := proc.Attach(cl, 1, "spy", 0)
+		var copied proc.Cap
+		c.echo(false, func(st *sim.Task, rep proc.Cap) {
+			var err error
+			if copied, err = proc.GrantCap(c.srv, rep, spy); err != nil {
 				t.Error(err)
 			}
 		})
-		dv, err := cli.Call(tk, creq, nil, nil, 0)
+		if !c.call(t, tk, 1) {
+			return
+		}
+		tk.Sleep(us(100))
+		ctrl := cl.CtrlFor(0)
+		after1, before := ctrl.Footprint().CapSpaceBytes, ctrl.Metrics()
+		// The owner has revoked before the forwarded invocation arrives,
+		// and its cleanup broadcast purges creq here only after the
+		// invocation has left.
+		cl.K.Spawn("revoker", func(rt *sim.Task) {
+			if err := c.srv.Revoke(rt, c.req); err != nil {
+				t.Error(err)
+			}
+		})
+		dv, err := c.cli.Call(tk, c.creq, nil, nil, 0)
 		if dv != nil || !wire.IsStatus(err, wire.StatusRevoked) {
 			t.Errorf("call of a Request revoked under it: %v, %v; want StatusRevoked", dv, err)
 		}
-		// The pre-call entries, less creq if the cleanup has purged it.
-		want := oneEntry
-		if _, still := ctrl.EntryOf(cli.ID(), creq.ID()); !still {
-			want = 0
+		tk.Sleep(us(100))
+		// The first call's entries, less creq once the cleanup has purged it.
+		want := after1
+		if _, still := ctrl.EntryOf(c.cli.ID(), c.creq.ID()); !still {
+			want -= after1 / 2
 		}
 		if got := ctrl.Footprint().CapSpaceBytes; got != want {
-			t.Errorf("capability space after the refused call: %d bytes, want %d (one entry is %d): the reply Request was not dropped",
-				got, want, oneEntry)
+			t.Errorf("capability space after the refused call: %d bytes, want %d", got, want)
+		}
+		if m := ctrl.Metrics(); m.CapOps != before.CapOps || m.ReqCreates != before.ReqCreates {
+			t.Errorf("the refused call posted %d capability syscalls and %d request_create, want none",
+				m.CapOps-before.CapOps, m.ReqCreates-before.ReqCreates)
+		}
+		if err := spy.Invoke(tk, copied, nil, nil); !wire.IsStatus(err, wire.StatusRevoked) {
+			t.Errorf("invocation through a kept copy after a refused call: %v, want StatusRevoked: the Request stayed armed", err)
+		}
+		nothingReceived(t, tk, c.cli)
+	})
+}
+
+// TestCallTimeoutRetiresReplyRequest: a call whose deadline passes
+// revokes its reply Request and never uses it again — the late answer
+// bounces — and the next call creates one.
+func TestCallTimeoutRetiresReplyRequest(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		var late proc.Cap
+		swallowed := sim.NewFuture[struct{}]()
+		cl.K.Spawn("slow-then-echo", func(st *sim.Task) {
+			d, ok := c.srv.Receive(st)
+			if !ok {
+				return
+			}
+			late, _ = d.Cap(0)
+			d.Done()
+			swallowed.Set(struct{}{})
+			c.echo(false, nil)
+		})
+		ctrl := cl.CtrlFor(0)
+		if _, err := c.cli.CallTimeout(tk, c.creq, nil, nil, 0, us(200)); !errors.Is(err, proc.ErrCallTimeout) {
+			t.Errorf("unanswered call: %v, want ErrCallTimeout", err)
+		}
+		if _, err := swallowed.Wait(tk); err != nil {
+			t.Error(err)
+		}
+		tk.Sleep(us(100))
+		if err := c.srv.Invoke(tk, late, nil, nil); err == nil {
+			t.Error("an answer after the deadline was accepted")
+		}
+		nothingReceived(t, tk, c.cli)
+		before, objects := ctrl.Metrics(), ctrl.ObjectCount()
+		if objects != 0 {
+			t.Errorf("%d live objects at the caller's Controller after the timeout, want 0: the reply Request was not revoked", objects)
+		}
+		if !c.call(t, tk, 7) {
+			return
+		}
+		if got := ctrl.Metrics().ReqCreates - before.ReqCreates; got != 1 {
+			t.Errorf("the call after a timeout created %d reply Requests, want 1: the revoked one must not be reused", got)
+		}
+		c.call(t, tk, 8)
+		if got := ctrl.Metrics().ReqCreates - before.ReqCreates; got != 1 {
+			t.Errorf("two calls after a timeout created %d reply Requests, want 1", got)
 		}
 	})
 }
@@ -76,20 +347,14 @@ func severOn(cl *core.Cluster, cli *proc.Process, typ wire.Type) {
 	})
 }
 
-// TestCallSeveredBetweenSyscalls: the channel goes between the
-// request_create and the request_invoke. The invocation is posted from
+// TestCallSeveredBetweenSyscalls: the channel goes between a first
+// call's request_create and its request_invoke. The invocation is posted from
 // the receive path, not by the caller — so it is the call's record that
 // must notice, and wake the caller with ErrDisconnected.
 func TestCallSeveredBetweenSyscalls(t *testing.T) {
 	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-		srv := proc.Attach(cl, 1, "srv", 0)
-		cli := proc.Attach(cl, 0, "cli", 0)
-		req, _ := srv.RequestCreate(tk, 1, nil, nil)
-		creq, err := proc.GrantCap(srv, req, cli)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		c := newCallPair(t, tk, cl, 1)
+		cli, creq := c.cli, c.creq
 		severOn(cl, cli, wire.TCompletion)
 		dv, err := cli.Call(tk, creq, nil, nil, 0)
 		if dv != nil || !errors.Is(err, proc.ErrDisconnected) {
@@ -103,32 +368,15 @@ func TestCallSeveredBetweenSyscalls(t *testing.T) {
 }
 
 // TestCallSeveredAfterReply: the channel goes as the reply arrives, so
-// neither its acknowledgement nor the cap_drop of the reply Request can
-// be posted. That cleanup is lost with the channel; the reply is not.
+// its acknowledgement cannot be posted. That is lost with the channel;
+// the reply is not.
 func TestCallSeveredAfterReply(t *testing.T) {
 	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-		srv := proc.Attach(cl, 1, "srv", 0)
-		cli := proc.Attach(cl, 0, "cli", 0)
-		req, _ := srv.RequestCreate(tk, 1, nil, nil)
-		creq, err := proc.GrantCap(srv, req, cli)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		cl.K.Spawn("echo", func(st *sim.Task) {
-			for {
-				d, ok := srv.Receive(st)
-				if !ok {
-					return
-				}
-				if rep, ok := d.Cap(0); ok {
-					_ = srv.Invoke(st, rep, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
-				}
-				d.Done()
-			}
-		})
+		c := newCallPair(t, tk, cl, 1)
+		c.echo(false, nil)
+		cli := c.cli
 		severOn(cl, cli, wire.TDeliver)
-		dv, err := cli.Call(tk, creq, []wire.ImmArg{proc.U64Arg(0, 41)}, nil, 0)
+		dv, err := cli.Call(tk, c.creq, []wire.ImmArg{proc.U64Arg(0, 41)}, nil, 0)
 		if err != nil || dv == nil || dv.U64(0) != 42 {
 			t.Errorf("call severed as its reply arrived: %v, %v; want the reply", dv, err)
 		}

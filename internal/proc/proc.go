@@ -5,9 +5,9 @@
 // runtime pairs completions back to callers through futures, giving
 // the synchronous-looking API the paper's C++ prototype builds with
 // its promise/future library. A blocking call wakes its caller once:
-// a single syscall when its completion arrives, and Call — four
-// syscalls and a reply — when the last of them has, the steps between
-// being taken by the receive path itself (callOp, call.go).
+// a single syscall when its completion arrives, and Call — an invocation
+// passing a reply Request the Process reuses, and the reply — when the
+// reply has, the receive path taking the steps between (callOp, call.go).
 package proc
 
 import (
@@ -45,9 +45,11 @@ type Process struct {
 	// the caller blocks until its completion arrives, so the future is
 	// free again the moment the call returns. The Async variants hand
 	// their future to the caller and allocate it. calls does the same for
-	// the records of Calls (call.go).
+	// the records of Calls, and replies holds the reply Requests no Call is
+	// using (call.go).
 	futures sim.FreeList[sim.Future[wire.Completion]]
 	calls   sim.FreeList[callOp]
+	replies sim.FreeList[replyReq]
 	// slots is scratch for a syscall's capability-argument list; the
 	// message that carries it is encoded before submit returns.
 	slots []wire.CapSlot

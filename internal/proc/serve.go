@@ -103,7 +103,7 @@ func (p *Process) ReceiveTimeout(t *sim.Task, d sim.Time) (*Delivery, bool) {
 }
 
 // NewTag allocates a Process-unique Request tag. Tags starting at
-// 1<<32 are reserved for reply Requests; service tags should be small
+// 1<<32 are reserved for continuations; service tags should be small
 // constants.
 func (p *Process) NewTag() uint64 {
 	p.nextTag++
@@ -141,8 +141,9 @@ func (p *Process) Unsubscribe(tag uint64) {
 	delete(p.subs, tag)
 }
 
-// ReplyRequest creates a fresh one-shot Request served by this Process
-// with a unique tag, for use as an RPC continuation argument.
+// ReplyRequest creates a fresh Request served by this Process with a
+// unique tag, for use as an RPC continuation argument. It delivers every
+// invocation; Call's own are single-use per delegation (wire.ReplyTag).
 func (p *Process) ReplyRequest(t *sim.Task) (Cap, uint64, error) {
 	tag := p.NewTag()
 	c, err := p.RequestCreate(t, tag, nil, nil)

@@ -62,12 +62,13 @@ type Balancer struct {
 	// Picks is the recorded selection sequence (Record).
 	Picks []uint64
 
-	set      services.Set
-	valid    bool
-	inflight map[uint64]int
-	depth    map[uint64]int
-	breakers map[uint64]*proc.Breaker
-	stats    BalancerStats
+	set       services.Set
+	valid     bool
+	resolving *sim.Future[struct{}] // the ResolveSet in flight, if any: its outcome is everyone's
+	inflight  map[uint64]int
+	depth     map[uint64]int
+	breakers  map[uint64]*proc.Breaker
+	stats     BalancerStats
 
 	// classify is Retry.Classify extended, built on the first Call. view
 	// and kept are pick's scratch: a Policy returns an index and keeps
@@ -190,14 +191,26 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *proc.Breaker, error) {
 	if b.Policy == nil {
 		b.Policy = &RoundRobin{}
 	}
-	if !b.valid {
+	for !b.valid {
+		if f := b.resolving; f != nil {
+			// One lookup per invalidation, not one per arrival queued at the
+			// serial registry while every breaker is open (docs/ROUTING.md).
+			if _, err := f.Wait(t); err != nil {
+				return services.Member{}, nil, err
+			}
+			continue // invalidated again meanwhile?
+		}
+		f := sim.NewFuture[struct{}]()
+		b.resolving = f
 		s, err := b.Client.ResolveSet(t, b.Name)
+		b.resolving = nil
 		if err != nil {
+			f.Fail(err)
 			return services.Member{}, nil, err
 		}
-		b.set = s
-		b.valid = true
+		b.set, b.valid = s, true
 		b.stats.Resolves++
+		f.Set(struct{}{})
 	}
 	view, kept := b.view[:0], b.kept[:0]
 	for _, m := range b.set.Members {

@@ -83,6 +83,28 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
+// TestBalancerResolvesOncePerInvalidation: tasks that find the cached
+// set invalid together share one ResolveSet — the first one's — instead
+// of each queueing its own at the serial registry; a second invalidation
+// costs a second lookup, not one per caller.
+func TestBalancerResolvesOncePerInvalidation(t *testing.T) {
+	const width = 12
+	s := &stacks.Routed{Replicas: 2, MaxQueue: 16}
+	testbed.RunT(t, testbed.Spec{Nodes: 3, Services: []testbed.Service{s}},
+		func(tk *sim.Task, d *testbed.Deployment) {
+			for round := 1; round <= 2; round++ {
+				s.B.Invalidate()
+				if errs := driveConcurrent(tk, s, width, width); errs != 0 {
+					t.Fatalf("round %d: %d routed calls failed", round, errs)
+				}
+				if got := s.B.Stats().Resolves; got != round {
+					t.Errorf("%d callers through a Balancer invalidated %d times made %d ResolveSet round trips, want %d",
+						width, round, got, round)
+				}
+			}
+		})
+}
+
 // TestBalancerFailsOverOnCrash: two replicas, one loses its Controller
 // mid-run. The heartbeat fences the node, the registry prunes the
 // member, and the balancer — bounded by AttemptTimeout against
@@ -157,11 +179,22 @@ func captureRouted(t *testing.T, policy string) (trace, picks string) {
 }
 
 // Pinned SHA-256 digests of each policy's fabric trace followed by
-// its pick sequence (computed at PR 12, commit 900f301; see the pinned
-// digests in internal/exp/determinism_test.go for the contract).
+// its pick sequence (see the pinned digests in
+// internal/exp/determinism_test.go for the contract).
+//
+// Last moved when Call stopped creating and dropping a reply Request per
+// call and the Balancer began resolving once per invalidation (03abed28…
+// and bf243384… from PR 12 until then). First diverging event, both
+// policies: the first — the request_create (type 103) of the first
+// routed call's ResolveSet leaves at 150 220 ns instead of 164 636, the
+// set-up's registry Calls having lost two round trips each, and it is
+// one request_create where there were four at that instant: the other
+// three callers wait for the first one's lookup. rr's pick sequence is
+// unchanged; least's swaps its 47th and 48th picks (members 4, 1 → 1, 4:
+// the piggybacked depths it reads arrive at other instants).
 var routedSHA256 = map[string]string{
-	"rr":    "03abed289d6ff08fe2d3c66ca458aa5f8cf9d71d673bbf3e73438b5656bce2d0",
-	"least": "bf243384d2431c99593be8621b0136c449e00f8dded00d22ad398ebc9426d534",
+	"rr":    "4191161f5434ad9d56e5f267d4066127063d009801c1e0b42c716b5b92e66655",
+	"least": "6f631da2a8f77e52be879e1884754fbc80595078408fdf32c130da9dd7ef99a5",
 }
 
 // TestTraceDigestsPinned holds the routed workload — every fabric

@@ -451,7 +451,8 @@ func (m *MemCopy) Decode(r *Reader) error {
 // caller, or derives/refines an existing one (request_create). Tag is
 // delivered back to the provider on every invocation of the request
 // (and its derivations) so services can dispatch; it is only
-// meaningful for new Requests.
+// meaningful for new Requests. A Tag with ReplyTag set creates a reply
+// Request.
 type ReqCreate struct {
 	Token  uint64
 	Parent cap.CapID
@@ -459,6 +460,14 @@ type ReqCreate struct {
 	Imms   []ImmArg
 	Caps   []CapSlot
 }
+
+// ReplyTag in a new Request's tag makes it a reply Request: the
+// continuation libfractos' Call passes along and reuses from call to
+// call. Its owner delivers an invocation only while the Request is armed
+// — the provider arms it by passing it as an invocation argument, one
+// delivery disarms it — so each delegation is good for one reply
+// (DESIGN.md, "Call convention").
+const ReplyTag uint64 = 1 << 63
 
 func (*ReqCreate) WireType() Type { return TReqCreate }
 func (m *ReqCreate) Class() Class {
@@ -909,7 +918,10 @@ func (m *CtrlInvoke) Decode(r *Reader) error {
 
 // CtrlAck answers derive/revtree/revoke/invoke requests. Obj/Epoch
 // name a newly created object where applicable; Size/Rights echo its
-// metadata so the requesting Controller can install a cap entry.
+// metadata so the requesting Controller can install a cap entry. Spent
+// answers an invocation of a reply Request (ReplyTag): the delegation it
+// was invoked through is used up, and the invoker's Controller drops that
+// entry. It travels in the spare top bit of the Rights byte.
 type CtrlAck struct {
 	Token  uint64
 	Status Status
@@ -917,7 +929,11 @@ type CtrlAck struct {
 	Epoch  cap.Epoch
 	Size   uint64
 	Rights cap.Rights
+	Spent  bool
 }
+
+// ackSpent is CtrlAck.Spent's bit in the byte it shares with Rights.
+const ackSpent = 0x80
 
 func (*CtrlAck) WireType() Type { return TCtrlAck }
 func (*CtrlAck) Class() Class   { return Control }
@@ -927,12 +943,18 @@ func (m *CtrlAck) Encode(w *Writer) {
 	w.U64(uint64(m.Obj))
 	w.U32(uint32(m.Epoch))
 	w.U64(m.Size)
-	w.U8(uint8(m.Rights))
+	b := uint8(m.Rights) &^ ackSpent
+	if m.Spent {
+		b |= ackSpent
+	}
+	w.U8(b)
 }
 func (m *CtrlAck) Decode(r *Reader) error {
 	m.Token, m.Status = r.U64(), Status(r.U8())
 	m.Obj, m.Epoch = cap.ObjectID(r.U64()), cap.Epoch(r.U32())
-	m.Size, m.Rights = r.U64(), cap.Rights(r.U8())
+	m.Size = r.U64()
+	b := r.U8()
+	m.Rights, m.Spent = cap.Rights(b&^ackSpent), b&ackSpent != 0
 	return r.Err()
 }
 

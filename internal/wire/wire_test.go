@@ -106,6 +106,7 @@ func sampleMessages() []Message {
 			Imms: []ImmArg{{Offset: 0, Data: bytes.Repeat([]byte("p"), 300)}},
 			Caps: []CapXfer{{Slot: 0, Ref: ref, Kind: cap.KindMemory, Rights: cap.Read | cap.Grant, Size: 4096}}},
 		&CtrlAck{Token: 20, Status: StatusRevoked, Obj: 1234, Epoch: 9, Size: 77, Rights: cap.All},
+		&CtrlAck{Token: 25, Status: StatusOK, Spent: true},
 		&CtrlCleanup{Token: 31, Refs: []cap.Ref{ref, {Ctrl: 1, Obj: 2, Epoch: 3}}},
 		&CtrlDelegNote{Token: 21, Src: 6, Ref: ref, Holder: 55},
 		&CtrlDelegNoteAck{Token: 22, Status: StatusOK, Child: ref},
