@@ -292,6 +292,50 @@ func (t *Tree) Remove(id ObjectID) {
 	t.free = append(t.free, idx)
 }
 
+// Rekey renames a live object in place: the node keeps its slot, its
+// payload and its place in the tree and takes the slot's next
+// generation, so every Ref minted under the old ObjectID names nothing
+// from now on — what Remove does for a dead object, for one that lives
+// on. It returns the new ID, or 0 if id is unknown or revoked. (Like
+// Remove's, the generation is 32 bits and wraps.)
+func (t *Tree) Rekey(id ObjectID) ObjectID {
+	n := t.probe(id)
+	if n == nil || n.Revoked {
+		return 0
+	}
+	n.gen++
+	nid := ObjectID(n.gen)<<objGenShift | ObjectID(uint32(id))
+	n.ID = nid
+	// Whoever linked to the node by its ID now links to the new one.
+	if n.prevSeq != 0 {
+		t.probe(n.prevSeq).nextSeq = nid
+	} else {
+		t.seqHead = nid
+	}
+	if n.nextSeq != 0 {
+		t.probe(n.nextSeq).prevSeq = nid
+	} else {
+		t.seqTail = nid
+	}
+	if p := t.probe(n.Parent); p != nil {
+		if n.prevSib != 0 {
+			t.probe(n.prevSib).nextSib = nid
+		} else {
+			p.firstChild = nid
+		}
+		if n.nextSib != 0 {
+			t.probe(n.nextSib).prevSib = nid
+		} else {
+			p.lastChild = nid
+		}
+	}
+	for c := n.firstChild; c != 0; {
+		cn := t.probe(c)
+		cn.Parent, c = nid, cn.nextSib
+	}
+	return nid
+}
+
 // Len reports the number of registered objects (including revoked ones
 // awaiting cleanup). Maintained incrementally; O(1).
 func (t *Tree) Len() int { return t.len }

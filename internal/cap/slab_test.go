@@ -3,6 +3,7 @@ package cap
 import (
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -207,6 +208,75 @@ func TestObjectIDGenerationNoAlias(t *testing.T) {
 	}
 	if tr.Revoke(stale) != nil {
 		t.Fatal("removed ObjectID revocable")
+	}
+}
+
+// TestRekeyKeepsTheNodeAndKillsTheName: a rekeyed object resolves under
+// its new ID only, and stays where it was — among its siblings, above its
+// children, in creation order — whichever child of three is renamed, so a
+// later revocation of the parent walks the same tree. A revoked object
+// cannot be rekeyed.
+func TestRekeyKeepsTheNodeAndKillsTheName(t *testing.T) {
+	for victim := 0; victim < 3; victim++ {
+		tr := NewTree()
+		root := tr.Create(nil)
+		kids := []*Node{tr.Derive(root.ID, nil), tr.Derive(root.ID, nil), tr.Derive(root.ID, nil)}
+		grandchild := tr.Derive(kids[victim].ID, nil)
+		old := kids[victim].ID
+		nid := tr.Rekey(old)
+		if nid == 0 || nid == old || kids[victim].ID != nid {
+			t.Fatalf("victim %d: Rekey(%d) = %d, node says %d", victim, old, nid, kids[victim].ID)
+		}
+		if tr.Probe(old) != nil || tr.Probe(nid) != kids[victim] {
+			t.Fatalf("victim %d: the old name resolves, or the new one does not", victim)
+		}
+		if tr.Derive(old, nil) != nil || tr.Revoke(old) != nil {
+			t.Fatalf("victim %d: the old name still derives or revokes", victim)
+		}
+		if !tr.Ancestor(root.ID, grandchild.ID) || grandchild.Parent != nid {
+			t.Fatalf("victim %d: the grandchild lost its ancestry", victim)
+		}
+		var seq []ObjectID
+		tr.ForEach(func(n *Node) { seq = append(seq, n.ID) })
+		want := []ObjectID{root.ID, kids[0].ID, kids[1].ID, kids[2].ID, grandchild.ID}
+		if !slices.Equal(seq, want) {
+			t.Fatalf("victim %d: creation order %v, want %v", victim, seq, want)
+		}
+		want = []ObjectID{root.ID}
+		for i, k := range kids {
+			want = append(want, k.ID)
+			if i == victim {
+				want = append(want, grandchild.ID)
+			}
+		}
+		var got []ObjectID
+		for _, n := range tr.Revoke(root.ID) {
+			got = append(got, n.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("victim %d: revocation order %v, want %v", victim, got, want)
+		}
+		if tr.Rekey(nid) != 0 {
+			t.Fatalf("victim %d: a revoked object was rekeyed", victim)
+		}
+		for i := len(got) - 1; i >= 0; i-- {
+			tr.Remove(got[i])
+		}
+		if tr.Len() != 0 {
+			t.Fatalf("victim %d: %d nodes left after removing the tree", victim, tr.Len())
+		}
+	}
+	// A root: first, last and only in creation order.
+	tr := NewTree()
+	a := tr.Create(nil)
+	tr.Rekey(a.ID)
+	b := tr.Create(nil)
+	tr.Rekey(b.ID)
+	tr.Rekey(a.ID)
+	var seq []ObjectID
+	tr.ForEach(func(n *Node) { seq = append(seq, n.ID) })
+	if !slices.Equal(seq, []ObjectID{a.ID, b.ID}) {
+		t.Fatalf("creation order of rekeyed roots %v, want %v", seq, []ObjectID{a.ID, b.ID})
 	}
 }
 

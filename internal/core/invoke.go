@@ -27,7 +27,7 @@ func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
-	c.armReplies(ps, capArgs, true)
+	c.armReplies(ps, m.Caps, capArgs)
 	if e.Ref.Ctrl == c.id {
 		st, spent := c.deliverInvoke(e.Ref, m.Imms, capArgs)
 		c.invoked(ps, m.Cid, capArgs, st, spent)
@@ -41,17 +41,34 @@ func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 	c.forward(pc, ps, m.Token)
 }
 
-// armReplies arms, or disarms again, the reply Requests ps provides among
-// an invocation's capability arguments: passed along by their provider,
-// they are good for one delivery. They are created here, at its Controller.
-func (c *Controller) armReplies(ps *procState, args []wire.CapXfer, armed bool) {
+// ownReply returns the reply Request behind a capability argument of ps,
+// if it is one ps provides — created here, at its Controller, and by it
+// (a child somebody derived from a delegation is never armed).
+func (c *Controller) ownReply(ps *procState, a *wire.CapXfer) (*cap.Node, *reqObject) {
+	if a.Kind != cap.KindRequest || a.Ref.Ctrl != c.id {
+		return nil, nil
+	}
+	n, st := c.resolveOwned(a.Ref)
+	if st != wire.StatusOK || n.Parent != 0 {
+		return nil, nil
+	}
+	if ro, ok := n.Payload.(*reqObject); ok && ro.reply() && ro.provider == ps.id {
+		return n, ro
+	}
+	return nil, nil
+}
+
+// armReplies arms the reply Requests ps passes along among an
+// invocation's capability arguments (slots[i] is where args[i] came
+// from): each takes a new name — in the provider's entry and in the
+// delegation — so that whatever was kept of an earlier delegation names
+// nothing, and under that name it is good for one delivery.
+func (c *Controller) armReplies(ps *procState, slots []wire.CapSlot, args []wire.CapXfer) {
 	for i := range args {
-		if a := &args[i]; a.Kind == cap.KindRequest && a.Ref.Ctrl == c.id {
-			if n, st := c.resolveOwned(a.Ref); st == wire.StatusOK {
-				if ro, ok := n.Payload.(*reqObject); ok && ro.reply() && ro.provider == ps.id {
-					ro.armed = armed
-				}
-			}
+		if n, ro := c.ownReply(ps, &args[i]); ro != nil {
+			args[i].Ref.Obj = c.tree.Rekey(n.ID)
+			ps.space.Peek(slots[i].Cid).Ref = args[i].Ref
+			ro.armed = true
 		}
 	}
 }
@@ -61,7 +78,11 @@ func (c *Controller) armReplies(ps *procState, args []wire.CapXfer, armed bool) 
 // a reply Request, it leaves ps without the entry it went through.
 func (c *Controller) invoked(ps *procState, cid cap.CapID, args []wire.CapXfer, st wire.Status, spent bool) {
 	if st != wire.StatusOK {
-		c.armReplies(ps, args, false)
+		for i := range args {
+			if _, ro := c.ownReply(ps, &args[i]); ro != nil {
+				ro.armed = false
+			}
+		}
 	} else if spent {
 		ps.space.Drop(cid)
 	}

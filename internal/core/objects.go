@@ -24,8 +24,9 @@ type memObject struct {
 // A reply Request (wire.ReplyTag in the tag) is a continuation its
 // provider reuses from call to call, so its delegation is single-use: it
 // delivers only while armed. The provider arms it by passing it as an
-// invocation argument — always at this, its own Controller — and one
-// delivery disarms it (DESIGN.md, "Call convention").
+// invocation argument — always at this, its own Controller — which also
+// renames the object (cap.Tree.Rekey), so an earlier delegation names
+// nothing; one delivery disarms it (DESIGN.md, "Call convention").
 type reqObject struct {
 	provider cap.ProcID
 	tag      uint64
@@ -38,7 +39,7 @@ type reqObject struct {
 func (r *reqObject) reply() bool { return r.tag&wire.ReplyTag != 0 }
 
 // clone deep-copies the request for derivation. A child of a reply
-// Request is one too, and nobody arms it.
+// Request is one too, and is never armed (ownReply): it delivers nothing.
 func (r *reqObject) clone() *reqObject {
 	return &reqObject{provider: r.provider, tag: r.tag, imms: r.imms.clone(),
 		caps: append([]wire.CapXfer(nil), r.caps...)}

@@ -86,8 +86,10 @@ func (op *callOp) hold(r *replyReq) { op.reply = r }
 //	delivery: Done, the reply Request is free again → over
 //
 // with a request_create in front when no reply Request is free, and its
-// error legs: a refused invoke frees the reply Request at once; the
-// deadline marks the tag stale and ends with a cap_revoke, and that
+// error legs: an invoke the owner refused frees the reply Request at
+// once; one that ended without the owner's answer (StatusAborted,
+// StatusNoProc) may have been delivered all the same, so like the
+// deadline it marks the tag stale and ends with a cap_revoke, and that
 // reply Request is never used again; a syscall that finds the channel to
 // the Controller severed ends the call on the spot. imms is the blocked
 // caller's; the capability arguments are copied into the op, the reply
@@ -106,7 +108,7 @@ type callOp struct {
 
 	// The outcome, for result: the reply, or why there is none — err, the
 	// status of the syscall that was refused, the deadline (with err or
-	// refused then saying why the cap_revoke failed).
+	// refused then saying why its cap_revoke failed).
 	dv       *Delivery
 	err      error
 	refused  wire.Status
@@ -121,7 +123,7 @@ const (
 	callCreating callState = iota + 1 // the reply Request's completion
 	callInvoking                      // the invocation's completion
 	callWaiting                       // the reply
-	callRevoking                      // the completion of the reply Request's cap_revoke, past the deadline
+	callRevoking                      // the completion of the reply Request's cap_revoke: deadline passed, or invocation unaccounted for
 )
 
 //fractos:pool-acquire callop
@@ -208,21 +210,28 @@ func (op *callOp) completed(m *wire.Completion) {
 		op.invoke()
 	case callInvoking:
 		switch {
-		case m.Status != wire.StatusOK:
-			// The Controller took the arming of the reply Request back.
-			delete(p.waiters, op.reply.tag)
-			op.refused = m.Status
-			op.release()
 		case op.dv != nil:
 			op.release() // the reply overtook the invocation's completion
-		default:
+		case m.Status == wire.StatusOK:
 			op.state = callWaiting
 			if op.d > 0 {
 				op.deadline = p.k.AfterCall(op.d, op)
 			}
+		case m.Status == wire.StatusAborted || m.Status == wire.StatusNoProc:
+			// Not a refusal: the owner's answer is missing, and the provider
+			// may hold the invocation and reply to it yet.
+			op.refused = m.Status
+			op.retire()
+		default:
+			// The Controller took the arming of the reply Request back.
+			delete(p.waiters, op.reply.tag)
+			op.refused = m.Status
+			op.release()
 		}
 	case callRevoking:
-		op.refused = m.Status
+		if op.timedOut {
+			op.refused = m.Status
+		}
 		op.done.Set(struct{}{})
 	default:
 		assert.True(false, "proc: a completion for a call that waits for none")
@@ -254,18 +263,25 @@ func (op *callOp) release() {
 	op.done.Set(struct{}{})
 }
 
-// Fire implements sim.Callback: the deadline passed with no reply. Mark
-// the tag stale so a reply that raced the timeout is acked (not
-// leaked), and revoke the continuation so a reply not yet sent fails
-// fast at the provider.
+// Fire implements sim.Callback: the deadline passed with no reply.
 //
 //fractos:hotpath
 func (op *callOp) Fire() {
 	assert.True(op.state == callWaiting, "proc: a deadline for a call that waits for no reply")
+	op.timedOut = true
+	op.retire()
+}
+
+// retire ends a call whose provider may still answer: mark the tag stale
+// so a reply already on its way is acked (not leaked, and not taken for
+// the next call's), and revoke the reply Request so one not yet sent
+// fails fast at the provider. Nobody uses that Request again.
+//
+//fractos:hotpath
+func (op *callOp) retire() {
 	p := op.p
 	delete(p.waiters, op.reply.tag)
 	p.stale[op.reply.tag] = true
-	op.timedOut = true
 	op.state = callRevoking
 	p.nextToken++
 	p.tx.capRevoke = wire.CapRevoke{Token: p.nextToken, Cid: op.reply.cid}

@@ -134,7 +134,9 @@ func TestCallLeavesNothingBehind(t *testing.T) {
 
 // TestConcurrentCallsUseDistinctReplyRequests: K Calls in progress at
 // once on one Process pass K different reply Requests, and K is all the
-// Process ever creates: later rounds, as deep or shallower, reuse them.
+// Process ever creates: later rounds, as deep or shallower, reuse them —
+// the same objects (the slot half of the ObjectID), each delegation under
+// a name of its own.
 func TestConcurrentCallsUseDistinctReplyRequests(t *testing.T) {
 	const k = 5
 	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
@@ -142,11 +144,12 @@ func TestConcurrentCallsUseDistinctReplyRequests(t *testing.T) {
 		c0, c1 := cl.CtrlFor(0), cl.CtrlFor(1)
 		// The provider answers a round only once all depth of it has arrived.
 		depth := 0
-		var seen []map[cap.Ref]bool
+		var seen []map[uint32]bool
+		names := make(map[cap.Ref]bool)
 		cl.K.Spawn("rounds", func(st *sim.Task) {
 			for {
 				var ds []*proc.Delivery
-				refs := make(map[cap.Ref]bool)
+				refs := make(map[uint32]bool)
 				for len(ds) == 0 || len(ds) < depth {
 					d, ok := c.srv.Receive(st)
 					if !ok {
@@ -154,7 +157,11 @@ func TestConcurrentCallsUseDistinctReplyRequests(t *testing.T) {
 					}
 					rep, _ := d.Cap(0)
 					e, _ := c1.EntryOf(c.srv.ID(), rep.ID())
-					refs[e.Ref] = true
+					refs[uint32(e.Ref.Obj)] = true
+					if names[e.Ref] {
+						t.Errorf("%v was delegated twice", e.Ref)
+					}
+					names[e.Ref] = true
 					ds = append(ds, d)
 				}
 				seen = append(seen, refs)
@@ -189,9 +196,9 @@ func TestConcurrentCallsUseDistinctReplyRequests(t *testing.T) {
 				t.Errorf("round %d: %d calls at once passed %d distinct reply Requests", round, n, len(seen[round]))
 				return
 			}
-			for ref := range seen[round] {
-				if !seen[0][ref] {
-					t.Errorf("round %d passed %v, which is not one of the first round's %d", round, ref, k)
+			for obj := range seen[round] {
+				if !seen[0][obj] {
+					t.Errorf("round %d passed object %d, which is not one of the first round's %d", round, obj, k)
 				}
 			}
 		}
@@ -332,6 +339,142 @@ func TestCallTimeoutRetiresReplyRequest(t *testing.T) {
 		if got := ctrl.Metrics().ReqCreates - before.ReqCreates; got != 1 {
 			t.Errorf("two calls after a timeout created %d reply Requests, want 1", got)
 		}
+	})
+}
+
+// TestCallAbortedInvokeRetiresReplyRequest: the invocation is delivered
+// and its acknowledgement is lost for longer than RPCBudget, so the call
+// ends StatusAborted with the provider holding an armed delegation. That
+// is no refusal: the reply Request is revoked and never used again, the
+// provider's late answer bounces, and the next call — a different value,
+// answered after the late one — gets its own echo and nothing else.
+func TestCallAbortedInvokeRetiresReplyRequest(t *testing.T) {
+	cfg := core.ClusterConfig{Nodes: 2, Ctrl: core.Config{RPCBudget: us(2000)}}
+	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		// The provider echoes the first invocation, and the second only once
+		// the third has arrived: late, with the third call's reply Request
+		// armed. The path is cut as the second is delivered.
+		echo := func(st *sim.Task, d *proc.Delivery) error {
+			rep, _ := d.Cap(0)
+			return c.srv.Invoke(st, rep, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
+		}
+		var lateErr error
+		answeredLate := sim.NewFuture[struct{}]()
+		cl.K.Spawn("late-echo", func(st *sim.Task) {
+			var ds [3]*proc.Delivery
+			for i := range ds {
+				var ok bool
+				if ds[i], ok = c.srv.Receive(st); !ok {
+					return
+				}
+				if i == 0 {
+					_ = echo(st, ds[0])
+				}
+				ds[i].Done()
+			}
+			lateErr = echo(st, ds[1])
+			answeredLate.Set(struct{}{})
+			_ = echo(st, ds[2])
+		})
+		if !c.call(t, tk, 1) {
+			return
+		}
+		deliveries := 0
+		cl.Net.SetTrace(func(ev fabric.TraceEvent) {
+			if ev.Type == wire.TDeliver && ev.To == c.srv.Endpoint() {
+				if deliveries++; deliveries == 1 {
+					cl.Net.PartitionNodes([]int{1}) // the acknowledgement will not cross
+				}
+			}
+		})
+		ctrl := cl.CtrlFor(0)
+		dv, err := c.cli.Call(tk, c.creq, []wire.ImmArg{proc.U64Arg(0, 10)}, nil, 0)
+		if dv != nil || !wire.IsStatus(err, wire.StatusAborted) {
+			t.Errorf("call whose acknowledgement was lost: %v, %v; want StatusAborted", dv, err)
+		}
+		cl.Net.HealPartitions()
+		tk.Sleep(us(100))
+		if objects := ctrl.ObjectCount(); objects != 0 {
+			t.Errorf("%d live objects at the caller's Controller after the aborted call, want 0: the reply Request was not revoked", objects)
+		}
+		before := ctrl.Metrics()
+		if !c.call(t, tk, 20) {
+			return
+		}
+		if _, err := answeredLate.Wait(tk); err != nil {
+			t.Error(err)
+		}
+		if lateErr == nil {
+			t.Error("the answer to an aborted call was accepted")
+		}
+		if got := ctrl.Metrics().ReqCreates - before.ReqCreates; got != 1 {
+			t.Errorf("the call after an aborted one created %d reply Requests, want 1: the revoked one must not be reused", got)
+		}
+		nothingReceived(t, tk, c.cli)
+	})
+}
+
+// TestKeptReplyCapabilityCannotAnswerALaterCall: a copy of a delegated
+// reply capability, kept past its call, is invoked while a later call of
+// the same Process — to another service, through the same reply Request —
+// waits for its answer. The delegation of the later call has a name of
+// its own, so the copy names nothing: refused, and the later call gets
+// its provider's reply, not the forged one.
+func TestKeptReplyCapabilityCannotAnswerALaterCall(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		spy := proc.Attach(cl, 1, "spy", 0)
+		var copied proc.Cap
+		c.echo(false, func(st *sim.Task, rep proc.Cap) {
+			var err error
+			if copied, err = proc.GrantCap(c.srv, rep, spy); err != nil {
+				t.Error(err)
+			}
+		})
+		if !c.call(t, tk, 1) {
+			return
+		}
+		// Another service, which answers only when told to.
+		other := proc.Attach(cl, 1, "other", 0)
+		oreq, err := other.RequestCreate(tk, 1, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		coreq, err := proc.GrantCap(other, oreq, c.cli)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		arrived, answer := sim.NewFuture[struct{}](), sim.NewFuture[struct{}]()
+		cl.K.Spawn("other", func(st *sim.Task) {
+			d, ok := other.Receive(st)
+			if !ok {
+				return
+			}
+			arrived.Set(struct{}{})
+			_, _ = answer.Wait(st)
+			rep, _ := d.Cap(0)
+			_ = other.Invoke(st, rep, []wire.ImmArg{proc.U64Arg(0, 77)}, nil)
+			d.Done()
+		})
+		cl.K.Spawn("forger", func(st *sim.Task) {
+			_, _ = arrived.Wait(st)
+			if err := spy.Invoke(st, copied, []wire.ImmArg{proc.U64Arg(0, 666)}, nil); !wire.IsStatus(err, wire.StatusRevoked) {
+				t.Errorf("invocation through a kept copy during a later call: %v, want StatusRevoked", err)
+			}
+			answer.Set(struct{}{})
+		})
+		creates := cl.CtrlFor(0).Metrics().ReqCreates
+		dv, err := c.cli.Call(tk, coreq, nil, nil, 0)
+		if err != nil || dv.U64(0) != 77 {
+			t.Errorf("the later call: %v, %v; want its provider's 77", dv, err)
+		}
+		if got := cl.CtrlFor(0).Metrics().ReqCreates - creates; got != 0 {
+			t.Errorf("the later call created %d reply Requests, want the first call's reused", got)
+		}
+		nothingReceived(t, tk, c.cli)
 	})
 }
 

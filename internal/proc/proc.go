@@ -214,8 +214,8 @@ func (p *Process) demux(m wire.Message) {
 		}
 	case *wire.Deliver:
 		if p.stale[m.Tag] {
-			// A reply to a call that already timed out (CallTimeout):
-			// ack at once so the provider's congestion-window credit is
+			// A reply to a call that is over (callOp.retire: timed out, or
+			// its invocation unaccounted for): ack at once so the provider's congestion-window credit is
 			// not leaked, and discard it. Caps it delegated are children
 			// of the caller's revoked reply Request and die with it.
 			delete(p.stale, m.Tag)

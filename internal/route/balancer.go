@@ -202,6 +202,9 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *proc.Breaker, error) {
 		}
 		f := sim.NewFuture[struct{}]()
 		b.resolving = f
+		// The leader's task ends in here only when the kernel shuts down,
+		// which unwinds the waiters too — some before it, and a Future must
+		// not wake a finished task: so no deferred f.Fail.
 		s, err := b.Client.ResolveSet(t, b.Name)
 		b.resolving = nil
 		if err != nil {

@@ -464,9 +464,10 @@ type ReqCreate struct {
 // ReplyTag in a new Request's tag makes it a reply Request: the
 // continuation libfractos' Call passes along and reuses from call to
 // call. Its owner delivers an invocation only while the Request is armed
-// — the provider arms it by passing it as an invocation argument, one
-// delivery disarms it — so each delegation is good for one reply
-// (DESIGN.md, "Call convention").
+// — the provider arms it by passing it as an invocation argument, under
+// a new name each time, one delivery disarms it — so each delegation is
+// good for one reply, and for no later call's (DESIGN.md, "Call
+// convention").
 const ReplyTag uint64 = 1 << 63
 
 func (*ReqCreate) WireType() Type { return TReqCreate }
