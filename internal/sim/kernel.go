@@ -284,6 +284,7 @@ type Kernel struct {
 // New returns an empty kernel with its virtual clock at zero. The seed
 // feeds the kernel's deterministic random source (Rand).
 func New(seed int64) *Kernel {
+	parkWarm.Do(warmParking)
 	return &Kernel{
 		tasks: make(map[uint64]*Task),
 		seed:  seed,
