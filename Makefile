@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race chaos determinism bench bench-json benchmark-smoke eval trace examples clean
+.PHONY: all build vet lint test race chaos determinism bench benchmark-smoke eval trace examples clean
 
 all: build vet lint test
 
@@ -48,14 +48,6 @@ determinism:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# bench-json runs the wall-clock perf suite (internal/perf) and writes
-# the machine-readable report tracked across PRs; see
-# docs/PERFORMANCE.md for the methodology and how to compare runs.
-BENCH_OUT ?= BENCH.json
-
-bench-json:
-	$(GO) run ./cmd/fractos-bench -json > $(BENCH_OUT)
 
 # benchmark-smoke exercises the repository's benchmark (BENCHMARK.json,
 # benchmark/README.md): it is a module of its own, so `make test` never

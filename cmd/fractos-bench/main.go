@@ -7,8 +7,7 @@
 //	fractos-bench               # run everything
 //	fractos-bench -list         # list experiment ids
 //	fractos-bench -run fig5     # run one experiment
-//	fractos-bench -json         # run the perf suite, emit JSON (the BENCH_PR*.json reports)
-//	fractos-bench -bench kernel/dispatch  # run one perf benchmark (text)
+//	fractos-bench -csv out/     # also write each table as CSV
 package main
 
 import (
@@ -16,11 +15,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"fractos/internal/exp"
-	"fractos/internal/perf"
 )
 
 var csvDir = flag.String("csv", "", "also write each table as CSV into this directory")
@@ -28,22 +25,12 @@ var csvDir = flag.String("csv", "", "also write each table as CSV into this dire
 func main() {
 	list := flag.Bool("list", false, "list experiments and exit")
 	run := flag.String("run", "", "run a single experiment by id")
-	jsonOut := flag.Bool("json", false, "run the wall-clock perf suite and emit JSON to stdout")
-	bench := flag.String("bench", "", "run only the named perf benchmarks (comma-separated; implies the perf suite, text output unless -json)")
 	flag.Parse()
 
 	if *list {
 		for _, s := range exp.All() {
 			fmt.Printf("%-14s %s\n", s.ID, s.Title)
 		}
-		fmt.Println()
-		for _, c := range perf.Cases() {
-			fmt.Printf("%-20s (perf benchmark; -bench/-json)\n", c.Name)
-		}
-		return
-	}
-	if *jsonOut || *bench != "" {
-		runPerf(*jsonOut, *bench)
 		return
 	}
 	if *run != "" {
@@ -59,53 +46,6 @@ func main() {
 	for _, s := range exp.All() {
 		runOne(s)
 	}
-}
-
-// runPerf runs the wall-clock benchmark suite (internal/perf) and
-// writes either the JSON report consumed by CI and the BENCH_PR*.json
-// trajectory files, or an aligned text table.
-func runPerf(jsonOut bool, names string) {
-	var only []string
-	if names != "" {
-		for _, n := range strings.Split(names, ",") {
-			if n = strings.TrimSpace(n); n != "" {
-				only = append(only, n)
-			}
-		}
-	}
-	if !jsonOut {
-		fmt.Fprintln(os.Stderr, "fractos-bench: running wall-clock perf suite (~1s per benchmark)")
-	}
-	results, err := perf.RunAll(only...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fractos-bench:", err)
-		os.Exit(1)
-	}
-	if jsonOut {
-		// The tracked report also carries the chaos-fv availability
-		// metrics (goodput dip, error rate, MTTR) and the scaling-route
-		// routing metrics (per-policy tails, shed fractions, autoscaler
-		// MTTR): they are deterministic virtual-time numbers, so any
-		// drift across PRs is a real behavior change, not benchmark
-		// noise.
-		var experiments map[string]float64
-		if len(only) == 0 {
-			experiments = map[string]float64{}
-			for _, id := range []string{"chaos-fv", "scaling-route"} {
-				if s, ok := exp.Find(id); ok {
-					for k, v := range s.Run().Metrics {
-						experiments[k] = v
-					}
-				}
-			}
-		}
-		if err := perf.WriteJSON(os.Stdout, results, experiments); err != nil {
-			fmt.Fprintln(os.Stderr, "fractos-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	perf.WriteText(os.Stdout, results)
 }
 
 func runOne(s exp.Spec) {

@@ -1,73 +1,44 @@
-// Cap-scale benchmarks: the slab-backed capability engine under
-// paper-scale load — millions of live capabilities per Space, deep and
-// wide revocation trees, epoch-bump purges. These are host-side
-// ns/op numbers for the data structures behind every syscall's
-// validation fast path; they feed the cap-scale rows of
-// BENCH_PR*.json and the capability-engine section of
-// docs/PERFORMANCE.md. Methodology is in docs/EXPERIMENTS.md.
-package perf
+package cap
 
-import (
-	"fmt"
-	"testing"
+import "testing"
 
-	"fractos/internal/cap"
-)
+// The cap-scale family: the slab-backed capability engine under
+// paper-scale load — a million live capabilities per Space, deep and
+// wide revocation trees, epoch-bump purges. Host-side ns/op of the data
+// structures behind every syscall's validation fast path; run with
+// `go test -run xxx -bench CapScale ./internal/cap` (the table is in
+// docs/PERFORMANCE.md, the methodology in EXPERIMENTS.md).
 
-// capScaleCases builds the cap-scale/* grid.
-func capScaleCases() []Case {
-	cs := []Case{
-		{"cap-scale/validate-1m", benchCapValidate1M},
-		{"cap-scale/space-churn-1m", benchCapSpaceChurn1M},
-		{"cap-scale/delegate-churn", benchCapDelegateChurn},
-		{"cap-scale/epoch-purge-64k", benchCapEpochPurge64K},
-	}
-	for _, d := range []struct {
-		label string
-		depth int
-	}{
-		{"10k", 10_000},
-		{"100k", 100_000},
-	} {
-		depth := d.depth
-		cs = append(cs, Case{
-			Name: fmt.Sprintf("cap-scale/revoke-depth-%s", d.label),
-			Fn:   func(b *testing.B) { benchCapRevokeChain(b, depth) },
-		})
-	}
-	return append(cs, Case{"cap-scale/revoke-d1000-f10", benchCapRevokeDeepFanout})
-}
-
-// capScaleWorld is the shared fixture: one revocation tree with
-// liveCaps delegatee nodes under a single root object, and one
-// capability space holding a live entry per node — the shape of a
-// Process that has delegated a million capabilities.
-func capScaleWorld(n int) (*cap.Tree, *cap.Space, []cap.CapID) {
-	tree := cap.NewTree()
-	space := cap.NewSpace()
+// capScaleWorld is the shared fixture: one revocation tree with n
+// delegatee nodes under a single root object, and one capability space
+// holding a live entry per node — the shape of a Process that has
+// delegated n capabilities.
+func capScaleWorld(n int) (*Tree, *Space, []CapID) {
+	tree := NewTree()
+	space := NewSpace()
 	root := tree.Create(nil)
-	cids := make([]cap.CapID, n)
+	cids := make([]CapID, n)
 	for i := 0; i < n; i++ {
 		node := tree.Derive(root.ID, nil)
-		cids[i] = space.Install(cap.Entry{
-			Kind:   cap.KindMemory,
-			Ref:    cap.Ref{Ctrl: 1, Obj: node.ID, Epoch: 1},
-			Rights: cap.Read | cap.Write,
+		cids[i] = space.Install(Entry{
+			Kind:   KindMemory,
+			Ref:    Ref{Ctrl: 1, Obj: node.ID, Epoch: 1},
+			Rights: Read | Write,
 		})
 	}
 	return tree, space, cids
 }
 
-// benchCapValidate1M measures the validation fast path at one million
-// live capabilities: cid → Entry (Space.Peek, generation-checked slab
-// lookup) then Ref → Node (Tree.Probe) plus the revoked/ctrl/epoch
+// BenchmarkCapScaleValidate1M measures the validation fast path at one
+// million live capabilities: cid → Entry (Space.Peek, generation-checked
+// slab lookup) then Ref → Node (Tree.Probe) plus the revoked/ctrl/epoch
 // fence — exactly what Controller.Validate and resolveEntry do per
 // syscall. Accesses stride across the space so the number reflects
 // O(1) structure, not a hot cache line.
-func benchCapValidate1M(b *testing.B) {
+func BenchmarkCapScaleValidate1M(b *testing.B) {
 	const live = 1_000_000
 	tree, space, cids := capScaleWorld(live)
-	const epoch = cap.Epoch(1)
+	const epoch = Epoch(1)
 	b.ResetTimer()
 	idx := 0
 	for i := 0; i < b.N; i++ {
@@ -85,15 +56,15 @@ func benchCapValidate1M(b *testing.B) {
 	}
 }
 
-// benchCapSpaceChurn1M measures slot recycling under churn with the
-// space held at a million live entries: each op drops one entry and
+// BenchmarkCapScaleSpaceChurn1M measures slot recycling under churn with
+// the space held at a million live entries: each op drops one entry and
 // installs a replacement. The free list must hand the slot straight
 // back — the space never grows past its high-water mark and the pair
 // stays allocation-free at steady state.
-func benchCapSpaceChurn1M(b *testing.B) {
+func BenchmarkCapScaleSpaceChurn1M(b *testing.B) {
 	const live = 1_000_000
 	_, space, cids := capScaleWorld(live)
-	e := cap.Entry{Kind: cap.KindRequest, Ref: cap.Ref{Ctrl: 1, Obj: 1, Epoch: 1}}
+	e := Entry{Kind: KindRequest, Ref: Ref{Ctrl: 1, Obj: 1, Epoch: 1}}
 	b.ResetTimer()
 	idx := 0
 	for i := 0; i < b.N; i++ {
@@ -108,13 +79,13 @@ func benchCapSpaceChurn1M(b *testing.B) {
 	}
 }
 
-// benchCapDelegateChurn measures one full delegation lifecycle on the
-// revocation tree: derive a delegatee child of a 100k-node tree,
+// BenchmarkCapScaleDelegateChurn measures one full delegation lifecycle
+// on the revocation tree: derive a delegatee child of a 100k-node tree,
 // revoke it, remove the stub. Every step is O(1) — intrusive child
 // links on Derive, a single-node walk on Revoke, unlink + slab free on
 // Remove — so ns/op must not scale with tree size, and the tree must
 // end exactly where it started.
-func benchCapDelegateChurn(b *testing.B) {
+func BenchmarkCapScaleDelegateChurn(b *testing.B) {
 	const base = 100_000
 	tree, _, _ := capScaleWorld(base)
 	parent := tree.Create(nil)
@@ -130,19 +101,19 @@ func benchCapDelegateChurn(b *testing.B) {
 	}
 }
 
-// benchCapEpochPurge64K measures the epoch-bump response: one op
-// purges every entry of a 64k-capability space through PurgeRefs (the
+// BenchmarkCapScaleEpochPurge64K measures the epoch-bump response: one
+// op purges every entry of a 64k-capability space through PurgeRefs (the
 // path peerEpoch takes when a Controller reboots) and reinstalls the
 // population for the next round. Purged cids are generation-bumped so
 // stale handles stay dead; reinstalls recycle the freed slots, keeping
 // the slab at its high-water mark across ops.
-func benchCapEpochPurge64K(b *testing.B) {
+func BenchmarkCapScaleEpochPurge64K(b *testing.B) {
 	const live = 64 * 1024
 	_, space, _ := capScaleWorld(live)
-	e := cap.Entry{Kind: cap.KindMemory, Ref: cap.Ref{Ctrl: 2, Obj: 9, Epoch: 1}}
+	e := Entry{Kind: KindMemory, Ref: Ref{Ctrl: 2, Obj: 9, Epoch: 1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		purged := space.PurgeRefs(func(cap.Ref) bool { return true })
+		purged := space.PurgeRefs(func(Ref) bool { return true })
 		if len(purged) != live {
 			b.Fatalf("purged %d entries, want %d", len(purged), live)
 		}
@@ -152,13 +123,13 @@ func benchCapEpochPurge64K(b *testing.B) {
 	}
 }
 
-// benchCapRevokeChain measures revocation latency against delegation
+// benchRevokeChain measures revocation latency against delegation
 // depth: one op revokes (and dismantles) a chain of depth nodes. The
 // iterative pre-order walk keeps this stack-flat at any depth; the
 // rebuild between ops is outside the timer and reuses the same tree so
 // slot recycling is exercised rather than allocator growth.
-func benchCapRevokeChain(b *testing.B, depth int) {
-	tree := cap.NewTree()
+func benchRevokeChain(b *testing.B, depth int) {
+	tree := NewTree()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		root := tree.Create(nil)
@@ -177,13 +148,16 @@ func benchCapRevokeChain(b *testing.B, depth int) {
 	}
 }
 
-// benchCapRevokeDeepFanout measures the acceptance-shape tree: a
+func BenchmarkCapScaleRevokeDepth10k(b *testing.B)  { benchRevokeChain(b, 10_000) }
+func BenchmarkCapScaleRevokeDepth100k(b *testing.B) { benchRevokeChain(b, 100_000) }
+
+// BenchmarkCapScaleRevokeD1000F10 measures the acceptance-shape tree: a
 // 1000-deep delegation chain where every chain node also fans out to 9
 // leaf delegatees (10k nodes total). One op revokes the root and
 // dismantles the subtree — depth and width in one walk.
-func benchCapRevokeDeepFanout(b *testing.B) {
+func BenchmarkCapScaleRevokeD1000F10(b *testing.B) {
 	const depth, fanout = 1000, 10
-	tree := cap.NewTree()
+	tree := NewTree()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		root := tree.Create(nil)

@@ -166,7 +166,7 @@ func (a *Adaptor) handleMgmt(t *sim.Task, d *proc.Delivery) {
 
 	case TagLoad:
 		nameLen := int(d.U64(8))
-		if 16+nameLen > len(d.Imms) {
+		if nameLen <= 0 || 16+nameLen > len(d.Imms) {
 			reply([]wire.ImmArg{proc.U64Arg(0, StatusBadArg)}, nil)
 			return
 		}
@@ -233,7 +233,7 @@ func (a *Adaptor) handleInvoke(t *sim.Task, d *proc.Delivery) {
 		return
 	}
 	nameLen := int(d.U64(8))
-	if 16+nameLen > len(d.Imms) {
+	if nameLen <= 0 || 16+nameLen > len(d.Imms) {
 		fail(StatusBadArg)
 		return
 	}

@@ -205,6 +205,30 @@ func TestLoadUnknownKernel(t *testing.T) {
 	})
 }
 
+// TestLoadBadNameLength: the name length is the client's word. One that
+// is zero, runs past the immediates or wraps negative as an int is
+// refused; the last used to slice Imms backwards and panic the adaptor.
+func TestLoadBadNameLength(t *testing.T) {
+	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
+		_, client, ci := setup(tk, t, cl)
+		_, load, _, _ := initCtx(tk, t, client, ci)
+		for _, nameLen := range []uint64{0, 4, 1 << 40, ^uint64(0) - 7} {
+			d, err := client.Call(tk, load,
+				[]wire.ImmArg{proc.U64Arg(8, nameLen), proc.BytesArg(16, []byte("add"))},
+				nil, SlotCont)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if st := d.U64(0); st != StatusBadArg {
+				t.Errorf("name length %#x: status = %d, want bad-arg", nameLen, st)
+			}
+		}
+		// The adaptor is still serving.
+		loadKernel(tk, t, client, load, "add")
+	})
+}
+
 func TestErrorContinuationOnBadArgs(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
 		_, client, ci := setup(tk, t, cl)

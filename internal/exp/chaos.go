@@ -195,6 +195,7 @@ func ChaosFaceVerify() *Table {
 		case "drop-5%":
 			t.Metric("goodput-drop5", st.Throughput())
 			t.Metric("err-drop5", float64(st.Errors))
+			t.Metric("dropped-drop5", float64(r.faults.Dropped))
 			t.Metric("retx-drop5", float64(r.retx))
 		case "partition-20ms":
 			t.Metric("err-partition", float64(st.Errors))

@@ -33,10 +33,10 @@ import (
 )
 
 // totalEvents counts every event processed by any kernel in the
-// process, for wall-clock events/sec reporting (internal/perf,
-// bench_test.go). It is flushed in batches at the end of each run
-// loop so the hot path pays only a register increment; simulation
-// behavior never reads it, so determinism is unaffected.
+// process: the benchmark's events per request and the event gates in
+// bench_test.go are differences of it. It is flushed in batches at the
+// end of each run loop so the hot path pays only a register increment;
+// simulation behavior never reads it, so determinism is unaffected.
 var totalEvents atomic.Uint64
 
 // TotalEvents returns the process-wide count of simulation events
