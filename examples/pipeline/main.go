@@ -67,11 +67,9 @@ func newStage(t *sim.Task, cl *core.Cluster, node, size int, name string) *stage
 			case tagPush, tagChain:
 				dst, _ := d.Cap(0)
 				next, _ := d.Cap(1)
-				view := mustCap(s.p.MemoryDiminish(st, s.in, 0, uint64(n), 0))
-				if err := s.p.MemoryCopy(st, view, dst); err != nil {
+				if err := s.p.MemoryCopyRange(st, s.in, 0, dst, 0, uint64(n)); err != nil {
 					log.Fatal(err)
 				}
-				s.p.Drop(st, view)
 				if d.Tag == tagPush {
 					s.p.Invoke(st, next, nil, nil)
 				} else {

@@ -209,3 +209,55 @@ func TestFractOSFasterAndLeaner(t *testing.T) {
 		t.Errorf("traffic reduction %.2fx, want >1.5x (paper: ~3x incl. control)", float64(bBytes)/float64(fBytes))
 	}
 }
+
+// TestFaceVerifyLeavesNothingBehind: a request in steady state mints
+// nothing — after a warm-up, a thousand more requests, direct and ring,
+// leave every Controller's capability spaces and object tree exactly as
+// large as they were. (Before memory_copy took a range, the slot kept its
+// kernel Request and deliveries handed their capabilities back, each
+// request left 4 entries and 2 objects behind.)
+func TestFaceVerifyLeavesNothingBehind(t *testing.T) {
+	runApp(t, core.CtrlOnCPU, func(tk *sim.Task, cl *core.Cluster) {
+		app, err := SetupFractOS(tk, cl, Config{Batch: 4, Files: 4, Slots: 2})
+		if err == nil {
+			err = app.EnableRing(tk)
+		}
+		if err != nil {
+			t.Errorf("setup: %v", err)
+			return
+		}
+		rng := rand.New(rand.NewSource(9))
+		run := func(n int) bool {
+			for i := 0; i < n; i++ {
+				req := MakeRequest(app.DB, i%4, 4, rng)
+				verify := app.VerifyBatch
+				if i%2 == 1 {
+					verify = app.RingVerify
+				}
+				if out, err := verify(tk, req); err != nil || !req.CheckResults(out) {
+					t.Errorf("request %d: err %v, verdicts %v", i, err, out)
+					return false
+				}
+			}
+			// The last acknowledgements are still on their way.
+			tk.Sleep(sim.Time(100_000))
+			return true
+		}
+		census := func() (n [4][2]int64) {
+			for i, c := range cl.Ctrls {
+				n[i] = [2]int64{c.Footprint().CapSpaceBytes, int64(c.ObjectCount())}
+			}
+			return n
+		}
+		if !run(64) {
+			return
+		}
+		warm := census()
+		if !run(1000) {
+			return
+		}
+		if got := census(); got != warm {
+			t.Errorf("{cap-space bytes, objects} per Controller after 1000 requests = %v, after the warm-up %v", got, warm)
+		}
+	})
+}

@@ -78,8 +78,9 @@ type FractOSApp struct {
 	ring     *ringState
 }
 
-// slot is one pre-allocated pipeline lane: GPU buffers, app buffers,
-// and a reusable continuation Request.
+// slot is one pre-allocated pipeline lane: GPU buffers, app buffers, a
+// reusable continuation Request, and the kernel Request preset with all
+// of them — a request derives nothing.
 type slot struct {
 	gpuDB, gpuProbe, gpuOut    proc.Cap
 	dbAddr, probeAddr, outAddr uint64
@@ -87,6 +88,8 @@ type slot struct {
 	probeOff, outOff           int
 	reply                      proc.Cap
 	replyTag                   uint64
+	kernel                     proc.Cap // continues at reply
+	ringKernel                 proc.Cap // continues at the slot's ring write (EnableRing)
 }
 
 // SetupFractOS deploys devices, adaptors, the storage stack, the
@@ -272,7 +275,22 @@ func (a *FractOSApp) makeSlot(t *sim.Task, slotBytes int, allocReq proc.Cap) (*s
 	if s.reply, err = a.app.RequestCreate(t, s.replyTag, nil, nil); err != nil {
 		return nil, err
 	}
-	return s, nil
+	s.kernel, err = a.kernelRequest(t, s, s.reply)
+	return s, err
+}
+
+// kernelRequest derives the slot's kernel Request: the kernel preset with
+// the slot's buffers and the batch size, continuing at onSuccess, or on an
+// error at the slot's reply Request (the status tells when they are one).
+func (a *FractOSApp) kernelRequest(t *sim.Task, s *slot, onSuccess proc.Cap) (proc.Cap, error) {
+	kr, err := a.app.Derive(t, a.invokeReq,
+		[]wire.ImmArg{proc.BytesArg(gpu.ArgOffset(len(KernelName), 0),
+			putArgs(s.dbAddr, s.probeAddr, s.outAddr, uint64(a.cfg.Batch)))},
+		[]proc.Arg{{Slot: gpu.SlotSuccess, Cap: onSuccess}, {Slot: gpu.SlotError, Cap: s.reply}})
+	if err != nil {
+		return proc.Cap{}, fmt.Errorf("faceverify: kernel derive: %w", err)
+	}
+	return kr, nil
 }
 
 // seedDB writes each batch file through the FS service (write mode),
@@ -333,22 +351,11 @@ func (a *FractOSApp) VerifyBatch(t *sim.Task, req *Request) ([]byte, error) {
 		return nil, fmt.Errorf("faceverify: probe upload: %w", err)
 	}
 
-	// (b) Build the continuation: the kernel Request preset with this
-	// slot's buffers and the slot's reply Request as both success and
-	// error continuation (the status immediate disambiguates).
-	ao := gpu.ArgOffset(len(KernelName), 0)
-	kr, err := a.app.Derive(t, a.invokeReq,
-		[]wire.ImmArg{proc.BytesArg(ao, putArgs(s.dbAddr, s.probeAddr, s.outAddr, uint64(req.Batch)))},
-		[]proc.Arg{{Slot: gpu.SlotSuccess, Cap: s.reply}, {Slot: gpu.SlotError, Cap: s.reply}})
-	if err != nil {
-		return nil, fmt.Errorf("faceverify: kernel derive: %w", err)
-	}
-
-	// (c) Invoke the storage read with the GPU buffer as destination
-	// and the kernel Request as continuation, then wait for the
+	// (b) Invoke the storage read with the GPU buffer as destination
+	// and the slot's kernel Request as continuation, then wait for the
 	// pipeline to come back to us.
 	f := a.app.WaitTag(s.replyTag)
-	if err := a.storageReadInto(t, file, n, s.gpuDB, kr); err != nil {
+	if err := a.storageReadInto(t, file, n, s.gpuDB, s.kernel); err != nil {
 		return nil, err
 	}
 	d, err := f.Wait(t)
@@ -357,15 +364,13 @@ func (a *FractOSApp) VerifyBatch(t *sim.Task, req *Request) ([]byte, error) {
 	}
 	d.Done()
 	if st := d.U64(0); st != gpu.StatusOK {
-		a.app.Drop(t, kr)
 		return nil, fmt.Errorf("faceverify: pipeline status %d", st)
 	}
 
-	// (d) Download the result vector.
+	// (c) Download the result vector.
 	if err := a.app.MemoryCopy(t, s.gpuOut, s.outMem); err != nil {
 		return nil, err
 	}
-	a.app.Drop(t, kr)
 	out := make([]byte, req.Batch)
 	copy(out, a.app.Arena()[s.outOff:s.outOff+req.Batch])
 	return out, nil

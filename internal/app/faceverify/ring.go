@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"fractos/internal/cap"
-	"fractos/internal/device/gpu"
 	"fractos/internal/fs"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
@@ -24,8 +23,6 @@ const outputFileName = "verdicts.bin"
 // ringState is the per-app lazily initialized ring plumbing.
 type ringState struct {
 	file *fs.File
-	// per-slot preset FS direct-write Requests.
-	writes map[*slot]proc.Cap
 	// per-slot read-back buffers (cap + arena offset), allocated once.
 	readMem map[*slot]proc.Cap
 	readOff map[*slot]int
@@ -49,7 +46,6 @@ func (a *FractOSApp) EnableRing(t *sim.Task) error {
 	}
 	r := &ringState{
 		file:    f,
-		writes:  make(map[*slot]proc.Cap),
 		readMem: make(map[*slot]proc.Cap),
 		readOff: make(map[*slot]int),
 	}
@@ -66,7 +62,9 @@ func (a *FractOSApp) EnableRing(t *sim.Task) error {
 		if err != nil {
 			return fmt.Errorf("faceverify: preset write: %w", err)
 		}
-		r.writes[s] = w
+		if s.ringKernel, err = a.kernelRequest(t, s, w); err != nil {
+			return err
+		}
 		off, err := a.app.Alloc(a.cfg.Batch)
 		if err != nil {
 			return fmt.Errorf("faceverify: read-back buffer: %w", err)
@@ -109,15 +107,8 @@ func (a *FractOSApp) RingVerify(t *sim.Task, req *Request) ([]byte, error) {
 		return nil, fmt.Errorf("faceverify: probe upload: %w", err)
 	}
 
-	ao := gpu.ArgOffset(len(KernelName), 0)
-	kr, err := a.app.Derive(t, a.invokeReq,
-		[]wire.ImmArg{proc.BytesArg(ao, putArgs(s.dbAddr, s.probeAddr, s.outAddr, uint64(req.Batch)))},
-		[]proc.Arg{{Slot: gpu.SlotSuccess, Cap: a.ring.writes[s]}, {Slot: gpu.SlotError, Cap: s.reply}})
-	if err != nil {
-		return nil, fmt.Errorf("faceverify: kernel derive: %w", err)
-	}
 	f := a.app.WaitTag(s.replyTag)
-	if err := a.storageReadInto(t, file, a.cfg.batchBytes(), s.gpuDB, kr); err != nil {
+	if err := a.storageReadInto(t, file, a.cfg.batchBytes(), s.gpuDB, s.ringKernel); err != nil {
 		return nil, err
 	}
 	d, err := f.Wait(t)
@@ -125,7 +116,6 @@ func (a *FractOSApp) RingVerify(t *sim.Task, req *Request) ([]byte, error) {
 		return nil, err
 	}
 	d.Done()
-	a.app.Drop(t, kr)
 	if st := d.U64(0); st != 0 {
 		return nil, fmt.Errorf("faceverify: ring status %d", st)
 	}

@@ -165,10 +165,6 @@ type Entry struct {
 	Ref    Ref
 	Kind   Kind
 	Rights Rights
-	// Size caches the extent of a Memory object so the Process can
-	// size buffers without a round trip; authoritative checks still
-	// happen at the owner.
-	Size uint64
 	// Monitored marks capabilities derived from a monitor_delegate
 	// target: further delegations must notify the owner (§3.6).
 	Monitored bool
@@ -177,6 +173,14 @@ type Entry struct {
 	// Controller revokes the child so the delegator observes the
 	// failure (§3.6's failure-translation model).
 	Leased bool
+	// Size caches the extent of a Memory object so the Process can
+	// size buffers without a round trip; authoritative checks still
+	// happen at the owner.
+	Size uint64
+	// Delivery is the sequence number of the request_receive descriptor
+	// that installed the entry (0: none did): its acknowledgement hands back
+	// only that, not a cid dropped meanwhile (a spent reply's) and reissued.
+	Delivery uint64
 	// Expire, when non-zero, is the virtual-time deadline after which
 	// the lease GC treats a Leased entry as abandoned and fires the
 	// §3.6 failure-translation path for it. Stamped by the Controller

@@ -14,9 +14,9 @@ type memLoc struct {
 	size uint64
 }
 
-// handleMemCopy orchestrates memory_copy (Table 1): copy all bytes of
-// the source Memory object into the destination, wherever either
-// lives. The invoking Process's Controller drives the copy.
+// handleMemCopy orchestrates memory_copy (Table 1): copy the source Memory
+// object, or the range of it the syscall names, into the destination,
+// wherever either lives. The invoking Process's Controller drives the copy.
 //
 // The prototype's RoCE NICs lack third-party RDMA (§4's limitation),
 // so the default datapath stages data through bounce buffers in the
@@ -39,6 +39,7 @@ func (c *Controller) handleMemCopy(ps *procState, m *wire.MemCopy) {
 	// event to event while the Controller keeps serving.
 	op := c.getCopyOp(ps, m.Token)
 	op.src, op.dst = src.Ref, dst.Ref
+	op.srcOff, op.dstOff, op.length = m.SrcOff, m.DstOff, m.Len
 	c.startCopy(op)
 }
 
@@ -65,8 +66,9 @@ type copyOp struct {
 	token uint64
 	state copyState
 
-	src, dst       cap.Ref
-	srcLoc, dstLoc memLoc
+	src, dst               cap.Ref
+	srcLoc, dstLoc         memLoc
+	srcOff, dstOff, length uint64 // the range asked for in each; length 0: the whole source
 
 	n, off, i int     // bytes to move; the current chunk's offset and index
 	bufs      [2]int  // the bounce pair (arena offsets) while held: chunk i stages through bufs[i%2]
@@ -117,6 +119,10 @@ func (e *copyWrote1) Fire() { (*copyOp)(e).wrote(1) }
 
 //fractos:hotpath
 func (e *copyHWDone) Fire() { (*copyOp)(e).hwDone() }
+
+// within reports whether [off, off+n) lies inside an object of size
+// bytes, without forming the sum: off and n come from a Process.
+func within(off, n, size uint64) bool { return n <= size && off <= size-n }
 
 //fractos:pool-acquire copyop
 func (c *Controller) getCopyOp(ps *procState, token uint64) *copyOp {
@@ -198,11 +204,17 @@ func (op *copyOp) located(loc memLoc, st wire.Status) {
 // bounds how many stage data at once.
 func (op *copyOp) transfer() {
 	c := op.c
-	if op.dstLoc.size < op.srcLoc.size {
+	n := op.length
+	if n == 0 {
+		n = op.srcLoc.size
+	}
+	if !within(op.srcOff, n, op.srcLoc.size) || !within(op.dstOff, n, op.dstLoc.size) {
 		op.finish(wire.StatusBounds, 0)
 		return
 	}
-	op.n = int(op.srcLoc.size)
+	op.srcLoc.base += op.srcOff
+	op.dstLoc.base += op.dstOff
+	op.n = int(n)
 	if c.cfg.HWCopies {
 		err := c.net.RDMACopyThen((*copyHWDone)(op), c.ep.ID,
 			fabricEP(op.srcLoc.ep), int(op.srcLoc.base),

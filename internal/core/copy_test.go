@@ -194,3 +194,150 @@ func TestCopyUnwoundByControllerCrash(t *testing.T) {
 		}
 	})
 }
+
+// TestRangedCopy: memory_copy moves exactly the range it is asked for —
+// both ends of both objects, unaligned offsets over 1, 4 and 64 bounce
+// chunks — with every byte outside the range left alone, as a push, a pull
+// and on one node, on each datapath; and a range it must not move it
+// refuses before the first RDMA op.
+func TestRangedCopy(t *testing.T) {
+	const (
+		chunk = 16 << 10
+		size  = 64*chunk + 4096 // room for 64 unaligned chunks
+		max   = ^uint64(0)
+	)
+	datapaths := map[string]func(*core.Config){
+		"bounce":       func(*core.Config) {},
+		"SingleBuffer": func(c *core.Config) { c.SingleBuffer = true },
+		"HWCopies":     func(c *core.Config) { c.HWCopies = true },
+	}
+	ranges := []struct{ srcOff, dstOff, n uint64 }{
+		{0, 0, chunk},                      // the head of both
+		{size - 100, size - 100, 100},      // the tail of both
+		{0, size - 4096, 4096},             // head to tail
+		{3, 5, 1000},                       // unaligned, 1 chunk
+		{4093, 11, 4*chunk - 7},            // 4 chunks
+		{13, 4001, 64*chunk - 13},          // 64 chunks
+		{1, 0, size - 1}, {0, 1, size - 1}, // everything but one byte
+	}
+	refused := []struct {
+		what            string
+		srcOff, dstOff  uint64
+		n               uint64
+		noRead, noWrite bool
+		want            wire.Status
+	}{
+		{what: "srcOff+n wraps", srcOff: max - 10, n: 4096, want: wire.StatusBounds},
+		{what: "dstOff+n wraps", dstOff: max - 10, n: 4096, want: wire.StatusBounds},
+		{what: "n alone exceeds everything", n: max, want: wire.StatusBounds},
+		{what: "past the source's end", srcOff: size - 10, n: 11, want: wire.StatusBounds},
+		{what: "past the destination's end", dstOff: size - 10, n: 11, want: wire.StatusBounds},
+		{what: "whole source at a destination offset", dstOff: 1, want: wire.StatusBounds},
+		{what: "source without Read", n: 64, noRead: true, want: wire.StatusPerm},
+		{what: "destination without Write", n: 64, noWrite: true, want: wire.StatusPerm},
+	}
+	for name, set := range datapaths {
+		cfg := core.ClusterConfig{Nodes: 2}
+		set(&cfg.Ctrl)
+		t.Run(name, func(t *testing.T) {
+			run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+				// The copier on node 0 holds a local and a remote object.
+				copier, peer := proc.Attach(cl, 0, "copier", 2*size), proc.Attach(cl, 1, "peer", size)
+				near, nearBuf, err1 := copier.AllocMemory(tk, size, cap.MemRights)
+				near2, near2Buf, err2 := copier.AllocMemory(tk, size, cap.MemRights)
+				pfar, farBuf, err3 := peer.AllocMemory(tk, size, cap.MemRights)
+				far, err4 := proc.GrantCap(peer, pfar, copier)
+				if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+					t.Error(err1, err2, err3, err4)
+					return
+				}
+				directions := []struct {
+					what     string
+					src, dst proc.Cap
+					from, to []byte
+				}{
+					{"push", near, far, nearBuf, farBuf},
+					{"pull", far, near, farBuf, nearBuf},
+					{"same node", near, near2, nearBuf, near2Buf},
+				}
+				fill := func(d int) {
+					for i := range directions[d].from {
+						directions[d].from[i] = byte(i%251 + 1)
+						directions[d].to[i] = 0
+					}
+				}
+				for d, dir := range directions {
+					for _, r := range ranges {
+						fill(d)
+						if err := copier.MemoryCopyRange(tk, dir.src, r.srcOff, dir.dst, r.dstOff, r.n); err != nil {
+							t.Errorf("%s %+v: %v", dir.what, r, err)
+							continue
+						}
+						for i, b := range dir.to {
+							want := byte(0)
+							if u := uint64(i); u >= r.dstOff && u < r.dstOff+r.n {
+								want = dir.from[u-r.dstOff+r.srcOff]
+							}
+							if b != want {
+								t.Errorf("%s %+v: destination byte %d is %d, want %d", dir.what, r, i, b, want)
+								break
+							}
+						}
+					}
+					for _, r := range refused {
+						fill(d)
+						src, dst := dir.src, dir.dst
+						var err error
+						if r.noRead {
+							src, err = copier.MemoryDiminish(tk, src, 0, size, cap.Read)
+						}
+						if r.noWrite && err == nil {
+							dst, err = copier.MemoryDiminish(tk, dst, 0, size, cap.Write)
+						}
+						if err != nil {
+							t.Errorf("%s, %s: diminish: %v", dir.what, r.what, err)
+							continue
+						}
+						before := cl.Net.Stats().RDMAOps
+						err = copier.MemoryCopyRange(tk, src, r.srcOff, dst, r.dstOff, r.n)
+						if !wire.IsStatus(err, r.want) {
+							t.Errorf("%s, %s: %v, want %v", dir.what, r.what, err, r.want)
+						}
+						if ops := cl.Net.Stats().RDMAOps - before; ops != 0 {
+							t.Errorf("%s, %s: refused after %d RDMA ops", dir.what, r.what, ops)
+						}
+						for i, b := range dir.to {
+							if b != 0 {
+								t.Errorf("%s, %s: a refused copy wrote destination byte %d", dir.what, r.what, i)
+								break
+							}
+						}
+					}
+				}
+				// Revocation binds a ranged copy as it does a whole one: the
+				// owner validates every copy when it starts, so once either
+				// side is revoked the next copy moves nothing.
+				for _, revoke := range []proc.Cap{pfar, near2} {
+					owner := copier
+					if revoke == pfar {
+						owner = peer
+					}
+					if err := owner.Revoke(tk, revoke); err != nil {
+						t.Error(err)
+					}
+				}
+				before := cl.Net.Stats().RDMAOps
+				if err := copier.MemoryCopyRange(tk, far, 0, near, 0, 64); err == nil {
+					t.Error("ranged copy from a revoked source succeeded")
+				}
+				if err := copier.MemoryCopyRange(tk, near, 0, near2, 0, 64); err == nil {
+					t.Error("ranged copy into a revoked destination succeeded")
+				}
+				if ops := cl.Net.Stats().RDMAOps - before; ops != 0 {
+					t.Errorf("copies on revoked objects issued %d RDMA ops", ops)
+				}
+				engineIdle(t, cl.CtrlFor(0), core.DefaultBouncePairs, "at the end")
+			})
+		})
+	}
+}

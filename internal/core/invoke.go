@@ -135,6 +135,7 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 	for _, a := range merged {
 		cid, st := c.install(prov, cap.Entry{
 			Ref: a.Ref, Kind: a.Kind, Rights: a.Rights, Size: a.Size, Leased: a.Leased,
+			Delivery: prov.deliverSeq + 1,
 		})
 		if st != wire.StatusOK {
 			for _, dc := range d.Caps {

@@ -8,7 +8,7 @@ import (
 // handleMemCreate registers part of the Process's arena as a Memory
 // object (memory_create).
 func (c *Controller) handleMemCreate(ps *procState, m *wire.MemCreate) {
-	if m.Size == 0 || m.Base+m.Size > uint64(ps.ep.ArenaSize()) {
+	if m.Size == 0 || !within(m.Base, m.Size, uint64(ps.ep.ArenaSize())) {
 		c.complete(ps, m.Token, wire.StatusBounds, cap.NilCap, 0)
 		return
 	}
@@ -69,7 +69,7 @@ func (c *Controller) deriveMemLocal(ref cap.Ref, off, size uint64, drop cap.Righ
 	if !ok {
 		return cap.Ref{}, 0, 0, wire.StatusKind
 	}
-	if size == 0 || off+size > mo.size {
+	if size == 0 || !within(off, size, mo.size) {
 		return cap.Ref{}, 0, 0, wire.StatusBounds
 	}
 	nmo := &memObject{
@@ -289,12 +289,18 @@ func (c *Controller) handleMonitorReceive(ps *procState, m *wire.MonitorReceive)
 	c.forward(pc, ps, m.Token)
 }
 
-// handleDeliverDone releases one congestion-window credit (§4).
+// handleDeliverDone releases one congestion-window credit (§4), and the
+// capabilities the delivery installed that its receiver hands back.
 func (c *Controller) handleDeliverDone(ps *procState, m *wire.DeliverDone) {
 	if _, ok := ps.outstanding[m.Seq]; !ok {
 		return
 	}
 	delete(ps.outstanding, m.Seq)
+	for _, cid := range m.Drop {
+		if e := ps.space.Peek(cid); e != nil && e.Delivery == m.Seq {
+			ps.space.Drop(cid)
+		}
+	}
 	ps.window++
 	c.drainQueue(ps)
 }

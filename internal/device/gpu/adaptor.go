@@ -118,7 +118,7 @@ func (a *Adaptor) serve(t *sim.Task) {
 }
 
 func (a *Adaptor) handleMgmt(t *sim.Task, d *proc.Delivery) {
-	defer d.Done()
+	defer d.Release()
 	cont, haveCont := d.Cap(SlotCont)
 	reply := func(imms []wire.ImmArg, args []proc.Arg) {
 		if haveCont {
@@ -214,7 +214,7 @@ func (a *Adaptor) handleMgmt(t *sim.Task, d *proc.Delivery) {
 // flow of §2.2: the adaptor invokes whatever continuation it was
 // handed, verbatim.
 func (a *Adaptor) handleInvoke(t *sim.Task, d *proc.Delivery) {
-	defer d.Done()
+	defer d.Release()
 	succ, _ := d.Cap(SlotSuccess)
 	errc, haveErr := d.Cap(SlotError)
 	fail := func(code uint64) {

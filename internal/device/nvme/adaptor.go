@@ -163,7 +163,7 @@ func (a *Adaptor) serve(t *sim.Task) {
 }
 
 func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
-	defer d.Done()
+	defer d.Release()
 	switch d.Tag {
 	case TagVolCreate:
 		a.handleVolCreate(t, d)
@@ -180,7 +180,7 @@ func (a *Adaptor) handleVolCreate(t *sim.Task, d *proc.Delivery) {
 	if !ok {
 		return
 	}
-	if size <= 0 || a.devFree+size > a.dev.Capacity() {
+	if size <= 0 || size > a.dev.Capacity()-a.devFree {
 		a.P.Invoke(t, cont, []wire.ImmArg{proc.U64Arg(0, StatusBounds)}, nil)
 		return
 	}
@@ -224,7 +224,7 @@ func (a *Adaptor) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 		return
 	}
 	off, n := int64(d.U64(ImmOff)), int64(d.U64(ImmLen))
-	if n <= 0 || off < 0 || off+n > vol.size {
+	if n <= 0 || off < 0 || n > vol.size || off > vol.size-n {
 		fail(StatusBounds)
 		return
 	}
@@ -233,7 +233,7 @@ func (a *Adaptor) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 		return
 	}
 	data, ok := d.Cap(SlotData)
-	if !ok || data.Size() < uint64(n) || (isWrite && data.Size() != uint64(n)) {
+	if !ok || data.Size() < uint64(n) {
 		fail(StatusBounds)
 		return
 	}
@@ -246,17 +246,11 @@ func (a *Adaptor) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 		a.stageSem.Release()
 	}()
 
-	view, err := a.P.MemoryDiminish(t, sb.cap, 0, uint64(n), 0)
-	if err != nil {
-		fail(StatusDevErr)
-		return
-	}
-	defer a.P.Drop(t, view)
 	buf := a.P.Arena()[sb.off : sb.off+int(n)]
 
 	if isWrite {
 		// Pull the caller's bytes, then commit to flash.
-		if err := a.P.MemoryCopy(t, data, view); err != nil {
+		if err := a.P.MemoryCopyRange(t, data, 0, sb.cap, 0, uint64(n)); err != nil {
 			fail(StatusCopyErr)
 			return
 		}
@@ -269,7 +263,7 @@ func (a *Adaptor) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 			fail(StatusDevErr)
 			return
 		}
-		if err := a.P.MemoryCopy(t, view, data); err != nil {
+		if err := a.P.MemoryCopyRange(t, sb.cap, 0, data, 0, uint64(n)); err != nil {
 			fail(StatusCopyErr)
 			return
 		}

@@ -117,7 +117,7 @@ func (d *Device) drainDirty() {
 // modeled device time.
 func (d *Device) Read(t *sim.Task, off int64, buf []byte) error {
 	n := len(buf)
-	if off < 0 || off+int64(n) > d.cfg.Capacity {
+	if off < 0 || int64(n) > d.cfg.Capacity || off > d.cfg.Capacity-int64(n) {
 		return ErrOutOfRange
 	}
 	lat := d.cfg.RandomReadLatency
@@ -144,7 +144,7 @@ func (d *Device) Read(t *sim.Task, off int64, buf []byte) error {
 // Disaggregated Baseline writes fast in Figure 10).
 func (d *Device) Write(t *sim.Task, off int64, buf []byte) error {
 	n := len(buf)
-	if off < 0 || off+int64(n) > d.cfg.Capacity {
+	if off < 0 || int64(n) > d.cfg.Capacity || off > d.cfg.Capacity-int64(n) {
 		return ErrOutOfRange
 	}
 	d.drainDirty()

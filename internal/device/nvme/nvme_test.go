@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
@@ -62,6 +63,12 @@ func TestDeviceBounds(t *testing.T) {
 		}
 		if err := d.Write(tk, -1, buf); err != ErrOutOfRange {
 			t.Errorf("negative write: %v", err)
+		}
+		if err := d.Write(tk, math.MaxInt64-10, buf); err != ErrOutOfRange {
+			t.Errorf("write at an offset whose sum with the length wraps: %v", err)
+		}
+		if err := d.Read(tk, math.MaxInt64-10, buf); err != ErrOutOfRange {
+			t.Errorf("read at an offset whose sum with the length wraps: %v", err)
 		}
 	})
 }
@@ -213,8 +220,31 @@ func TestAdaptorRejectsBadRequests(t *testing.T) {
 	cl.K.Spawn("main", func(tk *sim.Task) {
 		defer func() { done = true }()
 		_, client, vc := setupAdaptor(tk, t, cl)
-		rd, _ := createVolume(tk, t, client, vc, 64*1024)
+		rd, wr := createVolume(tk, t, client, vc, 64*1024)
 		dst, _ := client.MemoryCreate(tk, 0, 4096, cap.MemRights)
+
+		// An offset whose sum with the length wraps: a read and a write.
+		// (Summed, MaxInt64−10 + 4096 is negative and passed both the
+		// volume's check and the device's — the write landed in pages far
+		// outside both.)
+		for _, req := range []proc.Cap{rd, wr} {
+			d, err := client.Call(tk, req,
+				[]wire.ImmArg{proc.U64Arg(ImmOff, math.MaxInt64-10), proc.U64Arg(ImmLen, 4096)},
+				[]proc.Arg{{Slot: SlotData, Cap: dst}}, SlotCont)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if st := d.U64(0); st != StatusBounds {
+				t.Errorf("offset+length wrapping: status = %d, want bounds", st)
+			}
+		}
+
+		// A second volume whose size, added to the space already given
+		// out, wraps.
+		if d, err := client.Call(tk, vc, []wire.ImmArg{proc.U64Arg(ImmVol, math.MaxInt64)}, nil, SlotCont); err != nil || d.U64(0) != StatusBounds {
+			t.Errorf("volume of MaxInt64 bytes: err %v, status %d, want bounds", err, d.U64(0))
+		}
 
 		// Out-of-volume read.
 		d, err := client.Call(tk, rd,

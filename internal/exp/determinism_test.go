@@ -123,22 +123,25 @@ func TestTraceDeterminism(t *testing.T) {
 // in-tree; a change that means to move a timestamp or a byte count
 // updates them and says why.
 //
-// Last moved when Call stopped creating and dropping a reply Request per
-// call (they were fb51a1cf… and cdaa0df1… from PR 12 until then). First
-// diverging event, pipeline: the 53rd, at 93 941 ns — the cap_drop
-// (type 107, 14 bytes) the client posted beside the DeliverDone of its
-// first Call's reply is gone, and its next syscall, the memory_copy
-// (type 102) that used to wait for the drop's completion until 97 545 ns,
-// leaves in its place. Faceverify: the first, the frontend's memory_copy
-// — at 1 509 611 ns instead of 1 729 411, because the registry Calls of
-// the set-up, before the trace starts, each lost two round trips; the
-// requests themselves use pre-exchanged continuations, and what differs
-// after the shift is the tail of the set-up's last Call (a Completion and
-// a DeliverDone at the registry's Controller) now overlapping the first
-// request instead of being waited out.
+// Last moved when memory_copy took a range, the face-verification slots
+// kept their kernel Requests and the adaptors' acknowledgements began to
+// hand capabilities back (they were 19af0e22… and ddbd30e2… from PR 22
+// until then). First diverging event, pipeline: the 144th, at
+// 315 318 ns — the memory_diminish (type 101, 31 bytes) the first
+// fast-star stage posted for a view of its buffer is gone, and its
+// memory_copy (type 102) leaves in its place, 42 bytes with the range
+// instead of 18; the cap_drop (type 107) after the copy is gone too.
+// Faceverify: the first, the frontend's memory_copy — at 1 503 337 ns
+// instead of 1 509 611, because the set-up before the trace starts seeds
+// the database through an FS that no longer derives and drops two views
+// per extent span, and derives each slot's kernel Request; the third
+// event, the FS's DeliverDone (type 110) for the last open, is 16 bytes
+// instead of 10, listing the reply capability it was sent; and where
+// the request posted a request_create (type 103, 78 bytes) as its 9th
+// event it now posts the request_invoke (type 104) that followed it.
 const (
-	pipelineTraceSHA256   = "19af0e22a39c2127746943fa1323f7309aa4890e1ec83c89a1c578af5dd0409a"
-	faceverifyTraceSHA256 = "ddbd30e2493b47f74ac6f8f4de4ba8bf61d8efcbe4439213b6a417f694e2a1d6"
+	pipelineTraceSHA256   = "598a2b044627c83c3917fee18d841ce0b3df7d329a776d8b5fa2469f78bbe92d"
+	faceverifyTraceSHA256 = "b078865a87948684cfc2f6d85749d2330d46646c43b2d75b03b96ad714c63623"
 )
 
 func checkDigest(t *testing.T, name, trace, want string) {

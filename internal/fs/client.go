@@ -158,7 +158,7 @@ func (f *File) io(t *sim.Task, off, n uint64, mem proc.Cap, isWrite bool) error 
 // daxIO talks straight to the block device, extent by extent (the
 // composition the FS enabled by delegating its block leases).
 func (f *File) daxIO(t *sim.Task, off, n uint64, mem proc.Cap, isWrite bool) error {
-	if off+n > f.Size {
+	if n > f.Size || off > f.Size-n {
 		return fsErr(StatusBounds)
 	}
 	done := uint64(0)

@@ -71,7 +71,7 @@ func (s *Service) handleDirect(t *sim.Task, d *proc.Delivery, isWrite bool) {
 		return
 	}
 	off, n := d.U64(FSImmOff), d.U64(FSImmLen)
-	if n == 0 || off+n > f.size {
+	if n == 0 || n > f.size || off > f.size-n {
 		s.fail(t, d, StatusBounds)
 		return
 	}

@@ -251,7 +251,7 @@ func (s *Service) serve(t *sim.Task) {
 }
 
 func (s *Service) handle(t *sim.Task, d *proc.Delivery) {
-	defer d.Done()
+	defer d.Release()
 	switch d.Tag {
 	case TagOpen:
 		s.handleOpen(t, d)

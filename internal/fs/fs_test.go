@@ -149,6 +149,16 @@ func TestReadBeyondEOF(t *testing.T) {
 		if err := f.ReadAt(tk, 0, 8192, dst); err == nil {
 			t.Fatal("read beyond EOF succeeded")
 		}
+		// An offset whose sum with the length wraps is beyond EOF too, on
+		// every path.
+		dax, _ := OpenFile(tk, st.client, st.open, "small.bin", OpenRead|OpenDAX, 0)
+		for what, read := range map[string]func(*sim.Task, uint64, uint64, proc.Cap) error{
+			"FS": f.ReadAt, "direct": f.DirectReadAt, "DAX": dax.ReadAt,
+		} {
+			if err := read(tk, ^uint64(0)-100, 8192, dst); err == nil {
+				t.Errorf("%s read at an offset that wraps succeeded", what)
+			}
+		}
 	})
 }
 
@@ -292,6 +302,78 @@ func TestDAXFasterThanFS(t *testing.T) {
 		speedup := float64(fsTime) / float64(daxTime)
 		if speedup < 1.2 {
 			t.Errorf("DAX speedup = %.2fx, want >1.2x for 512KiB reads (§6.4 reports ~1.3x)", speedup)
+		}
+	})
+}
+
+// TestFSLeavesNothingBehind is faceverify's TestFaceVerifyLeavesNothingBehind
+// for the storage stack: FS-mode reads and writes spanning three extents,
+// DAX reads, and an FS-mode read that fails half-way because the client
+// revokes its Memory, leave every Controller's capability spaces and
+// object tree as large as the warm-up left them. (With a staging view and
+// a client view derived per extent span, each span left two objects
+// behind, and a failed span their entries too.)
+func TestFSLeavesNothingBehind(t *testing.T) {
+	runStack(t, func(tk *sim.Task, st *stack) {
+		const n = ExtentSize + 8192 // from 4 KiB before extent 1 to 4 KiB into extent 2
+		off := uint64(ExtentSize - 4096)
+		f, err := OpenFile(tk, st.client, st.open, "big.bin", OpenRead|OpenWrite|OpenCreate, 3<<20)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		dax, err := OpenFile(tk, st.client, st.open, "big.bin", OpenRead|OpenDAX, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf, small := st.mem(tk, t, 0, n), st.mem(tk, t, 4<<20, 4096)
+		run := func(rounds int) bool {
+			for i := 0; i < rounds; i++ {
+				op := f.WriteAt
+				if i%2 == 1 {
+					op = f.ReadAt
+				}
+				if err := op(tk, off, n, buf); err != nil {
+					t.Errorf("FS-mode operation %d: %v", i, err)
+					return false
+				}
+				if err := dax.ReadAt(tk, uint64(i%3)*ExtentSize+uint64(i)*512, 4096, small); err != nil {
+					t.Errorf("DAX read %d: %v", i, err)
+					return false
+				}
+			}
+			// A read whose destination is revoked while its second span is
+			// on its way fails, and leaves nothing behind either.
+			doomed := st.mem(tk, t, 5<<20, n)
+			st.cl.K.Spawn("revoker", func(rt *sim.Task) {
+				rt.Sleep(us(400))
+				if err := st.client.Revoke(rt, doomed); err != nil {
+					t.Error(err)
+				}
+			})
+			if err := f.ReadAt(tk, off, n, doomed); err == nil {
+				t.Error("read into a Memory revoked half-way succeeded")
+				return false
+			}
+			tk.Sleep(us(200)) // the last acknowledgements and the revocation's cleanup
+			return true
+		}
+		census := func() (c [3][2]int64) {
+			for i, ctrl := range st.cl.Ctrls {
+				c[i] = [2]int64{ctrl.Footprint().CapSpaceBytes, int64(ctrl.ObjectCount())}
+			}
+			return c
+		}
+		if !run(8) {
+			return
+		}
+		warm := census()
+		if !run(200) {
+			return
+		}
+		if got := census(); got != warm {
+			t.Errorf("{cap-space bytes, objects} per Controller after 200 rounds = %v, after the warm-up %v", got, warm)
 		}
 	})
 }

@@ -20,7 +20,7 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 		return
 	}
 	off, n := d.U64(FSImmOff), d.U64(FSImmLen)
-	if n == 0 || off+n > f.size {
+	if n == 0 || n > f.size || off > f.size-n {
 		s.fail(t, d, StatusBounds)
 		return
 	}
@@ -55,28 +55,13 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 		}
 		ext := f.extents[ei]
 
-		// A view of the staging buffer sized for this span; the span
-		// lands at [done, done+cn) of the client's Memory via a
-		// matching view on the client capability.
-		stView, err := s.P.MemoryDiminish(t, sb.cap, 0, cn, 0)
-		if err != nil {
-			s.fail(t, d, StatusIOErr)
-			return
-		}
-		cliView := data
-		if n != cn {
-			cliView, err = s.P.MemoryDiminish(t, data, done, cn, 0)
-			if err != nil {
-				s.fail(t, d, StatusIOErr)
-				return
-			}
-		}
-
-		stage := Stage{Cap: stView, Buf: s.P.Arena()[sb.off : sb.off+int(cn)]}
+		// The span stages through the head of the buffer and lands at
+		// [done, done+cn) of the client's Memory.
+		stage := Stage{Cap: sb.cap, Buf: s.P.Arena()[sb.off : sb.off+int(cn)]}
 		var st uint64
 		if isWrite {
 			// client → staging → device.
-			if err := s.P.MemoryCopy(t, cliView, stView); err != nil {
+			if err := s.P.MemoryCopyRange(t, data, done, sb.cap, 0, cn); err != nil {
 				s.fail(t, d, StatusIOErr)
 				return
 			}
@@ -85,15 +70,11 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 			// device → staging → client.
 			st = ext.vol.ReadAt(t, eo, cn, stage)
 			if st == 0 {
-				if err := s.P.MemoryCopy(t, stView, cliView); err != nil {
+				if err := s.P.MemoryCopyRange(t, sb.cap, 0, data, done, cn); err != nil {
 					s.fail(t, d, StatusIOErr)
 					return
 				}
 			}
-		}
-		s.P.Drop(t, stView)
-		if cliView.ID() != data.ID() {
-			s.P.Drop(t, cliView)
 		}
 		if st != 0 {
 			s.fail(t, d, StatusIOErr)

@@ -528,3 +528,60 @@ func TestCallSeveredAfterReply(t *testing.T) {
 		}
 	})
 }
+
+// TestReleaseHandsBackOnlyWhatItsDeliveryBrought: Release leaves nothing
+// of a delivery in the receiver's capability space, and nothing else is
+// touched — not even under the cid of a reply capability its Controller
+// dropped when it was invoked and has since reissued to a later delivery,
+// which the earlier one's Release still lists.
+func TestReleaseHandsBackOnlyWhatItsDeliveryBrought(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		owner := proc.Attach(cl, 0, "owner", 64)
+		mem, _, err := owner.AllocMemory(tk, 64, cap.MemRights)
+		if err == nil {
+			mem, err = proc.GrantCap(owner, mem, c.cli)
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		idle := cl.CtrlFor(1).Footprint().CapSpaceBytes
+		cl.K.Spawn("server", func(st *sim.Task) {
+			first, _ := c.srv.Receive(st)
+			rep1, _ := first.Cap(0)
+			if err := c.srv.Invoke(st, rep1, []wire.ImmArg{proc.U64Arg(0, 1)}, nil); err != nil {
+				t.Error(err)
+			}
+			// The first delivery is still unacknowledged when the caller's
+			// next call arrives and takes over the spent reply's cid.
+			second, _ := c.srv.Receive(st)
+			rep2, _ := second.Cap(0)
+			mem2, _ := second.Cap(1)
+			if rep2.ID() != rep1.ID() && mem2.ID() != rep1.ID() {
+				t.Errorf("the second delivery's cids %d, %d do not reuse the spent reply's %d: the test shows nothing", rep2.ID(), mem2.ID(), rep1.ID())
+			}
+			first.Release()
+			st.Sleep(us(10))
+			if _, err := c.srv.MemoryDiminish(st, mem2, 0, 8, 0); err != nil {
+				t.Errorf("the second delivery's Memory after the first's Release: %v", err)
+			}
+			if err := c.srv.Invoke(st, rep2, []wire.ImmArg{proc.U64Arg(0, 2)}, nil); err != nil {
+				t.Errorf("the second delivery's reply after the first's Release: %v", err)
+			}
+			second.Release()
+		})
+		for v := uint64(1); v <= 2; v++ {
+			dv, err := c.cli.Call(tk, c.creq, nil, []proc.Arg{{Slot: 1, Cap: mem}}, 0)
+			if err != nil || dv.U64(0) != v {
+				t.Errorf("call %d: %v, %v", v, dv, err)
+				return
+			}
+		}
+		tk.Sleep(us(100))
+		// One entry more than at the start: the view the server derived.
+		if got := cl.CtrlFor(1).Footprint().CapSpaceBytes; got != idle+40 {
+			t.Errorf("the server's capability space holds %d bytes after two released deliveries, want %d", got, idle+40)
+		}
+	})
+}

@@ -69,6 +69,7 @@ type Process struct {
 		monitorDelegate wire.MonitorDelegate
 		monitorReceive  wire.MonitorReceive
 		done            wire.DeliverDone
+		back            []cap.CapID // done's list, when a delivery hands its capabilities back
 	}
 	// dec decodes what the Controller sends: Deliver is finished with a
 	// message — copied out what the application keeps — before it sees
@@ -385,11 +386,18 @@ func (p *Process) MemoryDiminish(t *sim.Task, c Cap, offset, size uint64, drop c
 // MemoryCopy copies all bytes from src into dst (memory_copy),
 // wherever either lives.
 func (p *Process) MemoryCopy(t *sim.Task, src, dst Cap) error {
+	return p.MemoryCopyRange(t, src, 0, dst, 0, 0)
+}
+
+// MemoryCopyRange copies the n bytes at srcOff of src to dstOff of dst:
+// a memory_copy of part of either object, with no view derived for it.
+// n 0 is all of src, which then takes both offsets 0.
+func (p *Process) MemoryCopyRange(t *sim.Task, src Cap, srcOff uint64, dst Cap, dstOff, n uint64) error {
 	if err := p.checkOwn(src, dst); err != nil {
 		return err
 	}
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
-		p.tx.memCopy = wire.MemCopy{Token: tok, SrcCid: src.id, DstCid: dst.id}
+		p.tx.memCopy = wire.MemCopy{Token: tok, SrcCid: src.id, DstCid: dst.id, SrcOff: srcOff, DstOff: dstOff, Len: n}
 		return &p.tx.memCopy
 	})
 	return err

@@ -75,6 +75,9 @@ func TestMemoryCreateBounds(t *testing.T) {
 		if _, err := p.MemoryCreate(tk, 0, 0, cap.MemRights); err == nil {
 			t.Error("zero-size create succeeded")
 		}
+		if _, err := p.MemoryCreate(tk, ^uint64(0)-10, 512, cap.MemRights); !wire.IsStatus(err, wire.StatusBounds) {
+			t.Errorf("create at a base whose sum with the size wraps: %v, want out-of-bounds", err)
+		}
 	})
 }
 
@@ -171,9 +174,12 @@ func TestMemoryDiminishView(t *testing.T) {
 		if string(b.Arena()[:6]) != "MIDDLE" {
 			t.Fatalf("view copy = %q", b.Arena()[:6])
 		}
-		// Diminish beyond the view is out of bounds.
-		if _, err := a.MemoryDiminish(tk, mid, 4, 6, 0); !wire.IsStatus(err, wire.StatusBounds) {
-			t.Errorf("oversized diminish: err = %v", err)
+		// Diminish beyond the view is out of bounds, and so is one at an
+		// offset whose sum with the size wraps.
+		for _, off := range []uint64{4, ^uint64(0) - 2} {
+			if _, err := a.MemoryDiminish(tk, mid, off, 6, 0); !wire.IsStatus(err, wire.StatusBounds) {
+				t.Errorf("diminish of 6 bytes at %d of a 6-byte view: err = %v", off, err)
+			}
 		}
 	})
 }

@@ -3,6 +3,7 @@ package proc
 import (
 	"encoding/binary"
 
+	"fractos/internal/cap"
 	"fractos/internal/sim"
 	"fractos/internal/wire"
 )
@@ -79,20 +80,35 @@ func (d *Delivery) Err() error { return d.Status().Err() }
 // failure means the Controller tore this Process down (crash or
 // FailProcess); the credit died with the window, so mark the Process
 // dead rather than pretend the ack was delivered.
-func (d *Delivery) Done() {
+func (d *Delivery) Done() { d.ack(nil) }
+
+// Release is Done for a receiver that keeps nothing it was sent: the
+// same acknowledgement hands back the capabilities the delivery
+// installed, so serving a request leaves no entry behind. Call it after
+// the last use of d's capabilities.
+func (d *Delivery) Release() {
+	back := d.p.tx.back[:0]
+	for _, c := range d.Caps {
+		back = append(back, c.Cid)
+	}
+	d.p.tx.back = back
+	d.ack(back)
+}
+
+func (d *Delivery) ack(back []cap.CapID) {
 	if d.acked {
 		return
 	}
 	d.acked = true
 	p := d.p
-	p.tx.done = wire.DeliverDone{Seq: d.Seq}
+	p.tx.done = wire.DeliverDone{Seq: d.Seq, Drop: back}
 	if !p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done) {
 		p.dead = true
 	}
 }
 
 // Receive blocks until the next unmatched invocation arrives
-// (request_receive). The caller must call Done on the result.
+// (request_receive). The caller must call Done or Release on the result.
 func (p *Process) Receive(t *sim.Task) (*Delivery, bool) {
 	return p.incoming.Recv(t)
 }

@@ -131,6 +131,7 @@ type lists struct {
 	xfers []CapXfer
 	dcaps []DeliveredCap
 	refs  []cap.Ref
+	cids  []cap.CapID
 }
 
 // count reads a list's length, rejecting one the rest of the frame
@@ -428,22 +429,36 @@ func (m *MemDiminish) Decode(r *Reader) error {
 	return r.Err()
 }
 
-// MemCopy copies all bytes of Memory SrcCid into DstCid (memory_copy).
+// MemCopy copies Len bytes at SrcOff of Memory SrcCid to DstOff of
+// DstCid (memory_copy). Len 0 is the whole source object, which then
+// takes both offsets 0: Table 1's form, which ends at DstCid on the wire.
 type MemCopy struct {
 	Token  uint64
 	SrcCid cap.CapID
 	DstCid cap.CapID
+	SrcOff uint64
+	DstOff uint64
+	Len    uint64
 }
 
 func (*MemCopy) WireType() Type { return TMemCopy }
 func (*MemCopy) Class() Class   { return Control }
+func (m *MemCopy) ranged() bool { return m.SrcOff|m.DstOff|m.Len != 0 }
 func (m *MemCopy) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.SrcCid))
 	w.U32(uint32(m.DstCid))
+	if m.ranged() {
+		w.U64(m.SrcOff)
+		w.U64(m.DstOff)
+		w.U64(m.Len)
+	}
 }
 func (m *MemCopy) Decode(r *Reader) error {
-	m.Token, m.SrcCid, m.DstCid = r.U64(), cap.CapID(r.U32()), cap.CapID(r.U32())
+	*m = MemCopy{Token: r.U64(), SrcCid: cap.CapID(r.U32()), DstCid: cap.CapID(r.U32())}
+	if r.Remaining() > 0 {
+		m.SrcOff, m.DstOff, m.Len = r.U64(), r.U64(), r.U64()
+	}
 	return r.Err()
 }
 
@@ -617,16 +632,40 @@ func (m *MonitorReceive) Decode(r *Reader) error {
 }
 
 // DeliverDone acknowledges processing of a delivery, releasing one
-// slot of the provider's congestion-control window (§4).
+// slot of the provider's congestion-control window (§4). Drop lists
+// the capabilities the delivery installed that the receiver hands back;
+// one that keeps what it was sent lists none, and the message ends at Seq.
 type DeliverDone struct {
-	Seq uint64
+	Seq  uint64
+	Drop []cap.CapID
 }
 
-func (*DeliverDone) WireType() Type     { return TDeliverDone }
-func (*DeliverDone) Class() Class       { return Control }
-func (m *DeliverDone) Encode(w *Writer) { w.U64(m.Seq) }
+func (*DeliverDone) WireType() Type { return TDeliverDone }
+func (*DeliverDone) Class() Class   { return Control }
+func (m *DeliverDone) Encode(w *Writer) {
+	w.U64(m.Seq)
+	if len(m.Drop) > 0 {
+		w.U16(uint16(len(m.Drop)))
+	}
+	for _, cid := range m.Drop {
+		w.U32(uint32(cid))
+	}
+}
 func (m *DeliverDone) Decode(r *Reader) error {
-	m.Seq = r.U64()
+	m.Seq, m.Drop = r.U64(), nil
+	if r.Remaining() == 0 {
+		return r.Err()
+	}
+	if n := count(r, 4); n > 0 && r.Err() == nil {
+		var own *[]cap.CapID
+		if r.dec != nil {
+			own = &r.dec.cids
+		}
+		m.Drop = list(own, nil, n)
+		for i := range m.Drop {
+			m.Drop[i] = cap.CapID(r.U32())
+		}
+	}
 	return r.Err()
 }
 
@@ -1203,9 +1242,14 @@ func sizeCapXfers(xs []CapXfer) int { return 2 + capXferSize*len(xs) }
 // sizeDelivered returns the encoded length of a delivered-cap list.
 func sizeDelivered(ds []DeliveredCap) int { return 2 + deliveredSize*len(ds) }
 
-func (m *MemCreate) EncodedSize() int       { return 8 + 8 + 8 + 1 }
-func (m *MemDiminish) EncodedSize() int     { return 8 + 4 + 8 + 8 + 1 }
-func (m *MemCopy) EncodedSize() int         { return 8 + 4 + 4 }
+func (m *MemCreate) EncodedSize() int   { return 8 + 8 + 8 + 1 }
+func (m *MemDiminish) EncodedSize() int { return 8 + 4 + 8 + 8 + 1 }
+func (m *MemCopy) EncodedSize() int {
+	if m.ranged() {
+		return 8 + 4 + 4 + 3*8
+	}
+	return 8 + 4 + 4
+}
 func (m *ReqCreate) EncodedSize() int       { return 8 + 4 + 8 + sizeImms(m.Imms) + sizeCapSlots(m.Caps) }
 func (m *ReqInvoke) EncodedSize() int       { return 8 + 4 + sizeImms(m.Imms) + sizeCapSlots(m.Caps) }
 func (m *CapRevtree) EncodedSize() int      { return 8 + 4 }
@@ -1213,13 +1257,18 @@ func (m *CapRevoke) EncodedSize() int       { return 8 + 4 }
 func (m *CapDrop) EncodedSize() int         { return 8 + 4 }
 func (m *MonitorDelegate) EncodedSize() int { return 8 + 4 + 8 }
 func (m *MonitorReceive) EncodedSize() int  { return 8 + 4 + 8 }
-func (m *DeliverDone) EncodedSize() int     { return 8 }
-func (m *Null) EncodedSize() int            { return 8 }
-func (*ProcBye) EncodedSize() int           { return 0 }
-func (m *Completion) EncodedSize() int      { return 8 + 1 + 4 + 8 }
-func (m *Deliver) EncodedSize() int         { return 8 + 8 + 4 + len(m.Imms) + sizeDelivered(m.Caps) }
-func (m *MonitorCB) EncodedSize() int       { return 8 + 1 }
-func (m *CtrlDeriveMem) EncodedSize() int   { return 8 + 4 + refSize + 8 + 8 + 1 }
+func (m *DeliverDone) EncodedSize() int {
+	if len(m.Drop) > 0 {
+		return 8 + 2 + 4*len(m.Drop)
+	}
+	return 8
+}
+func (m *Null) EncodedSize() int          { return 8 }
+func (*ProcBye) EncodedSize() int         { return 0 }
+func (m *Completion) EncodedSize() int    { return 8 + 1 + 4 + 8 }
+func (m *Deliver) EncodedSize() int       { return 8 + 8 + 4 + len(m.Imms) + sizeDelivered(m.Caps) }
+func (m *MonitorCB) EncodedSize() int     { return 8 + 1 }
+func (m *CtrlDeriveMem) EncodedSize() int { return 8 + 4 + refSize + 8 + 8 + 1 }
 func (m *CtrlDeriveReq) EncodedSize() int {
 	return 8 + 4 + refSize + sizeImms(m.Imms) + sizeCapXfers(m.Caps)
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -77,6 +78,8 @@ func sampleMessages() []Message {
 		&MemCreate{Token: 1, Base: 4096, Size: 1 << 20, Perms: cap.MemRights},
 		&MemDiminish{Token: 2, Cid: 5, Offset: 128, Size: 256, Drop: cap.Write},
 		&MemCopy{Token: 3, SrcCid: 4, DstCid: 9},
+		&MemCopy{Token: 26, SrcCid: 4, DstCid: 9, SrcOff: 4100, DstOff: 7, Len: 1 << 20},
+		&MemCopy{Token: 27, SrcCid: 4, DstCid: 9, DstOff: 1}, // ranged by one field only
 		&ReqCreate{Token: 4, Parent: 2, Tag: 77,
 			Imms: []ImmArg{{Offset: 0, Data: []byte{1, 2, 3}}, {Offset: 16, Data: []byte("x")}},
 			Caps: []CapSlot{{Slot: 0, Cid: 3}, {Slot: 2, Cid: 8}}},
@@ -88,6 +91,7 @@ func sampleMessages() []Message {
 		&MonitorDelegate{Token: 9, Cid: 14, Callback: 0xcafe},
 		&MonitorReceive{Token: 10, Cid: 15, Callback: 0xbeef},
 		&DeliverDone{Seq: 42},
+		&DeliverDone{Seq: 43, Drop: []cap.CapID{17, 1<<24 | 5}},
 		&ProcBye{},
 		&Null{Token: 99},
 		&Completion{Token: 11, Status: StatusPerm, Cid: 16, Aux: 512},
@@ -174,7 +178,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 		b := Marshal(m)
 		n := int(cut) % (len(b) + 1)
 		_, err := Unmarshal(b[:n])
-		return n == len(b) || err != nil || alwaysDecodable(m)
+		return n == len(b) || err != nil || alwaysDecodable(m) || n == shortForm(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -189,6 +193,44 @@ func alwaysDecodable(m Message) bool {
 		return true
 	}
 	return false
+}
+
+// shortForm is the length at which a grown message, cut, is its own
+// short form (a whole-object memory_copy, an acknowledgement that hands
+// nothing back) and decodes as that; 0 for every other message.
+func shortForm(m Message) int {
+	switch m.(type) {
+	case *MemCopy:
+		return 2 + 8 + 4 + 4
+	case *DeliverDone:
+		return 2 + 8
+	}
+	return 0
+}
+
+// TestGrownMessagesKeepTheirShortForm: the two messages that grew
+// optional fields encode to the bytes they always did when the fields
+// are unused, and every traffic figure of a whole-object copy or a plain
+// acknowledgement stands.
+func TestGrownMessagesKeepTheirShortForm(t *testing.T) {
+	for _, c := range []struct {
+		m    Message
+		want string
+	}{
+		{&MemCopy{Token: 3, SrcCid: 4, DstCid: 9}, "660003000000000000000400000009000000"},
+		{&DeliverDone{Seq: 42}, "6e002a00000000000000"},
+		{&DeliverDone{Seq: 42, Drop: []cap.CapID{}}, "6e002a00000000000000"},
+	} {
+		if got := fmt.Sprintf("%x", Marshal(c.m)); got != c.want {
+			t.Errorf("%+v encodes to %s, want %s", c.m, got, c.want)
+		}
+	}
+	if n := SizeOf(&MemCopy{Len: 1}); n != 2+16+24 {
+		t.Errorf("ranged memory_copy is %d bytes, want 42", n)
+	}
+	if n := SizeOf(&DeliverDone{Drop: make([]cap.CapID, 3)}); n != 2+8+2+12 {
+		t.Errorf("acknowledgement handing back 3 capabilities is %d bytes, want 24", n)
+	}
 }
 
 // Property: random ReqCreate messages round-trip exactly.

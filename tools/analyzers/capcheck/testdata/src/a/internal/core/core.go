@@ -105,6 +105,8 @@ func (s *space) Install(e Entry) CapID { return CapID(1) } //fractos:capcheck-ok
 
 func (s *space) Peek(cid CapID) *Entry { return nil }
 
+func (s *space) Drop(cid CapID) bool { return true }
+
 type task struct{}
 
 func (t *task) Sleep(d int64) {}
@@ -158,4 +160,26 @@ func (c *Controller) peekRefetch(t *task, ps *procState, cid CapID) uint8 {
 		return 0
 	}
 	return e.Rights
+}
+
+// handleDone mirrors handleDeliverDone's give-back: each cid the
+// Process lists is a typed value off the wire (no conversion), and the
+// Entry pointer is compared and dropped at once, before anything can
+// recycle the slot: clean.
+func (c *Controller) handleDone(ps *procState, seq uint8, back []CapID) {
+	for _, cid := range back {
+		if e := ps.space.Peek(cid); e != nil && e.Rights == seq {
+			ps.space.Drop(cid)
+		}
+	}
+}
+
+// handleDoneLate checks what a delivery brought only after a nap: the
+// entry under the pointer may be another delivery's by then.
+func (c *Controller) handleDoneLate(t *task, ps *procState, seq uint8, cid CapID) {
+	e := ps.space.Peek(cid)
+	t.Sleep(100)
+	if e != nil && e.Rights == seq { // want `handleDoneLate uses slab Entry pointer e across a yield point`
+		ps.space.Drop(cid)
+	}
 }

@@ -120,9 +120,21 @@ func (c *Controller) runCopy(ps *proc, token uint64) {
 	c.complete(ps, token, wire.StatusOK)
 }
 
-// handleDone owes no completion: DeliverDone carries no Token.
+// handleDone owes no completion: DeliverDone carries no Token, with or
+// without a list of capabilities to take back.
 func (c *Controller) handleDone(ps *proc, m *wire.DeliverDone) {
-	_ = m.Seq
+	for _, cid := range m.Drop {
+		_ = cid
+	}
+}
+
+// handleBadRange refuses a range that does not fit and forgets that the
+// refusal is a completion too.
+func (c *Controller) handleBadRange(ps *proc, m *wire.MemCopy) {
+	if m.SrcOff > m.Len {
+		return // want `this return path has completed 0 times`
+	}
+	c.complete(ps, m.Token, wire.StatusOK)
 }
 
 //fractos:status-ok completion happens in the fabric layer for this op

@@ -18,7 +18,17 @@ type MemCreate struct {
 	Bytes uint64
 }
 
-// DeliverDone is a notification message with no completion owed.
+// DeliverDone is a notification message with no completion owed,
+// whether or not it lists capabilities to take back.
 type DeliverDone struct {
-	Seq uint64
+	Seq  uint64
+	Drop []uint32
+}
+
+// MemCopy carries a Token like any syscall; its range fields change
+// nothing about the one completion it is owed.
+type MemCopy struct {
+	Token          uint64
+	SrcOff, DstOff uint64
+	Len            uint64
 }
