@@ -65,14 +65,19 @@ eval:
 trace:
 	$(GO) run ./cmd/fractos-trace
 
+# examples runs every example and diffs what it prints against the
+# output.txt checked in beside it: the examples are deterministic, so
+# any change to their output fails the build. After an intended change,
+# regenerate with `go run ./examples/<name> > examples/<name>/output.txt`.
+EXAMPLES = quickstart pipeline storage dataflow failover faceverify chaos
+
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/pipeline
-	$(GO) run ./examples/storage
-	$(GO) run ./examples/dataflow
-	$(GO) run ./examples/failover
-	$(GO) run ./examples/faceverify
-	$(GO) run ./examples/chaos
+	@set -e; for e in $(EXAMPLES); do \
+		echo "examples/$$e"; \
+		$(GO) run ./examples/$$e > examples/$$e/output.got; \
+		diff -u examples/$$e/output.txt examples/$$e/output.got; \
+		rm examples/$$e/output.got; \
+	done
 
 clean:
 	$(GO) clean ./...

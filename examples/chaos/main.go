@@ -52,18 +52,9 @@ func deploy(tk *sim.Task, d *testbed.Deployment, client *proc.Process, gen int) 
 	if err != nil {
 		log.Fatal(err)
 	}
-	d.Spawn("echo-loop", func(st *sim.Task) {
-		for {
-			del, ok := r.svcP.Receive(st)
-			if !ok {
-				return // our Controller crashed; this generation is dead
-			}
-			if rep, okc := del.Cap(0); okc {
-				//fractos:status-ok echo reply failure surfaces as the client's timeout
-				r.svcP.Invoke(st, rep, []wire.ImmArg{proc.BytesArg(0, del.Imms)}, nil)
-			}
-			del.Done()
-		}
+	r.svcP.Serve("echo-loop", 1, func(st *sim.Task, del *proc.Delivery) {
+		// A failed reply surfaces as the client's timeout.
+		del.Reply(st, 0, []wire.ImmArg{proc.BytesArg(0, del.Imms)}, nil)
 	})
 	if r.creq, err = proc.GrantCap(r.svcP, svcReq, client); err != nil {
 		log.Fatal(err)

@@ -1,7 +1,7 @@
 // Dataflow: §3.4 notes that Requests express "a variety of distributed
 // execution patterns, from synchronous RPCs to complex data-flow
-// models". This demo runs a small DAG across four nodes with the flow
-// package:
+// models". This demo runs a small DAG across four nodes with nothing
+// but Table 1's Request syscalls:
 //
 //	          ┌─> tokenize (node 1) ─┐
 //	client ───┤                      ├─> rank (node 3) ─> client
@@ -21,7 +21,6 @@ import (
 	"strings"
 
 	"fractos/internal/core"
-	"fractos/internal/flow"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
@@ -31,19 +30,10 @@ import (
 // deployStage starts a text-transforming service on a node.
 func deployStage(cl *core.Cluster, node int, name string, fn func(string) string) *proc.Process {
 	p := proc.Attach(cl, node, name, 0)
-	cl.K.Spawn(name+".loop", func(st *sim.Task) {
-		for {
-			d, ok := p.Receive(st)
-			if !ok {
-				return
-			}
-			out := fn(string(d.Imms))
-			if cont, ok := d.Cap(0); ok {
-				if err := p.Invoke(st, cont, []wire.ImmArg{proc.BytesArg(0, []byte(out))}, nil); err != nil {
-					log.Fatal(err)
-				}
-			}
-			d.Done()
+	p.Serve(name+".loop", 1, func(st *sim.Task, d *proc.Delivery) {
+		out := fn(string(d.Imms))
+		if err := d.Reply(st, 0, []wire.ImmArg{proc.BytesArg(0, []byte(out))}, nil); err != nil {
+			log.Fatal(err)
 		}
 	})
 	return p
@@ -79,32 +69,45 @@ func main() {
 		input := "slashing the disaggregation tax by chaining and composing requests"
 		fmt.Printf("input: %q\n\n", input)
 
-		// Fork: both analyses run concurrently on their own nodes.
+		// Fork: both analyses run concurrently on their own nodes, and
+		// both answer through one join Request, which the client serves
+		// while it is still invoking: it collects the results in arrival
+		// order.
 		start := t.Now()
 		imms := []wire.ImmArg{proc.BytesArg(0, []byte(input))}
-		join, err := flow.Scatter(t, client, []flow.Branch{
-			{Req: grant(tokenize), ContSlot: 0, Imms: imms},
-			{Req: grant(stem), ContSlot: 0, Imms: imms},
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		results, err := join.Done.Wait(t)
+		branches := []proc.Cap{grant(tokenize), grant(stem)}
+		join, err := client.RequestCreate(t, client.NewTag(), nil, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		var merged []string
-		for _, d := range results {
+		var joined sim.WaitGroup
+		joined.Add(len(branches))
+		client.Serve("join", 1, func(_ *sim.Task, d *proc.Delivery) {
 			merged = append(merged, string(d.Imms))
+			joined.Done()
+		})
+		for _, b := range branches {
+			if err := client.Invoke(t, b, imms, []proc.Arg{{Slot: 0, Cap: join}}); err != nil {
+				log.Fatal(err)
+			}
 		}
+		joined.Wait(t)
 		fmt.Printf("fork/join: %v after %v\n", merged, t.Now()-start)
 
-		// Chain: the merged result flows through the ranking stage and
-		// comes back via its continuation.
-		entry, done, err := flow.Chain(t, client, []flow.Step{{Req: grant(rank), ContSlot: 0}})
+		// Chain: the ranking stage's Request, refined with a reply
+		// Request as its continuation, carries the merged result there
+		// and back.
+		rankReq := grant(rank)
+		reply, tag, err := client.ReplyRequest(t)
 		if err != nil {
 			log.Fatal(err)
 		}
+		entry, err := client.Derive(t, rankReq, nil, []proc.Arg{{Slot: 0, Cap: reply}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		done := client.WaitTag(tag)
 		if err := client.Invoke(t, entry,
 			[]wire.ImmArg{proc.BytesArg(0, []byte(strings.Join(merged, " ")))}, nil); err != nil {
 			log.Fatal(err)

@@ -34,15 +34,8 @@ func main() {
 		// A "GPU-like" service on node 1: it creates one monitored
 		// Request per client so it learns when clients disappear.
 		svc := tb.Attach(1, "service", 0)
-		tb.Spawn("service-loop", func(st *sim.Task) {
-			for {
-				d, ok := svc.Receive(st)
-				if !ok {
-					return
-				}
-				d.Done() // work happens here in a real service
-			}
-		})
+		// Work happens in the handler in a real service.
+		svc.Serve("service-loop", 1, func(*sim.Task, *proc.Delivery) {})
 
 		newClientLease := func(t *sim.Task, svc *proc.Process, name string, client *proc.Process) proc.Cap {
 			perClient, err := svc.RequestCreate(t, tagWork, nil, nil)
@@ -120,15 +113,7 @@ func main() {
 
 		// --- recovery: redeploy the service under the new epoch ---
 		svc2 := tb.Attach(1, "service-v2", 0)
-		tb.Spawn("service-v2-loop", func(st *sim.Task) {
-			for {
-				d, ok := svc2.Receive(st)
-				if !ok {
-					return
-				}
-				d.Done()
-			}
-		})
+		svc2.Serve("service-v2-loop", 1, func(*sim.Task, *proc.Delivery) {})
 		lease2 := newClientLease(t, svc2, "bob", bob)
 		if err := bob.Invoke(t, lease2, nil, nil); err != nil {
 			log.Fatalf("post-recovery invoke failed: %v", err)

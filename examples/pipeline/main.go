@@ -48,35 +48,25 @@ func newStage(t *sim.Task, cl *core.Cluster, node, size int, name string) *stage
 	s.xform = mustCap(s.p.RequestCreate(t, tagXform, nil, nil))
 	s.push = mustCap(s.p.RequestCreate(t, tagPush, nil, nil))
 	s.chain = mustCap(s.p.RequestCreate(t, tagChain, nil, nil))
-	cl.K.Spawn(name, func(st *sim.Task) {
-		for {
-			d, ok := s.p.Receive(st)
-			if !ok {
-				return
+	s.p.Serve(name, 1, func(st *sim.Task, d *proc.Delivery) {
+		n := int(d.U64(0))
+		buf := s.p.Arena()[:n]
+		for i := range buf {
+			buf[i]++
+		}
+		switch d.Tag {
+		case tagXform:
+			d.Reply(st, 0, nil, nil)
+		case tagPush, tagChain:
+			dst, _ := d.Cap(0)
+			if err := s.p.MemoryCopyRange(st, s.in, 0, dst, 0, uint64(n)); err != nil {
+				log.Fatal(err)
 			}
-			n := int(d.U64(0))
-			buf := s.p.Arena()[:n]
-			for i := range buf {
-				buf[i]++
+			if d.Tag == tagPush {
+				d.Reply(st, 1, nil, nil)
+			} else {
+				d.Reply(st, 1, []wire.ImmArg{proc.U64Arg(0, uint64(n))}, nil)
 			}
-			switch d.Tag {
-			case tagXform:
-				if r, ok := d.Cap(0); ok {
-					s.p.Invoke(st, r, nil, nil)
-				}
-			case tagPush, tagChain:
-				dst, _ := d.Cap(0)
-				next, _ := d.Cap(1)
-				if err := s.p.MemoryCopyRange(st, s.in, 0, dst, 0, uint64(n)); err != nil {
-					log.Fatal(err)
-				}
-				if d.Tag == tagPush {
-					s.p.Invoke(st, next, nil, nil)
-				} else {
-					s.p.Invoke(st, next, []wire.ImmArg{proc.U64Arg(0, uint64(n))}, nil)
-				}
-			}
-			d.Done()
 		}
 	})
 	return s

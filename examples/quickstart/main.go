@@ -36,23 +36,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tb.Spawn("shout-loop", func(st *sim.Task) {
-			for {
-				d, ok := svc.Receive(st)
-				if !ok {
-					return
+		svc.Serve("shout-loop", 1, func(st *sim.Task, d *proc.Delivery) {
+			loud := append([]byte(nil), d.Imms...)
+			for i, c := range loud {
+				if 'a' <= c && c <= 'z' {
+					loud[i] = c - 32
 				}
-				loud := append([]byte(nil), d.Imms...)
-				for i, c := range loud {
-					if 'a' <= c && c <= 'z' {
-						loud[i] = c - 32
-					}
-				}
-				if reply, ok := d.Cap(slotReply); ok {
-					svc.Invoke(st, reply, []wire.ImmArg{proc.BytesArg(0, loud)}, nil)
-				}
-				d.Done()
 			}
+			d.Reply(st, slotReply, []wire.ImmArg{proc.BytesArg(0, loud)}, nil)
 		})
 
 		// --- client on node 0 ---

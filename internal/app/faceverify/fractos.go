@@ -111,12 +111,12 @@ func SetupFractOS(t *sim.Task, cl *core.Cluster, cfg Config) (*FractOSApp, error
 		return nil, err
 	}
 	a.NVMeDev = nvme.NewDevice(cl.K, nvme.DefaultConfig())
-	nvmeAd := nvme.NewAdaptor(cl, NodeStorage, "nvme-adaptor", a.NVMeDev, nvme.AdaptorConfig{})
+	nvmeAd := nvme.NewAdaptor(cl, NodeStorage, "nvme-adaptor", a.NVMeDev)
 	a.nvmeAd = nvmeAd
 	if err := nvmeAd.Start(t); err != nil {
 		return nil, err
 	}
-	fsSvc := fs.NewService(cl, NodeFS, "fs-service", fs.Config{})
+	fsSvc := fs.NewService(cl, NodeFS, "fs-service")
 	if err := fsSvc.Wire(nvmeAd); err != nil {
 		return nil, err
 	}

@@ -95,7 +95,7 @@ func TestNVMeoFReadAheadHelpsSequential(t *testing.T) {
 func TestDisaggregatedBaselineUnderFS(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
 		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
-		svc := fs.NewService(cl, 1, "fs-baseline", fs.Config{})
+		svc := fs.NewService(cl, 1, "fs-baseline")
 		svc.WireBackend(NewDisaggregatedBackend(cl, 1, 2, dev))
 		if err := svc.Start(tk); err != nil {
 			t.Fatal(err)

@@ -89,42 +89,21 @@ func NewAdaptor(cl *core.Cluster, node int, name string, dev *Device) *Adaptor {
 	}
 }
 
-// Start registers the context-init Request and spawns the serve loop.
+// Start registers the context-init Request and starts serving. Every
+// delivery runs in a task of its own, so a long kernel stalls neither
+// the adaptor nor the other clients' kernels (Figure 9 right).
 func (a *Adaptor) Start(t *sim.Task) error {
 	ci, err := a.P.RequestCreate(t, TagCtxInit, nil, nil)
 	if err != nil {
 		return fmt.Errorf("gpu adaptor: ctx-init request: %w", err)
 	}
 	a.CtxInit = ci
-	a.P.Kernel().Spawn("gpu-adaptor", a.serve)
+	a.P.Serve("gpu-adaptor", 0, a.handle)
 	return nil
 }
 
-func (a *Adaptor) serve(t *sim.Task) {
-	for {
-		d, ok := a.P.Receive(t)
-		if !ok {
-			return
-		}
-		// Management RPCs are quick and handled inline; kernel
-		// invocations run as sub-tasks so a long kernel doesn't stall
-		// the adaptor (multiple clients, Figure 9 right).
-		if d.Tag == TagInvoke {
-			a.P.Kernel().Spawn("gpu-invoke", func(ht *sim.Task) { a.handleInvoke(ht, d) })
-			continue
-		}
-		a.handleMgmt(t, d)
-	}
-}
-
-func (a *Adaptor) handleMgmt(t *sim.Task, d *proc.Delivery) {
+func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 	defer d.Release()
-	cont, haveCont := d.Cap(SlotCont)
-	reply := func(imms []wire.ImmArg, args []proc.Arg) {
-		if haveCont {
-			a.P.Invoke(t, cont, imms, args)
-		}
-	}
 	switch d.Tag {
 	case TagCtxInit:
 		a.nextCtx++
@@ -134,11 +113,11 @@ func (a *Adaptor) handleMgmt(t *sim.Task, d *proc.Delivery) {
 		free, e3 := a.P.RequestCreate(t, TagFree, []wire.ImmArg{proc.U64Arg(0, ctx)}, nil)
 		clean, e4 := a.P.RequestCreate(t, TagCleanup, []wire.ImmArg{proc.U64Arg(0, ctx)}, nil)
 		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
-			reply([]wire.ImmArg{proc.U64Arg(0, StatusAdaptErr)}, nil)
+			d.ReplyStatus(t, SlotCont, StatusAdaptErr)
 			return
 		}
 		a.ctxBufs[ctx] = nil
-		reply(nil, []proc.Arg{
+		d.Reply(t, SlotCont, nil, []proc.Arg{
 			{Slot: SlotAlloc, Cap: alloc}, {Slot: SlotLoad, Cap: load},
 			{Slot: SlotFree, Cap: free}, {Slot: SlotCleanup, Cap: clean},
 		})
@@ -147,44 +126,46 @@ func (a *Adaptor) handleMgmt(t *sim.Task, d *proc.Delivery) {
 		ctx := d.U64(0)
 		size := d.U64(8)
 		if _, ok := a.ctxBufs[ctx]; !ok || size == 0 {
-			reply([]wire.ImmArg{proc.U64Arg(0, StatusBadArg)}, nil)
+			d.ReplyStatus(t, SlotCont, StatusBadArg)
 			return
 		}
 		off, err := a.P.Alloc(int(size))
 		if err != nil {
-			reply([]wire.ImmArg{proc.U64Arg(0, StatusNoMem)}, nil)
+			d.ReplyStatus(t, SlotCont, StatusNoMem)
 			return
 		}
 		buf, err := a.P.MemoryCreate(t, uint64(off), size, cap.MemRights)
 		if err != nil {
 			a.P.Free(off)
-			reply([]wire.ImmArg{proc.U64Arg(0, StatusAdaptErr)}, nil)
+			d.ReplyStatus(t, SlotCont, StatusAdaptErr)
 			return
 		}
 		a.ctxBufs[ctx] = append(a.ctxBufs[ctx], uint64(off))
-		reply([]wire.ImmArg{proc.U64Arg(8, uint64(off))}, []proc.Arg{{Slot: SlotBuf, Cap: buf}})
+		d.Reply(t, SlotCont, []wire.ImmArg{proc.U64Arg(8, uint64(off))}, []proc.Arg{{Slot: SlotBuf, Cap: buf}})
 
 	case TagLoad:
-		nameLen := int(d.U64(8))
-		if nameLen <= 0 || 16+nameLen > len(d.Imms) {
-			reply([]wire.ImmArg{proc.U64Arg(0, StatusBadArg)}, nil)
+		name, ok := d.Name()
+		if !ok {
+			d.ReplyStatus(t, SlotCont, StatusBadArg)
 			return
 		}
-		name := string(d.Imms[16 : 16+nameLen])
 		if !a.dev.Has(name) {
-			reply([]wire.ImmArg{proc.U64Arg(0, StatusNoKernel)}, nil)
+			d.ReplyStatus(t, SlotCont, StatusNoKernel)
 			return
 		}
 		// The invocation Request presets the kernel name; clients can
 		// only add arguments and continuations — the kernel itself
 		// stays fixed (§5).
 		inv, err := a.P.RequestCreate(t, TagInvoke,
-			[]wire.ImmArg{proc.U64Arg(8, uint64(nameLen)), proc.BytesArg(16, []byte(name))}, nil)
+			[]wire.ImmArg{proc.U64Arg(8, uint64(len(name))), proc.BytesArg(16, []byte(name))}, nil)
 		if err != nil {
-			reply([]wire.ImmArg{proc.U64Arg(0, StatusAdaptErr)}, nil)
+			d.ReplyStatus(t, SlotCont, StatusAdaptErr)
 			return
 		}
-		reply(nil, []proc.Arg{{Slot: SlotKernel, Cap: inv}})
+		d.Reply(t, SlotCont, nil, []proc.Arg{{Slot: SlotKernel, Cap: inv}})
+
+	case TagInvoke:
+		a.invoke(t, d)
 
 	case TagFree:
 		ctx := d.U64(0)
@@ -197,7 +178,7 @@ func (a *Adaptor) handleMgmt(t *sim.Task, d *proc.Delivery) {
 				break
 			}
 		}
-		reply(nil, nil)
+		d.Reply(t, SlotCont, nil, nil)
 
 	case TagCleanup:
 		ctx := d.U64(0)
@@ -205,52 +186,35 @@ func (a *Adaptor) handleMgmt(t *sim.Task, d *proc.Delivery) {
 			a.P.Free(int(b))
 		}
 		delete(a.ctxBufs, ctx)
-		reply(nil, nil)
+		d.Reply(t, SlotCont, nil, nil)
 	}
 }
 
-// handleInvoke runs a kernel and invokes the success or error
-// continuation, giving the application-agnostic decentralized control
-// flow of §2.2: the adaptor invokes whatever continuation it was
-// handed, verbatim.
-func (a *Adaptor) handleInvoke(t *sim.Task, d *proc.Delivery) {
-	defer d.Release()
-	succ, _ := d.Cap(SlotSuccess)
-	errc, haveErr := d.Cap(SlotError)
-	fail := func(code uint64) {
-		if haveErr {
-			a.P.Invoke(t, errc, []wire.ImmArg{proc.U64Arg(0, code)}, nil)
-		}
-	}
-	// Upstream-status convention: when the kernel Request is chained
-	// as another service's continuation (e.g. a storage read writing
-	// into GPU memory, Figure 2's b→c edge), that service reports its
-	// outcome in imm[0:8). A non-zero status means the kernel's inputs
-	// never arrived — propagate the failure instead of computing on
-	// garbage.
-	if st := d.U64(0); st != 0 {
-		fail(st)
+// invoke runs a kernel and invokes the success or error continuation,
+// giving the application-agnostic decentralized control flow of §2.2:
+// the adaptor invokes whatever continuation it was handed, verbatim.
+func (a *Adaptor) invoke(t *sim.Task, d *proc.Delivery) {
+	// When the kernel Request is chained as another service's
+	// continuation (e.g. a storage read writing into GPU memory, Figure
+	// 2's b→c edge), a failed producer means the kernel's inputs never
+	// arrived: propagate instead of computing on garbage.
+	if d.Upstream(t, SlotError) {
 		return
 	}
-	nameLen := int(d.U64(8))
-	if nameLen <= 0 || 16+nameLen > len(d.Imms) {
-		fail(StatusBadArg)
+	name, ok := d.Name()
+	if !ok {
+		d.ReplyStatus(t, SlotError, StatusBadArg)
 		return
 	}
-	name := string(d.Imms[16 : 16+nameLen])
-	args := kernelArgs(d.Imms, 16+nameLen)
-	st, err := a.dev.Exec(t, name, a.P.Arena(), args)
+	st, err := a.dev.Exec(t, name, a.P.Arena(), kernelArgs(d.Imms, 16+len(name)))
 	if err != nil {
-		fail(StatusNoKernel)
-		return
+		st = StatusNoKernel
 	}
 	if st != 0 {
-		fail(st)
+		d.ReplyStatus(t, SlotError, st)
 		return
 	}
-	if succ.Valid() {
-		a.P.Invoke(t, succ, []wire.ImmArg{proc.U64Arg(0, StatusOK)}, nil)
-	}
+	d.ReplyStatus(t, SlotSuccess, StatusOK)
 }
 
 // kernelArgs decodes the uint64 arguments following the kernel-name

@@ -212,7 +212,7 @@ func TestLoadBadNameLength(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
 		_, client, ci := setup(tk, t, cl)
 		_, load, _, _ := initCtx(tk, t, client, ci)
-		for _, nameLen := range []uint64{0, 4, 1 << 40, ^uint64(0) - 7} {
+		for _, nameLen := range []uint64{0, 4, 1 << 40, ^uint64(0) - 7, 1<<63 - 8} {
 			d, err := client.Call(tk, load,
 				[]wire.ImmArg{proc.U64Arg(8, nameLen), proc.BytesArg(16, []byte("add"))},
 				nil, SlotCont)
@@ -357,7 +357,7 @@ func TestPipelineUpstreamFailureEndToEnd(t *testing.T) {
 
 		// Build storage side on node 2.
 		nd := nvme.NewDevice(cl.K, nvme.DefaultConfig())
-		na := nvme.NewAdaptor(cl, 2, "nvme0", nd, nvme.AdaptorConfig{})
+		na := nvme.NewAdaptor(cl, 2, "nvme0", nd)
 		if err := na.Start(tk); err != nil {
 			t.Fatal(err)
 		}

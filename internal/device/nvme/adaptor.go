@@ -66,23 +66,12 @@ const (
 // MaxIO is the largest single block operation (Figure 11 uses 1 MiB).
 const MaxIO = 1 << 20
 
-// AdaptorConfig sizes the adaptor.
-type AdaptorConfig struct {
-	// QueueDepth bounds concurrently served operations.
-	QueueDepth int
-	// StagingBufs is the number of MaxIO staging buffers.
-	StagingBufs int
-}
-
-func (c AdaptorConfig) withDefaults() AdaptorConfig {
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 8
-	}
-	if c.StagingBufs == 0 {
-		c.StagingBufs = 8
-	}
-	return c
-}
+// The adaptor serves queueDepth operations at once, staging through
+// stagingBufs buffers of MaxIO bytes.
+const (
+	queueDepth  = 8
+	stagingBufs = 8
+)
 
 type volume struct {
 	off  int64
@@ -94,13 +83,11 @@ type volume struct {
 type Adaptor struct {
 	P   *proc.Process
 	dev *Device
-	cfg AdaptorConfig
 
 	vols    map[uint64]volume
 	nextVol uint64
 	devFree int64 // bump allocator over device space
 
-	qd       *sim.Semaphore
 	stageSem *sim.Semaphore
 	stages   []stageBuf
 
@@ -116,22 +103,19 @@ type stageBuf struct {
 
 // NewAdaptor attaches a block-device adaptor Process on the given
 // node.
-func NewAdaptor(cl *core.Cluster, node int, name string, dev *Device, cfg AdaptorConfig) *Adaptor {
-	cfg = cfg.withDefaults()
+func NewAdaptor(cl *core.Cluster, node int, name string, dev *Device) *Adaptor {
 	return &Adaptor{
-		P:        proc.Attach(cl, node, name, cfg.StagingBufs*MaxIO),
+		P:        proc.Attach(cl, node, name, stagingBufs*MaxIO),
 		dev:      dev,
-		cfg:      cfg,
 		vols:     make(map[uint64]volume),
-		qd:       sim.NewSemaphore(cfg.QueueDepth),
-		stageSem: sim.NewSemaphore(cfg.StagingBufs),
+		stageSem: sim.NewSemaphore(stagingBufs),
 	}
 }
 
-// Start registers the adaptor's Requests and spawns its serve loop.
-// Must run in task context before clients are wired up.
+// Start registers the adaptor's Requests and starts serving them. Must
+// run in task context before clients are wired up.
 func (a *Adaptor) Start(t *sim.Task) error {
-	for i := 0; i < a.cfg.StagingBufs; i++ {
+	for i := 0; i < stagingBufs; i++ {
 		off := i * MaxIO
 		c, err := a.P.MemoryCreate(t, uint64(off), MaxIO, cap.MemRights)
 		if err != nil {
@@ -144,22 +128,8 @@ func (a *Adaptor) Start(t *sim.Task) error {
 		return fmt.Errorf("nvme adaptor: volcreate request: %w", err)
 	}
 	a.VolCreate = vc
-	a.P.Kernel().Spawn("nvme-adaptor", a.serve)
+	a.P.Serve("nvme-adaptor", queueDepth, a.handle)
 	return nil
-}
-
-func (a *Adaptor) serve(t *sim.Task) {
-	for {
-		d, ok := a.P.Receive(t)
-		if !ok {
-			return
-		}
-		a.qd.Acquire(t)
-		a.P.Kernel().Spawn("nvme-op", func(ht *sim.Task) {
-			defer a.qd.Release()
-			a.handle(ht, d)
-		})
-	}
 }
 
 func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
@@ -176,12 +146,11 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 
 func (a *Adaptor) handleVolCreate(t *sim.Task, d *proc.Delivery) {
 	size := int64(d.U64(ImmVol))
-	cont, ok := d.Cap(SlotCont)
-	if !ok {
+	if _, ok := d.Cap(SlotCont); !ok {
 		return
 	}
 	if size <= 0 || size > a.dev.Capacity()-a.devFree {
-		a.P.Invoke(t, cont, []wire.ImmArg{proc.U64Arg(0, StatusBounds)}, nil)
+		d.ReplyStatus(t, SlotCont, StatusBounds)
 		return
 	}
 	a.nextVol++
@@ -192,10 +161,10 @@ func (a *Adaptor) handleVolCreate(t *sim.Task, d *proc.Delivery) {
 	rd, err1 := a.P.RequestCreate(t, TagVolRead, []wire.ImmArg{proc.U64Arg(ImmVol, id)}, nil)
 	wr, err2 := a.P.RequestCreate(t, TagVolWrite, []wire.ImmArg{proc.U64Arg(ImmVol, id)}, nil)
 	if err1 != nil || err2 != nil {
-		a.P.Invoke(t, cont, []wire.ImmArg{proc.U64Arg(0, StatusDevErr)}, nil)
+		d.ReplyStatus(t, SlotCont, StatusDevErr)
 		return
 	}
-	a.P.Invoke(t, cont,
+	d.Reply(t, SlotCont,
 		[]wire.ImmArg{proc.U64Arg(ImmVol, id)},
 		[]proc.Arg{{Slot: SlotVolRead, Cap: rd}, {Slot: SlotVolWrite, Cap: wr}})
 }
@@ -205,36 +174,28 @@ func (a *Adaptor) handleVolCreate(t *sim.Task, d *proc.Delivery) {
 // Memory capability with memory_copy — the adaptor never needs to know
 // where that Memory lives (§2.2's interface encapsulation).
 func (a *Adaptor) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
-	cont, haveCont := d.Cap(SlotCont)
-	fail := func(code uint64) {
-		if haveCont {
-			a.P.Invoke(t, cont, []wire.ImmArg{proc.U64Arg(0, code)}, nil)
-		}
-	}
-	// Upstream-status convention: a chained producer that failed
-	// reports its status in imm[0,8) — propagate instead of touching
-	// the device.
-	if st := d.U64(ImmStatus); st != 0 {
-		fail(st)
+	// A chained producer that failed reports its status in imm[0,8):
+	// propagate it instead of touching the device.
+	if d.Upstream(t, SlotCont) {
 		return
 	}
 	vol, ok := a.vols[d.U64(ImmVol)]
 	if !ok {
-		fail(StatusBadVol)
+		d.ReplyStatus(t, SlotCont, StatusBadVol)
 		return
 	}
 	off, n := int64(d.U64(ImmOff)), int64(d.U64(ImmLen))
 	if n <= 0 || off < 0 || n > vol.size || off > vol.size-n {
-		fail(StatusBounds)
+		d.ReplyStatus(t, SlotCont, StatusBounds)
 		return
 	}
 	if n > MaxIO {
-		fail(StatusTooBig)
+		d.ReplyStatus(t, SlotCont, StatusTooBig)
 		return
 	}
 	data, ok := d.Cap(SlotData)
 	if !ok || data.Size() < uint64(n) {
-		fail(StatusBounds)
+		d.ReplyStatus(t, SlotCont, StatusBounds)
 		return
 	}
 
@@ -251,24 +212,22 @@ func (a *Adaptor) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 	if isWrite {
 		// Pull the caller's bytes, then commit to flash.
 		if err := a.P.MemoryCopyRange(t, data, 0, sb.cap, 0, uint64(n)); err != nil {
-			fail(StatusCopyErr)
+			d.ReplyStatus(t, SlotCont, StatusCopyErr)
 			return
 		}
 		if err := a.dev.Write(t, vol.off+off, buf); err != nil {
-			fail(StatusDevErr)
+			d.ReplyStatus(t, SlotCont, StatusDevErr)
 			return
 		}
 	} else {
 		if err := a.dev.Read(t, vol.off+off, buf); err != nil {
-			fail(StatusDevErr)
+			d.ReplyStatus(t, SlotCont, StatusDevErr)
 			return
 		}
 		if err := a.P.MemoryCopyRange(t, sb.cap, 0, data, 0, uint64(n)); err != nil {
-			fail(StatusCopyErr)
+			d.ReplyStatus(t, SlotCont, StatusCopyErr)
 			return
 		}
 	}
-	if haveCont {
-		a.P.Invoke(t, cont, []wire.ImmArg{proc.U64Arg(0, StatusOK)}, nil)
-	}
+	d.ReplyStatus(t, SlotCont, StatusOK)
 }

@@ -137,7 +137,7 @@ func TestWriteCacheAbsorbsThenThrottles(t *testing.T) {
 func setupAdaptor(tk *sim.Task, t *testing.T, cl *core.Cluster) (*Adaptor, *proc.Process, proc.Cap) {
 	t.Helper()
 	dev := NewDevice(cl.K, DefaultConfig())
-	ad := NewAdaptor(cl, 2, "nvme0", dev, AdaptorConfig{})
+	ad := NewAdaptor(cl, 2, "nvme0", dev)
 	if err := ad.Start(tk); err != nil {
 		t.Fatal(err)
 	}

@@ -73,21 +73,10 @@ func AblationWindow() *Table {
 				assert.NoErr(err, "exp/ablations")
 			}
 			// Parallel handlers, each sleeping handleTime per request.
-			for h := 0; h < handlers; h++ {
-				cl.K.Spawn("handler", func(ht *sim.Task) {
-					for {
-						d, ok := srv.Receive(ht)
-						if !ok {
-							return
-						}
-						ht.Sleep(handleTime)
-						if rep, ok := d.Cap(0); ok {
-							srv.Invoke(ht, rep, nil, nil)
-						}
-						d.Done()
-					}
-				})
-			}
+			srv.Serve("handler", handlers, func(ht *sim.Task, d *proc.Delivery) {
+				ht.Sleep(handleTime)
+				d.Reply(ht, 0, nil, nil)
+			})
 			var wg sim.WaitGroup
 			wg.Add(clients)
 			start := tk.Now()

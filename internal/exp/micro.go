@@ -189,17 +189,9 @@ func measureRPC(p core.Placement, nodes int, argSize int, nCaps int) sim.Time {
 		capArgs = append(capArgs, proc.Arg{Slot: 15, Cap: reply})
 		payload := make([]byte, argSize)
 
-		cl.K.Spawn("srv-loop", func(st *sim.Task) {
-			for {
-				d, ok := srv.Receive(st)
-				if !ok {
-					return
-				}
-				rep, _ := d.Cap(15)
-				if err := srv.Invoke(st, rep, nil, nil); err != nil {
-					assert.NoErr(err, "exp/micro")
-				}
-				d.Done()
+		srv.Serve("srv-loop", 1, func(st *sim.Task, d *proc.Delivery) {
+			if err := d.Reply(st, 15, nil, nil); err != nil {
+				assert.NoErr(err, "exp/micro")
 			}
 		})
 

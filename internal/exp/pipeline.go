@@ -54,51 +54,40 @@ func newPipeStage(tk *sim.Task, cl *core.Cluster, node, size int, name string) *
 	if s.chain, err = s.p.RequestCreate(tk, tagChain, nil, nil); err != nil {
 		assert.NoErr(err, "exp/pipeline")
 	}
-	cl.K.Spawn(name+".loop", s.serve)
+	s.p.Serve(name+".loop", 1, s.serve)
 	return s
 }
 
-// serve handles stage invocations: transform (+1 to every byte of the
+// serve handles a stage invocation: transform (+1 to every byte of the
 // n-byte input), then route the output per the model.
-func (s *pipeStage) serve(t *sim.Task) {
-	for {
-		d, ok := s.p.Receive(t)
+func (s *pipeStage) serve(t *sim.Task, d *proc.Delivery) {
+	n := int(d.U64(0))
+	if n > s.size {
+		n = s.size
+	}
+	t.Sleep(stageProcTime)
+	buf := s.p.Arena()[:n]
+	for i := range buf {
+		buf[i]++
+	}
+	switch d.Tag {
+	case tagXform:
+		d.Reply(t, 0, nil, nil)
+	case tagPush, tagChain:
+		dst, ok := d.Cap(0)
 		if !ok {
 			return
 		}
-		n := int(d.U64(0))
-		if n > s.size {
-			n = s.size
+		if err := s.p.MemoryCopyRange(t, s.inCap, 0, dst, 0, uint64(n)); err != nil {
+			assert.NoErr(err, "exp/pipeline")
 		}
-		t.Sleep(stageProcTime)
-		buf := s.p.Arena()[:n]
-		for i := range buf {
-			buf[i]++
+		// fast-star replies to the client; chain invokes the next
+		// stage's Request verbatim, forwarding the length.
+		if d.Tag == tagPush {
+			d.Reply(t, 1, nil, nil)
+		} else {
+			d.Reply(t, 1, []wire.ImmArg{proc.U64Arg(0, uint64(n))}, nil)
 		}
-		switch d.Tag {
-		case tagXform:
-			if rep, ok := d.Cap(0); ok {
-				s.p.Invoke(t, rep, nil, nil)
-			}
-		case tagPush, tagChain:
-			dst, ok1 := d.Cap(0)
-			next, ok2 := d.Cap(1)
-			if !ok1 || !ok2 {
-				d.Done()
-				continue
-			}
-			if err := s.p.MemoryCopyRange(t, s.inCap, 0, dst, 0, uint64(n)); err != nil {
-				assert.NoErr(err, "exp/pipeline")
-			}
-			// fast-star replies to the client; chain invokes the next
-			// stage's Request verbatim, forwarding the length.
-			if d.Tag == tagPush {
-				s.p.Invoke(t, next, nil, nil)
-			} else {
-				s.p.Invoke(t, next, []wire.ImmArg{proc.U64Arg(0, uint64(n))}, nil)
-			}
-		}
-		d.Done()
 	}
 }
 

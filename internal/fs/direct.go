@@ -59,42 +59,41 @@ func (v *fractosVolume) InvokeIO(t *sim.Task, isWrite bool, off, n uint64, data,
 // handleDirect serves TagReadDirect/TagWriteDirect: compose the
 // client's arguments into the block Request and get out of the way.
 func (s *Service) handleDirect(t *sim.Task, d *proc.Delivery, isWrite bool) {
-	// Upstream-status convention: when this Request is itself a
-	// continuation of a failed producer, propagate instead of running.
-	if st := d.U64(FSImmStatus); st != 0 {
-		s.fail(t, d, st)
+	// When this Request is itself a continuation of a failed producer,
+	// propagate instead of running.
+	if d.Upstream(t, SlotCont) {
 		return
 	}
 	f, ok := s.byID[d.U64(FSImmFile)]
 	if !ok {
-		s.fail(t, d, StatusNoFile)
+		d.ReplyStatus(t, SlotCont, StatusNoFile)
 		return
 	}
 	off, n := d.U64(FSImmOff), d.U64(FSImmLen)
 	if n == 0 || n > f.size || off > f.size-n {
-		s.fail(t, d, StatusBounds)
+		d.ReplyStatus(t, SlotCont, StatusBounds)
 		return
 	}
 	// Direct operations must not cross an extent: one block Request
 	// serves the whole transfer.
 	if off/ExtentSize != (off+n-1)/ExtentSize {
-		s.fail(t, d, StatusBadArg)
+		d.ReplyStatus(t, SlotCont, StatusBadArg)
 		return
 	}
 	ext := f.extents[off/ExtentSize]
 	cv, ok := ext.vol.(ComposableVolume)
 	if !ok {
-		s.fail(t, d, StatusBadMode)
+		d.ReplyStatus(t, SlotCont, StatusBadMode)
 		return
 	}
 	data, ok1 := d.Cap(SlotData)
 	cont, ok2 := d.Cap(SlotCont)
 	if !ok1 || !ok2 {
-		s.fail(t, d, StatusBadArg)
+		d.ReplyStatus(t, SlotCont, StatusBadArg)
 		return
 	}
 	if err := cv.InvokeIO(t, isWrite, off%ExtentSize, n, data, cont); err != nil {
-		s.fail(t, d, StatusIOErr)
+		d.ReplyStatus(t, SlotCont, StatusIOErr)
 	}
 	// No reply from the FS: the block device invokes the client's
 	// continuation directly.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"fractos/internal/proc"
 	"fractos/internal/sim"
 	"fractos/internal/wire"
 )
@@ -12,6 +13,28 @@ func TestOpenWithoutAccessModeRejected(t *testing.T) {
 	runStack(t, func(tk *sim.Task, st *stack) {
 		if _, err := OpenFile(tk, st.client, st.open, "x", OpenCreate, 4096); err == nil {
 			t.Fatal("open without read/write mode succeeded")
+		}
+	})
+}
+
+// TestOpenNameLengthOverflow: a name length for which 16+length wraps
+// is a bad argument, and the service goes on serving.
+func TestOpenNameLengthOverflow(t *testing.T) {
+	runStack(t, func(tk *sim.Task, st *stack) {
+		d, err := st.client.Call(tk, st.open, []wire.ImmArg{
+			proc.U64Arg(0, OpenRead|OpenWrite|OpenCreate),
+			proc.U64Arg(8, 1<<63-8),
+			proc.BytesArg(16, []byte("f")),
+		}, nil, SlotCont)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if s := d.U64(0); s != StatusBadArg {
+			t.Errorf("status = %d, want bad-arg", s)
+		}
+		if _, err := OpenFile(tk, st.client, st.open, "f", OpenRead|OpenWrite|OpenCreate, 4096); err != nil {
+			t.Errorf("open after the overflow: %v", err)
 		}
 	})
 }

@@ -25,7 +25,6 @@ import (
 	"fractos/internal/device/nvme"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
-	"fractos/internal/wire"
 )
 
 // FS service Request tags and argument conventions.
@@ -107,23 +106,12 @@ const (
 	MaxExtents = 8
 )
 
-// Config sizes the FS service.
-type Config struct {
-	// QueueDepth bounds concurrent FS-mediated operations.
-	QueueDepth int
-	// StagingBufs is the number of ExtentSize staging buffers.
-	StagingBufs int
-}
-
-func (c Config) withDefaults() Config {
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 8
-	}
-	if c.StagingBufs == 0 {
-		c.StagingBufs = 8
-	}
-	return c
-}
+// The service runs queueDepth operations at once, staging FS-mode I/O
+// through stagingBufs buffers of ExtentSize bytes.
+const (
+	queueDepth  = 8
+	stagingBufs = 8
+)
 
 // extent is one file extent: a logical volume on the backend.
 type extent struct {
@@ -148,8 +136,7 @@ type openHandle struct {
 
 // Service is the FS Process.
 type Service struct {
-	P   *proc.Process
-	cfg Config
+	P *proc.Process
 
 	backend Backend
 
@@ -161,7 +148,6 @@ type Service struct {
 	handles    map[uint64]*openHandle
 	nextHandle uint64
 
-	qd       *sim.Semaphore
 	stageSem *sim.Semaphore
 	stages   []stageBuf
 
@@ -179,16 +165,13 @@ type stageBuf struct {
 // NewService attaches the FS Process on a node. volCreate must be the
 // block-device adaptor's VolCreate Request, already granted to this
 // service's Process — see Wire.
-func NewService(cl *core.Cluster, node int, name string, cfg Config) *Service {
-	cfg = cfg.withDefaults()
+func NewService(cl *core.Cluster, node int, name string) *Service {
 	return &Service{
-		P:        proc.Attach(cl, node, name, cfg.StagingBufs*ExtentSize),
-		cfg:      cfg,
+		P:        proc.Attach(cl, node, name, stagingBufs*ExtentSize),
 		files:    make(map[string]*file),
 		creating: make(map[string]bool),
 		byID:     make(map[uint64]*file),
 		handles:  make(map[uint64]*openHandle),
-		qd:       sim.NewSemaphore(cfg.QueueDepth),
 	}
 }
 
@@ -207,14 +190,14 @@ func (s *Service) Wire(ad *nvme.Adaptor) error {
 // initiator of the Disaggregated Baseline).
 func (s *Service) WireBackend(b Backend) { s.backend = b }
 
-// Start registers staging memory and the Open Request, then spawns the
-// serve loop. Wire must have been called.
+// Start registers staging memory and the Open Request, then starts
+// serving. Wire must have been called.
 func (s *Service) Start(t *sim.Task) error {
 	if s.backend == nil {
 		return fmt.Errorf("fs: not wired to a block backend")
 	}
-	s.stageSem = sim.NewSemaphore(s.cfg.StagingBufs)
-	for i := 0; i < s.cfg.StagingBufs; i++ {
+	s.stageSem = sim.NewSemaphore(stagingBufs)
+	for i := 0; i < stagingBufs; i++ {
 		off := i * ExtentSize
 		c, err := s.P.MemoryCreate(t, uint64(off), ExtentSize, cap.MemRights)
 		if err != nil {
@@ -232,22 +215,8 @@ func (s *Service) Start(t *sim.Task) error {
 		return fmt.Errorf("fs: close request: %w", err)
 	}
 	s.Close = cls
-	s.P.Kernel().Spawn("fs-service", s.serve)
+	s.P.Serve("fs-service", queueDepth, s.handle)
 	return nil
-}
-
-func (s *Service) serve(t *sim.Task) {
-	for {
-		d, ok := s.P.Receive(t)
-		if !ok {
-			return
-		}
-		s.qd.Acquire(t)
-		s.P.Kernel().Spawn("fs-op", func(ht *sim.Task) {
-			defer s.qd.Release()
-			s.handle(ht, d)
-		})
-	}
 }
 
 func (s *Service) handle(t *sim.Task, d *proc.Delivery) {
@@ -266,15 +235,4 @@ func (s *Service) handle(t *sim.Task, d *proc.Delivery) {
 	case TagWriteDirect:
 		s.handleDirect(t, d, true)
 	}
-}
-
-// reply invokes the continuation in SlotCont with the given arguments.
-func (s *Service) reply(t *sim.Task, d *proc.Delivery, imms []wire.ImmArg, args []proc.Arg) {
-	if cont, ok := d.Cap(SlotCont); ok {
-		s.P.Invoke(t, cont, imms, args)
-	}
-}
-
-func (s *Service) fail(t *sim.Task, d *proc.Delivery, code uint64) {
-	s.reply(t, d, []wire.ImmArg{proc.U64Arg(0, code)}, nil)
 }

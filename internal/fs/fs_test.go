@@ -29,11 +29,11 @@ type stack struct {
 func buildStack(tk *sim.Task, t *testing.T, cl *core.Cluster) *stack {
 	t.Helper()
 	dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
-	ad := nvme.NewAdaptor(cl, 2, "nvme0", dev, nvme.AdaptorConfig{})
+	ad := nvme.NewAdaptor(cl, 2, "nvme0", dev)
 	if err := ad.Start(tk); err != nil {
 		t.Fatal(err)
 	}
-	svc := NewService(cl, 1, "fs0", Config{})
+	svc := NewService(cl, 1, "fs0")
 	if err := svc.Wire(ad); err != nil {
 		t.Fatal(err)
 	}

@@ -10,23 +10,22 @@ import (
 // block device — the centralized model whose extra network transfer
 // DAX eliminates (§6.4).
 func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
-	if st := d.U64(FSImmStatus); st != 0 {
-		s.fail(t, d, st)
+	if d.Upstream(t, SlotCont) {
 		return
 	}
 	f, ok := s.byID[d.U64(FSImmFile)]
 	if !ok {
-		s.fail(t, d, StatusNoFile)
+		d.ReplyStatus(t, SlotCont, StatusNoFile)
 		return
 	}
 	off, n := d.U64(FSImmOff), d.U64(FSImmLen)
 	if n == 0 || n > f.size || off > f.size-n {
-		s.fail(t, d, StatusBounds)
+		d.ReplyStatus(t, SlotCont, StatusBounds)
 		return
 	}
 	data, ok := d.Cap(SlotData)
 	if !ok || data.Size() != n {
-		s.fail(t, d, StatusBadArg)
+		d.ReplyStatus(t, SlotCont, StatusBadArg)
 		return
 	}
 
@@ -50,7 +49,7 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 			cn = n - done
 		}
 		if ei >= len(f.extents) {
-			s.fail(t, d, StatusBounds)
+			d.ReplyStatus(t, SlotCont, StatusBounds)
 			return
 		}
 		ext := f.extents[ei]
@@ -62,7 +61,7 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 		if isWrite {
 			// client → staging → device.
 			if err := s.P.MemoryCopyRange(t, data, done, sb.cap, 0, cn); err != nil {
-				s.fail(t, d, StatusIOErr)
+				d.ReplyStatus(t, SlotCont, StatusIOErr)
 				return
 			}
 			st = ext.vol.WriteAt(t, eo, cn, stage)
@@ -71,16 +70,16 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 			st = ext.vol.ReadAt(t, eo, cn, stage)
 			if st == 0 {
 				if err := s.P.MemoryCopyRange(t, sb.cap, 0, data, done, cn); err != nil {
-					s.fail(t, d, StatusIOErr)
+					d.ReplyStatus(t, SlotCont, StatusIOErr)
 					return
 				}
 			}
 		}
 		if st != 0 {
-			s.fail(t, d, StatusIOErr)
+			d.ReplyStatus(t, SlotCont, StatusIOErr)
 			return
 		}
 		done += cn
 	}
-	s.fail(t, d, StatusOK) // status 0 = success
+	d.ReplyStatus(t, SlotCont, StatusOK)
 }

@@ -14,12 +14,11 @@ func OpenSizeOff(nameLen int) int { return (16 + nameLen + 7) &^ 7 }
 // FS-mediated Requests or DAX leases.
 func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 	mode := d.U64(0)
-	nameLen := int(d.U64(8))
-	if nameLen <= 0 || 16+nameLen > len(d.Imms) || mode&(OpenRead|OpenWrite) == 0 {
-		s.fail(t, d, StatusBadArg)
+	name, ok := d.Name()
+	if !ok || mode&(OpenRead|OpenWrite) == 0 {
+		d.ReplyStatus(t, SlotCont, StatusBadArg)
 		return
 	}
-	name := string(d.Imms[16 : 16+nameLen])
 
 	// Creating a file blocks on volume allocation, so a concurrent
 	// open of the same name could otherwise race a second create.
@@ -30,10 +29,10 @@ func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 	f, exists := s.files[name]
 	if !exists {
 		if mode&OpenCreate == 0 {
-			s.fail(t, d, StatusNoFile)
+			d.ReplyStatus(t, SlotCont, StatusNoFile)
 			return
 		}
-		size := d.U64(OpenSizeOff(nameLen))
+		size := d.U64(OpenSizeOff(len(name)))
 		if size == 0 {
 			size = ExtentSize
 		}
@@ -42,7 +41,7 @@ func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 		f, st = s.createFile(t, name, size)
 		delete(s.creating, name)
 		if st != StatusOK {
-			s.fail(t, d, st)
+			d.ReplyStatus(t, SlotCont, st)
 			return
 		}
 	}
@@ -61,16 +60,16 @@ func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 	if mode&OpenDAX != 0 {
 		args, st := s.daxLeases(t, f, h, mode)
 		if st != StatusOK {
-			s.fail(t, d, st)
+			d.ReplyStatus(t, SlotCont, st)
 			return
 		}
-		s.reply(t, d, imms, args)
+		d.Reply(t, SlotCont, imms, args)
 		return
 	}
 
 	// FS mode: hand out per-file mediated Requests.
 	if st := s.ensureFileReqs(t, f); st != StatusOK {
-		s.fail(t, d, st)
+		d.ReplyStatus(t, SlotCont, st)
 		return
 	}
 	var args []proc.Arg
@@ -84,7 +83,7 @@ func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 			proc.Arg{Slot: SlotFSWrite, Cap: f.wrReq},
 			proc.Arg{Slot: SlotFSWriteDirect, Cap: f.wrReqD})
 	}
-	s.reply(t, d, imms, args)
+	d.Reply(t, SlotCont, imms, args)
 }
 
 // daxLeases wraps each extent's block Requests in freshly derived
@@ -122,17 +121,17 @@ func (s *Service) daxLeases(t *sim.Task, f *file, h *openHandle, mode uint64) ([
 func (s *Service) handleClose(t *sim.Task, d *proc.Delivery) {
 	h, ok := s.handles[d.U64(8)]
 	if !ok {
-		s.fail(t, d, StatusNoHandle)
+		d.ReplyStatus(t, SlotCont, StatusNoHandle)
 		return
 	}
 	delete(s.handles, d.U64(8))
 	for _, lease := range h.leases {
 		if err := s.P.Revoke(t, lease); err != nil {
-			s.fail(t, d, StatusIOErr)
+			d.ReplyStatus(t, SlotCont, StatusIOErr)
 			return
 		}
 	}
-	s.fail(t, d, StatusOK) // status 0 = success
+	d.ReplyStatus(t, SlotCont, StatusOK)
 }
 
 // createFile allocates the file's extents as block-device volumes.

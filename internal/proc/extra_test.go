@@ -140,7 +140,7 @@ func TestSyscallAfterByeFailsAtOnce(t *testing.T) {
 		if !errors.Is(err, proc.ErrDisconnected) || tk.Now() != at {
 			t.Errorf("null after Bye: %v after %v, want ErrDisconnected at once", err, tk.Now()-at)
 		}
-		if f := p.MemoryCopyAsync(proc.Cap{}, proc.Cap{}); !f.Done() {
+		if f := p.InvokeAsync(proc.Cap{}, nil, nil); !f.Done() {
 			t.Error("an asynchronous syscall after Bye left its future unresolved")
 		} else if _, err := f.Wait(tk); !errors.Is(err, proc.ErrDisconnected) {
 			t.Errorf("asynchronous syscall after Bye: %v, want ErrDisconnected", err)

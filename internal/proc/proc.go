@@ -78,7 +78,6 @@ type Process struct {
 
 	nextTag  uint64
 	waiters  map[uint64]tagWaiter
-	subs     map[uint64]*sim.Chan[*Delivery]
 	stale    map[uint64]bool
 	incoming *sim.Chan[*Delivery]
 
@@ -159,7 +158,6 @@ func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.Pro
 		pending:  make(map[uint64]sysWaiter),
 		dec:      wire.NewDecoder(),
 		waiters:  make(map[uint64]tagWaiter),
-		subs:     make(map[uint64]*sim.Chan[*Delivery]),
 		stale:    make(map[uint64]bool),
 		incoming: sim.NewChan[*Delivery](k, name+".deliveries", 0),
 		monitors: make(map[uint64]func(*sim.Task)),
@@ -226,9 +224,7 @@ func (p *Process) demux(m wire.Message) {
 			return
 		}
 		dv := p.newDelivery(m) // fractos:alloc-ok the request_receive descriptor is the application's to keep: one per delivery by design
-		if ch, ok := p.subs[m.Tag]; ok {
-			ch.TrySend(dv)
-		} else if w, ok := p.waiters[m.Tag]; ok {
+		if w, ok := p.waiters[m.Tag]; ok {
 			delete(p.waiters, m.Tag)
 			if w.op != nil {
 				w.op.delivered(dv)
@@ -401,20 +397,6 @@ func (p *Process) MemoryCopyRange(t *sim.Task, src Cap, srcOff uint64, dst Cap, 
 		return &p.tx.memCopy
 	})
 	return err
-}
-
-// MemoryCopyAsync starts a memory_copy and returns its completion
-// future, for pipelined transfers.
-func (p *Process) MemoryCopyAsync(src, dst Cap) *sim.Future[wire.Completion] {
-	if err := p.checkOwn(src, dst); err != nil {
-		f := sim.NewFuture[wire.Completion]()
-		f.Fail(err)
-		return f
-	}
-	return p.submit(func(tok uint64) wire.Message {
-		p.tx.memCopy = wire.MemCopy{Token: tok, SrcCid: src.id, DstCid: dst.id}
-		return &p.tx.memCopy
-	})
 }
 
 // RequestCreate creates a new Request provided by this Process

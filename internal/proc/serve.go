@@ -107,8 +107,92 @@ func (d *Delivery) ack(back []cap.CapID) {
 	}
 }
 
+// Name reads the name argument of the service interfaces: its length at
+// imm[8:16), its bytes at [16:16+length). It reports false for an empty
+// name and for one that runs past the immediates, checked without
+// forming 16+length, which a client-chosen length can wrap.
+func (d *Delivery) Name() (string, bool) {
+	n := d.U64(8) // non-zero only if imm[8:16) is present, so len(d.Imms) ≥ 16
+	if n == 0 || n > uint64(len(d.Imms)-16) {
+		return "", false
+	}
+	return string(d.Imms[16 : 16+n]), true
+}
+
+// Reply answers through the continuation in slot — the services'
+// convention for results — invoking it with imms and args. A delivery
+// that carries no continuation asked for no answer: Reply then sends
+// nothing and returns nil. An error means the continuation is dead,
+// and with it whoever waited for the answer: a service has nobody left
+// to tell, and drops it.
+func (d *Delivery) Reply(t *sim.Task, slot uint16, imms []wire.ImmArg, args []Arg) error {
+	c, ok := d.Cap(slot)
+	if !ok {
+		return nil
+	}
+	return d.p.Invoke(t, c, imms, args)
+}
+
+// ReplyStatus is Reply with nothing but a status, in imm[0:8).
+func (d *Delivery) ReplyStatus(t *sim.Task, slot uint16, st uint64) error {
+	return d.Reply(t, slot, []wire.ImmArg{U64Arg(0, st)}, nil)
+}
+
+// Upstream applies the chaining convention of a Request that can be
+// another service's continuation (§3.4): its producer reports an
+// outcome in imm[0:8), and a non-zero one means the inputs never
+// arrived. Upstream passes such a status on to slot and reports true,
+// and the handler returns without running.
+func (d *Delivery) Upstream(t *sim.Task, slot uint16) bool {
+	st := d.U64(0)
+	if st == 0 {
+		return false
+	}
+	d.ReplyStatus(t, slot, st)
+	return true
+}
+
+// Serve spawns the task that serves this Process's Requests: it
+// receives every delivery no Call or WaitTag claims, hands it to h and,
+// when h returns, acknowledges it (Done: nothing more if h did). width
+// sets how deliveries run. 1 runs h in the serving task, one delivery
+// after another; n > 1 gives each delivery a task of its own, at most n
+// at once; 0 gives each its own task with no bound of Serve's — the
+// Controller's congestion window (§4) already bounds a Process's
+// unacknowledged deliveries.
+func (p *Process) Serve(name string, width int, h func(*sim.Task, *Delivery)) {
+	var busy *sim.Semaphore
+	if width > 1 {
+		busy = sim.NewSemaphore(width)
+	}
+	p.k.Spawn(name, func(t *sim.Task) {
+		for {
+			d, ok := p.Receive(t)
+			if !ok {
+				return
+			}
+			if width == 1 {
+				h(t, d)
+				d.Done()
+				continue
+			}
+			if busy != nil {
+				busy.Acquire(t)
+			}
+			p.k.Spawn(name, func(ht *sim.Task) {
+				h(ht, d)
+				d.Done()
+				if busy != nil {
+					busy.Release()
+				}
+			})
+		}
+	})
+}
+
 // Receive blocks until the next unmatched invocation arrives
 // (request_receive). The caller must call Done or Release on the result.
+// Serve is the loop around it that services need.
 func (p *Process) Receive(t *sim.Task) (*Delivery, bool) {
 	return p.incoming.Recv(t)
 }
@@ -136,25 +220,6 @@ func (p *Process) WaitTag(tag uint64) *sim.Future[*Delivery] {
 		p.waiters[tag] = w
 	}
 	return w.fut
-}
-
-// Subscribe routes every delivery with the given tag into a dedicated
-// channel, bypassing both Receive and WaitTag. Use it when multiple
-// invocations of the same Request are expected (e.g. a fork/join
-// collection point). Unsubscribe to stop.
-func (p *Process) Subscribe(tag uint64) *sim.Chan[*Delivery] {
-	ch, ok := p.subs[tag]
-	if !ok {
-		ch = sim.NewChan[*Delivery](p.k, p.ep.Name+".sub", 0)
-		p.subs[tag] = ch
-	}
-	return ch
-}
-
-// Unsubscribe removes a tag subscription; later deliveries flow to
-// WaitTag/Receive again.
-func (p *Process) Unsubscribe(tag uint64) {
-	delete(p.subs, tag)
 }
 
 // ReplyRequest creates a fresh Request served by this Process with a

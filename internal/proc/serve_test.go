@@ -1,0 +1,193 @@
+package proc_test
+
+import (
+	"fmt"
+	"testing"
+
+	"fractos/internal/core"
+	"fractos/internal/fabric"
+	"fractos/internal/proc"
+	"fractos/internal/sim"
+	"fractos/internal/wire"
+)
+
+// serveRig is what TestServe observes of one served Process: every
+// delivery in service order, how many were in service at once, and the
+// acknowledgements and invocations the server put on the fabric.
+type serveRig struct {
+	ids     []uint64    // imm[0:8) of each delivery
+	tasks   []*sim.Task // the task that served it
+	busy    int
+	peak    int
+	acks    int // DeliverDone frames the server sent
+	invokes int // request_invoke frames the server sent
+	replies []uint64
+	errs    []error
+}
+
+// TestServe drives Process.Serve from callers on another node. A row's
+// callers each attach a Process and make calls one after another: with
+// reply, a Call whose reply Request rides in slot 0; without, an Invoke
+// that carries no continuation and returns once the invocation is
+// accepted, so deliveries queue up at the server. imm[0:8) of call i of
+// caller c is ids(c, i), or c*calls+i.
+func TestServe(t *testing.T) {
+	const work = 50 * sim.Time(1000)
+	sleep := func(st *sim.Task, d *proc.Delivery, r *serveRig) { st.Sleep(work) }
+	echo := func(st *sim.Task, d *proc.Delivery, r *serveRig) {
+		r.errs = append(r.errs, d.Reply(st, 0, []wire.ImmArg{proc.U64Arg(0, d.U64(0))}, nil))
+	}
+	for _, tc := range []struct {
+		name           string
+		window, width  int
+		callers, calls int
+		reply          bool
+		ids            func(c, i int) uint64
+		h              func(*sim.Task, *proc.Delivery, *serveRig)
+		check          func(*serveRig) error
+	}{{
+		name: "width 1 serves in arrival order in one task", width: 1, callers: 1, calls: 8, h: sleep,
+		check: func(r *serveRig) error {
+			for i, id := range r.ids {
+				if id != uint64(i) || r.tasks[i] != r.tasks[0] {
+					return fmt.Errorf("delivery %d: id %d in task %p, want id %d in task %p", i, id, r.tasks[i], i, r.tasks[0])
+				}
+			}
+			return peak(r, 1)
+		},
+	}, {
+		name: "width 3 bounds deliveries in service", width: 3, callers: 8, calls: 1, h: sleep,
+		check: func(r *serveRig) error { return peak(r, 3) },
+	}, {
+		name: "width 0 is bounded by the congestion window", window: 4, width: 0, callers: 8, calls: 1, h: sleep,
+		check: func(r *serveRig) error { return peak(r, 4) },
+	}, {
+		name: "window 1, handler returns", window: 1, width: 1, callers: 1, calls: 3, reply: true, h: echo,
+		check: func(r *serveRig) error { return ackedOnce(r, 3) },
+	}, {
+		name: "window 1, handler calls Done", window: 1, width: 1, callers: 1, calls: 3, reply: true,
+		h:     func(st *sim.Task, d *proc.Delivery, r *serveRig) { echo(st, d, r); d.Done() },
+		check: func(r *serveRig) error { return ackedOnce(r, 3) },
+	}, {
+		name: "window 1, handler calls Release", window: 1, width: 0, callers: 1, calls: 3, reply: true,
+		h:     func(st *sim.Task, d *proc.Delivery, r *serveRig) { echo(st, d, r); d.Release() },
+		check: func(r *serveRig) error { return ackedOnce(r, 3) },
+	}, {
+		name: "Reply on an absent slot sends nothing", width: 1, callers: 1, calls: 2,
+		h: func(st *sim.Task, d *proc.Delivery, r *serveRig) {
+			r.errs = append(r.errs, d.Reply(st, 0, nil, nil), d.ReplyStatus(st, 0, 9))
+		},
+		check: func(r *serveRig) error {
+			if r.invokes != 0 || fmt.Sprint(r.errs) != "[<nil> <nil> <nil> <nil>]" {
+				return fmt.Errorf("%d invocations sent, errors %v; want none, nil", r.invokes, r.errs)
+			}
+			return nil
+		},
+	}, {
+		name: "Upstream passes on a non-zero status only", width: 1, callers: 1, calls: 2, reply: true,
+		ids: func(c, i int) uint64 { return uint64(7 * i) },
+		h: func(st *sim.Task, d *proc.Delivery, r *serveRig) {
+			if !d.Upstream(st, 0) {
+				d.ReplyStatus(st, 0, 100)
+			}
+		},
+		check: func(r *serveRig) error {
+			if r.invokes != 2 || fmt.Sprint(r.replies) != "[100 7]" {
+				return fmt.Errorf("%d invocations, replies %v; want 2, [100 7]", r.invokes, r.replies)
+			}
+			return nil
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.ClusterConfig{Nodes: 2}
+			cfg.Ctrl.Window = tc.window
+			r := &serveRig{}
+			run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+				srv := proc.Attach(cl, 1, "srv", 0)
+				cl.Net.SetTrace(func(e fabric.TraceEvent) {
+					if e.From != srv.Endpoint() {
+						return
+					}
+					switch e.Type {
+					case wire.TDeliverDone:
+						r.acks++
+					case wire.TReqInvoke:
+						r.invokes++
+					}
+				})
+				req, err := srv.RequestCreate(tk, 1, nil, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var served, called sim.WaitGroup
+				served.Add(tc.callers * tc.calls)
+				called.Add(tc.callers)
+				srv.Serve("srv", tc.width, func(st *sim.Task, d *proc.Delivery) {
+					r.ids = append(r.ids, d.U64(0))
+					r.tasks = append(r.tasks, st)
+					r.busy++
+					r.peak = max(r.peak, r.busy)
+					tc.h(st, d, r)
+					r.busy--
+					served.Done()
+				})
+				for c := 0; c < tc.callers; c++ {
+					cli := proc.Attach(cl, 0, fmt.Sprintf("cli%d", c), 0)
+					creq, err := proc.GrantCap(srv, req, cli)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					cl.K.Spawn("caller", func(ct *sim.Task) {
+						defer called.Done()
+						for i := 0; i < tc.calls; i++ {
+							id := uint64(c*tc.calls + i)
+							if tc.ids != nil {
+								id = tc.ids(c, i)
+							}
+							imms := []wire.ImmArg{proc.U64Arg(0, id)}
+							if !tc.reply {
+								if err := cli.Invoke(ct, creq, imms, nil); err != nil {
+									t.Error(err)
+								}
+								continue
+							}
+							d, err := cli.Call(ct, creq, imms, nil, 0)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							r.replies = append(r.replies, d.U64(0))
+						}
+					})
+				}
+				called.Wait(tk)
+				served.Wait(tk)
+				tk.Sleep(work) // the last acknowledgement reaches the fabric
+			})
+			if len(r.ids) != tc.callers*tc.calls {
+				t.Fatalf("served %d deliveries, want %d", len(r.ids), tc.callers*tc.calls)
+			}
+			if err := tc.check(r); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+func peak(r *serveRig, want int) error {
+	if r.peak != want {
+		return fmt.Errorf("%d deliveries in service at once, want %d", r.peak, want)
+	}
+	return nil
+}
+
+// ackedOnce checks that every delivery was answered and acknowledged
+// exactly once.
+func ackedOnce(r *serveRig, n int) error {
+	if r.acks != n || len(r.replies) != n {
+		return fmt.Errorf("%d acknowledgements and %d replies for %d deliveries", r.acks, len(r.replies), n)
+	}
+	return nil
+}

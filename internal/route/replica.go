@@ -45,7 +45,7 @@ type ReplicaStats struct {
 }
 
 // Replica is one instance of a routed service: a Process serving a
-// root Request behind a bounded admission queue. The receive loop
+// root Request behind a bounded admission queue. Its serving task
 // admits up to MaxQueue outstanding requests and sheds the rest with
 // wire.StatusBackpressure (retryable — the balancer backs off or
 // fails over) instead of queueing unboundedly; Width worker tasks
@@ -76,8 +76,8 @@ type Replica struct {
 	stats    ReplicaStats
 }
 
-// Start creates the root Request and spawns the receive loop plus
-// Width workers.
+// Start creates the root Request and starts serving it with Width
+// workers.
 func (r *Replica) Start(t *sim.Task) error {
 	if r.Tag == 0 {
 		r.Tag = WorkTag
@@ -96,7 +96,7 @@ func (r *Replica) Start(t *sim.Task) error {
 	r.seen = make(map[uint64]bool)
 	k := r.P.Kernel()
 	r.queue = sim.NewChan[*proc.Delivery](k, "replica-q", r.MaxQueue)
-	k.Spawn("replica-rx", r.rx)
+	r.P.Serve("replica-rx", 1, r.admit)
 	for i := 0; i < r.Width; i++ {
 		k.Spawn(fmt.Sprintf("replica-w%d", i), r.work)
 	}
@@ -126,39 +126,32 @@ func (r *Replica) Drain(t *sim.Task) {
 
 const drainTick = 100 * sim.Time(1000) // 100 µs
 
-func (r *Replica) rx(t *sim.Task) {
-	for {
-		d, ok := r.P.Receive(t)
-		if !ok {
-			r.queue.Close()
-			return
+// admit queues a request for the workers or answers it at once.
+func (r *Replica) admit(t *sim.Task, d *proc.Delivery) {
+	id := d.U64(0)
+	switch {
+	case r.draining:
+		r.reply(t, d, wire.StatusNoProc, nil, nil)
+	case id != 0 && r.seen[id]:
+		// The balancer retried a request this replica already
+		// admitted (its first reply was lost to a fault); answer
+		// idempotently instead of executing twice.
+		r.stats.Duplicates++
+		r.reply(t, d, wire.StatusOK, nil, nil)
+	case r.depth >= r.MaxQueue:
+		r.stats.Shed++
+		r.reply(t, d, wire.StatusBackpressure, nil, nil)
+	default:
+		if id != 0 {
+			r.seen[id] = true
 		}
-		id := d.U64(0)
-		switch {
-		case r.draining:
-			r.reply(t, d, wire.StatusNoProc, nil, nil)
-		case id != 0 && r.seen[id]:
-			// The balancer retried a request this replica already
-			// admitted (its first reply was lost to a fault); answer
-			// idempotently instead of executing twice.
-			r.stats.Duplicates++
-			r.reply(t, d, wire.StatusOK, nil, nil)
-		case r.depth >= r.MaxQueue:
-			r.stats.Shed++
-			r.reply(t, d, wire.StatusBackpressure, nil, nil)
-		default:
-			if id != 0 {
-				r.seen[id] = true
-			}
-			r.depth++
-			if r.depth > r.stats.DepthHWM {
-				r.stats.DepthHWM = r.depth
-			}
-			r.stats.Accepted++
-			// Never blocks: depth < MaxQueue implies queue space.
-			r.queue.Send(t, d)
+		r.depth++
+		if r.depth > r.stats.DepthHWM {
+			r.stats.DepthHWM = r.depth
 		}
-		d.Done()
+		r.stats.Accepted++
+		// Never blocks: depth < MaxQueue implies queue space.
+		r.queue.Send(t, d)
 	}
 }
 
@@ -181,11 +174,9 @@ func (r *Replica) work(t *sim.Task) {
 	}
 }
 
+// reply answers with the status and the replica's queue depth ahead of
+// the Handler's extras.
 func (r *Replica) reply(t *sim.Task, d *proc.Delivery, st wire.Status, extra []wire.ImmArg, args []proc.Arg) {
-	cont, ok := d.Cap(WorkSlotCont)
-	if !ok {
-		return
-	}
 	imms := []wire.ImmArg{
 		proc.U64Arg(0, uint64(st)),
 		proc.U64Arg(8, uint64(r.depth)),
@@ -194,9 +185,7 @@ func (r *Replica) reply(t *sim.Task, d *proc.Delivery, st wire.Status, extra []w
 		im.Offset += ReplyExtraOff
 		imms = append(imms, im)
 	}
-	if err := r.P.Invoke(t, cont, imms, args); err != nil {
-		// Caller (or this replica's own Controller) is gone; the
-		// retry/failover layers on the client side own recovery.
-		return
-	}
+	// An error means the caller (or this replica's own Controller) is
+	// gone; the retry/failover layers on the client side own recovery.
+	d.Reply(t, WorkSlotCont, imms, args)
 }

@@ -121,7 +121,7 @@ func NewRegistry(cl *core.Cluster, node int) *Registry {
 	}
 }
 
-// Start creates the root Requests and spawns the serve loop.
+// Start creates the root Requests and starts serving them.
 func (r *Registry) Start(t *sim.Task) error {
 	for _, root := range []struct {
 		tag uint64
@@ -138,7 +138,7 @@ func (r *Registry) Start(t *sim.Task) error {
 		}
 		*root.dst = c
 	}
-	r.P.Kernel().Spawn("registry", r.serve)
+	r.P.Serve("registry", 1, r.answer)
 	return nil
 }
 
@@ -210,47 +210,29 @@ func (r *Registry) removeMember(name string, id uint64) bool {
 	return false
 }
 
-func (r *Registry) serve(t *sim.Task) {
-	for {
-		d, ok := r.P.Receive(t)
-		if !ok {
-			return
-		}
-		r.handle(t, d)
-		d.Done()
-	}
+// answer runs a registry operation and answers through its
+// continuation: imm[0:8) = the status, then what the operation returns.
+func (r *Registry) answer(t *sim.Task, d *proc.Delivery) {
+	st, imms, args := r.handle(t, d)
+	// An error means the resolver died between asking and answering;
+	// its Controller already cleaned up the continuation.
+	d.Reply(t, SlotCont, append([]wire.ImmArg{proc.U64Arg(0, uint64(st))}, imms...), args)
 }
 
-func (r *Registry) handle(t *sim.Task, d *proc.Delivery) {
-	cont, haveCont := d.Cap(SlotCont)
-	reply := func(st wire.Status, imms []wire.ImmArg, args []proc.Arg) {
-		if !haveCont {
-			return
-		}
-		all := append([]wire.ImmArg{proc.U64Arg(0, uint64(st))}, imms...)
-		if err := r.P.Invoke(t, cont, all, args); err != nil {
-			// The resolver died between asking and answering; its
-			// Controller already cleaned up the continuation.
-			return
-		}
+func (r *Registry) handle(t *sim.Task, d *proc.Delivery) (wire.Status, []wire.ImmArg, []proc.Arg) {
+	name, ok := d.Name()
+	if !ok {
+		return wire.StatusBadArg, nil, nil
 	}
-	nameLen := int(d.U64(8))
-	if nameLen <= 0 || 16+nameLen > len(d.Imms) {
-		reply(wire.StatusBadArg, nil, nil)
-		return
-	}
-	name := string(d.Imms[16 : 16+nameLen])
 	switch d.Tag {
 	case TagRegister:
 		c, ok := d.Cap(SlotCap)
 		if !ok {
-			reply(wire.StatusBadArg, nil, nil)
-			return
+			return wire.StatusBadArg, nil, nil
 		}
 		ms := r.names[name]
 		if len(ms) >= MaxMembers {
-			reply(wire.StatusQuota, nil, nil)
-			return
+			return wire.StatusQuota, nil, nil
 		}
 		r.nextID++
 		m := &member{id: r.nextID, node: int(d.U64(0)) - 1, cp: c}
@@ -263,24 +245,21 @@ func (r *Registry) handle(t *sim.Task, d *proc.Delivery) {
 			r.removeMember(name, m.id)
 		}); err != nil {
 			r.removeMember(name, m.id)
-			reply(wire.StatusAborted, nil, nil)
-			return
+			return wire.StatusAborted, nil, nil
 		}
-		reply(wire.StatusOK, []wire.ImmArg{
+		return wire.StatusOK, []wire.ImmArg{
 			proc.U64Arg(8, m.id),
 			proc.U64Arg(16, r.version),
-		}, nil)
+		}, nil
 	case TagDeregister:
 		if !r.removeMember(name, d.U64(0)) {
-			reply(wire.StatusUnknownObj, nil, nil)
-			return
+			return wire.StatusUnknownObj, nil, nil
 		}
-		reply(wire.StatusOK, []wire.ImmArg{proc.U64Arg(8, r.version)}, nil)
+		return wire.StatusOK, []wire.ImmArg{proc.U64Arg(8, r.version)}, nil
 	case TagLookup:
 		ms := r.names[name]
 		if len(ms) == 0 {
-			reply(wire.StatusUnknownObj, nil, nil)
-			return
+			return wire.StatusUnknownObj, nil, nil
 		}
 		best := ms[0]
 		for _, m := range ms[1:] {
@@ -288,7 +267,7 @@ func (r *Registry) handle(t *sim.Task, d *proc.Delivery) {
 				best = m
 			}
 		}
-		reply(wire.StatusOK, nil, []proc.Arg{{Slot: SlotCap, Cap: best.cp}})
+		return wire.StatusOK, nil, []proc.Arg{{Slot: SlotCap, Cap: best.cp}}
 	case TagResolveSet:
 		ms := r.names[name]
 		imms := []wire.ImmArg{
@@ -302,8 +281,9 @@ func (r *Registry) handle(t *sim.Task, d *proc.Delivery) {
 				proc.U64Arg(32+16*i, uint64(m.node+1)))
 			args = append(args, proc.Arg{Slot: uint16(i), Cap: m.cp})
 		}
-		reply(wire.StatusOK, imms, args)
+		return wire.StatusOK, imms, args
 	}
+	return wire.StatusBadArg, nil, nil
 }
 
 // nodeOfCtrl maps a ControllerID to the node it is deployed on.

@@ -97,6 +97,31 @@ func TestResolveMissingName(t *testing.T) {
 	})
 }
 
+// TestNameLengthOverflowRejected: a name length for which 16+length
+// wraps is refused like any other bad name by every registry operation,
+// and the registry goes on serving.
+func TestNameLengthOverflowRejected(t *testing.T) {
+	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
+		reg := startRegistry(t, tk, cl)
+		app := proc.Attach(cl, 1, "app", 0)
+		c := connect(t, tk, reg, app)
+		imms := []wire.ImmArg{proc.U64Arg(8, 1<<63-8), proc.BytesArg(16, []byte("svc"))}
+		for _, root := range []proc.Cap{c.register, c.lookup, c.deregister, c.resolveSet} {
+			d, err := app.Call(tk, root, imms, nil, SlotCont)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if st := d.Status(); st != wire.StatusBadArg {
+				t.Errorf("status = %v, want bad-arg", st)
+			}
+		}
+		if _, err := c.Resolve(tk, "ghost"); !wire.IsStatus(err, wire.StatusUnknownObj) {
+			t.Errorf("resolve after the overflow: %v, want StatusUnknownObj", err)
+		}
+	})
+}
+
 func TestReplicaSetMembership(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
 		reg := startRegistry(t, tk, cl)

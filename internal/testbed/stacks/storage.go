@@ -25,10 +25,9 @@ import (
 // NVMe deploys an NVMe device plus its adaptor Process on a node.
 type NVMe struct {
 	Node int
-	Name string             // adaptor Process name; default "nvme-adaptor"
-	Cfg  nvme.AdaptorConfig // zero value = defaults
-	Dev  *nvme.Device       // pre-set to share a device; created if nil
-	Ad   *nvme.Adaptor      // filled at deploy
+	Name string        // adaptor Process name; default "nvme-adaptor"
+	Dev  *nvme.Device  // pre-set to share a device; created if nil
+	Ad   *nvme.Adaptor // filled at deploy
 }
 
 // Deploy implements testbed.Service.
@@ -39,7 +38,7 @@ func (s *NVMe) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	if s.Dev == nil {
 		s.Dev = nvme.NewDevice(d.Cl.K, nvme.DefaultConfig())
 	}
-	s.Ad = nvme.NewAdaptor(d.Cl, s.Node, s.Name, s.Dev, s.Cfg)
+	s.Ad = nvme.NewAdaptor(d.Cl, s.Node, s.Name, s.Dev)
 	if err := s.Ad.Start(tk); err != nil {
 		assert.NoErr(err, "stacks/nvme")
 	}
@@ -49,8 +48,7 @@ func (s *NVMe) Deploy(tk *sim.Task, d *testbed.Deployment) {
 // deployed earlier in the Services list.
 type FS struct {
 	Node    int
-	Name    string // FS Process name; default "fs-service"
-	Cfg     fs.Config
+	Name    string      // FS Process name; default "fs-service"
 	Backend *NVMe       // must appear before this spec in Spec.Services
 	Svc     *fs.Service // filled at deploy
 }
@@ -63,7 +61,7 @@ func (s *FS) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	if s.Backend == nil || s.Backend.Ad == nil {
 		assert.Failf("stacks/fs: Backend NVMe spec missing or not yet deployed")
 	}
-	s.Svc = fs.NewService(d.Cl, s.Node, s.Name, s.Cfg)
+	s.Svc = fs.NewService(d.Cl, s.Node, s.Name)
 	if err := s.Svc.Wire(s.Backend.Ad); err != nil {
 		assert.NoErr(err, "stacks/fs")
 	}
@@ -133,7 +131,7 @@ func (s *Storage) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	}
 	cl := d.Cl
 	dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
-	s.Svc = fs.NewService(cl, s.FSNode, "fs", fs.Config{})
+	s.Svc = fs.NewService(cl, s.FSNode, "fs")
 	switch s.Kind {
 	case StorDisagg:
 		be := baseline.NewDisaggregatedBackend(cl, s.FSNode, s.DevNode, dev)
@@ -141,7 +139,7 @@ func (s *Storage) Deploy(tk *sim.Task, d *testbed.Deployment) {
 		s.DropCaches = be.Initiator().DropCaches
 		s.SetCacheSize = be.Initiator().SetCacheSize
 	default:
-		ad := nvme.NewAdaptor(cl, s.DevNode, "nvme", dev, nvme.AdaptorConfig{})
+		ad := nvme.NewAdaptor(cl, s.DevNode, "nvme", dev)
 		if err := ad.Start(tk); err != nil {
 			assert.NoErr(err, "stacks/storage")
 		}
