@@ -52,9 +52,9 @@ func deploy(tk *sim.Task, d *testbed.Deployment, client *proc.Process, gen int) 
 	if err != nil {
 		log.Fatal(err)
 	}
-	r.svcP.Serve("echo-loop", 1, func(st *sim.Task, del *proc.Delivery) {
+	r.svcP.Serve("echo-loop", 1, func(_ *sim.Task, del *proc.Delivery) {
 		// A failed reply surfaces as the client's timeout.
-		del.Reply(st, 0, []wire.ImmArg{proc.BytesArg(0, del.Imms)}, nil)
+		del.Reply(0, []wire.ImmArg{proc.BytesArg(0, del.Imms)}, nil)
 	})
 	if r.creq, err = proc.GrantCap(r.svcP, svcReq, client); err != nil {
 		log.Fatal(err)

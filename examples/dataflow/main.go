@@ -30,9 +30,9 @@ import (
 // deployStage starts a text-transforming service on a node.
 func deployStage(cl *core.Cluster, node int, name string, fn func(string) string) *proc.Process {
 	p := proc.Attach(cl, node, name, 0)
-	p.Serve(name+".loop", 1, func(st *sim.Task, d *proc.Delivery) {
+	p.Serve(name+".loop", 1, func(_ *sim.Task, d *proc.Delivery) {
 		out := fn(string(d.Imms))
-		if err := d.Reply(st, 0, []wire.ImmArg{proc.BytesArg(0, []byte(out))}, nil); err != nil {
+		if err := d.Reply(0, []wire.ImmArg{proc.BytesArg(0, []byte(out))}, nil); err != nil {
 			log.Fatal(err)
 		}
 	})

@@ -56,16 +56,16 @@ func newStage(t *sim.Task, cl *core.Cluster, node, size int, name string) *stage
 		}
 		switch d.Tag {
 		case tagXform:
-			d.Reply(st, 0, nil, nil)
+			d.Reply(0, nil, nil)
 		case tagPush, tagChain:
 			dst, _ := d.Cap(0)
 			if err := s.p.MemoryCopyRange(st, s.in, 0, dst, 0, uint64(n)); err != nil {
 				log.Fatal(err)
 			}
 			if d.Tag == tagPush {
-				d.Reply(st, 1, nil, nil)
+				d.Reply(1, nil, nil)
 			} else {
-				d.Reply(st, 1, []wire.ImmArg{proc.U64Arg(0, uint64(n))}, nil)
+				d.Reply(1, []wire.ImmArg{proc.U64Arg(0, uint64(n))}, nil)
 			}
 		}
 	})

@@ -36,14 +36,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		svc.Serve("shout-loop", 1, func(st *sim.Task, d *proc.Delivery) {
+		svc.Serve("shout-loop", 1, func(_ *sim.Task, d *proc.Delivery) {
 			loud := append([]byte(nil), d.Imms...)
 			for i, c := range loud {
 				if 'a' <= c && c <= 'z' {
 					loud[i] = c - 32
 				}
 			}
-			d.Reply(st, slotReply, []wire.ImmArg{proc.BytesArg(0, loud)}, nil)
+			d.Reply(slotReply, []wire.ImmArg{proc.BytesArg(0, loud)}, nil)
 		})
 
 		// --- client on node 0 ---

@@ -275,7 +275,7 @@ func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
 	default: // callInvoke, callWatch
 		if pc.kind == callInvoke {
-			c.invoked(pc.ps, pc.cid, pc.caps, st, ok && ack.Spent)
+			c.invoked(pc.ps, pc.cid, pc.entry.Ref, pc.caps, st, ok && ack.Spent)
 		}
 		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
 	}

@@ -30,7 +30,7 @@ func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 	c.armReplies(ps, m.Caps, capArgs)
 	if e.Ref.Ctrl == c.id {
 		st, spent := c.deliverInvoke(e.Ref, m.Imms, capArgs)
-		c.invoked(ps, m.Cid, capArgs, st, spent)
+		c.invoked(ps, m.Cid, e.Ref, capArgs, st, spent)
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
@@ -73,17 +73,24 @@ func (c *Controller) armReplies(ps *procState, slots []wire.CapSlot, args []wire
 	}
 }
 
-// invoked settles an invocation by ps once its outcome is known: refused,
-// it takes back the arming of the reply Requests it passed; having spent
-// a reply Request, it leaves ps without the entry it went through.
-func (c *Controller) invoked(ps *procState, cid cap.CapID, args []wire.CapXfer, st wire.Status, spent bool) {
+// invoked settles an invocation by ps through cid, an entry naming ref,
+// once its outcome is known: refused, it takes back the arming of the
+// reply Requests it passed; having spent a reply Request, it leaves ps
+// without the entry it went through.
+//
+// Only that entry: a forwarded invocation's outcome arrives a round trip
+// later, and by then ps may have handed the entry back itself (a reply
+// posted, then Delivery.Release) and cid been reissued to a later
+// delivery. A reply Request takes a new name on every arming, so an
+// entry at cid that still names ref is the one invoked.
+func (c *Controller) invoked(ps *procState, cid cap.CapID, ref cap.Ref, args []wire.CapXfer, st wire.Status, spent bool) {
 	if st != wire.StatusOK {
 		for i := range args {
 			if _, ro := c.ownReply(ps, &args[i]); ro != nil {
 				ro.armed = false
 			}
 		}
-	} else if spent {
+	} else if e := ps.space.Peek(cid); spent && e != nil && e.Ref == ref {
 		ps.space.Drop(cid)
 	}
 }

@@ -113,11 +113,11 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 		free, e3 := a.P.RequestCreate(t, TagFree, []wire.ImmArg{proc.U64Arg(0, ctx)}, nil)
 		clean, e4 := a.P.RequestCreate(t, TagCleanup, []wire.ImmArg{proc.U64Arg(0, ctx)}, nil)
 		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
-			d.ReplyStatus(t, SlotCont, StatusAdaptErr)
+			d.ReplyStatus(SlotCont, StatusAdaptErr)
 			return
 		}
 		a.ctxBufs[ctx] = nil
-		d.Reply(t, SlotCont, nil, []proc.Arg{
+		d.Reply(SlotCont, nil, []proc.Arg{
 			{Slot: SlotAlloc, Cap: alloc}, {Slot: SlotLoad, Cap: load},
 			{Slot: SlotFree, Cap: free}, {Slot: SlotCleanup, Cap: clean},
 		})
@@ -126,31 +126,31 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 		ctx := d.U64(0)
 		size := d.U64(8)
 		if _, ok := a.ctxBufs[ctx]; !ok || size == 0 {
-			d.ReplyStatus(t, SlotCont, StatusBadArg)
+			d.ReplyStatus(SlotCont, StatusBadArg)
 			return
 		}
 		off, err := a.P.Alloc(int(size))
 		if err != nil {
-			d.ReplyStatus(t, SlotCont, StatusNoMem)
+			d.ReplyStatus(SlotCont, StatusNoMem)
 			return
 		}
 		buf, err := a.P.MemoryCreate(t, uint64(off), size, cap.MemRights)
 		if err != nil {
 			a.P.Free(off)
-			d.ReplyStatus(t, SlotCont, StatusAdaptErr)
+			d.ReplyStatus(SlotCont, StatusAdaptErr)
 			return
 		}
 		a.ctxBufs[ctx] = append(a.ctxBufs[ctx], uint64(off))
-		d.Reply(t, SlotCont, []wire.ImmArg{proc.U64Arg(8, uint64(off))}, []proc.Arg{{Slot: SlotBuf, Cap: buf}})
+		d.Reply(SlotCont, []wire.ImmArg{proc.U64Arg(8, uint64(off))}, []proc.Arg{{Slot: SlotBuf, Cap: buf}})
 
 	case TagLoad:
 		name, ok := d.Name()
 		if !ok {
-			d.ReplyStatus(t, SlotCont, StatusBadArg)
+			d.ReplyStatus(SlotCont, StatusBadArg)
 			return
 		}
 		if !a.dev.Has(name) {
-			d.ReplyStatus(t, SlotCont, StatusNoKernel)
+			d.ReplyStatus(SlotCont, StatusNoKernel)
 			return
 		}
 		// The invocation Request presets the kernel name; clients can
@@ -159,10 +159,10 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 		inv, err := a.P.RequestCreate(t, TagInvoke,
 			[]wire.ImmArg{proc.U64Arg(8, uint64(len(name))), proc.BytesArg(16, []byte(name))}, nil)
 		if err != nil {
-			d.ReplyStatus(t, SlotCont, StatusAdaptErr)
+			d.ReplyStatus(SlotCont, StatusAdaptErr)
 			return
 		}
-		d.Reply(t, SlotCont, nil, []proc.Arg{{Slot: SlotKernel, Cap: inv}})
+		d.Reply(SlotCont, nil, []proc.Arg{{Slot: SlotKernel, Cap: inv}})
 
 	case TagInvoke:
 		a.invoke(t, d)
@@ -178,7 +178,7 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 				break
 			}
 		}
-		d.Reply(t, SlotCont, nil, nil)
+		d.Reply(SlotCont, nil, nil)
 
 	case TagCleanup:
 		ctx := d.U64(0)
@@ -186,7 +186,7 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 			a.P.Free(int(b))
 		}
 		delete(a.ctxBufs, ctx)
-		d.Reply(t, SlotCont, nil, nil)
+		d.Reply(SlotCont, nil, nil)
 	}
 }
 
@@ -198,12 +198,12 @@ func (a *Adaptor) invoke(t *sim.Task, d *proc.Delivery) {
 	// continuation (e.g. a storage read writing into GPU memory, Figure
 	// 2's b→c edge), a failed producer means the kernel's inputs never
 	// arrived: propagate instead of computing on garbage.
-	if d.Upstream(t, SlotError) {
+	if d.Upstream(SlotError) {
 		return
 	}
 	name, ok := d.Name()
 	if !ok {
-		d.ReplyStatus(t, SlotError, StatusBadArg)
+		d.ReplyStatus(SlotError, StatusBadArg)
 		return
 	}
 	st, err := a.dev.Exec(t, name, a.P.Arena(), kernelArgs(d.Imms, 16+len(name)))
@@ -211,10 +211,10 @@ func (a *Adaptor) invoke(t *sim.Task, d *proc.Delivery) {
 		st = StatusNoKernel
 	}
 	if st != 0 {
-		d.ReplyStatus(t, SlotError, st)
+		d.ReplyStatus(SlotError, st)
 		return
 	}
-	d.ReplyStatus(t, SlotSuccess, StatusOK)
+	d.ReplyStatus(SlotSuccess, StatusOK)
 }
 
 // kernelArgs decodes the uint64 arguments following the kernel-name

@@ -150,7 +150,7 @@ func (a *Adaptor) handleVolCreate(t *sim.Task, d *proc.Delivery) {
 		return
 	}
 	if size <= 0 || size > a.dev.Capacity()-a.devFree {
-		d.ReplyStatus(t, SlotCont, StatusBounds)
+		d.ReplyStatus(SlotCont, StatusBounds)
 		return
 	}
 	a.nextVol++
@@ -161,10 +161,10 @@ func (a *Adaptor) handleVolCreate(t *sim.Task, d *proc.Delivery) {
 	rd, err1 := a.P.RequestCreate(t, TagVolRead, []wire.ImmArg{proc.U64Arg(ImmVol, id)}, nil)
 	wr, err2 := a.P.RequestCreate(t, TagVolWrite, []wire.ImmArg{proc.U64Arg(ImmVol, id)}, nil)
 	if err1 != nil || err2 != nil {
-		d.ReplyStatus(t, SlotCont, StatusDevErr)
+		d.ReplyStatus(SlotCont, StatusDevErr)
 		return
 	}
-	d.Reply(t, SlotCont,
+	d.Reply(SlotCont,
 		[]wire.ImmArg{proc.U64Arg(ImmVol, id)},
 		[]proc.Arg{{Slot: SlotVolRead, Cap: rd}, {Slot: SlotVolWrite, Cap: wr}})
 }
@@ -176,26 +176,26 @@ func (a *Adaptor) handleVolCreate(t *sim.Task, d *proc.Delivery) {
 func (a *Adaptor) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 	// A chained producer that failed reports its status in imm[0,8):
 	// propagate it instead of touching the device.
-	if d.Upstream(t, SlotCont) {
+	if d.Upstream(SlotCont) {
 		return
 	}
 	vol, ok := a.vols[d.U64(ImmVol)]
 	if !ok {
-		d.ReplyStatus(t, SlotCont, StatusBadVol)
+		d.ReplyStatus(SlotCont, StatusBadVol)
 		return
 	}
 	off, n := int64(d.U64(ImmOff)), int64(d.U64(ImmLen))
 	if n <= 0 || off < 0 || n > vol.size || off > vol.size-n {
-		d.ReplyStatus(t, SlotCont, StatusBounds)
+		d.ReplyStatus(SlotCont, StatusBounds)
 		return
 	}
 	if n > MaxIO {
-		d.ReplyStatus(t, SlotCont, StatusTooBig)
+		d.ReplyStatus(SlotCont, StatusTooBig)
 		return
 	}
 	data, ok := d.Cap(SlotData)
 	if !ok || data.Size() < uint64(n) {
-		d.ReplyStatus(t, SlotCont, StatusBounds)
+		d.ReplyStatus(SlotCont, StatusBounds)
 		return
 	}
 
@@ -212,22 +212,22 @@ func (a *Adaptor) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 	if isWrite {
 		// Pull the caller's bytes, then commit to flash.
 		if err := a.P.MemoryCopyRange(t, data, 0, sb.cap, 0, uint64(n)); err != nil {
-			d.ReplyStatus(t, SlotCont, StatusCopyErr)
+			d.ReplyStatus(SlotCont, StatusCopyErr)
 			return
 		}
 		if err := a.dev.Write(t, vol.off+off, buf); err != nil {
-			d.ReplyStatus(t, SlotCont, StatusDevErr)
+			d.ReplyStatus(SlotCont, StatusDevErr)
 			return
 		}
 	} else {
 		if err := a.dev.Read(t, vol.off+off, buf); err != nil {
-			d.ReplyStatus(t, SlotCont, StatusDevErr)
+			d.ReplyStatus(SlotCont, StatusDevErr)
 			return
 		}
 		if err := a.P.MemoryCopyRange(t, sb.cap, 0, data, 0, uint64(n)); err != nil {
-			d.ReplyStatus(t, SlotCont, StatusCopyErr)
+			d.ReplyStatus(SlotCont, StatusCopyErr)
 			return
 		}
 	}
-	d.ReplyStatus(t, SlotCont, StatusOK)
+	d.ReplyStatus(SlotCont, StatusOK)
 }

@@ -75,7 +75,7 @@ func AblationWindow() *Table {
 			// Parallel handlers, each sleeping handleTime per request.
 			srv.Serve("handler", handlers, func(ht *sim.Task, d *proc.Delivery) {
 				ht.Sleep(handleTime)
-				d.Reply(ht, 0, nil, nil)
+				d.Reply(0, nil, nil)
 			})
 			var wg sim.WaitGroup
 			wg.Add(clients)

@@ -123,25 +123,20 @@ func TestTraceDeterminism(t *testing.T) {
 // in-tree; a change that means to move a timestamp or a byte count
 // updates them and says why.
 //
-// Last moved when memory_copy took a range, the face-verification slots
-// kept their kernel Requests and the adaptors' acknowledgements began to
-// hand capabilities back (they were 19af0e22… and ddbd30e2… from PR 22
-// until then). First diverging event, pipeline: the 144th, at
-// 315 318 ns — the memory_diminish (type 101, 31 bytes) the first
-// fast-star stage posted for a view of its buffer is gone, and its
-// memory_copy (type 102) leaves in its place, 42 bytes with the range
-// instead of 18; the cap_drop (type 107) after the copy is gone too.
-// Faceverify: the first, the frontend's memory_copy — at 1 503 337 ns
-// instead of 1 509 611, because the set-up before the trace starts seeds
-// the database through an FS that no longer derives and drops two views
-// per extent span, and derives each slot's kernel Request; the third
-// event, the FS's DeliverDone (type 110) for the last open, is 16 bytes
-// instead of 10, listing the reply capability it was sent; and where
-// the request posted a request_create (type 103, 78 bytes) as its 9th
-// event it now posts the request_invoke (type 104) that followed it.
+// Last moved when Delivery.Reply stopped waiting for its completion
+// (598a2b04… and b078865a… until then): a service built on
+// Serve acknowledges its delivery in the instant it posts the answer,
+// not once the answer's completion has woken it. First diverging event,
+// pipeline: the 49th — a stage's DeliverDone (type 110, 10 bytes) leaves
+// at 87 027 ns, right behind its reply's request_invoke, instead of at
+// 96 605 ns after the completion (type 200) at 95 392. Faceverify: the
+// third — the FS's DeliverDone for the last set-up open, which left at
+// 1 507 492 ns, went out with its reply before the trace starts (77
+// events instead of 78); the GPU adaptor's (20 bytes) leaves at
+// 1 679 556 ns instead of 1 699 769. Every other event is where it was.
 const (
-	pipelineTraceSHA256   = "598a2b044627c83c3917fee18d841ce0b3df7d329a776d8b5fa2469f78bbe92d"
-	faceverifyTraceSHA256 = "b078865a87948684cfc2f6d85749d2330d46646c43b2d75b03b96ad714c63623"
+	pipelineTraceSHA256   = "36f338072e9d3c588240bcda0c5fb4e09968f7fa20b56e6a0559d0d4e033db81"
+	faceverifyTraceSHA256 = "9036e2174a97db49c97b5737877712d825c0056196cadf1ed5b6254d957ab232"
 )
 
 func checkDigest(t *testing.T, name, trace, want string) {

@@ -189,8 +189,8 @@ func measureRPC(p core.Placement, nodes int, argSize int, nCaps int) sim.Time {
 		capArgs = append(capArgs, proc.Arg{Slot: 15, Cap: reply})
 		payload := make([]byte, argSize)
 
-		srv.Serve("srv-loop", 1, func(st *sim.Task, d *proc.Delivery) {
-			if err := d.Reply(st, 15, nil, nil); err != nil {
+		srv.Serve("srv-loop", 1, func(_ *sim.Task, d *proc.Delivery) {
+			if err := d.Reply(15, nil, nil); err != nil {
 				assert.NoErr(err, "exp/micro")
 			}
 		})

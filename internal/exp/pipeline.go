@@ -72,7 +72,7 @@ func (s *pipeStage) serve(t *sim.Task, d *proc.Delivery) {
 	}
 	switch d.Tag {
 	case tagXform:
-		d.Reply(t, 0, nil, nil)
+		d.Reply(0, nil, nil)
 	case tagPush, tagChain:
 		dst, ok := d.Cap(0)
 		if !ok {
@@ -84,9 +84,9 @@ func (s *pipeStage) serve(t *sim.Task, d *proc.Delivery) {
 		// fast-star replies to the client; chain invokes the next
 		// stage's Request verbatim, forwarding the length.
 		if d.Tag == tagPush {
-			d.Reply(t, 1, nil, nil)
+			d.Reply(1, nil, nil)
 		} else {
-			d.Reply(t, 1, []wire.ImmArg{proc.U64Arg(0, uint64(n))}, nil)
+			d.Reply(1, []wire.ImmArg{proc.U64Arg(0, uint64(n))}, nil)
 		}
 	}
 }

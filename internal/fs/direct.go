@@ -61,39 +61,39 @@ func (v *fractosVolume) InvokeIO(t *sim.Task, isWrite bool, off, n uint64, data,
 func (s *Service) handleDirect(t *sim.Task, d *proc.Delivery, isWrite bool) {
 	// When this Request is itself a continuation of a failed producer,
 	// propagate instead of running.
-	if d.Upstream(t, SlotCont) {
+	if d.Upstream(SlotCont) {
 		return
 	}
 	f, ok := s.byID[d.U64(FSImmFile)]
 	if !ok {
-		d.ReplyStatus(t, SlotCont, StatusNoFile)
+		d.ReplyStatus(SlotCont, StatusNoFile)
 		return
 	}
 	off, n := d.U64(FSImmOff), d.U64(FSImmLen)
 	if n == 0 || n > f.size || off > f.size-n {
-		d.ReplyStatus(t, SlotCont, StatusBounds)
+		d.ReplyStatus(SlotCont, StatusBounds)
 		return
 	}
 	// Direct operations must not cross an extent: one block Request
 	// serves the whole transfer.
 	if off/ExtentSize != (off+n-1)/ExtentSize {
-		d.ReplyStatus(t, SlotCont, StatusBadArg)
+		d.ReplyStatus(SlotCont, StatusBadArg)
 		return
 	}
 	ext := f.extents[off/ExtentSize]
 	cv, ok := ext.vol.(ComposableVolume)
 	if !ok {
-		d.ReplyStatus(t, SlotCont, StatusBadMode)
+		d.ReplyStatus(SlotCont, StatusBadMode)
 		return
 	}
 	data, ok1 := d.Cap(SlotData)
 	cont, ok2 := d.Cap(SlotCont)
 	if !ok1 || !ok2 {
-		d.ReplyStatus(t, SlotCont, StatusBadArg)
+		d.ReplyStatus(SlotCont, StatusBadArg)
 		return
 	}
 	if err := cv.InvokeIO(t, isWrite, off%ExtentSize, n, data, cont); err != nil {
-		d.ReplyStatus(t, SlotCont, StatusIOErr)
+		d.ReplyStatus(SlotCont, StatusIOErr)
 	}
 	// No reply from the FS: the block device invokes the client's
 	// continuation directly.

@@ -10,22 +10,22 @@ import (
 // block device — the centralized model whose extra network transfer
 // DAX eliminates (§6.4).
 func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
-	if d.Upstream(t, SlotCont) {
+	if d.Upstream(SlotCont) {
 		return
 	}
 	f, ok := s.byID[d.U64(FSImmFile)]
 	if !ok {
-		d.ReplyStatus(t, SlotCont, StatusNoFile)
+		d.ReplyStatus(SlotCont, StatusNoFile)
 		return
 	}
 	off, n := d.U64(FSImmOff), d.U64(FSImmLen)
 	if n == 0 || n > f.size || off > f.size-n {
-		d.ReplyStatus(t, SlotCont, StatusBounds)
+		d.ReplyStatus(SlotCont, StatusBounds)
 		return
 	}
 	data, ok := d.Cap(SlotData)
 	if !ok || data.Size() != n {
-		d.ReplyStatus(t, SlotCont, StatusBadArg)
+		d.ReplyStatus(SlotCont, StatusBadArg)
 		return
 	}
 
@@ -49,7 +49,7 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 			cn = n - done
 		}
 		if ei >= len(f.extents) {
-			d.ReplyStatus(t, SlotCont, StatusBounds)
+			d.ReplyStatus(SlotCont, StatusBounds)
 			return
 		}
 		ext := f.extents[ei]
@@ -61,7 +61,7 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 		if isWrite {
 			// client → staging → device.
 			if err := s.P.MemoryCopyRange(t, data, done, sb.cap, 0, cn); err != nil {
-				d.ReplyStatus(t, SlotCont, StatusIOErr)
+				d.ReplyStatus(SlotCont, StatusIOErr)
 				return
 			}
 			st = ext.vol.WriteAt(t, eo, cn, stage)
@@ -70,16 +70,16 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 			st = ext.vol.ReadAt(t, eo, cn, stage)
 			if st == 0 {
 				if err := s.P.MemoryCopyRange(t, sb.cap, 0, data, done, cn); err != nil {
-					d.ReplyStatus(t, SlotCont, StatusIOErr)
+					d.ReplyStatus(SlotCont, StatusIOErr)
 					return
 				}
 			}
 		}
 		if st != 0 {
-			d.ReplyStatus(t, SlotCont, StatusIOErr)
+			d.ReplyStatus(SlotCont, StatusIOErr)
 			return
 		}
 		done += cn
 	}
-	d.ReplyStatus(t, SlotCont, StatusOK)
+	d.ReplyStatus(SlotCont, StatusOK)
 }

@@ -16,7 +16,7 @@ func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 	mode := d.U64(0)
 	name, ok := d.Name()
 	if !ok || mode&(OpenRead|OpenWrite) == 0 {
-		d.ReplyStatus(t, SlotCont, StatusBadArg)
+		d.ReplyStatus(SlotCont, StatusBadArg)
 		return
 	}
 
@@ -29,7 +29,7 @@ func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 	f, exists := s.files[name]
 	if !exists {
 		if mode&OpenCreate == 0 {
-			d.ReplyStatus(t, SlotCont, StatusNoFile)
+			d.ReplyStatus(SlotCont, StatusNoFile)
 			return
 		}
 		size := d.U64(OpenSizeOff(len(name)))
@@ -41,7 +41,7 @@ func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 		f, st = s.createFile(t, name, size)
 		delete(s.creating, name)
 		if st != StatusOK {
-			d.ReplyStatus(t, SlotCont, st)
+			d.ReplyStatus(SlotCont, st)
 			return
 		}
 	}
@@ -60,16 +60,16 @@ func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 	if mode&OpenDAX != 0 {
 		args, st := s.daxLeases(t, f, h, mode)
 		if st != StatusOK {
-			d.ReplyStatus(t, SlotCont, st)
+			d.ReplyStatus(SlotCont, st)
 			return
 		}
-		d.Reply(t, SlotCont, imms, args)
+		d.Reply(SlotCont, imms, args)
 		return
 	}
 
 	// FS mode: hand out per-file mediated Requests.
 	if st := s.ensureFileReqs(t, f); st != StatusOK {
-		d.ReplyStatus(t, SlotCont, st)
+		d.ReplyStatus(SlotCont, st)
 		return
 	}
 	var args []proc.Arg
@@ -83,7 +83,7 @@ func (s *Service) handleOpen(t *sim.Task, d *proc.Delivery) {
 			proc.Arg{Slot: SlotFSWrite, Cap: f.wrReq},
 			proc.Arg{Slot: SlotFSWriteDirect, Cap: f.wrReqD})
 	}
-	d.Reply(t, SlotCont, imms, args)
+	d.Reply(SlotCont, imms, args)
 }
 
 // daxLeases wraps each extent's block Requests in freshly derived
@@ -121,17 +121,17 @@ func (s *Service) daxLeases(t *sim.Task, f *file, h *openHandle, mode uint64) ([
 func (s *Service) handleClose(t *sim.Task, d *proc.Delivery) {
 	h, ok := s.handles[d.U64(8)]
 	if !ok {
-		d.ReplyStatus(t, SlotCont, StatusNoHandle)
+		d.ReplyStatus(SlotCont, StatusNoHandle)
 		return
 	}
 	delete(s.handles, d.U64(8))
 	for _, lease := range h.leases {
 		if err := s.P.Revoke(t, lease); err != nil {
-			d.ReplyStatus(t, SlotCont, StatusIOErr)
+			d.ReplyStatus(SlotCont, StatusIOErr)
 			return
 		}
 	}
-	d.ReplyStatus(t, SlotCont, StatusOK)
+	d.ReplyStatus(SlotCont, StatusOK)
 }
 
 // createFile allocates the file's extents as block-device volumes.

@@ -585,3 +585,57 @@ func TestReleaseHandsBackOnlyWhatItsDeliveryBrought(t *testing.T) {
 		}
 	})
 }
+
+// TestSpentReplyDropSparesReissuedCid: the provider posts its answer to
+// a cross-node Call without waiting for the completion and hands the
+// delivery back at once, so its Controller drops the reply capability
+// before the caller's Controller reports it spent. Meanwhile a neighbour's
+// Call has been delivered, its reply capability under the freed cid. The
+// spent report must drop the entry the answer went through, which is
+// gone, and not the neighbour's: the neighbour gets its answer.
+func TestSpentReplyDropSparesReissuedCid(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		near := proc.Attach(cl, 1, "near", 0)
+		nreq, err := proc.GrantCap(c.srv, c.req, near)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		released := sim.NewFuture[struct{}]()
+		var cids [2]cap.CapID
+		cl.K.Spawn("server", func(st *sim.Task) {
+			for i := range cids {
+				d, ok := c.srv.Receive(st)
+				if !ok {
+					return
+				}
+				rep, _ := d.Cap(0)
+				cids[i] = rep.ID()
+				if i == 1 {
+					st.Sleep(us(50)) // the first answer's spent report is in
+				}
+				_ = c.srv.InvokeAsync(rep, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
+				d.Release()
+				if i == 0 {
+					released.Set(struct{}{})
+				}
+			}
+		})
+		var answered sim.WaitGroup
+		answered.Add(1)
+		cl.K.Spawn("near", func(nt *sim.Task) {
+			defer answered.Done()
+			_, _ = released.Wait(nt)
+			dv, err := near.CallTimeout(nt, nreq, []wire.ImmArg{proc.U64Arg(0, 20)}, nil, 0, us(500))
+			if err != nil || dv.U64(0) != 21 {
+				t.Errorf("the neighbour's call, delivered under the cid the first answer freed: %v, %v; want the echo", dv, err)
+			}
+		})
+		c.call(t, tk, 10)
+		answered.Wait(tk)
+		if cids[0] != cids[1] {
+			t.Errorf("the neighbour's reply capability is cid %d, not the freed %d: the test shows nothing", cids[1], cids[0])
+		}
+	})
+}

@@ -22,7 +22,7 @@ func stageWorker(tk *sim.Task, cl *core.Cluster, node int, mark byte, work sim.T
 	p.Serve(string(mark), 1, func(st *sim.Task, d *proc.Delivery) {
 		st.Sleep(work)
 		out := append(append([]byte(nil), d.Imms...), mark)
-		d.Reply(st, 0, []wire.ImmArg{proc.BytesArg(0, out)}, nil)
+		d.Reply(0, []wire.ImmArg{proc.BytesArg(0, out)}, nil)
 	})
 	req, err := p.RequestCreate(tk, 1, nil, nil)
 	if err != nil {

@@ -70,6 +70,8 @@ type Process struct {
 		monitorReceive  wire.MonitorReceive
 		done            wire.DeliverDone
 		back            []cap.CapID // done's list, when a delivery hands its capabilities back
+		status          [8]byte     // ReplyStatus's immediate
+		statusImm       [1]wire.ImmArg
 	}
 	// dec decodes what the Controller sends: Deliver is finished with a
 	// message — copied out what the application keeps — before it sees
@@ -87,6 +89,9 @@ type Process struct {
 	cbName   string
 
 	alloc *allocator
+	// failedReplies counts the replies (Delivery.Reply) the Controller
+	// refused: nobody waits for their completions, demux reads them.
+	failedReplies int
 	// dead is set once the channel to the Controller is known to be gone
 	// — Bye was sent, or a send found it severed: a syscall posted after
 	// that fails at once instead of waiting for a completion that the
@@ -95,7 +100,8 @@ type Process struct {
 }
 
 // sysWaiter is who a syscall's completion goes to: the future of a
-// blocking or Async syscall, or the Call it is a step of.
+// blocking or Async syscall, the Call it is a step of, or — the zero
+// value — nobody: a reply's, which demux counts if it failed.
 type sysWaiter struct {
 	fut *sim.Future[wire.Completion]
 	op  *callOp
@@ -196,8 +202,9 @@ func (p *Process) Deliver(f *fabric.Frame) {
 }
 
 // demux routes one message from the Controller: a completion to the
-// future of its syscall or the Call it steps, a delivery to whoever
-// waits for its tag, a monitor callback to a task of its own.
+// future of its syscall or the Call it steps — or, a reply's, to the
+// count of failed replies if it failed — a delivery to whoever waits
+// for its tag, a monitor callback to a task of its own.
 //
 //fractos:hotpath
 func (p *Process) demux(m wire.Message) {
@@ -205,10 +212,13 @@ func (p *Process) demux(m wire.Message) {
 	case *wire.Completion:
 		if w, ok := p.pending[m.Token]; ok {
 			delete(p.pending, m.Token)
-			if w.op != nil {
+			switch {
+			case w.op != nil:
 				w.op.completed(m)
-			} else {
+			case w.fut != nil:
 				w.fut.Set(*m)
+			case m.Status != wire.StatusOK:
+				p.failedReplies++
 			}
 		}
 	case *wire.Deliver:

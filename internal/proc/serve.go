@@ -122,39 +122,69 @@ func (d *Delivery) Name() (string, bool) {
 // Reply answers through the continuation in slot — the services'
 // convention for results — invoking it with imms and args. A delivery
 // that carries no continuation asked for no answer: Reply then sends
-// nothing and returns nil. An error means the continuation is dead,
-// and with it whoever waited for the answer: a service has nobody left
-// to tell, and drops it.
-func (d *Delivery) Reply(t *sim.Task, slot uint16, imms []wire.ImmArg, args []Arg) error {
+// nothing and returns nil.
+//
+// Reply posts the request_invoke and returns. Its completion only says
+// whether the answer was accepted: demux consumes it and counts a
+// refusal (FailedReplies) — the continuation is dead, and with it
+// whoever waited, so a service has nobody left to tell. The error is
+// for what fails here: an argument of another Process, a channel to the
+// Controller already gone.
+//
+// Reply then Release is safe: the Process→Controller queue is FIFO, so
+// the request_invoke is validated before the DeliverDone posted after it
+// drops the continuation's entry (and core.invoked spares the cid if it
+// is reissued before the owner reports the reply spent).
+func (d *Delivery) Reply(slot uint16, imms []wire.ImmArg, args []Arg) error {
 	c, ok := d.Cap(slot)
 	if !ok {
 		return nil
 	}
-	return d.p.Invoke(t, c, imms, args)
+	p := d.p
+	if err := p.checkArgs(args); err != nil {
+		return err
+	}
+	p.nextToken++
+	p.tx.reqInvoke = wire.ReqInvoke{Token: p.nextToken, Cid: c.id, Imms: imms, Caps: p.capSlots(args)}
+	if !p.send(sysWaiter{}, p.nextToken, &p.tx.reqInvoke) {
+		return ErrDisconnected
+	}
+	return nil
 }
 
-// ReplyStatus is Reply with nothing but a status, in imm[0:8).
-func (d *Delivery) ReplyStatus(t *sim.Task, slot uint16, st uint64) error {
-	return d.Reply(t, slot, []wire.ImmArg{U64Arg(0, st)}, nil)
+// ReplyStatus is Reply with nothing but a status, in imm[0:8), built in
+// the Process's own storage: the message is encoded before Reply
+// returns.
+func (d *Delivery) ReplyStatus(slot uint16, st uint64) error {
+	p := d.p
+	binary.LittleEndian.PutUint64(p.tx.status[:], st)
+	p.tx.statusImm[0] = wire.ImmArg{Data: p.tx.status[:]}
+	return d.Reply(slot, p.tx.statusImm[:], nil)
 }
+
+// FailedReplies is how many of this Process's replies the Controllers
+// refused, their continuations revoked, spent or gone: Reply does not
+// wait to find out, so this is where a lost answer shows.
+func (p *Process) FailedReplies() int { return p.failedReplies }
 
 // Upstream applies the chaining convention of a Request that can be
 // another service's continuation (§3.4): its producer reports an
 // outcome in imm[0:8), and a non-zero one means the inputs never
 // arrived. Upstream passes such a status on to slot and reports true,
 // and the handler returns without running.
-func (d *Delivery) Upstream(t *sim.Task, slot uint16) bool {
+func (d *Delivery) Upstream(slot uint16) bool {
 	st := d.U64(0)
 	if st == 0 {
 		return false
 	}
-	d.ReplyStatus(t, slot, st)
+	d.ReplyStatus(slot, st)
 	return true
 }
 
 // Serve spawns the task that serves this Process's Requests: it
 // receives every delivery no Call or WaitTag claims, hands it to h and,
-// when h returns, acknowledges it (Done: nothing more if h did). width
+// when h returns, acknowledges it (Done: nothing more if h did). A
+// reply h posted is ahead of that acknowledgement (Reply). width
 // sets how deliveries run. 1 runs h in the serving task, one delivery
 // after another; n > 1 gives each delivery a task of its own, at most n
 // at once; 0 gives each its own task with no bound of Serve's — the

@@ -1,7 +1,9 @@
 package proc_test
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"fractos/internal/core"
@@ -34,8 +36,8 @@ type serveRig struct {
 func TestServe(t *testing.T) {
 	const work = 50 * sim.Time(1000)
 	sleep := func(st *sim.Task, d *proc.Delivery, r *serveRig) { st.Sleep(work) }
-	echo := func(st *sim.Task, d *proc.Delivery, r *serveRig) {
-		r.errs = append(r.errs, d.Reply(st, 0, []wire.ImmArg{proc.U64Arg(0, d.U64(0))}, nil))
+	echo := func(_ *sim.Task, d *proc.Delivery, r *serveRig) {
+		r.errs = append(r.errs, d.Reply(0, []wire.ImmArg{proc.U64Arg(0, d.U64(0))}, nil))
 	}
 	for _, tc := range []struct {
 		name           string
@@ -74,8 +76,8 @@ func TestServe(t *testing.T) {
 		check: func(r *serveRig) error { return ackedOnce(r, 3) },
 	}, {
 		name: "Reply on an absent slot sends nothing", width: 1, callers: 1, calls: 2,
-		h: func(st *sim.Task, d *proc.Delivery, r *serveRig) {
-			r.errs = append(r.errs, d.Reply(st, 0, nil, nil), d.ReplyStatus(st, 0, 9))
+		h: func(_ *sim.Task, d *proc.Delivery, r *serveRig) {
+			r.errs = append(r.errs, d.Reply(0, nil, nil), d.ReplyStatus(0, 9))
 		},
 		check: func(r *serveRig) error {
 			if r.invokes != 0 || fmt.Sprint(r.errs) != "[<nil> <nil> <nil> <nil>]" {
@@ -86,9 +88,9 @@ func TestServe(t *testing.T) {
 	}, {
 		name: "Upstream passes on a non-zero status only", width: 1, callers: 1, calls: 2, reply: true,
 		ids: func(c, i int) uint64 { return uint64(7 * i) },
-		h: func(st *sim.Task, d *proc.Delivery, r *serveRig) {
-			if !d.Upstream(st, 0) {
-				d.ReplyStatus(st, 0, 100)
+		h: func(_ *sim.Task, d *proc.Delivery, r *serveRig) {
+			if !d.Upstream(0) {
+				d.ReplyStatus(0, 100)
 			}
 		},
 		check: func(r *serveRig) error {
@@ -190,4 +192,106 @@ func ackedOnce(r *serveRig, n int) error {
 		return fmt.Errorf("%d acknowledgements and %d replies for %d deliveries", r.acks, len(r.replies), n)
 	}
 	return nil
+}
+
+// TestReplyThenRelease pins the order Reply relies on. A handler answers
+// and hands its delivery back at once: the reply's request_invoke and the
+// DeliverDone that drops its continuation leave in the same instant,
+// request_invoke first, and the Process→Controller queue is FIFO, so the
+// invocation is validated while the entry exists. The caller, on the
+// provider's node or another, gets every answer; afterwards the
+// provider's Controller holds what it held before the calls, and no
+// completion is outstanding.
+func TestReplyThenRelease(t *testing.T) {
+	for _, srvNode := range []int{0, 1} {
+		run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+			c := newCallPair(t, tk, cl, srvNode)
+			c.srv.Serve("srv", 1, func(_ *sim.Task, d *proc.Delivery) {
+				if err := d.Reply(0, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil); err != nil {
+					t.Error(err)
+				}
+				d.Release()
+			})
+			if !c.call(t, tk, 0) { // creates the caller's reply Request
+				return
+			}
+			var sent []wire.Type
+			cl.Net.SetTrace(func(e fabric.TraceEvent) {
+				if e.From == c.srv.Endpoint() {
+					sent = append(sent, e.Type)
+				}
+			})
+			tk.Sleep(us(100))
+			before := cl.CtrlFor(srvNode).Footprint().CapSpaceBytes
+			for v := uint64(1); v <= 3; v++ {
+				if !c.call(t, tk, v) {
+					return
+				}
+			}
+			tk.Sleep(us(100))
+			if got := cl.CtrlFor(srvNode).Footprint().CapSpaceBytes; got != before {
+				t.Errorf("provider on node %d: its Controller holds %d capability bytes after three released deliveries, %d before", srvNode, got, before)
+			}
+			pair := []wire.Type{wire.TReqInvoke, wire.TDeliverDone}
+			if want := slices.Concat(pair, pair, pair); !slices.Equal(sent, want) {
+				t.Errorf("provider on node %d sent message types %v, want %v: each reply ahead of its Release", srvNode, sent, want)
+			}
+			if c.srv.Pending() != 0 || c.srv.FailedReplies() != 0 {
+				t.Errorf("provider on node %d: %d completions outstanding, %d failed replies; want none", srvNode, c.srv.Pending(), c.srv.FailedReplies())
+			}
+		})
+	}
+}
+
+// TestFailedReplyIsCounted: the caller's deadline passes while the
+// handler works, so the continuation is revoked when the answer reaches
+// its owner. Reply has returned long before: the refusal is counted, and
+// Serve has gone on to answer the next request.
+func TestFailedReplyIsCounted(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		c.srv.Serve("srv", 1, func(st *sim.Task, d *proc.Delivery) {
+			if d.U64(0) == 0 {
+				st.Sleep(us(300))
+			}
+			if err := d.Reply(0, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		if _, err := c.cli.CallTimeout(tk, c.creq, []wire.ImmArg{proc.U64Arg(0, 0)}, nil, 0, us(100)); !errors.Is(err, proc.ErrCallTimeout) {
+			t.Errorf("call answered after its deadline: %v, want ErrCallTimeout", err)
+		}
+		c.call(t, tk, 5)
+		tk.Sleep(us(100))
+		if c.srv.FailedReplies() != 1 || c.srv.Pending() != 0 {
+			t.Errorf("%d failed replies, %d completions outstanding; want 1, 0", c.srv.FailedReplies(), c.srv.Pending())
+		}
+	})
+}
+
+// TestReplyLocalErrors: what Reply can tell without waiting — an
+// argument of another Process, a channel to the Controller already gone
+// — it returns, and sends nothing.
+func TestReplyLocalErrors(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		invokes := 0
+		cl.Net.SetTrace(func(e fabric.TraceEvent) {
+			if e.From == c.srv.Endpoint() && e.Type == wire.TReqInvoke {
+				invokes++
+			}
+		})
+		var errs []error
+		c.srv.Serve("srv", 1, func(_ *sim.Task, d *proc.Delivery) {
+			errs = append(errs, d.Reply(0, nil, []proc.Arg{{Slot: 1, Cap: c.creq}}))
+			c.srv.Bye()
+			errs = append(errs, d.Reply(0, nil, nil))
+		})
+		if _, err := c.cli.CallTimeout(tk, c.creq, nil, nil, 0, us(100)); err == nil {
+			t.Error("a call to a provider that never answered was answered")
+		}
+		if len(errs) != 2 || !errors.Is(errs[0], proc.ErrForeignCap) || !errors.Is(errs[1], proc.ErrDisconnected) || invokes != 0 {
+			t.Errorf("replies returned %v and sent %d invocations; want ErrForeignCap, ErrDisconnected and none", errs, invokes)
+		}
+	})
 }

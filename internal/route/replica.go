@@ -1,6 +1,7 @@
 package route
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"fractos/internal/proc"
@@ -74,6 +75,12 @@ type Replica struct {
 	seen     map[uint64]bool
 	served   []uint64
 	stats    ReplicaStats
+
+	// The status and depth immediates of a reply, and the list reply
+	// builds around them: Reply has encoded the message when it returns,
+	// so one set serves every reply.
+	replyBuf  [16]byte
+	replyImms []wire.ImmArg
 }
 
 // Start creates the root Request and starts serving it with Width
@@ -131,16 +138,16 @@ func (r *Replica) admit(t *sim.Task, d *proc.Delivery) {
 	id := d.U64(0)
 	switch {
 	case r.draining:
-		r.reply(t, d, wire.StatusNoProc, nil, nil)
+		r.reply(d, wire.StatusNoProc, nil, nil)
 	case id != 0 && r.seen[id]:
 		// The balancer retried a request this replica already
 		// admitted (its first reply was lost to a fault); answer
 		// idempotently instead of executing twice.
 		r.stats.Duplicates++
-		r.reply(t, d, wire.StatusOK, nil, nil)
+		r.reply(d, wire.StatusOK, nil, nil)
 	case r.depth >= r.MaxQueue:
 		r.stats.Shed++
-		r.reply(t, d, wire.StatusBackpressure, nil, nil)
+		r.reply(d, wire.StatusBackpressure, nil, nil)
 	default:
 		if id != 0 {
 			r.seen[id] = true
@@ -170,22 +177,25 @@ func (r *Replica) work(t *sim.Task) {
 		}
 		r.depth--
 		r.stats.Completed++
-		r.reply(t, d, st, imms, args)
+		r.reply(d, st, imms, args)
 	}
 }
 
 // reply answers with the status and the replica's queue depth ahead of
-// the Handler's extras.
-func (r *Replica) reply(t *sim.Task, d *proc.Delivery, st wire.Status, extra []wire.ImmArg, args []proc.Arg) {
-	imms := []wire.ImmArg{
-		proc.U64Arg(0, uint64(st)),
-		proc.U64Arg(8, uint64(r.depth)),
-	}
+// the Handler's extras: two 8-byte immediates in the replica's own
+// storage.
+func (r *Replica) reply(d *proc.Delivery, st wire.Status, extra []wire.ImmArg, args []proc.Arg) {
+	binary.LittleEndian.PutUint64(r.replyBuf[0:8], uint64(st))
+	binary.LittleEndian.PutUint64(r.replyBuf[8:16], uint64(r.depth))
+	imms := append(r.replyImms[:0],
+		wire.ImmArg{Offset: 0, Data: r.replyBuf[0:8]},
+		wire.ImmArg{Offset: 8, Data: r.replyBuf[8:16]})
 	for _, im := range extra {
 		im.Offset += ReplyExtraOff
 		imms = append(imms, im)
 	}
-	// An error means the caller (or this replica's own Controller) is
-	// gone; the retry/failover layers on the client side own recovery.
-	d.Reply(t, WorkSlotCont, imms, args)
+	r.replyImms = imms
+	// A failed reply means the caller (or this replica's own Controller)
+	// is gone; the retry/failover layers on the client side own recovery.
+	d.Reply(WorkSlotCont, imms, args)
 }

@@ -182,19 +182,17 @@ func captureRouted(t *testing.T, policy string) (trace, picks string) {
 // its pick sequence (see the pinned digests in
 // internal/exp/determinism_test.go for the contract).
 //
-// Last moved when Call stopped creating and dropping a reply Request per
-// call and the Balancer began resolving once per invalidation (03abed28…
-// and bf243384… from PR 12 until then). First diverging event, both
-// policies: the first — the request_create (type 103) of the first
-// routed call's ResolveSet leaves at 150 220 ns instead of 164 636, the
-// set-up's registry Calls having lost two round trips each, and it is
-// one request_create where there were four at that instant: the other
-// three callers wait for the first one's lookup. rr's pick sequence is
-// unchanged; least's swaps its 47th and 48th picks (members 4, 1 → 1, 4:
-// the piggybacked depths it reads arrive at other instants).
+// Last moved when Delivery.Reply stopped waiting for its completion
+// (4191161f… and 6f631da2… until then). First diverging
+// event, both policies: the fourth — the registry's DeliverDone (type
+// 110) for a set-up lookup, which left at 152 880 ns once its reply's
+// completion (type 200, at 151 667) had woken it, went out with the
+// reply before the trace starts; the next lookup's leaves at 157 919 ns
+// with its reply's request_invoke instead of at 165 907 (785 events
+// instead of 786). Neither pick sequence moved.
 var routedSHA256 = map[string]string{
-	"rr":    "4191161f5434ad9d56e5f267d4066127063d009801c1e0b42c716b5b92e66655",
-	"least": "6f631da2a8f77e52be879e1884754fbc80595078408fdf32c130da9dd7ef99a5",
+	"rr":    "66f97ebd4ad6c718b133bd88aad51271ec347c460cf7ed470516fec8069a686b",
+	"least": "7ce869f42e6ebe68fbd0c963951cb23804a2ea55e6c7f735c4fe4e48369dfd21",
 }
 
 // TestTraceDigestsPinned holds the routed workload — every fabric

@@ -216,7 +216,7 @@ func (r *Registry) answer(t *sim.Task, d *proc.Delivery) {
 	st, imms, args := r.handle(t, d)
 	// An error means the resolver died between asking and answering;
 	// its Controller already cleaned up the continuation.
-	d.Reply(t, SlotCont, append([]wire.ImmArg{proc.U64Arg(0, uint64(st))}, imms...), args)
+	d.Reply(SlotCont, append([]wire.ImmArg{proc.U64Arg(0, uint64(st))}, imms...), args)
 }
 
 func (r *Registry) handle(t *sim.Task, d *proc.Delivery) (wire.Status, []wire.ImmArg, []proc.Arg) {
