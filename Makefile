@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race chaos determinism bench benchmark-smoke eval trace examples clean
+.PHONY: all build vet lint test race chaos determinism bench benchmark-smoke eval trace examples cover clean
 
 all: build vet lint test
 
@@ -78,6 +78,44 @@ examples:
 		diff -u examples/$$e/output.txt examples/$$e/output.got; \
 		rm examples/$$e/output.got; \
 	done
+
+# cover is the coverage census: which statements no consumer runs. It
+# runs `go test ./...`, the examples and the three commands, all built
+# with coverage over every package of the module (a binary writes no
+# coverage data unless its own main package is in -coverpkg), merges
+# what they wrote with `go tool covdata`, and prints per package its
+# statements and how many of them never ran. It fails when the total
+# of unexecuted statements exceeds COVER_MAX: code that nothing runs is
+# deleted, or reached by a test or workload that names it.
+COVER_MAX = 693
+COVERPKG = ./internal/...,./cmd/...,./examples/...
+COVER_RUNS = $(EXAMPLES:%=examples/%) "fractos-bench -list" \
+	"fractos-bench -run table3" fractos-trace fractos-vet
+
+cover:
+	@set -e; rm -rf .cover; mkdir -p .cover/test .cover/run .cover/bin; \
+	$(GO) test -cover -coverpkg=$(COVERPKG) ./... \
+		-args -test.gocoverdir=$(CURDIR)/.cover/test > .cover/test.log \
+		|| { cat .cover/test.log; exit 1; }; \
+	$(GO) build -cover -coverpkg=$(COVERPKG) -o .cover/bin/ ./examples/... ./cmd/...; \
+	for r in $(COVER_RUNS); do \
+		set -- $$r; bin=$$(basename $$1); shift; \
+		GOCOVERDIR=.cover/run .cover/bin/$$bin "$$@" > /dev/null; \
+	done; \
+	$(GO) tool covdata textfmt -i=.cover/test,.cover/run -o .cover/profile.txt; \
+	awk -v max=$(COVER_MAX) ' \
+		NR > 1 { n[$$1] = $$2; hit[$$1] += $$3 } \
+		END { \
+			for (b in n) { \
+				p = b; sub(/\/[^\/]*:.*/, "", p); sub(/^fractos\//, "", p); \
+				stmts[p] += n[b]; tot += n[b]; \
+				if (!hit[b]) { dead[p] += n[b]; un += n[b] } \
+			} \
+			for (p in stmts) printf "%-32s %6d stmts %5d unexecuted\n", p, stmts[p], dead[p] | "sort"; \
+			close("sort"); \
+			printf "%-32s %6d stmts %5d unexecuted (bound %d)\n", "total", tot, un, max; \
+			exit (un > max) \
+		}' .cover/profile.txt
 
 clean:
 	$(GO) clean ./...

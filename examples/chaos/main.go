@@ -107,11 +107,12 @@ func main() {
 		cur    *rig
 	)
 
+	// The monitor attaches on node 0: the majority side of the
+	// partition.
 	hb := &services.WatchConfig{
 		Every:       3 * ms,
 		Suspect:     3,
 		RebootAfter: 6 * ms,
-		Node:        0, // monitor from the majority side of the partition
 		OnEvent: func(e services.WatchEvent) {
 			fmt.Printf("  watch @%sms: %s ctrl=%d", testbed.Ms(e.At), e.Kind, e.Ctrl)
 			if e.Kind == services.WatchRecovered {

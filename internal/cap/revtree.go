@@ -344,9 +344,6 @@ func (t *Tree) Len() int { return t.len }
 // incrementally; O(1).
 func (t *Tree) LiveLen() int { return t.live }
 
-// Slots reports the slab's high-water slot count (see Space.Slots).
-func (t *Tree) Slots() int { return int(t.next) }
-
 // ForEach visits every node (live and revoked) in creation order. fn
 // may remove the node it is handed, but must not remove other nodes.
 func (t *Tree) ForEach(fn func(*Node)) {

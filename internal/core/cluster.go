@@ -33,12 +33,12 @@ func (p Placement) String() string {
 	}
 }
 
-// ClusterConfig parameterizes a test/benchmark deployment.
+// ClusterConfig parameterizes a test/benchmark deployment. The fabric
+// is calibrated by fabric.DefaultProfile.
 type ClusterConfig struct {
 	Nodes     int
 	Placement Placement
 	Ctrl      Config // template; Loc is set per controller
-	Profile   fabric.Profile
 	Seed      int64
 
 	// Faults, when Enabled, installs the fault-injection layer on the
@@ -66,11 +66,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
 	}
-	if cfg.Profile == (fabric.Profile{}) {
-		cfg.Profile = fabric.DefaultProfile()
-	}
 	k := sim.New(cfg.Seed)
-	net := fabric.New(k, cfg.Profile)
+	net := fabric.New(k, fabric.DefaultProfile())
 	if cfg.Faults.Enabled() {
 		net.InstallFaults(cfg.Faults)
 		if cfg.Ctrl.RPCBudget == 0 {

@@ -74,7 +74,8 @@ type Perf struct {
 	CapOp OpCost
 }
 
-// DefaultPerf returns the calibrated cost model.
+// DefaultPerf returns the calibrated cost model, the one every
+// Controller runs.
 func DefaultPerf() Perf {
 	return Perf{
 		Null:       OpCost{CPU: 580, SNIC: 820},
@@ -91,8 +92,6 @@ func DefaultPerf() Perf {
 type Config struct {
 	// Loc places the Controller (host CPU or SmartNIC of a node).
 	Loc fabric.Location
-	// Perf is the operation-cost model; zero value means DefaultPerf.
-	Perf Perf
 	// Window bounds outstanding (unacknowledged) deliveries per
 	// managed Process — the congestion-control back-pressure of §4.
 	// 0 means DefaultWindow.
@@ -100,12 +99,6 @@ type Config struct {
 	// HWCopies switches memory_copy from bounce buffers to third-party
 	// RDMA (the "HW copies" model of Figure 5).
 	HWCopies bool
-	// BounceChunk is the bounce-buffer chunk size; copies larger than
-	// this use double buffering (§6.1: 16 KiB). 0 means default.
-	BounceChunk int
-	// BouncePairs is how many concurrent copies the bounce pool
-	// admits (each needs two chunks). 0 means default.
-	BouncePairs int
 	// SingleBuffer disables double buffering in memory_copy (the
 	// ablation of DESIGN.md §6): each chunk's write-out completes
 	// before the next chunk's read begins.
@@ -132,49 +125,34 @@ type Config struct {
 	// default) disables the lease GC entirely: no timer events, no
 	// trace difference against a deployment without it.
 	LeaseTTL sim.Time
-	// LeaseGCInterval is the lease-GC sweep period. 0 means
-	// DefaultLeaseGCInterval when LeaseTTL > 0.
-	LeaseGCInterval sim.Time
-	// LeaseGCBatch bounds capability-space slots examined per GC tick,
-	// so a sweep over a million-entry space never stalls the
-	// Controller for a full scan. 0 means DefaultLeaseGCBatch.
-	LeaseGCBatch int
 }
 
-// Defaults for Config's zero fields.
+// Defaults for Config's zero fields, and the constants of the bounce
+// pool and the lease GC.
 const (
-	DefaultWindow      = 32
+	DefaultWindow = 32
+	// DefaultBounceChunk is the bounce-buffer chunk size; copies larger
+	// than this use double buffering (§6.1: 16 KiB).
 	DefaultBounceChunk = 16 << 10
+	// DefaultBouncePairs is how many concurrent copies the bounce pool
+	// admits (each needs two chunks).
 	DefaultBouncePairs = 8
 	// DefaultRPCBudget: an outage shorter than this is masked by
 	// retransmission, a longer one surfaces as StatusAborted —
 	// comfortably past the partition windows the chaos suite injects.
 	DefaultRPCBudget = 315 * sim.Time(time.Millisecond)
-	// DefaultLeaseGCInterval/Batch: sweep every 1 ms virtual in slices
-	// of 4096 slots — an expired lease is noticed within roughly
-	// TTL + interval × ⌈slots/batch⌉ while each tick stays bounded.
+	// DefaultLeaseGCInterval/Batch: the lease GC sweeps every 1 ms
+	// virtual in slices of 4096 capability-space slots — an expired
+	// lease is noticed within roughly TTL + interval × ⌈slots/batch⌉
+	// while each tick stays bounded, so a sweep over a million-entry
+	// space never stalls the Controller for a full scan.
 	DefaultLeaseGCInterval = sim.Time(time.Millisecond)
 	DefaultLeaseGCBatch    = 4096
 )
 
 func (c Config) withDefaults() Config {
-	if c.Perf == (Perf{}) {
-		c.Perf = DefaultPerf()
-	}
 	if c.Window == 0 {
 		c.Window = DefaultWindow
-	}
-	if c.BounceChunk == 0 {
-		c.BounceChunk = DefaultBounceChunk
-	}
-	if c.BouncePairs == 0 {
-		c.BouncePairs = DefaultBouncePairs
-	}
-	if c.LeaseTTL > 0 && c.LeaseGCInterval == 0 {
-		c.LeaseGCInterval = DefaultLeaseGCInterval
-	}
-	if c.LeaseGCBatch == 0 {
-		c.LeaseGCBatch = DefaultLeaseGCBatch
 	}
 	return c
 }

@@ -32,6 +32,7 @@ import (
 type Controller struct {
 	id    cap.ControllerID
 	cfg   Config
+	perf  Perf // DefaultPerf: the operation costs cost() charges
 	k     *sim.Kernel
 	net   *fabric.Net
 	ep    *fabric.Endpoint
@@ -54,8 +55,8 @@ type Controller struct {
 	dedup map[fabric.EndpointID]*dedupState
 
 	// The copy engine (copy.go): a copy stages data through a pair of
-	// bounce chunks, so the BouncePairs pairs of the arena bound how many
-	// transfer at once; the rest wait their turn in copyWait.
+	// bounce chunks, so the DefaultBouncePairs pairs of the arena bound
+	// how many transfer at once; the rest wait their turn in copyWait.
 	bounceFree []int                // free bounce-chunk offsets in our arena
 	copyWait   []*copyOp            // copies waiting for a bounce pair, oldest first
 	copyOps    sim.FreeList[copyOp] // recycled copy records
@@ -145,10 +146,10 @@ type procState struct {
 // attached to the fabric at cfg.Loc and serving from then on.
 func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Controller {
 	cfg = cfg.withDefaults()
-	arena := cfg.BouncePairs * 2 * cfg.BounceChunk
 	c := &Controller{
 		id:      id,
 		cfg:     cfg,
+		perf:    DefaultPerf(),
 		k:       k,
 		net:     net,
 		epoch:   1,
@@ -161,14 +162,14 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 		dedup:   make(map[fabric.EndpointID]*dedupState),
 		dec:     wire.NewDecoder(),
 	}
-	c.ep = net.AttachHandler(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, arena, c)
+	c.ep = net.AttachHandler(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, DefaultBouncePairs*2*DefaultBounceChunk, c)
 	// Descending order: popBounce takes from the end, so chunks are
 	// handed out lowest-offset first and a lightly loaded Controller
 	// keeps reusing the front of its bounce arena. Combined with the
 	// fabric's prefix-lazy arena materialization this keeps the 256 KiB
 	// bounce pool's memory cost proportional to actual copy concurrency.
-	for i := cfg.BouncePairs*2 - 1; i >= 0; i-- {
-		c.bounceFree = append(c.bounceFree, i*cfg.BounceChunk)
+	for i := DefaultBouncePairs*2 - 1; i >= 0; i-- {
+		c.bounceFree = append(c.bounceFree, i*DefaultBounceChunk)
 	}
 	return c
 }
@@ -337,7 +338,7 @@ func popFront[T any](q []T) (head T, rest []T) {
 //fractos:hotpath
 func (c *Controller) cost(m wire.Message) sim.Time {
 	dom := c.cfg.Loc.Domain
-	p := &c.cfg.Perf
+	p := &c.perf
 	switch m := m.(type) {
 	case *wire.MemCreate, *wire.MemDiminish, *wire.CapRevtree,
 		*wire.CapRevoke, *wire.CapDrop, *wire.MonitorDelegate, *wire.MonitorReceive:

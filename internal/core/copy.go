@@ -200,7 +200,7 @@ func (op *copyOp) located(loc memLoc, st wire.Status) {
 
 // transfer starts moving the bytes: the one third-party RDMA op with
 // cfg.HWCopies, else the bounce-buffer datapath once a bounce pair is
-// free — copies wait for one in arrival order, so cfg.BouncePairs
+// free — copies wait for one in arrival order, so DefaultBouncePairs
 // bounds how many stage data at once.
 func (op *copyOp) transfer() {
 	c := op.c
@@ -263,14 +263,14 @@ func (op *copyOp) chunk() {
 		op.state = copyBufferBusy
 	default:
 		op.state = copyChunkCost
-		c.k.AfterCall(c.cfg.Perf.PerChunk.On(c.cfg.Loc.Domain), (*copyCostDue)(op))
+		c.k.AfterCall(c.perf.PerChunk.On(c.cfg.Loc.Domain), (*copyCostDue)(op))
 	}
 }
 
 // chunkLen is the length of the current chunk.
 //
 //fractos:hotpath
-func (op *copyOp) chunkLen() int { return min(op.c.cfg.BounceChunk, op.n-op.off) }
+func (op *copyOp) chunkLen() int { return min(DefaultBounceChunk, op.n-op.off) }
 
 // read brings the current chunk into its bounce buffer.
 //
@@ -316,7 +316,7 @@ func (op *copyOp) readDone() {
 
 //fractos:hotpath
 func (op *copyOp) nextChunk() {
-	op.off += op.c.cfg.BounceChunk
+	op.off += DefaultBounceChunk
 	op.i++
 	op.chunk()
 }

@@ -65,19 +65,17 @@ func engineIdle(t *testing.T, c *core.Controller, pairs int, when string) {
 	}
 }
 
-// TestCopyAdmissionInArrivalOrder: BouncePairs + 2 equal copies arrive
-// together. BouncePairs of them transfer at once, the other two wait in
-// line, and — the link being shared fairly among equals — they complete
-// in the order they arrived, every byte in place.
+// TestCopyAdmissionInArrivalOrder: DefaultBouncePairs + 2 equal copies
+// arrive together. DefaultBouncePairs of them transfer at once, the
+// other two wait in line, and — the link being shared fairly among
+// equals — they complete in the order they arrived, every byte in place.
 func TestCopyAdmissionInArrivalOrder(t *testing.T) {
 	const (
-		pairs  = 2
+		pairs  = core.DefaultBouncePairs
 		copies = pairs + 2
 		size   = 256 << 10
 	)
-	cfg := core.ClusterConfig{Nodes: 2}
-	cfg.Ctrl.BouncePairs = pairs
-	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		local, ends := newCopyPairs(t, tk, cl, copies, size)
 		if ends == nil {
 			return
@@ -154,16 +152,14 @@ func TestCopyAbortedByPathCut(t *testing.T) {
 }
 
 // TestCopyUnwoundByControllerCrash: the initiating Controller crashes
-// with one copy transferring and two waiting for its bounce pair. Their
-// Process failed with the Controller, so nobody is sent a completion —
-// but every copy must still unwind: the pair handed down the line and
-// back to the pool, the queue empty, every record recycled once the
-// writes that were on the wire have completed.
+// with every bounce pair transferring and two more copies waiting for
+// one. Their Process failed with the Controller, so nobody is sent a
+// completion — but every copy must still unwind: the pairs handed down
+// the line and back to the pool, the queue empty, every record recycled
+// once the writes that were on the wire have completed.
 func TestCopyUnwoundByControllerCrash(t *testing.T) {
-	const copies = 3
-	cfg := core.ClusterConfig{Nodes: 2}
-	cfg.Ctrl.BouncePairs = 1
-	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+	const copies = core.DefaultBouncePairs + 2
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		local, ends := newCopyPairs(t, tk, cl, copies, 256<<10)
 		if ends == nil {
 			return
@@ -182,8 +178,8 @@ func TestCopyUnwoundByControllerCrash(t *testing.T) {
 			t.Errorf("before the crash: %d chunks free, %d waiting, %d live; want 0, 2, %d", free, waiting, live, copies)
 		}
 		ctrl.Crash()
-		tk.Sleep(us(100))
-		engineIdle(t, ctrl, 1, "after the crash")
+		tk.Sleep(us(1000)) // the chunks on the wire, up to two per pair, complete
+		engineIdle(t, ctrl, core.DefaultBouncePairs, "after the crash")
 		if returned != 0 {
 			t.Errorf("%d copies of a failed Process were completed", returned)
 		}

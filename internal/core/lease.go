@@ -52,10 +52,10 @@ func (c *Controller) armLeaseGC() {
 		return
 	}
 	c.leaseArmed = true
-	c.k.After(c.cfg.LeaseGCInterval, c.leaseGCTick)
+	c.k.After(DefaultLeaseGCInterval, c.leaseGCTick)
 }
 
-// leaseGCTick sweeps up to cfg.LeaseGCBatch capability-space slots
+// leaseGCTick sweeps up to DefaultLeaseGCBatch capability-space slots
 // across the managed Processes (in sorted pid order, resuming each
 // space at its own cursor) and reaps every lease whose deadline has
 // passed. Bounded batches keep a tick's work independent of space
@@ -76,7 +76,7 @@ func (c *Controller) leaseGCTick() {
 	sort.Slice(pids, func(i, j int) bool { return pids[i] < pids[j] })
 	c.leasePids = pids
 
-	budget := c.cfg.LeaseGCBatch
+	budget := DefaultLeaseGCBatch
 	swept, total := 0, 0
 	sawLease := false
 	var expired []expiredLease

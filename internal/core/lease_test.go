@@ -14,15 +14,13 @@ import (
 )
 
 // leaseCluster is a deployment with the lease GC armed: leases expire
-// 200 µs after installation, swept every 50 µs.
+// 200 µs after installation, swept every core.DefaultLeaseGCInterval
+// (1 ms).
 func leaseCluster(nodes int, placement core.Placement) core.ClusterConfig {
 	return core.ClusterConfig{
 		Nodes:     nodes,
 		Placement: placement,
-		Ctrl: core.Config{
-			LeaseTTL:        us(200),
-			LeaseGCInterval: us(50),
-		},
+		Ctrl:      core.Config{LeaseTTL: us(200)},
 	}
 }
 
@@ -91,8 +89,8 @@ func TestLeaseGCExpiresAbandonedLease(t *testing.T) {
 					t.Fatal("callback fired before the lease expired")
 				}
 
-				// Abandon the lease: TTL 200 µs + sweep slack.
-				tk.Sleep(us(1000))
+				// Abandon the lease: TTL 200 µs + one sweep period + slack.
+				tk.Sleep(2 * core.DefaultLeaseGCInterval)
 				if !*fired {
 					t.Error("monitor_delegate callback did not fire on lease expiry")
 				}
@@ -116,19 +114,32 @@ func TestLeaseGCExpiresAbandonedLease(t *testing.T) {
 // (delegatee count reaches zero through the drop-side revocation), but
 // the GC itself must reap nothing, and with no leases left its timer
 // must go quiet (the deployment still drains: RunT would hang on a
-// perpetually re-arming timer).
+// perpetually re-arming timer). The TTL outlasts two sweep periods and
+// the holder drops the lease only after the first sweep, so that sweep
+// sees a live, unexpired lease and must leave it alone.
 func TestLeaseGCSparesActiveLifecycle(t *testing.T) {
-	run(t, leaseCluster(2, core.CtrlShared), func(tk *sim.Task, cl *core.Cluster) {
+	cfg := leaseCluster(2, core.CtrlShared)
+	cfg.Ctrl.LeaseTTL = 3 * core.DefaultLeaseGCInterval
+	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 		srv := proc.Attach(cl, 0, "srv", 0)
 		cli := proc.Attach(cl, 1, "cli", 0)
 		leased, fired := delegateLease(t, tk, srv, cli)
 
-		// Holder relinquishes the lease well within the TTL.
-		tk.Sleep(us(50))
-		if err := cli.Revoke(tk, leased); err != nil {
-			t.Fatal(err)
+		// One sweep runs while the lease is live.
+		tk.Sleep(core.DefaultLeaseGCInterval * 3 / 2)
+		if *fired {
+			t.Error("GC reaped a live lease")
 		}
-		tk.Sleep(us(1000))
+		if _, ok := cl.CtrlFor(1).EntryOf(cli.ID(), leased.ID()); !ok {
+			t.Error("live lease entry vanished after a sweep")
+		}
+
+		// Holder relinquishes the lease within the TTL.
+		if err := cli.Revoke(tk, leased); err != nil {
+			t.Error(err)
+			return
+		}
+		tk.Sleep(2 * core.DefaultLeaseGCInterval)
 		if !*fired {
 			t.Error("delegator did not observe the voluntary release")
 		}

@@ -116,7 +116,7 @@ func TestReqObjectSlotImmutable(t *testing.T) {
 }
 
 func TestCostModelCoversAllMessages(t *testing.T) {
-	c := &Controller{cfg: Config{}.withDefaults()} // cost() only reads cfg
+	c := &Controller{perf: DefaultPerf()} // cost() only reads perf and cfg.Loc
 	msgs := []wire.Message{
 		&wire.Null{}, &wire.MemCreate{}, &wire.MemDiminish{}, &wire.MemCopy{},
 		&wire.ReqCreate{Caps: make([]wire.CapSlot, 3)},
@@ -151,17 +151,12 @@ func TestSNICCostsExceedCPU(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.Window != DefaultWindow || c.BounceChunk != DefaultBounceChunk || c.BouncePairs != DefaultBouncePairs {
+	if c := (Config{}).withDefaults(); c.Window != DefaultWindow {
 		t.Errorf("defaults not applied: %+v", c)
 	}
-	if c.Perf == (Perf{}) {
-		t.Error("perf defaults not applied")
-	}
 	// Explicit values survive.
-	c2 := Config{Window: 3, BounceChunk: 4096}.withDefaults()
-	if c2.Window != 3 || c2.BounceChunk != 4096 {
-		t.Errorf("explicit values overridden: %+v", c2)
+	if c := (Config{Window: 3}).withDefaults(); c.Window != 3 {
+		t.Errorf("explicit values overridden: %+v", c)
 	}
 }
 

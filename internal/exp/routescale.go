@@ -18,12 +18,12 @@ import (
 // least-loaded routing. Every reply piggybacks the replica's queue
 // depth, so least-loaded is join-shortest-queue on client-observed
 // signals; round-robin is the blind baseline. Replicas shed above
-// MaxQueue with the retryable StatusBackpressure, which is what keeps
-// the accepted-request tail bounded at 100× overload (the offered
-// load vastly exceeds capacity; goodput saturates and the excess is
-// refused instead of queued).
+// their admission bound (16) with the retryable StatusBackpressure,
+// which is what keeps the accepted-request tail bounded at 100×
+// overload (the offered load vastly exceeds capacity; goodput
+// saturates and the excess is refused instead of queued).
 //
-// A final scenario measures the reactive autoscaler's repair path:
+// A final scenario measures the autoscaler's repair path:
 // under load, a replica node's Controller crashes; the heartbeat
 // fences it, the registry prunes its member, and the autoscaler spawns
 // a replacement — the fence-to-replacement latency is the membership
@@ -103,7 +103,7 @@ func ScalingRoute() *Table {
 // keep the workload loss-free across the flap.
 func routeScaleMTTR(t *Table) sim.Time {
 	s := &stacks.Routed{
-		Replicas: 4, AutoMax: 6, Nodes: []int{1, 2, 3},
+		Replicas: 4, Repair: true, Nodes: []int{1, 2, 3},
 		AttemptTimeout: 5 * cms,
 	}
 	spec := testbed.Spec{
@@ -121,7 +121,6 @@ func routeScaleMTTR(t *Table) sim.Time {
 			func(wt *sim.Task, i int) error {
 				return s.Do(wt, uint64(i+1), testbed.USec(routeServiceMeanUs))
 			})
-		s.Scaler.Stop()
 	})
 	if st.Errors > 0 {
 		assert.Failf("exp/routescale: %d of %d requests lost across the node flap", st.Errors, requests)

@@ -682,10 +682,12 @@ func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nB
 			return 0, errPathCut
 		}
 	}
-	if srcOff < 0 || srcOff+nBytes > srcEp.arenaSize {
+	// Compared as off > size-n: off+n wraps for n near MaxInt, and a
+	// negative n would book negative bytes on the link.
+	if nBytes < 0 || srcOff < 0 || srcOff > srcEp.arenaSize-nBytes {
 		return 0, rangeError{"source", srcOff, nBytes, srcEp}
 	}
-	if dstOff < 0 || dstOff+nBytes > dstEp.arenaSize {
+	if dstOff < 0 || dstOff > dstEp.arenaSize-nBytes {
 		return 0, rangeError{"dest", dstOff, nBytes, dstEp}
 	}
 	now := n.k.Now()

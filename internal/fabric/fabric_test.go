@@ -2,7 +2,9 @@ package fabric
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -213,6 +215,47 @@ func TestRDMABoundsChecked(t *testing.T) {
 	k.Run()
 	if err == nil {
 		t.Fatal("out-of-bounds RDMA succeeded")
+	}
+}
+
+// TestRDMARangeEdges: a one-sided op starts only if both of its ranges
+// lie inside their arenas. Each row is tried on either leg — the arena
+// under test is the source, then the destination, the other arena
+// registered at MaxInt bytes — and a refused op moves and books nothing.
+// A negative length, and an offset whose sum with a length near MaxInt
+// wraps around, both pass an off+n > size test.
+func TestRDMARangeEdges(t *testing.T) {
+	const size = 4096
+	rows := []struct {
+		off, n int
+		ok     bool
+	}{
+		{0, -1, false},
+		{0, 0, true},
+		{0, size, true},
+		{0, size + 1, false},
+		{64, math.MaxInt - 10, false},
+	}
+	for _, side := range []string{"source", "dest"} {
+		for _, r := range rows {
+			_, n := newNet()
+			a := n.Attach("a", Location{0, Host}, size)
+			b := n.Attach("b", Location{1, Host}, math.MaxInt)
+			srcOff, dstOff, src, dst := r.off, 0, a, b
+			if side == "dest" {
+				srcOff, dstOff, src, dst = 0, r.off, b, a
+			}
+			_, err := n.rdmaTransfer(src, src, dst, srcOff, dstOff, r.n, false)
+			booked := n.Stats().TotalBytes()
+			switch {
+			case r.ok && (err != nil || booked != int64(r.n)):
+				t.Errorf("%s [%d,+%d): %v, %d bytes booked; want it moved", side, r.off, r.n, err, booked)
+			case !r.ok && (err == nil || booked != 0):
+				t.Errorf("%s [%d,+%d): %v, %d bytes booked; want it refused, none booked", side, r.off, r.n, err, booked)
+			case err != nil && r.n >= 0 && !strings.Contains(err.Error(), side+" range"):
+				t.Errorf("%s [%d,+%d): %q does not name the %s range", side, r.off, r.n, err, side)
+			}
+		}
 	}
 }
 

@@ -218,15 +218,6 @@ func (n *Net) HealPartitions() {
 	}
 }
 
-// Partitioned reports whether cross-node traffic between a and b is
-// currently cut by a partition or a downed link.
-func (n *Net) Partitioned(a, b int) bool {
-	if n.faults == nil {
-		return false
-	}
-	return n.faults.cut(a, b)
-}
-
 // cut2 is cut for possibly-equal nodes: a node always reaches itself.
 func (fs *faultState) cut2(a, b int) bool {
 	return a != b && fs.cut(a, b)

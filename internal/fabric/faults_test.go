@@ -157,3 +157,55 @@ func TestLinkDownFailsRDMA(t *testing.T) {
 		t.Fatal("RDMA must succeed after the link comes back")
 	}
 }
+
+// TestPlanLinkFlap: a Plan takes node 1's link down and brings it back
+// up. Frames sent while it is down are cut and counted, and frames sent
+// after it is back are delivered; before the flap nothing is lost.
+func TestPlanLinkFlap(t *testing.T) {
+	const down, up = 210_000, 610_000 // between sends, which go every 25 µs
+	n, src, dst := chaosPair(t, Faults{Plan: Plan{
+		{At: down, Kind: LinkDown, Node: 1},
+		{At: up, Kind: LinkUp, Node: 1},
+	}})
+	k := n.Kernel()
+	got := map[byte]bool{} // the frames delivered, by sequence number
+	k.Spawn("rx", func(t *sim.Task) {
+		for {
+			d, ok := dst.Inbox.RecvTimeout(t, 2_000_000)
+			if !ok {
+				return
+			}
+			got[d.Msg.(*wire.Raw).Data[0]] = true
+		}
+	})
+	var cut, kept []byte // frames sent while the link was down, and up
+	k.Spawn("tx", func(t *sim.Task) {
+		for i := byte(0); i < 40; i++ {
+			if t.Now() >= down && t.Now() < up {
+				cut = append(cut, i)
+			} else {
+				kept = append(kept, i)
+			}
+			n.Send(src.ID, dst.ID, &wire.Raw{Data: []byte{i}})
+			t.Sleep(25_000)
+		}
+	})
+	k.Run()
+	k.Shutdown()
+	if len(cut) == 0 || len(kept) == 0 {
+		t.Fatalf("sent %d frames while the link was down and %d while up; want both", len(cut), len(kept))
+	}
+	for _, i := range cut {
+		if got[i] {
+			t.Errorf("frame %d, sent while the link was down, was delivered", i)
+		}
+	}
+	for _, i := range kept {
+		if !got[i] {
+			t.Errorf("frame %d, sent while the link was up, was lost", i)
+		}
+	}
+	if st := n.FaultStats(); st.Cut != int64(len(cut)) {
+		t.Errorf("Cut = %d, want %d", st.Cut, len(cut))
+	}
+}

@@ -116,11 +116,6 @@ func (f *File) DirectWriteReq() (proc.Cap, bool) {
 	return f.fsWriteD, f.fsWriteD.Valid()
 }
 
-// DirectReadReq returns the file's direct-read Request.
-func (f *File) DirectReadReq() (proc.Cap, bool) {
-	return f.fsReadD, f.fsReadD.Valid()
-}
-
 // ReadAt reads n bytes at offset into mem (a Memory capability of
 // exactly n bytes).
 func (f *File) ReadAt(t *sim.Task, off, n uint64, mem proc.Cap) error {

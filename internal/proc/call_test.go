@@ -342,6 +342,71 @@ func TestCallTimeoutRetiresReplyRequest(t *testing.T) {
 	})
 }
 
+// TestCallLateReplySweep sweeps the provider's answer across a Call's
+// deadline, a quarter microsecond at a time. An answer the caller's
+// Controller admits before the deadline's cap_revoke reaches it, but
+// which reaches the caller after the deadline has fired, is acked at once
+// and discarded: demux's stale leg deletes the tag's stale entry, nothing
+// reaches Receive, and the delivery window gets its credit back — with a
+// window of one, the next Call could not be answered otherwise. An answer
+// that comes later bounces at the revoked reply Request, and the tag's
+// stale entry stays behind: nothing deletes it. That pin records a known
+// leak (ROADMAP: Process.stale grows by one per bounced late reply), not
+// a property to keep; the fix deletes the entry on the bounce and moves
+// the bounced case's want to 0.
+func TestCallLateReplySweep(t *testing.T) {
+	const deadline = 200 * sim.Time(1000)
+	outcomes := map[string]int{}
+	for at := deadline - us(10); at <= deadline+us(20); at += 250 {
+		cfg := core.ClusterConfig{Nodes: 2, Ctrl: core.Config{Window: 1}}
+		run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+			c := newCallPair(t, tk, cl, 1)
+			start := tk.Now()
+			var answerErr error
+			answered := sim.NewFuture[struct{}]()
+			cl.K.Spawn("answer-at", func(st *sim.Task) {
+				d, ok := c.srv.Receive(st)
+				if !ok {
+					return
+				}
+				rep, _ := d.Cap(0)
+				d.Done()
+				st.Sleep(start + at - st.Now())
+				answerErr = c.srv.Invoke(st, rep, nil, nil)
+				answered.Set(struct{}{})
+			})
+			_, err := c.cli.CallTimeout(tk, c.creq, nil, nil, 0, deadline)
+			if _, werr := answered.Wait(tk); werr != nil {
+				t.Error(werr)
+				return
+			}
+			nothingReceived(t, tk, c.cli)
+			outcome, wantStale := "answered", 0
+			switch {
+			case err != nil && !errors.Is(err, proc.ErrCallTimeout):
+				t.Errorf("answer at %v: call %v, want the reply or ErrCallTimeout", at, err)
+				return
+			case err != nil && answerErr == nil:
+				outcome = "absorbed"
+			case err != nil:
+				// Known leak: the bounce leaves the stale entry behind.
+				outcome, wantStale = "bounced", 1
+			}
+			outcomes[outcome]++
+			if got := c.cli.Stale(); got != wantStale {
+				t.Errorf("answer at %v, %s: %d stale tags, want %d", at, outcome, got, wantStale)
+			}
+			c.echo(false, nil)
+			if dv, err := c.cli.CallTimeout(tk, c.creq, []wire.ImmArg{proc.U64Arg(0, 7)}, nil, 0, deadline); err != nil || dv.U64(0) != 8 {
+				t.Errorf("answer at %v, %s: the next call got %v, %v; want the echo: the window's credit did not come back", at, outcome, dv, err)
+			}
+		})
+	}
+	if outcomes["answered"] == 0 || outcomes["absorbed"] == 0 || outcomes["bounced"] == 0 {
+		t.Errorf("outcomes %v: want answers in time, absorbed after the deadline and bounced", outcomes)
+	}
+}
+
 // TestCallAbortedInvokeRetiresReplyRequest: the invocation is delivered
 // and its acknowledgement is lost for longer than RPCBudget, so the call
 // ends StatusAborted with the provider holding an armed delegation. That

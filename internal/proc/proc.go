@@ -127,9 +127,6 @@ type Cap struct {
 // ID returns the capability index (cid).
 func (c Cap) ID() cap.CapID { return c.id }
 
-// Kind returns the object kind the capability references.
-func (c Cap) Kind() cap.Kind { return c.kind }
-
 // Rights returns the cached rights.
 func (c Cap) Rights() cap.Rights { return c.rights }
 

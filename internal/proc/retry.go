@@ -12,15 +12,14 @@
 //
 // Determinism: backoff jitter is drawn from a private rand.Rand seeded
 // by Retry.Seed, never from the kernel RNG, so a workload built from
-// per-request seeds replays byte-identically. Deadlines and cooldowns
+// per-request seeds replays byte-identically. Backoffs and cooldowns
 // are virtual time.
 //
 // Liveness rule: Do never abandons an in-flight attempt. Operations
 // hold resources (semaphore permits, pooled slots) released on their
-// own return path; killing the task would leak them. The per-call
-// deadline therefore bounds *scheduling* of new attempts, while each
-// attempt's own completion is guaranteed by the layers below (every
-// lower-level wait resolves or aborts — see docs/FAULTS.md).
+// own return path; killing the task would leak them. Each attempt's
+// own completion is guaranteed by the layers below (every lower-level
+// wait resolves or aborts — see docs/FAULTS.md).
 package proc
 
 import (
@@ -30,10 +29,6 @@ import (
 	"fractos/internal/sim"
 	"fractos/internal/wire"
 )
-
-// ErrDeadline is returned by Retry.Do when the per-call deadline
-// expires before an attempt succeeds.
-var ErrDeadline = errors.New("proc: retry deadline exceeded")
 
 // ErrCircuitOpen is returned by Retry.Do (without issuing an attempt)
 // while the circuit breaker is open.
@@ -90,11 +85,6 @@ type Retry struct {
 	// [d·(1-Jitter/2), d·(1+Jitter/2)] to decorrelate colliding
 	// clients. 0 disables jitter; 1 is full ±50 % spread.
 	Jitter float64
-	// Deadline bounds the whole Do call in virtual time: once this
-	// much time has elapsed since entry, no further attempt is
-	// scheduled and Do returns ErrDeadline (an in-flight attempt is
-	// never abandoned — see the package comment). 0 means no deadline.
-	Deadline sim.Time
 	// Seed seeds the private jitter RNG; use a per-request value for
 	// decorrelated but reproducible schedules.
 	Seed int64
@@ -138,10 +128,10 @@ func (r Retry) Backoff(n int) sim.Time {
 }
 
 // Do runs op under the policy: attempts are issued until one succeeds,
-// an error classifies as permanent, attempts are exhausted, the
-// deadline passes, or the breaker opens. It returns nil on success,
-// the last error on exhaustion or permanent failure, ErrDeadline on
-// deadline expiry, and ErrCircuitOpen when the breaker refuses.
+// an error classifies as permanent, attempts are exhausted, or the
+// breaker opens. It returns nil on success, the last error on
+// exhaustion or permanent failure, and ErrCircuitOpen when the breaker
+// refuses.
 func (r Retry) Do(t *sim.Task, op func(*sim.Task) error) error {
 	max := r.Max
 	if max < 1 {
@@ -152,7 +142,6 @@ func (r Retry) Do(t *sim.Task, op func(*sim.Task) error) error {
 		classify = Retryable
 	}
 	var rng *rand.Rand // lazily created: zero-jitter policies never draw
-	start := t.Now()
 	var lastErr error
 	for attempt := 0; attempt < max; attempt++ {
 		if r.Breaker != nil && !r.Breaker.Allow(t.Now()) {
@@ -182,9 +171,6 @@ func (r Retry) Do(t *sim.Task, op func(*sim.Task) error) error {
 			if d < 0 {
 				d = 0
 			}
-		}
-		if r.Deadline > 0 && t.Now()+d-start > r.Deadline {
-			return ErrDeadline
 		}
 		t.Sleep(d)
 	}

@@ -130,28 +130,6 @@ func TestRetryExhaustionReturnsLastError(t *testing.T) {
 	})
 }
 
-func TestRetryDeadline(t *testing.T) {
-	inSim(t, func(tk *sim.Task) {
-		calls := 0
-		start := tk.Now()
-		err := proc.Retry{Max: 10, Base: 4 * rms, Deadline: 6 * rms}.Do(tk, func(*sim.Task) error {
-			calls++
-			return aborted()
-		})
-		if !errors.Is(err, proc.ErrDeadline) {
-			t.Fatalf("err = %v, want ErrDeadline", err)
-		}
-		// Attempt 1 at 0, retry at 4 ms; the next retry would land at
-		// 12 ms > 6 ms, so Do gives up without scheduling it.
-		if calls != 2 {
-			t.Errorf("calls = %d, want 2", calls)
-		}
-		if el := tk.Now() - start; el > 6*rms {
-			t.Errorf("Do overran its deadline: %d > %d", el, 6*rms)
-		}
-	})
-}
-
 // TestRetryJitterDeterministic: equal seeds replay the exact schedule;
 // different seeds decorrelate it.
 func TestRetryJitterDeterministic(t *testing.T) {

@@ -14,15 +14,12 @@ type Instance struct {
 	Seq      int
 	MemberID uint64
 	R        *Replica
-	// Client is the replica Process's registry handle (Deregister at
-	// retire time).
-	Client *services.Client
 }
 
 // ScaleEvent is one autoscaler action, in virtual time.
 type ScaleEvent struct {
 	At   sim.Time
-	Kind string // "up", "down", "lost", "repair"
+	Kind string // "up", "lost", "repair"
 	Node int
 	// Members is the instance count after the action.
 	Members int
@@ -35,56 +32,33 @@ func (e ScaleEvent) String() string {
 	return fmt.Sprintf("%d %s node=%d members=%d lat=%d", e.At, e.Kind, e.Node, e.Members, e.Latency)
 }
 
-// Autoscaler keeps a replicated service between Min and Max instances,
-// reacting to two signals: the replicas' aggregate queue depth (the
-// same piggybacked load signal routing uses) sampled every Every, and
-// NodeWatch health events (a fenced node loses its instances
-// immediately and replacements spawn on healthy nodes — the membership
-// MTTR is recorded per repair). Spawn and Retire are supplied by the
-// deployment layer; both run inside simulation tasks and may issue
-// syscalls.
+// Autoscaler starts a replicated service at Min instances and keeps it
+// there across node failures: on a NodeWatch fence the node's
+// instances are dropped at once and as many replacements spawn on
+// healthy nodes, the membership MTTR recorded per repair. Spawn is
+// supplied by the deployment layer; it runs inside a simulation task
+// and may issue syscalls.
 //
-// Determinism: the control loop is a virtual-time ticker, instance
-// lists are slices in spawn order, and node selection is a rotation
-// over the sorted healthy-node list — no map iteration, no wall clock.
+// Determinism: instance lists are slices in spawn order, and node
+// selection is a rotation over the candidate nodes — no map iteration,
+// no wall clock.
 type Autoscaler struct {
-	// Min and Max bound the instance count. Min 0 means 1.
-	Min, Max int
-	// Every is the control-loop period; 0 means DefaultScaleEvery.
-	Every sim.Time
-	// UpDepth scales up when average depth per instance exceeds it;
-	// 0 means DefaultUpDepth.
-	UpDepth float64
-	// DownDepth scales down (above Min) when average depth falls below
-	// it. Zero disables scale-down.
-	DownDepth float64
-	// CooldownTicks is the minimum number of control periods between
-	// load-driven scale actions (repairs are exempt); 0 means 1.
-	CooldownTicks int
+	// Min is the instance count kept; 0 means 1.
+	Min int
 	// Nodes are the candidate placement nodes, in preference order.
 	Nodes []int
 	// Spawn creates, starts, and registers one replica on node.
 	Spawn func(t *sim.Task, node, seq int) (*Instance, error)
-	// Retire drains, deregisters, and stops one replica.
-	Retire func(t *sim.Task, in *Instance)
 	// Balancer, when non-nil, is invalidated after every membership
 	// change so cached sets refresh promptly.
 	Balancer *Balancer
 
 	instances []*Instance
 	seq       int
-	cooldown  int
-	stopped   bool
 	fenced    map[int]bool
 	nextNode  int
 	events    []ScaleEvent
 }
-
-// Defaults for Autoscaler's zero fields.
-const (
-	DefaultScaleEvery = sim.Time(1000 * 1000) // 1 ms
-	DefaultUpDepth    = 8.0
-)
 
 // Instances returns the live instances in spawn order.
 func (a *Autoscaler) Instances() []*Instance { return a.instances }
@@ -104,23 +78,10 @@ func (a *Autoscaler) MTTR() sim.Time {
 	return worst
 }
 
-// Start brings the service to Min instances and spawns the control
-// loop.
-func (a *Autoscaler) Start(t *sim.Task, k *sim.Kernel) error {
+// Start brings the service to Min instances.
+func (a *Autoscaler) Start(t *sim.Task) error {
 	if a.Min < 1 {
 		a.Min = 1
-	}
-	if a.Max < a.Min {
-		a.Max = a.Min
-	}
-	if a.Every <= 0 {
-		a.Every = DefaultScaleEvery
-	}
-	if a.UpDepth <= 0 {
-		a.UpDepth = DefaultUpDepth
-	}
-	if a.CooldownTicks < 1 {
-		a.CooldownTicks = 1
 	}
 	a.fenced = make(map[int]bool)
 	for len(a.instances) < a.Min {
@@ -128,12 +89,8 @@ func (a *Autoscaler) Start(t *sim.Task, k *sim.Kernel) error {
 			return err
 		}
 	}
-	k.Spawn("autoscaler", a.loop)
 	return nil
 }
-
-// Stop ends the control loop after the current tick.
-func (a *Autoscaler) Stop() { a.stopped = true }
 
 // BindWatch subscribes the autoscaler to a NodeWatch: fencing a node
 // removes its instances from the managed set at once (the registry's
@@ -178,7 +135,7 @@ func (a *Autoscaler) onNodeLost(k *sim.Kernel, node int, fencedAt sim.Time) {
 		a.Balancer.Invalidate()
 	}
 	k.Spawn("scale-repair", func(t *sim.Task) {
-		for i := 0; i < lost && len(a.instances) < a.Max; i++ {
+		for i := 0; i < lost; i++ {
 			if err := a.spawnOne(t, "repair"); err != nil {
 				return
 			}
@@ -187,39 +144,8 @@ func (a *Autoscaler) onNodeLost(k *sim.Kernel, node int, fencedAt sim.Time) {
 	})
 }
 
-func (a *Autoscaler) loop(t *sim.Task) {
-	for !a.stopped {
-		t.Sleep(a.Every)
-		if a.cooldown > 0 {
-			a.cooldown--
-			continue
-		}
-		n := len(a.instances)
-		if n == 0 {
-			continue
-		}
-		depth := 0
-		for _, in := range a.instances {
-			depth += in.R.Depth()
-		}
-		avg := float64(depth) / float64(n)
-		switch {
-		case avg > a.UpDepth && n < a.Max:
-			if err := a.spawnOne(t, "up"); err == nil {
-				a.cooldown = a.CooldownTicks
-			}
-		case a.DownDepth > 0 && avg < a.DownDepth && n > a.Min:
-			a.retireOne(t)
-			a.cooldown = a.CooldownTicks
-		}
-	}
-}
-
 // pickNode rotates over the healthy candidate nodes.
 func (a *Autoscaler) pickNode() (int, bool) {
-	if len(a.Nodes) == 0 {
-		return 0, false
-	}
 	for i := 0; i < len(a.Nodes); i++ {
 		node := a.Nodes[a.nextNode%len(a.Nodes)]
 		a.nextNode++
@@ -246,15 +172,4 @@ func (a *Autoscaler) spawnOne(t *sim.Task, kind string) error {
 		a.Balancer.Invalidate()
 	}
 	return nil
-}
-
-func (a *Autoscaler) retireOne(t *sim.Task) {
-	last := len(a.instances) - 1
-	in := a.instances[last]
-	a.instances = a.instances[:last]
-	a.events = append(a.events, ScaleEvent{At: t.Now(), Kind: "down", Node: in.Node, Members: len(a.instances)})
-	if a.Balancer != nil {
-		a.Balancer.Invalidate()
-	}
-	a.Retire(t, in)
 }

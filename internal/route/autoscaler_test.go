@@ -20,10 +20,7 @@ import (
 // (replica-side dedup absorbs same-replica retries; failover re-issues
 // land exactly once because a corpse's executions died with its node).
 func TestAutoscalerSoakNodeFlap(t *testing.T) {
-	s := &stacks.Routed{
-		Replicas: 2, AutoMax: 4, Nodes: []int{1, 2, 3},
-		MaxQueue: 8, AttemptTimeout: 5 * ms, UpDepth: 6,
-	}
+	s := &stacks.Routed{Replicas: 2, Repair: true, Nodes: []int{1, 2, 3}, AttemptTimeout: 5 * ms}
 	spec := testbed.Spec{
 		Nodes:     4,
 		Heartbeat: &services.WatchConfig{Every: 1 * ms, Suspect: 2},
@@ -60,7 +57,7 @@ func TestAutoscalerSoakNodeFlap(t *testing.T) {
 		// registry's set must be exactly the autoscaler's live instances,
 		// none of them on the fenced node.
 		tk.Sleep(10 * ms)
-		set, err := s.Client.ResolveSet(tk, s.Name)
+		set, err := s.Client.ResolveSet(tk, "svc.work")
 		if err != nil {
 			t.Fatalf("resolve-set: %v", err)
 		}
@@ -84,9 +81,6 @@ func TestAutoscalerSoakNodeFlap(t *testing.T) {
 				t.Errorf("registry still lists member %d on fenced node", m.ID)
 			}
 		}
-		// The control loop is a perpetual ticker; stop it so the kernel's
-		// event queue drains and the run completes.
-		s.Scaler.Stop()
 	})
 
 	// The flap must have been observed and repaired, with MTTR measured

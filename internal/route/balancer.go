@@ -25,11 +25,12 @@ type BalancerStats struct {
 
 // Balancer is a Process's resolving handle on a replicated service:
 // it caches the name's replica set, routes each call through a Policy
-// over live load signals, retries transient failures with PR-4's
-// Retry policy, keeps a per-member circuit Breaker, and re-resolves
-// the set when a member dies underneath it (revoked/stale/fenced
-// capabilities classify as member-fatal: the cached set is invalidated
-// and the next attempt routes around the corpse).
+// over live load signals, retries transient failures with its Retry
+// policy, keeps a per-member circuit breaker (proc.Breaker's
+// defaults), and re-resolves the set when a member dies underneath it
+// (revoked/stale/fenced capabilities classify as member-fatal: the
+// cached set is invalidated and the next attempt routes around the
+// corpse).
 //
 // A Balancer is bound to one client Process and driven only from that
 // Process's tasks (the usual single-kernel cooperative concurrency —
@@ -41,20 +42,16 @@ type Balancer struct {
 	Name string
 	// Policy routes calls; nil means round-robin.
 	Policy Policy
-	// Retry is the per-call retry template. Zero Max gets
-	// DefaultCallAttempts; Classify is extended (not replaced) with
-	// member-fatal and circuit-open classification.
+	// Retry is the per-call retry template. Classify is extended (not
+	// replaced) with member-fatal and circuit-open classification.
 	Retry proc.Retry
-	// Breaker is the per-member circuit-breaker template (Threshold,
-	// Cooldown); each member gets its own instance.
-	Breaker proc.Breaker
 	// AttemptTimeout bounds each routed call in virtual time. A replica
 	// whose Controller crashes after admitting a request can never
 	// reply (its revocation tree died with it, §3.6), so an unbounded
 	// wait would hang the caller forever; the timeout converts that
 	// silence into proc.ErrCallTimeout, which classifies as transient
-	// and fails over. 0 means DefaultAttemptTimeout; negative means
-	// unbounded (only safe when providers cannot crash mid-service).
+	// and fails over. 0 or less means DefaultAttemptTimeout: every
+	// attempt is bounded.
 	AttemptTimeout sim.Time
 	// Record, when set, appends every routed member id to Picks (the
 	// determinism property tests' oracle).
@@ -78,21 +75,14 @@ type Balancer struct {
 	kept     []services.Member
 }
 
-// DefaultCallAttempts is Balancer.Call's retry budget when Retry.Max
-// is zero.
-const DefaultCallAttempts = 4
-
 // DefaultAttemptTimeout is the per-attempt reply bound when
-// AttemptTimeout is zero: generous against queueing (MaxQueue × a
-// multi-millisecond service time) yet bounded against a dead provider.
+// AttemptTimeout is zero: generous against queueing (the admission
+// bound × a multi-millisecond service time) yet bounded against a dead
+// provider.
 const DefaultAttemptTimeout = 100 * sim.Time(1000*1000) // 100 ms
 
 // Stats returns the routing counters.
 func (b *Balancer) Stats() BalancerStats { return b.stats }
-
-// Version returns the membership version of the cached set (0 before
-// the first resolve).
-func (b *Balancer) Version() uint64 { return b.set.Version }
 
 // Invalidate drops the cached replica set; the next call re-resolves.
 // Autoscalers call this after changing membership.
@@ -115,9 +105,6 @@ func memberFatal(err error) bool {
 func (b *Balancer) Call(t *sim.Task, imms []wire.ImmArg, args []proc.Arg) (*proc.Delivery, error) {
 	b.stats.Calls++
 	pol := b.Retry
-	if pol.Max < 1 {
-		pol.Max = DefaultCallAttempts
-	}
 	if b.classify == nil {
 		base := pol.Classify
 		if base == nil {
@@ -148,10 +135,8 @@ func (b *Balancer) attempt(t *sim.Task, imms []wire.ImmArg, args []proc.Arg, out
 		return proc.ErrCircuitOpen
 	}
 	to := b.AttemptTimeout
-	if to == 0 {
+	if to <= 0 {
 		to = DefaultAttemptTimeout
-	} else if to < 0 {
-		to = 0 // explicit opt-out: unbounded
 	}
 	b.inflight[m.ID]++
 	d, err := b.Client.P.CallTimeout(t, m.Cap, imms, args, WorkSlotCont, to)
@@ -220,7 +205,7 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *proc.Breaker, error) {
 		if b.breakerFor(m.ID).State(t.Now()) == "open" {
 			continue
 		}
-		view = append(view, MemberView{ID: m.ID, Node: m.Node, Load: b.inflight[m.ID] + b.depth[m.ID]})
+		view = append(view, MemberView{ID: m.ID, Load: b.inflight[m.ID] + b.depth[m.ID]})
 		kept = append(kept, m)
 	}
 	b.view, b.kept = view, kept
@@ -241,7 +226,7 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *proc.Breaker, error) {
 func (b *Balancer) breakerFor(id uint64) *proc.Breaker {
 	brk, ok := b.breakers[id]
 	if !ok {
-		brk = &proc.Breaker{Threshold: b.Breaker.Threshold, Cooldown: b.Breaker.Cooldown}
+		brk = &proc.Breaker{}
 		b.breakers[id] = brk
 	}
 	return brk

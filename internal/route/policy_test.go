@@ -43,36 +43,14 @@ func TestLeastLoadedPicksMinTieLowestID(t *testing.T) {
 	}
 }
 
-func TestAffinityPrefersLocalUntilSpill(t *testing.T) {
-	p := &Affinity{Node: 1, Spill: 3}
-	v := []MemberView{
-		{ID: 1, Node: 0, Load: 0},
-		{ID: 2, Node: 1, Load: 2},
-		{ID: 3, Node: 1, Load: 1},
-	}
-	// Two local members under the spill bound: least-loaded local (id 3).
-	if got := p.Pick(v); got != 2 {
-		t.Fatalf("local pick = %d, want 2", got)
-	}
-	// Local members at/over the spill bound: fall back to global
-	// least-loaded (id 1, load 0 on a remote node).
-	v[1].Load, v[2].Load = 3, 4
-	if got := p.Pick(v); got != 0 {
-		t.Fatalf("spill pick = %d, want 0", got)
-	}
-}
-
 func TestParsePolicy(t *testing.T) {
-	if p := ParsePolicy("least", 0); p.Name() != "least" {
+	if p := ParsePolicy("least"); p.Name() != "least" {
 		t.Fatalf("least -> %s", p.Name())
 	}
-	if p := ParsePolicy("affinity", 2); p.Name() != "affinity" {
-		t.Fatalf("affinity -> %s", p.Name())
-	}
-	if p := ParsePolicy("", 0); p.Name() != "rr" {
+	if p := ParsePolicy(""); p.Name() != "rr" {
 		t.Fatalf("default -> %s", p.Name())
 	}
-	if p := ParsePolicy("bogus", 0); p.Name() != "rr" {
+	if p := ParsePolicy("bogus"); p.Name() != "rr" {
 		t.Fatalf("unknown -> %s", p.Name())
 	}
 }

@@ -11,35 +11,30 @@ import (
 
 // Routed-service wire conventions. A replica serves one root Request;
 // callers use the Balancer, which follows this layout.
-const (
-	// WorkTag is the default tag for routed-service root Requests.
-	WorkTag uint64 = 0x50
-	// WorkSlotCont is the reply-continuation slot in a work request.
-	WorkSlotCont uint16 = 1
-)
-
+//
 // Work request immediates: [0:8) = request id (0 = none; non-zero ids
 // are deduplicated so a retried request is not executed twice by the
 // same replica), [8:16) and up are service-defined (the Handler sees
 // the raw Delivery). Reply immediates: [0:8) = wire.Status, [8:16) =
 // the replica's queue depth after the operation (the load signal
-// least-loaded routing feeds on), [16:..) = Handler extras shifted by
-// ReplyExtraOff.
-const ReplyExtraOff = 16
+// least-loaded routing feeds on).
+const (
+	// WorkSlotCont is the reply-continuation slot in a work request.
+	WorkSlotCont uint16 = 1
+	// workTag is the tag of a replica's root Request.
+	workTag uint64 = 0x50
+	// maxQueue is a replica's admission bound: requests queued plus the
+	// one in service.
+	maxQueue = 16
+)
 
-// DefaultMaxQueue bounds a replica's admission queue when
-// Replica.MaxQueue is zero.
-const DefaultMaxQueue = 16
-
-// Handler executes one admitted request and returns the reply status
-// plus extra reply immediates/caps. Extra immediates are offset
-// relative to ReplyExtraOff.
-type Handler func(t *sim.Task, d *proc.Delivery) (wire.Status, []wire.ImmArg, []proc.Arg)
+// Handler executes one admitted request and returns the reply status.
+type Handler func(t *sim.Task, d *proc.Delivery) wire.Status
 
 // ReplicaStats counts a replica's admission decisions.
 type ReplicaStats struct {
 	Accepted   int
-	Shed       int // refused with StatusBackpressure at MaxQueue
+	Shed       int // refused with StatusBackpressure at the admission bound
 	Completed  int
 	Duplicates int // re-delivered ids answered without re-execution
 	DepthHWM   int
@@ -47,21 +42,13 @@ type ReplicaStats struct {
 
 // Replica is one instance of a routed service: a Process serving a
 // root Request behind a bounded admission queue. Its serving task
-// admits up to MaxQueue outstanding requests and sheds the rest with
+// admits up to maxQueue outstanding requests and sheds the rest with
 // wire.StatusBackpressure (retryable — the balancer backs off or
-// fails over) instead of queueing unboundedly; Width worker tasks
-// drain the queue through Handler. Every reply piggybacks the current
-// queue depth, which is the load signal least-loaded routing and the
-// autoscaler consume.
+// fails over) instead of queueing unboundedly; one worker task drains
+// the queue through Handler. Every reply piggybacks the current queue
+// depth, which is the load signal least-loaded routing consumes.
 type Replica struct {
 	P *proc.Process
-	// Tag is the root Request's tag; 0 means WorkTag.
-	Tag uint64
-	// MaxQueue is the admission bound (queued + in service); 0 means
-	// DefaultMaxQueue.
-	MaxQueue int
-	// Width is the number of worker tasks; 0 means 1.
-	Width int
 	// Handler executes admitted requests; nil replies OK immediately.
 	Handler Handler
 
@@ -69,50 +56,32 @@ type Replica struct {
 	// under the service's name.
 	Root proc.Cap
 
-	queue    *sim.Chan[*proc.Delivery]
-	depth    int
-	draining bool
-	seen     map[uint64]bool
-	served   []uint64
-	stats    ReplicaStats
+	queue  *sim.Chan[*proc.Delivery]
+	depth  int
+	seen   map[uint64]bool
+	served []uint64
+	stats  ReplicaStats
 
-	// The status and depth immediates of a reply, and the list reply
-	// builds around them: Reply has encoded the message when it returns,
-	// so one set serves every reply.
+	// The status and depth immediates of a reply: Reply has encoded the
+	// message when it returns, so one set serves every reply.
 	replyBuf  [16]byte
-	replyImms []wire.ImmArg
+	replyImms [2]wire.ImmArg
 }
 
-// Start creates the root Request and starts serving it with Width
-// workers.
+// Start creates the root Request and starts serving it.
 func (r *Replica) Start(t *sim.Task) error {
-	if r.Tag == 0 {
-		r.Tag = WorkTag
-	}
-	if r.MaxQueue <= 0 {
-		r.MaxQueue = DefaultMaxQueue
-	}
-	if r.Width <= 0 {
-		r.Width = 1
-	}
-	root, err := r.P.RequestCreate(t, r.Tag, nil, nil)
+	root, err := r.P.RequestCreate(t, workTag, nil, nil)
 	if err != nil {
 		return fmt.Errorf("route: replica: %w", err)
 	}
 	r.Root = root
 	r.seen = make(map[uint64]bool)
 	k := r.P.Kernel()
-	r.queue = sim.NewChan[*proc.Delivery](k, "replica-q", r.MaxQueue)
+	r.queue = sim.NewChan[*proc.Delivery](k, "replica-q", maxQueue)
 	r.P.Serve("replica-rx", 1, r.admit)
-	for i := 0; i < r.Width; i++ {
-		k.Spawn(fmt.Sprintf("replica-w%d", i), r.work)
-	}
+	k.Spawn("replica-worker", r.work)
 	return nil
 }
-
-// Depth returns the current admitted-but-incomplete request count (the
-// autoscaler's load signal).
-func (r *Replica) Depth() int { return r.depth }
 
 // Stats returns the admission counters.
 func (r *Replica) Stats() ReplicaStats { return r.stats }
@@ -121,33 +90,19 @@ func (r *Replica) Stats() ReplicaStats { return r.stats }
 // execution order (the double-delivery oracle for soak tests).
 func (r *Replica) Served() []uint64 { return r.served }
 
-// Drain stops admitting new requests (they are refused with
-// wire.StatusNoProc so callers fail over) and blocks until the queue
-// empties. Call before deregistering + Bye for a graceful retire.
-func (r *Replica) Drain(t *sim.Task) {
-	r.draining = true
-	for r.depth > 0 {
-		t.Sleep(drainTick)
-	}
-}
-
-const drainTick = 100 * sim.Time(1000) // 100 µs
-
-// admit queues a request for the workers or answers it at once.
+// admit queues a request for the worker or answers it at once.
 func (r *Replica) admit(t *sim.Task, d *proc.Delivery) {
 	id := d.U64(0)
 	switch {
-	case r.draining:
-		r.reply(d, wire.StatusNoProc, nil, nil)
 	case id != 0 && r.seen[id]:
 		// The balancer retried a request this replica already
 		// admitted (its first reply was lost to a fault); answer
 		// idempotently instead of executing twice.
 		r.stats.Duplicates++
-		r.reply(d, wire.StatusOK, nil, nil)
-	case r.depth >= r.MaxQueue:
+		r.reply(d, wire.StatusOK)
+	case r.depth >= maxQueue:
 		r.stats.Shed++
-		r.reply(d, wire.StatusBackpressure, nil, nil)
+		r.reply(d, wire.StatusBackpressure)
 	default:
 		if id != 0 {
 			r.seen[id] = true
@@ -157,7 +112,7 @@ func (r *Replica) admit(t *sim.Task, d *proc.Delivery) {
 			r.stats.DepthHWM = r.depth
 		}
 		r.stats.Accepted++
-		// Never blocks: depth < MaxQueue implies queue space.
+		// Never blocks: depth < maxQueue implies queue space.
 		r.queue.Send(t, d)
 	}
 }
@@ -168,34 +123,26 @@ func (r *Replica) work(t *sim.Task) {
 		if !ok {
 			return
 		}
-		st, imms, args := wire.StatusOK, []wire.ImmArg(nil), []proc.Arg(nil)
+		st := wire.StatusOK
 		if r.Handler != nil {
-			st, imms, args = r.Handler(t, d)
+			st = r.Handler(t, d)
 		}
 		if id := d.U64(0); id != 0 {
 			r.served = append(r.served, id)
 		}
 		r.depth--
 		r.stats.Completed++
-		r.reply(d, st, imms, args)
+		r.reply(d, st)
 	}
 }
 
-// reply answers with the status and the replica's queue depth ahead of
-// the Handler's extras: two 8-byte immediates in the replica's own
-// storage.
-func (r *Replica) reply(d *proc.Delivery, st wire.Status, extra []wire.ImmArg, args []proc.Arg) {
+// reply answers with the status and the replica's queue depth: two
+// 8-byte immediates in the replica's own storage.
+func (r *Replica) reply(d *proc.Delivery, st wire.Status) {
 	binary.LittleEndian.PutUint64(r.replyBuf[0:8], uint64(st))
 	binary.LittleEndian.PutUint64(r.replyBuf[8:16], uint64(r.depth))
-	imms := append(r.replyImms[:0],
-		wire.ImmArg{Offset: 0, Data: r.replyBuf[0:8]},
-		wire.ImmArg{Offset: 8, Data: r.replyBuf[8:16]})
-	for _, im := range extra {
-		im.Offset += ReplyExtraOff
-		imms = append(imms, im)
-	}
-	r.replyImms = imms
+	r.replyImms = [2]wire.ImmArg{{Offset: 0, Data: r.replyBuf[0:8]}, {Offset: 8, Data: r.replyBuf[8:16]}}
 	// A failed reply means the caller (or this replica's own Controller)
 	// is gone; the retry/failover layers on the client side own recovery.
-	d.Reply(WorkSlotCont, imms, args)
+	d.Reply(WorkSlotCont, r.replyImms[:], nil)
 }

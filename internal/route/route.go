@@ -1,8 +1,8 @@
 // Package route is the replicated-service layer over the name
 // registry: client-side routing policies and a resolving balancer
 // (Balancer), replica-side queue-depth admission control (Replica),
-// and a reactive autoscaler (Autoscaler) driven by NodeWatch health
-// events plus load signals.
+// and an autoscaler (Autoscaler) that repairs the replica set when
+// NodeWatch fences a node.
 //
 // Everything runs on the deterministic kernel: policies are pure
 // functions of the member view plus their own explicit state, load
@@ -12,13 +12,11 @@
 // this package's determinism tests).
 package route
 
-// MemberView is one replica as a routing policy sees it: identity,
-// placement, and the client's current load estimate for it (its own
-// in-flight calls plus the queue depth the replica piggybacked on its
-// last reply).
+// MemberView is one replica as a routing policy sees it: identity and
+// the client's current load estimate for it (its own in-flight calls
+// plus the queue depth the replica piggybacked on its last reply).
 type MemberView struct {
 	ID   uint64
-	Node int
 	Load int
 }
 
@@ -67,54 +65,11 @@ func (LeastLoaded) Pick(view []MemberView) int {
 	return best
 }
 
-// Affinity prefers members on the client's own node while their load
-// stays under Spill, then falls back to least-loaded across the whole
-// view — locality wins until the local replicas queue up.
-type Affinity struct {
-	// Node is the client's node.
-	Node int
-	// Spill is the local load bound; 0 means DefaultSpill.
-	Spill int
-}
-
-// DefaultSpill is Affinity's local-queue bound when Spill is zero.
-const DefaultSpill = 4
-
-// Name implements Policy.
-func (p *Affinity) Name() string { return "affinity" }
-
-// Pick implements Policy.
-func (p *Affinity) Pick(view []MemberView) int {
-	spill := p.Spill
-	if spill <= 0 {
-		spill = DefaultSpill
-	}
-	best := -1
-	for i := range view {
-		if view[i].Node != p.Node || view[i].Load >= spill {
-			continue
-		}
-		if best < 0 || view[i].Load < view[best].Load ||
-			(view[i].Load == view[best].Load && view[i].ID < view[best].ID) {
-			best = i
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	return LeastLoaded{}.Pick(view)
-}
-
-// ParsePolicy maps a policy name ("rr", "least", "affinity") to a
-// fresh policy instance; node is the client's node for affinity.
-// Unknown names fall back to round-robin.
-func ParsePolicy(name string, node int) Policy {
-	switch name {
-	case "least":
+// ParsePolicy maps a policy name ("rr", "least") to a fresh policy
+// instance. Unknown names fall back to round-robin.
+func ParsePolicy(name string) Policy {
+	if name == "least" {
 		return LeastLoaded{}
-	case "affinity":
-		return &Affinity{Node: node}
-	default:
-		return &RoundRobin{}
 	}
+	return &RoundRobin{}
 }

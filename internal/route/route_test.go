@@ -48,30 +48,31 @@ func driveConcurrent(tk *sim.Task, s *stacks.Routed, width, count int) int {
 	return errs
 }
 
-// TestAdmissionControlSheds: one replica with a tiny queue against a
-// concurrent burst. The overflow must be refused with
-// wire.StatusBackpressure (retryable — the unified status satellite:
-// proc.Retryable classifies a registry/replica shed with no special
-// case), the queue must never exceed its bound, and with enough retry
-// budget every request eventually lands.
+// TestAdmissionControlSheds: one replica against a concurrent burst
+// wider than its admission bound (16). The overflow must be refused
+// with wire.StatusBackpressure (retryable — proc.Retryable classifies a
+// registry/replica shed with no special case), the queue must never
+// exceed its bound, and with enough retry budget every request
+// eventually lands.
 func TestAdmissionControlSheds(t *testing.T) {
-	s := &stacks.Routed{Replicas: 1, MaxQueue: 4, Nodes: []int{1}}
+	const bound, width, calls = 16, 24, 48
+	s := &stacks.Routed{Replicas: 1, Nodes: []int{1}}
 	testbed.RunT(t, testbed.Spec{Nodes: 2, Services: []testbed.Service{s}},
 		func(tk *sim.Task, d *testbed.Deployment) {
 			s.B.Retry = proc.Retry{Max: 30, Jitter: 0.2, Seed: 7}
-			if errs := driveConcurrent(tk, s, 12, 24); errs != 0 {
+			if errs := driveConcurrent(tk, s, width, calls); errs != 0 {
 				t.Fatalf("%d calls failed despite retry budget", errs)
 			}
 		})
 	rs := s.Instances[0].R.Stats()
 	if rs.Shed == 0 {
-		t.Error("replica never shed under a 12-wide burst against MaxQueue=4")
+		t.Errorf("replica never shed under a %d-wide burst against an admission bound of %d", width, bound)
 	}
-	if rs.DepthHWM > 4 {
-		t.Errorf("depth high-water mark %d exceeds MaxQueue=4", rs.DepthHWM)
+	if rs.DepthHWM > bound {
+		t.Errorf("depth high-water mark %d exceeds the admission bound %d", rs.DepthHWM, bound)
 	}
-	if rs.Completed != 24 {
-		t.Errorf("completed = %d, want 24", rs.Completed)
+	if rs.Completed != calls {
+		t.Errorf("completed = %d, want %d", rs.Completed, calls)
 	}
 	bs := s.B.Stats()
 	if bs.Shed == 0 {
@@ -89,7 +90,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 // costs a second lookup, not one per caller.
 func TestBalancerResolvesOncePerInvalidation(t *testing.T) {
 	const width = 12
-	s := &stacks.Routed{Replicas: 2, MaxQueue: 16}
+	s := &stacks.Routed{Replicas: 2}
 	testbed.RunT(t, testbed.Spec{Nodes: 3, Services: []testbed.Service{s}},
 		func(tk *sim.Task, d *testbed.Deployment) {
 			for round := 1; round <= 2; round++ {
@@ -111,7 +112,7 @@ func TestBalancerResolvesOncePerInvalidation(t *testing.T) {
 // in-flight requests the corpse admitted — re-resolves and lands every
 // remaining call on the survivor.
 func TestBalancerFailsOverOnCrash(t *testing.T) {
-	s := &stacks.Routed{Replicas: 2, Nodes: []int{1, 2}, MaxQueue: 8, AttemptTimeout: 5 * ms}
+	s := &stacks.Routed{Replicas: 2, Nodes: []int{1, 2}, AttemptTimeout: 5 * ms}
 	spec := testbed.Spec{
 		Nodes:     3,
 		Heartbeat: &services.WatchConfig{Every: 1 * ms, Suspect: 2},
@@ -132,7 +133,7 @@ func TestBalancerFailsOverOnCrash(t *testing.T) {
 		}
 		// The fence must have pruned the dead member from the registry.
 		tk.Sleep(5 * ms)
-		set, err := s.Client.ResolveSet(tk, s.Name)
+		set, err := s.Client.ResolveSet(tk, "svc.work")
 		if err != nil {
 			t.Fatalf("resolve-set: %v", err)
 		}
@@ -159,7 +160,7 @@ func TestBalancerFailsOverOnCrash(t *testing.T) {
 // recorded pick sequence.
 func captureRouted(t *testing.T, policy string) (trace, picks string) {
 	t.Helper()
-	s := &stacks.Routed{Replicas: 4, Policy: policy, MaxQueue: 8}
+	s := &stacks.Routed{Replicas: 4, Policy: policy}
 	spec := testbed.Spec{Nodes: 3, Seed: 11, Services: []testbed.Service{s}}
 	var b strings.Builder
 	testbed.RunT(t, spec, func(tk *sim.Task, d *testbed.Deployment) {

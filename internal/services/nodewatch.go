@@ -62,10 +62,6 @@ type WatchConfig struct {
 	// announced to all peers) this long after fencing. 0 disables
 	// automatic reboot; the driver may still call ControllerRecovered.
 	RebootAfter sim.Time
-	// Node is where the monitor attaches to the fabric. The paper runs
-	// the monitoring service on a dedicated host; placing it on a node
-	// inside a partition group determines which side it can see.
-	Node int
 	// OnEvent, when non-nil, is invoked synchronously for every
 	// detector transition (suspicion, fence, reboot, recovery).
 	OnEvent func(WatchEvent)
@@ -152,9 +148,9 @@ func (w *NodeWatch) ControllerRecovered(node int) {
 // Events returns the transitions recorded since StartHeartbeat.
 func (w *NodeWatch) Events() []WatchEvent { return w.events }
 
-// StartHeartbeat attaches the monitor to the fabric and spawns the
-// probing task. Call Stop when the workload is done so the kernel's
-// event loop can drain.
+// StartHeartbeat attaches the monitor to the fabric on node 0 and
+// spawns the probing task. Call Stop when the workload is done so the
+// kernel's event loop can drain.
 func (w *NodeWatch) StartHeartbeat(cfg WatchConfig) {
 	if cfg.Every <= 0 {
 		cfg.Every = DefaultWatchEvery
@@ -163,7 +159,7 @@ func (w *NodeWatch) StartHeartbeat(cfg WatchConfig) {
 		cfg.Suspect = DefaultWatchSuspect
 	}
 	w.cfg = cfg
-	w.ep = w.cl.Net.Attach("nodewatch", fabric.Location{Node: cfg.Node, Domain: fabric.Host}, 0)
+	w.ep = w.cl.Net.Attach("nodewatch", fabric.Location{Node: 0, Domain: fabric.Host}, 0)
 	w.byID = make(map[cap.ControllerID]int, len(w.cl.Ctrls))
 	for i, c := range w.cl.Ctrls {
 		w.byID[c.ID()] = i

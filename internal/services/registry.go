@@ -142,20 +142,6 @@ func (r *Registry) Start(t *sim.Task) error {
 	return nil
 }
 
-// Version returns the registry-global membership version (bumped on
-// every successful Register/Deregister/prune).
-func (r *Registry) Version() uint64 { return r.version }
-
-// Members returns a copy of a name's member list (tests, autoscalers).
-func (r *Registry) Members(name string) []Member {
-	ms := r.names[name]
-	out := make([]Member, 0, len(ms))
-	for _, m := range ms {
-		out = append(out, Member{ID: m.id, Node: m.node, Cap: m.cp})
-	}
-	return out
-}
-
 // BindWatch subscribes the registry to a NodeWatch so fenced nodes
 // drop out of every replica set: when the detector fences a
 // Controller, all members registered from its node are pruned. This is
@@ -257,17 +243,13 @@ func (r *Registry) handle(t *sim.Task, d *proc.Delivery) (wire.Status, []wire.Im
 		}
 		return wire.StatusOK, []wire.ImmArg{proc.U64Arg(8, r.version)}, nil
 	case TagLookup:
+		// A member list is in id order: Register appends each member
+		// with the next id, and removal keeps the order.
 		ms := r.names[name]
 		if len(ms) == 0 {
 			return wire.StatusUnknownObj, nil, nil
 		}
-		best := ms[0]
-		for _, m := range ms[1:] {
-			if m.id < best.id {
-				best = m
-			}
-		}
-		return wire.StatusOK, nil, []proc.Arg{{Slot: SlotCap, Cap: best.cp}}
+		return wire.StatusOK, nil, []proc.Arg{{Slot: SlotCap, Cap: ms[0].cp}}
 	case TagResolveSet:
 		ms := r.names[name]
 		imms := []wire.ImmArg{

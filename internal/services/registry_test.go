@@ -122,6 +122,72 @@ func TestNameLengthOverflowRejected(t *testing.T) {
 	})
 }
 
+// TestRegistryLegs: a name's (MaxMembers+1)-th Register is refused
+// with StatusQuota, and Resolve answers with the member of the lowest
+// id among several — not the newest — after a deregistration as well.
+// Each row registers members (the i-th a Request of tag 100+i),
+// deregisters the first few, registers one more, and resolves.
+func TestRegistryLegs(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		members, dropped int
+		full             bool // the Register after the drops is refused with StatusQuota
+		wantResolvedTag  uint64
+	}{
+		{"quota", MaxMembers, 0, true, 100},
+		{"lowest-id", 3, 1, false, 101},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
+				reg := startRegistry(t, tk, cl)
+				svc := proc.Attach(cl, 1, "svc", 0)
+				svcCl := connect(t, tk, reg, svc)
+				register := func(tag uint64) (uint64, error) {
+					root, err := svc.RequestCreate(tk, tag, nil, nil)
+					if err != nil {
+						return 0, err
+					}
+					return svcCl.Register(tk, "svc", root, 1)
+				}
+				var ids []uint64
+				for i := range tc.members {
+					id, err := register(uint64(100 + i))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ids = append(ids, id)
+				}
+				for _, id := range ids[:tc.dropped] {
+					if err := svcCl.Deregister(tk, "svc", id); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				switch _, err := register(uint64(100 + tc.members)); {
+				case tc.full && !wire.IsStatus(err, wire.StatusQuota):
+					t.Errorf("register into a set of %d: %v, want StatusQuota", tc.members, err)
+				case !tc.full && err != nil:
+					t.Errorf("register: %v", err)
+				}
+
+				app := proc.Attach(cl, 2, "app", 0)
+				got, err := connect(t, tk, reg, app).Resolve(tk, "svc")
+				if err == nil {
+					err = app.Invoke(tk, got, nil, nil)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if d, ok := svc.Receive(tk); !ok || d.Tag != tc.wantResolvedTag {
+					t.Errorf("resolve reached %+v, want the Request of tag %d", d, tc.wantResolvedTag)
+				}
+			})
+		})
+	}
+}
+
 func TestReplicaSetMembership(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
 		reg := startRegistry(t, tk, cl)

@@ -99,9 +99,6 @@ func (c *Chan[T]) putSend(sw *sendWaiter[T]) {
 // Len reports how many values are buffered.
 func (c *Chan[T]) Len() int { return len(c.buf) }
 
-// Closed reports whether Close has been called.
-func (c *Chan[T]) Closed() bool { return c.closed }
-
 // Close closes the channel: pending and future receives drain the
 // buffer and then report ok=false; sends panic.
 func (c *Chan[T]) Close() {

@@ -324,9 +324,6 @@ type Task struct {
 	killed bool
 }
 
-// Name returns the task's diagnostic name.
-func (t *Task) Name() string { return t.name }
-
 // ID returns the task's unique id, assigned in spawn order.
 func (t *Task) ID() uint64 { return t.id }
 

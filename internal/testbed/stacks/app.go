@@ -27,16 +27,12 @@ type FaceVerify struct {
 func (v *FaceVerify) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	if v.Baseline {
 		app, err := faceverify.SetupBaseline(tk, d.Cl, v.Cfg)
-		if err != nil {
-			assert.NoErr(err, "stacks/faceverify")
-		}
+		assert.NoErr(err, "stacks/faceverify")
 		v.Base, v.DB = app, app.DB
 		return
 	}
 	app, err := faceverify.SetupFractOS(tk, d.Cl, v.Cfg)
-	if err != nil {
-		assert.NoErr(err, "stacks/faceverify")
-	}
+	assert.NoErr(err, "stacks/faceverify")
 	v.App, v.DB = app, app.DB
 }
 

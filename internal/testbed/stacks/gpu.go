@@ -12,16 +12,13 @@ import (
 )
 
 // GPU deploys the FractOS GPU compute service of §6.3: a GPU device
-// with the face-verification kernel registered, its adaptor Process,
-// and a client Process holding one pre-allocated buffer set (image
-// batch, probes, output, reply Request) per in-flight slot.
+// (96 MiB) with the face-verification kernel registered, its adaptor
+// Process on node 1, and a client Process on node 0 holding one
+// pre-allocated buffer set (image batch, probes, output, reply
+// Request) per in-flight slot.
 type GPU struct {
 	Batch int // images per request; default 1
 	Slots int // in-flight slots; default 1
-
-	Node       int // adaptor node; default 1
-	ClientNode int // client node; default 0
-	MemSize    int // GPU memory; default 96 MiB
 
 	// Filled at deploy.
 	Dev *gpu.Device
@@ -53,48 +50,33 @@ func (g *GPU) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	if g.Slots == 0 {
 		g.Slots = 1
 	}
-	if g.Node == 0 {
-		g.Node = 1
-	}
-	if g.MemSize == 0 {
-		g.MemSize = 96 << 20
-	}
+	const adaptorNode, clientNode, memSize = 1, 0, 96 << 20
 	cl := d.Cl
-	g.Dev = gpu.NewDevice(cl.K, gpu.Config{MemSize: g.MemSize, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
+	g.Dev = gpu.NewDevice(cl.K, gpu.Config{MemSize: memSize, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
 	faceverify.RegisterKernel(g.Dev)
-	ad := gpu.NewAdaptor(cl, g.Node, "gpu-adaptor", g.Dev)
-	if err := ad.Start(tk); err != nil {
-		assert.NoErr(err, "stacks/gpu")
-	}
+	ad := gpu.NewAdaptor(cl, adaptorNode, "gpu-adaptor", g.Dev)
+	assert.NoErr(ad.Start(tk), "stacks/gpu")
 	imgBytes := g.Batch * faceverify.ImgSize
 	probeBytes := g.Batch * faceverify.ProbeSize
 	slotBytes := imgBytes + probeBytes
 	g.free = sim.NewSemaphore(g.Slots)
-	g.App = proc.Attach(cl, g.ClientNode, "gpu-client", g.Slots*slotBytes+4096)
+	g.App = proc.Attach(cl, clientNode, "gpu-client", g.Slots*slotBytes+4096)
 	ctxInit, err := proc.GrantCap(ad.P, ad.CtxInit, g.App)
-	if err != nil {
-		assert.NoErr(err, "stacks/gpu")
-	}
+	assert.NoErr(err, "stacks/gpu")
 	dl, err := g.App.Call(tk, ctxInit, nil, nil, gpu.SlotCont)
-	if err != nil {
-		assert.NoErr(err, "stacks/gpu")
-	}
+	assert.NoErr(err, "stacks/gpu")
 	allocReq, _ := dl.Cap(gpu.SlotAlloc)
 	loadReq, _ := dl.Cap(gpu.SlotLoad)
 	name := faceverify.KernelName
 	ld, err := g.App.Call(tk, loadReq,
 		[]wire.ImmArg{proc.U64Arg(8, uint64(len(name))), proc.BytesArg(16, []byte(name))},
 		nil, gpu.SlotCont)
-	if err != nil {
-		assert.NoErr(err, "stacks/gpu")
-	}
+	assert.NoErr(err, "stacks/gpu")
 	g.invoke, _ = ld.Cap(gpu.SlotKernel)
 
 	alloc := func(size int) (proc.Cap, uint64) {
 		dl, err := g.App.Call(tk, allocReq, []wire.ImmArg{proc.U64Arg(8, uint64(size))}, nil, gpu.SlotCont)
-		if err != nil {
-			assert.NoErr(err, "stacks/gpu")
-		}
+		assert.NoErr(err, "stacks/gpu")
 		if st := dl.U64(0); st != gpu.StatusOK {
 			assert.Failf("stacks/gpu: gpu alloc status %d", st)
 		}
@@ -108,16 +90,13 @@ func (g *GPU) Deploy(tk *sim.Task, d *testbed.Deployment) {
 		s.gpuOut, s.outAddr = alloc(g.Batch)
 		s.imgOff = i * slotBytes
 		s.probeOff = s.imgOff + imgBytes
-		if s.imgMem, err = g.App.MemoryCreate(tk, uint64(s.imgOff), uint64(imgBytes), cap.MemRights); err != nil {
-			assert.NoErr(err, "stacks/gpu")
-		}
-		if s.probeMem, err = g.App.MemoryCreate(tk, uint64(s.probeOff), uint64(probeBytes), cap.MemRights); err != nil {
-			assert.NoErr(err, "stacks/gpu")
-		}
+		s.imgMem, err = g.App.MemoryCreate(tk, uint64(s.imgOff), uint64(imgBytes), cap.MemRights)
+		assert.NoErr(err, "stacks/gpu")
+		s.probeMem, err = g.App.MemoryCreate(tk, uint64(s.probeOff), uint64(probeBytes), cap.MemRights)
+		assert.NoErr(err, "stacks/gpu")
 		s.replyTag = g.App.NewTag()
-		if s.reply, err = g.App.RequestCreate(tk, s.replyTag, nil, nil); err != nil {
-			assert.NoErr(err, "stacks/gpu")
-		}
+		s.reply, err = g.App.RequestCreate(tk, s.replyTag, nil, nil)
+		assert.NoErr(err, "stacks/gpu")
 		g.slots = append(g.slots, s)
 	}
 }
@@ -147,27 +126,20 @@ func (g *GPU) OneRequest(tk *sim.Task) {
 		g.free.Release()
 	}()
 	xferStart := tk.Now()
-	if err := g.App.MemoryCopy(tk, s.imgMem, s.gpuImg); err != nil {
-		assert.NoErr(err, "stacks/gpu")
-	}
-	if err := g.App.MemoryCopy(tk, s.probeMem, s.gpuProbe); err != nil {
-		assert.NoErr(err, "stacks/gpu")
-	}
+	assert.NoErr(g.App.MemoryCopy(tk, s.imgMem, s.gpuImg), "stacks/gpu")
+	assert.NoErr(g.App.MemoryCopy(tk, s.probeMem, s.gpuProbe), "stacks/gpu")
 	g.lastTransfer = tk.Now() - xferStart
 	ao := gpu.ArgOffset(len(faceverify.KernelName), 0)
 	f := g.App.WaitTag(s.replyTag)
-	if err := g.App.Invoke(tk, g.invoke,
+	err := g.App.Invoke(tk, g.invoke,
 		[]wire.ImmArg{
 			proc.U64Arg(ao, s.imgAddr), proc.U64Arg(ao+8, s.probeAddr),
 			proc.U64Arg(ao+16, s.outAddr), proc.U64Arg(ao+24, uint64(g.Batch)),
 		},
-		[]proc.Arg{{Slot: gpu.SlotSuccess, Cap: s.reply}, {Slot: gpu.SlotError, Cap: s.reply}}); err != nil {
-		assert.NoErr(err, "stacks/gpu")
-	}
+		[]proc.Arg{{Slot: gpu.SlotSuccess, Cap: s.reply}, {Slot: gpu.SlotError, Cap: s.reply}})
+	assert.NoErr(err, "stacks/gpu")
 	dl, err := f.Wait(tk)
-	if err != nil {
-		assert.NoErr(err, "stacks/gpu")
-	}
+	assert.NoErr(err, "stacks/gpu")
 	dl.Done()
 	if st := dl.U64(0); st != gpu.StatusOK {
 		assert.Failf("stacks/gpu: gpu pipeline status %d", st)

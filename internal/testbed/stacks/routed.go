@@ -13,36 +13,25 @@ import (
 )
 
 // Routed deploys a replicated synthetic service behind the registry
-// and a routing balancer: a registry on RegistryNode, Replicas
-// instances of a sleep-for-the-requested-duration worker spread over
-// Nodes, and a client-side Balancer with the named Policy. With
-// AutoMax > 0 an Autoscaler manages the instance count between
-// Replicas and AutoMax, bound to the deployment's NodeWatch when one
-// is present (Spec.Watch/Heartbeat).
+// and a routing balancer: a registry and the client on node 0,
+// Replicas instances of a sleep-for-the-requested-duration worker
+// spread over Nodes, and a client-side Balancer with the named Policy.
+// With Repair set an Autoscaler keeps Replicas instances, repairing
+// the set when the deployment's NodeWatch (Spec.Watch/Heartbeat)
+// fences a node.
 //
 // The work request is the route package's layout: imm[0:8) request id,
 // imm[8:16) service duration in virtual ns.
 type Routed struct {
-	// Name is the registry name; "" means "svc.work".
-	Name string
 	// Replicas is the initial (and minimum) instance count; 0 means 4.
 	Replicas int
-	// Policy is "rr", "least", or "affinity"; "" means "rr".
+	// Policy is "rr" or "least"; "" means "rr".
 	Policy string
-	// MaxQueue and Width parameterize each replica's admission control.
-	MaxQueue int
-	Width    int
-	// RegistryNode and ClientNode place the control plane; replicas go
-	// on Nodes (default: every node except ClientNode, round-robin).
-	RegistryNode int
-	ClientNode   int
-	Nodes        []int
-	// AutoMax, when > 0, enables the autoscaler with Max = AutoMax.
-	AutoMax int
-	// AutoEvery, UpDepth, DownDepth tune the autoscaler (see route).
-	AutoEvery sim.Time
-	UpDepth   float64
-	DownDepth float64
+	// Nodes place the replicas, round-robin (default: every node but
+	// the client's).
+	Nodes []int
+	// Repair enables the autoscaler's fence-driven repair.
+	Repair bool
 	// AttemptTimeout bounds each routed attempt (see
 	// route.Balancer.AttemptTimeout); 0 keeps the route default.
 	AttemptTimeout sim.Time
@@ -56,40 +45,35 @@ type Routed struct {
 	// Instances are the initial replicas (the autoscaler's view
 	// supersedes this when scaling is on).
 	Instances []*route.Instance
-	// AllInstances is every instance ever spawned, including retired and
-	// fenced ones — the soak tests' double-delivery oracle (each request
-	// id must appear in at most one instance's Served log).
+	// AllInstances is every instance ever spawned, including fenced
+	// ones — the soak tests' double-delivery oracle (each request id
+	// must appear in at most one instance's Served log).
 	AllInstances []*route.Instance
 }
 
+// routedName is the registry name a Routed service registers under.
+const routedName = "svc.work"
+
 // Deploy implements testbed.Service.
 func (s *Routed) Deploy(tk *sim.Task, d *testbed.Deployment) {
-	if s.Name == "" {
-		s.Name = "svc.work"
-	}
 	if s.Replicas <= 0 {
 		s.Replicas = 4
 	}
 	if len(s.Nodes) == 0 {
-		for n := 0; n < d.Cl.Nodes(); n++ {
-			if n != s.ClientNode {
-				s.Nodes = append(s.Nodes, n)
-			}
-		}
-		if len(s.Nodes) == 0 {
-			s.Nodes = []int{s.ClientNode}
+		for n := 1; n < d.Cl.Nodes(); n++ {
+			s.Nodes = append(s.Nodes, n)
 		}
 	}
 
-	s.Reg = services.NewRegistry(d.Cl, s.RegistryNode)
+	s.Reg = services.NewRegistry(d.Cl, 0)
 	assert.NoErr(s.Reg.Start(tk), "stacks/routed: registry")
 	if d.Watch != nil {
 		s.Reg.BindWatch(d.Watch)
 	}
 
 	spawn := func(t *sim.Task, node, seq int) (*route.Instance, error) {
-		p := d.Attach(node, fmt.Sprintf("%s-r%d", s.Name, seq), 0)
-		rep := &route.Replica{P: p, MaxQueue: s.MaxQueue, Width: s.Width, Handler: workHandler}
+		p := d.Attach(node, fmt.Sprintf("%s-r%d", routedName, seq), 0)
+		rep := &route.Replica{P: p, Handler: workHandler}
 		if err := rep.Start(t); err != nil {
 			return nil, err
 		}
@@ -97,49 +81,36 @@ func (s *Routed) Deploy(tk *sim.Task, d *testbed.Deployment) {
 		if err != nil {
 			return nil, err
 		}
-		id, err := rc.Register(t, s.Name, rep.Root, node)
+		id, err := rc.Register(t, routedName, rep.Root, node)
 		if err != nil {
 			return nil, err
 		}
-		in := &route.Instance{Node: node, Seq: seq, MemberID: id, R: rep, Client: rc}
+		in := &route.Instance{Node: node, Seq: seq, MemberID: id, R: rep}
 		s.AllInstances = append(s.AllInstances, in)
 		return in, nil
 	}
-	retire := func(t *sim.Task, in *route.Instance) {
-		// A fence may have pruned this membership already
-		// (StatusUnknownObj) — a benign race at retire time; anything
-		// else is a harness bug.
-		if err := in.Client.Deregister(t, s.Name, in.MemberID); err != nil &&
-			!wire.IsStatus(err, wire.StatusUnknownObj) {
-			assert.NoErr(err, "stacks/routed: deregister")
-		}
-		in.R.Drain(t)
-		in.R.P.Bye()
-	}
 
-	cp := d.Attach(s.ClientNode, s.Name+"-client", 0)
+	cp := d.Attach(0, routedName+"-client", 0)
 	s.ClientP = cp
 	cl, err := s.Reg.Connect(cp)
 	assert.NoErr(err, "stacks/routed: client connect")
 	s.Client = cl
 	s.B = &route.Balancer{
 		Client:         cl,
-		Name:           s.Name,
-		Policy:         route.ParsePolicy(s.Policy, s.ClientNode),
+		Name:           routedName,
+		Policy:         route.ParsePolicy(s.Policy),
 		Retry:          proc.Retry{Max: 6, Jitter: 0.2, Seed: 17},
 		AttemptTimeout: s.AttemptTimeout,
 	}
 
-	if s.AutoMax > 0 {
+	if s.Repair {
 		s.Scaler = &route.Autoscaler{
-			Min: s.Replicas, Max: s.AutoMax,
-			Every: s.AutoEvery, UpDepth: s.UpDepth, DownDepth: s.DownDepth,
-			Nodes: s.Nodes, Spawn: spawn, Retire: retire, Balancer: s.B,
+			Min: s.Replicas, Nodes: s.Nodes, Spawn: spawn, Balancer: s.B,
 		}
 		if d.Watch != nil {
 			s.Scaler.BindWatch(d.Watch, d.K())
 		}
-		assert.NoErr(s.Scaler.Start(tk, d.K()), "stacks/routed: autoscaler")
+		assert.NoErr(s.Scaler.Start(tk), "stacks/routed: autoscaler")
 		s.Instances = s.Scaler.Instances()
 		return
 	}
@@ -152,11 +123,11 @@ func (s *Routed) Deploy(tk *sim.Task, d *testbed.Deployment) {
 
 // workHandler is the synthetic routed service: it models a request
 // whose service time rides in imm[8:16).
-func workHandler(t *sim.Task, d *proc.Delivery) (wire.Status, []wire.ImmArg, []proc.Arg) {
+func workHandler(t *sim.Task, d *proc.Delivery) wire.Status {
 	if ns := d.U64(8); ns > 0 {
 		t.Sleep(sim.Time(ns))
 	}
-	return wire.StatusOK, nil, nil
+	return wire.StatusOK
 }
 
 // Do routes one request with the given id and service duration through

@@ -1,7 +1,7 @@
 // Package stacks provides the declarative service specs deployed by a
 // testbed.Spec: the NVMe adaptor, the extent FS (with its three
-// backend modes), the GPU compute service, the capability registry,
-// and the face-verification application. Each spec is a
+// backend modes), the GPU compute service, the routed replicated
+// service, and the face-verification application. Each spec is a
 // testbed.Service whose Deploy fills the spec's exported handle fields
 // in place; workloads keep the spec pointer and use the handles after
 // testbed.Run enters the main task.
@@ -22,52 +22,35 @@ import (
 	"fractos/internal/testbed"
 )
 
-// NVMe deploys an NVMe device plus its adaptor Process on a node.
+// NVMe deploys an NVMe device plus its adaptor Process
+// ("nvme-adaptor") on a node.
 type NVMe struct {
 	Node int
-	Name string        // adaptor Process name; default "nvme-adaptor"
-	Dev  *nvme.Device  // pre-set to share a device; created if nil
 	Ad   *nvme.Adaptor // filled at deploy
 }
 
 // Deploy implements testbed.Service.
 func (s *NVMe) Deploy(tk *sim.Task, d *testbed.Deployment) {
-	if s.Name == "" {
-		s.Name = "nvme-adaptor"
-	}
-	if s.Dev == nil {
-		s.Dev = nvme.NewDevice(d.Cl.K, nvme.DefaultConfig())
-	}
-	s.Ad = nvme.NewAdaptor(d.Cl, s.Node, s.Name, s.Dev)
-	if err := s.Ad.Start(tk); err != nil {
-		assert.NoErr(err, "stacks/nvme")
-	}
+	s.Ad = nvme.NewAdaptor(d.Cl, s.Node, "nvme-adaptor", nvme.NewDevice(d.Cl.K, nvme.DefaultConfig()))
+	assert.NoErr(s.Ad.Start(tk), "stacks/nvme")
 }
 
-// FS deploys the extent FS service on a node, wired to an NVMe adaptor
-// deployed earlier in the Services list.
+// FS deploys the extent FS service ("fs-service") on a node, wired to
+// an NVMe adaptor deployed earlier in the Services list.
 type FS struct {
 	Node    int
-	Name    string      // FS Process name; default "fs-service"
 	Backend *NVMe       // must appear before this spec in Spec.Services
 	Svc     *fs.Service // filled at deploy
 }
 
 // Deploy implements testbed.Service.
 func (s *FS) Deploy(tk *sim.Task, d *testbed.Deployment) {
-	if s.Name == "" {
-		s.Name = "fs-service"
-	}
 	if s.Backend == nil || s.Backend.Ad == nil {
 		assert.Failf("stacks/fs: Backend NVMe spec missing or not yet deployed")
 	}
-	s.Svc = fs.NewService(d.Cl, s.Node, s.Name)
-	if err := s.Svc.Wire(s.Backend.Ad); err != nil {
-		assert.NoErr(err, "stacks/fs")
-	}
-	if err := s.Svc.Start(tk); err != nil {
-		assert.NoErr(err, "stacks/fs")
-	}
+	s.Svc = fs.NewService(d.Cl, s.Node, "fs-service")
+	assert.NoErr(s.Svc.Wire(s.Backend.Ad), "stacks/fs")
+	assert.NoErr(s.Svc.Start(tk), "stacks/fs")
 }
 
 // StorageKind selects the storage system under test (Figure 10's
@@ -85,17 +68,13 @@ const (
 
 // Storage deploys the full storage benchmark stack of §6.4: an NVMe
 // device, the FS service (or the disaggregated baseline backend), and
-// a client Process holding an open benchmark file. The zero value
-// places the client on node 0, the FS on node 1, and the device on
-// node 2 — the paper's three-node storage topology.
+// a client Process (12 MiB of memory) holding an open benchmark file
+// of fs.MaxExtents × fs.ExtentSize (8 MiB). The client is on node 0,
+// the FS on node 1, and the device on node 2 — the paper's three-node
+// storage topology.
 type Storage struct {
 	Kind     StorageKind
 	ForWrite bool // reopen the benchmark file writable
-
-	ClientNode, FSNode, DevNode int    // all zero = 0/1/2
-	FileName                    string // default "bench.bin"
-	FileBytes                   uint64 // default fs.MaxExtents * fs.ExtentSize (8 MiB)
-	ClientMem                   int    // default 12 MiB
 
 	// Filled at deploy.
 	Client *proc.Process
@@ -117,50 +96,35 @@ type Storage struct {
 // changing it would shift virtual timestamps during setup, though not
 // the steady-state metrics measured afterwards.
 func (s *Storage) Deploy(tk *sim.Task, d *testbed.Deployment) {
-	if s.ClientNode == 0 && s.FSNode == 0 && s.DevNode == 0 {
-		s.FSNode, s.DevNode = 1, 2
-	}
-	if s.FileName == "" {
-		s.FileName = "bench.bin"
-	}
-	if s.FileBytes == 0 {
-		s.FileBytes = uint64(fs.MaxExtents) * fs.ExtentSize
-	}
-	if s.ClientMem == 0 {
-		s.ClientMem = 12 << 20
-	}
+	const (
+		clientNode, fsNode, devNode = 0, 1, 2
+		fileName                    = "bench.bin"
+		fileBytes                   = uint64(fs.MaxExtents) * fs.ExtentSize
+		clientMem                   = 12 << 20
+	)
 	cl := d.Cl
 	dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
-	s.Svc = fs.NewService(cl, s.FSNode, "fs")
+	s.Svc = fs.NewService(cl, fsNode, "fs")
 	switch s.Kind {
 	case StorDisagg:
-		be := baseline.NewDisaggregatedBackend(cl, s.FSNode, s.DevNode, dev)
+		be := baseline.NewDisaggregatedBackend(cl, fsNode, devNode, dev)
 		s.Svc.WireBackend(be)
 		s.DropCaches = be.Initiator().DropCaches
 		s.SetCacheSize = be.Initiator().SetCacheSize
 	default:
-		ad := nvme.NewAdaptor(cl, s.DevNode, "nvme", dev)
-		if err := ad.Start(tk); err != nil {
-			assert.NoErr(err, "stacks/storage")
-		}
-		if err := s.Svc.Wire(ad); err != nil {
-			assert.NoErr(err, "stacks/storage")
-		}
+		ad := nvme.NewAdaptor(cl, devNode, "nvme", dev)
+		assert.NoErr(ad.Start(tk), "stacks/storage")
+		assert.NoErr(s.Svc.Wire(ad), "stacks/storage")
 		s.DropCaches = func() {}
 	}
-	if err := s.Svc.Start(tk); err != nil {
-		assert.NoErr(err, "stacks/storage")
-	}
-	s.Client = proc.Attach(cl, s.ClientNode, "stor-client", s.ClientMem)
+	assert.NoErr(s.Svc.Start(tk), "stacks/storage")
+	s.Client = proc.Attach(cl, clientNode, "stor-client", clientMem)
 	open, err := proc.GrantCap(s.Svc.P, s.Svc.Open, s.Client)
-	if err != nil {
-		assert.NoErr(err, "stacks/storage")
-	}
+	assert.NoErr(err, "stacks/storage")
 	s.Open = open
 	mode := uint64(fs.OpenRead | fs.OpenWrite | fs.OpenCreate)
-	if _, err := fs.OpenFile(tk, s.Client, open, s.FileName, mode, s.FileBytes); err != nil {
-		assert.NoErr(err, "stacks/storage")
-	}
+	_, err = fs.OpenFile(tk, s.Client, open, fileName, mode, fileBytes)
+	assert.NoErr(err, "stacks/storage")
 	reopen := uint64(fs.OpenRead)
 	if s.ForWrite {
 		reopen |= fs.OpenWrite
@@ -168,10 +132,8 @@ func (s *Storage) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	if s.Kind == StorDAX {
 		reopen |= fs.OpenDAX
 	}
-	f, err := fs.OpenFile(tk, s.Client, open, s.FileName, reopen, 0)
-	if err != nil {
-		assert.NoErr(err, "stacks/storage")
-	}
+	f, err := fs.OpenFile(tk, s.Client, open, fileName, reopen, 0)
+	assert.NoErr(err, "stacks/storage")
 	s.File = f
 	s.mem = map[uint64]proc.Cap{}
 	s.DropCaches()
@@ -192,9 +154,7 @@ func (s *Storage) Buf(tk *sim.Task, n uint64) proc.Cap {
 // bytes — one per concurrent worker in throughput runs.
 func (s *Storage) Alloc(tk *sim.Task, n uint64) proc.Cap {
 	c, _, err := s.Client.AllocMemory(tk, int(n), cap.MemRights)
-	if err != nil {
-		assert.NoErr(err, "stacks/storage")
-	}
+	assert.NoErr(err, "stacks/storage")
 	return c
 }
 

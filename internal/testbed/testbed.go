@@ -1,8 +1,8 @@
 // Package testbed is the declarative deployment layer shared by the
 // evaluation harness (internal/exp), the runnable examples, and the
 // integration tests. A Spec describes a cluster — node count,
-// Controller placement, fabric profile, seed — plus an ordered list of
-// Services to deploy (GPU adaptor, NVMe adaptor, FS, registry,
+// Controller placement, seed, faults — plus an ordered list of
+// Services to deploy (GPU adaptor, NVMe adaptor, FS, routed service,
 // face-verification application, ...). Run builds the kernel, fabric,
 // Controllers, and capability bootstrap in one call, deploys the
 // services inside the simulation's main task, and hands control to the
@@ -48,14 +48,13 @@ type Service interface {
 }
 
 // Spec declares a cluster deployment. The zero value is a 3-node
-// cluster with per-node host-CPU Controllers, the default fabric
-// profile, seed 0, and no services — exactly core.NewCluster's
-// defaults.
+// cluster with per-node host-CPU Controllers, seed 0, and no services —
+// exactly core.NewCluster's defaults. The fabric is always calibrated
+// by fabric.DefaultProfile.
 type Spec struct {
 	Nodes     int
 	Placement core.Placement
-	Ctrl      core.Config    // Controller template; Loc is set per controller
-	Profile   fabric.Profile // zero value = fabric.DefaultProfile()
+	Ctrl      core.Config // Controller template; Loc is set per controller
 	Seed      int64
 	// Watch adds a failure-injection NodeWatch to the deployment
 	// (examples/failover, recovery tests).
@@ -81,7 +80,6 @@ func (s Spec) ClusterConfig() core.ClusterConfig {
 		Nodes:     s.Nodes,
 		Placement: s.Placement,
 		Ctrl:      s.Ctrl,
-		Profile:   s.Profile,
 		Seed:      s.Seed,
 		Faults:    s.Chaos,
 	}
@@ -95,7 +93,6 @@ func SpecOf(cfg core.ClusterConfig, svcs ...Service) Spec {
 		Nodes:     cfg.Nodes,
 		Placement: cfg.Placement,
 		Ctrl:      cfg.Ctrl,
-		Profile:   cfg.Profile,
 		Seed:      cfg.Seed,
 		Chaos:     cfg.Faults,
 		Services:  svcs,
