@@ -13,12 +13,12 @@ vet:
 	$(GO) vet ./...
 	gofmt -l . | (! grep .) || (echo "gofmt needed"; exit 1)
 
-# lint runs the repository's custom analyzers — the per-function
-# checks (capcheck, epochguard, panicfree, regcheck, sendcheck,
-# simdet, statuscheck) plus the interprocedural pair built on the shared call
-# graph: poolcheck (pooled-resource lifecycle) and allocfree
-# (//fractos:hotpath zero-alloc enforcement); see
-# docs/STATIC_ANALYSIS.md.
+# lint runs the repository's eight custom analyzers — allocfree,
+# capcheck, epochguard, mustuse, panicfree, poolcheck, simdet and
+# statuscheck — each reading //fractos: directives off the declarations
+# it is about, and reports any directive or waiver no analyzer reads;
+# see docs/STATIC_ANALYSIS.md. cmd/fractos-vet's TestModuleLintsClean
+# runs the same suite under `make test`.
 lint:
 	$(GO) run ./cmd/fractos-vet
 
@@ -87,7 +87,7 @@ examples:
 # statements and how many of them never ran. It fails when the total
 # of unexecuted statements exceeds COVER_MAX: code that nothing runs is
 # deleted, or reached by a test or workload that names it.
-COVER_MAX = 693
+COVER_MAX = 676
 COVERPKG = ./internal/...,./cmd/...,./examples/...
 COVER_RUNS = $(EXAMPLES:%=examples/%) "fractos-bench -list" \
 	"fractos-bench -run table3" fractos-trace fractos-vet

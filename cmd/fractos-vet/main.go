@@ -1,37 +1,34 @@
 // Command fractos-vet runs the repository's custom static analyzers
 // (tools/analyzers/...) over the module: capability-validation order
 // (capcheck), epoch fencing of peer handlers (epochguard), simulator
-// determinism (simdet), wire.Status hygiene and completion protocol
-// (statuscheck), Net.Send delivery-failure hygiene (sendcheck),
-// registry Register/Deregister error hygiene (regcheck), the
-// no-panic policy (panicfree), pooled-resource lifecycle (poolcheck),
-// and hot-path allocation freedom (allocfree). The last two are
-// interprocedural: they share a module-wide call graph built once per
-// run (tools/analyzers/callgraph).
+// determinism (simdet), the syscall completion protocol (statuscheck),
+// results that must not be dropped — wire.Status, Net.Send's delivery
+// failure, registry membership errors — (mustuse), the no-panic policy
+// (panicfree), pooled-resource lifecycle (poolcheck), and hot-path
+// allocation freedom over a module-wide call graph (allocfree). The
+// analyzers know no function by name: each reads //fractos: directives
+// off the declarations it is about, and the driver reports every
+// directive or waiver that no analyzer reads.
 //
 // Usage:
 //
-//	fractos-vet [-only name[,name...]] [-json] [package ...]
+//	fractos-vet [-list] [-only name[,name...]] [package ...]
 //
 // With no package arguments the whole module is analyzed, including
-// the analyzers themselves. Packages load serially (the loader is not
-// concurrency-safe), then every (package, analyzer) pass runs in
-// parallel. Findings are printed as file:line:col: [analyzer] message
-// — or as a JSON array with -json — and the exit status is 1 if there
+// the analyzers themselves. Packages load, then every (package,
+// analyzer) pass runs, serially. Findings are printed as
+// file:line:col: [analyzer] message, and the exit status is 1 if there
 // were any, 2 on usage or load errors. Wall-clock totals go to stderr.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"go/token"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"fractos/tools/analyzers/allocfree"
@@ -39,10 +36,9 @@ import (
 	"fractos/tools/analyzers/capcheck"
 	"fractos/tools/analyzers/epochguard"
 	"fractos/tools/analyzers/loader"
+	"fractos/tools/analyzers/mustuse"
 	"fractos/tools/analyzers/panicfree"
 	"fractos/tools/analyzers/poolcheck"
-	"fractos/tools/analyzers/regcheck"
-	"fractos/tools/analyzers/sendcheck"
 	"fractos/tools/analyzers/simdet"
 	"fractos/tools/analyzers/statuscheck"
 )
@@ -52,10 +48,9 @@ var all = []*analysis.Analyzer{
 	allocfree.Analyzer,
 	capcheck.Analyzer,
 	epochguard.Analyzer,
+	mustuse.Analyzer,
 	panicfree.Analyzer,
 	poolcheck.Analyzer,
-	regcheck.Analyzer,
-	sendcheck.Analyzer,
 	simdet.Analyzer,
 	statuscheck.Analyzer,
 }
@@ -66,21 +61,11 @@ type finding struct {
 	message  string
 }
 
-// jsonFinding is the -json serialization of one diagnostic.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 func main() {
 	only := flag.String("only", "", "comma-separated subset of analyzers to run")
 	list := flag.Bool("list", false, "list available analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fractos-vet [-only name[,name...]] [-json] [package ...]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: fractos-vet [-list] [-only name[,name...]] [package ...]\n\nanalyzers:\n")
 		for _, a := range all {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -99,36 +84,46 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fractos-vet:", err)
 		os.Exit(2)
 	}
-
-	cwd, err := os.Getwd()
+	findings, modDir, err := vet(".", flag.Args(), suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fractos-vet:", err)
 		os.Exit(2)
 	}
-	modPath, modDir, err := loader.FindModule(cwd)
+	for _, f := range findings {
+		fmt.Printf("%s:%d:%d: [%s] %s\n", relPath(modDir, f.pos.Filename), f.pos.Line, f.pos.Column, f.analyzer, f.message)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "fractos-vet: %d finding(s)\n", len(findings))
+		os.Exit(1)
+	}
+}
+
+// vet loads the packages named by args (the whole module enclosing dir
+// when there are none), runs suite and the directive check over them,
+// and returns the findings in position order with the module's root.
+func vet(dir string, args []string, suite []*analysis.Analyzer) ([]finding, string, error) {
+	modPath, modDir, err := loader.FindModule(dir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fractos-vet:", err)
-		os.Exit(2)
+		return nil, "", err
 	}
 	l := &loader.Loader{ModulePath: modPath, ModuleDir: modDir}
 
 	loadStart := time.Now()
 	var pkgs []*loader.Package
-	if args := flag.Args(); len(args) > 0 {
+	if len(args) > 0 {
 		pkgs, err = l.Load(qualify(args, modPath)...)
 	} else {
 		pkgs, err = l.LoadModule()
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fractos-vet:", err)
-		os.Exit(2)
+		return nil, "", err
 	}
 	loadTime := time.Since(loadStart)
 
 	// The module view spans everything the loader materialized — the
 	// requested packages plus their in-module dependencies — so the
-	// interprocedural analyzers see call targets outside the analyzed
-	// package set.
+	// interprocedural analyzers and the directive index see call
+	// targets outside the analyzed package set.
 	module := &analysis.Module{Fset: l.Fset}
 	for _, pkg := range l.Loaded() {
 		module.Packages = append(module.Packages, &analysis.ModulePackage{
@@ -137,14 +132,28 @@ func main() {
 	}
 
 	analyzeStart := time.Now()
-	findings, errs := runPasses(pkgs, suite, module)
-	analyzeTime := time.Since(analyzeStart)
-	if len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintln(os.Stderr, "fractos-vet:", e)
+	passes := append(suite[:len(suite):len(suite)], analysis.Directives(all))
+	var findings []finding
+	for _, pkg := range pkgs {
+		for _, a := range passes {
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.TypesInfo,
+				Module:    module,
+			}
+			pass.Report = func(d analysis.Diagnostic) {
+				findings = append(findings, finding{pos: pkg.Fset.Position(d.Pos), analyzer: a.Name, message: d.Message})
+			}
+			if _, err := a.Run(pass); err != nil {
+				return nil, "", fmt.Errorf("%s: %s: %v", a.Name, pkg.PkgPath, err)
+			}
 		}
-		os.Exit(2)
 	}
+	fmt.Fprintf(os.Stderr, "fractos-vet: %d packages × %d analyzers: load %s, analyze %s\n",
+		len(pkgs), len(suite), loadTime.Round(time.Millisecond), time.Since(analyzeStart).Round(time.Millisecond))
 
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -159,99 +168,7 @@ func main() {
 		}
 		return a.analyzer < b.analyzer
 	})
-
-	if *jsonOut {
-		out := make([]jsonFinding, 0, len(findings))
-		for _, f := range findings {
-			out = append(out, jsonFinding{
-				File:     relPath(modDir, f.pos.Filename),
-				Line:     f.pos.Line,
-				Col:      f.pos.Column,
-				Analyzer: f.analyzer,
-				Message:  f.message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "fractos-vet:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", relPath(modDir, f.pos.Filename), f.pos.Line, f.pos.Column, f.analyzer, f.message)
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "fractos-vet: %d packages × %d analyzers: load %s, analyze %s (%d workers)\n",
-		len(pkgs), len(suite), loadTime.Round(time.Millisecond), analyzeTime.Round(time.Millisecond), workers())
-	if len(findings) > 0 {
-		fmt.Fprintf(os.Stderr, "fractos-vet: %d finding(s)\n", len(findings))
-		os.Exit(1)
-	}
-}
-
-func workers() int {
-	n := runtime.NumCPU()
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// runPasses executes every (package, analyzer) pair on a worker pool.
-// Loading is already done; passes only read type-checked syntax (plus
-// the mutex-guarded module fact cache), so they parallelize freely.
-func runPasses(pkgs []*loader.Package, suite []*analysis.Analyzer, module *analysis.Module) ([]finding, []error) {
-	type job struct {
-		pkg *loader.Package
-		a   *analysis.Analyzer
-	}
-	jobs := make(chan job)
-	var mu sync.Mutex
-	var findings []finding
-	var errs []error
-	var wg sync.WaitGroup
-	for i := 0; i < workers(); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				var local []finding
-				pass := &analysis.Pass{
-					Analyzer:  j.a,
-					Fset:      j.pkg.Fset,
-					Files:     j.pkg.Files,
-					Pkg:       j.pkg.Types,
-					TypesInfo: j.pkg.TypesInfo,
-					Module:    module,
-				}
-				name := j.a.Name
-				pass.Report = func(d analysis.Diagnostic) {
-					local = append(local, finding{
-						pos:      j.pkg.Fset.Position(d.Pos),
-						analyzer: name,
-						message:  d.Message,
-					})
-				}
-				_, err := j.a.Run(pass)
-				mu.Lock()
-				if err != nil {
-					errs = append(errs, fmt.Errorf("%s: %s: %v", j.a.Name, j.pkg.PkgPath, err))
-				}
-				findings = append(findings, local...)
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, pkg := range pkgs {
-		for _, a := range suite {
-			jobs <- job{pkg: pkg, a: a}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	return findings, errs
+	return findings, modDir, nil
 }
 
 func relPath(modDir, file string) string {

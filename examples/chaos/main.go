@@ -68,6 +68,8 @@ func deploy(tk *sim.Task, d *testbed.Deployment, client *proc.Process, gen int) 
 // asynchronously with a timeout, so an attempt issued into a partition
 // returns to the retry policy promptly instead of blocking inside the
 // Controllers' retransmission window.
+//
+//fractos:ordered
 func call(tk *sim.Task, client *proc.Process, r *rig, payload string, deadline sim.Time) error {
 	reply, tag, err := client.ReplyRequest(tk)
 	if err != nil {

@@ -1,11 +1,13 @@
 package baseline
 
 import (
+	"math"
 	"testing"
 
 	"fractos/internal/core"
 	"fractos/internal/device/gpu"
 	"fractos/internal/device/nvme"
+	"fractos/internal/fabric"
 	"fractos/internal/sim"
 )
 
@@ -143,4 +145,86 @@ func TestBlockCacheFIFOEviction(t *testing.T) {
 	if len(c.fifo) != 2 {
 		t.Errorf("fifo length = %d after refill, want 2", len(c.fifo))
 	}
+}
+
+// TestBaselineServersRejectHostileArgs sends every baseline server the
+// lengths and offsets a broken or hostile client could put on the wire,
+// through a raw Peer. Each request is answered — an argument that does
+// not fit with an error status — and none takes the simulation down.
+func TestBaselineServersRejectHostileArgs(t *testing.T) {
+	const size = 4096
+	inside := func(off, n, size int64) bool { return off >= 0 && n >= 0 && off <= size-n }
+	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
+		ncfg := nvme.DefaultConfig()
+		ncfg.Capacity = 2 * size
+		tg := NewNVMeoFTarget(cl.K, cl.Net, 2, nvme.NewDevice(cl.K, ncfg))
+		nfs := NewNFSServer(cl.K, cl.Net, 1, NewNVMeoFInitiator(cl.K, cl.Net, 1, tg, false))
+		gpuSrv := NewRCUDAServer(cl.K, cl.Net, 1, gpu.NewDevice(cl.K, gpu.Config{MemSize: size, LaunchOverhead: us(1)}))
+		nfsCli := NewNFSClient(cl.K, cl.Net, 0, nfs)
+		if err := nfsCli.Create(tk, "f", size); err != nil { // the first half of the target
+			t.Error(err)
+			return
+		}
+		fd, _, err := nfsCli.Open(tk, "f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		raw := NewPeer(cl.K, cl.Net, "hostile", fabric.Location{Node: 0, Domain: fabric.Host})
+		name, block := []byte("f"), make([]byte, 8)
+		cases := []struct {
+			what string
+			to   fabric.EndpointID
+			kind uint32
+			req  func(v uint64) []byte
+			ok   func(v int64) bool
+		}{
+			{"rcuda launch nameLen", gpuSrv.Endpoint(), rcudaLaunch,
+				func(v uint64) []byte { return header([]uint64{v}, name) }, func(int64) bool { return false }},
+			{"rcuda H2D addr", gpuSrv.Endpoint(), rcudaMemcpyH2D,
+				func(v uint64) []byte { return header([]uint64{v}, block) }, func(v int64) bool { return inside(v, 8, size) }},
+			{"rcuda D2H addr", gpuSrv.Endpoint(), rcudaMemcpyD2H,
+				func(v uint64) []byte { return header([]uint64{v, 8}, nil) }, func(v int64) bool { return inside(v, 8, size) }},
+			{"rcuda D2H n", gpuSrv.Endpoint(), rcudaMemcpyD2H,
+				func(v uint64) []byte { return header([]uint64{0, v}, nil) }, func(v int64) bool { return inside(0, v, size) }},
+			// A zero-size file fails its allocation, so every create fails.
+			{"nfs create nameLen", nfs.Endpoint(), nfsCreate,
+				func(v uint64) []byte { return header([]uint64{v, 0}, name) }, func(int64) bool { return false }},
+			// No file is called "" or "x".
+			{"nfs open nameLen", nfs.Endpoint(), nfsOpen,
+				func(v uint64) []byte { return header([]uint64{v}, []byte("x")) }, func(int64) bool { return false }},
+			{"nfs read off", nfs.Endpoint(), nfsRead,
+				func(v uint64) []byte { return header([]uint64{fd, v, 8}, nil) }, func(v int64) bool { return inside(v, 8, size) }},
+			{"nfs read n", nfs.Endpoint(), nfsRead,
+				func(v uint64) []byte { return header([]uint64{fd, 0, v}, nil) }, func(v int64) bool { return inside(0, v, size) }},
+			{"nfs write off", nfs.Endpoint(), nfsWrite,
+				func(v uint64) []byte { return header([]uint64{fd, v}, block) }, func(v int64) bool { return inside(v, 8, size) }},
+			{"nvmeof read off", tg.Endpoint(), nvmeofRead,
+				func(v uint64) []byte { return header([]uint64{v, 8}, nil) }, func(v int64) bool { return inside(v, 8, 2*size) }},
+			{"nvmeof read n", tg.Endpoint(), nvmeofRead,
+				func(v uint64) []byte { return header([]uint64{0, v}, nil) }, func(v int64) bool { return inside(0, v, 2*size) }},
+			// The second half of the target is free: size-1 bytes fit
+			// once, and then size+1 cannot.
+			{"nvmeof alloc size", tg.Endpoint(), nvmeofAlloc,
+				func(v uint64) []byte { return header([]uint64{v}, nil) }, func(v int64) bool { return v > 0 && v <= size }},
+		}
+		for _, c := range cases {
+			for _, v := range []int64{-1, 0, 1<<63 - 8, math.MaxInt64 - 10, size - 1, size + 1} {
+				r, err := raw.Call(tk, c.to, c.kind, c.req(uint64(v)), false)
+				if err != nil {
+					t.Errorf("%s = %d: %v", c.what, v, err)
+					continue
+				}
+				if got, want := getU64(r.Data, 0) == 0, c.ok(v); got != want {
+					t.Errorf("%s = %d: succeeded %v, want %v", c.what, v, got, want)
+				}
+			}
+		}
+		// A frame shorter than its own header is answered too.
+		for _, c := range cases {
+			if _, err := raw.Call(tk, c.to, c.kind, make([]byte, 4), false); err != nil {
+				t.Errorf("%s, 4-byte frame: %v", c.what, err)
+			}
+		}
+	})
 }

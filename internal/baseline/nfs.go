@@ -67,8 +67,11 @@ func (s *NFSServer) serve(t *sim.Task) {
 		t.Sleep(nfsServerPerOp)
 		switch req.Kind {
 		case nfsCreate:
-			nameLen := int(getU64(req.Data, 0))
-			size := int64(getU64(req.Data, 8))
+			nameLen, size := int64(getU64(req.Data, 0)), int64(getU64(req.Data, 8))
+			if !fits(16, nameLen, int64(len(req.Data))) {
+				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
+				continue
+			}
 			name := string(req.Data[16 : 16+nameLen])
 			if _, dup := s.files[name]; dup {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
@@ -82,9 +85,12 @@ func (s *NFSServer) serve(t *sim.Task) {
 			s.files[name] = &nfsFile{name: name, off: off, size: size}
 			s.peer.Reply(t, req, header([]uint64{0}, nil), false)
 		case nfsOpen:
-			nameLen := int(getU64(req.Data, 0))
-			name := string(req.Data[8 : 8+nameLen])
-			f, ok := s.files[name]
+			nameLen := int64(getU64(req.Data, 0))
+			if !fits(8, nameLen, int64(len(req.Data))) {
+				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
+				continue
+			}
+			f, ok := s.files[string(req.Data[8:8+nameLen])]
 			if !ok {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
@@ -93,9 +99,9 @@ func (s *NFSServer) serve(t *sim.Task) {
 			s.byFD[s.nextFD] = f
 			s.peer.Reply(t, req, header([]uint64{0, s.nextFD, uint64(f.size)}, nil), false)
 		case nfsRead:
-			fd, off, n := getU64(req.Data, 0), int64(getU64(req.Data, 8)), int(getU64(req.Data, 16))
+			fd, off, n := getU64(req.Data, 0), int64(getU64(req.Data, 8)), int64(getU64(req.Data, 16))
 			f, ok := s.byFD[fd]
-			if !ok || off+int64(n) > f.size {
+			if !ok || !fits(off, n, f.size) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
@@ -107,9 +113,9 @@ func (s *NFSServer) serve(t *sim.Task) {
 			s.peer.Reply(t, req, header([]uint64{0}, buf), true)
 		case nfsWrite:
 			fd, off := getU64(req.Data, 0), int64(getU64(req.Data, 8))
-			data := req.Data[16:]
+			data := tail(req.Data, 16)
 			f, ok := s.byFD[fd]
-			if !ok || off+int64(len(data)) > f.size {
+			if !ok || !fits(off, int64(len(data)), f.size) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
@@ -136,6 +142,9 @@ func NewNFSClient(k *sim.Kernel, net *fabric.Net, node int, server *NFSServer) *
 	}
 }
 
+// call is one NFS RPC: the stub's marshalling, then the round trip.
+//
+//fractos:ordered
 func (c *NFSClient) call(t *sim.Task, kind uint32, data []byte, isData bool) ([]byte, error) {
 	t.Sleep(nfsClientPerOp)
 	r, err := c.peer.Call(t, c.server, kind, data, isData)

@@ -56,14 +56,18 @@ func (tg *NVMeoFTarget) serve(t *sim.Task) {
 		case nvmeofAlloc:
 			size := int64(getU64(req.Data, 0))
 			off := tg.free
-			if size <= 0 || off+size > tg.dev.Capacity() {
+			if size <= 0 || size > tg.dev.Capacity()-off {
 				tg.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
 			tg.free += size
 			tg.peer.Reply(t, req, header([]uint64{0, uint64(off)}, nil), false)
 		case nvmeofRead:
-			off, n := int64(getU64(req.Data, 0)), int(getU64(req.Data, 8))
+			off, n := int64(getU64(req.Data, 0)), int64(getU64(req.Data, 8))
+			if !fits(off, n, tg.dev.Capacity()) {
+				tg.peer.Reply(t, req, header([]uint64{1}, nil), false)
+				continue
+			}
 			buf := make([]byte, n)
 			if err := tg.dev.Read(t, off, buf); err != nil {
 				tg.peer.Reply(t, req, header([]uint64{1}, nil), false)
@@ -72,7 +76,7 @@ func (tg *NVMeoFTarget) serve(t *sim.Task) {
 			tg.peer.Reply(t, req, header([]uint64{0}, buf), true)
 		case nvmeofWrite:
 			off := int64(getU64(req.Data, 0))
-			if err := tg.dev.Write(t, off, req.Data[8:]); err != nil {
+			if err := tg.dev.Write(t, off, tail(req.Data, 8)); err != nil {
 				tg.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}

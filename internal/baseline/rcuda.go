@@ -70,23 +70,26 @@ func (s *RCUDAServer) serve(t *sim.Task) {
 			// The simple bump allocator leaks, like a short benchmark run.
 			s.peer.Reply(t, req, header([]uint64{0}, nil), false)
 		case rcudaMemcpyH2D:
-			addr := int(getU64(req.Data, 0))
-			data := req.Data[8:]
-			if addr+len(data) > len(s.mem) {
+			addr, data := int64(getU64(req.Data, 0)), tail(req.Data, 8)
+			if !fits(addr, int64(len(data)), int64(len(s.mem))) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
 			copy(s.mem[addr:], data)
 			s.peer.Reply(t, req, header([]uint64{0}, nil), false)
 		case rcudaMemcpyD2H:
-			addr, n := int(getU64(req.Data, 0)), int(getU64(req.Data, 8))
-			if addr+n > len(s.mem) {
+			addr, n := int64(getU64(req.Data, 0)), int64(getU64(req.Data, 8))
+			if !fits(addr, n, int64(len(s.mem))) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
 			s.peer.Reply(t, req, header([]uint64{0}, s.mem[addr:addr+n]), true)
 		case rcudaLaunch:
-			nameLen := int(getU64(req.Data, 0))
+			nameLen := int64(getU64(req.Data, 0))
+			if !fits(8, nameLen, int64(len(req.Data))) {
+				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
+				continue
+			}
 			name := string(req.Data[8 : 8+nameLen])
 			args := decodeU64s(req.Data[8+nameLen:])
 			st, err := s.dev.Exec(t, name, s.mem, args)
@@ -120,6 +123,10 @@ func NewRCUDAClient(k *sim.Kernel, net *fabric.Net, node int, server *RCUDAServe
 	}
 }
 
+// call is one interposed driver call: the stub's marshalling, then the
+// round trip.
+//
+//fractos:ordered
 func (c *RCUDAClient) call(t *sim.Task, kind uint32, data []byte, isData bool) (*fabricReply, error) {
 	t.Sleep(rcudaClientPerCall)
 	r, err := c.peer.Call(t, c.server, kind, data, isData)

@@ -55,6 +55,8 @@ type ProcID uint64
 // bits select a slot (index+1), the high capGenBits bits carry the
 // slot generation. Generation-0 cids equal index+1, matching the
 // sequential cids the Process observed before slots ever recycled.
+//
+//fractos:minted
 type CapID uint32
 
 // NilCap is the invalid capability index.
@@ -268,6 +270,8 @@ func (s *Space) lookupSlot(id CapID) *capSlot {
 }
 
 // Lookup returns the entry for cid.
+//
+//fractos:cap-resolve
 func (s *Space) Lookup(id CapID) (Entry, bool) {
 	sl := s.lookupSlot(id)
 	if sl == nil {
@@ -282,6 +286,7 @@ func (s *Space) Lookup(id CapID) (Entry, bool) {
 // hot paths must not retain it across a yield.
 //
 //fractos:hotpath
+//fractos:borrow
 func (s *Space) Peek(id CapID) *Entry {
 	sl := s.lookupSlot(id)
 	if sl == nil {

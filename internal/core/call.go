@@ -139,7 +139,9 @@ func (pc *pendingCall) keepCaps(args []wire.CapXfer) {
 // discharges it exactly once when the call resolves.
 //
 //fractos:pool-handoff pendingcall
-//fractos:completion-handoff
+//fractos:yield
+//fractos:ordered
+//fractos:completes 1
 func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 	pc.ps, pc.tok = ps, tok
 	c.call(pc)
@@ -152,9 +154,15 @@ func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 // endpoint is torn down (StatusNoProc), the peer is observed dead or
 // rebooted (StatusAborted via abortPendingTo), this Controller itself
 // crashes (StatusAborted via Crash), or, with cfg.RPCBudget armed, the
-// call's deadline passes unanswered (StatusAborted).
+// call's deadline passes unanswered (StatusAborted). Internal
+// operations (cleanup broadcasts, lease revocations, memory_copy's
+// validation round) call it directly and owe no Process a completion;
+// a syscall enters through forward.
 //
 //fractos:pool-handoff pendingcall
+//fractos:yield
+//fractos:ordered
+//fractos:completes 0
 func (c *Controller) call(pc *pendingCall) {
 	p, ok := c.peers[pc.peer()]
 	if !ok {
@@ -242,6 +250,8 @@ func (c *Controller) finish(pc *pendingCall, reply wire.Message) {
 // finishSyscall is the second half of a syscall that needed the
 // owner's answer: it completes the Process's token exactly once on
 // every path (statuscheck holds it to the same rule as a handler).
+//
+//fractos:owes-completion
 func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 	ack, ok := reply.(*wire.CtrlAck)
 	st := wire.StatusUnknownObj
@@ -331,6 +341,8 @@ func (c *Controller) abortCall(token uint64) {
 
 // resolvePending retires the call parked under token, if any: run its
 // continuation on m, then recycle the record.
+//
+//fractos:ordered
 func (c *Controller) resolvePending(token uint64, m wire.Message) {
 	pc, ok := c.pending[token]
 	if !ok {

@@ -530,6 +530,8 @@ func (c *Controller) dispatchPeer(from fabric.EndpointID, m wire.Message) {
 // completion is correct behavior, not silent loss.
 //
 //fractos:hotpath
+//fractos:ordered
+//fractos:completes 1
 func (c *Controller) complete(ps *procState, token uint64, st wire.Status, cid cap.CapID, aux uint64) {
 	if ps.failed {
 		return
@@ -669,6 +671,8 @@ func (c *Controller) validateMiss(ref cap.Ref) wire.Status {
 
 // resolveOwned returns the live node for a Ref owned by this
 // Controller, checking epoch and revocation.
+//
+//fractos:cap-deref
 func (c *Controller) resolveOwned(ref cap.Ref) (*cap.Node, wire.Status) {
 	return c.Validate(ref, 0)
 }
@@ -677,6 +681,7 @@ func (c *Controller) resolveOwned(ref cap.Ref) (*cap.Node, wire.Status) {
 // rights and kind.
 //
 //fractos:hotpath
+//fractos:cap-resolve
 func (c *Controller) resolveEntry(ps *procState, cid cap.CapID, kind cap.Kind, need cap.Rights) (cap.Entry, wire.Status) {
 	e, ok := ps.space.Lookup(cid)
 	if !ok {
@@ -707,6 +712,8 @@ func (c *Controller) resolveEntry(ps *procState, cid cap.CapID, kind cap.Kind, n
 // result lives in the Controller's argument scratch: it is valid until
 // the next syscall resolves its arguments, and a caller that parks it
 // (a forwarded call awaiting retransmission) copies it out.
+//
+//fractos:cap-resolve
 func (c *Controller) resolveCapSlots(ps *procState, slots []wire.CapSlot) ([]wire.CapXfer, wire.Status) {
 	args := c.argScratch[:0]
 	for _, s := range slots {
@@ -737,6 +744,8 @@ func (c *Controller) resolveCapSlots(ps *procState, slots []wire.CapSlot) ([]wir
 
 // deriveDelegatee creates a monitor_delegatee child of a monitored
 // object.
+//
+//fractos:cap-deref
 func (c *Controller) deriveDelegatee(ref cap.Ref) (cap.Ref, wire.Status) {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {

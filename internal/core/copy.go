@@ -152,7 +152,7 @@ func (c *Controller) putCopyOp(op *copyOp) {
 // complete the syscall: finish discharges it exactly once.
 //
 //fractos:pool-handoff copyop
-//fractos:completion-handoff
+//fractos:completes 1
 func (c *Controller) startCopy(op *copyOp) {
 	op.state = copyLocateSrc
 	op.locate(op.src, cap.Read)

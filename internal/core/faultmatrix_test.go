@@ -46,7 +46,7 @@ func newEchoRig(tk *sim.Task, cl *core.Cluster, svcNode int, gen int) *echoRig {
 				return
 			}
 			if rep, okc := d.Cap(0); okc {
-				//fractos:status-ok echo reply failure surfaces as the client's timeout
+				//fractos:mustuse-ok echo reply failure surfaces as the client's timeout
 				r.svcP.Invoke(st, rep, []wire.ImmArg{proc.BytesArg(0, d.Imms)}, nil)
 			}
 			d.Done()

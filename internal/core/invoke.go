@@ -107,6 +107,8 @@ func (c *Controller) invoked(ps *procState, cid cap.CapID, ref cap.Ref, args []w
 // applies, the capabilities in one slot-sorted list — and the
 // descriptor is encoded straight from there. Only a descriptor that
 // must wait for a window credit is copied out.
+//
+//fractos:cap-deref
 func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire.CapXfer) (st wire.Status, spent bool) {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {

@@ -128,6 +128,8 @@ func (c *Controller) peerEpoch(m *wire.CtrlEpoch) {
 // revokeLocal invalidates an object owned here and its whole
 // revocation subtree, firing monitor callbacks, scheduling the cleanup
 // broadcast, and finally erasing the revoked nodes.
+//
+//fractos:cap-deref
 func (c *Controller) revokeLocal(ref cap.Ref) wire.Status {
 	if ref.Ctrl != c.id {
 		return wire.StatusUnknownObj
@@ -230,6 +232,8 @@ func (c *Controller) removeStubs(stubs []*cap.Node) {
 
 // notifyWatcher routes a monitor callback to its Process, locally or
 // via the managing Controller.
+//
+//fractos:ordered
 func (c *Controller) notifyWatcher(w cap.Watcher, kind uint8) {
 	c.metrics.MonitorsFired++
 	if w.Ctrl == c.id {

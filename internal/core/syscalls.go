@@ -60,6 +60,8 @@ func (c *Controller) handleMemDiminish(ps *procState, m *wire.MemDiminish) {
 }
 
 // deriveMemLocal performs the owner-side memory derivation.
+//
+//fractos:cap-deref
 func (c *Controller) deriveMemLocal(ref cap.Ref, off, size uint64, drop cap.Rights) (cap.Ref, uint64, cap.Rights, wire.Status) {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
@@ -147,6 +149,8 @@ func (c *Controller) handleReqCreate(ps *procState, m *wire.ReqCreate) {
 
 // deriveReqLocal performs the owner-side Request derivation: the child
 // inherits all arguments and may only add new ones.
+//
+//fractos:cap-deref
 func (c *Controller) deriveReqLocal(ref cap.Ref, imms []wire.ImmArg, capArgs []wire.CapXfer) (cap.Ref, wire.Status) {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
@@ -315,6 +319,8 @@ func (c *Controller) drainQueue(ps *procState) {
 }
 
 // sendDeliver transmits a delivery, consuming a window credit.
+//
+//fractos:ordered
 func (c *Controller) sendDeliver(ps *procState, d *wire.Deliver) {
 	if ps.failed {
 		return

@@ -134,6 +134,7 @@ type Delivery struct {
 // and calls f.Release exactly once when it is done with everything
 // that decode borrowed from the frame.
 type Handler interface {
+	//fractos:ordered
 	Deliver(f *Frame)
 }
 
@@ -557,6 +558,8 @@ func (n *Net) transferTime(now sim.Time, src, dst Location, nBytes int) sim.Time
 // retransmission protocols above the fabric.
 //
 //fractos:hotpath
+//fractos:mustuse false means the destination endpoint is gone, the one delivery failure a sender can observe
+//fractos:ordered
 func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 	src := n.lookup(from)
 	dst := n.lookup(to)

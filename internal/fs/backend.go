@@ -86,6 +86,9 @@ func (v *fractosVolume) WriteAt(t *sim.Task, off, n uint64, stage Stage) uint64 
 	return v.call(t, v.wr, off, n, stage)
 }
 
+// call invokes one of the volume's device Requests on n bytes at off.
+//
+//fractos:ordered
 func (v *fractosVolume) call(t *sim.Task, req proc.Cap, off, n uint64, stage Stage) uint64 {
 	reply, err := v.p.Call(t, req,
 		[]wire.ImmArg{proc.U64Arg(nvme.ImmOff, off), proc.U64Arg(nvme.ImmLen, n)},

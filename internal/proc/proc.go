@@ -226,7 +226,7 @@ func (p *Process) demux(m wire.Message) {
 			// of the caller's revoked reply Request and die with it.
 			delete(p.stale, m.Tag)
 			p.tx.done = wire.DeliverDone{Seq: m.Seq}
-			//fractos:send-ok a failed ack means the Controller tore us down already
+			//fractos:mustuse-ok a failed ack means the Controller tore us down already
 			p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done)
 			return
 		}
@@ -448,6 +448,8 @@ func (p *Process) Derive(t *sim.Task, parent Cap, imms []wire.ImmArg, args []Arg
 // refinements. It returns once the invocation has been accepted and
 // delivered/queued at the provider; results, if any, arrive through
 // continuation Requests.
+//
+//fractos:ordered
 func (p *Process) Invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg) error {
 	if err := p.checkInvoke(req, args); err != nil {
 		return err
@@ -562,7 +564,7 @@ func (p *Process) MonitorReceive(t *sim.Task, c Cap, fn func()) error {
 // the Process down — the revocations Bye asks for have happened.
 func (p *Process) Bye() {
 	p.dead = true
-	//fractos:send-ok already-disconnected means the Controller cleaned up first
+	//fractos:mustuse-ok already-disconnected means the Controller cleaned up first
 	p.net.Send(p.ep.ID, p.ctrlEP, &wire.ProcBye{})
 }
 

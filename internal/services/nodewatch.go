@@ -210,7 +210,7 @@ func (w *NodeWatch) probe(t *sim.Task) {
 			// crashed) — for the failure detector that is the same
 			// evidence as a missed pong, so the boolean is deliberately
 			// not branched on.
-			//fractos:send-ok torn-down destination is silence by design for the prober
+			//fractos:mustuse-ok torn-down destination is silence by design for the prober
 			w.cl.Net.Send(w.ep.ID, c.EndpointID(), &wire.WatchPing{Seq: w.seq})
 		}
 		deadline := t.Now() + w.cfg.Every

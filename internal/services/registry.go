@@ -329,6 +329,8 @@ func (r *Registry) Connect(p *proc.Process) (*Client, error) {
 // provider's node for locality-aware routing (pass -1 if unknown). It
 // returns the registry-assigned member id, the ticket Deregister takes
 // back.
+//
+//fractos:mustuse an unchecked Register leaves a replica serving unregistered, invisible to every balancer
 func (c *Client) Register(t *sim.Task, name string, cp proc.Cap, node int) (uint64, error) {
 	imms := append([]wire.ImmArg{proc.U64Arg(0, uint64(node+1))}, nameArgs(name)...)
 	d, err := c.P.Call(t, c.register, imms, []proc.Arg{{Slot: SlotCap, Cap: cp}}, SlotCont)
@@ -342,6 +344,8 @@ func (c *Client) Register(t *sim.Task, name string, cp proc.Cap, node int) (uint
 }
 
 // Deregister removes the member id from name's replica set.
+//
+//fractos:mustuse an unchecked Deregister leaks registry membership: clients keep routing to a corpse
 func (c *Client) Deregister(t *sim.Task, name string, id uint64) error {
 	imms := append([]wire.ImmArg{proc.U64Arg(0, id)}, nameArgs(name)...)
 	d, err := c.P.Call(t, c.deregister, imms, nil, SlotCont)

@@ -127,6 +127,7 @@ func (c *Chan[T]) Close() {
 // Send delivers v, blocking while a bounded buffer is full.
 //
 //fractos:hotpath
+//fractos:ordered
 func (c *Chan[T]) Send(t *Task, v T) {
 	assert.True(!c.closed, c.closedMsg)
 	// Fast path: hand directly to a blocked receiver.
@@ -153,6 +154,7 @@ func (c *Chan[T]) Send(t *Task, v T) {
 // buffer is full or the channel is closed. Safe from kernel context.
 //
 //fractos:hotpath
+//fractos:ordered
 func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
 		return false
@@ -174,6 +176,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 // was closed and drained.
 //
 //fractos:hotpath
+//fractos:yield
 func (c *Chan[T]) Recv(t *Task) (v T, ok bool) { return c.recv(t, -1) }
 
 // RecvTimeout is Recv with a virtual-time deadline. ok is false on

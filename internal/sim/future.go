@@ -31,9 +31,13 @@ func (f *Future[T]) Done() bool { return f.done }
 
 // Set resolves the future with a value, waking all waiters. Resolving
 // twice panics: a future is a single-assignment cell.
+//
+//fractos:ordered
 func (f *Future[T]) Set(v T) { f.resolve(v, nil) }
 
 // Fail resolves the future with an error.
+//
+//fractos:ordered
 func (f *Future[T]) Fail(err error) {
 	var zero T
 	f.resolve(zero, err)
@@ -94,6 +98,8 @@ func (f *Future[T]) enqueue(t *Task) {
 
 // Wait blocks the task until the future resolves, then returns its
 // value and error.
+//
+//fractos:yield
 func (f *Future[T]) Wait(t *Task) (T, error) {
 	for !f.done {
 		f.enqueue(t)
@@ -168,6 +174,8 @@ func (wg *WaitGroup) Add(delta int) {
 func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Wait blocks until the counter reaches zero.
+//
+//fractos:yield
 func (wg *WaitGroup) Wait(t *Task) {
 	for wg.n > 0 {
 		wg.waiters = append(wg.waiters, t)
@@ -190,6 +198,8 @@ type Cond struct {
 }
 
 // Wait parks the task until the next Broadcast.
+//
+//fractos:yield
 func (c *Cond) Wait(t *Task) {
 	c.waiters = append(c.waiters, t)
 	t.park()

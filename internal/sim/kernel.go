@@ -340,6 +340,8 @@ func (t *Task) Now() Time { return t.k.now }
 // free list (taskpool.go), so steady-state Spawn allocates nothing.
 //
 //fractos:hotpath
+//fractos:ordered
+//fractos:runs-once
 func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 	k.nextID++
 	t := getTask()
@@ -426,6 +428,8 @@ func (k *Kernel) cancel(e *event) {
 // block; to perform blocking work, have fn call Spawn.
 //
 //fractos:hotpath
+//fractos:ordered
+//fractos:runs-once
 func (k *Kernel) After(d Time, fn func()) {
 	k.AfterCall(d, funcCall(fn))
 }
@@ -437,6 +441,7 @@ func (k *Kernel) After(d Time, fn func()) {
 // caller that never cancels ignores it.
 //
 //fractos:hotpath
+//fractos:ordered
 func (k *Kernel) AfterCall(d Time, cb Callback) Timer {
 	if d < 0 {
 		d = 0
@@ -533,6 +538,7 @@ func (t *Task) park() {
 // the queue instead of leaking until pop: the latest wake wins.
 //
 //fractos:hotpath
+//fractos:ordered
 func (t *Task) wakeAfter(d Time) {
 	if t.wake != nil {
 		t.k.cancel(t.wake)
@@ -544,6 +550,7 @@ func (t *Task) wakeAfter(d Time) {
 // Sleep suspends the task for d of virtual time.
 //
 //fractos:hotpath
+//fractos:yield
 func (t *Task) Sleep(d Time) {
 	if d <= 0 {
 		// Even a zero-length sleep is a scheduling point: other work
@@ -558,6 +565,7 @@ func (t *Task) Sleep(d Time) {
 // run before the calling task continues.
 //
 //fractos:hotpath
+//fractos:yield
 func (t *Task) Yield() { t.Sleep(0) }
 
 // Run executes events until the queue is empty or Stop is called. It

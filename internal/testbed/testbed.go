@@ -121,6 +121,8 @@ func (d *Deployment) Attach(node int, name string, memBytes int) *proc.Process {
 
 // Spawn starts an auxiliary task (load-driver workers, background
 // services).
+//
+//fractos:ordered
 func (d *Deployment) Spawn(name string, fn func(tk *sim.Task)) { d.Cl.K.Spawn(name, fn) }
 
 // Run builds the cluster described by s, deploys its services in order

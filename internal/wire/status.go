@@ -3,6 +3,8 @@ package wire
 import "errors"
 
 // Status is the result code of a FractOS operation.
+//
+//fractos:mustuse statuses carry revocation, staleness and permission failures
 type Status uint8
 
 // Operation result codes. StatusOK is zero so zero-valued completions

@@ -28,9 +28,11 @@ import (
 
 // Analyzer is the allocfree analysis.
 var Analyzer = &analysis.Analyzer{
-	Name: "allocfree",
-	Doc:  "functions annotated fractos:hotpath must be allocation-free across same-module calls",
-	Run:  run,
+	Name:       "allocfree",
+	Doc:        "functions annotated fractos:hotpath must be allocation-free across same-module calls",
+	Directives: []string{"hotpath"},
+	Waiver:     "alloc-ok", // read by the call graph
+	Run:        run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -45,11 +47,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				continue
 			}
-			f := g.Lookup(obj)
-			if f == nil || !f.Hotpath {
-				continue
+			if pass.Marked(obj, "hotpath") {
+				checkHotpath(pass, g, g.Lookup(obj))
 			}
-			checkHotpath(pass, g, f)
 		}
 	}
 	return nil, nil

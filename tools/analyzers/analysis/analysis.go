@@ -17,7 +17,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"sync"
 )
 
 // Analyzer describes one static check.
@@ -28,6 +27,14 @@ type Analyzer struct {
 
 	// Doc is the analyzer's documentation: first line is a summary.
 	Doc string
+
+	// Directives are the //fractos: directives the analyzer reads off
+	// declarations (Pass.Directive), and Waiver the fractos:*-ok marker
+	// that silences one of its findings (Pass.Suppressed); both without
+	// the "fractos:" prefix. Any other directive or waiver in the module
+	// is a finding of the driver's Directives check.
+	Directives []string
+	Waiver     string
 
 	// Run applies the analyzer to a package.
 	Run func(*Pass) (interface{}, error)
@@ -47,11 +54,10 @@ type Pass struct {
 	// Report is invoked for each diagnostic. Set by the driver.
 	Report func(Diagnostic)
 
-	// Module, when set by the driver, gives interprocedural analyzers
-	// a view of every source package loaded alongside this one, plus a
-	// shared fact cache (the stand-in for x/tools' Facts machinery).
-	// Analyzers must tolerate a nil Module by degrading to the single
-	// package in Files.
+	// Module gives interprocedural analyzers a view of every source
+	// package loaded alongside this one, plus a shared fact cache (the
+	// stand-in for x/tools' Facts machinery). Both drivers, fractos-vet
+	// and analysistest, set it.
 	Module *Module
 
 	// suppress maps file -> set of lines carrying a suppression
@@ -69,22 +75,17 @@ type ModulePackage struct {
 // Module is the whole-module view shared by all passes of one driver
 // run: every source package the loader materialized (module packages
 // and, under analysistest, testdata packages), one shared FileSet, and
-// a compute-once fact cache keyed by string. Fact is safe for
-// concurrent use; the first caller builds, later callers reuse.
+// a compute-once fact cache keyed by string. The passes of a run are
+// serial, so the cache needs no lock.
 type Module struct {
 	Fset     *token.FileSet
 	Packages []*ModulePackage
 
-	mu    sync.Mutex
 	facts map[string]interface{}
 }
 
 // Fact returns the cached value for key, building it on first use.
-// The build function runs at most once per Module; concurrent callers
-// block until it completes.
 func (m *Module) Fact(key string, build func() interface{}) interface{} {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if v, ok := m.facts[key]; ok {
 		return v
 	}
@@ -109,11 +110,12 @@ type Diagnostic struct {
 }
 
 // Suppressed reports whether the line containing pos (or the line
-// directly above it) carries a comment containing the given marker,
-// e.g. "fractos:nondet-ok". Markers are the escape hatch for findings
-// that are understood and intentional; each use should carry a reason
-// after the marker.
-func (p *Pass) Suppressed(pos token.Pos, marker string) bool {
+// directly above it) carries a comment containing the analyzer's
+// waiver, e.g. "fractos:nondet-ok". Waivers are the escape hatch for
+// findings that are understood and intentional; each use should carry
+// a reason after the marker.
+func (p *Pass) Suppressed(pos token.Pos) bool {
+	marker := Prefix + p.Analyzer.Waiver
 	if p.suppress == nil {
 		p.suppress = make(map[string]map[int][]string)
 		for _, f := range p.Files {

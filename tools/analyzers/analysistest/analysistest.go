@@ -24,9 +24,16 @@ import (
 
 // Run loads each pkgpath from testdata/src, applies the analyzer, and
 // reports mismatches between diagnostics and want-comments through t.
+// Testdata may also import packages of the enclosing module by their
+// full path, which pins a rule to the real declaration rather than to
+// a stub of it.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	ld := &loader.Loader{SrcDirs: []string{testdata + "/src"}}
+	modPath, modDir, err := loader.FindModule(testdata)
+	if err != nil {
+		t.Fatalf("locating the module: %v", err)
+	}
+	ld := &loader.Loader{SrcDirs: []string{testdata + "/src"}, ModulePath: modPath, ModuleDir: modDir}
 	pkgs, err := ld.Load(pkgpaths...)
 	if err != nil {
 		t.Fatalf("loading testdata: %v", err)

@@ -74,17 +74,6 @@ func IsMap(info *types.Info, e ast.Expr) bool {
 	return isMap
 }
 
-// IsStatusType reports whether t is the wire.Status result type: a
-// named type called "Status" declared in a package named "wire".
-func IsStatusType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Status" && obj.Pkg() != nil && obj.Pkg().Name() == "wire"
-}
-
 // CalledFunc resolves a call to the *types.Func it statically invokes
 // (function or method), or nil for indirect/builtin calls.
 func CalledFunc(info *types.Info, call *ast.CallExpr) *types.Func {

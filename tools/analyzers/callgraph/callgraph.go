@@ -1,9 +1,8 @@
 // Package callgraph builds a module-wide call graph with per-function
-// summaries for the interprocedural fractos-vet analyzers (poolcheck,
-// allocfree). It is a fact layer, not an analyzer: Of(pass) returns
-// the graph for the driver's module view, building it once and caching
-// it in the Pass's Module fact cache so every analyzer and package
-// shares the same graph.
+// allocation summaries for allocfree. It is a fact layer, not an
+// analyzer: Of(pass) returns the graph for the driver's module view,
+// building it once and caching it in the Pass's Module fact cache so
+// every package shares the same graph.
 //
 // Per function the graph records:
 //
@@ -15,12 +14,7 @@
 //     and map literals, make, new, append growth, string
 //     concatenation, string<->[]byte conversions, function literals
 //     (closure capture), calls into package fmt, and interface boxing
-//     at variadic ...interface{} call sites;
-//   - annotations read from the function's doc comment:
-//     //fractos:hotpath        — zero-alloc linted property (allocfree)
-//     //fractos:pool-acquire P — returns an owned resource of pool P
-//     //fractos:pool-release P — releases its pooled operand back to P
-//     //fractos:pool-handoff P — takes ownership of its pooled operand
+//     at variadic ...interface{} call sites.
 //
 // Allocation sources and call edges whose line (or the line above)
 // carries a fractos:alloc-ok comment are marked Waived; the marker is
@@ -34,20 +28,13 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"fractos/tools/analyzers/analysis"
 	"fractos/tools/analyzers/astq"
 )
 
-// Markers recognized in doc comments and waiver comments.
-const (
-	MarkHotpath = "fractos:hotpath"
-	MarkAcquire = "fractos:pool-acquire"
-	MarkRelease = "fractos:pool-release"
-	MarkHandoff = "fractos:pool-handoff"
-	MarkAllocOK = "fractos:alloc-ok"
-)
+// allocOK is the waiver of allocfree.
+const allocOK = analysis.Prefix + "alloc-ok"
 
 // Alloc is one allocation source inside a function body.
 type Alloc struct {
@@ -59,21 +46,13 @@ type Alloc struct {
 // Edge is one statically resolved call site.
 type Edge struct {
 	Pos    token.Pos
-	Call   *ast.CallExpr
 	Callee *types.Func // origin (generic) function object
 	Waived bool        // call line carries fractos:alloc-ok
 }
 
 // Func is the summary of one declared function or method.
 type Func struct {
-	Obj  *types.Func
-	Decl *ast.FuncDecl
-	Pkg  *types.Package
-
-	Hotpath bool
-	Acquire string // pool name, "" if not an acquire function
-	Release string
-	Handoff string
+	Obj *types.Func
 
 	Allocs []Alloc
 	Calls  []Edge
@@ -84,21 +63,14 @@ type Graph struct {
 	Fset  *token.FileSet
 	Funcs map[*types.Func]*Func
 
-	mu    sync.Mutex
 	reach map[*types.Func]string // memoized AllocPath results
 }
 
 const factKey = "fractos/callgraph"
 
 // Of returns the call graph for the pass's module view, building and
-// caching it on first use. Without a Module the graph covers only the
-// pass's own package.
+// caching it on first use.
 func Of(pass *analysis.Pass) *Graph {
-	if pass.Module == nil {
-		return build(pass.Fset, []*analysis.ModulePackage{{
-			Pkg: pass.Pkg, Files: pass.Files, TypesInfo: pass.TypesInfo,
-		}})
-	}
 	m := pass.Module
 	return m.Fact(factKey, func() interface{} {
 		return build(m.Fset, m.Packages)
@@ -132,11 +104,7 @@ func build(fset *token.FileSet, pkgs []*analysis.ModulePackage) *Graph {
 				if !ok {
 					continue
 				}
-				fn := &Func{Obj: obj, Decl: fd, Pkg: mp.Pkg}
-				fn.Hotpath = docHasMarker(fd, MarkHotpath)
-				fn.Acquire = docMarkerArg(fd, MarkAcquire)
-				fn.Release = docMarkerArg(fd, MarkRelease)
-				fn.Handoff = docMarkerArg(fd, MarkHandoff)
+				fn := &Func{Obj: obj}
 				scanBody(fset, mp.TypesInfo, fd.Body, waived, fn)
 				g.Funcs[obj] = fn
 			}
@@ -150,7 +118,7 @@ func waiverLines(fset *token.FileSet, file *ast.File) map[int]bool {
 	var lines map[int]bool
 	for _, cg := range file.Comments {
 		for _, c := range cg.List {
-			if !strings.Contains(c.Text, MarkAllocOK) {
+			if !strings.Contains(c.Text, allocOK) {
 				continue
 			}
 			if lines == nil {
@@ -168,46 +136,6 @@ func isWaived(fset *token.FileSet, waived map[int]bool, pos token.Pos) bool {
 	}
 	line := fset.Position(pos).Line
 	return waived[line] || waived[line-1]
-}
-
-func docHasMarker(fd *ast.FuncDecl, marker string) bool {
-	return docMarkerIndex(fd, marker) >= 0
-}
-
-// docMarkerArg returns the first field following the marker in the
-// doc comment, or "" when the marker is absent. A marker only counts
-// when it starts its comment line (the gofmt-blessed "//marker arg"
-// directive form) so that prose merely mentioning a marker — such as
-// this sentence — does not annotate the function.
-func docMarkerArg(fd *ast.FuncDecl, marker string) string {
-	if fd.Doc == nil {
-		return ""
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if !strings.HasPrefix(text, marker) {
-			continue
-		}
-		rest := strings.Fields(text[len(marker):])
-		if len(rest) > 0 {
-			return rest[0]
-		}
-		return ""
-	}
-	return ""
-}
-
-func docMarkerIndex(fd *ast.FuncDecl, marker string) int {
-	if fd.Doc == nil {
-		return -1
-	}
-	for i, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if strings.HasPrefix(text, marker) {
-			return i
-		}
-	}
-	return -1
 }
 
 // scanBody records allocation sources and call edges of one body.
@@ -285,7 +213,6 @@ func callNode(fset *token.FileSet, info *types.Info, waived map[int]bool, fn *Fu
 		callee = callee.Origin()
 		fn.Calls = append(fn.Calls, Edge{
 			Pos:    call.Pos(),
-			Call:   call,
 			Callee: callee,
 			Waived: isWaived(fset, waived, call.Pos()),
 		})
@@ -357,8 +284,6 @@ func boxesVariadicInterface(callee *types.Func, call *ast.CallExpr) bool {
 // memoized; recursion is cut optimistically (a cycle member is treated
 // as clean while its own computation is in flight).
 func (g *Graph) AllocPath(fn *types.Func) string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.allocPath(fn.Origin(), make(map[*types.Func]bool))
 }
 

@@ -4,34 +4,41 @@
 // Process's authority has been established through its capability
 // space.
 //
-// Concretely, inside packages matching internal/core, every method of
-// Controller named handle* (the syscall dispatch targets) that calls
-// an owner-side dereference — resolveOwned, deriveMemLocal,
-// deriveReqLocal, deliverInvoke, revokeLocal, deriveDelegatee — must
-// first (in source order) resolve the caller's capability via
-// resolveEntry, resolveCapSlots, or a capability-space Lookup. A
+// The analyzer knows no function by name; the code says what each
+// function is with a directive on its declaration:
+//
+//   - //fractos:cap-resolve establishes the calling Process's authority
+//     through its capability space (resolveEntry, resolveCapSlots,
+//     Space.Lookup);
+//   - //fractos:cap-deref touches the owner's object tree on the
+//     Process's behalf (resolveOwned, deriveMemLocal, deriveReqLocal,
+//     deliverInvoke, revokeLocal, deriveDelegatee).
+//
+// Inside packages matching internal/core, every method of Controller
+// named handle* (the syscall dispatch targets) that calls a cap-deref
+// function must first, in source order, call a cap-resolve one. A
 // handler that reaches the object tree without consulting the
-// capability space is a confused-deputy bug: it would let a Process
-// act on objects it holds no capability for.
+// capability space is a confused-deputy bug: it would let a Process act
+// on objects it holds no capability for.
 //
 // The slab-backed {index, generation} cid scheme adds two more
-// invariants, also enforced here:
+// invariants, checked over every function in internal/core:
 //
-//   - No raw cid forging: converting an integer to cap.CapID mints a
-//     handle without going through Space.Install, bypassing the
-//     generation fence that keeps purged cids permanently invalid.
-//     Inside internal/core the only legitimate cid sources are
-//     Install's return value and values received over the wire (whose
-//     decoded fields are already typed). Any CapID(...) conversion is
-//     flagged.
+//   - No raw cid forging: a type marked //fractos:minted (cap.CapID)
+//     gets its values from one constructor (Space.Install), which
+//     stamps the slot's generation; a conversion to it forges a handle
+//     that bypasses the generation fence. Inside internal/core the only
+//     legitimate cid sources are Install's return value and values
+//     received over the wire (whose decoded fields are already typed).
 //
-//   - No Entry retention across yields: Space.Peek returns a pointer
-//     into slab storage, valid only until the space next mutates. A
-//     handler that parks its task (Sleep/Recv/Wait/Yield) or issues an
-//     inter-Controller call can interleave with a drop or purge that
-//     recycles the slot, leaving the pointer aimed at an unrelated
-//     capability. Peek results used after a potential yield point are
-//     flagged; re-Peek after resuming instead.
+//   - No borrow across a yield: a function marked //fractos:borrow
+//     (Space.Peek) returns a pointer into slab storage, valid only until
+//     the space next mutates. A function marked //fractos:yield can park
+//     the task or hand control to another Controller (Task.Sleep,
+//     Chan.Recv, the Wait methods, Controller.call and forward), which
+//     can interleave with a drop or purge that recycles the slot. A
+//     borrowed pointer used after a yield is flagged; re-Peek after
+//     resuming instead.
 package capcheck
 
 import (
@@ -46,39 +53,20 @@ import (
 
 // Analyzer is the capcheck analysis.
 var Analyzer = &analysis.Analyzer{
-	Name: "capcheck",
-	Doc:  "syscall handlers must validate capabilities before dereferencing the object tree",
-	Run:  run,
+	Name:       "capcheck",
+	Doc:        "syscall handlers must validate capabilities before dereferencing the object tree",
+	Directives: []string{resolve, deref, minted, borrow, yield},
+	Waiver:     "capcheck-ok",
+	Run:        run,
 }
 
-// resolvers establish the calling Process's authority.
-var resolvers = map[string]bool{
-	"resolveEntry":    true,
-	"resolveCapSlots": true,
-	"Lookup":          true, // ps.space.Lookup
-}
-
-// derefs touch the owner's object tree on the Process's behalf.
-var derefs = map[string]bool{
-	"resolveOwned":    true,
-	"deriveMemLocal":  true,
-	"deriveReqLocal":  true,
-	"deliverInvoke":   true,
-	"revokeLocal":     true,
-	"deriveDelegatee": true,
-}
-
-// yields are calls that can park the task or hand control to another
-// Controller before the next statement runs; slab Entry pointers must
-// not survive them.
-var yields = map[string]bool{
-	"Sleep":   true,
-	"Recv":    true,
-	"Wait":    true,
-	"Yield":   true,
-	"call":    true, // inter-Controller RPC (async continuation)
-	"forward": true, // call on behalf of a syscall
-}
+const (
+	resolve = "cap-resolve"
+	deref   = "cap-deref"
+	minted  = "minted"
+	borrow  = "borrow"
+	yield   = "yield"
+)
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	if !strings.Contains(pass.Pkg.Path(), "internal/core") {
@@ -91,22 +79,16 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				continue
 			}
 			checkRawCids(pass, fd)
-			checkEntryRetention(pass, fd)
-			if !strings.HasPrefix(fd.Name.Name, "handle") {
-				continue
+			checkBorrows(pass, fd)
+			if strings.HasPrefix(fd.Name.Name, "handle") && astq.ReceiverTypeName(fd) == "Controller" {
+				checkHandler(pass, fd)
 			}
-			if astq.ReceiverTypeName(fd) != "Controller" {
-				continue
-			}
-			checkHandler(pass, fd)
 		}
 	}
 	return nil, nil
 }
 
-// checkRawCids flags type conversions to CapID: cids are minted by
-// Space.Install (carrying the slot's generation) — a conversion
-// forges one from a bare index.
+// checkRawCids flags type conversions to a minted type.
 func checkRawCids(pass *analysis.Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -118,27 +100,24 @@ func checkRawCids(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		named, ok := tv.Type.(*types.Named)
-		if !ok || named.Obj().Name() != "CapID" {
-			return true
-		}
-		if pass.Suppressed(call.Pos(), "fractos:capcheck-ok") {
+		if !ok || !pass.Marked(named.Obj(), minted) || pass.Suppressed(call.Pos()) {
 			return true
 		}
 		pass.Reportf(call.Pos(),
-			"%s forges a capability id with a raw CapID conversion; cids carry a slot generation and must come from Space.Install or the wire decoder",
-			fd.Name.Name)
+			"%s forges a capability id with a raw %s conversion; cids carry a slot generation and must come from Space.Install or the wire decoder",
+			fd.Name.Name, named.Obj().Name())
 		return true
 	})
 }
 
-// checkEntryRetention flags uses of a Space.Peek result after a yield
-// point. The check is positional, like checkHandler: a Peek-derived
-// variable, a later yield call, and a still-later use of the variable
-// form a retention hazard regardless of the branch structure between
-// them — the slot can be recycled while the task is parked.
-func checkEntryRetention(pass *analysis.Pass, fd *ast.FuncDecl) {
-	// entry vars: object -> position of the Peek assignment.
-	peeked := map[types.Object]token.Pos{}
+// checkBorrows flags uses of a borrowed pointer after a yield point.
+// The check is positional, like checkHandler: a borrowed variable, a
+// later yield call, and a still-later use of the variable form a
+// retention hazard regardless of the branch structure between them —
+// the slot can be recycled while the task is parked.
+func checkBorrows(pass *analysis.Pass, fd *ast.FuncDecl) {
+	// borrowed vars: object -> position of the borrowing assignment.
+	borrowed := map[types.Object]token.Pos{}
 	var yieldPos []token.Pos
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -147,7 +126,7 @@ func checkEntryRetention(pass *analysis.Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			call, ok := n.Rhs[0].(*ast.CallExpr)
-			if !ok || astq.CalleeName(call) != "Peek" {
+			if !ok || !pass.Marked(astq.CalledFunc(pass.TypesInfo, call), borrow) {
 				return true
 			}
 			id, ok := n.Lhs[0].(*ast.Ident)
@@ -155,16 +134,16 @@ func checkEntryRetention(pass *analysis.Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
-				peeked[obj] = n.Pos()
+				borrowed[obj] = n.Pos()
 			}
 		case *ast.CallExpr:
-			if yields[astq.CalleeName(n)] {
+			if pass.Marked(astq.CalledFunc(pass.TypesInfo, n), yield) {
 				yieldPos = append(yieldPos, n.Pos())
 			}
 		}
 		return true
 	})
-	if len(peeked) == 0 || len(yieldPos) == 0 {
+	if len(borrowed) == 0 || len(yieldPos) == 0 {
 		return
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -173,18 +152,18 @@ func checkEntryRetention(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return true
 		}
 		obj := pass.TypesInfo.ObjectOf(id)
-		from, ok := peeked[obj]
+		from, ok := borrowed[obj]
 		if !ok || id.Pos() <= from {
 			return true
 		}
 		for _, y := range yieldPos {
 			if from < y && y < id.Pos() {
-				if !pass.Suppressed(id.Pos(), "fractos:capcheck-ok") {
+				if !pass.Suppressed(id.Pos()) {
 					pass.Reportf(id.Pos(),
 						"%s uses slab Entry pointer %s across a yield point; the slot may have been recycled — re-Peek after resuming",
 						fd.Name.Name, id.Name)
 				}
-				delete(peeked, obj) // one report per variable
+				delete(borrowed, obj) // one report per variable
 				return true
 			}
 		}
@@ -193,7 +172,7 @@ func checkEntryRetention(pass *analysis.Pass, fd *ast.FuncDecl) {
 }
 
 // checkHandler walks the handler body in source order, requiring a
-// resolver call before any dereference call. FuncLit bodies
+// cap-resolve call before any cap-deref call. FuncLit bodies
 // (continuations of inter-Controller calls, spawned sub-tasks) are
 // included: they run strictly after the statements that precede them
 // in the source, so positional ordering remains a sound
@@ -205,20 +184,17 @@ func checkHandler(pass *analysis.Pass, fd *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		name := astq.CalleeName(call)
+		fn := astq.CalledFunc(pass.TypesInfo, call)
 		switch {
-		case resolvers[name]:
+		case pass.Marked(fn, resolve):
 			if firstResolve == token.NoPos || call.Pos() < firstResolve {
 				firstResolve = call.Pos()
 			}
-		case derefs[name]:
-			if firstResolve == token.NoPos || call.Pos() < firstResolve {
-				if pass.Suppressed(call.Pos(), "fractos:capcheck-ok") {
-					return true
-				}
+		case pass.Marked(fn, deref):
+			if (firstResolve == token.NoPos || call.Pos() < firstResolve) && !pass.Suppressed(call.Pos()) {
 				pass.Reportf(call.Pos(),
-					"%s dereferences the object tree via %s before any capability validation (resolveEntry/resolveCapSlots/Lookup)",
-					fd.Name.Name, name)
+					"%s dereferences the object tree via %s before any capability validation (a //fractos:cap-resolve call)",
+					fd.Name.Name, fn.Name())
 			}
 		}
 		return true

@@ -1,6 +1,6 @@
 // Package core is a miniature replica of fractos/internal/core used
-// to exercise the capcheck analyzer: same method-naming conventions,
-// none of the real machinery.
+// to exercise the capcheck analyzer: same method-naming conventions and
+// directives, none of the real machinery.
 package core
 
 type Status uint8
@@ -15,7 +15,13 @@ type Ref struct{ Obj uint64 }
 
 type space struct{}
 
+//fractos:cap-resolve
 func (s *space) Lookup(cid uint64) (Entry, bool) { return Entry{}, true }
+
+// fabric has a Lookup too, which establishes no authority.
+type fabric struct{}
+
+func (f *fabric) Lookup(id uint64) bool { return true }
 
 type procState struct{ space *space }
 
@@ -27,16 +33,20 @@ type msg struct {
 // Controller mirrors the real Controller's handler conventions.
 type Controller struct{}
 
+//fractos:cap-resolve
 func (c *Controller) resolveEntry(ps *procState, cid uint64) (Entry, Status) {
 	return Entry{}, StatusOK
 }
 
+//fractos:cap-resolve
 func (c *Controller) resolveCapSlots(ps *procState, cids []uint64) ([]Entry, Status) {
 	return nil, StatusOK
 }
 
+//fractos:cap-deref
 func (c *Controller) resolveOwned(ref Ref) (*Node, Status) { return nil, StatusOK }
 
+//fractos:cap-deref
 func (c *Controller) revokeLocal(ref Ref) Status { return StatusOK }
 
 func (c *Controller) complete(ps *procState, token uint64, st Status) {}
@@ -81,6 +91,16 @@ func (c *Controller) handleLate(ps *procState, m *msg) {
 	c.complete(ps, m.Token, st)
 }
 
+// handleWrongLookup consults a Lookup that is not the capability
+// space's.
+func (c *Controller) handleWrongLookup(ps *procState, f *fabric, m *msg) {
+	if !f.Lookup(m.Cid) {
+		return
+	}
+	st := c.revokeLocal(Ref{Obj: m.Cid}) // want `handleWrongLookup dereferences the object tree via revokeLocal`
+	c.complete(ps, m.Token, st)
+}
+
 // handleSuppressed documents an intentional exception.
 func (c *Controller) handleSuppressed(ps *procState, m *msg) {
 	//fractos:capcheck-ok bootstrap path, authority established by the operator
@@ -99,17 +119,24 @@ func (c *Controller) notAHandler(ref Ref) Status {
 
 // CapID mirrors cap.CapID: generation bits over a slot index, minted
 // only by Space.Install.
+//
+//fractos:minted
 type CapID uint32
 
 func (s *space) Install(e Entry) CapID { return CapID(1) } //fractos:capcheck-ok the real minting site lives in internal/cap; the replica needs one
 
+//fractos:borrow
 func (s *space) Peek(cid CapID) *Entry { return nil }
 
 func (s *space) Drop(cid CapID) bool { return true }
 
 type task struct{}
 
+//fractos:yield
 func (t *task) Sleep(d int64) {}
+
+// Nap parks nobody.
+func (t *task) Nap(d int64) {}
 
 // handleMint forges a cid from a raw index, bypassing the generation
 // fence.
@@ -146,6 +173,13 @@ func (c *Controller) peekNoYield(t *task, ps *procState, cid CapID) uint8 {
 	r := e.Rights
 	t.Sleep(100)
 	return r
+}
+
+// peekNap uses the pointer after a call that does not yield: clean.
+func (c *Controller) peekNap(t *task, ps *procState, cid CapID) uint8 {
+	e := ps.space.Peek(cid)
+	t.Nap(100)
+	return e.Rights
 }
 
 // peekRefetch re-Peeks after the yield: clean.

@@ -25,9 +25,10 @@ import (
 
 // Analyzer is the epochguard analysis.
 var Analyzer = &analysis.Analyzer{
-	Name: "epochguard",
-	Doc:  "peer-message handlers touching the object tree must consult controller epochs",
-	Run:  run,
+	Name:   "epochguard",
+	Doc:    "peer-message handlers touching the object tree must consult controller epochs",
+	Waiver: "epochguard-ok",
+	Run:    run,
 }
 
 type funcFacts struct {
@@ -79,7 +80,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if !strings.HasPrefix(name, "peer") || astq.ReceiverTypeName(ff.decl) != "Controller" {
 			continue
 		}
-		if pass.Suppressed(ff.decl.Pos(), "fractos:epochguard-ok") {
+		if pass.Suppressed(ff.decl.Pos()) {
 			continue
 		}
 		touches := reaches(facts, obj, func(f *funcFacts) bool { return f.treeTouch })

@@ -23,12 +23,11 @@ import (
 
 // Analyzer is the panicfree analysis.
 var Analyzer = &analysis.Analyzer{
-	Name: "panicfree",
-	Doc:  "forbid builtin panic outside internal/assert; failures must flow as wire.Status or through assert helpers",
-	Run:  run,
+	Name:   "panicfree",
+	Doc:    "forbid builtin panic outside internal/assert; failures must flow as wire.Status or through assert helpers",
+	Waiver: "panic-ok",
+	Run:    run,
 }
-
-const suppression = "fractos:panic-ok"
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	if strings.Contains(pass.Pkg.Path(), "internal/assert") {
@@ -47,7 +46,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); !isBuiltin {
 				return true
 			}
-			if pass.Suppressed(call.Pos(), suppression) {
+			if pass.Suppressed(call.Pos()) {
 				return true
 			}
 			pass.Reportf(call.Pos(),

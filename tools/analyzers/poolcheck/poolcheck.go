@@ -33,20 +33,24 @@ import (
 
 	"fractos/tools/analyzers/analysis"
 	"fractos/tools/analyzers/astq"
-	"fractos/tools/analyzers/callgraph"
 )
 
 // Analyzer is the poolcheck analysis.
 var Analyzer = &analysis.Analyzer{
-	Name: "poolcheck",
-	Doc:  "pooled resources (fractos:pool-* annotations) must be released exactly once and not used after release",
-	Run:  run,
+	Name:       "poolcheck",
+	Doc:        "pooled resources (fractos:pool-* annotations) must be released exactly once and not used after release",
+	Directives: []string{acquire, release, handoff},
+	Waiver:     "pool-ok",
+	Run:        run,
 }
 
-const suppression = "fractos:pool-ok"
+const (
+	acquire = "pool-acquire"
+	release = "pool-release"
+	handoff = "pool-handoff"
+)
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	g := callgraph.Of(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -57,12 +61,12 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				continue
 			}
-			if f := g.Lookup(obj); f != nil && (f.Acquire != "" || f.Release != "" || f.Handoff != "") {
+			if pass.Marked(obj, acquire) || pass.Marked(obj, release) || pass.Marked(obj, handoff) {
 				// Pool internals (free-list push/pop etc.) are exempt:
 				// they implement the lifecycle being checked.
 				continue
 			}
-			checkScope(pass, g, fd.Body)
+			checkScope(pass, fd.Body)
 		}
 	}
 	return nil, nil
@@ -71,7 +75,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // checkScope finds acquire sites in body (not descending into nested
 // function literals, which are their own scopes) and runs the
 // lifecycle walk for each; then recurses into the nested literals.
-func checkScope(pass *analysis.Pass, g *callgraph.Graph, body *ast.BlockStmt) {
+func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 	var lits []*ast.FuncLit
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -79,10 +83,10 @@ func checkScope(pass *analysis.Pass, g *callgraph.Graph, body *ast.BlockStmt) {
 			lits = append(lits, n)
 			return false
 		case *ast.AssignStmt:
-			checkAcquireAssign(pass, g, body, n)
+			checkAcquireAssign(pass, body, n)
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok {
-				if pool := acquirePool(pass, g, call); pool != "" && !pass.Suppressed(call.Pos(), suppression) {
+				if pool, ok := acquirePool(pass, call); ok && !pass.Suppressed(call.Pos()) {
 					pass.Reportf(call.Pos(), "result of %s (pool %s) is discarded; pooled resources must be bound and released exactly once", astq.CalleeName(call), pool)
 				}
 			}
@@ -90,12 +94,12 @@ func checkScope(pass *analysis.Pass, g *callgraph.Graph, body *ast.BlockStmt) {
 		return true
 	})
 	for _, lit := range lits {
-		checkScope(pass, g, lit.Body)
+		checkScope(pass, lit.Body)
 	}
 }
 
 // checkAcquireAssign begins tracking for `v := acquire()` forms.
-func checkAcquireAssign(pass *analysis.Pass, g *callgraph.Graph, body *ast.BlockStmt, as *ast.AssignStmt) {
+func checkAcquireAssign(pass *analysis.Pass, body *ast.BlockStmt, as *ast.AssignStmt) {
 	if len(as.Lhs) != len(as.Rhs) {
 		return
 	}
@@ -104,13 +108,13 @@ func checkAcquireAssign(pass *analysis.Pass, g *callgraph.Graph, body *ast.Block
 		if !ok {
 			continue
 		}
-		pool := acquirePool(pass, g, call)
-		if pool == "" {
+		pool, ok := acquirePool(pass, call)
+		if !ok {
 			continue
 		}
 		id, ok := as.Lhs[i].(*ast.Ident)
 		if !ok || id.Name == "_" {
-			if !pass.Suppressed(call.Pos(), suppression) {
+			if !pass.Suppressed(call.Pos()) {
 				pass.Reportf(call.Pos(), "result of %s (pool %s) is not bound to a variable; its release cannot be verified", astq.CalleeName(call), pool)
 			}
 			continue
@@ -123,7 +127,7 @@ func checkAcquireAssign(pass *analysis.Pass, g *callgraph.Graph, body *ast.Block
 			continue
 		}
 		w := &walker{
-			pass: pass, g: g, v: obj, pool: pool,
+			pass: pass, v: obj, pool: pool,
 			acquire: as, borrows: make(map[types.Object]bool),
 		}
 		w.walk(body)
@@ -131,11 +135,8 @@ func checkAcquireAssign(pass *analysis.Pass, g *callgraph.Graph, body *ast.Block
 }
 
 // acquirePool returns the pool name if call is an annotated acquire.
-func acquirePool(pass *analysis.Pass, g *callgraph.Graph, call *ast.CallExpr) string {
-	if f := g.Lookup(astq.CalledFunc(pass.TypesInfo, call)); f != nil {
-		return f.Acquire
-	}
-	return ""
+func acquirePool(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
+	return pass.Directive(astq.CalledFunc(pass.TypesInfo, call), acquire)
 }
 
 // ---- per-variable lifecycle walk ----
@@ -190,7 +191,6 @@ func (s state) total() counts { return s.cnt.add(s.def) }
 
 type walker struct {
 	pass    *analysis.Pass
-	g       *callgraph.Graph
 	v       types.Object
 	pool    string
 	acquire *ast.AssignStmt
@@ -213,7 +213,7 @@ func (w *walker) walk(body *ast.BlockStmt) {
 func (w *walker) name() string { return w.v.Name() }
 
 func (w *walker) reportf(pos token.Pos, format string, args ...interface{}) {
-	if w.reported || w.pass.Suppressed(pos, suppression) {
+	if w.reported || w.pass.Suppressed(pos) {
 		return
 	}
 	w.pass.Reportf(pos, format, args...)
@@ -636,15 +636,11 @@ func (w *walker) exprStep(e ast.Expr, in state) state {
 // for the same pool and its bound operand resolves to v.
 func (w *walker) isReleaseOf(call *ast.CallExpr) bool {
 	callee := astq.CalledFunc(w.pass.TypesInfo, call)
-	f := w.g.Lookup(callee)
-	if f == nil {
-		return false
+	pool, ok := w.pass.Directive(callee, release)
+	if !ok {
+		pool, ok = w.pass.Directive(callee, handoff)
 	}
-	pool := f.Release
-	if pool == "" {
-		pool = f.Handoff
-	}
-	if pool == "" || pool != w.pool {
+	if !ok || pool != w.pool {
 		return false
 	}
 	op := boundOperand(callee, call)

@@ -4,22 +4,27 @@
 // test). Nondeterminism creeps in through four holes, each of which
 // this analyzer closes:
 //
-//  1. Wall-clock reads: time.Now / time.Since / time.Sleep / time.After
-//     make virtual-time behavior depend on host speed. The simulator
-//     clock (sim.Kernel.Now, Task.Sleep) must be used instead.
+//  1. Package time: its functions read or wait on the host clock, which
+//     makes virtual-time behavior depend on host speed. Simulation code
+//     calls none of them (its constants and time.Duration are fine) and
+//     uses the kernel's virtual clock (sim.Task.Now/Sleep) instead.
 //  2. The global math/rand source: it is shared, seeded from entropy
-//     (or reseeded by other code), and not replayable. Randomness must
-//     come from seeded rand.New(rand.NewSource(seed)) instances, e.g.
-//     sim.Kernel.Rand.
+//     (or reseeded by other code), and not replayable. The only
+//     functions of math/rand allowed are those that construct one of
+//     its types — rand.New, rand.NewSource, rand.NewZipf — and
+//     randomness comes from such seeded instances, e.g. sim.Kernel.Rand.
 //  3. Raw goroutines: a `go` statement escapes the cooperative
 //     scheduler, racing against kernel tasks. Only the kernel package
 //     itself (internal/sim) may create goroutines — that is the
 //     trampoline every Task runs on. Everything else must use
 //     sim.Kernel.Spawn.
 //  4. Map iteration feeding message or scheduling order: ranging over
-//     a map and sending/spawning/completing inside the loop makes
-//     delivery order depend on Go's randomized map iteration. Keys
-//     must be collected and sorted first (see Controller.sortedPeers).
+//     a map and calling, inside the loop, a function whose declaration
+//     carries //fractos:ordered (message transmission, task scheduling,
+//     completion delivery, future resolution; an interface method such
+//     as fabric.Handler.Deliver can carry it) makes delivery order
+//     depend on Go's randomized map iteration. Keys must be collected
+//     and sorted first (see Controller.sortedPeers).
 //
 // cmd/* packages are exempt: the CLI drivers legitimately measure
 // wall-clock time around whole simulation runs. Individual findings
@@ -30,6 +35,7 @@ package simdet
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 
 	"fractos/tools/analyzers/analysis"
@@ -38,38 +44,14 @@ import (
 
 // Analyzer is the simdet analysis.
 var Analyzer = &analysis.Analyzer{
-	Name: "simdet",
-	Doc:  "forbid wall-clock, global rand, raw goroutines, and order-sensitive map iteration in simulator-driven code",
-	Run:  run,
+	Name:       "simdet",
+	Doc:        "forbid package time, global rand, raw goroutines, and order-sensitive map iteration in simulator-driven code",
+	Directives: []string{ordered},
+	Waiver:     "nondet-ok",
+	Run:        run,
 }
 
-// suppression is the waiver marker.
-const suppression = "fractos:nondet-ok"
-
-// wallClockFuncs are the time package entry points that read or wait
-// on the host clock.
-var wallClockFuncs = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true, "AfterFunc": true,
-}
-
-// seededRandFuncs are the only math/rand entry points allowed: they
-// construct explicitly seeded, private sources.
-var seededRandFuncs = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-}
-
-// orderSinks are call names whose invocation order is observable in
-// the simulation: message transmission, task scheduling, completion
-// delivery, future resolution. Ranging over a map and calling one of
-// these per element publishes Go's randomized map order into the
-// event stream.
-var orderSinks = map[string]bool{
-	"Send": true, "TrySend": true, "Spawn": true, "After": true, "AfterCall": true,
-	"call": true, "forward": true, "resolvePending": true, "complete": true, "sendDeliver": true,
-	"notifyWatcher": true, "Set": true, "Fail": true, "Signal": true,
-	"wakeAfter": true, "Deliver": true, "Invoke": true,
-}
+const ordered = "ordered"
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	path := pass.Pkg.Path()
@@ -84,7 +66,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			case *ast.CallExpr:
 				checkCall(pass, n)
 			case *ast.GoStmt:
-				if !inSim && !pass.Suppressed(n.Pos(), suppression) {
+				if !inSim && !pass.Suppressed(n.Pos()) {
 					pass.Reportf(n.Pos(),
 						"raw goroutine escapes the deterministic kernel; use sim.Kernel.Spawn (or move the code into internal/sim)")
 				}
@@ -97,49 +79,68 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
+// checkCall flags calls of package-level functions of time, and of
+// math/rand unless they construct a value of a math/rand type.
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	pkg := astq.PackageOfCall(pass.TypesInfo, call)
-	name := astq.CalleeName(call)
-	switch pkg {
+	fn := astq.CalledFunc(pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return
+	}
+	var msg string
+	switch fn.Pkg().Path() {
 	case "time":
-		if wallClockFuncs[name] && !pass.Suppressed(call.Pos(), suppression) {
-			pass.Reportf(call.Pos(),
-				"time.%s reads the wall clock; simulation code must use the kernel's virtual clock (sim.Task.Now/Sleep)", name)
-		}
+		msg = "time.%s: simulation code calls no function of package time; use the kernel's virtual clock (sim.Task.Now/Sleep)"
 	case "math/rand", "math/rand/v2":
-		if !seededRandFuncs[name] && !pass.Suppressed(call.Pos(), suppression) {
-			pass.Reportf(call.Pos(),
-				"rand.%s uses the global math/rand source; use a seeded rand.New(rand.NewSource(seed)) (e.g. sim.Kernel.Rand)", name)
+		if constructs(fn) {
+			return
 		}
+		msg = "rand.%s uses the global math/rand source; use a seeded rand.New(rand.NewSource(seed)) (e.g. sim.Kernel.Rand)"
+	default:
+		return
+	}
+	if !pass.Suppressed(call.Pos()) {
+		pass.Reportf(call.Pos(), msg, fn.Name())
 	}
 }
 
-// checkMapRange flags ranging over a map when the loop body invokes
-// an order-sensitive sink.
+// constructs reports whether fn returns one value of a type declared
+// in fn's own package (*rand.Rand, rand.Source, *rand.Zipf).
+func constructs(fn *types.Func) bool {
+	res := fn.Type().(*types.Signature).Results()
+	if res.Len() != 1 {
+		return false
+	}
+	t := res.At(0).Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() == fn.Pkg()
+}
+
+// checkMapRange flags ranging over a map when the loop body calls an
+// order-sensitive function.
 func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt) {
 	if !astq.IsMap(pass.TypesInfo, rng.X) {
 		return
 	}
 	var sink *ast.CallExpr
-	var sinkName string
+	var sinkFn *types.Func
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		if sink != nil {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if name := astq.CalleeName(call); orderSinks[name] {
-				sink, sinkName = call, name
+			if fn := astq.CalledFunc(pass.TypesInfo, call); pass.Marked(fn, ordered) {
+				sink, sinkFn = call, fn
 				return false
 			}
 		}
 		return true
 	})
-	if sink == nil {
-		return
-	}
-	if pass.Suppressed(rng.Pos(), suppression) || pass.Suppressed(sink.Pos(), suppression) {
+	if sink == nil || pass.Suppressed(rng.Pos()) || pass.Suppressed(sink.Pos()) {
 		return
 	}
 	pass.Reportf(rng.Pos(),
-		"map iteration order feeds %s: delivery/scheduling order becomes nondeterministic; iterate over sorted keys instead", sinkName)
+		"map iteration order feeds %s: delivery/scheduling order becomes nondeterministic; iterate over sorted keys instead", sinkFn.Name())
 }

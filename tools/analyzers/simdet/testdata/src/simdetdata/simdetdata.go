@@ -1,4 +1,4 @@
-// Package simdetdata exercises the simdet analyzer: wall-clock reads,
+// Package simdetdata exercises the simdet analyzer: package time,
 // global math/rand, raw goroutines, and order-sensitive map ranges.
 package simdetdata
 
@@ -10,21 +10,34 @@ import (
 
 type net struct{}
 
+//fractos:ordered
 func (n *net) Send(to uint32, payload string) {}
+
+// Count is not marked: its calls commute.
+func (n *net) Count(to uint32) {}
+
+// handler mirrors fabric.Handler: the directive sits on the interface
+// method, so a call through the interface counts.
+type handler interface {
+	//fractos:ordered
+	Deliver(payload string)
+}
 
 type kernel struct{}
 
 func (k *kernel) Spawn(name string, fn func()) {}
 func (k *kernel) Now() int64                   { return 0 }
 
-// wallClock demonstrates every forbidden time call.
+// wallClock demonstrates forbidden time calls.
 func wallClock(k *kernel) {
-	t0 := time.Now()              // want `time.Now reads the wall clock`
-	_ = time.Since(t0)            // want `time.Since reads the wall clock`
-	time.Sleep(time.Second)       // want `time.Sleep reads the wall clock`
-	<-time.After(time.Nanosecond) // want `time.After reads the wall clock`
+	t0 := time.Now()              // want `time.Now: simulation code calls no function of package time`
+	_ = time.Since(t0)            // want `time.Since: simulation code calls no function of package time`
+	time.Sleep(time.Second)       // want `time.Sleep: simulation code calls no function of package time`
+	<-time.After(time.Nanosecond) // want `time.After: simulation code calls no function of package time`
+	_, _ = time.ParseDuration("") // want `time.ParseDuration: simulation code calls no function of package time`
 	_ = k.Now()                   // virtual clock: fine
 	_ = time.Duration(5)          // type conversions are fine
+	_ = time.Millisecond.String() // a method of a constant: fine
 }
 
 // pacing shows the documented waiver.
@@ -40,6 +53,8 @@ func globalRand() {
 	rand.Shuffle(3, func(i, j int) {}) // want `rand.Shuffle uses the global math/rand source`
 	r := rand.New(rand.NewSource(42))  // seeded private source: fine
 	_ = r.Intn(10)                     // method on a private source: fine
+	_ = rand.NewZipf(r, 1.1, 1, 10)    // constructs a *rand.Zipf: fine
+	_ = rand.Perm(3)                   // want `rand.Perm uses the global math/rand source`
 }
 
 // rawGoroutine escapes the cooperative scheduler.
@@ -49,9 +64,15 @@ func rawGoroutine(k *kernel) {
 }
 
 // mapOrder publishes map iteration order into the message stream.
-func mapOrder(n *net, peers map[uint32]string) {
+func mapOrder(n *net, h handler, peers map[uint32]string) {
 	for id, p := range peers { // want `map iteration order feeds Send`
 		n.Send(id, p)
+	}
+	for _, p := range peers { // want `map iteration order feeds Deliver`
+		h.Deliver(p)
+	}
+	for id := range peers { // an unmarked method: fine
+		n.Count(id)
 	}
 
 	// Sorted iteration: fine.

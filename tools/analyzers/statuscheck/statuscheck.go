@@ -1,30 +1,27 @@
-// Package statuscheck is an errcheck for wire.Status plus a
-// completion-protocol check for the Controller's syscall dispatch:
+// Package statuscheck checks the completion protocol of the
+// Controller's syscall dispatch: every syscall handler must complete
+// the Process's request exactly once on every control-flow path. Zero
+// completions hang the issuing Process forever; two corrupt its token
+// table.
 //
-// Rule 1 (everywhere): a call whose results include a wire.Status
-// must not discard it. Dropping a Status silently swallows revocation
-// (StatusRevoked), stale-epoch rejection (StatusStale), and
-// permission failures (StatusPerm) — precisely the signals FractOS's
-// failure handling is built on. Statuses may not be dropped as bare
-// expression statements nor assigned to the blank identifier; a
-// deliberate drop needs a `fractos:status-ok <reason>` comment.
+// A handler is a Controller method handle* whose message parameter
+// carries a completion Token, or any function whose doc comment carries
+// //fractos:owes-completion (finishSyscall, the continuation of every
+// forwarded syscall). The analysis is path-sensitive over
+// if/switch/return and reads the protocol off directives, not names:
 //
-// Rule 2 (internal/core): every syscall handler (Controller method
-// handle* whose message parameter carries a completion Token) must
-// call complete exactly once on every control-flow path. Zero
-// completions hang the issuing Process forever; two corrupt its
-// token table. The analysis is path-sensitive over if/switch/return
-// and follows the package's continuation idioms. A handler whose
-// operation outlives it passes the completion duty to a record, through
-// a function whose doc comment carries //fractos:completion-handoff:
-// calling it counts as the handler's one completion, and the record's
-// machinery discharges the duty exactly once. forward parks a
-// pending-call record whose continuation, finishSyscall, runs exactly
-// once per record (reply, send failure, or abort) and is itself held to
-// the exactly-once rule; startCopy hands a memory_copy to its copyOp,
-// whose finish completes it. A function literal handed to Spawn or
-// After runs exactly once, so its body — and same-package functions it
-// calls — counts toward the handler's completion total.
+//   - a call to a function marked //fractos:completes N counts as N
+//     completions (0 or 1) whatever its body does. complete is 1;
+//     forward and startCopy hand the duty to a record whose machinery
+//     discharges it exactly once, so they are 1 too; the bare
+//     inter-Controller call owes no Process a completion and is 0;
+//   - a function literal handed to a function marked
+//     //fractos:runs-once (Kernel.Spawn, Kernel.After) runs exactly once,
+//     so its body counts toward the handler's total;
+//   - any other same-package function is summarized and counted.
+//
+// Only internal/core is checked. Waiver: `fractos:completion-ok
+// <reason>` on a handler, a loop or a defer.
 package statuscheck
 
 import (
@@ -39,98 +36,24 @@ import (
 
 // Analyzer is the statuscheck analysis.
 var Analyzer = &analysis.Analyzer{
-	Name: "statuscheck",
-	Doc:  "wire.Status results must be checked; syscall handlers must complete exactly once per path",
-	Run:  run,
+	Name:       "statuscheck",
+	Doc:        "syscall handlers must complete exactly once per path",
+	Directives: []string{completes, runsOnce, owesCompletion},
+	Waiver:     "completion-ok",
+	Run:        run,
 }
 
-const suppression = "fractos:status-ok"
-
-// handoff marks, in its doc comment, a function that takes over its
-// caller's duty to complete the syscall.
-const handoff = "fractos:completion-handoff"
+const (
+	completes      = "completes"
+	runsOnce       = "runs-once"
+	owesCompletion = "owes-completion"
+)
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	checkDrops(pass)
 	if strings.Contains(pass.Pkg.Path(), "internal/core") {
 		checkCompletions(pass)
 	}
 	return nil, nil
-}
-
-// ---- Rule 1: dropped statuses ----
-
-func checkDrops(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				if call, ok := n.X.(*ast.CallExpr); ok {
-					reportDroppedStatus(pass, call, -1)
-				}
-			case *ast.AssignStmt:
-				checkBlankAssign(pass, n)
-			case *ast.GoStmt:
-				reportDroppedStatus(pass, n.Call, -1)
-			case *ast.DeferStmt:
-				reportDroppedStatus(pass, n.Call, -1)
-			}
-			return true
-		})
-	}
-}
-
-// reportDroppedStatus reports if the call's result (or, when idx >= 0,
-// only the idx-th tuple component) is a wire.Status.
-func reportDroppedStatus(pass *analysis.Pass, call *ast.CallExpr, idx int) {
-	tv, ok := pass.TypesInfo.Types[call]
-	if !ok || tv.Type == nil {
-		return
-	}
-	found := false
-	switch t := tv.Type.(type) {
-	case *types.Tuple:
-		for i := 0; i < t.Len(); i++ {
-			if (idx < 0 || idx == i) && astq.IsStatusType(t.At(i).Type()) {
-				found = true
-			}
-		}
-	default:
-		if idx <= 0 && astq.IsStatusType(tv.Type) {
-			found = true
-		}
-	}
-	if !found || pass.Suppressed(call.Pos(), suppression) {
-		return
-	}
-	name := astq.CalleeName(call)
-	if name == "" {
-		name = "call"
-	}
-	pass.Reportf(call.Pos(), "result of %s returning wire.Status is dropped; statuses carry revocation/permission failures and must be checked", name)
-}
-
-// checkBlankAssign flags wire.Status results assigned to the blank
-// identifier.
-func checkBlankAssign(pass *analysis.Pass, as *ast.AssignStmt) {
-	if len(as.Rhs) != 1 {
-		return
-	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	for i, lhs := range as.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name != "_" {
-			continue
-		}
-		if len(as.Lhs) == 1 {
-			reportDroppedStatus(pass, call, -1)
-		} else {
-			reportDroppedStatus(pass, call, i)
-		}
-	}
 }
 
 // ---- Rule 2: complete() exactly once per dispatch path ----
@@ -215,20 +138,16 @@ func checkCompletions(pass *analysis.Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				c.decls[obj] = fd
-			}
-			if astq.ReceiverTypeName(fd) != "Controller" {
-				continue
-			}
-			if fd.Name.Name == "finishSyscall" ||
+			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			c.decls[obj] = fd
+			if pass.Marked(obj, owesCompletion) || astq.ReceiverTypeName(fd) == "Controller" &&
 				strings.HasPrefix(fd.Name.Name, "handle") && handlerHasToken(pass, fd) {
 				handlers = append(handlers, fd)
 			}
 		}
 	}
 	for _, fd := range handlers {
-		if pass.Suppressed(fd.Pos(), suppression) {
+		if pass.Suppressed(fd.Pos()) {
 			continue
 		}
 		c.report = true
@@ -369,7 +288,7 @@ func (c *checker) stmt(s ast.Stmt, in counts) (fall counts, term bool) {
 		return in, false
 	case *ast.DeferStmt:
 		if c.callCounts(s.Call) != zero && c.report &&
-			!c.pass.Suppressed(s.Pos(), suppression) {
+			!c.pass.Suppressed(s.Pos()) {
 			c.pass.Reportf(s.Pos(), "completion inside defer is not analyzable; complete on the explicit paths instead")
 			c.reported = true
 		}
@@ -424,7 +343,7 @@ func (c *checker) loopCheck(body *ast.BlockStmt, in counts) {
 	fall, term := c.seq(body.List, in)
 	c.report = saved
 	if !term && fall != in && c.report &&
-		!c.pass.Suppressed(body.Pos(), suppression) {
+		!c.pass.Suppressed(body.Pos()) {
 		c.pass.Reportf(body.Pos(), "completion inside a loop may run zero or many times; complete outside the loop or return immediately after completing")
 		c.reported = true
 	}
@@ -461,19 +380,15 @@ func (c *checker) exprCounts(e ast.Expr) counts {
 
 // callCounts returns the completion contribution of one call.
 func (c *checker) callCounts(call *ast.CallExpr) counts {
-	switch astq.CalleeName(call) {
-	case "complete":
+	fn := astq.CalledFunc(c.pass.TypesInfo, call)
+	if n, ok := c.pass.Directive(fn, completes); ok {
+		if n == "0" {
+			return zero
+		}
 		return one
-	case "call":
-		// The bare pending-call machinery serves internal operations
-		// (cleanup broadcasts, lease revocations, memory_copy's
-		// validation round) that owe no Process a completion; a syscall
-		// enters it only through forward.
-		return zero
-	case "Spawn", "After":
-		// Continuation primitives: a func-literal argument runs
-		// exactly once, as a scheduled task.
-		out := zero
+	}
+	out := zero
+	if c.pass.Marked(fn, runsOnce) {
 		for _, arg := range call.Args {
 			if lit, ok := arg.(*ast.FuncLit); ok {
 				out = out.add(c.funcLitCounts(lit))
@@ -481,33 +396,13 @@ func (c *checker) callCounts(call *ast.CallExpr) counts {
 		}
 		return out
 	}
-	if fn := astq.CalledFunc(c.pass.TypesInfo, call); fn != nil && fn.Pkg() == c.pass.Pkg {
-		if takesOver(c.decls[fn]) {
-			// The completion duty moves to a record (a pending call, a
-			// copy op) whose machinery discharges it.
-			return one
-		}
+	if fn != nil && fn.Pkg() == c.pass.Pkg {
 		return c.summary(fn)
 	}
-	out := zero
 	for _, arg := range call.Args {
 		out = out.add(c.exprCounts(arg))
 	}
 	return out
-}
-
-// takesOver reports whether fd's doc comment carries the handoff
-// directive (as a comment line of its own, not prose mentioning it).
-func takesOver(fd *ast.FuncDecl) bool {
-	if fd == nil || fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.HasPrefix(strings.TrimPrefix(c.Text, "//"), handoff) {
-			return true
-		}
-	}
-	return false
 }
 
 // funcLitCounts analyzes a literal that will be invoked exactly once,

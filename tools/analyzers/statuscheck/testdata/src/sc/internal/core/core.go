@@ -1,6 +1,5 @@
-// Package core exercises the statuscheck analyzer: dropped wire.Status
-// results (rule 1) and the complete-exactly-once protocol of syscall
-// handlers (rule 2).
+// Package core exercises the statuscheck analyzer: the
+// complete-exactly-once protocol of syscall handlers.
 package core
 
 import "wire"
@@ -10,43 +9,31 @@ type proc struct{ id uint32 }
 // Controller mimics the dispatch surface of the real internal/core.
 type Controller struct{ peers map[uint32]bool }
 
+//fractos:completes 1
 func (c *Controller) complete(ps *proc, token uint64, st wire.Status) {}
 
 type pendingCall struct{ kind int }
 
-//fractos:completion-handoff
+// forward hands the completion duty to a pending-call record.
+//
+//fractos:completes 1
 func (c *Controller) forward(pc *pendingCall, ps *proc, token uint64) {}
 
 // park looks like forward but does not take the completion duty over.
 func (c *Controller) park(pc *pendingCall, ps *proc, token uint64) {}
 
-func (c *Controller) Spawn(name string, fn func()) {}
-
-func (c *Controller) resolve(id uint64) (*proc, wire.Status) { return nil, wire.StatusOK }
-
-func (c *Controller) revoke(id uint64) wire.Status { return wire.StatusOK }
-
-// ---- Rule 1: dropped statuses ----
-
-func (c *Controller) drops() {
-	c.revoke(1)          // want `result of revoke returning wire.Status is dropped`
-	_ = c.revoke(2)      // want `result of revoke returning wire.Status is dropped`
-	_, _ = c.resolve(3)  // want `result of resolve returning wire.Status is dropped`
-	p, _ := c.resolve(4) // want `result of resolve returning wire.Status is dropped`
-	_ = p
-
-	//fractos:status-ok best-effort cleanup; failure is acceptable here
-	c.revoke(5)
-
-	if st := c.revoke(6); st != wire.StatusOK {
-		return
-	}
-	if p2, st := c.resolve(7); st == wire.StatusOK {
-		_ = p2
+// call completes a record on its failure path, yet a handler that
+// issues one still owes its own completion.
+//
+//fractos:completes 0
+func (c *Controller) call(pc *pendingCall, ps *proc) {
+	if pc.kind == 0 {
+		c.complete(ps, 0, wire.StatusPerm)
 	}
 }
 
-// ---- Rule 2: complete exactly once per dispatch path ----
+//fractos:runs-once
+func (c *Controller) Spawn(name string, fn func()) {}
 
 // handleGoodBranches completes on both arms.
 func (c *Controller) handleGoodBranches(ps *proc, m *wire.MemCreate) {
@@ -93,6 +80,8 @@ func (c *Controller) handleBadForward(ps *proc, m *wire.MemCreate) { // want `ha
 
 // finishSyscall is the continuation forward defers to: every kind
 // must complete exactly once.
+//
+//fractos:owes-completion
 func (c *Controller) finishSyscall(pc *pendingCall, ps *proc, token uint64) { // want `finishSyscall can fall off the end having completed 0 or 1 times`
 	switch pc.kind {
 	case 1:
@@ -137,7 +126,13 @@ func (c *Controller) handleBadRange(ps *proc, m *wire.MemCopy) {
 	c.complete(ps, m.Token, wire.StatusOK)
 }
 
-//fractos:status-ok completion happens in the fabric layer for this op
+// handleGoodCall issues an internal call and completes on its own.
+func (c *Controller) handleGoodCall(ps *proc, m *wire.MemCreate) {
+	c.call(&pendingCall{}, ps)
+	c.complete(ps, m.Token, wire.StatusOK)
+}
+
+//fractos:completion-ok completion happens in the fabric layer for this op
 func (c *Controller) handleWaived(ps *proc, m *wire.MemCreate) {
 	_ = m.Token
 }

@@ -1,4 +1,4 @@
-// Package wire mirrors the repo's message/status vocabulary for the
+// Package wire mirrors the repo's message vocabulary for the
 // statuscheck testdata.
 package wire
 
