@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -211,7 +212,8 @@ func shortForm(m Message) int {
 // TestGrownMessagesKeepTheirShortForm: the two messages that grew
 // optional fields encode to the bytes they always did when the fields
 // are unused, and every traffic figure of a whole-object copy or a plain
-// acknowledgement stands.
+// acknowledgement stands; and every sample message encodes to its golden
+// frame and keeps its traffic class.
 func TestGrownMessagesKeepTheirShortForm(t *testing.T) {
 	for _, c := range []struct {
 		m    Message
@@ -231,6 +233,67 @@ func TestGrownMessagesKeepTheirShortForm(t *testing.T) {
 	if n := SizeOf(&DeliverDone{Drop: make([]cap.CapID, 3)}); n != 2+8+2+12 {
 		t.Errorf("acknowledgement handing back 3 capabilities is %d bytes, want 24", n)
 	}
+	msgs := sampleMessages()
+	if len(msgs) != len(goldenFrames) {
+		t.Fatalf("%d sample messages, %d golden frames", len(msgs), len(goldenFrames))
+	}
+	for i, m := range msgs {
+		g := goldenFrames[i]
+		if got := fmt.Sprintf("%x", Marshal(m)); got != g.hex {
+			t.Errorf("%s encodes to %s, want %s", g.name, got, g.hex)
+		}
+		if got := m.Class(); got != g.class {
+			t.Errorf("%s is class %d, want %d", g.name, got, g.class)
+		}
+	}
+}
+
+// goldenFrames is the encoding and traffic class of every
+// sampleMessages() entry, in order: every message type's byte layout,
+// pinned. A row changes only with the protocol, never with a rework of
+// the codec.
+var goldenFrames = []struct {
+	name  string
+	hex   string
+	class Class
+}{
+	{"MemCreate", "64000100000000000000001000000000000000001000000000000b", Control},
+	{"MemDiminish", "65000200000000000000050000008000000000000000000100000000000002", Control},
+	{"MemCopy", "660003000000000000000400000009000000", Control},
+	{"MemCopy, ranged", "66001a000000000000000400000009000000041000000000000007000000000000000000100000000000", Control},
+	{"MemCopy, ranged by DstOff", "66001b000000000000000400000009000000000000000000000001000000000000000000000000000000", Control},
+	{"ReqCreate", "67000400000000000000020000004d00000000000000020000000000030000000102031000000001000000780200000003000000020008000000", Control},
+	{"ReqInvoke", "680005000000000000000600000001000800000004000000617267730100010002000000", Control},
+	{"CapRevtree", "690006000000000000000b000000", Control},
+	{"CapRevoke", "6a0007000000000000000c000000", Control},
+	{"CapDrop", "6b0008000000000000000d000000", Control},
+	{"MonitorDelegate", "6c0009000000000000000e000000feca000000000000", Control},
+	{"MonitorReceive", "6d000a000000000000000f000000efbe000000000000", Control},
+	{"DeliverDone", "6e002a00000000000000", Control},
+	{"DeliverDone, handing back 2", "6e002b0000000000000002001100000005000001", Control},
+	{"ProcBye", "6f00", Control},
+	{"Null", "70006300000000000000", Control},
+	{"Completion", "c8000b0000000000000004100000000002000000000000", Control},
+	{"Deliver", "c9000c00000000000000580000000000000009000000696d6d656469617465010000001100000001014000000000000000", Control},
+	{"MonitorCB", "ca00adde00000000000001", Control},
+	{"CtrlDeriveMem", "2c010d0000000000000002000000070000006300000000000000030000000800000000000000100000000000000002", Control},
+	{"CtrlDeriveReq", "2d010e00000000000000020000000700000063000000000000000300000001000400000001000000640100030007000000630000000000000003000000020c00000000000000000100", Control},
+	{"CtrlRevtree", "2e010f000000000000000300000007000000630000000000000003000000", Control},
+	{"CtrlRevoke", "2f0110000000000000000300000007000000630000000000000003000000", Control},
+	{"CtrlValidate", "30011100000000000000040000000700000063000000000000000300000001", Control},
+	{"CtrlValInfo", "310112000000000000000005000000001000000000000000200000000000000b", Control},
+	{"CtrlInvoke, 300-byte immediate", "3201130000000000000005000000070000006300000000000000030000000100000000002c010000" + strings.Repeat("70", 300) + "0100000007000000630000000000000003000000010900100000000000000000", Data},
+	{"CtrlAck", "3301140000000000000001d204000000000000090000004d000000000000000f", Control},
+	{"CtrlAck, spent", "3301190000000000000000000000000000000000000000000000000000000080", Control},
+	{"CtrlCleanup", "34011f0000000000000002000700000063000000000000000300000001000000020000000000000003000000", Control},
+	{"CtrlDelegNote", "3501150000000000000006000000070000006300000000000000030000003700000000000000", Control},
+	{"CtrlDelegNoteAck", "360116000000000000000007000000630000000000000003000000", Control},
+	{"CtrlWatch", "3701170000000000000007000000070000006300000000000000030000004200000000000000080000000df0000000000000", Control},
+	{"CtrlNotify", "38014300000000000000edfe00000000000000", Control},
+	{"CtrlEpoch", "39010900000004000000", Control},
+	{"WatchPing", "90014700000000000000", Control},
+	{"WatchPong", "910147000000000000000200000005000000", Control},
+	{"Raw", "84030300000018000000000000000110000000626173656c696e65207061796c6f6164", Data},
 }
 
 // Property: random ReqCreate messages round-trip exactly.
