@@ -28,10 +28,6 @@ import (
 	"fractos/internal/wire"
 )
 
-// marshalSink keeps the allocation-gate encode results live so the
-// compiler cannot elide the calls under test.
-var marshalSink []byte
-
 // validateSink keeps the validation-gate results live so the compiler
 // cannot elide the calls under test.
 var validateSink *cap.Node
@@ -70,28 +66,27 @@ func TestAllocGateKernelDispatch(t *testing.T) {
 	}
 }
 
-// TestAllocGateWireMarshal pins the wire codec's allocation contract:
-// Marshal performs exactly one allocation (the exact-size buffer), and
-// the pooled GetWriter/MarshalTo/Release path performs none at steady
-// state.
+// TestAllocGateWireMarshal pins the wire codec's allocation contract on
+// the path the fabric takes: MarshalTo into a reused Writer — what a
+// Frame carries — allocates nothing once the Writer has grown to the
+// message.
 func TestAllocGateWireMarshal(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	m := &wire.Completion{Token: 7, Status: wire.StatusOK, Aux: 42}
-	if per := testing.AllocsPerRun(100, func() {
-		marshalSink = wire.Marshal(m)
-	}); per > 1 {
-		t.Errorf("wire.Marshal allocates %.1f objects/op, want <= 1 (the exact-size buffer)", per)
-	}
-	// Warm the writer pool once so the gate measures steady state.
-	wire.GetWriter(wire.SizeOf(m)).Release()
-	if per := testing.AllocsPerRun(100, func() {
-		w := wire.GetWriter(wire.SizeOf(m))
-		wire.MarshalTo(w, m)
-		w.Release()
-	}); per > 0 {
-		t.Errorf("pooled MarshalTo path allocates %.1f objects/op, want 0", per)
+	for _, m := range []wire.Message{
+		&wire.Completion{Token: 7, Status: wire.StatusOK, Aux: 42},
+		&wire.ReqInvoke{Token: 42, Cid: 7, Imms: []wire.ImmArg{{Data: make([]byte, 64)}},
+			Caps: []wire.CapSlot{{Slot: 0, Cid: 9}, {Slot: 1, Cid: 11}}},
+	} {
+		var w wire.Writer
+		wire.MarshalTo(&w, m) // grows w to the message
+		if per := testing.AllocsPerRun(100, func() {
+			w.Reset()
+			wire.MarshalTo(&w, m)
+		}); per > 0 {
+			t.Errorf("MarshalTo of a %T into a reused Writer allocates %.1f objects/op, want 0", m, per)
+		}
 	}
 }
 

@@ -207,13 +207,6 @@ func (ini *NVMeoFInitiator) prefetch(off int64, f *sim.Future[*wire.Raw]) {
 	})
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Write stores buf at off. With the block cache, the write is absorbed
 // locally and written back asynchronously.
 func (ini *NVMeoFInitiator) Write(t *sim.Task, off int64, buf []byte) error {

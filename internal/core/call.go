@@ -185,8 +185,9 @@ func (c *Controller) call(pc *pendingCall) {
 }
 
 // revokeRemoteLease asks a lease's owner to revoke it. Nobody waits
-// for the answer: the holder failed or the lease expired, and an owner
-// that is gone revokes its world through the epoch announcement.
+// for the answer: the holder failed, the lease expired or the object was
+// derived for an entry the holder's quota refused, and an owner that is
+// gone revokes its world through the epoch announcement.
 func (c *Controller) revokeRemoteLease(ref cap.Ref) {
 	c.call(c.newCall(callLeaseRevoke, ref))
 }
@@ -276,6 +277,8 @@ func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 		}
 		cid, st := c.install(pc.ps, e)
 		if st != wire.StatusOK {
+			// Nothing will ever name the object the owner just made.
+			c.revokeRemoteLease(e.Ref)
 			c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
 			return
 		}

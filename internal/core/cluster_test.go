@@ -103,6 +103,62 @@ func TestCapQuotaEnforced(t *testing.T) {
 	})
 }
 
+// TestRefusedDerivationLeavesNoObject: a memory_diminish, a derivation
+// of a Request or a cap_create_revtree refused at the capability quota
+// leaves no object behind at the owner — nothing could ever name it.
+// The owner discards its own; a holder on another node, refused after
+// the owner made the object, has the owner revoke it.
+func TestRefusedDerivationLeavesNoObject(t *testing.T) {
+	cfg := core.ClusterConfig{Nodes: 2}
+	cfg.Ctrl.CapQuota = 2
+	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+		owner := proc.Attach(cl, 0, "owner", 4096)
+		holder := proc.Attach(cl, 1, "holder", 0)
+		mem, err := owner.MemoryCreate(tk, 0, 4096, cap.MemRights)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req, err := owner.RequestCreate(tk, 1, nil, nil) // fills the owner's quota
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		hmem, err := proc.GrantCap(owner, mem, holder)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		hreq, err := proc.GrantCap(owner, req, holder) // fills the holder's
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		ctrl := cl.CtrlFor(0)
+		base := ctrl.ObjectCount()
+		for _, c := range []struct {
+			name     string
+			p        *proc.Process
+			mem, req proc.Cap
+		}{{"owner", owner, mem, req}, {"remote holder", holder, hmem, hreq}} {
+			for i := 0; i < 5; i++ {
+				_, errDim := c.p.MemoryDiminish(tk, c.mem, 0, 64, 0)
+				_, errDer := c.p.Derive(tk, c.req, nil, nil)
+				_, errRev := c.p.Revtree(tk, c.mem)
+				for _, err := range []error{errDim, errDer, errRev} {
+					if !wire.IsStatus(err, wire.StatusQuota) {
+						t.Errorf("%s at quota, derivation %d: err = %v, want quota", c.name, i, err)
+					}
+				}
+			}
+			tk.Sleep(us(100)) // the revokes land
+			if got := ctrl.ObjectCount(); got != base {
+				t.Errorf("%s refused 15 derivations: the owner has %d objects, want %d", c.name, got, base)
+			}
+		}
+	})
+}
+
 func TestCapQuotaBlocksDelegation(t *testing.T) {
 	cfg := core.ClusterConfig{Nodes: 2}
 	cfg.Ctrl.CapQuota = 2

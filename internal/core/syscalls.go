@@ -47,6 +47,7 @@ func (c *Controller) handleMemDiminish(ps *procState, m *wire.MemDiminish) {
 			Ref: ref, Kind: cap.KindMemory, Rights: entryRights & rights, Size: size,
 		})
 		if st != wire.StatusOK {
+			c.discardObject(ref.Obj)
 			c.complete(ps, m.Token, st, cap.NilCap, 0)
 			return
 		}
@@ -134,6 +135,7 @@ func (c *Controller) handleReqCreate(ps *procState, m *wire.ReqCreate) {
 			Ref: ref, Kind: cap.KindRequest, Rights: e.Rights,
 		})
 		if st != wire.StatusOK {
+			c.discardObject(ref.Obj)
 			c.complete(ps, m.Token, st, cap.NilCap, 0)
 			return
 		}

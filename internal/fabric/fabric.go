@@ -333,8 +333,7 @@ type Frame struct {
 }
 
 // maxPooledFrame bounds the buffer a released Frame keeps, so a rare
-// giant message does not pin its size for the rest of the run (the
-// wire package's rule for pooled Writers).
+// giant message does not pin its size for the rest of the run.
 const maxPooledFrame = 1 << 20
 
 // Bytes returns the encoded message, type header included. It is valid
@@ -595,9 +594,10 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 	}
 	now := n.k.Now()
 	done := n.transferTime(now, src.Loc, dst.Loc, nBytes)
-	n.account(m.Class(), nBytes, cross, false)
+	class := wire.ClassOf(m)
+	n.account(class, nBytes, cross, false)
 	if n.trace != nil {
-		n.trace(TraceEvent{At: now, From: from, To: to, Type: m.WireType(), Bytes: nBytes, Class: m.Class(), Lost: lost})
+		n.trace(TraceEvent{At: now, From: from, To: to, Type: m.WireType(), Bytes: nBytes, Class: class, Lost: lost})
 	}
 	if lost {
 		// Switch loss: the fabric accounts the bytes on the wire but
@@ -615,9 +615,9 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 		// of its own: the two deliveries share no bytes.
 		n.faults.stats.Duplicated++
 		done2 := n.transferTime(now, src.Loc, dst.Loc, nBytes)
-		n.account(m.Class(), nBytes, cross, false)
+		n.account(class, nBytes, cross, false)
 		if n.trace != nil {
-			n.trace(TraceEvent{At: now, From: from, To: to, Type: m.WireType(), Bytes: nBytes, Class: m.Class()})
+			n.trace(TraceEvent{At: now, From: from, To: to, Type: m.WireType(), Bytes: nBytes, Class: class})
 		}
 		n.launch(n.encode(from, dst, m), done2+extra-now)
 	}

@@ -83,27 +83,6 @@ func TestTryRecvEmpty(t *testing.T) {
 	k.Shutdown()
 }
 
-func TestCondBroadcastWakesAll(t *testing.T) {
-	k := New(1)
-	var c Cond
-	woke := 0
-	for i := 0; i < 3; i++ {
-		k.Spawn("waiter", func(tk *Task) {
-			c.Wait(tk)
-			woke++
-		})
-	}
-	k.Spawn("caster", func(tk *Task) {
-		tk.Sleep(time.Microsecond)
-		c.Broadcast()
-	})
-	k.Run()
-	if woke != 3 {
-		t.Errorf("woke = %d, want 3", woke)
-	}
-	k.Shutdown()
-}
-
 func TestSemaphoreTryAcquire(t *testing.T) {
 	s := NewSemaphore(1)
 	if !s.TryAcquire() {

@@ -190,32 +190,9 @@ func (wg *WaitGroup) wakeAll() {
 	wg.waiters = nil
 }
 
-// Cond is a condition variable: tasks wait until another task
-// broadcasts. There is no associated lock because task execution is
-// already serialized by the kernel.
-type Cond struct {
-	waiters []*Task
-}
-
-// Wait parks the task until the next Broadcast.
-//
-//fractos:yield
-func (c *Cond) Wait(t *Task) {
-	c.waiters = append(c.waiters, t)
-	t.park()
-}
-
-// Broadcast wakes every waiting task.
-func (c *Cond) Broadcast() {
-	for _, t := range c.waiters {
-		t.wakeAfter(0)
-	}
-	c.waiters = nil
-}
-
-// Semaphore is a counting semaphore under virtual time. FractOS uses
-// one to model per-Process congestion-control windows (the bound on
-// outstanding responses described in §4 of the paper).
+// Semaphore is a counting semaphore under virtual time: the bound on
+// what a service, device or application keeps in progress at once
+// (staging buffers, execution slots, a serve loop's width).
 type Semaphore struct {
 	avail   int
 	waiters []*Task

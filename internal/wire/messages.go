@@ -57,68 +57,101 @@ const (
 // protocol.
 const TRaw Type = 900
 
-func init() {
-	Register(TMemCreate, func() Message { return new(MemCreate) })
-	Register(TMemDiminish, func() Message { return new(MemDiminish) })
-	Register(TMemCopy, func() Message { return new(MemCopy) })
-	Register(TReqCreate, func() Message {
+// newMessage returns a zero message of type t to decode into, nil if t
+// is no message type. The four invocation messages come allocated
+// together with room for one immediate argument — what nearly every
+// invocation carries — which decodeImms fills, so that list costs no
+// allocation of its own.
+func newMessage(t Type) Message {
+	switch t {
+	case TMemCreate:
+		return new(MemCreate)
+	case TMemDiminish:
+		return new(MemDiminish)
+	case TMemCopy:
+		return new(MemCopy)
+	case TReqCreate:
 		b := new(struct {
 			m   ReqCreate
 			imm [1]ImmArg
 		})
 		b.m.Imms = b.imm[:0]
 		return &b.m
-	})
-	Register(TReqInvoke, func() Message {
+	case TReqInvoke:
 		b := new(struct {
 			m   ReqInvoke
 			imm [1]ImmArg
 		})
 		b.m.Imms = b.imm[:0]
 		return &b.m
-	})
-	Register(TCapRevtree, func() Message { return new(CapRevtree) })
-	Register(TCapRevoke, func() Message { return new(CapRevoke) })
-	Register(TCapDrop, func() Message { return new(CapDrop) })
-	Register(TMonitorDelegate, func() Message { return new(MonitorDelegate) })
-	Register(TMonitorReceive, func() Message { return new(MonitorReceive) })
-	Register(TDeliverDone, func() Message { return new(DeliverDone) })
-	Register(TProcBye, func() Message { return new(ProcBye) })
-	Register(TNull, func() Message { return new(Null) })
-	Register(TCompletion, func() Message { return new(Completion) })
-	Register(TDeliver, func() Message { return new(Deliver) })
-	Register(TMonitorCB, func() Message { return new(MonitorCB) })
-	Register(TCtrlDeriveMem, func() Message { return new(CtrlDeriveMem) })
-	Register(TCtrlDeriveReq, func() Message {
+	case TCapRevtree:
+		return new(CapRevtree)
+	case TCapRevoke:
+		return new(CapRevoke)
+	case TCapDrop:
+		return new(CapDrop)
+	case TMonitorDelegate:
+		return new(MonitorDelegate)
+	case TMonitorReceive:
+		return new(MonitorReceive)
+	case TDeliverDone:
+		return new(DeliverDone)
+	case TProcBye:
+		return new(ProcBye)
+	case TNull:
+		return new(Null)
+	case TCompletion:
+		return new(Completion)
+	case TDeliver:
+		return new(Deliver)
+	case TMonitorCB:
+		return new(MonitorCB)
+	case TCtrlDeriveMem:
+		return new(CtrlDeriveMem)
+	case TCtrlDeriveReq:
 		b := new(struct {
 			m   CtrlDeriveReq
 			imm [1]ImmArg
 		})
 		b.m.Imms = b.imm[:0]
 		return &b.m
-	})
-	Register(TCtrlRevtree, func() Message { return new(CtrlRevtree) })
-	Register(TCtrlRevoke, func() Message { return new(CtrlRevoke) })
-	Register(TCtrlValidate, func() Message { return new(CtrlValidate) })
-	Register(TCtrlValInfo, func() Message { return new(CtrlValInfo) })
-	Register(TCtrlInvoke, func() Message {
+	case TCtrlRevtree:
+		return new(CtrlRevtree)
+	case TCtrlRevoke:
+		return new(CtrlRevoke)
+	case TCtrlValidate:
+		return new(CtrlValidate)
+	case TCtrlValInfo:
+		return new(CtrlValInfo)
+	case TCtrlInvoke:
 		b := new(struct {
 			m   CtrlInvoke
 			imm [1]ImmArg
 		})
 		b.m.Imms = b.imm[:0]
 		return &b.m
-	})
-	Register(TCtrlAck, func() Message { return new(CtrlAck) })
-	Register(TCtrlCleanup, func() Message { return new(CtrlCleanup) })
-	Register(TCtrlDelegNote, func() Message { return new(CtrlDelegNote) })
-	Register(TCtrlDelegNoteAck, func() Message { return new(CtrlDelegNoteAck) })
-	Register(TCtrlWatch, func() Message { return new(CtrlWatch) })
-	Register(TCtrlNotify, func() Message { return new(CtrlNotify) })
-	Register(TCtrlEpoch, func() Message { return new(CtrlEpoch) })
-	Register(TWatchPing, func() Message { return new(WatchPing) })
-	Register(TWatchPong, func() Message { return new(WatchPong) })
-	Register(TRaw, func() Message { return new(Raw) })
+	case TCtrlAck:
+		return new(CtrlAck)
+	case TCtrlCleanup:
+		return new(CtrlCleanup)
+	case TCtrlDelegNote:
+		return new(CtrlDelegNote)
+	case TCtrlDelegNoteAck:
+		return new(CtrlDelegNoteAck)
+	case TCtrlWatch:
+		return new(CtrlWatch)
+	case TCtrlNotify:
+		return new(CtrlNotify)
+	case TCtrlEpoch:
+		return new(CtrlEpoch)
+	case TWatchPing:
+		return new(WatchPing)
+	case TWatchPong:
+		return new(WatchPong)
+	case TRaw:
+		return new(Raw)
+	}
+	return nil
 }
 
 // ---- shared argument encodings ----
@@ -145,6 +178,18 @@ func count(r *Reader, elemSize int) int {
 	}
 	return n
 }
+
+// Encoded lengths of the list elements count checks a length against: a
+// cap.Ref (Ctrl u32, Obj u64, Epoch u32), a capability slot (slot u16 +
+// cid u32), a capability in transfer (slot u16 + ref + kind u8 + rights
+// u8 + size u64 + 2 bools) and a delivered capability (slot u16 + cid
+// u32 + kind u8 + rights u8 + size u64).
+const (
+	refSize       = 4 + 8 + 4
+	capSlotSize   = 2 + 4
+	capXferSize   = 2 + refSize + 1 + 1 + 8 + 1 + 1
+	deliveredSize = 2 + 4 + 1 + 1 + 8
+)
 
 // list returns the n-element list a list decoder fills in: the
 // Decoder's own, grown if need be and kept for the next frame (own is
@@ -179,13 +224,10 @@ func encodeImms(w *Writer, imms []ImmArg) {
 	}
 }
 
-// decodeImms reads an immediate-arg list. An owning decode appends
-// into spare[:0] when its capacity suffices: the decode constructors of
-// the invocation messages (init above) allocate the message together
-// with room for one immediate — what nearly every invocation carries —
-// and seed Imms with it, so the list costs no allocation of its own; a
-// message built any other way has no spare room and gets a fresh
-// slice.
+// decodeImms reads an immediate-arg list. An owning decode fills spare
+// when its capacity suffices — the room for one immediate newMessage
+// gives the invocation messages; a message built any other way has no
+// spare room and gets a fresh slice.
 func decodeImms(r *Reader, spare []ImmArg) []ImmArg {
 	n := count(r, 4+4)
 	if n == 0 || r.Err() != nil {
@@ -202,28 +244,43 @@ func decodeImms(r *Reader, spare []ImmArg) []ImmArg {
 	return imms
 }
 
-// sizeImms returns the encoded length of an immediate-arg list.
-func sizeImms(imms []ImmArg) int {
-	n := 2
-	for _, a := range imms {
-		n += 4 + 4 + len(a.Data)
-	}
-	return n
-}
+// dataThreshold is the immediate-payload size above which an invocation
+// or delivery counts as a Data transfer for traffic accounting.
+const dataThreshold = 256
 
-// immsBytes reports the payload volume carried by immediate args,
-// used to classify messages as data-bearing.
-func immsBytes(imms []ImmArg) int {
+// ClassOf is m's traffic class. A Raw says what it is; a Deliver,
+// ReqCreate, ReqInvoke, CtrlDeriveReq or CtrlInvoke whose immediates
+// carry more than dataThreshold bytes is Data; everything else is
+// Control.
+//
+//fractos:hotpath
+func ClassOf(m Message) Class {
+	var imms []ImmArg
 	n := 0
+	switch m := m.(type) {
+	case *Raw:
+		if m.IsData {
+			return Data
+		}
+	case *Deliver:
+		n = len(m.Imms)
+	case *ReqCreate:
+		imms = m.Imms
+	case *ReqInvoke:
+		imms = m.Imms
+	case *CtrlDeriveReq:
+		imms = m.Imms
+	case *CtrlInvoke:
+		imms = m.Imms
+	}
 	for _, a := range imms {
 		n += len(a.Data)
 	}
-	return n
+	if n > dataThreshold {
+		return Data
+	}
+	return Control
 }
-
-// dataThreshold is the immediate-payload size above which a message
-// counts as a Data transfer for traffic accounting.
-const dataThreshold = 256
 
 // CapSlot binds a Process-local capability (cid) to a Request argument
 // slot in a syscall.
@@ -392,7 +449,6 @@ type MemCreate struct {
 }
 
 func (*MemCreate) WireType() Type { return TMemCreate }
-func (*MemCreate) Class() Class   { return Control }
 func (m *MemCreate) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U64(m.Base)
@@ -415,7 +471,6 @@ type MemDiminish struct {
 }
 
 func (*MemDiminish) WireType() Type { return TMemDiminish }
-func (*MemDiminish) Class() Class   { return Control }
 func (m *MemDiminish) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Cid))
@@ -442,7 +497,6 @@ type MemCopy struct {
 }
 
 func (*MemCopy) WireType() Type { return TMemCopy }
-func (*MemCopy) Class() Class   { return Control }
 func (m *MemCopy) ranged() bool { return m.SrcOff|m.DstOff|m.Len != 0 }
 func (m *MemCopy) Encode(w *Writer) {
 	w.U64(m.Token)
@@ -486,12 +540,6 @@ type ReqCreate struct {
 const ReplyTag uint64 = 1 << 63
 
 func (*ReqCreate) WireType() Type { return TReqCreate }
-func (m *ReqCreate) Class() Class {
-	if immsBytes(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
 func (m *ReqCreate) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Parent))
@@ -517,12 +565,6 @@ type ReqInvoke struct {
 }
 
 func (*ReqInvoke) WireType() Type { return TReqInvoke }
-func (m *ReqInvoke) Class() Class {
-	if immsBytes(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
 func (m *ReqInvoke) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Cid))
@@ -544,7 +586,6 @@ type CapRevtree struct {
 }
 
 func (*CapRevtree) WireType() Type { return TCapRevtree }
-func (*CapRevtree) Class() Class   { return Control }
 func (m *CapRevtree) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Cid))
@@ -563,7 +604,6 @@ type CapRevoke struct {
 }
 
 func (*CapRevoke) WireType() Type { return TCapRevoke }
-func (*CapRevoke) Class() Class   { return Control }
 func (m *CapRevoke) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Cid))
@@ -581,7 +621,6 @@ type CapDrop struct {
 }
 
 func (*CapDrop) WireType() Type { return TCapDrop }
-func (*CapDrop) Class() Class   { return Control }
 func (m *CapDrop) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Cid))
@@ -600,7 +639,6 @@ type MonitorDelegate struct {
 }
 
 func (*MonitorDelegate) WireType() Type { return TMonitorDelegate }
-func (*MonitorDelegate) Class() Class   { return Control }
 func (m *MonitorDelegate) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Cid))
@@ -620,7 +658,6 @@ type MonitorReceive struct {
 }
 
 func (*MonitorReceive) WireType() Type { return TMonitorReceive }
-func (*MonitorReceive) Class() Class   { return Control }
 func (m *MonitorReceive) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Cid))
@@ -641,7 +678,6 @@ type DeliverDone struct {
 }
 
 func (*DeliverDone) WireType() Type { return TDeliverDone }
-func (*DeliverDone) Class() Class   { return Control }
 func (m *DeliverDone) Encode(w *Writer) {
 	w.U64(m.Seq)
 	if len(m.Drop) > 0 {
@@ -676,7 +712,6 @@ type Null struct {
 }
 
 func (*Null) WireType() Type     { return TNull }
-func (*Null) Class() Class       { return Control }
 func (m *Null) Encode(w *Writer) { w.U64(m.Token) }
 func (m *Null) Decode(r *Reader) error {
 	m.Token = r.U64()
@@ -687,7 +722,6 @@ func (m *Null) Decode(r *Reader) error {
 type ProcBye struct{}
 
 func (*ProcBye) WireType() Type       { return TProcBye }
-func (*ProcBye) Class() Class         { return Control }
 func (*ProcBye) Encode(*Writer)       {}
 func (*ProcBye) Decode(*Reader) error { return nil }
 
@@ -704,7 +738,6 @@ type Completion struct {
 }
 
 func (*Completion) WireType() Type { return TCompletion }
-func (*Completion) Class() Class   { return Control }
 func (m *Completion) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U8(uint8(m.Status))
@@ -729,12 +762,6 @@ type Deliver struct {
 }
 
 func (*Deliver) WireType() Type { return TDeliver }
-func (m *Deliver) Class() Class {
-	if len(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
 func (m *Deliver) Encode(w *Writer) {
 	w.U64(m.Seq)
 	w.U64(m.Tag)
@@ -762,7 +789,6 @@ const (
 )
 
 func (*MonitorCB) WireType() Type { return TMonitorCB }
-func (*MonitorCB) Class() Class   { return Control }
 func (m *MonitorCB) Encode(w *Writer) {
 	w.U64(m.Callback)
 	w.U8(m.Kind)
@@ -785,7 +811,6 @@ type CtrlDeriveMem struct {
 }
 
 func (*CtrlDeriveMem) WireType() Type { return TCtrlDeriveMem }
-func (*CtrlDeriveMem) Class() Class   { return Control }
 func (m *CtrlDeriveMem) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Src))
@@ -811,12 +836,6 @@ type CtrlDeriveReq struct {
 }
 
 func (*CtrlDeriveReq) WireType() Type { return TCtrlDeriveReq }
-func (m *CtrlDeriveReq) Class() Class {
-	if immsBytes(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
 func (m *CtrlDeriveReq) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Src))
@@ -840,7 +859,6 @@ type CtrlRevtree struct {
 }
 
 func (*CtrlRevtree) WireType() Type { return TCtrlRevtree }
-func (*CtrlRevtree) Class() Class   { return Control }
 func (m *CtrlRevtree) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Src))
@@ -860,7 +878,6 @@ type CtrlRevoke struct {
 }
 
 func (*CtrlRevoke) WireType() Type { return TCtrlRevoke }
-func (*CtrlRevoke) Class() Class   { return Control }
 func (m *CtrlRevoke) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Src))
@@ -882,7 +899,6 @@ type CtrlValidate struct {
 }
 
 func (*CtrlValidate) WireType() Type { return TCtrlValidate }
-func (*CtrlValidate) Class() Class   { return Control }
 func (m *CtrlValidate) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Src))
@@ -908,7 +924,6 @@ type CtrlValInfo struct {
 }
 
 func (*CtrlValInfo) WireType() Type { return TCtrlValInfo }
-func (*CtrlValInfo) Class() Class   { return Control }
 func (m *CtrlValInfo) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U8(uint8(m.Status))
@@ -935,12 +950,6 @@ type CtrlInvoke struct {
 }
 
 func (*CtrlInvoke) WireType() Type { return TCtrlInvoke }
-func (m *CtrlInvoke) Class() Class {
-	if immsBytes(m.Imms) > dataThreshold {
-		return Data
-	}
-	return Control
-}
 func (m *CtrlInvoke) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Src))
@@ -976,7 +985,6 @@ type CtrlAck struct {
 const ackSpent = 0x80
 
 func (*CtrlAck) WireType() Type { return TCtrlAck }
-func (*CtrlAck) Class() Class   { return Control }
 func (m *CtrlAck) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U8(uint8(m.Status))
@@ -1009,7 +1017,6 @@ type CtrlCleanup struct {
 }
 
 func (*CtrlCleanup) WireType() Type { return TCtrlCleanup }
-func (*CtrlCleanup) Class() Class   { return Control }
 func (m *CtrlCleanup) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U16(uint16(len(m.Refs)))
@@ -1033,7 +1040,6 @@ type CtrlDelegNote struct {
 }
 
 func (*CtrlDelegNote) WireType() Type { return TCtrlDelegNote }
-func (*CtrlDelegNote) Class() Class   { return Control }
 func (m *CtrlDelegNote) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Src))
@@ -1056,7 +1062,6 @@ type CtrlDelegNoteAck struct {
 }
 
 func (*CtrlDelegNoteAck) WireType() Type { return TCtrlDelegNoteAck }
-func (*CtrlDelegNoteAck) Class() Class   { return Control }
 func (m *CtrlDelegNoteAck) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U8(uint8(m.Status))
@@ -1079,7 +1084,6 @@ type CtrlWatch struct {
 }
 
 func (*CtrlWatch) WireType() Type { return TCtrlWatch }
-func (*CtrlWatch) Class() Class   { return Control }
 func (m *CtrlWatch) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Src))
@@ -1106,7 +1110,6 @@ type CtrlNotify struct {
 }
 
 func (*CtrlNotify) WireType() Type { return TCtrlNotify }
-func (*CtrlNotify) Class() Class   { return Control }
 func (m *CtrlNotify) Encode(w *Writer) {
 	w.U64(uint64(m.Proc))
 	w.U64(m.Callback)
@@ -1126,7 +1129,6 @@ type CtrlEpoch struct {
 }
 
 func (*CtrlEpoch) WireType() Type { return TCtrlEpoch }
-func (*CtrlEpoch) Class() Class   { return Control }
 func (m *CtrlEpoch) Encode(w *Writer) {
 	w.U32(uint32(m.Ctrl))
 	w.U32(uint32(m.Epoch))
@@ -1146,7 +1148,6 @@ type WatchPing struct {
 }
 
 func (*WatchPing) WireType() Type { return TWatchPing }
-func (*WatchPing) Class() Class   { return Control }
 func (m *WatchPing) Encode(w *Writer) {
 	w.U64(m.Seq)
 }
@@ -1165,7 +1166,6 @@ type WatchPong struct {
 }
 
 func (*WatchPong) WireType() Type { return TWatchPong }
-func (*WatchPong) Class() Class   { return Control }
 func (m *WatchPong) Encode(w *Writer) {
 	w.U64(m.Seq)
 	w.U32(uint32(m.Ctrl))
@@ -1190,12 +1190,6 @@ type Raw struct {
 }
 
 func (*Raw) WireType() Type { return TRaw }
-func (m *Raw) Class() Class {
-	if m.IsData {
-		return Data
-	}
-	return Control
-}
 func (m *Raw) Encode(w *Writer) {
 	w.U32(m.Kind)
 	w.U64(m.Token)
@@ -1208,84 +1202,3 @@ func (m *Raw) Decode(r *Reader) error {
 	m.Data = r.Bytes32()
 	return r.Err()
 }
-
-// ---- encoded sizes ----
-//
-// EncodedSize returns the exact number of bytes Encode appends
-// (excluding the 2-byte type header). Marshal and the fabric use these
-// to pre-size buffers, and SizeOf to charge link bandwidth, without
-// performing a throwaway encode. The wire property test
-// (TestEncodedSizeMatchesEncode) checks every one of these against the
-// real encoder.
-
-// refSize is the encoded length of a cap.Ref (Ctrl u32, Obj u64,
-// Epoch u32).
-const refSize = 4 + 8 + 4
-
-// Encoded lengths of the list elements: a capability slot (slot u16 +
-// cid u32), a capability in transfer (slot u16 + ref + kind u8 +
-// rights u8 + size u64 + 2 bools) and a delivered capability (slot u16
-// + cid u32 + kind u8 + rights u8 + size u64).
-const (
-	capSlotSize   = 2 + 4
-	capXferSize   = 2 + refSize + 1 + 1 + 8 + 1 + 1
-	deliveredSize = 2 + 4 + 1 + 1 + 8
-)
-
-// sizeCapSlots returns the encoded length of a capability-slot list.
-func sizeCapSlots(cs []CapSlot) int { return 2 + capSlotSize*len(cs) }
-
-// sizeCapXfers returns the encoded length of a capability-transfer
-// list.
-func sizeCapXfers(xs []CapXfer) int { return 2 + capXferSize*len(xs) }
-
-// sizeDelivered returns the encoded length of a delivered-cap list.
-func sizeDelivered(ds []DeliveredCap) int { return 2 + deliveredSize*len(ds) }
-
-func (m *MemCreate) EncodedSize() int   { return 8 + 8 + 8 + 1 }
-func (m *MemDiminish) EncodedSize() int { return 8 + 4 + 8 + 8 + 1 }
-func (m *MemCopy) EncodedSize() int {
-	if m.ranged() {
-		return 8 + 4 + 4 + 3*8
-	}
-	return 8 + 4 + 4
-}
-func (m *ReqCreate) EncodedSize() int       { return 8 + 4 + 8 + sizeImms(m.Imms) + sizeCapSlots(m.Caps) }
-func (m *ReqInvoke) EncodedSize() int       { return 8 + 4 + sizeImms(m.Imms) + sizeCapSlots(m.Caps) }
-func (m *CapRevtree) EncodedSize() int      { return 8 + 4 }
-func (m *CapRevoke) EncodedSize() int       { return 8 + 4 }
-func (m *CapDrop) EncodedSize() int         { return 8 + 4 }
-func (m *MonitorDelegate) EncodedSize() int { return 8 + 4 + 8 }
-func (m *MonitorReceive) EncodedSize() int  { return 8 + 4 + 8 }
-func (m *DeliverDone) EncodedSize() int {
-	if len(m.Drop) > 0 {
-		return 8 + 2 + 4*len(m.Drop)
-	}
-	return 8
-}
-func (m *Null) EncodedSize() int          { return 8 }
-func (*ProcBye) EncodedSize() int         { return 0 }
-func (m *Completion) EncodedSize() int    { return 8 + 1 + 4 + 8 }
-func (m *Deliver) EncodedSize() int       { return 8 + 8 + 4 + len(m.Imms) + sizeDelivered(m.Caps) }
-func (m *MonitorCB) EncodedSize() int     { return 8 + 1 }
-func (m *CtrlDeriveMem) EncodedSize() int { return 8 + 4 + refSize + 8 + 8 + 1 }
-func (m *CtrlDeriveReq) EncodedSize() int {
-	return 8 + 4 + refSize + sizeImms(m.Imms) + sizeCapXfers(m.Caps)
-}
-func (m *CtrlRevtree) EncodedSize() int  { return 8 + 4 + refSize }
-func (m *CtrlRevoke) EncodedSize() int   { return 8 + 4 + refSize }
-func (m *CtrlValidate) EncodedSize() int { return 8 + 4 + refSize + 1 }
-func (m *CtrlValInfo) EncodedSize() int  { return 8 + 1 + 4 + 8 + 8 + 1 }
-func (m *CtrlInvoke) EncodedSize() int {
-	return 8 + 4 + refSize + sizeImms(m.Imms) + sizeCapXfers(m.Caps)
-}
-func (m *CtrlAck) EncodedSize() int          { return 8 + 1 + 8 + 4 + 8 + 1 }
-func (m *CtrlCleanup) EncodedSize() int      { return 8 + 2 + refSize*len(m.Refs) }
-func (m *CtrlDelegNote) EncodedSize() int    { return 8 + 4 + refSize + 8 }
-func (m *CtrlDelegNoteAck) EncodedSize() int { return 8 + 1 + refSize }
-func (m *CtrlWatch) EncodedSize() int        { return 8 + 4 + refSize + 8 + 4 + 8 }
-func (m *CtrlNotify) EncodedSize() int       { return 8 + 8 + 1 }
-func (m *CtrlEpoch) EncodedSize() int        { return 4 + 4 }
-func (m *WatchPing) EncodedSize() int        { return 8 }
-func (m *WatchPong) EncodedSize() int        { return 8 + 4 + 4 }
-func (m *Raw) EncodedSize() int              { return 4 + 8 + 1 + 4 + len(m.Data) }

@@ -9,50 +9,29 @@ import (
 	"fractos/internal/cap"
 )
 
-// TestEncodedSizeMatchesEncode pins the contract the zero-alloc paths
-// rely on: EncodedSize must equal the exact number of body bytes
-// Encode produces, for every registered message type. Marshal,
-// AppendMarshal, MarshalTo, and the fabric's frame pre-sizing all
-// allocate from this number, so a drift would silently reintroduce
-// buffer growth (or worse, under-report traffic in SizeOf).
-func TestEncodedSizeMatchesEncode(t *testing.T) {
-	for _, m := range sampleMessages() {
-		var w Writer
-		m.Encode(&w)
-		if got, want := m.EncodedSize(), w.Len(); got != want {
-			t.Errorf("%T: EncodedSize()=%d, Encode produced %d bytes", m, got, want)
-		}
-		if got, want := SizeOf(m), 2+w.Len(); got != want {
-			t.Errorf("%T: SizeOf()=%d, framed length %d", m, got, want)
-		}
-	}
-}
-
-// TestReencodeByteEquality is the round-trip property under pooled
-// writers: encode → decode → re-encode must be byte-identical, with
-// every encode going through a Writer obtained from (and released back
-// to) the pool. Running all messages twice interleaves pool reuse, so
-// a stale-buffer bug — a pooled Writer leaking bytes from its previous
-// life — would show up as a mismatch.
+// TestReencodeByteEquality is the round-trip property through reused
+// Writers, as the fabric's Frames encode: encode → decode → re-encode
+// must be byte-identical. Running all messages twice through the same
+// two Writers interleaves reuse, so a Writer leaking bytes from its
+// previous message would show up as a mismatch.
 func TestReencodeByteEquality(t *testing.T) {
+	var w1, w2 Writer
 	for round := 0; round < 2; round++ {
 		for _, m := range sampleMessages() {
-			w1 := GetWriter(SizeOf(m))
-			MarshalTo(w1, m)
+			w1.Reset()
+			MarshalTo(&w1, m)
 			frame := append([]byte(nil), w1.Bytes()...)
-			w1.Release()
 
 			decoded, err := Unmarshal(frame)
 			if err != nil {
 				t.Fatalf("round %d %T: unmarshal: %v", round, m, err)
 			}
-			w2 := GetWriter(SizeOf(decoded))
-			MarshalTo(w2, decoded)
+			w2.Reset()
+			MarshalTo(&w2, decoded)
 			if !bytes.Equal(frame, w2.Bytes()) {
 				t.Errorf("round %d %T: re-encode mismatch\n in: %x\nout: %x",
 					round, m, frame, w2.Bytes())
 			}
-			w2.Release()
 		}
 	}
 }
@@ -73,8 +52,7 @@ func TestAppendMarshalMatchesMarshal(t *testing.T) {
 
 // TestInvokeRoundTripRandomized hammers the highest-volume message
 // (request_invoke) with random payload shapes: arbitrary immediate
-// arguments and capability slots must round-trip byte-identically and
-// honor EncodedSize exactly.
+// arguments and capability slots must round-trip byte-identically.
 func TestInvokeRoundTripRandomized(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -88,15 +66,7 @@ func TestInvokeRoundTripRandomized(t *testing.T) {
 			m.Caps = append(m.Caps, CapSlot{Slot: uint16(rng.Intn(8)), Cid: cap.CapID(rng.Uint32())})
 		}
 
-		w := GetWriter(SizeOf(m))
-		MarshalTo(w, m)
-		if w.Len() != SizeOf(m) {
-			t.Logf("seed %d: SizeOf=%d, encoded %d", seed, SizeOf(m), w.Len())
-			return false
-		}
-		frame := append([]byte(nil), w.Bytes()...)
-		w.Release()
-
+		frame := Marshal(m)
 		decoded, err := Unmarshal(frame)
 		if err != nil {
 			t.Logf("seed %d: unmarshal: %v", seed, err)

@@ -23,87 +23,33 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-
-	"fractos/internal/assert"
 )
 
 // ErrShort is returned when decoding runs past the end of the buffer.
 var ErrShort = errors.New("wire: short buffer")
 
-// ErrUnknownType is returned when unmarshalling an unregistered type.
+// ErrUnknownType is returned when unmarshalling a frame whose type is
+// no message type.
 var ErrUnknownType = errors.New("wire: unknown message type")
 
-// Writer appends primitive values to a byte buffer.
+// Writer appends primitive values to a byte buffer. A Writer that is
+// Reset and reused keeps the capacity its largest message needed, so
+// encoding into it allocates nothing once it has seen its largest frame:
+// that is how a fabric Frame carries its messages.
 type Writer struct {
 	buf []byte
-}
-
-// writerPool recycles Writer buffers across messages. The API is
-// deterministic-safe: a pooled Writer is truncated before reuse and
-// its contents are fully (re)written by the caller before anyone reads
-// them, so encoded bytes never depend on which buffer the pool hands
-// out. Only buffer identity varies — and nothing in the simulation
-// observes identity.
-var writerPool = sync.Pool{New: func() interface{} { return new(Writer) }}
-
-// maxPooledWriter bounds the capacity retained by the pool so a rare
-// giant frame does not pin memory forever.
-const maxPooledWriter = 1 << 20
-
-// GetWriter returns a pooled Writer, reset and pre-grown to sizeHint
-// bytes of capacity. Callers that are done with the encoded bytes
-// should call Release; keeping the buffer is also safe (it simply
-// never returns to the pool), but then poolcheck requires a
-// fractos:pool-ok waiver documenting who owns it.
-//
-//fractos:hotpath
-//fractos:pool-acquire wirebuf
-func GetWriter(sizeHint int) *Writer {
-	w := writerPool.Get().(*Writer)
-	w.buf = w.buf[:0]
-	w.Grow(sizeHint)
-	return w
-}
-
-// Release returns the Writer (and its buffer) to the pool. The caller
-// must not retain w or any slice of w.Bytes() afterwards.
-//
-//fractos:hotpath
-//fractos:pool-release wirebuf
-func (w *Writer) Release() {
-	if cap(w.buf) > maxPooledWriter {
-		w.buf = nil
-	}
-	w.buf = w.buf[:0]
-	writerPool.Put(w)
 }
 
 // Reset truncates the Writer for reuse, keeping its capacity.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
 
-// Grow ensures capacity for at least n more bytes.
-//
-//fractos:hotpath
-func (w *Writer) Grow(n int) {
-	if n <= cap(w.buf)-len(w.buf) {
-		return
-	}
-	nb := make([]byte, len(w.buf), len(w.buf)+n) // fractos:alloc-ok cold path: hot callers pre-size via EncodedSize so capacity suffices
-	copy(nb, w.buf)
-	w.buf = nb
-}
-
 // Bytes returns the encoded buffer.
 func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // U8 appends one byte.
 //
 //fractos:hotpath
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) } // fractos:alloc-ok appends into capacity pre-grown by Grow/EncodedSize
+func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) } // fractos:alloc-ok a reused Writer keeps the capacity of its largest message
 
 // U16 appends a little-endian uint16.
 //
@@ -136,11 +82,8 @@ func (w *Writer) Bool(v bool) {
 //fractos:hotpath
 func (w *Writer) Bytes32(b []byte) {
 	w.U32(uint32(len(b)))
-	w.buf = append(w.buf, b...) // fractos:alloc-ok appends into capacity pre-grown by Grow/EncodedSize
+	w.buf = append(w.buf, b...) // fractos:alloc-ok a reused Writer keeps the capacity of its largest message
 }
-
-// String32 appends a length-prefixed string.
-func (w *Writer) String32(s string) { w.Bytes32([]byte(s)) }
 
 // Reader consumes primitive values from a byte buffer. Errors are
 // sticky: after the first short read, all further reads return zero
@@ -153,9 +96,6 @@ type Reader struct {
 	// payloads then alias buf and lists land in dec's storage.
 	dec *Decoder
 }
-
-// NewReader wraps a buffer for decoding.
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
 // Reset re-points the Reader at a new buffer, clearing any sticky
 // error, so a Reader value can be reused without allocation.
@@ -258,9 +198,6 @@ func (r *Reader) Bytes32() []byte {
 	return out
 }
 
-// String32 reads a length-prefixed string.
-func (r *Reader) String32() string { return string(r.Bytes32()) }
-
 // capacity is the builtin cap, for messages.go where the capability
 // package's name shadows it.
 func capacity[T any](s []T) int { return cap(s) }
@@ -285,67 +222,35 @@ const (
 type Message interface {
 	// WireType identifies the concrete message on the wire.
 	WireType() Type
-	// Class tags the message for traffic accounting.
-	Class() Class
-	// EncodedSize returns the exact body length Encode will produce
-	// (excluding the 2-byte type header). Marshal and the fabric use
-	// it to pre-size buffers so encoding never reallocates.
-	EncodedSize() int
 	// Encode appends the message body (excluding the type header).
 	Encode(w *Writer)
 	// Decode parses the message body.
 	Decode(r *Reader) error
 }
 
-var registry = map[Type]func() Message{}
+// Marshal encodes a message with its type header into a new buffer.
+func Marshal(m Message) []byte { return AppendMarshal(nil, m) }
 
-// Register installs a constructor for a message type. Duplicate
-// registration is a programming error caught at init time.
-func Register(t Type, fn func() Message) {
-	_, dup := registry[t]
-	assert.That(!dup, "wire: duplicate registration of type %d", t)
-	registry[t] = fn
-}
-
-// Marshal encodes a message with its type header. The returned buffer
-// is allocated at the exact encoded size (via EncodedSize), so
-// encoding performs a single allocation: the frame is built in a
-// pooled Writer and copied out. (Encoding directly into a local Writer
-// would be two allocations — the interface call m.Encode(&w) makes the
-// Writer escape.) The AllocsPerRun gate in bench_test.go pins the
-// single-allocation contract at runtime.
-//
-//fractos:hotpath
-func Marshal(m Message) []byte {
-	w := GetWriter(2 + m.EncodedSize())
-	w.U16(uint16(m.WireType()))
-	m.Encode(w)
-	out := make([]byte, len(w.buf)) // fractos:alloc-ok the single exact-size allocation Marshal exists to make
-	copy(out, w.buf)
-	w.Release()
-	return out
-}
+// SizeOf returns the encoded size of a message including the type
+// header: what the fabric charges for it.
+func SizeOf(m Message) int { return len(Marshal(m)) }
 
 // AppendMarshal encodes a message with its type header, appending to
-// dst and returning the extended buffer. Passing dst[:0] of a retained
-// buffer gives an allocation-free encode once the buffer has grown to
-// the message's size; this is the hot-path entry the fabric uses.
+// dst and returning the extended buffer.
 //
 //fractos:hotpath
 func AppendMarshal(dst []byte, m Message) []byte {
 	w := Writer{buf: dst}
-	w.Grow(2 + m.EncodedSize())
-	w.U16(uint16(m.WireType()))
-	m.Encode(&w)
+	MarshalTo(&w, m)
 	return w.buf
 }
 
-// MarshalTo encodes a message with its type header into w (typically a
-// pooled Writer from GetWriter), pre-growing to the exact frame size.
+// MarshalTo encodes a message with its type header into w. It is the
+// fabric's encode: into a Frame's reused Writer, which allocates nothing
+// once it has grown to the message.
 //
 //fractos:hotpath
 func MarshalTo(w *Writer, m Message) {
-	w.Grow(2 + m.EncodedSize())
 	w.U16(uint16(m.WireType()))
 	m.Encode(w)
 }
@@ -370,11 +275,10 @@ func UnmarshalWith(r *Reader, b []byte) (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	fn, err := constructor(t)
-	if err != nil {
-		return nil, err
+	m := newMessage(t)
+	if m == nil {
+		return nil, unknownType(t)
 	}
-	m := fn()
 	if err := m.Decode(r); err != nil {
 		return nil, err
 	}
@@ -390,14 +294,9 @@ func (r *Reader) header(frame []byte) (Type, error) {
 	return t, r.err
 }
 
-// constructor returns what Register installed for t.
-func constructor(t Type) (func() Message, error) {
-	fn, ok := registry[t]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
-	}
-	return fn, nil
-}
+// unknownType is the error for a frame of type t, which is no message
+// type.
+func unknownType(t Type) error { return fmt.Errorf("%w: %d", ErrUnknownType, t) }
 
 // Decoder is the borrowing decode of a receiver that is finished with
 // each message before it looks at the next (a Controller serving its
@@ -436,11 +335,10 @@ func (d *Decoder) Decode(frame []byte) (Message, error) {
 	d.r.dec = d
 	m, ok := d.msgs[t]
 	if !ok {
-		fn, err := constructor(t) // fractos:alloc-ok once per type a receiver ever sees: the lookup's error allocates, and so does the value fn builds
-		if err != nil {
-			return nil, err
+		m = newMessage(t) // fractos:alloc-ok once per type a receiver ever sees
+		if m == nil {
+			return nil, unknownType(t) // fractos:alloc-ok a frame of no message type is refused, not served
 		}
-		m = fn()
 		d.msgs[t] = m
 	}
 	if err := m.Decode(&d.r); err != nil {
@@ -449,9 +347,3 @@ func (d *Decoder) Decode(frame []byte) (Message, error) {
 	d.last = m
 	return m, nil
 }
-
-// SizeOf returns the encoded size of a message including the type
-// header, without encoding anything.
-//
-//fractos:hotpath
-func SizeOf(m Message) int { return 2 + m.EncodedSize() }

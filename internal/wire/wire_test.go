@@ -20,16 +20,16 @@ func TestWriterReaderPrimitives(t *testing.T) {
 	w.U64(0x0102030405060708)
 	w.Bool(true)
 	w.Bytes32([]byte("hello"))
-	w.String32("world")
 
-	r := NewReader(w.Bytes())
+	var r Reader
+	r.Reset(w.Bytes())
 	if r.U8() != 0xab || r.U16() != 0x1234 || r.U32() != 0xdeadbeef {
 		t.Fatal("primitive mismatch")
 	}
 	if r.U64() != 0x0102030405060708 || !r.Bool() {
 		t.Fatal("primitive mismatch")
 	}
-	if string(r.Bytes32()) != "hello" || r.String32() != "world" {
+	if string(r.Bytes32()) != "hello" {
 		t.Fatal("bytes mismatch")
 	}
 	if r.Err() != nil || r.Remaining() != 0 {
@@ -38,7 +38,8 @@ func TestWriterReaderPrimitives(t *testing.T) {
 }
 
 func TestReaderShortBufferSticky(t *testing.T) {
-	r := NewReader([]byte{1, 2})
+	var r Reader
+	r.Reset([]byte{1, 2})
 	_ = r.U32()
 	if r.Err() != ErrShort {
 		t.Fatalf("err = %v, want ErrShort", r.Err())
@@ -52,7 +53,8 @@ func TestReaderShortBufferSticky(t *testing.T) {
 func TestBytes32HugeLengthRejected(t *testing.T) {
 	var w Writer
 	w.U32(1 << 30) // absurd length, no payload
-	r := NewReader(w.Bytes())
+	var r Reader
+	r.Reset(w.Bytes())
 	if r.Bytes32() != nil || r.Err() == nil {
 		t.Fatal("oversized length must fail, not allocate")
 	}
@@ -140,32 +142,48 @@ func TestRoundTripAllMessageTypes(t *testing.T) {
 	}
 }
 
+// TestEveryRegisteredTypeCovered walks the whole type range through
+// newMessage: every message type has a round-trip sample, and the
+// message newMessage builds for it says it is of that type.
 func TestEveryRegisteredTypeCovered(t *testing.T) {
 	covered := map[Type]bool{}
 	for _, m := range sampleMessages() {
 		covered[m.WireType()] = true
 	}
-	for typ := range registry {
+	for i := 0; i <= 0xffff; i++ {
+		typ := Type(i)
+		m := newMessage(typ)
+		if m == nil {
+			continue
+		}
+		if m.WireType() != typ {
+			t.Errorf("newMessage(%d) builds a %T, of type %d", typ, m, m.WireType())
+		}
 		if !covered[typ] {
-			t.Errorf("registered type %d has no round-trip sample", typ)
+			t.Errorf("message type %d has no round-trip sample", typ)
 		}
 	}
 }
 
+// TestClassification holds ClassOf to its rule at the threshold: an
+// invocation or delivery is Data once its immediates, summed over the
+// list, carry more than dataThreshold bytes; a Raw is what it says.
 func TestClassification(t *testing.T) {
-	small := &ReqInvoke{Imms: []ImmArg{{Data: make([]byte, 64)}}}
-	big := &ReqInvoke{Imms: []ImmArg{{Data: make([]byte, 4096)}}}
-	if small.Class() != Control {
-		t.Error("small invoke should be Control")
+	for _, n := range []int{dataThreshold, dataThreshold + 1} {
+		want := Control
+		if n > dataThreshold {
+			want = Data
+		}
+		imms := []ImmArg{{Data: make([]byte, n-1)}, {Offset: 512, Data: make([]byte, 1)}}
+		for _, m := range []Message{&Deliver{Imms: make([]byte, n)}, &ReqCreate{Imms: imms},
+			&ReqInvoke{Imms: imms}, &CtrlDeriveReq{Imms: imms}, &CtrlInvoke{Imms: imms}} {
+			if got := ClassOf(m); got != want {
+				t.Errorf("%T carrying %d immediate bytes is class %d, want %d", m, n, got, want)
+			}
+		}
 	}
-	if big.Class() != Data {
-		t.Error("large invoke should be Data")
-	}
-	if (&Deliver{Imms: make([]byte, 4096)}).Class() != Data {
-		t.Error("large deliver should be Data")
-	}
-	if (&Raw{IsData: true}).Class() != Data || (&Raw{}).Class() != Control {
-		t.Error("raw classification broken")
+	if ClassOf(&Raw{IsData: true}) != Data || ClassOf(&Raw{Data: make([]byte, 4096)}) != Control {
+		t.Error("a Raw is the class it says it is")
 	}
 }
 
@@ -242,7 +260,7 @@ func TestGrownMessagesKeepTheirShortForm(t *testing.T) {
 		if got := fmt.Sprintf("%x", Marshal(m)); got != g.hex {
 			t.Errorf("%s encodes to %s, want %s", g.name, got, g.hex)
 		}
-		if got := m.Class(); got != g.class {
+		if got := ClassOf(m); got != g.class {
 			t.Errorf("%s is class %d, want %d", g.name, got, g.class)
 		}
 	}
@@ -340,13 +358,4 @@ func TestStatusErr(t *testing.T) {
 			t.Errorf("status %d has no name", s)
 		}
 	}
-}
-
-func TestDuplicateRegistrationPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Register(TMemCreate, func() Message { return new(MemCreate) })
 }

@@ -1,6 +1,6 @@
 // Package poolcheck exercises the pool lifecycle analyzer against a
-// miniature buffer pool shaped like wire's Writer pool and the sim
-// kernel's event free list.
+// miniature buffer pool shaped like the fabric's frame free list and the
+// sim kernel's event free list.
 package poolcheck
 
 type Buf struct {
