@@ -1,6 +1,7 @@
 package faceverify
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -54,6 +55,33 @@ func TestKernelVerdicts(t *testing.T) {
 	if !done {
 		t.Fatal("deadlock")
 	}
+}
+
+// TestKernelRejectsOutOfRangeArgs hands the kernel, through the
+// device, the offsets a broken or hostile kernel Request can carry:
+// each of db, probe and out in turn at 2⁶⁴−1, at 2⁶³, at its exact fit
+// and one past it. Only the exact fits run, and nothing panics.
+func TestKernelRejectsOutOfRangeArgs(t *testing.T) {
+	mem := make([]byte, ImgSize+ProbeSize+1)
+	fit := []uint64{0, ImgSize, ImgSize + ProbeSize} // db, probe, out for a batch of 1
+	extent := []uint64{ImgSize, ProbeSize, 1}
+	k := sim.New(1)
+	k.Spawn("exec", func(tk *sim.Task) {
+		dev := newTestDevice(k)
+		for i := range fit {
+			last := uint64(len(mem)) - extent[i]
+			for _, v := range []uint64{math.MaxUint64, 1 << 63, last, last + 1} {
+				args := append(append([]uint64(nil), fit...), 1)
+				args[i] = v
+				st, err := dev.Exec(tk, KernelName, mem, args)
+				if err != nil || (st == 0) != (v == last) {
+					t.Errorf("args %v: status %d, err %v", args, st, err)
+				}
+			}
+		}
+	})
+	k.Run()
+	k.Shutdown()
 }
 
 func TestFractOSEndToEnd(t *testing.T) {

@@ -63,9 +63,8 @@ func RegisterKernel(dev *gpu.Device) {
 		if batch == 0 || batch > MaxBatch {
 			return 1
 		}
-		if db+batch*ImgSize > uint64(len(mem)) ||
-			probe+batch*ProbeSize > uint64(len(mem)) ||
-			out+batch > uint64(len(mem)) {
+		if !fits(db, batch*ImgSize, mem) || !fits(probe, batch*ProbeSize, mem) ||
+			!fits(out, batch, mem) {
 			return 1
 		}
 		for i := uint64(0); i < batch; i++ {
@@ -84,6 +83,12 @@ func RegisterKernel(dev *gpu.Device) {
 		}
 		return sim.Time(args[3]) * KernelPerImage
 	})
+}
+
+// fits reports whether [off, off+n) lies inside mem. The arguments
+// come off the wire, so the test is written not to wrap.
+func fits(off, n uint64, mem []byte) bool {
+	return n <= uint64(len(mem)) && off <= uint64(len(mem))-n
 }
 
 func l1(a, b []byte) int {

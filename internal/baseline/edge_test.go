@@ -171,6 +171,11 @@ func TestBaselineServersRejectHostileArgs(t *testing.T) {
 			return
 		}
 		raw := NewPeer(cl.K, cl.Net, "hostile", fabric.Location{Node: 0, Domain: fabric.Host})
+		// Past the first bytes, a size near 2⁶³ makes free+size wrap.
+		if r, err := raw.Call(tk, gpuSrv.Endpoint(), rcudaMalloc, header([]uint64{16}, nil), false); err != nil || getU64(r.Data, 0) != 0 {
+			t.Errorf("rcuda malloc 16: %v", err)
+			return
+		}
 		name, block := []byte("f"), make([]byte, 8)
 		cases := []struct {
 			what string
@@ -181,6 +186,8 @@ func TestBaselineServersRejectHostileArgs(t *testing.T) {
 		}{
 			{"rcuda launch nameLen", gpuSrv.Endpoint(), rcudaLaunch,
 				func(v uint64) []byte { return header([]uint64{v}, name) }, func(int64) bool { return false }},
+			{"rcuda malloc size", gpuSrv.Endpoint(), rcudaMalloc,
+				func(v uint64) []byte { return header([]uint64{v}, nil) }, func(v int64) bool { return v > 0 && v <= size-16 }},
 			{"rcuda H2D addr", gpuSrv.Endpoint(), rcudaMemcpyH2D,
 				func(v uint64) []byte { return header([]uint64{v}, block) }, func(v int64) bool { return inside(v, 8, size) }},
 			{"rcuda D2H addr", gpuSrv.Endpoint(), rcudaMemcpyD2H,

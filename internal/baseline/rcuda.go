@@ -59,7 +59,7 @@ func (s *RCUDAServer) serve(t *sim.Task) {
 		switch req.Kind {
 		case rcudaMalloc:
 			size := int(getU64(req.Data, 0))
-			if size <= 0 || s.free+size > len(s.mem) {
+			if size <= 0 || size > len(s.mem)-s.free {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}

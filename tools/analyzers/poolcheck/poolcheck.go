@@ -4,10 +4,9 @@
 // be used after release, and must not be retained (stored into fields,
 // globals, or closures) past the documented handoff points.
 //
-// The analysis is path-sensitive in the style of statuscheck: a small
-// counts lattice {0, 1, 2+} is threaded over if/switch/return/defer,
-// per tracked variable, within the function (or function literal)
-// where the resource is acquired. Release events are calls to
+// Each acquired variable is followed along the paths of the shared
+// walker (tools/analyzers/flow) through the rest of the statement list
+// that holds the acquire, where its scope ends. Release events are calls to
 // functions annotated //fractos:pool-release or //fractos:pool-handoff
 // whose bound operand — the first parameter, or the receiver for
 // parameterless methods — is the tracked variable; returning the
@@ -18,9 +17,11 @@
 // Limitations, by design: ownership passed through unannotated helper
 // calls is not tracked (the call is ignored), borrows are tracked one
 // level deep (x := v.Method() marks x as a borrow of v; values derived
-// from x are not), and a closure that captures a pooled value outlives
+// from x are not), a closure that captures a pooled value outlives
 // the analysis — capture is therefore reported and must be waived
-// where the surrounding machinery guarantees the lifecycle.
+// where the surrounding machinery guarantees the lifecycle — and
+// reassigning the variable ends its tracking. The walker's own limits
+// apply too: a value leaked through break or continue is not reported.
 //
 // Waiver: a `fractos:pool-ok <reason>` comment on the reported line or
 // the line above.
@@ -33,6 +34,7 @@ import (
 
 	"fractos/tools/analyzers/analysis"
 	"fractos/tools/analyzers/astq"
+	"fractos/tools/analyzers/flow"
 )
 
 // Analyzer is the poolcheck analysis.
@@ -57,10 +59,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
+			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 			if pass.Marked(obj, acquire) || pass.Marked(obj, release) || pass.Marked(obj, handoff) {
 				// Pool internals (free-list push/pop etc.) are exempt:
 				// they implement the lifecycle being checked.
@@ -119,18 +118,20 @@ func checkAcquireAssign(pass *analysis.Pass, body *ast.BlockStmt, as *ast.Assign
 			}
 			continue
 		}
-		obj := pass.TypesInfo.Defs[id]
-		if obj == nil {
-			obj = pass.TypesInfo.Uses[id]
-		}
-		if obj == nil {
+		// The variable goes out of scope with the statement list that
+		// holds the acquire.
+		obj := objOf(pass.TypesInfo, id)
+		rest, ok := flow.Enclosing(body, as)
+		if obj == nil || !ok {
 			continue
 		}
 		w := &walker{
 			pass: pass, v: obj, pool: pool,
 			acquire: as, borrows: make(map[types.Object]bool),
 		}
-		w.walk(body)
+		if fall, term := flow.Walk(w, rest, flow.Start); !term {
+			w.checkExit(as.Pos(), fall, "scope ends")
+		}
 	}
 }
 
@@ -139,56 +140,9 @@ func acquirePool(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	return pass.Directive(astq.CalledFunc(pass.TypesInfo, call), acquire)
 }
 
-// ---- per-variable lifecycle walk ----
-
-// counts is the {0, 1, 2+} possible-release-total lattice.
-type counts uint8
-
-const (
-	zero counts = 1 << iota
-	one
-	many
-)
-
-func (c counts) add(d counts) counts {
-	var out counts
-	vals := []struct {
-		bit counts
-		n   int
-	}{{zero, 0}, {one, 1}, {many, 2}}
-	for _, a := range vals {
-		if c&a.bit == 0 {
-			continue
-		}
-		for _, b := range vals {
-			if d&b.bit == 0 {
-				continue
-			}
-			switch a.n + b.n {
-			case 0:
-				out |= zero
-			case 1:
-				out |= one
-			default:
-				out |= many
-			}
-		}
-	}
-	return out
-}
-
-// state is the per-path lattice: explicit releases so far and releases
-// pending in registered defers.
-type state struct {
-	cnt counts
-	def counts
-}
-
-func (s state) merge(t state) state { return state{s.cnt | t.cnt, s.def | t.def} }
-
-// total is the release count a path exiting now would end with.
-func (s state) total() counts { return s.cnt.add(s.def) }
-
+// walker is the flow.Rules of one acquired variable's lifecycle:
+// releases and handoffs of it are discharges, deferred ones discharge
+// at every exit, returning it transfers ownership.
 type walker struct {
 	pass    *analysis.Pass
 	v       types.Object
@@ -196,327 +150,99 @@ type walker struct {
 	acquire *ast.AssignStmt
 	borrows map[types.Object]bool
 
-	active   bool
 	lost     bool // v reassigned; tracking abandoned
-	done     bool // scope ended
 	reported bool // one finding per acquire; follow-on noise suppressed
-}
-
-// walk runs the lifecycle analysis over the enclosing body. The
-// end-of-scope check fires in seq when the statement list that
-// contains the acquire ends (whether that is the function body, an if
-// branch, or a loop body).
-func (w *walker) walk(body *ast.BlockStmt) {
-	w.seq(body.List, state{cnt: zero, def: zero})
 }
 
 func (w *walker) name() string { return w.v.Name() }
 
 func (w *walker) reportf(pos token.Pos, format string, args ...interface{}) {
-	if w.reported || w.pass.Suppressed(pos) {
+	if w.reported || w.lost || w.pass.Suppressed(pos) {
 		return
 	}
 	w.pass.Reportf(pos, format, args...)
 	w.reported = true
 }
 
-// seq threads the state through a statement list. Activation: when the
-// acquire statement is an element of this list, tracking starts after
-// it and the end-of-scope check runs when the list ends (the variable
-// goes out of scope with it).
-func (w *walker) seq(stmts []ast.Stmt, in state) (fall state, term bool) {
-	cur := in
-	owner := false // acquire statement is directly in this list
-	for _, s := range stmts {
-		if s == w.acquire {
-			w.active = true
-			owner = true
-			cur = state{cnt: zero, def: zero}
-			continue
-		}
-		if w.lost || w.done {
-			return cur, false
-		}
-		next, terminated := w.stmt(s, cur)
-		if terminated {
-			if owner {
-				w.endScope()
-			}
-			return state{}, true
-		}
-		cur = next
-	}
-	if owner && w.active && !w.lost {
-		w.checkExit(w.acquire.Pos(), cur, "scope ends")
-		w.endScope()
-	}
-	return cur, false
-}
-
-func (w *walker) endScope() {
-	w.active = false
-	w.done = true
+// is reports whether e is the tracked variable itself.
+func (w *walker) is(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && objOf(w.pass.TypesInfo, id) == w.v
 }
 
 // checkExit validates a path's final release total.
-func (w *walker) checkExit(pos token.Pos, s state, how string) {
-	t := s.total()
-	if t&zero != 0 {
+func (w *walker) checkExit(pos token.Pos, s flow.State, how string) {
+	t := s.Total()
+	if t&flow.Zero != 0 {
 		w.reportf(w.acquire.Pos(), "pooled %s (pool %s) acquired here may not be released on the path where %s", w.name(), w.pool, how)
-	} else if t&many != 0 {
+	} else if t&flow.Many != 0 {
 		w.reportf(pos, "pooled %s (pool %s) may be released more than once on the path where %s", w.name(), w.pool, how)
 	}
 }
 
-func (w *walker) stmt(s ast.Stmt, in state) (fall state, term bool) {
-	if !w.active {
-		// Before activation (or after scope end) only structure is
-		// followed, looking for the acquire statement in nested lists.
-		switch s := s.(type) {
-		case *ast.BlockStmt:
-			return w.seq(s.List, in)
-		case *ast.IfStmt:
-			w.seq(s.Body.List, in)
-			if s.Else != nil {
-				w.stmt(s.Else, in)
-			}
-			return in, false
-		case *ast.SwitchStmt:
-			return w.quietClauses(s.Body, in)
-		case *ast.TypeSwitchStmt:
-			return w.quietClauses(s.Body, in)
-		case *ast.SelectStmt:
-			return w.quietClauses(s.Body, in)
-		case *ast.ForStmt:
-			w.seq(s.Body.List, in)
-			return in, false
-		case *ast.RangeStmt:
-			w.seq(s.Body.List, in)
-			return in, false
-		case *ast.LabeledStmt:
-			return w.stmt(s.Stmt, in)
-		}
-		return in, false
-	}
-
+func (w *walker) Simple(s ast.Stmt, in flow.State) flow.State {
 	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		w.returnStmt(s, in)
-		return state{}, true
-	case *ast.BranchStmt:
-		return state{}, true
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, in)
-	case *ast.BlockStmt:
-		return w.seq(s.List, in)
-	case *ast.IfStmt:
-		base := in
-		if s.Init != nil {
-			base, _ = w.stmt(s.Init, base)
-		}
-		base = w.exprStep(s.Cond, base)
-		tFall, tTerm := w.seq(s.Body.List, base)
-		eFall, eTerm := base, false
-		if s.Else != nil {
-			switch e := s.Else.(type) {
-			case *ast.BlockStmt:
-				eFall, eTerm = w.seq(e.List, base)
-			case *ast.IfStmt:
-				eFall, eTerm = w.stmt(e, base)
-			}
-		}
-		if tTerm && eTerm {
-			return state{}, true
-		}
-		if tTerm {
-			return eFall, false
-		}
-		if eTerm {
-			return tFall, false
-		}
-		return tFall.merge(eFall), false
-	case *ast.SwitchStmt:
-		return w.clauses(s.Body, s.Init, s.Tag, in)
-	case *ast.TypeSwitchStmt:
-		return w.clauses(s.Body, s.Init, nil, in)
-	case *ast.SelectStmt:
-		return w.clauses(s.Body, nil, nil, in)
-	case *ast.ForStmt:
-		return w.loop(s.Body, s.Pos(), in)
-	case *ast.RangeStmt:
-		return w.loop(s.Body, s.Pos(), in)
 	case *ast.DeferStmt:
-		return w.deferStmt(s, in), false
+		return w.deferStmt(s, in)
 	case *ast.GoStmt:
 		if mentionsObj(w.pass.TypesInfo, s.Call, w.v) {
 			w.reportf(s.Pos(), "pooled %s (pool %s) escapes into a goroutine; lifecycle cannot be verified", w.name(), w.pool)
 		}
-		return in, false
+		return in
 	case *ast.AssignStmt:
-		return w.assign(s, in), false
-	case *ast.DeclStmt:
-		out := in
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						out = w.exprStep(v, out)
-					}
-				}
-			}
-		}
-		return out, false
-	case *ast.ExprStmt:
-		return w.exprStep(s.X, in), false
-	case *ast.IncDecStmt:
-		return w.exprStep(s.X, in), false
+		return w.assign(s, in)
 	case *ast.SendStmt:
 		if mentionsObj(w.pass.TypesInfo, s.Value, w.v) {
 			w.reportf(s.Pos(), "pooled %s (pool %s) sent on a channel; retention past handoff needs a fractos:pool-ok waiver", w.name(), w.pool)
 		}
-		return w.exprStep(s.Chan, w.exprStep(s.Value, in)), false
 	}
-	return in, false
+	return w.step(s, in)
 }
 
-// quietClauses follows structure pre-activation.
-func (w *walker) quietClauses(body *ast.BlockStmt, in state) (state, bool) {
-	for _, cc := range body.List {
-		switch cc := cc.(type) {
-		case *ast.CaseClause:
-			w.seq(cc.Body, in)
-		case *ast.CommClause:
-			w.seq(cc.Body, in)
-		}
-	}
-	return in, false
-}
+func (w *walker) Expr(e ast.Expr, in flow.State) flow.State { return w.step(e, in) }
 
-// clauses merges all case bodies; without a default the fall-past path
-// keeps the incoming state.
-func (w *walker) clauses(body *ast.BlockStmt, init ast.Stmt, tag ast.Expr, in state) (state, bool) {
-	base := in
-	if init != nil {
-		base, _ = w.stmt(init, base)
-	}
-	if tag != nil {
-		base = w.exprStep(tag, base)
-	}
-	if len(body.List) == 0 {
-		return base, false
-	}
-	var fall state
-	merged := false
-	hasDefault := false
-	for _, cc := range body.List {
-		var stmts []ast.Stmt
-		switch cc := cc.(type) {
-		case *ast.CaseClause:
-			if cc.List == nil {
-				hasDefault = true
-			}
-			stmts = cc.Body
-		case *ast.CommClause:
-			if cc.Comm == nil {
-				hasDefault = true
-			}
-			stmts = cc.Body
-		default:
-			continue
-		}
-		f, t := w.seq(stmts, base)
-		if !t {
-			if merged {
-				fall = fall.merge(f)
-			} else {
-				fall, merged = f, true
-			}
-		}
-	}
-	if !hasDefault {
-		if merged {
-			fall = fall.merge(base)
-		} else {
-			fall, merged = base, true
-		}
-	}
-	if !merged {
-		return state{}, true
-	}
-	return fall, false
-}
-
-// loop checks that iterations cannot accumulate releases: a body that
+// Loop checks that iterations cannot accumulate releases: a body that
 // releases and falls through to the next iteration releases again.
-func (w *walker) loop(body *ast.BlockStmt, pos token.Pos, in state) (state, bool) {
-	fall, term := w.seq(body.List, in)
-	if !w.active || w.done {
-		// The acquire lives inside the body; each iteration was its
-		// own scope and the walk is finished.
-		return in, false
+func (w *walker) Loop(loop ast.Stmt, body *ast.BlockStmt, in flow.State) flow.State {
+	fall, term := flow.Walk(w, body.List, in)
+	if !term && fall.Done != in.Done {
+		w.reportf(loop.Pos(), "pooled %s (pool %s) is released inside this loop and may be released again on the next iteration", w.name(), w.pool)
 	}
-	if !term && fall.cnt != in.cnt {
-		w.reportf(pos, "pooled %s (pool %s) is released inside this loop and may be released again on the next iteration", w.name(), w.pool)
-	}
-	if term {
-		return in, false
-	}
-	return in.merge(fall), false
+	return in.Join(fall)
 }
 
-// deferStmt credits deferred releases; a deferred closure that touches
-// the variable without releasing it is a capture finding.
-func (w *walker) deferStmt(s *ast.DeferStmt, in state) state {
+// deferStmt credits deferred releases, directly or inside a deferred
+// closure; a defer that touches the variable without releasing it
+// cannot be verified.
+func (w *walker) deferStmt(s *ast.DeferStmt, in flow.State) flow.State {
+	var deferred ast.Node = s.Call
+	what := "used in defer without releasing; lifecycle cannot be verified"
 	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-		n := w.countReleasesIn(lit.Body)
-		if n > 0 {
-			out := in
-			for i := 0; i < n; i++ {
-				out.def = out.def.add(one)
-			}
-			return out
-		}
-		if mentionsObj(w.pass.TypesInfo, lit, w.v) {
-			w.reportf(s.Pos(), "pooled %s (pool %s) captured by deferred closure that does not release it", w.name(), w.pool)
-		}
-		return in
+		deferred, what = lit.Body, "captured by deferred closure that does not release it"
 	}
-	if w.isReleaseOf(s.Call) {
-		out := in
-		out.def = out.def.add(one)
-		return out
-	}
-	if mentionsObj(w.pass.TypesInfo, s.Call, w.v) {
-		w.reportf(s.Pos(), "pooled %s (pool %s) used in defer without releasing; lifecycle cannot be verified", w.name(), w.pool)
+	released := false
+	ast.Inspect(deferred, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && w.isReleaseOf(call) {
+			in.Deferred, released = in.Deferred.Add(flow.One), true
+		}
+		return true
+	})
+	if !released && mentionsObj(w.pass.TypesInfo, deferred, w.v) {
+		w.reportf(s.Pos(), "pooled %s (pool %s) %s", w.name(), w.pool, what)
 	}
 	return in
 }
 
-// countReleasesIn counts unconditional release calls in a block
-// (deferred-closure bodies are expected to be straight-line).
-func (w *walker) countReleasesIn(body *ast.BlockStmt) int {
-	n := 0
-	ast.Inspect(body, func(node ast.Node) bool {
-		if call, ok := node.(*ast.CallExpr); ok && w.isReleaseOf(call) {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
 // assign handles stores: reassignment of v ends tracking, borrows are
 // registered, stores of v into non-local destinations are retention.
-func (w *walker) assign(s *ast.AssignStmt, in state) state {
-	out := in
+func (w *walker) assign(s *ast.AssignStmt, in flow.State) flow.State {
 	for _, rhs := range s.Rhs {
-		out = w.exprStep(rhs, out)
+		in = w.step(rhs, in)
 	}
-	// Reassignment of the tracked variable.
 	for _, lhs := range s.Lhs {
-		if id, ok := lhs.(*ast.Ident); ok && objOf(w.pass.TypesInfo, id) == w.v {
+		if w.is(lhs) {
 			w.lost = true
-			return out
+			return in
 		}
 	}
 	// Borrow registration: x := v.Method() / x := v.Field (single
@@ -524,11 +250,9 @@ func (w *walker) assign(s *ast.AssignStmt, in state) state {
 	// use-after-release through the borrow is caught. Value copies
 	// (ints, structs) are safe and not tracked.
 	if len(s.Lhs) == 1 && len(s.Rhs) == 1 {
-		if id, ok := s.Lhs[0].(*ast.Ident); ok {
-			if w.isBorrowExpr(s.Rhs[0]) {
-				if obj := objOf(w.pass.TypesInfo, id); obj != nil && isRefType(obj.Type()) {
-					w.borrows[obj] = true
-				}
+		if id, ok := s.Lhs[0].(*ast.Ident); ok && w.isBorrowExpr(s.Rhs[0]) {
+			if obj := objOf(w.pass.TypesInfo, id); obj != nil && isRefType(obj.Type()) {
+				w.borrows[obj] = true
 			}
 		}
 	}
@@ -540,25 +264,21 @@ func (w *walker) assign(s *ast.AssignStmt, in state) state {
 		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
 			retains = true
 		case *ast.Ident:
-			if obj := objOf(w.pass.TypesInfo, lhs); obj != nil && obj != w.v &&
-				obj.Parent() == w.pass.Pkg.Scope() {
-				retains = true
-			}
+			obj := objOf(w.pass.TypesInfo, lhs)
+			retains = obj != nil && obj.Parent() == w.pass.Pkg.Scope()
 		}
 		if !retains {
 			continue
 		}
-		var rhs ast.Expr
+		rhs := s.Rhs[0]
 		if len(s.Rhs) == len(s.Lhs) {
 			rhs = s.Rhs[i]
-		} else if len(s.Rhs) == 1 {
-			rhs = s.Rhs[0]
 		}
-		if rhs != nil && mentionsObj(w.pass.TypesInfo, rhs, w.v) {
+		if mentionsObj(w.pass.TypesInfo, rhs, w.v) {
 			w.reportf(s.Pos(), "pooled %s (pool %s) stored outside the local frame; retention past handoff needs a fractos:pool-ok waiver", w.name(), w.pool)
 		}
 	}
-	return out
+	return in
 }
 
 // isRefType reports whether values of t alias underlying storage.
@@ -570,38 +290,35 @@ func isRefType(t types.Type) bool {
 	return false
 }
 
-// returnStmt handles ownership transfer and exit checking.
-func (w *walker) returnStmt(s *ast.ReturnStmt, in state) {
+// Return transfers ownership when it returns the variable, and
+// otherwise checks the path's exit.
+func (w *walker) Return(r *ast.ReturnStmt, in flow.State) {
 	transfers := false
-	for _, res := range s.Results {
-		if id, ok := ast.Unparen(res).(*ast.Ident); ok && objOf(w.pass.TypesInfo, id) == w.v {
+	for _, res := range r.Results {
+		if w.is(res) {
 			transfers = true
 		} else {
-			in = w.exprStep(res, in)
+			in = w.step(res, in)
 		}
 	}
-	if transfers {
-		if in.cnt&(one|many) != 0 {
-			w.reportf(s.Pos(), "pooled %s (pool %s) returned after it may already have been released", w.name(), w.pool)
-		} else if in.def&(one|many) != 0 {
-			w.reportf(s.Pos(), "pooled %s (pool %s) returned while a deferred call releases it", w.name(), w.pool)
-		}
-		return
+	switch {
+	case !transfers:
+		w.checkExit(r.Pos(), in, "this return is taken")
+	case in.Done != flow.Zero:
+		w.reportf(r.Pos(), "pooled %s (pool %s) returned after it may already have been released", w.name(), w.pool)
+	case in.Deferred != flow.Zero:
+		w.reportf(r.Pos(), "pooled %s (pool %s) returned while a deferred call releases it", w.name(), w.pool)
 	}
-	w.checkExit(s.Pos(), in, "this return is taken")
 }
 
-// exprStep advances the state across one expression: releases add to
+// step advances the state across what n evaluates: releases add to
 // the count (reporting definite double releases), other uses after a
 // definite release are reported, closures capturing the value are
 // retention.
-func (w *walker) exprStep(e ast.Expr, in state) state {
-	if e == nil {
-		return in
-	}
+func (w *walker) step(n ast.Node, in flow.State) flow.State {
 	out := in
-	var uses []token.Pos
-	ast.Inspect(e, func(n ast.Node) bool {
+	var use token.Pos
+	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			if mentionsObj(w.pass.TypesInfo, n, w.v) {
@@ -610,23 +327,21 @@ func (w *walker) exprStep(e ast.Expr, in state) state {
 			return false
 		case *ast.CallExpr:
 			if w.isReleaseOf(n) {
-				if out.cnt&zero == 0 { // definitely already released
+				if out.Done&flow.Zero == 0 { // definitely already released
 					w.reportf(n.Pos(), "pooled %s (pool %s) released again here", w.name(), w.pool)
 				}
-				out.cnt = out.cnt.add(one)
+				out.Done = out.Done.Add(flow.One)
 				return false
 			}
-			return true
 		case *ast.Ident:
-			obj := objOf(w.pass.TypesInfo, n)
-			if obj == w.v || (obj != nil && w.borrows[obj]) {
-				uses = append(uses, n.Pos())
+			if obj := objOf(w.pass.TypesInfo, n); use == token.NoPos && (obj == w.v || w.borrows[obj]) {
+				use = n.Pos()
 			}
 		}
 		return true
 	})
-	if len(uses) > 0 && in.cnt != 0 && in.cnt&zero == 0 {
-		w.reportf(uses[0], "use of pooled %s (pool %s) after it was released", w.name(), w.pool)
+	if use != token.NoPos && in.Done&flow.Zero == 0 {
+		w.reportf(use, "use of pooled %s (pool %s) after it was released", w.name(), w.pool)
 	}
 	return out
 }
@@ -644,45 +359,28 @@ func (w *walker) isReleaseOf(call *ast.CallExpr) bool {
 		return false
 	}
 	op := boundOperand(callee, call)
-	if op == nil {
-		return false
-	}
-	id, ok := ast.Unparen(op).(*ast.Ident)
-	return ok && objOf(w.pass.TypesInfo, id) == w.v
+	return op != nil && w.is(op)
 }
 
 // isBorrowExpr reports whether e reads directly off the tracked
 // variable: v.Method(...) or v.Field.
 func (w *walker) isBorrowExpr(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.CallExpr:
-		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
-			if id, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-				return objOf(w.pass.TypesInfo, id) == w.v
-			}
-		}
-	case *ast.SelectorExpr:
-		if id, ok := ast.Unparen(e.X).(*ast.Ident); ok {
-			return objOf(w.pass.TypesInfo, id) == w.v
-		}
+	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+		e = call.Fun
 	}
-	return false
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	return ok && w.is(sel.X)
 }
 
 // boundOperand returns the expression a release call releases: the
 // first argument, or the receiver for parameterless methods.
 func boundOperand(callee *types.Func, call *ast.CallExpr) ast.Expr {
-	sig, ok := callee.Type().(*types.Signature)
-	if !ok {
-		return nil
-	}
+	sig := callee.Type().(*types.Signature)
 	if sig.Params().Len() >= 1 && len(call.Args) >= 1 {
 		return call.Args[0]
 	}
-	if sig.Recv() != nil {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			return sel.X
-		}
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && sig.Recv() != nil {
+		return sel.X
 	}
 	return nil
 }

@@ -92,6 +92,44 @@ func returnAfterRelease() *Buf {
 	return b // want `returned after it may already have been released`
 }
 
+func returnDeferred() *Buf {
+	b := Get()
+	defer b.Put()
+	return b // want `returned while a deferred call releases it`
+}
+
+func escape() {
+	b := Get()
+	go peek(b) // want `escapes into a goroutine`
+	b.Put()
+}
+
+func send(ch chan *Buf) {
+	b := Get()
+	ch <- b // want `sent on a channel`
+}
+
+func deferCapture() {
+	b := Get()
+	defer func() { peek(b) }() // want `captured by deferred closure that does not release it`
+	b.Put()
+}
+
+func deferUse() {
+	b := Get()
+	defer peek(b) // want `used in defer without releasing`
+	b.Put()
+}
+
+func selectLeak(ch chan int) {
+	b := Get() // want `may not be released on the path where scope ends`
+	select {
+	case <-ch:
+		b.Put()
+	case ch <- 1:
+	}
+}
+
 // ---- clean ----
 
 func cleanStraight() {
@@ -141,6 +179,29 @@ func switchClean() {
 	default:
 		hand(b)
 	}
+}
+
+func selectClean(ch chan int) {
+	b := Get()
+	select {
+	case <-ch:
+		b.Put()
+	default:
+		hand(b)
+	}
+}
+
+func reacquireClean() {
+	b := Get()
+	b.Put()
+	b = Get()
+	b.Put()
+}
+
+func deferClosureClean() {
+	b := Get()
+	defer func() { b.Put() }()
+	b.n++
 }
 
 // ---- waived ----

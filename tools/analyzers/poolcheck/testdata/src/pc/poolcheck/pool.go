@@ -43,4 +43,6 @@ func hand(b *Buf) {
 
 func run(f func()) { f() }
 
+func peek(b *Buf) int { return b.n }
+
 func cond() bool { return len(free) > 0 }

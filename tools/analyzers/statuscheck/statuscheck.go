@@ -7,8 +7,9 @@
 // A handler is a Controller method handle* whose message parameter
 // carries a completion Token, or any function whose doc comment carries
 // //fractos:owes-completion (finishSyscall, the continuation of every
-// forwarded syscall). The analysis is path-sensitive over
-// if/switch/return and reads the protocol off directives, not names:
+// forwarded syscall). The paths are those of the shared walker
+// (tools/analyzers/flow); this package says what counts as a
+// completion, and reads that off directives, not names:
 //
 //   - a call to a function marked //fractos:completes N counts as N
 //     completions (0 or 1) whatever its body does. complete is 1;
@@ -21,7 +22,8 @@
 //   - any other same-package function is summarized and counted.
 //
 // Only internal/core is checked. Waiver: `fractos:completion-ok
-// <reason>` on a handler, a loop or a defer.
+// <reason>` on a handler or on the reported line (a return, a loop or
+// a defer).
 package statuscheck
 
 import (
@@ -32,6 +34,7 @@ import (
 
 	"fractos/tools/analyzers/analysis"
 	"fractos/tools/analyzers/astq"
+	"fractos/tools/analyzers/flow"
 )
 
 // Analyzer is the statuscheck analysis.
@@ -56,70 +59,16 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// ---- Rule 2: complete() exactly once per dispatch path ----
-
-// counts is a small lattice: the set of possible completion totals of
-// a path, saturated at "2 or more".
-type counts uint8
-
-const (
-	zero counts = 1 << iota
-	one
-	many
-)
-
-// add is the pointwise sum of two count sets.
-func (c counts) add(d counts) counts {
-	var out counts
-	vals := []struct {
-		bit counts
-		n   int
-	}{{zero, 0}, {one, 1}, {many, 2}}
-	for _, a := range vals {
-		if c&a.bit == 0 {
-			continue
-		}
-		for _, b := range vals {
-			if d&b.bit == 0 {
-				continue
-			}
-			switch a.n + b.n {
-			case 0:
-				out |= zero
-			case 1:
-				out |= one
-			default:
-				out |= many
-			}
-		}
-	}
-	return out
-}
-
-func (c counts) String() string {
-	var parts []string
-	if c&zero != 0 {
-		parts = append(parts, "0")
-	}
-	if c&one != 0 {
-		parts = append(parts, "1")
-	}
-	if c&many != 0 {
-		parts = append(parts, "2+")
-	}
-	if len(parts) == 0 {
-		return "?"
-	}
-	return strings.Join(parts, " or ")
-}
-
+// checker is the flow.Rules of completions. Only the handler's own
+// body reports; the bodies of loops, runs-once literals and summarized
+// functions are walked for their counts.
 type checker struct {
 	pass      *analysis.Pass
-	report    bool // report per-return violations (handler top level)
-	reported  bool
-	depth     int // >0 inside a function literal
-	ends      counts
-	summaries map[*types.Func]counts
+	report    bool // report findings (off inside loop bodies and summaries)
+	reported  bool // one finding per handler
+	depth     int  // >0 inside a runs-once literal: its returns end the literal, not the handler
+	ends      flow.Counts
+	summaries map[*types.Func]flow.Counts
 	inFlight  map[*types.Func]bool
 	decls     map[*types.Func]*ast.FuncDecl
 }
@@ -127,7 +76,7 @@ type checker struct {
 func checkCompletions(pass *analysis.Pass) {
 	c := &checker{
 		pass:      pass,
-		summaries: make(map[*types.Func]counts),
+		summaries: make(map[*types.Func]flow.Counts),
 		inFlight:  make(map[*types.Func]bool),
 		decls:     make(map[*types.Func]*ast.FuncDecl),
 	}
@@ -150,22 +99,15 @@ func checkCompletions(pass *analysis.Pass) {
 		if pass.Suppressed(fd.Pos()) {
 			continue
 		}
-		c.report = true
-		c.reported = false
-		c.ends = 0
-		fall, term := c.seq(fd.Body.List, zero)
-		all := c.ends
-		if !term {
-			all |= fall
-			if c.report && fall != one && !c.reported {
-				c.pass.Reportf(fd.Pos(),
-					"syscall handler %s can fall off the end having completed %s times (must be exactly 1)",
-					fd.Name.Name, fall)
-				c.reported = true
-			}
+		c.report, c.reported = true, false
+		fall, all := c.walk(fd.Body)
+		if fall != 0 && fall != flow.One {
+			c.reportf(fd.Pos(),
+				"syscall handler %s can fall off the end having completed %s times (must be exactly 1)",
+				fd.Name.Name, fall)
 		}
-		if all != one && !c.reported {
-			c.pass.Reportf(fd.Pos(),
+		if all != flow.One {
+			c.reportf(fd.Pos(),
 				"syscall handler %s completes %s times on some path; every dispatch path must call complete exactly once",
 				fd.Name.Name, all)
 		}
@@ -198,179 +140,80 @@ func handlerHasToken(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	return false
 }
 
-// seq threads completion counts through a statement list. It returns
-// the possible counts of paths falling off the end, and whether no
-// path falls through (every path returned or branched away).
-// Terminated-path counts accumulate into c.ends.
-func (c *checker) seq(stmts []ast.Stmt, in counts) (fall counts, term bool) {
-	cur := in
-	for _, s := range stmts {
-		next, terminated := c.stmt(s, cur)
-		if terminated {
-			return 0, true
-		}
-		cur = next
+// walk returns the completion totals of the paths falling off the end
+// of body (empty if none does) and of all its paths.
+func (c *checker) walk(body *ast.BlockStmt) (fall, all flow.Counts) {
+	saved := c.ends
+	c.ends = 0
+	st, _ := flow.Walk(c, body.List, flow.Start) // zero when no path falls off
+	fall = st.Done
+	all, c.ends = c.ends|fall, saved
+	if all == 0 { // every path branched away
+		all = flow.Zero
 	}
-	return cur, false
+	return fall, all
 }
 
-// stmt advances counts across one statement; term means every path
-// through it terminates (return/break/continue).
-func (c *checker) stmt(s ast.Stmt, in counts) (fall counts, term bool) {
-	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		c.atEnd(s.Pos(), in)
-		return 0, true
-	case *ast.BranchStmt:
-		// break/continue/goto leave this statement list; their counts
-		// are not tracked further (loop accumulation is checked
-		// separately).
-		return 0, true
-	case *ast.LabeledStmt:
-		return c.stmt(s.Stmt, in)
-	case *ast.ExprStmt:
-		return in.add(c.exprCounts(s.X)), false
-	case *ast.AssignStmt:
-		out := in
-		for _, rhs := range s.Rhs {
-			out = out.add(c.exprCounts(rhs))
-		}
-		return out, false
-	case *ast.DeclStmt:
-		out := in
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						out = out.add(c.exprCounts(v))
-					}
-				}
-			}
-		}
-		return out, false
-	case *ast.IfStmt:
-		base := in
-		if s.Init != nil {
-			base, _ = c.stmt(s.Init, base)
-		}
-		base = base.add(c.exprCounts(s.Cond))
-		tFall, tTerm := c.seq(s.Body.List, base)
-		eFall, eTerm := base, false
-		if s.Else != nil {
-			switch e := s.Else.(type) {
-			case *ast.BlockStmt:
-				eFall, eTerm = c.seq(e.List, base)
-			case *ast.IfStmt:
-				eFall, eTerm = c.stmt(e, base)
-			}
-		}
-		if tTerm && eTerm {
-			return 0, true
-		}
-		if tTerm {
-			return eFall, false
-		}
-		if eTerm {
-			return tFall, false
-		}
-		return tFall | eFall, false
-	case *ast.SwitchStmt:
-		return c.switchClauses(s.Body, s.Init, in)
-	case *ast.TypeSwitchStmt:
-		return c.switchClauses(s.Body, s.Init, in)
-	case *ast.BlockStmt:
-		return c.seq(s.List, in)
-	case *ast.ForStmt:
-		c.loopCheck(s.Body, in)
-		return in, false
-	case *ast.RangeStmt:
-		c.loopCheck(s.Body, in)
-		return in, false
-	case *ast.DeferStmt:
-		if c.callCounts(s.Call) != zero && c.report &&
-			!c.pass.Suppressed(s.Pos()) {
-			c.pass.Reportf(s.Pos(), "completion inside defer is not analyzable; complete on the explicit paths instead")
-			c.reported = true
-		}
-		return in, false
+func (c *checker) reportf(pos token.Pos, format string, args ...interface{}) {
+	if !c.report || c.reported || c.pass.Suppressed(pos) {
+		return
 	}
-	return in, false
+	c.pass.Reportf(pos, format, args...)
+	c.reported = true
 }
 
-// switchClauses merges all case bodies; without a default the
-// fall-past path keeps the incoming counts.
-func (c *checker) switchClauses(body *ast.BlockStmt, init ast.Stmt, in counts) (counts, bool) {
-	base := in
-	if init != nil {
-		base, _ = c.stmt(init, base)
-	}
-	if len(body.List) == 0 {
-		return base, false
-	}
-	var fall counts
-	hasDefault := false
-	allTerm := true
-	for _, cc := range body.List {
-		clause, ok := cc.(*ast.CaseClause)
-		if !ok {
-			continue
+// Simple counts the completions a statement makes. A defer's are not
+// counted: they happen on whichever path exits.
+func (c *checker) Simple(s ast.Stmt, in flow.State) flow.State {
+	if d, ok := s.(*ast.DeferStmt); ok {
+		if c.callCounts(d.Call) != flow.Zero {
+			c.reportf(d.Pos(), "completion inside defer is not analyzable; complete on the explicit paths instead")
 		}
-		if clause.List == nil {
-			hasDefault = true
-		}
-		f, t := c.seq(clause.Body, base)
-		if !t {
-			fall |= f
-			allTerm = false
-		}
+		return in
 	}
-	if !hasDefault {
-		fall |= base
-		allTerm = false
-	}
-	if allTerm {
-		return 0, true
-	}
-	return fall, false
+	in.Done = in.Done.Add(c.count(s))
+	return in
 }
 
-// loopCheck verifies that a loop body cannot accumulate completions
-// across iterations: a body path that completes must return, not fall
-// through to the next iteration.
-func (c *checker) loopCheck(body *ast.BlockStmt, in counts) {
+func (c *checker) Expr(e ast.Expr, in flow.State) flow.State {
+	in.Done = in.Done.Add(c.count(e))
+	return in
+}
+
+// Return records the path's total and, at the handler's top level,
+// reports it when it is not exactly one.
+func (c *checker) Return(r *ast.ReturnStmt, in flow.State) {
+	c.ends |= in.Done
+	if c.depth == 0 && in.Done != flow.One {
+		c.reportf(r.Pos(), "this return path has completed %s times (must be exactly 1)", in.Done)
+	}
+}
+
+// Loop checks that a loop body cannot accumulate completions across
+// iterations: a body path that completes must return, not fall through
+// to the next iteration.
+func (c *checker) Loop(_ ast.Stmt, body *ast.BlockStmt, in flow.State) flow.State {
 	saved := c.report
-	c.report = false // paths ending inside the loop are re-examined below
-	fall, term := c.seq(body.List, in)
+	c.report = false // the handler's "some path" check sees returns inside the loop
+	fall, term := flow.Walk(c, body.List, in)
 	c.report = saved
-	if !term && fall != in && c.report &&
-		!c.pass.Suppressed(body.Pos()) {
-		c.pass.Reportf(body.Pos(), "completion inside a loop may run zero or many times; complete outside the loop or return immediately after completing")
-		c.reported = true
+	if !term && fall != in {
+		c.reportf(body.Pos(), "completion inside a loop may run zero or many times; complete outside the loop or return immediately after completing")
 	}
+	return in
 }
 
-// atEnd records a terminated path's count and reports it at handler
-// top level when it is not exactly one.
-func (c *checker) atEnd(pos token.Pos, cur counts) {
-	c.ends |= cur
-	if c.report && c.depth == 0 && cur != one && !c.reported {
-		c.pass.Reportf(pos,
-			"this return path has completed %s times (must be exactly 1)", cur)
-		c.reported = true
-	}
-}
-
-// exprCounts returns the completions contributed by evaluating e.
-func (c *checker) exprCounts(e ast.Expr) counts {
-	out := zero
-	ast.Inspect(e, func(n ast.Node) bool {
+// count returns the completions made by evaluating n.
+func (c *checker) count(n ast.Node) flow.Counts {
+	out := flow.Zero
+	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			// A bare literal not handed to a continuation primitive is
 			// not executed here.
 			return false
 		case *ast.CallExpr:
-			out = out.add(c.callCounts(n))
+			out = out.Add(c.callCounts(n))
 			return false
 		}
 		return true
@@ -379,19 +222,22 @@ func (c *checker) exprCounts(e ast.Expr) counts {
 }
 
 // callCounts returns the completion contribution of one call.
-func (c *checker) callCounts(call *ast.CallExpr) counts {
+func (c *checker) callCounts(call *ast.CallExpr) flow.Counts {
 	fn := astq.CalledFunc(c.pass.TypesInfo, call)
 	if n, ok := c.pass.Directive(fn, completes); ok {
 		if n == "0" {
-			return zero
+			return flow.Zero
 		}
-		return one
+		return flow.One
 	}
-	out := zero
+	out := flow.Zero
 	if c.pass.Marked(fn, runsOnce) {
 		for _, arg := range call.Args {
 			if lit, ok := arg.(*ast.FuncLit); ok {
-				out = out.add(c.funcLitCounts(lit))
+				c.depth++
+				_, all := c.walk(lit.Body)
+				c.depth--
+				out = out.Add(all)
 			}
 		}
 		return out
@@ -400,57 +246,26 @@ func (c *checker) callCounts(call *ast.CallExpr) counts {
 		return c.summary(fn)
 	}
 	for _, arg := range call.Args {
-		out = out.add(c.exprCounts(arg))
+		out = out.Add(c.count(arg))
 	}
 	return out
 }
 
-// funcLitCounts analyzes a literal that will be invoked exactly once,
-// returning the set of its possible completion totals.
-func (c *checker) funcLitCounts(lit *ast.FuncLit) counts {
-	savedEnds, savedDepth := c.ends, c.depth
-	c.ends, c.depth = 0, c.depth+1
-	fall, term := c.seq(lit.Body.List, zero)
-	all := c.ends
-	if !term {
-		all |= fall
-	}
-	c.ends, c.depth = savedEnds, savedDepth
-	if all == 0 {
-		all = zero
-	}
-	return all
-}
-
 // summary computes (memoized) the possible completion totals of a
 // declared same-package function. Recursion is cut at zero.
-func (c *checker) summary(fn *types.Func) counts {
+func (c *checker) summary(fn *types.Func) flow.Counts {
 	if s, ok := c.summaries[fn]; ok {
 		return s
 	}
-	if c.inFlight[fn] {
-		return zero
-	}
 	fd, ok := c.decls[fn]
-	if !ok || fd.Body == nil {
-		return zero
+	if !ok || c.inFlight[fn] {
+		return flow.Zero
 	}
 	c.inFlight[fn] = true
-	sub := &checker{
-		pass:      c.pass,
-		report:    false,
-		summaries: c.summaries,
-		inFlight:  c.inFlight,
-		decls:     c.decls,
-	}
-	fall, term := sub.seq(fd.Body.List, zero)
-	s := sub.ends
-	if !term {
-		s |= fall
-	}
-	if s == 0 {
-		s = zero
-	}
+	saved := c.report
+	c.report = false
+	_, s := c.walk(fd.Body)
+	c.report = saved
 	delete(c.inFlight, fn)
 	c.summaries[fn] = s
 	return s

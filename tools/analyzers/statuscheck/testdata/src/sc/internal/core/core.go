@@ -179,6 +179,33 @@ func (c *Controller) handleGoodLoop(ps *proc, m *wire.MemCreate) {
 	_ = total
 }
 
+// handleBadSelect completes in one select case and again after the
+// select.
+func (c *Controller) handleBadSelect(ps *proc, m *wire.MemCreate, ready chan bool) { // want `handleBadSelect can fall off the end having completed 1 or 2\+ times`
+	select {
+	case <-ready:
+		c.complete(ps, m.Token, wire.StatusOK)
+	case ready <- true:
+	}
+	c.complete(ps, m.Token, wire.StatusOK)
+}
+
+// refused completes with a refusal when the request is empty.
+func (c *Controller) refused(ps *proc, m *wire.MemCreate) bool {
+	c.complete(ps, m.Token, wire.StatusPerm)
+	return m.Bytes == 0
+}
+
+// handleBadTag completes in the switch tag and again in every case.
+func (c *Controller) handleBadTag(ps *proc, m *wire.MemCreate) { // want `handleBadTag can fall off the end having completed 2\+ times`
+	switch c.refused(ps, m) {
+	case true:
+		c.complete(ps, m.Token, wire.StatusPerm)
+	default:
+		c.complete(ps, m.Token, wire.StatusOK)
+	}
+}
+
 // handleBadDefer hides the completion in a defer.
 func (c *Controller) handleBadDefer(ps *proc, m *wire.MemCreate) {
 	defer c.complete(ps, m.Token, wire.StatusOK) // want `completion inside defer is not analyzable`
