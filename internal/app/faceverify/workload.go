@@ -25,6 +25,7 @@ import (
 
 	"fractos/internal/device/gpu"
 	"fractos/internal/sim"
+	"fractos/internal/wire"
 )
 
 // Workload geometry.
@@ -63,8 +64,9 @@ func RegisterKernel(dev *gpu.Device) {
 		if batch == 0 || batch > MaxBatch {
 			return 1
 		}
-		if !fits(db, batch*ImgSize, mem) || !fits(probe, batch*ProbeSize, mem) ||
-			!fits(out, batch, mem) {
+		size := uint64(len(mem))
+		if !wire.Within(db, batch*ImgSize, size) || !wire.Within(probe, batch*ProbeSize, size) ||
+			!wire.Within(out, batch, size) {
 			return 1
 		}
 		for i := uint64(0); i < batch; i++ {
@@ -83,12 +85,6 @@ func RegisterKernel(dev *gpu.Device) {
 		}
 		return sim.Time(args[3]) * KernelPerImage
 	})
-}
-
-// fits reports whether [off, off+n) lies inside mem. The arguments
-// come off the wire, so the test is written not to wrap.
-func fits(off, n uint64, mem []byte) bool {
-	return n <= uint64(len(mem)) && off <= uint64(len(mem))-n
 }
 
 func l1(a, b []byte) int {

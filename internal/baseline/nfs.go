@@ -5,6 +5,7 @@ import (
 
 	"fractos/internal/fabric"
 	"fractos/internal/sim"
+	"fractos/internal/wire"
 )
 
 // NFS protocol kinds.
@@ -67,8 +68,8 @@ func (s *NFSServer) serve(t *sim.Task) {
 		t.Sleep(nfsServerPerOp)
 		switch req.Kind {
 		case nfsCreate:
-			nameLen, size := int64(getU64(req.Data, 0)), int64(getU64(req.Data, 8))
-			if !fits(16, nameLen, int64(len(req.Data))) {
+			nameLen, size := getU64(req.Data, 0), int64(getU64(req.Data, 8))
+			if !wire.Within(16, nameLen, uint64(len(req.Data))) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
@@ -85,8 +86,8 @@ func (s *NFSServer) serve(t *sim.Task) {
 			s.files[name] = &nfsFile{name: name, off: off, size: size}
 			s.peer.Reply(t, req, header([]uint64{0}, nil), false)
 		case nfsOpen:
-			nameLen := int64(getU64(req.Data, 0))
-			if !fits(8, nameLen, int64(len(req.Data))) {
+			nameLen := getU64(req.Data, 0)
+			if !wire.Within(8, nameLen, uint64(len(req.Data))) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
@@ -101,7 +102,7 @@ func (s *NFSServer) serve(t *sim.Task) {
 		case nfsRead:
 			fd, off, n := getU64(req.Data, 0), int64(getU64(req.Data, 8)), int64(getU64(req.Data, 16))
 			f, ok := s.byFD[fd]
-			if !ok || !fits(off, n, f.size) {
+			if !ok || !wire.Within(uint64(off), uint64(n), uint64(f.size)) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
@@ -115,7 +116,7 @@ func (s *NFSServer) serve(t *sim.Task) {
 			fd, off := getU64(req.Data, 0), int64(getU64(req.Data, 8))
 			data := tail(req.Data, 16)
 			f, ok := s.byFD[fd]
-			if !ok || !fits(off, int64(len(data)), f.size) {
+			if !ok || !wire.Within(uint64(off), uint64(len(data)), uint64(f.size)) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}

@@ -64,7 +64,7 @@ func (tg *NVMeoFTarget) serve(t *sim.Task) {
 			tg.peer.Reply(t, req, header([]uint64{0, uint64(off)}, nil), false)
 		case nvmeofRead:
 			off, n := int64(getU64(req.Data, 0)), int64(getU64(req.Data, 8))
-			if !fits(off, n, tg.dev.Capacity()) {
+			if !wire.Within(uint64(off), uint64(n), uint64(tg.dev.Capacity())) {
 				tg.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}

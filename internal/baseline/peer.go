@@ -126,11 +126,6 @@ func getU64(b []byte, off int) uint64 {
 	return binary.LittleEndian.Uint64(b[off:])
 }
 
-// fits reports whether [off, off+n) lies inside [0, size), comparing
-// in a form that cannot wrap: every server checks a wire-supplied
-// range this way before it slices or allocates by it.
-func fits(off, n, size int64) bool { return off >= 0 && n >= 0 && off <= size-n }
-
 // tail is b past its first off bytes, empty when b is shorter.
 func tail(b []byte, off int) []byte { return b[min(off, len(b)):] }
 

@@ -6,6 +6,7 @@ import (
 	"fractos/internal/device/gpu"
 	"fractos/internal/fabric"
 	"fractos/internal/sim"
+	"fractos/internal/wire"
 )
 
 // rCUDA protocol kinds: one RPC per interposed CUDA driver call.
@@ -71,7 +72,7 @@ func (s *RCUDAServer) serve(t *sim.Task) {
 			s.peer.Reply(t, req, header([]uint64{0}, nil), false)
 		case rcudaMemcpyH2D:
 			addr, data := int64(getU64(req.Data, 0)), tail(req.Data, 8)
-			if !fits(addr, int64(len(data)), int64(len(s.mem))) {
+			if !wire.Within(uint64(addr), uint64(len(data)), uint64(len(s.mem))) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
@@ -79,14 +80,14 @@ func (s *RCUDAServer) serve(t *sim.Task) {
 			s.peer.Reply(t, req, header([]uint64{0}, nil), false)
 		case rcudaMemcpyD2H:
 			addr, n := int64(getU64(req.Data, 0)), int64(getU64(req.Data, 8))
-			if !fits(addr, n, int64(len(s.mem))) {
+			if !wire.Within(uint64(addr), uint64(n), uint64(len(s.mem))) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
 			s.peer.Reply(t, req, header([]uint64{0}, s.mem[addr:addr+n]), true)
 		case rcudaLaunch:
-			nameLen := int64(getU64(req.Data, 0))
-			if !fits(8, nameLen, int64(len(req.Data))) {
+			nameLen := getU64(req.Data, 0)
+			if !wire.Within(8, nameLen, uint64(len(req.Data))) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}

@@ -43,16 +43,11 @@ type Controller struct {
 	byEP  map[fabric.EndpointID]*procState
 
 	peers   map[cap.ControllerID]*peerState
-	peerEPs map[fabric.EndpointID]bool // peers' endpoints: the sender check on the receive path
+	peerEPs map[fabric.EndpointID]*peerState // the same records by endpoint: the sender check on the receive path
 
 	pending   map[uint64]*pendingCall
 	nextToken uint64
 	calls     sim.FreeList[pendingCall] // recycled pending-call records
-	// dedup is the receiver half of the at-most-once RPC contract:
-	// per-peer-endpoint caches of replies already sent, so a
-	// retransmitted (or fabric-duplicated) request is answered from
-	// the cache instead of being re-executed. See docs/FAULTS.md.
-	dedup map[fabric.EndpointID]*dedupState
 
 	// The copy engine (copy.go): a copy stages data through a pair of
 	// bounce chunks, so the DefaultBouncePairs pairs of the arena bound
@@ -100,18 +95,26 @@ type Controller struct {
 	down    bool
 }
 
-// dedupState is the per-sender at-most-once cache: replies already
-// produced for this peer endpoint, keyed by the request token, with
-// FIFO eviction. Tokens are minted monotonically per sender, so a hit
-// is always a retransmission (or fabric duplicate) of a request whose
-// side effects already happened.
-type dedupState struct {
-	replies map[uint64]wire.Message
-	// order is a ring of the cached tokens in insertion order, for
-	// eviction: it grows to dedupCap slots and then overwrites the
-	// oldest in place, so a long lossy run never regrows or pins it.
-	order []uint64
-	head  int // index of the oldest token once the ring is full
+// dedupCache is the receiver half of the at-most-once RPC contract for
+// one peer (docs/FAULTS.md): the replies already sent to it, so a
+// retransmitted (or fabric-duplicated) request is answered from here
+// instead of being re-executed. Tokens are minted monotonically per
+// sender, so a hit is always a repeat of a request whose side effects
+// already happened. Replies are kept by value in a ring of dedupCap
+// slots, made once and overwritten oldest first, found through a
+// pointer-free token→slot index: keeping a reply allocates nothing.
+type dedupCache struct {
+	index map[uint64]int32 // token → ring slot
+	ring  []dedupSlot
+	head  int // the slot to fill next: the oldest once the index is full
+}
+
+// dedupSlot is one cached reply: ack, or val when kind says so.
+type dedupSlot struct {
+	token uint64
+	kind  wire.Type
+	ack   wire.CtrlAck
+	val   wire.CtrlValInfo
 }
 
 // dedupCap bounds cached replies per peer. A request is retransmitted
@@ -157,9 +160,8 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 		procs:   make(map[cap.ProcID]*procState),
 		byEP:    make(map[fabric.EndpointID]*procState),
 		peers:   make(map[cap.ControllerID]*peerState),
-		peerEPs: make(map[fabric.EndpointID]bool),
+		peerEPs: make(map[fabric.EndpointID]*peerState),
 		pending: make(map[uint64]*pendingCall),
-		dedup:   make(map[fabric.EndpointID]*dedupState),
 		dec:     wire.NewDecoder(),
 	}
 	c.ep = net.AttachHandler(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, DefaultBouncePairs*2*DefaultBounceChunk, c)
@@ -188,8 +190,8 @@ func (c *Controller) Loc() fabric.Location { return c.cfg.Loc }
 
 // AddPeer registers another Controller in the deployment directory.
 func (c *Controller) AddPeer(id cap.ControllerID, ep fabric.EndpointID) {
-	c.peers[id] = &peerState{ep: ep, epoch: 1}
-	c.peerEPs[ep] = true
+	p := &peerState{ep: ep, epoch: 1}
+	c.peers[id], c.peerEPs[ep] = p, p
 }
 
 // AttachProcess registers a Process to be managed by this Controller.
@@ -390,7 +392,8 @@ func (c *Controller) dispatch(from fabric.EndpointID, m wire.Message) {
 
 	// Only pre-deployed peer Controllers speak the Controller
 	// protocol; traffic from any other endpoint is dropped.
-	if !c.peerEPs[from] {
+	p := c.peerEPs[from]
+	if p == nil {
 		return
 	}
 
@@ -406,7 +409,7 @@ func (c *Controller) dispatch(from fabric.EndpointID, m wire.Message) {
 		c.answered(m.Token, m)
 		return
 	}
-	c.dispatchPeer(from, m)
+	c.dispatchPeer(p, m)
 }
 
 func (c *Controller) dispatchSyscall(ps *procState, m wire.Message) {
@@ -482,20 +485,19 @@ func peerToken(m wire.Message) (uint64, bool) {
 	return 0, false
 }
 
-func (c *Controller) dispatchPeer(from fabric.EndpointID, m wire.Message) {
+func (c *Controller) dispatchPeer(p *peerState, m wire.Message) {
 	// At-most-once execution: a token we have already answered for
-	// this peer endpoint is a retransmission (or a fabric duplicate) —
-	// its side effects must not run again. Re-send the cached reply:
-	// the original may have been lost on the way back.
+	// this peer is a retransmission (or a fabric duplicate) — its side
+	// effects must not run again. Re-send the cached reply: the
+	// original may have been lost on the way back.
+	from := p.ep
 	if tok, ok := peerToken(m); ok {
-		if ds := c.dedup[from]; ds != nil {
-			if cached, hit := ds.replies[tok]; hit {
-				c.metrics.DedupHits++
-				if !c.net.Send(c.ep.ID, from, cached) {
-					c.metrics.SendFailed++
-				}
-				return
+		if cached := p.dedup.lookup(tok); cached != nil {
+			c.metrics.DedupHits++
+			if !c.net.Send(c.ep.ID, from, cached) {
+				c.metrics.SendFailed++
 			}
+			return
 		}
 	}
 	switch m := m.(type) {
@@ -548,24 +550,20 @@ func (c *Controller) complete(ps *procState, token uint64, st wire.Status, cid c
 //fractos:hotpath
 func (c *Controller) ack(from fabric.EndpointID, a wire.CtrlAck) {
 	c.txAck = a
-	c.reply(from, a.Token, &c.txAck)
+	c.reply(from, &c.txAck)
 }
 
-// reply answers a token-carrying peer request, recording the reply in
-// the at-most-once cache so a retransmission of the same request is
-// answered identically without re-execution. All peer handlers must
-// send their responses through here. m is one of the Controller's
-// in-place messages (txAck, txValInfo): the cache keeps a copy.
-//
-// The cache is only maintained while dedupArmed: on a reliable fabric
-// with retransmission disarmed no token can ever repeat, so the
-// fault-free hot path skips the per-reply clone and map/ring work
-// entirely.
+// reply answers a token-carrying peer request from the peer at from;
+// every peer handler answers through here. While dedupArmed the peer's
+// at-most-once cache keeps a copy of m (txAck or txValInfo), so a
+// retransmission is answered identically without re-execution. On a
+// reliable fabric with retransmission disarmed no token can repeat, so
+// the fault-free hot path keeps nothing.
 //
 //fractos:hotpath
-func (c *Controller) reply(from fabric.EndpointID, token uint64, m wire.Message) {
+func (c *Controller) reply(from fabric.EndpointID, m wire.Message) {
 	if c.dedupArmed() {
-		c.remember(from, token, m) // fractos:alloc-ok armed only under loss or retransmission: the cached copy, and map and ring growth bounded by dedupCap
+		c.peerEPs[from].dedup.remember(m) // fractos:alloc-ok the index and ring are made at most once per peer incarnation
 	}
 	if !c.net.Send(c.ep.ID, from, m) {
 		// The peer's endpoint is severed (crash in progress). Its
@@ -574,35 +572,49 @@ func (c *Controller) reply(from fabric.EndpointID, token uint64, m wire.Message)
 	}
 }
 
-// remember caches a copy of the reply to from's request token, evicting
-// the oldest entry once the ring is full. The first reply to a token
-// stands.
-func (c *Controller) remember(from fabric.EndpointID, token uint64, m wire.Message) {
-	ds := c.dedup[from]
-	if ds == nil {
-		ds = &dedupState{replies: make(map[uint64]wire.Message)}
-		c.dedup[from] = ds
-	}
-	if _, exists := ds.replies[token]; exists {
-		return
-	}
+// remember keeps a copy of a reply, overwriting the oldest once the
+// ring is full. The first reply to a token stands.
+func (d *dedupCache) remember(m wire.Message) {
+	var s dedupSlot
 	switch m := m.(type) {
 	case *wire.CtrlAck:
-		cp := *m
-		ds.replies[token] = &cp
+		s = dedupSlot{token: m.Token, kind: wire.TCtrlAck, ack: *m}
 	case *wire.CtrlValInfo:
-		cp := *m
-		ds.replies[token] = &cp
+		s = dedupSlot{token: m.Token, kind: wire.TCtrlValInfo, val: *m}
 	default:
 		assert.That(false, "core: reply of type %T has no cached form", m)
 	}
-	if len(ds.order) < dedupCap {
-		ds.order = append(ds.order, token)
-	} else {
-		delete(ds.replies, ds.order[ds.head])
-		ds.order[ds.head] = token
-		ds.head = (ds.head + 1) % dedupCap
+	if _, exists := d.index[s.token]; exists {
+		return
 	}
+	if d.ring == nil {
+		d.index, d.ring = make(map[uint64]int32, dedupCap), make([]dedupSlot, dedupCap)
+	}
+	if len(d.index) == dedupCap {
+		delete(d.index, d.ring[d.head].token)
+	}
+	d.index[s.token], d.ring[d.head] = int32(d.head), s
+	d.head = (d.head + 1) % dedupCap
+}
+
+// lookup returns the reply cached for a token, borrowed from the ring
+// until the next remember, or nil.
+func (d *dedupCache) lookup(token uint64) wire.Message {
+	i, hit := d.index[token]
+	if !hit {
+		return nil
+	}
+	if s := &d.ring[i]; s.kind == wire.TCtrlValInfo {
+		return &s.val
+	}
+	return &d.ring[i].ack
+}
+
+// reset forgets every cached reply and keeps the storage: replies
+// minted for one incarnation of either end must never answer the next.
+func (d *dedupCache) reset() {
+	clear(d.index)
+	d.head = 0
 }
 
 // dedupArmed reports whether the at-most-once reply cache must be
@@ -617,13 +629,6 @@ func (c *Controller) remember(from fabric.EndpointID, token uint64, m wire.Messa
 //fractos:hotpath
 func (c *Controller) dedupArmed() bool {
 	return c.cfg.RPCBudget > 0 || c.net.Lossy()
-}
-
-// dropDedup forgets the at-most-once cache for a peer endpoint. Called
-// when that peer is observed rebooted: replies minted for its previous
-// incarnation must never answer tokens of the next one.
-func (c *Controller) dropDedup(ep fabric.EndpointID) {
-	delete(c.dedup, ep)
 }
 
 // ref builds a Ref for an object owned by this Controller.

@@ -120,10 +120,6 @@ func (e *copyWrote1) Fire() { (*copyOp)(e).wrote(1) }
 //fractos:hotpath
 func (e *copyHWDone) Fire() { (*copyOp)(e).hwDone() }
 
-// within reports whether [off, off+n) lies inside an object of size
-// bytes, without forming the sum: off and n come from a Process.
-func within(off, n, size uint64) bool { return n <= size && off <= size-n }
-
 //fractos:pool-acquire copyop
 func (c *Controller) getCopyOp(ps *procState, token uint64) *copyOp {
 	op := c.copyOps.Get()
@@ -208,7 +204,7 @@ func (op *copyOp) transfer() {
 	if n == 0 {
 		n = op.srcLoc.size
 	}
-	if !within(op.srcOff, n, op.srcLoc.size) || !within(op.dstOff, n, op.dstLoc.size) {
+	if !wire.Within(op.srcOff, n, op.srcLoc.size) || !wire.Within(op.dstOff, n, op.dstLoc.size) {
 		op.finish(wire.StatusBounds, 0)
 		return
 	}

@@ -141,13 +141,12 @@ func (c *Controller) Reboot() {
 	c.procs = make(map[cap.ProcID]*procState)
 	c.byEP = make(map[fabric.EndpointID]*procState)
 	c.pending = make(map[uint64]*pendingCall)
-	// The at-most-once cache died with the instance: replies recorded
-	// before the crash must not answer post-reboot retransmissions
-	// (their tokens reference state that no longer exists — the sender
-	// aborts them via the epoch announcement instead). So did the
+	// The at-most-once caches died with the instance: replies recorded
+	// before the crash reference state that no longer exists (the sender
+	// aborts their retransmissions on the epoch announcement). So did the
 	// round-trip estimates: the new instance knows nothing of its paths.
-	c.dedup = make(map[fabric.EndpointID]*dedupState)
 	for _, p := range c.peers {
+		p.dedup.reset()
 		p.rtt = rttEstimator{}
 	}
 	c.down = false

@@ -59,7 +59,7 @@ func (c *Controller) peerValidate(from fabric.EndpointID, m *wire.CtrlValidate) 
 	} else {
 		info.Endpoint, info.Base, info.Size, info.Rights = uint32(mo.ep), mo.base, mo.size, mo.rights
 	}
-	c.reply(from, m.Token, info)
+	c.reply(from, info)
 }
 
 // peerCleanup purges capability-space entries referencing revoked
@@ -106,9 +106,8 @@ func (c *Controller) peerNotify(m *wire.CtrlNotify) {
 // epochs of that Controller are implicitly revoked: purge them now and
 // reject them on use (§3.6's failure-to-revocation translation).
 // Outstanding calls to the peer abort, and what was learned about the
-// previous incarnation goes with it: the at-most-once cache for its
-// endpoint — replies minted for the old incarnation must never answer
-// the next one — and the round-trip estimate.
+// previous incarnation goes with it: the replies cached for it and the
+// round-trip estimate.
 func (c *Controller) peerEpoch(m *wire.CtrlEpoch) {
 	p, ok := c.peers[m.Ctrl]
 	if !ok || m.Epoch <= p.epoch {
@@ -121,7 +120,7 @@ func (c *Controller) peerEpoch(m *wire.CtrlEpoch) {
 		})
 	}
 	c.abortPendingTo(m.Ctrl)
-	c.dropDedup(p.ep)
+	p.dedup.reset()
 	p.rtt = rttEstimator{}
 }
 

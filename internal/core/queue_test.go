@@ -222,31 +222,92 @@ func TestCrashDiscardsQueuedMessages(t *testing.T) {
 	}
 }
 
-// TestDedupRingBounded runs 100k distinct tokens through one peer's
-// at-most-once cache: it must hold exactly the newest dedupCap replies
-// in a ring that stopped growing at dedupCap slots.
-func TestDedupRingBounded(t *testing.T) {
-	const tokens = 100_000
+// dedupRig is a Controller with retransmission armed, so it keeps the
+// at-most-once cache, and one peer whose frames the test reads.
+func dedupRig() (*sim.Kernel, *Controller, *fabric.Endpoint, *peerState) {
+	const peerID = fcap.ControllerID(2)
 	k := sim.New(1)
 	net := fabric.New(k, fabric.DefaultProfile())
-	loc := fabric.Location{Node: 0, Domain: fabric.Host}
-	c := New(k, net, 1, Config{Loc: loc, RPCBudget: DefaultRPCBudget})
+	c := New(k, net, 1, Config{Loc: fabric.Location{Node: 0, Domain: fabric.Host}, RPCBudget: DefaultRPCBudget})
 	peer := net.Attach("peer", fabric.Location{Node: 1}, 0)
+	c.AddPeer(peerID, peer.ID)
+	return k, c, peer, c.peers[peerID]
+}
+
+// TestDedupRingBounded runs 100k distinct tokens through one peer's
+// at-most-once cache: its index must hold exactly the newest dedupCap
+// replies, in the ring of dedupCap slots it was made with.
+func TestDedupRingBounded(t *testing.T) {
+	const tokens = 100_000
+	k, c, peer, p := dedupRig()
 	for tok := uint64(1); tok <= tokens; tok++ {
-		c.reply(peer.ID, tok, &wire.CtrlAck{Token: tok})
-		c.reply(peer.ID, tok, &wire.CtrlAck{Token: tok}) // a retransmission's reply must not take a second slot
+		c.reply(peer.ID, &wire.CtrlAck{Token: tok})
+		c.reply(peer.ID, &wire.CtrlAck{Token: tok, Status: wire.StatusRevoked}) // a retransmission's reply must not take a second slot
 	}
 	k.Run()
-	ds := c.dedup[peer.ID]
-	if len(ds.replies) != dedupCap || len(ds.order) != dedupCap {
-		t.Fatalf("cache holds %d replies in %d ring slots, want %d", len(ds.replies), len(ds.order), dedupCap)
-	}
-	if cap(ds.order) > 2*dedupCap {
-		t.Errorf("ring capacity %d after %d tokens: it kept growing", cap(ds.order), tokens)
+	d := &p.dedup
+	if len(d.index) != dedupCap || cap(d.ring) != dedupCap {
+		t.Fatalf("cache indexes %d replies in a ring of capacity %d, want %d in %d: the ring regrew",
+			len(d.index), cap(d.ring), dedupCap, dedupCap)
 	}
 	for tok := uint64(1); tok <= tokens; tok++ {
-		if _, hit := ds.replies[tok]; hit != (tok > tokens-dedupCap) {
-			t.Fatalf("token %d cached = %v; FIFO eviction must keep exactly the newest %d", tok, hit, dedupCap)
+		cached := d.lookup(tok)
+		if (cached != nil) != (tok > tokens-dedupCap) {
+			t.Fatalf("token %d cached = %v; FIFO eviction must keep exactly the newest %d", tok, cached != nil, dedupCap)
+		}
+		if a, ok := cached.(*wire.CtrlAck); cached != nil && (!ok || *a != (wire.CtrlAck{Token: tok})) {
+			t.Fatalf("token %d answered %+v; the first reply to a token stands", tok, cached)
 		}
 	}
+}
+
+// TestDedupResendsAndResets checks what the cache sends and when it
+// empties: a repeated request is answered with the bytes of the first
+// reply, whichever of the two cached kinds it was, and both a peer's
+// epoch bump and our own Crash+Reboot leave the cache empty, its ring
+// kept for the next incarnation.
+func TestDedupResendsAndResets(t *testing.T) {
+	k, c, peer, p := dedupRig()
+	replies := []wire.Message{
+		&wire.CtrlAck{Token: 7, Status: wire.StatusOK, Obj: 3, Epoch: 1, Size: 64, Rights: fcap.Read, Spent: true},
+		&wire.CtrlValInfo{Token: 8, Status: wire.StatusOK, Endpoint: 5, Base: 4096, Size: 64, Rights: fcap.MemRights},
+	}
+	repeats := []wire.Message{&wire.CtrlInvoke{Token: 7}, &wire.CtrlValidate{Token: 8}}
+	c.reply(peer.ID, replies[0])
+	c.reply(peer.ID, replies[1])
+	k.Run()
+	if n := peer.Inbox.Len(); n != 2 {
+		t.Fatalf("%d first replies arrived, want 2", n)
+	}
+	peer.Inbox.TryRecv()
+	peer.Inbox.TryRecv()
+	for i, m := range repeats {
+		if !c.net.Send(peer.ID, c.EndpointID(), m) {
+			t.Fatalf("repeat %d refused", i)
+		}
+		k.Run()
+		got, ok := peer.Inbox.TryRecv()
+		if !ok || string(wire.Marshal(got.Msg)) != string(wire.Marshal(replies[i])) {
+			t.Errorf("repeat of token %d answered %+v, want the cached %+v", i+7, got.Msg, replies[i])
+		}
+	}
+	if hits := c.Metrics().DedupHits; hits != 2 {
+		t.Errorf("%d dedup hits, want 2", hits)
+	}
+
+	ring := unsafe.SliceData(p.dedup.ring)
+	empty := func(after string) {
+		t.Helper()
+		if len(p.dedup.index) != 0 || p.dedup.lookup(7) != nil || unsafe.SliceData(p.dedup.ring) != ring {
+			t.Errorf("after %s: %d indexed, token 7 cached = %v, ring kept = %v; want empty, storage kept",
+				after, len(p.dedup.index), p.dedup.lookup(7) != nil, unsafe.SliceData(p.dedup.ring) == ring)
+		}
+	}
+	c.peerEpoch(&wire.CtrlEpoch{Ctrl: 2, Epoch: 2})
+	empty("the peer's epoch bump")
+	c.reply(peer.ID, replies[0])
+	c.Crash()
+	c.Reboot()
+	k.Run()
+	empty("Crash+Reboot")
 }

@@ -82,10 +82,11 @@ func (e *rttEstimator) rto() sim.Time {
 }
 
 // peerState is what a Controller knows about one peer Controller: where
-// it is attached, the newest epoch it has been observed under, and the
-// round-trip estimate that times retransmissions to it.
+// it is attached, the newest epoch it has been observed under, the
+// round-trip estimate that times resends to it and the replies sent to it.
 type peerState struct {
 	ep    fabric.EndpointID
 	epoch cap.Epoch
 	rtt   rttEstimator
+	dedup dedupCache
 }

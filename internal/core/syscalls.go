@@ -8,7 +8,7 @@ import (
 // handleMemCreate registers part of the Process's arena as a Memory
 // object (memory_create).
 func (c *Controller) handleMemCreate(ps *procState, m *wire.MemCreate) {
-	if m.Size == 0 || !within(m.Base, m.Size, uint64(ps.ep.ArenaSize())) {
+	if m.Size == 0 || !wire.Within(m.Base, m.Size, uint64(ps.ep.ArenaSize())) {
 		c.complete(ps, m.Token, wire.StatusBounds, cap.NilCap, 0)
 		return
 	}
@@ -72,7 +72,7 @@ func (c *Controller) deriveMemLocal(ref cap.Ref, off, size uint64, drop cap.Righ
 	if !ok {
 		return cap.Ref{}, 0, 0, wire.StatusKind
 	}
-	if size == 0 || !within(off, size, mo.size) {
+	if size == 0 || !wire.Within(off, size, mo.size) {
 		return cap.Ref{}, 0, 0, wire.StatusBounds
 	}
 	nmo := &memObject{

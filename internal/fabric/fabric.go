@@ -685,12 +685,12 @@ func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nB
 			return 0, errPathCut
 		}
 	}
-	// Compared as off > size-n: off+n wraps for n near MaxInt, and a
-	// negative n would book negative bytes on the link.
-	if nBytes < 0 || srcOff < 0 || srcOff > srcEp.arenaSize-nBytes {
+	// A negative n would book negative bytes on the link: as a uint64
+	// it is huge, and fails.
+	if !wire.Within(uint64(srcOff), uint64(nBytes), uint64(srcEp.arenaSize)) {
 		return 0, rangeError{"source", srcOff, nBytes, srcEp}
 	}
-	if dstOff < 0 || dstOff > dstEp.arenaSize-nBytes {
+	if !wire.Within(uint64(dstOff), uint64(nBytes), uint64(dstEp.arenaSize)) {
 		return 0, rangeError{"dest", dstOff, nBytes, dstEp}
 	}
 	now := n.k.Now()

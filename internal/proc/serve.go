@@ -109,11 +109,10 @@ func (d *Delivery) ack(back []cap.CapID) {
 
 // Name reads the name argument of the service interfaces: its length at
 // imm[8:16), its bytes at [16:16+length). It reports false for an empty
-// name and for one that runs past the immediates, checked without
-// forming 16+length, which a client-chosen length can wrap.
+// name and for one that runs past the immediates.
 func (d *Delivery) Name() (string, bool) {
-	n := d.U64(8) // non-zero only if imm[8:16) is present, so len(d.Imms) ≥ 16
-	if n == 0 || n > uint64(len(d.Imms)-16) {
+	n := d.U64(8)
+	if n == 0 || !wire.Within(16, n, uint64(len(d.Imms))) {
 		return "", false
 	}
 	return string(d.Imms[16 : 16+n]), true

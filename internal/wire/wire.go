@@ -198,6 +198,11 @@ func (r *Reader) Bytes32() []byte {
 	return out
 }
 
+// Within reports whether [off, off+n) lies inside [0, size) without
+// forming off+n, which a length that came off the wire can wrap. A
+// negative int64 passed as uint64(x) is huge, so it fails.
+func Within(off, n, size uint64) bool { return n <= size && off <= size-n }
+
 // capacity is the builtin cap, for messages.go where the capability
 // package's name shadows it.
 func capacity[T any](s []T) int { return cap(s) }
