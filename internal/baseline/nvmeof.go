@@ -283,8 +283,10 @@ func (c *blockCache) fill(off int64, data []byte) {
 		pg, ok := c.pages[p]
 		if !ok {
 			if c.used+cachePage > c.max && len(c.fifo) > 0 {
+				// Shift in place: re-slicing fifo[1:] would drift through
+				// the backing array and reallocate it on later appends.
 				victim := c.fifo[0]
-				c.fifo = c.fifo[1:]
+				c.fifo = c.fifo[:copy(c.fifo, c.fifo[1:])]
 				delete(c.pages, victim)
 				c.used -= cachePage
 			}

@@ -218,12 +218,13 @@ func (a *Adaptor) invoke(t *sim.Task, d *proc.Delivery) {
 }
 
 // kernelArgs decodes the uint64 arguments following the kernel-name
-// header, rounding the start up to an 8-byte boundary.
+// header, rounding the start up to an 8-byte boundary, into a list made
+// once at its final size.
 func kernelArgs(imms []byte, from int) []uint64 {
 	from = (from + 7) &^ 7
-	var args []uint64
-	for off := from; off+8 <= len(imms); off += 8 {
-		args = append(args, binary.LittleEndian.Uint64(imms[off:]))
+	args := make([]uint64, max(len(imms)-from, 0)/8)
+	for i := range args {
+		args[i] = binary.LittleEndian.Uint64(imms[from+8*i:])
 	}
 	return args
 }

@@ -183,13 +183,17 @@ func (f *File) daxIO(t *sim.Task, off, n uint64, mem proc.Cap, isWrite bool) err
 		d, err := f.p.Call(t, leases[ei],
 			[]wire.ImmArg{proc.U64Arg(nvme.ImmOff, eo), proc.U64Arg(nvme.ImmLen, cn)},
 			[]proc.Arg{{Slot: nvme.SlotData, Cap: view}}, nvme.SlotCont)
+		var st uint64
+		if err == nil {
+			st = d.U64(0) // the reply is borrowed: read it before Drop blocks
+		}
 		if view.ID() != mem.ID() {
 			f.p.Drop(t, view)
 		}
 		if err != nil {
 			return err
 		}
-		if st := d.U64(0); st != 0 {
+		if st != 0 {
 			return fsErr(StatusIOErr)
 		}
 		done += cn

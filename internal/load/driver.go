@@ -105,35 +105,74 @@ func (o Open) Arrivals() []sim.Time {
 // post-saturation queueing shows up in the percentiles.
 func (o Open) Run(tk *sim.Task, req func(t *sim.Task, i int) error) *Stats {
 	arrivals := o.Arrivals()
-	k := tk.Kernel()
-	st := &Stats{Start: tk.Now()}
-	var wg sim.WaitGroup
-	wg.Add(len(arrivals))
+	r := &openRun{k: tk.Kernel(), req: req, st: &Stats{Start: tk.Now()}}
+	r.wg.Add(len(arrivals))
 	base := tk.Now()
-	inflight := 0
 	for i := range arrivals {
-		i := i
 		if d := base + arrivals[i] - tk.Now(); d > 0 {
 			tk.Sleep(d)
 		}
-		inflight++
-		if inflight > st.InflightHWM {
-			st.InflightHWM = inflight
-		}
-		arrived := tk.Now()
-		k.Spawn("load-open", func(t *sim.Task) {
-			err := req(t, i)
-			inflight--
-			if err != nil {
-				st.Errors++
-			} else {
-				st.Requests++
-				st.Hist.Record(t.Now() - arrived)
-			}
-			wg.Done()
-		})
+		r.inflight++
+		r.st.InflightHWM = max(r.st.InflightHWM, r.inflight)
+		a := r.getArrival()
+		a.i, a.at = i, tk.Now()
+		a.spawn()
 	}
-	wg.Wait(tk)
-	st.End = tk.Now()
-	return st
+	r.wg.Wait(tk)
+	r.st.End = tk.Now()
+	return r.st
+}
+
+// openRun is one Open.Run: the state its arrivals' tasks share and the
+// records they start from.
+type openRun struct {
+	k        *sim.Kernel
+	req      func(t *sim.Task, i int) error
+	st       *Stats
+	wg       sim.WaitGroup
+	inflight int
+	free     sim.FreeList[arrival]
+}
+
+// arrival is request i, arrived at at, on its way into a task of its
+// own: a pooled record whose task body, run, is bound once, so an
+// arrival allocates no closure.
+type arrival struct {
+	r   *openRun
+	i   int
+	at  sim.Time
+	run func(*sim.Task)
+}
+
+//fractos:pool-acquire arrival
+func (r *openRun) getArrival() *arrival {
+	a := r.free.Get()
+	if a.run == nil {
+		a.r, a.run = r, a.serve
+	}
+	return a
+}
+
+//fractos:pool-release arrival
+func (r *openRun) putArrival(a *arrival) { r.free.Put(a) }
+
+// spawn starts the arrival's task, which owns the record from then on.
+//
+//fractos:pool-handoff arrival
+func (a *arrival) spawn() { a.r.k.Spawn("load-open", a.run) }
+
+// serve is the arrival's task: it puts the record back and issues the
+// request.
+func (a *arrival) serve(t *sim.Task) {
+	r, i, at := a.r, a.i, a.at
+	r.putArrival(a)
+	err := r.req(t, i)
+	r.inflight--
+	if err != nil {
+		r.st.Errors++
+	} else {
+		r.st.Requests++
+		r.st.Hist.Record(t.Now() - at)
+	}
+	r.wg.Done()
 }

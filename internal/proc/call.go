@@ -24,6 +24,11 @@ var ErrCallTimeout = errors.New("proc: call timed out awaiting reply")
 // reply delivery is acknowledged automatically. Reply Requests are
 // reused from call to call — a call creates one only when every other is
 // in use — and each delegation is good for one reply (wire.ReplyTag).
+//
+// The reply is borrowed, like a decoded message: it is valid until the
+// calling task next blocks or starts another Call, when the next Call on
+// the Process takes its descriptor back. Read what is needed from it
+// first; copy out what must last longer.
 func (p *Process) Call(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16) (*Delivery, error) {
 	return p.CallTimeout(t, req, imms, args, replySlot, 0)
 }
@@ -41,6 +46,7 @@ func (p *Process) Call(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, rep
 //
 // The call's syscalls and its reply are steps of a callOp, taken where
 // their messages arrive: the caller is woken once, when the call is over.
+// The reply is borrowed, as Call's is.
 func (p *Process) CallTimeout(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, d sim.Time) (*Delivery, error) {
 	op := p.getCallOp()
 	op.start(req, imms, args, replySlot, d)
@@ -126,8 +132,17 @@ const (
 	callRevoking                      // the completion of the reply Request's cap_revoke: deadline passed, or invocation unaccounted for
 )
 
+// getCallOp takes a record for a Call that is starting. The replies the
+// Calls before it returned are spent now: their callers have blocked
+// since, or are starting this one.
+//
 //fractos:pool-acquire callop
 func (p *Process) getCallOp() *callOp {
+	for i, dv := range p.spent {
+		p.putDelivery(dv)
+		p.spent[i] = nil
+	}
+	p.spent = p.spent[:0]
 	op := p.calls.Get()
 	op.p = p
 	return op
@@ -135,10 +150,14 @@ func (p *Process) getCallOp() *callOp {
 
 // putCallOp clears an op, so that a message or deadline that outlived
 // its call trips the assert its step starts with, and recycles it —
-// except under the race detector (poison_race.go).
+// except under the race detector (poison_race.go). Its reply, which the
+// caller is about to read, is spent when the next Call starts.
 //
 //fractos:pool-release callop
 func (p *Process) putCallOp(op *callOp) {
+	if op.dv != nil {
+		p.spent = append(p.spent, op.dv)
+	}
 	*op = callOp{slots: op.slots[:0]}
 	if recycleCallOps {
 		p.calls.Put(op)
@@ -238,9 +257,11 @@ func (op *callOp) completed(m *wire.Completion) {
 	}
 }
 
-// delivered takes the reply.
+// delivered takes the reply, which the op holds until the caller has it
+// and putCallOp marks it spent.
 //
 //fractos:hotpath
+//fractos:pool-handoff delivery
 func (op *callOp) delivered(dv *Delivery) {
 	assert.True(op.dv == nil && (op.state == callInvoking || op.state == callWaiting), "proc: a reply for a call that waits for none")
 	op.dv = dv

@@ -8,3 +8,18 @@ package proc
 // with instead of stepping whichever Call reused the record (core's
 // poison_race.go does the same for copy records).
 const recycleCallOps = false
+
+// putDelivery is the race build's: a descriptor libfractos takes back —
+// Serve's when its handler has returned, a Call's reply when the next
+// Call on the Process starts — is poisoned and stays out of the pool. Its
+// immediates read 0xDB, and it has no capabilities and no Process, so
+// whoever kept it past its end reads garbage instead of the next
+// delivery's arguments (TestKeptDeliveryReadsPoison).
+//
+//fractos:pool-release delivery
+func (p *Process) putDelivery(dv *Delivery) {
+	for i := range dv.Imms {
+		dv.Imms[i] = 0xDB
+	}
+	dv.p, dv.Caps = nil, nil
+}

@@ -9,6 +9,7 @@ import (
 	"fractos/internal/core"
 	"fractos/internal/fabric"
 	"fractos/internal/sim"
+	"fractos/internal/wire"
 )
 
 // TestLateReplyFindsReleasedCallOp is the negative test of the race
@@ -40,4 +41,75 @@ func TestLateReplyFindsReleasedCallOp(t *testing.T) {
 		}
 	}()
 	stale.delivered(&Delivery{p: p})
+}
+
+// poisoned reports whether d is what the race build leaves of a
+// descriptor libfractos took back.
+func poisoned(d *Delivery) bool {
+	return d != nil && d.U64(0) == 0xDBDBDBDBDBDBDBDB && d.p == nil && d.Caps == nil
+}
+
+// echoCalls serves an echo Request at a Process on node 1 through h and
+// makes two Calls of it from node 0, imm[0:8) = 7 then 8, handing the
+// first reply to keep before the second Call starts.
+func echoCalls(t *testing.T, h func(*sim.Task, *Delivery), keep func(*Delivery)) {
+	cl := core.NewCluster(core.ClusterConfig{Nodes: 2, Seed: 1})
+	srv, cli := Attach(cl, 1, "srv", 0), Attach(cl, 0, "cli", 0)
+	cl.K.Spawn("caller", func(tk *sim.Task) {
+		root, err := srv.RequestCreate(tk, 1, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		srv.Serve("srv", 1, func(st *sim.Task, d *Delivery) {
+			h(st, d)
+			if err := d.Reply(0, []wire.ImmArg{U64Arg(0, d.U64(0))}, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		req, err := GrantCap(srv, root, cli)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for v := uint64(7); v <= 8; v++ {
+			d, err := cli.Call(tk, req, []wire.ImmArg{U64Arg(0, v)}, nil, 0)
+			if err != nil || d.U64(0) != v {
+				t.Errorf("call %d: reply %v, err %v", v, d, err)
+				return
+			}
+			if v == 7 {
+				keep(d)
+			}
+		}
+	})
+	cl.K.Run()
+	cl.K.Shutdown()
+}
+
+// TestKeptDeliveryReadsPoison is the negative test of the race build's
+// descriptor poisoning, which, like the call-record quarantine, is active
+// in every test `make race` runs: a handler that keeps its delivery past
+// its return reads 0xDB and finds no capability, instead of the next
+// delivery's arguments.
+func TestKeptDeliveryReadsPoison(t *testing.T) {
+	var kept *Delivery
+	echoCalls(t, func(_ *sim.Task, d *Delivery) {
+		if kept == nil {
+			kept = d
+		}
+	}, func(*Delivery) {})
+	if !poisoned(kept) {
+		t.Errorf("a delivery kept past its handler reads %+v, want poison", kept)
+	}
+}
+
+// TestSpentReplyReadsPoison: a caller that keeps a Call's reply across a
+// block — here, the next Call — reads poison too.
+func TestSpentReplyReadsPoison(t *testing.T) {
+	var kept *Delivery
+	echoCalls(t, func(*sim.Task, *Delivery) {}, func(d *Delivery) { kept = d })
+	if !poisoned(kept) {
+		t.Errorf("a reply kept past the next Call reads %+v, want poison", kept)
+	}
 }

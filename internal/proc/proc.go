@@ -46,10 +46,14 @@ type Process struct {
 	// free again the moment the call returns. The Async variants hand
 	// their future to the caller and allocate it. calls does the same for
 	// the records of Calls, and replies holds the reply Requests no Call is
-	// using (call.go).
-	futures sim.FreeList[sim.Future[wire.Completion]]
-	calls   sim.FreeList[callOp]
-	replies sim.FreeList[replyReq]
+	// using (call.go). deliveries recycles request_receive descriptors:
+	// Serve's once served, Calls' replies once spent — spent holds those
+	// returned since the last Call started (serve.go, call.go).
+	futures    sim.FreeList[sim.Future[wire.Completion]]
+	calls      sim.FreeList[callOp]
+	replies    sim.FreeList[replyReq]
+	deliveries sim.FreeList[Delivery]
+	spent      []*Delivery
 	// slots is scratch for a syscall's capability-argument list; the
 	// message that carries it is encoded before submit returns.
 	slots []wire.CapSlot
@@ -187,7 +191,8 @@ func (p *Process) Kernel() *sim.Kernel { return p.k }
 // Controller without blocking (unbounded queues, spawned callbacks).
 // The message is borrowed from the frame and the Process's Decoder, so
 // what leaves here leaves by value: a completion resolves its future
-// with a copy, a request_receive descriptor owns its arguments.
+// with a copy, a request_receive descriptor — a pooled record — owns
+// its arguments.
 //
 //fractos:hotpath
 func (p *Process) Deliver(f *fabric.Frame) {
@@ -230,16 +235,15 @@ func (p *Process) demux(m wire.Message) {
 			p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done)
 			return
 		}
-		dv := p.newDelivery(m) // fractos:alloc-ok the request_receive descriptor is the application's to keep: one per delivery by design
-		if w, ok := p.waiters[m.Tag]; ok {
+		dv := p.getDelivery(m)
+		w, ok := p.waiters[m.Tag]
+		if ok {
 			delete(p.waiters, m.Tag)
-			if w.op != nil {
-				w.op.delivered(dv)
-			} else {
-				w.fut.Set(dv)
-			}
+		}
+		if w.op != nil {
+			w.op.delivered(dv)
 		} else {
-			p.incoming.TrySend(dv)
+			p.handOut(dv, w.fut)
 		}
 	case *wire.MonitorCB:
 		if fn, ok := p.monitors[m.Callback]; ok {

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"fractos/internal/cap"
 	"fractos/internal/sim"
@@ -12,6 +13,13 @@ import (
 // at this Process. Imms is the merged immediate-argument buffer; Caps
 // are the delegated capability arguments, already installed in this
 // Process's capability space.
+//
+// How long a descriptor is valid depends on who received it. Receive,
+// WaitTag and CallWith hand it to the application, which keeps it. The
+// ones whose end libfractos knows come from a per-Process pool and go
+// back to it: Serve's, when its handler returns (Serve), and a Call's
+// reply, which is borrowed until the calling task next blocks or starts
+// another Call (Call). Whatever outlives that is copied out first.
 type Delivery struct {
 	p    *Process
 	Seq  uint64
@@ -23,7 +31,8 @@ type Delivery struct {
 
 	// The descriptor owns its arguments — the message they arrived in
 	// was borrowed from the frame — and arguments of the usual size live
-	// in the descriptor itself: one allocation per delivery.
+	// in the descriptor itself. A recycled descriptor keeps whatever
+	// larger storage an earlier delivery grew it to.
 	immStore [inlineImm]byte
 	capStore [inlineCaps]wire.DeliveredCap
 }
@@ -37,12 +46,36 @@ const (
 	inlineCaps = 2
 )
 
-// newDelivery copies a request_receive descriptor out of its message.
-func (p *Process) newDelivery(m *wire.Deliver) *Delivery {
-	dv := &Delivery{p: p, Seq: m.Seq, Tag: m.Tag}
-	dv.Imms = append(dv.immStore[:0], m.Imms...)
-	dv.Caps = append(dv.capStore[:0], m.Caps...)
+// getDelivery copies a request_receive descriptor out of its message
+// into a record of the Process's pool. A new record starts with its
+// inline storage; slices.Grow enlarges it only for arguments that do not
+// fit, once per record, since a recycled record keeps what it grew to.
+//
+//fractos:pool-acquire delivery
+func (p *Process) getDelivery(m *wire.Deliver) *Delivery {
+	dv := p.deliveries.Get()
+	if dv.Imms == nil {
+		dv.Imms, dv.Caps = dv.immStore[:0], dv.capStore[:0]
+	}
+	dv.p, dv.Seq, dv.Tag = p, m.Seq, m.Tag
+	dv.Imms = slices.Grow(dv.Imms[:0], len(m.Imms))[:len(m.Imms)]
+	copy(dv.Imms, m.Imms)
+	dv.Caps = slices.Grow(dv.Caps[:0], len(m.Caps))[:len(m.Caps)]
+	copy(dv.Caps, m.Caps)
 	return dv
+}
+
+// handOut gives a delivery to the application: to the WaitTag future
+// waiting for its tag or, with none, to the Receive queue. Only Serve,
+// which takes its deliveries from that queue, gives any back.
+//
+//fractos:pool-handoff delivery
+func (p *Process) handOut(dv *Delivery, fut *sim.Future[*Delivery]) {
+	if fut != nil {
+		fut.Set(dv)
+		return
+	}
+	p.incoming.TrySend(dv)
 }
 
 // Cap returns the delegated capability in the given argument slot.
@@ -189,39 +222,111 @@ func (d *Delivery) Upstream(slot uint16) bool {
 // at once; 0 gives each its own task with no bound of Serve's — the
 // Controller's congestion window (§4) already bounds a Process's
 // unacknowledged deliveries.
+//
+// The delivery is valid until h returns: Serve then takes the
+// descriptor back for the next delivery, so h copies out whatever it
+// keeps. A service that hands deliveries on to be answered later runs
+// its own Receive loop instead (route.Replica).
 func (p *Process) Serve(name string, width int, h func(*sim.Task, *Delivery)) {
-	var busy *sim.Semaphore
+	s := &server{p: p, name: name, h: h}
 	if width > 1 {
-		busy = sim.NewSemaphore(width)
+		s.busy = sim.NewSemaphore(width)
 	}
 	p.k.Spawn(name, func(t *sim.Task) {
 		for {
-			d, ok := p.Receive(t)
-			if !ok {
-				return
-			}
+			d := p.next(t)
 			if width == 1 {
-				h(t, d)
-				d.Done()
-				continue
-			}
-			if busy != nil {
-				busy.Acquire(t)
-			}
-			p.k.Spawn(name, func(ht *sim.Task) {
-				h(ht, d)
-				d.Done()
-				if busy != nil {
-					busy.Release()
+				s.finish(d, t)
+			} else {
+				if s.busy != nil {
+					s.busy.Acquire(t)
 				}
-			})
+				op := s.getOp()
+				op.hold(d)
+				op.spawn()
+			}
 		}
 	})
 }
 
+// server is one Serve loop: what it runs per delivery and, at width 0
+// or n, the records its deliveries' tasks start from.
+type server struct {
+	p    *Process
+	name string
+	h    func(*sim.Task, *Delivery)
+	busy *sim.Semaphore // width n > 1: deliveries in service
+	ops  sim.FreeList[serveOp]
+}
+
+// serveOp is a delivery on its way into a task of its own: a pooled
+// record whose task body, run, is bound once, so spawning a delivery's
+// task allocates no closure.
+type serveOp struct {
+	s   *server
+	d   *Delivery
+	run func(*sim.Task)
+}
+
+// next blocks until a delivery no Call or WaitTag claims arrives, for
+// Serve to hand back once served. The Receive queue is never closed.
+//
+//fractos:pool-acquire delivery
+func (p *Process) next(t *sim.Task) *Delivery {
+	d, _ := p.incoming.Recv(t)
+	return d
+}
+
+// finish runs the handler on d in t, acknowledges d and takes it back.
+//
+//fractos:pool-release delivery
+func (s *server) finish(d *Delivery, t *sim.Task) {
+	s.h(t, d)
+	d.Done()
+	s.p.putDelivery(d)
+}
+
+//fractos:pool-acquire serveop
+func (s *server) getOp() *serveOp {
+	op := s.ops.Get()
+	if op.run == nil {
+		op.s, op.run = s, op.serve
+	}
+	return op
+}
+
+//fractos:pool-release serveop
+func (s *server) putOp(op *serveOp) {
+	op.d = nil
+	s.ops.Put(op)
+}
+
+// hold makes d the op's, until its task takes it.
+//
+//fractos:pool-handoff delivery
+func (op *serveOp) hold(d *Delivery) { op.d = d }
+
+// spawn starts the op's task, which owns the op from then on. Deliveries
+// are spawned in arrival order, under the Serve's name.
+//
+//fractos:pool-handoff serveop
+func (op *serveOp) spawn() { op.s.p.k.Spawn(op.s.name, op.run) }
+
+// serve is the op's task: it puts the record back and serves its
+// delivery.
+func (op *serveOp) serve(t *sim.Task) {
+	s, d := op.s, op.d
+	s.putOp(op)
+	s.finish(d, t)
+	if s.busy != nil {
+		s.busy.Release()
+	}
+}
+
 // Receive blocks until the next unmatched invocation arrives
-// (request_receive). The caller must call Done or Release on the result.
-// Serve is the loop around it that services need.
+// (request_receive). The descriptor is the caller's to keep, and it must
+// call Done or Release on it. Serve is the loop around it that services
+// need.
 func (p *Process) Receive(t *sim.Task) (*Delivery, bool) {
 	return p.incoming.Recv(t)
 }
@@ -267,7 +372,8 @@ func (p *Process) ReplyRequest(t *sim.Task) (Cap, uint64, error) {
 // come back. The reply Request carrying replyTag must already be among
 // args (or preset in the Request) — latency-critical paths exchange
 // Requests ahead of time, as the paper's micro-benchmarks do, and this
-// entry point lets them reuse one reply Request across calls.
+// entry point lets them reuse one reply Request across calls. The reply
+// is the caller's to keep.
 func (p *Process) CallWith(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replyTag uint64) (*Delivery, error) {
 	f := p.WaitTag(replyTag)
 	if err := p.Invoke(t, req, imms, args); err != nil {

@@ -78,9 +78,24 @@ func (r *Replica) Start(t *sim.Task) error {
 	r.seen = make(map[uint64]bool)
 	k := r.P.Kernel()
 	r.queue = sim.NewChan[*proc.Delivery](k, "replica-q", maxQueue)
-	r.P.Serve("replica-rx", 1, r.admit)
+	k.Spawn("replica-rx", r.receive)
 	k.Spawn("replica-worker", r.work)
 	return nil
+}
+
+// receive admits each delivery and acknowledges it. The worker answers
+// an admitted request after admit has returned, so the replica keeps its
+// descriptors: it receives them itself rather than through Serve, which
+// takes each one back when its handler returns.
+func (r *Replica) receive(t *sim.Task) {
+	for {
+		d, ok := r.P.Receive(t)
+		if !ok {
+			return
+		}
+		r.admit(t, d)
+		d.Done()
+	}
 }
 
 // Stats returns the admission counters.

@@ -219,12 +219,17 @@ func (s *Semaphore) TryAcquire() bool {
 	return true
 }
 
-// Release returns one permit and wakes a waiter if any.
+// Release returns one permit and wakes a waiter if any. The queue pops
+// by shifting in place and clearing the vacated slot, like Chan's
+// (takeBuffered): re-slicing it drifts through the backing array, so
+// every later Acquire that queues reallocates it.
 func (s *Semaphore) Release() {
 	s.avail++
 	if len(s.waiters) > 0 {
 		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
+		n := copy(s.waiters, s.waiters[1:])
+		s.waiters[n] = nil
+		s.waiters = s.waiters[:n]
 		w.wakeAfter(0)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -303,6 +304,60 @@ func TestSemaphoreWindow(t *testing.T) {
 	if maxInflight != 2 {
 		t.Fatalf("max inflight %d, want 2", maxInflight)
 	}
+}
+
+// TestSemaphoreQueueDoesNotDrift runs 10k acquire/release cycles of
+// three tasks contending for one permit, so every Acquire but the
+// holder's queues. The queue pops by in-place shift: once warm the cycles
+// allocate nothing, and its capacity stays that of the longest queue.
+// Popping by re-slicing (waiters = waiters[1:]) drifted through the
+// backing array and reallocated it every few cycles.
+func TestSemaphoreQueueDoesNotDrift(t *testing.T) {
+	const (
+		workers = 3
+		warm    = 100
+		cycles  = 10_000
+	)
+	k := New(1)
+	sem := NewSemaphore(1)
+	held, maxCap := 0, 0
+	var before, after uint64
+	for range workers {
+		k.Spawn("worker", func(tk *Task) {
+			for held < warm+cycles {
+				sem.Acquire(tk)
+				switch held++; held {
+				case warm:
+					before = mallocs()
+				case warm + cycles:
+					after = mallocs()
+				}
+				maxCap = max(maxCap, cap(sem.waiters))
+				tk.Sleep(1)
+				sem.Release()
+			}
+		})
+	}
+	k.Run()
+	k.Shutdown()
+	if held < warm+cycles {
+		t.Fatalf("%d cycles ran, want %d", held, warm+cycles)
+	}
+	if maxCap == 0 || maxCap > workers {
+		t.Errorf("cap(waiters) peaked at %d for %d contending tasks", maxCap, workers)
+	}
+	if n := after - before; !raceEnabled && n != 0 {
+		t.Errorf("%d contended cycles allocated %d objects, want 0", cycles, n)
+	}
+}
+
+// mallocs reads the process-wide count of heap objects allocated so
+// far; under the kernel one goroutine runs at a time, so a difference
+// taken inside a task is that task's and the kernel's own.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
 }
 
 func TestShutdownUnwindsBlockedTasks(t *testing.T) {
