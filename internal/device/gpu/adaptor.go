@@ -89,16 +89,25 @@ func NewAdaptor(cl *core.Cluster, node int, name string, dev *Device) *Adaptor {
 	}
 }
 
-// Start registers the context-init Request and starts serving. Every
-// delivery runs in a task of its own, so a long kernel stalls neither
-// the adaptor nor the other clients' kernels (Figure 9 right).
+// Start registers the context-init Request and starts serving. A kernel
+// invocation is served in kernel context, queued at the device; the
+// management RPCs, which make syscalls, each run in a task of their own.
+// A long kernel stalls neither the adaptor nor the other clients
+// (Figure 9 right).
 func (a *Adaptor) Start(t *sim.Task) error {
 	ci, err := a.P.RequestCreate(t, TagCtxInit, nil, nil)
 	if err != nil {
 		return fmt.Errorf("gpu adaptor: ctx-init request: %w", err)
 	}
 	a.CtxInit = ci
-	a.P.Serve("gpu-adaptor", 0, a.handle)
+	manage := a.P.Tasks("gpu-adaptor", a.handle)
+	a.P.Handle(func(d *proc.Delivery) {
+		if d.Tag != TagInvoke {
+			manage(d)
+			return
+		}
+		a.invokeKernel(d)
+	})
 	return nil
 }
 
@@ -106,20 +115,29 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 	defer d.Release()
 	switch d.Tag {
 	case TagCtxInit:
+		// The context exists once all four of its Requests do: a refused
+		// request_create (a capability quota, say) leaves nothing behind.
 		a.nextCtx++
 		ctx := a.nextCtx
-		alloc, e1 := a.P.RequestCreate(t, TagAlloc, []wire.ImmArg{proc.U64Arg(0, ctx)}, nil)
-		load, e2 := a.P.RequestCreate(t, TagLoad, []wire.ImmArg{proc.U64Arg(0, ctx)}, nil)
-		free, e3 := a.P.RequestCreate(t, TagFree, []wire.ImmArg{proc.U64Arg(0, ctx)}, nil)
-		clean, e4 := a.P.RequestCreate(t, TagCleanup, []wire.ImmArg{proc.U64Arg(0, ctx)}, nil)
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
-			d.ReplyStatus(SlotCont, StatusAdaptErr)
-			return
+		var reqs [4]proc.Cap
+		for i, tag := range [4]uint64{TagAlloc, TagLoad, TagFree, TagCleanup} {
+			r, err := a.P.RequestCreate(t, tag, []wire.ImmArg{proc.U64Arg(0, ctx)}, nil)
+			if err != nil {
+				for _, made := range reqs[:i] {
+					_ = a.P.Drop(t, made) // a refused drop leaves the entry to the Process's teardown
+				}
+				if a.nextCtx == ctx {
+					a.nextCtx--
+				}
+				d.ReplyStatus(SlotCont, StatusAdaptErr)
+				return
+			}
+			reqs[i] = r
 		}
 		a.ctxBufs[ctx] = nil
 		d.Reply(SlotCont, nil, []proc.Arg{
-			{Slot: SlotAlloc, Cap: alloc}, {Slot: SlotLoad, Cap: load},
-			{Slot: SlotFree, Cap: free}, {Slot: SlotCleanup, Cap: clean},
+			{Slot: SlotAlloc, Cap: reqs[0]}, {Slot: SlotLoad, Cap: reqs[1]},
+			{Slot: SlotFree, Cap: reqs[2]}, {Slot: SlotCleanup, Cap: reqs[3]},
 		})
 
 	case TagAlloc:
@@ -149,7 +167,7 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 			d.ReplyStatus(SlotCont, StatusBadArg)
 			return
 		}
-		if !a.dev.Has(name) {
+		if a.dev.kernels[name] == nil {
 			d.ReplyStatus(SlotCont, StatusNoKernel)
 			return
 		}
@@ -163,9 +181,6 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 			return
 		}
 		d.Reply(SlotCont, nil, []proc.Arg{{Slot: SlotKernel, Cap: inv}})
-
-	case TagInvoke:
-		a.invoke(t, d)
 
 	case TagFree:
 		ctx := d.U64(0)
@@ -190,31 +205,39 @@ func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
 	}
 }
 
-// invoke runs a kernel and invokes the success or error continuation,
-// giving the application-agnostic decentralized control flow of §2.2:
-// the adaptor invokes whatever continuation it was handed, verbatim.
-func (a *Adaptor) invoke(t *sim.Task, d *proc.Delivery) {
+// invokeKernel queues d's kernel at the device, whose job answers it:
+// the adaptor invokes whatever continuation it was handed, verbatim,
+// giving the application-agnostic decentralized control flow of §2.2.
+func (a *Adaptor) invokeKernel(d *proc.Delivery) {
 	// When the kernel Request is chained as another service's
 	// continuation (e.g. a storage read writing into GPU memory, Figure
 	// 2's b→c edge), a failed producer means the kernel's inputs never
 	// arrived: propagate instead of computing on garbage.
 	if d.Upstream(SlotError) {
+		d.Finish()
 		return
 	}
 	name, ok := d.Name()
-	if !ok {
-		d.ReplyStatus(SlotError, StatusBadArg)
-		return
+	kn := a.dev.kernels[name]
+	switch {
+	case !ok:
+		answer(d, StatusBadArg)
+	case kn == nil:
+		answer(d, StatusNoKernel)
+	default:
+		a.dev.submit(d, kn, a.P.Arena(), kernelArgs(d.Imms, 16+len(name)))
 	}
-	st, err := a.dev.Exec(t, name, a.P.Arena(), kernelArgs(d.Imms, 16+len(name)))
-	if err != nil {
-		st = StatusNoKernel
+}
+
+// answer ends a kernel invocation through its error continuation, or
+// its success one.
+func answer(d *proc.Delivery, st uint64) {
+	slot := SlotSuccess
+	if st != StatusOK {
+		slot = SlotError
 	}
-	if st != 0 {
-		d.ReplyStatus(SlotError, st)
-		return
-	}
-	d.ReplyStatus(SlotSuccess, StatusOK)
+	d.ReplyStatus(slot, st)
+	d.Finish()
 }
 
 // kernelArgs decodes the uint64 arguments following the kernel-name

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"fractos/internal/proc"
 	"fractos/internal/sim"
 )
 
@@ -46,16 +47,33 @@ type kernel struct {
 	cost CostFunc
 }
 
-// Device is one simulated GPU.
+// Device is one simulated GPU. It runs one kernel at a time, in arrival
+// order: a blocking Exec and an adaptor's invocation wait in one FIFO.
 type Device struct {
 	k       *sim.Kernel
 	cfg     Config
 	kernels map[string]*kernel
-	exec    *sim.Semaphore // one kernel executes at a time
+
+	busy  bool   // a kernel is running
+	queue []*job // waiting for the device
+	jobs  sim.FreeList[job]
 
 	// Counters for the evaluation harness.
 	Launches int64
 	BusyTime sim.Time
+}
+
+// job is a kernel waiting for the device or running on it: a pooled
+// record. An invocation's job answers its delivery and is its kernel
+// timer's target; an Exec's holds the task's place until its turn.
+type job struct {
+	d    *Device
+	kn   *kernel
+	mem  []byte
+	args []uint64
+	dur  sim.Time
+	inv  *proc.Delivery // nil for an Exec's
+	turn sim.Future[struct{}]
 }
 
 // NewDevice creates a GPU.
@@ -63,7 +81,7 @@ func NewDevice(k *sim.Kernel, cfg Config) *Device {
 	if cfg.MemSize == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Device{k: k, cfg: cfg, kernels: make(map[string]*kernel), exec: sim.NewSemaphore(1)}
+	return &Device{k: k, cfg: cfg, kernels: make(map[string]*kernel)}
 }
 
 // MemSize returns the GPU memory size.
@@ -75,24 +93,100 @@ func (d *Device) Register(name string, fn KernelFunc, cost CostFunc) {
 	d.kernels[name] = &kernel{name: name, fn: fn, cost: cost}
 }
 
-// Has reports whether a kernel is registered.
-func (d *Device) Has(name string) bool {
-	_, ok := d.kernels[name]
-	return ok
-}
-
-// Exec runs a kernel over mem (GPU memory), blocking the caller for
-// the modeled execution time. Kernels serialize on the device.
+// Exec runs a kernel over mem (GPU memory), blocking the caller while
+// the kernels ahead of it run and then for its modeled execution time.
 func (d *Device) Exec(t *sim.Task, name string, mem []byte, args []uint64) (uint64, error) {
 	kn, ok := d.kernels[name]
 	if !ok {
 		return 0, fmt.Errorf("gpu: unknown kernel %q", name)
 	}
-	d.exec.Acquire(t)
-	defer d.exec.Release()
+	if d.busy {
+		d.awaitTurn(t, d.getJob())
+	}
+	d.busy = true
 	dur := d.cfg.LaunchOverhead + kn.cost(args)
 	t.Sleep(dur)
+	st := d.run(kn, dur, mem, args)
+	d.next()
+	return st, nil
+}
+
+// submit queues the adaptor's invocation inv of kernel kn, which its
+// job answers once the kernel has run.
+//
+//fractos:pool-handoff delivery
+func (d *Device) submit(inv *proc.Delivery, kn *kernel, mem []byte, args []uint64) {
+	j := d.getJob()
+	j.kn, j.mem, j.args, j.inv = kn, mem, args, inv
+	if d.busy {
+		d.wait(j)
+	} else {
+		d.start(j)
+	}
+}
+
+//fractos:pool-acquire gpujob
+func (d *Device) getJob() *job {
+	j := d.jobs.Get()
+	j.d = d
+	return j
+}
+
+//fractos:pool-release gpujob
+func (d *Device) putJob(j *job) {
+	j.turn.Reset()
+	*j = job{}
+	d.jobs.Put(j)
+}
+
+// awaitTurn queues an Exec's job until the device is the task's.
+//
+//fractos:pool-release gpujob
+func (d *Device) awaitTurn(t *sim.Task, j *job) {
+	d.wait(j)
+	_, _ = j.turn.Wait(t) // resolved by next, never failed
+	d.putJob(j)
+}
+
+//fractos:pool-handoff gpujob
+func (d *Device) wait(j *job) { d.queue = append(d.queue, j) }
+
+// start runs an invocation's job: the device is its own until its timer.
+//
+//fractos:pool-handoff gpujob
+func (d *Device) start(j *job) {
+	d.busy = true
+	j.dur = d.cfg.LaunchOverhead + j.kn.cost(j.args)
+	d.k.AfterCall(j.dur, j)
+}
+
+// Fire implements sim.Callback: an invocation's kernel time is over.
+func (j *job) Fire() {
+	d, inv := j.d, j.inv
+	st := d.run(j.kn, j.dur, j.mem, j.args)
+	d.putJob(j)
+	d.next()
+	answer(inv, st)
+}
+
+// run executes a kernel whose time is over and counts it.
+func (d *Device) run(kn *kernel, dur sim.Time, mem []byte, args []uint64) uint64 {
 	d.Launches++
 	d.BusyTime += dur
-	return kn.fn(mem, args), nil
+	return kn.fn(mem, args)
+}
+
+// next hands the device to the first job waiting, if any.
+func (d *Device) next() {
+	if len(d.queue) == 0 {
+		d.busy = false
+		return
+	}
+	j := d.queue[0]
+	d.queue = d.queue[:copy(d.queue, d.queue[1:])]
+	if j.inv != nil {
+		d.start(j)
+	} else {
+		j.turn.Set(struct{}{})
+	}
 }

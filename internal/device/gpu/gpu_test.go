@@ -272,31 +272,66 @@ func TestAllocFreeCycle(t *testing.T) {
 	})
 }
 
+// TestKernelSerializationOnDevice: blocking Execs and adaptor
+// invocations share one device and one FIFO. Six kernels of 110 µs
+// arrive 20 µs apart, Execs and invocations alternating; each runs only
+// once the one before it is over, in the order they arrived.
 func TestKernelSerializationOnDevice(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
 		dev := NewDevice(cl.K, DefaultConfig())
-		dev.Register("slow", func(mem []byte, args []uint64) uint64 { return 0 },
-			func([]uint64) sim.Time { return us(100) })
-		busy := 0
-		maxBusy := 0
-		dev.Register("probe", func(mem []byte, args []uint64) uint64 { return 0 },
-			func([]uint64) sim.Time { return us(100) })
-		_ = busy
-		_ = maxBusy
-		// Two concurrent Execs must serialize: total ≥ 220µs.
+		var order []uint64
+		var ends []sim.Time
+		dev.Register("tick", func(_ []byte, args []uint64) uint64 {
+			order = append(order, args[0])
+			ends = append(ends, cl.K.Now())
+			return 0
+		}, func([]uint64) sim.Time { return us(100) })
+		ad := NewAdaptor(cl, 1, "gpu0", dev)
+		if err := ad.Start(tk); err != nil {
+			t.Fatal(err)
+		}
+		client := proc.Attach(cl, 0, "client", 0)
+		ci, err := proc.GrantCap(ad.P, ad.CtxInit, client)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, load, _, _ := initCtx(tk, t, client, ci)
+		inv := loadKernel(tk, t, client, load, "tick")
+		ao := ArgOffset(len("tick"), 0)
+
+		const kernels = 6
 		var wg sim.WaitGroup
-		wg.Add(2)
-		start := tk.Now()
-		for i := 0; i < 2; i++ {
-			cl.K.Spawn("exec", func(et *sim.Task) {
-				dev.Exec(et, "slow", nil, nil)
-				wg.Done()
+		wg.Add(kernels)
+		for i := uint64(0); i < kernels; i++ {
+			cl.K.Spawn("kernel", func(et *sim.Task) {
+				defer wg.Done()
+				et.Sleep(sim.Time(i) * us(20))
+				if i%2 == 0 {
+					if st, err := dev.Exec(et, "tick", nil, []uint64{i}); err != nil || st != StatusOK {
+						t.Errorf("exec %d: status %d, err %v", i, st, err)
+					}
+					return
+				}
+				d, err := client.Call(et, inv, []wire.ImmArg{proc.U64Arg(ao, i)}, nil, SlotSuccess)
+				if err != nil || d.U64(0) != StatusOK {
+					t.Errorf("invocation %d: err %v", i, err)
+				}
 			})
 		}
 		wg.Wait(tk)
-		total := tk.Now() - start
-		if total < us(220) {
-			t.Errorf("two 110µs kernels finished in %v; device must serialize", total)
+		for i, v := range order {
+			if v != uint64(i) {
+				t.Errorf("kernels ran in order %v, want arrival order", order)
+				break
+			}
+		}
+		for i := 1; i < len(ends); i++ {
+			if gap := ends[i] - ends[i-1]; gap != us(110) {
+				t.Errorf("kernel %d ended %v after kernel %d, want 110µs: one at a time", i, gap, i-1)
+			}
+		}
+		if len(order) != kernels || dev.busy || len(dev.queue) != 0 {
+			t.Errorf("%d kernels ran, device busy %v with %d queued; want %d, idle, none", len(order), dev.busy, len(dev.queue), kernels)
 		}
 	})
 }

@@ -66,12 +66,9 @@ const (
 // MaxIO is the largest single block operation (Figure 11 uses 1 MiB).
 const MaxIO = 1 << 20
 
-// The adaptor serves queueDepth operations at once, staging through
-// stagingBufs buffers of MaxIO bytes.
-const (
-	queueDepth  = 8
-	stagingBufs = 8
-)
+// The adaptor stages every read and write through one of stagingBufs
+// buffers of MaxIO bytes, handed out in arrival order.
+const stagingBufs = 8
 
 type volume struct {
 	off  int64
@@ -84,12 +81,14 @@ type Adaptor struct {
 	P   *proc.Process
 	dev *Device
 
-	vols    map[uint64]volume
-	nextVol uint64
-	devFree int64 // bump allocator over device space
+	vols     map[uint64]volume
+	nextVol  uint64
+	devFree  int64 // bump allocator over device space
+	reserved int64 // space of the volumes whose Requests are being created
 
-	stageSem *sim.Semaphore
-	stages   []stageBuf
+	stages  []stageBuf // free staging buffers
+	staging []*ioOp    // operations waiting for one, in arrival order
+	ios     sim.FreeList[ioOp]
 
 	// VolCreate is the adaptor's root Request; grant it to the storage
 	// stack (the FS service) at deployment time.
@@ -105,15 +104,15 @@ type stageBuf struct {
 // node.
 func NewAdaptor(cl *core.Cluster, node int, name string, dev *Device) *Adaptor {
 	return &Adaptor{
-		P:        proc.Attach(cl, node, name, stagingBufs*MaxIO),
-		dev:      dev,
-		vols:     make(map[uint64]volume),
-		stageSem: sim.NewSemaphore(stagingBufs),
+		P:    proc.Attach(cl, node, name, stagingBufs*MaxIO),
+		dev:  dev,
+		vols: make(map[uint64]volume),
 	}
 }
 
-// Start registers the adaptor's Requests and starts serving them. Must
-// run in task context before clients are wired up.
+// Start registers the adaptor's Requests and starts serving them, reads
+// and writes in kernel context (ioOp) and a VolCreate, which makes
+// syscalls, in a task. Must run before clients are wired up.
 func (a *Adaptor) Start(t *sim.Task) error {
 	for i := 0; i < stagingBufs; i++ {
 		off := i * MaxIO
@@ -128,106 +127,187 @@ func (a *Adaptor) Start(t *sim.Task) error {
 		return fmt.Errorf("nvme adaptor: volcreate request: %w", err)
 	}
 	a.VolCreate = vc
-	a.P.Serve("nvme-adaptor", queueDepth, a.handle)
+	volCreate := a.P.Tasks("nvme-adaptor", a.handleVolCreate)
+	a.P.Handle(func(d *proc.Delivery) {
+		if d.Tag == TagVolCreate {
+			volCreate(d)
+			return
+		}
+		a.io(d, d.Tag == TagVolWrite)
+	})
 	return nil
 }
 
-func (a *Adaptor) handle(t *sim.Task, d *proc.Delivery) {
-	defer d.Release()
-	switch d.Tag {
-	case TagVolCreate:
-		a.handleVolCreate(t, d)
-	case TagVolRead:
-		a.handleIO(t, d, false)
-	case TagVolWrite:
-		a.handleIO(t, d, true)
-	}
-}
-
+// handleVolCreate creates a volume once both its Requests exist: until
+// then its space is only reserved, and a refused request_create (a
+// capability quota, say) leaves nothing behind.
 func (a *Adaptor) handleVolCreate(t *sim.Task, d *proc.Delivery) {
+	defer d.Release()
 	size := int64(d.U64(ImmVol))
 	if _, ok := d.Cap(SlotCont); !ok {
 		return
 	}
-	if size <= 0 || size > a.dev.Capacity()-a.devFree {
+	if size <= 0 || size > a.dev.Capacity()-a.devFree-a.reserved {
 		d.ReplyStatus(SlotCont, StatusBounds)
 		return
 	}
+	a.reserved += size
 	a.nextVol++
 	id := a.nextVol
-	a.vols[id] = volume{off: a.devFree, size: size}
-	a.devFree += size
-
-	rd, err1 := a.P.RequestCreate(t, TagVolRead, []wire.ImmArg{proc.U64Arg(ImmVol, id)}, nil)
-	wr, err2 := a.P.RequestCreate(t, TagVolWrite, []wire.ImmArg{proc.U64Arg(ImmVol, id)}, nil)
-	if err1 != nil || err2 != nil {
+	rd, err := a.P.RequestCreate(t, TagVolRead, []wire.ImmArg{proc.U64Arg(ImmVol, id)}, nil)
+	var wr proc.Cap
+	if err == nil {
+		if wr, err = a.P.RequestCreate(t, TagVolWrite, []wire.ImmArg{proc.U64Arg(ImmVol, id)}, nil); err != nil {
+			_ = a.P.Drop(t, rd) // a refused drop leaves the entry to the Process's teardown
+		}
+	}
+	a.reserved -= size
+	if err != nil {
+		if a.nextVol == id {
+			a.nextVol--
+		}
 		d.ReplyStatus(SlotCont, StatusDevErr)
 		return
 	}
+	a.vols[id] = volume{off: a.devFree, size: size}
+	a.devFree += size
 	d.Reply(SlotCont,
 		[]wire.ImmArg{proc.U64Arg(ImmVol, id)},
 		[]proc.Arg{{Slot: SlotVolRead, Cap: rd}, {Slot: SlotVolWrite, Cap: wr}})
 }
 
-// handleIO serves a volume read or write: stage through a local
-// buffer, moving the bytes between the device and the caller-provided
-// Memory capability with memory_copy — the adaptor never needs to know
-// where that Memory lives (§2.2's interface encapsulation).
-func (a *Adaptor) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
+// io serves a volume read or write, staged through a local buffer: the
+// bytes move to or from the caller's Memory by memory_copy, wherever it
+// lives (§2.2's interface encapsulation). A request that passes its
+// checks is an ioOp.
+func (a *Adaptor) io(d *proc.Delivery, isWrite bool) {
 	// A chained producer that failed reports its status in imm[0,8):
 	// propagate it instead of touching the device.
 	if d.Upstream(SlotCont) {
+		d.Finish()
 		return
 	}
 	vol, ok := a.vols[d.U64(ImmVol)]
-	if !ok {
-		d.ReplyStatus(SlotCont, StatusBadVol)
-		return
-	}
 	off, n := int64(d.U64(ImmOff)), int64(d.U64(ImmLen))
-	if n <= 0 || off < 0 || n > vol.size || off > vol.size-n {
-		d.ReplyStatus(SlotCont, StatusBounds)
+	data, hasData := d.Cap(SlotData)
+	st := StatusOK
+	switch {
+	case !ok:
+		st = StatusBadVol
+	case n <= 0 || off < 0 || n > vol.size || off > vol.size-n:
+		st = StatusBounds
+	case n > MaxIO:
+		st = StatusTooBig
+	case !hasData || data.Size() < uint64(n):
+		st = StatusBounds
+	}
+	if st != StatusOK {
+		d.ReplyStatus(SlotCont, st)
+		d.Finish()
 		return
 	}
-	if n > MaxIO {
-		d.ReplyStatus(SlotCont, StatusTooBig)
-		return
-	}
-	data, ok := d.Cap(SlotData)
-	if !ok || data.Size() < uint64(n) {
-		d.ReplyStatus(SlotCont, StatusBounds)
-		return
-	}
+	op := a.getIO()
+	op.d, op.isWrite, op.off, op.n, op.data = d, isWrite, vol.off+off, n, data
+	op.start()
+}
 
-	a.stageSem.Acquire(t)
-	sb := a.stages[len(a.stages)-1]
+// ioOp is a volume read or write in progress, a pooled record stepped by
+// the events it waits for. A read goes staging buffer → device (Fire) →
+// memory_copy out (Completed) → reply, a write staging buffer →
+// memory_copy in → device → reply; a failed step answers its status.
+type ioOp struct {
+	a       *Adaptor
+	d       *proc.Delivery
+	isWrite bool
+	off, n  int64    // on the device
+	data    proc.Cap // the caller's Memory
+	sb      stageBuf
+}
+
+//fractos:pool-acquire nvmeio
+func (a *Adaptor) getIO() *ioOp {
+	op := a.ios.Get()
+	op.a = a
+	return op
+}
+
+//fractos:pool-release nvmeio
+func (a *Adaptor) putIO(op *ioOp) {
+	*op = ioOp{}
+	a.ios.Put(op)
+}
+
+// start gives the op a staging buffer or, with none free, queues it.
+//
+//fractos:pool-handoff nvmeio
+func (op *ioOp) start() {
+	a := op.a
+	if len(a.stages) == 0 {
+		a.staging = append(a.staging, op)
+		return
+	}
+	op.sb = a.stages[len(a.stages)-1]
 	a.stages = a.stages[:len(a.stages)-1]
-	defer func() {
-		a.stages = append(a.stages, sb)
-		a.stageSem.Release()
-	}()
-
-	buf := a.P.Arena()[sb.off : sb.off+int(n)]
-
-	if isWrite {
-		// Pull the caller's bytes, then commit to flash.
-		if err := a.P.MemoryCopyRange(t, data, 0, sb.cap, 0, uint64(n)); err != nil {
-			d.ReplyStatus(SlotCont, StatusCopyErr)
-			return
-		}
-		if err := a.dev.Write(t, vol.off+off, buf); err != nil {
-			d.ReplyStatus(SlotCont, StatusDevErr)
-			return
-		}
+	if op.isWrite {
+		op.copy(op.data, op.sb.cap)
 	} else {
-		if err := a.dev.Read(t, vol.off+off, buf); err != nil {
-			d.ReplyStatus(SlotCont, StatusDevErr)
-			return
-		}
-		if err := a.P.MemoryCopyRange(t, sb.cap, 0, data, 0, uint64(n)); err != nil {
-			d.ReplyStatus(SlotCont, StatusCopyErr)
-			return
-		}
+		op.device()
 	}
-	d.ReplyStatus(SlotCont, StatusOK)
+}
+
+// copy posts the op's memory_copy between its staging buffer and the
+// caller's Memory.
+func (op *ioOp) copy(src, dst proc.Cap) {
+	if err := op.a.P.MemoryCopyThen(src, 0, dst, 0, uint64(op.n), op); err != nil {
+		op.end(StatusCopyErr)
+	}
+}
+
+// device books the access and waits for its time.
+func (op *ioOp) device() {
+	lat, err := op.a.dev.book(op.off, int(op.n), op.isWrite)
+	if err != nil {
+		op.end(StatusDevErr)
+		return
+	}
+	op.a.P.Kernel().AfterCall(lat, op)
+}
+
+// Fire implements sim.Callback: the device's time is over. A write is
+// done; a read's bytes are copied out to the caller.
+func (op *ioOp) Fire() {
+	op.a.dev.deliver(op.off, op.a.P.Arena()[op.sb.off:op.sb.off+int(op.n)], op.isWrite)
+	if op.isWrite {
+		op.end(StatusOK)
+	} else {
+		op.copy(op.sb.cap, op.data)
+	}
+}
+
+// Completed implements proc.Waiter: the op's memory_copy is over. A
+// write's goes on to the device, a read is done.
+func (op *ioOp) Completed(m *wire.Completion) {
+	switch {
+	case m.Status != wire.StatusOK:
+		op.end(StatusCopyErr)
+	case op.isWrite:
+		op.device()
+	default:
+		op.end(StatusOK)
+	}
+}
+
+// end answers the request with st and frees the op; its staging buffer
+// goes to the first operation waiting.
+func (op *ioOp) end(st uint64) {
+	a, d, sb := op.a, op.d, op.sb
+	a.putIO(op)
+	d.ReplyStatus(SlotCont, st)
+	d.Finish()
+	a.stages = append(a.stages, sb)
+	if len(a.staging) > 0 {
+		next := a.staging[0]
+		a.staging = a.staging[:copy(a.staging, a.staging[1:])]
+		next.start()
+	}
 }

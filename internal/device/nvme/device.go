@@ -52,8 +52,7 @@ func DefaultConfig() Config {
 	}
 }
 
-// Device is one simulated SSD. It is owned by a single adaptor Process
-// and accessed from task context only.
+// Device is one simulated SSD, owned by a single adaptor Process.
 type Device struct {
 	k     *sim.Kernel
 	cfg   Config
@@ -115,10 +114,45 @@ func (d *Device) drainDirty() {
 
 // Read copies len(buf) bytes at offset off into buf, sleeping for the
 // modeled device time.
-func (d *Device) Read(t *sim.Task, off int64, buf []byte) error {
-	n := len(buf)
+func (d *Device) Read(t *sim.Task, off int64, buf []byte) error { return d.access(t, off, buf, false) }
+
+// Write stores buf at offset off, sleeping for the modeled device
+// time.
+func (d *Device) Write(t *sim.Task, off int64, buf []byte) error { return d.access(t, off, buf, true) }
+
+// access is booked when it is issued and delivered once its latency is
+// over: Read and Write sleep in between, the adaptor's I/O records wait
+// for a timer.
+func (d *Device) access(t *sim.Task, off int64, buf []byte, write bool) error {
+	lat, err := d.book(off, len(buf), write)
+	if err != nil {
+		return err
+	}
+	t.Sleep(lat)
+	d.deliver(off, buf, write)
+	return nil
+}
+
+// book checks an access of n bytes at off and returns how long it
+// takes. A read moves the read-ahead window past itself and reserves the
+// media channel. Writes are absorbed by the DRAM cache until DirtyLimit,
+// then throttle to flash bandwidth (the behaviour that makes the paper's
+// Disaggregated Baseline writes fast in Figure 10).
+func (d *Device) book(off int64, n int, write bool) (sim.Time, error) {
 	if off < 0 || int64(n) > d.cfg.Capacity || off > d.cfg.Capacity-int64(n) {
-		return ErrOutOfRange
+		return 0, ErrOutOfRange
+	}
+	if write {
+		d.drainDirty()
+		lat := d.cfg.WriteCacheLatency
+		if d.dirty+int64(n) > d.cfg.DirtyLimit {
+			lat += d.reserve(n, d.cfg.WriteBW)
+		} else {
+			// DRAM absorbs: only a small per-byte cost.
+			lat += sim.Time(float64(n) / (8e9) * 1e9)
+		}
+		d.dirty += int64(n)
+		return lat, nil
 	}
 	lat := d.cfg.RandomReadLatency
 	if off >= d.raStart && off+int64(n) <= d.raEnd {
@@ -130,37 +164,21 @@ func (d *Device) Read(t *sim.Task, off int64, buf []byte) error {
 	// Slide the read-ahead window past this access.
 	d.raStart = off
 	d.raEnd = off + int64(n) + d.cfg.ReadAhead
-	lat += d.reserve(n, d.cfg.ReadBW)
-	t.Sleep(lat)
-	d.copyOut(off, buf)
-	d.Reads++
-	d.BytesR += int64(n)
-	return nil
+	return lat + d.reserve(n, d.cfg.ReadBW), nil
 }
 
-// Write stores buf at offset off, sleeping for the modeled device
-// time. Writes are absorbed by the DRAM cache until DirtyLimit, then
-// throttle to flash bandwidth (the behaviour that makes the paper's
-// Disaggregated Baseline writes fast in Figure 10).
-func (d *Device) Write(t *sim.Task, off int64, buf []byte) error {
-	n := len(buf)
-	if off < 0 || int64(n) > d.cfg.Capacity || off > d.cfg.Capacity-int64(n) {
-		return ErrOutOfRange
+// deliver moves the bytes of an access whose time is over, and counts
+// it.
+func (d *Device) deliver(off int64, buf []byte, write bool) {
+	if write {
+		d.copyIn(off, buf)
+		d.Writes++
+		d.BytesW += int64(len(buf))
+		return
 	}
-	d.drainDirty()
-	lat := d.cfg.WriteCacheLatency
-	if d.dirty+int64(n) > d.cfg.DirtyLimit {
-		lat += d.reserve(n, d.cfg.WriteBW)
-	} else {
-		// DRAM absorbs: only a small per-byte cost.
-		lat += sim.Time(float64(n) / (8e9) * 1e9)
-	}
-	d.dirty += int64(n)
-	t.Sleep(lat)
-	d.copyIn(off, buf)
-	d.Writes++
-	d.BytesW += int64(n)
-	return nil
+	d.copyOut(off, buf)
+	d.Reads++
+	d.BytesR += int64(len(buf))
 }
 
 func (d *Device) copyOut(off int64, buf []byte) {

@@ -322,3 +322,154 @@ func TestVolumeIsolation(t *testing.T) {
 		t.Fatal("deadlock")
 	}
 }
+
+// TestReadsWaitForStagingInArrivalOrder: twelve 1 MiB reads arriving 1 µs
+// apart share the adaptor's eight staging buffers. The last four wait
+// for one and take them as they come free, in arrival order, so the
+// reads complete in the order they arrived; at quiescence all eight
+// buffers are free and nothing waits.
+func TestReadsWaitForStagingInArrivalOrder(t *testing.T) {
+	const reads = 12
+	cl := core.NewCluster(core.ClusterConfig{Nodes: 3})
+	done := false
+	cl.K.Spawn("main", func(tk *sim.Task) {
+		defer func() { done = true }()
+		ad, client, vc := setupAdaptor(tk, t, cl)
+		rd, _ := createVolume(tk, t, client, vc, reads*MaxIO)
+		dst, err := client.MemoryCreate(tk, 0, MaxIO, cap.MemRights)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var order []uint64
+		var wg sim.WaitGroup
+		wg.Add(reads)
+		for i := uint64(0); i < reads; i++ {
+			cl.K.Spawn("reader", func(rt *sim.Task) {
+				defer wg.Done()
+				rt.Sleep(sim.Time(i) * us(1))
+				d, err := client.Call(rt, rd,
+					[]wire.ImmArg{proc.U64Arg(ImmOff, i*MaxIO), proc.U64Arg(ImmLen, MaxIO)},
+					[]proc.Arg{{Slot: SlotData, Cap: dst}}, SlotCont)
+				if err != nil || d.U64(0) != StatusOK {
+					t.Errorf("read %d: err %v", i, err)
+					return
+				}
+				order = append(order, i)
+			})
+		}
+		wg.Wait(tk)
+		tk.Sleep(us(100))
+		for i, v := range order {
+			if v != uint64(i) {
+				t.Errorf("reads completed in order %v, want arrival order", order)
+				break
+			}
+		}
+		if len(order) != reads || len(ad.stages) != stagingBufs || len(ad.staging) != 0 {
+			t.Errorf("%d reads done, %d staging buffers free, %d operations waiting; want %d, %d, 0",
+				len(order), len(ad.stages), len(ad.staging), reads, stagingBufs)
+		}
+	})
+	cl.K.Run()
+	cl.K.Shutdown()
+	if !done {
+		t.Fatal("deadlock")
+	}
+}
+
+// TestRefusedCopyAnswersCopyErr: a read into Memory the adaptor may not
+// write, and a write from Memory it may not read, pass the adaptor's
+// checks and fail at their memory_copy: each answers StatusCopyErr and
+// gives its staging buffer back.
+func TestRefusedCopyAnswersCopyErr(t *testing.T) {
+	cl := core.NewCluster(core.ClusterConfig{Nodes: 3})
+	done := false
+	cl.K.Spawn("main", func(tk *sim.Task) {
+		defer func() { done = true }()
+		ad, client, vc := setupAdaptor(tk, t, cl)
+		rd, wr := createVolume(tk, t, client, vc, 64*1024)
+		for _, tc := range []struct {
+			name   string
+			req    proc.Cap
+			rights cap.Rights
+		}{
+			{"read into read-only Memory", rd, cap.Read | cap.Grant},
+			{"write from write-only Memory", wr, cap.Write | cap.Grant},
+		} {
+			mem, err := client.MemoryCreate(tk, 0, 4096, tc.rights)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			d, err := client.Call(tk, tc.req,
+				[]wire.ImmArg{proc.U64Arg(ImmOff, 0), proc.U64Arg(ImmLen, 4096)},
+				[]proc.Arg{{Slot: SlotData, Cap: mem}}, SlotCont)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if st := d.U64(0); st != StatusCopyErr {
+				t.Errorf("%s: status %d, want copy error", tc.name, st)
+			}
+		}
+		if len(ad.stages) != stagingBufs {
+			t.Errorf("%d staging buffers free, want %d", len(ad.stages), stagingBufs)
+		}
+	})
+	cl.K.Run()
+	cl.K.Shutdown()
+	if !done {
+		t.Fatal("deadlock")
+	}
+}
+
+// TestRefusedVolCreateLeavesNothingBehind: a VolCreate whose second
+// request_create the capability quota refuses answers StatusDevErr and
+// leaves nothing behind — no device space, no volume id, no Request. The
+// request carries two capabilities the adaptor holds while it serves it,
+// so the quota (the adaptor's 9 entries at rest, plus 4) runs out there;
+// a VolCreate without them then gets the whole device, as volume 1, and
+// the adaptor's capability count is back where it started in between.
+func TestRefusedVolCreateLeavesNothingBehind(t *testing.T) {
+	const atRest, entryBytes = 9, 40 // the adaptor's entries: 8 staging buffers and VolCreate
+	cl := core.NewCluster(core.ClusterConfig{Nodes: 3, Ctrl: core.Config{CapQuota: atRest + 4}})
+	done := false
+	cl.K.Spawn("main", func(tk *sim.Task) {
+		defer func() { done = true }()
+		ad, client, vc := setupAdaptor(tk, t, cl)
+		entries := func() int64 { return cl.CtrlFor(2).Footprint().CapSpaceBytes / entryBytes }
+		if n := entries(); n != atRest {
+			t.Errorf("the adaptor holds %d capabilities at rest, want %d", n, atRest)
+			return
+		}
+		var extra [2]proc.Arg
+		for i := range extra {
+			mem, err := client.MemoryCreate(tk, uint64(i)*4096, 4096, cap.MemRights)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			extra[i] = proc.Arg{Slot: uint16(10 + i), Cap: mem}
+		}
+		capacity := uint64(ad.dev.Capacity())
+		d, err := client.Call(tk, vc, []wire.ImmArg{proc.U64Arg(ImmVol, capacity/2)}, extra[:], SlotCont)
+		if err != nil || d.U64(0) != StatusDevErr {
+			t.Errorf("VolCreate over the quota: err %v, status %d, want device error", err, d.U64(0))
+			return
+		}
+		tk.Sleep(us(100))
+		if n := entries(); n != atRest {
+			t.Errorf("the adaptor holds %d capabilities after a refused VolCreate, want %d", n, atRest)
+		}
+		d, err = client.Call(tk, vc, []wire.ImmArg{proc.U64Arg(ImmVol, capacity)}, nil, SlotCont)
+		if err != nil || d.U64(0) != StatusOK || d.U64(ImmVol) != 1 {
+			t.Errorf("VolCreate of the whole device: err %v, status %d, volume %d; want OK, volume 1", err, d.U64(0), d.U64(ImmVol))
+		}
+	})
+	cl.K.Run()
+	cl.K.Shutdown()
+	if !done {
+		t.Fatal("deadlock")
+	}
+}

@@ -213,10 +213,11 @@ func (op *callOp) post(token uint64, m wire.Message) bool {
 	return false
 }
 
-// completed steps the call on the completion of its current syscall.
+// Completed implements Waiter: it steps the call on the completion of its
+// current syscall.
 //
 //fractos:hotpath
-func (op *callOp) completed(m *wire.Completion) {
+func (op *callOp) Completed(m *wire.Completion) {
 	p := op.p
 	switch op.state {
 	case callCreating:

@@ -6,8 +6,8 @@ package proc
 const recycleCallOps = true
 
 // putDelivery takes back a descriptor whose end libfractos knows: Serve's
-// when its handler has returned, a Call's reply when the next Call on the
-// Process starts. It is cleared but for the argument storage it grew to,
+// when its handler has returned, a Handle handler's at Finish, a Call's
+// reply when the next Call on the Process starts. It is cleared but for the argument storage it grew to,
 // and recycled; the race build poisons it instead (poison_race.go).
 //
 //fractos:pool-release delivery

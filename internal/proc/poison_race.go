@@ -10,8 +10,8 @@ package proc
 const recycleCallOps = false
 
 // putDelivery is the race build's: a descriptor libfractos takes back —
-// Serve's when its handler has returned, a Call's reply when the next
-// Call on the Process starts — is poisoned and stays out of the pool. Its
+// Serve's when its handler has returned, a Handle handler's at Finish, a
+// Call's reply when the next Call on the Process starts — is poisoned and stays out of the pool. Its
 // immediates read 0xDB, and it has no capabilities and no Process, so
 // whoever kept it past its end reads garbage instead of the next
 // delivery's arguments (TestKeptDeliveryReadsPoison).

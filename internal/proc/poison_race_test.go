@@ -49,10 +49,28 @@ func poisoned(d *Delivery) bool {
 	return d != nil && d.U64(0) == 0xDBDBDBDBDBDBDBDB && d.p == nil && d.Caps == nil
 }
 
-// echoCalls serves an echo Request at a Process on node 1 through h and
-// makes two Calls of it from node 0, imm[0:8) = 7 then 8, handing the
-// first reply to keep before the second Call starts.
-func echoCalls(t *testing.T, h func(*sim.Task, *Delivery), keep func(*Delivery)) {
+// echo answers d with its own imm[0:8).
+func echo(t *testing.T, d *Delivery) {
+	if err := d.Reply(0, []wire.ImmArg{U64Arg(0, d.U64(0))}, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// serveEcho serves echoCalls' Request in a Serve loop, running h on each
+// delivery before it is answered.
+func serveEcho(t *testing.T, h func(*sim.Task, *Delivery)) func(*Process) {
+	return func(srv *Process) {
+		srv.Serve("srv", 1, func(st *sim.Task, d *Delivery) {
+			h(st, d)
+			echo(t, d)
+		})
+	}
+}
+
+// echoCalls serves an echo Request at a Process on node 1 through serve
+// and makes two Calls of it from node 0, imm[0:8) = 7 then 8, handing
+// the first reply to keep before the second Call starts.
+func echoCalls(t *testing.T, serve func(srv *Process), keep func(*Delivery)) {
 	cl := core.NewCluster(core.ClusterConfig{Nodes: 2, Seed: 1})
 	srv, cli := Attach(cl, 1, "srv", 0), Attach(cl, 0, "cli", 0)
 	cl.K.Spawn("caller", func(tk *sim.Task) {
@@ -61,12 +79,7 @@ func echoCalls(t *testing.T, h func(*sim.Task, *Delivery), keep func(*Delivery))
 			t.Error(err)
 			return
 		}
-		srv.Serve("srv", 1, func(st *sim.Task, d *Delivery) {
-			h(st, d)
-			if err := d.Reply(0, []wire.ImmArg{U64Arg(0, d.U64(0))}, nil); err != nil {
-				t.Error(err)
-			}
-		})
+		serve(srv)
 		req, err := GrantCap(srv, root, cli)
 		if err != nil {
 			t.Error(err)
@@ -94,13 +107,31 @@ func echoCalls(t *testing.T, h func(*sim.Task, *Delivery), keep func(*Delivery))
 // delivery's arguments.
 func TestKeptDeliveryReadsPoison(t *testing.T) {
 	var kept *Delivery
-	echoCalls(t, func(_ *sim.Task, d *Delivery) {
+	echoCalls(t, serveEcho(t, func(_ *sim.Task, d *Delivery) {
 		if kept == nil {
 			kept = d
 		}
-	}, func(*Delivery) {})
+	}), func(*Delivery) {})
 	if !poisoned(kept) {
 		t.Errorf("a delivery kept past its handler reads %+v, want poison", kept)
+	}
+}
+
+// TestFinishedDeliveryReadsPoison: a kernel-context handler (Handle) that
+// keeps its delivery past Finish reads poison too.
+func TestFinishedDeliveryReadsPoison(t *testing.T) {
+	var kept *Delivery
+	echoCalls(t, func(srv *Process) {
+		srv.Handle(func(d *Delivery) {
+			if kept == nil {
+				kept = d
+			}
+			echo(t, d)
+			d.Finish()
+		})
+	}, func(*Delivery) {})
+	if !poisoned(kept) {
+		t.Errorf("a delivery kept past Finish reads %+v, want poison", kept)
 	}
 }
 
@@ -108,7 +139,7 @@ func TestKeptDeliveryReadsPoison(t *testing.T) {
 // block — here, the next Call — reads poison too.
 func TestSpentReplyReadsPoison(t *testing.T) {
 	var kept *Delivery
-	echoCalls(t, func(*sim.Task, *Delivery) {}, func(d *Delivery) { kept = d })
+	echoCalls(t, serveEcho(t, func(*sim.Task, *Delivery) {}), func(d *Delivery) { kept = d })
 	if !poisoned(kept) {
 		t.Errorf("a reply kept past the next Call reads %+v, want poison", kept)
 	}

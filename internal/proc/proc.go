@@ -86,6 +86,7 @@ type Process struct {
 	waiters  map[uint64]tagWaiter
 	stale    map[uint64]bool
 	incoming *sim.Chan[*Delivery]
+	handler  func(*Delivery) // Handle's: takes what incoming would queue
 
 	// Monitor callbacks may issue syscalls: each runs as a task (cbName).
 	nextCB   uint64
@@ -104,12 +105,17 @@ type Process struct {
 }
 
 // sysWaiter is who a syscall's completion goes to: the future of a
-// blocking or Async syscall, the Call it is a step of, or — the zero
-// value — nobody: a reply's, which demux counts if it failed.
+// blocking or Async syscall, the record it is a step of (a Call's, a
+// MemoryCopyThen's), or — the zero value — nobody: a reply's, which demux
+// counts if it failed.
 type sysWaiter struct {
 	fut *sim.Future[wire.Completion]
-	op  *callOp
+	op  Waiter
 }
+
+// Waiter is a record that demux steps, in kernel context, with the
+// completion of a syscall it posted, borrowed for the call.
+type Waiter interface{ Completed(m *wire.Completion) }
 
 // tagWaiter is who the next delivery with a tag goes to: WaitTag's
 // future, or the Call whose reply it is.
@@ -204,9 +210,10 @@ func (p *Process) Deliver(f *fabric.Frame) {
 }
 
 // demux routes one message from the Controller: a completion to the
-// future of its syscall or the Call it steps — or, a reply's, to the
+// future of its syscall or the record it steps — or, a reply's, to the
 // count of failed replies if it failed — a delivery to whoever waits
-// for its tag, a monitor callback to a task of its own.
+// for its tag or else to the Handle handler or the Receive queue, a
+// monitor callback to a task of its own.
 //
 //fractos:hotpath
 func (p *Process) demux(m wire.Message) {
@@ -216,7 +223,7 @@ func (p *Process) demux(m wire.Message) {
 			delete(p.pending, m.Token)
 			switch {
 			case w.op != nil:
-				w.op.completed(m)
+				w.op.Completed(m)
 			case w.fut != nil:
 				w.fut.Set(*m)
 			case m.Status != wire.StatusOK:
@@ -408,6 +415,22 @@ func (p *Process) MemoryCopyRange(t *sim.Task, src Cap, srcOff uint64, dst Cap, 
 		return &p.tx.memCopy
 	})
 	return err
+}
+
+// MemoryCopyThen is MemoryCopyRange for a record in kernel context: it
+// posts the memory_copy, whose completion steps w, and returns. It fails,
+// with nothing posted, on a handle of another Process or a channel to
+// the Controller that is gone.
+func (p *Process) MemoryCopyThen(src Cap, srcOff uint64, dst Cap, dstOff, n uint64, w Waiter) error {
+	if err := p.checkOwn(src, dst); err != nil {
+		return err
+	}
+	p.nextToken++
+	p.tx.memCopy = wire.MemCopy{Token: p.nextToken, SrcCid: src.id, DstCid: dst.id, SrcOff: srcOff, DstOff: dstOff, Len: n}
+	if !p.send(sysWaiter{op: w}, p.nextToken, &p.tx.memCopy) {
+		return ErrDisconnected
+	}
+	return nil
 }
 
 // RequestCreate creates a new Request provided by this Process

@@ -17,9 +17,10 @@ import (
 // How long a descriptor is valid depends on who received it. Receive,
 // WaitTag and CallWith hand it to the application, which keeps it. The
 // ones whose end libfractos knows come from a per-Process pool and go
-// back to it: Serve's, when its handler returns (Serve), and a Call's
-// reply, which is borrowed until the calling task next blocks or starts
-// another Call (Call). Whatever outlives that is copied out first.
+// back to it: Serve's, when its handler returns (Serve), a Handle
+// handler's, when it calls Finish (Handle), and a Call's reply, which is
+// borrowed until the calling task next blocks or starts another Call
+// (Call). Whatever outlives that is copied out first.
 type Delivery struct {
 	p    *Process
 	Seq  uint64
@@ -66,16 +67,36 @@ func (p *Process) getDelivery(m *wire.Deliver) *Delivery {
 }
 
 // handOut gives a delivery to the application: to the WaitTag future
-// waiting for its tag or, with none, to the Receive queue. Only Serve,
-// which takes its deliveries from that queue, gives any back.
+// waiting for its tag or, with none, to the Handle handler or else the
+// Receive queue.
 //
 //fractos:pool-handoff delivery
 func (p *Process) handOut(dv *Delivery, fut *sim.Future[*Delivery]) {
-	if fut != nil {
+	switch {
+	case fut != nil:
 		fut.Set(dv)
-		return
+	case p.handler != nil:
+		p.handler(dv)
+	default:
+		p.incoming.TrySend(dv)
 	}
-	p.incoming.TrySend(dv)
+}
+
+// Handle makes h the Process's server in kernel context: demux passes it
+// every delivery no Call or WaitTag claims instead of queueing it for
+// Receive. h must not block: a request that waits for a device or a
+// syscall is a record stepped by those events (MemoryCopyThen), one that
+// makes blocking syscalls goes to a task (Tasks). The descriptor is h's
+// until it calls Finish on it, in h or in a later event.
+func (p *Process) Handle(h func(*Delivery)) { p.handler = h }
+
+// Finish ends a Handle handler's delivery: it releases it unless it was
+// acknowledged already, and takes the descriptor back.
+//
+//fractos:pool-release delivery
+func (d *Delivery) Finish() {
+	d.Release()
+	d.p.putDelivery(d)
 }
 
 // Cap returns the delegated capability in the given argument slot.
@@ -225,8 +246,8 @@ func (d *Delivery) Upstream(slot uint16) bool {
 //
 // The delivery is valid until h returns: Serve then takes the
 // descriptor back for the next delivery, so h copies out whatever it
-// keeps. A service that hands deliveries on to be answered later runs
-// its own Receive loop instead (route.Replica).
+// keeps. A service whose requests do not block serves them in kernel
+// context instead, and answers them when it likes (Handle).
 func (p *Process) Serve(name string, width int, h func(*sim.Task, *Delivery)) {
 	s := &server{p: p, name: name, h: h}
 	if width > 1 {
@@ -241,16 +262,22 @@ func (p *Process) Serve(name string, width int, h func(*sim.Task, *Delivery)) {
 				if s.busy != nil {
 					s.busy.Acquire(t)
 				}
-				op := s.getOp()
-				op.hold(d)
-				op.spawn()
+				s.dispatch(d)
 			}
 		}
 	})
 }
 
-// server is one Serve loop: what it runs per delivery and, at width 0
-// or n, the records its deliveries' tasks start from.
+// Tasks returns a Handle handler's hand-off to a task, for requests that
+// make blocking syscalls: passed a delivery, it spawns a task named name
+// that runs h on it, as Serve at width 0 does, from a pooled record.
+func (p *Process) Tasks(name string, h func(*sim.Task, *Delivery)) func(*Delivery) {
+	s := &server{p: p, name: name, h: h}
+	return s.dispatch
+}
+
+// server is one Serve loop or Tasks hand-off: what it runs per delivery
+// and the records its deliveries' tasks start from.
 type server struct {
 	p    *Process
 	name string
@@ -301,13 +328,17 @@ func (s *server) putOp(op *serveOp) {
 	s.ops.Put(op)
 }
 
-// hold makes d the op's, until its task takes it.
+// dispatch starts a task of its own for d. Deliveries are spawned in
+// arrival order, under the server's name.
 //
 //fractos:pool-handoff delivery
-func (op *serveOp) hold(d *Delivery) { op.d = d }
+func (s *server) dispatch(d *Delivery) {
+	op := s.getOp()
+	op.d = d
+	op.spawn()
+}
 
-// spawn starts the op's task, which owns the op from then on. Deliveries
-// are spawned in arrival order, under the Serve's name.
+// spawn starts the op's task, which owns the op from then on.
 //
 //fractos:pool-handoff serveop
 func (op *serveOp) spawn() { op.s.p.k.Spawn(op.s.name, op.run) }

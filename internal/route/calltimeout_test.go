@@ -22,9 +22,8 @@ func TestCallTimeoutOnCrashMidService(t *testing.T) {
 	done := false
 	cl.K.Spawn("main", func(tk *sim.Task) {
 		svc := proc.Attach(cl, 1, "svc", 0)
-		rep := &Replica{P: svc, Handler: func(t *sim.Task, d *proc.Delivery) wire.Status {
-			t.Sleep(10 * 1000 * 1000) // 10 ms service
-			return wire.StatusOK
+		rep := &Replica{P: svc, Service: func(*proc.Delivery) sim.Time {
+			return 10 * 1000 * 1000 // 10 ms service
 		}}
 		if err := rep.Start(tk); err != nil {
 			t.Fatal(err)
@@ -65,12 +64,7 @@ func TestCallTimeoutLateReplyAcked(t *testing.T) {
 	done := false
 	cl.K.Spawn("main", func(tk *sim.Task) {
 		svc := proc.Attach(cl, 1, "svc", 0)
-		rep := &Replica{P: svc, Handler: func(t *sim.Task, d *proc.Delivery) wire.Status {
-			if ns := d.U64(8); ns > 0 {
-				t.Sleep(sim.Time(ns))
-			}
-			return wire.StatusOK
-		}}
+		rep := &Replica{P: svc, Service: func(d *proc.Delivery) sim.Time { return sim.Time(d.U64(8)) }}
 		if err := rep.Start(tk); err != nil {
 			t.Fatal(err)
 		}

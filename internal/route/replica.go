@@ -14,9 +14,9 @@ import (
 //
 // Work request immediates: [0:8) = request id (0 = none; non-zero ids
 // are deduplicated so a retried request is not executed twice by the
-// same replica), [8:16) and up are service-defined (the Handler sees
-// the raw Delivery). Reply immediates: [0:8) = wire.Status, [8:16) =
-// the replica's queue depth after the operation (the load signal
+// same replica), [8:16) and up are service-defined (Service sees the
+// raw Delivery). Reply immediates: [0:8) = wire.Status, [8:16) = the
+// replica's queue depth after the operation (the load signal
 // least-loaded routing feeds on).
 const (
 	// WorkSlotCont is the reply-continuation slot in a work request.
@@ -28,9 +28,6 @@ const (
 	maxQueue = 16
 )
 
-// Handler executes one admitted request and returns the reply status.
-type Handler func(t *sim.Task, d *proc.Delivery) wire.Status
-
 // ReplicaStats counts a replica's admission decisions.
 type ReplicaStats struct {
 	Accepted   int
@@ -41,23 +38,24 @@ type ReplicaStats struct {
 }
 
 // Replica is one instance of a routed service: a Process serving a
-// root Request behind a bounded admission queue. Its serving task
-// admits up to maxQueue outstanding requests and sheds the rest with
-// wire.StatusBackpressure (retryable — the balancer backs off or
-// fails over) instead of queueing unboundedly; one worker task drains
-// the queue through Handler. Every reply piggybacks the current queue
+// root Request behind a bounded admission queue, in kernel context. Its
+// handler admits up to maxQueue outstanding requests and sheds the rest
+// with wire.StatusBackpressure (retryable — the balancer backs off or
+// fails over) instead of queueing unboundedly. The admitted ones are
+// served one at a time, in arrival order, each for the time Service
+// gives it, and answered OK. Every reply piggybacks the current queue
 // depth, which is the load signal least-loaded routing consumes.
 type Replica struct {
 	P *proc.Process
-	// Handler executes admitted requests; nil replies OK immediately.
-	Handler Handler
+	// Service is how long an admitted request takes to serve; nil
+	// answers every one at once.
+	Service func(d *proc.Delivery) sim.Time
 
 	// Root is the replica's root Request, filled by Start; register it
 	// under the service's name.
 	Root proc.Cap
 
-	queue  *sim.Chan[*proc.Delivery]
-	depth  int
+	queue  []*proc.Delivery // admitted: the head is in service
 	seen   map[uint64]bool
 	served []uint64
 	stats  ReplicaStats
@@ -76,26 +74,8 @@ func (r *Replica) Start(t *sim.Task) error {
 	}
 	r.Root = root
 	r.seen = make(map[uint64]bool)
-	k := r.P.Kernel()
-	r.queue = sim.NewChan[*proc.Delivery](k, "replica-q", maxQueue)
-	k.Spawn("replica-rx", r.receive)
-	k.Spawn("replica-worker", r.work)
+	r.P.Handle(r.admit)
 	return nil
-}
-
-// receive admits each delivery and acknowledges it. The worker answers
-// an admitted request after admit has returned, so the replica keeps its
-// descriptors: it receives them itself rather than through Serve, which
-// takes each one back when its handler returns.
-func (r *Replica) receive(t *sim.Task) {
-	for {
-		d, ok := r.P.Receive(t)
-		if !ok {
-			return
-		}
-		r.admit(t, d)
-		d.Done()
-	}
 }
 
 // Stats returns the admission counters.
@@ -105,8 +85,9 @@ func (r *Replica) Stats() ReplicaStats { return r.stats }
 // execution order (the double-delivery oracle for soak tests).
 func (r *Replica) Served() []uint64 { return r.served }
 
-// admit queues a request for the worker or answers it at once.
-func (r *Replica) admit(t *sim.Task, d *proc.Delivery) {
+// admit queues a request or answers it at once. The credit goes back at
+// admission.
+func (r *Replica) admit(d *proc.Delivery) {
 	id := d.U64(0)
 	switch {
 	case id != 0 && r.seen[id]:
@@ -114,50 +95,66 @@ func (r *Replica) admit(t *sim.Task, d *proc.Delivery) {
 		// admitted (its first reply was lost to a fault); answer
 		// idempotently instead of executing twice.
 		r.stats.Duplicates++
-		r.reply(d, wire.StatusOK)
-	case r.depth >= maxQueue:
+		r.answer(d, wire.StatusOK)
+	case len(r.queue) >= maxQueue:
 		r.stats.Shed++
-		r.reply(d, wire.StatusBackpressure)
+		r.answer(d, wire.StatusBackpressure)
 	default:
 		if id != 0 {
 			r.seen[id] = true
 		}
-		r.depth++
-		if r.depth > r.stats.DepthHWM {
-			r.stats.DepthHWM = r.depth
-		}
+		r.queue = append(r.queue, d)
+		r.stats.DepthHWM = max(r.stats.DepthHWM, len(r.queue))
 		r.stats.Accepted++
-		// Never blocks: depth < maxQueue implies queue space.
-		r.queue.Send(t, d)
+		d.Done()
+		if len(r.queue) == 1 {
+			r.serve()
+		}
 	}
 }
 
-func (r *Replica) work(t *sim.Task) {
-	for {
-		d, ok := r.queue.Recv(t)
-		if !ok {
-			return
+// serve puts the head of the queue in service: the replica is the
+// target of its service time's timer. A time of 0 answers it in this
+// event, and the next request goes into service.
+func (r *Replica) serve() {
+	for len(r.queue) > 0 {
+		if r.Service != nil {
+			if s := r.Service(r.queue[0]); s > 0 {
+				r.P.Kernel().AfterCall(s, r)
+				return
+			}
 		}
-		st := wire.StatusOK
-		if r.Handler != nil {
-			st = r.Handler(t, d)
-		}
-		if id := d.U64(0); id != 0 {
-			r.served = append(r.served, id)
-		}
-		r.depth--
-		r.stats.Completed++
-		r.reply(d, st)
+		r.complete()
 	}
 }
 
-// reply answers with the status and the replica's queue depth: two
-// 8-byte immediates in the replica's own storage.
-func (r *Replica) reply(d *proc.Delivery, st wire.Status) {
+// Fire implements sim.Callback: the request in service is done.
+func (r *Replica) Fire() {
+	r.complete()
+	r.serve()
+}
+
+// complete answers the request in service.
+func (r *Replica) complete() {
+	d := r.queue[0]
+	r.queue = r.queue[:copy(r.queue, r.queue[1:])]
+	if id := d.U64(0); id != 0 {
+		r.served = append(r.served, id)
+	}
+	r.stats.Completed++
+	r.answer(d, wire.StatusOK)
+}
+
+// answer replies with the status and the replica's queue depth — two
+// 8-byte immediates in the replica's own storage — acknowledges d unless
+// admission did, and takes it back.
+func (r *Replica) answer(d *proc.Delivery, st wire.Status) {
 	binary.LittleEndian.PutUint64(r.replyBuf[0:8], uint64(st))
-	binary.LittleEndian.PutUint64(r.replyBuf[8:16], uint64(r.depth))
+	binary.LittleEndian.PutUint64(r.replyBuf[8:16], uint64(len(r.queue)))
 	r.replyImms = [2]wire.ImmArg{{Offset: 0, Data: r.replyBuf[0:8]}, {Offset: 8, Data: r.replyBuf[8:16]}}
 	// A failed reply means the caller (or this replica's own Controller)
 	// is gone; the retry/failover layers on the client side own recovery.
 	d.Reply(WorkSlotCont, r.replyImms[:], nil)
+	d.Done()
+	d.Finish()
 }

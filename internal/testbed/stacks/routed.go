@@ -73,7 +73,7 @@ func (s *Routed) Deploy(tk *sim.Task, d *testbed.Deployment) {
 
 	spawn := func(t *sim.Task, node, seq int) (*route.Instance, error) {
 		p := d.Attach(node, fmt.Sprintf("%s-r%d", routedName, seq), 0)
-		rep := &route.Replica{P: p, Handler: workHandler}
+		rep := &route.Replica{P: p, Service: workTime}
 		if err := rep.Start(t); err != nil {
 			return nil, err
 		}
@@ -121,14 +121,9 @@ func (s *Routed) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	}
 }
 
-// workHandler is the synthetic routed service: it models a request
-// whose service time rides in imm[8:16).
-func workHandler(t *sim.Task, d *proc.Delivery) wire.Status {
-	if ns := d.U64(8); ns > 0 {
-		t.Sleep(sim.Time(ns))
-	}
-	return wire.StatusOK
-}
+// workTime is the synthetic routed service: it models a request whose
+// service time rides in imm[8:16).
+func workTime(d *proc.Delivery) sim.Time { return sim.Time(d.U64(8)) }
 
 // Do routes one request with the given id and service duration through
 // the balancer.
