@@ -101,7 +101,7 @@ examples:
 # statements and how many of them never ran. It fails when the total
 # of unexecuted statements exceeds COVER_MAX: code that nothing runs is
 # deleted, or reached by a test or workload that names it.
-COVER_MAX = 709
+COVER_MAX = 708
 COVERPKG = ./internal/...,./cmd/...,./examples/...,./tools/...
 COVER_RUNS = $(EXAMPLES:%=examples/%) "fractos-bench -list" \
 	"fractos-bench -run table3" fractos-trace fractos-vet

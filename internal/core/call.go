@@ -110,22 +110,10 @@ func (c *Controller) putCall(pc *pendingCall) {
 	c.calls.Put(pc)
 }
 
-// keepImms copies a syscall's immediate arguments — the list, which is
-// the Decoder's, and the bytes, which are the frame's — into storage
-// the record owns.
+// keepImms copies a syscall's immediates — the Decoder's list, the
+// frame's bytes — into storage the record owns.
 func (pc *pendingCall) keepImms(imms []wire.ImmArg) {
-	total := 0
-	for _, a := range imms {
-		total += len(a.Data)
-	}
-	// Sized before the first element points into it, so it never moves.
-	pc.immData = slices.Grow(pc.immData[:0], total)
-	pc.imms = pc.imms[:0]
-	for _, a := range imms {
-		at := len(pc.immData)
-		pc.immData = append(pc.immData, a.Data...)
-		pc.imms = append(pc.imms, wire.ImmArg{Offset: a.Offset, Data: pc.immData[at:len(pc.immData):len(pc.immData)]})
-	}
+	pc.imms, pc.immData = wire.KeepImms(pc.imms, pc.immData, imms)
 }
 
 // keepCaps copies a syscall's resolved capability arguments out of the

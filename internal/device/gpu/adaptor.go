@@ -225,7 +225,7 @@ func (a *Adaptor) invokeKernel(d *proc.Delivery) {
 	case kn == nil:
 		answer(d, StatusNoKernel)
 	default:
-		a.dev.submit(d, kn, a.P.Arena(), kernelArgs(d.Imms, 16+len(name)))
+		a.dev.submit(d, kn, a.P.Arena(), 16+len(name))
 	}
 }
 
@@ -240,14 +240,11 @@ func answer(d *proc.Delivery, st uint64) {
 	d.Finish()
 }
 
-// kernelArgs decodes the uint64 arguments following the kernel-name
-// header, rounding the start up to an 8-byte boundary, into a list made
-// once at its final size.
-func kernelArgs(imms []byte, from int) []uint64 {
-	from = (from + 7) &^ 7
-	args := make([]uint64, max(len(imms)-from, 0)/8)
-	for i := range args {
-		args[i] = binary.LittleEndian.Uint64(imms[from+8*i:])
+// kernelArgs appends to args the uint64 arguments following the
+// kernel-name header, rounding the start up to an 8-byte boundary.
+func kernelArgs(args []uint64, imms []byte, from int) []uint64 {
+	for at := (from + 7) &^ 7; at+8 <= len(imms); at += 8 {
+		args = append(args, binary.LittleEndian.Uint64(imms[at:]))
 	}
 	return args
 }

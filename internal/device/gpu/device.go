@@ -19,6 +19,7 @@ import (
 
 // KernelFunc is a loaded GPU kernel: it computes over GPU memory with
 // the forwarded immediate arguments, returning a status (0 = success).
+// args is the device's, borrowed for the call.
 type KernelFunc func(mem []byte, args []uint64) uint64
 
 // CostFunc models a kernel's execution time for given arguments.
@@ -111,13 +112,15 @@ func (d *Device) Exec(t *sim.Task, name string, mem []byte, args []uint64) (uint
 	return st, nil
 }
 
-// submit queues the adaptor's invocation inv of kernel kn, which its
-// job answers once the kernel has run.
+// submit queues the adaptor's invocation inv of kernel kn, arguments at
+// imm[from:) decoded into the job's own list, which the job answers
+// once the kernel has run.
 //
 //fractos:pool-handoff delivery
-func (d *Device) submit(inv *proc.Delivery, kn *kernel, mem []byte, args []uint64) {
+func (d *Device) submit(inv *proc.Delivery, kn *kernel, mem []byte, from int) {
 	j := d.getJob()
-	j.kn, j.mem, j.args, j.inv = kn, mem, args, inv
+	j.kn, j.mem, j.inv = kn, mem, inv
+	j.args = kernelArgs(j.args[:0], inv.Imms, from)
 	if d.busy {
 		d.wait(j)
 	} else {
@@ -135,7 +138,7 @@ func (d *Device) getJob() *job {
 //fractos:pool-release gpujob
 func (d *Device) putJob(j *job) {
 	j.turn.Reset()
-	*j = job{}
+	*j = job{args: j.args[:0]}
 	d.jobs.Put(j)
 }
 

@@ -340,7 +340,7 @@ func TestKernelArgsDecoding(t *testing.T) {
 	imms := make([]byte, 40)
 	binary.LittleEndian.PutUint64(imms[24:], 7)
 	binary.LittleEndian.PutUint64(imms[32:], 9)
-	args := kernelArgs(imms, 17) // rounds up to 24
+	args := kernelArgs(nil, imms, 17) // rounds up to 24
 	if len(args) != 2 || args[0] != 7 || args[1] != 9 {
 		t.Fatalf("args = %v", args)
 	}

@@ -20,10 +20,10 @@ var ErrCallTimeout = errors.New("proc: call timed out awaiting reply")
 
 // Call performs a synchronous RPC over a Request (§3.4's A→B→A'
 // pattern): it passes one of the Process's reply Requests in replySlot,
-// invokes req, and waits for the continuation to be invoked back. The
-// reply delivery is acknowledged automatically. Reply Requests are
-// reused from call to call — a call creates one only when every other is
-// in use — and each delegation is good for one reply (wire.ReplyTag).
+// invokes req with a copy of imms, read before this returns, and waits
+// for the reply, which it acknowledges. Reply Requests are reused from
+// call to call — a call creates one only when every other is in use —
+// and each delegation is good for one reply (wire.ReplyTag).
 //
 // The reply is borrowed, like a decoded message: it is valid until the
 // calling task next blocks or starts another Call, when the next Call on
@@ -97,15 +97,16 @@ func (op *callOp) hold(r *replyReq) { op.reply = r }
 // StatusNoProc) may have been delivered all the same, so like the
 // deadline it marks the tag stale and ends with a cap_revoke, and that
 // reply Request is never used again; a syscall that finds the channel to
-// the Controller severed ends the call on the spot. imms is the blocked
-// caller's; the capability arguments are copied into the op, the reply
-// Request's slot last.
+// the Controller severed ends the call on the spot. The arguments are
+// copied into the op — the reply Request's slot last — since the
+// invocation may be posted only after a request_create.
 type callOp struct {
 	p     *Process
 	state callState
 
 	req      Cap
 	imms     []wire.ImmArg
+	immData  []byte // the bytes of imms, back to back
 	slots    []wire.CapSlot
 	d        sim.Time
 	deadline sim.Timer
@@ -158,7 +159,7 @@ func (p *Process) putCallOp(op *callOp) {
 	if op.dv != nil {
 		p.spent = append(p.spent, op.dv)
 	}
-	*op = callOp{slots: op.slots[:0]}
+	*op = callOp{imms: op.imms[:0], immData: op.immData[:0], slots: op.slots[:0]}
 	if recycleCallOps {
 		p.calls.Put(op)
 	}
@@ -173,7 +174,8 @@ func (op *callOp) start(req Cap, imms []wire.ImmArg, args []Arg, replySlot uint1
 		op.done.Set(struct{}{})
 		return
 	}
-	op.req, op.imms, op.d = req, imms, d
+	op.req, op.d = req, d
+	op.imms, op.immData = wire.KeepImms(op.imms, op.immData, imms)
 	op.slots = append(appendSlots(op.slots[:0], args), wire.CapSlot{Slot: replySlot})
 	op.hold(p.getReply())
 	if op.reply.cid != cap.NilCap {
@@ -297,15 +299,15 @@ func (op *callOp) Fire() {
 // retire ends a call whose provider may still answer: mark the tag stale
 // so a reply already on its way is acked (not leaked, and not taken for
 // the next call's), and revoke the reply Request so one not yet sent
-// fails fast at the provider. Nobody uses that Request again.
+// fails fast at the provider (sweepStale). Nobody uses it again.
 //
 //fractos:hotpath
 func (op *callOp) retire() {
 	p := op.p
 	delete(p.waiters, op.reply.tag)
-	p.stale[op.reply.tag] = true
 	op.state = callRevoking
 	p.nextToken++
+	p.stale[op.reply.tag] = p.nextToken
 	p.tx.capRevoke = wire.CapRevoke{Token: p.nextToken, Cid: op.reply.cid}
 	op.post(p.nextToken, &p.tx.capRevoke)
 }

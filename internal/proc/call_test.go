@@ -208,6 +208,58 @@ func TestConcurrentCallsUseDistinctReplyRequests(t *testing.T) {
 	})
 }
 
+// TestCallKeepsItsImmediates: a Call that finds every reply Request in
+// use posts a request_create first and its invocation only once that
+// completes, while its caller is blocked. Call copies the immediates when
+// it is entered, so another task that rewrites the bytes behind the
+// caller's BytesArg meanwhile changes nothing the provider receives.
+func TestCallKeepsItsImmediates(t *testing.T) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		var got []byte
+		cl.K.Spawn("provider", func(st *sim.Task) {
+			for {
+				d, ok := c.srv.Receive(st)
+				if !ok {
+					return
+				}
+				if d.U64(0) == 1 {
+					st.Sleep(us(100)) // the holder's call keeps the reply Request busy
+				}
+				got = append(got[:0], d.Imms...)
+				rep, _ := d.Cap(0)
+				_ = c.srv.Invoke(st, rep, nil, nil)
+				d.Done()
+			}
+		})
+		if _, err := c.cli.Call(tk, c.creq, nil, nil, 0); err != nil { // makes the one reply Request
+			t.Error(err)
+			return
+		}
+		cl.K.Spawn("holder", func(ht *sim.Task) {
+			_, _ = c.cli.Call(ht, c.creq, []wire.ImmArg{proc.U64Arg(0, 1)}, nil, 0)
+		})
+		tk.Sleep(us(20))
+		creates := cl.CtrlFor(0).Metrics().ReqCreates
+		buf := []byte("as sent!")
+		cl.K.Spawn("rewriter", func(*sim.Task) {
+			if c.cli.Pending() != 1 || cl.CtrlFor(0).Metrics().ReqCreates != creates {
+				t.Errorf("%d syscalls pending, %d reply Requests created: want the request_create outstanding",
+					c.cli.Pending(), cl.CtrlFor(0).Metrics().ReqCreates-creates)
+			}
+			copy(buf, "rewrote!")
+		})
+		if _, err := c.cli.Call(tk, c.creq, []wire.ImmArg{proc.BytesArg(0, buf)}, nil, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		if cl.CtrlFor(0).Metrics().ReqCreates != creates+1 || string(buf) != "rewrote!" || string(got) != "as sent!" {
+			t.Errorf("%d reply Requests created, caller's bytes %q; the provider received %q, want %q",
+				cl.CtrlFor(0).Metrics().ReqCreates-creates, buf, got, "as sent!")
+		}
+	})
+}
+
 // TestReplyCapabilityIsSingleUse: the delegated reply capability is good
 // for one invocation. A second one through it finds the entry gone, and
 // a copy handed to a third Process before the answer is refused at the
@@ -350,10 +402,8 @@ func TestCallTimeoutRetiresReplyRequest(t *testing.T) {
 // reaches Receive, and the delivery window gets its credit back — with a
 // window of one, the next Call could not be answered otherwise. An answer
 // that comes later bounces at the revoked reply Request, and the tag's
-// stale entry stays behind: nothing deletes it. That pin records a known
-// leak (ROADMAP: Process.stale grows by one per bounced late reply), not
-// a property to keep; the fix deletes the entry on the bounce and moves
-// the bounced case's want to 0.
+// stale entry goes when the cap_revoke's completion shows that no Deliver
+// for it can still arrive (sweepStale): none is left behind either way.
 func TestCallLateReplySweep(t *testing.T) {
 	const deadline = 200 * sim.Time(1000)
 	outcomes := map[string]int{}
@@ -381,7 +431,7 @@ func TestCallLateReplySweep(t *testing.T) {
 				return
 			}
 			nothingReceived(t, tk, c.cli)
-			outcome, wantStale := "answered", 0
+			outcome := "answered"
 			switch {
 			case err != nil && !errors.Is(err, proc.ErrCallTimeout):
 				t.Errorf("answer at %v: call %v, want the reply or ErrCallTimeout", at, err)
@@ -389,12 +439,11 @@ func TestCallLateReplySweep(t *testing.T) {
 			case err != nil && answerErr == nil:
 				outcome = "absorbed"
 			case err != nil:
-				// Known leak: the bounce leaves the stale entry behind.
-				outcome, wantStale = "bounced", 1
+				outcome = "bounced"
 			}
 			outcomes[outcome]++
-			if got := c.cli.Stale(); got != wantStale {
-				t.Errorf("answer at %v, %s: %d stale tags, want %d", at, outcome, got, wantStale)
+			if got := c.cli.Stale(); got != 0 {
+				t.Errorf("answer at %v, %s: %d stale tags, want 0", at, outcome, got)
 			}
 			c.echo(false, nil)
 			if dv, err := c.cli.CallTimeout(tk, c.creq, []wire.ImmArg{proc.U64Arg(0, 7)}, nil, 0, deadline); err != nil || dv.U64(0) != 8 {
@@ -404,6 +453,69 @@ func TestCallLateReplySweep(t *testing.T) {
 	}
 	if outcomes["answered"] == 0 || outcomes["absorbed"] == 0 || outcomes["bounced"] == 0 {
 		t.Errorf("outcomes %v: want answers in time, absorbed after the deadline and bounced", outcomes)
+	}
+}
+
+// TestCallParkedLateReply: at a window of one, with the caller holding an
+// unacknowledged delivery, a reply the provider sends before the deadline
+// waits at the caller's Controller for a window credit. The cap_revoke's
+// completion arrives ahead of it, so the tag must stay stale: the reply,
+// sent once the held delivery is acknowledged, is then acked and
+// discarded, never queued for Receive. A reply sent after the revoke
+// bounces; its tag goes at the completion of the first syscall posted
+// after that acknowledgement, since only then can the Process tell that
+// nothing is parked.
+func TestCallParkedLateReply(t *testing.T) {
+	const deadline = 200 * sim.Time(1000)
+	for _, tc := range []struct {
+		name    string
+		at      sim.Time // when the provider answers, after the call starts
+		bounces bool
+	}{
+		{"parked", 0, false},
+		{"bounced", deadline + us(50), true},
+	} {
+		cfg := core.ClusterConfig{Nodes: 2, Ctrl: core.Config{Window: 1}}
+		run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+			c := newCallPair(t, tk, cl, 1)
+			own, err := c.cli.RequestCreate(tk, 9, nil, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			theirs, err := proc.GrantCap(c.cli, own, c.srv)
+			if err != nil || c.srv.Invoke(tk, theirs, nil, nil) != nil {
+				t.Errorf("%s: the caller's own Request: %v", tc.name, err)
+				return
+			}
+			held, _ := c.cli.Receive(tk) // spends the caller's window
+			start := tk.Now()
+			var answerErr error
+			answered := sim.NewFuture[struct{}]()
+			cl.K.Spawn("answer-at", func(st *sim.Task) {
+				d, _ := c.srv.Receive(st)
+				rep, _ := d.Cap(0)
+				d.Done()
+				st.Sleep(start + tc.at - st.Now())
+				answerErr = c.srv.Invoke(st, rep, nil, nil)
+				answered.Set(struct{}{})
+			})
+			if _, err := c.cli.CallTimeout(tk, c.creq, nil, nil, 0, deadline); !errors.Is(err, proc.ErrCallTimeout) {
+				t.Errorf("%s: call %v, want ErrCallTimeout", tc.name, err)
+				return
+			}
+			_, _ = answered.Wait(tk)
+			parked := cl.Ctrls[0].Metrics().Backpressured
+			if (answerErr != nil) != tc.bounces || (parked == 1) == tc.bounces || c.cli.Stale() != 1 {
+				t.Errorf("%s: answer %v, %d replies parked, %d stale tags; want the reply bounced %v, parked otherwise, and 1",
+					tc.name, answerErr, parked, c.cli.Stale(), tc.bounces)
+			}
+			held.Done()
+			nothingReceived(t, tk, c.cli)
+			if err := c.cli.Null(tk); err != nil || c.cli.Stale() != 0 {
+				t.Errorf("%s: null %v, %d stale tags after the window reopened; want 0", tc.name, err, c.cli.Stale())
+			}
+		})
 	}
 }
 

@@ -73,9 +73,9 @@ type Process struct {
 		monitorDelegate wire.MonitorDelegate
 		monitorReceive  wire.MonitorReceive
 		done            wire.DeliverDone
-		back            []cap.CapID // done's list, when a delivery hands its capabilities back
-		status          [8]byte     // ReplyStatus's immediate
-		statusImm       [1]wire.ImmArg
+		back            []cap.CapID   // done's list, when a delivery hands its capabilities back
+		imms            []wire.ImmArg // a one-shot post's immediates (keepImms)
+		immData         []byte        // the bytes of imms, back to back
 	}
 	// dec decodes what the Controller sends: Deliver is finished with a
 	// message — copied out what the application keeps — before it sees
@@ -84,7 +84,7 @@ type Process struct {
 
 	nextTag  uint64
 	waiters  map[uint64]tagWaiter
-	stale    map[uint64]bool
+	stale    map[uint64]uint64 // a retired call's reply tag → its cap_revoke's token
 	incoming *sim.Chan[*Delivery]
 	handler  func(*Delivery) // Handle's: takes what incoming would queue
 
@@ -93,7 +93,8 @@ type Process struct {
 	monitors map[uint64]func(*sim.Task)
 	cbName   string
 
-	alloc *allocator
+	alloc            *allocator
+	delivered, acked uint64 // Delivers demux took, DeliverDones sent (sweepStale)
 	// failedReplies counts the replies (Delivery.Reply) the Controller
 	// refused: nobody waits for their completions, demux reads them.
 	failedReplies int
@@ -109,8 +110,9 @@ type Process struct {
 // MemoryCopyThen's), or — the zero value — nobody: a reply's, which demux
 // counts if it failed.
 type sysWaiter struct {
-	fut *sim.Future[wire.Completion]
-	op  Waiter
+	fut   *sim.Future[wire.Completion]
+	op    Waiter
+	acked uint64 // Process.acked when the syscall was posted
 }
 
 // Waiter is a record that demux steps, in kernel context, with the
@@ -171,7 +173,7 @@ func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.Pro
 		pending:  make(map[uint64]sysWaiter),
 		dec:      wire.NewDecoder(),
 		waiters:  make(map[uint64]tagWaiter),
-		stale:    make(map[uint64]bool),
+		stale:    make(map[uint64]uint64),
 		incoming: sim.NewChan[*Delivery](k, name+".deliveries", 0),
 		monitors: make(map[uint64]func(*sim.Task)),
 		cbName:   name + ".monitorcb",
@@ -221,6 +223,9 @@ func (p *Process) demux(m wire.Message) {
 	case *wire.Completion:
 		if w, ok := p.pending[m.Token]; ok {
 			delete(p.pending, m.Token)
+			if len(p.stale) > 0 && p.delivered <= w.acked {
+				p.sweepStale(m.Token)
+			}
 			switch {
 			case w.op != nil:
 				w.op.Completed(m)
@@ -231,12 +236,14 @@ func (p *Process) demux(m wire.Message) {
 			}
 		}
 	case *wire.Deliver:
-		if p.stale[m.Tag] {
+		p.delivered++
+		if _, ok := p.stale[m.Tag]; ok {
 			// A reply to a call that is over (callOp.retire: timed out, or
 			// its invocation unaccounted for): ack at once so the provider's congestion-window credit is
 			// not leaked, and discard it. Caps it delegated are children
 			// of the caller's revoked reply Request and die with it.
 			delete(p.stale, m.Tag)
+			p.acked++
 			p.tx.done = wire.DeliverDone{Seq: m.Seq}
 			//fractos:mustuse-ok a failed ack means the Controller tore us down already
 			p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done)
@@ -255,6 +262,22 @@ func (p *Process) demux(m wire.Message) {
 	case *wire.MonitorCB:
 		if fn, ok := p.monitors[m.Callback]; ok {
 			p.k.Spawn(p.cbName, fn)
+		}
+	}
+}
+
+// sweepStale forgets the stale tags whose cap_revoke was posted no later
+// than token, a syscall completing with every delivery acked before it was
+// posted. No Deliver for them can come: the Controller took the cap_revoke
+// first (both queues are FIFO), so made none after this completion; one
+// made before arrived before it (the stale leg) or was parked for a window
+// credit — but the Controller had sent no more Delivers than demux took
+// and seen all their acks, so its window was open and nothing parked: one
+// parked behind an unacked delivery, at Window 1 say, keeps its tag.
+func (p *Process) sweepStale(token uint64) {
+	for tag, revoke := range p.stale {
+		if revoke <= token {
+			delete(p.stale, tag)
 		}
 	}
 }
@@ -279,13 +302,6 @@ func (p *Process) checkArgs(args []Arg) error {
 	return nil
 }
 
-// submit posts a syscall and returns the future of its completion.
-func (p *Process) submit(build func(token uint64) wire.Message) *sim.Future[wire.Completion] {
-	f := sim.NewFuture[wire.Completion]()
-	p.post(f, build)
-	return f
-}
-
 // post sends the syscall build describes under a fresh token; f
 // resolves with its completion.
 func (p *Process) post(f *sim.Future[wire.Completion], build func(token uint64) wire.Message) {
@@ -304,6 +320,7 @@ func (p *Process) send(w sysWaiter, token uint64, m wire.Message) bool {
 	if p.dead {
 		return false
 	}
+	w.acked = p.acked
 	p.pending[token] = w
 	if !p.net.Send(p.ep.ID, p.ctrlEP, m) {
 		delete(p.pending, token)
@@ -442,7 +459,7 @@ func (p *Process) RequestCreate(t *sim.Task, tag uint64, imms []wire.ImmArg, arg
 		return Cap{}, err
 	}
 	m, err := p.syscall(t, func(tok uint64) wire.Message {
-		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: cap.NilCap, Tag: tag, Imms: imms, Caps: p.capSlots(args)}
+		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: cap.NilCap, Tag: tag, Imms: p.keepImms(imms), Caps: p.capSlots(args)}
 		return &p.tx.reqCreate
 	})
 	if err != nil {
@@ -462,7 +479,7 @@ func (p *Process) Derive(t *sim.Task, parent Cap, imms []wire.ImmArg, args []Arg
 		return Cap{}, err
 	}
 	m, err := p.syscall(t, func(tok uint64) wire.Message {
-		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: parent.id, Imms: imms, Caps: p.capSlots(args)}
+		p.tx.reqCreate = wire.ReqCreate{Token: tok, Parent: parent.id, Imms: p.keepImms(imms), Caps: p.capSlots(args)}
 		return &p.tx.reqCreate
 	})
 	if err != nil {
@@ -472,9 +489,9 @@ func (p *Process) Derive(t *sim.Task, parent Cap, imms []wire.ImmArg, args []Arg
 }
 
 // Invoke invokes a Request (request_invoke) with invoke-time argument
-// refinements. It returns once the invocation has been accepted and
-// delivered/queued at the provider; results, if any, arrive through
-// continuation Requests.
+// refinements, which it reads before it returns. It returns once the
+// invocation has been accepted and delivered/queued at the provider;
+// results, if any, arrive through continuation Requests.
 //
 //fractos:ordered
 func (p *Process) Invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg) error {
@@ -482,7 +499,7 @@ func (p *Process) Invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg) e
 		return err
 	}
 	_, err := p.syscall(t, func(tok uint64) wire.Message {
-		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args)}
+		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: p.keepImms(imms), Caps: p.capSlots(args)}
 		return &p.tx.reqInvoke
 	})
 	return err
@@ -490,15 +507,16 @@ func (p *Process) Invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg) e
 
 // InvokeAsync starts an invocation and returns its acceptance future.
 func (p *Process) InvokeAsync(req Cap, imms []wire.ImmArg, args []Arg) *sim.Future[wire.Completion] {
+	f := sim.NewFuture[wire.Completion]()
 	if err := p.checkInvoke(req, args); err != nil {
-		f := sim.NewFuture[wire.Completion]()
 		f.Fail(err)
 		return f
 	}
-	return p.submit(func(tok uint64) wire.Message {
-		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: imms, Caps: p.capSlots(args)}
+	p.post(f, func(tok uint64) wire.Message {
+		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: p.keepImms(imms), Caps: p.capSlots(args)}
 		return &p.tx.reqInvoke
 	})
+	return f
 }
 
 // checkInvoke verifies the handles of an invocation belong to this
@@ -601,6 +619,13 @@ func (p *Process) Bye() {
 func (p *Process) capSlots(args []Arg) []wire.CapSlot {
 	p.slots = appendSlots(p.slots[:0], args)
 	return p.slots
+}
+
+// keepImms copies a one-shot syscall's immediates into the Process's own
+// storage, valid until the next syscall is built.
+func (p *Process) keepImms(imms []wire.ImmArg) []wire.ImmArg {
+	p.tx.imms, p.tx.immData = wire.KeepImms(p.tx.imms, p.tx.immData, imms)
+	return p.tx.imms
 }
 
 func appendSlots(out []wire.CapSlot, args []Arg) []wire.CapSlot {

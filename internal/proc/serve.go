@@ -155,6 +155,7 @@ func (d *Delivery) ack(back []cap.CapID) {
 	}
 	d.acked = true
 	p := d.p
+	p.acked++
 	p.tx.done = wire.DeliverDone{Seq: d.Seq, Drop: back}
 	if !p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done) {
 		p.dead = true
@@ -173,9 +174,9 @@ func (d *Delivery) Name() (string, bool) {
 }
 
 // Reply answers through the continuation in slot — the services'
-// convention for results — invoking it with imms and args. A delivery
-// that carries no continuation asked for no answer: Reply then sends
-// nothing and returns nil.
+// convention for results — invoking it with imms and args; imms is read
+// before this returns. A delivery that carries no continuation asked for
+// no answer: Reply then sends nothing and returns nil.
 //
 // Reply posts the request_invoke and returns. Its completion only says
 // whether the answer was accepted: demux consumes it and counts a
@@ -198,21 +199,16 @@ func (d *Delivery) Reply(slot uint16, imms []wire.ImmArg, args []Arg) error {
 		return err
 	}
 	p.nextToken++
-	p.tx.reqInvoke = wire.ReqInvoke{Token: p.nextToken, Cid: c.id, Imms: imms, Caps: p.capSlots(args)}
+	p.tx.reqInvoke = wire.ReqInvoke{Token: p.nextToken, Cid: c.id, Imms: p.keepImms(imms), Caps: p.capSlots(args)}
 	if !p.send(sysWaiter{}, p.nextToken, &p.tx.reqInvoke) {
 		return ErrDisconnected
 	}
 	return nil
 }
 
-// ReplyStatus is Reply with nothing but a status, in imm[0:8), built in
-// the Process's own storage: the message is encoded before Reply
-// returns.
+// ReplyStatus is Reply with nothing but a status, in imm[0:8).
 func (d *Delivery) ReplyStatus(slot uint16, st uint64) error {
-	p := d.p
-	binary.LittleEndian.PutUint64(p.tx.status[:], st)
-	p.tx.statusImm[0] = wire.ImmArg{Data: p.tx.status[:]}
-	return d.Reply(slot, p.tx.statusImm[:], nil)
+	return d.Reply(slot, []wire.ImmArg{U64Arg(0, st)}, nil)
 }
 
 // FailedReplies is how many of this Process's replies the Controllers
@@ -420,6 +416,8 @@ func (p *Process) CallWith(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg,
 }
 
 // U64Arg encodes a little-endian uint64 immediate argument at offset.
+// Every entry point that takes imms reads them before it returns, so
+// the argument need not outlive the call.
 func U64Arg(off int, v uint64) wire.ImmArg {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"fractos/internal/proc"
@@ -59,11 +58,6 @@ type Replica struct {
 	seen   map[uint64]bool
 	served []uint64
 	stats  ReplicaStats
-
-	// The status and depth immediates of a reply: Reply has encoded the
-	// message when it returns, so one set serves every reply.
-	replyBuf  [16]byte
-	replyImms [2]wire.ImmArg
 }
 
 // Start creates the root Request and starts serving it.
@@ -145,16 +139,12 @@ func (r *Replica) complete() {
 	r.answer(d, wire.StatusOK)
 }
 
-// answer replies with the status and the replica's queue depth — two
-// 8-byte immediates in the replica's own storage — acknowledges d unless
-// admission did, and takes it back.
+// answer replies with the status and the replica's queue depth,
+// acknowledges d unless admission did, and takes it back.
 func (r *Replica) answer(d *proc.Delivery, st wire.Status) {
-	binary.LittleEndian.PutUint64(r.replyBuf[0:8], uint64(st))
-	binary.LittleEndian.PutUint64(r.replyBuf[8:16], uint64(len(r.queue)))
-	r.replyImms = [2]wire.ImmArg{{Offset: 0, Data: r.replyBuf[0:8]}, {Offset: 8, Data: r.replyBuf[8:16]}}
 	// A failed reply means the caller (or this replica's own Controller)
 	// is gone; the retry/failover layers on the client side own recovery.
-	d.Reply(WorkSlotCont, r.replyImms[:], nil)
+	d.Reply(WorkSlotCont, []wire.ImmArg{proc.U64Arg(0, uint64(st)), proc.U64Arg(8, uint64(len(r.queue)))}, nil)
 	d.Done()
 	d.Finish()
 }

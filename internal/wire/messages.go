@@ -1,6 +1,10 @@
 package wire
 
-import "fractos/internal/cap"
+import (
+	"slices"
+
+	"fractos/internal/cap"
+)
 
 // Message type identifiers. Grouped by direction:
 // 1xx Process→Controller (syscalls), 2xx Controller→Process,
@@ -214,6 +218,23 @@ func list[T any](own *[]T, spare []T, n int) []T {
 type ImmArg struct {
 	Offset uint32
 	Data   []byte
+}
+
+// KeepImms copies imms — the list and its bytes — into dst and buf, grown
+// if need be, and returns the copy. buf is sized before the first element
+// points into it, so it never moves under them.
+func KeepImms(dst []ImmArg, buf []byte, imms []ImmArg) ([]ImmArg, []byte) {
+	total := 0
+	for _, a := range imms {
+		total += len(a.Data)
+	}
+	buf, dst = slices.Grow(buf[:0], total), dst[:0]
+	for _, a := range imms {
+		at := len(buf)
+		buf = append(buf, a.Data...)
+		dst = append(dst, ImmArg{Offset: a.Offset, Data: buf[at:len(buf):len(buf)]})
+	}
+	return dst, buf
 }
 
 func encodeImms(w *Writer, imms []ImmArg) {
