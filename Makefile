@@ -60,15 +60,17 @@ bench:
 
 # benchmark-smoke exercises the repository's benchmark (BENCHMARK.json,
 # benchmark/README.md): it is a module of its own, so `make test` never
-# builds it. Vet and test the module, then run the shortest workload, its
-# lossy twin (the one that arms retransmission and the at-most-once
-# cache), faceverify and route-open end to end for one second each; each
-# run checks its own outputs — the verdicts, the at-most-once served log
-# — and the exit status is the gate.
+# builds it. Vet and test the module, then run every workload end to end
+# for one second: the shortest, its lossy twin (the one that arms
+# retransmission and the at-most-once cache), copy-bulk, faceverify and
+# route-open; each run checks its own outputs — the copied bytes, the
+# verdicts, the at-most-once served log — and the exit status is the
+# gate.
 benchmark-smoke:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh --workload invoke-null --seed 1 --seconds 1 --trace 0
 	bash benchmark/run.sh --workload invoke-lossy --seed 1 --seconds 1 --trace 0
+	bash benchmark/run.sh --workload copy-bulk --seed 1 --seconds 1 --trace 0
 	bash benchmark/run.sh --workload faceverify --seed 1 --seconds 1 --trace 0
 	bash benchmark/run.sh --workload route-open --seed 1 --seconds 1 --trace 0
 

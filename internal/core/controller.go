@@ -52,7 +52,7 @@ type Controller struct {
 	// The copy engine (copy.go): a copy stages data through a pair of
 	// bounce chunks, so the DefaultBouncePairs pairs of the arena bound
 	// how many transfer at once; the rest wait their turn in copyWait.
-	bounceFree []int                // free bounce-chunk offsets in our arena
+	bounceFree []bounceChunk        // free bounce chunks
 	copyWait   []*copyOp            // copies waiting for a bounce pair, oldest first
 	copyOps    sim.FreeList[copyOp] // recycled copy records
 	copyLive   int                  // copies started and not yet recycled
@@ -171,7 +171,7 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 	// fabric's prefix-lazy arena materialization this keeps the 256 KiB
 	// bounce pool's memory cost proportional to actual copy concurrency.
 	for i := DefaultBouncePairs*2 - 1; i >= 0; i-- {
-		c.bounceFree = append(c.bounceFree, i*DefaultBounceChunk)
+		c.bounceFree = append(c.bounceFree, bounceChunk{off: i * DefaultBounceChunk})
 	}
 	return c
 }

@@ -46,20 +46,24 @@ func (c *Controller) handleMemCopy(ps *procState, m *wire.MemCopy) {
 // copyOp is one memory_copy in progress: the Controller's copy engine
 // is a state machine stepped in kernel context by the very events the
 // copy waits for — a validation answer, a bounce pair coming free, the
-// chunk's processing time, an RDMA completion — so a copy costs those
-// events and no others. It is a pooled record, and the target of its
-// own events (the copy* types below): it returns to the pool only once
-// it has completed its syscall and none of its RDMA completions is
-// outstanding, so the write still on the wire when a copy aborts lands
-// on its own op.
+// chunk's processing time, a read's completion, the last write-out's —
+// so a copy costs those events and no others. It is a pooled record,
+// and the target of its own events (the copy* types below). It ends
+// only inside an event it waited for, so none of them is outstanding
+// then, and it returns to the pool at once.
 //
 // Per chunk the op runs §6.1's loop: wait until the chunk's bounce
 // buffer (they alternate) has drained its previous write-out, spend the
 // per-chunk processing time, read the chunk in, write it out — and go
 // on to the next chunk without waiting for that write, so it overlaps
-// the next read (double buffering; cfg.SingleBuffer waits). An RDMA op
-// fails only when it is issued (fabric.Net.RDMAReadThen), and that
-// aborts the copy on the spot.
+// the next read (double buffering; cfg.SingleBuffer waits). A write's
+// completion instant is fixed when it is issued
+// (fabric.Net.RDMAWriteAt), so the op keeps that instant instead of
+// waiting for an event: the wait for a buffer is part of the next
+// chunk's timer. An RDMA op fails only when it is issued, and that
+// aborts the copy on the spot; its bounce pair goes back to the pool
+// with the instants its writes drain at, and the next copy to use the
+// pair waits for them.
 type copyOp struct {
 	c     *Controller
 	ps    *procState // the syscall to complete
@@ -70,28 +74,24 @@ type copyOp struct {
 	srcLoc, dstLoc         memLoc
 	srcOff, dstOff, length uint64 // the range asked for in each; length 0: the whole source
 
-	n, off, i int     // bytes to move; the current chunk's offset and index
-	bufs      [2]int  // the bounce pair (arena offsets) while held: chunk i stages through bufs[i%2]
-	held      bool    // bufs are ours to give back
-	writing   [2]bool // the bounce buffer's write-out is on the wire
-	inflight  int     // RDMA completions outstanding
+	n, off, i int         // bytes to move; the current chunk's offset and index
+	bufs      [2]int      // the bounce pair (arena offsets) while held: chunk i stages through bufs[i%2]
+	drained   [2]sim.Time // when each bounce buffer's last write-out completes
+	held      bool        // bufs are ours to give back
 }
 
 // copyState says what a copy is waiting for.
 type copyState uint8
 
 const (
-	copyFree       copyState = iota // on the free list
-	copyLocateSrc                   // the source's owner, to validate and locate it
-	copyLocateDst                   // the destination's owner
-	copyQueued                      // a free bounce pair (Controller.copyWait)
-	copyBufferBusy                  // the chunk's bounce buffer, still writing out the chunk before last
-	copyChunkCost                   // the chunk's processing time
-	copyReading                     // the chunk's read
-	copyWriting                     // the chunk's write (SingleBuffer only)
-	copyDraining                    // the last write-outs
-	copyHW                          // the third-party transfer (HWCopies)
-	copyDone                        // nothing: completed, and parked until its last RDMA completion has fired
+	copyFree      copyState = iota // on the free list
+	copyLocateSrc                  // the source's owner, to validate and locate it
+	copyLocateDst                  // the destination's owner
+	copyQueued                     // a free bounce pair (Controller.copyWait)
+	copyChunkCost                  // the chunk's bounce buffer to drain, then its processing time
+	copyReading                    // the chunk's read
+	copyDraining                   // the last write-outs
+	copyHW                         // the third-party transfer (HWCopies)
 )
 
 // The op as the target of each event it waits for. Distinct types of
@@ -100,8 +100,7 @@ const (
 type (
 	copyCostDue  copyOp // the chunk's processing time is over
 	copyReadDone copyOp
-	copyWrote0   copyOp // bounce buffer 0 has drained
-	copyWrote1   copyOp
+	copyDrained  copyOp // every write-out has completed
 	copyHWDone   copyOp
 )
 
@@ -112,13 +111,18 @@ func (e *copyCostDue) Fire() { (*copyOp)(e).read() }
 func (e *copyReadDone) Fire() { (*copyOp)(e).readDone() }
 
 //fractos:hotpath
-func (e *copyWrote0) Fire() { (*copyOp)(e).wrote(0) }
+func (e *copyDrained) Fire() {
+	op := (*copyOp)(e)
+	op.expect(copyDraining)
+	op.done()
+}
 
 //fractos:hotpath
-func (e *copyWrote1) Fire() { (*copyOp)(e).wrote(1) }
-
-//fractos:hotpath
-func (e *copyHWDone) Fire() { (*copyOp)(e).hwDone() }
+func (e *copyHWDone) Fire() {
+	op := (*copyOp)(e)
+	op.expect(copyHW)
+	op.done()
+}
 
 //fractos:pool-acquire copyop
 func (c *Controller) getCopyOp(ps *procState, token uint64) *copyOp {
@@ -136,7 +140,7 @@ func (c *Controller) getCopyOp(ps *procState, token uint64) *copyOp {
 //fractos:hotpath
 //fractos:pool-release copyop
 func (c *Controller) putCopyOp(op *copyOp) {
-	assert.True(op.inflight == 0 && !op.held, "core: copy op released with RDMA completions or bounce buffers outstanding")
+	assert.True(!op.held, "core: copy op released with its bounce pair")
 	*op = copyOp{}
 	c.copyLive--
 	if recycleCopyOps {
@@ -219,7 +223,6 @@ func (op *copyOp) transfer() {
 			op.finish(wire.StatusAborted, 0)
 			return
 		}
-		op.inflight++
 		op.state = copyHW
 		return
 	}
@@ -236,31 +239,34 @@ func (op *copyOp) transfer() {
 //fractos:hotpath
 func (op *copyOp) admit() {
 	c := op.c
-	op.bufs, op.held = [2]int{c.popBounce(), c.popBounce()}, true
+	b0, b1 := c.popBounce(), c.popBounce()
+	op.bufs, op.drained, op.held = [2]int{b0.off, b1.off}, [2]sim.Time{b0.drained, b1.drained}, true
 	op.chunk()
 }
 
-// chunk starts on the chunk at op.off — once its bounce buffer has
-// drained, with the per-chunk processing time — or, past the last one,
-// waits out the writes still on the wire.
+// chunk starts the timer of the chunk at op.off: the wait for its
+// bounce buffer to drain, then the per-chunk processing time. Past the
+// last chunk it waits out the writes still on the wire.
 //
 //fractos:hotpath
 func (op *copyOp) chunk() {
 	c := op.c
-	switch {
-	case op.off >= op.n:
-		if op.writing[0] || op.writing[1] {
-			op.state = copyDraining
+	now := c.k.Now()
+	if op.off >= op.n {
+		op.state = copyDraining
+		if last := max(op.drained[0], op.drained[1]); last > now {
+			c.k.AfterCall(last-now, (*copyDrained)(op))
 			return
 		}
-		c.metrics.CopyBytes += int64(op.n)
-		op.finish(wire.StatusOK, uint64(op.n))
-	case op.writing[op.i%2]:
-		op.state = copyBufferBusy
-	default:
-		op.state = copyChunkCost
-		c.k.AfterCall(c.perf.PerChunk.On(c.cfg.Loc.Domain), (*copyCostDue)(op))
+		op.done()
+		return
 	}
+	ready := op.drained[op.i%2]
+	if c.cfg.SingleBuffer {
+		ready = max(op.drained[0], op.drained[1])
+	}
+	op.state = copyChunkCost
+	c.k.AfterCall(max(ready-now, 0)+c.perf.PerChunk.On(c.cfg.Loc.Domain), (*copyCostDue)(op))
 }
 
 // chunkLen is the length of the current chunk.
@@ -279,7 +285,6 @@ func (op *copyOp) read() {
 		op.finish(wire.StatusAborted, 0)
 		return
 	}
-	op.inflight++
 	op.state = copyReading
 }
 
@@ -289,60 +294,24 @@ func (op *copyOp) read() {
 //fractos:hotpath
 func (op *copyOp) readDone() {
 	c := op.expect(copyReading)
-	op.inflight--
 	b := op.i % 2
-	done := sim.Callback((*copyWrote0)(op))
-	if b == 1 {
-		done = (*copyWrote1)(op)
-	}
-	err := c.net.RDMAWriteThen(done, c.ep.ID, op.bufs[b],
+	at, err := c.net.RDMAWriteAt(c.ep.ID, op.bufs[b],
 		fabricEP(op.dstLoc.ep), int(op.dstLoc.base)+op.off, op.chunkLen())
 	if err != nil {
 		op.finish(wire.StatusAborted, 0)
 		return
 	}
-	op.inflight++
-	op.writing[b] = true
-	if c.cfg.SingleBuffer {
-		op.state = copyWriting
-		return
-	}
-	op.nextChunk()
-}
-
-//fractos:hotpath
-func (op *copyOp) nextChunk() {
+	op.drained[b] = at
 	op.off += DefaultBounceChunk
 	op.i++
 	op.chunk()
 }
 
-// wrote records that bounce buffer b has drained, and resumes a copy
-// that was waiting for that.
+// done completes a copy whose every byte has landed.
 //
 //fractos:hotpath
-func (op *copyOp) wrote(b int) {
+func (op *copyOp) done() {
 	c := op.c
-	assert.True(c != nil && op.writing[b], "core: write completion on a copy op with no such write outstanding")
-	op.inflight--
-	op.writing[b] = false
-	switch op.state {
-	case copyBufferBusy, copyDraining:
-		op.chunk()
-	case copyWriting:
-		op.nextChunk()
-	case copyDone:
-		// The copy aborted with this write on the wire.
-		if op.inflight == 0 {
-			c.putCopyOp(op)
-		}
-	}
-}
-
-//fractos:hotpath
-func (op *copyOp) hwDone() {
-	c := op.expect(copyHW)
-	op.inflight--
 	c.metrics.CopyBytes += int64(op.n)
 	op.finish(wire.StatusOK, uint64(op.n))
 }
@@ -357,42 +326,46 @@ func (op *copyOp) expect(waitingFor copyState) *Controller {
 }
 
 // finish ends the copy: complete the syscall, pass the bounce pair on
-// to the copy that has waited longest, and recycle the op — now, or
-// when the last write it has on the wire completes.
+// — with the instants its write-outs drain at — to the copy that has
+// waited longest, and recycle the op.
 //
 //fractos:hotpath
 func (op *copyOp) finish(st wire.Status, aux uint64) {
 	c := op.c
-	assert.True(op.state != copyDone, "core: copy finished twice")
 	c.complete(op.ps, op.token, st, cap.NilCap, aux)
-	op.state = copyDone
 	if op.held {
 		op.held = false
-		c.pushBounce(op.bufs[0])
-		c.pushBounce(op.bufs[1])
+		c.pushBounce(bounceChunk{op.bufs[0], op.drained[0]})
+		c.pushBounce(bounceChunk{op.bufs[1], op.drained[1]})
 		if len(c.copyWait) > 0 {
 			var next *copyOp
 			next, c.copyWait = popFront(c.copyWait)
 			next.admit()
 		}
 	}
-	if op.inflight == 0 {
-		c.putCopyOp(op)
-	}
+	c.putCopyOp(op)
+}
+
+// bounceChunk is a free bounce buffer: its offset in our arena, and the
+// instant the last write-out staged through it drains — still ahead
+// only when a copy aborted with that write on the wire.
+type bounceChunk struct {
+	off     int
+	drained sim.Time
 }
 
 //fractos:hotpath
-func (c *Controller) popBounce() int {
-	off := c.bounceFree[len(c.bounceFree)-1]
+func (c *Controller) popBounce() bounceChunk {
+	b := c.bounceFree[len(c.bounceFree)-1]
 	c.bounceFree = c.bounceFree[:len(c.bounceFree)-1]
-	return off
+	return b
 }
 
 // pushBounce returns a chunk to the pool, which New sized for all of
 // them.
 //
 //fractos:hotpath
-func (c *Controller) pushBounce(off int) {
+func (c *Controller) pushBounce(b bounceChunk) {
 	c.bounceFree = c.bounceFree[:len(c.bounceFree)+1]
-	c.bounceFree[len(c.bounceFree)-1] = off
+	c.bounceFree[len(c.bounceFree)-1] = b
 }

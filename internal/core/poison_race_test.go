@@ -13,10 +13,10 @@ import (
 // TestLateCompletionFindsReleasedCopyOp is the negative test of the
 // race build's copy-record quarantine, which has no knob and is
 // therefore active in every test `make race` runs. An RDMA completion
-// that outlived its copy — the bug the in-flight count exists to
-// prevent — would, in a normal build, step whichever copy had reused
-// the record. Here the next copy gets a record of its own, and the
-// stale completion trips the assert.
+// that outlived its copy — the bug ending a copy only inside an event
+// it waited for prevents — would, in a normal build, step whichever
+// copy had reused the record. Here the next copy gets a record of its
+// own, and the stale completion trips the assert.
 func TestLateCompletionFindsReleasedCopyOp(t *testing.T) {
 	k := sim.New(1)
 	c := New(k, fabric.New(k, fabric.DefaultProfile()), 1, Config{Loc: fabric.Location{Node: 0}})
@@ -28,15 +28,15 @@ func TestLateCompletionFindsReleasedCopyOp(t *testing.T) {
 	if next == stale {
 		t.Fatal("a released copy record was recycled under the race detector")
 	}
-	next.writing[0], next.inflight = true, 1 // a copy that would have swallowed the completion whole
+	next.state = copyReading // a copy that would have taken the completion for its own
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "copy op") {
 			t.Errorf("a completion fired on a released record: recovered %q, want the assert", msg)
 		}
-		if !next.writing[0] || next.inflight != 1 {
+		if next.state != copyReading || next.off != 0 {
 			t.Error("the stale completion stepped the next copy")
 		}
 	}()
-	(*copyWrote0)(stale).Fire()
+	(*copyReadDone)(stale).Fire()
 }

@@ -753,12 +753,19 @@ func (n *Net) RDMAReadThen(done sim.Callback, initiator EndpointID, localOff int
 	return n.rdmaStart(done, initiator, remote, initiator, remoteOff, localOff, nBytes, true)
 }
 
-// RDMAWriteThen is RDMAReadThen for a one-sided write of nBytes from
-// initiator's arena at localOff into remote's arena at remoteOff.
+// RDMAWriteAt starts a one-sided write of nBytes from initiator's arena
+// at localOff into remote's arena at remoteOff, and returns the modeled
+// instant it completes. It schedules nothing: the link is booked and
+// the bytes move when the op starts, so its completion is known then.
+// An op that cannot start returns the error, as RDMAReadThen's does.
 //
 //fractos:hotpath
-func (n *Net) RDMAWriteThen(done sim.Callback, initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) error {
-	return n.rdmaStart(done, initiator, initiator, remote, localOff, remoteOff, nBytes, false)
+func (n *Net) RDMAWriteAt(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) (sim.Time, error) {
+	ini, de := n.lookup(initiator), n.lookup(remote)
+	if ini == nil || de == nil {
+		return 0, errUnknownEndpoint
+	}
+	return n.rdmaTransfer(ini, ini, de, localOff, remoteOff, nBytes, false)
 }
 
 // RDMACopyThen is RDMAReadThen for a third-party transfer: the
@@ -777,12 +784,6 @@ func (n *Net) RDMACopyThen(done sim.Callback, initiator EndpointID, src Endpoint
 func (n *Net) RDMARead(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) *sim.Future[int] {
 	f := sim.NewFuture[int]()
 	return orFailed(f, n.RDMAReadThen(f.Due(nBytes), initiator, localOff, remote, remoteOff, nBytes))
-}
-
-// RDMAWrite is RDMAWriteThen for a task, as RDMARead.
-func (n *Net) RDMAWrite(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) *sim.Future[int] {
-	f := sim.NewFuture[int]()
-	return orFailed(f, n.RDMAWriteThen(f.Due(nBytes), initiator, localOff, remote, remoteOff, nBytes))
 }
 
 // RDMACopy is RDMACopyThen for a task, as RDMARead.

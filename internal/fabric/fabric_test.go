@@ -175,9 +175,10 @@ func TestRDMAWriteMovesBytes(t *testing.T) {
 	proc := n.Attach("proc", Location{1, Host}, 64)
 	copy(ctrl.Arena(), "W")
 	k.Spawn("writer", func(tk *sim.Task) {
-		f := n.RDMAWrite(ctrl.ID, 0, proc.ID, 7, 1)
-		if _, err := f.Wait(tk); err != nil {
-			t.Errorf("rdma write: %v", err)
+		start := tk.Now()
+		at, err := n.RDMAWriteAt(ctrl.ID, 0, proc.ID, 7, 1)
+		if err != nil || at <= start {
+			t.Errorf("rdma write: completes at %v, issued at %v, err %v", at, start, err)
 		}
 	})
 	k.Run()
@@ -303,7 +304,9 @@ func TestTraceHook(t *testing.T) {
 	n.SetTrace(func(e TraceEvent) { events = append(events, e) })
 	k.Spawn("go", func(tk *sim.Task) {
 		n.Send(a.ID, b.ID, &wire.Raw{})
-		n.RDMAWrite(a.ID, 0, b.ID, 0, 8).Wait(tk)
+		if _, err := n.RDMAWriteAt(a.ID, 0, b.ID, 0, 8); err != nil {
+			t.Error(err)
+		}
 	})
 	k.Run()
 	if len(events) != 2 {

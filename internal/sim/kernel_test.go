@@ -318,6 +318,9 @@ func TestSemaphoreQueueDoesNotDrift(t *testing.T) {
 		warm    = 100
 		cycles  = 10_000
 	)
+	// On one P the task switches' goroutine wait records stay in one
+	// cache (parkwarm.go) and never allocate, so the count is the queue's.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	k := New(1)
 	sem := NewSemaphore(1)
 	held, maxCap := 0, 0
