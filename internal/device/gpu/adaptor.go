@@ -34,7 +34,12 @@ const (
 	// next 8-byte boundary (ArgOffset) and are forwarded verbatim;
 	// caps: SlotSuccess and SlotError continuations (§5: "two Request
 	// arguments used to signal success/error"). The chosen
-	// continuation receives imm[0:8) = kernel status.
+	// continuation receives imm[0:8) = kernel status. The arguments are
+	// untrusted immediates: a kernel sees GPU memory only up to the end
+	// of the highest buffer TagAlloc has handed out, so an address past
+	// that mark is out of its bounds even inside the device's memory
+	// size, as an unallocated address faults on a real GPU, and the
+	// invocation takes SlotError with a non-OK status.
 	TagInvoke uint64 = 0x23
 	// TagFree releases GPU memory. imm[8:16) = device address.
 	TagFree uint64 = 0x24
@@ -225,7 +230,7 @@ func (a *Adaptor) invokeKernel(d *proc.Delivery) {
 	case kn == nil:
 		answer(d, StatusNoKernel)
 	default:
-		a.dev.submit(d, kn, a.P.Arena(), 16+len(name))
+		a.dev.submit(d, kn, a.P, 16+len(name))
 	}
 }
 

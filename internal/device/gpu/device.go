@@ -70,7 +70,7 @@ type Device struct {
 type job struct {
 	d    *Device
 	kn   *kernel
-	mem  []byte
+	p    *proc.Process // an invocation's: whose memory the kernel runs on
 	args []uint64
 	dur  sim.Time
 	inv  *proc.Delivery // nil for an Exec's
@@ -112,14 +112,14 @@ func (d *Device) Exec(t *sim.Task, name string, mem []byte, args []uint64) (uint
 	return st, nil
 }
 
-// submit queues the adaptor's invocation inv of kernel kn, arguments at
-// imm[from:) decoded into the job's own list, which the job answers
-// once the kernel has run.
+// submit queues the adaptor's invocation inv of kernel kn over p's
+// arena, arguments at imm[from:) decoded into the job's own list, which
+// the job answers once the kernel has run.
 //
 //fractos:pool-handoff delivery
-func (d *Device) submit(inv *proc.Delivery, kn *kernel, mem []byte, from int) {
+func (d *Device) submit(inv *proc.Delivery, kn *kernel, p *proc.Process, from int) {
 	j := d.getJob()
-	j.kn, j.mem, j.inv = kn, mem, inv
+	j.kn, j.p, j.inv = kn, p, inv
 	j.args = kernelArgs(j.args[:0], inv.Imms, from)
 	if d.busy {
 		d.wait(j)
@@ -163,10 +163,13 @@ func (d *Device) start(j *job) {
 	d.k.AfterCall(j.dur, j)
 }
 
-// Fire implements sim.Callback: an invocation's kernel time is over.
+// Fire implements sim.Callback: an invocation's kernel time is over,
+// and the kernel runs on the memory allocated so far. The view is taken
+// now, not at submit: allocations and RDMA writes while the job waited
+// and ran may have grown the arena's backing store since.
 func (j *job) Fire() {
-	d, inv := j.d, j.inv
-	st := d.run(j.kn, j.dur, j.mem, j.args)
+	d, inv, p := j.d, j.inv, j.p
+	st := d.run(j.kn, j.dur, p.ArenaRange(0, p.Allocated()), j.args)
 	d.putJob(j)
 	d.next()
 	answer(inv, st)

@@ -22,6 +22,10 @@ func addKernel(mem []byte, args []uint64) uint64 {
 		return StatusBadArg
 	}
 	a, b, out, n := args[0], args[1], args[2], args[3]
+	size := uint64(len(mem))
+	if !wire.Within(a, n, size) || !wire.Within(b, n, size) || !wire.Within(out, n, size) {
+		return StatusBadArg
+	}
 	for i := uint64(0); i < n; i++ {
 		mem[out+i] = mem[a+i] + mem[b+i]
 	}

@@ -276,7 +276,7 @@ func (op *ioOp) device() {
 // Fire implements sim.Callback: the device's time is over. A write is
 // done; a read's bytes are copied out to the caller.
 func (op *ioOp) Fire() {
-	op.a.dev.deliver(op.off, op.a.P.Arena()[op.sb.off:op.sb.off+int(op.n)], op.isWrite)
+	op.a.dev.deliver(op.off, op.a.P.ArenaRange(op.sb.off, int(op.n)), op.isWrite)
 	if op.isWrite {
 		op.end(StatusOK)
 	} else {

@@ -147,21 +147,22 @@ type Endpoint struct {
 	Inbox *sim.Chan[Delivery]
 	rx    Handler
 
-	// arena is materialized lazily on first byte access: many endpoints
-	// (notably per-cluster controller bounce arenas in the evaluation
-	// sweeps) register large arenas that are never touched, and the
-	// registration size alone drives the timing model. arenaSize is the
-	// registered size; arena stays nil until Arena() is called.
+	// arena is the materialized prefix of the registered memory: the
+	// bytes someone has touched, grown geometrically on demand up to
+	// arenaSize, the registered size. Many endpoints (Controller bounce
+	// pools, a GPU's memory) register far more than they ever touch, and
+	// the registration size alone drives the timing model.
 	arena        []byte
 	arenaSize    int
 	disconnected bool
 }
 
-// Arena returns the endpoint's registered memory, materializing the
-// full backing storage on first use. Local code (the owning Process)
-// accesses it directly; remote access goes through the RDMA
-// primitives. Once Arena has been called the backing store is final:
-// retained slices stay valid and all later RDMA traffic lands in them.
+// Arena returns the endpoint's whole registered memory, materializing
+// all of it. After Arena the backing store is final: the slice stays
+// valid and every later access, RDMA included, lands in it. It is for
+// an owner that keeps its memory at hand (an application's buffers,
+// tests); a device that touches a little of a large arena takes ranged
+// views instead.
 func (e *Endpoint) Arena() []byte {
 	if len(e.arena) < e.arenaSize {
 		nb := make([]byte, e.arenaSize)
@@ -171,16 +172,19 @@ func (e *Endpoint) Arena() []byte {
 	return e.arena
 }
 
-// arenaRange returns the arena bytes [off, off+n), materializing only
-// enough backing storage (a prefix, grown geometrically) to cover the
-// range. The fabric's RDMA copy path uses this so endpoints whose
-// arenas are touched purely through RDMA — Controller bounce pools
-// above all — pay for the bytes they actually use, not the registered
-// size. Callers must not retain the returned slice across other arena
-// operations: a later growth re-allocates the backing store (growth
-// can no longer happen once Arena() has materialized the full size,
-// which is why externally retained Arena() slices stay safe).
-func (e *Endpoint) arenaRange(off, n int) []byte {
+// ArenaRange returns a ranged view of the arena, bytes [off, off+n),
+// materializing only the prefix that covers them (grown geometrically,
+// up to the registered size). The RDMA paths and a device adaptor
+// touching its own memory use it, so an endpoint pays for the bytes it
+// uses, not for the size it registered.
+//
+// The ownership rule for ranged views: a view is valid until the next
+// access that may grow the arena — another ArenaRange, an RDMA op
+// against the endpoint — and is never held across an event or a block.
+// Take it at the instant the bytes are used. (Once Arena has
+// materialized the whole size nothing grows again, which is why a
+// retained Arena slice stays valid.)
+func (e *Endpoint) ArenaRange(off, n int) []byte {
 	if need := off + n; need > len(e.arena) {
 		newLen := 2 * len(e.arena)
 		if newLen < need {
@@ -435,6 +439,17 @@ func (n *Net) SetTrace(fn func(TraceEvent)) { n.trace = fn }
 
 // Stats returns the cumulative traffic counters.
 func (n *Net) Stats() Stats { return n.stats }
+
+// ArenaBytes returns the arena bytes materialized over every endpoint:
+// the host memory the fabric's registered arenas cost, as opposed to
+// the sizes they registered.
+func (n *Net) ArenaBytes() int {
+	sum := 0
+	for _, e := range n.eps[1:] {
+		sum += len(e.arena)
+	}
+	return sum
+}
 
 // ResetStats zeroes the traffic counters.
 func (n *Net) ResetStats() { n.stats = Stats{} }
@@ -713,7 +728,7 @@ func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nB
 	done += n.prof.entry(initiator.Loc.Domain)
 
 	if nBytes > 0 {
-		copy(dstEp.arenaRange(dstOff, nBytes), srcEp.arenaRange(srcOff, nBytes))
+		copy(dstEp.ArenaRange(dstOff, nBytes), srcEp.ArenaRange(srcOff, nBytes))
 	}
 	cross := srcEp.Loc.Node != dstEp.Loc.Node
 	n.account(wire.Data, nBytes, cross, true)

@@ -14,6 +14,7 @@ var ErrNoSpace = errors.New("proc: arena exhausted")
 type allocator struct {
 	spans []span // sorted by offset, coalesced
 	sizes map[int]int
+	hwm   int // end of the highest region ever handed out
 }
 
 type span struct{ off, len int }
@@ -42,6 +43,7 @@ func (a *allocator) alloc(size int) (int, error) {
 			a.spans[i] = span{s.off + size, s.len - size}
 		}
 		a.sizes[off] = size
+		a.hwm = max(a.hwm, off+size)
 		return off, nil
 	}
 	return 0, ErrNoSpace
@@ -72,3 +74,7 @@ func (p *Process) Alloc(size int) (int, error) { return p.alloc.alloc(size) }
 
 // Free releases a region previously returned by Alloc.
 func (p *Process) Free(off int) { p.alloc.free(off) }
+
+// Allocated returns the end of the highest region Alloc has ever handed
+// out: every byte the Process's allocations can reach lies below it.
+func (p *Process) Allocated() int { return p.alloc.hwm }

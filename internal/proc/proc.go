@@ -186,8 +186,15 @@ func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.Pro
 // ID returns the Process id.
 func (p *Process) ID() cap.ProcID { return p.id }
 
-// Arena returns the Process's RDMA-registered memory.
+// Arena returns the Process's RDMA-registered memory, all of it
+// materialized (fabric.Endpoint.Arena).
 func (p *Process) Arena() []byte { return p.ep.Arena() }
+
+// ArenaRange returns a ranged view of the Process's memory, bytes
+// [off, off+n), materializing only the prefix that covers them. The view
+// is valid until the next access that may grow the arena and is never
+// held across an event or a block (fabric.Endpoint.ArenaRange).
+func (p *Process) ArenaRange(off, n int) []byte { return p.ep.ArenaRange(off, n) }
 
 // Endpoint returns the Process's fabric endpoint id.
 func (p *Process) Endpoint() fabric.EndpointID { return p.ep.ID }
