@@ -34,8 +34,8 @@ func TestNVMeoFReadWrite(t *testing.T) {
 		if err := ini.Write(tk, off+4096, in); err != nil {
 			t.Fatal(err)
 		}
-		out := make([]byte, len(in))
-		if err := ini.Read(tk, off+4096, out); err != nil {
+		out, err := ini.Read(tk, off+4096, len(in))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(in, out) {
@@ -74,15 +74,14 @@ func TestNVMeoFReadAheadHelpsSequential(t *testing.T) {
 		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
 		tg := NewNVMeoFTarget(cl.K, cl.Net, 2, dev)
 		ini := NewNVMeoFInitiator(cl.K, cl.Net, 0, tg, true)
-		buf := make([]byte, 4096)
 		// First read misses and kicks off an asynchronous prefetch of
 		// the following window (Linux-style read-ahead).
-		if err := ini.Read(tk, 0, buf); err != nil {
+		if _, err := ini.Read(tk, 0, 4096); err != nil {
 			t.Fatal(err)
 		}
 		tk.Sleep(us(2000)) // let the background prefetch land
 		start := tk.Now()
-		if err := ini.Read(tk, 4096, buf); err != nil {
+		if _, err := ini.Read(tk, 4096, 4096); err != nil {
 			t.Fatal(err)
 		}
 		seq := tk.Now() - start
@@ -123,6 +122,67 @@ func TestDisaggregatedBaselineUnderFS(t *testing.T) {
 		// DAX must be unavailable on this backend.
 		if _, err := fs.OpenFile(tk, client, open, "base.bin", fs.OpenRead|fs.OpenDAX, 0); err == nil {
 			t.Fatal("DAX open succeeded on NVMe-oF backend")
+		}
+	})
+}
+
+// TestDisaggregatedReadsTakeTheirViewLate: two concurrent FS-mode reads
+// over NVMe-oF hold the FS's two lowest staging buffers, and the second
+// one materializes its buffer — re-allocating the FS Process's memory —
+// while the first is blocked on the fabric. Each read must take its view
+// of the staging buffer after that, when its bytes have arrived: a view
+// taken before the block would land them in storage the memory has
+// left, and the client would read what the buffer last staged.
+func TestDisaggregatedReadsTakeTheirViewLate(t *testing.T) {
+	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
+		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		svc := fs.NewService(cl, 1, "fs-baseline")
+		be := NewDisaggregatedBackend(cl, 1, 2, dev)
+		svc.WireBackend(be)
+		if err := svc.Start(tk); err != nil {
+			t.Fatal(err)
+		}
+		client := proc.Attach(cl, 0, "client", 4<<20)
+		open, _ := proc.GrantCap(svc.P, svc.Open, client)
+		f, err := fs.OpenFile(tk, client, open, "late.bin", fs.OpenRead|fs.OpenWrite|fs.OpenCreate, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n, second = 8000, 64 << 10
+		payloads := [][]byte{bytes.Repeat([]byte("first"), n/5), bytes.Repeat([]byte("other"), n/5)}
+		for i, off := range []uint64{0, second} {
+			copy(client.Arena(), payloads[i])
+			src, _ := client.MemoryCreate(tk, 0, n, 0xf)
+			if err := f.WriteAt(tk, off, n, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		be.Initiator().DropCaches()
+		fsMem, _ := cl.Net.Lookup(svc.P.Endpoint())
+		before := fsMem.ArenaBytes()
+
+		var wg sim.WaitGroup
+		wg.Add(2)
+		for i, off := range []uint64{0, second} {
+			at := uint64(i+1) << 20
+			cl.K.Spawn("reader", func(rt *sim.Task) {
+				defer wg.Done()
+				dst, _ := client.MemoryCreate(rt, at, n, 0xf)
+				if err := f.ReadAt(rt, off, n, dst); err != nil {
+					t.Errorf("read at %d: %v", off, err)
+				}
+			})
+		}
+		wg.Wait(tk)
+		if after := fsMem.ArenaBytes(); before > fs.ExtentSize || after <= fs.ExtentSize {
+			t.Errorf("FS memory materialized %d bytes before the reads and %d after; want the second buffer to grow it past %d",
+				before, after, fs.ExtentSize)
+		}
+		for i, want := range payloads {
+			at := (i + 1) << 20
+			if got := client.Arena()[at : at+n]; !bytes.Equal(got, want) {
+				t.Errorf("read %d returned %.10q…, want %.10q…", i, got, want)
+			}
 		}
 	})
 }

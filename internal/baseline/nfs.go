@@ -106,8 +106,8 @@ func (s *NFSServer) serve(t *sim.Task) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
-			buf := make([]byte, n)
-			if err := s.ini.Read(t, f.off+off, buf); err != nil {
+			buf, err := s.ini.Read(t, f.off+off, int(n))
+			if err != nil {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}

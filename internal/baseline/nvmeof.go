@@ -158,42 +158,42 @@ func (ini *NVMeoFInitiator) clampFetch(off int64, want int) int {
 	return want
 }
 
-// Read fills buf from the remote device at off.
-func (ini *NVMeoFInitiator) Read(t *sim.Task, off int64, buf []byte) error {
+// Read returns n bytes of the remote device at off, in a buffer the
+// caller owns.
+func (ini *NVMeoFInitiator) Read(t *sim.Task, off int64, n int) ([]byte, error) {
 	t.Sleep(nvmeofPerOp)
-	if ini.cache != nil && ini.cache.read(off, buf) {
-		ini.lastEnd = off + int64(len(buf))
-		return nil
+	if ini.cache != nil && ini.cache.holds(off, n) {
+		ini.lastEnd = off + int64(n)
+		return ini.cache.read(off, n), nil
 	}
 	// Read-ahead: like the Linux page cache, prefetch when the access
 	// continues a sequential stream — asynchronously, so the stream's
 	// next reads hit the cache without paying the prefetch latency.
 	// Random reads fetch exactly what was asked.
 	sequential := ini.cache != nil && off == ini.lastEnd
-	ini.lastEnd = off + int64(len(buf))
+	ini.lastEnd = off + int64(n)
 	r, err := ini.peer.Call(t, ini.target, nvmeofRead,
-		header([]uint64{uint64(off), uint64(len(buf))}, nil), false)
+		header([]uint64{uint64(off), uint64(n)}, nil), false)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if getU64(r.Data, 0) != 0 {
-		return fmt.Errorf("nvmeof: read failed")
+		return nil, fmt.Errorf("nvmeof: read failed")
 	}
 	got := r.Data[8:]
-	copy(buf, got)
 	if ini.cache != nil {
 		ini.cache.fill(off, got)
 	}
 	if sequential {
-		raOff := off + int64(len(buf))
+		raOff := off + int64(n)
 		raLen := ini.clampFetch(raOff, readAhead)
-		if raLen > 0 && !ini.cache.read(raOff, make([]byte, min(raLen, cachePage))) {
+		if raLen > 0 && !ini.cache.holds(raOff, min(raLen, cachePage)) {
 			f := ini.peer.CallAsync(ini.target, nvmeofRead,
 				header([]uint64{uint64(raOff), uint64(raLen)}, nil), false)
 			ini.prefetch(raOff, f)
 		}
 	}
-	return nil
+	return got, nil
 }
 
 // prefetch installs an asynchronous read-ahead reply into the cache.
@@ -207,18 +207,19 @@ func (ini *NVMeoFInitiator) prefetch(off int64, f *sim.Future[*wire.Raw]) {
 	})
 }
 
-// Write stores buf at off. With the block cache, the write is absorbed
-// locally and written back asynchronously.
+// Write stores buf at off. It copies buf before it blocks, so buf may
+// be a ranged view of the caller's memory. With the block cache, the
+// write is absorbed locally and written back asynchronously.
 func (ini *NVMeoFInitiator) Write(t *sim.Task, off int64, buf []byte) error {
+	data := header([]uint64{uint64(off)}, buf)
 	t.Sleep(nvmeofPerOp)
 	if ini.cache != nil {
-		ini.cache.fill(off, buf)
+		ini.cache.fill(off, data[8:])
 		// Write-back: the transfer happens off the latency path.
-		data := header([]uint64{uint64(off)}, buf)
 		ini.peer.CallAsync(ini.target, nvmeofWrite, data, true)
 		return nil
 	}
-	r, err := ini.peer.Call(t, ini.target, nvmeofWrite, header([]uint64{uint64(off)}, buf), true)
+	r, err := ini.peer.Call(t, ini.target, nvmeofWrite, data, true)
 	if err != nil {
 		return err
 	}
@@ -249,25 +250,27 @@ func newBlockCache(max int64) *blockCache {
 
 const cachePage = 4096
 
-// read fills buf if the whole range is resident.
-func (c *blockCache) read(off int64, buf []byte) bool {
-	// First check residency.
-	for p := off / cachePage; p <= (off+int64(len(buf))-1)/cachePage; p++ {
+// holds reports whether the n bytes at off are all resident.
+func (c *blockCache) holds(off int64, n int) bool {
+	for p := off / cachePage; p <= (off+int64(n)-1)/cachePage; p++ {
 		if _, ok := c.pages[p]; !ok {
 			return false
 		}
 	}
-	for n := 0; n < len(buf); {
-		p := (off + int64(n)) / cachePage
-		po := int((off + int64(n)) % cachePage)
-		cn := cachePage - po
-		if cn > len(buf)-n {
-			cn = len(buf) - n
-		}
-		copy(buf[n:n+cn], c.pages[p][po:po+cn])
-		n += cn
-	}
 	return true
+}
+
+// read returns the n resident bytes at off.
+func (c *blockCache) read(off int64, n int) []byte {
+	buf := make([]byte, n)
+	for i := 0; i < n; {
+		p := (off + int64(i)) / cachePage
+		po := int((off + int64(i)) % cachePage)
+		cn := min(cachePage-po, n-i)
+		copy(buf[i:i+cn], c.pages[p][po:po+cn])
+		i += cn
+	}
+	return buf
 }
 
 // fill installs data into the cache, evicting oldest-first at
@@ -337,9 +340,11 @@ func (v *nvmeofVolume) ReadAt(t *sim.Task, off, n uint64, stage fs.Stage) uint64
 	if int64(off+n) > v.size {
 		return 2 // fs.StatusBounds
 	}
-	if err := v.ini.Read(t, v.off+int64(off), stage.Buf[:n]); err != nil {
+	got, err := v.ini.Read(t, v.off+int64(off), int(n))
+	if err != nil {
 		return 3 // fs.StatusIOErr
 	}
+	copy(stage.View(n), got) // the view is taken once the read no longer blocks
 	return 0
 }
 
@@ -347,7 +352,7 @@ func (v *nvmeofVolume) WriteAt(t *sim.Task, off, n uint64, stage fs.Stage) uint6
 	if int64(off+n) > v.size {
 		return 2
 	}
-	if err := v.ini.Write(t, v.off+int64(off), stage.Buf[:n]); err != nil {
+	if err := v.ini.Write(t, v.off+int64(off), stage.View(n)); err != nil {
 		return 3
 	}
 	return 0

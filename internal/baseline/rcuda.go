@@ -32,7 +32,7 @@ const (
 type RCUDAServer struct {
 	peer *Peer
 	dev  *gpu.Device
-	mem  []byte
+	mem  []byte // the GPU memory materialized so far: up to the highest byte allocated or touched
 	free int
 }
 
@@ -41,7 +41,6 @@ func NewRCUDAServer(k *sim.Kernel, net *fabric.Net, node int, dev *gpu.Device) *
 	s := &RCUDAServer{
 		peer: NewPeer(k, net, fmt.Sprintf("rcuda-server.n%d", node), fabric.Location{Node: node, Domain: fabric.Host}),
 		dev:  dev,
-		mem:  make([]byte, dev.MemSize()),
 	}
 	k.Spawn("rcuda-server", s.serve)
 	return s
@@ -49,6 +48,14 @@ func NewRCUDAServer(k *sim.Kernel, net *fabric.Net, node int, dev *gpu.Device) *
 
 // Endpoint returns the server's fabric address.
 func (s *RCUDAServer) Endpoint() fabric.EndpointID { return s.peer.EP.ID }
+
+// touch materializes the memory up to end (at most MemSize) and returns it.
+func (s *RCUDAServer) touch(end int) []byte {
+	if end > len(s.mem) {
+		s.mem = append(s.mem, make([]byte, end-len(s.mem))...)
+	}
+	return s.mem
+}
 
 func (s *RCUDAServer) serve(t *sim.Task) {
 	for {
@@ -60,31 +67,32 @@ func (s *RCUDAServer) serve(t *sim.Task) {
 		switch req.Kind {
 		case rcudaMalloc:
 			size := int(getU64(req.Data, 0))
-			if size <= 0 || size > len(s.mem)-s.free {
+			if size <= 0 || size > s.dev.MemSize()-s.free {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
 			addr := s.free
 			s.free += size
+			s.touch(s.free)
 			s.peer.Reply(t, req, header([]uint64{0, uint64(addr)}, nil), false)
 		case rcudaFree:
 			// The simple bump allocator leaks, like a short benchmark run.
 			s.peer.Reply(t, req, header([]uint64{0}, nil), false)
 		case rcudaMemcpyH2D:
 			addr, data := int64(getU64(req.Data, 0)), tail(req.Data, 8)
-			if !wire.Within(uint64(addr), uint64(len(data)), uint64(len(s.mem))) {
+			if !wire.Within(uint64(addr), uint64(len(data)), uint64(s.dev.MemSize())) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
-			copy(s.mem[addr:], data)
+			copy(s.touch(int(addr) + len(data))[addr:], data)
 			s.peer.Reply(t, req, header([]uint64{0}, nil), false)
 		case rcudaMemcpyD2H:
 			addr, n := int64(getU64(req.Data, 0)), int64(getU64(req.Data, 8))
-			if !wire.Within(uint64(addr), uint64(n), uint64(len(s.mem))) {
+			if !wire.Within(uint64(addr), uint64(n), uint64(s.dev.MemSize())) {
 				s.peer.Reply(t, req, header([]uint64{1}, nil), false)
 				continue
 			}
-			s.peer.Reply(t, req, header([]uint64{0}, s.mem[addr:addr+n]), true)
+			s.peer.Reply(t, req, header([]uint64{0}, s.touch(int(addr + n))[addr:addr+n]), true)
 		case rcudaLaunch:
 			nameLen := getU64(req.Data, 0)
 			if !wire.Within(8, nameLen, uint64(len(req.Data))) {
@@ -93,6 +101,9 @@ func (s *RCUDAServer) serve(t *sim.Task) {
 			}
 			name := string(req.Data[8 : 8+nameLen])
 			args := decodeU64s(req.Data[8+nameLen:])
+			// The kernel runs on the materialized prefix, which nothing
+			// grows while Exec blocks: this loop is the only task that
+			// touches the memory, and it serves one call at a time.
 			st, err := s.dev.Exec(t, name, s.mem, args)
 			if err != nil {
 				st = 1

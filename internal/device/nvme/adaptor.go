@@ -2,6 +2,7 @@ package nvme
 
 import (
 	"fmt"
+	"slices"
 
 	"fractos/internal/cap"
 	"fractos/internal/core"
@@ -67,7 +68,9 @@ const (
 const MaxIO = 1 << 20
 
 // The adaptor stages every read and write through one of stagingBufs
-// buffers of MaxIO bytes, handed out in arrival order.
+// buffers of MaxIO bytes, the lowest free one first, so buffer i
+// materializes only once i+1 operations hold one at the same time.
+// Operations waiting for one take them in arrival order.
 const stagingBufs = 8
 
 type volume struct {
@@ -86,7 +89,7 @@ type Adaptor struct {
 	devFree  int64 // bump allocator over device space
 	reserved int64 // space of the volumes whose Requests are being created
 
-	stages  []stageBuf // free staging buffers
+	stages  []stageBuf // free staging buffers, the lowest offset on top
 	staging []*ioOp    // operations waiting for one, in arrival order
 	ios     sim.FreeList[ioOp]
 
@@ -122,6 +125,7 @@ func (a *Adaptor) Start(t *sim.Task) error {
 		}
 		a.stages = append(a.stages, stageBuf{off: off, cap: c})
 	}
+	slices.Reverse(a.stages)
 	vc, err := a.P.RequestCreate(t, TagVolCreate, nil, nil)
 	if err != nil {
 		return fmt.Errorf("nvme adaptor: volcreate request: %w", err)

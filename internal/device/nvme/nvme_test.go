@@ -378,6 +378,48 @@ func TestReadsWaitForStagingInArrivalOrder(t *testing.T) {
 	}
 }
 
+// TestStagingTouchesOnlyBuffersInFlight: k 1 MiB reads held in flight
+// at once take the k staging buffers with the lowest offsets, so the
+// adaptor's memory materializes k × MaxIO bytes — the geometric cover of
+// k buffers, exact for k a power of two — and not the 8 MiB it
+// registered.
+func TestStagingTouchesOnlyBuffersInFlight(t *testing.T) {
+	for _, k := range []uint64{1, 2, 4} {
+		cl := core.NewCluster(core.ClusterConfig{Nodes: 3})
+		got := -1
+		cl.K.Spawn("main", func(tk *sim.Task) {
+			ad, client, vc := setupAdaptor(tk, t, cl)
+			rd, _ := createVolume(tk, t, client, vc, k*MaxIO)
+			dst, err := client.MemoryCreate(tk, 0, MaxIO, cap.MemRights)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var wg sim.WaitGroup
+			wg.Add(int(k))
+			for i := uint64(0); i < k; i++ {
+				cl.K.Spawn("reader", func(rt *sim.Task) {
+					defer wg.Done()
+					d, err := client.Call(rt, rd,
+						[]wire.ImmArg{proc.U64Arg(ImmOff, i*MaxIO), proc.U64Arg(ImmLen, MaxIO)},
+						[]proc.Arg{{Slot: SlotData, Cap: dst}}, SlotCont)
+					if err != nil || d.U64(0) != StatusOK {
+						t.Errorf("k=%d read %d: err %v", k, i, err)
+					}
+				})
+			}
+			wg.Wait(tk)
+			ep, _ := cl.Net.Lookup(ad.P.Endpoint())
+			got = ep.ArenaBytes()
+		})
+		cl.K.Run()
+		cl.K.Shutdown()
+		if want := int(k) * MaxIO; got != want {
+			t.Errorf("%d reads in flight: adaptor materialized %d bytes, want %d", k, got, want)
+		}
+	}
+}
+
 // TestRefusedCopyAnswersCopyErr: a read into Memory the adaptor may not
 // write, and a write from Memory it may not read, pass the adaptor's
 // checks and fail at their memory_copy: each answers StatusCopyErr and

@@ -163,6 +163,8 @@ type Endpoint struct {
 // an owner that keeps its memory at hand (an application's buffers,
 // tests); a device that touches a little of a large arena takes ranged
 // views instead.
+//
+//fractos:whole-arena
 func (e *Endpoint) Arena() []byte {
 	if len(e.arena) < e.arenaSize {
 		nb := make([]byte, e.arenaSize)
@@ -204,6 +206,9 @@ func (e *Endpoint) ArenaRange(off, n int) []byte {
 // the backing storage. Bounds checks and capacity accounting should
 // use this instead of len(Arena()).
 func (e *Endpoint) ArenaSize() int { return e.arenaSize }
+
+// ArenaBytes returns the bytes of the arena materialized so far.
+func (e *Endpoint) ArenaBytes() int { return len(e.arena) }
 
 // Stats are the fabric's cumulative traffic counters, split by
 // message class.
@@ -446,7 +451,7 @@ func (n *Net) Stats() Stats { return n.stats }
 func (n *Net) ArenaBytes() int {
 	sum := 0
 	for _, e := range n.eps[1:] {
-		sum += len(e.arena)
+		sum += e.ArenaBytes()
 	}
 	return sum
 }

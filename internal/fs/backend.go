@@ -24,13 +24,20 @@ type Volume interface {
 	WriteAt(t *sim.Task, off, n uint64, stage Stage) uint64
 }
 
-// Stage is an FS staging-buffer view handed to a backend: the Memory
-// capability (for Request-based backends) and the raw bytes (for
-// kernel-bypass backends that fill the buffer directly).
+// Stage is an FS staging buffer handed to a backend: its Memory
+// capability, for Request-based backends, and where it lies in the FS
+// Process's memory, for kernel-bypass backends that move its bytes
+// themselves through View.
 type Stage struct {
 	Cap proc.Cap
-	Buf []byte
+	p   *proc.Process
+	off int
 }
+
+// View returns the buffer's first n bytes, a ranged view of the FS
+// Process's memory (proc.Process.ArenaRange): take it at the instant the
+// bytes are used, and never hold it across a block.
+func (s Stage) View(n uint64) []byte { return s.p.ArenaRange(s.off, int(n)) }
 
 // DAXVolume is a Volume whose backend can delegate direct,
 // individually revocable block access to clients — only the FractOS

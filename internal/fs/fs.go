@@ -19,6 +19,7 @@ package fs
 
 import (
 	"fmt"
+	"slices"
 
 	"fractos/internal/cap"
 	"fractos/internal/core"
@@ -107,7 +108,8 @@ const (
 )
 
 // The service runs queueDepth operations at once, staging FS-mode I/O
-// through stagingBufs buffers of ExtentSize bytes.
+// through stagingBufs buffers of ExtentSize bytes, the lowest free one
+// first (as the NVMe adaptor does).
 const (
 	queueDepth  = 8
 	stagingBufs = 8
@@ -148,18 +150,13 @@ type Service struct {
 	handles    map[uint64]*openHandle
 	nextHandle uint64
 
-	stageSem *sim.Semaphore
-	stages   []stageBuf
+	stageSem *sim.Semaphore // waiters take a buffer in arrival order
+	stages   []Stage        // free staging buffers, the lowest offset on top
 
 	// Open is the service's root Request; grant it to clients.
 	Open proc.Cap
 	// Close is the handle-close Request; grant it alongside Open.
 	Close proc.Cap
-}
-
-type stageBuf struct {
-	off int
-	cap proc.Cap
 }
 
 // NewService attaches the FS Process on a node. volCreate must be the
@@ -203,8 +200,9 @@ func (s *Service) Start(t *sim.Task) error {
 		if err != nil {
 			return fmt.Errorf("fs: staging memory: %w", err)
 		}
-		s.stages = append(s.stages, stageBuf{off: off, cap: c})
+		s.stages = append(s.stages, Stage{Cap: c, p: s.P, off: off})
 	}
+	slices.Reverse(s.stages)
 	open, err := s.P.RequestCreate(t, TagOpen, nil, nil)
 	if err != nil {
 		return fmt.Errorf("fs: open request: %w", err)

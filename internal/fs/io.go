@@ -56,20 +56,19 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 
 		// The span stages through the head of the buffer and lands at
 		// [done, done+cn) of the client's Memory.
-		stage := Stage{Cap: sb.cap, Buf: s.P.Arena()[sb.off : sb.off+int(cn)]}
 		var st uint64
 		if isWrite {
 			// client → staging → device.
-			if err := s.P.MemoryCopyRange(t, data, done, sb.cap, 0, cn); err != nil {
+			if err := s.P.MemoryCopyRange(t, data, done, sb.Cap, 0, cn); err != nil {
 				d.ReplyStatus(SlotCont, StatusIOErr)
 				return
 			}
-			st = ext.vol.WriteAt(t, eo, cn, stage)
+			st = ext.vol.WriteAt(t, eo, cn, sb)
 		} else {
 			// device → staging → client.
-			st = ext.vol.ReadAt(t, eo, cn, stage)
+			st = ext.vol.ReadAt(t, eo, cn, sb)
 			if st == 0 {
-				if err := s.P.MemoryCopyRange(t, sb.cap, 0, data, done, cn); err != nil {
+				if err := s.P.MemoryCopyRange(t, sb.Cap, 0, data, done, cn); err != nil {
 					d.ReplyStatus(SlotCont, StatusIOErr)
 					return
 				}

@@ -188,6 +188,8 @@ func (p *Process) ID() cap.ProcID { return p.id }
 
 // Arena returns the Process's RDMA-registered memory, all of it
 // materialized (fabric.Endpoint.Arena).
+//
+//fractos:whole-arena
 func (p *Process) Arena() []byte { return p.ep.Arena() }
 
 // ArenaRange returns a ranged view of the Process's memory, bytes

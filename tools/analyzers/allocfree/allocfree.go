@@ -16,27 +16,42 @@
 // function-value calls are not resolved, so allocations behind them
 // are not attributed. The AllocsPerRun gates in bench_test.go are the
 // runtime backstop for what the static view cannot see.
+//
+// The device paths register arenas far larger than they touch, so they
+// call no function annotated //fractos:whole-arena, which materializes
+// a whole arena, and take ranged views instead. No waiver.
 package allocfree
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
+	"strings"
 
 	"fractos/tools/analyzers/analysis"
+	"fractos/tools/analyzers/astq"
 	"fractos/tools/analyzers/callgraph"
 )
 
 // Analyzer is the allocfree analysis.
 var Analyzer = &analysis.Analyzer{
 	Name:       "allocfree",
-	Doc:        "functions annotated fractos:hotpath must be allocation-free across same-module calls",
-	Directives: []string{"hotpath"},
+	Doc:        "functions annotated fractos:hotpath must be allocation-free across same-module calls; device paths call no fractos:whole-arena function",
+	Directives: []string{"hotpath", wholeArena},
 	Waiver:     "alloc-ok", // read by the call graph
 	Run:        run,
 }
 
+const wholeArena = "whole-arena"
+
+var devicePaths = []string{"/internal/device/", "/internal/fs/", "/internal/baseline/", "/internal/route/"}
+
 func run(pass *analysis.Pass) (interface{}, error) {
 	g := callgraph.Of(pass)
+	path := "/" + pass.Pkg.Path() + "/"
+	if slices.ContainsFunc(devicePaths, func(dp string) bool { return strings.Contains(path, dp) }) {
+		checkWholeArena(pass)
+	}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -70,5 +85,18 @@ func checkHotpath(pass *analysis.Pass, g *callgraph.Graph, f *callgraph.Func) {
 		if path := g.AllocPath(e.Callee); path != "" {
 			pass.Reportf(e.Pos, "hot path %s: %s", name, path)
 		}
+	}
+}
+
+func checkWholeArena(pass *analysis.Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if fn := astq.CalledFunc(pass.TypesInfo, call); pass.Marked(fn, wholeArena) {
+					pass.Reportf(call.Pos(), "%s materializes the whole registered arena on a device path; take a ranged view (ArenaRange) of the bytes used", fn.Name())
+				}
+			}
+			return true
+		})
 	}
 }
