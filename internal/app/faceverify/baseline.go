@@ -56,8 +56,10 @@ func SetupBaseline(t *sim.Task, cl *core.Cluster, cfg Config) (*BaselineApp, err
 	a.nfs = baseline.NewNFSClient(cl.K, cl.Net, NodeFrontend, nfsSrv)
 	a.dropCaches = ini.DropCaches
 
-	// Seed the database over NFS.
+	// Seed the database over NFS, one file at a time through one buffer
+	// (the client copies what it writes into its message).
 	n := int64(cfg.batchBytes())
+	buf := make([]byte, n)
 	for i := 0; i < cfg.Files; i++ {
 		name := batchFileName(i)
 		if err := a.nfs.Create(t, name, n); err != nil {
@@ -67,7 +69,8 @@ func SetupBaseline(t *sim.Task, cl *core.Cluster, cfg Config) (*BaselineApp, err
 		if err != nil {
 			return nil, err
 		}
-		if err := a.nfs.Write(t, fd, 0, a.DB.BatchFile(i*cfg.Batch, cfg.Batch)); err != nil {
+		a.DB.batchInto(buf, i*cfg.Batch)
+		if err := a.nfs.Write(t, fd, 0, buf); err != nil {
 			return nil, err
 		}
 	}

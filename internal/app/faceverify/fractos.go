@@ -307,13 +307,12 @@ func (a *FractOSApp) seedDB(t *sim.Task, fsOpen proc.Cap) error {
 		return err
 	}
 	defer a.app.Drop(t, stage)
-	buf := a.app.Arena()[off : off+int(n)]
 	for i := 0; i < a.cfg.Files; i++ {
 		f, err := fs.OpenFile(t, a.app, fsOpen, batchFileName(i), fs.OpenRead|fs.OpenWrite|fs.OpenCreate, n)
 		if err != nil {
 			return err
 		}
-		copy(buf, a.DB.BatchFile(i*a.cfg.Batch, a.cfg.Batch))
+		a.DB.batchInto(a.app.ArenaRange(off, int(n)), i*a.cfg.Batch)
 		if err := f.WriteAt(t, 0, n, stage); err != nil {
 			return err
 		}

@@ -103,43 +103,80 @@ func l1(a, b []byte) int {
 // per identity, grouped into batch files as stored on the storage
 // stack (one file per batch keeps the paper's per-request message
 // pattern: one open + one read).
+//
+// A DB has state: one generator it reseeds per image, and the probe
+// descriptor of every identity it has generated. It belongs to one
+// simulation, whose tasks run one at a time.
 type DB struct {
 	Identities int
 	seed       int64
+	rng        *rand.Rand
+	probes     []byte // identity id's descriptor at id*ProbeSize, once known[id]
+	known      []bool // over 0..Identities: an impostor of the last identity uses id Identities
+	seedings   int
 }
 
 // NewDB creates a database of n identities.
-func NewDB(n int, seed int64) *DB { return &DB{Identities: n, seed: seed} }
+func NewDB(n int, seed int64) *DB {
+	return &DB{Identities: n, seed: seed, rng: rand.New(rand.NewSource(seed)),
+		probes: make([]byte, (n+1)*ProbeSize), known: make([]bool, n+1)}
+}
 
 // Image returns identity id's database image (deterministic).
 func (db *DB) Image(id int) []byte {
-	rng := rand.New(rand.NewSource(db.seed ^ int64(id)*0x9e3779b9))
 	img := make([]byte, ImgSize)
-	rng.Read(img)
+	db.imageInto(img, id)
 	return img
+}
+
+// imageInto fills dst with the leading len(dst) (≥ ProbeSize) bytes of
+// identity id's image, recording its descriptor the first time.
+// Rand.Seed resets the generator's read position, so the bytes are
+// those of a fresh source.
+func (db *DB) imageInto(dst []byte, id int) {
+	db.rng.Seed(db.seed ^ int64(id)*0x9e3779b9)
+	db.seedings++
+	db.rng.Read(dst)
+	if uint(id) <= uint(db.Identities) && !db.known[id] {
+		copy(db.probes[id*ProbeSize:(id+1)*ProbeSize], dst)
+		db.known[id] = true
+	}
 }
 
 // BatchFile returns the concatenated images of identities
 // [first, first+batch), the unit stored per file.
 func (db *DB) BatchFile(first, batch int) []byte {
-	out := make([]byte, 0, batch*ImgSize)
-	for i := 0; i < batch; i++ {
-		out = append(out, db.Image((first+i)%db.Identities)...)
-	}
+	out := make([]byte, batch*ImgSize)
+	db.batchInto(out, first)
 	return out
+}
+
+// batchInto fills dst with the batch file that starts at identity first.
+func (db *DB) batchInto(dst []byte, first int) {
+	for i := 0; i < len(dst)/ImgSize; i++ {
+		db.imageInto(dst[i*ImgSize:(i+1)*ImgSize], (first+i)%db.Identities)
+	}
 }
 
 // Probe returns a probe descriptor for identity id: if genuine, a
 // slightly perturbed copy of the enrolled photo's descriptor (a
-// match); otherwise a different identity's (a mismatch).
+// match); otherwise a different identity's (a mismatch). The caller
+// owns the result.
 func (db *DB) Probe(id int, genuine bool, rng *rand.Rand) []byte {
 	if !genuine {
-		return db.Image(id + 1)[:ProbeSize]
+		id++
 	}
-	out := append([]byte(nil), db.Image(id)[:ProbeSize]...)
-	// Perturb a small fraction of the descriptor.
-	for i := 0; i < ProbeSize/32; i++ {
-		out[rng.Intn(ProbeSize)] ^= byte(rng.Intn(8))
+	out := make([]byte, ProbeSize)
+	if uint(id) <= uint(db.Identities) && db.known[id] {
+		copy(out, db.probes[id*ProbeSize:])
+	} else {
+		db.imageInto(out, id)
+	}
+	if genuine {
+		// Perturb a small fraction of the descriptor.
+		for i := 0; i < ProbeSize/32; i++ {
+			out[rng.Intn(ProbeSize)] ^= byte(rng.Intn(8))
+		}
 	}
 	return out
 }

@@ -182,7 +182,8 @@ func (c *NFSClient) Read(t *sim.Task, fd uint64, off int64, n int) ([]byte, erro
 	return r[8:], nil
 }
 
-// Write stores data at off.
+// Write stores data at off. It copies data into its message, so the
+// caller may reuse data once Write returns.
 func (c *NFSClient) Write(t *sim.Task, fd uint64, off int64, data []byte) error {
 	_, err := c.call(t, nfsWrite, header([]uint64{fd, uint64(off)}, data), true)
 	return err
