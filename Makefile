@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race chaos determinism fuzz bench benchmark-smoke eval trace examples cover loc clean
+.PHONY: all build vet lint test race chaos determinism fuzz bench benchmark-smoke eval eval-check trace examples cover loc clean
 
 all: build vet lint test
 
@@ -77,6 +77,18 @@ benchmark-smoke:
 # Regenerate every table and figure of the paper's evaluation.
 eval:
 	$(GO) run ./cmd/fractos-bench
+
+# eval-check runs fractos-bench and diffs what it prints, but for its
+# "[… regenerated in … wall time]" lines, against
+# cmd/fractos-bench/output.txt: every other figure is virtual time and
+# exact, so any change to one fails, leaving output.got beside it. After
+# an intended change, regenerate with `go run ./cmd/fractos-bench | grep
+# -v ' regenerated in .* wall time]$$' > cmd/fractos-bench/output.txt`.
+eval-check:
+	$(GO) run ./cmd/fractos-bench > cmd/fractos-bench/output.got
+	grep -v ' regenerated in .* wall time]$$' cmd/fractos-bench/output.got | \
+		diff -u cmd/fractos-bench/output.txt -
+	rm cmd/fractos-bench/output.got
 
 trace:
 	$(GO) run ./cmd/fractos-trace

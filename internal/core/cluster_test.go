@@ -369,8 +369,13 @@ func TestForgedAckIgnored(t *testing.T) {
 		if err := cli.Invoke(tk, creq, nil, nil); err != nil {
 			t.Fatalf("forged acks corrupted a real invocation: %v", err)
 		}
-		d, ok := srv.ReceiveTimeout(tk, us(200))
-		if !ok {
+		got := sim.NewFuture[*proc.Delivery]()
+		cl.K.Spawn("receive", func(rt *sim.Task) {
+			d, _ := srv.Receive(rt)
+			got.Set(d)
+		})
+		d, err := got.WaitTimeout(tk, us(200))
+		if err != nil {
 			t.Fatal("delivery lost")
 		}
 		d.Done()

@@ -105,7 +105,7 @@ func (a *Adaptor) Start(t *sim.Task) error {
 		return fmt.Errorf("gpu adaptor: ctx-init request: %w", err)
 	}
 	a.CtxInit = ci
-	manage := a.P.Tasks("gpu-adaptor", a.handle)
+	manage := a.P.Tasks("gpu-adaptor", 0, a.handle)
 	a.P.Handle(func(d *proc.Delivery) {
 		if d.Tag != TagInvoke {
 			manage(d)

@@ -131,7 +131,7 @@ func (a *Adaptor) Start(t *sim.Task) error {
 		return fmt.Errorf("nvme adaptor: volcreate request: %w", err)
 	}
 	a.VolCreate = vc
-	volCreate := a.P.Tasks("nvme-adaptor", a.handleVolCreate)
+	volCreate := a.P.Tasks("nvme-adaptor", 0, a.handleVolCreate)
 	a.P.Handle(func(d *proc.Delivery) {
 		if d.Tag == TagVolCreate {
 			volCreate(d)

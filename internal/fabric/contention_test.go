@@ -8,6 +8,17 @@ import (
 	"fractos/internal/wire"
 )
 
+// rdmaCopy is RDMACopyThen for a task: a future's Due is the
+// completion, and tk waits for it.
+func rdmaCopy(tk *sim.Task, n *Net, initiator, src EndpointID, srcOff int, dst EndpointID, dstOff, nBytes int) error {
+	f := sim.NewFuture[int]()
+	if err := n.RDMACopyThen(f.Due(nBytes), initiator, src, srcOff, dst, dstOff, nBytes); err != nil {
+		return err
+	}
+	_, err := f.Wait(tk)
+	return err
+}
+
 // TestConcurrentFlowsShareUplink: two flows out of the same node share
 // its 10 Gbps uplink, so together they take about twice as long as one
 // alone.
@@ -24,7 +35,7 @@ func TestConcurrentFlowsShareUplink(t *testing.T) {
 			f := f
 			dst := net.Attach("dst", Location{1 + f, Host}, n)
 			k.Spawn("flow", func(tk *sim.Task) {
-				if _, err := net.RDMACopy(src.ID, src.ID, f*n, dst.ID, 0, n).Wait(tk); err != nil {
+				if err := rdmaCopy(tk, net, src.ID, src.ID, f*n, dst.ID, 0, n); err != nil {
 					t.Error(err)
 				}
 				if tk.Now() > end {
@@ -62,7 +73,7 @@ func TestDistinctUplinksDontContend(t *testing.T) {
 	for _, pair := range [][2]*Endpoint{{a, b}, {c, d}} {
 		pair := pair
 		k.Spawn("flow", func(tk *sim.Task) {
-			if _, err := net.RDMACopy(pair[0].ID, pair[0].ID, 0, pair[1].ID, 0, n).Wait(tk); err != nil {
+			if err := rdmaCopy(tk, net, pair[0].ID, pair[0].ID, 0, pair[1].ID, 0, n); err != nil {
 				t.Error(err)
 			}
 			if tk.Now() > end {

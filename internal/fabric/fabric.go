@@ -806,12 +806,6 @@ func (n *Net) RDMARead(initiator EndpointID, localOff int, remote EndpointID, re
 	return orFailed(f, n.RDMAReadThen(f.Due(nBytes), initiator, localOff, remote, remoteOff, nBytes))
 }
 
-// RDMACopy is RDMACopyThen for a task, as RDMARead.
-func (n *Net) RDMACopy(initiator EndpointID, src EndpointID, srcOff int, dst EndpointID, dstOff, nBytes int) *sim.Future[int] {
-	f := sim.NewFuture[int]()
-	return orFailed(f, n.RDMACopyThen(f.Due(nBytes), initiator, src, srcOff, dst, dstOff, nBytes))
-}
-
 // orFailed fails f with the error of an op that did not start.
 func orFailed(f *sim.Future[int], err error) *sim.Future[int] {
 	if err != nil {

@@ -194,8 +194,7 @@ func TestRDMACopyThirdParty(t *testing.T) {
 	dst := n.Attach("dst", Location{2, Host}, 128)
 	copy(src.Arena()[5:], "direct")
 	k.Spawn("copy", func(tk *sim.Task) {
-		f := n.RDMACopy(ini.ID, src.ID, 5, dst.ID, 50, 6)
-		if _, err := f.Wait(tk); err != nil {
+		if err := rdmaCopy(tk, n, ini.ID, src.ID, 5, dst.ID, 50, 6); err != nil {
 			t.Errorf("rdma copy: %v", err)
 		}
 	})

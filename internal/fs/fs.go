@@ -107,13 +107,11 @@ const (
 	MaxExtents = 8
 )
 
-// The service runs queueDepth operations at once, staging FS-mode I/O
-// through stagingBufs buffers of ExtentSize bytes, the lowest free one
-// first (as the NVMe adaptor does).
-const (
-	queueDepth  = 8
-	stagingBufs = 8
-)
+// The service runs queueDepth operations at once and stages FS-mode I/O
+// through as many buffers of ExtentSize bytes, the lowest free one first
+// (as the NVMe adaptor does). An operation holds at most one buffer, so
+// one is always free when handleIO takes it.
+const queueDepth = 8
 
 // extent is one file extent: a logical volume on the backend.
 type extent struct {
@@ -150,8 +148,7 @@ type Service struct {
 	handles    map[uint64]*openHandle
 	nextHandle uint64
 
-	stageSem *sim.Semaphore // waiters take a buffer in arrival order
-	stages   []Stage        // free staging buffers, the lowest offset on top
+	stages []Stage // free staging buffers, the lowest offset on top
 
 	// Open is the service's root Request; grant it to clients.
 	Open proc.Cap
@@ -164,7 +161,7 @@ type Service struct {
 // service's Process — see Wire.
 func NewService(cl *core.Cluster, node int, name string) *Service {
 	return &Service{
-		P:        proc.Attach(cl, node, name, stagingBufs*ExtentSize),
+		P:        proc.Attach(cl, node, name, queueDepth*ExtentSize),
 		files:    make(map[string]*file),
 		creating: make(map[string]bool),
 		byID:     make(map[uint64]*file),
@@ -193,8 +190,7 @@ func (s *Service) Start(t *sim.Task) error {
 	if s.backend == nil {
 		return fmt.Errorf("fs: not wired to a block backend")
 	}
-	s.stageSem = sim.NewSemaphore(stagingBufs)
-	for i := 0; i < stagingBufs; i++ {
+	for i := 0; i < queueDepth; i++ {
 		off := i * ExtentSize
 		c, err := s.P.MemoryCreate(t, uint64(off), ExtentSize, cap.MemRights)
 		if err != nil {

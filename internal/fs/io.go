@@ -30,13 +30,9 @@ func (s *Service) handleIO(t *sim.Task, d *proc.Delivery, isWrite bool) {
 	}
 
 	// One staging buffer serves the whole operation extent by extent.
-	s.stageSem.Acquire(t)
 	sb := s.stages[len(s.stages)-1]
 	s.stages = s.stages[:len(s.stages)-1]
-	defer func() {
-		s.stages = append(s.stages, sb)
-		s.stageSem.Release()
-	}()
+	defer func() { s.stages = append(s.stages, sb) }()
 
 	// Walk the extent spans covered by [off, off+n).
 	done := uint64(0)

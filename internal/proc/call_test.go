@@ -87,7 +87,7 @@ func (c *callPair) held() [4]int64 {
 // nothingReceived checks that no invocation reached cli's Receive queue.
 func nothingReceived(t *testing.T, tk *sim.Task, cli *proc.Process) {
 	t.Helper()
-	if d, ok := cli.ReceiveTimeout(tk, us(100)); ok {
+	if d, err := receive(tk, cli).WaitTimeout(tk, us(100)); err == nil {
 		t.Errorf("an invocation with tag %#x reached the caller's Receive queue", d.Tag)
 	}
 }

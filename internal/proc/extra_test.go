@@ -1,6 +1,6 @@
 package proc_test
 
-// Additional libfractos tests: asynchronous pipelining, serve-loop
+// Additional libfractos tests: asynchronous pipelining, receive
 // mechanics, and misuse handling.
 
 import (
@@ -52,8 +52,8 @@ func TestInvokeAsyncPipelining(t *testing.T) {
 		}
 		// Drain the deliveries.
 		for i := 0; i < 2*k; i++ {
-			d, ok := srv.ReceiveTimeout(tk, us(50))
-			if !ok {
+			d, err := receive(tk, srv).WaitTimeout(tk, us(50))
+			if err != nil {
 				t.Fatalf("only %d deliveries arrived", i)
 			}
 			d.Done()
@@ -65,7 +65,7 @@ func TestReceiveTimeoutExpires(t *testing.T) {
 	run(t, cpuCluster(), func(tk *sim.Task, cl *core.Cluster) {
 		p := proc.Attach(cl, 0, "p", 0)
 		start := tk.Now()
-		if _, ok := p.ReceiveTimeout(tk, us(100)); ok {
+		if _, err := receive(tk, p).WaitTimeout(tk, us(100)); err == nil {
 			t.Fatal("unexpected delivery")
 		}
 		if got := tk.Now() - start; got != us(100) {
@@ -91,16 +91,17 @@ func TestDeliveryDoneIdempotent(t *testing.T) {
 		d1, _ := srv.Receive(tk)
 		d1.Done()
 		d1.Done() // double ack: must not grant an extra credit
-		d2, ok := srv.ReceiveTimeout(tk, us(100))
-		if !ok {
+		d2, err := receive(tk, srv).WaitTimeout(tk, us(100))
+		if err != nil {
 			t.Fatal("second delivery missing")
 		}
 		// The third delivery must wait for d2's (single) credit.
-		if _, early := srv.ReceiveTimeout(tk, us(50)); early {
+		third := receive(tk, srv)
+		if _, err := third.WaitTimeout(tk, us(50)); err == nil {
 			t.Fatal("third delivery arrived before its credit")
 		}
 		d2.Done()
-		if _, ok := srv.ReceiveTimeout(tk, us(100)); !ok {
+		if _, err := third.WaitTimeout(tk, us(100)); err != nil {
 			t.Fatal("third delivery never arrived")
 		}
 	})
@@ -227,8 +228,8 @@ func TestWaitTagBypassesQueue(t *testing.T) {
 		d.Done()
 		// The noise is still in the normal queue.
 		for i := 0; i < 3; i++ {
-			nd, ok := p.ReceiveTimeout(tk, us(100))
-			if !ok || nd.Tag != 500 {
+			nd, err := receive(tk, p).WaitTimeout(tk, us(100))
+			if err != nil || nd.Tag != 500 {
 				t.Fatalf("noise delivery %d missing", i)
 			}
 			nd.Done()

@@ -56,7 +56,7 @@ func echo(t *testing.T, d *Delivery) {
 	}
 }
 
-// serveEcho serves echoCalls' Request in a Serve loop, running h on each
+// serveEcho serves echoCalls' Request with Serve, running h on each
 // delivery before it is answered.
 func serveEcho(t *testing.T, h func(*sim.Task, *Delivery)) func(*Process) {
 	return func(srv *Process) {

@@ -25,6 +25,19 @@ func run(t *testing.T, cfg core.ClusterConfig, fn func(tk *sim.Task, cl *core.Cl
 		func(tk *sim.Task, d *testbed.Deployment) { fn(tk, d.Cl) })
 }
 
+// receive starts a Receive on p in a task of its own; the future
+// resolves with the delivery. A test waits for it with a virtual
+// deadline (WaitTimeout); after a timeout the task stays parked on the
+// queue and takes the next delivery.
+func receive(tk *sim.Task, p *proc.Process) *sim.Future[*proc.Delivery] {
+	f := sim.NewFuture[*proc.Delivery]()
+	tk.Kernel().Spawn("receive", func(rt *sim.Task) {
+		d, _ := p.Receive(rt)
+		f.Set(d)
+	})
+	return f
+}
+
 func cpuCluster() core.ClusterConfig { return core.ClusterConfig{Nodes: 3, Placement: core.CtrlOnCPU} }
 func snicCluster() core.ClusterConfig {
 	return core.ClusterConfig{Nodes: 3, Placement: core.CtrlOnSNIC}
@@ -490,8 +503,8 @@ func TestCongestionWindowBackpressure(t *testing.T) {
 		tk.Sleep(us(100))
 		delivered := 0
 		for {
-			d, ok := srv.ReceiveTimeout(tk, us(10))
-			if !ok {
+			d, err := receive(tk, srv).WaitTimeout(tk, us(10))
+			if err != nil {
 				break
 			}
 			delivered++

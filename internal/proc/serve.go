@@ -17,10 +17,10 @@ import (
 // How long a descriptor is valid depends on who received it. Receive,
 // WaitTag and CallWith hand it to the application, which keeps it. The
 // ones whose end libfractos knows come from a per-Process pool and go
-// back to it: Serve's, when its handler returns (Serve), a Handle
-// handler's, when it calls Finish (Handle), and a Call's reply, which is
-// borrowed until the calling task next blocks or starts another Call
-// (Call). Whatever outlives that is copied out first.
+// back to it: a Handle handler's when it calls Finish (Handle), a task's
+// when its handler returns (Tasks; Serve is Handle plus Tasks), and a
+// Call's reply, which is borrowed until the calling task next blocks or
+// starts another Call (Call). Whatever outlives that is copied out first.
 type Delivery struct {
 	p    *Process
 	Seq  uint64
@@ -230,56 +230,41 @@ func (d *Delivery) Upstream(slot uint16) bool {
 	return true
 }
 
-// Serve spawns the task that serves this Process's Requests: it
-// receives every delivery no Call or WaitTag claims, hands it to h and,
-// when h returns, acknowledges it (Done: nothing more if h did). A
-// reply h posted is ahead of that acknowledgement (Reply). width
-// sets how deliveries run. 1 runs h in the serving task, one delivery
-// after another; n > 1 gives each delivery a task of its own, at most n
-// at once; 0 gives each its own task with no bound of Serve's — the
-// Controller's congestion window (§4) already bounds a Process's
-// unacknowledged deliveries.
-//
-// The delivery is valid until h returns: Serve then takes the
-// descriptor back for the next delivery, so h copies out whatever it
-// keeps. A service whose requests do not block serves them in kernel
-// context instead, and answers them when it likes (Handle).
+// Serve serves this Process's Requests in tasks: it is
+// Handle(Tasks(name, width, h)), so every delivery no Call or WaitTag
+// claims goes to h in a task of its own, at most width at once.
 func (p *Process) Serve(name string, width int, h func(*sim.Task, *Delivery)) {
-	s := &server{p: p, name: name, h: h}
-	if width > 1 {
-		s.busy = sim.NewSemaphore(width)
-	}
-	p.k.Spawn(name, func(t *sim.Task) {
-		for {
-			d := p.next(t)
-			if width == 1 {
-				s.finish(d, t)
-			} else {
-				if s.busy != nil {
-					s.busy.Acquire(t)
-				}
-				s.dispatch(d)
-			}
-		}
-	})
+	p.Handle(p.Tasks(name, width, h))
 }
 
-// Tasks returns a Handle handler's hand-off to a task, for requests that
-// make blocking syscalls: passed a delivery, it spawns a task named name
-// that runs h on it, as Serve at width 0 does, from a pooled record.
-func (p *Process) Tasks(name string, h func(*sim.Task, *Delivery)) func(*Delivery) {
-	s := &server{p: p, name: name, h: h}
+// Tasks returns a Handle handler's hand-off to tasks, for requests that
+// make blocking syscalls: passed a delivery, it runs h on it in a task
+// named name and, when h returns, acknowledges it (Done: nothing more if
+// h did). A reply h posted is ahead of that acknowledgement (Reply).
+// width bounds the deliveries in service: 1 serves them one after
+// another, n at most n at once; 0 sets no bound of its own — the
+// Controller's congestion window (§4) already bounds a Process's
+// unacknowledged deliveries. A delivery that finds width in service
+// waits in arrival order, and the next task to finish serves it.
+//
+// The delivery is valid until h returns: it is then taken back for the
+// next delivery, so h copies out whatever it keeps.
+func (p *Process) Tasks(name string, width int, h func(*sim.Task, *Delivery)) func(*Delivery) {
+	s := &server{p: p, name: name, h: h, width: width}
 	return s.dispatch
 }
 
-// server is one Serve loop or Tasks hand-off: what it runs per delivery
-// and the records its deliveries' tasks start from.
+// server is one Tasks hand-off: what it runs per delivery, how many
+// deliveries are in service, those waiting for one to finish and the
+// records their tasks start from.
 type server struct {
-	p    *Process
-	name string
-	h    func(*sim.Task, *Delivery)
-	busy *sim.Semaphore // width n > 1: deliveries in service
-	ops  sim.FreeList[serveOp]
+	p       *Process
+	name    string
+	h       func(*sim.Task, *Delivery)
+	width   int         // deliveries in service at most; 0: no bound
+	busy    int         // deliveries in service
+	waiting []*Delivery // deliveries that found width in service, oldest first
+	ops     sim.FreeList[serveOp]
 }
 
 // serveOp is a delivery on its way into a task of its own: a pooled
@@ -289,15 +274,6 @@ type serveOp struct {
 	s   *server
 	d   *Delivery
 	run func(*sim.Task)
-}
-
-// next blocks until a delivery no Call or WaitTag claims arrives, for
-// Serve to hand back once served. The Receive queue is never closed.
-//
-//fractos:pool-acquire delivery
-func (p *Process) next(t *sim.Task) *Delivery {
-	d, _ := p.incoming.Recv(t)
-	return d
 }
 
 // finish runs the handler on d in t, acknowledges d and takes it back.
@@ -324,11 +300,17 @@ func (s *server) putOp(op *serveOp) {
 	s.ops.Put(op)
 }
 
-// dispatch starts a task of its own for d. Deliveries are spawned in
-// arrival order, under the server's name.
+// dispatch starts a task of its own for d, or queues d while width
+// deliveries are in service. Tasks are spawned in arrival order, under
+// the server's name, at the instant d arrives.
 //
 //fractos:pool-handoff delivery
 func (s *server) dispatch(d *Delivery) {
+	if s.busy == s.width && s.width > 0 {
+		s.waiting = append(s.waiting, d)
+		return
+	}
+	s.busy++
 	op := s.getOp()
 	op.d = d
 	op.spawn()
@@ -340,27 +322,28 @@ func (s *server) dispatch(d *Delivery) {
 func (op *serveOp) spawn() { op.s.p.k.Spawn(op.s.name, op.run) }
 
 // serve is the op's task: it puts the record back and serves its
-// delivery.
+// delivery, then each that queued meanwhile, with no event between
+// them.
 func (op *serveOp) serve(t *sim.Task) {
 	s, d := op.s, op.d
 	s.putOp(op)
-	s.finish(d, t)
-	if s.busy != nil {
-		s.busy.Release()
+	for {
+		s.finish(d, t)
+		if len(s.waiting) == 0 {
+			break
+		}
+		d = s.waiting[0]
+		s.waiting = slices.Delete(s.waiting, 0, 1)
 	}
+	s.busy--
 }
 
 // Receive blocks until the next unmatched invocation arrives
 // (request_receive). The descriptor is the caller's to keep, and it must
-// call Done or Release on it. Serve is the loop around it that services
-// need.
+// call Done or Release on it. A Process that serves its Requests calls
+// Serve instead.
 func (p *Process) Receive(t *sim.Task) (*Delivery, bool) {
 	return p.incoming.Recv(t)
-}
-
-// ReceiveTimeout is Receive with a virtual-time deadline.
-func (p *Process) ReceiveTimeout(t *sim.Task, d sim.Time) (*Delivery, bool) {
-	return p.incoming.RecvTimeout(t, d)
 }
 
 // NewTag allocates a Process-unique Request tag. Tags starting at

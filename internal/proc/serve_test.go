@@ -32,7 +32,9 @@ type serveRig struct {
 // reply, a Call whose reply Request rides in slot 0; without, an Invoke
 // that carries no continuation and returns once the invocation is
 // accepted, so deliveries queue up at the server. imm[0:8) of call i of
-// caller c is ids(c, i), or c*calls+i.
+// caller c is ids(c, i), or c*calls+i. Every row ends with no task of
+// Serve's left, and a row with events holds the kernel events of its
+// whole run to that count.
 func TestServe(t *testing.T) {
 	const work = 50 * sim.Time(1000)
 	sleep := func(st *sim.Task, d *proc.Delivery, r *serveRig) { st.Sleep(work) }
@@ -44,11 +46,12 @@ func TestServe(t *testing.T) {
 		window, width  int
 		callers, calls int
 		reply          bool
+		events         uint64
 		ids            func(c, i int) uint64
 		h              func(*sim.Task, *proc.Delivery, *serveRig)
 		check          func(*serveRig) error
 	}{{
-		name: "width 1 serves in arrival order in one task", width: 1, callers: 1, calls: 8, h: sleep,
+		name: "width 1 serves in arrival order in one task", width: 1, callers: 1, calls: 8, h: sleep, events: 106,
 		check: func(r *serveRig) error {
 			for i, id := range r.ids {
 				if id != uint64(i) || r.tasks[i] != r.tasks[0] {
@@ -58,10 +61,10 @@ func TestServe(t *testing.T) {
 			return peak(r, 1)
 		},
 	}, {
-		name: "width 3 bounds deliveries in service", width: 3, callers: 8, calls: 1, h: sleep,
+		name: "width 3 bounds deliveries in service", width: 3, callers: 8, calls: 1, h: sleep, events: 115,
 		check: func(r *serveRig) error { return peak(r, 3) },
 	}, {
-		name: "width 0 is bounded by the congestion window", window: 4, width: 0, callers: 8, calls: 1, h: sleep,
+		name: "width 0 is bounded by the congestion window", window: 4, width: 0, callers: 8, calls: 1, h: sleep, events: 120,
 		check: func(r *serveRig) error { return peak(r, 4) },
 	}, {
 		name: "window 1, handler returns", window: 1, width: 1, callers: 1, calls: 3, reply: true, h: echo,
@@ -104,6 +107,7 @@ func TestServe(t *testing.T) {
 			cfg := core.ClusterConfig{Nodes: 2}
 			cfg.Ctrl.Window = tc.window
 			r := &serveRig{}
+			e0 := sim.TotalEvents()
 			run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 				srv := proc.Attach(cl, 1, "srv", 0)
 				cl.Net.SetTrace(func(e fabric.TraceEvent) {
@@ -125,6 +129,7 @@ func TestServe(t *testing.T) {
 				var served, called sim.WaitGroup
 				served.Add(tc.callers * tc.calls)
 				called.Add(tc.callers)
+				live := cl.K.Live()
 				srv.Serve("srv", tc.width, func(st *sim.Task, d *proc.Delivery) {
 					r.ids = append(r.ids, d.U64(0))
 					r.tasks = append(r.tasks, st)
@@ -167,7 +172,13 @@ func TestServe(t *testing.T) {
 				called.Wait(tk)
 				served.Wait(tk)
 				tk.Sleep(work) // the last acknowledgement reaches the fabric
+				if n := cl.K.Live(); n != live {
+					t.Errorf("%d tasks live at quiescence, %d before Serve", n, live)
+				}
 			})
+			if got := sim.TotalEvents() - e0; tc.events != 0 && got != tc.events {
+				t.Errorf("%d kernel events, want %d", got, tc.events)
+			}
 			if len(r.ids) != tc.callers*tc.calls {
 				t.Fatalf("served %d deliveries, want %d", len(r.ids), tc.callers*tc.calls)
 			}

@@ -92,7 +92,12 @@ func TestCallTimeoutLateReplyAcked(t *testing.T) {
 			t.Fatalf("follow-up status = %v", st)
 		}
 		// Nothing stray in the Receive path.
-		if _, ok := client.ReceiveTimeout(tk, 1*1000*1000); ok {
+		leaked := sim.NewFuture[*proc.Delivery]()
+		cl.K.Spawn("receive", func(rt *sim.Task) {
+			d, _ := client.Receive(rt)
+			leaked.Set(d)
+		})
+		if _, err := leaked.WaitTimeout(tk, 1*1000*1000); err == nil {
 			t.Fatal("late reply leaked into the Receive queue")
 		}
 		done = true

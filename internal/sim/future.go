@@ -191,8 +191,7 @@ func (wg *WaitGroup) wakeAll() {
 }
 
 // Semaphore is a counting semaphore under virtual time: the bound on
-// what a service, device or application keeps in progress at once
-// (staging buffers, execution slots, a serve loop's width).
+// what an application keeps in progress at once (its request slots).
 type Semaphore struct {
 	avail   int
 	waiters []*Task
