@@ -24,8 +24,9 @@ func TestForwardedCallKeepsItsArguments(t *testing.T) {
 	const owner = fcap.ControllerID(2)
 	k := sim.New(1)
 	net := fabric.New(k, fabric.DefaultProfile())
+	net.InstallFaults(fabric.Faults{})
 	loc := fabric.Location{Node: 0, Domain: fabric.Host}
-	c := New(k, net, 1, Config{Loc: loc, RPCBudget: DefaultRPCBudget})
+	c := New(k, net, 1, Config{Loc: loc})
 	peer := net.Attach("owner", fabric.Location{Node: 1, Domain: fabric.Host}, 0)
 	c.AddPeer(owner, peer.ID)
 	cli := c.AttachProcess(1, "cli", loc, 0, nil)

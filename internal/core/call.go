@@ -29,10 +29,10 @@ const (
 
 // pendingCall is an outstanding inter-Controller request awaiting its
 // response: a pooled record parked in Controller.pending under the
-// call's token from call until retire. With cfg.RPCBudget armed the
-// record is also the target of its own retransmission timer — one
-// event, re-armed per attempt and stopped when the call retires — and
-// sent/rto/attempt drive the resends of frame(pc) under the same token.
+// call's token from call until retire. On a lossy fabric the record is
+// also the target of its own retransmission timer — one event, re-armed
+// per attempt and stopped when the call retires — and sent/rto/attempt
+// drive the resends of frame(pc) under the same token.
 //
 // The fields past entry are the union of what the kinds need; each
 // call site fills the ones its kind reads. imms (with immData, the
@@ -45,10 +45,10 @@ type pendingCall struct {
 	c     *Controller
 	token uint64 // the key in c.pending, from call on
 
-	// Retransmission state (cfg.RPCBudget armed): when the call was
-	// first sent — its deadline is cfg.RPCBudget later — the timeout of
-	// the current attempt (doubling from the peer's RTO up to
-	// rtoCeiling), how many resends went out, and the pending timeout.
+	// Retransmission state (lossy fabric): when the call was first
+	// sent — its deadline is RPCBudget later — the timeout of the
+	// current attempt (doubling from the peer's RTO up to rtoCeiling),
+	// how many resends went out, and the pending timeout.
 	sent    sim.Time
 	rto     sim.Time
 	attempt int
@@ -141,11 +141,11 @@ func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 // synthetic failure CtrlAck when the call cannot complete: the peer's
 // endpoint is torn down (StatusNoProc), the peer is observed dead or
 // rebooted (StatusAborted via abortPendingTo), this Controller itself
-// crashes (StatusAborted via Crash), or, with cfg.RPCBudget armed, the
-// call's deadline passes unanswered (StatusAborted). Internal
-// operations (cleanup broadcasts, lease revocations, memory_copy's
-// validation round) call it directly and owe no Process a completion;
-// a syscall enters through forward.
+// crashes (StatusAborted via Crash), or, on a lossy fabric, the call's
+// deadline passes unanswered (StatusAborted). Internal operations
+// (cleanup broadcasts, lease revocations, memory_copy's validation
+// round) call it directly and owe no Process a completion; a syscall
+// enters through forward.
 //
 //fractos:pool-handoff pendingcall
 //fractos:yield
@@ -166,7 +166,7 @@ func (c *Controller) call(pc *pendingCall) {
 		c.resolvePending(pc.token, &wire.CtrlAck{Status: wire.StatusNoProc})
 		return
 	}
-	if c.cfg.RPCBudget > 0 {
+	if c.net.Lossy() {
 		pc.sent, pc.rto = c.k.Now(), p.rtt.rto()
 		pc.timer = c.k.AfterCall(pc.rto, pc)
 	}
@@ -288,7 +288,7 @@ func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 // rtoCeiling; once the call's deadline has passed resolve it as aborted.
 func (pc *pendingCall) Fire() {
 	c := pc.c
-	left := pc.sent + c.cfg.RPCBudget - c.k.Now()
+	left := pc.sent + RPCBudget - c.k.Now()
 	if left <= 0 {
 		c.abortCall(pc.token)
 		return
@@ -314,7 +314,7 @@ func (c *Controller) answered(token uint64, m wire.Message) {
 	if !ok {
 		return
 	}
-	if c.cfg.RPCBudget > 0 && pc.attempt == 0 {
+	if c.net.Lossy() && pc.attempt == 0 {
 		c.peers[pc.peer()].rtt.sample(c.k.Now() - pc.sent)
 	}
 	delete(c.pending, token)

@@ -42,9 +42,8 @@ type ClusterConfig struct {
 	Seed      int64
 
 	// Faults, when Enabled, installs the fault-injection layer on the
-	// fabric (docs/FAULTS.md) and — unless the Ctrl template already
-	// sets one — arms the Controllers' retransmission protocol with
-	// DefaultRPCBudget. A zero Faults keeps the fabric and the
+	// fabric (docs/FAULTS.md), and the Controllers retransmit because
+	// the fabric is lossy. A zero Faults keeps the fabric and the
 	// Controllers byte-identical to a fault-free deployment.
 	Faults fabric.Faults
 }
@@ -70,9 +69,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	net := fabric.New(k, fabric.DefaultProfile())
 	if cfg.Faults.Enabled() {
 		net.InstallFaults(cfg.Faults)
-		if cfg.Ctrl.RPCBudget == 0 {
-			cfg.Ctrl.RPCBudget = DefaultRPCBudget
-		}
 	}
 	cl := &Cluster{K: k, Net: net, placement: cfg.Placement, nodes: cfg.Nodes}
 

@@ -107,15 +107,6 @@ type Config struct {
 	// managed Process (§4's quota on capability-space memory).
 	// 0 means unlimited.
 	CapQuota int
-	// RPCBudget arms retransmission on the inter-Controller call path
-	// and is each call's virtual deadline: an unanswered call is resent
-	// on the peer's RTT-driven timer (rtt.go) until this much time has
-	// passed since its first send, then resolves with StatusAborted. 0
-	// disables retransmission — the right setting for a reliable
-	// fabric, where it would only add idle timer events. Deployments
-	// with a lossy fabric (fabric.Faults) must set it; NewCluster arms
-	// DefaultRPCBudget when it installs faults.
-	RPCBudget sim.Time
 	// LeaseTTL, when > 0, bounds the lifetime of Leased capability
 	// entries (monitor_delegatee children, §3.6): an entry not dropped
 	// within LeaseTTL of its installation is treated as abandoned by
@@ -128,7 +119,7 @@ type Config struct {
 }
 
 // Defaults for Config's zero fields, and the constants of the bounce
-// pool and the lease GC.
+// pool, the call deadline and the lease GC.
 const (
 	DefaultWindow = 32
 	// DefaultBounceChunk is the bounce-buffer chunk size; copies larger
@@ -137,10 +128,14 @@ const (
 	// DefaultBouncePairs is how many concurrent copies the bounce pool
 	// admits (each needs two chunks).
 	DefaultBouncePairs = 8
-	// DefaultRPCBudget: an outage shorter than this is masked by
-	// retransmission, a longer one surfaces as StatusAborted —
-	// comfortably past the partition windows the chaos suite injects.
-	DefaultRPCBudget = 315 * sim.Time(time.Millisecond)
+	// RPCBudget is each inter-Controller call's virtual deadline on a
+	// fabric that can lose a frame (fabric.Net.Lossy): an unanswered
+	// call is resent on the peer's RTT-driven timer (rtt.go) until this
+	// much time has passed since its first send, then resolves with
+	// StatusAborted. An outage shorter than this is masked, a longer
+	// one surfaces — comfortably past the partition windows the chaos
+	// suite injects. A reliable fabric arms no timer at all.
+	RPCBudget = 315 * sim.Time(time.Millisecond)
 	// DefaultLeaseGCInterval/Batch: the lease GC sweeps every 1 ms
 	// virtual in slices of 4096 capability-space slots — an expired
 	// lease is noticed within roughly TTL + interval × ⌈slots/batch⌉

@@ -118,9 +118,9 @@ type dedupSlot struct {
 }
 
 // dedupCap bounds cached replies per peer. A request is retransmitted
-// only until its caller's deadline (cfg.RPCBudget after the first
-// send), and the first resend follows the original by one RTO — tens of
-// µs, a handful of tokens behind. Eviction could break the at-most-once
+// only until its caller's deadline (RPCBudget after the first send),
+// and the first resend follows the original by one RTO — tens of µs, a
+// handful of tokens behind. Eviction could break the at-most-once
 // contract only if the same sender had dedupCap newer calls answered
 // here while every resend of the older one (one per backoff step, then
 // one per rtoCeiling) was lost in a row, which the deadline makes a
@@ -618,17 +618,12 @@ func (d *dedupCache) reset() {
 }
 
 // dedupArmed reports whether the at-most-once reply cache must be
-// maintained. Repeated tokens have exactly two sources — sender
-// retransmission (cfg.RPCBudget armed) and fabric duplication (chaos
-// layer installed) — so when neither is possible the cache would only
-// accumulate dead weight. core.NewCluster arms RPCBudget whenever it
-// installs faults, which keeps this check a pure receiver-side
-// optimization there; direct InstallFaults users are covered by the
-// Lossy probe.
+// maintained: only a lossy fabric repeats a token, by retransmission
+// or duplication.
 //
 //fractos:hotpath
 func (c *Controller) dedupArmed() bool {
-	return c.cfg.RPCBudget > 0 || c.net.Lossy()
+	return c.net.Lossy()
 }
 
 // ref builds a Ref for an object owned by this Controller.

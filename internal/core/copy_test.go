@@ -126,6 +126,7 @@ func TestCopyAdmissionInArrivalOrder(t *testing.T) {
 // instant the pair carries (TestAbortedCopyPairWaitsForItsWrite).
 func TestCopyAbortedByPathCut(t *testing.T) {
 	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
 		local, ends := newCopyPairs(t, tk, cl, 1, 1<<20)
 		if ends == nil {
 			return
@@ -170,6 +171,7 @@ func TestAbortedCopyPairWaitsForItsWrite(t *testing.T) {
 func abortedCopyPairWaits(t *testing.T, cut sim.Time) {
 	const chunk = core.DefaultBounceChunk
 	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
 		local, ends := newCopyPairs(t, tk, cl, 1, 1<<20)
 		if ends == nil {
 			return
@@ -584,9 +586,9 @@ type copyFault struct {
 // gets an error status or OK with every byte delivered — or, its
 // Process failed with its Controller, nothing or a severed channel —
 // and once the cluster is quiet the copy engine holds nothing and no
-// frame is live. A cut loses frames, so the Controllers run their
-// retransmission protocol: without it a validation lost on the cut
-// path is never answered, and the copy waits for ever.
+// frame is live. Every run's Net is built with faults, so the
+// Controllers retransmit: a validation lost on the cut path is resent
+// until the link comes back.
 func TestCopyCrashPointSweep(t *testing.T) {
 	faults := []copyFault{
 		{"initiator crash", func(cl *core.Cluster) { cl.CtrlFor(0).Crash() }, func(cl *core.Cluster) { cl.CtrlFor(0).Reboot() }, true},
@@ -610,9 +612,8 @@ func TestCopyCrashPointSweep(t *testing.T) {
 // at, or unfaulted with f nil, when it returns the instants to sweep.
 func faultedCopy(t *testing.T, pull bool, f *copyFault, at sim.Time) (instants []sim.Time) {
 	const size = 64 << 10
-	cfg := core.ClusterConfig{Nodes: 2}
-	cfg.Ctrl.RPCBudget = core.DefaultRPCBudget
-	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
 		local, remote := proc.Attach(cl, 0, "local", size), proc.Attach(cl, 1, "remote", size)
 		lmem, lbuf, err1 := local.AllocMemory(tk, size, cap.MemRights)
 		rmem, rbuf, err2 := remote.AllocMemory(tk, size, cap.MemRights)
@@ -652,7 +653,7 @@ func faultedCopy(t *testing.T, pull bool, f *copyFault, at sim.Time) (instants [
 			copyErr = local.MemoryCopy(ct, src, dst)
 			returned = true
 		})
-		tk.Sleep(core.DefaultRPCBudget + us(1000))
+		tk.Sleep(core.RPCBudget + us(1000))
 		cl.Net.SetTrace(nil)
 		failed := f != nil && f.failsCaller
 		switch {

@@ -87,19 +87,19 @@ func (r *echoRig) call(tk *sim.Task, payload string, deadline sim.Time) error {
 }
 
 // TestCrashAbortsPendingPeerCalls pins the Crash/abortAllPending edge:
-// an inter-Controller call parked with no retransmission armed (the
-// frame was lost to a partition; RPCBudget is zero) must be resolved
-// with StatusAborted when the *issuing* Controller crashes, instead of
-// leaking its callback across the reboot.
+// an inter-Controller call parked across a partition, well inside its
+// deadline, must be resolved with StatusAborted when the *issuing*
+// Controller crashes, instead of leaking its callback across the
+// reboot.
 func TestCrashAbortsPendingPeerCalls(t *testing.T) {
 	run(t, core.ClusterConfig{Nodes: 2, Seed: 5}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
 		r := newEchoRig(tk, cl, 1, 0)
 		if err := r.call(tk, "warm", 20*fms); err != nil {
 			t.Fatalf("healthy path: %v", err)
 		}
-		// Cut node 1. With no chaos config, retransmission is unarmed:
-		// the forwarded CtrlInvoke is silently lost and nothing will
-		// ever resolve the pending call on its own.
+		// Cut node 1: every copy of the forwarded CtrlInvoke is lost, and
+		// the call keeps resending until the crash aborts it.
 		cl.Net.PartitionNodes([]int{1})
 		finished := false
 		cl.K.Spawn("stuck-invoke", func(st *sim.Task) {
@@ -108,7 +108,7 @@ func TestCrashAbortsPendingPeerCalls(t *testing.T) {
 		})
 		tk.Sleep(50 * fms)
 		if finished {
-			t.Fatal("invoke resolved across a partition with retransmission unarmed")
+			t.Fatal("invoke resolved across a partition")
 		}
 		if got := cl.CtrlFor(0).Metrics().RPCAborted; got != 0 {
 			t.Fatalf("RPCAborted=%d before the crash, want 0", got)
@@ -138,12 +138,14 @@ func TestCrashAbortsPendingPeerCalls(t *testing.T) {
 // sources the counter documents.
 func TestPeerCrashAbortsPendingCalls(t *testing.T) {
 	run(t, core.ClusterConfig{Nodes: 2, Seed: 5}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
 		r := newEchoRig(tk, cl, 1, 0)
 		if err := r.call(tk, "warm", 20*fms); err != nil {
 			t.Fatalf("healthy path: %v", err)
 		}
-		// Retransmission is unarmed: the forwarded CtrlInvoke is lost to
-		// the partition and stays parked at Controller 0.
+		// Every copy of the forwarded CtrlInvoke is lost to the
+		// partition: the call stays parked at Controller 0, resending
+		// until the peer's new epoch aborts it.
 		cl.Net.PartitionNodes([]int{1})
 		var invokeErr error
 		finished := false
@@ -170,6 +172,46 @@ func TestPeerCrashAbortsPendingCalls(t *testing.T) {
 			t.Errorf("%d calls still pending after the abort", got)
 		}
 	})
+}
+
+// TestLossyFabricAlwaysRetransmits: a Controller retransmits exactly
+// when its fabric can lose a frame, however the cut arrives — from the
+// deployment's fault plan, or imperatively on a fabric built with an
+// empty fault layer. An invocation sent into a partition that heals
+// 5 ms later returns nil after the heal, and no call stays pending.
+func TestLossyFabricAlwaysRetransmits(t *testing.T) {
+	const cutAt, heal = 100 * fms, 5 * fms
+	for _, tc := range []struct {
+		name       string
+		faults     fabric.Faults
+		imperative bool // install an empty layer and cut it by hand
+	}{
+		{name: "planned", faults: fabric.Faults{Plan: fabric.Plan{
+			{At: cutAt, Kind: fabric.Partition, Group: []int{1}},
+			{At: cutAt + heal, Kind: fabric.Heal},
+		}}},
+		{name: "imperative", imperative: true},
+	} {
+		run(t, core.ClusterConfig{Nodes: 2, Seed: 5, Faults: tc.faults}, func(tk *sim.Task, cl *core.Cluster) {
+			if tc.imperative {
+				cl.Net.InstallFaults(fabric.Faults{})
+				cl.K.After(cutAt-tk.Now(), func() {
+					cl.Net.PartitionNodes([]int{1})
+					cl.K.After(heal, cl.Net.HealPartitions)
+				})
+			}
+			r := newEchoRig(tk, cl, 1, 0)
+			tk.Sleep(cutAt + us(1) - tk.Now())
+			if err := r.client.Invoke(tk, r.creq, nil, nil); err != nil || tk.Now() < cutAt+heal {
+				t.Errorf("%s: invoke across the partition returned %v at %v, want nil after the heal at %v", tc.name, err, tk.Now(), cutAt+heal)
+			}
+			for _, c := range cl.Ctrls {
+				if n := c.PendingCalls(); n != 0 {
+					t.Errorf("%s: %d calls pending at Controller %d", tc.name, n, c.ID())
+				}
+			}
+		})
+	}
 }
 
 // TestChaosMatrixLoss: every call completes successfully under 0 %,
@@ -277,7 +319,7 @@ func TestChaosCrashMidPartition(t *testing.T) {
 		cl.CtrlFor(1).Crash()
 
 		// Bounded failure during the outage: the call's budget
-		// (core.DefaultRPCBudget, 315 ms) runs out and the client sees
+		// (core.RPCBudget, 315 ms) runs out and the client sees
 		// an error — never a hang.
 		if err := r.call(tk, "mid", 1000*fms); err == nil {
 			t.Fatal("call succeeded against a crashed, partitioned Controller")

@@ -222,13 +222,14 @@ func TestCrashDiscardsQueuedMessages(t *testing.T) {
 	}
 }
 
-// dedupRig is a Controller with retransmission armed, so it keeps the
+// dedupRig is a Controller on a lossy fabric, so it keeps the
 // at-most-once cache, and one peer whose frames the test reads.
 func dedupRig() (*sim.Kernel, *Controller, *fabric.Endpoint, *peerState) {
 	const peerID = fcap.ControllerID(2)
 	k := sim.New(1)
 	net := fabric.New(k, fabric.DefaultProfile())
-	c := New(k, net, 1, Config{Loc: fabric.Location{Node: 0, Domain: fabric.Host}, RPCBudget: DefaultRPCBudget})
+	net.InstallFaults(fabric.Faults{})
+	c := New(k, net, 1, Config{Loc: fabric.Location{Node: 0, Domain: fabric.Host}})
 	peer := net.Attach("peer", fabric.Location{Node: 1}, 0)
 	c.AddPeer(peerID, peer.ID)
 	return k, c, peer, c.peers[peerID]

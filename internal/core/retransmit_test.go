@@ -69,7 +69,7 @@ func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
 		// Quiescence: the last deliveries and their DeliverDones drain,
 		// the last resent acknowledgement has arrived.
 		settle := func() {
-			for budget := core.DefaultRPCBudget; budget > 0 && c0.PendingCalls()+c1.PendingCalls() != 0; budget -= fms {
+			for budget := core.RPCBudget; budget > 0 && c0.PendingCalls()+c1.PendingCalls() != 0; budget -= fms {
 				tk.Sleep(fms)
 			}
 			tk.Sleep(5 * fms)
@@ -120,9 +120,9 @@ func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
 				w, core.DefaultWindow, out, q)
 		}
 		m0, m1 := c0.Metrics(), c1.Metrics()
-		if aborted := m0.RPCAborted + m1.RPCAborted; aborted != 0 && elapsed < core.DefaultRPCBudget {
+		if aborted := m0.RPCAborted + m1.RPCAborted; aborted != 0 && elapsed < core.RPCBudget {
 			bad("%d calls aborted although the run took %v, inside the %v budget",
-				aborted, elapsed, core.DefaultRPCBudget)
+				aborted, elapsed, core.RPCBudget)
 		}
 		fs := cl.Net.FaultStats()
 		if retx, lost := m0.Retransmits+m1.Retransmits, fs.Dropped+fs.Duplicated; f.Jitter <= 20*fms/1000 && 2*retx > 3*lost {

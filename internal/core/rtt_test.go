@@ -99,8 +99,9 @@ const rigPeer = fcap.ControllerID(2)
 func newRTORig(t *testing.T) *rtoRig {
 	k := sim.New(1)
 	net := fabric.New(k, fabric.DefaultProfile())
+	net.InstallFaults(fabric.Faults{})
 	r := &rtoRig{t: t, k: k, net: net, copies: make(map[uint64]int)}
-	r.c = New(k, net, 1, Config{Loc: fabric.Location{Node: 0, Domain: fabric.Host}, RPCBudget: DefaultRPCBudget})
+	r.c = New(k, net, 1, Config{Loc: fabric.Location{Node: 0, Domain: fabric.Host}})
 	r.peer = net.Attach("scripted-peer", fabric.Location{Node: 1, Domain: fabric.Host}, 0)
 	r.c.AddPeer(rigPeer, r.peer.ID)
 	r.proc = r.c.AttachProcess(1, "rig-proc", fabric.Location{Node: 0, Domain: fabric.Host}, 0, nil)
@@ -288,7 +289,7 @@ func TestRPCDeadline(t *testing.T) {
 		{name: "partition healed at 100 ms is masked", healAt: 100 * tms,
 			wantStatus: wire.StatusOK, min: 100 * tms, max: 100*tms + rtoCeiling + 10*tus},
 		{name: "partition that never heals aborts at the budget", healAt: 0,
-			wantStatus: wire.StatusAborted, min: DefaultRPCBudget, max: DefaultRPCBudget, wantAborted: 1},
+			wantStatus: wire.StatusAborted, min: RPCBudget, max: RPCBudget, wantAborted: 1},
 	} {
 		r := newRTORig(t)
 		r.answer = func(uint64, int) (sim.Time, bool) {

@@ -429,9 +429,9 @@ func New(k *sim.Kernel, p Profile) *Net {
 func (n *Net) Kernel() *sim.Kernel { return n.k }
 
 // Lossy reports whether the chaos layer is installed: frames may be
-// dropped, duplicated, delayed, or cut. Receivers use it (together
-// with an armed RPCBudget) to decide whether at-most-once machinery
-// needs to run at all.
+// dropped, duplicated, delayed, or cut. It is fixed before the first
+// frame, and Controllers read it to decide whether to retransmit and
+// keep at-most-once replies at all.
 //
 //fractos:hotpath
 func (n *Net) Lossy() bool { return n.faults != nil }

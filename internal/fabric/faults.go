@@ -30,11 +30,13 @@ package fabric
 import (
 	"math/rand"
 
+	"fractos/internal/assert"
 	"fractos/internal/sim"
 )
 
-// Faults configures the chaos layer. The zero value disables it
-// entirely (and is guaranteed not to perturb the fabric).
+// Faults configures the chaos layer. A zero Faults in a deployment's
+// configuration installs nothing; passed to InstallFaults it gives a
+// lossless layer that only topology changes can cut.
 type Faults struct {
 	// Drop is the per-frame probability that a cross-node message is
 	// lost in transit. The sender still pays for the wire time; Send
@@ -128,13 +130,14 @@ type faultState struct {
 	stats FaultStats
 }
 
-// InstallFaults activates the chaos layer on the fabric and schedules
-// the plan's actions. Call once, before the simulation runs. A
-// disabled (zero-value) Faults is a no-op.
+// InstallFaults installs the chaos layer on the fabric and schedules
+// the plan's actions. Call it once, before the fabric carries its
+// first frame or RDMA op: from then on Lossy holds for the fabric's
+// whole life, so no call sent while it was reliable can lose its
+// answer. Any Faults installs the layer — a zero one gives a lossless
+// fabric that only SetLink and PartitionNodes can cut.
 func (n *Net) InstallFaults(f Faults) {
-	if !f.Enabled() {
-		return
-	}
+	assert.True(n.stats == Stats{}, "fabric: InstallFaults after the fabric carried traffic")
 	n.faults = &faultState{
 		rng:    rand.New(rand.NewSource(f.Seed + 1)), // +1: seed 0 is a valid, distinct stream
 		drop:   f.Drop,
@@ -174,12 +177,11 @@ func (n *Net) apply(a Action) {
 	}
 }
 
-// ensureFaults materializes the fault state for imperative callers
-// (tests, examples) that script topology changes without a Plan.
-func (n *Net) ensureFaults() *faultState {
-	if n.faults == nil {
-		n.faults = &faultState{rng: rand.New(rand.NewSource(1))}
-	}
+// topology returns the fault state a topology change edits. Only a Net
+// built with faults can be cut: on any other, a call sent without a
+// retransmission timer could wait forever for an answer a cut lost.
+func (n *Net) topology() *faultState {
+	assert.True(n.faults != nil, "fabric: topology change on a Net built without faults")
 	return n.faults
 }
 
@@ -187,7 +189,7 @@ func (n *Net) ensureFaults() *faultState {
 // port. While down, all cross-node frames to or from the node are
 // silently lost and cross-node RDMA fails.
 func (n *Net) SetLink(node int, up bool) {
-	fs := n.ensureFaults()
+	fs := n.topology()
 	for len(fs.linkDown) <= node {
 		fs.linkDown = append(fs.linkDown, false)
 	}
@@ -198,7 +200,7 @@ func (n *Net) SetLink(node int, up bool) {
 // cluster (they keep connectivity among themselves). Successive calls
 // create independent partitions.
 func (n *Net) PartitionNodes(group []int) {
-	fs := n.ensureFaults()
+	fs := n.topology()
 	fs.nextGrp++
 	id := fs.nextGrp
 	for _, node := range group {
@@ -212,7 +214,7 @@ func (n *Net) PartitionNodes(group []int) {
 // HealPartitions restores full connectivity between partition groups
 // (administratively downed links stay down).
 func (n *Net) HealPartitions() {
-	fs := n.ensureFaults()
+	fs := n.topology()
 	for i := range fs.group {
 		fs.group[i] = 0
 	}

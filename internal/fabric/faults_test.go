@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"fractos/internal/sim"
@@ -43,14 +44,49 @@ func pump(n *Net, src, dst *Endpoint, cnt int) int {
 	return got
 }
 
+// TestFaultsZeroValueIsNoop: a zero Faults injects nothing. A
+// deployment's zero configuration installs no layer at all
+// (testbed's TestWatchAndHandles checks Lossy stays false); installed
+// directly it gives a fabric that loses nothing on its own but reports
+// Lossy, because a topology change may still cut it.
 func TestFaultsZeroValueIsNoop(t *testing.T) {
+	if (Faults{}).Enabled() {
+		t.Error("a zero Faults must not enable a deployment's fault layer")
+	}
 	n, src, dst := chaosPair(t, Faults{})
-	if n.faults != nil {
-		t.Fatal("zero-value Faults must not install the chaos layer")
+	if !n.Lossy() {
+		t.Error("a Net built with faults must report Lossy")
 	}
 	if got := pump(n, src, dst, 50); got != 50 {
-		t.Fatalf("reliable fabric delivered %d/50", got)
+		t.Fatalf("lossless fault layer delivered %d/50", got)
 	}
+}
+
+// mustRefuse runs fn and checks that it panics with the assert message want.
+func mustRefuse(t *testing.T, name, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, want) {
+			t.Errorf("%s: panic %q, want %q", name, msg, want)
+		}
+	}()
+	fn()
+}
+
+// TestTopologyNeedsFaults: a Net built without faults refuses topology
+// changes — its Controllers retransmit nothing, so a cut could leave a
+// call waiting for ever — and no Net takes faults once it has carried a
+// frame.
+func TestTopologyNeedsFaults(t *testing.T) {
+	const noFaults = "topology change on a Net built without faults"
+	_, n := newNet()
+	mustRefuse(t, "SetLink", noFaults, func() { n.SetLink(1, false) })
+	mustRefuse(t, "PartitionNodes", noFaults, func() { n.PartitionNodes([]int{1}) })
+	mustRefuse(t, "HealPartitions", noFaults, n.HealPartitions)
+
+	n, src, dst := chaosPair(t, Faults{})
+	n.Send(src.ID, dst.ID, &wire.Null{})
+	mustRefuse(t, "InstallFaults", "InstallFaults after the fabric carried traffic", func() { n.InstallFaults(Faults{}) })
 }
 
 func TestFaultsDropLosesFrames(t *testing.T) {
@@ -135,6 +171,7 @@ func TestPartitionCutsAndHeals(t *testing.T) {
 func TestLinkDownFailsRDMA(t *testing.T) {
 	k := sim.New(1)
 	n := New(k, DefaultProfile())
+	n.InstallFaults(Faults{})
 	src := n.Attach("src", Location{Node: 0}, 4096)
 	dst := n.Attach("dst", Location{Node: 1}, 4096)
 	n.SetLink(1, false)

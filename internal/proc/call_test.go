@@ -520,14 +520,15 @@ func TestCallParkedLateReply(t *testing.T) {
 }
 
 // TestCallAbortedInvokeRetiresReplyRequest: the invocation is delivered
-// and its acknowledgement is lost for longer than RPCBudget, so the call
-// ends StatusAborted with the provider holding an armed delegation. That
-// is no refusal: the reply Request is revoked and never used again, the
-// provider's late answer bounces, and the next call — a different value,
-// answered after the late one — gets its own echo and nothing else.
+// and its acknowledgement is lost for longer than core.RPCBudget, so
+// the call ends StatusAborted with the provider holding an armed
+// delegation. That is no refusal: the reply Request is revoked and never
+// used again, the provider's late answer bounces, and the next call — a
+// different value, answered after the late one — gets its own echo and
+// nothing else.
 func TestCallAbortedInvokeRetiresReplyRequest(t *testing.T) {
-	cfg := core.ClusterConfig{Nodes: 2, Ctrl: core.Config{RPCBudget: us(2000)}}
-	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
 		c := newCallPair(t, tk, cl, 1)
 		// The provider echoes the first invocation, and the second only once
 		// the third has arrived: late, with the third call's reply Request

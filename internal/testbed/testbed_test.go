@@ -55,6 +55,9 @@ func TestWatchAndHandles(t *testing.T) {
 			if d.K() != d.Cl.K || d.Net() != d.Cl.Net {
 				t.Error("accessors disagree with the cluster")
 			}
+			if d.Net().Lossy() {
+				t.Error("a zero Spec.Chaos installed a fault layer")
+			}
 			p := d.Attach(2, "probe", 64)
 			if err := p.Null(tk); err != nil {
 				t.Errorf("attached process unusable: %v", err)
