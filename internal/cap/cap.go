@@ -183,15 +183,10 @@ type Entry struct {
 	// that installed the entry (0: none did): its acknowledgement hands back
 	// only that, not a cid dropped meanwhile (a spent reply's) and reissued.
 	Delivery uint64
-	// Expire, when non-zero, is the virtual-time deadline after which
-	// the lease GC treats a Leased entry as abandoned and fires the
-	// §3.6 failure-translation path for it. Stamped by the Controller
-	// at install time from its lease-TTL configuration.
-	Expire int64
 }
 
-// spacePageBits sizes Space slab pages: 512 entries per page keeps
-// page allocations around 32KB while bounding the page directory to
+// spacePageBits sizes Space slab pages: 512 56-byte slots per page
+// keeps page allocations at 28 KiB while bounding the page directory to
 // index/512 pointers.
 const spacePageBits = 9
 
@@ -323,27 +318,6 @@ func (s *Space) Drop(id CapID) bool {
 	return true
 }
 
-// Purge removes a single cid the way PurgeRefs removes matching
-// entries: the removal is OS-initiated (the Process may still hold the
-// cid), so the slot recycles under a bumped generation — or retires if
-// the generation counter saturates — and the purged cid stays
-// permanently invalid. Used by the lease GC, which knows the exact cid
-// it is expiring and must not pay a full-space scan.
-func (s *Space) Purge(id CapID) bool {
-	sl := s.lookupSlot(id)
-	if sl == nil {
-		return false
-	}
-	sl.live = false
-	sl.e = Entry{}
-	s.live--
-	if sl.gen < capMaxGen {
-		sl.gen++
-		s.free = append(s.free, uint32(id)&capIdxMask-1)
-	}
-	return true
-}
-
 // Len reports the number of live entries.
 func (s *Space) Len() int { return s.live }
 
@@ -360,31 +334,6 @@ func (s *Space) ForEach(fn func(CapID, Entry)) {
 		sl := s.slot(idx)
 		if sl.live {
 			fn(CapID(sl.gen<<capIdxBits|(idx+1)), sl.e)
-		}
-	}
-}
-
-// Sweep visits up to max slot positions starting at *cursor, calling
-// fn for each live entry, and advances the cursor (wrapping at the
-// high-water mark). It lets a background task — the lease GC — scan a
-// huge space incrementally with bounded work per tick. fn receives a
-// slab pointer valid only for the duration of the call.
-func (s *Space) Sweep(cursor *uint32, max int, fn func(CapID, *Entry)) {
-	if s.next == 0 {
-		return
-	}
-	if *cursor >= s.next {
-		*cursor = 0
-	}
-	for i := 0; i < max; i++ {
-		idx := *cursor
-		sl := s.slot(idx)
-		if sl.live {
-			fn(CapID(sl.gen<<capIdxBits|(idx+1)), &sl.e)
-		}
-		*cursor++
-		if *cursor >= s.next {
-			*cursor = 0
 		}
 	}
 }
@@ -407,13 +356,19 @@ func (s *Space) PurgeRefs(pred func(Ref) bool) []CapID {
 			continue
 		}
 		dropped = append(dropped, CapID(sl.gen<<capIdxBits|(idx+1)))
-		sl.live = false
-		sl.e = Entry{}
-		s.live--
-		if sl.gen < capMaxGen {
-			sl.gen++
-			s.free = append(s.free, idx)
-		}
+		s.purge(sl, idx)
 	}
 	return dropped
+}
+
+// purge frees a live slot the OS removed: it recycles under a bumped
+// generation, or retires once the generation counter saturates.
+func (s *Space) purge(sl *capSlot, idx uint32) {
+	sl.live = false
+	sl.e = Entry{}
+	s.live--
+	if sl.gen < capMaxGen {
+		sl.gen++
+		s.free = append(s.free, idx)
+	}
 }

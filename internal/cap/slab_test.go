@@ -343,7 +343,7 @@ func TestCidGenerationAliasingProperty(t *testing.T) {
 				}
 				delete(live, id)
 				purged[id] = true
-			case 4: // single-cid purge (the lease-GC path)
+			case 4: // single-cid purge
 				refresh()
 				if len(liveIDs) == 0 {
 					continue
@@ -482,7 +482,7 @@ func TestSpaceMillionCapSoak(t *testing.T) {
 	}
 	// Purge-driven churn also recycles (generation-bumped) instead of
 	// leaking slots: the pre-slab Space retired every purged slot
-	// forever, growing without bound under lease-GC-style purges.
+	// forever, growing without bound under OS-initiated purges.
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 1000; i++ {
 			j := i * 997 % liveCaps

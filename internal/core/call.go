@@ -22,7 +22,7 @@ const (
 	callRevtree                         // cap_create_revtree under a remote object
 	callRevoke                          // cap_revoke of a remote object
 	callWatch                           // monitor_receive on a remote object
-	callLeaseRevoke                     // a dead or expired remote lease: revoke, nobody waits
+	callLeaseRevoke                     // a remote object no live holder names: revoke, nobody waits
 	callCleanup                         // revocation-cleanup broadcast to one peer
 	callValidate                        // memory_copy locating a remote Memory object
 )
@@ -173,9 +173,9 @@ func (c *Controller) call(pc *pendingCall) {
 }
 
 // revokeRemoteLease asks a lease's owner to revoke it. Nobody waits
-// for the answer: the holder failed, the lease expired or the object was
-// derived for an entry the holder's quota refused, and an owner that is
-// gone revokes its world through the epoch announcement.
+// for the answer: the holder failed or the object was derived for an
+// entry the holder's quota refused, and an owner that is gone revokes
+// its world through the epoch announcement.
 func (c *Controller) revokeRemoteLease(ref cap.Ref) {
 	c.call(c.newCall(callLeaseRevoke, ref))
 }

@@ -140,7 +140,7 @@ func Grant(fromCtrl *Controller, fromPid cap.ProcID, fromCid cap.CapID,
 	}
 	e.Monitored = false
 	e.Leased = false
-	e.Expire, e.Delivery = 0, 0
+	e.Delivery = 0
 	cid, ok := toCtrl.GrantEntry(toPid, e)
 	if !ok {
 		return cap.NilCap, fmt.Errorf("core: grant target proc %d unavailable", toPid)

@@ -567,3 +567,65 @@ func TestProcFailureWithDerivedObjects(t *testing.T) {
 		}
 	})
 }
+
+// TestHolderFailureCoalescesCleanup: a Process that fails holding a
+// batch of leases (monitor_delegatee children, §3.6) has every one
+// revoked, and every delegator's callback fires, but the revocations
+// leave in batched cleanup broadcasts, not one per revoked object: the
+// "no revocation storm" property.
+func TestHolderFailureCoalescesCleanup(t *testing.T) {
+	const leases = 8
+	run(t, core.ClusterConfig{Nodes: 3, Placement: core.CtrlShared}, func(tk *sim.Task, cl *core.Cluster) {
+		srv := proc.Attach(cl, 0, "srv", 0)
+		cli := proc.Attach(cl, 1, "cli", 0)
+		fired := 0
+		var held []proc.Cap
+		for i := 0; i < leases; i++ {
+			req, err := srv.RequestCreate(tk, uint64(20+i), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.MonitorDelegate(tk, req, func() { fired++ }); err != nil {
+				t.Fatal(err)
+			}
+			carrier, err := cli.RequestCreate(tk, uint64(120+i), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			carrierSrv, err := proc.GrantCap(cli, carrier, srv)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Invoke(tk, carrierSrv, nil, []proc.Arg{{Slot: 0, Cap: req}}); err != nil {
+				t.Fatal(err)
+			}
+			d, ok := cli.Receive(tk)
+			if !ok {
+				t.Fatal("delegation delivery lost")
+			}
+			lease, ok := d.Cap(0)
+			d.Done()
+			if !ok {
+				t.Fatal("no leased cap delivered")
+			}
+			held = append(held, lease)
+		}
+
+		ctrl := cl.CtrlFor(0)
+		ctrl.FailProcess(cli.ID())
+		tk.Sleep(us(2000))
+		if fired != leases {
+			t.Errorf("%d delegator callbacks fired, want %d", fired, leases)
+		}
+		m := ctrl.Metrics()
+		if m.CleanupsSent >= m.Revocations {
+			t.Errorf("cleanup broadcasts (%d) not coalesced below revocations (%d)",
+				m.CleanupsSent, m.Revocations)
+		}
+		for _, lease := range held {
+			if _, ok := ctrl.EntryOf(cli.ID(), lease.ID()); ok {
+				t.Error("revoked lease entry still resolves")
+			}
+		}
+	})
+}

@@ -107,19 +107,10 @@ type Config struct {
 	// managed Process (§4's quota on capability-space memory).
 	// 0 means unlimited.
 	CapQuota int
-	// LeaseTTL, when > 0, bounds the lifetime of Leased capability
-	// entries (monitor_delegatee children, §3.6): an entry not dropped
-	// within LeaseTTL of its installation is treated as abandoned by
-	// the background lease GC, which revokes the delegatee child — so
-	// the delegator observes the loss exactly as it would a holder
-	// failure, without waiting for the failure detector. 0 (the
-	// default) disables the lease GC entirely: no timer events, no
-	// trace difference against a deployment without it.
-	LeaseTTL sim.Time
 }
 
 // Defaults for Config's zero fields, and the constants of the bounce
-// pool, the call deadline and the lease GC.
+// pool and the call deadline.
 const (
 	DefaultWindow = 32
 	// DefaultBounceChunk is the bounce-buffer chunk size; copies larger
@@ -136,13 +127,6 @@ const (
 	// one surfaces — comfortably past the partition windows the chaos
 	// suite injects. A reliable fabric arms no timer at all.
 	RPCBudget = 315 * sim.Time(time.Millisecond)
-	// DefaultLeaseGCInterval/Batch: the lease GC sweeps every 1 ms
-	// virtual in slices of 4096 capability-space slots — an expired
-	// lease is noticed within roughly TTL + interval × ⌈slots/batch⌉
-	// while each tick stays bounded, so a sweep over a million-entry
-	// space never stalls the Controller for a full scan.
-	DefaultLeaseGCInterval = sim.Time(time.Millisecond)
-	DefaultLeaseGCBatch    = 4096
 )
 
 func (c Config) withDefaults() Config {

@@ -64,11 +64,6 @@ type Controller struct {
 	cleanupStubs []*cap.Node
 	cleanupArmed bool
 
-	// Lease GC (§3.6 failure translation for abandoned leases).
-	leaseArmed bool
-	leaseClean int          // lease-free slots swept since a lease was last seen
-	leasePids  []cap.ProcID // scratch for sorted tick iteration
-
 	// Per-message scratch. Net.Send encodes its argument before it
 	// returns and retains nothing, and handlers never yield between
 	// filling one of these and sending it, so the messages on the
@@ -139,10 +134,6 @@ type procState struct {
 	deliverSeq  uint64
 	outstanding map[uint64]struct{}
 	queue       []*wire.Deliver // deliveries awaiting a window credit, oldest first
-
-	// gcCursor is the lease GC's resume position in this space, so
-	// each tick sweeps a bounded slice instead of the whole slab.
-	gcCursor uint32
 }
 
 // New creates a Controller with the given identity and configuration,
@@ -237,16 +228,11 @@ func (c *Controller) GrantEntry(pid cap.ProcID, e cap.Entry) (cap.CapID, bool) {
 }
 
 // install adds an entry to a Process's capability space, enforcing the
-// per-Process quota (§4). Leased entries are stamped with their lease
-// deadline when the lease GC is configured, and installing one arms
-// the GC timer if it is idle.
+// per-Process quota (§4).
 func (c *Controller) install(ps *procState, e cap.Entry) (cap.CapID, wire.Status) {
 	if q := c.cfg.CapQuota; q > 0 && ps.space.Len() >= q {
 		c.metrics.QuotaRejected++
 		return cap.NilCap, wire.StatusQuota
-	}
-	if e.Leased && c.cfg.LeaseTTL > 0 {
-		e.Expire = int64(c.k.Now()) + int64(c.cfg.LeaseTTL)
 	}
 	cid := ps.space.Install(e)
 	if cid == cap.NilCap {
@@ -254,9 +240,6 @@ func (c *Controller) install(ps *procState, e cap.Entry) (cap.CapID, wire.Status
 		// quota it effectively is.
 		c.metrics.QuotaRejected++
 		return cap.NilCap, wire.StatusQuota
-	}
-	if e.Expire != 0 {
-		c.noteLeaseInstalled()
 	}
 	return cid, wire.StatusOK
 }
@@ -403,9 +386,6 @@ func (c *Controller) dispatch(from fabric.EndpointID, m wire.Message) {
 		c.answered(m.Token, m)
 		return
 	case *wire.CtrlValInfo:
-		c.answered(m.Token, m)
-		return
-	case *wire.CtrlDelegNoteAck:
 		c.answered(m.Token, m)
 		return
 	}

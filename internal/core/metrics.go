@@ -23,7 +23,6 @@ type Metrics struct {
 	MonitorsFired  int64 // monitor callbacks delivered
 	StaleRejected  int64 // uses rejected by the epoch check
 	QuotaRejected  int64 // installs refused by the quota
-	LeasesExpired  int64 // leased entries reaped by the lease GC
 	DeliveriesSent int64 // request_receive descriptors delivered
 	Backpressured  int64 // deliveries queued on a full window
 
@@ -60,7 +59,7 @@ func (f Footprint) Total() int64 {
 const (
 	procQueueBudget = 64 << 20 // RoCE buffers per managed Process
 	peerQueueBudget = 64 << 20 // per peer Controller connection
-	capEntryBytes   = 40       // one capability-space entry (incl. lease deadline)
+	capEntryBytes   = 40       // one capability-space entry
 	revObjectBytes  = 24       // one revocation-tree object
 )
 
@@ -82,9 +81,9 @@ func (c *Controller) Footprint() Footprint {
 // String renders the counters compactly.
 func (m Metrics) String() string {
 	return fmt.Sprintf(
-		"null=%d mem=%d copy=%d(%dB) reqcreate=%d invoke=%d capop=%d revoked=%d cleanup=%d purged=%d monitors=%d stale=%d quota=%d leasegc=%d deliver=%d backpressure=%d retx=%d rpcabort=%d dedup=%d sendfail=%d",
+		"null=%d mem=%d copy=%d(%dB) reqcreate=%d invoke=%d capop=%d revoked=%d cleanup=%d purged=%d monitors=%d stale=%d quota=%d deliver=%d backpressure=%d retx=%d rpcabort=%d dedup=%d sendfail=%d",
 		m.NullOps, m.MemOps, m.Copies, m.CopyBytes, m.ReqCreates, m.Invokes, m.CapOps,
 		m.Revocations, m.CleanupsSent, m.EntriesPurged, m.MonitorsFired,
-		m.StaleRejected, m.QuotaRejected, m.LeasesExpired, m.DeliveriesSent, m.Backpressured,
+		m.StaleRejected, m.QuotaRejected, m.DeliveriesSent, m.Backpressured,
 		m.Retransmits, m.RPCAborted, m.DedupHits, m.SendFailed)
 }

@@ -148,9 +148,9 @@ func (c *Controller) revokeLocal(ref cap.Ref) wire.Status {
 // synchronously, then enqueues the revoked refs on the cleanup batch.
 // The actual broadcast is deferred to flushCleanup so that a burst of
 // revocations at one virtual instant — a Process failure cascading
-// through every lease and owned subtree, or the lease GC expiring a
-// sweep's worth of leases — coalesces into ONE CtrlCleanup message per
-// peer instead of a per-subtree revocation storm.
+// through every lease and owned subtree — coalesces into ONE
+// CtrlCleanup message per peer instead of a per-subtree revocation
+// storm.
 func (c *Controller) processRevocations(revoked []*cap.Node) {
 	c.metrics.Revocations += int64(len(revoked))
 	refs := make([]cap.Ref, 0, len(revoked))

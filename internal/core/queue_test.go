@@ -193,14 +193,25 @@ func TestCrashDiscardsQueuedMessages(t *testing.T) {
 	for seq := uint64(1); seq <= 3; seq++ {
 		ping(seq)
 	}
-	for len(c.rxQueue) < 3 {
-		if k.Now() > time.Millisecond {
-			t.Fatalf("three pings never queued up: %d in the queue", len(c.rxQueue))
+	// Poll every 10 ns and crash the Controller once all three wait.
+	crashed := false
+	var poll func()
+	poll = func() {
+		switch {
+		case len(c.rxQueue) >= 3:
+			c.Crash()
+			crashed = true
+		case k.Now() > time.Millisecond:
+			t.Errorf("three pings never queued up: %d in the queue", len(c.rxQueue))
+		default:
+			k.After(10, poll)
 		}
-		k.RunUntil(k.Now() + 10)
 	}
-	c.Crash()
+	poll()
 	k.Run()
+	if !crashed {
+		t.FailNow()
+	}
 	if got := c.Metrics().SendFailed; got != 1 {
 		t.Fatalf("%d refused sends after the crash, want 1: only the probe in service runs its handler", got)
 	}

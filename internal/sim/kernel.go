@@ -241,14 +241,8 @@ func (r *eventRing) popFront() *event {
 // killSignal unwinds a task goroutine during Kernel.Shutdown.
 type killSignal struct{}
 
-// run-loop bounding modes (loop's mode parameter).
-const (
-	modeAll      int8 = iota // drain everything
-	modeDeadline             // events at <= bound; clamp clock to bound on exit
-)
-
 // Kernel is a discrete-event scheduler. Create one with New, populate
-// it with Spawn, and drive it with Run or RunUntil.
+// it with Spawn, and drive it with Run.
 //
 // A Kernel is not safe for concurrent use from multiple OS threads;
 // all interaction must happen either from the goroutine that calls
@@ -571,17 +565,9 @@ func (t *Task) Yield() { t.Sleep(0) }
 // Run executes events until the queue is empty or Stop is called. It
 // returns the final virtual time. Run must be called from the
 // goroutine that created the kernel.
-func (k *Kernel) Run() Time {
-	return k.loop(0, modeAll)
-}
-
-// RunUntil executes events with timestamps <= deadline.
-func (k *Kernel) RunUntil(deadline Time) Time {
-	return k.loop(deadline, modeDeadline)
-}
-
+//
 //fractos:hotpath
-func (k *Kernel) loop(bound Time, mode int8) Time {
+func (k *Kernel) Run() Time {
 	defer k.flushProcessed()
 	for (k.runq.n > 0 || k.heap.len() > 0) && !k.stopped {
 		// Choose the next event in global (at, seq) order. Run-queue
@@ -594,10 +580,6 @@ func (k *Kernel) loop(bound Time, mode int8) Time {
 			e = k.heap.es[0]
 		} else {
 			e = k.runq.front()
-		}
-		if mode == modeDeadline && e.at > bound {
-			k.now = bound
-			return k.now
 		}
 		if fromHeap {
 			k.heap.pop()

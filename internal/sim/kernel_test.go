@@ -75,29 +75,6 @@ func TestAfterRunsInKernelContext(t *testing.T) {
 	}
 }
 
-func TestRunUntilStopsAtDeadline(t *testing.T) {
-	k := New(1)
-	var last Time
-	k.Spawn("ticker", func(tk *Task) {
-		for i := 0; i < 100; i++ {
-			tk.Sleep(us(10))
-			last = tk.Now()
-		}
-	})
-	end := k.RunUntil(us(35))
-	if end != us(35) {
-		t.Errorf("RunUntil returned %v, want %v", end, us(35))
-	}
-	if last != us(30) {
-		t.Errorf("last tick at %v, want %v", last, us(30))
-	}
-	// Resuming runs the remainder.
-	k.Run()
-	if last != us(1000) {
-		t.Errorf("after full run last tick %v, want %v", last, us(1000))
-	}
-}
-
 func TestSpawnFromTask(t *testing.T) {
 	k := New(1)
 	var got []string

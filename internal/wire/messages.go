@@ -41,8 +41,8 @@ const (
 	TCtrlInvoke
 	TCtrlAck
 	TCtrlCleanup
-	TCtrlDelegNote
-	TCtrlDelegNoteAck
+	_ // 309, 310: retired; reserved so later types keep their numbers
+	_
 	TCtrlWatch
 	TCtrlNotify
 	TCtrlEpoch
@@ -138,10 +138,6 @@ func newMessage(t Type) Message {
 		return new(CtrlAck)
 	case TCtrlCleanup:
 		return new(CtrlCleanup)
-	case TCtrlDelegNote:
-		return new(CtrlDelegNote)
-	case TCtrlDelegNoteAck:
-		return new(CtrlDelegNoteAck)
 	case TCtrlWatch:
 		return new(CtrlWatch)
 	case TCtrlNotify:
@@ -1048,49 +1044,6 @@ func (m *CtrlCleanup) Encode(w *Writer) {
 func (m *CtrlCleanup) Decode(r *Reader) error {
 	m.Token = r.U64()
 	m.Refs = decodeRefs(r)
-	return r.Err()
-}
-
-// CtrlDelegNote tells the owner that a monitored capability was
-// delegated to Holder; the owner creates a monitor_delegatee child.
-type CtrlDelegNote struct {
-	Token  uint64
-	Src    cap.ControllerID
-	Ref    cap.Ref
-	Holder cap.ProcID
-}
-
-func (*CtrlDelegNote) WireType() Type { return TCtrlDelegNote }
-func (m *CtrlDelegNote) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U32(uint32(m.Src))
-	encodeRef(w, m.Ref)
-	w.U64(uint64(m.Holder))
-}
-func (m *CtrlDelegNote) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
-	m.Ref = decodeRef(r)
-	m.Holder = cap.ProcID(r.U64())
-	return r.Err()
-}
-
-// CtrlDelegNoteAck returns the delegatee child object the holder's
-// entry should reference.
-type CtrlDelegNoteAck struct {
-	Token  uint64
-	Status Status
-	Child  cap.Ref
-}
-
-func (*CtrlDelegNoteAck) WireType() Type { return TCtrlDelegNoteAck }
-func (m *CtrlDelegNoteAck) Encode(w *Writer) {
-	w.U64(m.Token)
-	w.U8(uint8(m.Status))
-	encodeRef(w, m.Child)
-}
-func (m *CtrlDelegNoteAck) Decode(r *Reader) error {
-	m.Token, m.Status = r.U64(), Status(r.U8())
-	m.Child = decodeRef(r)
 	return r.Err()
 }
 

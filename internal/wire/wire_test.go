@@ -115,8 +115,6 @@ func sampleMessages() []Message {
 		&CtrlAck{Token: 20, Status: StatusRevoked, Obj: 1234, Epoch: 9, Size: 77, Rights: cap.All},
 		&CtrlAck{Token: 25, Status: StatusOK, Spent: true},
 		&CtrlCleanup{Token: 31, Refs: []cap.Ref{ref, {Ctrl: 1, Obj: 2, Epoch: 3}}},
-		&CtrlDelegNote{Token: 21, Src: 6, Ref: ref, Holder: 55},
-		&CtrlDelegNoteAck{Token: 22, Status: StatusOK, Child: ref},
 		&CtrlWatch{Token: 23, Src: 7, Ref: ref, WatcherProc: 66, WatcherCtrl: 8, Callback: 0xf00d},
 		&CtrlNotify{Proc: 67, Callback: 0xfeed, Kind: MonitorCBDelegate},
 		&CtrlEpoch{Ctrl: 9, Epoch: 4},
@@ -304,8 +302,6 @@ var goldenFrames = []struct {
 	{"CtrlAck", "3301140000000000000001d204000000000000090000004d000000000000000f", Control},
 	{"CtrlAck, spent", "3301190000000000000000000000000000000000000000000000000000000080", Control},
 	{"CtrlCleanup", "34011f0000000000000002000700000063000000000000000300000001000000020000000000000003000000", Control},
-	{"CtrlDelegNote", "3501150000000000000006000000070000006300000000000000030000003700000000000000", Control},
-	{"CtrlDelegNoteAck", "360116000000000000000007000000630000000000000003000000", Control},
 	{"CtrlWatch", "3701170000000000000007000000070000006300000000000000030000004200000000000000080000000df0000000000000", Control},
 	{"CtrlNotify", "38014300000000000000edfe00000000000000", Control},
 	{"CtrlEpoch", "39010900000004000000", Control},
