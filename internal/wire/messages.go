@@ -179,16 +179,19 @@ func count(r *Reader, elemSize int) int {
 	return n
 }
 
-// Encoded lengths of the list elements count checks a length against: a
-// cap.Ref (Ctrl u32, Obj u64, Epoch u32), a capability slot (slot u16 +
-// cid u32), a capability in transfer (slot u16 + ref + kind u8 + rights
-// u8 + size u64 + 2 bools) and a delivered capability (slot u16 + cid
-// u32 + kind u8 + rights u8 + size u64).
+// Encoded minimums of the list elements count checks a length against,
+// one byte per varint integer, U8 and Bool: a cap.Ref (Ctrl, Obj,
+// Epoch), a capability slot (slot + cid), a capability in transfer
+// (slot + ref + kind + rights + size + 2 bools), a delivered capability
+// (slot + cid + kind + rights + size), an immediate argument (offset +
+// the length of its bytes) and a cid.
 const (
-	refSize       = 4 + 8 + 4
-	capSlotSize   = 2 + 4
-	capXferSize   = 2 + refSize + 1 + 1 + 8 + 1 + 1
-	deliveredSize = 2 + 4 + 1 + 1 + 8
+	refSize       = 1 + 1 + 1
+	capSlotSize   = 1 + 1
+	capXferSize   = 1 + refSize + 1 + 1 + 1 + 1 + 1
+	deliveredSize = 1 + 1 + 1 + 1 + 1
+	immSize       = 1 + 1
+	cidSize       = 1
 )
 
 // list returns the n-element list a list decoder fills in: the
@@ -246,7 +249,7 @@ func encodeImms(w *Writer, imms []ImmArg) {
 // gives the invocation messages; a message built any other way has no
 // spare room and gets a fresh slice.
 func decodeImms(r *Reader, spare []ImmArg) []ImmArg {
-	n := count(r, 4+4)
+	n := count(r, immSize)
 	if n == 0 || r.Err() != nil {
 		return nil
 	}
@@ -503,7 +506,7 @@ func (m *MemDiminish) Decode(r *Reader) error {
 
 // MemCopy copies Len bytes at SrcOff of Memory SrcCid to DstOff of
 // DstCid (memory_copy). Len 0 is the whole source object, which then
-// takes both offsets 0: Table 1's form, which ends at DstCid on the wire.
+// takes both offsets 0: Table 1's form.
 type MemCopy struct {
 	Token  uint64
 	SrcCid cap.CapID
@@ -514,22 +517,17 @@ type MemCopy struct {
 }
 
 func (*MemCopy) WireType() Type { return TMemCopy }
-func (m *MemCopy) ranged() bool { return m.SrcOff|m.DstOff|m.Len != 0 }
 func (m *MemCopy) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.SrcCid))
 	w.U32(uint32(m.DstCid))
-	if m.ranged() {
-		w.U64(m.SrcOff)
-		w.U64(m.DstOff)
-		w.U64(m.Len)
-	}
+	w.U64(m.SrcOff)
+	w.U64(m.DstOff)
+	w.U64(m.Len)
 }
 func (m *MemCopy) Decode(r *Reader) error {
-	*m = MemCopy{Token: r.U64(), SrcCid: cap.CapID(r.U32()), DstCid: cap.CapID(r.U32())}
-	if r.Remaining() > 0 {
-		m.SrcOff, m.DstOff, m.Len = r.U64(), r.U64(), r.U64()
-	}
+	m.Token, m.SrcCid, m.DstCid = r.U64(), cap.CapID(r.U32()), cap.CapID(r.U32())
+	m.SrcOff, m.DstOff, m.Len = r.U64(), r.U64(), r.U64()
 	return r.Err()
 }
 
@@ -688,7 +686,7 @@ func (m *MonitorReceive) Decode(r *Reader) error {
 // DeliverDone acknowledges processing of a delivery, releasing one
 // slot of the provider's congestion-control window (§4). Drop lists
 // the capabilities the delivery installed that the receiver hands back;
-// one that keeps what it was sent lists none, and the message ends at Seq.
+// one that keeps what it was sent lists none.
 type DeliverDone struct {
 	Seq  uint64
 	Drop []cap.CapID
@@ -697,19 +695,14 @@ type DeliverDone struct {
 func (*DeliverDone) WireType() Type { return TDeliverDone }
 func (m *DeliverDone) Encode(w *Writer) {
 	w.U64(m.Seq)
-	if len(m.Drop) > 0 {
-		w.U16(uint16(len(m.Drop)))
-	}
+	w.U16(uint16(len(m.Drop)))
 	for _, cid := range m.Drop {
 		w.U32(uint32(cid))
 	}
 }
 func (m *DeliverDone) Decode(r *Reader) error {
 	m.Seq, m.Drop = r.U64(), nil
-	if r.Remaining() == 0 {
-		return r.Err()
-	}
-	if n := count(r, 4); n > 0 && r.Err() == nil {
+	if n := count(r, cidSize); n > 0 && r.Err() == nil {
 		var own *[]cap.CapID
 		if r.dec != nil {
 			own = &r.dec.cids

@@ -39,7 +39,7 @@ func TestWriterReaderPrimitives(t *testing.T) {
 
 func TestReaderShortBufferSticky(t *testing.T) {
 	var r Reader
-	r.Reset([]byte{1, 2})
+	r.Reset([]byte{0x80}) // a multi-byte varint, cut after its first byte
 	_ = r.U32()
 	if r.Err() != ErrShort {
 		t.Fatalf("err = %v, want ErrShort", r.Err())
@@ -195,7 +195,7 @@ func TestTruncationNeverPanics(t *testing.T) {
 		b := Marshal(m)
 		n := int(cut) % (len(b) + 1)
 		_, err := Unmarshal(b[:n])
-		return n == len(b) || err != nil || alwaysDecodable(m) || n == shortForm(m)
+		return n == len(b) || err != nil || alwaysDecodable(m)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -212,43 +212,9 @@ func alwaysDecodable(m Message) bool {
 	return false
 }
 
-// shortForm is the length at which a grown message, cut, is its own
-// short form (a whole-object memory_copy, an acknowledgement that hands
-// nothing back) and decodes as that; 0 for every other message.
-func shortForm(m Message) int {
-	switch m.(type) {
-	case *MemCopy:
-		return 2 + 8 + 4 + 4
-	case *DeliverDone:
-		return 2 + 8
-	}
-	return 0
-}
-
-// TestGrownMessagesKeepTheirShortForm: the two messages that grew
-// optional fields encode to the bytes they always did when the fields
-// are unused, and every traffic figure of a whole-object copy or a plain
-// acknowledgement stands; and every sample message encodes to its golden
-// frame and keeps its traffic class.
-func TestGrownMessagesKeepTheirShortForm(t *testing.T) {
-	for _, c := range []struct {
-		m    Message
-		want string
-	}{
-		{&MemCopy{Token: 3, SrcCid: 4, DstCid: 9}, "660003000000000000000400000009000000"},
-		{&DeliverDone{Seq: 42}, "6e002a00000000000000"},
-		{&DeliverDone{Seq: 42, Drop: []cap.CapID{}}, "6e002a00000000000000"},
-	} {
-		if got := fmt.Sprintf("%x", Marshal(c.m)); got != c.want {
-			t.Errorf("%+v encodes to %s, want %s", c.m, got, c.want)
-		}
-	}
-	if n := SizeOf(&MemCopy{Len: 1}); n != 2+16+24 {
-		t.Errorf("ranged memory_copy is %d bytes, want 42", n)
-	}
-	if n := SizeOf(&DeliverDone{Drop: make([]cap.CapID, 3)}); n != 2+8+2+12 {
-		t.Errorf("acknowledgement handing back 3 capabilities is %d bytes, want 24", n)
-	}
+// TestGoldenFrames: every sample message encodes to its golden frame
+// and keeps its traffic class.
+func TestGoldenFrames(t *testing.T) {
 	msgs := sampleMessages()
 	if len(msgs) != len(goldenFrames) {
 		t.Fatalf("%d sample messages, %d golden frames", len(msgs), len(goldenFrames))
@@ -266,48 +232,48 @@ func TestGrownMessagesKeepTheirShortForm(t *testing.T) {
 
 // goldenFrames is the encoding and traffic class of every
 // sampleMessages() entry, in order: every message type's byte layout,
-// pinned. A row changes only with the protocol, never with a rework of
-// the codec.
+// pinned. A row changes only when the byte layout does, never with a
+// rework of the codec that keeps it.
 var goldenFrames = []struct {
 	name  string
 	hex   string
 	class Class
 }{
-	{"MemCreate", "64000100000000000000001000000000000000001000000000000b", Control},
-	{"MemDiminish", "65000200000000000000050000008000000000000000000100000000000002", Control},
-	{"MemCopy", "660003000000000000000400000009000000", Control},
-	{"MemCopy, ranged", "66001a000000000000000400000009000000041000000000000007000000000000000000100000000000", Control},
-	{"MemCopy, ranged by DstOff", "66001b000000000000000400000009000000000000000000000001000000000000000000000000000000", Control},
-	{"ReqCreate", "67000400000000000000020000004d00000000000000020000000000030000000102031000000001000000780200000003000000020008000000", Control},
-	{"ReqInvoke", "680005000000000000000600000001000800000004000000617267730100010002000000", Control},
-	{"CapRevtree", "690006000000000000000b000000", Control},
-	{"CapRevoke", "6a0007000000000000000c000000", Control},
-	{"CapDrop", "6b0008000000000000000d000000", Control},
-	{"MonitorDelegate", "6c0009000000000000000e000000feca000000000000", Control},
-	{"MonitorReceive", "6d000a000000000000000f000000efbe000000000000", Control},
-	{"DeliverDone", "6e002a00000000000000", Control},
-	{"DeliverDone, handing back 2", "6e002b0000000000000002001100000005000001", Control},
-	{"ProcBye", "6f00", Control},
-	{"Null", "70006300000000000000", Control},
-	{"Completion", "c8000b0000000000000004100000000002000000000000", Control},
-	{"Deliver", "c9000c00000000000000580000000000000009000000696d6d656469617465010000001100000001014000000000000000", Control},
-	{"MonitorCB", "ca00adde00000000000001", Control},
-	{"CtrlDeriveMem", "2c010d0000000000000002000000070000006300000000000000030000000800000000000000100000000000000002", Control},
-	{"CtrlDeriveReq", "2d010e00000000000000020000000700000063000000000000000300000001000400000001000000640100030007000000630000000000000003000000020c00000000000000000100", Control},
-	{"CtrlRevtree", "2e010f000000000000000300000007000000630000000000000003000000", Control},
-	{"CtrlRevoke", "2f0110000000000000000300000007000000630000000000000003000000", Control},
-	{"CtrlValidate", "30011100000000000000040000000700000063000000000000000300000001", Control},
-	{"CtrlValInfo", "310112000000000000000005000000001000000000000000200000000000000b", Control},
-	{"CtrlInvoke, 300-byte immediate", "3201130000000000000005000000070000006300000000000000030000000100000000002c010000" + strings.Repeat("70", 300) + "0100000007000000630000000000000003000000010900100000000000000000", Data},
-	{"CtrlAck", "3301140000000000000001d204000000000000090000004d000000000000000f", Control},
-	{"CtrlAck, spent", "3301190000000000000000000000000000000000000000000000000000000080", Control},
-	{"CtrlCleanup", "34011f0000000000000002000700000063000000000000000300000001000000020000000000000003000000", Control},
-	{"CtrlWatch", "3701170000000000000007000000070000006300000000000000030000004200000000000000080000000df0000000000000", Control},
-	{"CtrlNotify", "38014300000000000000edfe00000000000000", Control},
-	{"CtrlEpoch", "39010900000004000000", Control},
-	{"WatchPing", "90014700000000000000", Control},
-	{"WatchPong", "910147000000000000000200000005000000", Control},
-	{"Raw", "84030300000018000000000000000110000000626173656c696e65207061796c6f6164", Data},
+	{"MemCreate", "640180208080400b", Control},
+	{"MemDiminish", "6502058001800202", Control},
+	{"MemCopy", "66030409000000", Control},
+	{"MemCopy, ranged", "661a0409842007808040", Control},
+	{"MemCopy, ranged by DstOff", "661b0409000100", Control},
+	{"ReqCreate", "6704024d0200030102031001780200030208", Control},
+	{"ReqInvoke", "68050601080461726773010102", Control},
+	{"CapRevtree", "69060b", Control},
+	{"CapRevoke", "6a070c", Control},
+	{"CapDrop", "6b080d", Control},
+	{"MonitorDelegate", "6c090efe9503", Control},
+	{"MonitorReceive", "6d0a0feffd02", Control},
+	{"DeliverDone", "6e2a00", Control},
+	{"DeliverDone, handing back 2", "6e2b021185808008", Control},
+	{"ProcBye", "6f", Control},
+	{"Null", "7063", Control},
+	{"Completion", "c8010b04108004", Control},
+	{"Deliver", "c9010c5809696d6d656469617465010011010140", Control},
+	{"MonitorCB", "ca01adbd0301", Control},
+	{"CtrlDeriveMem", "ac020d02076303081002", Control},
+	{"CtrlDeriveReq", "ad020e02076303010401640103076303020c000100", Control},
+	{"CtrlRevtree", "ae020f03076303", Control},
+	{"CtrlRevoke", "af021003076303", Control},
+	{"CtrlValidate", "b002110407630301", Control},
+	{"CtrlValInfo", "b102120005802080400b", Control},
+	{"CtrlInvoke, 300-byte immediate", "b20213050763030100ac02" + strings.Repeat("70", 300) + "0100076303010980200000", Data},
+	{"CtrlAck", "b3021401d209094d0f", Control},
+	{"CtrlAck, spent", "b302190000000080", Control},
+	{"CtrlCleanup", "b4021f02076303010203", Control},
+	{"CtrlWatch", "b702170707630342088de003", Control},
+	{"CtrlNotify", "b80243edfd0300", Control},
+	{"CtrlEpoch", "b9020904", Control},
+	{"WatchPing", "900347", Control},
+	{"WatchPong", "9103470205", Control},
+	{"Raw", "840703180110626173656c696e65207061796c6f6164", Data},
 }
 
 // Property: random ReqCreate messages round-trip exactly.
