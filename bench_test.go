@@ -102,7 +102,7 @@ func TestAllocGateCapValidate(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const soak = 1_000_000
-	cl := core.NewCluster(core.ClusterConfig{Nodes: 2, Placement: core.CtrlShared, Seed: 31})
+	cl := core.NewCluster(core.ClusterConfig{Nodes: 2, Placement: core.CtrlShared})
 	srv := proc.Attach(cl, 0, "srv", 1<<12)
 	ctrl := cl.Ctrls[0]
 	var ref cap.Ref
@@ -384,12 +384,18 @@ func TestAllocGateNullCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
+	// The bound is exact, so the runtime's own allocations must stay out
+	// of the window: with two Ps a task switch now and then allocates a
+	// goroutine wait record (runtime.acquireSudog under Task.park, the
+	// drift parkwarm.go describes): 1 to 5 objects in 2000 calls, in
+	// about one run in twenty. On one P the records stay in one cache.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const maxPerCall = 1
 	per, _ := nullCalls(t, fabric.Faults{}, 200, 2000)
 	if per > maxPerCall {
-		t.Errorf("null cross-node Call allocates %.2f objects, want <= %d", per, maxPerCall)
+		t.Errorf("null cross-node Call allocates %.4f objects, want <= %d", per, maxPerCall)
 	}
-	t.Logf("null cross-node Call: %.2f allocs", per)
+	t.Logf("null cross-node Call: %.4f allocs", per)
 }
 
 // TestAllocGateLossyCall pins the armed at-most-once path: at 1 % frame

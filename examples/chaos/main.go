@@ -101,21 +101,22 @@ func call(tk *sim.Task, client *proc.Process, r *rig, payload string, deadline s
 }
 
 func main() {
-	// Shared with the heartbeat monitor's OnEvent callback below; the
+	// Shared with the heartbeat monitor's subscriber below; the
 	// simulation is single-threaded, so plain variables are safe.
 	var (
-		tb     *testbed.Deployment
 		client *proc.Process
 		cur    *rig
 	)
 
-	// The monitor attaches on node 0: the majority side of the
-	// partition.
-	hb := &services.WatchConfig{
-		Every:       3 * ms,
-		Suspect:     3,
-		RebootAfter: 6 * ms,
-		OnEvent: func(e services.WatchEvent) {
+	spec := testbed.Spec{
+		Nodes: 3,
+		Chaos: fabric.Faults{Drop: 0.05, Dup: 0.02, Seed: 7},
+		// The monitor attaches on node 0: the majority side of the
+		// partition.
+		Heartbeat: &services.WatchConfig{Every: 3 * ms, Suspect: 3, RebootAfter: 6 * ms},
+	}
+	testbed.Run(spec, func(t *sim.Task, d *testbed.Deployment) {
+		d.Watch.Subscribe(func(e services.WatchEvent) {
 			fmt.Printf("  watch @%sms: %s ctrl=%d", testbed.Ms(e.At), e.Kind, e.Ctrl)
 			if e.Kind == services.WatchRecovered {
 				fmt.Printf(" epoch=%d", e.Epoch)
@@ -125,22 +126,13 @@ func main() {
 				// The fenced Controller is back under a fresh epoch:
 				// everything minted before the fence is stale, so stand
 				// up a new service generation and swap the client over.
-				tb.Spawn("redeploy", func(st *sim.Task) {
-					cur = deploy(st, tb, client, 1)
+				d.Spawn("redeploy", func(st *sim.Task) {
+					cur = deploy(st, d, client, 1)
 					fmt.Printf("  service redeployed under epoch %d @%sms\n",
 						e.Epoch, testbed.Ms(st.Now()))
 				})
 			}
-		},
-	}
-
-	spec := testbed.Spec{
-		Nodes:     3,
-		Chaos:     fabric.Faults{Drop: 0.05, Dup: 0.02, Seed: 7},
-		Heartbeat: hb,
-	}
-	testbed.Run(spec, func(t *sim.Task, d *testbed.Deployment) {
-		tb = d
+		})
 		client = d.Attach(0, "client", 8192)
 		cur = deploy(t, d, client, 0)
 

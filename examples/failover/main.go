@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"log"
 
-	"fractos/internal/cap"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
@@ -29,8 +28,7 @@ import (
 const tagWork = 7
 
 func main() {
-	testbed.Run(testbed.Spec{Nodes: 3, Watch: true}, func(t *sim.Task, tb *testbed.Deployment) {
-		watch := tb.Watch
+	testbed.Run(testbed.Spec{Nodes: 3}, func(t *sim.Task, tb *testbed.Deployment) {
 		// A "GPU-like" service on node 1: it creates one monitored
 		// Request per client so it learns when clients disappear.
 		svc := tb.Attach(1, "service", 0)
@@ -91,7 +89,7 @@ func main() {
 
 		// --- failure 1: alice's process dies ---
 		fmt.Println("\ninjecting: alice crashes")
-		watch.NodeFailed(0, []cap.ProcID{alice.ID()})
+		tb.Cl.CtrlFor(0).FailProcess(alice.ID())
 		t.Sleep(200_000)
 
 		// Bob is unaffected.
@@ -102,8 +100,8 @@ func main() {
 
 		// --- failure 2: the service's Controller crashes ---
 		fmt.Println("\ninjecting: controller on the service node crashes and reboots")
-		watch.ControllerFailed(1)
-		watch.ControllerRecovered(1)
+		tb.Cl.CtrlFor(1).Crash()
+		tb.Cl.CtrlFor(1).Reboot()
 		t.Sleep(200_000)
 		if err := bob.Invoke(t, bobLease, nil, nil); err != nil {
 			fmt.Printf("  bob: stale-epoch capability rejected fast: %v\n", err)

@@ -165,13 +165,13 @@ func TestPipelineSurvivesStorageFailure(t *testing.T) {
 		}
 		tk.Sleep(500 * 1000)
 
-		done := sim.NewChan[error](cl.K, "res", 0)
+		done := sim.NewFuture[error]()
 		cl.K.Spawn("post-failure", func(pt *sim.Task) {
 			_, err := app.VerifyBatch(pt, MakeRequest(app.DB, 1, 8, rng))
-			done.Send(pt, err)
+			done.Set(err)
 		})
-		err2, ok := done.RecvTimeout(tk, 50*1000*1000) // 50ms virtual
-		if !ok {
+		err2, werr := done.WaitTimeout(tk, 50*1000*1000) // 50ms virtual
+		if werr != nil {
 			t.Fatal("request against dead storage hung")
 		}
 		if err2 == nil {

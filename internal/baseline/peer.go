@@ -10,6 +10,7 @@
 package baseline
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 
@@ -40,6 +41,7 @@ type Peer struct {
 	nextToken uint64
 	pending   map[uint64]*sim.Future[*wire.Raw]
 	incoming  *sim.Chan[Request]
+	dec       *wire.Decoder
 	// SendFailed counts replies whose requester vanished before the
 	// response went out (observed, not silent — the baseline's
 	// connection-oriented transports surface this at the sender too).
@@ -52,32 +54,37 @@ func NewPeer(k *sim.Kernel, net *fabric.Net, name string, loc fabric.Location) *
 		net:      net,
 		pending:  make(map[uint64]*sim.Future[*wire.Raw]),
 		incoming: sim.NewChan[Request](k, name+".req", 0),
+		dec:      wire.NewDecoder(),
 	}
 	p.EP = net.AttachHandler(name, loc, 0, p)
 	return p
 }
 
 // Deliver implements fabric.Handler: replies resolve calls, requests
-// queue. Both keep the message's payload, so the decode is an owning
-// one.
+// queue. The decode borrows the frame, so the payload either keeps is
+// copied out before the frame is released.
 //
 //fractos:hotpath
 func (p *Peer) Deliver(f *fabric.Frame) {
 	from := f.From
-	m, err := f.Unmarshal()
-	f.Release()
+	m, err := p.dec.Decode(f.Bytes())
 	raw, ok := m.(*wire.Raw)
 	if err != nil || !ok {
+		f.Release()
 		return
 	}
+	data := bytes.Clone(raw.Data) // fractos:alloc-ok the payload outlives the frame
+	f.Release()
 	if raw.Kind&replyBit != 0 {
-		if f, ok := p.pending[raw.Token]; ok {
+		if fut, ok := p.pending[raw.Token]; ok {
 			delete(p.pending, raw.Token)
-			f.Set(raw)
+			reply := *raw // fractos:alloc-ok the caller keeps the reply
+			reply.Data = data
+			fut.Set(&reply)
 		}
 		return
 	}
-	p.incoming.TrySend(Request{From: from, Kind: raw.Kind, Token: raw.Token, Data: raw.Data})
+	p.incoming.TrySend(Request{From: from, Kind: raw.Kind, Token: raw.Token, Data: data})
 }
 
 // Call performs a synchronous RPC to dst.

@@ -39,7 +39,6 @@ type ClusterConfig struct {
 	Nodes     int
 	Placement Placement
 	Ctrl      Config // template; Loc is set per controller
-	Seed      int64
 
 	// Faults, when Enabled, installs the fault-injection layer on the
 	// fabric (docs/FAULTS.md), and the Controllers retransmit because
@@ -65,7 +64,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
 	}
-	k := sim.New(cfg.Seed)
+	k := sim.New(0)
 	net := fabric.New(k, fabric.DefaultProfile())
 	if cfg.Faults.Enabled() {
 		net.InstallFaults(cfg.Faults)

@@ -307,15 +307,15 @@ func TestCrashAbortsInFlightCalls(t *testing.T) {
 
 		// Crash controller 1, then issue an invoke that needs it.
 		cl.CtrlFor(1).Crash()
-		errCh := sim.NewChan[error](cl.K, "err", 0)
+		errF := sim.NewFuture[error]()
 		cl.K.Spawn("invoker", func(it *sim.Task) {
-			errCh.Send(it, cli.Invoke(it, creq, nil, nil))
+			errF.Set(cli.Invoke(it, creq, nil, nil))
 		})
 		tk.Sleep(us(50))
 		// Reboot: the epoch broadcast must abort the pending call.
 		cl.CtrlFor(1).Reboot()
-		err, ok := errCh.RecvTimeout(tk, us(500))
-		if !ok {
+		err, werr := errF.WaitTimeout(tk, us(500))
+		if werr != nil {
 			t.Fatal("invoke hung after controller crash+reboot")
 		}
 		if err == nil {

@@ -92,7 +92,7 @@ func (r *echoRig) call(tk *sim.Task, payload string, deadline sim.Time) error {
 // Controller crashes, instead of leaking its callback across the
 // reboot.
 func TestCrashAbortsPendingPeerCalls(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2, Seed: 5}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		cl.Net.InstallFaults(fabric.Faults{})
 		r := newEchoRig(tk, cl, 1, 0)
 		if err := r.call(tk, "warm", 20*fms); err != nil {
@@ -137,7 +137,7 @@ func TestCrashAbortsPendingPeerCalls(t *testing.T) {
 // like the aborts of a passed deadline and of an own crash — the three
 // sources the counter documents.
 func TestPeerCrashAbortsPendingCalls(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2, Seed: 5}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		cl.Net.InstallFaults(fabric.Faults{})
 		r := newEchoRig(tk, cl, 1, 0)
 		if err := r.call(tk, "warm", 20*fms); err != nil {
@@ -192,7 +192,7 @@ func TestLossyFabricAlwaysRetransmits(t *testing.T) {
 		}}},
 		{name: "imperative", imperative: true},
 	} {
-		run(t, core.ClusterConfig{Nodes: 2, Seed: 5, Faults: tc.faults}, func(tk *sim.Task, cl *core.Cluster) {
+		run(t, core.ClusterConfig{Nodes: 2, Faults: tc.faults}, func(tk *sim.Task, cl *core.Cluster) {
 			if tc.imperative {
 				cl.Net.InstallFaults(fabric.Faults{})
 				cl.K.After(cutAt-tk.Now(), func() {
@@ -230,7 +230,6 @@ func TestChaosMatrixLoss(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := core.ClusterConfig{
 				Nodes:  2,
-				Seed:   21,
 				Faults: fabric.Faults{Drop: tc.drop, Dup: tc.drop / 2, Seed: 77},
 			}
 			run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
@@ -267,7 +266,6 @@ func TestChaosMatrixLoss(t *testing.T) {
 func TestChaosPartitionHeal(t *testing.T) {
 	cfg := core.ClusterConfig{
 		Nodes: 2,
-		Seed:  22,
 		Faults: fabric.Faults{
 			Drop: 0.01, Seed: 78,
 			Plan: fabric.Plan{
@@ -306,7 +304,6 @@ func TestChaosPartitionHeal(t *testing.T) {
 func TestChaosCrashMidPartition(t *testing.T) {
 	cfg := core.ClusterConfig{
 		Nodes:  2,
-		Seed:   23,
 		Faults: fabric.Faults{Drop: 0.01, Seed: 79},
 	}
 	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
@@ -349,8 +346,8 @@ func TestChaosCrashMidPartition(t *testing.T) {
 // call traces, Controller metrics, and fault counters.
 func TestChaosMatrixDeterministic(t *testing.T) {
 	scenarios := []core.ClusterConfig{
-		{Nodes: 2, Seed: 31, Faults: fabric.Faults{Drop: 0.05, Dup: 0.02, Seed: 90}},
-		{Nodes: 2, Seed: 32, Faults: fabric.Faults{
+		{Nodes: 2, Faults: fabric.Faults{Drop: 0.05, Dup: 0.02, Seed: 90}},
+		{Nodes: 2, Faults: fabric.Faults{
 			Drop: 0.02, Jitter: fms / 4, Seed: 91,
 			Plan: fabric.Plan{
 				{At: 10 * fms, Kind: fabric.Partition, Group: []int{1}},

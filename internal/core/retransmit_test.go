@@ -21,7 +21,7 @@ import (
 // served on node 1 — every Call crosses the lossy Controller hop as two
 // CtrlInvoke/CtrlAck exchanges, the invocation and the reply through the
 // caller's reused reply Request — and returns what was violated.
-func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
+func sweepRun(t *testing.T, f fabric.Faults) (violations []string) {
 	const (
 		clients   = 4
 		perClient = 50
@@ -29,7 +29,7 @@ func sweepRun(t *testing.T, seed int64, f fabric.Faults) (violations []string) {
 	bad := func(format string, args ...any) {
 		violations = append(violations, fmt.Sprintf(format, args...))
 	}
-	run(t, core.ClusterConfig{Nodes: 2, Seed: seed, Faults: f}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, core.ClusterConfig{Nodes: 2, Faults: f}, func(tk *sim.Task, cl *core.Cluster) {
 		srv := proc.Attach(cl, 1, "null", 0)
 		root, err := srv.RequestCreate(tk, 1, nil, nil)
 		if err != nil {
@@ -151,7 +151,7 @@ func TestChaosRetransmitSweep(t *testing.T) {
 			for _, dup := range []float64{0, 0.02} {
 				for _, jitter := range []sim.Time{0, 20 * us, 200 * us} {
 					f := fabric.Faults{Drop: drop, Dup: dup, Jitter: jitter, Seed: seed}
-					for _, v := range sweepRun(t, seed, f) {
+					for _, v := range sweepRun(t, f) {
 						t.Errorf("seed=%d drop=%g dup=%g jitter=%v: %s", seed, drop, dup, jitter, v)
 					}
 				}

@@ -96,14 +96,15 @@ func runChaosScenario(sc chaosScenario) chaosResult {
 	fv := &stacks.FaceVerify{Cfg: cfg}
 	spec := appSpec(core.CtrlOnCPU, fv)
 	spec.Chaos = sc.faults
-
-	var (
-		dep *testbed.Deployment
-		cur *chaosAppState
-	)
 	if sc.heartbeat {
-		hb := services.WatchConfig{Every: 2 * cms, Suspect: 3, RebootAfter: 10 * cms,
-			OnEvent: func(e services.WatchEvent) {
+		spec.Heartbeat = &services.WatchConfig{Every: 2 * cms, Suspect: 3, RebootAfter: 10 * cms}
+	}
+
+	var res chaosResult
+	testbed.Run(spec, func(tk *sim.Task, d *testbed.Deployment) {
+		var cur *chaosAppState
+		if d.Watch != nil {
+			d.Watch.Subscribe(func(e services.WatchEvent) {
 				if e.Kind != services.WatchRecovered {
 					return
 				}
@@ -111,18 +112,13 @@ func runChaosScenario(sc chaosScenario) chaosResult {
 				// capability the old stack held is stale: redeploy the
 				// application and regenerate its requests. New arrivals
 				// (and retried aborted calls) use the new stack.
-				dep.K().Spawn("chaos-redeploy", func(t *sim.Task) {
+				d.K().Spawn("chaos-redeploy", func(t *sim.Task) {
 					nfv := &stacks.FaceVerify{Cfg: cfg}
-					nfv.Deploy(t, dep)
+					nfv.Deploy(t, d)
 					cur = &chaosAppState{fv: nfv, reqs: newChaosReqs(nfv, cfg)}
 				})
-			}}
-		spec.Heartbeat = &hb
-	}
-
-	var res chaosResult
-	testbed.Run(spec, func(tk *sim.Task, d *testbed.Deployment) {
-		dep = d
+			})
+		}
 		cur = &chaosAppState{fv: fv, reqs: newChaosReqs(fv, cfg)}
 		if sc.crashAt > 0 {
 			gpu := d.Cl.CtrlFor(1)

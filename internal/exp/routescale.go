@@ -63,7 +63,7 @@ func ScalingRoute() *Table {
 		for _, policy := range []string{"rr", "least"} {
 			s := &stacks.Routed{Replicas: routeReplicas, Policy: policy, Nodes: []int{1, 2, 3}}
 			var st *load.Stats
-			testbed.Run(testbed.Spec{Nodes: 4, Seed: 19, Services: []testbed.Service{s}},
+			testbed.Run(testbed.Spec{Nodes: 4, Services: []testbed.Service{s}},
 				func(tk *sim.Task, d *testbed.Deployment) {
 					// Single attempt per arrival: open-loop measurement —
 					// a shed request is a refusal, not deferred load.
@@ -108,7 +108,6 @@ func routeScaleMTTR(t *Table) sim.Time {
 	}
 	spec := testbed.Spec{
 		Nodes:     4,
-		Seed:      19,
 		Heartbeat: &services.WatchConfig{Every: 1 * cms, Suspect: 2},
 		Services:  []testbed.Service{s},
 	}

@@ -317,9 +317,9 @@ type Net struct {
 	// to a build without the layer.
 	faults *faultState
 
-	// rd serves the owning decodes (Frame.Unmarshal), and frames
-	// recycles the Frame records with their buffers. Both belong to the
-	// Net's kernel context alone.
+	// rd serves the bare endpoints' owning decodes (Frame.Fire), and
+	// frames recycles the Frame records with their buffers. Both belong
+	// to the Net's kernel context alone.
 	rd     wire.Reader
 	frames sim.FreeList[Frame]
 	live   int // frames encoded and not yet released
@@ -350,15 +350,6 @@ const maxPooledFrame = 1 << 20
 //
 //fractos:hotpath
 func (f *Frame) Bytes() []byte { return f.w.Bytes() }
-
-// Unmarshal is the owning decode of the frame: a message that shares
-// nothing with it, for a receiver that keeps what it receives (a bare
-// endpoint's Inbox, the baseline protocols' Peer).
-//
-//fractos:hotpath
-func (f *Frame) Unmarshal() (wire.Message, error) {
-	return wire.UnmarshalWith(&f.net.rd, f.Bytes()) // fractos:alloc-ok an owning decode allocates the message (struct and payload copies), once per delivery by design
-}
 
 // Release clears the Frame and returns it, with its buffer, to the
 // free list of the fabric that launched it.
@@ -408,7 +399,7 @@ func (f *Frame) Fire() {
 		dst.rx.Deliver(f)
 		return
 	}
-	m, err := f.Unmarshal()
+	m, err := wire.UnmarshalWith(&f.net.rd, f.Bytes()) // fractos:alloc-ok a bare endpoint keeps what it receives: the owning decode allocates the message (struct and payload copies), once per delivery by design
 	d := Delivery{From: f.From, Msg: m, Bytes: len(f.Bytes())}
 	f.Release()
 	if err == nil {

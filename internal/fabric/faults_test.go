@@ -26,7 +26,7 @@ func pump(n *Net, src, dst *Endpoint, cnt int) int {
 	got := 0
 	k.Spawn("rx", func(t *sim.Task) {
 		for {
-			_, ok := dst.Inbox.RecvTimeout(t, 10*1000*1000)
+			_, ok := dst.Inbox.Recv(t)
 			if !ok {
 				return
 			}
@@ -136,7 +136,7 @@ func TestPartitionCutsAndHeals(t *testing.T) {
 	var before, after int
 	k.Spawn("rx", func(t *sim.Task) {
 		for {
-			_, ok := dst.Inbox.RecvTimeout(t, 2_000_000)
+			_, ok := dst.Inbox.Recv(t)
 			if !ok {
 				return
 			}
@@ -208,7 +208,7 @@ func TestPlanLinkFlap(t *testing.T) {
 	got := map[byte]bool{} // the frames delivered, by sequence number
 	k.Spawn("rx", func(t *sim.Task) {
 		for {
-			d, ok := dst.Inbox.RecvTimeout(t, 2_000_000)
+			d, ok := dst.Inbox.Recv(t)
 			if !ok {
 				return
 			}

@@ -71,7 +71,7 @@ func serveEcho(t *testing.T, h func(*sim.Task, *Delivery)) func(*Process) {
 // and makes two Calls of it from node 0, imm[0:8) = 7 then 8, handing
 // the first reply to keep before the second Call starts.
 func echoCalls(t *testing.T, serve func(srv *Process), keep func(*Delivery)) {
-	cl := core.NewCluster(core.ClusterConfig{Nodes: 2, Seed: 1})
+	cl := core.NewCluster(core.ClusterConfig{Nodes: 2})
 	srv, cli := Attach(cl, 1, "srv", 0), Attach(cl, 0, "cli", 0)
 	cl.K.Spawn("caller", func(tk *sim.Task) {
 		root, err := srv.RequestCreate(tk, 1, nil, nil)

@@ -71,7 +71,7 @@ func runStress(t *testing.T, seed int64) []string {
 		trace = append(trace, fmt.Sprintf(format, args...))
 	}
 
-	run(t, core.ClusterConfig{Nodes: 3, Seed: seed}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, core.ClusterConfig{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
 		procs := make([]*proc.Process, 3)
 		roots := make([]int, 3) // next free slab per proc
 		for i := range procs {

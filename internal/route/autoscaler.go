@@ -114,8 +114,8 @@ func (a *Autoscaler) BindWatch(w *services.NodeWatch, k *sim.Kernel) {
 }
 
 // onNodeLost drops the node's instances and spawns replacements from a
-// fresh task (the watch callback runs inside the prober; repairs must
-// not delay probe rounds).
+// fresh task (the watch callback runs in kernel context, where a
+// repair cannot block).
 func (a *Autoscaler) onNodeLost(k *sim.Kernel, node int, fencedAt sim.Time) {
 	lost := 0
 	kept := a.instances[:0]

@@ -12,26 +12,20 @@ import (
 
 // NodeWatch models the external monitoring service (Zookeeper in §3.6)
 // that detects node and Controller failures and translates them into
-// the FractOS protocol actions: failing a Controller's Processes,
-// fencing suspected Controllers, and announcing epochs after reboots.
+// the FractOS protocol actions: fencing suspected Controllers,
+// rebooting them under a fresh epoch, and re-announcing that epoch.
 //
-// It operates in two modes:
+// It is a heartbeat detector running in kernel context: a fabric
+// Handler on node 0 driven by one round timer. Each round pings every
+// Controller (wire.WatchPing → wire.WatchPong) and closes Every later.
+// A Controller that misses Suspect consecutive rounds is fenced (Crash
+// — modeling the out-of-band power-off the paper's monitor performs so
+// a partitioned-but-alive instance cannot act on stale state) and, if
+// RebootAfter is set, rebooted under a fresh epoch. Recovery is
+// observed through the pong's epoch and triggers a re-announce so
+// peers that lost the reboot's CtrlEpoch frame still converge.
 //
-//   - Driven: failure-injection code calls NodeFailed /
-//     ControllerFailed / ControllerRecovered explicitly (the PR-3
-//     behavior, still used by targeted tests).
-//
-//   - Heartbeat: StartHeartbeat attaches the monitor to the fabric and
-//     spawns a prober that pings every Controller each round
-//     (wire.WatchPing → wire.WatchPong). A Controller that misses
-//     Suspect consecutive rounds is fenced (Crash — modeling the
-//     out-of-band power-off the paper's monitor performs so a
-//     partitioned-but-alive instance cannot act on stale state) and,
-//     if RebootAfter is set, rebooted under a fresh epoch. Recovery is
-//     observed through the pong's epoch and triggers a re-announce so
-//     peers that lost the reboot's CtrlEpoch frame still converge.
-//
-// The prober draws no randomness and uses only virtual time, so runs
+// The detector draws no randomness and uses only virtual time, so runs
 // are deterministic; suspicion latency is bounded by
 // Every × (Suspect + 1).
 type NodeWatch struct {
@@ -39,15 +33,16 @@ type NodeWatch struct {
 
 	cfg  WatchConfig
 	ep   *fabric.Endpoint
+	dec  *wire.Decoder
 	byID map[cap.ControllerID]int
 
 	seq     uint64
+	got     []bool // answered in the open round
 	missed  []int
 	down    []bool
 	stopped bool
 
-	events []WatchEvent
-	subs   []func(WatchEvent)
+	subs []func(WatchEvent)
 }
 
 // WatchConfig parameterizes the heartbeat failure detector.
@@ -60,11 +55,8 @@ type WatchConfig struct {
 	Suspect int
 	// RebootAfter, when >0, reboots a fenced Controller (new epoch,
 	// announced to all peers) this long after fencing. 0 disables
-	// automatic reboot; the driver may still call ControllerRecovered.
+	// automatic reboot.
 	RebootAfter sim.Time
-	// OnEvent, when non-nil, is invoked synchronously for every
-	// detector transition (suspicion, fence, reboot, recovery).
-	OnEvent func(WatchEvent)
 }
 
 // Defaults for WatchConfig's zero fields.
@@ -103,7 +95,7 @@ func (k WatchEventKind) String() string {
 	return "watch(?)"
 }
 
-// WatchEvent is one detector transition, recorded for tests and logs.
+// WatchEvent is one detector transition, as subscribers see it.
 type WatchEvent struct {
 	At    sim.Time
 	Kind  WatchEventKind
@@ -116,60 +108,35 @@ func (e WatchEvent) String() string {
 	return fmt.Sprintf("%d %s ctrl=%d epoch=%d aux=%d", e.At, e.Kind, e.Ctrl, e.Epoch, e.Aux)
 }
 
-// NewNodeWatch creates the monitor for a cluster.
-func NewNodeWatch(cl *core.Cluster) *NodeWatch {
-	return &NodeWatch{cl: cl}
-}
-
-// NodeFailed reports a whole-node failure: the node's Controller is
-// informed so it fails every Process running there (§3.6: "After a
-// node failure, we inform the corresponding Controller to fail all
-// Processes running in it"). Controllers on other nodes are untouched.
-func (w *NodeWatch) NodeFailed(node int, pids []cap.ProcID) {
-	ctrl := w.cl.CtrlFor(node)
-	for _, pid := range pids {
-		ctrl.FailProcess(pid)
-	}
-}
-
-// ControllerFailed reports a Controller crash: all its Processes are
-// considered failed; on reboot the new epoch is announced and every
-// capability minted under the old epoch becomes stale (§3.6).
-func (w *NodeWatch) ControllerFailed(node int) {
-	w.cl.CtrlFor(node).Crash()
-}
-
-// ControllerRecovered reboots a crashed Controller and broadcasts its
-// new epoch.
-func (w *NodeWatch) ControllerRecovered(node int) {
-	w.cl.CtrlFor(node).Reboot()
-}
-
-// Events returns the transitions recorded since StartHeartbeat.
-func (w *NodeWatch) Events() []WatchEvent { return w.events }
-
-// StartHeartbeat attaches the monitor to the fabric on node 0 and
-// spawns the probing task. Call Stop when the workload is done so the
+// StartNodeWatch attaches the monitor to the fabric on node 0 and
+// opens its first round. Call Stop when the workload is done so the
 // kernel's event loop can drain.
-func (w *NodeWatch) StartHeartbeat(cfg WatchConfig) {
+func StartNodeWatch(cl *core.Cluster, cfg WatchConfig) *NodeWatch {
 	if cfg.Every <= 0 {
 		cfg.Every = DefaultWatchEvery
 	}
 	if cfg.Suspect <= 0 {
 		cfg.Suspect = DefaultWatchSuspect
 	}
-	w.cfg = cfg
-	w.ep = w.cl.Net.Attach("nodewatch", fabric.Location{Node: 0, Domain: fabric.Host}, 0)
-	w.byID = make(map[cap.ControllerID]int, len(w.cl.Ctrls))
-	for i, c := range w.cl.Ctrls {
+	n := len(cl.Ctrls)
+	w := &NodeWatch{
+		cl:     cl,
+		cfg:    cfg,
+		dec:    wire.NewDecoder(),
+		byID:   make(map[cap.ControllerID]int, n),
+		got:    make([]bool, n),
+		missed: make([]int, n),
+		down:   make([]bool, n),
+	}
+	for i, c := range cl.Ctrls {
 		w.byID[c.ID()] = i
 	}
-	w.missed = make([]int, len(w.cl.Ctrls))
-	w.down = make([]bool, len(w.cl.Ctrls))
-	w.cl.K.Spawn("nodewatch", w.probe)
+	w.ep = cl.Net.AttachHandler("nodewatch", fabric.Location{Node: 0, Domain: fabric.Host}, 0, w)
+	w.open()
+	return w
 }
 
-// Stop ends the heartbeat after the current round. Idempotent.
+// Stop ends the heartbeat when the current round closes. Idempotent.
 func (w *NodeWatch) Stop() { w.stopped = true }
 
 // NodeOf maps a ControllerID from a WatchEvent to the node the
@@ -178,92 +145,92 @@ func (w *NodeWatch) NodeOf(id cap.ControllerID) (int, bool) {
 	return nodeOfCtrl(w.cl, id)
 }
 
-// Subscribe registers fn to run synchronously on every detector
-// transition, after WatchConfig.OnEvent. Multiple subscribers fire in
-// subscription order (the registry's fence-pruning and an autoscaler's
-// repair can both observe one detector).
+// Subscribe registers fn to run synchronously, in kernel context, on
+// every detector transition. Multiple subscribers fire in subscription
+// order (the registry's fence-pruning and an autoscaler's repair can
+// both observe one detector).
 func (w *NodeWatch) Subscribe(fn func(WatchEvent)) {
 	w.subs = append(w.subs, fn)
 }
 
 func (w *NodeWatch) emit(e WatchEvent) {
-	w.events = append(w.events, e)
-	if w.cfg.OnEvent != nil {
-		w.cfg.OnEvent(e)
-	}
 	for _, fn := range w.subs {
 		fn(e)
 	}
 }
 
-// probe runs one detector round per Every: ping every Controller, then
-// collect pongs until the round closes. Misses accumulate per
-// Controller and reset on any pong; pings to a fenced instance fail
+// open starts a round: ping every Controller and arm the timer that
+// closes the round Every later. Pings to a fenced instance fail
 // locally (its endpoint is disconnected) and are ignored until it
 // answers again.
-func (w *NodeWatch) probe(t *sim.Task) {
-	for !w.stopped {
-		w.seq++
-		got := make([]bool, len(w.cl.Ctrls))
-		for _, c := range w.cl.Ctrls {
-			// A false Send means the endpoint is torn down (fenced or
-			// crashed) — for the failure detector that is the same
-			// evidence as a missed pong, so the boolean is deliberately
-			// not branched on.
-			//fractos:mustuse-ok torn-down destination is silence by design for the prober
-			w.cl.Net.Send(w.ep.ID, c.EndpointID(), &wire.WatchPing{Seq: w.seq})
+func (w *NodeWatch) open() {
+	w.seq++
+	clear(w.got)
+	for _, c := range w.cl.Ctrls {
+		// A false Send means the endpoint is torn down (fenced or
+		// crashed) — for the failure detector that is the same
+		// evidence as a missed pong, so the boolean is deliberately
+		// not branched on.
+		//fractos:mustuse-ok torn-down destination is silence by design for the detector
+		w.cl.Net.Send(w.ep.ID, c.EndpointID(), &wire.WatchPing{Seq: w.seq})
+	}
+	w.cl.K.AfterCall(w.cfg.Every, w)
+}
+
+// Deliver implements fabric.Handler: a pong of the open round marks
+// its Controller as answered and resets its misses. A pong of an
+// earlier round (delayed or duplicated) is ignored.
+func (w *NodeWatch) Deliver(f *fabric.Frame) {
+	m, err := w.dec.Decode(f.Bytes())
+	f.Release() // a pong's fields are integers: nothing borrows the frame
+	pong, ok := m.(*wire.WatchPong)
+	if err != nil || !ok || pong.Seq != w.seq {
+		return
+	}
+	i, known := w.byID[pong.Ctrl]
+	if !known {
+		return
+	}
+	w.got[i] = true
+	w.missed[i] = 0
+	if w.down[i] {
+		w.down[i] = false
+		w.emit(WatchEvent{At: w.cl.K.Now(), Kind: WatchRecovered, Ctrl: pong.Ctrl, Epoch: pong.Epoch})
+		// The reboot's own CtrlEpoch broadcast may have been lost on
+		// the lossy fabric; re-announce so peers fence stale
+		// capabilities (AnnounceEpoch is idempotent).
+		w.cl.Ctrls[i].AnnounceEpoch()
+	}
+}
+
+// Fire is the round timer: it closes the round — a Controller that did
+// not answer is suspected, and fenced at Suspect misses in a row — and
+// then opens the next one, or, after Stop, detaches the monitor.
+func (w *NodeWatch) Fire() {
+	now := w.cl.K.Now()
+	for i, c := range w.cl.Ctrls {
+		if w.got[i] || w.down[i] {
+			continue
 		}
-		deadline := t.Now() + w.cfg.Every
-		for {
-			remain := deadline - t.Now()
-			if remain <= 0 {
-				break
-			}
-			d, ok := w.ep.Inbox.RecvTimeout(t, remain)
-			if !ok {
-				break
-			}
-			pong, isPong := d.Msg.(*wire.WatchPong)
-			if !isPong || pong.Seq != w.seq {
-				continue // stale (delayed or duplicated) round
-			}
-			i, known := w.byID[pong.Ctrl]
-			if !known {
-				continue
-			}
-			got[i] = true
-			w.missed[i] = 0
-			if w.down[i] {
-				w.down[i] = false
-				w.emit(WatchEvent{At: t.Now(), Kind: WatchRecovered, Ctrl: pong.Ctrl, Epoch: pong.Epoch})
-				// The reboot's own CtrlEpoch broadcast may have been
-				// lost on the lossy fabric; re-announce so peers fence
-				// stale capabilities (AnnounceEpoch is idempotent).
-				w.cl.Ctrls[i].AnnounceEpoch()
-			}
+		w.missed[i]++
+		w.emit(WatchEvent{At: now, Kind: WatchSuspect, Ctrl: c.ID(), Aux: w.missed[i]})
+		if w.missed[i] < w.cfg.Suspect {
+			continue
 		}
-		for i, c := range w.cl.Ctrls {
-			if got[i] || w.down[i] {
-				continue
-			}
-			w.missed[i]++
-			w.emit(WatchEvent{At: t.Now(), Kind: WatchSuspect, Ctrl: c.ID(), Aux: w.missed[i]})
-			if w.missed[i] < w.cfg.Suspect {
-				continue
-			}
-			w.down[i] = true
-			w.missed[i] = 0
-			w.emit(WatchEvent{At: t.Now(), Kind: WatchFenced, Ctrl: c.ID()})
-			c.Crash() // out-of-band fence; idempotent if already down
-			if w.cfg.RebootAfter > 0 {
-				ci := c
-				id := c.ID()
-				w.cl.K.After(w.cfg.RebootAfter, func() {
-					w.emit(WatchEvent{At: w.cl.K.Now(), Kind: WatchRebooted, Ctrl: id})
-					ci.Reboot()
-				})
-			}
+		w.down[i] = true
+		w.missed[i] = 0
+		w.emit(WatchEvent{At: now, Kind: WatchFenced, Ctrl: c.ID()})
+		c.Crash() // out-of-band fence; idempotent if already down
+		if w.cfg.RebootAfter > 0 {
+			w.cl.K.After(w.cfg.RebootAfter, func() {
+				w.emit(WatchEvent{At: w.cl.K.Now(), Kind: WatchRebooted, Ctrl: c.ID()})
+				c.Reboot()
+			})
 		}
 	}
-	w.cl.Net.Disconnect(w.ep.ID)
+	if w.stopped {
+		w.cl.Net.Disconnect(w.ep.ID)
+		return
+	}
+	w.open()
 }

@@ -13,12 +13,14 @@ const ms = sim.Time(1000 * 1000)
 
 // watchCluster builds a 3-node cluster with faults installed and a
 // heartbeat NodeWatch, runs body inside the main task, and drains the
-// kernel. The watch is stopped after body returns.
-func watchCluster(t *testing.T, f fabric.Faults, wc WatchConfig, body func(tk *sim.Task, cl *core.Cluster, w *NodeWatch)) *NodeWatch {
+// kernel. The watch is stopped after body returns. It returns every
+// detector transition, collected through Subscribe.
+func watchCluster(t *testing.T, f fabric.Faults, wc WatchConfig, body func(tk *sim.Task, cl *core.Cluster, w *NodeWatch)) []WatchEvent {
 	t.Helper()
 	cl := core.NewCluster(core.ClusterConfig{Nodes: 3, Faults: f})
-	w := NewNodeWatch(cl)
-	w.StartHeartbeat(wc)
+	w := StartNodeWatch(cl, wc)
+	var events []WatchEvent
+	w.Subscribe(func(e WatchEvent) { events = append(events, e) })
 	done := false
 	cl.K.Spawn("main", func(tk *sim.Task) {
 		body(tk, cl, w)
@@ -30,17 +32,17 @@ func watchCluster(t *testing.T, f fabric.Faults, wc WatchConfig, body func(tk *s
 	if !done {
 		t.Fatal("main task did not complete")
 	}
-	return w
+	return events
 }
 
 // Healthy cluster: the detector stays quiet — no suspicions, no
 // fences — over many rounds.
 func TestHeartbeatQuietWhenHealthy(t *testing.T) {
-	w := watchCluster(t, fabric.Faults{}, WatchConfig{Every: 2 * ms, Suspect: 3},
+	events := watchCluster(t, fabric.Faults{}, WatchConfig{Every: 2 * ms, Suspect: 3},
 		func(tk *sim.Task, cl *core.Cluster, w *NodeWatch) {
 			tk.Sleep(50 * ms)
 		})
-	for _, e := range w.Events() {
+	for _, e := range events {
 		t.Errorf("unexpected event on healthy cluster: %v", e)
 	}
 }
@@ -49,7 +51,7 @@ func TestHeartbeatQuietWhenHealthy(t *testing.T) {
 // fenced, auto-rebooted, and observed as recovered with a bumped
 // epoch.
 func TestHeartbeatDetectsCrashAndReboots(t *testing.T) {
-	w := watchCluster(t, fabric.Faults{},
+	events := watchCluster(t, fabric.Faults{},
 		WatchConfig{Every: 2 * ms, Suspect: 3, RebootAfter: 4 * ms},
 		func(tk *sim.Task, cl *core.Cluster, w *NodeWatch) {
 			tk.Sleep(5 * ms)
@@ -64,7 +66,7 @@ func TestHeartbeatDetectsCrashAndReboots(t *testing.T) {
 			}
 		})
 	var kinds []WatchEventKind
-	for _, e := range w.Events() {
+	for _, e := range events {
 		if e.Ctrl == cap.ControllerID(2) && e.Kind != WatchSuspect {
 			kinds = append(kinds, e.Kind)
 		}
@@ -91,7 +93,7 @@ func TestHeartbeatFencesPartitionedController(t *testing.T) {
 	f := fabric.Faults{Seed: 1, Plan: fabric.Plan{
 		{At: 10 * ms, Kind: fabric.Partition, Group: []int{2}},
 	}}
-	w := watchCluster(t, f, WatchConfig{Every: 2 * ms, Suspect: 3},
+	events := watchCluster(t, f, WatchConfig{Every: 2 * ms, Suspect: 3},
 		func(tk *sim.Task, cl *core.Cluster, w *NodeWatch) {
 			tk.Sleep(40 * ms)
 			if !cl.Ctrls[2].Down() {
@@ -99,7 +101,7 @@ func TestHeartbeatFencesPartitionedController(t *testing.T) {
 			}
 		})
 	fenced := false
-	for _, e := range w.Events() {
+	for _, e := range events {
 		if e.Kind == WatchFenced && e.Ctrl == cap.ControllerID(3) {
 			fenced = true
 		}
@@ -113,11 +115,11 @@ func TestHeartbeatFencesPartitionedController(t *testing.T) {
 // misses reset on the next pong.
 func TestHeartbeatToleratesTransientLoss(t *testing.T) {
 	f := fabric.Faults{Drop: 0.05, Seed: 7}
-	w := watchCluster(t, f, WatchConfig{Every: 2 * ms, Suspect: 4},
+	events := watchCluster(t, f, WatchConfig{Every: 2 * ms, Suspect: 4},
 		func(tk *sim.Task, cl *core.Cluster, w *NodeWatch) {
 			tk.Sleep(100 * ms)
 		})
-	for _, e := range w.Events() {
+	for _, e := range events {
 		if e.Kind != WatchSuspect {
 			t.Errorf("5%% loss caused %v", e)
 		}
@@ -131,11 +133,11 @@ func TestHeartbeatDeterministic(t *testing.T) {
 			{At: 8 * ms, Kind: fabric.Partition, Group: []int{1}},
 			{At: 30 * ms, Kind: fabric.Heal},
 		}}
-		w := watchCluster(t, f, WatchConfig{Every: 2 * ms, Suspect: 3, RebootAfter: 6 * ms},
+		events := watchCluster(t, f, WatchConfig{Every: 2 * ms, Suspect: 3, RebootAfter: 6 * ms},
 			func(tk *sim.Task, cl *core.Cluster, w *NodeWatch) {
 				tk.Sleep(80 * ms)
 			})
-		return w.Events()
+		return events
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -146,4 +148,17 @@ func TestHeartbeatDeterministic(t *testing.T) {
 			t.Fatalf("event %d differs: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// TestHeartbeatHoldsNoTask: the detector runs in kernel context — a
+// fabric Handler and a round timer — so during a heartbeat run the
+// kernel's live tasks are the workload's alone.
+func TestHeartbeatHoldsNoTask(t *testing.T) {
+	watchCluster(t, fabric.Faults{}, WatchConfig{Every: 2 * ms, Suspect: 3},
+		func(tk *sim.Task, cl *core.Cluster, w *NodeWatch) {
+			tk.Sleep(10 * ms)
+			if n := cl.K.Live(); n != 1 {
+				t.Errorf("%d live tasks during a heartbeat run, want 1 (the workload)", n)
+			}
+		})
 }

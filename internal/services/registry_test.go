@@ -3,7 +3,6 @@ package services
 import (
 	"testing"
 
-	"fractos/internal/cap"
 	"fractos/internal/core"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
@@ -281,7 +280,7 @@ func TestByePrunesMembership(t *testing.T) {
 func TestFencedReplicaPrunedFromSet(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
 		reg := startRegistry(t, tk, cl)
-		w := NewNodeWatch(cl)
+		w := &NodeWatch{cl: cl} // no heartbeat: the test fences by hand
 		reg.BindWatch(w)
 
 		svc1 := proc.Attach(cl, 1, "svc1", 0)
@@ -317,13 +316,12 @@ func TestFencedReplicaPrunedFromSet(t *testing.T) {
 
 func TestNodeWatchFailsProcesses(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		w := NewNodeWatch(cl)
 		victim := proc.Attach(cl, 1, "victim", 0)
 		peer := proc.Attach(cl, 0, "peer", 0)
 		req, _ := victim.RequestCreate(tk, 5, nil, nil)
 		preq, _ := proc.GrantCap(victim, req, peer)
 
-		w.NodeFailed(1, []cap.ProcID{victim.ID()})
+		cl.CtrlFor(1).FailProcess(victim.ID())
 		tk.Sleep(200 * 1000) // 200µs settle
 		if err := peer.Invoke(tk, preq, nil, nil); err == nil {
 			t.Fatal("invoke on failed node's service succeeded")
@@ -333,14 +331,13 @@ func TestNodeWatchFailsProcesses(t *testing.T) {
 
 func TestNodeWatchControllerCrashRecover(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		w := NewNodeWatch(cl)
 		svc := proc.Attach(cl, 1, "svc", 0)
 		peer := proc.Attach(cl, 0, "peer", 0)
 		req, _ := svc.RequestCreate(tk, 5, nil, nil)
 		preq, _ := proc.GrantCap(svc, req, peer)
 
-		w.ControllerFailed(1)
-		w.ControllerRecovered(1)
+		cl.CtrlFor(1).Crash()
+		cl.CtrlFor(1).Reboot()
 		tk.Sleep(200 * 1000)
 		if err := peer.Invoke(tk, preq, nil, nil); err == nil {
 			t.Fatal("stale capability usable after controller recovery")

@@ -35,14 +35,12 @@ type sendWaiter[T any] struct {
 	t  *Task
 	v  T
 	ok bool // set true when the value has been accepted
-	rm bool // removed from queue (woken)
 }
 
 type recvWaiter[T any] struct {
 	t  *Task
 	v  T
 	ok bool // true if a value was delivered, false if channel closed
-	rm bool
 }
 
 // NewChan creates a channel. capacity 0 means unbounded.
@@ -63,8 +61,7 @@ func (c *Chan[T]) getRecv(t *Task) *recvWaiter[T] {
 
 // putRecv recycles a waiter whose wait has fully completed. The caller
 // must guarantee no other reference to rw survives: the waker removes
-// it from recvq before the task resumes, and a wait that timed out
-// removes it itself.
+// it from recvq before the task resumes.
 //
 //fractos:hotpath
 //fractos:pool-release chanwaiter
@@ -109,7 +106,6 @@ func (c *Chan[T]) Close() {
 	// Wake all blocked receivers with ok=false (buffer is necessarily
 	// empty if receivers are blocked).
 	for _, w := range c.recvq {
-		w.rm = true
 		w.ok = false
 		w.t.wakeAfter(0)
 	}
@@ -117,7 +113,6 @@ func (c *Chan[T]) Close() {
 	// Blocked senders on a closed channel is a programming error; wake
 	// them so they can panic in their own context.
 	for _, w := range c.sendq {
-		w.rm = true
 		w.ok = false
 		w.t.wakeAfter(0)
 	}
@@ -177,36 +172,16 @@ func (c *Chan[T]) TrySend(v T) bool {
 //
 //fractos:hotpath
 //fractos:yield
-func (c *Chan[T]) Recv(t *Task) (v T, ok bool) { return c.recv(t, -1) }
-
-// RecvTimeout is Recv with a virtual-time deadline. ok is false on
-// timeout or close.
-func (c *Chan[T]) RecvTimeout(t *Task, d Time) (v T, ok bool) { return c.recv(t, max(d, 0)) }
-
-// recv is Recv giving up after d (never, if negative). The deadline is
-// the task's own wake, queued d ahead: a sender's wake for now replaces
-// it (wakeAfter drops the one it supersedes from the heap), so a
-// receive that is served in time leaves no event behind.
-//
-//fractos:hotpath
-func (c *Chan[T]) recv(t *Task, d Time) (v T, ok bool) {
+func (c *Chan[T]) Recv(t *Task) (v T, ok bool) {
 	if len(c.buf) > 0 {
-		v = c.takeBuffered()
-		return v, true
+		return c.takeBuffered(), true
 	}
 	if c.closed {
-		var zero T
-		return zero, false
+		return v, false
 	}
 	rw := c.getRecv(t)
-	c.recvq = append(c.recvq, rw) // fractos:pool-ok fractos:alloc-ok parked waiter; whoever wakes the task unlinks it from recvq — a sender, Close, or the timeout below — before putRecv reuses it
-	if d >= 0 {
-		t.wakeAfter(d)
-	}
+	c.recvq = append(c.recvq, rw) // fractos:pool-ok fractos:alloc-ok parked waiter; whoever wakes the task unlinks it from recvq — a sender or Close — before putRecv reuses it
 	t.park()
-	if !rw.rm {
-		c.removeRecv(rw) // timed out: nobody took it off the queue
-	}
 	v, ok = rw.v, rw.ok
 	c.putRecv(rw)
 	return v, ok
@@ -243,7 +218,6 @@ func (c *Chan[T]) takeBuffered() T {
 		m := copy(c.sendq, c.sendq[1:])
 		c.sendq[m] = nil
 		c.sendq = c.sendq[:m]
-		sw.rm = true
 		sw.ok = true
 		c.buf = append(c.buf, sw.v) // fractos:alloc-ok slot was just vacated; append reuses the freed capacity
 		sw.t.wakeAfter(0)
@@ -251,32 +225,17 @@ func (c *Chan[T]) takeBuffered() T {
 	return v
 }
 
-// popRecv dequeues the oldest live receive waiter, shifting in place
-// (see takeBuffered) so the queue's backing array stays reusable.
+// popRecv dequeues the oldest receive waiter, shifting in place (see
+// takeBuffered) so the queue's backing array stays reusable.
 //
 //fractos:hotpath
 func (c *Chan[T]) popRecv() *recvWaiter[T] {
-	for len(c.recvq) > 0 {
-		w := c.recvq[0]
-		n := copy(c.recvq, c.recvq[1:])
-		c.recvq[n] = nil
-		c.recvq = c.recvq[:n]
-		if w.rm {
-			continue
-		}
-		w.rm = true
-		return w
+	if len(c.recvq) == 0 {
+		return nil
 	}
-	return nil
-}
-
-func (c *Chan[T]) removeRecv(rw *recvWaiter[T]) {
-	for i, w := range c.recvq {
-		if w == rw {
-			n := i + copy(c.recvq[i:], c.recvq[i+1:])
-			c.recvq[n] = nil
-			c.recvq = c.recvq[:n]
-			return
-		}
-	}
+	w := c.recvq[0]
+	n := copy(c.recvq, c.recvq[1:])
+	c.recvq[n] = nil
+	c.recvq = c.recvq[:n]
+	return w
 }

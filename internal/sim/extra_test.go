@@ -24,34 +24,6 @@ func TestStopHaltsRun(t *testing.T) {
 	k.Shutdown()
 }
 
-func TestKernelRandDeterministic(t *testing.T) {
-	seq := func(seed int64) []int {
-		k := New(seed)
-		var out []int
-		for i := 0; i < 8; i++ {
-			out = append(out, k.Rand().Intn(1000))
-		}
-		k.Shutdown()
-		return out
-	}
-	a, b := seq(7), seq(7)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("Rand not deterministic for equal seeds")
-		}
-	}
-	c := seq(8)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different seeds produced identical sequences")
-	}
-}
-
 func TestTrySendTryRecvBounded(t *testing.T) {
 	k := New(1)
 	ch := NewChan[int](k, "c", 2)
@@ -225,24 +197,24 @@ func TestFutureWaitTimeoutAlreadyDone(t *testing.T) {
 func TestFutureTimeoutRaceWithResolve(t *testing.T) {
 	k := New(1)
 	f := NewFuture[int]()
-	ch := NewChan[int](k, "after", 0)
+	after := NewFuture[int]()
 	k.Spawn("w", func(tk *Task) {
 		v, err := f.WaitTimeout(tk, 50*time.Microsecond)
 		if err == nil && v != 9 {
 			t.Errorf("v=%d", v)
 		}
 		// Immediately park on something else; a stray wake would
-		// resume this early with ok=false... (Recv on empty+closed).
-		got, ok := ch.RecvTimeout(tk, 200*time.Microsecond)
-		if !ok || got != 1 {
-			t.Errorf("follow-up park disturbed: got=%d ok=%v", got, ok)
+		// resume this early with ErrTimeout.
+		got, err := after.WaitTimeout(tk, 200*time.Microsecond)
+		if err != nil || got != 1 {
+			t.Errorf("follow-up park disturbed: got=%d err=%v", got, err)
 		}
 	})
 	k.Spawn("set", func(tk *Task) {
 		tk.Sleep(50 * time.Microsecond) // same instant as the timeout
 		f.Set(9)
 		tk.Sleep(100 * time.Microsecond)
-		ch.Send(tk, 1)
+		after.Set(1)
 	})
 	k.Run()
 	k.Shutdown()

@@ -26,7 +26,6 @@
 package sim
 
 import (
-	"math/rand"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -258,8 +257,6 @@ type Kernel struct {
 	running  *Task
 	tasks    map[uint64]*Task
 	nextID   uint64
-	seed     int64
-	rng      *rand.Rand // lazily built from seed on first Rand()
 	stopped  bool
 	panicMsg string
 
@@ -275,30 +272,19 @@ type Kernel struct {
 	processed uint64
 }
 
-// New returns an empty kernel with its virtual clock at zero. The seed
-// feeds the kernel's deterministic random source (Rand).
+// New returns an empty kernel with its virtual clock at zero. Nothing
+// reads seed: the kernel draws no randomness, and the parameter stays
+// only because the benchmark module passes one (ROADMAP item 14(f)).
 func New(seed int64) *Kernel {
 	parkWarm.Do(warmParking)
 	return &Kernel{
 		tasks: make(map[uint64]*Task),
-		seed:  seed,
 		yield: make(chan struct{}),
 	}
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Rand returns the kernel's deterministic random source, built lazily
-// from the seed (rand.Source construction is a measurable cost for
-// short-lived kernels that never draw randomness). It must only be
-// used from this kernel's task or kernel context.
-func (k *Kernel) Rand() *rand.Rand {
-	if k.rng == nil {
-		k.rng = rand.New(rand.NewSource(k.seed))
-	}
-	return k.rng
-}
 
 // Task is the handle a spawned function uses to interact with the
 // kernel: sleeping, reading the clock, and (via Chan and Future)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -161,42 +162,6 @@ func TestChanCloseDrainsThenReportsNotOK(t *testing.T) {
 	k.Run()
 	if len(vals) != 2 || closedOK {
 		t.Fatalf("vals=%v closedOK=%v", vals, closedOK)
-	}
-}
-
-func TestRecvTimeout(t *testing.T) {
-	k := New(1)
-	ch := NewChan[int](k, "c", 0)
-	var timedOut bool
-	var at Time
-	k.Spawn("recv", func(tk *Task) {
-		_, ok := ch.RecvTimeout(tk, us(50))
-		timedOut = !ok
-		at = tk.Now()
-	})
-	k.Run()
-	if !timedOut || at != us(50) {
-		t.Fatalf("timedOut=%v at=%v", timedOut, at)
-	}
-}
-
-func TestRecvTimeoutDeliveredInTime(t *testing.T) {
-	k := New(1)
-	ch := NewChan[int](k, "c", 0)
-	var got int
-	var ok bool
-	k.Spawn("recv", func(tk *Task) {
-		got, ok = ch.RecvTimeout(tk, us(50))
-		// The timer still fires later; it must be a no-op.
-		tk.Sleep(us(100))
-	})
-	k.Spawn("send", func(tk *Task) {
-		tk.Sleep(us(10))
-		ch.Send(tk, 7)
-	})
-	k.Run()
-	if !ok || got != 7 {
-		t.Fatalf("got=%d ok=%v", got, ok)
 	}
 }
 
@@ -373,17 +338,19 @@ func TestTaskPanicPropagatesToRun(t *testing.T) {
 
 // TestDeterminism runs a randomized workload twice with the same seed
 // and requires identical event traces (property: the simulation is a
-// deterministic function of its seed).
+// deterministic function of its inputs; the sleeps come from a source
+// seeded by the test, as every draw in the simulation does).
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []string {
 		k := New(seed)
+		rng := rand.New(rand.NewSource(seed))
 		ch := NewChan[int](k, "c", 4)
 		var trace []string
 		for i := 0; i < 8; i++ {
 			i := i
 			k.Spawn("producer", func(tk *Task) {
 				for j := 0; j < 5; j++ {
-					tk.Sleep(Time(k.Rand().Intn(100)) * time.Nanosecond)
+					tk.Sleep(Time(rng.Intn(100)) * time.Nanosecond)
 					ch.Send(tk, i*100+j)
 				}
 			})
@@ -418,15 +385,16 @@ func TestStaleWakeIgnored(t *testing.T) {
 	// A task that finishes while a timer wake for it is still queued
 	// must not be resumed again.
 	k := New(1)
-	ch := NewChan[int](k, "c", 0)
+	f := NewFuture[int]()
 	k.Spawn("short", func(tk *Task) {
-		// RecvTimeout schedules a timer; value arrives first, task
-		// exits, then the timer fires against a finished task.
-		v, ok := ch.RecvTimeout(tk, us(100))
-		if !ok || v != 1 {
-			t.Errorf("v=%d ok=%v", v, ok)
+		// WaitTimeout queues the task's deadline wake; the value
+		// arrives first, the task exits, and the deadline must not
+		// resume the finished task.
+		v, err := f.WaitTimeout(tk, us(100))
+		if err != nil || v != 1 {
+			t.Errorf("v=%d err=%v", v, err)
 		}
 	})
-	k.Spawn("send", func(tk *Task) { ch.Send(tk, 1) })
+	k.Spawn("send", func(tk *Task) { f.Set(1) })
 	k.Run() // must not deadlock or panic
 }

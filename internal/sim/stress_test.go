@@ -19,7 +19,7 @@ type stressStep struct {
 // the workload itself is deterministic; the trace captures the
 // kernel's global (time, seq) dispatch order end to end, exercising
 // the heap, the same-instant run queue, stale-wake cancellation
-// (tasks re-sleep via channels and timeouts), spawn churn, and After
+// (waiters race futures against timeouts), spawn churn, and After
 // closures all at once.
 func runStressWorkload(seed int64) []stressStep {
 	const nTasks = 10000
@@ -28,7 +28,7 @@ func runStressWorkload(seed int64) []stressStep {
 	record := func(actor int, at Time) {
 		trace = append(trace, stressStep{actor: actor, at: at})
 	}
-	wakeups := NewChan[int](k, "wakeups", 0)
+	wakeups := make([]*Future[int], nTasks/4) // one per waiter
 	for i := 0; i < nTasks; i++ {
 		i := i
 		rng := rand.New(rand.NewSource(seed ^ int64(i)*2654435761))
@@ -59,9 +59,11 @@ func runStressWorkload(seed int64) []stressStep {
 					record(i, ct.Now())
 				})
 			})
-		case 3: // waiters: block on a channel, racing a timeout
+		case 3: // waiters: block on a future, racing a timeout
+			f := NewFuture[int]()
+			wakeups[i/4] = f
 			k.Spawn("waiter", func(t *Task) {
-				if v, ok := wakeups.RecvTimeout(t, Time(rng.Intn(2000)+1)); ok {
+				if v, err := f.WaitTimeout(t, Time(rng.Intn(2000)+1)); err == nil {
 					record(v, t.Now())
 				} else {
 					record(i, t.Now())
@@ -76,7 +78,7 @@ func runStressWorkload(seed int64) []stressStep {
 		rng := rand.New(rand.NewSource(seed * 31))
 		for s := 0; s < nTasks/8; s++ {
 			t.Sleep(Time(rng.Intn(16)))
-			wakeups.TrySend(s)
+			wakeups[s].Set(s)
 		}
 	})
 	k.Run()

@@ -96,18 +96,17 @@ type fireFunc func()
 
 func (f fireFunc) Fire() { f() }
 
-// TestTimedWaitsLeaveNoEventBehind: the deadline of WaitTimeout and
-// RecvTimeout is the waiting task's own wake, and the wake that answers
-// the wait replaces it. After N waits answered before their deadline
-// the kernel holds no event for them — there used to be one closure per
-// wait, in the heap until its deadline — and timeouts still expire.
+// TestTimedWaitsLeaveNoEventBehind: the deadline of WaitTimeout is the
+// waiting task's own wake, and the wake that answers the wait replaces
+// it. After N waits answered before their deadline the kernel holds no
+// event for them — there used to be one closure per wait, in the heap
+// until its deadline — and timeouts still expire.
 func TestTimedWaitsLeaveNoEventBehind(t *testing.T) {
 	const (
 		n        = 100
 		deadline = sim.Time(1_000_000)
 	)
 	k := sim.New(1)
-	ch := sim.NewChan[int](k, "ch", 0)
 	futs := make([]*sim.Future[int], n)
 	for i := range futs {
 		futs[i] = sim.NewFuture[int]()
@@ -116,8 +115,6 @@ func TestTimedWaitsLeaveNoEventBehind(t *testing.T) {
 		for i := 0; i < n; i++ {
 			tk.Sleep(10)
 			futs[i].Set(i)
-			tk.Sleep(10)
-			ch.Send(tk, i)
 		}
 	})
 	waited := 0
@@ -126,38 +123,29 @@ func TestTimedWaitsLeaveNoEventBehind(t *testing.T) {
 			if v, err := futs[i].WaitTimeout(tk, deadline); err != nil || v != i {
 				t.Errorf("wait %d: %d, %v", i, v, err)
 			}
-			if v, ok := ch.RecvTimeout(tk, deadline); !ok || v != i {
-				t.Errorf("recv %d: %d, %v", i, v, ok)
-			}
 			waited++
 		}
 		if q := k.QueuedEvents(); q != 0 {
-			t.Errorf("%d events queued after %d answered waits, want 0", q, 2*n)
+			t.Errorf("%d events queued after %d answered waits, want 0", q, n)
 		}
 		if tk.Now() >= deadline {
 			t.Errorf("clock at %v: an answered wait's deadline still advanced it", tk.Now())
 		}
 		// And an unanswered wait still times out, on time, twice over:
-		// the waiter it left on the future and the channel is gone.
+		// the waiter it left on the future is gone.
 		start := tk.Now()
 		never := sim.NewFuture[int]()
 		for round := 0; round < 2; round++ {
 			if _, err := never.WaitTimeout(tk, 500); err != sim.ErrTimeout {
 				t.Errorf("unanswered wait: %v, want ErrTimeout", err)
 			}
-			if _, ok := ch.RecvTimeout(tk, 500); ok {
-				t.Error("unanswered receive reported a value")
-			}
 		}
-		if got := tk.Now() - start; got != 2000 {
-			t.Errorf("four 500 ns timeouts took %v", got)
+		if got := tk.Now() - start; got != 1000 {
+			t.Errorf("two 500 ns timeouts took %v", got)
 		}
 		never.Set(7) // no stale waiter to wake
-		if !ch.TrySend(8) {
-			t.Error("TrySend refused")
-		}
-		if v, ok := ch.RecvTimeout(tk, 500); !ok || v != 8 {
-			t.Errorf("a value sent after the timeouts went to a stale waiter: got %d, %v", v, ok)
+		if v, err := never.WaitTimeout(tk, 500); err != nil || v != 7 {
+			t.Errorf("a future resolved after the timeouts: got %d, %v", v, err)
 		}
 	})
 	k.Run()

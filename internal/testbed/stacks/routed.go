@@ -17,8 +17,8 @@ import (
 // Replicas instances of a sleep-for-the-requested-duration worker
 // spread over Nodes, and a client-side Balancer with the named Policy.
 // With Repair set an Autoscaler keeps Replicas instances, repairing
-// the set when the deployment's NodeWatch (Spec.Watch/Heartbeat)
-// fences a node.
+// the set when the deployment's NodeWatch (Spec.Heartbeat) fences a
+// node.
 //
 // The work request is the route package's layout: imm[0:8) request id,
 // imm[8:16) service duration in virtual ns.

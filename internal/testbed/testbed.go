@@ -1,7 +1,7 @@
 // Package testbed is the declarative deployment layer shared by the
 // evaluation harness (internal/exp), the runnable examples, and the
 // integration tests. A Spec describes a cluster — node count,
-// Controller placement, seed, faults — plus an ordered list of
+// Controller placement, faults — plus an ordered list of
 // Services to deploy (GPU adaptor, NVMe adaptor, FS, routed service,
 // face-verification application, ...). Run builds the kernel, fabric,
 // Controllers, and capability bootstrap in one call, deploys the
@@ -12,8 +12,9 @@
 // workloads describe *load*, instead of every file hand-assembling
 // core.NewCluster plus bespoke service wiring. Determinism contract:
 // Run is a pure function of the Spec and the workload — services are
-// deployed strictly in slice order inside the main task, the only
-// randomness is the kernel's seeded source, and two Runs of the same
+// deployed strictly in slice order inside the main task, the kernel
+// draws no randomness (the fault layer and the workloads draw from
+// sources of their own, seeded explicitly), and two Runs of the same
 // Spec produce byte-identical fabric traces.
 package testbed
 
@@ -48,26 +49,24 @@ type Service interface {
 }
 
 // Spec declares a cluster deployment. The zero value is a 3-node
-// cluster with per-node host-CPU Controllers, seed 0, and no services —
+// cluster with per-node host-CPU Controllers and no services —
 // exactly core.NewCluster's defaults. The fabric is always calibrated
 // by fabric.DefaultProfile.
 type Spec struct {
 	Nodes     int
 	Placement core.Placement
 	Ctrl      core.Config // Controller template; Loc is set per controller
-	Seed      int64
-	// Watch adds a failure-injection NodeWatch to the deployment
-	// (examples/failover, recovery tests).
-	Watch bool
+	// Seed is read by nothing. It stays because the benchmark module
+	// sets it (ROADMAP item 14(f)).
+	Seed int64
 	// Chaos, when Enabled, installs the fault-injection layer on the
 	// fabric and arms the Controllers' retransmission protocol
 	// (docs/FAULTS.md). The zero value changes nothing: traces stay
 	// byte-identical to a fault-free deployment.
 	Chaos fabric.Faults
-	// Heartbeat, when non-nil, starts Watch's heartbeat failure
-	// detector before the services deploy and stops it after the
-	// workload returns (so the kernel's event loop drains). Implies
-	// Watch.
+	// Heartbeat, when non-nil, starts the heartbeat failure detector
+	// (Deployment.Watch) before the services deploy and stops it after
+	// the workload returns (so the kernel's event loop drains).
 	Heartbeat *services.WatchConfig
 	// Services are deployed in order inside the main task before the
 	// workload runs.
@@ -80,7 +79,6 @@ func (s Spec) ClusterConfig() core.ClusterConfig {
 		Nodes:     s.Nodes,
 		Placement: s.Placement,
 		Ctrl:      s.Ctrl,
-		Seed:      s.Seed,
 		Faults:    s.Chaos,
 	}
 }
@@ -93,7 +91,6 @@ func SpecOf(cfg core.ClusterConfig, svcs ...Service) Spec {
 		Nodes:     cfg.Nodes,
 		Placement: cfg.Placement,
 		Ctrl:      cfg.Ctrl,
-		Seed:      cfg.Seed,
 		Chaos:     cfg.Faults,
 		Services:  svcs,
 	}
@@ -103,7 +100,7 @@ func SpecOf(cfg core.ClusterConfig, svcs ...Service) Spec {
 // Spec's services exposed at deploy time.
 type Deployment struct {
 	Cl *core.Cluster
-	// Watch is non-nil iff Spec.Watch was set.
+	// Watch is non-nil iff Spec.Heartbeat was set.
 	Watch *services.NodeWatch
 }
 
@@ -148,11 +145,8 @@ func RunT(tb TB, s Spec, fn func(tk *sim.Task, d *Deployment)) {
 func run(s Spec, fn func(tk *sim.Task, d *Deployment)) bool {
 	cl := core.NewCluster(s.ClusterConfig())
 	d := &Deployment{Cl: cl}
-	if s.Watch || s.Heartbeat != nil {
-		d.Watch = services.NewNodeWatch(cl)
-	}
 	if s.Heartbeat != nil {
-		d.Watch.StartHeartbeat(*s.Heartbeat)
+		d.Watch = services.StartNodeWatch(cl, *s.Heartbeat)
 	}
 	done := false
 	cl.K.Spawn("tb-main", func(tk *sim.Task) {
@@ -161,7 +155,7 @@ func run(s Spec, fn func(tk *sim.Task, d *Deployment)) bool {
 		}
 		fn(tk, d)
 		done = true
-		if s.Heartbeat != nil {
+		if d.Watch != nil {
 			d.Watch.Stop()
 		}
 	})

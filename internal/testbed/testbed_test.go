@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fractos/internal/core"
+	"fractos/internal/services"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
 )
@@ -44,13 +45,13 @@ func TestServicesDeployInOrder(t *testing.T) {
 	}
 }
 
-// TestWatchAndHandles: Watch is wired iff requested; the deployment's
-// accessors reflect the built cluster.
+// TestWatchAndHandles: Watch is wired iff a heartbeat is requested;
+// the deployment's accessors reflect the built cluster.
 func TestWatchAndHandles(t *testing.T) {
-	testbed.RunT(t, testbed.Spec{Nodes: 3, Watch: true},
+	testbed.RunT(t, testbed.Spec{Nodes: 3, Heartbeat: &services.WatchConfig{}},
 		func(tk *sim.Task, d *testbed.Deployment) {
 			if d.Watch == nil {
-				t.Error("Spec.Watch did not install a NodeWatch")
+				t.Error("Spec.Heartbeat did not install a NodeWatch")
 			}
 			if d.K() != d.Cl.K || d.Net() != d.Cl.Net {
 				t.Error("accessors disagree with the cluster")
@@ -66,14 +67,14 @@ func TestWatchAndHandles(t *testing.T) {
 	testbed.RunT(t, testbed.Spec{Nodes: 2},
 		func(tk *sim.Task, d *testbed.Deployment) {
 			if d.Watch != nil {
-				t.Error("NodeWatch installed without Spec.Watch")
+				t.Error("NodeWatch installed without Spec.Heartbeat")
 			}
 		})
 }
 
 // TestSpecOfRoundTrip: SpecOf preserves every topology field.
 func TestSpecOfRoundTrip(t *testing.T) {
-	cfg := core.ClusterConfig{Nodes: 5, Placement: core.CtrlShared, Seed: 9}
+	cfg := core.ClusterConfig{Nodes: 5, Placement: core.CtrlShared}
 	cfg.Ctrl.CapQuota = 7
 	s := testbed.SpecOf(cfg)
 	// ClusterConfig is no longer ==-comparable (Faults holds a Plan

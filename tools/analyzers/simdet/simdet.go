@@ -12,7 +12,8 @@
 //     (or reseeded by other code), and not replayable. The only
 //     functions of math/rand allowed are those that construct one of
 //     its types — rand.New, rand.NewSource, rand.NewZipf — and
-//     randomness comes from such seeded instances, e.g. sim.Kernel.Rand.
+//     randomness comes from such seeded instances, e.g. the fault
+//     layer's, seeded by fabric.Faults.Seed.
 //  3. Raw goroutines: a `go` statement escapes the cooperative
 //     scheduler, racing against kernel tasks. Only the kernel package
 //     itself (internal/sim) may create goroutines — that is the
@@ -94,7 +95,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		if constructs(fn) {
 			return
 		}
-		msg = "rand.%s uses the global math/rand source; use a seeded rand.New(rand.NewSource(seed)) (e.g. sim.Kernel.Rand)"
+		msg = "rand.%s uses the global math/rand source; use a seeded rand.New(rand.NewSource(seed)) (e.g. the fault layer's, seeded by fabric.Faults.Seed)"
 	default:
 		return
 	}
