@@ -46,14 +46,14 @@ func SetupBaseline(t *sim.Task, cl *core.Cluster, cfg Config) (*BaselineApp, err
 
 	a.GPUDev = gpu.NewDevice(cl.K, gpu.DefaultConfig())
 	RegisterKernel(a.GPUDev)
-	rcudaSrv := baseline.NewRCUDAServer(cl.K, cl.Net, NodeGPU, a.GPUDev)
-	a.rcuda = baseline.NewRCUDAClient(cl.K, cl.Net, NodeFrontend, rcudaSrv)
+	rcudaSrv := baseline.NewRCUDAServer(cl.Net, NodeGPU, a.GPUDev)
+	a.rcuda = baseline.NewRCUDAClient(cl.Net, NodeFrontend, rcudaSrv)
 
 	a.NVMeDev = nvme.NewDevice(cl.K, nvme.DefaultConfig())
-	target := baseline.NewNVMeoFTarget(cl.K, cl.Net, NodeStorage, a.NVMeDev)
-	ini := baseline.NewNVMeoFInitiator(cl.K, cl.Net, NodeFS, target, true)
-	nfsSrv := baseline.NewNFSServer(cl.K, cl.Net, NodeFS, ini)
-	a.nfs = baseline.NewNFSClient(cl.K, cl.Net, NodeFrontend, nfsSrv)
+	target := baseline.NewNVMeoFTarget(cl.Net, NodeStorage, a.NVMeDev)
+	ini := baseline.NewNVMeoFInitiator(cl.Net, NodeFS, target, true)
+	nfsSrv := baseline.NewNFSServer(cl.Net, NodeFS, ini)
+	a.nfs = baseline.NewNFSClient(cl.Net, NodeFrontend, nfsSrv)
 	a.dropCaches = ini.DropCaches
 
 	// Seed the database over NFS, one file at a time through one buffer

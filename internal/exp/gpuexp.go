@@ -35,9 +35,9 @@ type baseSlots struct{ imgAddr, probeAddr, outAddr uint64 }
 func newRCUDAService(tk *sim.Task, cl *core.Cluster, batch, slots int) *rcudaService {
 	dev := gpu.NewDevice(cl.K, gpu.Config{MemSize: 96 << 20, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
 	faceverify.RegisterKernel(dev)
-	srv := baseline.NewRCUDAServer(cl.K, cl.Net, 1, dev)
+	srv := baseline.NewRCUDAServer(cl.Net, 1, dev)
 	r := &rcudaService{
-		cli:   baseline.NewRCUDAClient(cl.K, cl.Net, 0, srv),
+		cli:   baseline.NewRCUDAClient(cl.Net, 0, srv),
 		batch: batch,
 		free:  sim.NewSemaphore(slots),
 		img:   make([]byte, batch*faceverify.ImgSize),
