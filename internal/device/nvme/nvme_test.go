@@ -27,15 +27,27 @@ func runSim(t *testing.T, fn func(tk *sim.Task, k *sim.Kernel)) {
 	}
 }
 
+// access books an access of the device, waits out its time and delivers
+// it, as a local task does.
+func access(t *sim.Task, d *Device, off int64, buf []byte, write bool) error {
+	lat, err := d.Book(off, len(buf), write)
+	if err != nil {
+		return err
+	}
+	t.Sleep(lat)
+	d.Deliver(off, buf, write)
+	return nil
+}
+
 func TestDeviceDataIntegrity(t *testing.T) {
 	runSim(t, func(tk *sim.Task, k *sim.Kernel) {
 		d := NewDevice(k, DefaultConfig())
 		in := bytes.Repeat([]byte("storage!"), 1024) // 8 KiB, page-unaligned offset
-		if err := d.Write(tk, 12345, in); err != nil {
+		if err := access(tk, d, 12345, in, true); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]byte, len(in))
-		if err := d.Read(tk, 12345, out); err != nil {
+		if err := access(tk, d, 12345, out, false); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(in, out) {
@@ -43,7 +55,7 @@ func TestDeviceDataIntegrity(t *testing.T) {
 		}
 		// Unwritten space reads as zeros.
 		z := make([]byte, 100)
-		if err := d.Read(tk, 1<<30, z); err != nil {
+		if err := access(tk, d, 1<<30, z, false); err != nil {
 			t.Fatal(err)
 		}
 		for _, b := range z {
@@ -58,16 +70,16 @@ func TestDeviceBounds(t *testing.T) {
 	runSim(t, func(tk *sim.Task, k *sim.Kernel) {
 		d := NewDevice(k, DefaultConfig())
 		buf := make([]byte, 16)
-		if err := d.Read(tk, d.Capacity()-8, buf); err != ErrOutOfRange {
+		if err := access(tk, d, d.Capacity()-8, buf, false); err != ErrOutOfRange {
 			t.Errorf("read past end: %v", err)
 		}
-		if err := d.Write(tk, -1, buf); err != ErrOutOfRange {
+		if err := access(tk, d, -1, buf, true); err != ErrOutOfRange {
 			t.Errorf("negative write: %v", err)
 		}
-		if err := d.Write(tk, math.MaxInt64-10, buf); err != ErrOutOfRange {
+		if err := access(tk, d, math.MaxInt64-10, buf, true); err != ErrOutOfRange {
 			t.Errorf("write at an offset whose sum with the length wraps: %v", err)
 		}
-		if err := d.Read(tk, math.MaxInt64-10, buf); err != ErrOutOfRange {
+		if err := access(tk, d, math.MaxInt64-10, buf, false); err != ErrOutOfRange {
 			t.Errorf("read at an offset whose sum with the length wraps: %v", err)
 		}
 	})
@@ -78,7 +90,7 @@ func TestRandomReadLatencyAbout70us(t *testing.T) {
 		d := NewDevice(k, DefaultConfig())
 		buf := make([]byte, 4096)
 		start := tk.Now()
-		if err := d.Read(tk, 512*1024*1024, buf); err != nil {
+		if err := access(tk, d, 512*1024*1024, buf, false); err != nil {
 			t.Fatal(err)
 		}
 		lat := tk.Now() - start
@@ -92,12 +104,12 @@ func TestSequentialReadsHitReadAhead(t *testing.T) {
 	runSim(t, func(tk *sim.Task, k *sim.Kernel) {
 		d := NewDevice(k, DefaultConfig())
 		buf := make([]byte, 4096)
-		d.Read(tk, 0, buf) // miss, arms read-ahead
+		access(tk, d, 0, buf, false) // miss, arms read-ahead
 		start := tk.Now()
-		d.Read(tk, 4096, buf) // sequential: hit
+		access(tk, d, 4096, buf, false) // sequential: hit
 		seq := tk.Now() - start
 		start = tk.Now()
-		d.Read(tk, 1<<30, buf) // random: miss
+		access(tk, d, 1<<30, buf, false) // random: miss
 		rnd := tk.Now() - start
 		if seq >= rnd {
 			t.Errorf("sequential read (%v) not faster than random (%v)", seq, rnd)
@@ -115,14 +127,14 @@ func TestWriteCacheAbsorbsThenThrottles(t *testing.T) {
 		d := NewDevice(k, cfg)
 		buf := make([]byte, 256*1024)
 		start := tk.Now()
-		d.Write(tk, 0, buf) // absorbed
+		access(tk, d, 0, buf, true) // absorbed
 		fast := tk.Now() - start
 		// Blow through the cache.
 		for i := 0; i < 8; i++ {
-			d.Write(tk, int64(i)*int64(len(buf)), buf)
+			access(tk, d, int64(i)*int64(len(buf)), buf, true)
 		}
 		start = tk.Now()
-		d.Write(tk, 0, buf) // throttled
+		access(tk, d, 0, buf, true) // throttled
 		slow := tk.Now() - start
 		if slow <= fast {
 			t.Errorf("throttled write (%v) not slower than absorbed write (%v)", slow, fast)
@@ -366,9 +378,9 @@ func TestReadsWaitForStagingInArrivalOrder(t *testing.T) {
 				break
 			}
 		}
-		if len(order) != reads || len(ad.stages) != stagingBufs || len(ad.staging) != 0 {
-			t.Errorf("%d reads done, %d staging buffers free, %d operations waiting; want %d, %d, 0",
-				len(order), len(ad.stages), len(ad.staging), reads, stagingBufs)
+		if len(order) != reads || ad.stages.free != 1<<stagingBufs-1 || len(ad.stages.waiting) != 0 {
+			t.Errorf("%d reads done, staging buffers free %b, %d operations waiting; want %d, all %d, 0",
+				len(order), ad.stages.free, len(ad.stages.waiting), reads, stagingBufs)
 		}
 	})
 	cl.K.Run()
@@ -455,8 +467,8 @@ func TestRefusedCopyAnswersCopyErr(t *testing.T) {
 				t.Errorf("%s: status %d, want copy error", tc.name, st)
 			}
 		}
-		if len(ad.stages) != stagingBufs {
-			t.Errorf("%d staging buffers free, want %d", len(ad.stages), stagingBufs)
+		if ad.stages.free != 1<<stagingBufs-1 {
+			t.Errorf("staging buffers free: %b, want all %d", ad.stages.free, stagingBufs)
 		}
 	})
 	cl.K.Run()

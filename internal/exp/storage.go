@@ -78,15 +78,12 @@ func localLatency(size uint64, isWrite bool) sim.Time {
 		offs := randOffsets(k, size, 77)
 		start := tk.Now()
 		for _, off := range offs {
-			var err error
-			if isWrite {
-				err = dev.Write(tk, int64(off), buf)
-			} else {
-				err = dev.Read(tk, int64(off), buf)
-			}
+			lat, err := dev.Book(int64(off), len(buf), isWrite)
 			if err != nil {
 				assert.NoErr(err, "exp/storage")
 			}
+			tk.Sleep(lat)
+			dev.Deliver(int64(off), buf, isWrite)
 		}
 		avg = (tk.Now() - start) / k
 	})

@@ -16,28 +16,23 @@ type Backend interface {
 	CreateVolume(t *sim.Task, size uint64) (Volume, error)
 }
 
-// Volume is one logical volume (file extent).
+// Volume is one logical volume (file extent). Its accesses run in
+// kernel context: each starts its I/O and returns, and steps w when it
+// is over.
 type Volume interface {
-	// ReadAt fills stage with n bytes at off; returns an FS status.
-	ReadAt(t *sim.Task, off, n uint64, stage Stage) uint64
+	// ReadAt fills stage with n bytes at off.
+	ReadAt(off, n uint64, stage nvme.Stage, w Waiter)
 	// WriteAt stores n bytes from stage at off.
-	WriteAt(t *sim.Task, off, n uint64, stage Stage) uint64
+	WriteAt(off, n uint64, stage nvme.Stage, w Waiter)
 }
 
-// Stage is an FS staging buffer handed to a backend: its Memory
-// capability, for Request-based backends, and where it lies in the FS
-// Process's memory, for kernel-bypass backends that move its bytes
-// themselves through View.
-type Stage struct {
-	Cap proc.Cap
-	p   *proc.Process
-	off int
+// Waiter is the FS-mode operation a volume access is a step of. A
+// FractOS volume ends the access with its block device's reply
+// (proc.CallWaiter), another backend with Done: nil, or why it failed.
+type Waiter interface {
+	proc.CallWaiter
+	Done(err error)
 }
-
-// View returns the buffer's first n bytes, a ranged view of the FS
-// Process's memory (proc.Process.ArenaRange): take it at the instant the
-// bytes are used, and never hold it across a block.
-func (s Stage) View(n uint64) []byte { return s.p.ArenaRange(s.off, int(n)) }
 
 // DAXVolume is a Volume whose backend can delegate direct,
 // individually revocable block access to clients — only the FractOS
@@ -55,12 +50,6 @@ type DAXVolume interface {
 type fractosBackend struct {
 	p         *proc.Process
 	volCreate proc.Cap
-}
-
-// NewFractOSBackend wires the FS's Process to a block adaptor's
-// VolCreate Request (already granted to p).
-func NewFractOSBackend(p *proc.Process, volCreate proc.Cap) Backend {
-	return &fractosBackend{p: p, volCreate: volCreate}
 }
 
 func (b *fractosBackend) CreateVolume(t *sim.Task, size uint64) (Volume, error) {
@@ -85,28 +74,20 @@ type fractosVolume struct {
 	rd, wr proc.Cap
 }
 
-func (v *fractosVolume) ReadAt(t *sim.Task, off, n uint64, stage Stage) uint64 {
-	return v.call(t, v.rd, off, n, stage)
+func (v *fractosVolume) ReadAt(off, n uint64, stage nvme.Stage, w Waiter) {
+	v.call(v.rd, off, n, stage, w)
 }
 
-func (v *fractosVolume) WriteAt(t *sim.Task, off, n uint64, stage Stage) uint64 {
-	return v.call(t, v.wr, off, n, stage)
+func (v *fractosVolume) WriteAt(off, n uint64, stage nvme.Stage, w Waiter) {
+	v.call(v.wr, off, n, stage, w)
 }
 
 // call invokes one of the volume's device Requests on n bytes at off.
 //
 //fractos:ordered
-func (v *fractosVolume) call(t *sim.Task, req proc.Cap, off, n uint64, stage Stage) uint64 {
-	reply, err := v.p.Call(t, req,
-		[]wire.ImmArg{proc.U64Arg(nvme.ImmOff, off), proc.U64Arg(nvme.ImmLen, n)},
-		[]proc.Arg{{Slot: nvme.SlotData, Cap: stage.Cap}}, nvme.SlotCont)
-	if err != nil {
-		return StatusIOErr
-	}
-	if reply.U64(0) != 0 {
-		return StatusIOErr
-	}
-	return StatusOK
+func (v *fractosVolume) call(req proc.Cap, off, n uint64, stage nvme.Stage, w Waiter) {
+	v.p.CallThen(req, []wire.ImmArg{proc.U64Arg(nvme.ImmOff, off), proc.U64Arg(nvme.ImmLen, n)},
+		[]proc.Arg{{Slot: nvme.SlotData, Cap: stage.Cap}}, nvme.SlotCont, w)
 }
 
 func (v *fractosVolume) LeaseRead(t *sim.Task) (proc.Cap, error)  { return v.p.Revtree(t, v.rd) }

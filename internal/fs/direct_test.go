@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"fractos/internal/device/nvme"
 	"fractos/internal/sim"
 )
 
@@ -141,5 +142,5 @@ func TestDirectUnavailableOnNVMeoFBackend(t *testing.T) {
 // nvmeofStub mimics a non-composable backend volume.
 type nvmeofStub struct{}
 
-func (*nvmeofStub) ReadAt(*sim.Task, uint64, uint64, Stage) uint64  { return 0 }
-func (*nvmeofStub) WriteAt(*sim.Task, uint64, uint64, Stage) uint64 { return 0 }
+func (*nvmeofStub) ReadAt(uint64, uint64, nvme.Stage, Waiter)  {}
+func (*nvmeofStub) WriteAt(uint64, uint64, nvme.Stage, Waiter) {}

@@ -19,9 +19,7 @@ package fs
 
 import (
 	"fmt"
-	"slices"
 
-	"fractos/internal/cap"
 	"fractos/internal/core"
 	"fractos/internal/device/nvme"
 	"fractos/internal/proc"
@@ -107,10 +105,9 @@ const (
 	MaxExtents = 8
 )
 
-// The service runs queueDepth operations at once and stages FS-mode I/O
-// through as many buffers of ExtentSize bytes, the lowest free one first
-// (as the NVMe adaptor does). An operation holds at most one buffer, so
-// one is always free when handleIO takes it.
+// The service runs queueDepth opens, closes and direct operations at
+// once, and stages FS-mode I/O through as many buffers of ExtentSize
+// bytes (nvme.Stages).
 const queueDepth = 8
 
 // extent is one file extent: a logical volume on the backend.
@@ -148,7 +145,8 @@ type Service struct {
 	handles    map[uint64]*openHandle
 	nextHandle uint64
 
-	stages []Stage // free staging buffers, the lowest offset on top
+	stages *nvme.Stages
+	ios    sim.FreeList[ioOp]
 
 	// Open is the service's root Request; grant it to clients.
 	Open proc.Cap
@@ -176,7 +174,7 @@ func (s *Service) Wire(ad *nvme.Adaptor) error {
 	if err != nil {
 		return err
 	}
-	s.backend = NewFractOSBackend(s.P, vc)
+	s.backend = &fractosBackend{p: s.P, volCreate: vc}
 	return nil
 }
 
@@ -190,15 +188,11 @@ func (s *Service) Start(t *sim.Task) error {
 	if s.backend == nil {
 		return fmt.Errorf("fs: not wired to a block backend")
 	}
-	for i := 0; i < queueDepth; i++ {
-		off := i * ExtentSize
-		c, err := s.P.MemoryCreate(t, uint64(off), ExtentSize, cap.MemRights)
-		if err != nil {
-			return fmt.Errorf("fs: staging memory: %w", err)
-		}
-		s.stages = append(s.stages, Stage{Cap: c, p: s.P, off: off})
+	stages, err := nvme.NewStages(t, s.P, queueDepth, ExtentSize)
+	if err != nil {
+		return fmt.Errorf("fs: staging memory: %w", err)
 	}
-	slices.Reverse(s.stages)
+	s.stages = stages
 	open, err := s.P.RequestCreate(t, TagOpen, nil, nil)
 	if err != nil {
 		return fmt.Errorf("fs: open request: %w", err)
@@ -209,10 +203,19 @@ func (s *Service) Start(t *sim.Task) error {
 		return fmt.Errorf("fs: close request: %w", err)
 	}
 	s.Close = cls
-	s.P.Serve("fs-service", queueDepth, s.handle)
+	tasks := s.P.Tasks("fs-service", queueDepth, s.handle)
+	s.P.Handle(func(d *proc.Delivery) {
+		if d.Tag == TagRead || d.Tag == TagWrite {
+			s.handleIO(d, d.Tag == TagWrite)
+			return
+		}
+		tasks(d)
+	})
 	return nil
 }
 
+// handle serves the requests that make blocking syscalls, each in a task
+// of its own: FS-mode reads and writes run in kernel context (handleIO).
 func (s *Service) handle(t *sim.Task, d *proc.Delivery) {
 	defer d.Release()
 	switch d.Tag {
@@ -220,10 +223,6 @@ func (s *Service) handle(t *sim.Task, d *proc.Delivery) {
 		s.handleOpen(t, d)
 	case TagClose:
 		s.handleClose(t, d)
-	case TagRead:
-		s.handleIO(t, d, false)
-	case TagWrite:
-		s.handleIO(t, d, true)
 	case TagReadDirect:
 		s.handleDirect(t, d, false)
 	case TagWriteDirect:

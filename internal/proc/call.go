@@ -52,8 +52,36 @@ func (p *Process) CallTimeout(t *sim.Task, req Cap, imms []wire.ImmArg, args []A
 	op.start(req, imms, args, replySlot, d)
 	_, _ = op.done.Wait(t) // the outcome is in the op
 	dv, err := op.result()
+	if dv != nil {
+		p.spent = append(p.spent, dv) // the caller reads it: spent when the next Call starts
+	}
 	p.putCallOp(op)
 	return dv, err
+}
+
+// CallWaiter is a record that a Call steps, in kernel context, when the
+// call is over (CallThen).
+type CallWaiter interface {
+	// Called takes the reply, nil if the call failed, borrowed until
+	// Called returns.
+	Called(dv *Delivery)
+}
+
+// CallThen is Call for a record in kernel context: it starts the call
+// and returns, and the call's last step passes w its outcome instead of
+// waking a task. Its reply Request and deadline-free steps are Call's.
+func (p *Process) CallThen(req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, w CallWaiter) {
+	op := p.getCallOp()
+	startThen(op, w, req, imms, args, replySlot)
+}
+
+// startThen starts a CallThen's op, which the call's steps own from
+// then on: the last puts it back (over).
+//
+//fractos:pool-handoff callop
+func startThen(op *callOp, w CallWaiter, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16) {
+	op.then = w
+	op.start(req, imms, args, replySlot, 0)
 }
 
 // replyReq is a reply Request of this Process: its capability and the
@@ -120,7 +148,8 @@ type callOp struct {
 	err      error
 	refused  wire.Status
 	timedOut bool
-	done     sim.Future[struct{}]
+	done     sim.Future[struct{}] // a blocking Call's
+	then     CallWaiter           // a CallThen's
 }
 
 // callState says which message a Call is waiting for.
@@ -151,14 +180,10 @@ func (p *Process) getCallOp() *callOp {
 
 // putCallOp clears an op, so that a message or deadline that outlived
 // its call trips the assert its step starts with, and recycles it —
-// except under the race detector (poison_race.go). Its reply, which the
-// caller is about to read, is spent when the next Call starts.
+// except under the race detector (poison_race.go).
 //
 //fractos:pool-release callop
 func (p *Process) putCallOp(op *callOp) {
-	if op.dv != nil {
-		p.spent = append(p.spent, op.dv)
-	}
 	*op = callOp{imms: op.imms[:0], immData: op.immData[:0], slots: op.slots[:0]}
 	if recycleCallOps {
 		p.calls.Put(op)
@@ -171,7 +196,7 @@ func (p *Process) putCallOp(op *callOp) {
 func (op *callOp) start(req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, d sim.Time) {
 	p := op.p
 	if op.err = p.checkInvoke(req, args); op.err != nil {
-		op.done.Set(struct{}{})
+		op.over()
 		return
 	}
 	op.req, op.d = req, d
@@ -211,7 +236,7 @@ func (op *callOp) post(token uint64, m wire.Message) bool {
 		return true
 	}
 	op.err = ErrDisconnected
-	op.done.Set(struct{}{})
+	op.over()
 	return false
 }
 
@@ -225,7 +250,7 @@ func (op *callOp) Completed(m *wire.Completion) {
 	case callCreating:
 		if m.Status != wire.StatusOK {
 			op.refused = m.Status
-			op.done.Set(struct{}{})
+			op.over()
 			return
 		}
 		op.reply.cid = m.Cid
@@ -254,7 +279,7 @@ func (op *callOp) Completed(m *wire.Completion) {
 		if op.timedOut {
 			op.refused = m.Status
 		}
-		op.done.Set(struct{}{})
+		op.over()
 	default:
 		assert.True(false, "proc: a completion for a call that waits for none")
 	}
@@ -284,7 +309,7 @@ func (op *callOp) release() {
 		op.dv.Done()
 	}
 	op.p.putReply(op.reply)
-	op.done.Set(struct{}{})
+	op.over()
 }
 
 // Fire implements sim.Callback: the deadline passed with no reply.
@@ -310,6 +335,28 @@ func (op *callOp) retire() {
 	p.stale[op.reply.tag] = p.nextToken
 	p.tx.capRevoke = wire.CapRevoke{Token: p.nextToken, Cid: op.reply.cid}
 	op.post(p.nextToken, &p.tx.capRevoke)
+}
+
+// over ends the call: it wakes the calling task or, for CallThen, puts
+// the op back, steps the record with the reply and takes the reply back.
+//
+//fractos:hotpath
+func (op *callOp) over() {
+	w := op.then
+	if w == nil {
+		op.done.Set(struct{}{})
+		return
+	}
+	p, dv, failed := op.p, op.dv, op.err != nil || op.refused != wire.StatusOK
+	p.putCallOp(op)
+	if dv == nil || failed {
+		w.Called(nil)
+	} else {
+		w.Called(dv)
+	}
+	if dv != nil {
+		p.putDelivery(dv)
+	}
 }
 
 // result is what the Call returns, read by the caller once done.

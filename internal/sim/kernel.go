@@ -464,7 +464,7 @@ func (tm Timer) Stop() bool {
 // task's wake at the current instant, control switches directly to
 // that task — one channel operation instead of two round trips
 // through the kernel goroutine. If it is the calling task's own wake
-// (Yield with nothing else runnable), park returns without blocking
+// (Sleep(0) with nothing else runnable), park returns without blocking
 // at all. The pop here follows exactly the selection rule of the run
 // loop, so event order is byte-identical with the fast path on or off.
 //
@@ -540,13 +540,6 @@ func (t *Task) Sleep(d Time) {
 	t.wakeAfter(d)
 	t.park()
 }
-
-// Yield gives other runnable tasks at the current instant a chance to
-// run before the calling task continues.
-//
-//fractos:hotpath
-//fractos:yield
-func (t *Task) Yield() { t.Sleep(0) }
 
 // Run executes events until the queue is empty or Stop is called. It
 // returns the final virtual time. Run must be called from the

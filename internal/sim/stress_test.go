@@ -43,7 +43,7 @@ func runStressWorkload(seed int64) []stressStep {
 		case 1: // yielders: same-instant rescheduling (run-queue path)
 			k.Spawn("yielder", func(t *Task) {
 				for s := 0; s < 4; s++ {
-					t.Yield()
+					t.Sleep(0)
 					record(i, t.Now())
 				}
 			})

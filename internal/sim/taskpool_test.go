@@ -73,7 +73,7 @@ func TestDirectSwitchKeepsOrder(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			ch.Send(tk, i)
 			order = append(order, 100+i)
-			tk.Yield()
+			tk.Sleep(0)
 		}
 	})
 	k.Spawn("b", func(tk *Task) {

@@ -109,8 +109,8 @@ func (s *Storage) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	case StorDisagg:
 		be := baseline.NewDisaggregatedBackend(cl, fsNode, devNode, dev)
 		s.Svc.WireBackend(be)
-		s.DropCaches = be.Initiator().DropCaches
-		s.SetCacheSize = be.Initiator().SetCacheSize
+		s.DropCaches = be.DropCaches
+		s.SetCacheSize = be.SetCacheSize
 	default:
 		ad := nvme.NewAdaptor(cl, devNode, "nvme", dev)
 		assert.NoErr(ad.Start(tk), "stacks/storage")
