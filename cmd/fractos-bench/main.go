@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -48,23 +49,24 @@ func main() {
 	}
 }
 
+// runOne runs one experiment and prints its table; a failure to write
+// the CSV copy ends the command with status 1.
 func runOne(s exp.Spec) {
 	start := time.Now()
 	t := s.Run()
 	t.Print(os.Stdout)
 	fmt.Printf("  [%s regenerated in %.1fs wall time]\n", s.ID, time.Since(start).Seconds())
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "fractos-bench:", err)
-			return
-		}
-		path := filepath.Join(*csvDir, s.ID+".csv")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fractos-bench:", err)
-			return
-		}
-		t.WriteCSV(f)
-		f.Close()
+	if *csvDir == "" {
+		return
+	}
+	var csv bytes.Buffer
+	t.WriteCSV(&csv)
+	err := os.MkdirAll(*csvDir, 0o755)
+	if err == nil {
+		err = os.WriteFile(filepath.Join(*csvDir, s.ID+".csv"), csv.Bytes(), 0o666)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fractos-bench:", err)
+		os.Exit(1)
 	}
 }

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -29,6 +30,9 @@ func main() {
 
 	cfg := faceverify.Config{Batch: *batch, Files: 1, Slots: 1}
 
+	// failed is what ends the command with status 1: a failed set-up or
+	// request, or a wrong verdict.
+	var failed error
 	testbed.Run(testbed.Spec{Nodes: 4}, func(tk *sim.Task, d *testbed.Deployment) {
 		cl := d.Cl
 		var verify func(*sim.Task, *faceverify.Request) ([]byte, error)
@@ -36,14 +40,14 @@ func main() {
 		if *useBaseline {
 			app, err := faceverify.SetupBaseline(tk, cl, cfg)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "setup:", err)
+				failed = fmt.Errorf("setup: %w", err)
 				return
 			}
 			verify, db = app.VerifyBatch, app.DB
 		} else {
 			app, err := faceverify.SetupFractOS(tk, cl, cfg)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "setup:", err)
+				failed = fmt.Errorf("setup: %w", err)
 				return
 			}
 			verify, db = app.VerifyBatch, app.DB
@@ -79,12 +83,16 @@ func main() {
 		before := cl.Net.Stats()
 		out, err := verify(tk, req)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "request:", err)
+			failed = fmt.Errorf("request: %w", err)
 			return
 		}
 		cl.Net.SetTrace(nil)
 		st := cl.Net.Stats().Sub(before)
-		fmt.Printf("\nverdicts ok: %v\n", req.CheckResults(out))
+		ok := req.CheckResults(out)
+		fmt.Printf("\nverdicts ok: %v\n", ok)
+		if !ok {
+			failed = errors.New("wrong verdicts")
+		}
 		fmt.Printf("totals: %d messages (%d control, %d data), %d bytes on the wire, %d cross-node\n",
 			st.TotalMsgs(), st.ControlMsgs, st.DataMsgs, st.TotalBytes(), st.CrossNodeMsgs)
 		if !*useBaseline {
@@ -98,4 +106,8 @@ func main() {
 			}
 		}
 	})
+	if failed != nil {
+		fmt.Fprintln(os.Stderr, "fractos-trace:", failed)
+		os.Exit(1)
+	}
 }

@@ -14,6 +14,7 @@ import (
 	"fractos/internal/core"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -46,7 +47,7 @@ func deployChaosService(tk *sim.Task, cl *core.Cluster, node int, gen int) *chao
 }
 
 func TestChaosSoak(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
 		client := proc.Attach(cl, 0, "chaos-client", 8192)
 		svc := deployChaosService(tk, cl, 1, 0)
 		sreq, err := proc.GrantCap(svc.p, svc.req, client)
@@ -134,7 +135,7 @@ func TestChaosSoak(t *testing.T) {
 func TestChaosSoakDeterministic(t *testing.T) {
 	trace := func() string {
 		var out string
-		run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 			svcP := proc.Attach(cl, 1, "svc", 0)
 			req, _ := svcP.RequestCreate(tk, 1, nil, nil)
 			client := proc.Attach(cl, 0, "cli", 0)

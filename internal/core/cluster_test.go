@@ -16,9 +16,9 @@ import (
 
 func us(f float64) sim.Time { return testbed.USec(f) }
 
-func run(t *testing.T, cfg core.ClusterConfig, fn func(tk *sim.Task, cl *core.Cluster)) {
+func run(t *testing.T, spec testbed.Spec, fn func(tk *sim.Task, cl *core.Cluster)) {
 	t.Helper()
-	testbed.RunT(t, testbed.SpecOf(cfg),
+	testbed.RunT(t, spec,
 		func(tk *sim.Task, d *testbed.Deployment) { fn(tk, d.Cl) })
 }
 
@@ -59,7 +59,7 @@ func TestClusterDefaultsToThreeNodes(t *testing.T) {
 }
 
 func TestGrantErrors(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		a := proc.Attach(cl, 0, "a", 64)
 		b := proc.Attach(cl, 1, "b", 0)
 		if _, err := core.Grant(cl.CtrlFor(0), a.ID(), 999, cl.CtrlFor(1), b.ID()); err == nil {
@@ -73,7 +73,7 @@ func TestGrantErrors(t *testing.T) {
 }
 
 func TestCapQuotaEnforced(t *testing.T) {
-	cfg := core.ClusterConfig{Nodes: 1}
+	cfg := testbed.Spec{Nodes: 1}
 	cfg.Ctrl.CapQuota = 3
 	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 		p := proc.Attach(cl, 0, "p", 4096)
@@ -109,7 +109,7 @@ func TestCapQuotaEnforced(t *testing.T) {
 // The owner discards its own; a holder on another node, refused after
 // the owner made the object, has the owner revoke it.
 func TestRefusedDerivationLeavesNoObject(t *testing.T) {
-	cfg := core.ClusterConfig{Nodes: 2}
+	cfg := testbed.Spec{Nodes: 2}
 	cfg.Ctrl.CapQuota = 2
 	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 		owner := proc.Attach(cl, 0, "owner", 4096)
@@ -160,7 +160,7 @@ func TestRefusedDerivationLeavesNoObject(t *testing.T) {
 }
 
 func TestCapQuotaBlocksDelegation(t *testing.T) {
-	cfg := core.ClusterConfig{Nodes: 2}
+	cfg := testbed.Spec{Nodes: 2}
 	cfg.Ctrl.CapQuota = 2
 	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 		srv := proc.Attach(cl, 0, "srv", 0)
@@ -197,7 +197,7 @@ func TestCapQuotaBlocksDelegation(t *testing.T) {
 // stale entry at a third Controller that only ever held a delegated
 // capability.
 func TestCleanupBroadcastPurgesThirdParty(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
 		owner := proc.Attach(cl, 0, "owner", 4096)
 		third := proc.Attach(cl, 2, "third", 0)
 		m, _ := owner.MemoryCreate(tk, 0, 64, cap.MemRights)
@@ -223,7 +223,7 @@ func TestCleanupBroadcastPurgesThirdParty(t *testing.T) {
 // them would tie the recipient's bootstrap capability to another
 // client's lease lifetime (see the core.Grant doc comment).
 func TestGrantClearsDelegationFlags(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
 		svc := proc.Attach(cl, 0, "svc", 0)
 		cli := proc.Attach(cl, 1, "cli", 0)
 		boot := proc.Attach(cl, 2, "boot", 0)
@@ -299,7 +299,7 @@ func TestGrantClearsDelegationFlags(t *testing.T) {
 // Controller complete with an error after the epoch announcement
 // instead of hanging forever.
 func TestCrashAbortsInFlightCalls(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		srv := proc.Attach(cl, 1, "srv", 0)
 		cli := proc.Attach(cl, 0, "cli", 0)
 		req, _ := srv.RequestCreate(tk, 1, nil, nil)
@@ -328,7 +328,7 @@ func TestCrashAbortsInFlightCalls(t *testing.T) {
 // sends Controller-protocol messages is ignored — it cannot forge
 // derivations or revocations.
 func TestProcessesUntrustedBySendingCtrlMessages(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		victim := proc.Attach(cl, 0, "victim", 4096)
 		m, _ := victim.MemoryCreate(tk, 0, 64, cap.MemRights)
 		entry, ok := cl.CtrlFor(0).EntryOf(victim.ID(), m.ID())
@@ -353,7 +353,7 @@ func TestProcessesUntrustedBySendingCtrlMessages(t *testing.T) {
 // CtrlAck messages must not be able to resolve the Controller's
 // pending inter-Controller calls with attacker-chosen results.
 func TestForgedAckIgnored(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		srv := proc.Attach(cl, 1, "srv", 0)
 		cli := proc.Attach(cl, 0, "cli", 0)
 		req, _ := srv.RequestCreate(tk, 1, nil, nil)
@@ -384,7 +384,7 @@ func TestForgedAckIgnored(t *testing.T) {
 
 // TestUnknownCapRejected: using invalid cids fails cleanly everywhere.
 func TestUnknownCapRejected(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
 		p := proc.Attach(cl, 0, "p", 64)
 		bogus := p.CapFromDelivered(wire.DeliveredCap{Cid: 12345, Kind: cap.KindRequest, Rights: cap.All})
 		if err := p.Invoke(tk, bogus, nil, nil); !wire.IsStatus(err, wire.StatusNoCap) {
@@ -404,7 +404,7 @@ func TestUnknownCapRejected(t *testing.T) {
 
 // TestDoubleFailProcessIdempotent: failing a Process twice is safe.
 func TestDoubleFailProcessIdempotent(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
 		p := proc.Attach(cl, 0, "p", 64)
 		if !cl.CtrlFor(0).FailProcess(p.ID()) {
 			t.Fatal("first fail rejected")
@@ -421,7 +421,7 @@ func TestDoubleFailProcessIdempotent(t *testing.T) {
 // TestObjectCountStableAcrossChurn: create/revoke cycles do not leak
 // owner-side objects.
 func TestObjectCountStableAcrossChurn(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
 		p := proc.Attach(cl, 0, "p", 4096)
 		base := cl.CtrlFor(0).ObjectCount()
 		for i := 0; i < 20; i++ {
@@ -449,7 +449,7 @@ func TestObjectCountStableAcrossChurn(t *testing.T) {
 // lives at a peer Controller — one message to the owner creates the
 // child; revoking the child is selective, exactly like the local path.
 func TestRemoteRevtree(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
 		owner := proc.Attach(cl, 0, "owner", 4096)
 		holder := proc.Attach(cl, 1, "holder", 4096)
 		sibling := proc.Attach(cl, 2, "sibling", 4096)
@@ -495,7 +495,7 @@ func TestRemoteRevtree(t *testing.T) {
 // TestRemoteRevtreeOfDeadObject: deriving from a revoked remote object
 // fails cleanly.
 func TestRemoteRevtreeOfDeadObject(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		owner := proc.Attach(cl, 0, "owner", 4096)
 		holder := proc.Attach(cl, 1, "holder", 0)
 		mem, _ := owner.MemoryCreate(tk, 0, 64, cap.MemRights)
@@ -513,7 +513,7 @@ func TestRemoteRevtreeOfDeadObject(t *testing.T) {
 
 // TestCrashDownState: Down reflects Crash/Reboot, and epochs advance.
 func TestCrashDownState(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		ctrl := cl.CtrlFor(1)
 		if ctrl.Down() {
 			t.Fatal("fresh controller reports down")
@@ -539,7 +539,7 @@ func TestCrashDownState(t *testing.T) {
 // derived views dies — the whole family is revoked once, without
 // double-processing the descendants.
 func TestProcFailureWithDerivedObjects(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		victim := proc.Attach(cl, 0, "victim", 4096)
 		holder := proc.Attach(cl, 1, "holder", 4096)
 		mem, _ := victim.MemoryCreate(tk, 0, 128, cap.MemRights)
@@ -575,7 +575,7 @@ func TestProcFailureWithDerivedObjects(t *testing.T) {
 // "no revocation storm" property.
 func TestHolderFailureCoalescesCleanup(t *testing.T) {
 	const leases = 8
-	run(t, core.ClusterConfig{Nodes: 3, Placement: core.CtrlShared}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 3, Placement: core.CtrlShared}, func(tk *sim.Task, cl *core.Cluster) {
 		srv := proc.Attach(cl, 0, "srv", 0)
 		cli := proc.Attach(cl, 1, "cli", 0)
 		fired := 0

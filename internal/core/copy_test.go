@@ -20,6 +20,7 @@ import (
 	"fractos/internal/fabric"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -83,7 +84,7 @@ func TestCopyAdmissionInArrivalOrder(t *testing.T) {
 		copies = pairs + 2
 		size   = 256 << 10
 	)
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		local, ends := newCopyPairs(t, tk, cl, copies, size)
 		if ends == nil {
 			return
@@ -126,7 +127,7 @@ func TestCopyAdmissionInArrivalOrder(t *testing.T) {
 // still on the wire: no event waits for a write's completion, whose
 // instant the pair carries (TestAbortedCopyPairWaitsForItsWrite).
 func TestCopyAbortedByPathCut(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		cl.Net.InstallFaults(fabric.Faults{})
 		local, ends := newCopyPairs(t, tk, cl, 1, 1<<20)
 		if ends == nil {
@@ -171,7 +172,7 @@ func TestAbortedCopyPairWaitsForItsWrite(t *testing.T) {
 
 func abortedCopyPairWaits(t *testing.T, cut sim.Time) {
 	const chunk = core.DefaultBounceChunk
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		cl.Net.InstallFaults(fabric.Faults{})
 		local, ends := newCopyPairs(t, tk, cl, 1, 1<<20)
 		if ends == nil {
@@ -249,7 +250,7 @@ func abortedCopyPairWaits(t *testing.T, cut sim.Time) {
 // once the writes that were on the wire have completed.
 func TestCopyUnwoundByControllerCrash(t *testing.T) {
 	const copies = core.DefaultBouncePairs + 2
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		local, ends := newCopyPairs(t, tk, cl, copies, 256<<10)
 		if ends == nil {
 			return
@@ -323,7 +324,7 @@ func TestRangedCopy(t *testing.T) {
 		{what: "destination without Write", n: 64, noWrite: true, want: wire.StatusPerm},
 	}
 	for name, set := range datapaths {
-		cfg := core.ClusterConfig{Nodes: 2}
+		cfg := testbed.Spec{Nodes: 2}
 		set(&cfg.Ctrl)
 		t.Run(name, func(t *testing.T) {
 			run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
@@ -507,7 +508,7 @@ func contendedCopyTrace(t *testing.T, single bool) string {
 		region                      = 1 << 20
 	)
 	var b strings.Builder
-	cfg := core.ClusterConfig{Nodes: 2}
+	cfg := testbed.Spec{Nodes: 2}
 	cfg.Ctrl.SingleBuffer = single
 	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 		remote := proc.Attach(cl, 1, "remote", copiers*(1+streams)*region)
@@ -649,7 +650,7 @@ func TestCopyCrashPointSweep(t *testing.T) {
 // at, or unfaulted with f nil, when it returns the instants to sweep.
 func faultedCopy(t *testing.T, pull bool, f *copyFault, at sim.Time) (instants []sim.Time) {
 	const size = 64 << 10
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		cl.Net.InstallFaults(fabric.Faults{})
 		local, remote := proc.Attach(cl, 0, "local", size), proc.Attach(cl, 1, "remote", size)
 		lmem, lbuf, err1 := local.AllocMemory(tk, size, cap.MemRights)

@@ -16,6 +16,7 @@ import (
 	"fractos/internal/fabric"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -92,7 +93,7 @@ func (r *echoRig) call(tk *sim.Task, payload string, deadline sim.Time) error {
 // Controller crashes, instead of leaking its callback across the
 // reboot.
 func TestCrashAbortsPendingPeerCalls(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		cl.Net.InstallFaults(fabric.Faults{})
 		r := newEchoRig(tk, cl, 1, 0)
 		if err := r.call(tk, "warm", 20*fms); err != nil {
@@ -137,7 +138,7 @@ func TestCrashAbortsPendingPeerCalls(t *testing.T) {
 // like the aborts of a passed deadline and of an own crash — the three
 // sources the counter documents.
 func TestPeerCrashAbortsPendingCalls(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		cl.Net.InstallFaults(fabric.Faults{})
 		r := newEchoRig(tk, cl, 1, 0)
 		if err := r.call(tk, "warm", 20*fms); err != nil {
@@ -174,44 +175,29 @@ func TestPeerCrashAbortsPendingCalls(t *testing.T) {
 	})
 }
 
-// TestLossyFabricAlwaysRetransmits: a Controller retransmits exactly
-// when its fabric can lose a frame, however the cut arrives — from the
-// deployment's fault plan, or imperatively on a fabric built with an
-// empty fault layer. An invocation sent into a partition that heals
-// 5 ms later returns nil after the heal, and no call stays pending.
+// TestLossyFabricAlwaysRetransmits: a Controller retransmits whenever
+// its fabric can lose a frame, even one built with an empty fault layer
+// and cut by hand. An invocation sent into a partition that heals 5 ms
+// later returns nil after the heal, and no call stays pending.
 func TestLossyFabricAlwaysRetransmits(t *testing.T) {
 	const cutAt, heal = 100 * fms, 5 * fms
-	for _, tc := range []struct {
-		name       string
-		faults     fabric.Faults
-		imperative bool // install an empty layer and cut it by hand
-	}{
-		{name: "planned", faults: fabric.Faults{Plan: fabric.Plan{
-			{At: cutAt, Kind: fabric.Partition, Group: []int{1}},
-			{At: cutAt + heal, Kind: fabric.Heal},
-		}}},
-		{name: "imperative", imperative: true},
-	} {
-		run(t, core.ClusterConfig{Nodes: 2, Faults: tc.faults}, func(tk *sim.Task, cl *core.Cluster) {
-			if tc.imperative {
-				cl.Net.InstallFaults(fabric.Faults{})
-				cl.K.After(cutAt-tk.Now(), func() {
-					cl.Net.PartitionNodes([]int{1})
-					cl.K.After(heal, cl.Net.HealPartitions)
-				})
-			}
-			r := newEchoRig(tk, cl, 1, 0)
-			tk.Sleep(cutAt + us(1) - tk.Now())
-			if err := r.client.Invoke(tk, r.creq, nil, nil); err != nil || tk.Now() < cutAt+heal {
-				t.Errorf("%s: invoke across the partition returned %v at %v, want nil after the heal at %v", tc.name, err, tk.Now(), cutAt+heal)
-			}
-			for _, c := range cl.Ctrls {
-				if n := c.PendingCalls(); n != 0 {
-					t.Errorf("%s: %d calls pending at Controller %d", tc.name, n, c.ID())
-				}
-			}
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
+		cl.K.After(cutAt-tk.Now(), func() {
+			cl.Net.PartitionNodes([]int{1})
+			cl.K.After(heal, cl.Net.HealPartitions)
 		})
-	}
+		r := newEchoRig(tk, cl, 1, 0)
+		tk.Sleep(cutAt + us(1) - tk.Now())
+		if err := r.client.Invoke(tk, r.creq, nil, nil); err != nil || tk.Now() < cutAt+heal {
+			t.Errorf("invoke across the partition returned %v at %v, want nil after the heal at %v", err, tk.Now(), cutAt+heal)
+		}
+		for _, c := range cl.Ctrls {
+			if n := c.PendingCalls(); n != 0 {
+				t.Errorf("%d calls pending at Controller %d", n, c.ID())
+			}
+		}
+	})
 }
 
 // TestChaosMatrixLoss: every call completes successfully under 0 %,
@@ -228,9 +214,9 @@ func TestChaosMatrixLoss(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.ClusterConfig{
-				Nodes:  2,
-				Faults: fabric.Faults{Drop: tc.drop, Dup: tc.drop / 2, Seed: 77},
+			cfg := testbed.Spec{
+				Nodes: 2,
+				Chaos: fabric.Faults{Drop: tc.drop, Dup: tc.drop / 2, Seed: 77},
 			}
 			run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 				r := newEchoRig(tk, cl, 1, 0)
@@ -264,17 +250,10 @@ func TestChaosMatrixLoss(t *testing.T) {
 // is fully masked — every call issued across the outage still
 // completes once the fabric heals, via retransmission and dedup.
 func TestChaosPartitionHeal(t *testing.T) {
-	cfg := core.ClusterConfig{
-		Nodes: 2,
-		Faults: fabric.Faults{
-			Drop: 0.01, Seed: 78,
-			Plan: fabric.Plan{
-				{At: 20 * fms, Kind: fabric.Partition, Group: []int{1}},
-				{At: 45 * fms, Kind: fabric.Heal},
-			},
-		},
-	}
+	cfg := testbed.Spec{Nodes: 2, Chaos: fabric.Faults{Drop: 0.01, Seed: 78}}
 	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+		cl.K.After(20*fms-tk.Now(), func() { cl.Net.PartitionNodes([]int{1}) })
+		cl.K.After(45*fms-tk.Now(), cl.Net.HealPartitions)
 		r := newEchoRig(tk, cl, 1, 0)
 		for i := 0; i < 50; i++ {
 			if err := r.call(tk, fmt.Sprintf("p-%d", i), 1000*fms); err != nil {
@@ -284,7 +263,7 @@ func TestChaosPartitionHeal(t *testing.T) {
 		}
 		fs := cl.Net.FaultStats()
 		if fs.Cut == 0 {
-			t.Error("no frames were cut — the plan never partitioned")
+			t.Error("no frames were cut — the partition never happened")
 		}
 		m0 := cl.CtrlFor(0).Metrics()
 		if m0.Retransmits == 0 {
@@ -302,9 +281,9 @@ func TestChaosPartitionHeal(t *testing.T) {
 // epoch after the heal, stale capabilities are rejected, and a
 // redeployed service restores end-to-end health.
 func TestChaosCrashMidPartition(t *testing.T) {
-	cfg := core.ClusterConfig{
-		Nodes:  2,
-		Faults: fabric.Faults{Drop: 0.01, Seed: 79},
+	cfg := testbed.Spec{
+		Nodes: 2,
+		Chaos: fabric.Faults{Drop: 0.01, Seed: 79},
 	}
 	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 		r := newEchoRig(tk, cl, 1, 0)
@@ -345,19 +324,21 @@ func TestChaosCrashMidPartition(t *testing.T) {
 // reproducible — two runs with the same seeds yield byte-identical
 // call traces, Controller metrics, and fault counters.
 func TestChaosMatrixDeterministic(t *testing.T) {
-	scenarios := []core.ClusterConfig{
-		{Nodes: 2, Faults: fabric.Faults{Drop: 0.05, Dup: 0.02, Seed: 90}},
-		{Nodes: 2, Faults: fabric.Faults{
-			Drop: 0.02, Jitter: fms / 4, Seed: 91,
-			Plan: fabric.Plan{
-				{At: 10 * fms, Kind: fabric.Partition, Group: []int{1}},
-				{At: 25 * fms, Kind: fabric.Heal},
-			},
-		}},
+	scenarios := []struct {
+		faults            fabric.Faults
+		partition, healAt sim.Time // no partition if healAt is 0
+	}{
+		{faults: fabric.Faults{Drop: 0.05, Dup: 0.02, Seed: 90}},
+		{faults: fabric.Faults{Drop: 0.02, Jitter: fms / 4, Seed: 91}, partition: 10 * fms, healAt: 25 * fms},
 	}
-	trace := func(cfg core.ClusterConfig) string {
+	trace := func(i int) string {
+		sc := scenarios[i]
 		var out string
-		run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
+		run(t, testbed.Spec{Nodes: 2, Chaos: sc.faults}, func(tk *sim.Task, cl *core.Cluster) {
+			if sc.healAt > 0 {
+				cl.K.After(sc.partition-tk.Now(), func() { cl.Net.PartitionNodes([]int{1}) })
+				cl.K.After(sc.healAt-tk.Now(), cl.Net.HealPartitions)
+			}
 			r := newEchoRig(tk, cl, 1, 0)
 			for i := 0; i < 30; i++ {
 				err := r.call(tk, fmt.Sprintf("d-%d", i), 1000*fms)
@@ -369,8 +350,8 @@ func TestChaosMatrixDeterministic(t *testing.T) {
 		})
 		return out
 	}
-	for i, cfg := range scenarios {
-		a, b := trace(cfg), trace(cfg)
+	for i := range scenarios {
+		a, b := trace(i), trace(i)
 		if a != b {
 			t.Fatalf("scenario %d traces differ:\n%s\n%s", i, a, b)
 		}

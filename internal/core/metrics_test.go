@@ -8,12 +8,13 @@ import (
 	"fractos/internal/core"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 )
 
 // TestMetricsCountOperations drives one of each operation class and
 // checks the Controller's counters.
 func TestMetricsCountOperations(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		ctrl0 := cl.CtrlFor(0)
 		a := proc.Attach(cl, 0, "a", 4096)
 		b := proc.Attach(cl, 0, "b", 4096)
@@ -68,7 +69,7 @@ func TestMetricsCountOperations(t *testing.T) {
 
 // TestMetricsBackpressureAndQuota exercises the refusal counters.
 func TestMetricsBackpressureAndQuota(t *testing.T) {
-	cfg := core.ClusterConfig{Nodes: 1}
+	cfg := testbed.Spec{Nodes: 1}
 	cfg.Ctrl.Window = 1
 	cfg.Ctrl.CapQuota = 2
 	run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
@@ -102,7 +103,7 @@ func TestMetricsBackpressureAndQuota(t *testing.T) {
 // TestMetricsStaleCounter: using a capability after its owner rebooted
 // increments StaleRejected at the rejecting controller.
 func TestMetricsStaleCounter(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		srv := proc.Attach(cl, 1, "srv", 0)
 		cli := proc.Attach(cl, 0, "cli", 0)
 		req, _ := srv.RequestCreate(tk, 1, nil, nil)
@@ -134,7 +135,7 @@ func TestMetricsStaleCounter(t *testing.T) {
 // managing a handful of Processes fits comfortably in a BlueField's
 // 16 GB.
 func TestFootprintBudget(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 3, Placement: core.CtrlOnSNIC}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 3, Placement: core.CtrlOnSNIC}, func(tk *sim.Task, cl *core.Cluster) {
 		ctrl := cl.CtrlFor(0)
 		for i := 0; i < 4; i++ {
 			p := proc.Attach(cl, 0, "p", 4096)

@@ -14,6 +14,7 @@ import (
 	"fractos/internal/load"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -29,7 +30,7 @@ func sweepRun(t *testing.T, f fabric.Faults) (violations []string) {
 	bad := func(format string, args ...any) {
 		violations = append(violations, fmt.Sprintf(format, args...))
 	}
-	run(t, core.ClusterConfig{Nodes: 2, Faults: f}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2, Chaos: f}, func(tk *sim.Task, cl *core.Cluster) {
 		srv := proc.Attach(cl, 1, "null", 0)
 		root, err := srv.RequestCreate(tk, 1, nil, nil)
 		if err != nil {

@@ -6,8 +6,10 @@ import (
 	"fractos/internal/assert"
 	"fractos/internal/cap"
 	"fractos/internal/core"
+	"fractos/internal/load"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 )
 
 // AblationDoubleBuffer compares memory_copy with and without double
@@ -17,31 +19,10 @@ import (
 func AblationDoubleBuffer() *Table {
 	t := NewTable("abl-dbuf", "memory_copy: double vs single buffering (MB/s)",
 		"size", "double", "single", "gain")
-	measure := func(single bool, size int) sim.Time {
-		var lat sim.Time
-		cfg := core.ClusterConfig{Nodes: 2}
-		cfg.Ctrl.SingleBuffer = single
-		runOn(cfg, func(tk *sim.Task, cl *core.Cluster) {
-			src := proc.Attach(cl, 0, "src", size)
-			dst := proc.Attach(cl, 1, "dst", size)
-			s, _ := src.MemoryCreate(tk, 0, uint64(size), cap.MemRights)
-			dd, _ := dst.MemoryCreate(tk, 0, uint64(size), cap.MemRights)
-			d, err := proc.GrantCap(dst, dd, src)
-			if err != nil {
-				assert.NoErr(err, "exp/ablations")
-			}
-			start := tk.Now()
-			if err := src.MemoryCopy(tk, s, d); err != nil {
-				assert.NoErr(err, "exp/ablations")
-			}
-			lat = tk.Now() - start
-		})
-		return lat
-	}
 	for _, size := range []int{16 << 10, 64 << 10, 256 << 10, 1 << 20} {
-		dl := measure(false, size)
-		sl := measure(true, size)
-		t.AddRow(sizeLabel(size), mbps(size, dl), mbps(size, sl),
+		dl := copyTime(testbed.Spec{Nodes: 2}, size)
+		sl := copyTime(testbed.Spec{Nodes: 2, Ctrl: core.Config{SingleBuffer: true}}, size)
+		t.AddRow(testbed.SizeLabel(size), testbed.Mbps(size, dl), testbed.Mbps(size, sl),
 			fmt.Sprintf("%.2fx", float64(sl)/float64(dl)))
 		if size == 1<<20 {
 			t.Metric("gain-1m", float64(sl)/float64(dl))
@@ -64,10 +45,9 @@ func AblationWindow() *Table {
 	const callsPerClient = 8
 	for _, window := range []int{1, 2, 8, 32} {
 		var elapsed sim.Time
-		cfg := core.ClusterConfig{Nodes: 2}
-		cfg.Ctrl.Window = window
-		runOn(cfg, func(tk *sim.Task, cl *core.Cluster) {
-			srv := proc.Attach(cl, 1, "srv", 0)
+		spec := testbed.Spec{Nodes: 2, Ctrl: core.Config{Window: window}}
+		testbed.Run(spec, func(tk *sim.Task, d *testbed.Deployment) {
+			srv := d.Attach(1, "srv", 0)
 			req, err := srv.RequestCreate(tk, 1, nil, nil)
 			if err != nil {
 				assert.NoErr(err, "exp/ablations")
@@ -77,27 +57,26 @@ func AblationWindow() *Table {
 				ht.Sleep(handleTime)
 				d.Reply(0, nil, nil)
 			})
-			var wg sim.WaitGroup
-			wg.Add(clients)
-			start := tk.Now()
-			for c := 0; c < clients; c++ {
-				c := c
-				cl.K.Spawn("client", func(ct *sim.Task) {
-					cli := proc.Attach(cl, 0, fmt.Sprintf("cli%d", c), 0)
-					creq, err := proc.GrantCap(srv, req, cli)
-					if err != nil {
-						assert.NoErr(err, "exp/ablations")
-					}
-					for i := 0; i < callsPerClient; i++ {
-						if _, err := cli.Call(ct, creq, nil, nil, 0); err != nil {
+			// Each client attaches and takes its grant in its first
+			// request.
+			creqs := make([]proc.Cap, clients)
+			clis := make([]*proc.Process, clients)
+			st := load.Closed{Clients: clients, PerClient: callsPerClient}.Run(tk,
+				func(ct *sim.Task, c, seq int) error {
+					if seq == 0 {
+						clis[c] = d.Attach(0, fmt.Sprintf("cli%d", c), 0)
+						creq, err := proc.GrantCap(srv, req, clis[c])
+						if err != nil {
 							assert.NoErr(err, "exp/ablations")
 						}
+						creqs[c] = creq
 					}
-					wg.Done()
+					if _, err := clis[c].Call(ct, creqs[c], nil, nil, 0); err != nil {
+						assert.NoErr(err, "exp/ablations")
+					}
+					return nil
 				})
-			}
-			wg.Wait(tk)
-			elapsed = tk.Now() - start
+			elapsed = st.Elapsed()
 		})
 		rate := float64(clients*callsPerClient) / (float64(elapsed) / 1e9)
 		t.AddRow(fmt.Sprint(window), fmt.Sprintf("%.0f", rate))
@@ -116,8 +95,8 @@ func AblationRevtreeDepth() *Table {
 		"objects", "revoke (µs)")
 	for _, depth := range []int{1, 8, 64, 256} {
 		var lat sim.Time
-		runOn(core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-			owner := proc.Attach(cl, 0, "owner", 4096)
+		testbed.Run(testbed.Spec{Nodes: 2}, func(tk *sim.Task, d *testbed.Deployment) {
+			owner := d.Attach(0, "owner", 4096)
 			base, err := owner.MemoryCreate(tk, 0, 4096, cap.MemRights)
 			if err != nil {
 				assert.NoErr(err, "exp/ablations")
@@ -138,7 +117,7 @@ func AblationRevtreeDepth() *Table {
 			}
 			lat = tk.Now() - start
 		})
-		t.AddRow(fmt.Sprint(depth), usec(lat))
+		t.AddRow(fmt.Sprint(depth), testbed.Us(lat))
 		t.Metric(fmt.Sprintf("d%d-us", depth), float64(lat)/1e3)
 	}
 	t.Note("the subtree cascade happens inside the owning Controller; no per-object network messages")
@@ -153,7 +132,7 @@ func AblationPlacement() *Table {
 	for _, p := range []core.Placement{core.CtrlOnCPU, core.CtrlOnSNIC, core.CtrlShared} {
 		null := nullOpLatency(p)
 		rpc := measureRPC(p, 2, 8, 0)
-		t.AddRow(p.String(), usec(null), usec(rpc))
+		t.AddRow(p.String(), testbed.Us(null), testbed.Us(rpc))
 		t.Metric(p.String()+"-null-us", float64(null)/1e3)
 	}
 	t.Note("Shared HAL: a single remote Controller serves every Process (Figures 12/13)")

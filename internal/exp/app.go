@@ -11,44 +11,51 @@ import (
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
 	"fractos/internal/testbed/stacks"
-	"fractos/internal/wire"
 )
 
 // appSpec returns the 4-node face-verification testbed spec used by
 // every end-to-end experiment (Figures 2, 12, 13 and the scaling
 // sweep).
 func appSpec(placement core.Placement, fv *stacks.FaceVerify) testbed.Spec {
-	return specFor(core.ClusterConfig{Nodes: 4, Placement: placement}, fv)
+	return testbed.Spec{Nodes: 4, Placement: placement, Services: []testbed.Service{fv}}
 }
 
-// appLatency measures the mean per-request latency over cfg.Files
-// requests, each hitting a fresh database file (random-read pattern).
-func appLatency(placement core.Placement, cfg faceverify.Config, useBaseline bool) sim.Time {
-	var lat sim.Time
+// fvRequests makes n requests for fv's database from one source seeded
+// with seed; request i reads database file i mod files.
+func fvRequests(fv *stacks.FaceVerify, n, files int, seed int64) []*faceverify.Request {
+	rng := testbed.Rand(seed)
+	reqs := make([]*faceverify.Request, n)
+	for i := range reqs {
+		reqs[i] = faceverify.MakeRequest(fv.DB, i%files, fv.Cfg.Batch, rng)
+	}
+	return reqs
+}
+
+// fvClosed runs clients closed-loop clients of perClient requests each
+// against the face-verification testbed and checks every verdict.
+// Client c's j-th request is number c*perClient+j of one set drawn
+// from seed, each on a database file of its own.
+func fvClosed(placement core.Placement, cfg faceverify.Config, useBaseline bool,
+	clients, perClient int, seed int64) *load.Stats {
+	var st *load.Stats
 	fv := &stacks.FaceVerify{Cfg: cfg, Baseline: useBaseline}
 	testbed.Run(appSpec(placement, fv), func(tk *sim.Task, d *testbed.Deployment) {
-		rng := newRand(5)
-		reqs := make([]*faceverify.Request, cfg.Files)
-		for i := range reqs {
-			reqs[i] = faceverify.MakeRequest(fv.DB, i, cfg.Batch, rng)
-		}
-		st := load.Closed{Clients: 1, PerClient: len(reqs)}.Run(tk,
-			func(t *sim.Task, _, seq int) error {
-				out, err := fv.Verify(t, reqs[seq])
-				if err != nil {
-					return err
-				}
-				if !reqs[seq].CheckResults(out) {
+		n := clients * perClient
+		reqs := fvRequests(fv, n, n, seed)
+		st = load.Closed{Clients: clients, PerClient: perClient}.Run(tk,
+			func(t *sim.Task, c, seq int) error {
+				r := reqs[c*perClient+seq]
+				out, err := fv.Verify(t, r)
+				if err == nil && !r.CheckResults(out) {
 					assert.Failf("exp/app: wrong verification verdicts")
 				}
-				return nil
+				return err
 			})
 		if st.Errors > 0 {
-			assert.Failf("exp/app: %d of %d requests failed", st.Errors, len(reqs))
+			assert.Failf("exp/app: %d of %d requests failed", st.Errors, n)
 		}
-		lat = st.Elapsed() / sim.Time(len(reqs))
 	})
-	return lat
+	return st
 }
 
 // Figure12 regenerates the end-to-end latency comparison.
@@ -59,14 +66,16 @@ func appLatency(placement core.Placement, cfg faceverify.Config, useBaseline boo
 func Figure12() *Table {
 	t := NewTable("fig12", "Face-verification request latency (ms)",
 		"batch", "FractOS@CPU", "FractOS@sNIC", "Shared HAL", "Baseline", "base/CPU")
-	ms := func(d sim.Time) string { return fmt.Sprintf("%.3f", float64(d)/1e6) }
 	for _, batch := range []int{1, 8, 32, 64, 128} {
 		cfg := faceverify.Config{Batch: batch, Files: 4, Slots: 1}
-		fc := appLatency(core.CtrlOnCPU, cfg, false)
-		fsn := appLatency(core.CtrlOnSNIC, cfg, false)
-		fsh := appLatency(core.CtrlShared, cfg, false)
-		bl := appLatency(core.CtrlOnCPU, cfg, true)
-		t.AddRow(fmt.Sprint(batch), ms(fc), ms(fsn), ms(fsh), ms(bl),
+		lat := func(p core.Placement, useBaseline bool) sim.Time {
+			return fvClosed(p, cfg, useBaseline, 1, cfg.Files, 5).Elapsed() / sim.Time(cfg.Files)
+		}
+		fc := lat(core.CtrlOnCPU, false)
+		fsn := lat(core.CtrlOnSNIC, false)
+		fsh := lat(core.CtrlShared, false)
+		bl := lat(core.CtrlOnCPU, true)
+		t.AddRow(fmt.Sprint(batch), testbed.Ms(fc), testbed.Ms(fsn), testbed.Ms(fsh), testbed.Ms(bl),
 			fmt.Sprintf("%.2fx", float64(bl)/float64(fc)))
 		if batch == 32 {
 			t.Metric("lat32-fractos-ms", float64(fc)/1e6)
@@ -78,44 +87,19 @@ func Figure12() *Table {
 	return t
 }
 
-// appThroughput measures requests/s with `inflight` concurrent
-// closed-loop clients.
-func appThroughput(placement core.Placement, cfg faceverify.Config, useBaseline bool, inflight int) float64 {
-	const reqsPerWorker = 4
-	var tput float64
-	fv := &stacks.FaceVerify{Cfg: cfg, Baseline: useBaseline}
-	testbed.Run(appSpec(placement, fv), func(tk *sim.Task, d *testbed.Deployment) {
-		rng := newRand(6)
-		reqs := make([][]*faceverify.Request, inflight)
-		for w := range reqs {
-			reqs[w] = make([]*faceverify.Request, reqsPerWorker)
-			for i := range reqs[w] {
-				reqs[w][i] = faceverify.MakeRequest(fv.DB, w*reqsPerWorker+i, cfg.Batch, rng)
-			}
-		}
-		st := load.Closed{Clients: inflight, PerClient: reqsPerWorker}.Run(tk,
-			func(wt *sim.Task, w, seq int) error {
-				_, err := fv.Verify(wt, reqs[w][seq])
-				return err
-			})
-		if st.Errors > 0 {
-			assert.Failf("exp/app: %d throughput requests failed", st.Errors)
-		}
-		tput = st.Throughput()
-	})
-	return tput
-}
-
 // Figure13 regenerates the end-to-end throughput comparison.
 func Figure13() *Table {
 	t := NewTable("fig13", "Face-verification throughput (req/s), batch 64",
 		"inflight", "FractOS@CPU", "FractOS@sNIC", "Shared HAL", "Baseline")
 	for _, inflight := range []int{1, 2, 4, 8} {
 		cfg := faceverify.Config{Batch: 64, Files: 8, Slots: inflight}
-		fc := appThroughput(core.CtrlOnCPU, cfg, false, inflight)
-		fsn := appThroughput(core.CtrlOnSNIC, cfg, false, inflight)
-		fsh := appThroughput(core.CtrlShared, cfg, false, inflight)
-		bl := appThroughput(core.CtrlOnCPU, cfg, true, inflight)
+		tput := func(p core.Placement, useBaseline bool) float64 {
+			return fvClosed(p, cfg, useBaseline, inflight, 4, 6).Throughput()
+		}
+		fc := tput(core.CtrlOnCPU, false)
+		fsn := tput(core.CtrlOnSNIC, false)
+		fsh := tput(core.CtrlShared, false)
+		bl := tput(core.CtrlOnCPU, true)
 		t.AddRow(fmt.Sprint(inflight),
 			fmt.Sprintf("%.0f", fc), fmt.Sprintf("%.0f", fsn),
 			fmt.Sprintf("%.0f", fsh), fmt.Sprintf("%.0f", bl))
@@ -136,69 +120,35 @@ func Figure2() *Table {
 	t := NewTable("fig2", "Per-request network traffic, face verification (batch 32)",
 		"system", "data transfers", "ctrl msgs", "total msgs", "KB on wire")
 	cfg := faceverify.Config{Batch: 32, Files: 4, Slots: 1}
-	// measure counts per-request cross-node traffic. Consecutive RDMA
-	// chunks on the same path are one logical transfer: the 16 KiB
-	// bounce-buffer chunking is below "message" granularity (one RDMA
-	// verb moves the whole buffer in hardware).
 	measure := func(mode string) fabric.Stats {
 		var per fabric.Stats
 		fv := &stacks.FaceVerify{Cfg: cfg, Baseline: mode == "baseline"}
 		testbed.Run(appSpec(core.CtrlOnCPU, fv), func(tk *sim.Task, d *testbed.Deployment) {
-			cl := d.Cl
 			verify := fv.Verify
 			if mode == "ring" {
 				if err := fv.App.EnableRing(tk); err != nil {
 					assert.NoErr(err, "exp/app")
 				}
-				verify = func(t *sim.Task, r *faceverify.Request) ([]byte, error) {
-					return fv.App.RingVerify(t, r)
-				}
+				verify = fv.App.RingVerify
 			}
-			rng := newRand(7)
-			reqs := make([]*faceverify.Request, cfg.Files)
-			for i := range reqs {
-				reqs[i] = faceverify.MakeRequest(fv.DB, i, cfg.Batch, rng)
-			}
-			var dataTransfers, ctrlMsgs, bytes int64
-			var last fabric.TraceEvent
-			counting := false
-			cl.Net.SetTrace(func(e fabric.TraceEvent) {
-				if !counting {
-					return
-				}
-				src, _ := cl.Net.Lookup(e.From)
-				dst, _ := cl.Net.Lookup(e.To)
-				if src == nil || dst == nil || src.Loc.Node == dst.Loc.Node {
-					return
-				}
-				bytes += int64(e.Bytes)
-				if e.Class != wire.Data {
-					ctrlMsgs++
-					return
-				}
-				if e.RDMA && last.RDMA && last.From == e.From && last.To == e.To {
-					last = e // chunk continuation
-					return
-				}
-				dataTransfers++
-				last = e
+			reqs := fvRequests(fv, cfg.Files, cfg.Files, 7)
+			var st *load.Stats
+			c := countTraffic(d.Net(), func() {
+				st = load.Closed{Clients: 1, PerClient: len(reqs)}.Run(tk,
+					func(t *sim.Task, _, seq int) error {
+						_, err := verify(t, reqs[seq])
+						return err
+					})
 			})
-			counting = true
-			st := load.Closed{Clients: 1, PerClient: len(reqs)}.Run(tk,
-				func(t *sim.Task, _, seq int) error {
-					_, err := verify(t, reqs[seq])
-					return err
-				})
-			counting = false
 			if st.Errors > 0 {
 				assert.Failf("exp/app: %d fig2 requests failed", st.Errors)
 			}
 			n := int64(len(reqs))
 			per = fabric.Stats{
-				CrossNodeMsgs:     (dataTransfers + ctrlMsgs) / n,
-				CrossNodeBytes:    bytes / n,
-				CrossNodeCtrlMsgs: ctrlMsgs / n,
-				CrossNodeDataMsgs: dataTransfers / n,
+				CrossNodeMsgs:     (c.transfers + c.ctrl) / n,
+				CrossNodeBytes:    c.bytes / n,
+				CrossNodeCtrlMsgs: c.ctrl / n,
+				CrossNodeDataMsgs: c.transfers / n,
 			}
 		})
 		return per

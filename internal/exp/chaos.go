@@ -40,7 +40,7 @@ const cms = sim.Time(1000 * 1000) // 1 ms of virtual time
 // chaosScenario is one fault schedule applied to the standard
 // face-verification deployment. Disruptions are scheduled relative to
 // the workload's start (service deployment itself consumes virtual
-// time, so absolute fabric.Plan offsets would land inside deploy).
+// time, so offsets from the kernel's start would land inside deploy).
 type chaosScenario struct {
 	name        string
 	faults      fabric.Faults
@@ -82,15 +82,6 @@ type chaosAppState struct {
 	reqs []*faceverify.Request
 }
 
-func newChaosReqs(fv *stacks.FaceVerify, cfg faceverify.Config) []*faceverify.Request {
-	rng := newRand(9)
-	reqs := make([]*faceverify.Request, chaosRequests)
-	for i := range reqs {
-		reqs[i] = faceverify.MakeRequest(fv.DB, i%cfg.Files, cfg.Batch, rng)
-	}
-	return reqs
-}
-
 func runChaosScenario(sc chaosScenario) chaosResult {
 	cfg := faceverify.Config{Batch: 64, Files: 8, Slots: 8}
 	fv := &stacks.FaceVerify{Cfg: cfg}
@@ -115,11 +106,11 @@ func runChaosScenario(sc chaosScenario) chaosResult {
 				d.K().Spawn("chaos-redeploy", func(t *sim.Task) {
 					nfv := &stacks.FaceVerify{Cfg: cfg}
 					nfv.Deploy(t, d)
-					cur = &chaosAppState{fv: nfv, reqs: newChaosReqs(nfv, cfg)}
+					cur = &chaosAppState{fv: nfv, reqs: fvRequests(nfv, chaosRequests, cfg.Files, 9)}
 				})
 			})
 		}
-		cur = &chaosAppState{fv: fv, reqs: newChaosReqs(fv, cfg)}
+		cur = &chaosAppState{fv: fv, reqs: fvRequests(fv, chaosRequests, cfg.Files, 9)}
 		if sc.crashAt > 0 {
 			gpu := d.Cl.CtrlFor(1)
 			d.K().After(sc.crashAt, func() { gpu.Crash() })

@@ -6,8 +6,10 @@ import (
 	"fractos/internal/assert"
 	"fractos/internal/cap"
 	"fractos/internal/core"
+	"fractos/internal/load"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 )
 
 // AblationConcurrentCopies reproduces §6.1's aside: "Concurrent copies
@@ -22,39 +24,37 @@ func AblationConcurrentCopies() *Table {
 	measure := func(p core.Placement, size, inflight int) float64 {
 		const perWorker = 16
 		var elapsed sim.Time
-		runOn(core.ClusterConfig{Nodes: 2, Placement: p}, func(tk *sim.Task, cl *core.Cluster) {
-			src := proc.Attach(cl, 0, "src", inflight*size)
-			dst := proc.Attach(cl, 1, "dst", inflight*size)
-			var wg sim.WaitGroup
-			wg.Add(inflight)
-			start := tk.Now()
-			for w := 0; w < inflight; w++ {
-				w := w
-				cl.K.Spawn("copier", func(wt *sim.Task) {
-					defer wg.Done()
-					s, err := src.MemoryCreate(wt, uint64(w*size), uint64(size), cap.MemRights)
-					if err != nil {
-						assert.NoErr(err, "exp/conccopy")
-					}
-					dd, err := dst.MemoryCreate(wt, uint64(w*size), uint64(size), cap.MemRights)
-					if err != nil {
-						assert.NoErr(err, "exp/conccopy")
-					}
-					d, err := proc.GrantCap(dst, dd, src)
-					if err != nil {
-						assert.NoErr(err, "exp/conccopy")
-					}
-					for i := 0; i < perWorker; i++ {
-						if err := src.MemoryCopy(wt, s, d); err != nil {
+		testbed.Run(testbed.Spec{Nodes: 2, Placement: p}, func(tk *sim.Task, d *testbed.Deployment) {
+			src := d.Attach(0, "src", inflight*size)
+			dst := d.Attach(1, "dst", inflight*size)
+			// Each copier creates and grants its buffer pair in its
+			// first request.
+			srcs := make([]proc.Cap, inflight)
+			dsts := make([]proc.Cap, inflight)
+			st := load.Closed{Clients: inflight, PerClient: perWorker}.Run(tk,
+				func(wt *sim.Task, w, seq int) error {
+					if seq == 0 {
+						s, err := src.MemoryCreate(wt, uint64(w*size), uint64(size), cap.MemRights)
+						if err != nil {
 							assert.NoErr(err, "exp/conccopy")
 						}
+						dd, err := dst.MemoryCreate(wt, uint64(w*size), uint64(size), cap.MemRights)
+						if err != nil {
+							assert.NoErr(err, "exp/conccopy")
+						}
+						if dsts[w], err = proc.GrantCap(dst, dd, src); err != nil {
+							assert.NoErr(err, "exp/conccopy")
+						}
+						srcs[w] = s
 					}
+					if err := src.MemoryCopy(wt, srcs[w], dsts[w]); err != nil {
+						assert.NoErr(err, "exp/conccopy")
+					}
+					return nil
 				})
-			}
-			wg.Wait(tk)
-			elapsed = tk.Now() - start
+			elapsed = st.Elapsed()
 		})
-		return mbpsVal(inflight*perWorker*size, elapsed)
+		return testbed.MbpsVal(inflight*perWorker*size, elapsed)
 	}
 	for _, inflight := range []int{1, 2, 4, 8, 16} {
 		c4 := measure(core.CtrlOnCPU, 4<<10, inflight)

@@ -96,7 +96,7 @@ func faceverifyTrace(t *testing.T) string {
 	spec := testbed.Spec{Nodes: 4, Placement: core.CtrlOnSNIC,
 		Services: []testbed.Service{fv}}
 	return captureTrace(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
-		rng := newRand(5)
+		rng := testbed.Rand(5)
 		for i := 0; i < fvTraceCfg.Files; i++ {
 			r := faceverify.MakeRequest(fv.DB, i, fvTraceCfg.Batch, rng)
 			out, err := fv.Verify(tk, r)

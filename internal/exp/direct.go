@@ -1,10 +1,7 @@
 package exp
 
 import (
-	"fractos/internal/assert"
 	"fractos/internal/core"
-	"fractos/internal/load"
-	"fractos/internal/sim"
 	"fractos/internal/testbed"
 	"fractos/internal/testbed/stacks"
 )
@@ -26,10 +23,10 @@ func AblationDirectComposition() *Table {
 	t := NewTable("abl-direct", "Storage interface ablation: random read latency (µs)",
 		"size", "FS (mediated)", "Direct (composed)", "DAX (leases)")
 	for _, size := range []uint64{4 << 10, 64 << 10, 256 << 10} {
-		fsLat := storLatency(stacks.StorFS, size, false)
-		direct := storDirectLatency(size)
-		dax := storLatency(stacks.StorDAX, size, false)
-		t.AddRow(sizeLabel(int(size)), usec(fsLat), usec(direct), usec(dax))
+		fsLat := storLatency(core.CtrlOnCPU, stacks.StorFS, randRead, size)
+		direct := storLatency(core.CtrlOnCPU, stacks.StorFS, directRead, size)
+		dax := storLatency(core.CtrlOnCPU, stacks.StorDAX, randRead, size)
+		t.AddRow(testbed.SizeLabel(int(size)), testbed.Us(fsLat), testbed.Us(direct), testbed.Us(dax))
 		if size == 64<<10 {
 			t.Metric("fs-us", float64(fsLat)/1e3)
 			t.Metric("direct-us", float64(direct)/1e3)
@@ -38,24 +35,4 @@ func AblationDirectComposition() *Table {
 	}
 	t.Note("Direct removes the data staging; DAX additionally removes the FS from per-request control")
 	return t
-}
-
-// storDirectLatency measures DirectReadAt on the FractOS stack.
-func storDirectLatency(size uint64) sim.Time {
-	var avg sim.Time
-	stor := &stacks.Storage{Kind: stacks.StorFS}
-	testbed.Run(specFor(core.ClusterConfig{Nodes: 3}, stor),
-		func(tk *sim.Task, d *testbed.Deployment) {
-			mem := stor.Buf(tk, size)
-			const k = 6
-			offs := randOffsets(k, size, 77)
-			st := load.Closed{Clients: 1, PerClient: k}.Run(tk, func(t *sim.Task, _, seq int) error {
-				return stor.File.DirectReadAt(t, offs[seq], size, mem)
-			})
-			if st.Errors > 0 {
-				assert.Failf("exp/direct: %d of %d direct reads failed", st.Errors, k)
-			}
-			avg = st.Elapsed() / k
-		})
-	return avg
 }

@@ -9,17 +9,8 @@ package exp
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
-
-	"fractos/internal/core"
-	"fractos/internal/sim"
-	"fractos/internal/testbed"
 )
-
-// newRand returns a deterministic random source for workload
-// generation.
-func newRand(seed int64) *rand.Rand { return testbed.Rand(seed) }
 
 // Table is one regenerated table or figure.
 type Table struct {
@@ -152,23 +143,3 @@ func Find(id string) (Spec, bool) {
 	}
 	return Spec{}, false
 }
-
-// specFor converts a ClusterConfig into the equivalent testbed Spec.
-func specFor(cfg core.ClusterConfig, svcs ...testbed.Service) testbed.Spec {
-	return testbed.SpecOf(cfg, svcs...)
-}
-
-// runOn executes fn as the main task of a fresh testbed and runs the
-// simulation to completion; generators that deploy a standard service
-// stack pass its spec so the testbed deploys it declaratively before
-// fn runs.
-func runOn(cfg core.ClusterConfig, fn func(tk *sim.Task, cl *core.Cluster)) {
-	testbed.Run(specFor(cfg), func(tk *sim.Task, d *testbed.Deployment) { fn(tk, d.Cl) })
-}
-
-// The unit helpers are shared with examples and tests via the testbed
-// layer; these aliases keep the generators terse.
-func usec(d sim.Time) string                { return testbed.Us(d) }
-func mbps(bytes int, d sim.Time) string     { return testbed.Mbps(bytes, d) }
-func mbpsVal(bytes int, d sim.Time) float64 { return testbed.MbpsVal(bytes, d) }
-func sizeLabel(n int) string                { return testbed.SizeLabel(n) }

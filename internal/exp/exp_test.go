@@ -134,12 +134,37 @@ func TestFigure12Shape(t *testing.T) {
 	tb.Print(os.Stderr)
 }
 
+// benchOutput is the checked-in output of cmd/fractos-bench, one
+// rendered table per experiment id, its "[… regenerated in … wall
+// time]" lines dropped.
+func benchOutput(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile("../../cmd/fractos-bench/output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, l := range strings.SplitAfter(string(b), "\n") {
+		if !strings.Contains(l, " regenerated in ") || !strings.HasSuffix(l, " wall time]\n") {
+			kept = append(kept, l)
+		}
+	}
+	out := map[string]string{}
+	for _, sec := range strings.Split(strings.Join(kept, ""), "\n== ")[1:] {
+		id, _, _ := strings.Cut(sec, ":")
+		out[id] = "\n== " + sec
+	}
+	return out
+}
+
 // TestAllExperimentsRun executes every registered experiment once and
-// checks that the tables render and publish their headline metrics.
+// checks that the tables render, publish their headline metrics, and
+// match cmd/fractos-bench/output.txt cell for cell.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
+	want := benchOutput(t)
 	for _, s := range All() {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
@@ -149,8 +174,8 @@ func TestAllExperimentsRun(t *testing.T) {
 			}
 			var b strings.Builder
 			tb.Print(&b)
-			if !strings.Contains(b.String(), s.ID) {
-				t.Errorf("%s table did not render", s.ID)
+			if b.String() != want[s.ID] {
+				t.Errorf("%s table differs from cmd/fractos-bench/output.txt:\n%s\nwant:\n%s", s.ID, b.String(), want[s.ID])
 			}
 			keys, ok := headline[s.ID]
 			if !ok {

@@ -20,10 +20,13 @@ var gpuBatches = []int{1, 16, 64, 256, 1024}
 // The FractOS GPU service under test is stacks.GPU: adaptor on node 1,
 // client on node 0, one buffer set per in-flight slot.
 
-// rcudaService is the same workload over rCUDA.
+// rcudaService is the same workload over rCUDA: a testbed.Service
+// that deploys the rCUDA server on node 1 and its client on node 0,
+// with one device buffer set per in-flight slot.
 type rcudaService struct {
+	batch, inflight int
+
 	cli   *baseline.RCUDAClient
-	batch int
 	slots []baseSlots
 	free  *sim.Semaphore
 	img   []byte
@@ -32,18 +35,16 @@ type rcudaService struct {
 
 type baseSlots struct{ imgAddr, probeAddr, outAddr uint64 }
 
-func newRCUDAService(tk *sim.Task, cl *core.Cluster, batch, slots int) *rcudaService {
-	dev := gpu.NewDevice(cl.K, gpu.Config{MemSize: 96 << 20, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
+// Deploy implements testbed.Service.
+func (r *rcudaService) Deploy(tk *sim.Task, d *testbed.Deployment) {
+	dev := gpu.NewDevice(d.K(), gpu.Config{MemSize: 96 << 20, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
 	faceverify.RegisterKernel(dev)
-	srv := baseline.NewRCUDAServer(cl.Net, 1, dev)
-	r := &rcudaService{
-		cli:   baseline.NewRCUDAClient(cl.Net, 0, srv),
-		batch: batch,
-		free:  sim.NewSemaphore(slots),
-		img:   make([]byte, batch*faceverify.ImgSize),
-		probe: make([]byte, batch*faceverify.ProbeSize),
-	}
-	for i := 0; i < slots; i++ {
+	srv := baseline.NewRCUDAServer(d.Net(), 1, dev)
+	r.cli = baseline.NewRCUDAClient(d.Net(), 0, srv)
+	r.free = sim.NewSemaphore(r.inflight)
+	r.img = make([]byte, r.batch*faceverify.ImgSize)
+	r.probe = make([]byte, r.batch*faceverify.ProbeSize)
+	for i := 0; i < r.inflight; i++ {
 		var s baseSlots
 		var err error
 		if s.imgAddr, err = r.cli.Malloc(tk, len(r.img)); err != nil {
@@ -52,15 +53,16 @@ func newRCUDAService(tk *sim.Task, cl *core.Cluster, batch, slots int) *rcudaSer
 		if s.probeAddr, err = r.cli.Malloc(tk, len(r.probe)); err != nil {
 			assert.NoErr(err, "exp/gpuexp")
 		}
-		if s.outAddr, err = r.cli.Malloc(tk, batch); err != nil {
+		if s.outAddr, err = r.cli.Malloc(tk, r.batch); err != nil {
 			assert.NoErr(err, "exp/gpuexp")
 		}
 		r.slots = append(r.slots, s)
 	}
-	return r
 }
 
-func (r *rcudaService) oneRequest(tk *sim.Task) {
+// OneRequest uploads the batch and probes, launches the kernel and
+// reads the verdicts back, one rCUDA call each.
+func (r *rcudaService) OneRequest(tk *sim.Task) {
 	r.free.Acquire(tk)
 	s := r.slots[len(r.slots)-1]
 	r.slots = r.slots[:len(r.slots)-1]
@@ -86,8 +88,8 @@ func (r *rcudaService) oneRequest(tk *sim.Task) {
 // execution on a local device.
 func localGPUTime(batch int) sim.Time {
 	var lat sim.Time
-	runOn(core.ClusterConfig{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
-		dev := gpu.NewDevice(cl.K, gpu.Config{MemSize: 96 << 20, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
+	testbed.Run(testbed.Spec{Nodes: 1}, func(tk *sim.Task, d *testbed.Deployment) {
+		dev := gpu.NewDevice(d.K(), gpu.Config{MemSize: 96 << 20, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
 		faceverify.RegisterKernel(dev)
 		mem := make([]byte, batch*(faceverify.ImgSize+faceverify.ProbeSize)+batch)
 		bytes := batch * (faceverify.ImgSize + faceverify.ProbeSize)
@@ -107,10 +109,9 @@ func localGPUTime(batch int) sim.Time {
 func Figure9() *Table {
 	t := NewTable("fig9", "GPU service: kernel-execution latency (ms) and throughput (req/s)",
 		"batch", "FractOS@CPU", "(xfer/kernel/ovh)", "FractOS@sNIC", "rCUDA", "local GPU")
-	ms := func(d sim.Time) string { return fmt.Sprintf("%.3f", float64(d)/1e6) }
 	measureFr := func(p core.Placement, batch int) (lat, xfer, kern sim.Time) {
 		g := &stacks.GPU{Batch: batch, Slots: 1}
-		testbed.Run(specFor(core.ClusterConfig{Nodes: 2, Placement: p}, g),
+		testbed.Run(testbed.Spec{Nodes: 2, Placement: p, Services: []testbed.Service{g}},
 			func(tk *sim.Task, d *testbed.Deployment) {
 				lat, xfer, kern = g.OneRequestTimed(tk)
 			})
@@ -118,10 +119,10 @@ func Figure9() *Table {
 	}
 	measureRC := func(batch int) sim.Time {
 		var lat sim.Time
-		runOn(core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-			r := newRCUDAService(tk, cl, batch, 1)
+		r := &rcudaService{batch: batch, inflight: 1}
+		testbed.Run(testbed.Spec{Nodes: 2, Services: []testbed.Service{r}}, func(tk *sim.Task, d *testbed.Deployment) {
 			start := tk.Now()
-			r.oneRequest(tk)
+			r.OneRequest(tk)
 			lat = tk.Now() - start
 		})
 		return lat
@@ -132,9 +133,9 @@ func Figure9() *Table {
 		rc := measureRC(batch)
 		lg := localGPUTime(batch)
 		ovh := fc - xfer - kern
-		t.AddRow(fmt.Sprint(batch), ms(fc),
-			fmt.Sprintf("%s/%s/%s", ms(xfer), ms(kern), ms(ovh)),
-			ms(fsn), ms(rc), ms(lg))
+		t.AddRow(fmt.Sprint(batch), testbed.Ms(fc),
+			fmt.Sprintf("%s/%s/%s", testbed.Ms(xfer), testbed.Ms(kern), testbed.Ms(ovh)),
+			testbed.Ms(fsn), testbed.Ms(rc), testbed.Ms(lg))
 		if batch == 64 {
 			t.Metric("lat64-fractos-ms", float64(fc)/1e6)
 			t.Metric("lat64-rcuda-ms", float64(rc)/1e6)
@@ -148,39 +149,28 @@ func Figure9() *Table {
 	// in-flight sweep driven by the load layer.
 	const tputBatch = 1024
 	const reqsPerWorker = 4
-	frTput := func(inflight int) float64 {
+	tput := func(s interface {
+		testbed.Service
+		OneRequest(tk *sim.Task)
+	}, inflight int) float64 {
 		var tput float64
-		g := &stacks.GPU{Batch: tputBatch, Slots: inflight}
-		testbed.Run(specFor(core.ClusterConfig{Nodes: 2}, g),
+		testbed.Run(testbed.Spec{Nodes: 2, Services: []testbed.Service{s}},
 			func(tk *sim.Task, d *testbed.Deployment) {
 				st := load.Closed{Clients: inflight, PerClient: reqsPerWorker}.Run(tk,
 					func(wt *sim.Task, _, _ int) error {
-						g.OneRequest(wt)
+						s.OneRequest(wt)
 						return nil
 					})
 				tput = st.Throughput()
 			})
 		return tput
 	}
-	rcTput := func(inflight int) float64 {
-		var tput float64
-		runOn(core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-			r := newRCUDAService(tk, cl, tputBatch, inflight)
-			st := load.Closed{Clients: inflight, PerClient: reqsPerWorker}.Run(tk,
-				func(wt *sim.Task, _, _ int) error {
-					r.oneRequest(wt)
-					return nil
-				})
-			tput = st.Throughput()
-		})
-		return tput
-	}
 	localIdeal := 1e9 / (float64(gpu.DefaultConfig().LaunchOverhead) + float64(tputBatch)*float64(faceverify.KernelPerImage))
 	t.AddRow("", "", "", "", "", "")
 	t.AddRow("inflight", "FractOS req/s", "", "", "rCUDA req/s", "ideal GPU req/s")
 	for _, inflight := range []int{1, 2, 4, 8} {
-		ft := frTput(inflight)
-		rt := rcTput(inflight)
+		ft := tput(&stacks.GPU{Batch: tputBatch, Slots: inflight}, inflight)
+		rt := tput(&rcudaService{batch: tputBatch, inflight: inflight}, inflight)
 		t.AddRow(fmt.Sprint(inflight), fmt.Sprintf("%.0f", ft), "", "", fmt.Sprintf("%.0f", rt),
 			fmt.Sprintf("%.0f", localIdeal))
 		if inflight == 4 {

@@ -10,6 +10,7 @@ import (
 	"fractos/internal/fabric"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -17,10 +18,10 @@ import (
 // raw fabric endpoints (the ibv_rc_pingpong reference of Table 3).
 func rawPingPong(serverDomain fabric.Domain) sim.Time {
 	var rtt sim.Time
-	runOn(core.ClusterConfig{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
-		client := baseline.NewPeer(cl.Net, "ping", fabric.Location{Node: 0, Domain: fabric.Host}, 0, nil)
+	testbed.Run(testbed.Spec{Nodes: 1}, func(tk *sim.Task, d *testbed.Deployment) {
+		client := baseline.NewPeer(d.Net(), "ping", fabric.Location{Node: 0, Domain: fabric.Host}, 0, nil)
 		var server *baseline.Peer
-		server = baseline.NewPeer(cl.Net, "pong", fabric.Location{Node: 0, Domain: serverDomain}, 0,
+		server = baseline.NewPeer(d.Net(), "pong", fabric.Location{Node: 0, Domain: serverDomain}, 0,
 			func(baseline.Request) error { server.Reply(nil, false); return nil })
 		start := tk.Now()
 		if _, err := client.Call(tk, server.EP.ID, 1, nil, false); err != nil {
@@ -34,8 +35,8 @@ func rawPingPong(serverDomain fabric.Domain) sim.Time {
 // nullOpLatency measures the FractOS null syscall under a placement.
 func nullOpLatency(p core.Placement) sim.Time {
 	var lat sim.Time
-	runOn(core.ClusterConfig{Nodes: 1, Placement: p}, func(tk *sim.Task, cl *core.Cluster) {
-		app := proc.Attach(cl, 0, "app", 0)
+	testbed.Run(testbed.Spec{Nodes: 1, Placement: p}, func(tk *sim.Task, d *testbed.Deployment) {
+		app := d.Attach(0, "app", 0)
 		start := tk.Now()
 		if err := app.Null(tk); err != nil {
 			assert.NoErr(err, "exp/micro")
@@ -56,10 +57,10 @@ func Table3() *Table {
 	rawSNIC := rawPingPong(fabric.SNIC)
 	nullCPU := nullOpLatency(core.CtrlOnCPU)
 	nullSNIC := nullOpLatency(core.CtrlOnSNIC)
-	t.AddRow("Raw loopback w/ server @ CPU", usec(rawCPU), "2.42")
-	t.AddRow("Raw loopback w/ server @ sNIC", usec(rawSNIC), "3.68")
-	t.AddRow("FractOS @ CPU", usec(nullCPU), "3.00")
-	t.AddRow("FractOS @ sNIC", usec(nullSNIC), "4.50")
+	t.AddRow("Raw loopback w/ server @ CPU", testbed.Us(rawCPU), "2.42")
+	t.AddRow("Raw loopback w/ server @ sNIC", testbed.Us(rawSNIC), "3.68")
+	t.AddRow("FractOS @ CPU", testbed.Us(nullCPU), "3.00")
+	t.AddRow("FractOS @ sNIC", testbed.Us(nullSNIC), "4.50")
 	t.Metric("null-cpu-us", float64(nullCPU)/1e3)
 	t.Metric("null-snic-us", float64(nullSNIC)/1e3)
 	return t
@@ -68,14 +69,13 @@ func Table3() *Table {
 // copySizes are the transfer sizes swept in Figure 5.
 var copySizes = []int{1, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
-// measureCopy times a single cross-node memory_copy under a placement.
-func measureCopy(p core.Placement, hw bool, size int) sim.Time {
+// copyTime times one memory_copy of size bytes from node 0 to node 1
+// of spec's cluster.
+func copyTime(spec testbed.Spec, size int) sim.Time {
 	var lat sim.Time
-	cfg := core.ClusterConfig{Nodes: 2, Placement: p}
-	cfg.Ctrl.HWCopies = hw
-	runOn(cfg, func(tk *sim.Task, cl *core.Cluster) {
-		src := proc.Attach(cl, 0, "src", size)
-		dst := proc.Attach(cl, 1, "dst", size)
+	testbed.Run(spec, func(tk *sim.Task, d *testbed.Deployment) {
+		src := d.Attach(0, "src", size)
+		dst := d.Attach(1, "dst", size)
 		srcCap, err := src.MemoryCreate(tk, 0, uint64(size), cap.MemRights)
 		if err != nil {
 			assert.NoErr(err, "exp/micro")
@@ -101,11 +101,11 @@ func measureCopy(p core.Placement, hw bool, size int) sim.Time {
 // the best possible baseline of Figure 5 (§6.1 quotes 3.3 µs for 1 B).
 func measureRawRDMA(size int) sim.Time {
 	var lat sim.Time
-	runOn(core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-		a := cl.Net.Attach("rdma-a", fabric.Location{Node: 0, Domain: fabric.Host}, size)
-		b := cl.Net.Attach("rdma-b", fabric.Location{Node: 1, Domain: fabric.Host}, size)
+	testbed.Run(testbed.Spec{Nodes: 2}, func(tk *sim.Task, d *testbed.Deployment) {
+		a := d.Net().Attach("rdma-a", fabric.Location{Node: 0, Domain: fabric.Host}, size)
+		b := d.Net().Attach("rdma-b", fabric.Location{Node: 1, Domain: fabric.Host}, size)
 		start := tk.Now()
-		if _, err := cl.Net.RDMARead(a.ID, 0, b.ID, 0, size).Wait(tk); err != nil {
+		if _, err := d.Net().RDMARead(a.ID, 0, b.ID, 0, size).Wait(tk); err != nil {
 			assert.NoErr(err, "exp/micro")
 		}
 		lat = tk.Now() - start
@@ -124,20 +124,21 @@ func Figure5() *Table {
 		"size", "raw RDMA", "FractOS@CPU", "FractOS@sNIC", "HW copies")
 	for _, size := range copySizes {
 		raw := measureRawRDMA(size)
-		cpu := measureCopy(core.CtrlOnCPU, false, size)
-		snic := measureCopy(core.CtrlOnSNIC, false, size)
-		hw := measureCopy(core.CtrlOnCPU, true, size)
-		t.AddRow(sizeLabel(size), mbps(size, raw), mbps(size, cpu), mbps(size, snic), mbps(size, hw))
+		cpu := copyTime(testbed.Spec{Nodes: 2}, size)
+		snic := copyTime(testbed.Spec{Nodes: 2, Placement: core.CtrlOnSNIC}, size)
+		hw := copyTime(testbed.Spec{Nodes: 2, Ctrl: core.Config{HWCopies: true}}, size)
+		t.AddRow(testbed.SizeLabel(size), testbed.Mbps(size, raw), testbed.Mbps(size, cpu),
+			testbed.Mbps(size, snic), testbed.Mbps(size, hw))
 		if size == 1 {
 			t.Note("1B latency: raw=%sµs cpu=%sµs snic=%sµs (paper: 3.3 / 12.7 / 24.5)",
-				usec(raw), usec(cpu), usec(snic))
+				testbed.Us(raw), testbed.Us(cpu), testbed.Us(snic))
 			t.Metric("copy1b-cpu-us", float64(cpu)/1e3)
 			t.Metric("copy1b-snic-us", float64(snic)/1e3)
 			t.Metric("copy1b-rdma-us", float64(raw)/1e3)
 		}
 		if size == 256<<10 {
-			t.Metric("copy256k-cpu-mbps", mbpsVal(size, cpu))
-			t.Metric("copy256k-rdma-mbps", mbpsVal(size, raw))
+			t.Metric("copy256k-cpu-mbps", testbed.MbpsVal(size, cpu))
+			t.Metric("copy256k-rdma-mbps", testbed.MbpsVal(size, raw))
 		}
 	}
 	return t
@@ -150,14 +151,9 @@ var invokeSizes = []int{8, 1 << 10, 16 << 10, 64 << 10}
 // payload, Requests exchanged ahead of time (as in §6.1).
 func measureRPC(p core.Placement, nodes int, argSize int, nCaps int) sim.Time {
 	var lat sim.Time
-	cfg := core.ClusterConfig{Nodes: nodes, Placement: p}
-	runOn(cfg, func(tk *sim.Task, cl *core.Cluster) {
-		srvNode := 0
-		if nodes > 1 {
-			srvNode = 1
-		}
-		srv := proc.Attach(cl, srvNode, "srv", 0)
-		cli := proc.Attach(cl, 0, "cli", 4096)
+	testbed.Run(testbed.Spec{Nodes: nodes, Placement: p}, func(tk *sim.Task, d *testbed.Deployment) {
+		srv := d.Attach(nodes-1, "srv", 0)
+		cli := d.Attach(0, "cli", 4096)
 		req, err := srv.RequestCreate(tk, 1, nil, nil)
 		if err != nil {
 			assert.NoErr(err, "exp/micro")
@@ -189,12 +185,10 @@ func measureRPC(p core.Placement, nodes int, argSize int, nCaps int) sim.Time {
 		})
 
 		start := tk.Now()
-		d, err := cli.CallWith(tk, creq,
-			[]wire.ImmArg{proc.BytesArg(0, payload)}, capArgs, replyTag)
-		if err != nil {
+		if _, err := cli.CallWith(tk, creq,
+			[]wire.ImmArg{proc.BytesArg(0, payload)}, capArgs, replyTag); err != nil {
 			assert.NoErr(err, "exp/micro")
 		}
-		_ = d
 		lat = tk.Now() - start
 	})
 	return lat
@@ -213,7 +207,7 @@ func Figure6() *Table {
 		c2 := measureRPC(core.CtrlOnCPU, 2, size, 0)
 		s1 := measureRPC(core.CtrlOnSNIC, 1, size, 0)
 		s2 := measureRPC(core.CtrlOnSNIC, 2, size, 0)
-		t.AddRow(sizeLabel(size), usec(c1), usec(c2), usec(s1), usec(s2))
+		t.AddRow(testbed.SizeLabel(size), testbed.Us(c1), testbed.Us(c2), testbed.Us(s1), testbed.Us(s2))
 		if size == 8 {
 			t.Metric("rpc8-cpu1x-us", float64(c1)/1e3)
 			t.Metric("rpc8-cpu2x-us", float64(c2)/1e3)
@@ -229,9 +223,9 @@ func Figure6() *Table {
 // all behind one shared entry (one revocation total).
 func revocationTime(n int, sharedTree bool) sim.Time {
 	var lat sim.Time
-	runOn(core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-		owner := proc.Attach(cl, 0, "owner", 4096)
-		holder := proc.Attach(cl, 1, "holder", 0)
+	testbed.Run(testbed.Spec{Nodes: 2}, func(tk *sim.Task, d *testbed.Deployment) {
+		owner := d.Attach(0, "owner", 4096)
+		holder := d.Attach(1, "holder", 0)
 		base, err := owner.MemoryCreate(tk, 0, 4096, cap.MemRights)
 		if err != nil {
 			assert.NoErr(err, "exp/micro")
@@ -282,7 +276,7 @@ func Figure7() *Table {
 		ds := measureRPC(core.CtrlOnSNIC, 2, 8, n)
 		rv := revocationTime(n, false)
 		rs := revocationTime(n, true)
-		t.AddRow(fmt.Sprint(n), usec(dc), usec(ds), usec(rv), usec(rs))
+		t.AddRow(fmt.Sprint(n), testbed.Us(dc), testbed.Us(ds), testbed.Us(rv), testbed.Us(rs))
 		if n == 1 {
 			t.Metric("deleg1-cpu-us", float64(dc-base)/1e3)
 			t.Metric("deleg1-snic-us", float64(ds-baseS)/1e3)

@@ -3,9 +3,9 @@ package exp
 import (
 	"fmt"
 
-	"fractos/internal/core"
 	"fractos/internal/fabric"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -39,42 +39,62 @@ func AblationMessageComplexity() *Table {
 	return t
 }
 
-// countPipelineMsgs runs one pipeline execution and counts cross-node
-// traffic. Service messages ≈ data transfers (coalescing RDMA chunks)
-// plus CtrlInvoke forwards (the paper's schematic arrows).
-func countPipelineMsgs(stages int, chain bool) (svcMsgs, total int) {
-	runOn(core.ClusterConfig{Nodes: stages + 1}, func(tk *sim.Task, cl *core.Cluster) {
-		pl := newPipeline(tk, cl, stages, 4<<10)
-		counting := false
-		var last fabric.TraceEvent
-		cl.Net.SetTrace(func(e fabric.TraceEvent) {
-			if !counting {
-				return
+// countPipelineMsgs runs one pipeline execution and counts its
+// cross-node traffic. Service messages are the data transfers plus
+// the CtrlInvoke forwards and deliveries (the paper's schematic
+// arrows).
+func countPipelineMsgs(stages int, chain bool) (svcMsgs, total int64) {
+	testbed.Run(testbed.Spec{Nodes: stages + 1}, func(tk *sim.Task, d *testbed.Deployment) {
+		pl := newPipeline(tk, d.Cl, stages, 4<<10)
+		c := countTraffic(d.Net(), func() {
+			if chain {
+				pl.runChain(tk)
+			} else {
+				pl.runStar(tk)
 			}
-			src, _ := cl.Net.Lookup(e.From)
-			dst, _ := cl.Net.Lookup(e.To)
-			if src == nil || dst == nil || src.Loc.Node == dst.Loc.Node {
-				return
-			}
-			total++
-			if e.RDMA {
-				if last.RDMA && last.From == e.From && last.To == e.To {
-					last = e
-					return // chunk continuation of one logical transfer
-				}
-				svcMsgs++
-			} else if e.Type == wire.TCtrlInvoke || e.Type == wire.TDeliver {
-				svcMsgs++
-			}
-			last = e
 		})
-		counting = true
-		if chain {
-			pl.runChain(tk)
-		} else {
-			pl.runStar(tk)
-		}
-		counting = false
+		svcMsgs, total = c.transfers+c.invokes, c.frames
 	})
 	return
+}
+
+// traffic counts the cross-node part of a fabric trace: every frame
+// and RDMA chunk, their bytes, the control messages, the service
+// invocations among them (CtrlInvoke, Deliver), and the data
+// transfers. A transfer is a Data-class frame, consecutive RDMA chunks
+// on one path counting once: the 16 KiB bounce-buffer chunking is
+// below message granularity (one RDMA verb moves the whole buffer in
+// hardware).
+type traffic struct {
+	frames, bytes, ctrl, invokes, transfers int64
+}
+
+// countTraffic counts the cross-node traffic net carries while run
+// runs.
+func countTraffic(net *fabric.Net, run func()) traffic {
+	var c traffic
+	var last fabric.TraceEvent // the last Data-class event
+	net.SetTrace(func(e fabric.TraceEvent) {
+		src, _ := net.Lookup(e.From)
+		dst, _ := net.Lookup(e.To)
+		if src == nil || dst == nil || src.Loc.Node == dst.Loc.Node {
+			return
+		}
+		c.frames++
+		c.bytes += int64(e.Bytes)
+		if e.Class != wire.Data {
+			c.ctrl++
+			if e.Type == wire.TCtrlInvoke || e.Type == wire.TDeliver {
+				c.invokes++
+			}
+			return
+		}
+		if !e.RDMA || !last.RDMA || last.From != e.From || last.To != e.To {
+			c.transfers++
+		}
+		last = e
+	})
+	run()
+	net.SetTrace(nil)
+	return c
 }

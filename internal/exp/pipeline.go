@@ -8,6 +8,7 @@ import (
 	"fractos/internal/core"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -264,14 +265,14 @@ func Figure8() *Table {
 	for _, stages := range []int{2, 4, 8} {
 		for _, size := range []int{64, 4 << 10, 64 << 10} {
 			var star, fast, chain sim.Time
-			runOn(core.ClusterConfig{Nodes: stages + 1}, func(tk *sim.Task, cl *core.Cluster) {
-				pl := newPipeline(tk, cl, stages, size)
+			testbed.Run(testbed.Spec{Nodes: stages + 1}, func(tk *sim.Task, d *testbed.Deployment) {
+				pl := newPipeline(tk, d.Cl, stages, size)
 				star = pl.runStar(tk)
 				fast = pl.runFastStar(tk)
 				chain = pl.runChain(tk)
 			})
-			t.AddRow(fmt.Sprint(stages), sizeLabel(size),
-				usec(star), usec(fast), usec(chain),
+			t.AddRow(fmt.Sprint(stages), testbed.SizeLabel(size),
+				testbed.Us(star), testbed.Us(fast), testbed.Us(chain),
 				fmt.Sprintf("%.2fx", float64(star)/float64(fast)),
 				fmt.Sprintf("%.2fx", float64(fast)/float64(chain)))
 			if stages == 4 && size == 64<<10 {

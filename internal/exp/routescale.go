@@ -52,7 +52,7 @@ func ScalingRoute() *Table {
 
 	// One service-time draw per request, shared across every (policy,
 	// rate) point so the comparison isolates the routing decision.
-	rng := newRand(21)
+	rng := testbed.Rand(21)
 	svc := make([]sim.Time, routeRequestsPerRate)
 	for i := range svc {
 		svc[i] = testbed.USec(rng.ExpFloat64() * routeServiceMeanUs)

@@ -44,11 +44,7 @@ func scalingFaceVerify(rates []float64, requests int) *Table {
 		fv := &stacks.FaceVerify{Cfg: cfg}
 		var st *load.Stats
 		testbed.Run(appSpec(core.CtrlOnCPU, fv), func(tk *sim.Task, d *testbed.Deployment) {
-			rng := newRand(9)
-			reqs := make([]*faceverify.Request, requests)
-			for i := range reqs {
-				reqs[i] = faceverify.MakeRequest(fv.DB, i, cfg.Batch, rng)
-			}
+			reqs := fvRequests(fv, requests, requests, 9)
 			st = load.Open{Rate: rate, Requests: requests, Seed: 13}.Run(tk,
 				func(wt *sim.Task, i int) error {
 					out, err := fv.Verify(wt, reqs[i])

@@ -24,7 +24,7 @@ const storFileBytes = uint64(fs.MaxExtents) * fs.ExtentSize
 // randOffsets returns k distinct size-aligned offsets, each within one
 // extent (no extent crossing), sampled deterministically.
 func randOffsets(k int, size uint64, seed int64) []uint64 {
-	rng := newRand(seed)
+	rng := testbed.Rand(seed)
 	perExt := fs.ExtentSize / size
 	var offs []uint64
 	seen := map[uint64]bool{}
@@ -40,30 +40,46 @@ func randOffsets(k int, size uint64, seed int64) []uint64 {
 	return offs
 }
 
-// storLatency measures the average latency of k random operations.
-func storLatency(kind stacks.StorageKind, size uint64, isWrite bool) sim.Time {
-	return storLatencyOn(core.CtrlOnCPU, kind, size, isWrite)
-}
+// storOp is the operation a storage latency run repeats.
+type storOp int
 
-func storLatencyOn(p core.Placement, kind stacks.StorageKind, size uint64, isWrite bool) sim.Time {
+const (
+	randRead storOp = iota
+	randWrite
+	seqRead
+	directRead // DirectReadAt: the FS composes the device's reply to the client
+)
+
+// storLatency measures the mean latency of one client's back-to-back
+// ops on the three-node storage stack: 6 at random offsets, or 8
+// consecutive blocks for seqRead.
+func storLatency(p core.Placement, kind stacks.StorageKind, op storOp, size uint64) sim.Time {
 	var avg sim.Time
-	stor := &stacks.Storage{Kind: kind, ForWrite: isWrite}
-	testbed.Run(specFor(core.ClusterConfig{Nodes: 3, Placement: p}, stor),
-		func(tk *sim.Task, d *testbed.Deployment) {
-			mem := stor.Buf(tk, size)
-			const k = 6
-			offs := randOffsets(k, size, 77)
-			st := load.Closed{Clients: 1, PerClient: k}.Run(tk, func(t *sim.Task, _, seq int) error {
-				if isWrite {
-					return stor.File.WriteAt(t, offs[seq], size, mem)
-				}
-				return stor.File.ReadAt(t, offs[seq], size, mem)
-			})
-			if st.Errors > 0 {
-				assert.Failf("exp/storage: %d of %d ops failed", st.Errors, k)
+	stor := &stacks.Storage{Kind: kind, ForWrite: op == randWrite}
+	spec := testbed.Spec{Nodes: 3, Placement: p, Services: []testbed.Service{stor}}
+	testbed.Run(spec, func(tk *sim.Task, d *testbed.Deployment) {
+		mem := stor.Buf(tk, size)
+		k := 6
+		if op == seqRead {
+			k = 8
+		}
+		offs := randOffsets(k, size, 77)
+		st := load.Closed{Clients: 1, PerClient: k}.Run(tk, func(t *sim.Task, _, seq int) error {
+			switch op {
+			case randWrite:
+				return stor.File.WriteAt(t, offs[seq], size, mem)
+			case seqRead:
+				return stor.File.ReadAt(t, uint64(seq)*size, size, mem)
+			case directRead:
+				return stor.File.DirectReadAt(t, offs[seq], size, mem)
 			}
-			avg = st.Elapsed() / k
+			return stor.File.ReadAt(t, offs[seq], size, mem)
 		})
+		if st.Errors > 0 {
+			assert.Failf("exp/storage: %d of %d ops failed", st.Errors, k)
+		}
+		avg = st.Elapsed() / sim.Time(k)
+	})
 	return avg
 }
 
@@ -71,8 +87,8 @@ func storLatencyOn(p core.Placement, kind stacks.StorageKind, size uint64, isWri
 // directly on its own node.
 func localLatency(size uint64, isWrite bool) sim.Time {
 	var avg sim.Time
-	runOn(core.ClusterConfig{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
-		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+	testbed.Run(testbed.Spec{Nodes: 1}, func(tk *sim.Task, d *testbed.Deployment) {
+		dev := nvme.NewDevice(d.K(), nvme.DefaultConfig())
 		buf := make([]byte, size)
 		const k = 6
 		offs := randOffsets(k, size, 77)
@@ -100,18 +116,18 @@ func Figure10() *Table {
 	t := NewTable("fig10", "Random storage latency (µs)",
 		"op", "size", "FS", "DAX", "Disagg baseline", "Local")
 	for _, isWrite := range []bool{false, true} {
-		op := "read"
+		op, name := randRead, "read"
 		if isWrite {
-			op = "write"
+			op, name = randWrite, "write"
 		}
 		for _, size := range []uint64{4 << 10, 64 << 10, 256 << 10, 1 << 20} {
-			fsLat := storLatency(stacks.StorFS, size, isWrite)
-			dax := storLatency(stacks.StorDAX, size, isWrite)
-			dis := storLatency(stacks.StorDisagg, size, isWrite)
+			fsLat := storLatency(core.CtrlOnCPU, stacks.StorFS, op, size)
+			dax := storLatency(core.CtrlOnCPU, stacks.StorDAX, op, size)
+			dis := storLatency(core.CtrlOnCPU, stacks.StorDisagg, op, size)
 			loc := localLatency(size, isWrite)
-			t.AddRow(op, sizeLabel(int(size)), usec(fsLat), usec(dax), usec(dis), usec(loc))
+			t.AddRow(name, testbed.SizeLabel(int(size)), testbed.Us(fsLat), testbed.Us(dax), testbed.Us(dis), testbed.Us(loc))
 			if !isWrite {
-				t.Metric(fmt.Sprintf("read%s-dax-speedup", sizeLabel(int(size))),
+				t.Metric(fmt.Sprintf("read%s-dax-speedup", testbed.SizeLabel(int(size))),
 					float64(fsLat)/float64(dax))
 			}
 			if !isWrite && size == 4<<10 {
@@ -124,9 +140,9 @@ func Figure10() *Table {
 	// The sNIC deployment rows: §6.4 notes the system overheads grow
 	// when Controllers run on the BlueField's slow ARM cores.
 	for _, size := range []uint64{4 << 10, 256 << 10} {
-		fsLat := storLatencyOn(core.CtrlOnSNIC, stacks.StorFS, size, false)
-		dax := storLatencyOn(core.CtrlOnSNIC, stacks.StorDAX, size, false)
-		t.AddRow("read@sNIC", sizeLabel(int(size)), usec(fsLat), usec(dax), "-", "-")
+		fsLat := storLatency(core.CtrlOnSNIC, stacks.StorFS, randRead, size)
+		dax := storLatency(core.CtrlOnSNIC, stacks.StorDAX, randRead, size)
+		t.AddRow("read@sNIC", testbed.SizeLabel(int(size)), testbed.Us(fsLat), testbed.Us(dax), "-", "-")
 		if size == 4<<10 {
 			t.Metric("read4k-fs-snic-us", float64(fsLat)/1e3)
 		}
@@ -136,34 +152,15 @@ func Figure10() *Table {
 	// the Disaggregated Baseline, whose read-ahead caching becomes
 	// effective.
 	for _, size := range []uint64{64 << 10} {
-		dax := storSeqLatency(stacks.StorDAX, size)
-		dis := storSeqLatency(stacks.StorDisagg, size)
-		t.AddRow("seqread", sizeLabel(int(size)), "-", usec(dax), usec(dis), "-")
+		dax := storLatency(core.CtrlOnCPU, stacks.StorDAX, seqRead, size)
+		dis := storLatency(core.CtrlOnCPU, stacks.StorDisagg, seqRead, size)
+		t.AddRow("seqread", testbed.SizeLabel(int(size)), "-", testbed.Us(dax), testbed.Us(dis), "-")
 		t.Metric("seq64k-dax-us", float64(dax)/1e3)
 		t.Metric("seq64k-disagg-us", float64(dis)/1e3)
 	}
 	t.Note("seqread: sequential pattern — the baseline's read-ahead narrows its random-read gap;")
 	t.Note("the paper reports full equality (its streaming reader gives the prefetcher more headroom)")
 	return t
-}
-
-// storSeqLatency measures sequential reads (read-ahead friendly).
-func storSeqLatency(kind stacks.StorageKind, size uint64) sim.Time {
-	var avg sim.Time
-	stor := &stacks.Storage{Kind: kind}
-	testbed.Run(specFor(core.ClusterConfig{Nodes: 3}, stor),
-		func(tk *sim.Task, d *testbed.Deployment) {
-			mem := stor.Buf(tk, size)
-			const k = 8
-			st := load.Closed{Clients: 1, PerClient: k}.Run(tk, func(t *sim.Task, _, seq int) error {
-				return stor.File.ReadAt(t, uint64(seq)*size, size, mem)
-			})
-			if st.Errors > 0 {
-				assert.Failf("exp/storage: %d of %d seq reads failed", st.Errors, k)
-			}
-			avg = st.Elapsed() / k
-		})
-	return avg
 }
 
 // storThroughput measures aggregate read bandwidth with 1 MiB blocks
@@ -173,7 +170,7 @@ func storThroughput(kind stacks.StorageKind, sequential bool, inflight int) floa
 	const opsPerWorker = 8
 	var tput float64
 	stor := &stacks.Storage{Kind: kind}
-	testbed.Run(specFor(core.ClusterConfig{Nodes: 3}, stor),
+	testbed.Run(testbed.Spec{Nodes: 3, Services: []testbed.Service{stor}},
 		func(tk *sim.Task, d *testbed.Deployment) {
 			// Shrink the baseline's cache below the working set (the
 			// paper's dataset exceeds the FS-node cache, making it
@@ -201,7 +198,7 @@ func storThroughput(kind stacks.StorageKind, sequential bool, inflight int) floa
 			if st.Errors > 0 {
 				assert.Failf("exp/storage: %d throughput reads failed", st.Errors)
 			}
-			tput = mbpsVal(inflight*opsPerWorker*int(size), st.Elapsed())
+			tput = testbed.MbpsVal(inflight*opsPerWorker*int(size), st.Elapsed())
 		})
 	return tput
 }

@@ -65,20 +65,3 @@ func TestFindExperiments(t *testing.T) {
 		}
 	}
 }
-
-func TestSizeLabel(t *testing.T) {
-	cases := map[int]string{
-		1:       "1B",
-		512:     "512B",
-		1 << 10: "1K",
-		4 << 10: "4K",
-		1 << 20: "1M",
-		5 << 20: "5M",
-		1500:    "1500B",
-	}
-	for n, want := range cases {
-		if got := sizeLabel(n); got != want {
-			t.Errorf("sizeLabel(%d) = %q, want %q", n, got, want)
-		}
-	}
-}

@@ -15,8 +15,9 @@
 // so (a) two runs with the same Spec produce byte-identical fault
 // schedules and fabric traces, and (b) a zero-value Faults consumes
 // no randomness and leaves the fabric's behavior bit-for-bit
-// identical to a fabric without the layer. Scheduled Plan actions
-// execute at exact virtual times through kernel timers.
+// identical to a fabric without the layer. Link cuts and partitions
+// are imperative (SetLink, PartitionNodes, HealPartitions); a workload
+// that schedules them does so with kernel timers (sim.Kernel.After).
 //
 // Scope: faults apply only to cross-node message frames (traffic that
 // traverses the switch). Same-node loopback models shared-memory
@@ -54,59 +55,12 @@ type Faults struct {
 	// Seed seeds the private fault RNG. Runs with equal Seed (and
 	// equal workload) make identical fault decisions.
 	Seed int64
-	// Plan schedules deterministic link and partition events.
-	Plan Plan
 }
 
 // Enabled reports whether the configuration injects any faults.
 func (f Faults) Enabled() bool {
-	return f.Drop > 0 || f.Dup > 0 || f.Jitter > 0 || len(f.Plan) > 0
+	return f.Drop > 0 || f.Dup > 0 || f.Jitter > 0
 }
-
-// ActionKind enumerates scheduled fault actions.
-type ActionKind uint8
-
-const (
-	// LinkDown severs a node's switch connection: all cross-node
-	// traffic to and from Node is silently lost until LinkUp.
-	LinkDown ActionKind = iota
-	// LinkUp restores a node's switch connection.
-	LinkUp
-	// Partition splits the cluster: the nodes in Group lose
-	// connectivity with every node outside Group (traffic within the
-	// group, and among the remainder, still flows).
-	Partition
-	// Heal removes all partitions (but not LinkDown states).
-	Heal
-)
-
-func (k ActionKind) String() string {
-	switch k {
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	case Partition:
-		return "partition"
-	case Heal:
-		return "heal"
-	}
-	return "unknown"
-}
-
-// Action is one scheduled fault event at virtual time At.
-type Action struct {
-	At   sim.Time
-	Kind ActionKind
-	// Node is the target of LinkDown/LinkUp.
-	Node int
-	// Group is the minority side of a Partition.
-	Group []int
-}
-
-// Plan is a schedule of fault actions. Order does not matter;
-// InstallFaults schedules each at its own virtual time.
-type Plan []Action
 
 // FaultStats counts injected faults, for experiments and tests.
 type FaultStats struct {
@@ -130,8 +84,7 @@ type faultState struct {
 	stats FaultStats
 }
 
-// InstallFaults installs the chaos layer on the fabric and schedules
-// the plan's actions. Call it once, before the fabric carries its
+// InstallFaults installs the chaos layer on the fabric. Call it once, before the fabric carries its
 // first frame or RDMA op: from then on Lossy holds for the fabric's
 // whole life, so no call sent while it was reliable can lose its
 // answer. Any Faults installs the layer — a zero one gives a lossless
@@ -144,14 +97,6 @@ func (n *Net) InstallFaults(f Faults) {
 		dup:    f.Dup,
 		jitter: f.Jitter,
 	}
-	for _, a := range f.Plan {
-		a := a
-		delay := a.At - n.k.Now()
-		if delay < 0 {
-			delay = 0
-		}
-		n.k.After(delay, func() { n.apply(a) })
-	}
 }
 
 // FaultStats returns the cumulative injected-fault counters (zero if
@@ -161,20 +106,6 @@ func (n *Net) FaultStats() FaultStats {
 		return FaultStats{}
 	}
 	return n.faults.stats
-}
-
-// apply executes one plan action now.
-func (n *Net) apply(a Action) {
-	switch a.Kind {
-	case LinkDown:
-		n.SetLink(a.Node, false)
-	case LinkUp:
-		n.SetLink(a.Node, true)
-	case Partition:
-		n.PartitionNodes(a.Group)
-	case Heal:
-		n.HealPartitions()
-	}
 }
 
 // topology returns the fault state a topology change edits. Only a Net

@@ -128,11 +128,10 @@ func TestFaultsDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestPartitionCutsAndHeals(t *testing.T) {
-	n, src, dst := chaosPair(t, Faults{Plan: Plan{
-		{At: 0, Kind: Partition, Group: []int{1}},
-		{At: 500_000, Kind: Heal},
-	}})
+	n, src, dst := chaosPair(t, Faults{})
 	k := n.Kernel()
+	n.PartitionNodes([]int{1})
+	k.After(500_000, n.HealPartitions)
 	var before, after int
 	k.Spawn("rx", func(t *sim.Task) {
 		for {
@@ -195,16 +194,15 @@ func TestLinkDownFailsRDMA(t *testing.T) {
 	}
 }
 
-// TestPlanLinkFlap: a Plan takes node 1's link down and brings it back
-// up. Frames sent while it is down are cut and counted, and frames sent
-// after it is back are delivered; before the flap nothing is lost.
-func TestPlanLinkFlap(t *testing.T) {
+// TestLinkFlap: kernel timers take node 1's link down and bring it
+// back up. Frames sent while it is down are cut and counted, and frames
+// sent after it is back are delivered; before the flap nothing is lost.
+func TestLinkFlap(t *testing.T) {
 	const down, up = 210_000, 610_000 // between sends, which go every 25 µs
-	n, src, dst := chaosPair(t, Faults{Plan: Plan{
-		{At: down, Kind: LinkDown, Node: 1},
-		{At: up, Kind: LinkUp, Node: 1},
-	}})
+	n, src, dst := chaosPair(t, Faults{})
 	k := n.Kernel()
+	k.After(down, func() { n.SetLink(1, false) })
+	k.After(up, func() { n.SetLink(1, true) })
 	got := map[byte]bool{} // the frames delivered, by sequence number
 	k.Spawn("rx", func(t *sim.Task) {
 		for {

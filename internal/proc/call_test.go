@@ -15,6 +15,7 @@ import (
 	"fractos/internal/fabric"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -104,7 +105,7 @@ func TestCallLeavesNothingBehind(t *testing.T) {
 		doneFirst bool
 	}{{1, false}, {1, true}, {0, false}} {
 		srvNode, doneFirst := tc.srvNode, tc.doneFirst
-		run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 			c := newCallPair(t, tk, cl, srvNode)
 			c.echo(doneFirst, nil)
 			if !c.call(t, tk, 0) {
@@ -139,7 +140,7 @@ func TestCallLeavesNothingBehind(t *testing.T) {
 // a name of its own.
 func TestConcurrentCallsUseDistinctReplyRequests(t *testing.T) {
 	const k = 5
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		c0, c1 := cl.CtrlFor(0), cl.CtrlFor(1)
 		// The provider answers a round only once all depth of it has arrived.
@@ -214,7 +215,7 @@ func TestConcurrentCallsUseDistinctReplyRequests(t *testing.T) {
 // it is entered, so another task that rewrites the bytes behind the
 // caller's BytesArg meanwhile changes nothing the provider receives.
 func TestCallKeepsItsImmediates(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		var got []byte
 		cl.K.Spawn("provider", func(st *sim.Task) {
@@ -266,7 +267,7 @@ func TestCallKeepsItsImmediates(t *testing.T) {
 // owner once the call is over — neither reaches the caller, whose next
 // call reuses the Request undisturbed.
 func TestReplyCapabilityIsSingleUse(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		spy := proc.Attach(cl, 1, "spy", 0)
 		var kept, copied proc.Cap
@@ -299,7 +300,7 @@ func TestReplyCapabilityIsSingleUse(t *testing.T) {
 // it: the reply Request goes back to the set — disarmed, so the copy of
 // its delegation an earlier provider kept does not deliver.
 func TestCallRefusedInvokeReturnsReplyRequest(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		spy := proc.Attach(cl, 1, "spy", 0)
 		var copied proc.Cap
@@ -351,7 +352,7 @@ func TestCallRefusedInvokeReturnsReplyRequest(t *testing.T) {
 // revokes its reply Request and never uses it again — the late answer
 // bounces — and the next call creates one.
 func TestCallTimeoutRetiresReplyRequest(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		var late proc.Cap
 		swallowed := sim.NewFuture[struct{}]()
@@ -408,7 +409,7 @@ func TestCallLateReplySweep(t *testing.T) {
 	const deadline = 200 * sim.Time(1000)
 	outcomes := map[string]int{}
 	for at := deadline - us(10); at <= deadline+us(20); at += 250 {
-		cfg := core.ClusterConfig{Nodes: 2, Ctrl: core.Config{Window: 1}}
+		cfg := testbed.Spec{Nodes: 2, Ctrl: core.Config{Window: 1}}
 		run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 			c := newCallPair(t, tk, cl, 1)
 			start := tk.Now()
@@ -475,7 +476,7 @@ func TestCallParkedLateReply(t *testing.T) {
 		{"parked", 0, false},
 		{"bounced", deadline + us(50), true},
 	} {
-		cfg := core.ClusterConfig{Nodes: 2, Ctrl: core.Config{Window: 1}}
+		cfg := testbed.Spec{Nodes: 2, Ctrl: core.Config{Window: 1}}
 		run(t, cfg, func(tk *sim.Task, cl *core.Cluster) {
 			c := newCallPair(t, tk, cl, 1)
 			own, err := c.cli.RequestCreate(tk, 9, nil, nil)
@@ -527,7 +528,7 @@ func TestCallParkedLateReply(t *testing.T) {
 // different value, answered after the late one — gets its own echo and
 // nothing else.
 func TestCallAbortedInvokeRetiresReplyRequest(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		cl.Net.InstallFaults(fabric.Faults{})
 		c := newCallPair(t, tk, cl, 1)
 		// The provider echoes the first invocation, and the second only once
@@ -600,7 +601,7 @@ func TestCallAbortedInvokeRetiresReplyRequest(t *testing.T) {
 // its own, so the copy names nothing: refused, and the later call gets
 // its provider's reply, not the forged one.
 func TestKeptReplyCapabilityCannotAnswerALaterCall(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		spy := proc.Attach(cl, 1, "spy", 0)
 		var copied proc.Cap
@@ -673,7 +674,7 @@ func severOn(cl *core.Cluster, cli *proc.Process, typ wire.Type) {
 // the receive path, not by the caller — so it is the call's record that
 // must notice, and wake the caller with ErrDisconnected.
 func TestCallSeveredBetweenSyscalls(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		cli, creq := c.cli, c.creq
 		severOn(cl, cli, wire.TCompletion)
@@ -692,7 +693,7 @@ func TestCallSeveredBetweenSyscalls(t *testing.T) {
 // its acknowledgement cannot be posted. That is lost with the channel;
 // the reply is not.
 func TestCallSeveredAfterReply(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		c.echo(false, nil)
 		cli := c.cli
@@ -713,7 +714,7 @@ func TestCallSeveredAfterReply(t *testing.T) {
 // dropped when it was invoked and has since reissued to a later delivery,
 // which the earlier one's Release still lists.
 func TestReleaseHandsBackOnlyWhatItsDeliveryBrought(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		owner := proc.Attach(cl, 0, "owner", 64)
 		mem, _, err := owner.AllocMemory(tk, 64, cap.MemRights)
@@ -772,7 +773,7 @@ func TestReleaseHandsBackOnlyWhatItsDeliveryBrought(t *testing.T) {
 // spent report must drop the entry the answer went through, which is
 // gone, and not the neighbour's: the neighbour gets its answer.
 func TestSpentReplyDropSparesReissuedCid(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		near := proc.Attach(cl, 1, "near", 0)
 		nreq, err := proc.GrantCap(c.srv, c.req, near)

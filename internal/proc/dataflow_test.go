@@ -7,6 +7,7 @@ import (
 	"fractos/internal/core"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -43,7 +44,7 @@ func chain(tk *sim.Task, p *proc.Process, stages []proc.Cap) (proc.Cap, uint64, 
 }
 
 func TestChainRunsStagesInOrder(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 4}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 4}, func(tk *sim.Task, cl *core.Cluster) {
 		client := proc.Attach(cl, 0, "client", 0)
 		var stages []proc.Cap
 		for i := 0; i < 3; i++ {
@@ -116,7 +117,7 @@ func forkJoin(tk *sim.Task, client *proc.Process, branches []proc.Cap) ([]byte, 
 // TestScatterJoinsAllBranches: branches of unequal length each answer
 // the join Request exactly once.
 func TestScatterJoinsAllBranches(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 4}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 4}, func(tk *sim.Task, cl *core.Cluster) {
 		client := proc.Attach(cl, 0, "client", 0)
 		branches, err := branchWorkers(tk, cl, client, "ABC", func(i int) sim.Time { return us(20 * float64(i+1)) })
 		if err != nil {
@@ -137,7 +138,7 @@ func TestScatterJoinsAllBranches(t *testing.T) {
 // TestScatterRunsConcurrently: three 100 µs branches join in about one
 // branch time, not three.
 func TestScatterRunsConcurrently(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 4}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 4}, func(tk *sim.Task, cl *core.Cluster) {
 		client := proc.Attach(cl, 0, "client", 0)
 		branches, err := branchWorkers(tk, cl, client, "xxx", func(int) sim.Time { return us(100) })
 		if err != nil {
@@ -159,7 +160,7 @@ func TestScatterRunsConcurrently(t *testing.T) {
 // two branches flow through a chained stage — a small dataflow DAG
 // across four nodes.
 func TestForkJoinIntoChain(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 4}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 4}, func(tk *sim.Task, cl *core.Cluster) {
 		client := proc.Attach(cl, 0, "client", 0)
 		branches, err := branchWorkers(tk, cl, client, "ab", func(int) sim.Time { return us(10) })
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"fractos/internal/core"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -22,7 +23,7 @@ func TestCrossPlacementMatrix(t *testing.T) {
 		for _, nodes := range []int{1, 2, 4} {
 			p, nodes := p, nodes
 			t.Run(fmt.Sprintf("%v-%dnodes", p, nodes), func(t *testing.T) {
-				run(t, core.ClusterConfig{Nodes: nodes, Placement: p}, func(tk *sim.Task, cl *core.Cluster) {
+				run(t, testbed.Spec{Nodes: nodes, Placement: p}, func(tk *sim.Task, cl *core.Cluster) {
 					canonicalWorkload(tk, t, cl, nodes)
 				})
 			})

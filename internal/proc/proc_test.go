@@ -19,9 +19,9 @@ func us(f float64) sim.Time { return testbed.USec(f) }
 
 // run executes fn as the test's main task on a fresh testbed and runs
 // the simulation to completion.
-func run(t *testing.T, cfg core.ClusterConfig, fn func(tk *sim.Task, cl *core.Cluster)) {
+func run(t *testing.T, spec testbed.Spec, fn func(tk *sim.Task, cl *core.Cluster)) {
 	t.Helper()
-	testbed.RunT(t, testbed.SpecOf(cfg),
+	testbed.RunT(t, spec,
 		func(tk *sim.Task, d *testbed.Deployment) { fn(tk, d.Cl) })
 }
 
@@ -38,9 +38,9 @@ func receive(tk *sim.Task, p *proc.Process) *sim.Future[*proc.Delivery] {
 	return f
 }
 
-func cpuCluster() core.ClusterConfig { return core.ClusterConfig{Nodes: 3, Placement: core.CtrlOnCPU} }
-func snicCluster() core.ClusterConfig {
-	return core.ClusterConfig{Nodes: 3, Placement: core.CtrlOnSNIC}
+func cpuCluster() testbed.Spec { return testbed.Spec{Nodes: 3, Placement: core.CtrlOnCPU} }
+func snicCluster() testbed.Spec {
+	return testbed.Spec{Nodes: 3, Placement: core.CtrlOnSNIC}
 }
 
 // --- Table 3: null operation ---

@@ -10,6 +10,7 @@ import (
 	"fractos/internal/fabric"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -104,7 +105,7 @@ func TestServe(t *testing.T) {
 		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := core.ClusterConfig{Nodes: 2}
+			cfg := testbed.Spec{Nodes: 2}
 			cfg.Ctrl.Window = tc.window
 			r := &serveRig{}
 			e0 := sim.TotalEvents()
@@ -215,7 +216,7 @@ func ackedOnce(r *serveRig, n int) error {
 // completion is outstanding.
 func TestReplyThenRelease(t *testing.T) {
 	for _, srvNode := range []int{0, 1} {
-		run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 			c := newCallPair(t, tk, cl, srvNode)
 			c.srv.Serve("srv", 1, func(_ *sim.Task, d *proc.Delivery) {
 				if err := d.Reply(0, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil); err != nil {
@@ -259,7 +260,7 @@ func TestReplyThenRelease(t *testing.T) {
 // its owner. Reply has returned long before: the refusal is counted, and
 // Serve has gone on to answer the next request.
 func TestFailedReplyIsCounted(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		c.srv.Serve("srv", 1, func(st *sim.Task, d *proc.Delivery) {
 			if d.U64(0) == 0 {
@@ -284,7 +285,7 @@ func TestFailedReplyIsCounted(t *testing.T) {
 // argument of another Process, a channel to the Controller already gone
 // — it returns, and sends nothing.
 func TestReplyLocalErrors(t *testing.T) {
-	run(t, core.ClusterConfig{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		invokes := 0
 		cl.Net.SetTrace(func(e fabric.TraceEvent) {

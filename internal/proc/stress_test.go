@@ -27,6 +27,7 @@ import (
 	"fractos/internal/core"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -71,7 +72,7 @@ func runStress(t *testing.T, seed int64) []string {
 		trace = append(trace, fmt.Sprintf(format, args...))
 	}
 
-	run(t, core.ClusterConfig{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
+	run(t, testbed.Spec{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
 		procs := make([]*proc.Process, 3)
 		roots := make([]int, 3) // next free slab per proc
 		for i := range procs {

@@ -17,7 +17,8 @@ const ms = sim.Time(1000 * 1000)
 // detector transition, collected through Subscribe.
 func watchCluster(t *testing.T, f fabric.Faults, wc WatchConfig, body func(tk *sim.Task, cl *core.Cluster, w *NodeWatch)) []WatchEvent {
 	t.Helper()
-	cl := core.NewCluster(core.ClusterConfig{Nodes: 3, Faults: f})
+	cl := core.NewCluster(core.ClusterConfig{Nodes: 3})
+	cl.Net.InstallFaults(f)
 	w := StartNodeWatch(cl, wc)
 	var events []WatchEvent
 	w.Subscribe(func(e WatchEvent) { events = append(events, e) })
@@ -90,11 +91,9 @@ func TestHeartbeatDetectsCrashAndReboots(t *testing.T) {
 // and fencing (out-of-band power-off) keeps the stale instance from
 // acting after the heal.
 func TestHeartbeatFencesPartitionedController(t *testing.T) {
-	f := fabric.Faults{Seed: 1, Plan: fabric.Plan{
-		{At: 10 * ms, Kind: fabric.Partition, Group: []int{2}},
-	}}
-	events := watchCluster(t, f, WatchConfig{Every: 2 * ms, Suspect: 3},
+	events := watchCluster(t, fabric.Faults{Seed: 1}, WatchConfig{Every: 2 * ms, Suspect: 3},
 		func(tk *sim.Task, cl *core.Cluster, w *NodeWatch) {
+			cl.K.After(10*ms, func() { cl.Net.PartitionNodes([]int{2}) })
 			tk.Sleep(40 * ms)
 			if !cl.Ctrls[2].Down() {
 				t.Error("partitioned controller was not fenced")
@@ -129,12 +128,11 @@ func TestHeartbeatToleratesTransientLoss(t *testing.T) {
 // Same seed, same schedule: the detector's event log is deterministic.
 func TestHeartbeatDeterministic(t *testing.T) {
 	run := func() []WatchEvent {
-		f := fabric.Faults{Drop: 0.10, Seed: 3, Plan: fabric.Plan{
-			{At: 8 * ms, Kind: fabric.Partition, Group: []int{1}},
-			{At: 30 * ms, Kind: fabric.Heal},
-		}}
+		f := fabric.Faults{Drop: 0.10, Seed: 3}
 		events := watchCluster(t, f, WatchConfig{Every: 2 * ms, Suspect: 3, RebootAfter: 6 * ms},
 			func(tk *sim.Task, cl *core.Cluster, w *NodeWatch) {
+				cl.K.After(8*ms, func() { cl.Net.PartitionNodes([]int{1}) })
+				cl.K.After(30*ms, cl.Net.HealPartitions)
 				tk.Sleep(80 * ms)
 			})
 		return events

@@ -73,29 +73,6 @@ type Spec struct {
 	Services []Service
 }
 
-// ClusterConfig converts the Spec's topology fields for core.NewCluster.
-func (s Spec) ClusterConfig() core.ClusterConfig {
-	return core.ClusterConfig{
-		Nodes:     s.Nodes,
-		Placement: s.Placement,
-		Ctrl:      s.Ctrl,
-		Faults:    s.Chaos,
-	}
-}
-
-// SpecOf converts a core.ClusterConfig (the pre-testbed configuration
-// type still used by call sites that sweep topology parameters) into
-// the equivalent Spec.
-func SpecOf(cfg core.ClusterConfig, svcs ...Service) Spec {
-	return Spec{
-		Nodes:     cfg.Nodes,
-		Placement: cfg.Placement,
-		Ctrl:      cfg.Ctrl,
-		Chaos:     cfg.Faults,
-		Services:  svcs,
-	}
-}
-
 // Deployment is a running testbed: the cluster plus whatever the
 // Spec's services exposed at deploy time.
 type Deployment struct {
@@ -143,7 +120,12 @@ func RunT(tb TB, s Spec, fn func(tk *sim.Task, d *Deployment)) {
 }
 
 func run(s Spec, fn func(tk *sim.Task, d *Deployment)) bool {
-	cl := core.NewCluster(s.ClusterConfig())
+	cl := core.NewCluster(core.ClusterConfig{
+		Nodes:     s.Nodes,
+		Placement: s.Placement,
+		Ctrl:      s.Ctrl,
+		Faults:    s.Chaos,
+	})
 	d := &Deployment{Cl: cl}
 	if s.Heartbeat != nil {
 		d.Watch = services.StartNodeWatch(cl, *s.Heartbeat)

@@ -1,10 +1,8 @@
 package testbed_test
 
 import (
-	"reflect"
 	"testing"
 
-	"fractos/internal/core"
 	"fractos/internal/services"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
@@ -72,18 +70,6 @@ func TestWatchAndHandles(t *testing.T) {
 		})
 }
 
-// TestSpecOfRoundTrip: SpecOf preserves every topology field.
-func TestSpecOfRoundTrip(t *testing.T) {
-	cfg := core.ClusterConfig{Nodes: 5, Placement: core.CtrlShared}
-	cfg.Ctrl.CapQuota = 7
-	s := testbed.SpecOf(cfg)
-	// ClusterConfig is no longer ==-comparable (Faults holds a Plan
-	// slice), so compare structurally.
-	if got := s.ClusterConfig(); !reflect.DeepEqual(got, cfg) {
-		t.Errorf("round trip changed the config: %+v vs %+v", got, cfg)
-	}
-}
-
 // fakeTB captures RunT's failure path.
 type fakeTB struct{ failed bool }
 
@@ -100,5 +86,22 @@ func TestRunTReportsDeadlock(t *testing.T) {
 	})
 	if !f.failed {
 		t.Fatal("deadlocked main task did not fail the run")
+	}
+}
+
+func TestSizeLabel(t *testing.T) {
+	cases := map[int]string{
+		1:       "1B",
+		512:     "512B",
+		1 << 10: "1K",
+		4 << 10: "4K",
+		1 << 20: "1M",
+		5 << 20: "5M",
+		1500:    "1500B",
+	}
+	for n, want := range cases {
+		if got := testbed.SizeLabel(n); got != want {
+			t.Errorf("testbed.SizeLabel(%d) = %q, want %q", n, got, want)
+		}
 	}
 }
