@@ -3,36 +3,37 @@ package core
 import (
 	"slices"
 
+	"fractos/internal/assert"
 	"fractos/internal/cap"
 	"fractos/internal/sim"
 	"fractos/internal/wire"
 )
 
-// callKind names what an inter-Controller call asks of the owner and
-// what happens here when the answer arrives. It is the continuation
-// of a multi-round operation in data form: frame rebuilds the request
-// message from the record, finish runs the second half of the
-// operation on the reply.
+// callKind names what a call asks of an object's owner and what happens
+// here when the answer arrives. It is the continuation of a multi-round
+// operation in data form: frame rebuilds the request message from the
+// record, finish runs the second half of the operation on the reply.
 type callKind uint8
 
 const (
-	callInvoke      callKind = iota + 1 // request_invoke forwarded to the Request's owner
-	callDeriveMem                       // memory_diminish of a remote Memory object
-	callDeriveReq                       // request_create refining a remote Request
-	callRevtree                         // cap_create_revtree under a remote object
-	callRevoke                          // cap_revoke of a remote object
-	callWatch                           // monitor_receive on a remote object
-	callLeaseRevoke                     // a remote object no live holder names: revoke, nobody waits
+	callInvoke      callKind = iota + 1 // request_invoke of a Request
+	callDeriveMem                       // memory_diminish of a Memory object
+	callDeriveReq                       // request_create refining a Request
+	callRevtree                         // cap_create_revtree under an object
+	callRevoke                          // cap_revoke of an object
+	callWatch                           // monitor_receive on an object
+	callLeaseRevoke                     // an object no live holder names: revoke, nobody waits
 	callCleanup                         // revocation-cleanup broadcast to one peer
-	callValidate                        // memory_copy locating a remote Memory object
+	callValidate                        // memory_copy locating a Memory object
 )
 
-// pendingCall is an outstanding inter-Controller request awaiting its
-// response: a pooled record parked in Controller.pending under the
-// call's token from call until retire. On a lossy fabric the record is
-// also the target of its own retransmission timer — one event, re-armed
-// per attempt and stopped when the call retires — and sent/rto/attempt
-// drive the resends of frame(pc) under the same token.
+// pendingCall is a question to an object's owner awaiting its answer: a
+// pooled record from newCall until retire. ask answers one to this
+// Controller at once; one to a peer is parked in Controller.pending
+// under the call's token from call until retire. On a lossy fabric the
+// record is also the target of its own retransmission timer — one
+// event, re-armed per attempt and stopped when the call retires — and
+// sent/rto/attempt drive the resends of frame(pc) under the same token.
 //
 // The fields past entry are the union of what the kinds need; each
 // call site fills the ones its kind reads. imms (with immData, the
@@ -122,17 +123,65 @@ func (pc *pendingCall) keepCaps(args []wire.CapXfer) {
 	pc.caps = append(pc.caps[:0], args...)
 }
 
-// forward is call for a syscall handler: the handler's duty to
-// complete the Process's token passes to the record, and finishSyscall
-// discharges it exactly once when the call resolves.
+// forward is ask for a syscall handler: the handler's duty to complete
+// the Process's token passes to the record, and finishSyscall discharges
+// it exactly once when the call resolves.
 //
+//fractos:cap-deref
 //fractos:pool-handoff pendingcall
 //fractos:yield
 //fractos:ordered
 //fractos:completes 1
 func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 	pc.ps, pc.tok = ps, tok
-	c.call(pc)
+	c.ask(pc)
+}
+
+// ask puts a call's question to the owner of the object it is about, and
+// is the one place the capability path tells a local owner from a
+// remote one. A peer is asked through call. This Controller answers at
+// once, with the owner-side step a peer runs for the same question
+// (dispatchPeer) and the answer that peer would send, and the record
+// retires with it: finish settles a local operation exactly as it
+// settles a peer's reply. The answer lives in the Controller's scratch
+// (txAck, txValInfo) and is valid until finish returns.
+//
+//fractos:cap-deref
+//fractos:pool-handoff pendingcall
+//fractos:yield
+//fractos:ordered
+//fractos:completes 0
+func (c *Controller) ask(pc *pendingCall) {
+	if pc.peer() != c.id {
+		c.call(pc)
+		return
+	}
+	ref, a := pc.entry.Ref, &c.txAck
+	switch pc.kind {
+	case callValidate:
+		c.txValInfo = c.ownLocate(ref, pc.rights)
+		c.retire(pc, &c.txValInfo)
+		return
+	case callInvoke:
+		st, spent := c.deliverInvoke(ref, pc.imms, pc.caps)
+		*a = wire.CtrlAck{Status: st, Spent: spent}
+	case callDeriveMem:
+		*a = c.ownDeriveMem(ref, pc.off, pc.size, pc.rights)
+	case callDeriveReq:
+		*a = c.ownDeriveReq(ref, pc.imms, pc.caps)
+	case callRevtree:
+		*a = c.ownRevtree(ref)
+	case callWatch:
+		*a = c.ownWatch(ref, cap.Watcher{Proc: pc.ps.id, Ctrl: c.id, Callback: pc.callback})
+	default: // callRevoke, callLeaseRevoke: a cleanup is addressed to peers only
+		*a = wire.CtrlAck{Status: c.revokeLocal(ref)}
+		// A lease of ours already revoked is fine during a failure's
+		// cascade; anything else means the leased entry named an object
+		// this Controller never owned.
+		assert.That(pc.kind != callLeaseRevoke || a.Status == wire.StatusOK || a.Status == wire.StatusRevoked,
+			"core: leased-entry revocation failed with status %v", a.Status)
+	}
+	c.retire(pc, a)
 }
 
 // call issues an inter-Controller request described by pc, taking
@@ -142,10 +191,9 @@ func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 // endpoint is torn down (StatusNoProc), the peer is observed dead or
 // rebooted (StatusAborted via abortPendingTo), this Controller itself
 // crashes (StatusAborted via Crash), or, on a lossy fabric, the call's
-// deadline passes unanswered (StatusAborted). Internal operations
-// (cleanup broadcasts, lease revocations, memory_copy's validation
-// round) call it directly and owe no Process a completion; a syscall
-// enters through forward.
+// deadline passes unanswered (StatusAborted). A cleanup broadcast
+// calls it directly, the other calls through ask; only a syscall's,
+// which enters through forward, owes a Process a completion.
 //
 //fractos:pool-handoff pendingcall
 //fractos:yield
@@ -172,12 +220,12 @@ func (c *Controller) call(pc *pendingCall) {
 	}
 }
 
-// revokeRemoteLease asks a lease's owner to revoke it. Nobody waits
-// for the answer: the holder failed or the object was derived for an
-// entry the holder's quota refused, and an owner that is gone revokes
-// its world through the epoch announcement.
-func (c *Controller) revokeRemoteLease(ref cap.Ref) {
-	c.call(c.newCall(callLeaseRevoke, ref))
+// revokeLease asks a lease's owner, here or at a peer, to revoke it.
+// Nobody waits for the answer: the holder failed or the object was
+// derived for an entry the holder's quota refused, and an owner that is
+// gone revokes its world through the epoch announcement.
+func (c *Controller) revokeLease(ref cap.Ref) {
+	c.ask(c.newCall(callLeaseRevoke, ref))
 }
 
 // frame builds the request message of a pending call under its token.
@@ -236,8 +284,8 @@ func (c *Controller) finish(pc *pendingCall, reply wire.Message) {
 	}
 }
 
-// finishSyscall is the second half of a syscall that needed the
-// owner's answer: it completes the Process's token exactly once on
+// finishSyscall is the second half of a syscall that asked the owner,
+// here or at a peer: it completes the Process's token exactly once on
 // every path (statuscheck holds it to the same rule as a handler).
 //
 //fractos:owes-completion
@@ -263,14 +311,7 @@ func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 			e.Rights &= ack.Rights
 			e.Size, aux = ack.Size, ack.Size
 		}
-		cid, st := c.install(pc.ps, e)
-		if st != wire.StatusOK {
-			// Nothing will ever name the object the owner just made.
-			c.revokeRemoteLease(e.Ref)
-			c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
-			return
-		}
-		c.complete(pc.ps, pc.tok, wire.StatusOK, cid, aux)
+		c.grant(pc.ps, pc.tok, e, aux)
 	case callRevoke:
 		pc.ps.space.Drop(pc.cid)
 		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)

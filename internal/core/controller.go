@@ -68,8 +68,8 @@ type Controller struct {
 	// returns and retains nothing, and handlers never yield between
 	// filling one of these and sending it, so the messages on the
 	// per-request path are built in place instead of allocated: the
-	// syscall completion, the forwarded invocation (frame), the answers
-	// to a peer (ack, peerValidate), and the request_receive descriptor
+	// syscall completion, the forwarded invocation (frame), the owner's
+	// answers (ask, dispatchPeer), and the request_receive descriptor
 	// with the buffers an invocation merges its arguments in
 	// (deliverInvoke).
 	txCompletion wire.Completion
@@ -242,6 +242,24 @@ func (c *Controller) install(ps *procState, e cap.Entry) (cap.CapID, wire.Status
 		return cap.NilCap, wire.StatusQuota
 	}
 	return cid, wire.StatusOK
+}
+
+// grant completes a syscall that made an object by installing the
+// caller's entry for it. An entry the quota refuses leaves no object
+// behind: one of ours is discarded at once, as nothing else names it,
+// and a peer's is lease-revoked at its owner.
+func (c *Controller) grant(ps *procState, tok uint64, e cap.Entry, aux uint64) {
+	cid, st := c.install(ps, e)
+	if st == wire.StatusOK {
+		c.complete(ps, tok, st, cid, aux)
+		return
+	}
+	if e.Ref.Ctrl == c.id {
+		c.discardObject(e.Ref.Obj)
+	} else {
+		c.revokeLease(e.Ref)
+	}
+	c.complete(ps, tok, st, cap.NilCap, 0)
 }
 
 // ObjectCount reports live objects owned by this Controller (for
@@ -439,8 +457,11 @@ func (c *Controller) dispatchSyscall(ps *procState, m wire.Message) {
 
 // peerToken extracts the request token from a token-carrying peer
 // request (the messages answered through reply and thus subject to
-// at-most-once dedup). ok is false for fire-and-forget peer traffic
-// (CtrlNotify, CtrlEpoch), which is idempotent by construction.
+// at-most-once dedup). ok is false for fire-and-forget peer traffic:
+// CtrlEpoch, which is idempotent (an epoch only grows), and CtrlNotify,
+// which is not: a duplicate reaches the watcher as a second MonitorCB.
+// Only monitor_receive callbacks travel in one, and libfractos runs
+// such a callback once — its object can only be revoked once.
 //
 //fractos:hotpath
 func peerToken(m wire.Message) (uint64, bool) {
@@ -480,25 +501,34 @@ func (c *Controller) dispatchPeer(p *peerState, m wire.Message) {
 			return
 		}
 	}
+	// The owner-side steps are the ones ask runs for a question of our
+	// own Processes.
 	switch m := m.(type) {
 	case *wire.CtrlDeriveMem:
-		c.peerDeriveMem(from, m)
+		c.ack(from, m.Token, c.ownDeriveMem(m.From, m.Offset, m.Size, m.Drop))
 	case *wire.CtrlDeriveReq:
-		c.peerDeriveReq(from, m)
+		c.ack(from, m.Token, c.ownDeriveReq(m.From, m.Imms, m.Caps))
 	case *wire.CtrlRevtree:
-		c.peerRevtree(from, m)
+		c.ack(from, m.Token, c.ownRevtree(m.From))
 	case *wire.CtrlRevoke:
-		c.peerRevoke(from, m)
+		c.ack(from, m.Token, wire.CtrlAck{Status: c.revokeLocal(m.From)})
 	case *wire.CtrlValidate:
-		c.peerValidate(from, m)
+		c.txValInfo = c.ownLocate(m.Ref, m.Need)
+		c.txValInfo.Token = m.Token
+		c.reply(from, &c.txValInfo)
 	case *wire.CtrlInvoke:
-		c.peerInvoke(from, m)
+		// deliverInvoke is not idempotent (it delivers a descriptor to
+		// the provider): the at-most-once cache above answers a
+		// retransmission without re-delivering.
+		c.metrics.Invokes++
+		st, spent := c.deliverInvoke(m.Ref, m.Imms, m.Caps)
+		c.ack(from, m.Token, wire.CtrlAck{Status: st, Spent: spent})
 	case *wire.CtrlCleanup:
 		c.peerCleanup(from, m)
 	case *wire.CtrlWatch:
-		c.peerWatch(from, m)
+		c.ack(from, m.Token, c.ownWatch(m.Ref, cap.Watcher{Proc: m.WatcherProc, Ctrl: m.WatcherCtrl, Callback: m.Callback}))
 	case *wire.CtrlNotify:
-		c.peerNotify(m)
+		c.notifyProc(m.Proc, m.Callback, m.Kind)
 	case *wire.CtrlEpoch:
 		c.peerEpoch(m)
 	default:
@@ -524,12 +554,13 @@ func (c *Controller) complete(ps *procState, token uint64, st wire.Status, cid c
 	}
 }
 
-// ack answers a token-carrying peer request with a CtrlAck, built in
+// ack answers the peer request under token with a CtrlAck, built in
 // place.
 //
 //fractos:hotpath
-func (c *Controller) ack(from fabric.EndpointID, a wire.CtrlAck) {
+func (c *Controller) ack(from fabric.EndpointID, token uint64, a wire.CtrlAck) {
 	c.txAck = a
+	c.txAck.Token = token
 	c.reply(from, &c.txAck)
 }
 
@@ -701,19 +732,18 @@ func (c *Controller) resolveCapSlots(ps *procState, slots []wire.CapSlot) ([]wir
 		if st != wire.StatusOK {
 			return nil, st
 		}
-		arg := wire.CapXfer{Slot: s.Slot, Ref: e.Ref, Kind: e.Kind, Rights: e.Rights, Size: e.Size, Monitored: e.Monitored}
+		arg := wire.CapXfer{Slot: s.Slot, Ref: e.Ref, Kind: e.Kind, Rights: e.Rights, Size: e.Size}
 		// Delegating a monitored capability creates a separately
 		// revocable child at the owner so the delegator can observe
 		// its destruction (§3.6). Monitored entries only exist at the
-		// owner's own Controller (monitor_delegate is owner-local), so
-		// this derivation is always local.
-		if e.Monitored && e.Ref.Ctrl == c.id {
+		// owner's own Controller (monitor_delegate is owner-local, and
+		// Grant clears the mark), so this derivation is always local.
+		if e.Monitored {
 			child, st := c.deriveDelegatee(e.Ref)
 			if st != wire.StatusOK {
 				return nil, st
 			}
 			arg.Ref = child
-			arg.Monitored = false
 			arg.Leased = true
 		}
 		args = append(args, arg)

@@ -158,29 +158,30 @@ func (c *Controller) startCopy(op *copyOp) {
 	op.locate(op.src, cap.Read)
 }
 
-// locate resolves a Memory reference to its physical location and
-// passes it to located: at once for an object of our own, else from the
-// continuation of a callValidate — every use validates at the owner,
-// which is what makes revocation immediate (§3.5).
+// locate asks a Memory object's owner where its bytes are; the
+// continuation of the callValidate passes the answer to located. Every
+// use validates at the owner, which is what makes revocation immediate
+// (§3.5).
 func (op *copyOp) locate(ref cap.Ref, need cap.Rights) {
-	c := op.c
-	if ref.Ctrl != c.id {
-		pc := c.newCall(callValidate, ref)
-		pc.rights, pc.copy = need, op
-		c.call(pc)
-		return
-	}
+	pc := op.c.newCall(callValidate, ref)
+	pc.rights, pc.copy = need, op
+	op.c.ask(pc)
+}
+
+// ownLocate is the owner's validation for a copy: is the object live,
+// does it convey the needed rights, and where do its bytes live.
+//
+//fractos:cap-deref
+func (c *Controller) ownLocate(ref cap.Ref, need cap.Rights) wire.CtrlValInfo {
 	n, st := c.Validate(ref, need)
 	if st != wire.StatusOK {
-		op.located(memLoc{}, st)
-		return
+		return wire.CtrlValInfo{Status: st}
 	}
 	mo, ok := n.Payload.(*memObject)
 	if !ok {
-		op.located(memLoc{}, wire.StatusKind)
-		return
+		return wire.CtrlValInfo{Status: wire.StatusKind}
 	}
-	op.located(memLoc{ep: uint32(mo.ep), base: mo.base, size: mo.size}, wire.StatusOK)
+	return wire.CtrlValInfo{Status: wire.StatusOK, Endpoint: uint32(mo.ep), Base: mo.base, Size: mo.size, Rights: mo.rights}
 }
 
 // located resumes the copy with the answer to locate: the source's

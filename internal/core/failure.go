@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fractos/internal/assert"
 	"fractos/internal/cap"
 	"fractos/internal/fabric"
 	"fractos/internal/wire"
@@ -25,19 +24,9 @@ func (c *Controller) procFailed(ps *procState) {
 
 	// Revoke leased delegatee children held by the failed Process.
 	ps.space.ForEach(func(_ cap.CapID, e cap.Entry) {
-		if !e.Leased {
-			return
+		if e.Leased {
+			c.revokeLease(e.Ref)
 		}
-		if e.Ref.Ctrl == c.id {
-			st := c.revokeLocal(e.Ref)
-			// Already-revoked is fine during cascade cleanup; anything
-			// else means the leased entry pointed at a ref this
-			// controller no longer owns.
-			assert.That(st == wire.StatusOK || st == wire.StatusRevoked,
-				"core: leased-entry revocation failed with status %v", st)
-			return
-		}
-		c.revokeRemoteLease(e.Ref)
 	})
 
 	// Revoke every root object owned/provided by the failed Process.

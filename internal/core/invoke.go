@@ -2,7 +2,6 @@ package core
 
 import (
 	"fractos/internal/cap"
-	"fractos/internal/fabric"
 	"fractos/internal/wire"
 )
 
@@ -14,8 +13,8 @@ import (
 //
 // If the Request is owned here (the provider is one of our Processes),
 // the invocation is local: syscall → delivery, two hops. Otherwise it
-// is forwarded to the owning Controller: three hops each way at most,
-// as in §6.1.
+// goes to the owning Controller: three hops each way at most, as in
+// §6.1.
 func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 	e, st := c.resolveEntry(ps, m.Cid, cap.KindRequest, cap.Invoke)
 	if st != wire.StatusOK {
@@ -28,12 +27,6 @@ func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 		return
 	}
 	c.armReplies(ps, m.Caps, capArgs)
-	if e.Ref.Ctrl == c.id {
-		st, spent := c.deliverInvoke(e.Ref, m.Imms, capArgs)
-		c.invoked(ps, m.Cid, e.Ref, capArgs, st, spent)
-		c.complete(ps, m.Token, st, cap.NilCap, 0)
-		return
-	}
 	pc := c.newCall(callInvoke, e.Ref)
 	pc.cid = m.Cid
 	pc.keepImms(m.Imms)
@@ -78,7 +71,7 @@ func (c *Controller) armReplies(ps *procState, slots []wire.CapSlot, args []wire
 // reply Requests it passed; having spent a reply Request, it leaves ps
 // without the entry it went through.
 //
-// Only that entry: a forwarded invocation's outcome arrives a round trip
+// Only that entry: a remote invocation's outcome arrives a round trip
 // later, and by then ps may have handed the entry back itself (a reply
 // posted, then Delivery.Release) and cid been reissued to a later
 // delivery. A reply Request takes a new name on every arming, so an
@@ -174,14 +167,4 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 	}
 	c.sendDeliver(prov, d)
 	return wire.StatusOK, spent
-}
-
-// peerInvoke handles an invocation arriving from another Controller.
-// The reply goes through the at-most-once cache: deliverInvoke is not
-// idempotent (it delivers a descriptor to the provider), so a
-// retransmitted CtrlInvoke must be answered without re-delivering.
-func (c *Controller) peerInvoke(from fabric.EndpointID, m *wire.CtrlInvoke) {
-	c.metrics.Invokes++
-	st, spent := c.deliverInvoke(m.Ref, m.Imms, m.Caps)
-	c.ack(from, wire.CtrlAck{Token: m.Token, Status: st, Spent: spent})
 }

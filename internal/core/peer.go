@@ -6,62 +6,6 @@ import (
 	"fractos/internal/wire"
 )
 
-// peerDeriveMem serves a remote memory_diminish at the owner.
-func (c *Controller) peerDeriveMem(from fabric.EndpointID, m *wire.CtrlDeriveMem) {
-	ref, size, rights, st := c.deriveMemLocal(m.From, m.Offset, m.Size, m.Drop)
-	c.ack(from, wire.CtrlAck{
-		Token: m.Token, Status: st, Obj: ref.Obj, Epoch: ref.Epoch, Size: size, Rights: rights,
-	})
-}
-
-// peerDeriveReq serves a remote request_create derivation at the owner.
-func (c *Controller) peerDeriveReq(from fabric.EndpointID, m *wire.CtrlDeriveReq) {
-	ref, st := c.deriveReqLocal(m.From, m.Imms, m.Caps)
-	c.ack(from, wire.CtrlAck{
-		Token: m.Token, Status: st, Obj: ref.Obj, Epoch: ref.Epoch,
-	})
-}
-
-// peerRevtree serves a remote cap_create_revtree at the owner.
-func (c *Controller) peerRevtree(from fabric.EndpointID, m *wire.CtrlRevtree) {
-	n, st := c.resolveOwned(m.From)
-	if st != wire.StatusOK {
-		c.ack(from, wire.CtrlAck{Token: m.Token, Status: st})
-		return
-	}
-	child := c.tree.Derive(n.ID, n.Payload)
-	if child == nil {
-		c.ack(from, wire.CtrlAck{Token: m.Token, Status: wire.StatusRevoked})
-		return
-	}
-	c.ack(from, wire.CtrlAck{
-		Token: m.Token, Status: wire.StatusOK, Obj: child.ID, Epoch: c.epoch,
-	})
-}
-
-// peerRevoke serves a remote cap_revoke at the owner.
-func (c *Controller) peerRevoke(from fabric.EndpointID, m *wire.CtrlRevoke) {
-	st := c.revokeLocal(m.From)
-	c.ack(from, wire.CtrlAck{Token: m.Token, Status: st})
-}
-
-// peerValidate answers an owner-side validation: is the object live,
-// does it convey the needed rights, and (for Memory) where do its
-// bytes physically live. Every use of a capability contacts the owner,
-// which is what makes revocation immediate (§3.5).
-func (c *Controller) peerValidate(from fabric.EndpointID, m *wire.CtrlValidate) {
-	info := &c.txValInfo
-	*info = wire.CtrlValInfo{Token: m.Token, Status: wire.StatusOK}
-	if n, st := c.Validate(m.Ref, m.Need); st != wire.StatusOK {
-		info.Status = st
-	} else if mo, ok := n.Payload.(*memObject); !ok {
-		info.Status = wire.StatusKind
-	} else {
-		info.Endpoint, info.Base, info.Size, info.Rights = uint32(mo.ep), mo.base, mo.size, mo.rights
-	}
-	c.reply(from, info)
-}
-
 // peerCleanup purges capability-space entries referencing revoked
 // objects and acknowledges, so the owner can erase the revoked stubs
 // (the asynchronous, off-critical-path cleanup of §3.5).
@@ -73,33 +17,7 @@ func (c *Controller) peerCleanup(from fabric.EndpointID, m *wire.CtrlCleanup) {
 	for _, ps := range c.procs {
 		c.metrics.EntriesPurged += int64(len(ps.space.PurgeRefs(func(r cap.Ref) bool { return dead[r] })))
 	}
-	c.ack(from, wire.CtrlAck{Token: m.Token, Status: wire.StatusOK})
-}
-
-// peerWatch registers a remote monitor_receive watcher at the owner.
-func (c *Controller) peerWatch(from fabric.EndpointID, m *wire.CtrlWatch) {
-	n, st := c.resolveOwned(m.Ref)
-	if st != wire.StatusOK {
-		c.ack(from, wire.CtrlAck{Token: m.Token, Status: st})
-		return
-	}
-	n.Watchers = append(n.Watchers, cap.Watcher{
-		Proc: m.WatcherProc, Ctrl: m.WatcherCtrl, Callback: m.Callback,
-	})
-	c.ack(from, wire.CtrlAck{Token: m.Token, Status: wire.StatusOK})
-}
-
-// peerNotify forwards a monitor callback to a Process we manage.
-func (c *Controller) peerNotify(m *wire.CtrlNotify) {
-	ps, ok := c.procs[m.Proc]
-	if !ok || ps.failed {
-		return
-	}
-	if !c.net.Send(c.ep.ID, ps.ep.ID, &wire.MonitorCB{Callback: m.Callback, Kind: m.Kind}) {
-		// Watcher's endpoint severed mid-failure: its own revocation
-		// cascade is already in flight, the callback is moot.
-		c.metrics.SendFailed++
-	}
+	c.ack(from, m.Token, wire.CtrlAck{Status: wire.StatusOK})
 }
 
 // peerEpoch records a peer's new epoch. Entries minted under older
@@ -236,11 +154,7 @@ func (c *Controller) removeStubs(stubs []*cap.Node) {
 func (c *Controller) notifyWatcher(w cap.Watcher, kind uint8) {
 	c.metrics.MonitorsFired++
 	if w.Ctrl == c.id {
-		if ps, ok := c.procs[w.Proc]; ok && !ps.failed {
-			if !c.net.Send(c.ep.ID, ps.ep.ID, &wire.MonitorCB{Callback: w.Callback, Kind: kind}) {
-				c.metrics.SendFailed++
-			}
-		}
+		c.notifyProc(w.Proc, w.Callback, kind)
 		return
 	}
 	if p, ok := c.peers[w.Ctrl]; ok {
@@ -249,5 +163,19 @@ func (c *Controller) notifyWatcher(w cap.Watcher, kind uint8) {
 			// object's world anyway.
 			c.metrics.SendFailed++
 		}
+	}
+}
+
+// notifyProc sends a monitor callback to a Process we manage: a watcher
+// of an object of ours, or one a peer names in a CtrlNotify.
+func (c *Controller) notifyProc(pid cap.ProcID, callback uint64, kind uint8) {
+	ps, ok := c.procs[pid]
+	if !ok || ps.failed {
+		return
+	}
+	if !c.net.Send(c.ep.ID, ps.ep.ID, &wire.MonitorCB{Callback: callback, Kind: kind}) {
+		// Watcher's endpoint severed mid-failure: its own revocation
+		// cascade is already in flight, the callback is moot.
+		c.metrics.SendFailed++
 	}
 }

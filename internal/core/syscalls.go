@@ -16,75 +16,61 @@ func (c *Controller) handleMemCreate(ps *procState, m *wire.MemCreate) {
 	node := c.tree.Create(&memObject{
 		owner: ps.id, ep: ps.ep.ID, base: m.Base, size: m.Size, rights: rights,
 	})
-	cid, st := c.install(ps, cap.Entry{
+	c.grant(ps, m.Token, cap.Entry{
 		Ref: c.ref(node.ID), Kind: cap.KindMemory, Rights: rights, Size: m.Size,
-	})
-	if st != wire.StatusOK {
-		c.discardObject(node.ID)
-		c.complete(ps, m.Token, st, cap.NilCap, 0)
-		return
-	}
-	c.complete(ps, m.Token, wire.StatusOK, cid, m.Size)
+	}, m.Size)
 }
 
 // handleMemDiminish derives a narrower view of a Memory capability
-// (memory_diminish). If the object lives at a peer, the derivation is
-// one message to the owner.
+// (memory_diminish): one question to the owner.
 func (c *Controller) handleMemDiminish(ps *procState, m *wire.MemDiminish) {
 	e, st := c.resolveEntry(ps, m.Cid, cap.KindMemory, 0)
 	if st != wire.StatusOK {
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
-	entryRights := e.Rights.Diminish(m.Drop)
-	if e.Ref.Ctrl == c.id {
-		ref, size, rights, st := c.deriveMemLocal(e.Ref, m.Offset, m.Size, m.Drop)
-		if st != wire.StatusOK {
-			c.complete(ps, m.Token, st, cap.NilCap, 0)
-			return
-		}
-		cid, st := c.install(ps, cap.Entry{
-			Ref: ref, Kind: cap.KindMemory, Rights: entryRights & rights, Size: size,
-		})
-		if st != wire.StatusOK {
-			c.discardObject(ref.Obj)
-			c.complete(ps, m.Token, st, cap.NilCap, 0)
-			return
-		}
-		c.complete(ps, m.Token, wire.StatusOK, cid, size)
-		return
-	}
 	pc := c.newCall(callDeriveMem, e.Ref)
-	pc.entry = cap.Entry{Ref: e.Ref, Kind: cap.KindMemory, Rights: entryRights}
+	pc.entry = cap.Entry{Ref: e.Ref, Kind: cap.KindMemory, Rights: e.Rights.Diminish(m.Drop)}
 	pc.off, pc.size, pc.rights = m.Offset, m.Size, m.Drop
 	c.forward(pc, ps, m.Token)
 }
 
-// deriveMemLocal performs the owner-side memory derivation.
+// ownDeriveMem is the owner's memory_diminish: a child Memory object
+// over size bytes at off in ref's window, without the rights in drop.
 //
 //fractos:cap-deref
-func (c *Controller) deriveMemLocal(ref cap.Ref, off, size uint64, drop cap.Rights) (cap.Ref, uint64, cap.Rights, wire.Status) {
+func (c *Controller) ownDeriveMem(ref cap.Ref, off, size uint64, drop cap.Rights) wire.CtrlAck {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
-		return cap.Ref{}, 0, 0, st
+		return wire.CtrlAck{Status: st}
 	}
 	mo, ok := n.Payload.(*memObject)
 	if !ok {
-		return cap.Ref{}, 0, 0, wire.StatusKind
+		return wire.CtrlAck{Status: wire.StatusKind}
 	}
 	if size == 0 || !wire.Within(off, size, mo.size) {
-		return cap.Ref{}, 0, 0, wire.StatusBounds
+		return wire.CtrlAck{Status: wire.StatusBounds}
 	}
 	nmo := &memObject{
 		owner: mo.owner, ep: mo.ep,
 		base: mo.base + off, size: size,
 		rights: mo.rights.Diminish(drop),
 	}
-	child := c.tree.Derive(n.ID, nmo)
-	if child == nil {
-		return cap.Ref{}, 0, 0, wire.StatusRevoked
+	a := c.derive(n, nmo)
+	if a.Status == wire.StatusOK {
+		a.Size, a.Rights = size, nmo.rights
 	}
-	return c.ref(child.ID), size, nmo.rights, wire.StatusOK
+	return a
+}
+
+// derive makes payload a child object of n, in n's revocation subtree,
+// and answers with its name.
+func (c *Controller) derive(n *cap.Node, payload any) wire.CtrlAck {
+	child := c.tree.Derive(n.ID, payload)
+	if child == nil {
+		return wire.CtrlAck{Status: wire.StatusRevoked}
+	}
+	return wire.CtrlAck{Status: wire.StatusOK, Obj: child.ID, Epoch: c.epoch}
 }
 
 // handleReqCreate creates a new Request provided by the calling
@@ -99,47 +85,23 @@ func (c *Controller) handleReqCreate(ps *procState, m *wire.ReqCreate) {
 	if m.Parent == cap.NilCap {
 		// New Request: the caller is the provider.
 		obj := &reqObject{provider: ps.id, tag: m.Tag}
-		if st := obj.applyImms(m.Imms); st != wire.StatusOK {
-			c.complete(ps, m.Token, st, cap.NilCap, 0)
-			return
+		st := obj.applyImms(m.Imms)
+		if st == wire.StatusOK {
+			st = obj.applyCaps(capArgs)
 		}
-		if st := obj.applyCaps(capArgs); st != wire.StatusOK {
-			c.complete(ps, m.Token, st, cap.NilCap, 0)
-			return
-		}
-		node := c.tree.Create(obj)
-		cid, st := c.install(ps, cap.Entry{
-			Ref: c.ref(node.ID), Kind: cap.KindRequest, Rights: cap.ReqRights,
-		})
 		if st != wire.StatusOK {
-			c.discardObject(node.ID)
 			c.complete(ps, m.Token, st, cap.NilCap, 0)
 			return
 		}
-		c.complete(ps, m.Token, wire.StatusOK, cid, 0)
+		c.grant(ps, m.Token, cap.Entry{
+			Ref: c.ref(c.tree.Create(obj).ID), Kind: cap.KindRequest, Rights: cap.ReqRights,
+		}, 0)
 		return
 	}
 
 	e, st := c.resolveEntry(ps, m.Parent, cap.KindRequest, cap.Grant)
 	if st != wire.StatusOK {
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
-		return
-	}
-	if e.Ref.Ctrl == c.id {
-		ref, st := c.deriveReqLocal(e.Ref, m.Imms, capArgs)
-		if st != wire.StatusOK {
-			c.complete(ps, m.Token, st, cap.NilCap, 0)
-			return
-		}
-		cid, st := c.install(ps, cap.Entry{
-			Ref: ref, Kind: cap.KindRequest, Rights: e.Rights,
-		})
-		if st != wire.StatusOK {
-			c.discardObject(ref.Obj)
-			c.complete(ps, m.Token, st, cap.NilCap, 0)
-			return
-		}
-		c.complete(ps, m.Token, wire.StatusOK, cid, 0)
 		return
 	}
 	pc := c.newCall(callDeriveReq, e.Ref)
@@ -149,31 +111,28 @@ func (c *Controller) handleReqCreate(ps *procState, m *wire.ReqCreate) {
 	c.forward(pc, ps, m.Token)
 }
 
-// deriveReqLocal performs the owner-side Request derivation: the child
-// inherits all arguments and may only add new ones.
+// ownDeriveReq is the owner's Request derivation: the child inherits
+// all arguments and may only add new ones.
 //
 //fractos:cap-deref
-func (c *Controller) deriveReqLocal(ref cap.Ref, imms []wire.ImmArg, capArgs []wire.CapXfer) (cap.Ref, wire.Status) {
+func (c *Controller) ownDeriveReq(ref cap.Ref, imms []wire.ImmArg, capArgs []wire.CapXfer) wire.CtrlAck {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
-		return cap.Ref{}, st
+		return wire.CtrlAck{Status: st}
 	}
 	ro, ok := n.Payload.(*reqObject)
 	if !ok {
-		return cap.Ref{}, wire.StatusKind
+		return wire.CtrlAck{Status: wire.StatusKind}
 	}
 	obj := ro.clone()
-	if st := obj.applyImms(imms); st != wire.StatusOK {
-		return cap.Ref{}, st
+	st = obj.applyImms(imms)
+	if st == wire.StatusOK {
+		st = obj.applyCaps(capArgs)
 	}
-	if st := obj.applyCaps(capArgs); st != wire.StatusOK {
-		return cap.Ref{}, st
+	if st != wire.StatusOK {
+		return wire.CtrlAck{Status: st}
 	}
-	child := c.tree.Derive(n.ID, obj)
-	if child == nil {
-		return cap.Ref{}, wire.StatusRevoked
-	}
-	return c.ref(child.ID), wire.StatusOK
+	return c.derive(n, obj)
 }
 
 // handleCapRevtree creates a separately revocable child object
@@ -184,45 +143,29 @@ func (c *Controller) handleCapRevtree(ps *procState, m *wire.CapRevtree) {
 		c.complete(ps, m.Token, wire.StatusNoCap, cap.NilCap, 0)
 		return
 	}
-	if e.Ref.Ctrl == c.id {
-		n, st := c.resolveOwned(e.Ref)
-		if st != wire.StatusOK {
-			c.complete(ps, m.Token, st, cap.NilCap, 0)
-			return
-		}
-		child := c.tree.Derive(n.ID, n.Payload)
-		if child == nil {
-			c.complete(ps, m.Token, wire.StatusRevoked, cap.NilCap, 0)
-			return
-		}
-		cid, st := c.install(ps, cap.Entry{
-			Ref: c.ref(child.ID), Kind: e.Kind, Rights: e.Rights, Size: e.Size,
-		})
-		if st != wire.StatusOK {
-			c.discardObject(child.ID)
-			c.complete(ps, m.Token, st, cap.NilCap, 0)
-			return
-		}
-		c.complete(ps, m.Token, wire.StatusOK, cid, 0)
-		return
-	}
 	pc := c.newCall(callRevtree, e.Ref)
 	pc.entry = cap.Entry{Ref: e.Ref, Kind: e.Kind, Rights: e.Rights, Size: e.Size}
 	c.forward(pc, ps, m.Token)
 }
 
-// handleCapRevoke revokes a capability (cap_revoke): one message to
+// ownRevtree is the owner's cap_create_revtree: a child sharing ref's
+// object, revocable on its own.
+//
+//fractos:cap-deref
+func (c *Controller) ownRevtree(ref cap.Ref) wire.CtrlAck {
+	n, st := c.resolveOwned(ref)
+	if st != wire.StatusOK {
+		return wire.CtrlAck{Status: st}
+	}
+	return c.derive(n, n.Payload)
+}
+
+// handleCapRevoke revokes a capability (cap_revoke): one question to
 // the owner, which invalidates the object and its subtree immediately.
 func (c *Controller) handleCapRevoke(ps *procState, m *wire.CapRevoke) {
 	e, ok := ps.space.Lookup(m.Cid)
 	if !ok {
 		c.complete(ps, m.Token, wire.StatusNoCap, cap.NilCap, 0)
-		return
-	}
-	if e.Ref.Ctrl == c.id {
-		st := c.revokeLocal(e.Ref)
-		ps.space.Drop(m.Cid)
-		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
 	pc := c.newCall(callRevoke, e.Ref)
@@ -279,20 +222,21 @@ func (c *Controller) handleMonitorReceive(ps *procState, m *wire.MonitorReceive)
 		c.complete(ps, m.Token, wire.StatusNoCap, cap.NilCap, 0)
 		return
 	}
-	w := cap.Watcher{Proc: ps.id, Ctrl: c.id, Callback: m.Callback}
-	if e.Ref.Ctrl == c.id {
-		n, st := c.resolveOwned(e.Ref)
-		if st != wire.StatusOK {
-			c.complete(ps, m.Token, st, cap.NilCap, 0)
-			return
-		}
-		n.Watchers = append(n.Watchers, w)
-		c.complete(ps, m.Token, wire.StatusOK, cap.NilCap, 0)
-		return
-	}
 	pc := c.newCall(callWatch, e.Ref)
 	pc.callback = m.Callback
 	c.forward(pc, ps, m.Token)
+}
+
+// ownWatch is the owner's monitor_receive: w is told when ref's object
+// is invalidated.
+//
+//fractos:cap-deref
+func (c *Controller) ownWatch(ref cap.Ref, w cap.Watcher) wire.CtrlAck {
+	n, st := c.resolveOwned(ref)
+	if st == wire.StatusOK {
+		n.Watchers = append(n.Watchers, w)
+	}
+	return wire.CtrlAck{Status: st}
 }
 
 // handleDeliverDone releases one congestion-window credit (§4), and the

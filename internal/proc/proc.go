@@ -269,9 +269,18 @@ func (p *Process) demux(m wire.Message) {
 			p.handOut(dv, w.fut)
 		}
 	case *wire.MonitorCB:
-		if fn, ok := p.monitors[m.Callback]; ok {
-			p.k.Spawn(p.cbName, fn)
+		fn, ok := p.monitors[m.Callback]
+		if !ok {
+			return
 		}
+		// A monitor_receive callback fires at most once: its object can
+		// only be revoked once, so another MonitorCB for it is a fabric
+		// duplicate. A monitor_delegate one stays, for the delegator's
+		// count can fall to zero again.
+		if m.Kind == wire.MonitorCBReceive {
+			delete(p.monitors, m.Callback)
+		}
+		p.k.Spawn(p.cbName, fn)
 	}
 }
 

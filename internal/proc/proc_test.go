@@ -9,6 +9,7 @@ import (
 
 	"fractos/internal/cap"
 	"fractos/internal/core"
+	"fractos/internal/fabric"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
@@ -537,6 +538,41 @@ func TestMonitorReceiveFiresOnRevoke(t *testing.T) {
 		tk.Sleep(us(100))
 		if !fired {
 			t.Error("monitor_receive callback did not fire")
+		}
+	})
+}
+
+// TestFaultDuplicatedNotifyRunsCallbackOnce: on a fabric that delivers
+// every cross-node frame twice, the owner's CtrlNotify reaches the
+// watcher's Controller twice and becomes two MonitorCBs; the watched
+// object was revoked once, so its monitor_receive callback runs once.
+func TestFaultDuplicatedNotifyRunsCallbackOnce(t *testing.T) {
+	spec := testbed.Spec{Nodes: 2, Chaos: fabric.Faults{Dup: 1, Seed: 1}}
+	run(t, spec, func(tk *sim.Task, cl *core.Cluster) {
+		owner := proc.Attach(cl, 0, "owner", 4096)
+		holder := proc.Attach(cl, 1, "holder", 0)
+		mem, err := owner.MemoryCreate(tk, 0, 64, cap.MemRights)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		held, err := proc.GrantCap(owner, mem, holder)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		runs := 0
+		if err := holder.MonitorReceive(tk, held, func() { runs++ }); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := owner.Revoke(tk, mem); err != nil {
+			t.Error(err)
+			return
+		}
+		tk.Sleep(us(100))
+		if runs != 1 {
+			t.Errorf("monitor_receive callback ran %d times, want 1", runs)
 		}
 	})
 }

@@ -11,8 +11,10 @@
 //     through its capability space (resolveEntry, resolveCapSlots,
 //     Space.Lookup);
 //   - //fractos:cap-deref touches the owner's object tree on the
-//     Process's behalf (resolveOwned, deriveMemLocal, deriveReqLocal,
-//     deliverInvoke, revokeLocal, deriveDelegatee).
+//     Process's behalf (resolveOwned, the own* owner-side steps,
+//     deliverInvoke, revokeLocal, deriveDelegatee, and forward and ask,
+//     which run an owner-side step at once for an object of the
+//     caller's own Controller).
 //
 // Inside packages matching internal/core, every method of Controller
 // named handle* (the syscall dispatch targets) that calls a cap-deref
@@ -35,7 +37,7 @@
 //     (Space.Peek) returns a pointer into slab storage, valid only until
 //     the space next mutates. A function marked //fractos:yield can park
 //     the task or hand control to another Controller (Task.Sleep,
-//     Chan.Recv, the Wait methods, Controller.call and forward), which
+//     Chan.Recv, the Wait methods, Controller.call, forward and ask), which
 //     can interleave with a drop or purge that recycles the slot. A
 //     borrowed pointer used after a yield is flagged; re-Peek after
 //     resuming instead.

@@ -6,12 +6,14 @@
 // be rejected, not served.
 //
 // Inside packages matching internal/core, every method of Controller
-// named peer* (the dispatchPeer targets) whose call graph reaches the
-// object tree (the Controller's tree field) must also reach an epoch
-// consultation: a read of the Controller's own epoch or of a peer
-// record's (both fields are named epoch). The analysis is transitive over same-package
-// calls, so handlers that delegate to resolveOwned — which performs
-// the epoch check — are recognized as guarded.
+// named peer* or own* (the dispatchPeer targets: peer-message handlers
+// and the owner-side steps a peer's request runs) whose call graph
+// reaches the object tree (the Controller's tree field) must also reach
+// an epoch consultation: a read of the Controller's own epoch or of a
+// peer record's (both fields are named epoch). The analysis is
+// transitive over same-package calls, so handlers that delegate to
+// resolveOwned — which performs the epoch check — are recognized as
+// guarded.
 package epochguard
 
 import (
@@ -77,7 +79,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	for obj, ff := range facts {
 		name := obj.Name()
-		if !strings.HasPrefix(name, "peer") || astq.ReceiverTypeName(ff.decl) != "Controller" {
+		if !(strings.HasPrefix(name, "peer") || strings.HasPrefix(name, "own")) || astq.ReceiverTypeName(ff.decl) != "Controller" {
 			continue
 		}
 		if pass.Suppressed(ff.decl.Pos()) {

@@ -86,6 +86,18 @@ func (c *Controller) rawRevoke(ref Ref) {
 	c.tree.Revoke(ref.Obj)
 }
 
+// ownGuarded is an owner-side step a peer's request runs: held to the
+// same rule, and clean through resolveOwned.
+func (c *Controller) ownGuarded(ref Ref) Status {
+	_, st := c.resolveOwned(ref)
+	return st
+}
+
+// ownUnguarded is an owner-side step that skips the epoch check.
+func (c *Controller) ownUnguarded(ref Ref) { // want `peer handler ownUnguarded reaches the object tree without consulting its own or the peer's epoch`
+	c.rawRevoke(ref)
+}
+
 // peerNoTree never touches the tree, so it needs no epoch check.
 func (c *Controller) peerNoTree(m *msg) {
 	c.send(m)
