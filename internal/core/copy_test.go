@@ -434,22 +434,25 @@ func TestRangedCopy(t *testing.T) {
 // (copyShape): a change that only resizes messages, and so moves the
 // instants after them, leaves the shapes alone.
 //
-// Last moved, shapes too, when every wire integer became a varint
-// (d5966cc3… and 3f8b3bb3…, shapes 87203dc8… and 2a285f26… until then):
-// each trace holds the same 1 944 lines and every copy ends as it did;
-// instants and the order of concurrent transfers moved. First diverging
-// pair, double-buffered, lines 1 329 and 1 330: a CtrlValidate (type
-// 305) 2>1, 12 bytes instead of 32, left 21 ns after a 4 KiB RDMA 1>3
-// (3 748 470 and 3 748 449 ns) and now leaves 121 ns before it
-// (3 747 782 and 3 747 903). SingleBuffer, lines 1 812 and 1 813: two
-// copies' 16 KiB chunks, 7>1 at 5 706 109 and 1>7 at 5 706 138, now
-// leave the other way round (1>7 at 5 705 436, 7>1 at 5 705 440).
+// Last moved, shapes too, when messages began to overtake one-sided RDMA
+// on a link (915d29c0… and 405d7ea6…, shapes aedbc74d… and d7eab397…
+// until then): each trace still holds 1 944 lines and every copy ends
+// with the bytes it moved; instants and the order of concurrent
+// transfers moved. First diverging pair, double-buffered, lines 57 and
+// 58: copy 3.0's Completion, 7 bytes sent at 126 619 on node 0's PCIe
+// path, waited until 128 239 behind five bounce reads and a 4 KiB write
+// booked there, and the copy ended at 129 450, after the 16 KiB write
+// 1>3 at 129 349; now the Completion leaves at once and the copy ends
+// first, at 127 830. SingleBuffer, lines 54 and 55: the next syscall
+// (5>1 at 122 370) no longer waits behind the read 6>1, so the copy's
+// CtrlValidate 1>2 leaves at 124 481, before the 16 KiB write 1>3 at
+// 126 199, where it left at 127 200, after it.
 const (
-	contendedCopySHA256       = "915d29c096eb7b03fd200a1de4397fa48b6d780b9662f0fbc836891d68ec5e39"
-	contendedCopySingleSHA256 = "405d7ea6ff4f0aec5f027d9753e02fc5707dbbbd1e4f9d38466cb612f7c3bb78"
+	contendedCopySHA256       = "49b570fc51e58a2690bf591763b64c3789deb922c51ca016b33e499103ee3f38"
+	contendedCopySingleSHA256 = "fefee0861563b67fc17d31f8b8a662d4c826bf5c45bee4736f1df4e40f0cfd82"
 
-	contendedCopyShapeSHA256       = "aedbc74d87f0c91aa3f0edba2334d4f388bd3dbd2f056e2c31e2a62d5642c221"
-	contendedCopySingleShapeSHA256 = "d7eab39776badbc349cd66fcb31d76f70d68d7061dc8e1e172684df652345c37"
+	contendedCopyShapeSHA256       = "2119eb257ebde18b4b1731ca07ab1127848b1035dd4e287cde7af9ebaa7a185a"
+	contendedCopySingleShapeSHA256 = "f8b8ce73ed2309a6544a21d82c57c2e9601277e9baed3795629328c480f81c80"
 )
 
 // copyShape strips a contendedCopyTrace log of every instant and
@@ -604,6 +607,109 @@ func contendedCopyTrace(t *testing.T, single bool) string {
 		engineIdle(t, cl.CtrlFor(0), core.DefaultBouncePairs, "after the contended copies")
 	})
 	return b.String()
+}
+
+// TestVirtGateContendedCopy pins a 4 KiB push issued 105 µs after
+// another Process on the same node started a 1 MiB push to the same
+// peer: the two share node 0's uplink and its PCIe path. Messages
+// overtake one-sided RDMA on a link, so the small copy's syscall,
+// validation and completion take exactly as long as on an idle fabric;
+// only its own read and write queue behind the chunks already booked.
+// Every instant follows from fabric.DefaultProfile and core.DefaultPerf
+// (ns from the bulk copy's syscall; PCIe 6 GB/s, uplink 1.25 GB/s):
+//
+//   - frames: MemCopy 7 B, 1 on PCIe; CtrlValidate 8 B, 6 on the
+//     uplink; CtrlValInfo 10 or 11 B, 8; the Completion 7 or 8 B, 1.
+//   - the small copy alone, 16 844: syscall 600+1+610, MemOp 900,
+//     validation 600+6+850+610, 580, 600+8+850+610, 580, PerChunk 350,
+//     so its read issues 7 755 after the syscall; the read 850 (the
+//     request leg) + 682 (4 KiB on PCIe) + 250+250+610; the write 3 276
+//     on the uplink + 850+250+250+610; the Completion 600+1+610.
+//   - the bulk copy reads chunk i ≥ 2 at 27 862 + 13 107(i−2), once the
+//     write of chunk i−2 has drained its bounce buffer; it books the
+//     chunk's write 4 690 later, behind chunk i−1's, and the uplink
+//     sends it over [12 445 + 13 107i, 25 552 + 13 107i].
+//   - the small copy's syscall leaves at 105 000 and its CtrlValidate
+//     at 107 111, ahead of chunk 7's write (booked at 98 087, on the
+//     wire until 117 301): it pushes the RDMA horizon back 6 ns, to
+//     117 307. Its read issues at 112 755, as alone, and the PCIe path
+//     is idle (chunk 8's read ended at 110 084), so the read is done at
+//     115 397. By then chunk 8's write (booked at 111 194) holds the
+//     uplink over [117 307, 130 414]; the small write follows over
+//     [130 414, 133 690] and drains at 135 650, and the Completion
+//     arrives at 136 861: 31 861, of which 15 017 is its write's wait.
+//   - the bulk copy ends 3 282 later than alone, 857 746: every chunk
+//     after chunk 7 is pushed back by the small write's 3 276 and the
+//     CtrlValidate's 6. Bandwidth is conserved.
+func TestVirtGateContendedCopy(t *testing.T) {
+	const (
+		after                 = 105 * sim.Time(1000) // ns from the bulk copy's start
+		alone, contended      = sim.Time(16844), sim.Time(31861)
+		bulkAlone, bulkLoaded = sim.Time(854464), sim.Time(857746)
+		toRead, readToWrite   = sim.Time(7755), sim.Time(2642)
+		small, bulk           = 4 << 10, 1 << 20
+	)
+	for _, tc := range []struct {
+		name       string
+		at         sim.Time // the small copy's start
+		took, bulk sim.Time
+	}{
+		{"alone", 2 * bulkAlone, alone, bulkAlone},
+		{"contended", after, contended, bulkLoaded},
+	} {
+		run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+			bp, sp := proc.Attach(cl, 0, "bulk", bulk), proc.Attach(cl, 0, "small", small)
+			remote := proc.Attach(cl, 1, "remote", bulk+small)
+			bsrc, _, err1 := bp.AllocMemory(tk, bulk, cap.MemRights)
+			ssrc, _, err2 := sp.AllocMemory(tk, small, cap.MemRights)
+			bd, _, err3 := remote.AllocMemory(tk, bulk, cap.MemRights)
+			sd, _, err4 := remote.AllocMemory(tk, small, cap.MemRights)
+			if err := errors.Join(err1, err2, err3, err4); err != nil {
+				t.Error(err)
+				return
+			}
+			bdst, err1 := proc.GrantCap(remote, bd, bp)
+			sdst, err2 := proc.GrantCap(remote, sd, sp)
+			if err := errors.Join(err1, err2); err != nil {
+				t.Error(err)
+				return
+			}
+			// The small copy's RDMA ops are the only 4 KiB ones: its read,
+			// then its write.
+			var ops []sim.Time
+			cl.Net.SetTrace(func(e fabric.TraceEvent) {
+				if e.RDMA && e.Bytes == small {
+					ops = append(ops, e.At)
+				}
+			})
+			start := tk.Now()
+			var wg sim.WaitGroup
+			wg.Add(1)
+			cl.K.Spawn("bulk", func(bt *sim.Task) {
+				defer wg.Done()
+				if err := bp.MemoryCopy(bt, bsrc, bdst); err != nil {
+					t.Error(err)
+				}
+				if took := bt.Now() - start; took != tc.bulk {
+					t.Errorf("%s: the 1 MiB push took %v, want %v", tc.name, took, tc.bulk)
+				}
+			})
+			tk.Sleep(tc.at)
+			if err := sp.MemoryCopy(tk, ssrc, sdst); err != nil {
+				t.Error(err)
+			}
+			if took := tk.Now() - start - tc.at; took != tc.took {
+				t.Errorf("%s: the 4 KiB push took %v, want %v", tc.name, took, tc.took)
+			}
+			wg.Wait(tk)
+			if len(ops) != 2 {
+				t.Errorf("%s: the 4 KiB push issued %d RDMA ops, want its read and its write", tc.name, len(ops))
+			} else if read, write := ops[0]-start-tc.at, ops[1]-ops[0]; read != toRead || write != readToWrite {
+				t.Errorf("%s: the 4 KiB push read at %v after its start and wrote %v later, want %v and %v",
+					tc.name, read, write, toRead, readToWrite)
+			}
+		})
+	}
 }
 
 // copyFault is one fault of TestCopyCrashPointSweep and how it heals.

@@ -13,12 +13,12 @@ import (
 // deployment: the estimator adapts to the fabric between them.
 const (
 	// rtoFloor is the shortest retransmission timeout. Control frames
-	// share links with bulk RDMA, so round trips are bimodal: ≈ 7 µs on
-	// an idle link, tens of µs behind a burst of 16 KiB bounce chunks
-	// (13 µs each on the wire). The variance term under-covers a mode
-	// the estimator has not seen lately; the floor is what keeps that
-	// from turning into spurious resends.
-	rtoFloor = 50 * sim.Time(time.Microsecond)
+	// overtake bulk RDMA on every link, so a round trip is ≈ 7 µs plus
+	// Controller queueing, whatever the copies in flight. What bounds
+	// the floor is delay the estimator cannot see coming: the chaos
+	// suites' 20 µs of per-frame jitter, which at 35 µs already turns
+	// into spurious resends.
+	rtoFloor = 40 * sim.Time(time.Microsecond)
 	// rtoCeiling caps the exponential backoff: during an outage every
 	// pending call probes the peer once per ceiling, so an outage
 	// shorter than the budget is over at most one ceiling after it

@@ -208,7 +208,7 @@ func TestRTOKarn(t *testing.T) {
 
 // TestRTOStepConverges: the round trip steps from ≈ 5 µs to ≈ 200 µs
 // (a peer that starts queueing behind bulk traffic). The estimator sits
-// at the 50 µs floor, so the first calls after the step are resent
+// at the floor, so the first calls after the step are resent
 // before their replies arrive; Karn's backoff must carry the timeout
 // past the new round trip so that sampling resumes. Stated bound: at
 // most 4 spurious resends, all within the first 3 calls after the step.

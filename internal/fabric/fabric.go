@@ -270,15 +270,23 @@ type TraceEvent struct {
 	Lost bool
 }
 
-// link models a transmission resource with bandwidth: transmissions
-// serialize (a new one starts no earlier than the previous finished).
+// link models a transmission resource with bandwidth, shared by two
+// strict-priority classes, as a Controller posts its messages on
+// message QPs above its RDMA QPs. Two-sided messages serialize among
+// themselves (msgUntil) and overtake one-sided RDMA; an RDMA op starts
+// no earlier than everything booked before it finished (busyUntil),
+// and each message pushes that horizon back by its own serialization
+// time, so bandwidth is conserved and a booked op keeps its instant.
+// The wait for an RDMA frame already on the wire (up to one MTU) is not
+// modelled.
 type link struct {
 	bw        float64
-	busyUntil sim.Time
+	busyUntil sim.Time // every booking: RDMA and messages
+	msgUntil  sim.Time // messages only
 }
 
-// reserve books n bytes starting at now, returning when the
-// transmission completes on this link.
+// reserve books n bytes of one-sided RDMA starting at now, returning
+// when the transmission completes on this link.
 //
 //fractos:hotpath
 func (l *link) reserve(now sim.Time, n int) sim.Time {
@@ -289,6 +297,18 @@ func (l *link) reserve(now sim.Time, n int) sim.Time {
 	dur := sim.Time(float64(n) / l.bw * 1e9)
 	l.busyUntil = start + dur
 	return l.busyUntil
+}
+
+// send books an n-byte message starting at now behind earlier messages
+// only, returning when it completes on this link.
+//
+//fractos:hotpath
+func (l *link) send(now sim.Time, n int) sim.Time {
+	start := max(now, l.msgUntil)
+	dur := sim.Time(float64(n) / l.bw * 1e9)
+	l.msgUntil = start + dur
+	l.busyUntil = max(l.busyUntil, start) + dur
+	return l.msgUntil
 }
 
 // nodeLinks bundles a node's two transmission resources: switch
@@ -540,7 +560,7 @@ func (n *Net) account(class wire.Class, bytes int, cross bool, rdma bool) {
 	}
 }
 
-// transferTime computes when a payload of nBytes sent now from src to
+// transferTime computes when a message of nBytes sent now from src to
 // dst finishes arriving, accounting for link serialization.
 //
 //fractos:hotpath
@@ -548,11 +568,10 @@ func (n *Net) transferTime(now sim.Time, src, dst Location, nBytes int) sim.Time
 	lat := n.prof.exit(src.Domain) + n.prof.entry(dst.Domain)
 	if src.Node == dst.Node {
 		lat += n.prof.NICTurn
-		done := n.links[src.Node].loc.reserve(now, nBytes)
-		return done + lat
+		return n.links[src.Node].loc.send(now, nBytes) + lat
 	}
 	lat += n.prof.CrossNode
-	return n.links[src.Node].up.reserve(now, nBytes) + lat
+	return n.links[src.Node].up.send(now, nBytes) + lat
 }
 
 // Send serializes m, charges the fabric model, and schedules delivery
