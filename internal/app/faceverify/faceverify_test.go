@@ -160,7 +160,7 @@ func TestPipelineSurvivesStorageFailure(t *testing.T) {
 
 		// Kill the NVMe adaptor Process: the storage Controller
 		// revokes everything it provided, including the DAX leases.
-		if !cl.CtrlFor(NodeStorage).FailProcess(app.nvmeAdaptorPID()) {
+		if !cl.CtrlFor(NodeStorage).FailProcess(app.nvmeAd.P.ID()) {
 			t.Fatal("could not fail the adaptor")
 		}
 		tk.Sleep(500 * 1000)

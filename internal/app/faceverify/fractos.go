@@ -386,7 +386,3 @@ func (a *FractOSApp) storageReadInto(t *sim.Task, f *fs.File, n uint64, dst, con
 		[]wire.ImmArg{proc.U64Arg(nvme.ImmOff, 0), proc.U64Arg(nvme.ImmLen, n)},
 		[]proc.Arg{{Slot: nvme.SlotData, Cap: dst}, {Slot: nvme.SlotCont, Cap: cont}})
 }
-
-// nvmeAdaptorPID exposes the block adaptor's Process id for failure
-// injection in tests and chaos experiments.
-func (a *FractOSApp) nvmeAdaptorPID() cap.ProcID { return a.nvmeAd.P.ID() }

@@ -142,8 +142,8 @@ func sweepRun(t *testing.T, f fabric.Faults) (violations []string) {
 // CtrlInvoke answered from the at-most-once cache neither disarms a
 // reply Request twice nor spends its delegation twice), nothing aborts
 // inside the budget,
-// and (while jitter stays under the RTO floor) resends track the frames
-// the fabric actually lost. A failure names the (seed, faults) tuple
+// and (at up to 20 µs of jitter, a spread the estimator's 2·SRTT and
+// 4·RTTVAR cover) resends track the frames the fabric actually lost. A failure names the (seed, faults) tuple
 // that reproduces it.
 func TestChaosRetransmitSweep(t *testing.T) {
 	const us = fms / 1000

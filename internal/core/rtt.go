@@ -9,16 +9,9 @@ import (
 )
 
 // Retransmission-timer constants (docs/FAULTS.md § 2 has the sweep that
-// chose them). They are properties of the protocol, not of a
-// deployment: the estimator adapts to the fabric between them.
+// chose the ceiling). They are properties of the protocol, not of a
+// deployment: the estimator adapts to the fabric below the ceiling.
 const (
-	// rtoFloor is the shortest retransmission timeout. Control frames
-	// overtake bulk RDMA on every link, so a round trip is ≈ 7 µs plus
-	// Controller queueing, whatever the copies in flight. What bounds
-	// the floor is delay the estimator cannot see coming: the chaos
-	// suites' 20 µs of per-frame jitter, which at 35 µs already turns
-	// into spurious resends.
-	rtoFloor = 40 * sim.Time(time.Microsecond)
 	// rtoCeiling caps the exponential backoff: during an outage every
 	// pending call probes the peer once per ceiling, so an outage
 	// shorter than the budget is over at most one ceiling after it
@@ -70,13 +63,17 @@ func (e *rttEstimator) sample(r sim.Time) {
 // backOff records that a resend to this peer backed off to rto.
 func (e *rttEstimator) backOff(rto sim.Time) { e.backoff = max(e.backoff, rto) }
 
-// rto is the timeout of a first send: SRTT + 4·RTTVAR clamped to
-// [rtoFloor, rtoCeiling], or the backed-off timeout while that is
-// longer.
+// rto is the timeout of a first send: SRTT + 4·RTTVAR, but never under
+// 2·SRTT and never over rtoCeiling, or the backed-off timeout while that
+// is longer. The lower bound is the path's own: a frame is declared lost
+// only after one whole extra round trip, which covers delay the variance
+// term cannot see coming — under the chaos suites' 20 µs of per-frame
+// jitter, SRTT already holds the mean jitter. docs/FAULTS.md § 2 has
+// the factor sweep.
 func (e *rttEstimator) rto() sim.Time {
 	rto := rtoInitial
 	if e.srtt != 0 {
-		rto = min(max(e.srtt+4*e.rttvar, rtoFloor), rtoCeiling)
+		rto = min(max(e.srtt+4*e.rttvar, 2*e.srtt), rtoCeiling)
 	}
 	return max(rto, e.backoff)
 }

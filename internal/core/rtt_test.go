@@ -16,7 +16,11 @@ const (
 )
 
 // TestRTOEstimator pins the timer arithmetic: the RFC 6298 update, the
-// three constants, and the backoff a timeout leaves behind.
+// 2·SRTT lower bound, the two constants, and the backoff a timeout
+// leaves behind. With constant samples R, SRTT stays at R and RTTVAR
+// decays from R/2 by a quarter per sample, in integer nanoseconds, to
+// 3 ns, where −3/4 truncates to 0: SRTT + 4·RTTVAR = R + 12 ns, so the
+// timeout is 2·SRTT = 2R.
 func TestRTOEstimator(t *testing.T) {
 	repeat := func(r sim.Time, n int) []sim.Time {
 		out := make([]sim.Time, n)
@@ -33,9 +37,19 @@ func TestRTOEstimator(t *testing.T) {
 	}{
 		{name: "no sample yet", min: rtoInitial, max: rtoInitial},
 		{name: "first sample: SRTT=R, RTTVAR=R/2", samples: []sim.Time{100 * tus}, min: 300 * tus, max: 300 * tus},
-		{name: "fast path clamps at the floor", samples: repeat(5*tus, 30), min: rtoFloor, max: rtoFloor},
+		{name: "fast path: 2·SRTT", samples: repeat(5*tus, 30), min: 10 * tus, max: 10 * tus},
 		{name: "slow path clamps at the ceiling", samples: repeat(10*tms, 30), min: rtoCeiling, max: rtoCeiling},
-		{name: "steady 200 µs settles just above it", samples: repeat(200*tus, 60), min: 200 * tus, max: 220 * tus},
+		// The trade-off of a bound relative to the path: on a steady,
+		// jitter-free path a loss costs 2·SRTT, where under a 40 µs floor
+		// it cost max(SRTT + 12 ns, 40 µs) — 200.012 µs here.
+		{name: "steady 200 µs: 2·SRTT", samples: repeat(200*tus, 60), min: 400 * tus, max: 400 * tus},
+		// Jitter d on every other frame of an a-µs path: SRTT swings
+		// between a + 7d/15 and a + 8d/15 (α = 1/8) and every sample
+		// deviates from it by 8d/15, so RTTVAR → 8d/15 and the timeout
+		// SRTT + 32d/15 lands in [a + 39d/15, a + 40d/15] = [57, 58.3] µs
+		// for a = 5 µs and the chaos suites' d = 20 µs, where 2·SRTT is
+		// at most 31.3 µs: 4·RTTVAR dominates.
+		{name: "5 µs path, 20 µs jitter on every other frame: 4·RTTVAR", samples: append(repeat(5*tus, 1), alternate(5*tus, 25*tus, 60)...), min: 5*tus + 39*20*tus/15, max: 5*tus + 40*20*tus/15},
 		{name: "alternating 10/90 µs covers the slow mode", samples: append(repeat(10*tus, 1), alternate(10*tus, 90*tus, 60)...), min: 90 * tus, max: 250 * tus},
 		{name: "a timeout's backoff outlives the estimate", samples: repeat(5*tus, 30), backoff: 400 * tus, min: 400 * tus, max: 400 * tus},
 		{name: "backoff applies before any sample", backoff: rtoCeiling, min: rtoCeiling, max: rtoCeiling},
@@ -208,14 +222,16 @@ func TestRTOKarn(t *testing.T) {
 
 // TestRTOStepConverges: the round trip steps from ≈ 5 µs to ≈ 200 µs
 // (a peer that starts queueing behind bulk traffic). The estimator sits
-// at the floor, so the first calls after the step are resent
-// before their replies arrive; Karn's backoff must carry the timeout
-// past the new round trip so that sampling resumes. Stated bound: at
-// most 4 spurious resends, all within the first 3 calls after the step.
+// at 2·SRTT, so the first calls after the step are resent before their
+// replies arrive; Karn's backoff must carry the timeout past the new
+// round trip so that sampling resumes. Each timeout is one spurious
+// resend and doubles the timer, and the backoff outlives the call, so
+// the stated bound is the number of doublings from 2·SRTT to the new
+// round trip: 5 (9.4 µs → 302 µs), all within the first 3 calls after
+// the step. Under a 40 µs floor that count was 3 (40 µs → 320 µs).
 func TestRTOStepConverges(t *testing.T) {
 	const (
 		before, after = 50, 50
-		maxSpurious   = 4
 		settleCalls   = 3
 	)
 	r := newRTORig(t)
@@ -225,13 +241,21 @@ func TestRTOStepConverges(t *testing.T) {
 		for i := 0; i < before; i++ {
 			r.validate(tk)
 		}
-		if got := r.est().rto(); got != rtoFloor {
-			t.Fatalf("rto on a 5 µs path = %v, want the floor %v", got, rtoFloor)
+		e := r.est()
+		if got := e.rto(); got != 2*e.srtt {
+			t.Errorf("rto on a %v path = %v, want 2·SRTT", e.srtt, got)
+			return
 		}
 		if got := r.c.Metrics().Retransmits; got != 0 {
-			t.Fatalf("%d retransmits on a loss-free steady path", got)
+			t.Errorf("%d retransmits on a loss-free steady path", got)
+			return
 		}
 		delay = 195 * tus
+		newRTT := e.srtt + delay
+		maxSpurious := int64(0)
+		for rto := e.rto(); rto < newRTT; rto *= 2 {
+			maxSpurious++
+		}
 		for i := 0; i < after; i++ {
 			resent := r.c.Metrics().Retransmits
 			if st, _ := r.validate(tk); st != wire.StatusOK {
@@ -247,8 +271,8 @@ func TestRTOStepConverges(t *testing.T) {
 		if got := r.c.Metrics().Retransmits; got > maxSpurious {
 			t.Errorf("%d spurious resends across the step, want <= %d", got, maxSpurious)
 		}
-		if got := r.est().rto(); got < 200*tus || got > 2*200*tus {
-			t.Errorf("rto %d calls after the step = %v, want within [200 µs, 400 µs]", after, got)
+		if got := r.est().rto(); got < newRTT || got > 2*newRTT {
+			t.Errorf("rto %d calls after the step = %v, want within [%v, %v]", after, got, newRTT, 2*newRTT)
 		}
 	})
 }

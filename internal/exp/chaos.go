@@ -193,7 +193,7 @@ func ChaosFaceVerify() *Table {
 		}
 	}
 	t.Note("frame loss is absorbed by Controller retransmission + at-most-once dedup: goodput holds, errors stay 0")
-	t.Note("a lost frame is resent one RTO (tens of us) later, so the tail equals the no-fault row; retx above dropped is spurious resends")
+	t.Note("a lost frame is resent one RTO (twice the smoothed round trip) later, so the tail stays within the no-fault row; retx above dropped is spurious resends")
 	t.Note("during the partition every pending call probes the storage node once per 2 ms ceiling: retx rises, errors stay 0")
 	t.Note("the 20 ms partition stalls storage-bound calls; client retries bridge it, so the dip shows up as MTTR, not errors")
 	t.Note("the Controller crash voids an epoch of capabilities: in-window requests fail permanently (failure amplification),")

@@ -336,6 +336,29 @@ func TestTaskPanicPropagatesToRun(t *testing.T) {
 	k.Run()
 }
 
+// TestTaskGoexitFailsRun: a task body that leaves through
+// runtime.Goexit — what t.Fatal does inside a task — makes Run panic
+// with the task's name instead of waiting for ever on a kernel handoff
+// that never comes. The kernel runs on a goroutine of its own so that a
+// regression fails here within seconds, not at go test's timeout.
+func TestTaskGoexitFailsRun(t *testing.T) {
+	got := make(chan any, 1)
+	go func() {
+		defer func() { got <- recover() }()
+		k := New(1)
+		k.Spawn("quitter", func(tk *Task) { runtime.Goexit() })
+		k.Run()
+	}()
+	select {
+	case r := <-got:
+		if want := `task "quitter" exited through runtime.Goexit`; r != want {
+			t.Fatalf("Run panicked with %v, want %q", r, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after a task's Goexit")
+	}
+}
+
 // TestDeterminism runs a randomized workload twice with the same seed
 // and requires identical event traces (property: the simulation is a
 // deterministic function of its inputs; the sleeps come from a source

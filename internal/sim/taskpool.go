@@ -99,10 +99,15 @@ func taskMain(t *Task) {
 	}
 }
 
-// exec runs one task body with the kernel's panic discipline.
+// exec runs one task body with the kernel's panic discipline. A body
+// that leaves through runtime.Goexit (a test's t.Fatal inside a task)
+// never returns to taskMain, so nothing would hand the kernel back: the
+// task fails the run, yields here, and its goroutine ends.
 func (t *Task) exec() {
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
+		r := recover()
+		if r != nil {
 			if _, ok := r.(killSignal); !ok {
 				// Re-panicking here would crash an unrelated goroutine;
 				// surface the panic through the kernel so Run's caller
@@ -111,8 +116,15 @@ func (t *Task) exec() {
 			}
 		}
 		t.finish()
+		if !returned && r == nil {
+			k := t.k
+			k.fail(fmt.Sprintf("task %q exited through runtime.Goexit", t.name))
+			t.k, t.fn, t.name = nil, nil, ""
+			k.yield <- struct{}{}
+		}
 	}()
 	t.fn(t)
+	returned = true
 }
 
 // finish unlinks a task from its kernel at the end of a lifetime:
