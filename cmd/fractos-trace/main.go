@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 
 	"fractos/internal/app/faceverify"
 	"fractos/internal/fabric"
@@ -66,10 +67,16 @@ func main() {
 		fmt.Printf("=== one face-verification request, batch %d, %s ===\n", *batch, sys)
 		fmt.Printf("%-12s %-9s %-7s %8s  %s\n", "time", "kind", "class", "bytes", "path")
 		n := 0
+		cross := map[string]int{} // cross-node transfers by kind
 		cl.Net.SetTrace(func(e fabric.TraceEvent) {
 			kind := fmt.Sprintf("msg:%d", e.Type)
 			if e.RDMA {
 				kind = "rdma"
+			}
+			if from, _ := cl.Net.Lookup(e.From); from != nil {
+				if to, _ := cl.Net.Lookup(e.To); to != nil && from.Loc.Node != to.Loc.Node {
+					cross[kind]++
+				}
 			}
 			class := "ctrl"
 			if e.Class == wire.Data {
@@ -96,6 +103,16 @@ func main() {
 		fmt.Printf("totals: %d messages (%d control, %d data), %d bytes on the wire, %d cross-node\n",
 			st.TotalMsgs(), st.ControlMsgs, st.DataMsgs, st.TotalBytes(), st.CrossNodeMsgs)
 		if !*useBaseline {
+			kinds := make([]string, 0, len(cross))
+			for kind := range cross {
+				kinds = append(kinds, kind)
+			}
+			slices.Sort(kinds)
+			fmt.Print("cross-node by type:")
+			for _, kind := range kinds {
+				fmt.Printf(" %s ×%d", kind, cross[kind])
+			}
+			fmt.Println()
 			fmt.Println("\ncontroller counters:")
 			for _, ctrl := range cl.Ctrls {
 				fmt.Printf("  ctrl%d@%v: %v\n", ctrl.ID(), ctrl.Loc(), ctrl.Metrics())

@@ -175,6 +175,9 @@ type Entry struct {
 	// Controller revokes the child so the delegator observes the
 	// failure (§3.6's failure-translation model).
 	Leased bool
+	// Once marks a delegated reply Request, good for one delivery: the
+	// Controller drops the entry when it forwards an invocation through it.
+	Once bool
 	// Size caches the extent of a Memory object so the Process can
 	// size buffers without a round trip; authoritative checks still
 	// happen at the owner.

@@ -65,7 +65,8 @@ type pendingCall struct {
 	// of entry is the capability to install once the owner has named
 	// the new object.
 	entry    cap.Entry
-	cid      cap.CapID      // callRevoke: the caller's entry to drop afterwards; callInvoke: if spent
+	cid      cap.CapID      // callRevoke: the caller's entry to drop afterwards
+	oneWay   bool           // callInvoke: nobody waits for the outcome, so no answer is asked for
 	imms     []wire.ImmArg  // callInvoke, callDeriveReq: refinements
 	immData  []byte         // the bytes of imms, back to back
 	caps     []wire.CapXfer // callInvoke, callDeriveReq: resolved capability arguments
@@ -163,8 +164,10 @@ func (c *Controller) ask(pc *pendingCall) {
 		c.retire(pc, &c.txValInfo)
 		return
 	case callInvoke:
-		st, spent := c.deliverInvoke(ref, pc.imms, pc.caps)
-		*a = wire.CtrlAck{Status: st, Spent: spent}
+		*a = wire.CtrlAck{Status: c.deliverInvoke(ref, pc.imms, pc.caps)}
+		if a.Status != wire.StatusOK {
+			c.metrics.InvokesRefused++
+		}
 	case callDeriveMem:
 		*a = c.ownDeriveMem(ref, pc.off, pc.size, pc.rights)
 	case callDeriveReq:
@@ -203,6 +206,11 @@ func (c *Controller) call(pc *pendingCall) {
 	p, ok := c.peers[pc.peer()]
 	if !ok {
 		c.retire(pc, &wire.CtrlAck{Status: wire.StatusUnknownObj})
+		return
+	}
+	if pc.oneWay {
+		c.send(p.ep, c.frame(pc)) // under token 0: the owner delivers and answers nothing
+		c.putCall(pc)
 		return
 	}
 	c.nextToken++
@@ -317,7 +325,7 @@ func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
 	default: // callInvoke, callWatch
 		if pc.kind == callInvoke {
-			c.invoked(pc.ps, pc.cid, pc.entry.Ref, pc.caps, st, ok && ack.Spent)
+			c.invoked(pc.ps, pc.caps, st)
 		}
 		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
 	}

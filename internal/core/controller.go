@@ -384,10 +384,7 @@ func (c *Controller) dispatch(from fabric.EndpointID, m wire.Message) {
 	// answers: its endpoint is severed and Fire discards what was
 	// queued, exactly the silence the failure detector interprets.
 	if ping, ok := m.(*wire.WatchPing); ok {
-		pong := &wire.WatchPong{Seq: ping.Seq, Ctrl: c.id, Epoch: c.epoch}
-		if !c.net.Send(c.ep.ID, from, pong) {
-			c.metrics.SendFailed++
-		}
+		c.send(from, &wire.WatchPong{Seq: ping.Seq, Ctrl: c.id, Epoch: c.epoch})
 		return
 	}
 
@@ -495,9 +492,7 @@ func (c *Controller) dispatchPeer(p *peerState, m wire.Message) {
 	if tok, ok := peerToken(m); ok {
 		if cached := p.dedup.lookup(tok); cached != nil {
 			c.metrics.DedupHits++
-			if !c.net.Send(c.ep.ID, from, cached) {
-				c.metrics.SendFailed++
-			}
+			c.send(from, cached)
 			return
 		}
 	}
@@ -521,8 +516,13 @@ func (c *Controller) dispatchPeer(p *peerState, m wire.Message) {
 		// the provider): the at-most-once cache above answers a
 		// retransmission without re-delivering.
 		c.metrics.Invokes++
-		st, spent := c.deliverInvoke(m.Ref, m.Imms, m.Caps)
-		c.ack(from, m.Token, wire.CtrlAck{Status: st, Spent: spent})
+		st := c.deliverInvoke(m.Ref, m.Imms, m.Caps)
+		if st != wire.StatusOK {
+			c.metrics.InvokesRefused++
+		}
+		if m.Token != 0 { // token 0: nobody waits for the answer
+			c.ack(from, m.Token, wire.CtrlAck{Status: st})
+		}
 	case *wire.CtrlCleanup:
 		c.peerCleanup(from, m)
 	case *wire.CtrlWatch:
@@ -536,22 +536,21 @@ func (c *Controller) dispatchPeer(p *peerState, m wire.Message) {
 	}
 }
 
-// complete sends a syscall completion back to the Process. A false
-// Send means the Process's endpoint was severed after the failed
-// check — the failure path will revoke its state, so the lost
-// completion is correct behavior, not silent loss.
+// complete sends a syscall completion back to the Process; a syscall
+// under token 0 (Delivery.Reply's) waits for none. A false Send means
+// the Process's endpoint was severed after the failed check — the
+// failure path will revoke its state, so the lost completion is correct
+// behavior, not silent loss.
 //
 //fractos:hotpath
 //fractos:ordered
 //fractos:completes 1
 func (c *Controller) complete(ps *procState, token uint64, st wire.Status, cid cap.CapID, aux uint64) {
-	if ps.failed {
+	if ps.failed || token == 0 {
 		return
 	}
 	c.txCompletion = wire.Completion{Token: token, Status: st, Cid: cid, Aux: aux}
-	if !c.net.Send(c.ep.ID, ps.ep.ID, &c.txCompletion) {
-		c.metrics.SendFailed++
-	}
+	c.send(ps.ep.ID, &c.txCompletion)
 }
 
 // ack answers the peer request under token with a CtrlAck, built in
@@ -576,9 +575,16 @@ func (c *Controller) reply(from fabric.EndpointID, m wire.Message) {
 	if c.dedupArmed() {
 		c.peerEPs[from].dedup.remember(m) // fractos:alloc-ok the index and ring are made at most once per peer incarnation
 	}
-	if !c.net.Send(c.ep.ID, from, m) {
-		// The peer's endpoint is severed (crash in progress). Its
-		// epoch announcement will abort the caller's pending call.
+	c.send(from, m) // severed, the peer is crashing: its epoch announcement aborts the call
+}
+
+// send puts m on the fabric to the endpoint to. A send to a severed
+// endpoint — a Controller crashing, a Process failing — is counted, not
+// silent: that failure's own path unwinds what the message was for.
+//
+//fractos:hotpath
+func (c *Controller) send(to fabric.EndpointID, m wire.Message) {
+	if !c.net.Send(c.ep.ID, to, m) {
 		c.metrics.SendFailed++
 	}
 }
@@ -732,7 +738,7 @@ func (c *Controller) resolveCapSlots(ps *procState, slots []wire.CapSlot) ([]wir
 		if st != wire.StatusOK {
 			return nil, st
 		}
-		arg := wire.CapXfer{Slot: s.Slot, Ref: e.Ref, Kind: e.Kind, Rights: e.Rights, Size: e.Size}
+		arg := wire.CapXfer{Slot: s.Slot, Ref: e.Ref, Kind: e.Kind, Rights: e.Rights, Size: e.Size, Once: e.Once}
 		// Delegating a monitored capability creates a separately
 		// revocable child at the owner so the delegator can observe
 		// its destruction (§3.6). Monitored entries only exist at the

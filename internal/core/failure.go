@@ -150,9 +150,7 @@ func (c *Controller) Reboot() {
 // cycle, so a frame lost here is repaired by the detector.
 func (c *Controller) AnnounceEpoch() {
 	for _, peer := range c.sortedPeers() {
-		if !c.net.Send(c.ep.ID, c.peers[peer].ep, &wire.CtrlEpoch{Ctrl: c.id, Epoch: c.epoch}) {
-			c.metrics.SendFailed++
-		}
+		c.send(c.peers[peer].ep, &wire.CtrlEpoch{Ctrl: c.id, Epoch: c.epoch})
 	}
 }
 

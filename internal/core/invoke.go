@@ -18,19 +18,26 @@ import (
 func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 	e, st := c.resolveEntry(ps, m.Cid, cap.KindRequest, cap.Invoke)
 	if st != wire.StatusOK {
+		c.metrics.InvokesRefused++
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
 	capArgs, st := c.resolveCapSlots(ps, m.Caps)
 	if st != wire.StatusOK {
+		c.metrics.InvokesRefused++
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
-	c.armReplies(ps, m.Caps, capArgs)
+	armed := c.armReplies(ps, m.Caps, capArgs)
+	if e.Once {
+		ps.space.Drop(m.Cid) // a reply Request's delegation: this is its one delivery
+	}
 	pc := c.newCall(callInvoke, e.Ref)
-	pc.cid = m.Cid
 	pc.keepImms(m.Imms)
 	pc.keepCaps(capArgs)
+	// Token 0 (Delivery.Reply) waits for nothing, so on a reliable fabric
+	// the owner need not answer — unless a refusal must take an arming back.
+	pc.oneWay = m.Token == 0 && !armed && !c.net.Lossy()
 	c.forward(pc, ps, m.Token)
 }
 
@@ -53,38 +60,32 @@ func (c *Controller) ownReply(ps *procState, a *wire.CapXfer) (*cap.Node, *reqOb
 
 // armReplies arms the reply Requests ps passes along among an
 // invocation's capability arguments (slots[i] is where args[i] came
-// from): each takes a new name — in the provider's entry and in the
-// delegation — so that whatever was kept of an earlier delegation names
-// nothing, and under that name it is good for one delivery.
-func (c *Controller) armReplies(ps *procState, slots []wire.CapSlot, args []wire.CapXfer) {
+// from), and reports whether it armed any: each takes a new name — in
+// the provider's entry and in the delegation — so that whatever was kept
+// of an earlier delegation names nothing, and under that name it is good
+// for one delivery, so the delegation is marked Once.
+func (c *Controller) armReplies(ps *procState, slots []wire.CapSlot, args []wire.CapXfer) (armed bool) {
 	for i := range args {
 		if n, ro := c.ownReply(ps, &args[i]); ro != nil {
 			args[i].Ref.Obj = c.tree.Rekey(n.ID)
+			args[i].Once = true
 			ps.space.Peek(slots[i].Cid).Ref = args[i].Ref
-			ro.armed = true
+			ro.armed, armed = true, true
 		}
 	}
+	return armed
 }
 
-// invoked settles an invocation by ps through cid, an entry naming ref,
-// once its outcome is known: refused, it takes back the arming of the
-// reply Requests it passed; having spent a reply Request, it leaves ps
-// without the entry it went through.
-//
-// Only that entry: a remote invocation's outcome arrives a round trip
-// later, and by then ps may have handed the entry back itself (a reply
-// posted, then Delivery.Release) and cid been reissued to a later
-// delivery. A reply Request takes a new name on every arming, so an
-// entry at cid that still names ref is the one invoked.
-func (c *Controller) invoked(ps *procState, cid cap.CapID, ref cap.Ref, args []wire.CapXfer, st wire.Status, spent bool) {
-	if st != wire.StatusOK {
-		for i := range args {
-			if _, ro := c.ownReply(ps, &args[i]); ro != nil {
-				ro.armed = false
-			}
+// invoked settles an invocation by ps once its outcome is known:
+// refused, it takes back the arming of the reply Requests it passed.
+func (c *Controller) invoked(ps *procState, args []wire.CapXfer, st wire.Status) {
+	if st == wire.StatusOK {
+		return
+	}
+	for i := range args {
+		if _, ro := c.ownReply(ps, &args[i]); ro != nil {
+			ro.armed = false
 		}
-	} else if e := ps.space.Peek(cid); spent && e != nil && e.Ref == ref {
-		ps.space.Drop(cid)
 	}
 }
 
@@ -92,7 +93,7 @@ func (c *Controller) invoked(ps *procState, cid cap.CapID, ref cap.Ref, args []w
 // Request, merge invoke-time arguments, delegate capability arguments
 // into the provider's space, and deliver a request_receive descriptor.
 // A reply Request delivers only while armed, and the delivery disarms
-// it: spent then tells the invoker's Controller to drop the used entry.
+// it.
 //
 // The merge never touches the Request object (§3.4) and never copies
 // it either: preset and invoke-time arguments meet in Controller-owned
@@ -102,31 +103,31 @@ func (c *Controller) invoked(ps *procState, cid cap.CapID, ref cap.Ref, args []w
 // must wait for a window credit is copied out.
 //
 //fractos:cap-deref
-func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire.CapXfer) (st wire.Status, spent bool) {
+func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire.CapXfer) wire.Status {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
-		return st, false
+		return st
 	}
 	ro, ok := n.Payload.(*reqObject)
 	if !ok {
-		return wire.StatusKind, false
+		return wire.StatusKind
 	}
 	if ro.reply() && !ro.armed {
-		return wire.StatusRevoked, false // a delegation already used, or never made
+		return wire.StatusRevoked // a delegation already used, or never made
 	}
 	prov, ok := c.procs[ro.provider]
 	if !ok || prov.failed {
-		return wire.StatusNoProc, false
+		return wire.StatusNoProc
 	}
 
 	c.immScratch.copyFrom(&ro.imms)
 	if st := c.immScratch.apply(imms); st != wire.StatusOK {
-		return st, false
+		return st
 	}
 	merged, st := mergeCaps(append(c.capScratch[:0], ro.caps...), extra)
 	c.capScratch = merged[:0]
 	if st != wire.StatusOK {
-		return st, false
+		return st
 	}
 
 	// Delegate capability arguments: install entries in the provider's
@@ -136,21 +137,21 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 	d.Caps = d.Caps[:0]
 	for _, a := range merged {
 		cid, st := c.install(prov, cap.Entry{
-			Ref: a.Ref, Kind: a.Kind, Rights: a.Rights, Size: a.Size, Leased: a.Leased,
+			Ref: a.Ref, Kind: a.Kind, Rights: a.Rights, Size: a.Size, Leased: a.Leased, Once: a.Once,
 			Delivery: prov.deliverSeq + 1,
 		})
 		if st != wire.StatusOK {
 			for _, dc := range d.Caps {
 				prov.space.Drop(dc.Cid)
 			}
-			return st, false
+			return st
 		}
 		d.Caps = append(d.Caps, wire.DeliveredCap{
 			Slot: a.Slot, Cid: cid, Kind: a.Kind, Rights: a.Rights, Size: a.Size,
 		})
 	}
 
-	spent, ro.armed = ro.armed, false
+	ro.armed = false
 	prov.deliverSeq++
 	d.Seq, d.Tag, d.Imms = prov.deliverSeq, ro.tag, c.immScratch.bytes()
 	if prov.window <= 0 {
@@ -163,8 +164,8 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 			Imms: append([]byte(nil), d.Imms...),
 			Caps: append([]wire.DeliveredCap(nil), d.Caps...),
 		})
-		return wire.StatusOK, spent
+		return wire.StatusOK
 	}
 	c.sendDeliver(prov, d)
-	return wire.StatusOK, spent
+	return wire.StatusOK
 }

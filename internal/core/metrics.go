@@ -14,7 +14,11 @@ type Metrics struct {
 	CopyBytes  int64
 	ReqCreates int64
 	Invokes    int64 // request_invoke handled (local + forwarded)
-	CapOps     int64 // revtree/revoke/drop/monitor
+	// InvokesRefused counts the invocations refused here: at the
+	// invoker's Controller (a missing or stale entry, an argument it may
+	// not grant) or at the Request's owner (revoked, spent, provider gone).
+	InvokesRefused int64
+	CapOps         int64 // revtree/revoke/drop/monitor
 
 	// Revocation machinery.
 	Revocations    int64 // objects invalidated here
@@ -81,8 +85,8 @@ func (c *Controller) Footprint() Footprint {
 // String renders the counters compactly.
 func (m Metrics) String() string {
 	return fmt.Sprintf(
-		"null=%d mem=%d copy=%d(%dB) reqcreate=%d invoke=%d capop=%d revoked=%d cleanup=%d purged=%d monitors=%d stale=%d quota=%d deliver=%d backpressure=%d retx=%d rpcabort=%d dedup=%d sendfail=%d",
-		m.NullOps, m.MemOps, m.Copies, m.CopyBytes, m.ReqCreates, m.Invokes, m.CapOps,
+		"null=%d mem=%d copy=%d(%dB) reqcreate=%d invoke=%d refused=%d capop=%d revoked=%d cleanup=%d purged=%d monitors=%d stale=%d quota=%d deliver=%d backpressure=%d retx=%d rpcabort=%d dedup=%d sendfail=%d",
+		m.NullOps, m.MemOps, m.Copies, m.CopyBytes, m.ReqCreates, m.Invokes, m.InvokesRefused, m.CapOps,
 		m.Revocations, m.CleanupsSent, m.EntriesPurged, m.MonitorsFired,
 		m.StaleRejected, m.QuotaRejected, m.DeliveriesSent, m.Backpressured,
 		m.Retransmits, m.RPCAborted, m.DedupHits, m.SendFailed)

@@ -9,6 +9,7 @@ import (
 	"fractos/internal/proc"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
+	"fractos/internal/wire"
 )
 
 // TestMetricsCountOperations drives one of each operation class and
@@ -158,6 +159,34 @@ func TestFootprintBudget(t *testing.T) {
 		}
 		if total := f.Total(); total > 16<<30 {
 			t.Errorf("footprint %d exceeds a BlueField's 16GB", total)
+		}
+	})
+}
+
+// TestInvokesRefusedWhereDecided: a refused invocation is counted once,
+// by the Controller that refuses it. a on node 0 invokes b's Request on
+// node 1 three times: passing a Memory capability without Grant, which
+// its own Controller refuses; passing one it may grant, which is
+// delivered; and writing the Request's preset immediate, write-once,
+// which the owner refuses.
+func TestInvokesRefusedWhereDecided(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		a, b := proc.Attach(cl, 0, "a", 4096), proc.Attach(cl, 1, "b", 0)
+		req, _ := b.RequestCreate(tk, 1, []wire.ImmArg{proc.U64Arg(0, 0)}, nil)
+		areq, _ := proc.GrantCap(b, req, a)
+		mem, _ := a.MemoryCreate(tk, 0, 64, cap.MemRights)
+		noGrant, _ := a.MemoryDiminish(tk, mem, 0, 64, cap.Grant)
+		refused := func() [2]int64 {
+			return [2]int64{cl.CtrlFor(0).Metrics().InvokesRefused, cl.CtrlFor(1).Metrics().InvokesRefused}
+		}
+		if err := a.Invoke(tk, areq, nil, []proc.Arg{{Slot: 0, Cap: noGrant}}); !wire.IsStatus(err, wire.StatusPerm) || refused() != [2]int64{1, 0} {
+			t.Errorf("an argument without Grant: %v, refused %v; want StatusPerm, [1 0]", err, refused())
+		}
+		if err := a.Invoke(tk, areq, nil, []proc.Arg{{Slot: 0, Cap: mem}}); err != nil || refused() != [2]int64{1, 0} {
+			t.Errorf("a grantable argument: %v, refused %v; want delivered, [1 0]", err, refused())
+		}
+		if err := a.Invoke(tk, areq, []wire.ImmArg{proc.U64Arg(0, 1)}, nil); !wire.IsStatus(err, wire.StatusImmutable) || refused() != [2]int64{1, 1} {
+			t.Errorf("a preset immediate written: %v, refused %v; want StatusImmutable, [1 1]", err, refused())
 		}
 	})
 }

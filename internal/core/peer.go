@@ -158,11 +158,9 @@ func (c *Controller) notifyWatcher(w cap.Watcher, kind uint8) {
 		return
 	}
 	if p, ok := c.peers[w.Ctrl]; ok {
-		if !c.net.Send(c.ep.ID, p.ep, &wire.CtrlNotify{Proc: w.Proc, Callback: w.Callback, Kind: kind}) {
-			// Peer crashed: its reboot announcement revokes the watched
-			// object's world anyway.
-			c.metrics.SendFailed++
-		}
+		// A crashed peer's reboot announcement revokes the watched
+		// object's world anyway.
+		c.send(p.ep, &wire.CtrlNotify{Proc: w.Proc, Callback: w.Callback, Kind: kind})
 	}
 }
 
@@ -173,9 +171,7 @@ func (c *Controller) notifyProc(pid cap.ProcID, callback uint64, kind uint8) {
 	if !ok || ps.failed {
 		return
 	}
-	if !c.net.Send(c.ep.ID, ps.ep.ID, &wire.MonitorCB{Callback: callback, Kind: kind}) {
-		// Watcher's endpoint severed mid-failure: its own revocation
-		// cascade is already in flight, the callback is moot.
-		c.metrics.SendFailed++
-	}
+	// A watcher severed mid-failure has its own revocation cascade in
+	// flight: the callback is moot.
+	c.send(ps.ep.ID, &wire.MonitorCB{Callback: callback, Kind: kind})
 }

@@ -281,7 +281,7 @@ func TestDedupRingBounded(t *testing.T) {
 func TestDedupResendsAndResets(t *testing.T) {
 	k, c, peer, p := dedupRig()
 	replies := []wire.Message{
-		&wire.CtrlAck{Token: 7, Status: wire.StatusOK, Obj: 3, Epoch: 1, Size: 64, Rights: fcap.Read, Spent: true},
+		&wire.CtrlAck{Token: 7, Status: wire.StatusOK, Obj: 3, Epoch: 1, Size: 64, Rights: fcap.Read},
 		&wire.CtrlValInfo{Token: 8, Status: wire.StatusOK, Endpoint: 5, Base: 4096, Size: 64, Rights: fcap.MemRights},
 	}
 	repeats := []wire.Message{&wire.CtrlInvoke{Token: 7}, &wire.CtrlValidate{Token: 8}}

@@ -274,9 +274,7 @@ func (c *Controller) sendDeliver(ps *procState, d *wire.Deliver) {
 	ps.window--
 	ps.outstanding[d.Seq] = struct{}{}
 	c.metrics.DeliveriesSent++
-	if !c.net.Send(c.ep.ID, ps.ep.ID, d) {
-		// Endpoint severed between the failed check and the send: the
-		// Process-failure path revokes its window and queue wholesale.
-		c.metrics.SendFailed++
-	}
+	// Severed between the failed check and the send, the Process's
+	// failure path revokes its window and queue wholesale.
+	c.send(ps.ep.ID, d)
 }

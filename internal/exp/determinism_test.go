@@ -124,18 +124,19 @@ func TestTraceDeterminism(t *testing.T) {
 // in-tree; a change that means to move a timestamp or a byte count
 // updates them and says why.
 //
-// Last moved when every wire integer became a varint (36f33807… and
-// 9036e217… until then): sizes and instants only, the shape digests
-// below did not move. First diverging event, both: the first, which is
-// shorter — pipeline, a memory_create of 6 bytes instead of 27;
-// faceverify, a memory_copy of 7 instead of 18 at 1 500 463 ns instead
-// of 1 503 337, set-up having shrunk too. The control messages carry
-// 2 554 bytes instead of 8 014 (pipeline, 256 of them) and 902 instead
-// of 2 317 (faceverify, 61), and every later instant is earlier: the
-// pipeline's last transfer leaves at 662 800 ns instead of 664 707.
+// Last moved when a reply (Delivery.Reply, token 0) stopped drawing a
+// CtrlAck and a Completion nobody waited for (6ba37f4c… and ea1d8a27…
+// until then; shapes 7d20b7fa… and dd4ca1ff…). The pipeline's 292
+// transfers are 268, 12 CtrlAcks and 12 Completions fewer; its first
+// diverging event is the 52nd, a CtrlAck 1>2 at 92 530 ns that is gone,
+// and its last transfer still leaves at 662 800 ns. Face verification's
+// 77 are 68, 4 CtrlAcks and 5 Completions fewer (set-up's replies
+// included): set-up ends sooner, so the first event, a memory_copy, is
+// at 1 500 005 ns instead of 1 500 463, and the last at 1 990 289
+// instead of 1 990 747.
 const (
-	pipelineTraceSHA256   = "6ba37f4c8c76cd90474eb9c0b509311b0e3ad19d974b21a3b215220cd838077e"
-	faceverifyTraceSHA256 = "ea1d8a271ce76634b4d6feeb056be4de3a948228b353867c32c5954f60df4532"
+	pipelineTraceSHA256   = "5120beb7128561b28f23787d4158900a25da393a298b57afd4b3d000186b7a66"
+	faceverifyTraceSHA256 = "ce4c8d96d38a255150c6a10649f5ac45ea2c95f91b5f77bbc090a22fa23bfdd6"
 )
 
 // Pinned SHA-256 digests of the two workload traces' shapes (shapeOf):
@@ -143,8 +144,8 @@ const (
 // order. A change that only resizes messages, and so moves the instants
 // after them, leaves these alone.
 const (
-	pipelineShapeSHA256   = "7d20b7fa1fdd44cced0dfe7542c91331826283fc05ff97364921e771e590577e"
-	faceverifyShapeSHA256 = "dd4ca1ff4a9c0e12142a9e79cf27e8a5d798accb366e73a661ad0f68b1ffa315"
+	pipelineShapeSHA256   = "33e655e45772ba25d09d00cf986bf3d7c2809270ccee4688c9cc418760781f58"
+	faceverifyShapeSHA256 = "8872419c51811b4ce175dd5a50b039e72e6116d83230434791bf7f064be6fd0f"
 )
 
 func checkDigest(t *testing.T, name, trace, want string) {

@@ -605,17 +605,20 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 	var lost, dup bool
 	var extra sim.Time
 	if fs := n.faults; fs != nil && cross {
+		fs.frames++
+		cfg := &fs.cfg
+		nth := fs.frames == cfg.Nth
 		if fs.cut(src.Loc.Node, dst.Loc.Node) {
 			lost = true
 			fs.stats.Cut++
 		} else {
-			if fs.drop > 0 && fs.rng.Float64() < fs.drop {
+			if cfg.Drop > 0 && fs.rng.Float64() < cfg.Drop || nth && !cfg.NthDup {
 				lost = true
 				fs.stats.Dropped++
 			}
-			dup = fs.dup > 0 && fs.rng.Float64() < fs.dup && !lost
-			if fs.jitter > 0 {
-				extra = sim.Time(fs.rng.Int63n(int64(fs.jitter)))
+			dup = (cfg.Dup > 0 && fs.rng.Float64() < cfg.Dup || nth && cfg.NthDup) && !lost
+			if cfg.Jitter > 0 {
+				extra = sim.Time(fs.rng.Int63n(int64(cfg.Jitter)))
 				if extra > 0 {
 					fs.stats.Delayed++
 				}

@@ -55,16 +55,21 @@ type Faults struct {
 	// Seed seeds the private fault RNG. Runs with equal Seed (and
 	// equal workload) make identical fault decisions.
 	Seed int64
+	// Nth, when positive, loses the Nth cross-node frame, counted from 1
+	// in send order — or, with NthDup, delivers it twice — drawing no
+	// randomness: one fault, placed exactly.
+	Nth    int
+	NthDup bool
 }
 
 // Enabled reports whether the configuration injects any faults.
 func (f Faults) Enabled() bool {
-	return f.Drop > 0 || f.Dup > 0 || f.Jitter > 0
+	return f.Drop > 0 || f.Dup > 0 || f.Jitter > 0 || f.Nth > 0
 }
 
 // FaultStats counts injected faults, for experiments and tests.
 type FaultStats struct {
-	Dropped    int64 // frames lost to probabilistic drop
+	Dropped    int64 // frames lost to probabilistic drop or to Faults.Nth
 	Duplicated int64 // frames delivered twice
 	Cut        int64 // frames lost to a down link or partition
 	Delayed    int64 // frames that drew nonzero jitter
@@ -73,9 +78,8 @@ type FaultStats struct {
 // faultState is the live chaos state hanging off a Net.
 type faultState struct {
 	rng    *rand.Rand
-	drop   float64
-	dup    float64
-	jitter sim.Time
+	cfg    Faults
+	frames int // cross-node frames sent (Faults.Nth)
 
 	linkDown []bool // by node: switch port administratively dead
 	group    []int  // by node: partition group id (0 = main)
@@ -92,10 +96,8 @@ type faultState struct {
 func (n *Net) InstallFaults(f Faults) {
 	assert.True(n.stats == Stats{}, "fabric: InstallFaults after the fabric carried traffic")
 	n.faults = &faultState{
-		rng:    rand.New(rand.NewSource(f.Seed + 1)), // +1: seed 0 is a valid, distinct stream
-		drop:   f.Drop,
-		dup:    f.Dup,
-		jitter: f.Jitter,
+		rng: rand.New(rand.NewSource(f.Seed + 1)), // +1: seed 0 is a valid, distinct stream
+		cfg: f,
 	}
 }
 

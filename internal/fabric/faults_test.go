@@ -244,3 +244,43 @@ func TestLinkFlap(t *testing.T) {
 		t.Errorf("Cut = %d, want %d", st.Cut, len(cut))
 	}
 }
+
+// TestFaultNthFrame: Faults.Nth places one fault exactly. Of 10
+// cross-node frames the 4th is lost, or with NthDup delivered twice; no
+// other frame is touched, and same-node frames are not counted.
+func TestFaultNthFrame(t *testing.T) {
+	for _, dup := range []bool{false, true} {
+		if !(Faults{Nth: 4, NthDup: dup}).Enabled() {
+			t.Error("a Faults with Nth set must enable a deployment's fault layer")
+		}
+		n, src, dst := chaosPair(t, Faults{Nth: 4, NthDup: dup})
+		local := n.Attach("local", Location{Node: 0}, 0)
+		var got []byte
+		k := n.Kernel()
+		k.Spawn("rx", func(tk *sim.Task) {
+			for {
+				m, ok := dst.Inbox.Recv(tk)
+				if !ok {
+					return
+				}
+				got = append(got, m.Msg.(*wire.Raw).Data[0])
+			}
+		})
+		k.Spawn("tx", func(tk *sim.Task) {
+			for i := range 10 {
+				n.Send(src.ID, local.ID, &wire.Raw{}) // same node: not a cross-node frame
+				n.Send(src.ID, dst.ID, &wire.Raw{Data: []byte{byte(i + 1)}})
+				tk.Sleep(10_000)
+			}
+		})
+		k.Run()
+		k.Shutdown()
+		want, st := []byte{1, 2, 3, 5, 6, 7, 8, 9, 10}, FaultStats{Dropped: 1}
+		if dup {
+			want, st = []byte{1, 2, 3, 4, 4, 5, 6, 7, 8, 9, 10}, FaultStats{Duplicated: 1}
+		}
+		if string(got) != string(want) || n.FaultStats() != st {
+			t.Errorf("NthDup %v: delivered %v with %+v, want %v with %+v", dup, got, n.FaultStats(), want, st)
+		}
+	}
+}

@@ -767,11 +767,12 @@ func TestReleaseHandsBackOnlyWhatItsDeliveryBrought(t *testing.T) {
 
 // TestSpentReplyDropSparesReissuedCid: the provider posts its answer to
 // a cross-node Call without waiting for the completion and hands the
-// delivery back at once, so its Controller drops the reply capability
-// before the caller's Controller reports it spent. Meanwhile a neighbour's
-// Call has been delivered, its reply capability under the freed cid. The
-// spent report must drop the entry the answer went through, which is
-// gone, and not the neighbour's: the neighbour gets its answer.
+// delivery back at once. Its Controller drops the reply capability as it
+// forwards the answer — the delegation is good for one delivery — so the
+// hand-back that follows finds the entry gone. Meanwhile a neighbour's
+// Call has been delivered, its reply capability under the freed cid.
+// Neither the forward-time drop nor the hand-back may touch the
+// neighbour's entry: the neighbour gets its answer.
 func TestSpentReplyDropSparesReissuedCid(t *testing.T) {
 	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
@@ -792,7 +793,7 @@ func TestSpentReplyDropSparesReissuedCid(t *testing.T) {
 				rep, _ := d.Cap(0)
 				cids[i] = rep.ID()
 				if i == 1 {
-					st.Sleep(us(50)) // the first answer's spent report is in
+					st.Sleep(us(50)) // the first answer has been acknowledged
 				}
 				_ = c.srv.InvokeAsync(rep, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
 				d.Release()

@@ -95,9 +95,6 @@ type Process struct {
 
 	alloc            *allocator
 	delivered, acked uint64 // Delivers demux took, DeliverDones sent (sweepStale)
-	// failedReplies counts the replies (Delivery.Reply) the Controller
-	// refused: nobody waits for their completions, demux reads them.
-	failedReplies int
 	// dead is set once the channel to the Controller is known to be gone
 	// — Bye was sent, or a send found it severed: a syscall posted after
 	// that fails at once instead of waiting for a completion that the
@@ -106,9 +103,8 @@ type Process struct {
 }
 
 // sysWaiter is who a syscall's completion goes to: the future of a
-// blocking or Async syscall, the record it is a step of (a Call's, a
-// MemoryCopyThen's), or — the zero value — nobody: a reply's, which demux
-// counts if it failed.
+// blocking or Async syscall, or the record it is a step of (a Call's, a
+// MemoryCopyThen's).
 type sysWaiter struct {
 	fut   *sim.Future[wire.Completion]
 	op    Waiter
@@ -221,10 +217,9 @@ func (p *Process) Deliver(f *fabric.Frame) {
 }
 
 // demux routes one message from the Controller: a completion to the
-// future of its syscall or the record it steps — or, a reply's, to the
-// count of failed replies if it failed — a delivery to whoever waits
-// for its tag or else to the Handle handler or the Receive queue, a
-// monitor callback to a task of its own.
+// future of its syscall or the record it steps, a delivery to whoever
+// waits for its tag or else to the Handle handler or the Receive queue,
+// a monitor callback to a task of its own.
 //
 //fractos:hotpath
 func (p *Process) demux(m wire.Message) {
@@ -235,13 +230,10 @@ func (p *Process) demux(m wire.Message) {
 			if len(p.stale) > 0 && p.delivered <= w.acked {
 				p.sweepStale(m.Token)
 			}
-			switch {
-			case w.op != nil:
+			if w.op != nil {
 				w.op.Completed(m)
-			case w.fut != nil:
+			} else {
 				w.fut.Set(*m)
-			case m.Status != wire.StatusOK:
-				p.failedReplies++
 			}
 		}
 	case *wire.Deliver:

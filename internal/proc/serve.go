@@ -178,17 +178,18 @@ func (d *Delivery) Name() (string, bool) {
 // before this returns. A delivery that carries no continuation asked for
 // no answer: Reply then sends nothing and returns nil.
 //
-// Reply posts the request_invoke and returns. Its completion only says
-// whether the answer was accepted: demux consumes it and counts a
-// refusal (FailedReplies) — the continuation is dead, and with it
-// whoever waited, so a service has nobody left to tell. The error is
-// for what fails here: an argument of another Process, a channel to the
-// Controller already gone.
+// Reply posts the request_invoke under token 0 and returns: nobody
+// waits for its outcome, so no completion comes back. A refusal is
+// counted where it is decided (core.Metrics.InvokesRefused) — the
+// continuation is dead, and with it whoever waited, so a service has
+// nobody left to tell. The error is for what fails here: an argument of
+// another Process, a channel to the Controller already gone.
 //
 // Reply then Release is safe: the Process→Controller queue is FIFO, so
 // the request_invoke is validated before the DeliverDone posted after it
-// drops the continuation's entry (and core.invoked spares the cid if it
-// is reissued before the owner reports the reply spent).
+// drops the continuation's entry (which the Controller already dropped
+// as it forwarded the invocation, if the continuation is a reply
+// Request: that delegation is good for one delivery).
 func (d *Delivery) Reply(slot uint16, imms []wire.ImmArg, args []Arg) error {
 	c, ok := d.Cap(slot)
 	if !ok {
@@ -198,9 +199,8 @@ func (d *Delivery) Reply(slot uint16, imms []wire.ImmArg, args []Arg) error {
 	if err := p.checkArgs(args); err != nil {
 		return err
 	}
-	p.nextToken++
-	p.tx.reqInvoke = wire.ReqInvoke{Token: p.nextToken, Cid: c.id, Imms: p.keepImms(imms), Caps: p.capSlots(args)}
-	if !p.send(sysWaiter{}, p.nextToken, &p.tx.reqInvoke) {
+	p.tx.reqInvoke = wire.ReqInvoke{Cid: c.id, Imms: p.keepImms(imms), Caps: p.capSlots(args)}
+	if p.dead || !p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.reqInvoke) {
 		return ErrDisconnected
 	}
 	return nil
@@ -210,11 +210,6 @@ func (d *Delivery) Reply(slot uint16, imms []wire.ImmArg, args []Arg) error {
 func (d *Delivery) ReplyStatus(slot uint16, st uint64) error {
 	return d.Reply(slot, []wire.ImmArg{U64Arg(0, st)}, nil)
 }
-
-// FailedReplies is how many of this Process's replies the Controllers
-// refused, their continuations revoked, spent or gone: Reply does not
-// wait to find out, so this is where a lost answer shows.
-func (p *Process) FailedReplies() int { return p.failedReplies }
 
 // Upstream applies the chaining convention of a Request that can be
 // another service's continuation (§3.4): its producer reports an

@@ -248,17 +248,164 @@ func TestReplyThenRelease(t *testing.T) {
 			if want := slices.Concat(pair, pair, pair); !slices.Equal(sent, want) {
 				t.Errorf("provider on node %d sent message types %v, want %v: each reply ahead of its Release", srvNode, sent, want)
 			}
-			if c.srv.Pending() != 0 || c.srv.FailedReplies() != 0 {
-				t.Errorf("provider on node %d: %d completions outstanding, %d failed replies; want none", srvNode, c.srv.Pending(), c.srv.FailedReplies())
+			refused := cl.CtrlFor(0).Metrics().InvokesRefused + cl.CtrlFor(1).Metrics().InvokesRefused
+			if c.srv.Pending() != 0 || refused != 0 {
+				t.Errorf("provider on node %d: %d completions outstanding, %d invocations refused; want none", srvNode, c.srv.Pending(), refused)
 			}
 		})
 	}
 }
 
+// sent is a fabric trace reduced to who sent what to whom.
+type sent struct {
+	from, to fabric.EndpointID
+	ty       wire.Type
+}
+
+// traceSends records every message the fabric carries from now on.
+func traceSends(cl *core.Cluster) *[]sent {
+	var log []sent
+	cl.Net.SetTrace(func(e fabric.TraceEvent) {
+		if !e.RDMA {
+			log = append(log, sent{e.From, e.To, e.Type})
+		}
+	})
+	return &log
+}
+
+// after is the part of log from the first message m on, without the
+// DeliverDones that hand deliveries back.
+func after(log []sent, m sent) []sent {
+	i := slices.Index(log, m)
+	if i < 0 {
+		return nil
+	}
+	return slices.DeleteFunc(slices.Clone(log[i:]), func(s sent) bool { return s.ty == wire.TDeliverDone })
+}
+
+// TestReplyIsOneWay: on a reliable fabric nobody waits for a reply's
+// outcome, so a cross-node Reply is three sends — the provider's
+// request_invoke, its Controller's CtrlInvoke to the caller's, the
+// Deliver to the caller — and nothing answers them: the owner acks every
+// CtrlInvoke under a token but 0, and the provider's Controller
+// completes every syscall under a token but 0. The reply capability the
+// answer went through is dropped as it is forwarded, so the provider's
+// Controller holds what it held before the call. (The provider answers
+// after the caller's own invocation has completed, so nothing else is on
+// the wire meanwhile.)
+func TestReplyIsOneWay(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		c.srv.Serve("srv", 1, func(st *sim.Task, d *proc.Delivery) {
+			st.Sleep(us(20))
+			if err := d.Reply(0, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		if !c.call(t, tk, 0) { // creates the caller's reply Request
+			return
+		}
+		tk.Sleep(us(100))
+		before := cl.CtrlFor(1).Footprint().CapSpaceBytes
+		log := traceSends(cl)
+		if !c.call(t, tk, 1) {
+			return
+		}
+		tk.Sleep(us(100))
+		c0, c1 := cl.CtrlFor(0).EndpointID(), cl.CtrlFor(1).EndpointID()
+		want := []sent{{c.srv.Endpoint(), c1, wire.TReqInvoke}, {c1, c0, wire.TCtrlInvoke}, {c0, c.cli.Endpoint(), wire.TDeliver}}
+		if got := after(*log, want[0]); !slices.Equal(got, want) {
+			t.Errorf("the reply's messages %v, want %v", got, want)
+		}
+		if got := cl.CtrlFor(1).Footprint().CapSpaceBytes; got != before || c.srv.Pending() != 0 {
+			t.Errorf("the provider's Controller holds %d capability bytes, %d before the call; %d completions outstanding", got, before, c.srv.Pending())
+		}
+	})
+}
+
+// TestReplyLossyKeepsItsAck: on a fabric that may lose frames the
+// provider's Controller resends a reply until the owner acknowledges it,
+// so the CtrlAck flows even at zero loss — and still no Completion
+// reaches the provider: its syscall is under token 0.
+func TestReplyLossyKeepsItsAck(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
+		c := newCallPair(t, tk, cl, 1)
+		c.srv.Serve("srv", 1, func(_ *sim.Task, d *proc.Delivery) {
+			_ = d.Reply(0, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
+		})
+		if !c.call(t, tk, 0) {
+			return
+		}
+		log := traceSends(cl)
+		if !c.call(t, tk, 1) {
+			return
+		}
+		tk.Sleep(us(100))
+		c0, c1, srv := cl.CtrlFor(0).EndpointID(), cl.CtrlFor(1).EndpointID(), c.srv.Endpoint()
+		got := after(*log, sent{srv, c1, wire.TReqInvoke})
+		if !slices.Contains(got, sent{c0, c1, wire.TCtrlAck}) || slices.Contains(got, sent{c1, srv, wire.TCompletion}) {
+			t.Errorf("the reply's messages %v: want the owner's CtrlAck and no Completion to the provider", got)
+		}
+	})
+}
+
+// TestReplyPassingOwnReplyIsAnswered: a Reply that passes a reply
+// Request of the replying Process arms it, and an arming must be taken
+// back if the invocation is refused — so such a Reply is answered even on
+// a reliable fabric. The continuation refuses it: its preset immediate
+// is write-once, and the answer writes it. The provider's own reply
+// Request is then disarmed: invoked by the provider itself it delivers
+// nothing (StatusRevoked), as one never passed.
+func TestReplyPassingOwnReplyIsAnswered(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		cont, err := c.cli.RequestCreate(tk, 7, []wire.ImmArg{proc.U64Arg(0, 0)}, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		own, err := c.srv.RequestCreate(tk, wire.ReplyTag|1, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		done, served := sim.NewFuture[error](), 0
+		c.srv.Serve("srv", 1, func(st *sim.Task, d *proc.Delivery) {
+			if served++; served > 1 {
+				t.Error("the provider's own reply Request delivered after the refused Reply")
+				return
+			}
+			if err := d.Reply(0, []wire.ImmArg{proc.U64Arg(0, 1)}, []proc.Arg{{Slot: 1, Cap: own}}); err != nil {
+				t.Error(err)
+			}
+			st.Sleep(us(100))
+			done.Set(c.srv.Invoke(st, own, nil, nil))
+		})
+		log := traceSends(cl)
+		if err := c.cli.Invoke(tk, c.creq, nil, []proc.Arg{{Slot: 0, Cap: cont}}); err != nil {
+			t.Error(err)
+			return
+		}
+		err, _ = done.Wait(tk)
+		if !wire.IsStatus(err, wire.StatusRevoked) {
+			t.Errorf("the provider's own reply Request after the refused Reply: %v, want StatusRevoked", err)
+		}
+		c0, c1, srv := cl.CtrlFor(0).EndpointID(), cl.CtrlFor(1).EndpointID(), c.srv.Endpoint()
+		got := after(*log, sent{srv, c1, wire.TReqInvoke})
+		if !slices.Contains(got, sent{c0, c1, wire.TCtrlAck}) || cl.CtrlFor(0).Metrics().InvokesRefused != 1 {
+			t.Errorf("the reply's messages %v, %d invocations refused by its owner: want its CtrlAck, 1",
+				got, cl.CtrlFor(0).Metrics().InvokesRefused)
+		}
+	})
+}
+
 // TestFailedReplyIsCounted: the caller's deadline passes while the
-// handler works, so the continuation is revoked when the answer reaches
-// its owner. Reply has returned long before: the refusal is counted, and
-// Serve has gone on to answer the next request.
+// handler works, so the continuation is revoked, and the revocation's
+// cleanup purges it from the provider's capability space before the
+// answer is posted. Reply has returned long before and waits for nothing:
+// the refusal is counted where it is decided, at the provider's own
+// Controller, and Serve has gone on to answer the next request.
 func TestFailedReplyIsCounted(t *testing.T) {
 	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
@@ -275,8 +422,9 @@ func TestFailedReplyIsCounted(t *testing.T) {
 		}
 		c.call(t, tk, 5)
 		tk.Sleep(us(100))
-		if c.srv.FailedReplies() != 1 || c.srv.Pending() != 0 {
-			t.Errorf("%d failed replies, %d completions outstanding; want 1, 0", c.srv.FailedReplies(), c.srv.Pending())
+		at0, at1 := cl.CtrlFor(0).Metrics().InvokesRefused, cl.CtrlFor(1).Metrics().InvokesRefused
+		if at0 != 0 || at1 != 1 || c.srv.Pending() != 0 {
+			t.Errorf("invocations refused: %d at the caller's Controller, %d at the provider's; %d completions outstanding; want 0, 1, 0", at0, at1, c.srv.Pending())
 		}
 	})
 }

@@ -184,27 +184,26 @@ func captureRouted(t *testing.T, policy string) (trace, picks string) {
 // its pick sequence (see the pinned digests in
 // internal/exp/determinism_test.go for the contract).
 //
-// Last moved when every wire integer became a varint (66f97ebd… and
-// 7ce869f4… until then): sizes, instants and, in both policies, the
-// order of two concurrent transfers, so the shape digests below moved
-// too (b2320635… and dd58f0d8… until then). Each trace holds the same
-// 785 transfers and neither pick sequence moved. First diverging event,
-// both policies, the 23rd: one request's CtrlInvoke (type 306)
-// 1>3 left at 174 627 ns, 4 ns before another's Completion (201) and
-// CtrlAck (307) left node 2 at 174 631; now 42 bytes instead of 96, it
-// leaves at 173 813, 32 ns after that pair (173 781), whose path to
-// there shed more bytes.
+// Last moved when a reply (Delivery.Reply, token 0) stopped drawing a
+// CtrlAck and a Completion nobody waited for (08fad406… and b42160d2…
+// until then; shapes 0b568348… and a0af5d0f…): each trace's 785
+// transfers are 655, 64 CtrlAcks and 66 Completions fewer, and neither
+// pick sequence moved. First diverging event, both policies, the 2nd: a
+// set-up reply's Completion 1>4 at 150 898 ns is gone, and the next
+// transfer, 1>5, leaves at 151 380 instead of 151 598. The last leaves
+// at 6 265 761 ns instead of 6 267 410 (rr), 5 442 687 instead of
+// 5 444 658 (least).
 var routedSHA256 = map[string]string{
-	"rr":    "08fad406aa355d2f0de1b828d51d03ed3ed92618fd6df99f6c6769b8a5659829",
-	"least": "b42160d21faea0e38f41a4c37e82723fecb2c7cc76c42289f58394907c5a7904",
+	"rr":    "21cde6d56b3e4581e45807b0cebf7ba28f2a034484441560055d2c747b2c57ea",
+	"least": "ff8125cb3b04114816df2812d89d2a3a7fa95206ccace99844d7ee1db409e883",
 }
 
 // Pinned SHA-256 digests of each policy's trace shape (routedShape)
 // followed by its pick sequence: a change that only resizes messages,
 // and so moves the instants after them, leaves these alone.
 var routedShapeSHA256 = map[string]string{
-	"rr":    "0b56834885c4997b18c0f8062aa2ac868c2b1e13836c4305a995b1eb56ca48b5",
-	"least": "a0af5d0fb186b3b0f0245e21c495acfae84cf34e29c43c90605453c313da232d",
+	"rr":    "554e2cc94a606883ed4efa8092705c3c7b40bbfe2dde42818d5d6dbaa2f99253",
+	"least": "a3623e926fcde95924862d7378b3cef4b2e77761ff8d8e1e6d52b22e14a2d7fa",
 }
 
 // routedShape strips a captureRouted log of every instant and byte

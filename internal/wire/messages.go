@@ -345,7 +345,14 @@ type CapXfer struct {
 	// Leased marks a monitor_delegatee child created for the receiver;
 	// the receiving Controller revokes it if the receiver fails.
 	Leased bool
+	// Once marks an armed reply Request, good for one delivery: the
+	// holder's Controller drops the entry when it forwards an invocation
+	// through it. It travels in the spare top bit of the Rights byte.
+	Once bool
 }
+
+// xferOnce is CapXfer.Once's bit in the byte it shares with Rights.
+const xferOnce = 0x80
 
 func encodeRef(w *Writer, r cap.Ref) {
 	w.U32(uint32(r.Ctrl))
@@ -383,7 +390,11 @@ func encodeCapXfers(w *Writer, xs []CapXfer) {
 		w.U16(x.Slot)
 		encodeRef(w, x.Ref)
 		w.U8(uint8(x.Kind))
-		w.U8(uint8(x.Rights))
+		b := uint8(x.Rights) &^ xferOnce
+		if x.Once {
+			b |= xferOnce
+		}
+		w.U8(b)
 		w.U64(x.Size)
 		w.Bool(x.Monitored)
 		w.Bool(x.Leased)
@@ -401,14 +412,14 @@ func decodeCapXfers(r *Reader) []CapXfer {
 	}
 	xs := list(own, nil, n)
 	for i := range xs {
+		slot, ref, kind, b := r.U16(), decodeRef(r), cap.Kind(r.U8()), r.U8()
 		xs[i] = CapXfer{
-			Slot:      r.U16(),
-			Ref:       decodeRef(r),
-			Kind:      cap.Kind(r.U8()),
-			Rights:    cap.Rights(r.U8()),
+			Slot: slot, Ref: ref, Kind: kind,
+			Rights:    cap.Rights(b &^ xferOnce),
 			Size:      r.U64(),
 			Monitored: r.Bool(),
 			Leased:    r.Bool(),
+			Once:      b&xferOnce != 0,
 		}
 	}
 	return xs
@@ -977,10 +988,7 @@ func (m *CtrlInvoke) Decode(r *Reader) error {
 
 // CtrlAck answers derive/revtree/revoke/invoke requests. Obj/Epoch
 // name a newly created object where applicable; Size/Rights echo its
-// metadata so the requesting Controller can install a cap entry. Spent
-// answers an invocation of a reply Request (ReplyTag): the delegation it
-// was invoked through is used up, and the invoker's Controller drops that
-// entry. It travels in the spare top bit of the Rights byte.
+// metadata so the requesting Controller can install a cap entry.
 type CtrlAck struct {
 	Token  uint64
 	Status Status
@@ -988,11 +996,7 @@ type CtrlAck struct {
 	Epoch  cap.Epoch
 	Size   uint64
 	Rights cap.Rights
-	Spent  bool
 }
-
-// ackSpent is CtrlAck.Spent's bit in the byte it shares with Rights.
-const ackSpent = 0x80
 
 func (*CtrlAck) WireType() Type { return TCtrlAck }
 func (m *CtrlAck) Encode(w *Writer) {
@@ -1001,18 +1005,12 @@ func (m *CtrlAck) Encode(w *Writer) {
 	w.U64(uint64(m.Obj))
 	w.U32(uint32(m.Epoch))
 	w.U64(m.Size)
-	b := uint8(m.Rights) &^ ackSpent
-	if m.Spent {
-		b |= ackSpent
-	}
-	w.U8(b)
+	w.U8(uint8(m.Rights))
 }
 func (m *CtrlAck) Decode(r *Reader) error {
 	m.Token, m.Status = r.U64(), Status(r.U8())
 	m.Obj, m.Epoch = cap.ObjectID(r.U64()), cap.Epoch(r.U32())
-	m.Size = r.U64()
-	b := r.U8()
-	m.Rights, m.Spent = cap.Rights(b&^ackSpent), b&ackSpent != 0
+	m.Size, m.Rights = r.U64(), cap.Rights(r.U8())
 	return r.Err()
 }
 
