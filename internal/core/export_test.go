@@ -6,9 +6,6 @@ import "fractos/internal/cap"
 // drive Controllers through libfractos and so cannot live in package
 // core themselves.
 
-// PendingCalls is the number of inter-Controller calls awaiting a reply.
-func (c *Controller) PendingCalls() int { return len(c.pending) }
-
 // DeliveryState reports a managed Process's congestion window: credits
 // left, deliveries awaiting their DeliverDone, and deliveries queued for
 // a credit.

@@ -33,6 +33,7 @@ type reqObject struct {
 	imms     immBuf
 	caps     []wire.CapXfer // ascending Slot, one entry per slot
 	armed    bool           // reply Requests: one delivery is owed
+	call     uint64         // reply Requests: the pending invocation the delivery answers (awaitReply)
 }
 
 // reply reports whether r is a reply Request.

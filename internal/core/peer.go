@@ -79,6 +79,9 @@ func (c *Controller) processRevocations(revoked []*cap.Node) {
 			c.notifyWatcher(w, wire.MonitorCBReceive)
 		}
 		n.Watchers = nil
+		if ro, ok := n.Payload.(*reqObject); ok {
+			c.answerInvoker(ro, wire.StatusAborted)
+		}
 		// monitor_delegate accounting: a delegatee child dying
 		// decrements its parent's counter.
 		if n.MonitorDelegatee {

@@ -24,6 +24,7 @@ import (
 	"fractos/internal/proc"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
+	"fractos/internal/testbed/stacks"
 	"fractos/internal/wire"
 )
 
@@ -217,6 +218,51 @@ var invokeScenario = callScenario("call answered by Invoke", func(srv *proc.Proc
 	})
 })
 
+// routedScenario is a warm routed Call: a route.Balancer on node 0 calls
+// the one route.Replica on node 1, which answers with Delivery.Reply. The
+// operation is the second request, whose outcome is its error; the
+// first resolves the service's members at the registry.
+var routedScenario = faultScenario{name: "routed call", nodes: 2,
+	setup: func(t *testing.T, tk *sim.Task, cl *core.Cluster) func(*sim.Task) string {
+		s := &stacks.Routed{Replicas: 1, Nodes: []int{1}}
+		s.Deploy(tk, &testbed.Deployment{Cl: cl})
+		if err := s.Do(tk, 1, us(10)); err != nil {
+			t.Errorf("routed call: warm-up request: %v", err)
+			return nil
+		}
+		return func(tk *sim.Task) string { return fmt.Sprint(s.Do(tk, 2, us(10))) }
+	}}
+
+// copyScenario is a cross-node memory_copy of two bounce chunks each
+// way: node 0 pushes its region into node 1's, then pulls node 1's back
+// over it, once node 1 has written a new pattern there. The outcome is
+// each copy's error and whether the bytes landed. A first push samples
+// the round trip.
+var copyScenario = faultScenario{name: "memory_copy push and pull", nodes: 2,
+	setup: func(t *testing.T, tk *sim.Task, cl *core.Cluster) func(*sim.Task) string {
+		local, pairs := newCopyPairs(t, tk, cl, 1, 2*core.DefaultBounceChunk)
+		if local == nil {
+			return nil
+		}
+		p := &pairs[0]
+		if err := local.MemoryCopy(tk, p.src, p.dst); err != nil || !p.arrived() {
+			t.Errorf("memory_copy: warm-up push: %v, landed %v", err, p.arrived())
+			return nil
+		}
+		return func(tk *sim.Task) string {
+			for j := range p.from {
+				p.from[j] = byte(j % 241)
+			}
+			pushErr := local.MemoryCopy(tk, p.src, p.dst)
+			pushed := p.arrived()
+			for j := range p.to {
+				p.to[j] = byte(j % 239)
+			}
+			pullErr := local.MemoryCopy(tk, p.dst, p.src)
+			return fmt.Sprintf("push %v %v, pull %v %v", pushErr, pushed, pullErr, p.arrived())
+		}
+	}}
+
 // faceVerifyScenario is one face-verification request on fractos-trace's
 // set-up: batch 8, one file, one pipeline slot, four nodes. Its outcome
 // is the error and the verdicts.
@@ -244,6 +290,18 @@ func TestFaultSweepReply(t *testing.T) {
 // cross-node Call answered by a blocking Invoke through a Once entry.
 func TestFaultSweepInvoke(t *testing.T) {
 	sweep(t, invokeScenario, func(n int) []int { return every(n, 1) })
+}
+
+// TestFaultSweepRouted loses and duplicates each frame of a warm routed
+// Call answered by Reply.
+func TestFaultSweepRouted(t *testing.T) {
+	sweep(t, routedScenario, func(n int) []int { return every(n, 1) })
+}
+
+// TestFaultSweepCopy loses and duplicates each frame of a cross-node
+// memory_copy push and pull.
+func TestFaultSweepCopy(t *testing.T) {
+	sweep(t, copyScenario, func(n int) []int { return every(n, 1) })
 }
 
 // TestFaultSweepFaceVerify loses and duplicates frames of one

@@ -124,19 +124,19 @@ func TestTraceDeterminism(t *testing.T) {
 // in-tree; a change that means to move a timestamp or a byte count
 // updates them and says why.
 //
-// Last moved when a reply (Delivery.Reply, token 0) stopped drawing a
-// CtrlAck and a Completion nobody waited for (6ba37f4c… and ea1d8a27…
-// until then; shapes 7d20b7fa… and dd4ca1ff…). The pipeline's 292
-// transfers are 268, 12 CtrlAcks and 12 Completions fewer; its first
-// diverging event is the 52nd, a CtrlAck 1>2 at 92 530 ns that is gone,
-// and its last transfer still leaves at 662 800 ns. Face verification's
-// 77 are 68, 4 CtrlAcks and 5 Completions fewer (set-up's replies
-// included): set-up ends sooner, so the first event, a memory_copy, is
-// at 1 500 005 ns instead of 1 500 463, and the last at 1 990 289
-// instead of 1 990 747.
+// Last moved when a Call's reply became its acknowledgement: on a
+// reliable fabric the owner no longer acks an accepted invocation that
+// passes its invoker's reply Request, and the caller's Completion goes
+// out with the reply (5120beb7… and ce4c8d96… until then; pipeline shape
+// 33e655e4…). The pipeline's 268 transfers are 260, 8 CtrlAcks fewer;
+// its first diverging event is the 46th, a CtrlAck 2>1 at 80 637 ns that
+// is gone, and its last transfer leaves at 662 808 ns instead of
+// 662 800. Face verification's 68 keep their shape: set-up's Calls
+// complete 1 ns later each, so every instant is 18 ns later — the first,
+// a memory_copy, at 1 500 023 ns, the last at 1 990 307.
 const (
-	pipelineTraceSHA256   = "5120beb7128561b28f23787d4158900a25da393a298b57afd4b3d000186b7a66"
-	faceverifyTraceSHA256 = "ce4c8d96d38a255150c6a10649f5ac45ea2c95f91b5f77bbc090a22fa23bfdd6"
+	pipelineTraceSHA256   = "e007f913f1c8e950e4643b1a6c69cef787f86f70308831e2d3270f8711982ef2"
+	faceverifyTraceSHA256 = "93c46722742ae2ad21d4c47f3e697f976c9dd27d285141724a45cdd755874949"
 )
 
 // Pinned SHA-256 digests of the two workload traces' shapes (shapeOf):
@@ -144,7 +144,7 @@ const (
 // order. A change that only resizes messages, and so moves the instants
 // after them, leaves these alone.
 const (
-	pipelineShapeSHA256   = "33e655e45772ba25d09d00cf986bf3d7c2809270ccee4688c9cc418760781f58"
+	pipelineShapeSHA256   = "56fae9d05695fa96c779ebd2dc5698ed42f9054a0a2b1fc2fad17fdfd50c6eba"
 	faceverifyShapeSHA256 = "8872419c51811b4ce175dd5a50b039e72e6116d83230434791bf7f064be6fd0f"
 )
 

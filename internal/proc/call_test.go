@@ -211,7 +211,8 @@ func TestConcurrentCallsUseDistinctReplyRequests(t *testing.T) {
 
 // TestCallKeepsItsImmediates: a Call that finds every reply Request in
 // use posts a request_create first and its invocation only once that
-// completes, while its caller is blocked. Call copies the immediates when
+// completes, while its caller is blocked (and the busy call's invocation
+// awaits its reply, which completes it). Call copies the immediates when
 // it is entered, so another task that rewrites the bytes behind the
 // caller's BytesArg meanwhile changes nothing the provider receives.
 func TestCallKeepsItsImmediates(t *testing.T) {
@@ -244,7 +245,7 @@ func TestCallKeepsItsImmediates(t *testing.T) {
 		creates := cl.CtrlFor(0).Metrics().ReqCreates
 		buf := []byte("as sent!")
 		cl.K.Spawn("rewriter", func(*sim.Task) {
-			if c.cli.Pending() != 1 || cl.CtrlFor(0).Metrics().ReqCreates != creates {
+			if c.cli.Pending() != 2 || cl.CtrlFor(0).Metrics().ReqCreates != creates {
 				t.Errorf("%d syscalls pending, %d reply Requests created: want the request_create outstanding",
 					c.cli.Pending(), cl.CtrlFor(0).Metrics().ReqCreates-creates)
 			}
@@ -594,6 +595,67 @@ func TestCallAbortedInvokeRetiresReplyRequest(t *testing.T) {
 	})
 }
 
+// TestCallAbortedAtPeerReboot: the provider's Controller crashes after
+// it has accepted a Call, and reboots. On a reliable fabric the accepted
+// invocation is still pending at the caller's Controller — the reply
+// would have answered it — so the epoch announcement aborts it, and the
+// Call fails with StatusAborted as the announcement arrives, long before
+// its deadline.
+func TestCallAbortedAtPeerReboot(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		cl.K.Spawn("crash-on-accept", func(st *sim.Task) {
+			if _, ok := c.srv.Receive(st); !ok { // accepted, never answered
+				return
+			}
+			cl.CtrlFor(1).Crash()
+			st.Sleep(us(50))
+			cl.CtrlFor(1).Reboot()
+		})
+		const deadline = 1000 * sim.Time(1000)
+		start := tk.Now()
+		dv, err := c.cli.CallTimeout(tk, c.creq, nil, nil, 0, deadline)
+		if dv != nil || !wire.IsStatus(err, wire.StatusAborted) {
+			t.Errorf("call whose provider's Controller rebooted: %v, %v; want StatusAborted", dv, err)
+		}
+		// The invocation's round trip, the 50 µs down, the announcement's
+		// flight and the reply Request's cap_revoke: far under 100 µs.
+		if took := tk.Now() - start; took > us(100) {
+			t.Errorf("the call failed %v after it started, want it at the epoch announcement (deadline %v)", took, deadline)
+		}
+	})
+}
+
+// TestCallRefusedFailsAtOnce: a warm Call through a Request revoked at
+// its owner fails when the owner's refusal comes back, at the same
+// instant as while the owner acknowledged every invocation it accepted:
+// a refusal is still acknowledged at once.
+func TestCallRefusedFailsAtOnce(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		c := newCallPair(t, tk, cl, 1)
+		c.echo(false, nil)
+		if !c.call(t, tk, 1) {
+			return
+		}
+		tk.Sleep(us(100))
+		// The owner revokes before the forwarded invocation arrives, and
+		// its cleanup broadcast purges creq here only after it has left.
+		cl.K.Spawn("revoker", func(rt *sim.Task) {
+			if err := c.srv.Revoke(rt, c.req); err != nil {
+				t.Error(err)
+			}
+		})
+		start := tk.Now()
+		dv, err := c.cli.Call(tk, c.creq, nil, nil, 0)
+		if dv != nil || !wire.IsStatus(err, wire.StatusRevoked) {
+			t.Errorf("call of a revoked Request: %v, %v; want StatusRevoked", dv, err)
+		}
+		if took, want := tk.Now()-start, sim.Time(11945); took != want {
+			t.Errorf("the refused call took %v, want %v", took, want)
+		}
+	})
+}
+
 // TestKeptReplyCapabilityCannotAnswerALaterCall: a copy of a delegated
 // reply capability, kept past its call, is invoked while a later call of
 // the same Process — to another service, through the same reply Request —
@@ -693,7 +755,8 @@ func TestCallSeveredBetweenSyscalls(t *testing.T) {
 // its acknowledgement cannot be posted. That is lost with the channel;
 // the reply is not.
 func TestCallSeveredAfterReply(t *testing.T) {
-	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	why := "the echo server's invocation of the reply: the caller's Controller, severed, cannot ack it, and nothing resends on a reliable fabric"
+	runLeaving(t, why, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		c.echo(false, nil)
 		cli := c.cli

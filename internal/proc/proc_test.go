@@ -19,11 +19,35 @@ import (
 func us(f float64) sim.Time { return testbed.USec(f) }
 
 // run executes fn as the test's main task on a fresh testbed and runs
-// the simulation to completion.
+// the simulation to completion. Once the kernel has run dry, an
+// inter-Controller call still pending on a Controller is a caller left
+// hanging — nobody will answer it — and fails the test; a test that
+// leaves one on purpose runs through runLeaving and says why.
 func run(t *testing.T, spec testbed.Spec, fn func(tk *sim.Task, cl *core.Cluster)) {
 	t.Helper()
-	testbed.RunT(t, spec,
-		func(tk *sim.Task, d *testbed.Deployment) { fn(tk, d.Cl) })
+	runLeaving(t, "", spec, fn)
+}
+
+// runLeaving is run for a test that ends with inter-Controller calls
+// pending on purpose: why names them and gives the reason, and the test
+// fails if it leaves none.
+func runLeaving(t *testing.T, why string, spec testbed.Spec, fn func(tk *sim.Task, cl *core.Cluster)) {
+	t.Helper()
+	var cl *core.Cluster
+	testbed.RunT(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
+		cl = d.Cl
+		fn(tk, d.Cl)
+	})
+	pending := 0
+	for _, c := range cl.Ctrls {
+		pending += c.PendingCalls()
+	}
+	switch {
+	case why == "" && pending > 0:
+		t.Errorf("the run ends with %d inter-Controller calls pending", pending)
+	case why != "" && pending == 0:
+		t.Errorf("the run ends with no inter-Controller call pending, but says it leaves %s", why)
+	}
 }
 
 // receive starts a Receive on p in a task of its own; the future

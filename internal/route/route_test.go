@@ -184,26 +184,29 @@ func captureRouted(t *testing.T, policy string) (trace, picks string) {
 // its pick sequence (see the pinned digests in
 // internal/exp/determinism_test.go for the contract).
 //
-// Last moved when a reply (Delivery.Reply, token 0) stopped drawing a
-// CtrlAck and a Completion nobody waited for (08fad406… and b42160d2…
-// until then; shapes 0b568348… and a0af5d0f…): each trace's 785
-// transfers are 655, 64 CtrlAcks and 66 Completions fewer, and neither
-// pick sequence moved. First diverging event, both policies, the 2nd: a
-// set-up reply's Completion 1>4 at 150 898 ns is gone, and the next
-// transfer, 1>5, leaves at 151 380 instead of 151 598. The last leaves
-// at 6 265 761 ns instead of 6 267 410 (rr), 5 442 687 instead of
-// 5 444 658 (least).
+// Last moved when a Call's reply became its acknowledgement: on a
+// reliable fabric the replica's owner no longer acks the balancer's
+// invocation, and the balancer's Completion goes out with the reply
+// (21cde6d5… and ff8125cb… until then; shapes 554e2cc9… and a3623e92…).
+// Each trace's 655 transfers are 591, its 64 CtrlAcks gone. Set-up's
+// Calls complete 1 ns later each, so the first transfer leaves at
+// 149 472 ns instead of 149 468. rr's pick sequence did not move, and its
+// last transfer leaves at 6 265 771 ns instead of 6 265 761. least's
+// 47th pick is replica 1, not 4: a depth piggyback arrives at a
+// different point among same-instant events, and the tie breaks the
+// other way; its last transfer leaves at 5 444 078 ns instead of
+// 5 442 687.
 var routedSHA256 = map[string]string{
-	"rr":    "21cde6d56b3e4581e45807b0cebf7ba28f2a034484441560055d2c747b2c57ea",
-	"least": "ff8125cb3b04114816df2812d89d2a3a7fa95206ccace99844d7ee1db409e883",
+	"rr":    "25448d040078ef7dca5b7856a70dd366f2c1b782c46bba742542da669c743606",
+	"least": "782de03bbce8b383a94390d9546fbbd15ecfea3409d2478ad203843472628f75",
 }
 
 // Pinned SHA-256 digests of each policy's trace shape (routedShape)
 // followed by its pick sequence: a change that only resizes messages,
 // and so moves the instants after them, leaves these alone.
 var routedShapeSHA256 = map[string]string{
-	"rr":    "554e2cc94a606883ed4efa8092705c3c7b40bbfe2dde42818d5d6dbaa2f99253",
-	"least": "a3623e926fcde95924862d7378b3cef4b2e77761ff8d8e1e6d52b22e14a2d7fa",
+	"rr":    "6f6993bcce3dead9db59ab4f020db553525a647229c278853cb50b74f8b82c0c",
+	"least": "81c7529bc5a1fe8fb6f8716d516556ee9a9a892adaa6f22f794457f7754ec1a5",
 }
 
 // routedShape strips a captureRouted log of every instant and byte
