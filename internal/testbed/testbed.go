@@ -102,24 +102,28 @@ func (d *Deployment) Spawn(name string, fn func(tk *sim.Task)) { d.Cl.K.Spawn(na
 // Run builds the cluster described by s, deploys its services in order
 // inside the main task, invokes fn as the workload, and runs the
 // simulation to completion; it panics (via internal/assert) if the
-// main task deadlocks. This is the single entry point every
-// experiment, example, and heavy integration test goes through.
+// main task deadlocks or a Controller is left with an inter-Controller
+// call pending, whose caller nobody will answer. This is the single
+// entry point every experiment, example, and heavy integration test
+// goes through.
 func Run(s Spec, fn func(tk *sim.Task, d *Deployment)) {
-	if !run(s, fn) {
+	done, pending := run(s, fn)
+	if !done {
 		assert.Failf("testbed: main task did not complete (deadlock)")
 	}
+	assert.That(pending == 0, "testbed: the run ends with %d inter-Controller calls pending", pending)
 }
 
 // RunT is Run for tests: an incomplete main task fails the test
 // instead of panicking the process.
 func RunT(tb TB, s Spec, fn func(tk *sim.Task, d *Deployment)) {
 	tb.Helper()
-	if !run(s, fn) {
+	if done, _ := run(s, fn); !done {
 		tb.Fatalf("testbed: main task did not complete (deadlock)")
 	}
 }
 
-func run(s Spec, fn func(tk *sim.Task, d *Deployment)) bool {
+func run(s Spec, fn func(tk *sim.Task, d *Deployment)) (done bool, pending int) {
 	cl := core.NewCluster(core.ClusterConfig{
 		Nodes:     s.Nodes,
 		Placement: s.Placement,
@@ -130,7 +134,6 @@ func run(s Spec, fn func(tk *sim.Task, d *Deployment)) bool {
 	if s.Heartbeat != nil {
 		d.Watch = services.StartNodeWatch(cl, *s.Heartbeat)
 	}
-	done := false
 	cl.K.Spawn("tb-main", func(tk *sim.Task) {
 		for _, svc := range s.Services {
 			svc.Deploy(tk, d)
@@ -142,8 +145,11 @@ func run(s Spec, fn func(tk *sim.Task, d *Deployment)) bool {
 		}
 	})
 	cl.K.Run()
+	for _, c := range cl.Ctrls {
+		pending += c.PendingCalls()
+	}
 	cl.K.Shutdown()
-	return done
+	return done, pending
 }
 
 // --- shared formatting / unit helpers -------------------------------

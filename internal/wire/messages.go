@@ -349,10 +349,13 @@ type CapXfer struct {
 	// holder's Controller drops the entry when it forwards an invocation
 	// through it. It travels in the spare top bit of the Rights byte.
 	Once bool
+	// Relayed marks a Once capability passed on from a delegation, not
+	// armed by the invocation carrying it. It travels in the next bit.
+	Relayed bool
 }
 
-// xferOnce is CapXfer.Once's bit in the byte it shares with Rights.
-const xferOnce = 0x80
+// xferOnce and xferRelayed are CapXfer's bits in the byte of its Rights.
+const xferOnce, xferRelayed = 0x80, 0x40
 
 func encodeRef(w *Writer, r cap.Ref) {
 	w.U32(uint32(r.Ctrl))
@@ -390,9 +393,12 @@ func encodeCapXfers(w *Writer, xs []CapXfer) {
 		w.U16(x.Slot)
 		encodeRef(w, x.Ref)
 		w.U8(uint8(x.Kind))
-		b := uint8(x.Rights) &^ xferOnce
+		b := uint8(x.Rights) &^ (xferOnce | xferRelayed)
 		if x.Once {
 			b |= xferOnce
+		}
+		if x.Relayed {
+			b |= xferRelayed
 		}
 		w.U8(b)
 		w.U64(x.Size)
@@ -415,11 +421,12 @@ func decodeCapXfers(r *Reader) []CapXfer {
 		slot, ref, kind, b := r.U16(), decodeRef(r), cap.Kind(r.U8()), r.U8()
 		xs[i] = CapXfer{
 			Slot: slot, Ref: ref, Kind: kind,
-			Rights:    cap.Rights(b &^ xferOnce),
+			Rights:    cap.Rights(b &^ (xferOnce | xferRelayed)),
 			Size:      r.U64(),
 			Monitored: r.Bool(),
 			Leased:    r.Bool(),
 			Once:      b&xferOnce != 0,
+			Relayed:   b&xferRelayed != 0,
 		}
 	}
 	return xs

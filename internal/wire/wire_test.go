@@ -115,6 +115,8 @@ func sampleMessages() []Message {
 		&CtrlAck{Token: 20, Status: StatusRevoked, Obj: 1234, Epoch: 9, Size: 77, Rights: cap.All},
 		&CtrlInvoke{Token: 25, Src: 5, Ref: ref,
 			Caps: []CapXfer{{Slot: 0, Ref: ref, Kind: cap.KindRequest, Rights: cap.ReqRights, Once: true}}},
+		&CtrlInvoke{Token: 26, Src: 5, Ref: ref,
+			Caps: []CapXfer{{Slot: 0, Ref: ref, Kind: cap.KindRequest, Rights: cap.ReqRights, Once: true, Relayed: true}}},
 		&CtrlCleanup{Token: 31, Refs: []cap.Ref{ref, {Ctrl: 1, Obj: 2, Epoch: 3}}},
 		&CtrlWatch{Token: 23, Src: 7, Ref: ref, WatcherProc: 66, WatcherCtrl: 8, Callback: 0xf00d},
 		&CtrlNotify{Proc: 67, Callback: 0xfeed, Kind: MonitorCBDelegate},
@@ -268,6 +270,7 @@ var goldenFrames = []struct {
 	{"CtrlInvoke, 300-byte immediate", "b20213050763030100ac02" + strings.Repeat("70", 300) + "0100076303010980200000", Data},
 	{"CtrlAck", "b3021401d209094d0f", Control},
 	{"CtrlInvoke, passing a Once reply Request", "b2021905076303000100076303028c000000", Control},
+	{"CtrlInvoke, passing on a relayed Once reply Request", "b2021a0507630300010007630302cc000000", Control},
 	{"CtrlCleanup", "b4021f02076303010203", Control},
 	{"CtrlWatch", "b702170707630342088de003", Control},
 	{"CtrlNotify", "b80243edfd0300", Control},
