@@ -4,8 +4,7 @@
 // determinism (simdet), the syscall completion protocol (statuscheck),
 // results that must not be dropped — wire.Status, Net.Send's delivery
 // failure, registry membership errors — (mustuse), the no-panic policy
-// (panicfree), pooled-resource lifecycle (poolcheck), and hot-path
-// allocation freedom over a module-wide call graph (allocfree). The
+// (panicfree) and pooled-resource lifecycle (poolcheck). The
 // analyzers know no function by name: each reads //fractos: directives
 // off the declarations it is about, and the driver reports every
 // directive or waiver that no analyzer reads.
@@ -31,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"fractos/tools/analyzers/allocfree"
 	"fractos/tools/analyzers/analysis"
 	"fractos/tools/analyzers/capcheck"
 	"fractos/tools/analyzers/epochguard"
@@ -45,7 +43,6 @@ import (
 
 // all is the fractos-vet suite, in reporting order.
 var all = []*analysis.Analyzer{
-	allocfree.Analyzer,
 	capcheck.Analyzer,
 	epochguard.Analyzer,
 	mustuse.Analyzer,
@@ -122,12 +119,12 @@ func vet(dir string, args []string, suite []*analysis.Analyzer) ([]finding, stri
 
 	// The module view spans everything the loader materialized — the
 	// requested packages plus their in-module dependencies — so the
-	// interprocedural analyzers and the directive index see call
-	// targets outside the analyzed package set.
-	module := &analysis.Module{Fset: l.Fset}
+	// directive index sees call targets outside the analyzed package
+	// set.
+	module := &analysis.Module{}
 	for _, pkg := range l.Loaded() {
 		module.Packages = append(module.Packages, &analysis.ModulePackage{
-			Pkg: pkg.Types, Files: pkg.Files, TypesInfo: pkg.TypesInfo,
+			Files: pkg.Files, TypesInfo: pkg.TypesInfo,
 		})
 	}
 

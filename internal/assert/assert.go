@@ -32,12 +32,10 @@ func That(cond bool, format string, args ...interface{}) {
 // True aborts with msg unless cond holds. It is the allocation-free
 // variant of That for hot paths: the message is a pre-built string, so
 // the call site pays no variadic ...interface{} boxing.
-//
-//fractos:hotpath
 func True(cond bool, msg string) {
 	if !cond {
 		//fractos:panic-ok assert is the designated invariant terminator
-		panic("invariant violated: " + msg) // fractos:alloc-ok only on the aborting path
+		panic("invariant violated: " + msg)
 	}
 }
 

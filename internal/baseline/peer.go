@@ -87,8 +87,6 @@ func NewPeer(net *fabric.Net, name string, loc fabric.Location, perOp sim.Time, 
 // frame, so the payload either keeps is copied out before the frame is
 // released. A reply from an endpoint other than its call's destination
 // is ignored: tokens are small counters, and any endpoint can echo one.
-//
-//fractos:hotpath
 func (p *Peer) Deliver(f *fabric.Frame) {
 	from := f.From
 	m, err := p.dec.Decode(f.Bytes())
@@ -98,7 +96,7 @@ func (p *Peer) Deliver(f *fabric.Frame) {
 		return
 	}
 	kind, token := raw.Kind, raw.Token
-	data := bytes.Clone(raw.Data) // fractos:alloc-ok the payload outlives the frame
+	data := bytes.Clone(raw.Data) // the payload outlives the frame
 	f.Release()
 	if kind&replyBit != 0 {
 		if c, ok := p.pending[token]; ok && c.dst == from {
@@ -108,7 +106,7 @@ func (p *Peer) Deliver(f *fabric.Frame) {
 		return
 	}
 	if p.serve != nil {
-		p.waiting = append(p.waiting, Request{From: from, Kind: kind, Token: token, Data: data}) // fractos:alloc-ok the queue grows to the most requests waiting at once
+		p.waiting = append(p.waiting, Request{From: from, Kind: kind, Token: token, Data: data}) // the queue grows to the most requests waiting at once
 		p.next()
 	}
 }

@@ -253,8 +253,6 @@ func (s *Space) Install(e Entry) CapID {
 
 // lookupSlot resolves a cid to its slot, or nil if the cid is invalid,
 // out of range, freed, or from a superseded generation.
-//
-//fractos:hotpath
 func (s *Space) lookupSlot(id CapID) *capSlot {
 	u := uint32(id) & capIdxMask
 	if u == 0 || u > s.next {
@@ -283,7 +281,6 @@ func (s *Space) Lookup(id CapID) (Entry, bool) {
 // reallocated) but is invalidated by Drop/PurgeRefs of the same cid;
 // hot paths must not retain it across a yield.
 //
-//fractos:hotpath
 //fractos:borrow
 func (s *Space) Peek(id CapID) *Entry {
 	sl := s.lookupSlot(id)

@@ -98,8 +98,6 @@ func (t *Tree) at(idx uint32) *Node {
 
 // probe resolves an ObjectID to its slab node, or nil if the ID is
 // invalid, freed, or from a superseded generation.
-//
-//fractos:hotpath
 func (t *Tree) probe(id ObjectID) *Node {
 	u := uint32(id)
 	if u == 0 || u > t.next {
@@ -190,8 +188,6 @@ func (t *Tree) GetAny(id ObjectID) (*Node, bool) {
 // Probe returns the node for id — revoked or not — or nil. It is the
 // allocation-free hot-path variant of Get/GetAny for validation: the
 // caller folds the Revoked check into its own fence.
-//
-//fractos:hotpath
 func (t *Tree) Probe(id ObjectID) *Node {
 	return t.probe(id)
 }

@@ -272,14 +272,12 @@ func (c *Controller) PendingCalls() int { return len(c.pending) }
 
 // Deliver implements fabric.Handler: a frame joins the receive queue;
 // an idle Controller starts on it at once, a crashed one drops it.
-//
-//fractos:hotpath
 func (c *Controller) Deliver(f *fabric.Frame) {
 	if c.down {
 		f.Release()
 		return
 	}
-	c.rxQueue = append(c.rxQueue, f) // fractos:alloc-ok queue growth is amortized: popFront shifts in place, so the backing array is reused
+	c.rxQueue = append(c.rxQueue, f) // queue growth is amortized: popFront shifts in place, so the backing array is reused
 	if len(c.rxQueue) == 1 {
 		c.serveHead()
 	}
@@ -290,8 +288,6 @@ func (c *Controller) Deliver(f *fabric.Frame) {
 // Fire dispatches the same borrowed message — and occupy the Controller
 // for that long. A frame that does not decode is dropped unserved, like
 // line corruption.
-//
-//fractos:hotpath
 func (c *Controller) serveHead() {
 	for len(c.rxQueue) > 0 {
 		m, err := c.dec.Decode(c.rxQueue[0].Bytes())
@@ -341,8 +337,6 @@ func popFront[T any](q []T) (head T, rest []T) {
 
 // cost models the Controller's processing time for a message,
 // according to the deployment domain (host CPU vs SmartNIC).
-//
-//fractos:hotpath
 func (c *Controller) cost(m wire.Message) sim.Time {
 	dom := c.cfg.Loc.Domain
 	p := &c.perf
@@ -463,8 +457,6 @@ func (c *Controller) dispatchSyscall(ps *procState, m wire.Message) {
 // which is not: a duplicate reaches the watcher as a second MonitorCB.
 // Only monitor_receive callbacks travel in one, and libfractos runs
 // such a callback once — its object can only be revoked once.
-//
-//fractos:hotpath
 func peerToken(m wire.Message) (uint64, bool) {
 	switch m := m.(type) {
 	case *wire.CtrlDeriveMem:
@@ -549,7 +541,6 @@ func (c *Controller) dispatchPeer(p *peerState, m wire.Message) {
 // failure path will revoke its state, so the lost completion is correct
 // behavior, not silent loss.
 //
-//fractos:hotpath
 //fractos:ordered
 //fractos:completes 1
 func (c *Controller) complete(ps *procState, token uint64, st wire.Status, cid cap.CapID, aux uint64) {
@@ -562,8 +553,6 @@ func (c *Controller) complete(ps *procState, token uint64, st wire.Status, cid c
 
 // ack answers the peer request under token with a CtrlAck, built in
 // place.
-//
-//fractos:hotpath
 func (c *Controller) ack(from fabric.EndpointID, token uint64, a wire.CtrlAck) {
 	c.txAck = a
 	c.txAck.Token = token
@@ -576,11 +565,9 @@ func (c *Controller) ack(from fabric.EndpointID, token uint64, a wire.CtrlAck) {
 // retransmission is answered identically without re-execution. On a
 // reliable fabric with retransmission disarmed no token can repeat, so
 // the fault-free hot path keeps nothing.
-//
-//fractos:hotpath
 func (c *Controller) reply(from fabric.EndpointID, m wire.Message) {
 	if c.dedupArmed() {
-		c.peerEPs[from].dedup.remember(m) // fractos:alloc-ok the index and ring are made at most once per peer incarnation
+		c.peerEPs[from].dedup.remember(m) // the index and ring are made at most once per peer incarnation
 	}
 	c.send(from, m) // severed, the peer is crashing: its epoch announcement aborts the call
 }
@@ -588,8 +575,6 @@ func (c *Controller) reply(from fabric.EndpointID, m wire.Message) {
 // send puts m on the fabric to the endpoint to. A send to a severed
 // endpoint — a Controller crashing, a Process failing — is counted, not
 // silent: that failure's own path unwinds what the message was for.
-//
-//fractos:hotpath
 func (c *Controller) send(to fabric.EndpointID, m wire.Message) {
 	if !c.net.Send(c.ep.ID, to, m) {
 		c.metrics.SendFailed++
@@ -644,8 +629,6 @@ func (d *dedupCache) reset() {
 // dedupArmed reports whether the at-most-once reply cache must be
 // maintained: only a lossy fabric repeats a token, by retransmission
 // or duplication.
-//
-//fractos:hotpath
 func (c *Controller) dedupArmed() bool {
 	return c.net.Lossy()
 }
@@ -664,8 +647,6 @@ func (c *Controller) ref(obj cap.ObjectID) cap.Ref {
 // status classification off the hot path. Every use of a capability
 // funnels through here (§3.5: each use contacts the owner), so this
 // is the operation the cap-scale experiment measures.
-//
-//fractos:hotpath
 func (c *Controller) Validate(ref cap.Ref, need cap.Rights) (*cap.Node, wire.Status) {
 	n := c.tree.Probe(ref.Obj)
 	if n != nil && !n.Revoked && ref.Ctrl == c.id && ref.Epoch == c.epoch {
@@ -704,7 +685,6 @@ func (c *Controller) resolveOwned(ref cap.Ref) (*cap.Node, wire.Status) {
 // resolveEntry fetches a live capability-space entry with required
 // rights and kind.
 //
-//fractos:hotpath
 //fractos:cap-resolve
 func (c *Controller) resolveEntry(ps *procState, cid cap.CapID, kind cap.Kind, need cap.Rights) (cap.Entry, wire.Status) {
 	e, ok := ps.space.Lookup(cid)

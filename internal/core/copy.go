@@ -104,20 +104,16 @@ type (
 	copyHWDone   copyOp
 )
 
-//fractos:hotpath
 func (e *copyCostDue) Fire() { (*copyOp)(e).read() }
 
-//fractos:hotpath
 func (e *copyReadDone) Fire() { (*copyOp)(e).readDone() }
 
-//fractos:hotpath
 func (e *copyDrained) Fire() {
 	op := (*copyOp)(e)
 	op.expect(copyDraining)
 	op.done()
 }
 
-//fractos:hotpath
 func (e *copyHWDone) Fire() {
 	op := (*copyOp)(e)
 	op.expect(copyHW)
@@ -137,7 +133,6 @@ func (c *Controller) getCopyOp(ps *procState, token uint64) *copyOp {
 // except under the race detector (poison_race.go), where a released op
 // stays cleared for good.
 //
-//fractos:hotpath
 //fractos:pool-release copyop
 func (c *Controller) putCopyOp(op *copyOp) {
 	assert.True(!op.held, "core: copy op released with its bounce pair")
@@ -236,8 +231,6 @@ func (op *copyOp) transfer() {
 }
 
 // admit hands the copy a bounce pair and starts on its first chunk.
-//
-//fractos:hotpath
 func (op *copyOp) admit() {
 	c := op.c
 	b0, b1 := c.popBounce(), c.popBounce()
@@ -248,8 +241,6 @@ func (op *copyOp) admit() {
 // chunk starts the timer of the chunk at op.off: the wait for its
 // bounce buffer to drain, then the per-chunk processing time. Past the
 // last chunk it waits out the writes still on the wire.
-//
-//fractos:hotpath
 func (op *copyOp) chunk() {
 	c := op.c
 	now := c.k.Now()
@@ -271,13 +262,9 @@ func (op *copyOp) chunk() {
 }
 
 // chunkLen is the length of the current chunk.
-//
-//fractos:hotpath
 func (op *copyOp) chunkLen() int { return min(DefaultBounceChunk, op.n-op.off) }
 
 // read brings the current chunk into its bounce buffer.
-//
-//fractos:hotpath
 func (op *copyOp) read() {
 	c := op.expect(copyChunkCost)
 	err := c.net.RDMAReadThen((*copyReadDone)(op), c.ep.ID, op.bufs[op.i%2],
@@ -291,8 +278,6 @@ func (op *copyOp) read() {
 
 // readDone writes the chunk out and moves on: the next chunk's read
 // overlaps this write.
-//
-//fractos:hotpath
 func (op *copyOp) readDone() {
 	c := op.expect(copyReading)
 	b := op.i % 2
@@ -309,8 +294,6 @@ func (op *copyOp) readDone() {
 }
 
 // done completes a copy whose every byte has landed.
-//
-//fractos:hotpath
 func (op *copyOp) done() {
 	c := op.c
 	c.metrics.CopyBytes += int64(op.n)
@@ -319,8 +302,6 @@ func (op *copyOp) done() {
 
 // expect is the Controller of an op whose event fired, having checked
 // that the op was waiting for it: a released op waits for nothing.
-//
-//fractos:hotpath
 func (op *copyOp) expect(waitingFor copyState) *Controller {
 	assert.True(op.c != nil && op.state == waitingFor, "core: event fired on a copy op that was not waiting for it")
 	return op.c
@@ -329,8 +310,6 @@ func (op *copyOp) expect(waitingFor copyState) *Controller {
 // finish ends the copy: complete the syscall, pass the bounce pair on
 // — with the instants its write-outs drain at — to the copy that has
 // waited longest, and recycle the op.
-//
-//fractos:hotpath
 func (op *copyOp) finish(st wire.Status, aux uint64) {
 	c := op.c
 	c.complete(op.ps, op.token, st, cap.NilCap, aux)
@@ -355,7 +334,6 @@ type bounceChunk struct {
 	drained sim.Time
 }
 
-//fractos:hotpath
 func (c *Controller) popBounce() bounceChunk {
 	b := c.bounceFree[len(c.bounceFree)-1]
 	c.bounceFree = c.bounceFree[:len(c.bounceFree)-1]
@@ -364,8 +342,6 @@ func (c *Controller) popBounce() bounceChunk {
 
 // pushBounce returns a chunk to the pool, which New sized for all of
 // them.
-//
-//fractos:hotpath
 func (c *Controller) pushBounce(b bounceChunk) {
 	c.bounceFree = c.bounceFree[:len(c.bounceFree)+1]
 	c.bounceFree[len(c.bounceFree)-1] = b

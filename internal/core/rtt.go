@@ -44,8 +44,6 @@ type rttEstimator struct {
 // sample folds in one measured round trip (α = 1/8, β = 1/4) and ends
 // any backoff. The caller applies Karn's rule: a call that was
 // retransmitted has no unambiguous round trip and contributes nothing.
-//
-//fractos:hotpath
 func (e *rttEstimator) sample(r sim.Time) {
 	e.backoff = 0
 	if e.srtt == 0 {

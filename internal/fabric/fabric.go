@@ -99,8 +99,6 @@ func DefaultProfile() Profile {
 const nanosecond = sim.Time(1)
 
 // exit returns the sender-side latency for a domain.
-//
-//fractos:hotpath
 func (p *Profile) exit(d Domain) sim.Time {
 	if d == SNIC {
 		return p.SNICExit
@@ -109,8 +107,6 @@ func (p *Profile) exit(d Domain) sim.Time {
 }
 
 // entry returns the receiver-side latency for a domain.
-//
-//fractos:hotpath
 func (p *Profile) entry(d Domain) sim.Time {
 	if d == SNIC {
 		return p.SNICEntry
@@ -163,8 +159,6 @@ type Endpoint struct {
 // an owner that keeps its memory at hand (an application's buffers,
 // tests); a device that touches a little of a large arena takes ranged
 // views instead.
-//
-//fractos:whole-arena
 func (e *Endpoint) Arena() []byte {
 	if len(e.arena) < e.arenaSize {
 		nb := make([]byte, e.arenaSize)
@@ -195,7 +189,7 @@ func (e *Endpoint) ArenaRange(off, n int) []byte {
 		if newLen > e.arenaSize {
 			newLen = e.arenaSize
 		}
-		nb := make([]byte, newLen) // fractos:alloc-ok the arena's touched prefix materializes geometrically up to the registered size, then never again
+		nb := make([]byte, newLen) // the arena's touched prefix materializes geometrically up to the registered size, then never again
 		copy(nb, e.arena)
 		e.arena = nb
 	}
@@ -287,8 +281,6 @@ type link struct {
 
 // reserve books n bytes of one-sided RDMA starting at now, returning
 // when the transmission completes on this link.
-//
-//fractos:hotpath
 func (l *link) reserve(now sim.Time, n int) sim.Time {
 	start := now
 	if l.busyUntil > start {
@@ -301,8 +293,6 @@ func (l *link) reserve(now sim.Time, n int) sim.Time {
 
 // send books an n-byte message starting at now behind earlier messages
 // only, returning when it completes on this link.
-//
-//fractos:hotpath
 func (l *link) send(now sim.Time, n int) sim.Time {
 	start := max(now, l.msgUntil)
 	dur := sim.Time(float64(n) / l.bw * 1e9)
@@ -367,14 +357,11 @@ const maxPooledFrame = 1 << 20
 
 // Bytes returns the encoded message, type header included. It is valid
 // until Release.
-//
-//fractos:hotpath
 func (f *Frame) Bytes() []byte { return f.w.Bytes() }
 
 // Release clears the Frame and returns it, with its buffer, to the
 // free list of the fabric that launched it.
 //
-//fractos:hotpath
 //fractos:pool-release frame
 func (f *Frame) Release() {
 	n := f.net
@@ -396,7 +383,6 @@ func (n *Net) LiveFrames() int { return n.live }
 // launch hands an encoded Frame to the kernel: its delivery event owns
 // it from here until Fire passes it on or releases it.
 //
-//fractos:hotpath
 //fractos:pool-handoff frame
 func (n *Net) launch(f *Frame, delay sim.Time) {
 	n.k.AfterCall(delay, f)
@@ -406,8 +392,6 @@ func (n *Net) launch(f *Frame, delay sim.Time) {
 // frame was on the wire never sees it; a Handler takes the Frame over;
 // a bare endpoint gets the message decoded into storage of its own, and
 // a frame that does not decode is dropped like line corruption.
-//
-//fractos:hotpath
 func (f *Frame) Fire() {
 	assert.True(f.net != nil, "fabric: frame fired after release")
 	dst := f.dst
@@ -419,7 +403,7 @@ func (f *Frame) Fire() {
 		dst.rx.Deliver(f)
 		return
 	}
-	m, err := wire.UnmarshalWith(&f.net.rd, f.Bytes()) // fractos:alloc-ok a bare endpoint keeps what it receives: the owning decode allocates the message (struct and payload copies), once per delivery by design
+	m, err := wire.UnmarshalWith(&f.net.rd, f.Bytes()) // a bare endpoint keeps what it receives: the owning decode allocates the message (struct and payload copies), once per delivery by design
 	d := Delivery{From: f.From, Msg: m, Bytes: len(f.Bytes())}
 	f.Release()
 	if err == nil {
@@ -443,8 +427,6 @@ func (n *Net) Kernel() *sim.Kernel { return n.k }
 // dropped, duplicated, delayed, or cut. It is fixed before the first
 // frame, and Controllers read it to decide whether to retransmit and
 // keep at-most-once replies at all.
-//
-//fractos:hotpath
 func (n *Net) Lossy() bool { return n.faults != nil }
 
 // Profile returns the fabric's calibration.
@@ -501,8 +483,6 @@ func (n *Net) ensureLinks(node int) {
 }
 
 // lookup resolves an id to its endpoint, or nil if unknown.
-//
-//fractos:hotpath
 func (n *Net) lookup(id EndpointID) *Endpoint {
 	if int(id) < len(n.eps) {
 		return n.eps[id] // index 0 is nil, so id 0 resolves to unknown
@@ -533,8 +513,6 @@ func (n *Net) Reconnect(id EndpointID) {
 }
 
 // account records a transfer in the counters.
-//
-//fractos:hotpath
 func (n *Net) account(class wire.Class, bytes int, cross bool, rdma bool) {
 	switch class {
 	case wire.Data:
@@ -562,8 +540,6 @@ func (n *Net) account(class wire.Class, bytes int, cross bool, rdma bool) {
 
 // transferTime computes when a message of nBytes sent now from src to
 // dst finishes arriving, accounting for link serialization.
-//
-//fractos:hotpath
 func (n *Net) transferTime(now sim.Time, src, dst Location, nBytes int) sim.Time {
 	lat := n.prof.exit(src.Domain) + n.prof.entry(dst.Domain)
 	if src.Node == dst.Node {
@@ -586,7 +562,6 @@ func (n *Net) transferTime(now sim.Time, src, dst Location, nBytes int) sim.Time
 // observable at the sender, which is precisely what forces the
 // retransmission protocols above the fabric.
 //
-//fractos:hotpath
 //fractos:mustuse false means the destination endpoint is gone, the one delivery failure a sender can observe
 //fractos:ordered
 func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
@@ -660,7 +635,6 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 // encode takes a Frame off the free list and fills it with m on its
 // way from one endpoint to dst.
 //
-//fractos:hotpath
 //fractos:pool-acquire frame
 func (n *Net) encode(from EndpointID, dst *Endpoint, m wire.Message) *Frame {
 	f := n.frames.Get()
@@ -701,8 +675,6 @@ func (e rangeError) Error() string {
 
 // rdmaTransfer performs the byte movement and timing shared by the
 // RDMA primitives, returning completion time. Data flows srcEp→dstEp.
-//
-//fractos:hotpath
 func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nBytes int, extraRTT bool) (sim.Time, error) {
 	if srcEp.disconnected || dstEp.disconnected || initiator.disconnected {
 		return 0, errDisconnected
@@ -759,8 +731,6 @@ func (n *Net) rdmaTransfer(initiator, srcEp, dstEp *Endpoint, srcOff, dstOff, nB
 // rdmaStart issues one op — data flows src→dst, commanded by initiator
 // — and schedules done for its modeled completion time. An op that
 // cannot start returns why and never fires done.
-//
-//fractos:hotpath
 func (n *Net) rdmaStart(done sim.Callback, initiator, src, dst EndpointID, srcOff, dstOff, nBytes int, extraRTT bool) error {
 	ini, se, de := n.lookup(initiator), n.lookup(src), n.lookup(dst)
 	if ini == nil || se == nil || de == nil {
@@ -780,8 +750,6 @@ func (n *Net) rdmaStart(done sim.Callback, initiator, src, dst EndpointID, srcOf
 // start — an endpoint unknown or disconnected, the path cut, a range
 // outside its arena — returns the error instead, and done never fires.
 // The bytes move when the op starts; a completion is never an error.
-//
-//fractos:hotpath
 func (n *Net) RDMAReadThen(done sim.Callback, initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) error {
 	return n.rdmaStart(done, initiator, remote, initiator, remoteOff, localOff, nBytes, true)
 }
@@ -791,8 +759,6 @@ func (n *Net) RDMAReadThen(done sim.Callback, initiator EndpointID, localOff int
 // instant it completes. It schedules nothing: the link is booked and
 // the bytes move when the op starts, so its completion is known then.
 // An op that cannot start returns the error, as RDMAReadThen's does.
-//
-//fractos:hotpath
 func (n *Net) RDMAWriteAt(initiator EndpointID, localOff int, remote EndpointID, remoteOff, nBytes int) (sim.Time, error) {
 	ini, de := n.lookup(initiator), n.lookup(remote)
 	if ini == nil || de == nil {
@@ -805,8 +771,6 @@ func (n *Net) RDMAWriteAt(initiator EndpointID, localOff int, remote EndpointID,
 // initiator commands src's NIC to move bytes directly into dst's arena
 // ("HW copies" in Figure 5 — hardware support the paper models but the
 // testbed NICs lack).
-//
-//fractos:hotpath
 func (n *Net) RDMACopyThen(done sim.Callback, initiator EndpointID, src EndpointID, srcOff int, dst EndpointID, dstOff, nBytes int) error {
 	return n.rdmaStart(done, initiator, src, dst, srcOff, dstOff, nBytes, true)
 }

@@ -215,8 +215,6 @@ func (op *callOp) start(req Cap, imms []wire.ImmArg, args []Arg, replySlot uint1
 }
 
 // invoke posts the invocation, the reply Request in its slot.
-//
-//fractos:hotpath
 func (op *callOp) invoke() {
 	p := op.p
 	op.slots[len(op.slots)-1].Cid = op.reply.cid
@@ -234,8 +232,6 @@ func (op *callOp) invoke() {
 
 // post sends one of the call's syscalls. If the channel to the
 // Controller is severed the call is over, with ErrDisconnected.
-//
-//fractos:hotpath
 func (op *callOp) post(token uint64, m wire.Message) bool {
 	if op.p.send(sysWaiter{op: op}, token, m) {
 		return true
@@ -247,8 +243,6 @@ func (op *callOp) post(token uint64, m wire.Message) bool {
 
 // Completed implements Waiter: it steps the call on the completion of its
 // current syscall.
-//
-//fractos:hotpath
 func (op *callOp) Completed(m *wire.Completion) {
 	p := op.p
 	switch op.state {
@@ -291,7 +285,6 @@ func (op *callOp) Completed(m *wire.Completion) {
 // delivered takes the reply, which the op holds until the caller has it
 // and putCallOp marks it spent.
 //
-//fractos:hotpath
 //fractos:pool-handoff delivery
 func (op *callOp) delivered(dv *Delivery) {
 	assert.True(op.dv == nil && (op.state == callInvoking || op.state == callWaiting), "proc: a reply for a call that waits for none")
@@ -305,8 +298,6 @@ func (op *callOp) delivered(dv *Delivery) {
 // release ends a call that leaves its reply Request as it found it —
 // unarmed, nobody waiting on its tag — for the next call to take. A
 // reply that came is acknowledged.
-//
-//fractos:hotpath
 func (op *callOp) release() {
 	if op.dv != nil {
 		op.dv.Done()
@@ -317,8 +308,6 @@ func (op *callOp) release() {
 
 // Fire implements sim.Callback: the deadline passed with no reply, and
 // the invocation's completion, if still to come, goes nowhere.
-//
-//fractos:hotpath
 func (op *callOp) Fire() {
 	assert.True(op.dv == nil && (op.state == callInvoking || op.state == callWaiting), "proc: a deadline for a call that waits for no reply")
 	delete(op.p.pending, op.tok)
@@ -330,8 +319,6 @@ func (op *callOp) Fire() {
 // so a reply already on its way is acked (not leaked, and not taken for
 // the next call's), and revoke the reply Request so one not yet sent
 // fails fast at the provider (sweepStale). Nobody uses it again.
-//
-//fractos:hotpath
 func (op *callOp) retire() {
 	p := op.p
 	op.deadline.Stop()
@@ -345,8 +332,6 @@ func (op *callOp) retire() {
 
 // over ends the call: it wakes the calling task or, for CallThen, puts
 // the op back, steps the record with the reply and takes the reply back.
-//
-//fractos:hotpath
 func (op *callOp) over() {
 	w := op.then
 	if w == nil {

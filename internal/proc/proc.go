@@ -184,8 +184,6 @@ func (p *Process) ID() cap.ProcID { return p.id }
 
 // Arena returns the Process's RDMA-registered memory, all of it
 // materialized (fabric.Endpoint.Arena).
-//
-//fractos:whole-arena
 func (p *Process) Arena() []byte { return p.ep.Arena() }
 
 // ArenaRange returns a ranged view of the Process's memory, bytes
@@ -206,8 +204,6 @@ func (p *Process) Kernel() *sim.Kernel { return p.k }
 // what leaves here leaves by value: a completion resolves its future
 // with a copy, a request_receive descriptor — a pooled record — owns
 // its arguments.
-//
-//fractos:hotpath
 func (p *Process) Deliver(f *fabric.Frame) {
 	m, err := p.dec.Decode(f.Bytes())
 	if err == nil {
@@ -220,8 +216,6 @@ func (p *Process) Deliver(f *fabric.Frame) {
 // future of its syscall or the record it steps, a delivery to whoever
 // waits for its tag or else to the Handle handler or the Receive queue,
 // a monitor callback to a task of its own.
-//
-//fractos:hotpath
 func (p *Process) demux(m wire.Message) {
 	switch m := m.(type) {
 	case *wire.Completion:
@@ -324,8 +318,6 @@ func (p *Process) post(f *sim.Future[wire.Completion], build func(token uint64) 
 // send posts m, a syscall carrying token, whose completion goes to w.
 // It reports false, with nothing registered, when the channel to the
 // Controller is gone.
-//
-//fractos:hotpath
 func (p *Process) send(w sysWaiter, token uint64, m wire.Message) bool {
 	if p.dead {
 		return false

@@ -51,7 +51,6 @@ func NewChan[T any](k *Kernel, name string, capacity int) *Chan[T] {
 
 // getRecv returns a recycled (or new) receive waiter for t.
 //
-//fractos:hotpath
 //fractos:pool-acquire chanwaiter
 func (c *Chan[T]) getRecv(t *Task) *recvWaiter[T] {
 	rw := c.freeRecv.Get()
@@ -63,7 +62,6 @@ func (c *Chan[T]) getRecv(t *Task) *recvWaiter[T] {
 // must guarantee no other reference to rw survives: the waker removes
 // it from recvq before the task resumes.
 //
-//fractos:hotpath
 //fractos:pool-release chanwaiter
 func (c *Chan[T]) putRecv(rw *recvWaiter[T]) {
 	var zero T
@@ -74,7 +72,6 @@ func (c *Chan[T]) putRecv(rw *recvWaiter[T]) {
 
 // getSend returns a recycled (or new) send waiter carrying v.
 //
-//fractos:hotpath
 //fractos:pool-acquire chanwaiter
 func (c *Chan[T]) getSend(t *Task, v T) *sendWaiter[T] {
 	sw := c.freeSend.Get()
@@ -84,7 +81,6 @@ func (c *Chan[T]) getSend(t *Task, v T) *sendWaiter[T] {
 
 // putSend recycles a send waiter whose wait has fully completed.
 //
-//fractos:hotpath
 //fractos:pool-release chanwaiter
 func (c *Chan[T]) putSend(sw *sendWaiter[T]) {
 	var zero T
@@ -121,7 +117,6 @@ func (c *Chan[T]) Close() {
 
 // Send delivers v, blocking while a bounded buffer is full.
 //
-//fractos:hotpath
 //fractos:ordered
 func (c *Chan[T]) Send(t *Task, v T) {
 	assert.True(!c.closed, c.closedMsg)
@@ -133,12 +128,12 @@ func (c *Chan[T]) Send(t *Task, v T) {
 		return
 	}
 	if c.capa == 0 || len(c.buf) < c.capa {
-		c.buf = append(c.buf, v) // fractos:alloc-ok buffer growth is amortized across the channel's lifetime
+		c.buf = append(c.buf, v) // buffer growth is amortized across the channel's lifetime
 		return
 	}
 	// Bounded and full: block.
 	sw := c.getSend(t, v)
-	c.sendq = append(c.sendq, sw) // fractos:pool-ok fractos:alloc-ok parked waiter; the waker unlinks it from sendq before putSend reuses it
+	c.sendq = append(c.sendq, sw) // fractos:pool-ok parked waiter; the waker unlinks it from sendq before putSend reuses it
 	t.park()
 	ok := sw.ok
 	c.putSend(sw)
@@ -148,7 +143,6 @@ func (c *Chan[T]) Send(t *Task, v T) {
 // TrySend delivers v without blocking. It reports false if a bounded
 // buffer is full or the channel is closed. Safe from kernel context.
 //
-//fractos:hotpath
 //fractos:ordered
 func (c *Chan[T]) TrySend(v T) bool {
 	if c.closed {
@@ -161,7 +155,7 @@ func (c *Chan[T]) TrySend(v T) bool {
 		return true
 	}
 	if c.capa == 0 || len(c.buf) < c.capa {
-		c.buf = append(c.buf, v) // fractos:alloc-ok buffer growth is amortized across the channel's lifetime
+		c.buf = append(c.buf, v) // buffer growth is amortized across the channel's lifetime
 		return true
 	}
 	return false
@@ -170,7 +164,6 @@ func (c *Chan[T]) TrySend(v T) bool {
 // Recv blocks until a value is available. ok is false if the channel
 // was closed and drained.
 //
-//fractos:hotpath
 //fractos:yield
 func (c *Chan[T]) Recv(t *Task) (v T, ok bool) {
 	if len(c.buf) > 0 {
@@ -180,7 +173,7 @@ func (c *Chan[T]) Recv(t *Task) (v T, ok bool) {
 		return v, false
 	}
 	rw := c.getRecv(t)
-	c.recvq = append(c.recvq, rw) // fractos:pool-ok fractos:alloc-ok parked waiter; whoever wakes the task unlinks it from recvq — a sender or Close — before putRecv reuses it
+	c.recvq = append(c.recvq, rw) // fractos:pool-ok parked waiter; whoever wakes the task unlinks it from recvq — a sender or Close — before putRecv reuses it
 	t.park()
 	v, ok = rw.v, rw.ok
 	c.putRecv(rw)
@@ -189,8 +182,6 @@ func (c *Chan[T]) Recv(t *Task) (v T, ok bool) {
 
 // TryRecv receives without blocking; ok is false if nothing was
 // available. Safe from kernel context.
-//
-//fractos:hotpath
 func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	if len(c.buf) > 0 {
 		return c.takeBuffered(), true
@@ -204,8 +195,6 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 // would make every later append reallocate (the freed prefix can
 // never be reused), which showed up as thousands of allocations per
 // run in the delivery path. Queues are short, so the shift is cheap.
-//
-//fractos:hotpath
 func (c *Chan[T]) takeBuffered() T {
 	v := c.buf[0]
 	n := copy(c.buf, c.buf[1:])
@@ -219,7 +208,7 @@ func (c *Chan[T]) takeBuffered() T {
 		c.sendq[m] = nil
 		c.sendq = c.sendq[:m]
 		sw.ok = true
-		c.buf = append(c.buf, sw.v) // fractos:alloc-ok slot was just vacated; append reuses the freed capacity
+		c.buf = append(c.buf, sw.v) // slot was just vacated; append reuses the freed capacity
 		sw.t.wakeAfter(0)
 	}
 	return v
@@ -227,8 +216,6 @@ func (c *Chan[T]) takeBuffered() T {
 
 // popRecv dequeues the oldest receive waiter, shifting in place (see
 // takeBuffered) so the queue's backing array stays reusable.
-//
-//fractos:hotpath
 func (c *Chan[T]) popRecv() *recvWaiter[T] {
 	if len(c.recvq) == 0 {
 		return nil

@@ -18,8 +18,6 @@ type FreeList[T any] struct {
 }
 
 // Get pops a recycled record, or allocates one when the list is empty.
-//
-//fractos:hotpath
 func (l *FreeList[T]) Get() *T {
 	if n := len(l.free); n > 0 {
 		v := l.free[n-1]
@@ -27,15 +25,13 @@ func (l *FreeList[T]) Get() *T {
 		l.free = l.free[:n-1]
 		return v
 	}
-	return new(T) // fractos:alloc-ok cold refill; steady state recycles through Put
+	return new(T) // cold refill; steady state recycles through Put
 }
 
 // Put returns a record to the list. The caller must hold the only
 // remaining reference.
-//
-//fractos:hotpath
 func (l *FreeList[T]) Put(v *T) {
-	l.free = append(l.free, v) // fractos:alloc-ok free-list growth is amortized
+	l.free = append(l.free, v) // free-list growth is amortized
 }
 
 // Len reports how many records are parked on the list.

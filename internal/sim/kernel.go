@@ -88,10 +88,8 @@ type eventHeap struct {
 	es []*event
 }
 
-//fractos:hotpath
 func (h *eventHeap) len() int { return len(h.es) }
 
-//fractos:hotpath
 func evLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -99,16 +97,13 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-//fractos:hotpath
 //fractos:pool-handoff simevent
 func (h *eventHeap) push(e *event) {
-	h.es = append(h.es, e) // fractos:alloc-ok heap backing growth is amortized
+	h.es = append(h.es, e) // heap backing growth is amortized
 	h.up(len(h.es) - 1)
 }
 
 // pop removes and returns the minimum event.
-//
-//fractos:hotpath
 func (h *eventHeap) pop() *event {
 	e := h.es[0]
 	n := len(h.es) - 1
@@ -126,8 +121,6 @@ func (h *eventHeap) pop() *event {
 
 // remove deletes an arbitrary event from the heap by its tracked
 // position (stale-wake cancellation).
-//
-//fractos:hotpath
 func (h *eventHeap) remove(e *event) {
 	i := int(e.pos)
 	n := len(h.es) - 1
@@ -143,7 +136,6 @@ func (h *eventHeap) remove(e *event) {
 	e.pos = posFree
 }
 
-//fractos:hotpath
 func (h *eventHeap) up(i int) {
 	es := h.es
 	e := es[i]
@@ -160,7 +152,6 @@ func (h *eventHeap) up(i int) {
 	e.pos = int32(i)
 }
 
-//fractos:hotpath
 func (h *eventHeap) down(i int) {
 	es := h.es
 	n := len(es)
@@ -201,11 +192,10 @@ type eventRing struct {
 	n    int
 }
 
-//fractos:hotpath
 //fractos:pool-handoff simevent
 func (r *eventRing) push(e *event) {
 	if r.n == len(r.buf) {
-		r.grow() // fractos:alloc-ok ring doubling is amortized; steady state never grows
+		r.grow() // ring doubling is amortized; steady state never grows
 	}
 	r.buf[(r.head+r.n)&(len(r.buf)-1)] = e
 	r.n++
@@ -224,10 +214,8 @@ func (r *eventRing) grow() {
 	r.head = 0
 }
 
-//fractos:hotpath
 func (r *eventRing) front() *event { return r.buf[r.head] }
 
-//fractos:hotpath
 func (r *eventRing) popFront() *event {
 	e := r.buf[r.head]
 	r.buf[r.head] = nil
@@ -319,7 +307,6 @@ func (t *Task) Now() Time { return t.k.now }
 // Task structs and their trampoline goroutines come from a pooled
 // free list (taskpool.go), so steady-state Spawn allocates nothing.
 //
-//fractos:hotpath
 //fractos:ordered
 //fractos:runs-once
 func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
@@ -342,7 +329,6 @@ func (k *Kernel) fail(msg string) {
 // alloc takes an event struct from the pool. Refills carve a slab of
 // events in one allocation rather than allocating structs one by one.
 //
-//fractos:hotpath
 //fractos:pool-acquire simevent
 func (k *Kernel) alloc() *event {
 	if n := len(k.free); n > 0 {
@@ -352,7 +338,7 @@ func (k *Kernel) alloc() *event {
 		return e
 	}
 	if len(k.slab) == 0 {
-		k.slab = make([]event, 64) // fractos:alloc-ok slab refill: one allocation per 64 events
+		k.slab = make([]event, 64) // slab refill: one allocation per 64 events
 	}
 	e := &k.slab[0]
 	k.slab = k.slab[1:]
@@ -362,19 +348,16 @@ func (k *Kernel) alloc() *event {
 
 // release resets an event and returns it to the pool.
 //
-//fractos:hotpath
 //fractos:pool-release simevent
 func (k *Kernel) release(e *event) {
 	e.task = nil
 	e.cb = nil
 	e.pos = posFree
-	k.free = append(k.free, e) // fractos:alloc-ok free-list growth is amortized
+	k.free = append(k.free, e) // free-list growth is amortized
 }
 
 // schedule queues an occurrence at time at. Same-instant events take
 // the FIFO run-queue fast path; future events go through the heap.
-//
-//fractos:hotpath
 func (k *Kernel) schedule(at Time, t *Task, cb Callback) *event {
 	e := k.alloc()
 	k.seq++
@@ -390,8 +373,6 @@ func (k *Kernel) schedule(at Time, t *Task, cb Callback) *event {
 
 // cancel drops a queued event: removed in place from the heap, or
 // tombstoned in the run queue (reclaimed on pop).
-//
-//fractos:hotpath
 func (k *Kernel) cancel(e *event) {
 	if e.pos >= 0 {
 		k.heap.remove(e)
@@ -407,7 +388,6 @@ func (k *Kernel) cancel(e *event) {
 // After schedules fn to run in kernel context at now+d. fn must not
 // block; to perform blocking work, have fn call Spawn.
 //
-//fractos:hotpath
 //fractos:ordered
 //fractos:runs-once
 func (k *Kernel) After(d Time, fn func()) {
@@ -420,7 +400,6 @@ func (k *Kernel) After(d Time, fn func()) {
 // without allocating. The returned Timer withdraws the event again; a
 // caller that never cancels ignores it.
 //
-//fractos:hotpath
 //fractos:ordered
 func (k *Kernel) AfterCall(d Time, cb Callback) Timer {
 	if d < 0 {
@@ -446,8 +425,6 @@ type Timer struct {
 // it was: removed in place from the heap, so a stopped timer costs no
 // event at all (one scheduled for the current instant is tombstoned in
 // the run queue and reclaimed on pop, like a task's stale wake).
-//
-//fractos:hotpath
 func (tm Timer) Stop() bool {
 	e := tm.e
 	if e == nil || e.seq != tm.seq || e.cb == nil {
@@ -467,8 +444,6 @@ func (tm Timer) Stop() bool {
 // (Sleep(0) with nothing else runnable), park returns without blocking
 // at all. The pop here follows exactly the selection rule of the run
 // loop, so event order is byte-identical with the fast path on or off.
-//
-//fractos:hotpath
 func (t *Task) park() {
 	k := t.k
 	for k.runq.n > 0 && !k.stopped && k.panicMsg == "" &&
@@ -517,7 +492,6 @@ func (t *Task) park() {
 // the task (it is being re-scheduled), the stale event is dropped from
 // the queue instead of leaking until pop: the latest wake wins.
 //
-//fractos:hotpath
 //fractos:ordered
 func (t *Task) wakeAfter(d Time) {
 	if t.wake != nil {
@@ -529,7 +503,6 @@ func (t *Task) wakeAfter(d Time) {
 
 // Sleep suspends the task for d of virtual time.
 //
-//fractos:hotpath
 //fractos:yield
 func (t *Task) Sleep(d Time) {
 	if d <= 0 {
@@ -544,8 +517,6 @@ func (t *Task) Sleep(d Time) {
 // Run executes events until the queue is empty or Stop is called. It
 // returns the final virtual time. Run must be called from the
 // goroutine that created the kernel.
-//
-//fractos:hotpath
 func (k *Kernel) Run() Time {
 	defer k.flushProcessed()
 	for (k.runq.n > 0 || k.heap.len() > 0) && !k.stopped {

@@ -43,7 +43,6 @@ var taskPool struct {
 // getTask pops a pooled task (its trampoline goroutine already parked
 // on hand) or builds a fresh one.
 //
-//fractos:hotpath
 //fractos:pool-acquire simtask
 func getTask() *Task {
 	taskPool.mu.Lock()
@@ -55,7 +54,7 @@ func getTask() *Task {
 		return t
 	}
 	taskPool.mu.Unlock()
-	t := &Task{hand: make(chan struct{})} // fractos:alloc-ok cold refill; steady state recycles via putTask
+	t := &Task{hand: make(chan struct{})} // cold refill; steady state recycles via putTask
 	go taskMain(t)
 	return t
 }
@@ -64,7 +63,6 @@ func getTask() *Task {
 // It reports false when the stack is full, telling the trampoline to
 // end its goroutine instead.
 //
-//fractos:hotpath
 //fractos:pool-release simtask
 func putTask(t *Task) bool {
 	taskPool.mu.Lock()
@@ -72,7 +70,7 @@ func putTask(t *Task) bool {
 		taskPool.mu.Unlock()
 		return false
 	}
-	taskPool.free = append(taskPool.free, t) // fractos:alloc-ok free-stack growth is amortized
+	taskPool.free = append(taskPool.free, t) // free-stack growth is amortized
 	taskPool.mu.Unlock()
 	return true
 }

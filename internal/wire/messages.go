@@ -272,8 +272,6 @@ const dataThreshold = 256
 // ReqCreate, ReqInvoke, CtrlDeriveReq or CtrlInvoke whose immediates
 // carry more than dataThreshold bytes is Data; everything else is
 // Control.
-//
-//fractos:hotpath
 func ClassOf(m Message) Class {
 	var imms []ImmArg
 	n := 0

@@ -51,36 +51,26 @@ func (w *Writer) Reset() { w.buf = w.buf[:0] }
 func (w *Writer) Bytes() []byte { return w.buf }
 
 // U8 appends one byte.
-//
-//fractos:hotpath
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) } // fractos:alloc-ok a reused Writer keeps the capacity of its largest message
+func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) } // a reused Writer keeps the capacity of its largest message
 
 // U16 appends a uint16 as a varint (U64).
-//
-//fractos:hotpath
 func (w *Writer) U16(v uint16) { w.U64(uint64(v)) }
 
 // U32 appends a uint32 as a varint (U64).
-//
-//fractos:hotpath
 func (w *Writer) U32(v uint32) { w.U64(uint64(v)) }
 
 // U64 appends v as an unsigned LEB128 varint: seven bits a byte, low
 // group first, the top bit set on all but the last; a value below 128 —
 // a count, a slot, a small id — is one byte.
-//
-//fractos:hotpath
 func (w *Writer) U64(v uint64) {
 	if v < 0x80 {
-		w.buf = append(w.buf, byte(v)) // fractos:alloc-ok a reused Writer keeps the capacity of its largest message
+		w.buf = append(w.buf, byte(v)) // a reused Writer keeps the capacity of its largest message
 		return
 	}
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
 // Bool appends a boolean as one byte.
-//
-//fractos:hotpath
 func (w *Writer) Bool(v bool) {
 	if v {
 		w.U8(1)
@@ -90,11 +80,9 @@ func (w *Writer) Bool(v bool) {
 }
 
 // Bytes32 appends a byte slice behind its length (a U32).
-//
-//fractos:hotpath
 func (w *Writer) Bytes32(b []byte) {
 	w.U32(uint32(len(b)))
-	w.buf = append(w.buf, b...) // fractos:alloc-ok a reused Writer keeps the capacity of its largest message
+	w.buf = append(w.buf, b...) // a reused Writer keeps the capacity of its largest message
 }
 
 // Reader consumes primitive values from a byte buffer. Errors are
@@ -111,8 +99,6 @@ type Reader struct {
 
 // Reset re-points the Reader at a new buffer, clearing any sticky
 // error, so a Reader value can be reused without allocation.
-//
-//fractos:hotpath
 func (r *Reader) Reset(b []byte) {
 	r.buf = b
 	r.off = 0
@@ -126,7 +112,6 @@ func (r *Reader) Err() error { return r.err }
 // Remaining reports how many bytes are left.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-//fractos:hotpath
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -141,8 +126,6 @@ func (r *Reader) take(n int) []byte {
 }
 
 // U8 reads one byte.
-//
-//fractos:hotpath
 func (r *Reader) U8() uint8 {
 	b := r.take(1)
 	if b == nil {
@@ -154,8 +137,6 @@ func (r *Reader) U8() uint8 {
 // uvarint reads a varint into a field whose largest value is max. One
 // that runs past the end, past binary.MaxVarintLen64 bytes or over max
 // fails with ErrShort: a field is never silently truncated to its width.
-//
-//fractos:hotpath
 func (r *Reader) uvarint(max uint64) uint64 {
 	if r.err != nil {
 		return 0
@@ -174,23 +155,15 @@ func (r *Reader) uvarint(max uint64) uint64 {
 }
 
 // U16 reads a varint uint16.
-//
-//fractos:hotpath
 func (r *Reader) U16() uint16 { return uint16(r.uvarint(math.MaxUint16)) }
 
 // U32 reads a varint uint32.
-//
-//fractos:hotpath
 func (r *Reader) U32() uint32 { return uint32(r.uvarint(math.MaxUint32)) }
 
 // U64 reads a varint uint64.
-//
-//fractos:hotpath
 func (r *Reader) U64() uint64 { return r.uvarint(math.MaxUint64) }
 
 // Bool reads a boolean.
-//
-//fractos:hotpath
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
 // Bytes32 reads a length-prefixed byte slice. The result is a copy so
@@ -248,8 +221,6 @@ func SizeOf(m Message) int { return len(Marshal(m)) }
 
 // AppendMarshal encodes a message with its type header, appending to
 // dst and returning the extended buffer.
-//
-//fractos:hotpath
 func AppendMarshal(dst []byte, m Message) []byte {
 	w := Writer{buf: dst}
 	MarshalTo(&w, m)
@@ -259,8 +230,6 @@ func AppendMarshal(dst []byte, m Message) []byte {
 // MarshalTo encodes a message with its type header into w. It is the
 // fabric's encode: into a Frame's reused Writer, which allocates nothing
 // once it has grown to the message.
-//
-//fractos:hotpath
 func MarshalTo(w *Writer, m Message) {
 	w.U16(uint16(m.WireType()))
 	m.Encode(w)
@@ -297,8 +266,6 @@ func UnmarshalWith(r *Reader, b []byte) (Message, error) {
 }
 
 // header points r at a frame and reads its type.
-//
-//fractos:hotpath
 func (r *Reader) header(frame []byte) (Type, error) {
 	r.Reset(frame)
 	t := Type(r.U16())
@@ -335,8 +302,6 @@ func NewDecoder() *Decoder {
 // Decode parses frame into the Decoder's storage. It returns exactly
 // what Unmarshal(frame) would — the same message, deep-equal, or the
 // same error — minus the ownership.
-//
-//fractos:hotpath
 func (d *Decoder) Decode(frame []byte) (Message, error) {
 	d.scribble()
 	t, err := d.r.header(frame)
@@ -346,9 +311,9 @@ func (d *Decoder) Decode(frame []byte) (Message, error) {
 	d.r.dec = d
 	m, ok := d.msgs[t]
 	if !ok {
-		m = newMessage(t) // fractos:alloc-ok once per type a receiver ever sees
+		m = newMessage(t) // once per type a receiver ever sees
 		if m == nil {
-			return nil, unknownType(t) // fractos:alloc-ok a frame of no message type is refused, not served
+			return nil, unknownType(t) // a frame of no message type is refused, not served
 		}
 		d.msgs[t] = m
 	}

@@ -54,10 +54,9 @@ type Pass struct {
 	// Report is invoked for each diagnostic. Set by the driver.
 	Report func(Diagnostic)
 
-	// Module gives interprocedural analyzers a view of every source
-	// package loaded alongside this one, plus a shared fact cache (the
-	// stand-in for x/tools' Facts machinery). Both drivers, fractos-vet
-	// and analysistest, set it.
+	// Module is every source package loaded alongside this one, so
+	// Directive reads the declarations of call targets outside it. Both
+	// drivers, fractos-vet and analysistest, set it.
 	Module *Module
 
 	// suppress maps file -> set of lines carrying a suppression
@@ -67,34 +66,19 @@ type Pass struct {
 
 // ModulePackage is one source-loaded package of the module view.
 type ModulePackage struct {
-	Pkg       *types.Package
 	Files     []*ast.File
 	TypesInfo *types.Info
 }
 
 // Module is the whole-module view shared by all passes of one driver
 // run: every source package the loader materialized (module packages
-// and, under analysistest, testdata packages), one shared FileSet, and
-// a compute-once fact cache keyed by string. The passes of a run are
-// serial, so the cache needs no lock.
+// and, under analysistest, testdata packages), and the directive index
+// Directive builds over them on first use. The passes of a run are
+// serial, so the index needs no lock.
 type Module struct {
-	Fset     *token.FileSet
 	Packages []*ModulePackage
 
-	facts map[string]interface{}
-}
-
-// Fact returns the cached value for key, building it on first use.
-func (m *Module) Fact(key string, build func() interface{}) interface{} {
-	if v, ok := m.facts[key]; ok {
-		return v
-	}
-	v := build()
-	if m.facts == nil {
-		m.facts = make(map[string]interface{})
-	}
-	m.facts[key] = v
-	return v
+	directives index
 }
 
 // Reportf reports a formatted diagnostic at pos.

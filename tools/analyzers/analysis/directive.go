@@ -8,7 +8,7 @@ import (
 )
 
 // Prefix starts every directive and waiver: "//fractos:mustuse" on a
-// declaration, "// fractos:alloc-ok <reason>" on a line.
+// declaration, "// fractos:pool-ok <reason>" on a line.
 const Prefix = "fractos:"
 
 // index maps each declared function, method, interface method and
@@ -26,8 +26,11 @@ func (p *Pass) Directive(obj types.Object, name string) (string, bool) {
 	if fn, ok := obj.(*types.Func); ok && fn != nil {
 		obj = fn.Origin()
 	}
-	x := p.Module.Fact("fractos/directive", func() interface{} { return buildIndex(p.Module) }).(index)
-	arg, ok := x[obj][name]
+	m := p.Module
+	if m.directives == nil {
+		m.directives = buildIndex(m)
+	}
+	arg, ok := m.directives[obj][name]
 	return arg, ok
 }
 

@@ -38,12 +38,12 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 	if err != nil {
 		t.Fatalf("loading testdata: %v", err)
 	}
-	// Interprocedural analyzers see every loaded testdata package (the
+	// The directive index reads every loaded testdata package (the
 	// requested ones plus their in-root dependencies) as the module.
-	module := &analysis.Module{Fset: ld.Fset}
+	module := &analysis.Module{}
 	for _, pkg := range ld.Loaded() {
 		module.Packages = append(module.Packages, &analysis.ModulePackage{
-			Pkg: pkg.Types, Files: pkg.Files, TypesInfo: pkg.TypesInfo,
+			Files: pkg.Files, TypesInfo: pkg.TypesInfo,
 		})
 	}
 	for _, pkg := range pkgs {

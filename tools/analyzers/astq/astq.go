@@ -19,25 +19,6 @@ func CalleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// PackageOfCall returns the import path of the package a selector
-// call like pkg.F(...) refers to, or "" if the call is not a direct
-// package-qualified call.
-func PackageOfCall(info *types.Info, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	if !ok {
-		return ""
-	}
-	return pn.Imported().Path()
-}
-
 // ReceiverTypeName returns the name of a method's receiver type
 // ("Controller" for func (c *Controller) ...), or "" for plain
 // functions.
