@@ -95,8 +95,6 @@ type cleanupBatch struct {
 
 // newCall takes a pending-call record off the free list, for a call
 // of the given kind about ref, addressed to ref's owner.
-//
-//fractos:pool-acquire pendingcall
 func (c *Controller) newCall(kind callKind, ref cap.Ref) *pendingCall {
 	pc := c.calls.Get()
 	if pc.caps == nil { // a new record
@@ -113,8 +111,6 @@ func (pc *pendingCall) peer() cap.ControllerID { return pc.entry.Ref.Ctrl }
 
 // putCall clears a record — dropping its reference to the Process,
 // keeping the argument storage — and returns it to the free list.
-//
-//fractos:pool-release pendingcall
 func (c *Controller) putCall(pc *pendingCall) {
 	*pc = pendingCall{imms: pc.imms[:0], immData: pc.immData[:0], caps: pc.caps[:0]}
 	c.calls.Put(pc)
@@ -137,7 +133,6 @@ func (pc *pendingCall) keepCaps(args []wire.CapXfer) {
 // it exactly once when the call resolves.
 //
 //fractos:cap-deref
-//fractos:pool-handoff pendingcall
 //fractos:yield
 //fractos:ordered
 //fractos:completes 1
@@ -156,7 +151,6 @@ func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 // (txAck, txValInfo) and is valid until finish returns.
 //
 //fractos:cap-deref
-//fractos:pool-handoff pendingcall
 //fractos:yield
 //fractos:ordered
 //fractos:completes 0
@@ -207,7 +201,6 @@ func (c *Controller) ask(pc *pendingCall) {
 // it directly, the other calls through ask; only a syscall's, which
 // enters through forward, owes a Process a completion.
 //
-//fractos:pool-handoff pendingcall
 //fractos:yield
 //fractos:ordered
 //fractos:completes 0
@@ -406,8 +399,6 @@ func (c *Controller) resolvePending(token uint64, m wire.Message) {
 // retire ends a call's life, however it ended — answered, undeliverable,
 // aborted: withdraw its retransmission timer, run its continuation on
 // the reply (real or synthetic), then recycle the record.
-//
-//fractos:pool-release pendingcall
 func (c *Controller) retire(pc *pendingCall, reply wire.Message) {
 	pc.timer.Stop()
 	c.finish(pc, reply)

@@ -56,7 +56,6 @@ type Controller struct {
 	bounceFree []bounceChunk        // free bounce chunks
 	copyWait   []*copyOp            // copies waiting for a bounce pair, oldest first
 	copyOps    sim.FreeList[copyOp] // recycled copy records
-	copyLive   int                  // copies started and not yet recycled
 
 	// Revocation-cleanup batch: refs and revoked stubs accumulated by
 	// processRevocations at one virtual instant, flushed as a single
@@ -64,6 +63,7 @@ type Controller struct {
 	cleanupRefs  []cap.Ref
 	cleanupStubs []*cap.Node
 	cleanupArmed bool
+	dead         map[cap.Ref]bool // purge's scratch
 
 	// Per-message scratch. Net.Send encodes its argument before it
 	// returns and retains nothing, and handlers never yield between
@@ -154,9 +154,12 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 		peers:   make(map[cap.ControllerID]*peerState),
 		peerEPs: make(map[fabric.EndpointID]*peerState),
 		pending: make(map[uint64]*pendingCall),
+		dead:    make(map[cap.Ref]bool),
 		dec:     wire.NewDecoder(),
 	}
 	c.ep = net.AttachHandler(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, DefaultBouncePairs*2*DefaultBounceChunk, c)
+	k.Track(fmt.Sprintf("controller %d pendingCall", id), &c.calls)
+	k.Track(fmt.Sprintf("controller %d copyOp", id), &c.copyOps)
 	// Descending order: popBounce takes from the end, so chunks are
 	// handed out lowest-offset first and a lightly loaded Controller
 	// keeps reusing the front of its bounce arena. Combined with the

@@ -120,33 +120,29 @@ func (e *copyHWDone) Fire() {
 	op.done()
 }
 
-//fractos:pool-acquire copyop
 func (c *Controller) getCopyOp(ps *procState, token uint64) *copyOp {
 	op := c.copyOps.Get()
 	*op = copyOp{c: c, ps: ps, token: token}
-	c.copyLive++
 	return op
 }
 
 // putCopyOp clears an op, so that an event that outlived it trips the
 // assert every step starts with, and returns it to the free list —
 // except under the race detector (poison_race.go), where a released op
-// stays cleared for good.
-//
-//fractos:pool-release copyop
+// stays cleared for good and is only counted back.
 func (c *Controller) putCopyOp(op *copyOp) {
 	assert.True(!op.held, "core: copy op released with its bounce pair")
 	*op = copyOp{}
-	c.copyLive--
 	if recycleCopyOps {
 		c.copyOps.Put(op)
+	} else {
+		c.copyOps.Drop()
 	}
 }
 
 // startCopy takes over the op and, with it, the handler's duty to
 // complete the syscall: finish discharges it exactly once.
 //
-//fractos:pool-handoff copyop
 //fractos:completes 1
 func (c *Controller) startCopy(op *copyOp) {
 	op.state = copyLocateSrc

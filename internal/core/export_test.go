@@ -19,5 +19,5 @@ func (c *Controller) DeliveryState(pid cap.ProcID) (window, outstanding, queued 
 // and not yet recycled (a record outlives its copy by the RDMA
 // completions the copy left on the wire).
 func (c *Controller) CopyEngine() (freeChunks, waiting, live int) {
-	return len(c.bounceFree), len(c.copyWait), c.copyLive
+	return len(c.bounceFree), len(c.copyWait), c.copyOps.Lent()
 }

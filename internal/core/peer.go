@@ -10,15 +10,24 @@ import (
 // objects and acknowledges, so the owner can erase the revoked stubs
 // (the asynchronous, off-critical-path cleanup of §3.5).
 func (c *Controller) peerCleanup(from fabric.EndpointID, m *wire.CtrlCleanup) {
-	dead := make(map[cap.Ref]bool, len(m.Refs))
-	for _, r := range m.Refs {
-		dead[r] = true
-	}
-	for _, ps := range c.procs {
-		c.metrics.EntriesPurged += int64(len(ps.space.PurgeRefs(func(r cap.Ref) bool { return dead[r] })))
-	}
+	c.metrics.EntriesPurged += int64(c.purge(m.Refs))
 	c.ack(from, m.Token, wire.CtrlAck{Status: wire.StatusOK})
 }
+
+// purge removes the entries of every capability space that name one of
+// refs, and reports how many it removed.
+func (c *Controller) purge(refs []cap.Ref) (n int) {
+	clear(c.dead)
+	for _, r := range refs {
+		c.dead[r] = true
+	}
+	for _, ps := range c.procs {
+		n += len(ps.space.PurgeRefs(c.isDead))
+	}
+	return n
+}
+
+func (c *Controller) isDead(r cap.Ref) bool { return c.dead[r] }
 
 // peerEpoch records a peer's new epoch. Entries minted under older
 // epochs of that Controller are implicitly revoked: purge them now and
@@ -62,8 +71,8 @@ func (c *Controller) revokeLocal(ref cap.Ref) wire.Status {
 	return wire.StatusOK
 }
 
-// processRevocations fires monitors and purges local entries
-// synchronously, then enqueues the revoked refs on the cleanup batch.
+// processRevocations enqueues the revoked refs on the cleanup batch,
+// then fires monitors and purges local entries synchronously.
 // The actual broadcast is deferred to flushCleanup so that a burst of
 // revocations at one virtual instant — a Process failure cascading
 // through every lease and owned subtree — coalesces into ONE
@@ -71,9 +80,11 @@ func (c *Controller) revokeLocal(ref cap.Ref) wire.Status {
 // storm.
 func (c *Controller) processRevocations(revoked []*cap.Node) {
 	c.metrics.Revocations += int64(len(revoked))
-	refs := make([]cap.Ref, 0, len(revoked))
+	start := len(c.cleanupRefs)
 	for _, n := range revoked {
-		refs = append(refs, c.ref(n.ID))
+		c.cleanupRefs = append(c.cleanupRefs, c.ref(n.ID))
+	}
+	for _, n := range revoked {
 		// monitor_receive watchers.
 		for _, w := range n.Watchers {
 			c.notifyWatcher(w, wire.MonitorCBReceive)
@@ -97,15 +108,7 @@ func (c *Controller) processRevocations(revoked []*cap.Node) {
 	}
 
 	// Purge local capability spaces now; remote ones via broadcast.
-	dead := make(map[cap.Ref]bool, len(refs))
-	for _, r := range refs {
-		dead[r] = true
-	}
-	for _, ps := range c.procs {
-		ps.space.PurgeRefs(func(r cap.Ref) bool { return dead[r] })
-	}
-
-	c.cleanupRefs = append(c.cleanupRefs, refs...)
+	c.purge(c.cleanupRefs[start : start+len(revoked)])
 	c.cleanupStubs = append(c.cleanupStubs, revoked...)
 	if !c.cleanupArmed {
 		c.cleanupArmed = true

@@ -91,7 +91,9 @@ func NewDevice(k *sim.Kernel, cfg Config) *Device {
 	if cfg.MemSize == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Device{k: k, cfg: cfg, kernels: make(map[string]*kernel)}
+	d := &Device{k: k, cfg: cfg, kernels: make(map[string]*kernel)}
+	k.Track("gpu job", &d.jobs)
+	return d
 }
 
 // MemSize returns the GPU memory size.
@@ -138,8 +140,6 @@ func (d *Device) Launch(r Runner, name string, args []uint64) error {
 
 // submit queues kernel kn for to with a copy of args; to.Ran gets inv
 // back with the status.
-//
-//fractos:pool-handoff delivery
 func (d *Device) submit(to Runner, inv *proc.Delivery, kn *kernel, args []uint64) {
 	j := d.getJob()
 	j.kn, j.to, j.inv = kn, to, inv
@@ -151,25 +151,20 @@ func (d *Device) submit(to Runner, inv *proc.Delivery, kn *kernel, args []uint64
 	}
 }
 
-//fractos:pool-acquire gpujob
 func (d *Device) getJob() *job {
 	j := d.jobs.Get()
 	j.d = d
 	return j
 }
 
-//fractos:pool-release gpujob
 func (d *Device) putJob(j *job) {
 	*j = job{args: j.args[:0]}
 	d.jobs.Put(j)
 }
 
-//fractos:pool-handoff gpujob
 func (d *Device) wait(j *job) { d.queue = append(d.queue, j) }
 
 // start runs a job: the device is its own until its timer.
-//
-//fractos:pool-handoff gpujob
 func (d *Device) start(j *job) {
 	d.busy = true
 	j.dur = d.cfg.LaunchOverhead + j.kn.cost(j.args)

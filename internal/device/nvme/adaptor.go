@@ -96,11 +96,13 @@ type Adaptor struct {
 // NewAdaptor attaches a block-device adaptor Process on the given
 // node.
 func NewAdaptor(cl *core.Cluster, node int, name string, dev *Device) *Adaptor {
-	return &Adaptor{
+	a := &Adaptor{
 		P:    proc.Attach(cl, node, name, stagingBufs*MaxIO),
 		dev:  dev,
 		vols: make(map[uint64]volume),
 	}
+	cl.K.Track(name+" ioOp", &a.ios)
+	return a
 }
 
 // Start registers the adaptor's Requests and starts serving them, reads
@@ -214,22 +216,18 @@ type ioOp struct {
 	sb      Stage
 }
 
-//fractos:pool-acquire nvmeio
 func (a *Adaptor) getIO() *ioOp {
 	op := a.ios.Get()
 	op.a = a
 	return op
 }
 
-//fractos:pool-release nvmeio
 func (a *Adaptor) putIO(op *ioOp) {
 	*op = ioOp{}
 	a.ios.Put(op)
 }
 
 // start asks for the op's staging buffer.
-//
-//fractos:pool-handoff nvmeio
 func (op *ioOp) start() { op.a.stages.Take(op) }
 
 // Staged implements StageWaiter: with its buffer, a write copies

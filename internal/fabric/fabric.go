@@ -332,7 +332,6 @@ type Net struct {
 	// to the Net's kernel context alone.
 	rd     wire.Reader
 	frames sim.FreeList[Frame]
-	live   int // frames encoded and not yet released
 }
 
 // Frame is one encoded message on its way to dst and then in its
@@ -361,8 +360,6 @@ func (f *Frame) Bytes() []byte { return f.w.Bytes() }
 
 // Release clears the Frame and returns it, with its buffer, to the
 // free list of the fabric that launched it.
-//
-//fractos:pool-release frame
 func (f *Frame) Release() {
 	n := f.net
 	assert.True(n != nil, "fabric: frame released twice")
@@ -372,18 +369,15 @@ func (f *Frame) Release() {
 	}
 	f.w.Reset()
 	f.From, f.net, f.dst = 0, nil, nil
-	n.live--
 	n.frames.Put(f)
 }
 
 // LiveFrames reports the frames that are on the wire or in a Handler's
 // hands. It is zero at quiescence unless a receiver leaked one.
-func (n *Net) LiveFrames() int { return n.live }
+func (n *Net) LiveFrames() int { return n.frames.Lent() }
 
 // launch hands an encoded Frame to the kernel: its delivery event owns
 // it from here until Fire passes it on or releases it.
-//
-//fractos:pool-handoff frame
 func (n *Net) launch(f *Frame, delay sim.Time) {
 	n.k.AfterCall(delay, f)
 }
@@ -413,11 +407,13 @@ func (f *Frame) Fire() {
 
 // New creates a fabric over the given kernel with profile p.
 func New(k *sim.Kernel, p Profile) *Net {
-	return &Net{
+	n := &Net{
 		k:    k,
 		prof: p,
 		eps:  make([]*Endpoint, 1), // index 0 unused; IDs start at 1
 	}
+	k.Track("fabric frame", &n.frames)
+	return n
 }
 
 // Kernel returns the simulation kernel the fabric runs on.
@@ -634,11 +630,8 @@ func (n *Net) Send(from, to EndpointID, m wire.Message) bool {
 
 // encode takes a Frame off the free list and fills it with m on its
 // way from one endpoint to dst.
-//
-//fractos:pool-acquire frame
 func (n *Net) encode(from EndpointID, dst *Endpoint, m wire.Message) *Frame {
 	f := n.frames.Get()
-	n.live++
 	f.From, f.net, f.dst = from, n, dst
 	wire.MarshalTo(&f.w, m)
 	return f

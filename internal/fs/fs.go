@@ -158,13 +158,15 @@ type Service struct {
 // block-device adaptor's VolCreate Request, already granted to this
 // service's Process — see Wire.
 func NewService(cl *core.Cluster, node int, name string) *Service {
-	return &Service{
+	s := &Service{
 		P:        proc.Attach(cl, node, name, queueDepth*ExtentSize),
 		files:    make(map[string]*file),
 		creating: make(map[string]bool),
 		byID:     make(map[uint64]*file),
 		handles:  make(map[uint64]*openHandle),
 	}
+	cl.K.Track(name+" ioOp", &s.ios)
+	return s
 }
 
 // Wire grants the service its block-device capability and installs the

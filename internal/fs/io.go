@@ -55,22 +55,18 @@ type ioOp struct {
 	sb      nvme.Stage
 }
 
-//fractos:pool-acquire fsio
 func (s *Service) getIO() *ioOp {
 	op := s.ios.Get()
 	op.s = s
 	return op
 }
 
-//fractos:pool-release fsio
 func (s *Service) putIO(op *ioOp) {
 	*op = ioOp{}
 	s.ios.Put(op)
 }
 
 // start asks for the op's staging buffer.
-//
-//fractos:pool-handoff fsio
 func (op *ioOp) start() { op.s.stages.Take(op) }
 
 // Staged implements nvme.StageWaiter: the op starts on its first span.

@@ -106,6 +106,7 @@ func (o Open) Arrivals() []sim.Time {
 func (o Open) Run(tk *sim.Task, req func(t *sim.Task, i int) error) *Stats {
 	arrivals := o.Arrivals()
 	r := &openRun{k: tk.Kernel(), req: req, st: &Stats{Start: tk.Now()}}
+	r.k.Track("load arrival", &r.free)
 	r.wg.Add(len(arrivals))
 	base := tk.Now()
 	for i := range arrivals {
@@ -144,7 +145,6 @@ type arrival struct {
 	run func(*sim.Task)
 }
 
-//fractos:pool-acquire arrival
 func (r *openRun) getArrival() *arrival {
 	a := r.free.Get()
 	if a.run == nil {
@@ -153,12 +153,9 @@ func (r *openRun) getArrival() *arrival {
 	return a
 }
 
-//fractos:pool-release arrival
 func (r *openRun) putArrival(a *arrival) { r.free.Put(a) }
 
 // spawn starts the arrival's task, which owns the record from then on.
-//
-//fractos:pool-handoff arrival
 func (a *arrival) spawn() { a.r.k.Spawn("load-open", a.run) }
 
 // serve is the arrival's task: it puts the record back and issues the

@@ -77,8 +77,6 @@ func (p *Process) CallThen(req Cap, imms []wire.ImmArg, args []Arg, replySlot ui
 
 // startThen starts a CallThen's op, which the call's steps own from
 // then on: the last puts it back (over).
-//
-//fractos:pool-handoff callop
 func startThen(op *callOp, w CallWaiter, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16) {
 	op.then = w
 	op.start(req, imms, args, replySlot, 0)
@@ -95,8 +93,6 @@ type replyReq struct {
 
 // getReply takes a reply Request off the set or, when every one is in
 // use, a record with a tag and no capability yet: the call creates it.
-//
-//fractos:pool-acquire replyreq
 func (p *Process) getReply() *replyReq {
 	r := p.replies.Get()
 	if r.tag == 0 {
@@ -105,12 +101,9 @@ func (p *Process) getReply() *replyReq {
 	return r
 }
 
-//fractos:pool-release replyreq
 func (p *Process) putReply(r *replyReq) { p.replies.Put(r) }
 
 // hold makes r the call's until release, or for good (a revoked one).
-//
-//fractos:pool-handoff replyreq
 func (op *callOp) hold(r *replyReq) { op.reply = r }
 
 // callOp is one Call in progress: a pooled record stepped in kernel
@@ -123,8 +116,8 @@ func (op *callOp) hold(r *replyReq) { op.reply = r }
 // error legs: an invoke the owner refused frees the reply Request at
 // once; one that ended without the owner's answer (StatusAborted,
 // StatusNoProc) may have been delivered all the same, so like the
-// deadline it marks the tag stale and ends with a cap_revoke, and that
-// reply Request is never used again; a syscall that finds the channel to
+// deadline it drops the tag's waiter and ends with a cap_revoke, and
+// that reply Request is never used again; a syscall that finds the channel to
 // the Controller severed ends the call on the spot. The arguments are
 // copied into the op — the reply Request's slot last — since the
 // invocation may be posted only after a request_create.
@@ -166,8 +159,6 @@ const (
 // getCallOp takes a record for a Call that is starting. The replies the
 // Calls before it returned are spent now: their callers have blocked
 // since, or are starting this one.
-//
-//fractos:pool-acquire callop
 func (p *Process) getCallOp() *callOp {
 	for i, dv := range p.spent {
 		p.putDelivery(dv)
@@ -181,13 +172,14 @@ func (p *Process) getCallOp() *callOp {
 
 // putCallOp clears an op, so that a message or deadline that outlived
 // its call trips the assert its step starts with, and recycles it —
-// except under the race detector (poison_race.go).
-//
-//fractos:pool-release callop
+// except under the race detector (poison_race.go), which only counts it
+// back.
 func (p *Process) putCallOp(op *callOp) {
 	*op = callOp{imms: op.imms[:0], immData: op.immData[:0], slots: op.slots[:0]}
 	if recycleCallOps {
 		p.calls.Put(op)
+	} else {
+		p.calls.Drop()
 	}
 }
 
@@ -284,8 +276,6 @@ func (op *callOp) Completed(m *wire.Completion) {
 
 // delivered takes the reply, which the op holds until the caller has it
 // and putCallOp marks it spent.
-//
-//fractos:pool-handoff delivery
 func (op *callOp) delivered(dv *Delivery) {
 	assert.True(op.dv == nil && (op.state == callInvoking || op.state == callWaiting), "proc: a reply for a call that waits for none")
 	op.dv = dv
@@ -315,17 +305,17 @@ func (op *callOp) Fire() {
 	op.retire()
 }
 
-// retire ends a call whose provider may still answer: mark the tag stale
-// so a reply already on its way is acked (not leaked, and not taken for
-// the next call's), and revoke the reply Request so one not yet sent
-// fails fast at the provider (sweepStale). Nobody uses it again.
+// retire ends a call whose provider may still answer: with its waiter
+// gone, a reply already on its way is acked and discarded (demux), not
+// leaked and not taken for the next call's, and the reply Request is
+// revoked so one not yet sent fails fast at the provider. Nobody uses it
+// again.
 func (op *callOp) retire() {
 	p := op.p
 	op.deadline.Stop()
 	delete(p.waiters, op.reply.tag)
 	op.state = callRevoking
 	p.nextToken++
-	p.stale[op.reply.tag] = p.nextToken
 	p.tx.capRevoke = wire.CapRevoke{Token: p.nextToken, Cid: op.reply.cid}
 	op.post(p.nextToken, &p.tx.capRevoke)
 }

@@ -9,8 +9,6 @@ const recycleCallOps = true
 // when its handler has returned, a Handle handler's at Finish, a Call's
 // reply when the next Call on the Process starts. It is cleared but for the argument storage it grew to,
 // and recycled; the race build poisons it instead (poison_race.go).
-//
-//fractos:pool-release delivery
 func (p *Process) putDelivery(dv *Delivery) {
 	*dv = Delivery{Imms: dv.Imms[:0], Caps: dv.Caps[:0]}
 	p.deliveries.Put(dv)

@@ -15,8 +15,6 @@ const recycleCallOps = false
 // immediates read 0xDB, and it has no capabilities and no Process, so
 // whoever kept it past its end reads garbage instead of the next
 // delivery's arguments (TestKeptDeliveryReadsPoison).
-//
-//fractos:pool-release delivery
 func (p *Process) putDelivery(dv *Delivery) {
 	for i := range dv.Imms {
 		dv.Imms[i] = 0xDB

@@ -84,7 +84,6 @@ type Process struct {
 
 	nextTag  uint64
 	waiters  map[uint64]tagWaiter
-	stale    map[uint64]uint64 // a retired call's reply tag → its cap_revoke's token
 	incoming *sim.Chan[*Delivery]
 	handler  func(*Delivery) // Handle's: takes what incoming would queue
 
@@ -93,8 +92,7 @@ type Process struct {
 	monitors map[uint64]func(*sim.Task)
 	cbName   string
 
-	alloc            *allocator
-	delivered, acked uint64 // Delivers demux took, DeliverDones sent (sweepStale)
+	alloc *allocator
 	// dead is set once the channel to the Controller is known to be gone
 	// — Bye was sent, or a send found it severed: a syscall posted after
 	// that fails at once instead of waiting for a completion that the
@@ -106,9 +104,8 @@ type Process struct {
 // blocking or Async syscall, or the record it is a step of (a Call's, a
 // MemoryCopyThen's).
 type sysWaiter struct {
-	fut   *sim.Future[wire.Completion]
-	op    Waiter
-	acked uint64 // Process.acked when the syscall was posted
+	fut *sim.Future[wire.Completion]
+	op  Waiter
 }
 
 // Waiter is a record that demux steps, in kernel context, with the
@@ -169,13 +166,13 @@ func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.Pro
 		pending:  make(map[uint64]sysWaiter),
 		dec:      wire.NewDecoder(),
 		waiters:  make(map[uint64]tagWaiter),
-		stale:    make(map[uint64]uint64),
 		incoming: sim.NewChan[*Delivery](k, name+".deliveries", 0),
 		monitors: make(map[uint64]func(*sim.Task)),
 		cbName:   name + ".monitorcb",
 		alloc:    newAllocator(arenaSize),
 	}
 	p.ep = ctrl.AttachProcess(pid, name, loc, arenaSize, p)
+	k.Track(name+" callOp", &p.calls)
 	return p
 }
 
@@ -221,9 +218,6 @@ func (p *Process) demux(m wire.Message) {
 	case *wire.Completion:
 		if w, ok := p.pending[m.Token]; ok {
 			delete(p.pending, m.Token)
-			if len(p.stale) > 0 && p.delivered <= w.acked {
-				p.sweepStale(m.Token)
-			}
 			if w.op != nil {
 				w.op.Completed(m)
 			} else {
@@ -231,24 +225,22 @@ func (p *Process) demux(m wire.Message) {
 			}
 		}
 	case *wire.Deliver:
-		p.delivered++
-		if _, ok := p.stale[m.Tag]; ok {
+		w, ok := p.waiters[m.Tag]
+		switch {
+		case ok:
+			delete(p.waiters, m.Tag)
+		case m.Tag&wire.ReplyTag != 0:
 			// A reply to a call that is over (callOp.retire: timed out, or
-			// its invocation unaccounted for): ack at once so the provider's congestion-window credit is
-			// not leaked, and discard it. Caps it delegated are children
-			// of the caller's revoked reply Request and die with it.
-			delete(p.stale, m.Tag)
-			p.acked++
+			// its invocation unaccounted for): ack at once so the provider's
+			// congestion-window credit is not leaked, and discard it. Caps it
+			// delegated are children of the caller's revoked reply Request
+			// and die with it.
 			p.tx.done = wire.DeliverDone{Seq: m.Seq}
 			//fractos:mustuse-ok a failed ack means the Controller tore us down already
 			p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done)
 			return
 		}
 		dv := p.getDelivery(m)
-		w, ok := p.waiters[m.Tag]
-		if ok {
-			delete(p.waiters, m.Tag)
-		}
 		if w.op != nil {
 			w.op.delivered(dv)
 		} else {
@@ -267,22 +259,6 @@ func (p *Process) demux(m wire.Message) {
 			delete(p.monitors, m.Callback)
 		}
 		p.k.Spawn(p.cbName, fn)
-	}
-}
-
-// sweepStale forgets the stale tags whose cap_revoke was posted no later
-// than token, a syscall completing with every delivery acked before it was
-// posted. No Deliver for them can come: the Controller took the cap_revoke
-// first (both queues are FIFO), so made none after this completion; one
-// made before arrived before it (the stale leg) or was parked for a window
-// credit — but the Controller had sent no more Delivers than demux took
-// and seen all their acks, so its window was open and nothing parked: one
-// parked behind an unacked delivery, at Window 1 say, keeps its tag.
-func (p *Process) sweepStale(token uint64) {
-	for tag, revoke := range p.stale {
-		if revoke <= token {
-			delete(p.stale, tag)
-		}
 	}
 }
 
@@ -322,7 +298,6 @@ func (p *Process) send(w sysWaiter, token uint64, m wire.Message) bool {
 	if p.dead {
 		return false
 	}
-	w.acked = p.acked
 	p.pending[token] = w
 	if !p.net.Send(p.ep.ID, p.ctrlEP, m) {
 		delete(p.pending, token)
@@ -341,10 +316,8 @@ func (p *Process) syscall(t *sim.Task, build func(token uint64) wire.Message) (w
 	return m, err
 }
 
-//fractos:pool-acquire procfuture
 func (p *Process) getFuture() *sim.Future[wire.Completion] { return p.futures.Get() }
 
-//fractos:pool-release procfuture
 func (p *Process) putFuture(f *sim.Future[wire.Completion]) {
 	f.Reset()
 	p.futures.Put(f)

@@ -5,6 +5,7 @@ package proc_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"fractos/internal/cap"
@@ -19,36 +20,33 @@ import (
 func us(f float64) sim.Time { return testbed.USec(f) }
 
 // run executes fn as the test's main task on a fresh testbed and runs
-// the simulation to completion. Once the kernel has run dry, an
-// inter-Controller call still pending on a Controller is a caller left
-// hanging — nobody will answer it — and fails the test; a test that
-// leaves one on purpose runs through runLeaving and says why.
+// the simulation to completion; testbed.RunT fails the test if a record
+// is left lent, a pending call's among them. A test that leaves one on
+// purpose runs through runLeaving and says why.
 func run(t *testing.T, spec testbed.Spec, fn func(tk *sim.Task, cl *core.Cluster)) {
 	t.Helper()
-	runLeaving(t, "", spec, fn)
+	testbed.RunT(t, spec, func(tk *sim.Task, d *testbed.Deployment) { fn(tk, d.Cl) })
 }
 
-// runLeaving is run for a test that ends with inter-Controller calls
-// pending on purpose: why names them and gives the reason, and the test
-// fails if it leaves none.
-func runLeaving(t *testing.T, why string, spec testbed.Spec, fn func(tk *sim.Task, cl *core.Cluster)) {
+// runLeaving is run for a test that ends with records lent on purpose:
+// lent is what the audit must name (sim.Kernel.Unparked) and why gives
+// the reason. Any other end of the run fails the test.
+func runLeaving(t *testing.T, lent, why string, spec testbed.Spec, fn func(tk *sim.Task, cl *core.Cluster)) {
 	t.Helper()
-	var cl *core.Cluster
-	testbed.RunT(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
-		cl = d.Cl
-		fn(tk, d.Cl)
-	})
-	pending := 0
-	for _, c := range cl.Ctrls {
-		pending += c.PendingCalls()
-	}
-	switch {
-	case why == "" && pending > 0:
-		t.Errorf("the run ends with %d inter-Controller calls pending", pending)
-	case why != "" && pending == 0:
-		t.Errorf("the run ends with no inter-Controller call pending, but says it leaves %s", why)
+	l := &leaving{T: t}
+	testbed.RunT(l, spec, func(tk *sim.Task, d *testbed.Deployment) { fn(tk, d.Cl) })
+	if want := "testbed: the run ends with records lent: " + lent; l.report != want {
+		t.Errorf("%q, want %q: %s", l.report, want, why)
 	}
 }
+
+// leaving keeps the failure RunT reports, for runLeaving to compare.
+type leaving struct {
+	*testing.T
+	report string
+}
+
+func (l *leaving) Fatalf(format string, args ...any) { l.report = fmt.Sprintf(format, args...) }
 
 // receive starts a Receive on p in a task of its own; the future
 // resolves with the delivery. A test waits for it with a virtual

@@ -51,8 +51,6 @@ const (
 // into a record of the Process's pool. A new record starts with its
 // inline storage; slices.Grow enlarges it only for arguments that do not
 // fit, once per record, since a recycled record keeps what it grew to.
-//
-//fractos:pool-acquire delivery
 func (p *Process) getDelivery(m *wire.Deliver) *Delivery {
 	dv := p.deliveries.Get()
 	if dv.Imms == nil {
@@ -69,8 +67,6 @@ func (p *Process) getDelivery(m *wire.Deliver) *Delivery {
 // handOut gives a delivery to the application: to the WaitTag future
 // waiting for its tag or, with none, to the Handle handler or else the
 // Receive queue.
-//
-//fractos:pool-handoff delivery
 func (p *Process) handOut(dv *Delivery, fut *sim.Future[*Delivery]) {
 	switch {
 	case fut != nil:
@@ -92,8 +88,6 @@ func (p *Process) Handle(h func(*Delivery)) { p.handler = h }
 
 // Finish ends a Handle handler's delivery: it releases it unless it was
 // acknowledged already, and takes the descriptor back.
-//
-//fractos:pool-release delivery
 func (d *Delivery) Finish() {
 	d.Release()
 	d.p.putDelivery(d)
@@ -155,7 +149,6 @@ func (d *Delivery) ack(back []cap.CapID) {
 	}
 	d.acked = true
 	p := d.p
-	p.acked++
 	p.tx.done = wire.DeliverDone{Seq: d.Seq, Drop: back}
 	if !p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done) {
 		p.dead = true
@@ -246,6 +239,7 @@ func (p *Process) Serve(name string, width int, h func(*sim.Task, *Delivery)) {
 // next delivery, so h copies out whatever it keeps.
 func (p *Process) Tasks(name string, width int, h func(*sim.Task, *Delivery)) func(*Delivery) {
 	s := &server{p: p, name: name, h: h, width: width}
+	p.k.Track(name+" serveOp", &s.ops)
 	return s.dispatch
 }
 
@@ -272,15 +266,12 @@ type serveOp struct {
 }
 
 // finish runs the handler on d in t, acknowledges d and takes it back.
-//
-//fractos:pool-release delivery
 func (s *server) finish(d *Delivery, t *sim.Task) {
 	s.h(t, d)
 	d.Done()
 	s.p.putDelivery(d)
 }
 
-//fractos:pool-acquire serveop
 func (s *server) getOp() *serveOp {
 	op := s.ops.Get()
 	if op.run == nil {
@@ -289,7 +280,6 @@ func (s *server) getOp() *serveOp {
 	return op
 }
 
-//fractos:pool-release serveop
 func (s *server) putOp(op *serveOp) {
 	op.d = nil
 	s.ops.Put(op)
@@ -298,8 +288,6 @@ func (s *server) putOp(op *serveOp) {
 // dispatch starts a task of its own for d, or queues d while width
 // deliveries are in service. Tasks are spawned in arrival order, under
 // the server's name, at the instant d arrives.
-//
-//fractos:pool-handoff delivery
 func (s *server) dispatch(d *Delivery) {
 	if s.busy == s.width && s.width > 0 {
 		s.waiting = append(s.waiting, d)
@@ -312,8 +300,6 @@ func (s *server) dispatch(d *Delivery) {
 }
 
 // spawn starts the op's task, which owns the op from then on.
-//
-//fractos:pool-handoff serveop
 func (op *serveOp) spawn() { op.s.p.k.Spawn(op.s.name, op.run) }
 
 // serve is the op's task: it puts the record back and serves its

@@ -50,8 +50,6 @@ func NewChan[T any](k *Kernel, name string, capacity int) *Chan[T] {
 }
 
 // getRecv returns a recycled (or new) receive waiter for t.
-//
-//fractos:pool-acquire chanwaiter
 func (c *Chan[T]) getRecv(t *Task) *recvWaiter[T] {
 	rw := c.freeRecv.Get()
 	*rw = recvWaiter[T]{t: t}
@@ -61,8 +59,6 @@ func (c *Chan[T]) getRecv(t *Task) *recvWaiter[T] {
 // putRecv recycles a waiter whose wait has fully completed. The caller
 // must guarantee no other reference to rw survives: the waker removes
 // it from recvq before the task resumes.
-//
-//fractos:pool-release chanwaiter
 func (c *Chan[T]) putRecv(rw *recvWaiter[T]) {
 	var zero T
 	rw.v = zero
@@ -71,8 +67,6 @@ func (c *Chan[T]) putRecv(rw *recvWaiter[T]) {
 }
 
 // getSend returns a recycled (or new) send waiter carrying v.
-//
-//fractos:pool-acquire chanwaiter
 func (c *Chan[T]) getSend(t *Task, v T) *sendWaiter[T] {
 	sw := c.freeSend.Get()
 	*sw = sendWaiter[T]{t: t, v: v}
@@ -80,8 +74,6 @@ func (c *Chan[T]) getSend(t *Task, v T) *sendWaiter[T] {
 }
 
 // putSend recycles a send waiter whose wait has fully completed.
-//
-//fractos:pool-release chanwaiter
 func (c *Chan[T]) putSend(sw *sendWaiter[T]) {
 	var zero T
 	sw.v = zero
@@ -133,7 +125,7 @@ func (c *Chan[T]) Send(t *Task, v T) {
 	}
 	// Bounded and full: block.
 	sw := c.getSend(t, v)
-	c.sendq = append(c.sendq, sw) // fractos:pool-ok parked waiter; the waker unlinks it from sendq before putSend reuses it
+	c.sendq = append(c.sendq, sw) // parked waiter; the waker unlinks it from sendq before putSend reuses it
 	t.park()
 	ok := sw.ok
 	c.putSend(sw)
@@ -173,7 +165,7 @@ func (c *Chan[T]) Recv(t *Task) (v T, ok bool) {
 		return v, false
 	}
 	rw := c.getRecv(t)
-	c.recvq = append(c.recvq, rw) // fractos:pool-ok parked waiter; whoever wakes the task unlinks it from recvq — a sender or Close — before putRecv reuses it
+	c.recvq = append(c.recvq, rw) // parked waiter; whoever wakes the task unlinks it from recvq — a sender or Close — before putRecv reuses it
 	t.park()
 	v, ok = rw.v, rw.ok
 	c.putRecv(rw)

@@ -219,3 +219,31 @@ func TestFutureTimeoutRaceWithResolve(t *testing.T) {
 	k.Run()
 	k.Shutdown()
 }
+
+// TestFreeListCountsLent: a free list counts the records it has lent,
+// Get − Put − Drop, and a kernel names each tracked pool that has any
+// out, with the count.
+func TestFreeListCountsLent(t *testing.T) {
+	k := New(1)
+	var a, b FreeList[int]
+	k.Track("a", &a)
+	k.Track("b", &b)
+	x, _ := a.Get(), a.Get()
+	b.Put(b.Get())
+	if a.Lent() != 2 || b.Lent() != 0 || a.Len() != 0 || b.Len() != 1 {
+		t.Errorf("lent %d and %d, parked %d and %d; want 2, 0, 0, 1", a.Lent(), b.Lent(), a.Len(), b.Len())
+	}
+	if got := k.Unparked(); got != "a 2" {
+		t.Errorf("Unparked() = %q, want %q", got, "a 2")
+	}
+	a.Put(x)
+	b.Get()
+	if got := k.Unparked(); got != "a 1, b 1" {
+		t.Errorf("Unparked() = %q, want %q", got, "a 1, b 1")
+	}
+	a.Drop() // the second record is quarantined, not parked
+	b.Drop()
+	if got := k.Unparked(); got != "" || a.Len() != 1 {
+		t.Errorf("Unparked() = %q with %d parked, want every pool parked and 1", got, a.Len())
+	}
+}

@@ -97,7 +97,6 @@ func evLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-//fractos:pool-handoff simevent
 func (h *eventHeap) push(e *event) {
 	h.es = append(h.es, e) // heap backing growth is amortized
 	h.up(len(h.es) - 1)
@@ -192,7 +191,6 @@ type eventRing struct {
 	n    int
 }
 
-//fractos:pool-handoff simevent
 func (r *eventRing) push(e *event) {
 	if r.n == len(r.buf) {
 		r.grow() // ring doubling is amortized; steady state never grows
@@ -258,6 +256,8 @@ type Kernel struct {
 	// same-instant fast-path switches (Task.park); flushed into the
 	// process-wide totalEvents counter when a run loop exits.
 	processed uint64
+
+	pools []tracked // Track's, for Unparked
 }
 
 // New returns an empty kernel with its virtual clock at zero. Nothing
@@ -314,7 +314,7 @@ func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 	t := getTask()
 	t.k, t.id, t.name, t.fn = k, k.nextID, name, fn
 	t.done, t.killed = false, false
-	k.tasks[t.id] = t // fractos:pool-ok task table and trampoline share ownership; exec unlinks before the trampoline repools
+	k.tasks[t.id] = t // task table and trampoline share ownership; exec unlinks before the trampoline repools
 	t.wake = k.schedule(k.now, t, nil)
 	return t
 }
@@ -328,8 +328,6 @@ func (k *Kernel) fail(msg string) {
 
 // alloc takes an event struct from the pool. Refills carve a slab of
 // events in one allocation rather than allocating structs one by one.
-//
-//fractos:pool-acquire simevent
 func (k *Kernel) alloc() *event {
 	if n := len(k.free); n > 0 {
 		e := k.free[n-1]
@@ -347,8 +345,6 @@ func (k *Kernel) alloc() *event {
 }
 
 // release resets an event and returns it to the pool.
-//
-//fractos:pool-release simevent
 func (k *Kernel) release(e *event) {
 	e.task = nil
 	e.cb = nil
@@ -368,7 +364,7 @@ func (k *Kernel) schedule(at Time, t *Task, cb Callback) *event {
 	} else {
 		k.heap.push(e)
 	}
-	return e // fractos:pool-ok the queue owns e after push; the returned handle exists only so cancel can find it
+	return e // the queue owns e after push; the returned handle exists only so cancel can find it
 }
 
 // cancel drops a queued event: removed in place from the heap, or

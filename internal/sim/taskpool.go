@@ -42,8 +42,6 @@ var taskPool struct {
 
 // getTask pops a pooled task (its trampoline goroutine already parked
 // on hand) or builds a fresh one.
-//
-//fractos:pool-acquire simtask
 func getTask() *Task {
 	taskPool.mu.Lock()
 	if n := len(taskPool.free); n > 0 {
@@ -62,8 +60,6 @@ func getTask() *Task {
 // putTask pushes a finished, fully unlinked task back on the stack.
 // It reports false when the stack is full, telling the trampoline to
 // end its goroutine instead.
-//
-//fractos:pool-release simtask
 func putTask(t *Task) bool {
 	taskPool.mu.Lock()
 	if len(taskPool.free) >= maxPooledTasks {

@@ -101,29 +101,31 @@ func (d *Deployment) Spawn(name string, fn func(tk *sim.Task)) { d.Cl.K.Spawn(na
 
 // Run builds the cluster described by s, deploys its services in order
 // inside the main task, invokes fn as the workload, and runs the
-// simulation to completion; it panics (via internal/assert) if the
-// main task deadlocks or a Controller is left with an inter-Controller
-// call pending, whose caller nobody will answer. This is the single
+// simulation to completion. It then audits the run, and panics (via
+// internal/assert) if the main task deadlocked or a kernel-context pool
+// still has records lent (sim.Kernel.Unparked): at quiescence, a
+// pending inter-Controller call is a caller nobody will answer, and any
+// other record lent is one nothing will release. This is the single
 // entry point every experiment, example, and heavy integration test
 // goes through.
 func Run(s Spec, fn func(tk *sim.Task, d *Deployment)) {
-	done, pending := run(s, fn)
-	if !done {
-		assert.Failf("testbed: main task did not complete (deadlock)")
+	if failure := run(s, fn); failure != "" {
+		assert.Failf("%s", failure)
 	}
-	assert.That(pending == 0, "testbed: the run ends with %d inter-Controller calls pending", pending)
 }
 
-// RunT is Run for tests: an incomplete main task fails the test
-// instead of panicking the process.
+// RunT is Run for tests: a failed audit fails the test instead of
+// panicking the process.
 func RunT(tb TB, s Spec, fn func(tk *sim.Task, d *Deployment)) {
 	tb.Helper()
-	if done, _ := run(s, fn); !done {
-		tb.Fatalf("testbed: main task did not complete (deadlock)")
+	if failure := run(s, fn); failure != "" {
+		tb.Fatalf("%s", failure)
 	}
 }
 
-func run(s Spec, fn func(tk *sim.Task, d *Deployment)) (done bool, pending int) {
+// run runs the deployment and returns why the run failed its audit, or
+// "".
+func run(s Spec, fn func(tk *sim.Task, d *Deployment)) string {
 	cl := core.NewCluster(core.ClusterConfig{
 		Nodes:     s.Nodes,
 		Placement: s.Placement,
@@ -134,6 +136,7 @@ func run(s Spec, fn func(tk *sim.Task, d *Deployment)) (done bool, pending int) 
 	if s.Heartbeat != nil {
 		d.Watch = services.StartNodeWatch(cl, *s.Heartbeat)
 	}
+	done := false
 	cl.K.Spawn("tb-main", func(tk *sim.Task) {
 		for _, svc := range s.Services {
 			svc.Deploy(tk, d)
@@ -145,11 +148,14 @@ func run(s Spec, fn func(tk *sim.Task, d *Deployment)) (done bool, pending int) 
 		}
 	})
 	cl.K.Run()
-	for _, c := range cl.Ctrls {
-		pending += c.PendingCalls()
+	defer cl.K.Shutdown()
+	if !done {
+		return "testbed: main task did not complete (deadlock)"
 	}
-	cl.K.Shutdown()
-	return done, pending
+	if lent := cl.K.Unparked(); lent != "" {
+		return "testbed: the run ends with records lent: " + lent
+	}
+	return ""
 }
 
 // --- shared formatting / unit helpers -------------------------------

@@ -1,11 +1,14 @@
 package testbed_test
 
 import (
+	"fmt"
 	"testing"
 
+	"fractos/internal/fabric"
 	"fractos/internal/services"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
+	"fractos/internal/wire"
 )
 
 // orderSvc records the order services deploy in.
@@ -71,10 +74,15 @@ func TestWatchAndHandles(t *testing.T) {
 }
 
 // fakeTB captures RunT's failure path.
-type fakeTB struct{ failed bool }
+type fakeTB struct {
+	failed bool
+	msg    string
+}
 
-func (f *fakeTB) Helper()               {}
-func (f *fakeTB) Fatalf(string, ...any) { f.failed = true }
+func (f *fakeTB) Helper() {}
+func (f *fakeTB) Fatalf(format string, args ...any) {
+	f.failed, f.msg = true, fmt.Sprintf(format, args...)
+}
 
 // TestRunTReportsDeadlock: a main task that blocks forever fails the
 // test instead of hanging or panicking.
@@ -86,6 +94,29 @@ func TestRunTReportsDeadlock(t *testing.T) {
 	})
 	if !f.failed {
 		t.Fatal("deadlocked main task did not fail the run")
+	}
+}
+
+// keeper is a fabric Handler that keeps every frame it is handed.
+type keeper struct{ kept []*fabric.Frame }
+
+func (h *keeper) Deliver(f *fabric.Frame) { h.kept = append(h.kept, f) }
+
+// TestRunTReportsLentRecords: a run that ends with a pooled record lent
+// — a frame its receiver never releases — fails the test, naming the
+// pool and the count.
+func TestRunTReportsLentRecords(t *testing.T) {
+	var f fakeTB
+	testbed.RunT(&f, testbed.Spec{Nodes: 1}, func(tk *sim.Task, d *testbed.Deployment) {
+		loc := fabric.Location{Node: 0}
+		rx := d.Net().AttachHandler("keeper", loc, 0, &keeper{})
+		tx := d.Net().Attach("sender", loc, 0)
+		if !d.Net().Send(tx.ID, rx.ID, &wire.Null{Token: 1}) {
+			t.Error("the frame was not sent")
+		}
+	})
+	if want := "testbed: the run ends with records lent: fabric frame 1"; f.msg != want {
+		t.Errorf("RunT reported %q, want %q", f.msg, want)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // Prefix starts every directive and waiver: "//fractos:mustuse" on a
-// declaration, "// fractos:pool-ok <reason>" on a line.
+// declaration, "// fractos:panic-ok <reason>" on a line.
 const Prefix = "fractos:"
 
 // index maps each declared function, method, interface method and
@@ -20,7 +20,7 @@ type index map[types.Object]map[string]string
 // declaration — the text after the name, "" if there is none — and
 // whether the declaration carries the directive at all. A directive is
 // a doc-comment line that starts with the prefix, such as
-// "//fractos:pool-acquire frame"; prose that mentions one mid-sentence
+// "//fractos:completes 1"; prose that mentions one mid-sentence
 // is not. The index behind it is built once per Module.
 func (p *Pass) Directive(obj types.Object, name string) (string, bool) {
 	if fn, ok := obj.(*types.Func); ok && fn != nil {

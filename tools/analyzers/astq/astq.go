@@ -7,18 +7,6 @@ import (
 	"go/types"
 )
 
-// CalleeName returns the bare name of a call's function: "f" for
-// f(...), "m" for x.m(...). Empty for indirect calls.
-func CalleeName(call *ast.CallExpr) string {
-	switch fn := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fn.Name
-	case *ast.SelectorExpr:
-		return fn.Sel.Name
-	}
-	return ""
-}
-
 // ReceiverTypeName returns the name of a method's receiver type
 // ("Controller" for func (c *Controller) ...), or "" for plain
 // functions.

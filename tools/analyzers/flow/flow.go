@@ -1,5 +1,5 @@
 // Package flow is the path-sensitive statement walker behind the
-// exactly-once analyzers (statuscheck, poolcheck). It threads a path
+// exactly-once analyzer, statuscheck. It threads a path
 // State — how many times a duty has been discharged so far, and how
 // many times registered defers will discharge it on exit — through a
 // function body's statements, splitting at if/else, switch, type
@@ -167,30 +167,4 @@ func clauses(r Rules, body *ast.BlockStmt, in State) (fall State, term bool) {
 		fall, term = fall.Join(in), false
 	}
 	return fall, term
-}
-
-// Enclosing returns the statements that follow target in the statement
-// list that holds it, searching root without entering function
-// literals; ok is false when no list holds target itself.
-func Enclosing(root ast.Node, target ast.Stmt) (rest []ast.Stmt, ok bool) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		var list []ast.Stmt
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.BlockStmt:
-			list = n.List
-		case *ast.CaseClause:
-			list = n.Body
-		case *ast.CommClause:
-			list = n.Body
-		}
-		for i, s := range list {
-			if s == target {
-				rest, ok = list[i+1:], true
-			}
-		}
-		return !ok
-	})
-	return rest, ok
 }

@@ -131,28 +131,3 @@ func TestWalk(t *testing.T) {
 		}
 	}
 }
-
-func TestEnclosing(t *testing.T) {
-	body := parseBody(t, `a()
-{ b := 1; d() }
-select { case <-ch: x := 1; d(); d() }
-switch { case c: y := 2 }
-go func() { z := 3; d() }()`)
-	stmts := map[string]ast.Stmt{}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
-			stmts[as.Lhs[0].(*ast.Ident).Name] = as
-		}
-		return true
-	})
-	for name, want := range map[string]int{"b": 1, "x": 2, "y": 0, "z": -1} {
-		rest, ok := Enclosing(body, stmts[name])
-		got := len(rest)
-		if !ok {
-			got = -1 // not directly in any statement list
-		}
-		if got != want {
-			t.Errorf("%s: %d statements follow, want %d", name, got, want)
-		}
-	}
-}
