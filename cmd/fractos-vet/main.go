@@ -1,14 +1,15 @@
 // Command fractos-vet runs the repository's custom static analyzers
 // (tools/analyzers/...) over the module: capability-validation order
 // (capcheck), epoch fencing of peer handlers (epochguard), simulator
-// determinism (simdet), the syscall completion protocol (statuscheck),
-// results that must not be dropped — wire.Status, Net.Send's delivery
-// failure, registry membership errors — (mustuse) and the no-panic
-// policy (panicfree). Pooled records are not linted: every testbed run
-// ends by checking that the kernel-context pools are parked
-// (sim.Kernel.Unparked). The analyzers know no function by name: each reads //fractos: directives
-// off the declarations it is about, and the driver reports every
-// directive or waiver that no analyzer reads.
+// determinism (simdet), results that must not be dropped — wire.Status,
+// Net.Send's delivery failure, registry membership errors — (mustuse)
+// and the no-panic policy (panicfree). Pooled records and the syscall
+// completion protocol are not linted: every testbed run ends by checking
+// that the kernel-context pools are parked and that every syscall
+// completed exactly once (sim.Kernel.Unparked). The analyzers know no
+// function by name: each reads //fractos: directives off the
+// declarations it is about, and the driver reports every directive or
+// waiver that no analyzer reads.
 //
 // Usage:
 //
@@ -38,7 +39,6 @@ import (
 	"fractos/tools/analyzers/mustuse"
 	"fractos/tools/analyzers/panicfree"
 	"fractos/tools/analyzers/simdet"
-	"fractos/tools/analyzers/statuscheck"
 )
 
 // all is the fractos-vet suite, in reporting order.
@@ -48,7 +48,6 @@ var all = []*analysis.Analyzer{
 	mustuse.Analyzer,
 	panicfree.Analyzer,
 	simdet.Analyzer,
-	statuscheck.Analyzer,
 }
 
 type finding struct {

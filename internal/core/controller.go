@@ -270,8 +270,13 @@ func (c *Controller) grant(ps *procState, tok uint64, e cap.Entry, aux uint64) {
 // tests and resource accounting).
 func (c *Controller) ObjectCount() int { return c.tree.LiveLen() }
 
-// PendingCalls is the number of inter-Controller calls awaiting an answer.
-func (c *Controller) PendingCalls() int { return len(c.pending) }
+// Serves reports whether the Controller manages pid and has not failed
+// it: a Process it has failed — or lost in a crash — gets no
+// completion for a syscall it posted.
+func (c *Controller) Serves(pid cap.ProcID) bool {
+	ps, ok := c.procs[pid]
+	return ok && !ps.failed
+}
 
 // Deliver implements fabric.Handler: a frame joins the receive queue;
 // an idle Controller starts on it at once, a crashed one drops it.
@@ -545,7 +550,6 @@ func (c *Controller) dispatchPeer(p *peerState, m wire.Message) {
 // behavior, not silent loss.
 //
 //fractos:ordered
-//fractos:completes 1
 func (c *Controller) complete(ps *procState, token uint64, st wire.Status, cid cap.CapID, aux uint64) {
 	if ps.failed || token == 0 {
 		return

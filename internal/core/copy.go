@@ -142,8 +142,6 @@ func (c *Controller) putCopyOp(op *copyOp) {
 
 // startCopy takes over the op and, with it, the handler's duty to
 // complete the syscall: finish discharges it exactly once.
-//
-//fractos:completes 1
 func (c *Controller) startCopy(op *copyOp) {
 	op.state = copyLocateSrc
 	op.locate(op.src, cap.Read)

@@ -810,8 +810,8 @@ func faultedCopy(t *testing.T, pull bool, f *copyFault, at sim.Time) (instants [
 			t.Errorf("%s: %v, want OK or an error status", what, copyErr)
 		}
 		engineIdle(t, cl.CtrlFor(0), core.DefaultBouncePairs, what)
-		if n := cl.Net.LiveFrames(); n != 0 {
-			t.Errorf("%s: %d frames live at quiescence", what, n)
+		if lent := cl.K.Unparked(); lent != "" {
+			t.Errorf("%s: records lent at quiescence: %s", what, lent)
 		}
 	})
 	return instants

@@ -21,3 +21,6 @@ func (c *Controller) DeliveryState(pid cap.ProcID) (window, outstanding, queued 
 func (c *Controller) CopyEngine() (freeChunks, waiting, live int) {
 	return len(c.bounceFree), len(c.copyWait), c.copyOps.Lent()
 }
+
+// PendingCalls is the number of inter-Controller calls awaiting an answer.
+func (c *Controller) PendingCalls() int { return len(c.pending) }

@@ -215,8 +215,8 @@ func TestCrashDiscardsQueuedMessages(t *testing.T) {
 	if got := c.Metrics().SendFailed; got != 1 {
 		t.Fatalf("%d refused sends after the crash, want 1: only the probe in service runs its handler", got)
 	}
-	if len(c.rxQueue) != 0 || net.LiveFrames() != 0 {
-		t.Fatalf("crashed Controller still has %d messages queued, %d frames were not released", len(c.rxQueue), net.LiveFrames())
+	if lent := k.Unparked(); len(c.rxQueue) != 0 || lent != "" {
+		t.Fatalf("crashed Controller still has %d messages queued; records lent: %q", len(c.rxQueue), lent)
 	}
 
 	c.Reboot()

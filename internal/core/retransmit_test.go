@@ -113,8 +113,8 @@ func sweepRun(t *testing.T, f fabric.Faults) (violations []string) {
 		if n := c0.PendingCalls() + c1.PendingCalls(); n != 0 {
 			bad("%d calls still pending at quiescence", n)
 		}
-		if n := cl.Net.LiveFrames(); n != 0 {
-			bad("%d frames neither delivered nor released at quiescence", n)
+		if lent := cl.K.Unparked(); lent != "" {
+			bad("records lent at quiescence: %s", lent)
 		}
 		if w, out, q := c1.DeliveryState(srv.ID()); w != core.DefaultWindow || out != 0 || q != 0 {
 			bad("provider window not conserved: %d credits (want %d), %d outstanding, %d queued",

@@ -372,10 +372,6 @@ func (f *Frame) Release() {
 	n.frames.Put(f)
 }
 
-// LiveFrames reports the frames that are on the wire or in a Handler's
-// hands. It is zero at quiescence unless a receiver leaked one.
-func (n *Net) LiveFrames() int { return n.frames.Lent() }
-
 // launch hands an encoded Frame to the kernel: its delivery event owns
 // it from here until Fire passes it on or releases it.
 func (n *Net) launch(f *Frame, delay sim.Time) {

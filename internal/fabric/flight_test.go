@@ -178,8 +178,8 @@ func TestHandlerOwnsItsFrames(t *testing.T) {
 		}
 		f.Release()
 	}
-	if got := n.frames.Len(); got != free+queued || n.LiveFrames() != 0 {
-		t.Errorf("free list grew by %d on %d releases, %d frames still live", got-free, queued, n.LiveFrames())
+	if got := n.frames.Len(); got != free+queued || n.frames.Lent() != 0 {
+		t.Errorf("free list grew by %d on %d releases, %d frames still live", got-free, queued, n.frames.Lent())
 	}
 
 	k, n = newNet()

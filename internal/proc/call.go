@@ -297,10 +297,12 @@ func (op *callOp) release() {
 }
 
 // Fire implements sim.Callback: the deadline passed with no reply, and
-// the invocation's completion, if still to come, goes nowhere.
+// the invocation's completion, if still to come, is discarded.
 func (op *callOp) Fire() {
 	assert.True(op.dv == nil && (op.state == callInvoking || op.state == callWaiting), "proc: a deadline for a call that waits for no reply")
-	delete(op.p.pending, op.tok)
+	if op.state == callInvoking {
+		op.p.pending[op.tok] = sysWaiter{}
+	}
 	op.timedOut = true
 	op.retire()
 }

@@ -747,8 +747,8 @@ func TestCallSeveredBetweenSyscalls(t *testing.T) {
 // its acknowledgement cannot be posted. That is lost with the channel;
 // the reply is not.
 func TestCallSeveredAfterReply(t *testing.T) {
-	why := "the echo server's invocation of the reply: the caller's Controller, severed, cannot ack it, and nothing resends on a reliable fabric"
-	runLeaving(t, "controller 2 pendingCall 1", why, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+	why := "the echo server's invocation of the reply, and with it the server's syscall: the caller's Controller, severed, cannot ack it, and nothing resends on a reliable fabric"
+	runLeaving(t, "controller 2 pendingCall 1, srv syscall 1", why, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
 		c := newCallPair(t, tk, cl, 1)
 		c.echo(false, nil)
 		cli := c.cli

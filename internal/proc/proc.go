@@ -41,6 +41,7 @@ type Process struct {
 
 	nextToken uint64
 	pending   map[uint64]sysWaiter
+	strays    int // completions that no syscall waited for
 	// futures recycles the completion futures of synchronous syscalls:
 	// the caller blocks until its completion arrives, so the future is
 	// free again the moment the call returns. The Async variants hand
@@ -101,8 +102,9 @@ type Process struct {
 }
 
 // sysWaiter is who a syscall's completion goes to: the future of a
-// blocking or Async syscall, or the record it is a step of (a Call's, a
-// MemoryCopyThen's).
+// blocking or Async syscall, the record it is a step of (a Call's, a
+// MemoryCopyThen's), or nobody — a timed-out Call's invocation, whose
+// completion is discarded.
 type sysWaiter struct {
 	fut *sim.Future[wire.Completion]
 	op  Waiter
@@ -173,7 +175,23 @@ func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.Pro
 	}
 	p.ep = ctrl.AttachProcess(pid, name, loc, arenaSize, p)
 	k.Track(name+" callOp", &p.calls)
+	k.Track(name+" syscall", (*unanswered)(p))
 	return p
+}
+
+// unanswered is the Process as the end-of-run audit sees it
+// (Kernel.Track): each syscall completes exactly once, so at quiescence
+// one still pending — unless its Controller has failed the Process, and
+// so sends it nothing — or a completion that no syscall waited for is a
+// fault.
+type unanswered Process
+
+func (u *unanswered) Lent() int {
+	p := (*Process)(u)
+	if !p.ctrl.Serves(p.id) {
+		return p.strays
+	}
+	return len(p.pending) + p.strays
 }
 
 // ID returns the Process id.
@@ -216,13 +234,15 @@ func (p *Process) Deliver(f *fabric.Frame) {
 func (p *Process) demux(m wire.Message) {
 	switch m := m.(type) {
 	case *wire.Completion:
-		if w, ok := p.pending[m.Token]; ok {
-			delete(p.pending, m.Token)
-			if w.op != nil {
-				w.op.Completed(m)
-			} else {
-				w.fut.Set(*m)
-			}
+		w, ok := p.pending[m.Token]
+		delete(p.pending, m.Token)
+		switch {
+		case !ok:
+			p.strays++
+		case w.op != nil:
+			w.op.Completed(m)
+		case w.fut != nil:
+			w.fut.Set(*m)
 		}
 	case *wire.Deliver:
 		w, ok := p.waiters[m.Tag]

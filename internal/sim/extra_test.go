@@ -55,20 +55,6 @@ func TestTryRecvEmpty(t *testing.T) {
 	k.Shutdown()
 }
 
-func TestSemaphoreTryAcquire(t *testing.T) {
-	s := NewSemaphore(1)
-	if !s.TryAcquire() {
-		t.Fatal("first TryAcquire failed")
-	}
-	if s.TryAcquire() {
-		t.Fatal("second TryAcquire succeeded")
-	}
-	s.Release()
-	if s.Available() != 1 {
-		t.Errorf("Available = %d", s.Available())
-	}
-}
-
 func TestYieldInterleavesFairly(t *testing.T) {
 	k := New(1)
 	var order []int

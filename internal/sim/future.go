@@ -209,15 +209,6 @@ func (s *Semaphore) Acquire(t *Task) {
 	s.avail--
 }
 
-// TryAcquire takes a permit without blocking, reporting success.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail <= 0 {
-		return false
-	}
-	s.avail--
-	return true
-}
-
 // Release returns one permit and wakes a waiter if any. The queue pops
 // by shifting in place and clearing the vacated slot, like Chan's
 // (takeBuffered): re-slicing it drifts through the backing array, so
@@ -232,6 +223,3 @@ func (s *Semaphore) Release() {
 		w.wakeAfter(0)
 	}
 }
-
-// Available reports the number of free permits.
-func (s *Semaphore) Available() int { return s.avail }

@@ -308,7 +308,6 @@ func (t *Task) Now() Time { return t.k.now }
 // free list (taskpool.go), so steady-state Spawn allocates nothing.
 //
 //fractos:ordered
-//fractos:runs-once
 func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 	k.nextID++
 	t := getTask()
@@ -385,7 +384,6 @@ func (k *Kernel) cancel(e *event) {
 // block; to perform blocking work, have fn call Spawn.
 //
 //fractos:ordered
-//fractos:runs-once
 func (k *Kernel) After(d Time, fn func()) {
 	k.AfterCall(d, funcCall(fn))
 }

@@ -102,12 +102,13 @@ func (d *Deployment) Spawn(name string, fn func(tk *sim.Task)) { d.Cl.K.Spawn(na
 // Run builds the cluster described by s, deploys its services in order
 // inside the main task, invokes fn as the workload, and runs the
 // simulation to completion. It then audits the run, and panics (via
-// internal/assert) if the main task deadlocked or a kernel-context pool
-// still has records lent (sim.Kernel.Unparked): at quiescence, a
-// pending inter-Controller call is a caller nobody will answer, and any
-// other record lent is one nothing will release. This is the single
-// entry point every experiment, example, and heavy integration test
-// goes through.
+// internal/assert) if the main task deadlocked, a kernel-context pool
+// still has records lent, or a Process has a syscall with no completion
+// or a completion no syscall waited for (sim.Kernel.Unparked): at
+// quiescence, a pending inter-Controller call or syscall is a caller
+// nobody will answer, and any other record lent is one nothing will
+// release. This is the single entry point every experiment, example,
+// and heavy integration test goes through.
 func Run(s Spec, fn func(tk *sim.Task, d *Deployment)) {
 	if failure := run(s, fn); failure != "" {
 		assert.Failf("%s", failure)

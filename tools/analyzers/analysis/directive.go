@@ -20,7 +20,7 @@ type index map[types.Object]map[string]string
 // declaration — the text after the name, "" if there is none — and
 // whether the declaration carries the directive at all. A directive is
 // a doc-comment line that starts with the prefix, such as
-// "//fractos:completes 1"; prose that mentions one mid-sentence
+// "//fractos:ordered"; prose that mentions one mid-sentence
 // is not. The index behind it is built once per Module.
 func (p *Pass) Directive(obj types.Object, name string) (string, bool) {
 	if fn, ok := obj.(*types.Func); ok && fn != nil {
