@@ -64,36 +64,17 @@ func deploy(tk *sim.Task, d *testbed.Deployment, client *proc.Process, gen int) 
 
 // call is a bounded echo round trip: it can fail (lost to the outage,
 // aborted by an epoch bump, timed out) but can never hang past the
-// deadline — both the invoke completion and the reply are waited on
-// asynchronously with a timeout, so an attempt issued into a partition
-// returns to the retry policy promptly instead of blocking inside the
-// Controllers' retransmission window.
+// deadline, counted from the invocation's post — an attempt issued into
+// a partition returns to the retry policy promptly instead of blocking
+// inside the Controllers' retransmission window.
 //
 //fractos:ordered
 func call(tk *sim.Task, client *proc.Process, r *rig, payload string, deadline sim.Time) error {
-	reply, tag, err := client.ReplyRequest(tk)
+	del, err := client.CallTimeout(tk, r.creq,
+		[]wire.ImmArg{proc.BytesArg(0, []byte(payload))}, nil, 0, deadline)
 	if err != nil {
 		return err
 	}
-	fRep := client.WaitTag(tag)
-	fInv := client.InvokeAsync(r.creq,
-		[]wire.ImmArg{proc.BytesArg(0, []byte(payload))},
-		[]proc.Arg{{Slot: 0, Cap: reply}})
-	comp, err := fInv.WaitTimeout(tk, deadline)
-	if err != nil {
-		client.Drop(tk, reply)
-		return err
-	}
-	if comp.Status != wire.StatusOK {
-		client.Drop(tk, reply)
-		return comp.Status.Err()
-	}
-	del, err := fRep.WaitTimeout(tk, deadline)
-	client.Drop(tk, reply)
-	if err != nil {
-		return err
-	}
-	del.Done()
 	if string(del.Imms) != payload {
 		return fmt.Errorf("echo corrupted: %q != %q", del.Imms, payload)
 	}

@@ -107,16 +107,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		done := client.WaitTag(tag)
-		if err := client.Invoke(t, entry,
-			[]wire.ImmArg{proc.BytesArg(0, []byte(strings.Join(merged, " ")))}, nil); err != nil {
-			log.Fatal(err)
-		}
-		d, err := done.Wait(t)
+		d, err := client.CallWith(t, entry,
+			[]wire.ImmArg{proc.BytesArg(0, []byte(strings.Join(merged, " ")))}, nil, tag)
 		if err != nil {
 			log.Fatal(err)
 		}
-		d.Done()
 		fmt.Printf("chained:   %s\n", d.Imms)
 		fmt.Printf("\ntotal virtual time: %v\n", t.Now())
 	})

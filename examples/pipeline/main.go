@@ -180,16 +180,10 @@ func main() {
 			if err := client.MemoryCopy(t, buf, in[0]); err != nil {
 				log.Fatal(err)
 			}
-			f := client.WaitTag(replyTag)
-			if err := client.Invoke(t, chain[0], lenArg,
-				[]proc.Arg{{Slot: 0, Cap: in[1]}, {Slot: 1, Cap: next}}); err != nil {
+			if _, err := client.CallWith(t, chain[0], lenArg,
+				[]proc.Arg{{Slot: 0, Cap: in[1]}, {Slot: 1, Cap: next}}, replyTag); err != nil {
 				log.Fatal(err)
 			}
-			d, err := f.Wait(t)
-			if err != nil {
-				log.Fatal(err)
-			}
-			d.Done()
 			return t.Now() - start
 		})
 

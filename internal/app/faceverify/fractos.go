@@ -351,17 +351,12 @@ func (a *FractOSApp) VerifyBatch(t *sim.Task, req *Request) ([]byte, error) {
 	}
 
 	// (b) Invoke the storage read with the GPU buffer as destination
-	// and the slot's kernel Request as continuation, then wait for the
+	// and the slot's kernel Request as continuation, and wait for the
 	// pipeline to come back to us.
-	f := a.app.WaitTag(s.replyTag)
-	if err := a.storageReadInto(t, file, n, s.gpuDB, s.kernel); err != nil {
-		return nil, err
-	}
-	d, err := f.Wait(t)
+	d, err := a.storageReadInto(t, file, n, s.gpuDB, s.kernel, s.replyTag)
 	if err != nil {
 		return nil, err
 	}
-	d.Done()
 	if st := d.U64(0); st != gpu.StatusOK {
 		return nil, fmt.Errorf("faceverify: pipeline status %d", st)
 	}
@@ -376,13 +371,15 @@ func (a *FractOSApp) VerifyBatch(t *sim.Task, req *Request) ([]byte, error) {
 }
 
 // storageReadInto invokes the file's DAX lease (extent 0) with the
-// destination Memory and continuation Request.
-func (a *FractOSApp) storageReadInto(t *sim.Task, f *fs.File, n uint64, dst, cont proc.Cap) error {
+// destination Memory and continuation Request, and returns the reply
+// that comes back under replyTag at the end of the continuation chain,
+// borrowed (proc.Process.CallWith).
+func (a *FractOSApp) storageReadInto(t *sim.Task, f *fs.File, n uint64, dst, cont proc.Cap, replyTag uint64) (*proc.Delivery, error) {
 	lease, ok := f.DAXLease(0, false)
 	if !ok {
-		return fmt.Errorf("faceverify: no DAX read lease")
+		return nil, fmt.Errorf("faceverify: no DAX read lease")
 	}
-	return a.app.Invoke(t, lease,
+	return a.app.CallWith(t, lease,
 		[]wire.ImmArg{proc.U64Arg(nvme.ImmOff, 0), proc.U64Arg(nvme.ImmLen, n)},
-		[]proc.Arg{{Slot: nvme.SlotData, Cap: dst}, {Slot: nvme.SlotCont, Cap: cont}})
+		[]proc.Arg{{Slot: nvme.SlotData, Cap: dst}, {Slot: nvme.SlotCont, Cap: cont}}, replyTag)
 }

@@ -107,15 +107,10 @@ func (a *FractOSApp) RingVerify(t *sim.Task, req *Request) ([]byte, error) {
 		return nil, fmt.Errorf("faceverify: probe upload: %w", err)
 	}
 
-	f := a.app.WaitTag(s.replyTag)
-	if err := a.storageReadInto(t, file, a.cfg.batchBytes(), s.gpuDB, s.ringKernel); err != nil {
-		return nil, err
-	}
-	d, err := f.Wait(t)
+	d, err := a.storageReadInto(t, file, a.cfg.batchBytes(), s.gpuDB, s.ringKernel, s.replyTag)
 	if err != nil {
 		return nil, err
 	}
-	d.Done()
 	if st := d.U64(0); st != 0 {
 		return nil, fmt.Errorf("faceverify: ring status %d", st)
 	}

@@ -57,25 +57,13 @@ func TestChaosSoak(t *testing.T) {
 
 		okCalls, failCalls := 0, 0
 		call := func(payload string) bool {
-			// Bounded call: WaitTag with a virtual-time timeout so a
-			// dead service cannot hang the workload.
-			reply, tag, err := client.ReplyRequest(tk)
+			// Bounded call: a virtual-time timeout so a dead service
+			// cannot hang the workload.
+			d, err := client.CallTimeout(tk, sreq,
+				[]wire.ImmArg{proc.BytesArg(0, []byte(payload))}, nil, 0, 5*1000*1000) // 5ms virtual
 			if err != nil {
 				return false
 			}
-			f := client.WaitTag(tag)
-			if err := client.Invoke(tk, sreq,
-				[]wire.ImmArg{proc.BytesArg(0, []byte(payload))},
-				[]proc.Arg{{Slot: 0, Cap: reply}}); err != nil {
-				client.Drop(tk, reply)
-				return false
-			}
-			d, err := f.WaitTimeout(tk, 5*1000*1000) // 5ms virtual
-			client.Drop(tk, reply)
-			if err != nil {
-				return false
-			}
-			d.Done()
 			if string(d.Imms) != payload {
 				t.Fatalf("echo corrupted: %q != %q", d.Imms, payload)
 			}
@@ -157,17 +145,7 @@ func TestChaosSoakDeterministic(t *testing.T) {
 					cl.CtrlFor(1).Crash()
 					cl.CtrlFor(1).Reboot()
 				}
-				reply, tag, _ := client.ReplyRequest(tk)
-				f := client.WaitTag(tag)
-				err := client.Invoke(tk, creq, nil, []proc.Arg{{Slot: 0, Cap: reply}})
-				if err == nil {
-					if d, werr := f.WaitTimeout(tk, 2*1000*1000); werr == nil {
-						d.Done()
-					} else {
-						err = werr
-					}
-				}
-				client.Drop(tk, reply)
+				_, err := client.CallTimeout(tk, creq, nil, nil, 0, 2*1000*1000)
 				out += fmt.Sprintf("%d:%v@%v;", i, err == nil, tk.Now())
 			}
 		})

@@ -61,26 +61,14 @@ func newEchoRig(tk *sim.Task, cl *core.Cluster, svcNode int, gen int) *echoRig {
 }
 
 // call is a bounded echo round trip: it can fail (an aborted RPC, a
-// timed-out reply) but can never hang past the deadline.
+// timed-out reply) but can never hang past the deadline, counted from
+// the invocation's post.
 func (r *echoRig) call(tk *sim.Task, payload string, deadline sim.Time) error {
-	reply, tag, err := r.client.ReplyRequest(tk)
+	d, err := r.client.CallTimeout(tk, r.creq,
+		[]wire.ImmArg{proc.BytesArg(0, []byte(payload))}, nil, 0, deadline)
 	if err != nil {
 		return err
 	}
-	f := r.client.WaitTag(tag)
-	err = r.client.Invoke(tk, r.creq,
-		[]wire.ImmArg{proc.BytesArg(0, []byte(payload))},
-		[]proc.Arg{{Slot: 0, Cap: reply}})
-	if err != nil {
-		r.client.Drop(tk, reply)
-		return err
-	}
-	d, err := f.WaitTimeout(tk, deadline)
-	r.client.Drop(tk, reply)
-	if err != nil {
-		return err
-	}
-	d.Done()
 	if string(d.Imms) != payload {
 		return fmt.Errorf("echo corrupted: %q != %q", d.Imms, payload)
 	}

@@ -149,7 +149,8 @@ func newRTORig(t *testing.T) *rtoRig {
 	return r
 }
 
-// run executes body as the test's main task and drains the kernel.
+// run executes body as the test's main task and drains the kernel; a
+// t.Fatal inside a task fails this test alone (sim.Kernel.RunCatching).
 func (r *rtoRig) run(body func(tk *sim.Task)) {
 	done := false
 	r.k.Spawn("rto-main", func(tk *sim.Task) {
@@ -157,8 +158,11 @@ func (r *rtoRig) run(body func(tk *sim.Task)) {
 		done = true
 		r.peer.Inbox.Close()
 	})
-	r.k.Run()
+	quit := r.k.RunCatching()
 	r.k.Shutdown()
+	if quit != "" {
+		r.t.Fatal(quit)
+	}
 	if !done {
 		r.t.Fatal("main task did not complete")
 	}

@@ -240,15 +240,10 @@ func TestErrorContinuationOnBadArgs(t *testing.T) {
 		inv := loadKernel(tk, t, client, load, "add")
 		// Invoke with too few args: the error continuation must fire.
 		errReq, errTag, _ := client.ReplyRequest(tk)
-		f := client.WaitTag(errTag)
-		if err := client.Invoke(tk, inv, nil, []proc.Arg{{Slot: SlotError, Cap: errReq}}); err != nil {
-			t.Fatal(err)
-		}
-		d, err := f.Wait(tk)
+		d, err := client.CallWith(tk, inv, nil, []proc.Arg{{Slot: SlotError, Cap: errReq}}, errTag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Done()
 		if st := d.U64(0); st != StatusBadArg {
 			t.Errorf("error continuation status = %d, want bad-arg", st)
 		}
@@ -362,18 +357,13 @@ func TestUpstreamFailurePropagates(t *testing.T) {
 		_, load, _, _ := initCtx(tk, t, client, ci)
 		inv := loadKernel(tk, t, client, load, "add")
 		errReq, errTag, _ := client.ReplyRequest(tk)
-		f := client.WaitTag(errTag)
 		// Simulate the upstream service reporting failure 7.
-		if err := client.Invoke(tk, inv,
+		d, err := client.CallWith(tk, inv,
 			[]wire.ImmArg{proc.U64Arg(0, 7)},
-			[]proc.Arg{{Slot: SlotError, Cap: errReq}}); err != nil {
-			t.Fatal(err)
-		}
-		d, err := f.Wait(tk)
+			[]proc.Arg{{Slot: SlotError, Cap: errReq}}, errTag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Done()
 		if st := d.U64(0); st != 7 {
 			t.Errorf("error continuation status = %d, want upstream 7", st)
 		}
@@ -416,17 +406,12 @@ func TestPipelineUpstreamFailureEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := client.WaitTag(tag)
-		if err := client.Invoke(tk, rd,
+		d, err := client.CallWith(tk, rd,
 			[]wire.ImmArg{proc.U64Arg(nvme.ImmOff, 60<<10), proc.U64Arg(nvme.ImmLen, 8<<10)}, // past the volume end
-			[]proc.Arg{{Slot: nvme.SlotData, Cap: buf}, {Slot: nvme.SlotCont, Cap: kr}}); err != nil {
-			t.Fatal(err)
-		}
-		d, err := f.Wait(tk)
+			[]proc.Arg{{Slot: nvme.SlotData, Cap: buf}, {Slot: nvme.SlotCont, Cap: kr}}, tag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Done()
 		if st := d.U64(0); st == 0 {
 			t.Error("chained failure reported success to the application")
 		}

@@ -233,17 +233,11 @@ func (pl *pipeline) runChain(tk *sim.Task) sim.Time {
 	if len(pl.stages) > 1 {
 		dst0 = pl.stageIn[1]
 	}
-	f := pl.client.WaitTag(replyTag)
-	if err := pl.client.Invoke(tk, pl.chain[0],
+	if _, err := pl.client.CallWith(tk, pl.chain[0],
 		[]wire.ImmArg{proc.U64Arg(0, uint64(pl.n))},
-		[]proc.Arg{{Slot: 0, Cap: dst0}, {Slot: 1, Cap: next}}); err != nil {
+		[]proc.Arg{{Slot: 0, Cap: dst0}, {Slot: 1, Cap: next}}, replyTag); err != nil {
 		assert.NoErr(err, "exp/pipeline")
 	}
-	d, err := f.Wait(tk)
-	if err != nil {
-		assert.NoErr(err, "exp/pipeline")
-	}
-	d.Done()
 	lat := tk.Now() - start
 	pl.check()
 	for _, r := range reqs {

@@ -115,24 +115,6 @@ func TestLocationString(t *testing.T) {
 	}
 }
 
-// TestResetStats zeroes counters.
-func TestResetStats(t *testing.T) {
-	k := sim.New(1)
-	net := New(k, DefaultProfile())
-	a := net.Attach("a", Location{0, Host}, 0)
-	b := net.Attach("b", Location{1, Host}, 0)
-	k.Spawn("s", func(tk *sim.Task) { net.Send(a.ID, b.ID, &wire.Raw{}) })
-	k.Run()
-	if net.Stats().TotalMsgs() == 0 {
-		t.Fatal("no traffic recorded")
-	}
-	net.ResetStats()
-	if net.Stats() != (Stats{}) {
-		t.Error("ResetStats left residue")
-	}
-	k.Shutdown()
-}
-
 // TestLookupUnknownEndpoint returns false.
 func TestLookupUnknownEndpoint(t *testing.T) {
 	k := sim.New(1)

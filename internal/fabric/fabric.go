@@ -441,9 +441,6 @@ func (n *Net) ArenaBytes() int {
 	return sum
 }
 
-// ResetStats zeroes the traffic counters.
-func (n *Net) ResetStats() { n.stats = Stats{} }
-
 // Attach registers an endpoint at loc with an arena of arenaSize
 // bytes (0 for none), whose frames queue in Inbox for a task to Recv.
 func (n *Net) Attach(name string, loc Location, arenaSize int) *Endpoint {

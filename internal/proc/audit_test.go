@@ -48,6 +48,35 @@ func TestAuditNamesUnansweredSyscall(t *testing.T) {
 	})
 }
 
+// TestAuditNamesUnansweredCallWith: a CallWith whose reply never comes
+// keeps its call record lent, and the audit names it, as it does a
+// Call's.
+func TestAuditNamesUnansweredCallWith(t *testing.T) {
+	why := "a CallWith whose provider never answers: its caller waits for ever"
+	runLeaving(t, "cli callOp 1", why, testbed.Spec{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
+		srv, cli := proc.Attach(cl, 0, "srv", 0), proc.Attach(cl, 0, "cli", 0)
+		root, err := srv.RequestCreate(tk, 1, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req, err := proc.GrantCap(srv, root, cli)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		reply, tag, err := cli.ReplyRequest(tk)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		srv.Handle(func(d *proc.Delivery) { d.Finish() }) // never answers
+		cl.K.Spawn("call", func(st *sim.Task) {
+			_, _ = cli.CallWith(st, req, nil, []proc.Arg{{Slot: 0, Cap: reply}}, tag)
+		})
+	})
+}
+
 // TestCallTimeoutAwaitsInvocationCompletion: a Call whose deadline passes
 // while its invocation is parked at the caller's Controller still owes
 // that invocation a completion; the completion, which comes after the

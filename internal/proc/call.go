@@ -50,6 +50,26 @@ func (p *Process) Call(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, rep
 func (p *Process) CallTimeout(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, d sim.Time) (*Delivery, error) {
 	op := p.getCallOp()
 	op.start(req, imms, args, replySlot, d)
+	return p.await(t, op)
+}
+
+// CallWith is Call over a reply Request the caller holds, whose
+// invocations arrive under replyTag: it is already among args or preset
+// in req — latency-critical paths exchange Requests ahead of time, as
+// the paper's micro-benchmarks do, and reuse one across calls, one call
+// at a time. The call creates, passes and revokes no reply Request, so a
+// reply that comes after the call is over goes to Handle or Receive. The
+// reply is borrowed, as Call's is.
+func (p *Process) CallWith(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replyTag uint64) (*Delivery, error) {
+	op := p.getCallOp()
+	op.theirs.tag = replyTag
+	op.reply = &op.theirs
+	op.start(req, imms, args, 0, 0)
+	return p.await(t, op)
+}
+
+// await blocks until a blocking call's op is over and returns its outcome.
+func (p *Process) await(t *sim.Task, op *callOp) (*Delivery, error) {
 	_, _ = op.done.Wait(t) // the outcome is in the op
 	dv, err := op.result()
 	if dv != nil {
@@ -120,7 +140,9 @@ func (op *callOp) hold(r *replyReq) { op.reply = r }
 // that reply Request is never used again; a syscall that finds the channel to
 // the Controller severed ends the call on the spot. The arguments are
 // copied into the op — the reply Request's slot last — since the
-// invocation may be posted only after a request_create.
+// invocation may be posted only after a request_create. A CallWith's op
+// holds the caller's reply Request (theirs) and steps the same states
+// but for its own: no request_create, no slot, no cap_revoke.
 type callOp struct {
 	p     *Process
 	state callState
@@ -132,8 +154,9 @@ type callOp struct {
 	d        sim.Time
 	deadline sim.Timer
 
-	reply *replyReq // the reply Request this call holds
-	tok   uint64    // the invocation's token
+	reply  *replyReq // the reply Request this call holds
+	theirs replyReq  // a CallWith's reply Request: the caller's tag
+	tok    uint64    // the invocation's token
 
 	// The outcome, for result: the reply, or why there is none — err, the
 	// status of the syscall that was refused, the deadline (with err or
@@ -194,7 +217,12 @@ func (op *callOp) start(req Cap, imms []wire.ImmArg, args []Arg, replySlot uint1
 	}
 	op.req, op.d = req, d
 	op.imms, op.immData = wire.KeepImms(op.imms, op.immData, imms)
-	op.slots = append(appendSlots(op.slots[:0], args), wire.CapSlot{Slot: replySlot})
+	op.slots = appendSlots(op.slots[:0], args)
+	if op.callers() {
+		op.invoke()
+		return
+	}
+	op.slots = append(op.slots, wire.CapSlot{Slot: replySlot})
 	op.hold(p.getReply())
 	if op.reply.cid != cap.NilCap {
 		op.invoke()
@@ -206,16 +234,22 @@ func (op *callOp) start(req Cap, imms []wire.ImmArg, args []Arg, replySlot uint1
 	op.post(p.nextToken, &p.tx.reqCreate)
 }
 
+// callers reports whether the call's reply Request is the caller's
+// (CallWith).
+func (op *callOp) callers() bool { return op.reply == &op.theirs }
+
 // invoke posts the invocation, the reply Request in its slot.
 func (op *callOp) invoke() {
 	p := op.p
-	op.slots[len(op.slots)-1].Cid = op.reply.cid
+	if !op.callers() {
+		op.slots[len(op.slots)-1].Cid = op.reply.cid
+	}
 	op.state = callInvoking
 	p.nextToken++
 	op.tok = p.nextToken
 	p.tx.reqInvoke = wire.ReqInvoke{Token: op.tok, Cid: op.req.id, Imms: op.imms, Caps: op.slots}
 	if op.post(op.tok, &p.tx.reqInvoke) {
-		p.waiters[op.reply.tag] = tagWaiter{op: op}
+		p.waiters[op.reply.tag] = op
 		if op.d > 0 {
 			op.deadline = p.k.AfterCall(op.d, op)
 		}
@@ -252,13 +286,14 @@ func (op *callOp) Completed(m *wire.Completion) {
 			op.release() // the reply overtook the invocation's completion
 		case m.Status == wire.StatusOK:
 			op.state = callWaiting
-		case m.Status == wire.StatusAborted || m.Status == wire.StatusNoProc:
+		case (m.Status == wire.StatusAborted || m.Status == wire.StatusNoProc) && !op.callers():
 			// Not a refusal: the owner's answer is missing, and the provider
 			// may hold the invocation and reply to it yet.
 			op.refused = m.Status
 			op.retire()
 		default:
-			// The Controller took the arming of the reply Request back.
+			// The Controller took the arming of the reply Request back, or
+			// the reply Request is the caller's, which a late reply reaches.
 			delete(p.waiters, op.reply.tag)
 			op.deadline.Stop()
 			op.refused = m.Status
@@ -286,13 +321,15 @@ func (op *callOp) delivered(dv *Delivery) {
 }
 
 // release ends a call that leaves its reply Request as it found it —
-// unarmed, nobody waiting on its tag — for the next call to take. A
-// reply that came is acknowledged.
+// unarmed, nobody waiting on its tag — for the next call to take, or
+// for its caller. A reply that came is acknowledged.
 func (op *callOp) release() {
 	if op.dv != nil {
 		op.dv.Done()
 	}
-	op.p.putReply(op.reply)
+	if !op.callers() {
+		op.p.putReply(op.reply)
+	}
 	op.over()
 }
 

@@ -850,7 +850,9 @@ func TestSpentReplyDropSparesReissuedCid(t *testing.T) {
 				if i == 1 {
 					st.Sleep(us(50)) // the first answer has been acknowledged
 				}
-				_ = c.srv.InvokeAsync(rep, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
+				if err := d.Reply(0, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil); err != nil {
+					t.Error(err)
+				}
 				d.Release()
 				if i == 0 {
 					released.Set(struct{}{})

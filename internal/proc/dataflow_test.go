@@ -60,17 +60,11 @@ func TestChainRunsStagesInOrder(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		done := client.WaitTag(tag)
-		if err := client.Invoke(tk, entry, []wire.ImmArg{proc.BytesArg(0, []byte("x"))}, nil); err != nil {
-			t.Error(err)
-			return
-		}
-		d, err := done.Wait(tk)
+		d, err := client.CallWith(tk, entry, []wire.ImmArg{proc.BytesArg(0, []byte("x"))}, nil, tag)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		d.Done()
 		if string(d.Imms) != "x123" {
 			t.Errorf("chain result = %q, want x123", d.Imms)
 		}
@@ -183,17 +177,11 @@ func TestForkJoinIntoChain(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		done := client.WaitTag(tag)
-		if err := client.Invoke(tk, entry, []wire.ImmArg{proc.BytesArg(0, merged)}, nil); err != nil {
-			t.Error(err)
-			return
-		}
-		d, err := done.Wait(tk)
+		d, err := client.CallWith(tk, entry, []wire.ImmArg{proc.BytesArg(0, merged)}, nil, tag)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		d.Done()
 		if string(d.Imms) != "abZ" {
 			t.Errorf("dag result = %q, want abZ", d.Imms)
 		}

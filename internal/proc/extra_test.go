@@ -14,10 +14,10 @@ import (
 	"fractos/internal/wire"
 )
 
-// TestInvokeAsyncPipelining: issuing invokes without waiting overlaps
-// their round trips — total time for k calls is far below k serial
-// round trips.
-func TestInvokeAsyncPipelining(t *testing.T) {
+// TestInvokePipelining: invocations posted from tasks of their own
+// overlap their round trips — total time for k calls is far below k
+// serial round trips.
+func TestInvokePipelining(t *testing.T) {
 	run(t, cpuCluster(), func(tk *sim.Task, cl *core.Cluster) {
 		srv := proc.Attach(cl, 1, "srv", 0)
 		cli := proc.Attach(cl, 0, "cli", 0)
@@ -36,15 +36,17 @@ func TestInvokeAsyncPipelining(t *testing.T) {
 
 		// Pipelined.
 		start = tk.Now()
-		futs := make([]*sim.Future[wire.Completion], k)
+		var posted sim.WaitGroup
+		posted.Add(k)
 		for i := 0; i < k; i++ {
-			futs[i] = cli.InvokeAsync(creq, nil, nil)
+			cl.K.Spawn("invoke", func(it *sim.Task) {
+				defer posted.Done()
+				if err := cli.Invoke(it, creq, nil, nil); err != nil {
+					t.Errorf("pipelined invoke: %v", err)
+				}
+			})
 		}
-		for _, f := range futs {
-			if c, err := f.Wait(tk); err != nil || c.Status != wire.StatusOK {
-				t.Fatalf("async invoke: %v %v", err, c)
-			}
-		}
+		posted.Wait(tk)
 		pipelined := tk.Now() - start
 
 		if pipelined*2 > serial {
@@ -141,10 +143,8 @@ func TestSyscallAfterByeFailsAtOnce(t *testing.T) {
 		if !errors.Is(err, proc.ErrDisconnected) || tk.Now() != at {
 			t.Errorf("null after Bye: %v after %v, want ErrDisconnected at once", err, tk.Now()-at)
 		}
-		if f := p.InvokeAsync(proc.Cap{}, nil, nil); !f.Done() {
-			t.Error("an asynchronous syscall after Bye left its future unresolved")
-		} else if _, err := f.Wait(tk); !errors.Is(err, proc.ErrDisconnected) {
-			t.Errorf("asynchronous syscall after Bye: %v, want ErrDisconnected", err)
+		if _, err := p.CallWith(tk, proc.Cap{}, nil, nil, p.NewTag()); !errors.Is(err, proc.ErrDisconnected) || tk.Now() != at {
+			t.Errorf("call after Bye: %v after %v, want ErrDisconnected at once", err, tk.Now()-at)
 		}
 	})
 	if !returned {
@@ -197,35 +197,36 @@ func TestDerivedRightsNeverGrow(t *testing.T) {
 	})
 }
 
-// TestWaitTagBypassesQueue: tagged deliveries go to their waiter even
-// with other traffic queued.
-func TestWaitTagBypassesQueue(t *testing.T) {
+// TestCallWithBypassesQueue: a CallWith's reply goes to its call even
+// with other traffic queued for Receive.
+func TestCallWithBypassesQueue(t *testing.T) {
 	run(t, cpuCluster(), func(tk *sim.Task, cl *core.Cluster) {
 		p := proc.Attach(cl, 0, "p", 0)
 		q := proc.Attach(cl, 0, "q", 0)
 		noise, _ := p.RequestCreate(tk, 500, nil, nil)
 		tagged, tag, _ := p.ReplyRequest(tk)
 		noiseQ, _ := proc.GrantCap(p, noise, q)
-		taggedQ, _ := proc.GrantCap(p, tagged, q)
+		svc, _ := q.RequestCreate(tk, 1, nil, nil)
+		svcP, _ := proc.GrantCap(q, svc, p)
 
-		// Queue noise first, then the tagged one.
-		for i := 0; i < 3; i++ {
-			if err := q.Invoke(tk, noiseQ, nil, nil); err != nil {
-				t.Fatal(err)
+		// q queues noise first, then answers through the tagged one.
+		q.Serve("q", 1, func(st *sim.Task, d *proc.Delivery) {
+			for i := 0; i < 3; i++ {
+				if err := q.Invoke(st, noiseQ, nil, nil); err != nil {
+					t.Error(err)
+				}
 			}
-		}
-		f := p.WaitTag(tag)
-		if err := q.Invoke(tk, taggedQ, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-		d, err := f.Wait(tk)
+			if err := d.Reply(0, nil, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		d, err := p.CallWith(tk, svcP, nil, []proc.Arg{{Slot: 0, Cap: tagged}}, tag)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d.Tag != tag {
 			t.Fatalf("tag = %d, want %d", d.Tag, tag)
 		}
-		d.Done()
 		// The noise is still in the normal queue.
 		for i := 0; i < 3; i++ {
 			nd, err := receive(tk, p).WaitTimeout(tk, us(100))

@@ -69,8 +69,9 @@ func serveEcho(t *testing.T, h func(*sim.Task, *Delivery)) func(*Process) {
 
 // echoCalls serves an echo Request at a Process on node 1 through serve
 // and makes two Calls of it from node 0, imm[0:8) = 7 then 8, handing
-// the first reply to keep before the second Call starts.
-func echoCalls(t *testing.T, serve func(srv *Process), keep func(*Delivery)) {
+// the first reply to keep before the second Call starts. With with, the
+// first is a CallWith over a reply Request the caller holds.
+func echoCalls(t *testing.T, serve func(srv *Process), keep func(*Delivery), with bool) {
 	cl := core.NewCluster(core.ClusterConfig{Nodes: 2})
 	srv, cli := Attach(cl, 1, "srv", 0), Attach(cl, 0, "cli", 0)
 	cl.K.Spawn("caller", func(tk *sim.Task) {
@@ -85,8 +86,19 @@ func echoCalls(t *testing.T, serve func(srv *Process), keep func(*Delivery)) {
 			t.Error(err)
 			return
 		}
+		reply, tag, err := cli.ReplyRequest(tk)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		for v := uint64(7); v <= 8; v++ {
-			d, err := cli.Call(tk, req, []wire.ImmArg{U64Arg(0, v)}, nil, 0)
+			imms := []wire.ImmArg{U64Arg(0, v)}
+			var d *Delivery
+			if v == 7 && with {
+				d, err = cli.CallWith(tk, req, imms, []Arg{{Slot: 0, Cap: reply}}, tag)
+			} else {
+				d, err = cli.Call(tk, req, imms, nil, 0)
+			}
 			if err != nil || d.U64(0) != v {
 				t.Errorf("call %d: reply %v, err %v", v, d, err)
 				return
@@ -111,7 +123,7 @@ func TestKeptDeliveryReadsPoison(t *testing.T) {
 		if kept == nil {
 			kept = d
 		}
-	}), func(*Delivery) {})
+	}), func(*Delivery) {}, false)
 	if !poisoned(kept) {
 		t.Errorf("a delivery kept past its handler reads %+v, want poison", kept)
 	}
@@ -129,18 +141,21 @@ func TestFinishedDeliveryReadsPoison(t *testing.T) {
 			echo(t, d)
 			d.Finish()
 		})
-	}, func(*Delivery) {})
+	}, func(*Delivery) {}, false)
 	if !poisoned(kept) {
 		t.Errorf("a delivery kept past Finish reads %+v, want poison", kept)
 	}
 }
 
-// TestSpentReplyReadsPoison: a caller that keeps a Call's reply across a
-// block — here, the next Call — reads poison too.
+// TestSpentReplyReadsPoison: a caller that keeps a Call's or a
+// CallWith's reply across a block — here, the next Call — reads poison
+// too.
 func TestSpentReplyReadsPoison(t *testing.T) {
-	var kept *Delivery
-	echoCalls(t, serveEcho(t, func(*sim.Task, *Delivery) {}), func(d *Delivery) { kept = d })
-	if !poisoned(kept) {
-		t.Errorf("a reply kept past the next Call reads %+v, want poison", kept)
+	for _, with := range []bool{false, true} {
+		var kept *Delivery
+		echoCalls(t, serveEcho(t, func(*sim.Task, *Delivery) {}), func(d *Delivery) { kept = d }, with)
+		if !poisoned(kept) {
+			t.Errorf("a reply kept past the next Call (the first a CallWith: %v) reads %+v, want poison", with, kept)
+		}
 	}
 }

@@ -6,8 +6,9 @@
 // the synchronous-looking API the paper's C++ prototype builds with
 // its promise/future library. A blocking call wakes its caller once:
 // a single syscall when its completion arrives, and Call — an invocation
-// passing a reply Request the Process reuses, and the reply — when the
-// reply has, the receive path taking the steps between (callOp, call.go).
+// passing a reply Request the Process reuses, or the caller's (CallWith),
+// and the reply — when the reply has, the receive path taking the steps
+// between (callOp, call.go).
 package proc
 
 import (
@@ -42,14 +43,13 @@ type Process struct {
 	nextToken uint64
 	pending   map[uint64]sysWaiter
 	strays    int // completions that no syscall waited for
-	// futures recycles the completion futures of synchronous syscalls:
-	// the caller blocks until its completion arrives, so the future is
-	// free again the moment the call returns. The Async variants hand
-	// their future to the caller and allocate it. calls does the same for
-	// the records of Calls, and replies holds the reply Requests no Call is
-	// using (call.go). deliveries recycles request_receive descriptors:
-	// Serve's once served, Calls' replies once spent — spent holds those
-	// returned since the last Call started (serve.go, call.go).
+	// futures recycles the completion futures of syscalls: the caller
+	// blocks until its completion arrives, so the future is free again
+	// the moment the call returns. calls does the same for the records of
+	// Calls, and replies holds the reply Requests no Call is using
+	// (call.go). deliveries recycles request_receive descriptors: Serve's
+	// once served, Calls' replies once spent — spent holds those returned
+	// since the last Call started (serve.go, call.go).
 	futures    sim.FreeList[sim.Future[wire.Completion]]
 	calls      sim.FreeList[callOp]
 	replies    sim.FreeList[replyReq]
@@ -84,7 +84,7 @@ type Process struct {
 	dec *wire.Decoder
 
 	nextTag  uint64
-	waiters  map[uint64]tagWaiter
+	waiters  map[uint64]*callOp // the Calls waiting for a reply, by its tag
 	incoming *sim.Chan[*Delivery]
 	handler  func(*Delivery) // Handle's: takes what incoming would queue
 
@@ -102,7 +102,7 @@ type Process struct {
 }
 
 // sysWaiter is who a syscall's completion goes to: the future of a
-// blocking or Async syscall, the record it is a step of (a Call's, a
+// blocking syscall, the record it is a step of (a Call's, a
 // MemoryCopyThen's), or nobody — a timed-out Call's invocation, whose
 // completion is discarded.
 type sysWaiter struct {
@@ -113,13 +113,6 @@ type sysWaiter struct {
 // Waiter is a record that demux steps, in kernel context, with the
 // completion of a syscall it posted, borrowed for the call.
 type Waiter interface{ Completed(m *wire.Completion) }
-
-// tagWaiter is who the next delivery with a tag goes to: WaitTag's
-// future, or the Call whose reply it is.
-type tagWaiter struct {
-	fut *sim.Future[*Delivery]
-	op  *callOp
-}
 
 // Cap is a Process-side handle to a capability: a cid plus cached
 // metadata. The authoritative state lives with the Controllers.
@@ -167,7 +160,7 @@ func AttachTo(k *sim.Kernel, net *fabric.Net, ctrl *core.Controller, pid cap.Pro
 		ctrlEP:   ctrl.EndpointID(),
 		pending:  make(map[uint64]sysWaiter),
 		dec:      wire.NewDecoder(),
-		waiters:  make(map[uint64]tagWaiter),
+		waiters:  make(map[uint64]*callOp),
 		incoming: sim.NewChan[*Delivery](k, name+".deliveries", 0),
 		monitors: make(map[uint64]func(*sim.Task)),
 		cbName:   name + ".monitorcb",
@@ -228,8 +221,8 @@ func (p *Process) Deliver(f *fabric.Frame) {
 }
 
 // demux routes one message from the Controller: a completion to the
-// future of its syscall or the record it steps, a delivery to whoever
-// waits for its tag or else to the Handle handler or the Receive queue,
+// future of its syscall or the record it steps, a delivery to the Call
+// waiting for its tag or else to the Handle handler or the Receive queue,
 // a monitor callback to a task of its own.
 func (p *Process) demux(m wire.Message) {
 	switch m := m.(type) {
@@ -245,10 +238,11 @@ func (p *Process) demux(m wire.Message) {
 			w.fut.Set(*m)
 		}
 	case *wire.Deliver:
-		w, ok := p.waiters[m.Tag]
+		op, ok := p.waiters[m.Tag]
 		switch {
 		case ok:
 			delete(p.waiters, m.Tag)
+			op.delivered(p.getDelivery(m))
 		case m.Tag&wire.ReplyTag != 0:
 			// A reply to a call that is over (callOp.retire: timed out, or
 			// its invocation unaccounted for): ack at once so the provider's
@@ -258,13 +252,10 @@ func (p *Process) demux(m wire.Message) {
 			p.tx.done = wire.DeliverDone{Seq: m.Seq}
 			//fractos:mustuse-ok a failed ack means the Controller tore us down already
 			p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done)
-			return
-		}
-		dv := p.getDelivery(m)
-		if w.op != nil {
-			w.op.delivered(dv)
-		} else {
-			p.handOut(dv, w.fut)
+		case p.handler != nil:
+			p.handler(p.getDelivery(m))
+		default:
+			p.incoming.TrySend(p.getDelivery(m))
 		}
 	case *wire.MonitorCB:
 		fn, ok := p.monitors[m.Callback]
@@ -302,15 +293,6 @@ func (p *Process) checkArgs(args []Arg) error {
 	return nil
 }
 
-// post sends the syscall build describes under a fresh token; f
-// resolves with its completion.
-func (p *Process) post(f *sim.Future[wire.Completion], build func(token uint64) wire.Message) {
-	p.nextToken++
-	if !p.send(sysWaiter{fut: f}, p.nextToken, build(p.nextToken)) {
-		f.Fail(ErrDisconnected)
-	}
-}
-
 // send posts m, a syscall carrying token, whose completion goes to w.
 // It reports false, with nothing registered, when the channel to the
 // Controller is gone.
@@ -326,11 +308,14 @@ func (p *Process) send(w sysWaiter, token uint64, m wire.Message) bool {
 	return true
 }
 
-// syscall posts a syscall and blocks until it completes, on a
-// recycled future.
+// syscall posts the syscall build describes under a fresh token and
+// blocks until it completes, on a recycled future.
 func (p *Process) syscall(t *sim.Task, build func(token uint64) wire.Message) (wire.Completion, error) {
 	f := p.getFuture()
-	p.post(f, build)
+	p.nextToken++
+	if !p.send(sysWaiter{fut: f}, p.nextToken, build(p.nextToken)) {
+		f.Fail(ErrDisconnected)
+	}
 	m, err := wait(t, f)
 	p.putFuture(f)
 	return m, err
@@ -498,20 +483,6 @@ func (p *Process) Invoke(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg) e
 		return &p.tx.reqInvoke
 	})
 	return err
-}
-
-// InvokeAsync starts an invocation and returns its acceptance future.
-func (p *Process) InvokeAsync(req Cap, imms []wire.ImmArg, args []Arg) *sim.Future[wire.Completion] {
-	f := sim.NewFuture[wire.Completion]()
-	if err := p.checkInvoke(req, args); err != nil {
-		f.Fail(err)
-		return f
-	}
-	p.post(f, func(tok uint64) wire.Message {
-		p.tx.reqInvoke = wire.ReqInvoke{Token: tok, Cid: req.id, Imms: p.keepImms(imms), Caps: p.capSlots(args)}
-		return &p.tx.reqInvoke
-	})
-	return f
 }
 
 // checkInvoke verifies the handles of an invocation belong to this

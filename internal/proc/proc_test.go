@@ -374,16 +374,11 @@ func TestContinuationChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := cli.WaitTag(doneTag)
-		if err := cli.Invoke(tk, cr1, []wire.ImmArg{proc.BytesArg(0, []byte("x"))},
-			[]proc.Arg{{Slot: slotNext, Cap: cr2d}}); err != nil {
-			t.Fatal(err)
-		}
-		d, err := f.Wait(tk)
+		d, err := cli.CallWith(tk, cr1, []wire.ImmArg{proc.BytesArg(0, []byte("x"))},
+			[]proc.Arg{{Slot: slotNext, Cap: cr2d}}, doneTag)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Done()
 		if string(d.Imms) != "x12" {
 			t.Errorf("chain result = %q, want \"x12\"", d.Imms)
 		}

@@ -14,13 +14,13 @@ import (
 // are the delegated capability arguments, already installed in this
 // Process's capability space.
 //
-// How long a descriptor is valid depends on who received it. Receive,
-// WaitTag and CallWith hand it to the application, which keeps it. The
-// ones whose end libfractos knows come from a per-Process pool and go
-// back to it: a Handle handler's when it calls Finish (Handle), a task's
-// when its handler returns (Tasks; Serve is Handle plus Tasks), and a
-// Call's reply, which is borrowed until the calling task next blocks or
-// starts another Call (Call). Whatever outlives that is copied out first.
+// How long a descriptor is valid depends on who received it. Receive
+// hands it to the application, which keeps it. The others come from a
+// per-Process pool and go back to it: a Handle handler's when it calls
+// Finish (Handle), a task's when its handler returns (Tasks; Serve is
+// Handle plus Tasks), and the reply of a Call, CallTimeout or CallWith,
+// which is borrowed until the calling task next blocks or starts another
+// Call (Call). Whatever outlives that is copied out first.
 type Delivery struct {
 	p    *Process
 	Seq  uint64
@@ -64,23 +64,9 @@ func (p *Process) getDelivery(m *wire.Deliver) *Delivery {
 	return dv
 }
 
-// handOut gives a delivery to the application: to the WaitTag future
-// waiting for its tag or, with none, to the Handle handler or else the
-// Receive queue.
-func (p *Process) handOut(dv *Delivery, fut *sim.Future[*Delivery]) {
-	switch {
-	case fut != nil:
-		fut.Set(dv)
-	case p.handler != nil:
-		p.handler(dv)
-	default:
-		p.incoming.TrySend(dv)
-	}
-}
-
 // Handle makes h the Process's server in kernel context: demux passes it
-// every delivery no Call or WaitTag claims instead of queueing it for
-// Receive. h must not block: a request that waits for a device or a
+// every delivery no Call claims instead of queueing it for Receive. h
+// must not block: a request that waits for a device or a
 // syscall is a record stepped by those events (MemoryCopyThen), one that
 // makes blocking syscalls goes to a task (Tasks). The descriptor is h's
 // until it calls Finish on it, in h or in a later event.
@@ -219,8 +205,8 @@ func (d *Delivery) Upstream(slot uint16) bool {
 }
 
 // Serve serves this Process's Requests in tasks: it is
-// Handle(Tasks(name, width, h)), so every delivery no Call or WaitTag
-// claims goes to h in a task of its own, at most width at once.
+// Handle(Tasks(name, width, h)), so every delivery no Call claims goes
+// to h in a task of its own, at most width at once.
 func (p *Process) Serve(name string, width int, h func(*sim.Task, *Delivery)) {
 	p.Handle(p.Tasks(name, width, h))
 }
@@ -335,18 +321,6 @@ func (p *Process) NewTag() uint64 {
 	return (1 << 32) + p.nextTag
 }
 
-// WaitTag blocks until an invocation with the given tag arrives,
-// bypassing the Receive queue. Register interest before invoking to
-// avoid racing the reply into the shared queue.
-func (p *Process) WaitTag(tag uint64) *sim.Future[*Delivery] {
-	w, ok := p.waiters[tag]
-	if !ok {
-		w.fut = sim.NewFuture[*Delivery]()
-		p.waiters[tag] = w
-	}
-	return w.fut
-}
-
 // ReplyRequest creates a fresh Request served by this Process with a
 // unique tag, for use as an RPC continuation argument. It delivers every
 // invocation; Call's own are single-use per delegation (wire.ReplyTag).
@@ -357,26 +331,6 @@ func (p *Process) ReplyRequest(t *sim.Task) (Cap, uint64, error) {
 		return Cap{}, 0, err
 	}
 	return c, tag, nil
-}
-
-// CallWith invokes req and waits for an invocation with replyTag to
-// come back. The reply Request carrying replyTag must already be among
-// args (or preset in the Request) — latency-critical paths exchange
-// Requests ahead of time, as the paper's micro-benchmarks do, and this
-// entry point lets them reuse one reply Request across calls. The reply
-// is the caller's to keep.
-func (p *Process) CallWith(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replyTag uint64) (*Delivery, error) {
-	f := p.WaitTag(replyTag)
-	if err := p.Invoke(t, req, imms, args); err != nil {
-		delete(p.waiters, replyTag)
-		return nil, err
-	}
-	d, err := f.Wait(t)
-	if err != nil {
-		return nil, err
-	}
-	d.Done()
-	return d, nil
 }
 
 // U64Arg encodes a little-endian uint64 immediate argument at offset.

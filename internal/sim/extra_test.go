@@ -5,25 +5,6 @@ import (
 	"time"
 )
 
-func TestStopHaltsRun(t *testing.T) {
-	k := New(1)
-	ticks := 0
-	k.Spawn("ticker", func(tk *Task) {
-		for i := 0; i < 100; i++ {
-			tk.Sleep(time.Microsecond)
-			ticks++
-			if ticks == 5 {
-				k.Stop()
-			}
-		}
-	})
-	k.Run()
-	if ticks != 5 {
-		t.Errorf("ticks = %d, want 5 (Stop must halt the loop)", ticks)
-	}
-	k.Shutdown()
-}
-
 func TestTrySendTryRecvBounded(t *testing.T) {
 	k := New(1)
 	ch := NewChan[int](k, "c", 2)

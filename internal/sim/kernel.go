@@ -244,7 +244,7 @@ type Kernel struct {
 	tasks    map[uint64]*Task
 	nextID   uint64
 	stopped  bool
-	panicMsg string
+	panicVal any // a task's panic or Goexit, for Run to re-panic with
 
 	// yield is the shared task→kernel handoff: whichever task ends a
 	// run burst (parks with nothing else runnable at this instant, or
@@ -318,10 +318,10 @@ func (k *Kernel) Spawn(name string, fn func(t *Task)) *Task {
 	return t
 }
 
-// fail records a task panic; Run re-panics with this message.
-func (k *Kernel) fail(msg string) {
-	if k.panicMsg == "" {
-		k.panicMsg = msg
+// fail records a task's panic or Goexit; Run re-panics with v.
+func (k *Kernel) fail(v any) {
+	if k.panicVal == nil {
+		k.panicVal = v
 	}
 }
 
@@ -440,7 +440,7 @@ func (tm Timer) Stop() bool {
 // loop, so event order is byte-identical with the fast path on or off.
 func (t *Task) park() {
 	k := t.k
-	for k.runq.n > 0 && !k.stopped && k.panicMsg == "" &&
+	for k.runq.n > 0 && !k.stopped && k.panicVal == nil &&
 		(k.heap.len() == 0 || k.heap.es[0].at != k.now) {
 		e := k.runq.front()
 		nt := e.task
@@ -508,9 +508,9 @@ func (t *Task) Sleep(d Time) {
 	t.park()
 }
 
-// Run executes events until the queue is empty or Stop is called. It
-// returns the final virtual time. Run must be called from the
-// goroutine that created the kernel.
+// Run executes events until the queue is empty. It returns the final
+// virtual time. Run must be called from the goroutine that created the
+// kernel.
 func (k *Kernel) Run() Time {
 	defer k.flushProcessed()
 	for (k.runq.n > 0 || k.heap.len() > 0) && !k.stopped {
@@ -548,11 +548,10 @@ func (k *Kernel) Run() Time {
 			t.hand <- struct{}{}
 			<-k.yield
 			k.running = nil
-			if k.panicMsg != "" {
-				msg := k.panicMsg
-				k.panicMsg = ""
+			if v := k.panicVal; v != nil {
+				k.panicVal = nil
 				//fractos:panic-ok re-surfacing a task's panic on the driver goroutine
-				panic(msg)
+				panic(v)
 			}
 		case e.cb != nil:
 			cb := e.cb
@@ -566,15 +565,32 @@ func (k *Kernel) Run() Time {
 	return k.now
 }
 
+// RunCatching is Run for a test harness: a task that leaves through
+// runtime.Goexit ends the run, and RunCatching returns why instead of
+// panicking, so that the failed test — which has logged its own reason —
+// fails alone. It returns "" when the run ends otherwise; any other panic
+// goes on.
+func (k *Kernel) RunCatching() (quit string) {
+	defer func() {
+		if v := recover(); v != nil {
+			g, ok := v.(goexit)
+			if !ok {
+				//fractos:panic-ok not a task's Goexit: the run's own panic, passed on
+				panic(v)
+			}
+			quit = string(g)
+		}
+	}()
+	k.Run()
+	return ""
+}
+
 // flushProcessed publishes the batched event count to the global
 // counter when a run loop exits.
 func (k *Kernel) flushProcessed() {
 	totalEvents.Add(k.processed)
 	k.processed = 0
 }
-
-// Stop makes Run return after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // Live reports how many tasks exist (runnable or blocked).
 func (k *Kernel) Live() int { return len(k.tasks) }

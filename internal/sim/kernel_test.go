@@ -338,9 +338,9 @@ func TestTaskPanicPropagatesToRun(t *testing.T) {
 
 // TestTaskGoexitFailsRun: a task body that leaves through
 // runtime.Goexit — what t.Fatal does inside a task — makes Run panic
-// with the task's name instead of waiting for ever on a kernel handoff
-// that never comes. The kernel runs on a goroutine of its own so that a
-// regression fails here within seconds, not at go test's timeout.
+// with a value naming the task instead of waiting for ever on a kernel
+// handoff that never comes. The kernel runs on a goroutine of its own so
+// that a regression fails here within seconds, not at go test's timeout.
 func TestTaskGoexitFailsRun(t *testing.T) {
 	got := make(chan any, 1)
 	go func() {
@@ -351,12 +351,31 @@ func TestTaskGoexitFailsRun(t *testing.T) {
 	}()
 	select {
 	case r := <-got:
-		if want := `task "quitter" exited through runtime.Goexit`; r != want {
-			t.Fatalf("Run panicked with %v, want %q", r, want)
+		if want := goexit(`task "quitter" exited through runtime.Goexit`); r != want {
+			t.Fatalf("Run panicked with %v, want %v", r, want)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not return after a task's Goexit")
 	}
+}
+
+// TestRunCatchingReturnsGoexit: RunCatching returns a task's Goexit
+// instead of panicking with it, and passes a task's panic on.
+func TestRunCatchingReturnsGoexit(t *testing.T) {
+	k := New(1)
+	k.Spawn("quitter", func(tk *Task) { runtime.Goexit() })
+	if got, want := k.RunCatching(), `task "quitter" exited through runtime.Goexit`; got != want {
+		t.Errorf("RunCatching() = %q, want %q", got, want)
+	}
+	k.Shutdown()
+	k = New(1)
+	k.Spawn("bomb", func(tk *Task) { panic("kaboom") })
+	defer func() {
+		if r := recover(); r != `task "bomb" panicked: kaboom` {
+			t.Errorf("RunCatching passed on %v, want the task's panic", r)
+		}
+	}()
+	k.RunCatching()
 }
 
 // TestDeterminism runs a randomized workload twice with the same seed

@@ -93,6 +93,12 @@ func taskMain(t *Task) {
 	}
 }
 
+// goexit is what Run panics with when a task body left through
+// runtime.Goexit, as a test's t.Fatal inside a task does: that test has
+// logged why, so a harness that runs it fails the test alone
+// (RunCatching).
+type goexit string
+
 // exec runs one task body with the kernel's panic discipline. A body
 // that leaves through runtime.Goexit (a test's t.Fatal inside a task)
 // never returns to taskMain, so nothing would hand the kernel back: the
@@ -112,7 +118,7 @@ func (t *Task) exec() {
 		t.finish()
 		if !returned && r == nil {
 			k := t.k
-			k.fail(fmt.Sprintf("task %q exited through runtime.Goexit", t.name))
+			k.fail(goexit(fmt.Sprintf("task %q exited through runtime.Goexit", t.name)))
 			t.k, t.fn, t.name = nil, nil, ""
 			k.yield <- struct{}{}
 		}

@@ -130,17 +130,13 @@ func (g *GPU) OneRequest(tk *sim.Task) {
 	assert.NoErr(g.App.MemoryCopy(tk, s.probeMem, s.gpuProbe), "stacks/gpu")
 	g.lastTransfer = tk.Now() - xferStart
 	ao := gpu.ArgOffset(len(faceverify.KernelName), 0)
-	f := g.App.WaitTag(s.replyTag)
-	err := g.App.Invoke(tk, g.invoke,
+	dl, err := g.App.CallWith(tk, g.invoke,
 		[]wire.ImmArg{
 			proc.U64Arg(ao, s.imgAddr), proc.U64Arg(ao+8, s.probeAddr),
 			proc.U64Arg(ao+16, s.outAddr), proc.U64Arg(ao+24, uint64(g.Batch)),
 		},
-		[]proc.Arg{{Slot: gpu.SlotSuccess, Cap: s.reply}, {Slot: gpu.SlotError, Cap: s.reply}})
+		[]proc.Arg{{Slot: gpu.SlotSuccess, Cap: s.reply}, {Slot: gpu.SlotError, Cap: s.reply}}, s.replyTag)
 	assert.NoErr(err, "stacks/gpu")
-	dl, err := f.Wait(tk)
-	assert.NoErr(err, "stacks/gpu")
-	dl.Done()
 	if st := dl.U64(0); st != gpu.StatusOK {
 		assert.Failf("stacks/gpu: gpu pipeline status %d", st)
 	}

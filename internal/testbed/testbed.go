@@ -116,7 +116,9 @@ func Run(s Spec, fn func(tk *sim.Task, d *Deployment)) {
 }
 
 // RunT is Run for tests: a failed audit fails the test instead of
-// panicking the process.
+// panicking the process, and so does a task that left through
+// runtime.Goexit — a t.Fatal inside the workload or a task it spawned —
+// so the package's other tests still run.
 func RunT(tb TB, s Spec, fn func(tk *sim.Task, d *Deployment)) {
 	tb.Helper()
 	if failure := run(s, fn); failure != "" {
@@ -148,8 +150,10 @@ func run(s Spec, fn func(tk *sim.Task, d *Deployment)) string {
 			d.Watch.Stop()
 		}
 	})
-	cl.K.Run()
 	defer cl.K.Shutdown()
+	if quit := cl.K.RunCatching(); quit != "" {
+		return "testbed: " + quit
+	}
 	if !done {
 		return "testbed: main task did not complete (deadlock)"
 	}

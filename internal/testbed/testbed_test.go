@@ -2,6 +2,7 @@ package testbed_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"fractos/internal/fabric"
@@ -94,6 +95,21 @@ func TestRunTReportsDeadlock(t *testing.T) {
 	})
 	if !f.failed {
 		t.Fatal("deadlocked main task did not fail the run")
+	}
+}
+
+// TestRunTReportsGoexit: a task that leaves through runtime.Goexit —
+// what t.Fatal does inside a task — fails the run's test alone, naming
+// the task, instead of panicking the test binary.
+func TestRunTReportsGoexit(t *testing.T) {
+	var f fakeTB
+	testbed.RunT(&f, testbed.Spec{Nodes: 1}, func(tk *sim.Task, d *testbed.Deployment) {
+		d.Spawn("quitter", func(*sim.Task) { runtime.Goexit() })
+		tk.Sleep(1)
+		t.Error("the workload ran on after a task's Goexit")
+	})
+	if want := `testbed: task "quitter" exited through runtime.Goexit`; f.msg != want {
+		t.Errorf("RunT reported %q, want %q", f.msg, want)
 	}
 }
 
