@@ -119,17 +119,23 @@ examples:
 	done
 
 # cover is the coverage census: which statements no consumer runs. It
-# runs `go test ./...`, the examples and the three commands, all built
-# with coverage over every package of the module (a binary writes no
-# coverage data unless its own main package is in -coverpkg), merges
-# what they wrote with `go tool covdata`, and prints per package its
-# statements and how many of them never ran. It fails when the total
-# of unexecuted statements exceeds COVER_MAX: code that nothing runs is
-# deleted, or reached by a test or workload that names it.
-COVER_MAX = 567
+# runs `go test ./...`, the examples, the three commands and the
+# benchmark (benchmark/, a module of its own: one second of each
+# workload with its per-layer metrics, a comparison, the metric list and
+# the manifest), all built with coverage over every package of the
+# module (a binary writes no coverage data unless its own main package
+# is in -coverpkg), merges what they wrote with `go tool covdata`, and
+# prints per package of the module its statements and how many of them
+# never ran. It fails when the total of unexecuted statements exceeds
+# COVER_MAX: code that nothing runs is deleted, or reached by a test or
+# workload that names it.
+COVER_MAX = 566
 COVERPKG = ./internal/...,./cmd/...,./examples/...,./tools/...
+BENCH_WORKLOADS = invoke-null invoke-lossy copy-bulk faceverify route-open
 COVER_RUNS = $(EXAMPLES:%=examples/%) "fractos-bench -list" \
-	"fractos-bench -run table3 -csv .cover/csv" fractos-bench fractos-trace fractos-vet
+	"fractos-bench -run table3 -csv .cover/csv" fractos-bench fractos-trace fractos-vet \
+	$(BENCH_WORKLOADS:%="bench -workload % -seconds 1 -trace 1 -out .cover/bench.jsonl") \
+	"bench -compare .cover/bench.jsonl .cover/bench.jsonl" "bench -list" "bench -manifest"
 
 cover:
 	@set -e; rm -rf .cover; mkdir -p .cover/test .cover/run .cover/bin; \
@@ -137,13 +143,15 @@ cover:
 		-args -test.gocoverdir=$(CURDIR)/.cover/test > .cover/test.log \
 		|| { cat .cover/test.log; exit 1; }; \
 	$(GO) build -cover -coverpkg=$(COVERPKG) -o .cover/bin/ ./examples/... ./cmd/...; \
+	(cd benchmark && $(GO) build -cover -coverpkg=fractos/internal/...,fractos/benchmark/cmd/bench \
+		-o ../.cover/bin/ ./cmd/bench); \
 	for r in $(COVER_RUNS); do \
 		set -- $$r; bin=$$(basename $$1); shift; \
 		GOCOVERDIR=.cover/run .cover/bin/$$bin "$$@" > /dev/null; \
 	done; \
 	$(GO) tool covdata textfmt -i=.cover/test,.cover/run -o .cover/profile.txt; \
 	awk -v max=$(COVER_MAX) ' \
-		NR > 1 { n[$$1] = $$2; hit[$$1] += $$3 } \
+		NR > 1 && $$1 !~ /^fractos\/benchmark\// { n[$$1] = $$2; hit[$$1] += $$3 } \
 		END { \
 			for (b in n) { \
 				p = b; sub(/\/[^\/]*:.*/, "", p); sub(/^fractos\//, "", p); \
@@ -163,13 +171,13 @@ cover:
 # per function and the three totals, and fails when more than
 # CENSUS_MAX functions are run by tests only: such a function gets a
 # caller a workload needs, moves into a test file, or is deleted.
-CENSUS_MAX = 78
+CENSUS_MAX = 67
 
 census: cover
 	@{ $(GO) tool covdata func -i=.cover/run | sed 's/^/run /'; \
 	   $(GO) tool covdata func -i=.cover/test | sed 's/^/test /'; } | \
 	awk -v max=$(CENSUS_MAX) ' \
-		$$2 == "total" { next } \
+		$$2 == "total" || $$2 ~ /^fractos\/benchmark\// { next } \
 		{ f = $$2 " " $$3; seen[f] = 1; if ($$4 + 0 > 0) ran[f, $$1] = 1 } \
 		END { \
 			for (f in seen) { \

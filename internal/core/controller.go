@@ -160,6 +160,7 @@ func New(k *sim.Kernel, net *fabric.Net, id cap.ControllerID, cfg Config) *Contr
 	c.ep = net.AttachHandler(fmt.Sprintf("ctrl%d@%v", id, cfg.Loc), cfg.Loc, DefaultBouncePairs*2*DefaultBounceChunk, c)
 	k.Track(fmt.Sprintf("controller %d pendingCall", id), &c.calls)
 	k.Track(fmt.Sprintf("controller %d copyOp", id), &c.copyOps)
+	k.Track(fmt.Sprintf("controller %d delivery queue", id), (*deliveryQueue)(c))
 	// Descending order: popBounce takes from the end, so chunks are
 	// handed out lowest-offset first and a lightly loaded Controller
 	// keeps reusing the front of its bounce arena. Combined with the
@@ -276,6 +277,27 @@ func (c *Controller) ObjectCount() int { return c.tree.LiveLen() }
 func (c *Controller) Serves(pid cap.ProcID) bool {
 	ps, ok := c.procs[pid]
 	return ok && !ps.failed
+}
+
+// DeliveryState reports a managed Process's congestion window: credits
+// left, deliveries awaiting their DeliverDone, and those queued for one.
+func (c *Controller) DeliveryState(pid cap.ProcID) (window, outstanding, queued int) {
+	ps := c.procs[pid]
+	return ps.window, len(ps.outstanding), len(ps.queue)
+}
+
+// deliveryQueue is the Controller as the end-of-run audit sees it
+// (Kernel.Track): at quiescence a delivery queued behind the window of a
+// Process it serves is one that Process is never sent.
+type deliveryQueue Controller
+
+func (q *deliveryQueue) Lent() (n int) {
+	for _, ps := range q.procs {
+		if !ps.failed {
+			n += len(ps.queue)
+		}
+	}
+	return n
 }
 
 // Deliver implements fabric.Handler: a frame joins the receive queue;

@@ -130,6 +130,8 @@ func (c *Controller) invoked(ps *procState, args []wire.CapXfer, st wire.Status)
 // into the provider's space, and deliver a request_receive descriptor.
 // A reply Request delivers only while armed, and the delivery disarms
 // it and, before the descriptor, completes the invocation awaiting it.
+// It takes no window credit: its provider armed it for this one delivery
+// (a Call waits for it), so it never waits behind the window either.
 //
 // The merge never touches the Request object (§3.4) and never copies
 // it either: preset and invoke-time arguments meet in Controller-owned
@@ -191,7 +193,7 @@ func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire
 	c.answerInvoker(ro, wire.StatusOK)
 	prov.deliverSeq++
 	d.Seq, d.Tag, d.Imms = prov.deliverSeq, ro.tag, c.immScratch.bytes()
-	if prov.window <= 0 {
+	if prov.window <= 0 && !ro.reply() {
 		// Congestion control: queue until the provider acknowledges
 		// earlier deliveries (§4's back-pressure). The queued descriptor
 		// outlives this invocation, so it gets its own storage.

@@ -98,6 +98,10 @@ func TestMetricsBackpressureAndQuota(t *testing.T) {
 		if m := cl.CtrlFor(0).Metrics(); m.QuotaRejected != 1 {
 			t.Errorf("QuotaRejected = %d, want 1", m.QuotaRejected)
 		}
+		for i := 0; i < 3; i++ { // each Done sends the next queued delivery
+			d, _ := srv.Receive(tk)
+			d.Done()
+		}
 	})
 }
 

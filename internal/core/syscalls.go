@@ -239,24 +239,19 @@ func (c *Controller) ownWatch(ref cap.Ref, w cap.Watcher) wire.CtrlAck {
 	return wire.CtrlAck{Status: st}
 }
 
-// handleDeliverDone releases one congestion-window credit (§4), and the
-// capabilities the delivery installed that its receiver hands back.
+// handleDeliverDone drops the capabilities the receiver hands back and
+// releases the delivery's window credit (§4): a reply holds none.
 func (c *Controller) handleDeliverDone(ps *procState, m *wire.DeliverDone) {
-	if _, ok := ps.outstanding[m.Seq]; !ok {
-		return
-	}
-	delete(ps.outstanding, m.Seq)
 	for _, cid := range m.Drop {
 		if e := ps.space.Peek(cid); e != nil && e.Delivery == m.Seq {
 			ps.space.Drop(cid)
 		}
 	}
+	if _, ok := ps.outstanding[m.Seq]; !ok {
+		return
+	}
+	delete(ps.outstanding, m.Seq)
 	ps.window++
-	c.drainQueue(ps)
-}
-
-// drainQueue sends queued deliveries while window credits remain.
-func (c *Controller) drainQueue(ps *procState) {
 	for ps.window > 0 && len(ps.queue) > 0 {
 		var d *wire.Deliver
 		d, ps.queue = popFront(ps.queue)
@@ -264,15 +259,17 @@ func (c *Controller) drainQueue(ps *procState) {
 	}
 }
 
-// sendDeliver transmits a delivery, consuming a window credit.
+// sendDeliver transmits a delivery; one that is not a reply takes a credit.
 //
 //fractos:ordered
 func (c *Controller) sendDeliver(ps *procState, d *wire.Deliver) {
 	if ps.failed {
 		return
 	}
-	ps.window--
-	ps.outstanding[d.Seq] = struct{}{}
+	if d.Tag&wire.ReplyTag == 0 {
+		ps.window--
+		ps.outstanding[d.Seq] = struct{}{}
+	}
 	c.metrics.DeliveriesSent++
 	// Severed between the failed check and the send, the Process's
 	// failure path revokes its window and queue wholesale.

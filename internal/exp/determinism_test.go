@@ -124,19 +124,19 @@ func TestTraceDeterminism(t *testing.T) {
 // in-tree; a change that means to move a timestamp or a byte count
 // updates them and says why.
 //
-// Last moved when a Call's reply became its acknowledgement: on a
-// reliable fabric the owner no longer acks an accepted invocation that
-// passes its invoker's reply Request, and the caller's Completion goes
-// out with the reply (5120beb7… and ce4c8d96… until then; pipeline shape
-// 33e655e4…). The pipeline's 268 transfers are 260, 8 CtrlAcks fewer;
-// its first diverging event is the 46th, a CtrlAck 2>1 at 80 637 ns that
-// is gone, and its last transfer leaves at 662 808 ns instead of
-// 662 800. Face verification's 68 keep their shape: set-up's Calls
-// complete 1 ns later each, so every instant is 18 ns later — the first,
-// a memory_copy, at 1 500 023 ns, the last at 1 990 307.
+// Last moved when a reply stopped taking a window credit: the caller
+// sends no DeliverDone for it (e007f913… and 93c46722… until then;
+// pipeline shape 56fae9d0…). The pipeline's 260 transfers are 252, 8
+// DeliverDones fewer; its first diverging event is the 51st, a
+// DeliverDone 6>1 at 93 743 ns that is gone, and its last transfer
+// leaves at 658 182 ns instead of 662 808. Face verification's 68 keep
+// their shape: set-up's Calls no longer queue behind the last reply's
+// DeliverDone, so the first transfer, a memory_copy, leaves at
+// 1 486 134 ns instead of 1 500 023, the last at 1 975 599 instead of
+// 1 990 307.
 const (
-	pipelineTraceSHA256   = "e007f913f1c8e950e4643b1a6c69cef787f86f70308831e2d3270f8711982ef2"
-	faceverifyTraceSHA256 = "93c46722742ae2ad21d4c47f3e697f976c9dd27d285141724a45cdd755874949"
+	pipelineTraceSHA256   = "bba8c6e3cecc26d9a5c78be1e32f94494ef97635309e4071c79154acd8b850b5"
+	faceverifyTraceSHA256 = "83b293fa8289417c20494e003c6e1877cbc8d561a3b15b338008d355365c8c74"
 )
 
 // Pinned SHA-256 digests of the two workload traces' shapes (shapeOf):
@@ -144,7 +144,7 @@ const (
 // order. A change that only resizes messages, and so moves the instants
 // after them, leaves these alone.
 const (
-	pipelineShapeSHA256   = "56fae9d05695fa96c779ebd2dc5698ed42f9054a0a2b1fc2fad17fdfd50c6eba"
+	pipelineShapeSHA256   = "866fa0fe3d5c2ca30ec0dde7bbdbe655640712fa17e30b942abbd2695943eca1"
 	faceverifyShapeSHA256 = "8872419c51811b4ce175dd5a50b039e72e6116d83230434791bf7f064be6fd0f"
 )
 

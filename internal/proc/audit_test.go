@@ -77,6 +77,32 @@ func TestAuditNamesUnansweredCallWith(t *testing.T) {
 	})
 }
 
+// TestAuditNamesQueuedDelivery: a delivery queued behind a window its
+// provider never reopens is one it is never sent, and the audit names
+// the Controller holding it.
+func TestAuditNamesQueuedDelivery(t *testing.T) {
+	why := "a provider that holds its one credit: the second invocation waits for ever at its Controller"
+	runLeaving(t, "controller 1 delivery queue 1", why, testbed.Spec{Nodes: 1, Ctrl: core.Config{Window: 1}}, func(tk *sim.Task, cl *core.Cluster) {
+		srv, cli := proc.Attach(cl, 0, "srv", 0), proc.Attach(cl, 0, "cli", 0)
+		root, err := srv.RequestCreate(tk, 1, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		req, err := proc.GrantCap(srv, root, cli)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		srv.Handle(func(*proc.Delivery) {}) // never finishes one
+		for i := 0; i < 2; i++ {
+			if err := cli.Invoke(tk, req, nil, nil); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+}
+
 // TestCallTimeoutAwaitsInvocationCompletion: a Call whose deadline passes
 // while its invocation is parked at the caller's Controller still owes
 // that invocation a completion; the completion, which comes after the

@@ -37,8 +37,8 @@ func (p *Process) Call(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, rep
 // wait forever) from the invocation's post. On timeout it revokes the
 // reply Request — a late reply then bounces off the provider's delegated
 // continuation with StatusRevoked instead of being delivered — and
-// arranges for a reply already in flight to be acknowledged and
-// discarded, then returns ErrCallTimeout. Callers that fan requests out
+// arranges for a reply already in flight to be discarded, then returns
+// ErrCallTimeout. Callers that fan requests out
 // over replaceable providers (the route package's balancer) use the
 // bound to detect providers that died *after* admitting a request, the
 // one failure the capability layer cannot signal (a crashed Controller's
@@ -322,7 +322,8 @@ func (op *callOp) delivered(dv *Delivery) {
 
 // release ends a call that leaves its reply Request as it found it —
 // unarmed, nobody waiting on its tag — for the next call to take, or
-// for its caller. A reply that came is acknowledged.
+// for its caller. A reply that came is acknowledged (a Call's took no
+// window credit, so that sends nothing; a CallWith's may have).
 func (op *callOp) release() {
 	if op.dv != nil {
 		op.dv.Done()
@@ -345,7 +346,7 @@ func (op *callOp) Fire() {
 }
 
 // retire ends a call whose provider may still answer: with its waiter
-// gone, a reply already on its way is acked and discarded (demux), not
+// gone, a reply already on its way is discarded (demux), not
 // leaked and not taken for the next call's, and the reply Request is
 // revoked so one not yet sent fails fast at the provider. Nobody uses it
 // again.

@@ -454,11 +454,10 @@ func TestCallLateReplySweep(t *testing.T) {
 }
 
 // TestCallParkedLateReply: at a window of one, with the caller holding an
-// unacknowledged delivery, a reply the provider sends before the deadline
-// waits at the caller's Controller for a window credit. The cap_revoke's
-// completion arrives ahead of it: the reply, sent once the held delivery
-// is acknowledged, is then acked and discarded, never queued for Receive.
-// A reply sent after the revoke bounces.
+// unacknowledged delivery parked, a reply still passes: it takes no
+// window credit, so one the provider sends before the deadline answers
+// the call, and no reply ever waits at the caller's Controller. A reply
+// sent after the deadline's cap_revoke bounces.
 func TestCallParkedLateReply(t *testing.T) {
 	const deadline = 200 * sim.Time(1000)
 	for _, tc := range []struct {
@@ -466,7 +465,7 @@ func TestCallParkedLateReply(t *testing.T) {
 		at      sim.Time // when the provider answers, after the call starts
 		bounces bool
 	}{
-		{"parked", 0, false},
+		{"passes", 0, false},
 		{"bounced", deadline + us(50), true},
 	} {
 		cfg := testbed.Spec{Nodes: 2, Ctrl: core.Config{Window: 1}}
@@ -494,23 +493,95 @@ func TestCallParkedLateReply(t *testing.T) {
 				answerErr = c.srv.Invoke(st, rep, nil, nil)
 				answered.Set(struct{}{})
 			})
-			if _, err := c.cli.CallTimeout(tk, c.creq, nil, nil, 0, deadline); !errors.Is(err, proc.ErrCallTimeout) {
-				t.Errorf("%s: call %v, want ErrCallTimeout", tc.name, err)
+			_, err = c.cli.CallTimeout(tk, c.creq, nil, nil, 0, deadline)
+			if tc.bounces && !errors.Is(err, proc.ErrCallTimeout) || !tc.bounces && err != nil {
+				t.Errorf("%s: call %v, want ErrCallTimeout %v", tc.name, err, tc.bounces)
 				return
 			}
 			_, _ = answered.Wait(tk)
-			parked := cl.Ctrls[0].Metrics().Backpressured
-			if (answerErr != nil) != tc.bounces || (parked == 1) == tc.bounces {
-				t.Errorf("%s: answer %v, %d replies parked; want the reply bounced %v, parked otherwise",
-					tc.name, answerErr, parked, tc.bounces)
+			bp := cl.Ctrls[0].Metrics().Backpressured
+			if (answerErr != nil) != tc.bounces || bp != 0 {
+				t.Errorf("%s: answer %v, %d replies backpressured; want the reply bounced %v, none backpressured",
+					tc.name, answerErr, bp, tc.bounces)
 			}
 			held.Done()
 			nothingReceived(t, tk, c.cli)
 			if err := c.cli.Null(tk); err != nil {
-				t.Errorf("%s: null %v after the window reopened", tc.name, err)
+				t.Errorf("%s: null %v", tc.name, err)
 			}
 		})
 	}
+}
+
+// TestNestedCallUnderFullWindow: a server whose deliveries in service
+// hold its whole window still gets the reply to the Call it makes while
+// serving one, since a reply takes no credit. At window 2, two callers
+// each have a request in service at "mid", whose handler calls a backend
+// before it answers: both callers get their answer before the deadline,
+// and every Process's credits are all back at the end.
+func TestNestedCallUnderFullWindow(t *testing.T) {
+	const window, deadline = 2, 500 * sim.Time(1000)
+	run(t, testbed.Spec{Nodes: 3, Ctrl: core.Config{Window: window}}, func(tk *sim.Task, cl *core.Cluster) {
+		mid, back := proc.Attach(cl, 1, "mid", 0), proc.Attach(cl, 2, "back", 0)
+		clis := []*proc.Process{proc.Attach(cl, 0, "cli0", 0), proc.Attach(cl, 0, "cli1", 0)}
+		backRoot, err := back.RequestCreate(tk, 1, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		backReq, err := proc.GrantCap(back, backRoot, mid)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		midRoot, err := mid.RequestCreate(tk, 1, nil, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		back.Handle(func(d *proc.Delivery) {
+			_ = d.Reply(0, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
+			d.Finish()
+		})
+		mid.Serve("mid", 0, func(st *sim.Task, d *proc.Delivery) {
+			dv, err := mid.Call(st, backReq, []wire.ImmArg{proc.U64Arg(0, d.U64(0))}, nil, 0)
+			if err != nil {
+				t.Errorf("mid's nested call: %v", err)
+				return
+			}
+			_ = d.Reply(0, []wire.ImmArg{proc.U64Arg(0, dv.U64(0)+1)}, nil)
+		})
+		var got [2]*sim.Future[uint64]
+		for i, cli := range clis {
+			req, err := proc.GrantCap(mid, midRoot, cli)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			f := sim.NewFuture[uint64]()
+			got[i] = f
+			cl.K.Spawn("call", func(st *sim.Task) {
+				dv, err := cli.CallTimeout(st, req, []wire.ImmArg{proc.U64Arg(0, 10)}, nil, 0, deadline)
+				if err != nil {
+					f.Fail(err)
+					return
+				}
+				f.Set(dv.U64(0))
+			})
+		}
+		for i, f := range got {
+			if v, err := f.Wait(tk); err != nil || v != 12 {
+				t.Errorf("caller %d: %d, %v; want 12", i, v, err)
+			}
+		}
+		for node, ps := range [][]*proc.Process{clis, {mid}, {back}} {
+			for _, p := range ps {
+				if w, out, _ := cl.CtrlFor(node).DeliveryState(p.ID()); w+out != window {
+					t.Errorf("process %d: %d credits and %d outstanding, want %d in all", p.ID(), w, out, window)
+				}
+			}
+		}
+	})
 }
 
 // TestCallAbortedInvokeRetiresReplyRequest: the invocation is delivered
@@ -743,9 +814,9 @@ func TestCallSeveredBetweenSyscalls(t *testing.T) {
 	})
 }
 
-// TestCallSeveredAfterReply: the channel goes as the reply arrives, so
-// its acknowledgement cannot be posted. That is lost with the channel;
-// the reply is not.
+// TestCallSeveredAfterReply: the channel goes as the reply arrives. A
+// reply takes no acknowledgement, so the call returns it; the next
+// syscall finds the channel gone.
 func TestCallSeveredAfterReply(t *testing.T) {
 	why := "the echo server's invocation of the reply, and with it the server's syscall: the caller's Controller, severed, cannot ack it, and nothing resends on a reliable fabric"
 	runLeaving(t, "controller 2 pendingCall 1, srv syscall 1", why, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {

@@ -152,6 +152,30 @@ func TestSyscallAfterByeFailsAtOnce(t *testing.T) {
 	}
 }
 
+// TestFinishOnSeveredChannelFailsAtOnce: a delivery's acknowledgement
+// that finds the channel to the Controller gone means the Controller
+// tore the Process down, so libfractos takes the channel for gone: a
+// syscall posted later fails on the spot, even once the endpoint is back.
+func TestFinishOnSeveredChannelFailsAtOnce(t *testing.T) {
+	run(t, cpuCluster(), func(tk *sim.Task, cl *core.Cluster) {
+		srv, cli := proc.Attach(cl, 0, "srv", 0), proc.Attach(cl, 0, "cli", 0)
+		req, _ := srv.RequestCreate(tk, 1, nil, nil)
+		creq, _ := proc.GrantCap(srv, req, cli)
+		srv.Handle(func(d *proc.Delivery) {
+			cl.Net.Disconnect(srv.Endpoint())
+			d.Finish()
+			cl.Net.Reconnect(srv.Endpoint())
+		})
+		if err := cli.Invoke(tk, creq, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		at := tk.Now()
+		if err := srv.Null(tk); !errors.Is(err, proc.ErrDisconnected) || tk.Now() != at {
+			t.Errorf("null after a failed acknowledgement: %v after %v, want ErrDisconnected at once", err, tk.Now()-at)
+		}
+	})
+}
+
 // TestDerivedRightsNeverGrow is the end-to-end monotonicity property:
 // however a capability travels (diminish, revtree, delegation through
 // invocations), the rights observed downstream are a subset of the

@@ -245,13 +245,9 @@ func (p *Process) demux(m wire.Message) {
 			op.delivered(p.getDelivery(m))
 		case m.Tag&wire.ReplyTag != 0:
 			// A reply to a call that is over (callOp.retire: timed out, or
-			// its invocation unaccounted for): ack at once so the provider's
-			// congestion-window credit is not leaked, and discard it. Caps it
-			// delegated are children of the caller's revoked reply Request
-			// and die with it.
-			p.tx.done = wire.DeliverDone{Seq: m.Seq}
-			//fractos:mustuse-ok a failed ack means the Controller tore us down already
-			p.net.Send(p.ep.ID, p.ctrlEP, &p.tx.done)
+			// its invocation unaccounted for): discard it. It holds no
+			// window credit, so nothing is acked. Caps it delegated are
+			// children of the caller's revoked reply Request and die with it.
 		case p.handler != nil:
 			p.handler(p.getDelivery(m))
 		default:

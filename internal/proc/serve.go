@@ -110,16 +110,17 @@ func (d *Delivery) Status() wire.Status { return wire.Status(d.U64(0)) }
 func (d *Delivery) Err() error { return d.Status().Err() }
 
 // Done acknowledges the delivery, releasing one congestion-window
-// credit at the Controller (§4). Safe to call more than once. A send
-// failure means the Controller tore this Process down (crash or
-// FailProcess); the credit died with the window, so mark the Process
-// dead rather than pretend the ack was delivered.
+// credit at the Controller (§4); a reply holds none, so it sends nothing.
+// Safe to call more than once. A send failure means the Controller tore
+// this Process down (crash or FailProcess); the credit died with the
+// window, so mark the Process dead rather than pretend the ack was
+// delivered.
 func (d *Delivery) Done() { d.ack(nil) }
 
 // Release is Done for a receiver that keeps nothing it was sent: the
 // same acknowledgement hands back the capabilities the delivery
-// installed, so serving a request leaves no entry behind. Call it after
-// the last use of d's capabilities.
+// installed (a reply's too), so serving a request leaves no entry
+// behind. Call it after the last use of d's capabilities.
 func (d *Delivery) Release() {
 	back := d.p.tx.back[:0]
 	for _, c := range d.Caps {
@@ -130,7 +131,7 @@ func (d *Delivery) Release() {
 }
 
 func (d *Delivery) ack(back []cap.CapID) {
-	if d.acked {
+	if d.acked || len(back) == 0 && d.Tag&wire.ReplyTag != 0 {
 		return
 	}
 	d.acked = true

@@ -184,29 +184,25 @@ func captureRouted(t *testing.T, policy string) (trace, picks string) {
 // its pick sequence (see the pinned digests in
 // internal/exp/determinism_test.go for the contract).
 //
-// Last moved when a Call's reply became its acknowledgement: on a
-// reliable fabric the replica's owner no longer acks the balancer's
-// invocation, and the balancer's Completion goes out with the reply
-// (21cde6d5… and ff8125cb… until then; shapes 554e2cc9… and a3623e92…).
-// Each trace's 655 transfers are 591, its 64 CtrlAcks gone. Set-up's
-// Calls complete 1 ns later each, so the first transfer leaves at
-// 149 472 ns instead of 149 468. rr's pick sequence did not move, and its
-// last transfer leaves at 6 265 771 ns instead of 6 265 761. least's
-// 47th pick is replica 1, not 4: a depth piggyback arrives at a
-// different point among same-instant events, and the tie breaks the
-// other way; its last transfer leaves at 5 444 078 ns instead of
-// 5 442 687.
+// Last moved when a reply stopped taking a window credit: the balancer
+// sends no DeliverDone for it (25448d04… and 782de03b… until then;
+// shapes 6f6993bc… and 81c7529b…). Each trace's 591 transfers are 526,
+// its 65 DeliverDones from the balancer's Process gone; the first to go
+// is the 9th, at 164 884 ns. Neither pick sequence moved. The last reply
+// reaches the balancer at 6 261 099 ns instead of 6 264 555 (rr) and at
+// 5 433 218 instead of 5 442 862 (least): a request no longer waits
+// behind the service of the last reply's DeliverDone.
 var routedSHA256 = map[string]string{
-	"rr":    "25448d040078ef7dca5b7856a70dd366f2c1b782c46bba742542da669c743606",
-	"least": "782de03bbce8b383a94390d9546fbbd15ecfea3409d2478ad203843472628f75",
+	"rr":    "7224275019859adad58358ca2b33623573b78bf43bcc5e472e565a31fdd52152",
+	"least": "f8cc4ef20c49e9c5c93b42618b5663ea5437b1313344fa9165c71310bb348ba7",
 }
 
 // Pinned SHA-256 digests of each policy's trace shape (routedShape)
 // followed by its pick sequence: a change that only resizes messages,
 // and so moves the instants after them, leaves these alone.
 var routedShapeSHA256 = map[string]string{
-	"rr":    "6f6993bcce3dead9db59ab4f020db553525a647229c278853cb50b74f8b82c0c",
-	"least": "81c7529bc5a1fe8fb6f8716d516556ee9a9a892adaa6f22f794457f7754ec1a5",
+	"rr":    "92f19f39488767302578e61f342132f0fb428b75040fdc2e10a6f343c309d04d",
+	"least": "01d7400566a760d02b8dfdc4e126a8948b787f8a098802d0ba0904678d10aced",
 }
 
 // routedShape strips a captureRouted log of every instant and byte
