@@ -495,16 +495,19 @@ func TestAllocGateLossyCall(t *testing.T) {
 // takes every invocation and never answers, so each warm CallTimeout
 // ends at its deadline (callOp.Fire), retires its reply Request with a
 // cap_revoke and leaves the next call to create another. The bound is
-// the measured count, most of it the revocation's cleanup at the
-// Controllers (processRevocations, flushCleanup and the notices it
-// sends).
+// the measured count: the reply Request's record and object, which the
+// next call creates (getReply, handleReqCreate), the revoked list
+// cap.Tree.Revoke returns, the cleanup flush's closure
+// (processRevocations) and its CtrlCleanup frame (Controller.frame). It
+// was 11 while each flush regrew the batch's lists from nil, allocated
+// the batch and sorted a fresh slice of peer ids through a closure.
 func TestAllocGateCallDeadline(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as TestAllocGateNullCall
 	defer noGC()()
-	const warm, calls, maxPerCall = 50, 500, 11
+	const warm, calls, maxPerCall = 50, 500, 6
 	var per float64
 	testbed.RunT(t, testbed.Spec{Nodes: 2, Seed: 5}, func(tk *sim.Task, d *testbed.Deployment) {
 		srv := d.Attach(1, "silent", 0)
@@ -546,16 +549,17 @@ func TestAllocGateCallDeadline(t *testing.T) {
 // Raw protocol (baseline.Peer): a client's Call to a server on another
 // node that echoes the 64-byte payload. The bound is the measured count:
 // both ends clone the payload out of the frame, by design, since it
-// outlives the frame; each end's wire.Raw escapes into Net.Send; and the
-// blocking Call allocates its future and the continuation that settles
-// it.
+// outlives the frame. It was 6 while each end's wire.Raw escaped into
+// Net.Send (a Peer builds it in place now, as a Controller does) and the
+// blocking Call allocated its future and the continuation that settled
+// it (it takes a recycled future).
 func TestAllocGateBaselineCall(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as TestAllocGateNullCall
 	defer noGC()()
-	const warm, calls, maxPerCall = 50, 2000, 6
+	const warm, calls, maxPerCall = 50, 2000, 2
 	var per float64
 	testbed.RunT(t, testbed.Spec{Nodes: 2, Seed: 5}, func(tk *sim.Task, d *testbed.Deployment) {
 		net := d.Cl.Net
@@ -750,7 +754,7 @@ func faceVerifies(t *testing.T, warm, n int) (m core.Metrics, sends int64, event
 }
 
 // TestEventGateFaceVerify pins what one warm, unloaded face-verification
-// request costs, as equalities: 61 kernel events, 26 fabric sends (RDMA
+// request costs, as equalities: 57 kernel events, 24 fabric sends (RDMA
 // transfers aside), and 9 syscalls — three memory_copy (probes up, the
 // database batch from the SSD into GPU memory, verdicts down) and the
 // three invocations of the continuation chain, each handled at both
@@ -772,11 +776,15 @@ func faceVerifies(t *testing.T, warm, n int) (m core.Metrics, sends int64, event
 // completion's delivery. It was 62 while the frontend waited for the
 // storage read's invocation in a task and then, on a future of its own,
 // for the chain's reply, where a CallWith wakes it once: the wake at the
-// invocation's completion.
+// invocation's completion. It was 61 events and 26 sends while the
+// storage read's owner acked its invocation (CtrlAck) and the reply, to a
+// Request that was no reply Request, took a window credit the frontend
+// handed back (DeliverDone): 2 sends and 4 events — each one's delivery
+// and service at the frontend's Controller.
 func TestEventGateFaceVerify(t *testing.T) {
 	const (
 		short, long      = 4, 24
-		eventsPerRequest = 61
+		eventsPerRequest = 57
 	)
 	_, _, e1 := faceVerifies(t, 1, short)
 	m, sends, e2 := faceVerifies(t, 1, long)
@@ -784,9 +792,9 @@ func TestEventGateFaceVerify(t *testing.T) {
 		t.Errorf("%d more requests cost %d more kernel events (%.2f each), want exactly %d each",
 			long-short, got, float64(got)/(long-short), eventsPerRequest)
 	}
-	if n := int64(long - 1); m.Copies != 3*n || m.Invokes != 6*n || m.MemOps != 0 || m.ReqCreates != 0 || m.CapOps != 0 || sends != 26*n {
+	if n := int64(long - 1); m.Copies != 3*n || m.Invokes != 6*n || m.MemOps != 0 || m.ReqCreates != 0 || m.CapOps != 0 || sends != 24*n {
 		t.Errorf("%d warm requests: %d memory_copy, %d invocations handled, %d memory_create/diminish, %d request_create, %d capability syscalls, %d fabric sends; want %d, %d, 0, 0, 0, %d",
-			n, m.Copies, m.Invokes, m.MemOps, m.ReqCreates, m.CapOps, sends, 3*n, 6*n, 26*n)
+			n, m.Copies, m.Invokes, m.MemOps, m.ReqCreates, m.CapOps, sends, 3*n, 6*n, 24*n)
 	}
 }
 
@@ -1120,11 +1128,18 @@ func copyTimes(t *testing.T, size int, pull, ranged bool, n int) (took []sim.Tim
 // read-ahead window past the second and misses it, one for the second
 // hits the window the first armed. Device service is most of it — the
 // GPU kernel and the SSD read — and the rest is the OS layer's fixed cost
-// per request (docs/PERFORMANCE.md § 3e), which this gate holds.
+// per request (docs/PERFORMANCE.md § 3e), which this gate holds. Both
+// were 0.577 µs longer while the frontend handed the reply's window
+// credit back: its Controller served that DeliverDone (0.580 µs) just
+// ahead of the verdict download's memory_copy. Of the 3 ns the change
+// adds back, 1 is the reply Request the invocation declares (a byte more
+// on the frontend's local link) and 2 are the reply's Deliver, whose tag
+// carries wire.ReplyTag (a 10-byte varint where it had 5) and which now
+// follows the invocation's Completion on the same link.
 func TestVirtGateFaceVerify(t *testing.T) {
 	const (
 		warm, n   = 4, 20
-		miss, hit = sim.Time(213798), sim.Time(156798) // ns
+		miss, hit = sim.Time(213221), sim.Time(156221) // ns
 	)
 	fv := &stacks.FaceVerify{Cfg: faceverify.Config{Batch: 8, Files: 2, Slots: 1, Seed: 5}}
 	testbed.RunT(t, testbed.Spec{Nodes: 4, Seed: 5, Services: []testbed.Service{fv}}, func(tk *sim.Task, d *testbed.Deployment) {

@@ -66,23 +66,27 @@ func main() {
 		}
 		fmt.Printf("=== one face-verification request, batch %d, %s ===\n", *batch, sys)
 		fmt.Printf("%-12s %-9s %-7s %8s  %s\n", "time", "kind", "class", "bytes", "path")
-		n := 0
-		cross := map[string]int{} // cross-node transfers by kind
+		cross := map[string]int{}       // cross-node transfers by kind
+		purposes := map[string][2]int{} // local and cross-node transfers by purpose
 		cl.Net.SetTrace(func(e fabric.TraceEvent) {
-			kind := fmt.Sprintf("msg:%d", e.Type)
+			kind, purpose := fmt.Sprintf("msg:%d", e.Type), e.Type.Purpose()
 			if e.RDMA {
-				kind = "rdma"
+				kind, purpose = "rdma", "data"
 			}
+			x := 0 // local, 1 cross-node
 			if from, _ := cl.Net.Lookup(e.From); from != nil {
 				if to, _ := cl.Net.Lookup(e.To); to != nil && from.Loc.Node != to.Loc.Node {
 					cross[kind]++
+					x = 1
 				}
 			}
+			c := purposes[purpose]
+			c[x]++
+			purposes[purpose] = c
 			class := "ctrl"
 			if e.Class == wire.Data {
 				class = "DATA"
 			}
-			n++
 			fmt.Printf("%-12v %-9s %-7s %8d  %s -> %s\n", e.At, kind, class, e.Bytes, name(e.From), name(e.To))
 		})
 
@@ -102,6 +106,10 @@ func main() {
 		}
 		fmt.Printf("totals: %d messages (%d control, %d data), %d bytes on the wire, %d cross-node\n",
 			st.TotalMsgs(), st.ControlMsgs, st.DataMsgs, st.TotalBytes(), st.CrossNodeMsgs)
+		fmt.Printf("%-15s %6s %11s\n", "by purpose", "local", "cross-node")
+		for _, p := range wire.Purposes {
+			fmt.Printf("  %-13s %6d %11d\n", p, purposes[p][0], purposes[p][1])
+		}
 		if !*useBaseline {
 			kinds := make([]string, 0, len(cross))
 			for kind := range cross {

@@ -108,7 +108,7 @@ func main() {
 			log.Fatal(err)
 		}
 		d, err := client.CallWith(t, entry,
-			[]wire.ImmArg{proc.BytesArg(0, []byte(strings.Join(merged, " ")))}, nil, tag)
+			[]wire.ImmArg{proc.BytesArg(0, []byte(strings.Join(merged, " ")))}, nil, reply, tag)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -181,7 +181,7 @@ func main() {
 				log.Fatal(err)
 			}
 			if _, err := client.CallWith(t, chain[0], lenArg,
-				[]proc.Arg{{Slot: 0, Cap: in[1]}, {Slot: 1, Cap: next}}, replyTag); err != nil {
+				[]proc.Arg{{Slot: 0, Cap: in[1]}, {Slot: 1, Cap: next}}, reply, replyTag); err != nil {
 				log.Fatal(err)
 			}
 			return t.Now() - start

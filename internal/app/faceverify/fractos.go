@@ -269,10 +269,9 @@ func (a *FractOSApp) makeSlot(t *sim.Task, slotBytes int, allocReq proc.Cap) (*s
 	if s.outMem, err = a.app.MemoryCreate(t, uint64(s.outOff), uint64(a.cfg.Batch), cap.MemRights); err != nil {
 		return nil, err
 	}
-	// One reusable continuation Request per slot: the GPU adaptor
-	// invokes it on success or error, carrying the status.
-	s.replyTag = a.app.NewTag()
-	if s.reply, err = a.app.RequestCreate(t, s.replyTag, nil, nil); err != nil {
+	// One reusable reply Request per slot: the GPU adaptor invokes it on
+	// success or error, carrying the status.
+	if s.reply, s.replyTag, err = a.app.ReplyRequest(t); err != nil {
 		return nil, err
 	}
 	s.kernel, err = a.kernelRequest(t, s, s.reply)
@@ -353,7 +352,7 @@ func (a *FractOSApp) VerifyBatch(t *sim.Task, req *Request) ([]byte, error) {
 	// (b) Invoke the storage read with the GPU buffer as destination
 	// and the slot's kernel Request as continuation, and wait for the
 	// pipeline to come back to us.
-	d, err := a.storageReadInto(t, file, n, s.gpuDB, s.kernel, s.replyTag)
+	d, err := a.storageReadInto(t, file, n, s.gpuDB, s.kernel, s)
 	if err != nil {
 		return nil, err
 	}
@@ -372,14 +371,14 @@ func (a *FractOSApp) VerifyBatch(t *sim.Task, req *Request) ([]byte, error) {
 
 // storageReadInto invokes the file's DAX lease (extent 0) with the
 // destination Memory and continuation Request, and returns the reply
-// that comes back under replyTag at the end of the continuation chain,
-// borrowed (proc.Process.CallWith).
-func (a *FractOSApp) storageReadInto(t *sim.Task, f *fs.File, n uint64, dst, cont proc.Cap, replyTag uint64) (*proc.Delivery, error) {
+// that comes back through the slot's reply Request at the end of the
+// continuation chain, borrowed (proc.Process.CallWith).
+func (a *FractOSApp) storageReadInto(t *sim.Task, f *fs.File, n uint64, dst, cont proc.Cap, s *slot) (*proc.Delivery, error) {
 	lease, ok := f.DAXLease(0, false)
 	if !ok {
 		return nil, fmt.Errorf("faceverify: no DAX read lease")
 	}
 	return a.app.CallWith(t, lease,
 		[]wire.ImmArg{proc.U64Arg(nvme.ImmOff, 0), proc.U64Arg(nvme.ImmLen, n)},
-		[]proc.Arg{{Slot: nvme.SlotData, Cap: dst}, {Slot: nvme.SlotCont, Cap: cont}}, replyTag)
+		[]proc.Arg{{Slot: nvme.SlotData, Cap: dst}, {Slot: nvme.SlotCont, Cap: cont}}, s.reply, s.replyTag)
 }

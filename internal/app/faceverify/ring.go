@@ -107,7 +107,7 @@ func (a *FractOSApp) RingVerify(t *sim.Task, req *Request) ([]byte, error) {
 		return nil, fmt.Errorf("faceverify: probe upload: %w", err)
 	}
 
-	d, err := a.storageReadInto(t, file, a.cfg.batchBytes(), s.gpuDB, s.ringKernel, s.replyTag)
+	d, err := a.storageReadInto(t, file, a.cfg.batchBytes(), s.gpuDB, s.ringKernel, s)
 	if err != nil {
 		return nil, err
 	}

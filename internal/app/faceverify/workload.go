@@ -122,13 +122,6 @@ func NewDB(n int, seed int64) *DB {
 		probes: make([]byte, (n+1)*ProbeSize), known: make([]bool, n+1)}
 }
 
-// Image returns identity id's database image (deterministic).
-func (db *DB) Image(id int) []byte {
-	img := make([]byte, ImgSize)
-	db.imageInto(img, id)
-	return img
-}
-
 // imageInto fills dst with the leading len(dst) (≥ ProbeSize) bytes of
 // identity id's image, recording its descriptor the first time.
 // Rand.Seed resets the generator's read position, so the bytes are
@@ -141,14 +134,6 @@ func (db *DB) imageInto(dst []byte, id int) {
 		copy(db.probes[id*ProbeSize:(id+1)*ProbeSize], dst)
 		db.known[id] = true
 	}
-}
-
-// BatchFile returns the concatenated images of identities
-// [first, first+batch), the unit stored per file.
-func (db *DB) BatchFile(first, batch int) []byte {
-	out := make([]byte, batch*ImgSize)
-	db.batchInto(out, first)
-	return out
 }
 
 // batchInto fills dst with the batch file that starts at identity first.

@@ -46,7 +46,9 @@ type Peer struct {
 	EP        *fabric.Endpoint
 	nextToken uint64
 	pending   map[uint64]pendingCall
+	futures   sim.FreeList[sim.Future[[]byte]] // blocking Calls' waiters, recycled
 	dec       *wire.Decoder
+	tx        wire.Raw // the message being sent: Net.Send encodes it and keeps nothing
 
 	serve   func(Request) error // nil for a client's peer: requests to it are dropped
 	perOp   sim.Time            // a request's processing time before serve takes it
@@ -61,10 +63,19 @@ type Peer struct {
 }
 
 // pendingCall is a call waiting for its reply: where the request went,
-// and what runs with the answer.
+// and what runs with the answer (CallThen) or waits for it (Call).
 type pendingCall struct {
 	dst  fabric.EndpointID
 	then func([]byte, error)
+	fut  *sim.Future[[]byte]
+}
+
+func (c pendingCall) settle(r []byte, err error) {
+	if c.fut != nil {
+		settle(c.fut, r, err)
+	} else {
+		c.then(r, err)
+	}
 }
 
 // NewPeer attaches a baseline endpoint. A server's passes its handler
@@ -101,7 +112,7 @@ func (p *Peer) Deliver(f *fabric.Frame) {
 	if kind&replyBit != 0 {
 		if c, ok := p.pending[token]; ok && c.dst == from {
 			delete(p.pending, token)
-			c.then(data, nil)
+			c.settle(data, nil)
 		}
 		return
 	}
@@ -135,9 +146,8 @@ func (p *Peer) Fire() {
 // counted, not silently dropped.
 func (p *Peer) Reply(data []byte, isData bool) {
 	req := p.cur
-	if !p.net.Send(p.EP.ID, req.From, &wire.Raw{
-		Kind: req.Kind | replyBit, Token: req.Token, IsData: isData, Data: data,
-	}) {
+	p.tx = wire.Raw{Kind: req.Kind | replyBit, Token: req.Token, IsData: isData, Data: data}
+	if !p.net.Send(p.EP.ID, req.From, &p.tx) {
 		p.SendFailed++
 	}
 	p.cur, p.busy = Request{}, false
@@ -158,20 +168,29 @@ func (p *Peer) answer(err error, payload []byte, isData bool) {
 // with the reply's payload, or at once with ErrPeer if the request
 // cannot be sent.
 func (p *Peer) CallThen(dst fabric.EndpointID, kind uint32, data []byte, isData bool, then func([]byte, error)) {
-	p.nextToken++
-	if !p.net.Send(p.EP.ID, dst, &wire.Raw{Kind: kind, Token: p.nextToken, IsData: isData, Data: data}) {
-		then(nil, ErrPeer)
-		return
-	}
-	p.pending[p.nextToken] = pendingCall{dst: dst, then: then}
+	p.start(pendingCall{dst: dst, then: then}, kind, data, isData)
 }
 
 // Call is CallThen for an application task: it blocks until the reply's
 // payload is in.
 func (p *Peer) Call(t *sim.Task, dst fabric.EndpointID, kind uint32, data []byte, isData bool) ([]byte, error) {
-	f := sim.NewFuture[[]byte]()
-	p.CallThen(dst, kind, data, isData, func(r []byte, err error) { settle(f, r, err) })
-	return f.Wait(t)
+	f := p.futures.Get()
+	p.start(pendingCall{dst: dst, fut: f}, kind, data, isData)
+	r, err := f.Wait(t)
+	f.Reset()
+	p.futures.Put(f)
+	return r, err
+}
+
+// start sends c's request and parks c for the reply.
+func (p *Peer) start(c pendingCall, kind uint32, data []byte, isData bool) {
+	p.nextToken++
+	p.tx = wire.Raw{Kind: kind, Token: p.nextToken, IsData: isData, Data: data}
+	if !p.net.Send(p.EP.ID, c.dst, &p.tx) {
+		c.settle(nil, ErrPeer)
+		return
+	}
+	p.pending[p.nextToken] = c
 }
 
 // settle resolves f with v, or fails it with err: the end of a

@@ -321,11 +321,6 @@ func (s *Space) Drop(id CapID) bool {
 // Len reports the number of live entries.
 func (s *Space) Len() int { return s.live }
 
-// Slots reports the slab's high-water slot count — the number of slot
-// positions ever allocated, reused or not. Soak tests use it to prove
-// churn reuses slots instead of growing the slab.
-func (s *Space) Slots() int { return int(s.next) }
-
 // ForEach visits every live entry in slot order. Slot order is
 // deterministic but not install order once slots recycle; use it only
 // for operations that are order-insensitive (e.g. cleanup).

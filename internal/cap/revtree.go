@@ -170,15 +170,6 @@ func (t *Tree) insert(parent ObjectID, payload interface{}) *Node {
 	return n
 }
 
-// Get returns the node for id if it exists and is not revoked.
-func (t *Tree) Get(id ObjectID) (*Node, bool) {
-	n := t.probe(id)
-	if n == nil || n.Revoked {
-		return nil, false
-	}
-	return n, true
-}
-
 // GetAny returns the node even if revoked (for cleanup bookkeeping).
 func (t *Tree) GetAny(id ObjectID) (*Node, bool) {
 	n := t.probe(id)
@@ -348,19 +339,4 @@ func (t *Tree) ForEach(fn func(*Node)) {
 		id = n.nextSeq
 		fn(n)
 	}
-}
-
-// Ancestor reports whether anc is id itself or one of its ancestors.
-func (t *Tree) Ancestor(anc, id ObjectID) bool {
-	for id != 0 {
-		if id == anc {
-			return true
-		}
-		n := t.probe(id)
-		if n == nil {
-			return false
-		}
-		id = n.Parent
-	}
-	return false
 }

@@ -68,6 +68,7 @@ type pendingCall struct {
 	entry    cap.Entry
 	cid      cap.CapID      // callRevoke: the caller's entry to drop afterwards
 	oneWay   bool           // callInvoke: nobody waits for the outcome, so no answer is asked for
+	reply    cap.Ref        // callInvoke: the reply Request armed to answer it (CtrlInvoke.Replied), if any
 	imms     []wire.ImmArg  // callInvoke, callDeriveReq: refinements
 	immData  []byte         // the bytes of imms, back to back
 	caps     []wire.CapXfer // callInvoke, callDeriveReq: resolved capability arguments
@@ -86,7 +87,8 @@ type pendingCall struct {
 
 // cleanupBatch is one coalesced revocation-cleanup broadcast: the refs
 // every peer is asked to purge, and the revoked stubs erased once the
-// last peer has answered (or been observed dead).
+// last peer has answered (or been observed dead). Batches and their
+// lists are recycled (Controller.batches).
 type cleanupBatch struct {
 	refs      []cap.Ref
 	stubs     []*cap.Node
@@ -245,7 +247,7 @@ func (c *Controller) frame(pc *pendingCall) wire.Message {
 	ref, token := pc.entry.Ref, pc.token
 	switch pc.kind {
 	case callInvoke:
-		c.txInvoke = wire.CtrlInvoke{Token: token, Src: c.id, Ref: ref, Imms: pc.imms, Caps: pc.caps}
+		c.txInvoke = wire.CtrlInvoke{Token: token, Src: c.id, Replied: !pc.reply.IsZero(), Ref: ref, Imms: pc.imms, Caps: pc.caps}
 		return &c.txInvoke
 	case callDeriveMem:
 		return &wire.CtrlDeriveMem{Token: token, Src: c.id, From: ref, Offset: pc.off, Size: pc.size, Drop: pc.rights}
@@ -272,10 +274,8 @@ func (c *Controller) finish(pc *pendingCall, reply wire.Message) {
 	case callLeaseRevoke:
 		// Fire and forget: the owner revoked the lease or is gone.
 	case callCleanup:
-		b := pc.batch
-		b.remaining--
-		if b.remaining == 0 {
-			c.removeStubs(b.stubs)
+		if pc.batch.remaining--; pc.batch.remaining == 0 {
+			c.putBatch(pc.batch, true)
 		}
 	case callValidate:
 		// The copy resumes right here, on the borrowed reply. A call that
@@ -324,7 +324,7 @@ func (c *Controller) finishSyscall(pc *pendingCall, reply wire.Message) {
 		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
 	default: // callInvoke, callWatch
 		if pc.kind == callInvoke {
-			c.invoked(pc.ps, pc.caps, st)
+			c.invoked(pc, st)
 		}
 		c.complete(pc.ps, pc.tok, st, cap.NilCap, 0)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"fractos/internal/assert"
 	"fractos/internal/cap"
@@ -45,6 +44,7 @@ type Controller struct {
 
 	peers   map[cap.ControllerID]*peerState
 	peerEPs map[fabric.EndpointID]*peerState // the same records by endpoint: the sender check on the receive path
+	peerIDs []cap.ControllerID               // their ids, ascending: broadcasts must not publish map order
 
 	pending   map[uint64]*pendingCall
 	nextToken uint64
@@ -63,7 +63,8 @@ type Controller struct {
 	cleanupRefs  []cap.Ref
 	cleanupStubs []*cap.Node
 	cleanupArmed bool
-	dead         map[cap.Ref]bool // purge's scratch
+	batches      sim.FreeList[cleanupBatch] // recycled batches, which keep their lists' storage
+	dead         map[cap.Ref]bool           // purge's scratch
 
 	// Per-message scratch. Net.Send encodes its argument before it
 	// returns and retains nothing, and handlers never yield between
@@ -186,6 +187,10 @@ func (c *Controller) Loc() fabric.Location { return c.cfg.Loc }
 
 // AddPeer registers another Controller in the deployment directory.
 func (c *Controller) AddPeer(id cap.ControllerID, ep fabric.EndpointID) {
+	if _, ok := c.peers[id]; !ok {
+		c.peerIDs = append(c.peerIDs, id)
+		slices.Sort(c.peerIDs)
+	}
 	p := &peerState{ep: ep, epoch: 1}
 	c.peers[id], c.peerEPs[ep] = p, p
 }
@@ -547,9 +552,8 @@ func (c *Controller) dispatchPeer(p *peerState, m wire.Message) {
 			c.metrics.InvokesRefused++
 		}
 		// Token 0 waits for nothing, nor, on a reliable fabric, an
-		// accepted invocation its reply answers (armedBy).
-		answered := slices.ContainsFunc(m.Caps, func(a wire.CapXfer) bool { return armedBy(m.Src, a) })
-		if m.Token != 0 && (st != wire.StatusOK || c.net.Lossy() || !answered) {
+		// accepted invocation its reply answers.
+		if m.Token != 0 && (st != wire.StatusOK || c.net.Lossy() || !m.Replied) {
 			c.ack(from, m.Token, wire.CtrlAck{Status: st})
 		}
 	case *wire.CtrlCleanup:
@@ -790,17 +794,6 @@ func (c *Controller) deriveDelegatee(ref cap.Ref) (cap.Ref, wire.Status) {
 	child.MonitorDelegatee = true
 	n.DelegateeCount++
 	return c.ref(child.ID), wire.StatusOK
-}
-
-// sortedPeers returns peer Controller ids in ascending order, so
-// broadcasts are deterministic (map iteration order is not).
-func (c *Controller) sortedPeers() []cap.ControllerID {
-	ids := make([]cap.ControllerID, 0, len(c.peers))
-	for id := range c.peers {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // discardObject rolls back a freshly created object that was never

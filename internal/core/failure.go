@@ -149,7 +149,7 @@ func (c *Controller) Reboot() {
 // monotonic; the heartbeat NodeWatch re-announces on every suspicion
 // cycle, so a frame lost here is repaired by the detector.
 func (c *Controller) AnnounceEpoch() {
-	for _, peer := range c.sortedPeers() {
+	for _, peer := range c.peerIDs {
 		c.send(c.peers[peer].ep, &wire.CtrlEpoch{Ctrl: c.id, Epoch: c.epoch})
 	}
 }

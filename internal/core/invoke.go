@@ -23,21 +23,25 @@ func (c *Controller) handleReqInvoke(ps *procState, m *wire.ReqInvoke) {
 		return
 	}
 	capArgs, st := c.resolveCapSlots(ps, m.Caps)
+	var reply cap.Ref
+	if st == wire.StatusOK {
+		reply, st = c.armReplies(ps, m, capArgs)
+	}
 	if st != wire.StatusOK {
 		c.metrics.InvokesRefused++
 		c.complete(ps, m.Token, st, cap.NilCap, 0)
 		return
 	}
-	armed := c.armReplies(ps, m.Caps, capArgs)
 	if e.Once {
 		ps.space.Drop(m.Cid) // a reply Request's delegation: this is its one delivery
 	}
 	pc := c.newCall(callInvoke, e.Ref)
 	pc.keepImms(m.Imms)
 	pc.keepCaps(capArgs)
+	pc.reply = reply
 	// Token 0 (Delivery.Reply) waits for nothing, so on a reliable fabric
 	// the owner need not answer — unless a refusal must take an arming back.
-	pc.oneWay = m.Token == 0 && !armed && !c.net.Lossy()
+	pc.oneWay = m.Token == 0 && reply.IsZero() && !c.net.Lossy()
 	c.forward(pc, ps, m.Token)
 }
 
@@ -58,16 +62,37 @@ func (c *Controller) ownReply(ps *procState, a *wire.CapXfer) (*cap.Node, *reqOb
 	return nil, nil
 }
 
-// armReplies arms the reply Requests ps passes along among an
-// invocation's capability arguments (slots[i] is where args[i] came
-// from), and reports whether it armed any: each takes a new name — in
-// the provider's entry and in the delegation — so that whatever was kept
-// of an earlier delegation names nothing, and under that name it is good
-// for one delivery, so the delegation is marked Once, not Relayed. The
+// armReplies arms the reply Requests of ps an invocation declares or
+// passes among its capability arguments (args[i] came from m.Caps[i]),
+// and returns the one that answers it — the declared one, else the first
+// it armed — or none. A passed one takes a new name — in the provider's
+// entry and in the delegation — so that whatever was kept of an earlier
+// delegation names nothing, and under that name it is good for one
+// delivery, so the delegation is marked Once, not Relayed. The
 // invocation awaiting the reply under the old name can have none; but if
 // a delegation of that name (Once) came back to ps, it was delivered.
-func (c *Controller) armReplies(ps *procState, slots []wire.CapSlot, args []wire.CapXfer) (armed bool) {
+// The declared one keeps its name everywhere (a copy preset in a Request
+// derived elsewhere must reach it); a declaration of anything else is
+// refused (StatusKind) before any arming.
+func (c *Controller) armReplies(ps *procState, m *wire.ReqInvoke, args []wire.CapXfer) (reply cap.Ref, st wire.Status) {
+	if m.Reply != cap.NilCap {
+		e, st := c.resolveEntry(ps, m.Reply, cap.KindRequest, 0)
+		_, ro := c.ownReply(ps, &wire.CapXfer{Ref: e.Ref, Kind: e.Kind})
+		if st == wire.StatusOK && ro == nil {
+			st = wire.StatusKind
+		}
+		if st != wire.StatusOK {
+			return cap.Ref{}, st
+		}
+		c.answerInvoker(ro, wire.StatusAborted)
+		ro.armed, reply = true, e.Ref
+	}
+	declared := reply
 	for i := range args {
+		if !declared.IsZero() && args[i].Ref == declared {
+			args[i].Once, args[i].Relayed = true, false
+			continue
+		}
 		if n, ro := c.ownReply(ps, &args[i]); ro != nil {
 			st := wire.StatusAborted
 			if args[i].Once {
@@ -76,28 +101,28 @@ func (c *Controller) armReplies(ps *procState, slots []wire.CapSlot, args []wire
 			c.answerInvoker(ro, st)
 			args[i].Ref.Obj = c.tree.Rekey(n.ID)
 			args[i].Once, args[i].Relayed = true, false
-			ps.space.Peek(slots[i].Cid).Ref = args[i].Ref
-			ro.armed, armed = true, true
+			ps.space.Peek(m.Caps[i].Cid).Ref = args[i].Ref
+			ro.armed = true
+			if reply.IsZero() {
+				reply = args[i].Ref
+			}
 		}
 	}
-	return armed
+	return reply, wire.StatusOK
 }
 
-// armedBy reports whether a is a reply Request src armed for the
-// invocation carrying it: on a reliable fabric its reply answers that
-// invocation, whose owner acks it only to refuse it.
-func armedBy(src cap.ControllerID, a wire.CapXfer) bool {
-	return a.Once && !a.Relayed && a.Ref.Ctrl == src
-}
-
-// awaitReply parks a forwarded invocation on the reply Requests it armed.
+// awaitReply parks a forwarded invocation on the reply Requests it
+// armed: declared, or passed Once and not Relayed.
 func (c *Controller) awaitReply(pc *pendingCall) {
-	for _, a := range pc.caps {
-		if !armedBy(c.id, a) {
-			continue
-		}
-		if n, st := c.resolveOwned(a.Ref); st == wire.StatusOK { // armed by this very syscall: live
+	park := func(ref cap.Ref) {
+		if n, st := c.resolveOwned(ref); st == wire.StatusOK { // armed by this very syscall: live
 			n.Payload.(*reqObject).call = pc.token
+		}
+	}
+	park(pc.reply) // a zero Ref resolves to nothing
+	for _, a := range pc.caps {
+		if a.Once && !a.Relayed && a.Ref.Ctrl == c.id {
+			park(a.Ref)
 		}
 	}
 }
@@ -112,16 +137,21 @@ func (c *Controller) answerInvoker(ro *reqObject, st wire.Status) {
 	}
 }
 
-// invoked settles an invocation by ps once its outcome is known:
-// refused, it takes back the arming of the reply Requests it passed.
-func (c *Controller) invoked(ps *procState, args []wire.CapXfer, st wire.Status) {
+// invoked settles an invocation once its outcome is known: refused or
+// aborted, it takes back the arming of the reply Requests it passed or
+// declared, so a reply that comes after all is refused.
+func (c *Controller) invoked(pc *pendingCall, st wire.Status) {
 	if st == wire.StatusOK {
 		return
 	}
-	for i := range args {
-		if _, ro := c.ownReply(ps, &args[i]); ro != nil {
-			ro.armed = false
+	disarm := func(a *wire.CapXfer) {
+		if _, ro := c.ownReply(pc.ps, a); ro != nil {
+			ro.armed, ro.call = false, 0
 		}
+	}
+	disarm(&wire.CapXfer{Ref: pc.reply, Kind: cap.KindRequest}) // a zero Ref is nobody's
+	for i := range pc.caps {
+		disarm(&pc.caps[i])
 	}
 }
 

@@ -125,32 +125,38 @@ func (c *Controller) processRevocations(revoked []*cap.Node) {
 // aborted, which also counts: their state is gone wholesale.
 func (c *Controller) flushCleanup() {
 	c.cleanupArmed = false
-	refs, stubs := c.cleanupRefs, c.cleanupStubs
-	c.cleanupRefs, c.cleanupStubs = nil, nil
-	if c.down || len(stubs) == 0 {
+	b := c.batches.Get() // the batch takes the lists, the Controller the batch's storage
+	b.refs, c.cleanupRefs = c.cleanupRefs, b.refs[:0]
+	b.stubs, c.cleanupStubs = c.cleanupStubs, b.stubs[:0]
+	b.remaining = len(c.peers)
+	if c.down || len(b.stubs) == 0 {
 		// A crash between enqueue and flush loses the batch with the
 		// rest of the instance's state; the reboot's epoch announcement
 		// purges peers wholesale instead.
+		c.putBatch(b, false)
 		return
 	}
 	c.metrics.CleanupsSent++
-	if len(c.peers) == 0 {
-		c.removeStubs(stubs)
+	if b.remaining == 0 {
+		c.putBatch(b, true)
 		return
 	}
-	batch := &cleanupBatch{refs: refs, stubs: stubs, remaining: len(c.peers)}
-	for _, peer := range c.sortedPeers() {
+	for _, peer := range c.peerIDs {
 		pc := c.newCall(callCleanup, cap.Ref{Ctrl: peer})
-		pc.batch = batch
+		pc.batch = b
 		c.call(pc)
 	}
 }
 
-// removeStubs erases revoked nodes, children before parents.
-func (c *Controller) removeStubs(stubs []*cap.Node) {
-	for i := len(stubs) - 1; i >= 0; i-- {
-		c.tree.Remove(stubs[i].ID)
+// putBatch recycles a cleanup batch, erasing its revoked nodes first,
+// children before parents, if remove.
+func (c *Controller) putBatch(b *cleanupBatch, remove bool) {
+	for i := len(b.stubs) - 1; i >= 0 && remove; i-- {
+		c.tree.Remove(b.stubs[i].ID)
 	}
+	clear(b.stubs)
+	b.refs, b.stubs = b.refs[:0], b.stubs[:0]
+	c.batches.Put(b)
 }
 
 // notifyWatcher routes a monitor callback to its Process, locally or

@@ -263,6 +263,59 @@ var copyScenario = faultScenario{name: "memory_copy push and pull", nodes: 2,
 		}
 	}}
 
+// callWithScenario is a warm CallWith from node 0 to a provider on
+// node 1 whose continuation is a Request of a forwarder's on node 2,
+// derived there with the caller's reply Request preset: the provider
+// answers the forwarder, the forwarder the caller, through that preset
+// copy. The operation is the second call, its outcome the reply's first
+// immediate.
+var callWithScenario = faultScenario{name: "CallWith through a preset continuation", nodes: 3,
+	setup: func(t *testing.T, tk *sim.Task, cl *core.Cluster) func(*sim.Task) string {
+		cli, srv, fwd := proc.Attach(cl, 0, "cli", 0), proc.Attach(cl, 1, "srv", 0), proc.Attach(cl, 2, "fwd", 0)
+		srv.Serve("srv", 1, func(_ *sim.Task, d *proc.Delivery) {
+			_ = d.Reply(0, answer(d), nil)
+			d.Release()
+		})
+		fwd.Serve("fwd", 1, func(_ *sim.Task, d *proc.Delivery) {
+			_ = d.Reply(0, answer(d), nil)
+			d.Release()
+		})
+		var creq, cfwd, cont, reply proc.Cap
+		var tag uint64
+		req, err := srv.RequestCreate(tk, 1, nil, nil)
+		if err == nil {
+			creq, err = proc.GrantCap(srv, req, cli)
+		}
+		if err == nil {
+			cfwd, err = fwd.RequestCreate(tk, 1, nil, nil)
+		}
+		if err == nil {
+			cfwd, err = proc.GrantCap(fwd, cfwd, cli)
+		}
+		if err == nil {
+			reply, tag, err = cli.ReplyRequest(tk)
+		}
+		if err == nil {
+			cont, err = cli.Derive(tk, cfwd, nil, []proc.Arg{{Slot: 0, Cap: reply}})
+		}
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		call := func(tk *sim.Task) string {
+			dv, err := cli.CallWith(tk, creq, []wire.ImmArg{proc.U64Arg(0, 40)}, []proc.Arg{{Slot: 0, Cap: cont}}, reply, tag)
+			if err != nil {
+				return err.Error()
+			}
+			return fmt.Sprint(dv.U64(0))
+		}
+		if got := call(tk); got != "42" { // samples the round trips
+			t.Errorf("CallWith: warm-up call answered %q", got)
+			return nil
+		}
+		return call
+	}}
+
 // faceVerifyScenario is one face-verification request on fractos-trace's
 // set-up: batch 8, one file, one pipeline slot, four nodes. Its outcome
 // is the error and the verdicts.
@@ -302,6 +355,12 @@ func TestFaultSweepRouted(t *testing.T) {
 // memory_copy push and pull.
 func TestFaultSweepCopy(t *testing.T) {
 	sweep(t, copyScenario, func(n int) []int { return every(n, 1) })
+}
+
+// TestFaultSweepCallWith loses and duplicates each frame of a warm
+// CallWith answered through a continuation preset at a third Controller.
+func TestFaultSweepCallWith(t *testing.T) {
+	sweep(t, callWithScenario, func(n int) []int { return every(n, 1) })
 }
 
 // TestFaultSweepFaceVerify loses and duplicates frames of one

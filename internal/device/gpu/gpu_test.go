@@ -240,7 +240,7 @@ func TestErrorContinuationOnBadArgs(t *testing.T) {
 		inv := loadKernel(tk, t, client, load, "add")
 		// Invoke with too few args: the error continuation must fire.
 		errReq, errTag, _ := client.ReplyRequest(tk)
-		d, err := client.CallWith(tk, inv, nil, []proc.Arg{{Slot: SlotError, Cap: errReq}}, errTag)
+		d, err := client.CallWith(tk, inv, nil, []proc.Arg{{Slot: SlotError, Cap: errReq}}, errReq, errTag)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestUpstreamFailurePropagates(t *testing.T) {
 		// Simulate the upstream service reporting failure 7.
 		d, err := client.CallWith(tk, inv,
 			[]wire.ImmArg{proc.U64Arg(0, 7)},
-			[]proc.Arg{{Slot: SlotError, Cap: errReq}}, errTag)
+			[]proc.Arg{{Slot: SlotError, Cap: errReq}}, errReq, errTag)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +408,7 @@ func TestPipelineUpstreamFailureEndToEnd(t *testing.T) {
 		}
 		d, err := client.CallWith(tk, rd,
 			[]wire.ImmArg{proc.U64Arg(nvme.ImmOff, 60<<10), proc.U64Arg(nvme.ImmLen, 8<<10)}, // past the volume end
-			[]proc.Arg{{Slot: nvme.SlotData, Cap: buf}, {Slot: nvme.SlotCont, Cap: kr}}, tag)
+			[]proc.Arg{{Slot: nvme.SlotData, Cap: buf}, {Slot: nvme.SlotCont, Cap: kr}}, reply, tag)
 		if err != nil {
 			t.Fatal(err)
 		}

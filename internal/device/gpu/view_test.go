@@ -18,7 +18,7 @@ func callKernel(tk *sim.Task, client *proc.Process, inv proc.Cap, imms []wire.Im
 	if err != nil {
 		return 0, err
 	}
-	d, err := client.CallWith(tk, inv, imms, []proc.Arg{{Slot: SlotSuccess, Cap: reply}, {Slot: SlotError, Cap: reply}}, tag)
+	d, err := client.CallWith(tk, inv, imms, []proc.Arg{{Slot: SlotSuccess, Cap: reply}, {Slot: SlotError, Cap: reply}}, reply, tag)
 	if err != nil {
 		return 0, err
 	}

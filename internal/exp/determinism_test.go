@@ -124,19 +124,23 @@ func TestTraceDeterminism(t *testing.T) {
 // in-tree; a change that means to move a timestamp or a byte count
 // updates them and says why.
 //
-// Last moved when a reply stopped taking a window credit: the caller
-// sends no DeliverDone for it (e007f913… and 93c46722… until then;
-// pipeline shape 56fae9d0…). The pipeline's 260 transfers are 252, 8
-// DeliverDones fewer; its first diverging event is the 51st, a
-// DeliverDone 6>1 at 93 743 ns that is gone, and its last transfer
-// leaves at 658 182 ns instead of 662 808. Face verification's 68 keep
-// their shape: set-up's Calls no longer queue behind the last reply's
-// DeliverDone, so the first transfer, a memory_copy, leaves at
-// 1 486 134 ns instead of 1 500 023, the last at 1 975 599 instead of
-// 1 990 307.
+// Last moved when CallWith made its continuation a reply Request, armed
+// by the invocation that declares it (bba8c6e3… and 83b293fa… until
+// then; shapes 866fa0fe… and 8872419c…): the invocation's owner sends no
+// CtrlAck and the caller no DeliverDone for the reply. The pipeline's
+// 252 transfers are 250; its first diverging event is the 179th, the
+// request_create of the chain's ReplyRequest, whose tag now carries
+// wire.ReplyTag (15 bytes where it was 10: a bit-63 tag's varint is 10
+// bytes, not 5), and its last transfer
+// leaves at 657 604 ns instead of 658 182. Face verification's 68 are
+// 64, the two CtrlAcks and two DeliverDones of its two requests gone;
+// set-up's reply Requests are 5 bytes longer, so the first transfer
+// leaves at 1 486 135 ns instead of 1 486 134, the last at 1 973 966
+// instead of 1 975 599. Before that, a reply stopped taking a window
+// credit (e007f913… and 93c46722…; pipeline shape 56fae9d0…).
 const (
-	pipelineTraceSHA256   = "bba8c6e3cecc26d9a5c78be1e32f94494ef97635309e4071c79154acd8b850b5"
-	faceverifyTraceSHA256 = "83b293fa8289417c20494e003c6e1877cbc8d561a3b15b338008d355365c8c74"
+	pipelineTraceSHA256   = "538fbc2d8f87a82dc1514fed6d1889a91ba83bc4ef509d63fe5604752dadc33c"
+	faceverifyTraceSHA256 = "652a205cdd2f3dc631a93956c15da22ee76d43e8849f6e6becf907250523f7b4"
 )
 
 // Pinned SHA-256 digests of the two workload traces' shapes (shapeOf):
@@ -144,8 +148,8 @@ const (
 // order. A change that only resizes messages, and so moves the instants
 // after them, leaves these alone.
 const (
-	pipelineShapeSHA256   = "866fa0fe3d5c2ca30ec0dde7bbdbe655640712fa17e30b942abbd2695943eca1"
-	faceverifyShapeSHA256 = "8872419c51811b4ce175dd5a50b039e72e6116d83230434791bf7f064be6fd0f"
+	pipelineShapeSHA256   = "59493854ac978253fd9583c4e7f0096172cef39e8987aeca0e23b0ca3c2fb9ea"
+	faceverifyShapeSHA256 = "9c4412a8c1fbc4c16217be6a115ece3664cc77afa27f742f575afdd942ebae48"
 )
 
 func checkDigest(t *testing.T, name, trace, want string) {

@@ -186,7 +186,7 @@ func measureRPC(p core.Placement, nodes int, argSize int, nCaps int) sim.Time {
 
 		start := tk.Now()
 		if _, err := cli.CallWith(tk, creq,
-			[]wire.ImmArg{proc.BytesArg(0, payload)}, capArgs, replyTag); err != nil {
+			[]wire.ImmArg{proc.BytesArg(0, payload)}, capArgs, reply, replyTag); err != nil {
 			assert.NoErr(err, "exp/micro")
 		}
 		lat = tk.Now() - start

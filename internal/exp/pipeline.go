@@ -235,7 +235,7 @@ func (pl *pipeline) runChain(tk *sim.Task) sim.Time {
 	}
 	if _, err := pl.client.CallWith(tk, pl.chain[0],
 		[]wire.ImmArg{proc.U64Arg(0, uint64(pl.n))},
-		[]proc.Arg{{Slot: 0, Cap: dst0}, {Slot: 1, Cap: next}}, replyTag); err != nil {
+		[]proc.Arg{{Slot: 0, Cap: dst0}, {Slot: 1, Cap: next}}, reply, replyTag); err != nil {
 		assert.NoErr(err, "exp/pipeline")
 	}
 	lat := tk.Now() - start

@@ -72,7 +72,7 @@ func TestAuditNamesUnansweredCallWith(t *testing.T) {
 		}
 		srv.Handle(func(d *proc.Delivery) { d.Finish() }) // never answers
 		cl.K.Spawn("call", func(st *sim.Task) {
-			_, _ = cli.CallWith(st, req, nil, []proc.Arg{{Slot: 0, Cap: reply}}, tag)
+			_, _ = cli.CallWith(st, req, nil, []proc.Arg{{Slot: 0, Cap: reply}}, reply, tag)
 		})
 	})
 }

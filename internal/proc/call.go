@@ -53,16 +53,26 @@ func (p *Process) CallTimeout(t *sim.Task, req Cap, imms []wire.ImmArg, args []A
 	return p.await(t, op)
 }
 
-// CallWith is Call over a reply Request the caller holds, whose
-// invocations arrive under replyTag: it is already among args or preset
-// in req — latency-critical paths exchange Requests ahead of time, as
-// the paper's micro-benchmarks do, and reuse one across calls, one call
-// at a time. The call creates, passes and revokes no reply Request, so a
-// reply that comes after the call is over goes to Handle or Receive. The
-// reply is borrowed, as Call's is.
-func (p *Process) CallWith(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, replyTag uint64) (*Delivery, error) {
+// CallWith is Call over a reply Request the caller holds (ReplyRequest),
+// whose invocations arrive under replyTag: it is already among args or
+// preset in req — latency-critical paths exchange Requests ahead of
+// time, as the paper's micro-benchmarks do, and reuse one across calls,
+// one call at a time. The invocation declares reply, which its
+// Controller arms for this call's one reply without renaming it (a copy
+// preset in a derived Request must reach it) until a refusal or an
+// abort disarms it: a reply no call is armed for is refused
+// (StatusRevoked), and a Request that is no reply Request fails the call
+// before anything is posted (StatusKind). The reply is borrowed, as
+// Call's is.
+func (p *Process) CallWith(t *sim.Task, req Cap, imms []wire.ImmArg, args []Arg, reply Cap, replyTag uint64) (*Delivery, error) {
+	if replyTag&wire.ReplyTag == 0 {
+		return nil, wire.StatusKind.Err()
+	}
+	if err := p.checkOwn(reply); err != nil {
+		return nil, err
+	}
 	op := p.getCallOp()
-	op.theirs.tag = replyTag
+	op.theirs = replyReq{cid: reply.id, tag: replyTag}
 	op.reply = &op.theirs
 	op.start(req, imms, args, 0, 0)
 	return p.await(t, op)
@@ -92,13 +102,7 @@ type CallWaiter interface {
 // waking a task. Its reply Request and deadline-free steps are Call's.
 func (p *Process) CallThen(req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16, w CallWaiter) {
 	op := p.getCallOp()
-	startThen(op, w, req, imms, args, replySlot)
-}
-
-// startThen starts a CallThen's op, which the call's steps own from
-// then on: the last puts it back (over).
-func startThen(op *callOp, w CallWaiter, req Cap, imms []wire.ImmArg, args []Arg, replySlot uint16) {
-	op.then = w
+	op.then = w // the call's steps own op from here: the last puts it back (over)
 	op.start(req, imms, args, replySlot, 0)
 }
 
@@ -120,11 +124,6 @@ func (p *Process) getReply() *replyReq {
 	}
 	return r
 }
-
-func (p *Process) putReply(r *replyReq) { p.replies.Put(r) }
-
-// hold makes r the call's until release, or for good (a revoked one).
-func (op *callOp) hold(r *replyReq) { op.reply = r }
 
 // callOp is one Call in progress: a pooled record stepped in kernel
 // context (from demux, and by its deadline) through
@@ -223,7 +222,7 @@ func (op *callOp) start(req Cap, imms []wire.ImmArg, args []Arg, replySlot uint1
 		return
 	}
 	op.slots = append(op.slots, wire.CapSlot{Slot: replySlot})
-	op.hold(p.getReply())
+	op.reply = p.getReply() // the call's until release, or for good (a revoked one)
 	if op.reply.cid != cap.NilCap {
 		op.invoke()
 		return
@@ -248,6 +247,9 @@ func (op *callOp) invoke() {
 	p.nextToken++
 	op.tok = p.nextToken
 	p.tx.reqInvoke = wire.ReqInvoke{Token: op.tok, Cid: op.req.id, Imms: op.imms, Caps: op.slots}
+	if op.callers() {
+		p.tx.reqInvoke.Reply = op.reply.cid
+	}
 	if op.post(op.tok, &p.tx.reqInvoke) {
 		p.waiters[op.reply.tag] = op
 		if op.d > 0 {
@@ -292,8 +294,8 @@ func (op *callOp) Completed(m *wire.Completion) {
 			op.refused = m.Status
 			op.retire()
 		default:
-			// The Controller took the arming of the reply Request back, or
-			// the reply Request is the caller's, which a late reply reaches.
+			// The Controller took the arming of the reply Request back — a
+			// CallWith's declared one too, whose late reply it refuses.
 			delete(p.waiters, op.reply.tag)
 			op.deadline.Stop()
 			op.refused = m.Status
@@ -322,14 +324,14 @@ func (op *callOp) delivered(dv *Delivery) {
 
 // release ends a call that leaves its reply Request as it found it —
 // unarmed, nobody waiting on its tag — for the next call to take, or
-// for its caller. A reply that came is acknowledged (a Call's took no
-// window credit, so that sends nothing; a CallWith's may have).
+// for its caller. A reply that came is acknowledged: it took no window
+// credit, so that sends nothing.
 func (op *callOp) release() {
 	if op.dv != nil {
 		op.dv.Done()
 	}
 	if !op.callers() {
-		op.p.putReply(op.reply)
+		op.p.replies.Put(op.reply)
 	}
 	op.over()
 }

@@ -520,6 +520,62 @@ func TestCallParkedLateReply(t *testing.T) {
 // before it answers: both callers get their answer before the deadline,
 // and every Process's credits are all back at the end.
 func TestNestedCallUnderFullWindow(t *testing.T) {
+	nestedUnderFullWindow(t, func(_ *sim.Task, mid *proc.Process, backReq proc.Cap) nestedCall {
+		return func(st *sim.Task, v uint64) (*proc.Delivery, error) {
+			return mid.Call(st, backReq, []wire.ImmArg{proc.U64Arg(0, v)}, nil, 0)
+		}
+	})
+}
+
+// TestNestedCallWithUnderFullWindow is TestNestedCallUnderFullWindow
+// with the nested call a CallWith over a reply Request of mid's, one per
+// request in service, passed to the backend as an argument or preset in
+// a Request derived at the backend's Controller: its reply takes no
+// credit either.
+func TestNestedCallWithUnderFullWindow(t *testing.T) {
+	for _, preset := range []bool{false, true} {
+		t.Run(map[bool]string{false: "arg", true: "preset"}[preset], func(t *testing.T) {
+			nestedUnderFullWindow(t, func(tk *sim.Task, mid *proc.Process, backReq proc.Cap) nestedCall {
+				type lane struct {
+					req, reply proc.Cap
+					tag        uint64
+					args       []proc.Arg
+				}
+				var free []lane
+				for range 2 {
+					var l lane
+					var err error
+					if l.reply, l.tag, err = mid.ReplyRequest(tk); err != nil {
+						t.Error(err)
+					}
+					l.req, l.args = backReq, []proc.Arg{{Slot: 0, Cap: l.reply}}
+					if preset {
+						if l.req, err = mid.Derive(tk, backReq, nil, l.args); err != nil {
+							t.Error(err)
+						}
+						l.args = nil
+					}
+					free = append(free, l)
+				}
+				return func(st *sim.Task, v uint64) (*proc.Delivery, error) {
+					l := free[len(free)-1]
+					free = free[:len(free)-1]
+					defer func() { free = append(free, l) }()
+					return mid.CallWith(st, l.req, []wire.ImmArg{proc.U64Arg(0, v)}, l.args, l.reply, l.tag)
+				}
+			})
+		})
+	}
+}
+
+// nestedCall is the call mid's handler makes to the backend with v.
+type nestedCall func(st *sim.Task, v uint64) (*proc.Delivery, error)
+
+// nestedUnderFullWindow runs TestNestedCallUnderFullWindow's scenario
+// with the nested call nested makes, given mid and its handle on the
+// backend's Request.
+func nestedUnderFullWindow(t *testing.T, nested func(tk *sim.Task, mid *proc.Process, backReq proc.Cap) nestedCall) {
+	t.Helper()
 	const window, deadline = 2, 500 * sim.Time(1000)
 	run(t, testbed.Spec{Nodes: 3, Ctrl: core.Config{Window: window}}, func(tk *sim.Task, cl *core.Cluster) {
 		mid, back := proc.Attach(cl, 1, "mid", 0), proc.Attach(cl, 2, "back", 0)
@@ -543,8 +599,9 @@ func TestNestedCallUnderFullWindow(t *testing.T) {
 			_ = d.Reply(0, []wire.ImmArg{proc.U64Arg(0, d.U64(0)+1)}, nil)
 			d.Finish()
 		})
+		call := nested(tk, mid, backReq)
 		mid.Serve("mid", 0, func(st *sim.Task, d *proc.Delivery) {
-			dv, err := mid.Call(st, backReq, []wire.ImmArg{proc.U64Arg(0, d.U64(0))}, nil, 0)
+			dv, err := call(st, d.U64(0))
 			if err != nil {
 				t.Errorf("mid's nested call: %v", err)
 				return

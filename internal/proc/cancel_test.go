@@ -63,13 +63,16 @@ func TestCancellationViaRevocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.CallWith(tk, cwork, nil, []proc.Arg{{Slot: 0, Cap: lease1}}, tag1); err != nil {
+		if _, err := client.CallWith(tk, cwork, nil, []proc.Arg{{Slot: 0, Cap: lease1}}, reply1, tag1); err != nil {
 			t.Fatal(err)
 		}
 
 		// Request 2: cancel mid-work by revoking the lease. No call waits
-		// for its reply, so one that came would go to the handler.
-		reply2, tag2, _ := client.ReplyRequest(tk)
+		// for its reply, so its continuation is a plain Request, which
+		// delivers to the handler a reply that came (a reply Request no
+		// CallWith armed would refuse it).
+		tag2 := client.NewTag()
+		reply2, _ := client.RequestCreate(tk, tag2, nil, nil)
 		lease2, _ := client.Revtree(tk, reply2)
 		replied := false
 		client.Handle(func(d *proc.Delivery) {
@@ -101,7 +104,7 @@ func TestCancellationViaRevocation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.CallWith(tk, cwork, nil, []proc.Arg{{Slot: 0, Cap: lease3}}, tag1); err != nil {
+		if _, err := client.CallWith(tk, cwork, nil, []proc.Arg{{Slot: 0, Cap: lease3}}, reply1, tag1); err != nil {
 			t.Fatal(err)
 		}
 		_ = wire.StatusOK

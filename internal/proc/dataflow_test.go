@@ -33,14 +33,15 @@ func stageWorker(tk *sim.Task, cl *core.Cluster, node int, mark byte, work sim.T
 }
 
 // chain refines the stages tail-first, each with the next as its
-// continuation and the last with a reply Request, and returns the entry
-// and the reply's tag.
-func chain(tk *sim.Task, p *proc.Process, stages []proc.Cap) (proc.Cap, uint64, error) {
-	next, tag, err := p.ReplyRequest(tk)
+// continuation and the last with a reply Request, and returns the entry,
+// the reply Request and its tag.
+func chain(tk *sim.Task, p *proc.Process, stages []proc.Cap) (proc.Cap, proc.Cap, uint64, error) {
+	reply, tag, err := p.ReplyRequest(tk)
+	next := reply
 	for i := len(stages) - 1; i >= 0 && err == nil; i-- {
 		next, err = p.Derive(tk, stages[i], nil, []proc.Arg{{Slot: 0, Cap: next}})
 	}
-	return next, tag, err
+	return next, reply, tag, err
 }
 
 func TestChainRunsStagesInOrder(t *testing.T) {
@@ -55,12 +56,12 @@ func TestChainRunsStagesInOrder(t *testing.T) {
 			}
 			stages = append(stages, s)
 		}
-		entry, tag, err := chain(tk, client, stages)
+		entry, reply, tag, err := chain(tk, client, stages)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		d, err := client.CallWith(tk, entry, []wire.ImmArg{proc.BytesArg(0, []byte("x"))}, nil, tag)
+		d, err := client.CallWith(tk, entry, []wire.ImmArg{proc.BytesArg(0, []byte("x"))}, nil, reply, tag)
 		if err != nil {
 			t.Error(err)
 			return
@@ -172,12 +173,12 @@ func TestForkJoinIntoChain(t *testing.T) {
 			return
 		}
 
-		entry, tag, err := chain(tk, client, []proc.Cap{rank})
+		entry, reply, tag, err := chain(tk, client, []proc.Cap{rank})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		d, err := client.CallWith(tk, entry, []wire.ImmArg{proc.BytesArg(0, merged)}, nil, tag)
+		d, err := client.CallWith(tk, entry, []wire.ImmArg{proc.BytesArg(0, merged)}, nil, reply, tag)
 		if err != nil {
 			t.Error(err)
 			return

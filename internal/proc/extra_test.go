@@ -143,7 +143,7 @@ func TestSyscallAfterByeFailsAtOnce(t *testing.T) {
 		if !errors.Is(err, proc.ErrDisconnected) || tk.Now() != at {
 			t.Errorf("null after Bye: %v after %v, want ErrDisconnected at once", err, tk.Now()-at)
 		}
-		if _, err := p.CallWith(tk, proc.Cap{}, nil, nil, p.NewTag()); !errors.Is(err, proc.ErrDisconnected) || tk.Now() != at {
+		if _, err := p.CallWith(tk, proc.Cap{}, nil, nil, proc.Cap{}, wire.ReplyTag|p.NewTag()); !errors.Is(err, proc.ErrDisconnected) || tk.Now() != at {
 			t.Errorf("call after Bye: %v after %v, want ErrDisconnected at once", err, tk.Now()-at)
 		}
 	})
@@ -244,7 +244,7 @@ func TestCallWithBypassesQueue(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		d, err := p.CallWith(tk, svcP, nil, []proc.Arg{{Slot: 0, Cap: tagged}}, tag)
+		d, err := p.CallWith(tk, svcP, nil, []proc.Arg{{Slot: 0, Cap: tagged}}, tagged, tag)
 		if err != nil {
 			t.Fatal(err)
 		}

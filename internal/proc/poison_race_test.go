@@ -95,7 +95,7 @@ func echoCalls(t *testing.T, serve func(srv *Process), keep func(*Delivery), wit
 			imms := []wire.ImmArg{U64Arg(0, v)}
 			var d *Delivery
 			if v == 7 && with {
-				d, err = cli.CallWith(tk, req, imms, []Arg{{Slot: 0, Cap: reply}}, tag)
+				d, err = cli.CallWith(tk, req, imms, []Arg{{Slot: 0, Cap: reply}}, reply, tag)
 			} else {
 				d, err = cli.Call(tk, req, imms, nil, 0)
 			}

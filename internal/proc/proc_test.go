@@ -375,7 +375,7 @@ func TestContinuationChain(t *testing.T) {
 			t.Fatal(err)
 		}
 		d, err := cli.CallWith(tk, cr1, []wire.ImmArg{proc.BytesArg(0, []byte("x"))},
-			[]proc.Arg{{Slot: slotNext, Cap: cr2d}}, doneTag)
+			[]proc.Arg{{Slot: slotNext, Cap: cr2d}}, doneReq, doneTag)
 		if err != nil {
 			t.Fatal(err)
 		}

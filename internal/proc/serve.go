@@ -322,11 +322,12 @@ func (p *Process) NewTag() uint64 {
 	return (1 << 32) + p.nextTag
 }
 
-// ReplyRequest creates a fresh Request served by this Process with a
-// unique tag, for use as an RPC continuation argument. It delivers every
-// invocation; Call's own are single-use per delegation (wire.ReplyTag).
+// ReplyRequest creates a fresh reply Request (wire.ReplyTag) served by
+// this Process, for a continuation that CallWith waits on: it delivers
+// only the one reply of the CallWith in progress, if any, and refuses
+// every other invocation.
 func (p *Process) ReplyRequest(t *sim.Task) (Cap, uint64, error) {
-	tag := p.NewTag()
+	tag := wire.ReplyTag | p.NewTag()
 	c, err := p.RequestCreate(t, tag, nil, nil)
 	if err != nil {
 		return Cap{}, 0, err

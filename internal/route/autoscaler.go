@@ -63,9 +63,6 @@ type Autoscaler struct {
 // Instances returns the live instances in spawn order.
 func (a *Autoscaler) Instances() []*Instance { return a.instances }
 
-// Events returns the scale actions taken so far.
-func (a *Autoscaler) Events() []ScaleEvent { return a.events }
-
 // MTTR returns the worst fence-to-repair latency observed (0 if no
 // repair happened).
 func (a *Autoscaler) MTTR() sim.Time {

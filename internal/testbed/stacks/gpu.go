@@ -94,8 +94,7 @@ func (g *GPU) Deploy(tk *sim.Task, d *testbed.Deployment) {
 		assert.NoErr(err, "stacks/gpu")
 		s.probeMem, err = g.App.MemoryCreate(tk, uint64(s.probeOff), uint64(probeBytes), cap.MemRights)
 		assert.NoErr(err, "stacks/gpu")
-		s.replyTag = g.App.NewTag()
-		s.reply, err = g.App.RequestCreate(tk, s.replyTag, nil, nil)
+		s.reply, s.replyTag, err = g.App.ReplyRequest(tk)
 		assert.NoErr(err, "stacks/gpu")
 		g.slots = append(g.slots, s)
 	}
@@ -135,7 +134,7 @@ func (g *GPU) OneRequest(tk *sim.Task) {
 			proc.U64Arg(ao, s.imgAddr), proc.U64Arg(ao+8, s.probeAddr),
 			proc.U64Arg(ao+16, s.outAddr), proc.U64Arg(ao+24, uint64(g.Batch)),
 		},
-		[]proc.Arg{{Slot: gpu.SlotSuccess, Cap: s.reply}, {Slot: gpu.SlotError, Cap: s.reply}}, s.replyTag)
+		[]proc.Arg{{Slot: gpu.SlotSuccess, Cap: s.reply}, {Slot: gpu.SlotError, Cap: s.reply}}, s.reply, s.replyTag)
 	assert.NoErr(err, "stacks/gpu")
 	if st := dl.U64(0); st != gpu.StatusOK {
 		assert.Failf("stacks/gpu: gpu pipeline status %d", st)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"math"
 	"slices"
 
 	"fractos/internal/cap"
@@ -171,8 +172,9 @@ type lists struct {
 // cannot hold at elemSize encoded bytes each before anything is sized
 // by it: a corrupt count must not cost (or, in a Decoder, pin) a 64 Ki
 // element list.
-func count(r *Reader, elemSize int) int {
-	n := int(r.U16())
+func count(r *Reader, elemSize int) int { return fits(r, int(r.U16()), elemSize) }
+
+func fits(r *Reader, n, elemSize int) int {
 	if r.err == nil && n*elemSize > r.Remaining() {
 		r.err = ErrShort
 	}
@@ -300,6 +302,32 @@ func ClassOf(m Message) Class {
 	return Control
 }
 
+// Purposes are Purpose's classes; data is the RDMA transfers.
+var Purposes = []string{"syscall", "completion", "delivery", "delivery-done", "peer request",
+	"peer ack", "validation", "cleanup", "monitor", "data"}
+
+// Purpose is what a message of type t is for (docs/PROTOCOL.md § 5); a
+// baseline's Raw is its client/server traffic, answers and payloads too.
+func (t Type) Purpose() string {
+	switch {
+	case t == TDeliverDone:
+		return "delivery-done"
+	case t < TCompletion:
+		return "syscall"
+	case t == TCompletion, t == TDeliver:
+		return Purposes[t-TCompletion+1]
+	case t == TCtrlAck:
+		return "peer ack"
+	case t == TCtrlValidate, t == TCtrlValInfo:
+		return "validation"
+	case t == TCtrlCleanup:
+		return "cleanup"
+	case t >= TCtrlDeriveMem && t <= TCtrlInvoke, t == TRaw:
+		return "peer request"
+	}
+	return "monitor" // MonitorCB, CtrlWatch, CtrlNotify, CtrlEpoch, WatchPing, WatchPong
+}
+
 // CapSlot binds a Process-local capability (cid) to a Request argument
 // slot in a syscall.
 type CapSlot struct {
@@ -307,16 +335,17 @@ type CapSlot struct {
 	Cid  cap.CapID
 }
 
+// encodeCapSlots writes a slot list; its count goes before it, with a
+// flag in ReqInvoke's (Writer.flagged).
 func encodeCapSlots(w *Writer, cs []CapSlot) {
-	w.U16(uint16(len(cs)))
 	for _, c := range cs {
 		w.U16(c.Slot)
 		w.U32(uint32(c.Cid))
 	}
 }
 
-func decodeCapSlots(r *Reader) []CapSlot {
-	n := count(r, capSlotSize)
+// decodeCapSlots reads n capability slots, counted already.
+func decodeCapSlots(r *Reader, n int) []CapSlot {
 	if n == 0 || r.Err() != nil {
 		return nil
 	}
@@ -576,23 +605,27 @@ func (m *ReqCreate) Encode(w *Writer) {
 	w.U32(uint32(m.Parent))
 	w.U64(m.Tag)
 	encodeImms(w, m.Imms)
+	w.U16(uint16(len(m.Caps)))
 	encodeCapSlots(w, m.Caps)
 }
 func (m *ReqCreate) Decode(r *Reader) error {
 	m.Token, m.Parent, m.Tag = r.U64(), cap.CapID(r.U32()), r.U64()
 	m.Imms = decodeImms(r, m.Imms)
-	m.Caps = decodeCapSlots(r)
+	m.Caps = decodeCapSlots(r, count(r, capSlotSize))
 	return r.Err()
 }
 
 // ReqInvoke invokes a Request (request_invoke). Imms/Caps are
 // invoke-time refinements applied on top of the Request's preset
-// arguments without mutating the Request object itself.
+// arguments without mutating the Request object itself. Reply, if set,
+// declares the caller's reply Request that answers it (CallWith); a flag
+// in the Caps count says it follows the slots.
 type ReqInvoke struct {
 	Token uint64
 	Cid   cap.CapID
 	Imms  []ImmArg
 	Caps  []CapSlot
+	Reply cap.CapID
 }
 
 func (*ReqInvoke) WireType() Type { return TReqInvoke }
@@ -600,12 +633,21 @@ func (m *ReqInvoke) Encode(w *Writer) {
 	w.U64(m.Token)
 	w.U32(uint32(m.Cid))
 	encodeImms(w, m.Imms)
+	w.flagged(uint64(len(m.Caps)), m.Reply != cap.NilCap)
 	encodeCapSlots(w, m.Caps)
+	if m.Reply != cap.NilCap {
+		w.U32(uint32(m.Reply))
+	}
 }
 func (m *ReqInvoke) Decode(r *Reader) error {
 	m.Token, m.Cid = r.U64(), cap.CapID(r.U32())
 	m.Imms = decodeImms(r, m.Imms)
-	m.Caps = decodeCapSlots(r)
+	n, reply := r.flagged(math.MaxUint16)
+	m.Caps = decodeCapSlots(r, fits(r, int(n), capSlotSize))
+	m.Reply = cap.NilCap
+	if reply {
+		m.Reply = cap.CapID(r.U32())
+	}
 	return r.Err()
 }
 
@@ -967,24 +1009,30 @@ func (m *CtrlValInfo) Decode(r *Reader) error {
 
 // CtrlInvoke carries a request invocation to the owner of the Request
 // object, with invoke-time refinements and delegated capabilities.
+// Replied says a reply Request its sender armed answers it, so on a
+// reliable fabric the owner acks it only to refuse it; it travels in
+// Src's varint (Writer.flagged).
 type CtrlInvoke struct {
-	Token uint64
-	Src   cap.ControllerID
-	Ref   cap.Ref
-	Imms  []ImmArg
-	Caps  []CapXfer
+	Token   uint64
+	Src     cap.ControllerID
+	Replied bool
+	Ref     cap.Ref
+	Imms    []ImmArg
+	Caps    []CapXfer
 }
 
 func (*CtrlInvoke) WireType() Type { return TCtrlInvoke }
 func (m *CtrlInvoke) Encode(w *Writer) {
 	w.U64(m.Token)
-	w.U32(uint32(m.Src))
+	w.flagged(uint64(m.Src), m.Replied)
 	encodeRef(w, m.Ref)
 	encodeImms(w, m.Imms)
 	encodeCapXfers(w, m.Caps)
 }
 func (m *CtrlInvoke) Decode(r *Reader) error {
-	m.Token, m.Src = r.U64(), cap.ControllerID(r.U32())
+	m.Token = r.U64()
+	src, replied := r.flagged(math.MaxUint32)
+	m.Src, m.Replied = cap.ControllerID(src), replied
 	m.Ref = decodeRef(r)
 	m.Imms = decodeImms(r, m.Imms)
 	m.Caps = decodeCapXfers(r)

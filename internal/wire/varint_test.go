@@ -41,7 +41,7 @@ func TestVarintHostile(t *testing.T) {
 	w.U64(1)       // Token
 	w.U32(2)       // Cid
 	w.U16(0)       // no immediates
-	w.U16(1)       // one capability slot
+	w.U16(1 << 1)  // one capability slot, no reply Request
 	w.U64(1 << 16) // Slot
 	w.U32(3)       // Cid
 	if m, err := Unmarshal(w.Bytes()); err != ErrShort {
@@ -69,11 +69,12 @@ func TestListCountBeyondFrame(t *testing.T) {
 			w.U32(2)
 		}, []byte{0}, func(m Message) int { return len(m.(*ReqInvoke).Imms) }},
 		{"slots", capSlotSize, func(w *Writer) {
-			w.U16(uint16(TReqInvoke))
+			w.U16(uint16(TReqCreate))
 			w.U64(1)
 			w.U32(2)
+			w.U64(3)
 			w.U16(0)
-		}, nil, func(m Message) int { return len(m.(*ReqInvoke).Caps) }},
+		}, nil, func(m Message) int { return len(m.(*ReqCreate).Caps) }},
 		{"xfers", capXferSize, func(w *Writer) {
 			w.U16(uint16(TCtrlInvoke))
 			w.U64(1)

@@ -70,6 +70,16 @@ func (w *Writer) U64(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
 }
 
+// flagged appends v with flag in a bit below it: a bit in a varint the
+// frame carries anyway, one byte still while v is below 64.
+func (w *Writer) flagged(v uint64, flag bool) {
+	if flag {
+		w.U64(v<<1 | 1)
+	} else {
+		w.U64(v << 1)
+	}
+}
+
 // Bool appends a boolean as one byte.
 func (w *Writer) Bool(v bool) {
 	if v {
@@ -162,6 +172,12 @@ func (r *Reader) U32() uint32 { return uint32(r.uvarint(math.MaxUint32)) }
 
 // U64 reads a varint uint64.
 func (r *Reader) U64() uint64 { return r.uvarint(math.MaxUint64) }
+
+// flagged reads a value of at most max and Writer.flagged's flag.
+func (r *Reader) flagged(max uint64) (uint64, bool) {
+	v := r.uvarint(max<<1 | 1)
+	return v >> 1, v&1 != 0
+}
 
 // Bool reads a boolean.
 func (r *Reader) Bool() bool { return r.U8() != 0 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -88,6 +89,7 @@ func sampleMessages() []Message {
 			Caps: []CapSlot{{Slot: 0, Cid: 3}, {Slot: 2, Cid: 8}}},
 		&ReqInvoke{Token: 5, Cid: 6, Imms: []ImmArg{{Offset: 8, Data: []byte("args")}},
 			Caps: []CapSlot{{Slot: 1, Cid: 2}}},
+		&ReqInvoke{Token: 28, Cid: 6, Caps: []CapSlot{{Slot: 1, Cid: 2}}, Reply: 1<<24 | 7},
 		&CapRevtree{Token: 6, Cid: 11},
 		&CapRevoke{Token: 7, Cid: 12},
 		&CapDrop{Token: 8, Cid: 13},
@@ -113,7 +115,7 @@ func sampleMessages() []Message {
 			Imms: []ImmArg{{Offset: 0, Data: bytes.Repeat([]byte("p"), 300)}},
 			Caps: []CapXfer{{Slot: 0, Ref: ref, Kind: cap.KindMemory, Rights: cap.Read | cap.Grant, Size: 4096}}},
 		&CtrlAck{Token: 20, Status: StatusRevoked, Obj: 1234, Epoch: 9, Size: 77, Rights: cap.All},
-		&CtrlInvoke{Token: 25, Src: 5, Ref: ref,
+		&CtrlInvoke{Token: 25, Src: 5, Replied: true, Ref: ref,
 			Caps: []CapXfer{{Slot: 0, Ref: ref, Kind: cap.KindRequest, Rights: cap.ReqRights, Once: true}}},
 		&CtrlInvoke{Token: 26, Src: 5, Ref: ref,
 			Caps: []CapXfer{{Slot: 0, Ref: ref, Kind: cap.KindRequest, Rights: cap.ReqRights, Once: true, Relayed: true}}},
@@ -248,7 +250,8 @@ var goldenFrames = []struct {
 	{"MemCopy, ranged", "661a0409842007808040", Control},
 	{"MemCopy, ranged by DstOff", "661b0409000100", Control},
 	{"ReqCreate", "6704024d0200030102031001780200030208", Control},
-	{"ReqInvoke", "68050601080461726773010102", Control},
+	{"ReqInvoke", "68050601080461726773020102", Control},
+	{"ReqInvoke, declaring its reply Request", "681c060003010287808008", Control},
 	{"CapRevtree", "69060b", Control},
 	{"CapRevoke", "6a070c", Control},
 	{"CapDrop", "6b080d", Control},
@@ -267,10 +270,10 @@ var goldenFrames = []struct {
 	{"CtrlRevoke", "af021003076303", Control},
 	{"CtrlValidate", "b002110407630301", Control},
 	{"CtrlValInfo", "b102120005802080400b", Control},
-	{"CtrlInvoke, 300-byte immediate", "b20213050763030100ac02" + strings.Repeat("70", 300) + "0100076303010980200000", Data},
+	{"CtrlInvoke, 300-byte immediate", "b202130a0763030100ac02" + strings.Repeat("70", 300) + "0100076303010980200000", Data},
 	{"CtrlAck", "b3021401d209094d0f", Control},
-	{"CtrlInvoke, passing a Once reply Request", "b2021905076303000100076303028c000000", Control},
-	{"CtrlInvoke, passing on a relayed Once reply Request", "b2021a0507630300010007630302cc000000", Control},
+	{"CtrlInvoke, answered by the Once reply Request it passes", "b202190b076303000100076303028c000000", Control},
+	{"CtrlInvoke, passing on a relayed Once reply Request", "b2021a0a07630300010007630302cc000000", Control},
 	{"CtrlCleanup", "b4021f02076303010203", Control},
 	{"CtrlWatch", "b702170707630342088de003", Control},
 	{"CtrlNotify", "b80243edfd0300", Control},
@@ -322,6 +325,40 @@ func TestStatusErr(t *testing.T) {
 	for s := StatusOK; s <= StatusQuota; s++ {
 		if s.String() == "status(?)" {
 			t.Errorf("status %d has no name", s)
+		}
+	}
+}
+
+// TestPurposes pins every message type's purpose class, the rows
+// fractos-trace counts a request's messages by.
+func TestPurposes(t *testing.T) {
+	want := map[string][]Type{
+		"syscall": {TMemCreate, TMemDiminish, TMemCopy, TReqCreate, TReqInvoke, TCapRevtree, TCapRevoke,
+			TCapDrop, TMonitorDelegate, TMonitorReceive, TProcBye, TNull},
+		"completion":    {TCompletion},
+		"delivery":      {TDeliver},
+		"delivery-done": {TDeliverDone},
+		"peer request":  {TCtrlDeriveMem, TCtrlDeriveReq, TCtrlRevtree, TCtrlRevoke, TCtrlInvoke, TRaw},
+		"peer ack":      {TCtrlAck},
+		"validation":    {TCtrlValidate, TCtrlValInfo},
+		"cleanup":       {TCtrlCleanup},
+		"monitor":       {TMonitorCB, TCtrlWatch, TCtrlNotify, TCtrlEpoch, TWatchPing, TWatchPong},
+	}
+	classed := map[Type]bool{}
+	for purpose, types := range want {
+		if !slices.Contains(Purposes, purpose) {
+			t.Errorf("%q is no purpose class", purpose)
+		}
+		for _, typ := range types {
+			classed[typ] = true
+			if got := typ.Purpose(); got != purpose {
+				t.Errorf("type %d has purpose %q, want %q", typ, got, purpose)
+			}
+		}
+	}
+	for _, m := range sampleMessages() {
+		if !classed[m.WireType()] {
+			t.Errorf("type %d (%T) has no pinned purpose", m.WireType(), m)
 		}
 	}
 }
