@@ -5,12 +5,15 @@ package proc_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"fractos/internal/cap"
 	"fractos/internal/core"
+	"fractos/internal/fabric"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
+	"fractos/internal/testbed"
 	"fractos/internal/wire"
 )
 
@@ -310,4 +313,78 @@ func bmReq(tk *sim.Task, t *testing.T, p *proc.Process) proc.Cap {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestAckFollowsStepSyscalls: a delivery's plain acknowledgement is
+// posted when the acknowledging step ends, behind the syscalls the step
+// posts after it: a server that acknowledges and then invokes sends the
+// ReqInvoke first and the DeliverDone after it, at the same instant, on
+// the same local link, so its Controller serves the invocation first.
+func TestAckFollowsStepSyscalls(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 1}, func(tk *sim.Task, cl *core.Cluster) {
+		srv, cli, sink := proc.Attach(cl, 0, "srv", 0), proc.Attach(cl, 0, "cli", 0), proc.Attach(cl, 0, "sink", 0)
+		sink.Handle(func(d *proc.Delivery) { d.Finish() })
+		req, _ := srv.RequestCreate(tk, 1, nil, nil)
+		creq, _ := proc.GrantCap(srv, req, cli)
+		sreq, _ := sink.RequestCreate(tk, 2, nil, nil)
+		ssreq, _ := proc.GrantCap(sink, sreq, srv)
+		var sent []fabric.TraceEvent
+		cl.Net.SetTrace(func(e fabric.TraceEvent) {
+			if e.From == srv.Endpoint() {
+				sent = append(sent, e)
+			}
+		})
+		served := sim.NewFuture[struct{}]()
+		cl.K.Spawn("srv", func(st *sim.Task) {
+			d, _ := srv.Receive(st)
+			d.Done()
+			if err := srv.Invoke(st, ssreq, nil, nil); err != nil {
+				t.Error(err)
+			}
+			served.Set(struct{}{})
+		})
+		if err := cli.Invoke(tk, creq, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		served.Wait(tk)
+		cl.Net.SetTrace(nil)
+		if len(sent) != 2 || sent[0].Type != wire.TReqInvoke || sent[1].Type != wire.TDeliverDone || sent[0].At != sent[1].At {
+			t.Errorf("the server sent %v, want its ReqInvoke, then its DeliverDone at the same instant", sent)
+		}
+	})
+}
+
+// TestDeferredAckNeverStallsWindow: at a window of one, the delivery
+// queued behind the one in service is released as soon as the server
+// acknowledges that one and blocks: the DeliverDone leaves at the
+// instant of Done, takes its local hop and the Null service of C0, and
+// the queued Deliver its own hop back — as when the ack was posted on
+// the spot.
+func TestDeferredAckNeverStallsWindow(t *testing.T) {
+	prof, perf := fabric.DefaultProfile(), core.DefaultPerf()
+	hop := func(n int) sim.Time {
+		return prof.HostExit + prof.HostEntry + prof.NICTurn + sim.Time(float64(n)/prof.LocalBW*1e9)
+	}
+	want := hop(3) + perf.Null.CPU + hop(14) // DeliverDone 3 B, Deliver 14 B
+	run(t, testbed.Spec{Nodes: 1, Ctrl: core.Config{Window: 1}}, func(tk *sim.Task, cl *core.Cluster) {
+		srv, cli := proc.Attach(cl, 0, "srv", 0), proc.Attach(cl, 0, "cli", 0)
+		req, _ := srv.RequestCreate(tk, 1, nil, nil)
+		creq, _ := proc.GrantCap(srv, req, cli)
+		for i := range 2 {
+			if err := cli.Invoke(tk, creq, []wire.ImmArg{proc.U64Arg(0, uint64(i))}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var bytes []int
+		cl.Net.SetTrace(func(e fabric.TraceEvent) { bytes = append(bytes, e.Bytes) })
+		d, _ := srv.Receive(tk)
+		at := tk.Now()
+		d.Done()
+		d, _ = srv.Receive(tk)
+		if took := tk.Now() - at; took != want || d.U64(0) != 1 || !slices.Equal(bytes, []int{3, 14}) {
+			t.Errorf("the queued delivery (%d) arrived %v after Done over frames of %v B, want delivery 1 after %v over 3 and 14 B", d.U64(0), took, bytes, want)
+		}
+		cl.Net.SetTrace(nil)
+		d.Done()
+	})
 }

@@ -131,6 +131,9 @@ func (t *Task) exec() {
 // marks it done, drops any still-queued wake (so no queue retains a
 // pointer into the pool), and removes it from the task table.
 func (t *Task) finish() {
+	if len(t.k.stepEnd) > 0 {
+		t.k.endStep()
+	}
 	t.done = true
 	if t.wake != nil {
 		t.k.cancel(t.wake)
