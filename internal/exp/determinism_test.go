@@ -124,7 +124,17 @@ func TestTraceDeterminism(t *testing.T) {
 // in-tree; a change that means to move a timestamp or a byte count
 // updates them and says why.
 //
-// Last moved when CallWith made its continuation a reply Request, armed
+// Last moved when wire.ReplyTag moved from bit 63 to bit 34 (538fbc2d…
+// and 652a205c… until then; the shapes did not move): a reply tag's
+// varint is 5 bytes, not 10, so every reply Request's request_create and
+// every reply's Deliver is 5 bytes shorter. The pipeline's first
+// diverging event is the 41st, a request_create of 10 bytes (15 before),
+// and its last transfer leaves at 657 594 ns instead of 657 604; face
+// verification's first transfer leaves at 1 486 118 ns instead of
+// 1 486 135 (set-up's reply Requests), its last at 1 971 278 instead of
+// 1 971 295.
+//
+// Before that, they moved when CallWith made its continuation a reply Request, armed
 // by the invocation that declares it (bba8c6e3… and 83b293fa… until
 // then; shapes 866fa0fe… and 8872419c…): the invocation's owner sends no
 // CtrlAck and the caller no DeliverDone for the reply. The pipeline's
@@ -139,8 +149,8 @@ func TestTraceDeterminism(t *testing.T) {
 // instead of 1 975 599. Before that, a reply stopped taking a window
 // credit (e007f913… and 93c46722…; pipeline shape 56fae9d0…).
 const (
-	pipelineTraceSHA256   = "538fbc2d8f87a82dc1514fed6d1889a91ba83bc4ef509d63fe5604752dadc33c"
-	faceverifyTraceSHA256 = "652a205cdd2f3dc631a93956c15da22ee76d43e8849f6e6becf907250523f7b4"
+	pipelineTraceSHA256   = "0f2358286a3918a4798bd8f2202fe052b609dcdfc64b1a404b0819a43f0e457f"
+	faceverifyTraceSHA256 = "76df7d47df3ef56caa2df16dccb41242bc194aacacff2db3d654c925f5ef616f"
 )
 
 // Pinned SHA-256 digests of the two workload traces' shapes (shapeOf):

@@ -184,7 +184,15 @@ func captureRouted(t *testing.T, policy string) (trace, picks string) {
 // its pick sequence (see the pinned digests in
 // internal/exp/determinism_test.go for the contract).
 //
-// Last moved when a reply stopped taking a window credit: the balancer
+// Last moved when wire.ReplyTag moved from bit 63 to bit 34 (72242750…
+// and f8cc4ef2… until then; the shapes and pick sequences did not
+// move): the balancer's reply Requests' request_create and the replies'
+// Delivers are 5 bytes shorter, so the first transfer is 10 bytes, not
+// 15, and leaves at 149 464 ns instead of 149 472, and the last reply
+// reaches the balancer at 6 261 084 ns instead of 6 261 099 (rr) and at
+// 5 433 195 instead of 5 433 218 (least).
+//
+// Before that, they moved when a reply stopped taking a window credit: the balancer
 // sends no DeliverDone for it (25448d04… and 782de03b… until then;
 // shapes 6f6993bc… and 81c7529b…). Each trace's 591 transfers are 526,
 // its 65 DeliverDones from the balancer's Process gone; the first to go
@@ -193,8 +201,8 @@ func captureRouted(t *testing.T, policy string) (trace, picks string) {
 // 5 433 218 instead of 5 442 862 (least): a request no longer waits
 // behind the service of the last reply's DeliverDone.
 var routedSHA256 = map[string]string{
-	"rr":    "7224275019859adad58358ca2b33623573b78bf43bcc5e472e565a31fdd52152",
-	"least": "f8cc4ef20c49e9c5c93b42618b5663ea5437b1313344fa9165c71310bb348ba7",
+	"rr":    "ec9917cba9eed8736204a7b14428d7e2484d73252a8bc6adb84edf02b1b73f76",
+	"least": "844d68643846c7d4b633862708799aedba7c311e56b688eddc5f41bc4ffc68b1",
 }
 
 // Pinned SHA-256 digests of each policy's trace shape (routedShape)
