@@ -169,7 +169,7 @@ func TestTreeRevokeSubtree(t *testing.T) {
 	a := tr.Derive(root.ID, nil)
 	b := tr.Derive(root.ID, nil)
 	aa := tr.Derive(a.ID, nil)
-	revoked := tr.Revoke(a.ID)
+	revoked := tr.Revoke(a.ID, nil)
 	if len(revoked) != 2 {
 		t.Fatalf("revoked %d nodes, want 2", len(revoked))
 	}
@@ -190,7 +190,7 @@ func TestTreeRevokeSubtree(t *testing.T) {
 		t.Error("Derive from revoked parent succeeded")
 	}
 	// Double revoke is a no-op.
-	if tr.Revoke(a.ID) != nil {
+	if tr.Revoke(a.ID, nil) != nil {
 		t.Error("double revoke returned nodes")
 	}
 }
@@ -199,7 +199,7 @@ func TestTreeRemoveAfterRevoke(t *testing.T) {
 	tr := NewTree()
 	root := tr.Create(nil)
 	a := tr.Derive(root.ID, nil)
-	revoked := tr.Revoke(a.ID)
+	revoked := tr.Revoke(a.ID, nil)
 	for i := len(revoked) - 1; i >= 0; i-- {
 		tr.Remove(revoked[i].ID)
 	}
@@ -245,7 +245,7 @@ func TestTreeRevokeExactSubtreeProperty(t *testing.T) {
 			}
 		}
 		target := ids[rng.Intn(len(ids))]
-		tr.Revoke(target)
+		tr.Revoke(target, nil)
 		for _, id := range ids {
 			_, live := tr.Get(id)
 			inSubtree := tr.Ancestor(target, id)
@@ -265,7 +265,7 @@ func TestLiveLen(t *testing.T) {
 	root := tr.Create(nil)
 	tr.Derive(root.ID, nil)
 	c := tr.Derive(root.ID, nil)
-	tr.Revoke(c.ID)
+	tr.Revoke(c.ID, nil)
 	if tr.LiveLen() != 2 {
 		t.Errorf("LiveLen = %d, want 2", tr.LiveLen())
 	}
@@ -277,7 +277,7 @@ func TestLiveLen(t *testing.T) {
 func TestGetAnyReturnsRevoked(t *testing.T) {
 	tr := NewTree()
 	n := tr.Create(nil)
-	tr.Revoke(n.ID)
+	tr.Revoke(n.ID, nil)
 	if _, ok := tr.Get(n.ID); ok {
 		t.Error("Get returned revoked node")
 	}

@@ -93,7 +93,7 @@ func BenchmarkCapScaleDelegateChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := tree.Derive(parent.ID, nil)
-		tree.Revoke(n.ID)
+		tree.Revoke(n.ID, nil)
 		tree.Remove(n.ID)
 	}
 	if got := tree.Len(); got != start {
@@ -138,7 +138,7 @@ func benchRevokeChain(b *testing.B, depth int) {
 			parent = tree.Derive(parent, nil).ID
 		}
 		b.StartTimer()
-		revoked := tree.Revoke(root.ID)
+		revoked := tree.Revoke(root.ID, nil)
 		if len(revoked) != depth {
 			b.Fatalf("revoked %d nodes, want %d", len(revoked), depth)
 		}
@@ -172,7 +172,7 @@ func BenchmarkCapScaleRevokeD1000F10(b *testing.B) {
 			total++
 		}
 		b.StartTimer()
-		revoked := tree.Revoke(root.ID)
+		revoked := tree.Revoke(root.ID, nil)
 		if len(revoked) != total {
 			b.Fatalf("revoked %d nodes, want %d", len(revoked), total)
 		}

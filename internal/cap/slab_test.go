@@ -30,7 +30,7 @@ func TestRevokeDeepChainIterative(t *testing.T) {
 			t.Fatalf("Derive failed at depth %d", i)
 		}
 	}
-	revoked := tr.Revoke(root)
+	revoked := tr.Revoke(root, nil)
 	if len(revoked) != depth {
 		t.Fatalf("revoked %d nodes, want %d", len(revoked), depth)
 	}
@@ -77,7 +77,7 @@ func TestRevokeDepthFanoutTree(t *testing.T) {
 		}
 	}
 	want++ // the root itself
-	revoked := tr.Revoke(rootID)
+	revoked := tr.Revoke(rootID, nil)
 	if len(revoked) != want {
 		t.Fatalf("revoked %d nodes, want %d", len(revoked), want)
 	}
@@ -102,10 +102,10 @@ func TestRevokeSkipsPreRevokedSubtrees(t *testing.T) {
 	a := tr.Derive(root.ID, nil)
 	aa := tr.Derive(a.ID, nil)
 	b := tr.Derive(root.ID, nil)
-	if got := len(tr.Revoke(a.ID)); got != 2 {
+	if got := len(tr.Revoke(a.ID, nil)); got != 2 {
 		t.Fatalf("first revoke took %d nodes, want 2", got)
 	}
-	revoked := tr.Revoke(root.ID)
+	revoked := tr.Revoke(root.ID, nil)
 	if len(revoked) != 2 {
 		t.Fatalf("second revoke took %d nodes, want 2 (root, b)", len(revoked))
 	}
@@ -131,7 +131,7 @@ func TestTreeCountersMaintained(t *testing.T) {
 					ids = append(ids, n.ID)
 				}
 			case 2:
-				tr.Revoke(ids[rng.Intn(len(ids))])
+				tr.Revoke(ids[rng.Intn(len(ids))], nil)
 			case 3:
 				// Remove any revoked leaf (no live bookkeeping).
 				id := ids[rng.Intn(len(ids))]
@@ -167,9 +167,9 @@ func TestTreeRemoveMiddleChildUnlink(t *testing.T) {
 		kids := []*Node{
 			tr.Derive(root.ID, nil), tr.Derive(root.ID, nil), tr.Derive(root.ID, nil),
 		}
-		tr.Revoke(kids[victim].ID)
+		tr.Revoke(kids[victim].ID, nil)
 		tr.Remove(kids[victim].ID)
-		revoked := tr.Revoke(root.ID)
+		revoked := tr.Revoke(root.ID, nil)
 		if len(revoked) != 3 {
 			t.Fatalf("victim %d: revoked %d nodes, want 3", victim, len(revoked))
 		}
@@ -195,7 +195,7 @@ func TestObjectIDGenerationNoAlias(t *testing.T) {
 	tr := NewTree()
 	n := tr.Create(nil)
 	stale := n.ID
-	tr.Revoke(stale)
+	tr.Revoke(stale, nil)
 	tr.Remove(stale)
 	for i := 0; i < 50; i++ {
 		fresh := tr.Create(nil)
@@ -206,7 +206,7 @@ func TestObjectIDGenerationNoAlias(t *testing.T) {
 	if _, ok := tr.GetAny(stale); ok {
 		t.Fatal("removed ObjectID resolves")
 	}
-	if tr.Revoke(stale) != nil {
+	if tr.Revoke(stale, nil) != nil {
 		t.Fatal("removed ObjectID revocable")
 	}
 }
@@ -230,7 +230,7 @@ func TestRekeyKeepsTheNodeAndKillsTheName(t *testing.T) {
 		if tr.Probe(old) != nil || tr.Probe(nid) != kids[victim] {
 			t.Fatalf("victim %d: the old name resolves, or the new one does not", victim)
 		}
-		if tr.Derive(old, nil) != nil || tr.Revoke(old) != nil {
+		if tr.Derive(old, nil) != nil || tr.Revoke(old, nil) != nil {
 			t.Fatalf("victim %d: the old name still derives or revokes", victim)
 		}
 		if !tr.Ancestor(root.ID, grandchild.ID) || grandchild.Parent != nid {
@@ -250,7 +250,7 @@ func TestRekeyKeepsTheNodeAndKillsTheName(t *testing.T) {
 			}
 		}
 		var got []ObjectID
-		for _, n := range tr.Revoke(root.ID) {
+		for _, n := range tr.Revoke(root.ID, nil) {
 			got = append(got, n.ID)
 		}
 		if !slices.Equal(got, want) {

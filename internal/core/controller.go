@@ -800,7 +800,7 @@ func (c *Controller) deriveDelegatee(ref cap.Ref) (cap.Ref, wire.Status) {
 // exposed through any capability (e.g. when the creating install hits
 // the quota): revoke and erase it without cleanup traffic.
 func (c *Controller) discardObject(id cap.ObjectID) {
-	revoked := c.tree.Revoke(id)
+	revoked := c.tree.Revoke(id, nil)
 	for i := len(revoked) - 1; i >= 0; i-- {
 		c.tree.Remove(revoked[i].ID)
 	}

@@ -56,9 +56,7 @@ func (c *Controller) procFailed(ps *procState) {
 		roots = append(roots, n.ID)
 	})
 	for _, id := range roots {
-		if revoked := c.tree.Revoke(id); revoked != nil {
-			c.processRevocations(revoked)
-		}
+		c.revokeObject(id)
 	}
 
 	// Destroy the capability space and any queued deliveries.
