@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -121,6 +122,20 @@ func TestFigure2Shape(t *testing.T) {
 	}
 	if r := tb.Metrics["fig2.datamsg-reduction"]; r < 1.5 {
 		t.Errorf("data-transfer reduction = %.2fx, paper ~2.5x", r)
+	}
+	// Each system's cross-node messages by purpose sum to its total.
+	for _, row := range tb.Rows[:3] {
+		sum := 0
+		for _, cell := range row[5:] {
+			var local, cross int
+			if _, err := fmt.Sscanf(cell, "%d/%d", &local, &cross); err != nil {
+				t.Fatalf("%s: class cell %q: %v", row[0], cell, err)
+			}
+			sum += cross
+		}
+		if fmt.Sprint(sum) != row[3] {
+			t.Errorf("%s: cross-node messages by purpose sum to %d, total %s", row[0], sum, row[3])
+		}
 	}
 	tb.Print(os.Stderr)
 }
