@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race chaos determinism fuzz bench benchmark-smoke eval eval-check trace examples cover census loc clean
+.PHONY: all build vet lint test race chaos determinism fuzz bench bench-compare benchmark-smoke eval eval-check trace examples cover census loc clean
 
 all: build vet lint test
 
@@ -78,6 +78,28 @@ benchmark-smoke:
 	bash benchmark/run.sh --workload copy-bulk --seed 1 --seconds 1 --trace 0
 	bash benchmark/run.sh --workload faceverify --seed 1 --seconds 1 --trace 0
 	bash benchmark/run.sh --workload route-open --seed 1 --seconds 1 --trace 0
+
+# bench-compare runs the benchmark's workload W at the commit BASE and
+# in the working tree, and compares the two: BASE is checked out into a
+# git worktree under $$TMPDIR, each seed of SEEDS runs for 12 s of
+# virtual time there and then here, one run at a time, and `bench
+# -compare` prints its verdicts (and fails on a worse one). The worktree
+# is removed afterwards. It reads only benchmark/, e.g.
+# `make bench-compare W=invoke-null SEEDS="1 2 3" BASE=HEAD~1`.
+W ?= invoke-null
+SEEDS ?= 1 2 3
+BASE ?= HEAD~1
+
+bench-compare:
+	@set -e; tmp=$$(mktemp -d "$${TMPDIR:-/tmp}/bench-compare.XXXXXX"); \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach -q "$$tmp/base" $(BASE); \
+	for s in $(SEEDS); do \
+		echo "$(W) seed $$s: $(BASE), then the working tree" >&2; \
+		(cd "$$tmp/base" && bash benchmark/run.sh -workload $(W) -seed $$s --seconds 12 -out "$$tmp/old.jsonl" > /dev/null); \
+		bash benchmark/run.sh -workload $(W) -seed $$s --seconds 12 -out "$$tmp/new.jsonl" > /dev/null; \
+	done; \
+	bash benchmark/run.sh -compare "$$tmp/old.jsonl" "$$tmp/new.jsonl"
 
 # Regenerate every table and figure of the paper's evaluation.
 eval:
