@@ -71,7 +71,7 @@ func main() {
 		cl.Net.SetTrace(func(e fabric.TraceEvent) {
 			kind, purpose := fmt.Sprintf("msg:%d", e.Type), e.Type.Purpose()
 			if e.RDMA {
-				kind, purpose = "rdma", "data"
+				kind = "rdma"
 			}
 			x := 0 // local, 1 cross-node
 			if from, _ := cl.Net.Lookup(e.From); from != nil {

@@ -343,6 +343,7 @@ func TestPurposes(t *testing.T) {
 		"validation":    {TCtrlValidate, TCtrlValInfo},
 		"cleanup":       {TCtrlCleanup},
 		"monitor":       {TMonitorCB, TCtrlWatch, TCtrlNotify, TCtrlEpoch, TWatchPing, TWatchPong},
+		"data":          {0}, // a fabric trace's RDMA transfer
 	}
 	classed := map[Type]bool{}
 	for purpose, types := range want {
