@@ -11,10 +11,11 @@
 //     suspects, fences, and reboots the unreachable Controller; the
 //     fabric heals on a schedule; the monitor observes the recovery and
 //     redeploys the service under the new epoch. Throughout, the client
-//     keeps issuing requests under a proc.Retry policy with a circuit
-//     breaker: failures stay bounded (never a hang), the breaker fails
-//     fast mid-outage, and service resumes without the client ever
-//     being restarted.
+//     keeps issuing requests under a proc.Retry policy, each retried
+//     call checked against a proc.Breaker first and reported to it
+//     after: failures stay bounded (never a hang), the breaker fails
+//     fast once five calls in a row have failed, and service resumes
+//     without the client ever being restarted.
 //
 // Every drop, probe, fence, reboot, and retry lands at the same virtual
 // instant on every run — the demo is deterministic.
@@ -140,15 +141,8 @@ func main() {
 			fmt.Printf("  fabric healed @%sms\n", testbed.Ms(d.K().Now()))
 		})
 
-		br := &proc.Breaker{Threshold: 4, Cooldown: 6 * ms}
-		pol := proc.Retry{
-			Max: 2, Base: ms, Cap: 4 * ms, Jitter: 0.5, Seed: 11,
-			Breaker: br,
-			// The op re-reads cur, so even "permanent" errors (a stale
-			// capability after the epoch bump) heal once the monitor
-			// redeploys — retry everything and let the breaker meter it.
-			Classify: func(err error) bool { return err != nil },
-		}
+		var br proc.Breaker
+		pol := proc.Retry{Max: 2, Seed: 11}
 		var served, failed, fastFail int
 		lastState := "closed"
 		streak := 0
@@ -156,9 +150,17 @@ func main() {
 			if i >= 200 {
 				log.Fatal("client never recovered after the outage")
 			}
-			err := pol.Do(t, func(st *sim.Task) error {
-				return call(st, client, cur, fmt.Sprintf("r-%d", i), 6*ms)
-			})
+			err := proc.ErrCircuitOpen
+			if br.Allow(t.Now()) {
+				err = pol.Do(t, func(st *sim.Task) error {
+					// The op re-reads cur, so even "permanent" errors (a
+					// stale capability after the epoch bump) heal once the
+					// monitor redeploys — retry everything and let the
+					// breaker meter it.
+					return proc.Transient(call(st, client, cur, fmt.Sprintf("r-%d", i), 6*ms))
+				})
+				br.Report(t.Now(), err == nil)
+			}
 			switch {
 			case err == nil:
 				served++

@@ -333,8 +333,8 @@ func (s *Space) ForEach(fn func(CapID, Entry)) {
 	}
 }
 
-// PurgeRefs removes every entry whose Ref matches pred, returning the
-// removed cids. Used by the revocation cleanup broadcast and the
+// PurgeRefs removes every entry whose Ref matches pred, returning how
+// many it removed. Used by the revocation cleanup broadcast and the
 // stale-epoch purge.
 //
 // Unlike Drop, purged slots recycle under a bumped generation: the
@@ -343,17 +343,16 @@ func (s *Space) ForEach(fn func(CapID, Entry)) {
 // invalid while letting the slot itself be reused. A slot whose
 // generation counter saturates is retired instead of wrapped, so
 // aliasing is impossible even after 255 purges of one slot.
-func (s *Space) PurgeRefs(pred func(Ref) bool) []CapID {
-	var dropped []CapID
+func (s *Space) PurgeRefs(pred func(Ref) bool) (n int) {
 	for idx := uint32(0); idx < s.next; idx++ {
 		sl := s.slot(idx)
 		if !sl.live || !pred(sl.e.Ref) {
 			continue
 		}
-		dropped = append(dropped, CapID(sl.gen<<capIdxBits|(idx+1)))
+		n++
 		s.purge(sl, idx)
 	}
-	return dropped
+	return n
 }
 
 // purge frees a live slot the OS removed: it recycles under a bumped

@@ -134,18 +134,19 @@ func TestPurgedSlotsNeverRecycled(t *testing.T) {
 
 func TestSpacePurgeRefs(t *testing.T) {
 	s := NewSpace()
+	var ids []CapID
 	for i := 0; i < 10; i++ {
-		s.Install(Entry{Ref: Ref{Ctrl: ControllerID(i % 2), Obj: ObjectID(i)}})
+		ids = append(ids, s.Install(Entry{Ref: Ref{Ctrl: ControllerID(i % 2), Obj: ObjectID(i)}}))
 	}
 	dropped := s.PurgeRefs(func(r Ref) bool { return r.Ctrl == 0 })
-	if len(dropped) != 5 || s.Len() != 5 {
-		t.Fatalf("dropped %d, remaining %d", len(dropped), s.Len())
+	if dropped != 5 || s.Len() != 5 {
+		t.Fatalf("dropped %d, remaining %d", dropped, s.Len())
 	}
-	s.ForEach(func(_ CapID, e Entry) {
-		if e.Ref.Ctrl == 0 {
-			t.Error("purged ref survived")
+	for i, id := range ids {
+		if _, ok := s.Lookup(id); ok != (i%2 == 1) {
+			t.Errorf("cid %d of controller %d resolves: %v", id, i%2, ok)
 		}
-	})
+	}
 }
 
 func TestTreeCreateDeriveGet(t *testing.T) {

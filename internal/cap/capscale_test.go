@@ -113,9 +113,8 @@ func BenchmarkCapScaleEpochPurge64K(b *testing.B) {
 	e := Entry{Kind: KindMemory, Ref: Ref{Ctrl: 2, Obj: 9, Epoch: 1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		purged := space.PurgeRefs(func(Ref) bool { return true })
-		if len(purged) != live {
-			b.Fatalf("purged %d entries, want %d", len(purged), live)
+		if purged := space.PurgeRefs(func(Ref) bool { return true }); purged != live {
+			b.Fatalf("purged %d entries, want %d", purged, live)
 		}
 		for j := 0; j < live; j++ {
 			space.Install(e)

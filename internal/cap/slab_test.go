@@ -337,8 +337,10 @@ func TestCidGenerationAliasingProperty(t *testing.T) {
 				}
 				id := liveIDs[rng.Intn(len(liveIDs))]
 				obj := live[id]
-				got := s.PurgeRefs(func(r Ref) bool { return r.Obj == obj })
-				if len(got) != 1 || got[0] != id {
+				if s.PurgeRefs(func(r Ref) bool { return r.Obj == obj }) != 1 {
+					return false
+				}
+				if _, ok := s.Lookup(id); ok {
 					return false
 				}
 				delete(live, id)

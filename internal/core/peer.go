@@ -22,7 +22,7 @@ func (c *Controller) purge(refs []cap.Ref) (n int) {
 		c.dead[r] = true
 	}
 	for _, ps := range c.procs {
-		n += len(ps.space.PurgeRefs(c.isDead))
+		n += ps.space.PurgeRefs(c.isDead)
 	}
 	return n
 }

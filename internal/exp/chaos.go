@@ -127,7 +127,7 @@ func runChaosScenario(sc chaosScenario) chaosResult {
 				// Per-request policy: enough backoff to bridge a 20 ms
 				// disruption (the RPC layer's own retransmissions bridge
 				// shorter ones underneath).
-				pol := proc.Retry{Max: 8, Jitter: 0.2, Seed: int64(i)}
+				pol := proc.Retry{Max: 8, Seed: int64(i)}
 				err := pol.Do(wt, func(t *sim.Task) error {
 					s := cur // re-read: recovery swaps the stack
 					_, verr := s.fv.Verify(t, s.reqs[i])

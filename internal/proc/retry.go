@@ -1,5 +1,5 @@
-// Client-side resilience: retry policies, error classification, and a
-// circuit breaker.
+// Client-side resilience: a retry policy, its error classification,
+// and a circuit breaker.
 //
 // The Controller RPC layer (core) already retransmits its own
 // inter-Controller frames over a lossy fabric, but the *application*
@@ -30,20 +30,43 @@ import (
 	"fractos/internal/wire"
 )
 
-// ErrCircuitOpen is returned by Retry.Do (without issuing an attempt)
-// while the circuit breaker is open.
+// ErrCircuitOpen is what a caller whose circuit breaker refuses an
+// attempt returns in its place. It classifies as transient: another
+// attempt, after a backoff or to another member, may be admitted.
 var ErrCircuitOpen = errors.New("proc: circuit breaker open")
+
+// Transient marks err as worth another attempt whatever its own
+// classification, for a caller that knows more than Retryable does (a
+// balancer whose member died can route around it). The mark unwraps:
+// errors.Is and errors.As see err through it. Transient(nil) is nil.
+func Transient(err error) error {
+	if err == nil {
+		return nil
+	}
+	return &transientError{err}
+}
+
+type transientError struct{ err error }
+
+func (e *transientError) Error() string { return e.err.Error() }
+func (e *transientError) Unwrap() error { return e.err }
 
 // Retryable classifies an error: true means the failure is transient
 // infrastructure (lost frames, aborted RPCs, congestion, a provider
-// that may be redeployed) and the operation is worth re-issuing;
-// false means the capability world changed underneath the caller
-// (revoked, stale epoch, permission) or the argument was wrong —
-// retrying can never succeed and the application must re-acquire its
-// capabilities instead. Unknown errors are conservatively permanent.
+// that may be redeployed, an open breaker, an error marked Transient)
+// and the operation is worth re-issuing; false means the capability
+// world changed underneath the caller (revoked, stale epoch,
+// permission) or the argument was wrong — retrying can never succeed
+// and the application must re-acquire its capabilities instead.
+// Unknown errors are conservatively permanent.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
+	}
+	for e := err; e != nil; e = errors.Unwrap(e) {
+		if _, ok := e.(*transientError); ok {
+			return true
+		}
 	}
 	if errors.Is(err, ErrDisconnected) || errors.Is(err, ErrForeignCap) {
 		// Our own Controller channel (or handle) is gone: this Process
@@ -51,10 +74,11 @@ func Retryable(err error) bool {
 		// inside it cannot help.
 		return false
 	}
-	if errors.Is(err, ErrCallTimeout) {
+	if errors.Is(err, ErrCallTimeout) || errors.Is(err, ErrCircuitOpen) {
 		// The provider sat on the request past the caller's bound —
-		// typically because its Controller died after admitting it.
-		// Another replica (or the rebooted node) can serve a re-issue.
+		// typically because its Controller died after admitting it — or
+		// the breaker metering it is open. Another replica (or the
+		// rebooted node) can serve a re-issue.
 		return true
 	}
 	var se *wire.StatusError
@@ -76,124 +100,61 @@ type Retry struct {
 	// Max is the maximum number of attempts (first try included).
 	// 0 or 1 means a single attempt.
 	Max int
-	// Base is the delay before the first retry; it doubles on every
-	// subsequent retry. 0 means DefaultBackoffBase.
-	Base sim.Time
-	// Cap bounds a single backoff delay. 0 means DefaultBackoffCap.
-	Cap sim.Time
-	// Jitter spreads each delay uniformly over
-	// [d·(1-Jitter/2), d·(1+Jitter/2)] to decorrelate colliding
-	// clients. 0 disables jitter; 1 is full ±50 % spread.
-	Jitter float64
 	// Seed seeds the private jitter RNG; use a per-request value for
 	// decorrelated but reproducible schedules.
 	Seed int64
-	// Classify overrides Retryable for deciding whether to re-issue
-	// after an error. nil means Retryable.
-	Classify func(error) bool
-	// Breaker, when non-nil, is consulted before and informed after
-	// every attempt. Share one *Breaker across the calls that target
-	// the same dependency.
-	Breaker *Breaker
 }
 
-// Defaults for Retry's zero fields.
+// The backoff schedule: the delay before retry n is min(BackoffBase·2ⁿ,
+// BackoffCap), spread uniformly over [d·(1-BackoffJitter/2),
+// d·(1+BackoffJitter/2)] to decorrelate colliding clients.
 const (
-	DefaultBackoffBase = 200 * sim.Time(1000)     // 200 µs
-	DefaultBackoffCap  = 20 * sim.Time(1000*1000) // 20 ms
+	BackoffBase   = 200 * sim.Time(1000)     // 200 µs
+	BackoffCap    = 20 * sim.Time(1000*1000) // 20 ms
+	BackoffJitter = 0.2
 )
 
 // Backoff returns the pre-jitter delay before retry number n (n=0 is
 // the delay between the first failure and the second attempt):
-// min(Base·2ⁿ, Cap). Pure, for tests and inspection.
-func (r Retry) Backoff(n int) sim.Time {
-	base, cp := r.Base, r.Cap
-	if base <= 0 {
-		base = DefaultBackoffBase
-	}
-	if cp <= 0 {
-		cp = DefaultBackoffCap
-	}
-	d := base
-	for i := 0; i < n; i++ {
-		if d >= cp {
-			return cp
-		}
+// min(BackoffBase·2ⁿ, BackoffCap). Pure, for tests and inspection.
+func Backoff(n int) sim.Time {
+	d := BackoffBase
+	for i := 0; i < n && d < BackoffCap; i++ {
 		d <<= 1
 	}
-	if d > cp {
-		d = cp
-	}
-	return d
+	return min(d, BackoffCap)
 }
 
 // Do runs op under the policy: attempts are issued until one succeeds,
-// an error classifies as permanent, attempts are exhausted, or the
-// breaker opens. It returns nil on success, the last error on
-// exhaustion or permanent failure, and ErrCircuitOpen when the breaker
-// refuses.
+// an error classifies as permanent (Retryable), or attempts are
+// exhausted. It returns nil on success and the last error otherwise.
 func (r Retry) Do(t *sim.Task, op func(*sim.Task) error) error {
-	max := r.Max
-	if max < 1 {
-		max = 1
-	}
-	classify := r.Classify
-	if classify == nil {
-		classify = Retryable
-	}
-	var rng *rand.Rand // lazily created: zero-jitter policies never draw
-	var lastErr error
-	for attempt := 0; attempt < max; attempt++ {
-		if r.Breaker != nil && !r.Breaker.Allow(t.Now()) {
-			return ErrCircuitOpen
-		}
+	var rng *rand.Rand // created at the first retry: a first success never draws
+	for attempt := 1; ; attempt++ {
 		err := op(t)
-		if r.Breaker != nil {
-			r.Breaker.Report(t.Now(), err == nil || !classify(err))
-		}
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if !classify(err) {
+		if err == nil || attempt >= r.Max || !Retryable(err) {
 			return err
 		}
-		if attempt == max-1 {
-			break
+		if rng == nil {
+			rng = rand.New(rand.NewSource(r.Seed + 1))
 		}
-		d := r.Backoff(attempt)
-		if r.Jitter > 0 {
-			if rng == nil {
-				rng = rand.New(rand.NewSource(r.Seed + 1))
-			}
-			spread := float64(d) * r.Jitter
-			d = sim.Time(float64(d) - spread/2 + rng.Float64()*spread)
-			if d < 0 {
-				d = 0
-			}
-		}
-		t.Sleep(d)
+		d := float64(Backoff(attempt - 1))
+		spread := d * BackoffJitter
+		t.Sleep(sim.Time(d - spread/2 + rng.Float64()*spread))
 	}
-	return lastErr
 }
 
 // Breaker is a small per-dependency circuit breaker
 // (closed → open → half-open → closed). While closed it counts
-// consecutive retryable failures; at Threshold it opens and fails
-// calls fast for Cooldown; then one half-open probe is admitted —
-// success closes the circuit, failure re-opens it for another
-// Cooldown. Success at any point resets the failure count.
+// consecutive retryable failures; at BreakerThreshold it opens and
+// fails calls fast for BreakerCooldown; then one half-open probe is
+// admitted — success closes the circuit, failure re-opens it for
+// another cooldown. Success at any point resets the failure count. The
+// zero value is closed.
 //
 // All timing is virtual; the breaker is a plain struct driven by the
 // simulation's single-threaded event loop and needs no locking.
 type Breaker struct {
-	// Threshold is the consecutive-failure count that opens the
-	// circuit. 0 means DefaultBreakerThreshold.
-	Threshold int
-	// Cooldown is how long the circuit stays open before admitting a
-	// half-open probe. 0 means DefaultBreakerCooldown.
-	Cooldown sim.Time
-
 	state    breakerState
 	failures int
 	openedAt sim.Time
@@ -208,31 +169,17 @@ const (
 	breakerHalfOpen
 )
 
-// Defaults for Breaker's zero fields.
+// The breaker's trip point and how long it stays open.
 const (
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 10 * sim.Time(1000*1000) // 10 ms
+	BreakerThreshold = 5
+	BreakerCooldown  = 10 * sim.Time(1000*1000) // 10 ms
 )
-
-func (b *Breaker) threshold() int {
-	if b.Threshold <= 0 {
-		return DefaultBreakerThreshold
-	}
-	return b.Threshold
-}
-
-func (b *Breaker) cooldown() sim.Time {
-	if b.Cooldown <= 0 {
-		return DefaultBreakerCooldown
-	}
-	return b.Cooldown
-}
 
 // State returns the breaker's state as a string (for logs and tests).
 func (b *Breaker) State(now sim.Time) string {
 	switch b.state {
 	case breakerOpen:
-		if now-b.openedAt >= b.cooldown() {
+		if now-b.openedAt >= BreakerCooldown {
 			return "half-open"
 		}
 		return "open"
@@ -250,7 +197,7 @@ func (b *Breaker) Allow(now sim.Time) bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if now-b.openedAt < b.cooldown() {
+		if now-b.openedAt < BreakerCooldown {
 			return false
 		}
 		b.state = breakerHalfOpen
@@ -276,7 +223,7 @@ func (b *Breaker) Report(now sim.Time, ok bool) {
 			return
 		}
 		b.failures++
-		if b.failures >= b.threshold() {
+		if b.failures >= BreakerThreshold {
 			b.state = breakerOpen
 			b.openedAt = now
 		}

@@ -28,10 +28,6 @@ type ScaleEvent struct {
 	Latency sim.Time
 }
 
-func (e ScaleEvent) String() string {
-	return fmt.Sprintf("%d %s node=%d members=%d lat=%d", e.At, e.Kind, e.Node, e.Members, e.Latency)
-}
-
 // Autoscaler starts a replicated service at Min instances and keeps it
 // there across node failures: on a NodeWatch fence the node's
 // instances are dropped at once and as many replacements spawn on

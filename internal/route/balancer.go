@@ -10,10 +10,14 @@ import (
 	"fractos/internal/wire"
 )
 
-// ErrNoMembers is returned (wrapped in retry classification as
-// transient) when a service's replica set is empty or every member's
-// breaker is open.
+// ErrNoMembers is returned (marked proc.Transient, so the Balancer's
+// retry policy re-resolves and tries again) when a service's replica
+// set is empty or every member's breaker is open.
 var ErrNoMembers = errors.New("route: no routable members")
+
+// errNoMembers is what pick returns, marked once so that a refusal
+// allocates nothing.
+var errNoMembers = proc.Transient(ErrNoMembers)
 
 // BalancerStats counts the balancer's routing decisions.
 type BalancerStats struct {
@@ -26,11 +30,11 @@ type BalancerStats struct {
 // Balancer is a Process's resolving handle on a replicated service:
 // it caches the name's replica set, routes each call through a Policy
 // over live load signals, retries transient failures with its Retry
-// policy, keeps a per-member circuit breaker (proc.Breaker's
-// defaults), and re-resolves the set when a member dies underneath it
+// policy, keeps a per-member circuit breaker (proc.Breaker), and
+// re-resolves the set when a member dies underneath it
 // (revoked/stale/fenced capabilities classify as member-fatal: the
-// cached set is invalidated and the next attempt routes around the
-// corpse).
+// cached set is invalidated, and the error is marked proc.Transient so
+// that the next attempt routes around the corpse).
 //
 // A Balancer is bound to one client Process and driven only from that
 // Process's tasks (the usual single-kernel cooperative concurrency —
@@ -42,8 +46,7 @@ type Balancer struct {
 	Name string
 	// Policy routes calls; nil means round-robin.
 	Policy Policy
-	// Retry is the per-call retry template. Classify is extended (not
-	// replaced) with member-fatal and circuit-open classification.
+	// Retry is the per-call retry template.
 	Retry proc.Retry
 	// AttemptTimeout bounds each routed call in virtual time. A replica
 	// whose Controller crashes after admitting a request can never
@@ -62,17 +65,22 @@ type Balancer struct {
 	set       services.Set
 	valid     bool
 	resolving *sim.Future[struct{}] // the ResolveSet in flight, if any: its outcome is everyone's
-	inflight  map[uint64]int
-	depth     map[uint64]int
-	breakers  map[uint64]*proc.Breaker
+	members   map[uint64]*memberState
 	stats     BalancerStats
 
-	// classify is Retry.Classify extended, built on the first Call. view
-	// and kept are pick's scratch: a Policy returns an index and keeps
-	// nothing, and pick does not yield between filling and reading them.
-	classify func(error) bool
-	view     []MemberView
-	kept     []services.Member
+	// view and kept are pick's scratch: a Policy returns an index and
+	// keeps nothing, and pick does not yield between filling and reading
+	// them.
+	view []MemberView
+	kept []services.Member
+}
+
+// memberState is what a Balancer knows of one member: its calls in
+// flight from here, the queue depth its last reply piggybacked, and
+// its circuit breaker.
+type memberState struct {
+	inflight, depth int
+	brk             proc.Breaker
 }
 
 // DefaultAttemptTimeout is the per-attempt reply bound when
@@ -104,21 +112,14 @@ func memberFatal(err error) bool {
 // delivery on success.
 func (b *Balancer) Call(t *sim.Task, imms []wire.ImmArg, args []proc.Arg) (*proc.Delivery, error) {
 	b.stats.Calls++
-	pol := b.Retry
-	if b.classify == nil {
-		base := pol.Classify
-		if base == nil {
-			base = proc.Retryable
-		}
-		b.classify = func(err error) bool {
-			return base(err) || memberFatal(err) ||
-				errors.Is(err, proc.ErrCircuitOpen) || errors.Is(err, ErrNoMembers)
-		}
-	}
-	pol.Classify = b.classify
 	var out *proc.Delivery
-	err := pol.Do(t, func(t *sim.Task) error {
-		return b.attempt(t, imms, args, &out)
+	err := b.Retry.Do(t, func(t *sim.Task) error {
+		err := b.attempt(t, imms, args, &out)
+		if err != nil && memberFatal(err) {
+			// The member is gone, not the service: route around it.
+			return proc.Transient(err)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, fmt.Errorf("route: %s: %w", b.Name, err)
@@ -127,27 +128,27 @@ func (b *Balancer) Call(t *sim.Task, imms []wire.ImmArg, args []proc.Arg) (*proc
 }
 
 func (b *Balancer) attempt(t *sim.Task, imms []wire.ImmArg, args []proc.Arg, out **proc.Delivery) error {
-	m, brk, err := b.pick(t)
+	m, ms, err := b.pick(t)
 	if err != nil {
 		return err
 	}
-	if !brk.Allow(t.Now()) {
+	if !ms.brk.Allow(t.Now()) {
 		return proc.ErrCircuitOpen
 	}
 	to := b.AttemptTimeout
 	if to <= 0 {
 		to = DefaultAttemptTimeout
 	}
-	b.inflight[m.ID]++
+	ms.inflight++
 	d, err := b.Client.P.CallTimeout(t, m.Cap, imms, args, WorkSlotCont, to)
-	b.inflight[m.ID]--
+	ms.inflight--
 	if err == nil {
 		// Reply received; the depth piggyback is fresh either way.
-		b.depth[m.ID] = int(d.U64(8))
+		ms.depth = int(d.U64(8))
 		err = d.Err()
 	}
 	if err == nil {
-		brk.Report(t.Now(), true)
+		ms.brk.Report(t.Now(), true)
 		*out = d
 		return nil
 	}
@@ -156,7 +157,7 @@ func (b *Balancer) attempt(t *sim.Task, imms []wire.ImmArg, args []proc.Arg, out
 	}
 	// Permanent application errors don't indict the replica's health;
 	// transient/member-fatal ones do.
-	brk.Report(t.Now(), !proc.Retryable(err) && !memberFatal(err))
+	ms.brk.Report(t.Now(), !proc.Retryable(err) && !memberFatal(err))
 	if memberFatal(err) || wire.IsStatus(err, wire.StatusNoProc) ||
 		errors.Is(err, proc.ErrCallTimeout) {
 		b.stats.Failovers++
@@ -167,11 +168,9 @@ func (b *Balancer) attempt(t *sim.Task, imms []wire.ImmArg, args []proc.Arg, out
 
 // pick resolves the set if needed, builds the policy view over members
 // whose breakers admit traffic, and routes.
-func (b *Balancer) pick(t *sim.Task) (services.Member, *proc.Breaker, error) {
-	if b.inflight == nil {
-		b.inflight = make(map[uint64]int)
-		b.depth = make(map[uint64]int)
-		b.breakers = make(map[uint64]*proc.Breaker)
+func (b *Balancer) pick(t *sim.Task) (services.Member, *memberState, error) {
+	if b.members == nil {
+		b.members = make(map[uint64]*memberState)
 	}
 	if b.Policy == nil {
 		b.Policy = &RoundRobin{}
@@ -202,10 +201,15 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *proc.Breaker, error) {
 	}
 	view, kept := b.view[:0], b.kept[:0]
 	for _, m := range b.set.Members {
-		if b.breakerFor(m.ID).State(t.Now()) == "open" {
+		ms := b.members[m.ID]
+		if ms == nil {
+			ms = &memberState{}
+			b.members[m.ID] = ms
+		}
+		if ms.brk.State(t.Now()) == "open" {
 			continue
 		}
-		view = append(view, MemberView{ID: m.ID, Load: b.inflight[m.ID] + b.depth[m.ID]})
+		view = append(view, MemberView{ID: m.ID, Load: ms.inflight + ms.depth})
 		kept = append(kept, m)
 	}
 	b.view, b.kept = view, kept
@@ -213,21 +217,12 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *proc.Breaker, error) {
 		// Empty set (service not registered yet, or fully fenced) or
 		// every breaker open: re-resolve on the next attempt.
 		b.valid = false
-		return services.Member{}, nil, ErrNoMembers
+		return services.Member{}, nil, errNoMembers
 	}
 	i := b.Policy.Pick(view)
 	m := kept[i]
 	if b.Record {
 		b.Picks = append(b.Picks, m.ID)
 	}
-	return m, b.breakerFor(m.ID), nil
-}
-
-func (b *Balancer) breakerFor(id uint64) *proc.Breaker {
-	brk, ok := b.breakers[id]
-	if !ok {
-		brk = &proc.Breaker{}
-		b.breakers[id] = brk
-	}
-	return brk
+	return m, b.members[m.ID], nil
 }

@@ -44,13 +44,12 @@ func TestLeastLoadedPicksMinTieLowestID(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	if p := ParsePolicy("least"); p.Name() != "least" {
-		t.Fatalf("least -> %s", p.Name())
+	if p, ok := ParsePolicy("least").(LeastLoaded); !ok {
+		t.Fatalf("least -> %T", p)
 	}
-	if p := ParsePolicy(""); p.Name() != "rr" {
-		t.Fatalf("default -> %s", p.Name())
-	}
-	if p := ParsePolicy("bogus"); p.Name() != "rr" {
-		t.Fatalf("unknown -> %s", p.Name())
+	for _, name := range []string{"", "rr", "bogus"} {
+		if p, ok := ParsePolicy(name).(*RoundRobin); !ok {
+			t.Fatalf("%q -> %T, want *RoundRobin", name, p)
+		}
 	}
 }

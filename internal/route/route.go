@@ -24,7 +24,6 @@ type MemberView struct {
 // carry state (round-robin cursors) but must be deterministic: the
 // same view sequence produces the same pick sequence.
 type Policy interface {
-	Name() string
 	Pick(view []MemberView) int
 }
 
@@ -34,9 +33,6 @@ type Policy interface {
 type RoundRobin struct {
 	next uint64
 }
-
-// Name implements Policy.
-func (p *RoundRobin) Name() string { return "rr" }
 
 // Pick implements Policy.
 func (p *RoundRobin) Pick(view []MemberView) int {
@@ -49,9 +45,6 @@ func (p *RoundRobin) Pick(view []MemberView) int {
 // (join-shortest-queue on client-observed signals), breaking ties
 // toward the lowest member id.
 type LeastLoaded struct{}
-
-// Name implements Policy.
-func (LeastLoaded) Name() string { return "least" }
 
 // Pick implements Policy.
 func (LeastLoaded) Pick(view []MemberView) int {

@@ -60,7 +60,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	s := &stacks.Routed{Replicas: 1, Nodes: []int{1}}
 	testbed.RunT(t, testbed.Spec{Nodes: 2, Services: []testbed.Service{s}},
 		func(tk *sim.Task, d *testbed.Deployment) {
-			s.B.Retry = proc.Retry{Max: 30, Jitter: 0.2, Seed: 7}
+			s.B.Retry = proc.Retry{Max: 30, Seed: 7}
 			if errs := driveConcurrent(tk, s, width, calls); errs != 0 {
 				t.Fatalf("%d calls failed despite retry budget", errs)
 			}
@@ -120,7 +120,7 @@ func TestBalancerFailsOverOnCrash(t *testing.T) {
 		Services:  []testbed.Service{s},
 	}
 	testbed.RunT(t, spec, func(tk *sim.Task, d *testbed.Deployment) {
-		s.B.Retry = proc.Retry{Max: 10, Jitter: 0.2, Seed: 5}
+		s.B.Retry = proc.Retry{Max: 10, Seed: 5}
 		for i := 0; i < 20; i++ {
 			if err := s.Do(tk, uint64(i+1), 200*us); err != nil {
 				t.Fatalf("pre-crash call %d: %v", i, err)

@@ -1,8 +1,6 @@
 package services
 
 import (
-	"fmt"
-
 	"fractos/internal/cap"
 	"fractos/internal/core"
 	"fractos/internal/fabric"
@@ -102,10 +100,6 @@ type WatchEvent struct {
 	Ctrl  cap.ControllerID
 	Epoch cap.Epoch // valid for WatchRecovered
 	Aux   int       // missed count for WatchSuspect
-}
-
-func (e WatchEvent) String() string {
-	return fmt.Sprintf("%d %s ctrl=%d epoch=%d aux=%d", e.At, e.Kind, e.Ctrl, e.Epoch, e.Aux)
 }
 
 // StartNodeWatch attaches the monitor to the fabric on node 0 and

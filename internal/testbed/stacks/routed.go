@@ -99,7 +99,7 @@ func (s *Routed) Deploy(tk *sim.Task, d *testbed.Deployment) {
 		Client:         cl,
 		Name:           routedName,
 		Policy:         route.ParsePolicy(s.Policy),
-		Retry:          proc.Retry{Max: 6, Jitter: 0.2, Seed: 17},
+		Retry:          proc.Retry{Max: 6, Seed: 17},
 		AttemptTimeout: s.AttemptTimeout,
 	}
 
