@@ -15,13 +15,13 @@ import (
 // A 16-replica routed service (exponential service times, mean 400 µs,
 // so one replica saturates near 2 500 req/s) takes Poisson arrivals at
 // 10×, 25×, and 100× the single-replica knee under round-robin and
-// least-loaded routing. Every reply piggybacks the replica's queue
-// depth, so least-loaded is join-shortest-queue on client-observed
-// signals; round-robin is the blind baseline. Replicas shed above
-// their admission bound (16) with the retryable StatusBackpressure,
-// which is what keeps the accepted-request tail bounded at 100×
-// overload (the offered load vastly exceeds capacity; goodput
-// saturates and the excess is refused instead of queued).
+// least-loaded routing. Every reply piggybacks the replica's backlog,
+// so least-loaded routes by least work left on client-observed signals;
+// round-robin is the blind baseline. Replicas shed above their
+// admission bound (16) with the retryable StatusBackpressure, which
+// keeps the accepted-request tail bounded at 100× overload (goodput
+// saturates and the excess is refused instead of queued); a shed opens
+// no breaker, so goodput holds near capacity.
 //
 // A final scenario measures the autoscaler's repair path:
 // under load, a replica node's Controller crashes; the heartbeat
@@ -90,9 +90,10 @@ func ScalingRoute() *Table {
 	t.Metric("mttr-ms", float64(mttr)/1e6)
 
 	t.Note("service times are one shared draw per request id, so rr and least face identical work;")
-	t.Note("least-loaded = join-shortest-queue on piggybacked depths; ties break to the lowest member id")
+	t.Note("least = least work left: piggybacked backlogs, aged, plus the work routed since; then fewest in flight")
 	t.Note("past saturation the admission bound (MaxQueue=16/replica) sheds the excess with the")
-	t.Note("retryable StatusBackpressure, keeping the accepted-request p99 bounded at 100x overload")
+	t.Note("retryable StatusBackpressure, keeping the accepted-request p99 bounded at 100x overload;")
+	t.Note("a shed opens no breaker, so no replica idles while arrivals are refused")
 	t.Note(fmt.Sprintf("autoscaler repair after a mid-run node crash: membership MTTR %.3f ms virtual", float64(mttr)/1e6))
 	return t
 }

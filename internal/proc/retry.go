@@ -46,10 +46,10 @@ func Transient(err error) error {
 	return &transientError{err}
 }
 
-type transientError struct{ err error }
+// transientError reads as the error it marks.
+type transientError struct{ error }
 
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
+func (e *transientError) Unwrap() error { return e.error }
 
 // Retryable classifies an error: true means the failure is transient
 // infrastructure (lost frames, aborted RPCs, congestion, a provider

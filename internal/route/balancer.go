@@ -1,6 +1,7 @@
 package route
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -76,11 +77,24 @@ type Balancer struct {
 }
 
 // memberState is what a Balancer knows of one member: its calls in
-// flight from here, the queue depth its last reply piggybacked, and
-// its circuit breaker.
+// flight from here, the backlog its last reply piggybacked and when that
+// reply arrived, the work routed to it since, and its circuit breaker.
+// Its work left is estimated as the backlog not yet served plus the work
+// routed since.
 type memberState struct {
-	inflight, depth int
-	brk             proc.Breaker
+	inflight          int
+	backlog, at, sent sim.Time
+	brk               proc.Breaker
+}
+
+// declaredWork is the work a call declares in imm[8:16) (replica.go).
+func declaredWork(imms []wire.ImmArg) sim.Time {
+	for _, a := range imms {
+		if a.Offset <= 8 && int(a.Offset)+len(a.Data) >= 16 {
+			return sim.Time(binary.LittleEndian.Uint64(a.Data[8-a.Offset:]))
+		}
+	}
+	return 0
 }
 
 // DefaultAttemptTimeout is the per-attempt reply bound when
@@ -107,9 +121,9 @@ func memberFatal(err error) bool {
 }
 
 // Call routes one request to the replica set: immediates follow the
-// replica.go work layout (the caller owns imm[0:8) request id and the
-// service-defined bytes from [8:..)). It returns the service's reply
-// delivery on success.
+// replica.go work layout (the caller owns imm[0:8) request id, imm[8:16)
+// the call's work and the service-defined bytes after). It returns the
+// service's reply delivery on success.
 func (b *Balancer) Call(t *sim.Task, imms []wire.ImmArg, args []proc.Arg) (*proc.Delivery, error) {
 	b.stats.Calls++
 	var out *proc.Delivery
@@ -140,11 +154,12 @@ func (b *Balancer) attempt(t *sim.Task, imms []wire.ImmArg, args []proc.Arg, out
 		to = DefaultAttemptTimeout
 	}
 	ms.inflight++
+	ms.sent += declaredWork(imms)
 	d, err := b.Client.P.CallTimeout(t, m.Cap, imms, args, WorkSlotCont, to)
 	ms.inflight--
 	if err == nil {
-		// Reply received; the depth piggyback is fresh either way.
-		ms.depth = int(d.U64(8))
+		// Reply received; the backlog piggyback is fresh either way.
+		ms.backlog, ms.at, ms.sent = sim.Time(d.U64(8)), t.Now(), 0
 		err = d.Err()
 	}
 	if err == nil {
@@ -152,12 +167,13 @@ func (b *Balancer) attempt(t *sim.Task, imms []wire.ImmArg, args []proc.Arg, out
 		*out = d
 		return nil
 	}
-	if wire.IsStatus(err, wire.StatusBackpressure) {
+	// A shed is a healthy member's answer, and so is a permanent
+	// application error; transient and member-fatal errors indict it.
+	shed := wire.IsStatus(err, wire.StatusBackpressure)
+	if shed {
 		b.stats.Shed++
 	}
-	// Permanent application errors don't indict the replica's health;
-	// transient/member-fatal ones do.
-	ms.brk.Report(t.Now(), !proc.Retryable(err) && !memberFatal(err))
+	ms.brk.Report(t.Now(), shed || !proc.Retryable(err) && !memberFatal(err))
 	if memberFatal(err) || wire.IsStatus(err, wire.StatusNoProc) ||
 		errors.Is(err, proc.ErrCallTimeout) {
 		b.stats.Failovers++
@@ -209,7 +225,8 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *memberState, error) {
 		if ms.brk.State(t.Now()) == "open" {
 			continue
 		}
-		view = append(view, MemberView{ID: m.ID, Load: ms.inflight + ms.depth})
+		work := max(ms.backlog-(t.Now()-ms.at), 0) + ms.sent
+		view = append(view, MemberView{ID: m.ID, Work: work, Load: ms.inflight})
 		kept = append(kept, m)
 	}
 	b.view, b.kept = view, kept

@@ -1,12 +1,14 @@
 package route
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
 	"fractos/internal/proc"
 	"fractos/internal/services"
 	"fractos/internal/sim"
+	"fractos/internal/wire"
 )
 
 // TestBalancerBreakerSkipsOpenMember: a member whose breaker has seen
@@ -84,5 +86,70 @@ func TestBalancerBreakerSkipsOpenMember(t *testing.T) {
 	k.Shutdown()
 	if !done {
 		t.Fatal("pick task did not complete")
+	}
+}
+
+// TestBalancerAttemptRefusedByBreakers: an attempt fails fast, sending
+// nothing, with ErrNoMembers while every member's breaker is open (and
+// the cached set is invalidated), and with proc.ErrCircuitOpen while its
+// member's one half-open probe is out.
+func TestBalancerAttemptRefusedByBreakers(t *testing.T) {
+	k := sim.New(0)
+	done := false
+	k.Spawn("attempt", func(tk *sim.Task) {
+		defer func() { done = true }()
+		b := &Balancer{}
+		b.set, b.valid = services.Set{Members: []services.Member{{ID: 1}}}, true
+		_, ms, err := b.pick(tk)
+		if err != nil {
+			t.Errorf("pick: %v", err)
+			return
+		}
+		for range proc.BreakerThreshold {
+			ms.brk.Report(tk.Now(), false)
+		}
+		var out *proc.Delivery
+		if err := b.attempt(tk, nil, nil, &out); !errors.Is(err, ErrNoMembers) || b.valid {
+			t.Errorf("attempt with every breaker open: %v, set valid %v; want ErrNoMembers and the set invalidated", err, b.valid)
+		}
+		b.valid = true
+		tk.Sleep(proc.BreakerCooldown)
+		if !ms.brk.Allow(tk.Now()) {
+			t.Errorf("no probe admitted %v after the breaker opened", proc.BreakerCooldown)
+		}
+		if err := b.attempt(tk, nil, nil, &out); !errors.Is(err, proc.ErrCircuitOpen) {
+			t.Errorf("attempt while the probe is out: %v, want %v", err, proc.ErrCircuitOpen)
+		}
+	})
+	k.Run()
+	k.Shutdown()
+	if !done {
+		t.Fatal("attempt task did not complete")
+	}
+}
+
+// TestDeclaredWork: a call's work is the imm[8:16) it declares, wherever
+// the immediate that covers those bytes starts; a call that covers none
+// declares none. Reading it allocates nothing.
+func TestDeclaredWork(t *testing.T) {
+	wide := make([]byte, 16)
+	wide[8] = 7
+	for _, c := range []struct {
+		name string
+		imms []wire.ImmArg
+		want sim.Time
+	}{
+		{"the route layout", []wire.ImmArg{proc.U64Arg(0, 5), proc.U64Arg(8, 400_000)}, 400_000},
+		{"one immediate over [0:16)", []wire.ImmArg{proc.BytesArg(0, wide)}, 7},
+		{"an id alone", []wire.ImmArg{proc.U64Arg(0, 5)}, 0},
+		{"none", nil, 0},
+	} {
+		if got := declaredWork(c.imms); got != c.want {
+			t.Errorf("%s: declared work %v, want %v", c.name, got, c.want)
+		}
+	}
+	imms := []wire.ImmArg{proc.U64Arg(0, 5), proc.U64Arg(8, 400_000)}
+	if n := testing.AllocsPerRun(100, func() { declaredWork(imms) }); n != 0 {
+		t.Errorf("declaredWork allocates %v objects, want 0", n)
 	}
 }

@@ -43,6 +43,29 @@ func TestLeastLoadedPicksMinTieLowestID(t *testing.T) {
 	}
 }
 
+// TestLeastLoadedOrdersByWork: least work left wins; a member with
+// maxQueue calls in flight goes last, the fewest in flight first; with
+// equal work the fewest in flight wins, so calls that declare no work
+// still spread.
+func TestLeastLoadedOrdersByWork(t *testing.T) {
+	p := LeastLoaded{}
+	for _, c := range []struct {
+		name string
+		view []MemberView
+		want int
+	}{
+		{"least work, not least in flight", []MemberView{{ID: 1, Work: 900, Load: 1}, {ID: 2, Work: 600, Load: 2}}, 1},
+		{"at the bound goes last", []MemberView{{ID: 1, Work: 0, Load: maxQueue}, {ID: 2, Work: 5000, Load: 3}}, 1},
+		{"all at the bound: fewest in flight", []MemberView{{ID: 1, Work: 0, Load: maxQueue + 1}, {ID: 2, Work: 9000, Load: maxQueue}}, 1},
+		{"no work declared: fewest in flight", []MemberView{{ID: 1, Load: 2}, {ID: 2, Load: 1}, {ID: 3, Load: 1}}, 1},
+		{"all equal: lowest id", []MemberView{{ID: 3, Work: 7}, {ID: 2, Work: 7}}, 1},
+	} {
+		if got := p.Pick(c.view); got != c.want {
+			t.Errorf("%s: pick = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	if p, ok := ParsePolicy("least").(LeastLoaded); !ok {
 		t.Fatalf("least -> %T", p)

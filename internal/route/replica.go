@@ -13,10 +13,12 @@ import (
 //
 // Work request immediates: [0:8) = request id (0 = none; non-zero ids
 // are deduplicated so a retried request is not executed twice by the
-// same replica), [8:16) and up are service-defined (Service sees the
-// raw Delivery). Reply immediates: [0:8) = wire.Status, [8:16) = the
-// replica's queue depth after the operation (the load signal
-// least-loaded routing feeds on).
+// same replica), [8:16) = the call's work in virtual ns, which the
+// Balancer counts toward the member's backlog (0 or absent declares
+// none); the rest is service-defined (Service sees the raw Delivery).
+// Reply immediates: [0:8) = wire.Status, [8:16) = the replica's
+// backlog, the virtual ns until all the work it has admitted is done
+// (the load signal least-loaded routing feeds on).
 const (
 	// WorkSlotCont is the reply-continuation slot in a work request.
 	WorkSlotCont uint16 = 1
@@ -42,22 +44,30 @@ type ReplicaStats struct {
 // with wire.StatusBackpressure (retryable — the balancer backs off or
 // fails over) instead of queueing unboundedly. The admitted ones are
 // served one at a time, in arrival order, each for the time Service
-// gives it, and answered OK. Every reply piggybacks the current queue
-// depth, which is the load signal least-loaded routing consumes.
+// gives it at admission, and answered OK. Every reply piggybacks the
+// current backlog, which is the load signal least-loaded routing
+// consumes.
 type Replica struct {
 	P *proc.Process
-	// Service is how long an admitted request takes to serve; nil
-	// answers every one at once.
+	// Service is how long an admitted request takes to serve, asked
+	// once, at admission; nil answers every one at once.
 	Service func(d *proc.Delivery) sim.Time
 
 	// Root is the replica's root Request, filled by Start; register it
 	// under the service's name.
 	Root proc.Cap
 
-	queue  []*proc.Delivery // admitted: the head is in service
+	queue  []job    // admitted: the head is in service
+	due    sim.Time // when the last admitted request will be done
 	seen   map[uint64]bool
 	served []uint64
 	stats  ReplicaStats
+}
+
+// job is an admitted request and its service time.
+type job struct {
+	d *proc.Delivery
+	s sim.Time
 }
 
 // Start creates the root Request and starts serving it.
@@ -68,6 +78,7 @@ func (r *Replica) Start(t *sim.Task) error {
 	}
 	r.Root = root
 	r.seen = make(map[uint64]bool)
+	r.queue = make([]job, 0, maxQueue) // the admission bound: it never grows
 	r.P.Handle(r.admit)
 	return nil
 }
@@ -97,7 +108,12 @@ func (r *Replica) admit(d *proc.Delivery) {
 		if id != 0 {
 			r.seen[id] = true
 		}
-		r.queue = append(r.queue, d)
+		var s sim.Time
+		if r.Service != nil {
+			s = max(r.Service(d), 0)
+		}
+		r.due = max(r.due, r.P.Kernel().Now()) + s
+		r.queue = append(r.queue, job{d, s})
 		r.stats.DepthHWM = max(r.stats.DepthHWM, len(r.queue))
 		r.stats.Accepted++
 		d.Done()
@@ -112,11 +128,9 @@ func (r *Replica) admit(d *proc.Delivery) {
 // event, and the next request goes into service.
 func (r *Replica) serve() {
 	for len(r.queue) > 0 {
-		if r.Service != nil {
-			if s := r.Service(r.queue[0]); s > 0 {
-				r.P.Kernel().AfterCall(s, r)
-				return
-			}
+		if s := r.queue[0].s; s > 0 {
+			r.P.Kernel().AfterCall(s, r)
+			return
 		}
 		r.complete()
 	}
@@ -130,7 +144,7 @@ func (r *Replica) Fire() {
 
 // complete answers the request in service.
 func (r *Replica) complete() {
-	d := r.queue[0]
+	d := r.queue[0].d
 	r.queue = r.queue[:copy(r.queue, r.queue[1:])]
 	if id := d.U64(0); id != 0 {
 		r.served = append(r.served, id)
@@ -139,12 +153,13 @@ func (r *Replica) complete() {
 	r.answer(d, wire.StatusOK)
 }
 
-// answer replies with the status and the replica's queue depth,
+// answer replies with the status and the replica's backlog,
 // acknowledges d unless admission did, and takes it back.
 func (r *Replica) answer(d *proc.Delivery, st wire.Status) {
 	// A failed reply means the caller (or this replica's own Controller)
 	// is gone; the retry/failover layers on the client side own recovery.
-	d.Reply(WorkSlotCont, []wire.ImmArg{proc.U64Arg(0, uint64(st)), proc.U64Arg(8, uint64(len(r.queue)))}, nil)
+	backlog := max(r.due-r.P.Kernel().Now(), 0)
+	d.Reply(WorkSlotCont, []wire.ImmArg{proc.U64Arg(0, uint64(st)), proc.U64Arg(8, uint64(backlog))}, nil)
 	d.Done()
 	d.Finish()
 }

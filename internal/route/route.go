@@ -5,18 +5,22 @@
 // NodeWatch fences a node.
 //
 // Everything runs on the deterministic kernel: policies are pure
-// functions of the member view plus their own explicit state, load
-// signals are virtual-time queue depths, and ties break toward the
-// lowest member id — so a fixed seed and policy produce byte-identical
-// routing decisions and fabric traces at any GOMAXPROCS (pinned by
-// this package's determinism tests).
+// functions of the member view plus their own explicit state, the load
+// signal is each replica's backlog in virtual time, and ties break
+// toward the lowest member id — so a fixed seed and policy produce
+// byte-identical routing decisions and fabric traces at any GOMAXPROCS
+// (pinned by this package's determinism tests).
 package route
 
-// MemberView is one replica as a routing policy sees it: identity and
-// the client's current load estimate for it (its own in-flight calls
-// plus the queue depth the replica piggybacked on its last reply).
+import "fractos/internal/sim"
+
+// MemberView is one replica as a routing policy sees it: identity, the
+// client's estimate of the work the replica has left (the backlog its
+// last reply piggybacked, less the time since, plus the work routed
+// there since), and the client's own calls in flight to it.
 type MemberView struct {
 	ID   uint64
+	Work sim.Time
 	Load int
 }
 
@@ -41,21 +45,32 @@ func (p *RoundRobin) Pick(view []MemberView) int {
 	return i
 }
 
-// LeastLoaded picks the member with the smallest load estimate
-// (join-shortest-queue on client-observed signals), breaking ties
-// toward the lowest member id.
+// LeastLoaded picks the member with the least work left, which with
+// known job sizes queues like one central FCFS queue. A member with
+// maxQueue calls in flight would shed the next, so it goes last, the
+// fewest in flight first; then ties break toward the fewest in flight,
+// so calls that declare no work still spread, and then the lowest id.
 type LeastLoaded struct{}
 
 // Pick implements Policy.
 func (LeastLoaded) Pick(view []MemberView) int {
 	best := 0
 	for i := 1; i < len(view); i++ {
-		if view[i].Load < view[best].Load ||
-			(view[i].Load == view[best].Load && view[i].ID < view[best].ID) {
+		if less(view[i], view[best]) {
 			best = i
 		}
 	}
 	return best
+}
+
+func less(a, b MemberView) bool {
+	if a.Work != b.Work && (max(a.Load, b.Load) < maxQueue || a.Load == b.Load) {
+		return a.Work < b.Work
+	}
+	if a.Load != b.Load {
+		return a.Load < b.Load
+	}
+	return a.ID < b.ID
 }
 
 // ParsePolicy maps a policy name ("rr", "least") to a fresh policy

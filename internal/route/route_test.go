@@ -85,6 +85,109 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
+// TestShedLeavesBreakerClosed: a burst wider than a lone replica's
+// admission bound is shed more than proc.BreakerThreshold times in a
+// row, and the next call still routes to it. A shed is the answer of a
+// healthy member, so it must not open the member's breaker: an open one
+// would refuse every call for proc.BreakerCooldown while the replica
+// drains and then idles.
+func TestShedLeavesBreakerClosed(t *testing.T) {
+	const width = 24
+	s := &stacks.Routed{Replicas: 1, Nodes: []int{1}}
+	testbed.RunT(t, testbed.Spec{Nodes: 2, Services: []testbed.Service{s}},
+		func(tk *sim.Task, d *testbed.Deployment) {
+			s.B.Retry.Max = 1
+			if err := s.Do(tk, 1, 0); err != nil {
+				t.Fatalf("warm-up call: %v", err)
+			}
+			var wg sim.WaitGroup
+			wg.Add(width)
+			for i := range width {
+				d.Spawn("caller", func(ct *sim.Task) {
+					defer wg.Done()
+					_ = s.Do(ct, uint64(i+2), 100*us) // some are shed: the point of the burst
+				})
+			}
+			wg.Wait(tk)
+			if shed := s.B.Stats().Shed; shed < proc.BreakerThreshold {
+				t.Fatalf("the burst was shed %d times, want at least %d", shed, proc.BreakerThreshold)
+			}
+			if err := s.Do(tk, width+2, 100*us); err != nil {
+				t.Errorf("a call %v after the burst's sheds: %v, want it routed to the replica", tk.Now(), err)
+			}
+		})
+}
+
+// TestReplicaReplyCarriesBacklog: each reply's imm[8:16) is the
+// replica's admitted work left, to the ns. Three requests arrive while
+// the first is in service; each reply carries the service times of the
+// requests still queued behind it.
+func TestReplicaReplyCarriesBacklog(t *testing.T) {
+	works := []sim.Time{300*us + 7, 200*us + 11, 100*us + 3}
+	got := make([]sim.Time, len(works))
+	testbed.RunT(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, d *testbed.Deployment) {
+		r := &route.Replica{P: d.Attach(1, "replica", 0), Service: func(dv *proc.Delivery) sim.Time { return sim.Time(dv.U64(8)) }}
+		if err := r.Start(tk); err != nil {
+			t.Fatal(err)
+		}
+		var wg sim.WaitGroup
+		wg.Add(len(works))
+		for i, w := range works {
+			cli := d.Attach(0, "client", 0)
+			req, err := proc.GrantCap(r.P, r.Root, cli)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Spawn("caller", func(ct *sim.Task) {
+				defer wg.Done()
+				ct.Sleep(sim.Time(i) * us)
+				dv, err := cli.Call(ct, req, []wire.ImmArg{proc.U64Arg(8, uint64(w))}, nil, route.WorkSlotCont)
+				if err != nil || dv.Status() != wire.StatusOK {
+					t.Errorf("call %d: %v, %v", i, dv, err)
+					return
+				}
+				got[i] = sim.Time(dv.U64(8))
+			})
+		}
+		wg.Wait(tk)
+	})
+	if want := []sim.Time{works[1] + works[2], works[2], 0}; !slices.Equal(got, want) {
+		t.Errorf("replies' backlogs = %v, want %v", got, want)
+	}
+}
+
+// TestLeastWorkBeatsTwoShortJobs: with one long job routed to one
+// replica and two shorter ones to the other, the next call joins the
+// two shorter ones, whose work ends first, not the one long one, whose
+// queue is shorter.
+func TestLeastWorkBeatsTwoShortJobs(t *testing.T) {
+	works := []sim.Time{1000 * us, 300 * us, 300 * us, 100 * us}
+	s := &stacks.Routed{Replicas: 2, Policy: "least", Nodes: []int{1}}
+	testbed.RunT(t, testbed.Spec{Nodes: 2, Services: []testbed.Service{s}},
+		func(tk *sim.Task, d *testbed.Deployment) {
+			if err := s.Do(tk, 1, 0); err != nil { // resolves the set
+				t.Fatalf("warm-up call: %v", err)
+			}
+			s.B.Record = true
+			var wg sim.WaitGroup
+			wg.Add(len(works))
+			for i, w := range works {
+				d.Spawn("caller", func(ct *sim.Task) {
+					defer wg.Done()
+					ct.Sleep(sim.Time(i) * us)
+					if err := s.Do(ct, uint64(i+2), w); err != nil {
+						t.Errorf("call %d: %v", i, err)
+					}
+				})
+			}
+			wg.Wait(tk)
+		})
+	long, short := s.Instances[0].MemberID, s.Instances[1].MemberID
+	if want := []uint64{long, short, short, short}; !slices.Equal(s.B.Picks, want) {
+		t.Errorf("picks = %v, want %v: the last call joins the two 300 µs jobs, not the 1 ms one", s.B.Picks, want)
+	}
+}
+
 // TestBalancerResolvesOncePerInvalidation: tasks that find the cached
 // set invalid together share one ResolveSet — the first one's — instead
 // of each queueing its own at the serial registry; a second invalidation
