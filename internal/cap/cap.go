@@ -55,8 +55,6 @@ type ProcID uint64
 // bits select a slot (index+1), the high capGenBits bits carry the
 // slot generation. Generation-0 cids equal index+1, matching the
 // sequential cids the Process observed before slots ever recycled.
-//
-//fractos:minted
 type CapID uint32
 
 // NilCap is the invalid capability index.
@@ -266,8 +264,6 @@ func (s *Space) lookupSlot(id CapID) *capSlot {
 }
 
 // Lookup returns the entry for cid.
-//
-//fractos:cap-resolve
 func (s *Space) Lookup(id CapID) (Entry, bool) {
 	sl := s.lookupSlot(id)
 	if sl == nil {
@@ -280,8 +276,6 @@ func (s *Space) Lookup(id CapID) (Entry, bool) {
 // pointer is stable across Install (the slab is paged, never
 // reallocated) but is invalidated by Drop/PurgeRefs of the same cid;
 // hot paths must not retain it across a yield.
-//
-//fractos:borrow
 func (s *Space) Peek(id CapID) *Entry {
 	sl := s.lookupSlot(id)
 	if sl == nil {

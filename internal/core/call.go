@@ -134,8 +134,6 @@ func (pc *pendingCall) keepCaps(args []wire.CapXfer) {
 // the Process's token passes to the record, and finishSyscall discharges
 // it exactly once when the call resolves.
 //
-//fractos:cap-deref
-//fractos:yield
 //fractos:ordered
 func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 	pc.ps, pc.tok = ps, tok
@@ -151,8 +149,6 @@ func (c *Controller) forward(pc *pendingCall, ps *procState, tok uint64) {
 // settles a peer's reply. The answer lives in the Controller's scratch
 // (txAck, txValInfo) and is valid until finish returns.
 //
-//fractos:cap-deref
-//fractos:yield
 //fractos:ordered
 func (c *Controller) ask(pc *pendingCall) {
 	if pc.peer() != c.id {
@@ -201,7 +197,6 @@ func (c *Controller) ask(pc *pendingCall) {
 // it directly, the other calls through ask; only a syscall's, which
 // enters through forward, owes a Process a completion.
 //
-//fractos:yield
 //fractos:ordered
 func (c *Controller) call(pc *pendingCall) {
 	p, ok := c.peers[pc.peer()]
@@ -373,6 +368,8 @@ func (c *Controller) answered(token uint64, m wire.Message) {
 // StatusAborted. Every source of that status on the peer's account —
 // deadline passed, peer dead or rebooted, own crash — mints it here, so
 // RPCAborted counts them all.
+//
+//fractos:ordered
 func (c *Controller) abortCall(token uint64) {
 	c.metrics.RPCAborted++
 	c.resolvePending(token, &wire.CtrlAck{Token: token, Status: wire.StatusAborted})

@@ -608,6 +608,9 @@ func (c *Controller) reply(from fabric.EndpointID, m wire.Message) {
 // send puts m on the fabric to the endpoint to. A send to a severed
 // endpoint — a Controller crashing, a Process failing — is counted, not
 // silent: that failure's own path unwinds what the message was for.
+// Every Controller message goes through here.
+//
+//fractos:ordered
 func (c *Controller) send(to fabric.EndpointID, m wire.Message) {
 	if !c.net.Send(c.ep.ID, to, m) {
 		c.metrics.SendFailed++
@@ -709,16 +712,12 @@ func (c *Controller) validateMiss(ref cap.Ref) wire.Status {
 
 // resolveOwned returns the live node for a Ref owned by this
 // Controller, checking epoch and revocation.
-//
-//fractos:cap-deref
 func (c *Controller) resolveOwned(ref cap.Ref) (*cap.Node, wire.Status) {
 	return c.Validate(ref, 0)
 }
 
 // resolveEntry fetches a live capability-space entry with required
 // rights and kind.
-//
-//fractos:cap-resolve
 func (c *Controller) resolveEntry(ps *procState, cid cap.CapID, kind cap.Kind, need cap.Rights) (cap.Entry, wire.Status) {
 	e, ok := ps.space.Lookup(cid)
 	if !ok {
@@ -749,8 +748,6 @@ func (c *Controller) resolveEntry(ps *procState, cid cap.CapID, kind cap.Kind, n
 // result lives in the Controller's argument scratch: it is valid until
 // the next syscall resolves its arguments, and a caller that parks it
 // (a forwarded call awaiting retransmission) copies it out.
-//
-//fractos:cap-resolve
 func (c *Controller) resolveCapSlots(ps *procState, slots []wire.CapSlot) ([]wire.CapXfer, wire.Status) {
 	args := c.argScratch[:0]
 	for _, s := range slots {
@@ -780,8 +777,6 @@ func (c *Controller) resolveCapSlots(ps *procState, slots []wire.CapSlot) ([]wir
 
 // deriveDelegatee creates a monitor_delegatee child of a monitored
 // object.
-//
-//fractos:cap-deref
 func (c *Controller) deriveDelegatee(ref cap.Ref) (cap.Ref, wire.Status) {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {

@@ -159,8 +159,6 @@ func (op *copyOp) locate(ref cap.Ref, need cap.Rights) {
 
 // ownLocate is the owner's validation for a copy: is the object live,
 // does it convey the needed rights, and where do its bytes live.
-//
-//fractos:cap-deref
 func (c *Controller) ownLocate(ref cap.Ref, need cap.Rights) wire.CtrlValInfo {
 	n, st := c.Validate(ref, need)
 	if st != wire.StatusOK {

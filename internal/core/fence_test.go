@@ -138,3 +138,156 @@ func TestOwnerMemoryRightsFenced(t *testing.T) {
 		}
 	})
 }
+
+// TestStaleAliasRevokeFenced: a cap_revoke through a Ref from before its
+// owner's reboot fails stale-epoch at the owner (revokeLocal's epoch
+// check), though the Ref's object slot now holds the new incarnation's
+// Request; that Request stays live and its provider can still invoke it.
+func TestStaleAliasRevokeFenced(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		var own proc.Cap
+		cli, stale, fresh := staleAlias(t, tk, cl, func(p *proc.Process) (proc.Cap, error) {
+			c, err := p.RequestCreate(tk, 99, nil, nil)
+			own = c
+			return c, err
+		})
+		if cli == nil {
+			return
+		}
+		delivered := 0
+		fresh.Handle(func(d *proc.Delivery) {
+			delivered++
+			d.Done()
+			d.Finish()
+		})
+		if err := cli.Revoke(tk, stale); !wire.IsStatus(err, wire.StatusStale) {
+			t.Errorf("revoke through the stale Ref: %v, want stale-epoch", err)
+		}
+		if err := fresh.Invoke(tk, own, nil, nil); err != nil {
+			t.Errorf("the new incarnation's Request after the stale revoke: %v", err)
+		}
+		tk.Sleep(100 * 1000)
+		if delivered != 1 {
+			t.Errorf("the new incarnation's Request got %d deliveries, want 1", delivered)
+		}
+	})
+}
+
+// staleDelegation delivers a Ref from before its owner's reboot to a
+// holder that could not have got it before: a Request of a Process on
+// node 1 is granted to a forwarder on node 2; node 2 is cut off while
+// node 1's Controller crashes and reboots, so only node 2 misses the
+// new epoch; then a Process attached afterwards on holderNode receives
+// the stale Ref as an argument of an invocation from the forwarder. It
+// returns the holder and its stale capability, or a nil holder if
+// set-up failed.
+func staleDelegation(t *testing.T, tk *sim.Task, cl *core.Cluster, holderNode int) (*proc.Process, proc.Cap) {
+	cl.Net.InstallFaults(fabric.Faults{})
+	old := proc.Attach(cl, 1, "old", 0)
+	fwd := proc.Attach(cl, 2, "fwd", 0)
+	req, err := old.RequestCreate(tk, 99, nil, nil)
+	var stale proc.Cap
+	if err == nil {
+		stale, err = proc.GrantCap(old, req, fwd)
+	}
+	if err != nil {
+		t.Error(err)
+		return nil, proc.Cap{}
+	}
+	cl.Net.PartitionNodes([]int{2})
+	cl.CtrlFor(1).Crash()
+	cl.CtrlFor(1).Reboot() // its CtrlEpoch reaches node 0 and is lost to node 2
+	tk.Sleep(100 * 1000)
+	cl.Net.HealPartitions()
+
+	holder := proc.Attach(cl, holderNode, "holder", 0)
+	var got proc.Cap
+	holder.Handle(func(d *proc.Delivery) {
+		got, _ = d.Cap(0)
+		d.Done()
+		d.Finish()
+	})
+	in, err := holder.RequestCreate(tk, 7, nil, nil)
+	if err == nil {
+		in, err = proc.GrantCap(holder, in, fwd)
+	}
+	if err == nil {
+		err = fwd.Invoke(tk, in, nil, []proc.Arg{{Slot: 0, Cap: stale}})
+	}
+	tk.Sleep(100 * 1000)
+	if err != nil || got == (proc.Cap{}) {
+		t.Errorf("delegating the stale Ref to node %d: %v, delivered %v", holderNode, err, got)
+		return nil, proc.Cap{}
+	}
+	return holder, got
+}
+
+// TestStaleDelegationRefusedAtHolder: a pre-reboot Ref that reaches a
+// holder after the holder's Controller learned its owner's new epoch is
+// refused there, without asking the owner: stale-epoch, counted in
+// StaleRejected, and not one frame crosses the switch. On node 0
+// resolveEntry's peer-epoch check refuses it; on node 1, the rebooted
+// owner's own node, its own-epoch check.
+func TestStaleDelegationRefusedAtHolder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		node int
+	}{{"peer-epoch", 0}, {"own-epoch", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, testbed.Spec{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
+				holder, stale := staleDelegation(t, tk, cl, tc.node)
+				if holder == nil {
+					return
+				}
+				ctrl := cl.CtrlFor(tc.node)
+				rejected, net := ctrl.Metrics().StaleRejected, cl.Net.Stats()
+				if err := holder.Invoke(tk, stale, nil, nil); !wire.IsStatus(err, wire.StatusStale) {
+					t.Errorf("invoke through the delegated stale Ref: %v, want stale-epoch", err)
+				}
+				if n := ctrl.Metrics().StaleRejected - rejected; n != 1 {
+					t.Errorf("StaleRejected moved by %d, want 1", n)
+				}
+				if n := cl.Net.Stats().Sub(net).CrossNodeMsgs; n != 0 {
+					t.Errorf("%d frames crossed the switch for a use the holder must refuse", n)
+				}
+			})
+		})
+	}
+}
+
+// TestRepeatedEpochAbortsNothing: an announcement of an epoch a peer
+// already knows — the heartbeat detector re-announces on every
+// suspicion cycle, and the fabric may deliver one late — aborts no call
+// pending to that Controller (peerEpoch acts only on a newer epoch).
+func TestRepeatedEpochAbortsNothing(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.CtrlFor(1).Crash()
+		cl.CtrlFor(1).Reboot()
+		tk.Sleep(100 * 1000)
+		srv := proc.Attach(cl, 1, "srv", 0)
+		cli := proc.Attach(cl, 0, "cli", 0)
+		srv.Serve("srv", 1, func(st *sim.Task, d *proc.Delivery) {
+			st.Sleep(100 * 1000)
+			if err := d.Reply(0, nil, nil); err != nil {
+				t.Error(err)
+			}
+		})
+		req, err := srv.RequestCreate(tk, 1, nil, nil)
+		if err == nil {
+			req, err = proc.GrantCap(srv, req, cli)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.K.Spawn("re-announce", func(at *sim.Task) {
+			at.Sleep(50 * 1000) // the Call is waiting for its reply
+			cl.CtrlFor(1).AnnounceEpoch()
+		})
+		if _, err := cli.Call(tk, req, nil, nil, 0); err != nil {
+			t.Errorf("Call across a repeated epoch announcement: %v", err)
+		}
+		if n := cl.CtrlFor(0).Metrics().RPCAborted; n != 0 {
+			t.Errorf("%d calls aborted by the repeated announcement", n)
+		}
+	})
+}

@@ -169,8 +169,6 @@ func (c *Controller) invoked(pc *pendingCall, st wire.Status) {
 // applies, the capabilities in one slot-sorted list — and the
 // descriptor is encoded straight from there. Only a descriptor that
 // must wait for a window credit is copied out.
-//
-//fractos:cap-deref
 func (c *Controller) deliverInvoke(ref cap.Ref, imms []wire.ImmArg, extra []wire.CapXfer) wire.Status {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {

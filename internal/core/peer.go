@@ -54,8 +54,6 @@ func (c *Controller) peerEpoch(m *wire.CtrlEpoch) {
 // revokeLocal invalidates an object owned here and its whole
 // revocation subtree, firing monitor callbacks, scheduling the cleanup
 // broadcast, and finally erasing the revoked nodes.
-//
-//fractos:cap-deref
 func (c *Controller) revokeLocal(ref cap.Ref) wire.Status {
 	if ref.Ctrl != c.id {
 		return wire.StatusUnknownObj

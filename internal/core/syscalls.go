@@ -37,8 +37,6 @@ func (c *Controller) handleMemDiminish(ps *procState, m *wire.MemDiminish) {
 
 // ownDeriveMem is the owner's memory_diminish: a child Memory object
 // over size bytes at off in ref's window, without the rights in drop.
-//
-//fractos:cap-deref
 func (c *Controller) ownDeriveMem(ref cap.Ref, off, size uint64, drop cap.Rights) wire.CtrlAck {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
@@ -113,8 +111,6 @@ func (c *Controller) handleReqCreate(ps *procState, m *wire.ReqCreate) {
 
 // ownDeriveReq is the owner's Request derivation: the child inherits
 // all arguments and may only add new ones.
-//
-//fractos:cap-deref
 func (c *Controller) ownDeriveReq(ref cap.Ref, imms []wire.ImmArg, capArgs []wire.CapXfer) wire.CtrlAck {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
@@ -150,8 +146,6 @@ func (c *Controller) handleCapRevtree(ps *procState, m *wire.CapRevtree) {
 
 // ownRevtree is the owner's cap_create_revtree: a child sharing ref's
 // object, revocable on its own.
-//
-//fractos:cap-deref
 func (c *Controller) ownRevtree(ref cap.Ref) wire.CtrlAck {
 	n, st := c.resolveOwned(ref)
 	if st != wire.StatusOK {
@@ -229,8 +223,6 @@ func (c *Controller) handleMonitorReceive(ps *procState, m *wire.MonitorReceive)
 
 // ownWatch is the owner's monitor_receive: w is told when ref's object
 // is invalidated.
-//
-//fractos:cap-deref
 func (c *Controller) ownWatch(ref cap.Ref, w cap.Watcher) wire.CtrlAck {
 	n, st := c.resolveOwned(ref)
 	if st == wire.StatusOK {

@@ -10,11 +10,14 @@ import (
 	"testing"
 
 	"fractos/internal/app/faceverify"
+	"fractos/internal/cap"
 	"fractos/internal/core"
 	"fractos/internal/fabric"
+	"fractos/internal/proc"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
 	"fractos/internal/testbed/stacks"
+	"fractos/internal/wire"
 )
 
 // TestSystemDeterminism runs full-stack experiments twice and requires
@@ -111,6 +114,79 @@ func faceverifyTrace(t *testing.T) string {
 	})
 }
 
+// revocationTrace runs the broadcasts of §3.5 and §3.6 on five
+// Controllers: three objects, each held on every node, revoked by their
+// owners one after another, then two Controllers crashed and rebooted.
+// Each revocation's cleanup and each reboot's epoch announcement goes to
+// four peers at one instant, in the order the sender takes its peers,
+// and each reboot aborts six calls of six Processes at one instant, in
+// the order node 0's Controller takes them.
+func revocationTrace(t *testing.T) string {
+	return captureTrace(t, testbed.Spec{Nodes: 5}, func(tk *sim.Task, d *testbed.Deployment) {
+		ps := make([]*proc.Process, 5)
+		for n := range ps {
+			ps[n] = proc.Attach(d.Cl, n, fmt.Sprintf("p%d", n), 64)
+		}
+		for _, owner := range ps[:3] {
+			mem, err := owner.MemoryCreate(tk, 0, 64, cap.MemRights)
+			for _, p := range ps {
+				if err == nil && p != owner {
+					_, err = proc.GrantCap(owner, mem, p)
+				}
+			}
+			if err == nil {
+				err = owner.Revoke(tk, mem)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tk.Sleep(testbed.USec(50))
+		}
+		// Six Processes of node 0 each wait in a Call on nodes 3 and 4,
+		// whose servers answer nothing; each reboot's announcement aborts
+		// six of node 0's calls.
+		for _, n := range []int{3, 4} {
+			srv := ps[n]
+			srv.Handle(func(dv *proc.Delivery) { dv.Done(); dv.Finish() })
+			req, err := srv.RequestCreate(tk, 1, nil, nil)
+			for i := 0; i < 6 && err == nil; i++ {
+				caller := proc.Attach(d.Cl, 0, fmt.Sprintf("caller%d-%d", n, i), 0)
+				var c proc.Cap
+				if c, err = proc.GrantCap(srv, req, caller); err == nil {
+					d.Spawn("caller", func(ct *sim.Task) {
+						if _, err := caller.Call(ct, c, nil, nil, 0); !wire.IsStatus(err, wire.StatusAborted) {
+							t.Errorf("a Call to a rebooted Controller: %v, want aborted", err)
+						}
+					})
+				}
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		tk.Sleep(testbed.USec(50))
+		for _, n := range []int{3, 4} {
+			d.Cl.CtrlFor(n).Crash()
+			d.Cl.CtrlFor(n).Reboot()
+			tk.Sleep(testbed.USec(50))
+		}
+	})
+}
+
+// TestRevocationDeterminism replays revocationTrace and requires every
+// run's fabric trace to be byte-identical to the first, and to the
+// pinned digest: a broadcast that ranges over a map of peers publishes
+// Go's randomized map order into the message stream.
+func TestRevocationDeterminism(t *testing.T) {
+	base := revocationTrace(t)
+	checkDigest(t, "revocation", base, revocationTraceSHA256)
+	for i := 0; i < 4; i++ {
+		diffTraces(t, "revocation", base, revocationTrace(t))
+	}
+}
+
 // TestTraceDeterminism replays both workloads and requires the
 // complete fabric event stream (every message and RDMA transfer, with
 // virtual timestamps) to be byte-identical across runs.
@@ -161,6 +237,9 @@ const (
 	pipelineShapeSHA256   = "59493854ac978253fd9583c4e7f0096172cef39e8987aeca0e23b0ca3c2fb9ea"
 	faceverifyShapeSHA256 = "9c4412a8c1fbc4c16217be6a115ece3664cc77afa27f742f575afdd942ebae48"
 )
+
+// Pinned SHA-256 digest of revocationTrace.
+const revocationTraceSHA256 = "1e481426b844a6d4f5e7410138fe526c486af0575c8dd4d3c5155ed6e51f5cc6"
 
 func checkDigest(t *testing.T, name, trace, want string) {
 	t.Helper()

@@ -155,8 +155,6 @@ func (c *Chan[T]) TrySend(v T) bool {
 
 // Recv blocks until a value is available. ok is false if the channel
 // was closed and drained.
-//
-//fractos:yield
 func (c *Chan[T]) Recv(t *Task) (v T, ok bool) {
 	if len(c.buf) > 0 {
 		return c.takeBuffered(), true

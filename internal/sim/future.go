@@ -98,8 +98,6 @@ func (f *Future[T]) enqueue(t *Task) {
 
 // Wait blocks the task until the future resolves, then returns its
 // value and error.
-//
-//fractos:yield
 func (f *Future[T]) Wait(t *Task) (T, error) {
 	for !f.done {
 		f.enqueue(t)
@@ -174,8 +172,6 @@ func (wg *WaitGroup) Add(delta int) {
 func (wg *WaitGroup) Done() { wg.Add(-1) }
 
 // Wait blocks until the counter reaches zero.
-//
-//fractos:yield
 func (wg *WaitGroup) Wait(t *Task) {
 	for wg.n > 0 {
 		wg.waiters = append(wg.waiters, t)

@@ -518,8 +518,6 @@ func (t *Task) wakeAfter(d Time) {
 }
 
 // Sleep suspends the task for d of virtual time.
-//
-//fractos:yield
 func (t *Task) Sleep(d Time) {
 	if d <= 0 {
 		// Even a zero-length sleep is a scheduling point: other work

@@ -40,8 +40,6 @@ type Analyzer struct {
 	Run func(*Pass) (interface{}, error)
 }
 
-func (a *Analyzer) String() string { return a.Name }
-
 // Pass provides one analyzer with the material of one package and
 // collects its diagnostics.
 type Pass struct {

@@ -7,32 +7,6 @@ import (
 	"go/types"
 )
 
-// ReceiverTypeName returns the name of a method's receiver type
-// ("Controller" for func (c *Controller) ...), or "" for plain
-// functions.
-func ReceiverTypeName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	switch t := t.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.IndexExpr: // generic receiver T[P]
-		if id, ok := t.X.(*ast.Ident); ok {
-			return id.Name
-		}
-	case *ast.IndexListExpr:
-		if id, ok := t.X.(*ast.Ident); ok {
-			return id.Name
-		}
-	}
-	return ""
-}
-
 // IsMap reports whether the expression's type is (or aliases) a map.
 func IsMap(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]

@@ -25,7 +25,7 @@
 //     completion delivery, future resolution; an interface method such
 //     as fabric.Handler.Deliver can carry it) makes delivery order
 //     depend on Go's randomized map iteration. Keys must be collected
-//     and sorted first (see Controller.sortedPeers).
+//     and sorted first (see Controller.peerIDs).
 //
 // cmd/* packages are exempt: the CLI drivers legitimately measure
 // wall-clock time around whole simulation runs. Individual findings
