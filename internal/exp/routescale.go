@@ -15,9 +15,10 @@ import (
 // A 16-replica routed service (exponential service times, mean 400 µs,
 // so one replica saturates near 2 500 req/s) takes Poisson arrivals at
 // 10×, 25×, and 100× the single-replica knee under round-robin and
-// least-loaded routing. Every reply piggybacks the replica's backlog,
-// so least-loaded routes by least work left on client-observed signals;
-// round-robin is the blind baseline. Replicas shed above their
+// least-loaded routing. The balancer keeps each replica's due instant
+// from the work it routed there, so least-loaded routes by least work
+// left and queues like one central FCFS queue; round-robin is the
+// blind baseline. Replicas shed above their
 // admission bound (16) with the retryable StatusBackpressure, which
 // keeps the accepted-request tail bounded at 100× overload (goodput
 // saturates and the excess is refused instead of queued); a shed opens
@@ -90,7 +91,7 @@ func ScalingRoute() *Table {
 	t.Metric("mttr-ms", float64(mttr)/1e6)
 
 	t.Note("service times are one shared draw per request id, so rr and least face identical work;")
-	t.Note("least = least work left: piggybacked backlogs, aged, plus the work routed since; then fewest in flight")
+	t.Note("least = least work left: each replica's due instant, from the work routed to it; then fewest in flight")
 	t.Note("past saturation the admission bound (MaxQueue=16/replica) sheds the excess with the")
 	t.Note("retryable StatusBackpressure, keeping the accepted-request p99 bounded at 100x overload;")
 	t.Note("a shed opens no breaker, so no replica idles while arrivals are refused")

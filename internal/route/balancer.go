@@ -77,14 +77,16 @@ type Balancer struct {
 }
 
 // memberState is what a Balancer knows of one member: its calls in
-// flight from here, the backlog its last reply piggybacked and when that
-// reply arrived, the work routed to it since, and its circuit breaker.
-// Its work left is estimated as the backlog not yet served plus the work
-// routed since.
+// flight from here, the instant the work routed to it will be done, and
+// its circuit breaker. A deployment has one Balancer per service, so
+// due is the member's own FCFS ledger, shifted by the one-way hop: each
+// routed call adds its declared work after max(due, now); a shed gives
+// the work back; a timed-out or failed call keeps it, an over-estimate
+// that ages out by itself.
 type memberState struct {
-	inflight          int
-	backlog, at, sent sim.Time
-	brk               proc.Breaker
+	inflight int
+	due      sim.Time
+	brk      proc.Breaker
 }
 
 // declaredWork is the work a call declares in imm[8:16) (replica.go).
@@ -154,12 +156,11 @@ func (b *Balancer) attempt(t *sim.Task, imms []wire.ImmArg, args []proc.Arg, out
 		to = DefaultAttemptTimeout
 	}
 	ms.inflight++
-	ms.sent += declaredWork(imms)
+	work := declaredWork(imms)
+	ms.due = max(ms.due, t.Now()) + work
 	d, err := b.Client.P.CallTimeout(t, m.Cap, imms, args, WorkSlotCont, to)
 	ms.inflight--
 	if err == nil {
-		// Reply received; the backlog piggyback is fresh either way.
-		ms.backlog, ms.at, ms.sent = sim.Time(d.U64(8)), t.Now(), 0
 		err = d.Err()
 	}
 	if err == nil {
@@ -172,6 +173,7 @@ func (b *Balancer) attempt(t *sim.Task, imms []wire.ImmArg, args []proc.Arg, out
 	shed := wire.IsStatus(err, wire.StatusBackpressure)
 	if shed {
 		b.stats.Shed++
+		ms.due -= work
 	}
 	ms.brk.Report(t.Now(), shed || !proc.Retryable(err) && !memberFatal(err))
 	if memberFatal(err) || wire.IsStatus(err, wire.StatusNoProc) ||
@@ -225,8 +227,7 @@ func (b *Balancer) pick(t *sim.Task) (services.Member, *memberState, error) {
 		if ms.brk.State(t.Now()) == "open" {
 			continue
 		}
-		work := max(ms.backlog-(t.Now()-ms.at), 0) + ms.sent
-		view = append(view, MemberView{ID: m.ID, Work: work, Load: ms.inflight})
+		view = append(view, MemberView{ID: m.ID, Work: max(ms.due-t.Now(), 0), Load: ms.inflight})
 		kept = append(kept, m)
 	}
 	b.view, b.kept = view, kept
