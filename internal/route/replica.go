@@ -14,11 +14,9 @@ import (
 // Work request immediates: [0:8) = request id (0 = none; non-zero ids
 // are deduplicated so a retried request is not executed twice by the
 // same replica), [8:16) = the call's work in virtual ns, which the
-// Balancer counts toward the member's backlog (0 or absent declares
-// none); the rest is service-defined (Service sees the raw Delivery).
-// Reply immediates: [0:8) = wire.Status, [8:16) = the replica's
-// backlog, the virtual ns until all the work it has admitted is done
-// (the load signal least-loaded routing feeds on).
+// Balancer adds to the member's due instant (0 or absent declares none);
+// the rest is service-defined (Service sees the raw Delivery).
+// Reply immediates: [0:8) = wire.Status.
 const (
 	// WorkSlotCont is the reply-continuation slot in a work request.
 	WorkSlotCont uint16 = 1
@@ -44,9 +42,7 @@ type ReplicaStats struct {
 // with wire.StatusBackpressure (retryable — the balancer backs off or
 // fails over) instead of queueing unboundedly. The admitted ones are
 // served one at a time, in arrival order, each for the time Service
-// gives it at admission, and answered OK. Every reply piggybacks the
-// current backlog, which is the load signal least-loaded routing
-// consumes.
+// gives it at admission, and answered OK.
 type Replica struct {
 	P *proc.Process
 	// Service is how long an admitted request takes to serve, asked
@@ -57,8 +53,7 @@ type Replica struct {
 	// under the service's name.
 	Root proc.Cap
 
-	queue  []job    // admitted: the head is in service
-	due    sim.Time // when the last admitted request will be done
+	queue  []job // admitted: the head is in service
 	seen   map[uint64]bool
 	served []uint64
 	stats  ReplicaStats
@@ -112,7 +107,6 @@ func (r *Replica) admit(d *proc.Delivery) {
 		if r.Service != nil {
 			s = max(r.Service(d), 0)
 		}
-		r.due = max(r.due, r.P.Kernel().Now()) + s
 		r.queue = append(r.queue, job{d, s})
 		r.stats.DepthHWM = max(r.stats.DepthHWM, len(r.queue))
 		r.stats.Accepted++
@@ -153,13 +147,12 @@ func (r *Replica) complete() {
 	r.answer(d, wire.StatusOK)
 }
 
-// answer replies with the status and the replica's backlog,
-// acknowledges d unless admission did, and takes it back.
+// answer replies with the status, acknowledges d unless admission did,
+// and takes it back.
 func (r *Replica) answer(d *proc.Delivery, st wire.Status) {
 	// A failed reply means the caller (or this replica's own Controller)
 	// is gone; the retry/failover layers on the client side own recovery.
-	backlog := max(r.due-r.P.Kernel().Now(), 0)
-	d.Reply(WorkSlotCont, []wire.ImmArg{proc.U64Arg(0, uint64(st)), proc.U64Arg(8, uint64(backlog))}, nil)
+	d.Reply(WorkSlotCont, []wire.ImmArg{proc.U64Arg(0, uint64(st))}, nil)
 	d.Done()
 	d.Finish()
 }

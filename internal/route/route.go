@@ -6,7 +6,8 @@
 //
 // Everything runs on the deterministic kernel: policies are pure
 // functions of the member view plus their own explicit state, the load
-// signal is each replica's backlog in virtual time, and ties break
+// signal is the work each replica has left in virtual time, which the
+// balancer keeps from the work it routed, and ties break
 // toward the lowest member id — so a fixed seed and policy produce
 // byte-identical routing decisions and fabric traces at any GOMAXPROCS
 // (pinned by this package's determinism tests).
@@ -15,9 +16,8 @@ package route
 import "fractos/internal/sim"
 
 // MemberView is one replica as a routing policy sees it: identity, the
-// client's estimate of the work the replica has left (the backlog its
-// last reply piggybacked, less the time since, plus the work routed
-// there since), and the client's own calls in flight to it.
+// work it has left (the balancer's due instant for it, less now), and
+// the client's own calls in flight to it.
 type MemberView struct {
 	ID   uint64
 	Work sim.Time
