@@ -1,8 +1,12 @@
 package main
 
 import (
+	"fmt"
+	"go/types"
+	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -10,60 +14,98 @@ import (
 // over the module and expects no finding, so a broken rule or a
 // misspelt directive fails `go test ./...`, not only `make lint`.
 func TestModuleLintsClean(t *testing.T) {
-	findings, modDir, err := vet(".", nil, all)
+	t.Parallel()
+	findings, err := vet("fractos/...")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range findings {
-		t.Errorf("%s:%d:%d: [%s] %s", relPath(modDir, f.pos.Filename), f.pos.Line, f.pos.Column, f.analyzer, f.message)
+		t.Errorf("%s: [%s] %s", f.pos, f.analyzer, f.message)
 	}
 }
 
-// TestQualify: bare, "./"-prefixed and "." arguments name packages of
-// the module; fully qualified ones pass through.
-func TestQualify(t *testing.T) {
-	const mod = "fractos"
-	got := qualify([]string{"internal/core", "./internal/sim", ".", "./", "fractos", "fractos/internal/wire"}, mod)
-	want := []string{"fractos/internal/core", "fractos/internal/sim", "fractos", "fractos", "fractos", "fractos/internal/wire"}
-	if !slices.Equal(got, want) {
-		t.Errorf("qualify = %q, want %q", got, want)
-	}
-}
-
-// TestSelectAnalyzers: -only keeps the named analyzers in the order
-// given, and an unknown name is an error that names it.
-func TestSelectAnalyzers(t *testing.T) {
-	suite, err := selectAnalyzers("simdet, mustuse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, a := range suite {
-		names = append(names, a.Name)
-	}
-	if want := []string{"simdet", "mustuse"}; !slices.Equal(names, want) {
-		t.Errorf("-only simdet,mustuse selects %q, want %q", names, want)
-	}
-	if suite, _ := selectAnalyzers(""); len(suite) != len(all) {
-		t.Errorf("no -only selects %d analyzers, want all %d", len(suite), len(all))
-	}
-	if _, err := selectAnalyzers("simdet,nosuch"); err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
-		t.Errorf("-only with an unknown name: %v, want an error naming it", err)
-	}
-}
-
-// TestVetOnePackage runs the documented `-only simdet internal/sim`:
-// one analyzer over one package argument, with no finding.
+// TestVetOnePackage: a pattern that names one package analyzes that
+// package alone, with no finding, and its dependencies in the module
+// are type-checked from source, so their directives are indexed.
 func TestVetOnePackage(t *testing.T) {
-	suite, err := selectAnalyzers("simdet")
+	t.Parallel()
+	prog, err := load("fractos/internal/core")
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, _, err := vet(".", []string{"internal/sim"}, suite)
+	if len(prog.targets) != 1 || prog.targets[0].path != "fractos/internal/core" {
+		t.Fatalf("targets %d, want fractos/internal/core alone", len(prog.targets))
+	}
+	for _, f := range prog.run(all) {
+		t.Errorf("%s: [%s] %s", f.pos, f.analyzer, f.message)
+	}
+	i := slices.IndexFunc(prog.targets[0].types.Imports(), func(p *types.Package) bool { return p.Path() == "fractos/internal/fabric" })
+	if i < 0 {
+		t.Fatal("core does not import fabric")
+	}
+	net := prog.targets[0].types.Imports()[i].Scope().Lookup("Net").Type()
+	send, _, _ := types.LookupFieldOrMethod(net, true, nil, "Send")
+	p := &pass{prog: prog}
+	if _, ok := p.directive(send, "ordered"); !ok {
+		t.Error("fabric.Net.Send's //fractos:ordered is not indexed")
+	}
+}
+
+func TestMustuse(t *testing.T)    { checkFixture(t, mustuse, "mustuse") }
+func TestPanicfree(t *testing.T)  { checkFixture(t, panicfree, "panicfree") }
+func TestSimdet(t *testing.T)     { checkFixture(t, simdet, "simdet") }
+func TestDirectives(t *testing.T) { checkFixture(t, directives, "directives") }
+
+// fixtures loads the packages under testdata once for every test.
+var fixtures = sync.OnceValues(func() (*program, error) {
+	return load("./testdata/mustuse", "./testdata/panicfree", "./testdata/simdet", "./testdata/directives")
+})
+
+// wantRx matches one quoted regexp of a `// want` comment.
+var wantRx = regexp.MustCompile("`([^`]*)`|\"([^\"]*)\"")
+
+// checkFixture runs a over the package testdata/<dir> and matches its
+// findings with the package's `// want` comments: the regexps quoted
+// after "want" must each match a distinct finding on the comment's
+// line, and every finding must be matched.
+func checkFixture(t *testing.T, a *analyzer, dir string) {
+	t.Parallel()
+	prog, err := fixtures()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range findings {
-		t.Errorf("%s:%d: [%s] %s", f.pos.Filename, f.pos.Line, f.analyzer, f.message)
+	i := slices.IndexFunc(prog.targets, func(p *pkg) bool { return strings.HasSuffix(p.path, "/testdata/"+dir) })
+	if i < 0 {
+		t.Fatalf("no package testdata/%s", dir)
+	}
+	p := prog.targets[i]
+	wants := make(map[string][]*regexp.Regexp) // by "file:line"
+	for _, f := range p.files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if _, pats, ok := strings.Cut(c.Text, "want "); ok {
+					pos := prog.fset.Position(c.Pos())
+					key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+					for _, m := range wantRx.FindAllStringSubmatch(pats, -1) {
+						wants[key] = append(wants[key], regexp.MustCompile(m[1]+m[2]))
+					}
+				}
+			}
+		}
+	}
+	one := &program{fset: prog.fset, targets: []*pkg{p}, index: prog.index}
+	for _, f := range one.run([]*analyzer{a}) {
+		key := fmt.Sprintf("%s:%d", f.pos.Filename, f.pos.Line)
+		j := slices.IndexFunc(wants[key], func(rx *regexp.Regexp) bool { return rx.MatchString(f.message) })
+		if j < 0 {
+			t.Errorf("%s: unexpected finding: %s", f.pos, f.message)
+			continue
+		}
+		wants[key] = slices.Delete(wants[key], j, j+1)
+	}
+	for key, rxs := range wants {
+		for _, rx := range rxs {
+			t.Errorf("%s: no finding matches %q", key, rx)
+		}
 	}
 }

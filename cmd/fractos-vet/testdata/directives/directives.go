@@ -1,8 +1,9 @@
-// Package directives exercises the driver's directive check against a
-// suite that reads the hotpath directive and the alloc-ok waiver.
+// Package directives exercises the driver's directive check: the suite
+// reads the ordered directive and the panic-ok waiver, and nothing
+// reads hotpaht or aloc-ok.
 package directives
 
-//fractos:hotpath
+//fractos:ordered
 func known() {}
 
 //fractos:hotpaht // want "fractos:hotpaht is read by no analyzer"
@@ -12,8 +13,8 @@ func misspeltWaiver() []int {
 	return make([]int, 1) // fractos:aloc-ok cold path // want "aloc-ok is read by no analyzer"
 }
 
-func waived() []int {
-	return make([]int, 1) // fractos:alloc-ok cold path
+func waived() {
+	panic("unreachable") // fractos:panic-ok a waiver the suite reads
 }
 
 // Prose that mentions //fractos:hotpaht mid-sentence is not a

@@ -1,20 +1,24 @@
-// Package user exercises the mustuse analyzer: a marked function's last
-// result (Net.Send, Client.Register/Deregister) and any result of a
-// marked type (wire.Status).
-package user
+// Package mustuse exercises the mustuse analyzer on the real
+// declarations: a marked function's last result (fabric.Net.Send,
+// services.Client.Register and Deregister) and any result of a marked
+// type (wire.Status). A declaration that loses its //fractos:mustuse
+// marker fails TestMustuse, not only a broken analyzer.
+package mustuse
 
 import (
-	"fabric"
-	"services"
-	"wire"
+	"fractos/internal/fabric"
+	"fractos/internal/proc"
+	"fractos/internal/services"
+	"fractos/internal/sim"
+	"fractos/internal/wire"
 )
 
-// wrapped embeds *fabric.Net so method-set resolution (not syntax) is
+// net embeds *fabric.Net so method-set resolution (not syntax) is
 // exercised.
-type wrapped struct{ *fabric.Net }
+type net struct{ *fabric.Net }
 
-func sends(n *fabric.Net, w wrapped, a, b fabric.EndpointID) {
-	n.Send(a, b, nil)     // want `result of Net.Send is dropped`
+func sends(n *fabric.Net, w net, a, b fabric.EndpointID) {
+	n.Send(a, b, nil)     // want `bool result of Net.Send is dropped; false means the destination endpoint is gone`
 	_ = n.Send(a, b, nil) // want `result of Net.Send is dropped`
 	go n.Send(a, b, nil)  // want `result of Net.Send is dropped`
 	w.Send(a, b, nil)     // want `result of Net.Send is dropped`
@@ -27,19 +31,19 @@ func sends(n *fabric.Net, w wrapped, a, b fabric.EndpointID) {
 	}
 	ok := n.Send(a, b, nil)
 	_ = ok
-	n.Broadcast(a, nil) // not marked
+	_, _ = n.Lookup(a) // not marked
 }
 
 // registered embeds *services.Client likewise.
 type registered struct{ *services.Client }
 
-func registry(t *services.Task, c *services.Client, w registered, cp services.Cap) {
-	c.Deregister(t, "svc", 1)          // want `error result of Client.Deregister is dropped`
+func registry(t *sim.Task, c *services.Client, w registered, cp proc.Cap) {
+	c.Deregister(t, "svc", 1)          // want `error result of Client.Deregister is dropped; an unchecked Deregister leaks registry membership`
 	_ = c.Deregister(t, "svc", 1)      // want `error result of Client.Deregister is dropped`
 	go c.Deregister(t, "svc", 1)       // want `error result of Client.Deregister is dropped`
 	defer c.Deregister(t, "svc", 1)    // want `error result of Client.Deregister is dropped`
 	w.Deregister(t, "svc", 1)          // want `error result of Client.Deregister is dropped`
-	c.Register(t, "svc", cp, 0)        // want `error result of Client.Register is dropped`
+	c.Register(t, "svc", cp, 0)        // want `error result of Client.Register is dropped; an unchecked Register leaves a replica serving unregistered`
 	_, _ = c.Register(t, "svc", cp, 0) // want `error result of Client.Register is dropped`
 
 	//fractos:mustuse-ok retire races the fence; UnknownObj is pruned-first and benign
@@ -57,12 +61,12 @@ func registry(t *services.Task, c *services.Client, w registered, cp services.Ca
 	c.Resolve(t, "svc")
 }
 
-type proc struct{ id uint32 }
+type process struct{ id uint32 }
 
 // Controller mimics the status-returning surface of internal/core.
 type Controller struct{}
 
-func (c *Controller) resolve(id uint64) (*proc, wire.Status) { return nil, wire.StatusOK }
+func (c *Controller) resolve(id uint64) (*process, wire.Status) { return nil, wire.StatusOK }
 
 func (c *Controller) revoke(id uint64) wire.Status { return wire.StatusOK }
 

@@ -1,5 +1,5 @@
-// Package pf exercises the panicfree analyzer.
-package pf
+// Package panicfree exercises the panicfree analyzer.
+package panicfree
 
 type killSignal struct{}
 

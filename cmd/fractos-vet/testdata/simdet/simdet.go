@@ -1,6 +1,8 @@
-// Package simdetdata exercises the simdet analyzer: package time,
-// global math/rand, raw goroutines, and order-sensitive map ranges.
-package simdetdata
+// Package simdet exercises the simdet analyzer: package time,
+// global math/rand, raw goroutines, and order-sensitive map ranges. It
+// is no main package, so the exemption of the commands under cmd/ does
+// not reach it.
+package simdet
 
 import (
 	"math/rand"
