@@ -165,7 +165,7 @@ func load(patterns ...string) (*program, error) {
 			Standard, DepOnly       bool
 		}
 		if err := dec.Decode(&lp); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("reading go list's output: %w", err)
 		}
 		if lp.Standard {
 			export[lp.ImportPath] = lp.Export

@@ -1,5 +1,5 @@
 // Package assert is the single place in the repository allowed to
-// panic (enforced by the panicfree analyzer in tools/analyzers).
+// panic (enforced by the panicfree analyzer in cmd/fractos-vet).
 //
 // FractOS distinguishes two failure classes. Protocol-level failures —
 // revoked capabilities, stale epochs, permission denials, dead peers —

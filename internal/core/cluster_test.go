@@ -8,6 +8,7 @@ import (
 
 	"fractos/internal/cap"
 	"fractos/internal/core"
+	"fractos/internal/fabric"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
 	"fractos/internal/testbed"
@@ -214,6 +215,38 @@ func TestCleanupBroadcastPurgesThirdParty(t *testing.T) {
 		// The third party's entry is gone entirely (not just dead).
 		if err := third.Drop(tk, granted); !wire.IsStatus(err, wire.StatusNoCap) {
 			t.Errorf("drop of purged entry: err = %v, want no-capability", err)
+		}
+	})
+}
+
+// TestCleanupStubsAwaitEveryAck: a revoked object's stub stays at its
+// owner until every peer has acknowledged the CtrlCleanup that purges
+// its references (§3.5), not only until the broadcast is sent. Node 2
+// is cut off while the revocation's cleanup goes out, so its ack comes
+// only after the partition heals and the cleanup is retransmitted.
+func TestCleanupStubsAwaitEveryAck(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
+		owner := proc.Attach(cl, 0, "owner", 4096)
+		ctrl := cl.CtrlFor(0)
+		before := ctrl.Footprint().ObjectBytes
+		m, err := owner.MemoryCreate(tk, 0, 64, cap.MemRights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withStub := ctrl.Footprint().ObjectBytes
+		cl.Net.PartitionNodes([]int{2})
+		if err := owner.Revoke(tk, m); err != nil {
+			t.Fatal(err)
+		}
+		tk.Sleep(us(100)) // node 1 acks; node 2 cannot
+		if got := ctrl.Footprint().ObjectBytes; got != withStub {
+			t.Errorf("node 2's cleanup ack outstanding: the owner keeps %d B of objects, want %d (the stub)", got, withStub)
+		}
+		cl.Net.HealPartitions()
+		tk.Sleep(us(10_000)) // the retransmitted cleanup is acked
+		if got := ctrl.Footprint().ObjectBytes; got != before {
+			t.Errorf("every cleanup acked: the owner keeps %d B of objects, want %d", got, before)
 		}
 	})
 }

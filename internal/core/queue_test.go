@@ -168,6 +168,30 @@ func TestControllerRxQueueDoesNotDrift(t *testing.T) {
 	}
 }
 
+// TestAuditNamesQueuedFrame: a frame still in a Controller's rxQueue
+// at quiescence is a lent fabric frame, so the end-of-run audit
+// (Kernel.Unparked, which every testbed.Run and RunT reads) names it.
+// No path leaves one there: a queued frame always has the head's
+// service event ahead of it. So the test stands a frame whose event is
+// lost at the head, and a ping that arrives behind it waits for ever.
+func TestAuditNamesQueuedFrame(t *testing.T) {
+	k := sim.New(1)
+	net := fabric.New(k, fabric.DefaultProfile())
+	c := New(k, net, 1, Config{Loc: fabric.Location{Node: 0, Domain: fabric.Host}})
+	prober := net.Attach("prober", fabric.Location{Node: 1}, 0)
+	c.rxQueue = append(c.rxQueue, new(fabric.Frame)) // in service, its event lost
+	if !net.Send(prober.ID, c.EndpointID(), &wire.WatchPing{Seq: 1}) {
+		t.Fatal("ping refused")
+	}
+	k.Run()
+	if len(c.rxQueue) != 2 {
+		t.Fatalf("%d frames queued, want the stand-in and the ping", len(c.rxQueue))
+	}
+	if lent := k.Unparked(); lent != "fabric frame 1" {
+		t.Errorf("the run ends with a ping queued; records lent: %q, want \"fabric frame 1\"", lent)
+	}
+}
+
 // TestCrashDiscardsQueuedMessages pins what a crash does to the
 // receive side. Three probes reach a Controller back to back, so the
 // first is in service and two wait behind it when Crash lands. The one
