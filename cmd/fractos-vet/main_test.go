@@ -25,8 +25,8 @@ func TestModuleLintsClean(t *testing.T) {
 
 // TestVetOnePackage: a pattern that names one package analyzes that
 // package alone, with no finding; the module packages it imports are
-// loaded for their directives only (TestMustuse's fixture shows that
-// those directives are read).
+// loaded for their directives only (TestRegcheck's and TestSendcheck's
+// fixtures show that those directives are read).
 func TestVetOnePackage(t *testing.T) {
 	t.Parallel()
 	prog, err := load("fractos/internal/core")
@@ -42,13 +42,15 @@ func TestVetOnePackage(t *testing.T) {
 }
 
 func TestMustuse(t *testing.T)    { checkFixture(t, mustuse, "mustuse") }
+func TestRegcheck(t *testing.T)   { checkFixture(t, mustuse, "mustuse/registry") }
+func TestSendcheck(t *testing.T)  { checkFixture(t, mustuse, "mustuse/send") }
 func TestPanicfree(t *testing.T)  { checkFixture(t, panicfree, "panicfree") }
 func TestSimdet(t *testing.T)     { checkFixture(t, simdet, "simdet") }
 func TestDirectives(t *testing.T) { checkFixture(t, directives, "directives") }
 
 // fixtures loads the packages under testdata once for every test.
 var fixtures = sync.OnceValues(func() (*program, error) {
-	return load("./testdata/mustuse", "./testdata/panicfree", "./testdata/simdet", "./testdata/directives")
+	return load("./testdata/mustuse", "./testdata/mustuse/registry", "./testdata/mustuse/send", "./testdata/panicfree", "./testdata/simdet", "./testdata/directives")
 })
 
 // wantRx matches one quoted regexp of a `// want` comment.

@@ -1,65 +1,12 @@
-// Package mustuse exercises the mustuse analyzer on the real
-// declarations: a marked function's last result (fabric.Net.Send,
-// services.Client.Register and Deregister) and any result of a marked
-// type (wire.Status). A declaration that loses its //fractos:mustuse
-// marker fails TestMustuse, not only a broken analyzer.
+// Package mustuse exercises the mustuse analyzer on any result of a
+// marked type: the real wire.Status. Its subpackages send and registry
+// drop a marked function's last result (fabric.Net.Send,
+// services.Client.Register and Deregister). A declaration that loses
+// its //fractos:mustuse marker fails TestMustuse, TestSendcheck or
+// TestRegcheck, not only a broken analyzer.
 package mustuse
 
-import (
-	"fractos/internal/fabric"
-	"fractos/internal/proc"
-	"fractos/internal/services"
-	"fractos/internal/sim"
-	"fractos/internal/wire"
-)
-
-// net embeds *fabric.Net so method-set resolution (not syntax) is
-// exercised.
-type net struct{ *fabric.Net }
-
-func sends(n *fabric.Net, w net, a, b fabric.EndpointID) {
-	n.Send(a, b, nil)     // want `bool result of Net.Send is dropped; false means the destination endpoint is gone`
-	_ = n.Send(a, b, nil) // want `result of Net.Send is dropped`
-	go n.Send(a, b, nil)  // want `result of Net.Send is dropped`
-	w.Send(a, b, nil)     // want `result of Net.Send is dropped`
-
-	//fractos:mustuse-ok heartbeat probe: a torn-down destination is silence by design
-	n.Send(a, b, nil)
-
-	if !n.Send(a, b, nil) {
-		return
-	}
-	ok := n.Send(a, b, nil)
-	_ = ok
-	_, _ = n.Lookup(a) // not marked
-}
-
-// registered embeds *services.Client likewise.
-type registered struct{ *services.Client }
-
-func registry(t *sim.Task, c *services.Client, w registered, cp proc.Cap) {
-	c.Deregister(t, "svc", 1)          // want `error result of Client.Deregister is dropped; an unchecked Deregister leaks registry membership`
-	_ = c.Deregister(t, "svc", 1)      // want `error result of Client.Deregister is dropped`
-	go c.Deregister(t, "svc", 1)       // want `error result of Client.Deregister is dropped`
-	defer c.Deregister(t, "svc", 1)    // want `error result of Client.Deregister is dropped`
-	w.Deregister(t, "svc", 1)          // want `error result of Client.Deregister is dropped`
-	c.Register(t, "svc", cp, 0)        // want `error result of Client.Register is dropped; an unchecked Register leaves a replica serving unregistered`
-	_, _ = c.Register(t, "svc", cp, 0) // want `error result of Client.Register is dropped`
-
-	//fractos:mustuse-ok retire races the fence; UnknownObj is pruned-first and benign
-	c.Deregister(t, "svc", 1)
-
-	if err := c.Deregister(t, "svc", 1); err != nil {
-		return
-	}
-	id, err := c.Register(t, "svc", cp, 0)
-	_, _ = id, err
-	// The id may be blanked as long as the error is kept.
-	_, err2 := c.Register(t, "svc", cp, 0)
-	_ = err2
-	// An unmarked method's error is not this analyzer's business.
-	c.Resolve(t, "svc")
-}
+import "fractos/internal/wire"
 
 type process struct{ id uint32 }
 
