@@ -28,13 +28,13 @@ func TestLateCompletionFindsReleasedCopyOp(t *testing.T) {
 	if next == stale {
 		t.Fatal("a released copy record was recycled under the race detector")
 	}
-	next.state = copyReading // a copy that would have taken the completion for its own
+	next.state, next.read = copyMoving, 1 // a copy that would have taken the completion for its own
 	defer func() {
 		msg, _ := recover().(string)
 		if !strings.Contains(msg, "copy op") {
 			t.Errorf("a completion fired on a released record: recovered %q, want the assert", msg)
 		}
-		if next.state != copyReading || next.off != 0 {
+		if next.state != copyMoving || next.landed != 0 {
 			t.Error("the stale completion stepped the next copy")
 		}
 	}()

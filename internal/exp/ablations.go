@@ -13,19 +13,26 @@ import (
 )
 
 // AblationDoubleBuffer compares memory_copy with and without double
-// buffering across sizes (DESIGN.md §6, ablation 2). Double buffering
-// overlaps each chunk's write-out with the next chunk's read, so it
-// should approach 2x for large transfers.
+// buffering across sizes, pushing and pulling (DESIGN.md §6, ablation
+// 2). Double buffering overlaps each chunk's write-out with the next
+// chunk's read, and a pull's reads with each other, so it should
+// approach 2x for large transfers.
 func AblationDoubleBuffer() *Table {
 	t := NewTable("abl-dbuf", "memory_copy: double vs single buffering (MB/s)",
-		"size", "double", "single", "gain")
-	for _, size := range []int{16 << 10, 64 << 10, 256 << 10, 1 << 20} {
-		dl := copyTime(testbed.Spec{Nodes: 2}, size)
-		sl := copyTime(testbed.Spec{Nodes: 2, Ctrl: core.Config{SingleBuffer: true}}, size)
-		t.AddRow(testbed.SizeLabel(size), testbed.Mbps(size, dl), testbed.Mbps(size, sl),
-			fmt.Sprintf("%.2fx", float64(sl)/float64(dl)))
-		if size == 1<<20 {
-			t.Metric("gain-1m", float64(sl)/float64(dl))
+		"copy", "size", "double", "single", "gain")
+	for _, pull := range []bool{false, true} {
+		dir, key := "push", "gain-1m"
+		if pull {
+			dir, key = "pull", "pull-gain-1m"
+		}
+		for _, size := range []int{16 << 10, 64 << 10, 256 << 10, 1 << 20} {
+			dl := copyTime(testbed.Spec{Nodes: 2}, size, pull)
+			sl := copyTime(testbed.Spec{Nodes: 2, Ctrl: core.Config{SingleBuffer: true}}, size, pull)
+			t.AddRow(dir, testbed.SizeLabel(size), testbed.Mbps(size, dl), testbed.Mbps(size, sl),
+				fmt.Sprintf("%.2fx", float64(sl)/float64(dl)))
+			if size == 1<<20 {
+				t.Metric(key, float64(sl)/float64(dl))
+			}
 		}
 	}
 	t.Note("§6.1: FractOS uses double buffering for transfers larger than 16 KiB")

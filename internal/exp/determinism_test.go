@@ -200,7 +200,14 @@ func TestTraceDeterminism(t *testing.T) {
 // in-tree; a change that means to move a timestamp or a byte count
 // updates them and says why.
 //
-// Last moved when wire.ReplyTag moved from bit 63 to bit 34 (538fbc2d…
+// Face verification's last moved, shape too, when a copy began to post
+// each read just in time behind the one before, two in flight (76df7d47…
+// and 9c4412a8… until then): set-up's copies end sooner, so the first
+// transfer leaves at 1 461 638 ns instead of 1 486 118 and the last at
+// 1 949 469 instead of 1 973 949, and each request's 32 KiB copy from
+// the SSD to the GPU reads both chunks before its first write-out.
+//
+// Before that, both moved when wire.ReplyTag moved from bit 63 to bit 34 (538fbc2d…
 // and 652a205c… until then; the shapes did not move): a reply tag's
 // varint is 5 bytes, not 10, so every reply Request's request_create and
 // every reply's Deliver is 5 bytes shorter. The pipeline's first
@@ -226,7 +233,7 @@ func TestTraceDeterminism(t *testing.T) {
 // credit (e007f913… and 93c46722…; pipeline shape 56fae9d0…).
 const (
 	pipelineTraceSHA256   = "0f2358286a3918a4798bd8f2202fe052b609dcdfc64b1a404b0819a43f0e457f"
-	faceverifyTraceSHA256 = "76df7d47df3ef56caa2df16dccb41242bc194aacacff2db3d654c925f5ef616f"
+	faceverifyTraceSHA256 = "47ba38c5da0a84e112015686d814b8fd333a7a4b912d3d57ed9289bad69e6d88"
 )
 
 // Pinned SHA-256 digests of the two workload traces' shapes (shapeOf):
@@ -235,7 +242,7 @@ const (
 // after them, leaves these alone.
 const (
 	pipelineShapeSHA256   = "59493854ac978253fd9583c4e7f0096172cef39e8987aeca0e23b0ca3c2fb9ea"
-	faceverifyShapeSHA256 = "9c4412a8c1fbc4c16217be6a115ece3664cc77afa27f742f575afdd942ebae48"
+	faceverifyShapeSHA256 = "d7ddaf243cb8c4f379ccab34cf98b03bca0602c7e9c34a58fe230f709fec1b96"
 )
 
 // Pinned SHA-256 digest of revocationTrace.

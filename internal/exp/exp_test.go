@@ -49,7 +49,7 @@ var headline = map[string][]string{
 		"err-partition", "mttr-partition-ms", "err-crash", "mttr-crash-ms"},
 	"abl-direct":    {"fs-us", "direct-us", "dax-us"},
 	"abl-msgs":      {"ratio8"},
-	"abl-dbuf":      {"gain-1m"},
+	"abl-dbuf":      {"gain-1m", "pull-gain-1m"},
 	"abl-conc-copy": {"cpu4k-1", "cpu4k-16"},
 	"abl-window":    {"w1", "w32"},
 	"abl-revtree":   {"d256-us"},

@@ -70,8 +70,8 @@ func Table3() *Table {
 var copySizes = []int{1, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20}
 
 // copyTime times one memory_copy of size bytes from node 0 to node 1
-// of spec's cluster.
-func copyTime(spec testbed.Spec, size int) sim.Time {
+// of spec's cluster, issued on node 0 — or, a pull, the other way.
+func copyTime(spec testbed.Spec, size int, pull bool) sim.Time {
 	var lat sim.Time
 	testbed.Run(spec, func(tk *sim.Task, d *testbed.Deployment) {
 		src := d.Attach(0, "src", size)
@@ -87,6 +87,9 @@ func copyTime(spec testbed.Spec, size int) sim.Time {
 		dstCap, err := proc.GrantCap(dst, dstCapD, src)
 		if err != nil {
 			assert.NoErr(err, "exp/micro")
+		}
+		if pull {
+			srcCap, dstCap = dstCap, srcCap
 		}
 		start := tk.Now()
 		if err := src.MemoryCopy(tk, srcCap, dstCap); err != nil {
@@ -124,9 +127,9 @@ func Figure5() *Table {
 		"size", "raw RDMA", "FractOS@CPU", "FractOS@sNIC", "HW copies")
 	for _, size := range copySizes {
 		raw := measureRawRDMA(size)
-		cpu := copyTime(testbed.Spec{Nodes: 2}, size)
-		snic := copyTime(testbed.Spec{Nodes: 2, Placement: core.CtrlOnSNIC}, size)
-		hw := copyTime(testbed.Spec{Nodes: 2, Ctrl: core.Config{HWCopies: true}}, size)
+		cpu := copyTime(testbed.Spec{Nodes: 2}, size, false)
+		snic := copyTime(testbed.Spec{Nodes: 2, Placement: core.CtrlOnSNIC}, size, false)
+		hw := copyTime(testbed.Spec{Nodes: 2, Ctrl: core.Config{HWCopies: true}}, size, false)
 		t.AddRow(testbed.SizeLabel(size), testbed.Mbps(size, raw), testbed.Mbps(size, cpu),
 			testbed.Mbps(size, snic), testbed.Mbps(size, hw))
 		if size == 1 {

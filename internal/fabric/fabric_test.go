@@ -169,6 +169,54 @@ func TestRDMAReadMovesBytes(t *testing.T) {
 	within(t, "small RDMA read", rtt, us(3.3), 0.15)
 }
 
+// stamp is a completion that records when it fired.
+type stamp struct {
+	k  *sim.Kernel
+	at sim.Time
+}
+
+func (s *stamp) Fire() { s.at = s.k.Now() }
+
+// TestReadThenNextFollowsOnTheLink: RDMAReadThen returns the last
+// instant at which a second read from the same source can be posted and
+// still find the source's link busy with the first — from a host or a
+// SmartNIC initiator, across nodes or on one. Posted then, the second
+// completes exactly its own serialisation after the first; posted 1 ns
+// later, 1 ns more, for the link idled.
+func TestReadThenNextFollowsOnTheLink(t *testing.T) {
+	const size = 16 << 10
+	for _, ini := range []Location{{0, Host}, {0, SNIC}} {
+		for _, srcNode := range []int{0, 1} {
+			for _, late := range []sim.Time{0, 1} {
+				k, n := newNet()
+				a := n.Attach("a", ini, 2*size)
+				b := n.Attach("b", Location{srcNode, Host}, 2*size)
+				first, second := &stamp{k: k}, &stamp{k: k}
+				k.After(0, func() {
+					next, err := n.RDMAReadThen(first, a.ID, 0, b.ID, 0, size)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					k.After(next+late-k.Now(), func() {
+						if _, err := n.RDMAReadThen(second, a.ID, size, b.ID, size, size); err != nil {
+							t.Error(err)
+						}
+					})
+				})
+				k.Run()
+				bw := n.prof.WireBW
+				if srcNode == ini.Node {
+					bw = n.prof.LocalBW
+				}
+				if gap, want := second.at-first.at, sim.Time(float64(size)/bw*1e9)+late; gap != want {
+					t.Errorf("%v reading node %d, posted %v after the returned instant: completions %v apart, want %v", ini, srcNode, late, gap, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRDMAWriteMovesBytes(t *testing.T) {
 	k, n := newNet()
 	ctrl := n.Attach("ctrl", Location{0, Host}, 64)
@@ -245,7 +293,7 @@ func TestRDMARangeEdges(t *testing.T) {
 			if side == "dest" {
 				srcOff, dstOff, src, dst = 0, r.off, b, a
 			}
-			_, err := n.rdmaTransfer(src, src, dst, srcOff, dstOff, r.n, false)
+			_, _, err := n.rdmaTransfer(src, src, dst, srcOff, dstOff, r.n, false)
 			booked := n.Stats().TotalBytes()
 			switch {
 			case r.ok && (err != nil || booked != int64(r.n)):
