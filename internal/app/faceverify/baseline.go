@@ -22,9 +22,8 @@ type BaselineApp struct {
 	GPUDev  *gpu.Device
 	NVMeDev *nvme.Device
 
-	nfs        *baseline.NFSClient
-	rcuda      *baseline.RCUDAClient
-	dropCaches func()
+	nfs   *baseline.NFSClient
+	rcuda *baseline.RCUDAClient
 
 	slotSem *sim.Semaphore
 	slots   []*baseSlot
@@ -44,17 +43,16 @@ func SetupBaseline(t *sim.Task, cl *core.Cluster, cfg Config) (*BaselineApp, err
 	}
 	a := &BaselineApp{cfg: cfg, cl: cl, DB: NewDB(cfg.Files*cfg.Batch, cfg.Seed)}
 
-	a.GPUDev = gpu.NewDevice(cl.K, gpu.DefaultConfig())
+	a.GPUDev = gpu.NewDevice(cl.K, gpu.DefaultMemSize)
 	RegisterKernel(a.GPUDev)
 	rcudaSrv := baseline.NewRCUDAServer(cl.Net, NodeGPU, a.GPUDev)
 	a.rcuda = baseline.NewRCUDAClient(cl.Net, NodeFrontend, rcudaSrv)
 
-	a.NVMeDev = nvme.NewDevice(cl.K, nvme.DefaultConfig())
+	a.NVMeDev = nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 	target := baseline.NewNVMeoFTarget(cl.Net, NodeStorage, a.NVMeDev)
-	ini := baseline.NewNVMeoFInitiator(cl.Net, NodeFS, target, true)
+	ini := baseline.NewNVMeoFInitiator(cl.Net, NodeFS, target)
 	nfsSrv := baseline.NewNFSServer(cl.Net, NodeFS, ini)
 	a.nfs = baseline.NewNFSClient(cl.Net, NodeFrontend, nfsSrv)
-	a.dropCaches = ini.DropCaches
 
 	// Seed the database over NFS, one file at a time through one buffer
 	// (the client copies what it writes into its message).
@@ -78,7 +76,7 @@ func SetupBaseline(t *sim.Task, cl *core.Cluster, cfg Config) (*BaselineApp, err
 	// so measurement starts cold (the paper's random reads are
 	// cache-ineffective, §6.4).
 	t.Sleep(5 * sim.Time(1e6))
-	a.dropCaches()
+	ini.SetCacheSize(baseline.BlockCacheSize)
 
 	// Pre-allocate the GPU buffer pool (same pool discipline as the
 	// FractOS app).

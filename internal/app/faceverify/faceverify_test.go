@@ -13,7 +13,7 @@ import (
 
 // newTestDevice builds a GPU with the face-verification kernel.
 func newTestDevice(k *sim.Kernel) *gpu.Device {
-	dev := gpu.NewDevice(k, gpu.DefaultConfig())
+	dev := gpu.NewDevice(k, gpu.DefaultMemSize)
 	RegisterKernel(dev)
 	return dev
 }

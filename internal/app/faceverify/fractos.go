@@ -103,14 +103,14 @@ func SetupFractOS(t *sim.Task, cl *core.Cluster, cfg Config) (*FractOSApp, error
 	a := &FractOSApp{cfg: cfg, cl: cl, DB: NewDB(cfg.Files*cfg.Batch, cfg.Seed)}
 
 	// Devices and adaptors.
-	a.GPUDev = gpu.NewDevice(cl.K, gpu.DefaultConfig())
+	a.GPUDev = gpu.NewDevice(cl.K, gpu.DefaultMemSize)
 	RegisterKernel(a.GPUDev)
 	gpuAd := gpu.NewAdaptor(cl, NodeGPU, "gpu-adaptor", a.GPUDev)
 	a.gpuAd = gpuAd
 	if err := gpuAd.Start(t); err != nil {
 		return nil, err
 	}
-	a.NVMeDev = nvme.NewDevice(cl.K, nvme.DefaultConfig())
+	a.NVMeDev = nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 	nvmeAd := nvme.NewAdaptor(cl, NodeStorage, "nvme-adaptor", a.NVMeDev)
 	a.nvmeAd = nvmeAd
 	if err := nvmeAd.Start(t); err != nil {

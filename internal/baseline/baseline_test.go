@@ -7,6 +7,7 @@ import (
 	"fractos/internal/core"
 	"fractos/internal/device/gpu"
 	"fractos/internal/device/nvme"
+	"fractos/internal/fabric"
 	"fractos/internal/fs"
 	"fractos/internal/proc"
 	"fractos/internal/sim"
@@ -41,11 +42,19 @@ func write(t *sim.Task, ini *NVMeoFInitiator, off int64, buf []byte) error {
 	return err
 }
 
+// uncachedInitiator is an initiator whose every operation crosses the
+// fabric to the target.
+func uncachedInitiator(net *fabric.Net, node int, tg *NVMeoFTarget) *NVMeoFInitiator {
+	ini := NewNVMeoFInitiator(net, node, tg)
+	ini.SetCacheSize(0)
+	return ini
+}
+
 func TestNVMeoFReadWrite(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 		tg := NewNVMeoFTarget(cl.Net, 2, dev)
-		ini := NewNVMeoFInitiator(cl.Net, 0, tg, false)
+		ini := uncachedInitiator(cl.Net, 0, tg)
 		off, err := alloc(tk, ini, 1<<20)
 		if err != nil {
 			t.Fatal(err)
@@ -66,10 +75,10 @@ func TestNVMeoFReadWrite(t *testing.T) {
 
 func TestNVMeoFCacheAbsorbsWrites(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 		tg := NewNVMeoFTarget(cl.Net, 2, dev)
-		cached := NewNVMeoFInitiator(cl.Net, 0, tg, true)
-		raw := NewNVMeoFInitiator(cl.Net, 0, tg, false)
+		cached := NewNVMeoFInitiator(cl.Net, 0, tg)
+		raw := uncachedInitiator(cl.Net, 0, tg)
 		buf := make([]byte, 64<<10)
 
 		start := tk.Now()
@@ -91,9 +100,9 @@ func TestNVMeoFCacheAbsorbsWrites(t *testing.T) {
 
 func TestNVMeoFReadAheadHelpsSequential(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 		tg := NewNVMeoFTarget(cl.Net, 2, dev)
-		ini := NewNVMeoFInitiator(cl.Net, 0, tg, true)
+		ini := NewNVMeoFInitiator(cl.Net, 0, tg)
 		// First read misses and kicks off an asynchronous prefetch of
 		// the following window (Linux-style read-ahead).
 		if _, err := read(tk, ini, 0, 4096); err != nil {
@@ -113,7 +122,7 @@ func TestNVMeoFReadAheadHelpsSequential(t *testing.T) {
 
 func TestDisaggregatedBaselineUnderFS(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 		svc := fs.NewService(cl, 1, "fs-baseline")
 		svc.WireBackend(NewDisaggregatedBackend(cl, 1, 2, dev))
 		if err := svc.Start(tk); err != nil {
@@ -155,7 +164,7 @@ func TestDisaggregatedBaselineUnderFS(t *testing.T) {
 // left, and the client would read what the buffer last staged.
 func TestDisaggregatedReadsTakeTheirViewLate(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 		svc := fs.NewService(cl, 1, "fs-baseline")
 		be := NewDisaggregatedBackend(cl, 1, 2, dev)
 		svc.WireBackend(be)
@@ -177,7 +186,7 @@ func TestDisaggregatedReadsTakeTheirViewLate(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		be.DropCaches()
+		be.SetCacheSize(BlockCacheSize)
 		fsMem, _ := cl.Net.Lookup(svc.P.Endpoint())
 		before := fsMem.ArenaBytes()
 
@@ -209,7 +218,7 @@ func TestDisaggregatedReadsTakeTheirViewLate(t *testing.T) {
 
 func TestRCUDAEndToEnd(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := gpu.NewDevice(cl.K, gpu.DefaultConfig())
+		dev := gpu.NewDevice(cl.K, gpu.DefaultMemSize)
 		dev.Register("double", func(mem []byte, args []uint64) uint64 {
 			addr, n := args[0], args[1]
 			for i := uint64(0); i < n; i++ {
@@ -249,9 +258,9 @@ func TestRCUDAEndToEnd(t *testing.T) {
 
 func TestNFSOverNVMeoF(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 		tg := NewNVMeoFTarget(cl.Net, 2, dev)
-		ini := NewNVMeoFInitiator(cl.Net, 1, tg, true)
+		ini := NewNVMeoFInitiator(cl.Net, 1, tg)
 		srv := NewNFSServer(cl.Net, 1, ini)
 		cli := NewNFSClient(cl.Net, 0, srv)
 

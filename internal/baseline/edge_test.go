@@ -15,7 +15,7 @@ import (
 
 func TestRCUDAMallocExhaustion(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := gpu.NewDevice(cl.K, gpu.Config{MemSize: 4096, LaunchOverhead: us(10)})
+		dev := gpu.NewDevice(cl.K, 4096)
 		srv := NewRCUDAServer(cl.Net, 1, dev)
 		cli := NewRCUDAClient(cl.Net, 0, srv)
 		if _, err := cli.Malloc(tk, 4096); err != nil {
@@ -29,7 +29,7 @@ func TestRCUDAMallocExhaustion(t *testing.T) {
 
 func TestRCUDAMemcpyBounds(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := gpu.NewDevice(cl.K, gpu.Config{MemSize: 4096, LaunchOverhead: us(10)})
+		dev := gpu.NewDevice(cl.K, 4096)
 		srv := NewRCUDAServer(cl.Net, 1, dev)
 		cli := NewRCUDAClient(cl.Net, 0, srv)
 		addr, _ := cli.Malloc(tk, 1024)
@@ -44,7 +44,7 @@ func TestRCUDAMemcpyBounds(t *testing.T) {
 
 func TestRCUDAUnknownKernel(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := gpu.NewDevice(cl.K, gpu.DefaultConfig())
+		dev := gpu.NewDevice(cl.K, gpu.DefaultMemSize)
 		srv := NewRCUDAServer(cl.Net, 1, dev)
 		cli := NewRCUDAClient(cl.Net, 0, srv)
 		if err := cli.Launch(tk, "ghost"); err == nil {
@@ -55,9 +55,9 @@ func TestRCUDAUnknownKernel(t *testing.T) {
 
 func TestNFSErrorPaths(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 		tg := NewNVMeoFTarget(cl.Net, 2, dev)
-		ini := NewNVMeoFInitiator(cl.Net, 1, tg, false)
+		ini := uncachedInitiator(cl.Net, 1, tg)
 		srv := NewNFSServer(cl.Net, 1, ini)
 		cli := NewNFSClient(cl.Net, 0, srv)
 
@@ -85,11 +85,9 @@ func TestNFSErrorPaths(t *testing.T) {
 
 func TestNVMeoFAllocExhaustion(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		cfg := nvme.DefaultConfig()
-		cfg.Capacity = 1 << 20
-		dev := nvme.NewDevice(cl.K, cfg)
+		dev := nvme.NewDevice(cl.K, 1<<20)
 		tg := NewNVMeoFTarget(cl.Net, 2, dev)
-		ini := NewNVMeoFInitiator(cl.Net, 0, tg, false)
+		ini := uncachedInitiator(cl.Net, 0, tg)
 		if _, err := alloc(tk, ini, 1<<20); err != nil {
 			t.Fatal(err)
 		}
@@ -103,9 +101,9 @@ func TestNVMeoFAllocExhaustion(t *testing.T) {
 // immediately instead of hanging.
 func TestPeerCallToDeadEndpoint(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 		tg := NewNVMeoFTarget(cl.Net, 2, dev)
-		ini := NewNVMeoFInitiator(cl.Net, 0, tg, false)
+		ini := uncachedInitiator(cl.Net, 0, tg)
 		cl.Net.Disconnect(tg.Endpoint())
 		if _, err := alloc(tk, ini, 4096); err == nil {
 			t.Fatal("call to severed target succeeded")
@@ -157,11 +155,9 @@ func TestBaselineServersRejectHostileArgs(t *testing.T) {
 	const size = 4096
 	inside := func(off, n, size int64) bool { return off >= 0 && n >= 0 && off <= size-n }
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		ncfg := nvme.DefaultConfig()
-		ncfg.Capacity = 2 * size
-		tg := NewNVMeoFTarget(cl.Net, 2, nvme.NewDevice(cl.K, ncfg))
-		nfs := NewNFSServer(cl.Net, 1, NewNVMeoFInitiator(cl.Net, 1, tg, false))
-		gpuSrv := NewRCUDAServer(cl.Net, 1, gpu.NewDevice(cl.K, gpu.Config{MemSize: size, LaunchOverhead: us(1)}))
+		tg := NewNVMeoFTarget(cl.Net, 2, nvme.NewDevice(cl.K, 2*size))
+		nfs := NewNFSServer(cl.Net, 1, uncachedInitiator(cl.Net, 1, tg))
+		gpuSrv := NewRCUDAServer(cl.Net, 1, gpu.NewDevice(cl.K, size))
 		nfsCli := NewNFSClient(cl.Net, 0, nfs)
 		if err := nfsCli.Create(tk, "f", size); err != nil { // the first half of the target
 			t.Error(err)
@@ -237,7 +233,7 @@ func TestBaselineServersRejectHostileArgs(t *testing.T) {
 		}
 		// The target allocates a read's buffer before the device checks
 		// its range: on a 16 GiB device, only the largest I/O bounds it.
-		big := NewNVMeoFTarget(cl.Net, 2, nvme.NewDevice(cl.K, nvme.DefaultConfig()))
+		big := NewNVMeoFTarget(cl.Net, 2, nvme.NewDevice(cl.K, nvme.DefaultCapacity))
 		for _, n := range []uint64{nvme.MaxIO, nvme.MaxIO + 1} {
 			r, err := raw.Call(tk, big.Endpoint(), nvmeofRead, header([]uint64{0, n}, nil), false)
 			if got, want := err == nil && len(r) >= 8 && getU64(r, 0) == 0, n <= nvme.MaxIO; got != want {

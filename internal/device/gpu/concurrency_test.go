@@ -15,7 +15,7 @@ import (
 // multi-client serving).
 func TestMultipleClientsShareAdaptor(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := NewDevice(cl.K, DefaultConfig())
+		dev := NewDevice(cl.K, DefaultMemSize)
 		dev.Register("fill", func(mem []byte, args []uint64) uint64 {
 			addr, n, v := args[0], args[1], args[2]
 			for i := uint64(0); i < n; i++ {
@@ -86,9 +86,7 @@ func TestMultipleClientsShareAdaptor(t *testing.T) {
 // the context so the space is reusable by others.
 func TestContextCleanupFreesAllBuffers(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		cfg := DefaultConfig()
-		cfg.MemSize = 4096 // tiny GPU memory
-		dev := NewDevice(cl.K, cfg)
+		dev := NewDevice(cl.K, 4096) // tiny GPU memory
 		dev.Register("nop", func([]byte, []uint64) uint64 { return 0 }, func([]uint64) sim.Time { return 0 })
 		ad := NewAdaptor(cl, 1, "gpu0", dev)
 		if err := ad.Start(tk); err != nil {

@@ -25,22 +25,13 @@ type KernelFunc func(mem []byte, args []uint64) uint64
 // CostFunc models a kernel's execution time for given arguments.
 type CostFunc func(args []uint64) sim.Time
 
-// Config is the device model.
-type Config struct {
-	// MemSize is the GPU memory size in bytes.
-	MemSize int
-	// LaunchOverhead is the fixed cost of a kernel launch.
-	LaunchOverhead sim.Time
-}
+// LaunchOverhead is the fixed cost of a kernel launch on the paper's
+// K80.
+const LaunchOverhead = 10 * sim.Time(time.Microsecond)
 
-// DefaultConfig models the paper's K80 for the face-verification
-// workload.
-func DefaultConfig() Config {
-	return Config{
-		MemSize:        64 << 20,
-		LaunchOverhead: 10 * sim.Time(time.Microsecond),
-	}
-}
+// DefaultMemSize is the GPU memory of every program's device: Figure 9's
+// batches and the face-verification app's buffer pool fit in it.
+const DefaultMemSize = 96 << 20
 
 type kernel struct {
 	name string
@@ -52,7 +43,7 @@ type kernel struct {
 // order: a blocking Exec and an adaptor's invocation wait in one FIFO.
 type Device struct {
 	k       *sim.Kernel
-	cfg     Config
+	memSize int
 	kernels map[string]*kernel
 
 	busy  bool   // a kernel is running
@@ -86,18 +77,15 @@ type Runner interface {
 	Ran(inv *proc.Delivery, st uint64)
 }
 
-// NewDevice creates a GPU.
-func NewDevice(k *sim.Kernel, cfg Config) *Device {
-	if cfg.MemSize == 0 {
-		cfg = DefaultConfig()
-	}
-	d := &Device{k: k, cfg: cfg, kernels: make(map[string]*kernel)}
+// NewDevice creates a GPU with memSize bytes of memory.
+func NewDevice(k *sim.Kernel, memSize int) *Device {
+	d := &Device{k: k, memSize: memSize, kernels: make(map[string]*kernel)}
 	k.Track("gpu job", &d.jobs)
 	return d
 }
 
 // MemSize returns the GPU memory size.
-func (d *Device) MemSize() int { return d.cfg.MemSize }
+func (d *Device) MemSize() int { return d.memSize }
 
 // Register installs a kernel binary on the device (the pool of kernels
 // an adaptor can load).
@@ -167,7 +155,7 @@ func (d *Device) wait(j *job) { d.queue = append(d.queue, j) }
 // start runs a job: the device is its own until its timer.
 func (d *Device) start(j *job) {
 	d.busy = true
-	j.dur = d.cfg.LaunchOverhead + j.kn.cost(j.args)
+	j.dur = LaunchOverhead + j.kn.cost(j.args)
 	d.k.AfterCall(j.dur, j)
 }
 

@@ -48,7 +48,7 @@ func runCluster(t *testing.T, fn func(tk *sim.Task, cl *core.Cluster)) {
 // client on node 0 holding the ctx-init Request.
 func setup(tk *sim.Task, t *testing.T, cl *core.Cluster) (*Adaptor, *proc.Process, proc.Cap) {
 	t.Helper()
-	dev := NewDevice(cl.K, DefaultConfig())
+	dev := NewDevice(cl.K, DefaultMemSize)
 	dev.Register("add", addKernel, func(args []uint64) sim.Time {
 		if len(args) < 4 {
 			return 0
@@ -277,7 +277,7 @@ func TestAllocFreeCycle(t *testing.T) {
 // once the one before it is over, in the order they arrived.
 func TestKernelSerializationOnDevice(t *testing.T) {
 	runCluster(t, func(tk *sim.Task, cl *core.Cluster) {
-		dev := NewDevice(cl.K, DefaultConfig())
+		dev := NewDevice(cl.K, DefaultMemSize)
 		var order []uint64
 		var ends []sim.Time
 		dev.Register("tick", func(_ []byte, args []uint64) uint64 {
@@ -385,7 +385,7 @@ func TestPipelineUpstreamFailureEndToEnd(t *testing.T) {
 		inv := loadKernel(tk, t, client, load, "add")
 
 		// Build storage side on node 2.
-		nd := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+		nd := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 		na := nvme.NewAdaptor(cl, 2, "nvme0", nd)
 		if err := na.Start(tk); err != nil {
 			t.Fatal(err)

@@ -41,7 +41,7 @@ func access(t *sim.Task, d *Device, off int64, buf []byte, write bool) error {
 
 func TestDeviceDataIntegrity(t *testing.T) {
 	runSim(t, func(tk *sim.Task, k *sim.Kernel) {
-		d := NewDevice(k, DefaultConfig())
+		d := NewDevice(k, DefaultCapacity)
 		in := bytes.Repeat([]byte("storage!"), 1024) // 8 KiB, page-unaligned offset
 		if err := access(tk, d, 12345, in, true); err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func TestDeviceDataIntegrity(t *testing.T) {
 
 func TestDeviceBounds(t *testing.T) {
 	runSim(t, func(tk *sim.Task, k *sim.Kernel) {
-		d := NewDevice(k, DefaultConfig())
+		d := NewDevice(k, DefaultCapacity)
 		buf := make([]byte, 16)
 		if err := access(tk, d, d.Capacity()-8, buf, false); err != ErrOutOfRange {
 			t.Errorf("read past end: %v", err)
@@ -87,7 +87,7 @@ func TestDeviceBounds(t *testing.T) {
 
 func TestRandomReadLatencyAbout70us(t *testing.T) {
 	runSim(t, func(tk *sim.Task, k *sim.Kernel) {
-		d := NewDevice(k, DefaultConfig())
+		d := NewDevice(k, DefaultCapacity)
 		buf := make([]byte, 4096)
 		start := tk.Now()
 		if err := access(tk, d, 512*1024*1024, buf, false); err != nil {
@@ -102,7 +102,7 @@ func TestRandomReadLatencyAbout70us(t *testing.T) {
 
 func TestSequentialReadsHitReadAhead(t *testing.T) {
 	runSim(t, func(tk *sim.Task, k *sim.Kernel) {
-		d := NewDevice(k, DefaultConfig())
+		d := NewDevice(k, DefaultCapacity)
 		buf := make([]byte, 4096)
 		access(tk, d, 0, buf, false) // miss, arms read-ahead
 		start := tk.Now()
@@ -122,9 +122,8 @@ func TestSequentialReadsHitReadAhead(t *testing.T) {
 
 func TestWriteCacheAbsorbsThenThrottles(t *testing.T) {
 	runSim(t, func(tk *sim.Task, k *sim.Kernel) {
-		cfg := DefaultConfig()
-		cfg.DirtyLimit = 1 << 20 // 1 MiB cache
-		d := NewDevice(k, cfg)
+		d := NewDevice(k, DefaultCapacity)
+		d.dirtyLimit = 1 << 20 // 1 MiB cache
 		buf := make([]byte, 256*1024)
 		start := tk.Now()
 		access(tk, d, 0, buf, true) // absorbed
@@ -148,7 +147,7 @@ func TestWriteCacheAbsorbsThenThrottles(t *testing.T) {
 // client on node 0, granting the client the VolCreate Request.
 func setupAdaptor(tk *sim.Task, t *testing.T, cl *core.Cluster) (*Adaptor, *proc.Process, proc.Cap) {
 	t.Helper()
-	dev := NewDevice(cl.K, DefaultConfig())
+	dev := NewDevice(cl.K, DefaultCapacity)
 	ad := NewAdaptor(cl, 2, "nvme0", dev)
 	if err := ad.Start(tk); err != nil {
 		t.Fatal(err)

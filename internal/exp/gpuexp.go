@@ -37,7 +37,7 @@ type baseSlots struct{ imgAddr, probeAddr, outAddr uint64 }
 
 // Deploy implements testbed.Service.
 func (r *rcudaService) Deploy(tk *sim.Task, d *testbed.Deployment) {
-	dev := gpu.NewDevice(d.K(), gpu.Config{MemSize: 96 << 20, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
+	dev := gpu.NewDevice(d.K(), gpu.DefaultMemSize)
 	faceverify.RegisterKernel(dev)
 	srv := baseline.NewRCUDAServer(d.Net(), 1, dev)
 	r.cli = baseline.NewRCUDAClient(d.Net(), 0, srv)
@@ -89,7 +89,7 @@ func (r *rcudaService) OneRequest(tk *sim.Task) {
 func localGPUTime(batch int) sim.Time {
 	var lat sim.Time
 	testbed.Run(testbed.Spec{Nodes: 1}, func(tk *sim.Task, d *testbed.Deployment) {
-		dev := gpu.NewDevice(d.K(), gpu.Config{MemSize: 96 << 20, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
+		dev := gpu.NewDevice(d.K(), gpu.DefaultMemSize)
 		faceverify.RegisterKernel(dev)
 		mem := make([]byte, batch*(faceverify.ImgSize+faceverify.ProbeSize)+batch)
 		bytes := batch * (faceverify.ImgSize + faceverify.ProbeSize)
@@ -165,7 +165,7 @@ func Figure9() *Table {
 			})
 		return tput
 	}
-	localIdeal := 1e9 / (float64(gpu.DefaultConfig().LaunchOverhead) + float64(tputBatch)*float64(faceverify.KernelPerImage))
+	localIdeal := 1e9 / (float64(gpu.LaunchOverhead) + float64(tputBatch)*float64(faceverify.KernelPerImage))
 	t.AddRow("", "", "", "", "", "")
 	t.AddRow("inflight", "FractOS req/s", "", "", "rCUDA req/s", "ideal GPU req/s")
 	for _, inflight := range []int{1, 2, 4, 8} {

@@ -88,7 +88,7 @@ func storLatency(p core.Placement, kind stacks.StorageKind, op storOp, size uint
 func localLatency(size uint64, isWrite bool) sim.Time {
 	var avg sim.Time
 	testbed.Run(testbed.Spec{Nodes: 1}, func(tk *sim.Task, d *testbed.Deployment) {
-		dev := nvme.NewDevice(d.K(), nvme.DefaultConfig())
+		dev := nvme.NewDevice(d.K(), nvme.DefaultCapacity)
 		buf := make([]byte, size)
 		const k = 6
 		offs := randOffsets(k, size, 77)

@@ -28,7 +28,7 @@ type stack struct {
 
 func buildStack(tk *sim.Task, t *testing.T, cl *core.Cluster) *stack {
 	t.Helper()
-	dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+	dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 	ad := nvme.NewAdaptor(cl, 2, "nvme0", dev)
 	if err := ad.Start(tk); err != nil {
 		t.Fatal(err)

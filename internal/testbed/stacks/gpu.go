@@ -50,9 +50,9 @@ func (g *GPU) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	if g.Slots == 0 {
 		g.Slots = 1
 	}
-	const adaptorNode, clientNode, memSize = 1, 0, 96 << 20
+	const adaptorNode, clientNode = 1, 0
 	cl := d.Cl
-	g.Dev = gpu.NewDevice(cl.K, gpu.Config{MemSize: memSize, LaunchOverhead: gpu.DefaultConfig().LaunchOverhead})
+	g.Dev = gpu.NewDevice(cl.K, gpu.DefaultMemSize)
 	faceverify.RegisterKernel(g.Dev)
 	ad := gpu.NewAdaptor(cl, adaptorNode, "gpu-adaptor", g.Dev)
 	assert.NoErr(ad.Start(tk), "stacks/gpu")

@@ -31,7 +31,7 @@ type NVMe struct {
 
 // Deploy implements testbed.Service.
 func (s *NVMe) Deploy(tk *sim.Task, d *testbed.Deployment) {
-	s.Ad = nvme.NewAdaptor(d.Cl, s.Node, "nvme-adaptor", nvme.NewDevice(d.Cl.K, nvme.DefaultConfig()))
+	s.Ad = nvme.NewAdaptor(d.Cl, s.Node, "nvme-adaptor", nvme.NewDevice(d.Cl.K, nvme.DefaultCapacity))
 	assert.NoErr(s.Ad.Start(tk), "stacks/nvme")
 }
 
@@ -81,10 +81,9 @@ type Storage struct {
 	File   *fs.File
 	Svc    *fs.Service
 	Open   proc.Cap // client's open-file Request capability
-	// DropCaches / SetCacheSize act on the baseline backend's block
-	// cache; DropCaches is a no-op for the FractOS kinds (the FractOS
-	// FS has no cache) and SetCacheSize is nil for them.
-	DropCaches   func()
+	// SetCacheSize resizes and empties the baseline backend's block
+	// cache; it is nil for the FractOS kinds (the FractOS FS has no
+	// cache).
 	SetCacheSize func(int64)
 
 	mem map[uint64]proc.Cap // size → cached client Memory capability
@@ -103,19 +102,17 @@ func (s *Storage) Deploy(tk *sim.Task, d *testbed.Deployment) {
 		clientMem                   = 12 << 20
 	)
 	cl := d.Cl
-	dev := nvme.NewDevice(cl.K, nvme.DefaultConfig())
+	dev := nvme.NewDevice(cl.K, nvme.DefaultCapacity)
 	s.Svc = fs.NewService(cl, fsNode, "fs")
 	switch s.Kind {
 	case StorDisagg:
 		be := baseline.NewDisaggregatedBackend(cl, fsNode, devNode, dev)
 		s.Svc.WireBackend(be)
-		s.DropCaches = be.DropCaches
 		s.SetCacheSize = be.SetCacheSize
 	default:
 		ad := nvme.NewAdaptor(cl, devNode, "nvme", dev)
 		assert.NoErr(ad.Start(tk), "stacks/storage")
 		assert.NoErr(s.Svc.Wire(ad), "stacks/storage")
-		s.DropCaches = func() {}
 	}
 	assert.NoErr(s.Svc.Start(tk), "stacks/storage")
 	s.Client = proc.Attach(cl, clientNode, "stor-client", clientMem)
@@ -136,7 +133,9 @@ func (s *Storage) Deploy(tk *sim.Task, d *testbed.Deployment) {
 	assert.NoErr(err, "stacks/storage")
 	s.File = f
 	s.mem = map[uint64]proc.Cap{}
-	s.DropCaches()
+	if s.SetCacheSize != nil {
+		s.SetCacheSize(baseline.BlockCacheSize) // drop the caches
+	}
 }
 
 // Buf returns (caching by size) a client Memory capability of exactly
