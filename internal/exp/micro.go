@@ -103,18 +103,28 @@ func copyTime(spec testbed.Spec, size int, pull bool) sim.Time {
 // measureRawRDMA times a direct one-sided RDMA read between nodes —
 // the best possible baseline of Figure 5 (§6.1 quotes 3.3 µs for 1 B).
 func measureRawRDMA(size int) sim.Time {
-	var lat sim.Time
+	var p rdmaProbe
 	testbed.Run(testbed.Spec{Nodes: 2}, func(tk *sim.Task, d *testbed.Deployment) {
-		a := d.Net().Attach("rdma-a", fabric.Location{Node: 0, Domain: fabric.Host}, size)
-		b := d.Net().Attach("rdma-b", fabric.Location{Node: 1, Domain: fabric.Host}, size)
-		start := tk.Now()
-		if _, err := d.Net().RDMARead(a.ID, 0, b.ID, 0, size).Wait(tk); err != nil {
+		p.k = d.K()
+		a := d.Net().AttachHandler("rdma-a", fabric.Location{Node: 0, Domain: fabric.Host}, size, &p)
+		b := d.Net().AttachHandler("rdma-b", fabric.Location{Node: 1, Domain: fabric.Host}, size, &p)
+		p.start = tk.Now()
+		if _, err := d.Net().RDMAReadThen(&p, a.ID, 0, b.ID, 0, size); err != nil {
 			assert.NoErr(err, "exp/micro")
 		}
-		lat = tk.Now() - start
 	})
-	return lat
+	return p.done - p.start
 }
+
+// rdmaProbe is the raw read's two endpoints, to which no frame is sent,
+// and its completion, which stamps the instant it ends.
+type rdmaProbe struct {
+	k           *sim.Kernel
+	start, done sim.Time
+}
+
+func (p *rdmaProbe) Deliver(f *fabric.Frame) { f.Release() }
+func (p *rdmaProbe) Fire()                   { p.done = p.k.Now() }
 
 // Figure5 regenerates the single-transfer memory_copy throughput plot.
 //
