@@ -52,57 +52,104 @@ func staleAlias(t *testing.T, tk *sim.Task, cl *core.Cluster, mint func(*proc.Pr
 	return cli, stale, fresh
 }
 
+// epochFates are the two fates of the rebooted owner's epoch
+// announcement at the stale holder in the stale-alias tests: lost in the
+// partition, or announced again after the stale use, so that it arrives
+// late.
+var epochFates = []struct {
+	name string
+	late bool
+}{{"lost", false}, {"late", true}}
+
+// lateEpoch announces the rebooted owner's epoch after the stale use
+// (node 1 owns, the holder cli is on node 0): the holder's Controller
+// purges the stale entry, and use, a second use, fails without reaching
+// the owner.
+func lateEpoch(t *testing.T, tk *sim.Task, cl *core.Cluster, cli *proc.Process, stale proc.Cap, use func() error) {
+	cl.CtrlFor(1).AnnounceEpoch()
+	tk.Sleep(100 * 1000)
+	if _, ok := cl.CtrlFor(0).EntryOf(cli.ID(), stale.ID()); ok {
+		t.Error("the stale entry outlived its owner's late epoch announcement")
+	}
+	net := cl.Net.Stats()
+	if err := use(); err == nil {
+		t.Error("a use after the late announcement succeeded")
+	}
+	if n := cl.Net.Stats().Sub(net).CrossNodeMsgs; n != 0 {
+		t.Errorf("%d frames crossed the switch for a use the holder must refuse", n)
+	}
+}
+
 // TestStaleAliasInvokeFenced: invoking a Request through a Ref from
 // before its owner's reboot fails stale-epoch, though the Ref's object
 // slot now holds the new incarnation's Request; nothing is delivered
-// to that one.
+// to that one, whether the owner's epoch announcement never reaches the
+// invoker or reaches it late.
 func TestStaleAliasInvokeFenced(t *testing.T) {
-	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-		delivered := 0
-		cli, stale, fresh := staleAlias(t, tk, cl, func(p *proc.Process) (proc.Cap, error) {
-			return p.RequestCreate(tk, 99, nil, nil)
+	for _, fate := range epochFates {
+		t.Run(fate.name, func(t *testing.T) {
+			run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+				delivered := 0
+				cli, stale, fresh := staleAlias(t, tk, cl, func(p *proc.Process) (proc.Cap, error) {
+					return p.RequestCreate(tk, 99, nil, nil)
+				})
+				if cli == nil {
+					return
+				}
+				fresh.Handle(func(d *proc.Delivery) {
+					delivered++
+					d.Done()
+					d.Finish()
+				})
+				invoke := func() error { return cli.Invoke(tk, stale, nil, nil) }
+				if err := invoke(); !wire.IsStatus(err, wire.StatusStale) {
+					t.Errorf("invoke through the stale Ref: %v, want stale-epoch", err)
+				}
+				if fate.late {
+					lateEpoch(t, tk, cl, cli, stale, invoke)
+				}
+				tk.Sleep(100 * 1000)
+				if delivered != 0 {
+					t.Errorf("the new incarnation's Request got %d deliveries meant for the old one", delivered)
+				}
+			})
 		})
-		if cli == nil {
-			return
-		}
-		fresh.Handle(func(d *proc.Delivery) {
-			delivered++
-			d.Done()
-			d.Finish()
-		})
-		if err := cli.Invoke(tk, stale, nil, nil); !wire.IsStatus(err, wire.StatusStale) {
-			t.Errorf("invoke through the stale Ref: %v, want stale-epoch", err)
-		}
-		tk.Sleep(100 * 1000)
-		if delivered != 0 {
-			t.Errorf("the new incarnation's Request got %d deliveries meant for the old one", delivered)
-		}
-	})
+	}
 }
 
 // TestStaleAliasCopyFenced: a memory_copy into a Memory Ref from before
 // its owner's reboot fails stale-epoch, though the Ref's object slot now
-// holds the new incarnation's Memory; no byte reaches the new arena.
+// holds the new incarnation's Memory; no byte reaches the new arena,
+// whether the owner's epoch announcement never reaches the copier or
+// reaches it late.
 func TestStaleAliasCopyFenced(t *testing.T) {
-	run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
-		cli, stale, fresh := staleAlias(t, tk, cl, func(p *proc.Process) (proc.Cap, error) {
-			return p.MemoryCreate(tk, 0, 64, cap.MemRights)
+	for _, fate := range epochFates {
+		t.Run(fate.name, func(t *testing.T) {
+			run(t, testbed.Spec{Nodes: 2}, func(tk *sim.Task, cl *core.Cluster) {
+				cli, stale, fresh := staleAlias(t, tk, cl, func(p *proc.Process) (proc.Cap, error) {
+					return p.MemoryCreate(tk, 0, 64, cap.MemRights)
+				})
+				if cli == nil {
+					return
+				}
+				copy(cli.Arena(), bytes.Repeat([]byte{0xab}, 64))
+				src, err := cli.MemoryCreate(tk, 0, 64, cap.MemRights)
+				if err != nil {
+					t.Fatal(err)
+				}
+				copyIn := func() error { return cli.MemoryCopy(tk, src, stale) }
+				if err := copyIn(); !wire.IsStatus(err, wire.StatusStale) {
+					t.Errorf("copy into the stale Ref: %v, want stale-epoch", err)
+				}
+				if fate.late {
+					lateEpoch(t, tk, cl, cli, stale, copyIn)
+				}
+				if got := fresh.Arena()[:64]; !bytes.Equal(got, make([]byte, 64)) {
+					t.Errorf("the new incarnation's arena reads %x after a copy into the stale Ref", got)
+				}
+			})
 		})
-		if cli == nil {
-			return
-		}
-		copy(cli.Arena(), bytes.Repeat([]byte{0xab}, 64))
-		src, err := cli.MemoryCreate(tk, 0, 64, cap.MemRights)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cli.MemoryCopy(tk, src, stale); !wire.IsStatus(err, wire.StatusStale) {
-			t.Errorf("copy into the stale Ref: %v, want stale-epoch", err)
-		}
-		if got := fresh.Arena()[:64]; !bytes.Equal(got, make([]byte, 64)) {
-			t.Errorf("the new incarnation's arena reads %x after a copy into the stale Ref", got)
-		}
-	})
+	}
 }
 
 // TestOwnerMemoryRightsFenced: the owner checks a Memory object's own
@@ -253,6 +300,22 @@ func TestStaleDelegationRefusedAtHolder(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestStaleMonitorDelegateAnswersStale: monitor_delegate through a Ref
+// of the holder's own Controller from before its reboot fails
+// stale-epoch, the owner's verdict, as every other use of that Ref
+// does, not revoked.
+func TestStaleMonitorDelegateAnswersStale(t *testing.T) {
+	run(t, testbed.Spec{Nodes: 3}, func(tk *sim.Task, cl *core.Cluster) {
+		holder, stale := staleDelegation(t, tk, cl, 1)
+		if holder == nil {
+			return
+		}
+		if err := holder.MonitorDelegate(tk, stale, func() {}); !wire.IsStatus(err, wire.StatusStale) {
+			t.Errorf("monitor_delegate through the stale Ref: %v, want stale-epoch", err)
+		}
+	})
 }
 
 // TestRepeatedEpochAbortsNothing: an announcement of an epoch a peer

@@ -164,6 +164,34 @@ func TestCallWithAbortedAtPeerReboot(t *testing.T) {
 	})
 }
 
+// TestCallWithAbortedAtDeadlineDisarms: a CallWith's invocation is
+// delivered and its acknowledgement is lost for longer than
+// core.RPCBudget, so the call fails with StatusAborted at its deadline.
+// The abort takes the arming of the reply Request back: a reply that
+// comes later is refused, never delivered.
+func TestCallWithAbortedAtDeadlineDisarms(t *testing.T) {
+	run(t, cpuCluster(), func(tk *sim.Task, cl *core.Cluster) {
+		cl.Net.InstallFaults(fabric.Faults{})
+		r := newWithRig(t, tk, cl, nil)
+		r.srv.Handle(func(d *proc.Delivery) { d.Finish() }) // accepted, never answered
+		cl.Net.SetTrace(func(e fabric.TraceEvent) {
+			if e.Type == wire.TDeliver && e.To == r.srv.Endpoint() {
+				cl.Net.PartitionNodes([]int{1}) // the acknowledgement will not cross
+			}
+		})
+		start := tk.Now()
+		if dv, err := r.call(tk, 1); dv != nil || !wire.IsStatus(err, wire.StatusAborted) {
+			t.Errorf("a CallWith whose acknowledgement was lost: %v, %v; want StatusAborted", dv, err)
+		}
+		if took := tk.Now() - start; took < core.RPCBudget {
+			t.Errorf("the call failed %v after it started, want it at its deadline, %v", took, core.RPCBudget)
+		}
+		cl.Net.SetTrace(nil)
+		cl.Net.HealPartitions()
+		r.lateReply(t, tk, cl)
+	})
+}
+
 // TestCallWithCallsAgainAfterLateReply: the reply Request a refused
 // call disarmed is armed again by the next CallWith over it, and that
 // call gets its own reply.

@@ -265,6 +265,20 @@ func TestBalancerResolvesOncePerInvalidation(t *testing.T) {
 		})
 }
 
+// TestRoutedDeployRefusedPastMaxMembers: the registry refuses a name's
+// replica past services.MaxMembers, and a Routed deployment asking for
+// one more than that fails at set-up with the refusal, instead of
+// serving with a replica that no balancer can see.
+func TestRoutedDeployRefusedPastMaxMembers(t *testing.T) {
+	defer func() {
+		if v := fmt.Sprint(recover()); !strings.Contains(v, "stacks/routed: spawn") || !strings.Contains(v, "quota") {
+			t.Errorf("a deployment of %d replicas ended with %q, want the registry's quota refusal", services.MaxMembers+1, v)
+		}
+	}()
+	s := &stacks.Routed{Replicas: services.MaxMembers + 1, Nodes: []int{1}}
+	testbed.Run(testbed.Spec{Nodes: 2, Services: []testbed.Service{s}}, func(*sim.Task, *testbed.Deployment) {})
+}
+
 // TestBalancerFailsOverOnCrash: two replicas, one loses its Controller
 // mid-run. The heartbeat fences the node, the registry prunes the
 // member, and the balancer — bounded by AttemptTimeout against
