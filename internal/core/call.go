@@ -47,10 +47,11 @@ type pendingCall struct {
 	c     *Controller
 	token uint64 // the key in c.pending, from call on
 
-	// Retransmission state (lossy fabric): when the call was first
-	// sent — its deadline is RPCBudget later — the timeout of the
-	// current attempt (doubling from the peer's RTO up to rtoCeiling),
-	// how many resends went out, and the pending timeout.
+	// Retransmission state: when the call was first sent — its answer
+	// a round-trip sample, its deadline RPCBudget later — and, on a
+	// lossy fabric, the timeout of the current attempt (doubling from
+	// the peer's RTO up to rtoCeiling), how many resends went out, and
+	// the pending timeout.
 	sent    sim.Time
 	rto     sim.Time
 	attempt int
@@ -218,8 +219,9 @@ func (c *Controller) call(pc *pendingCall) {
 		c.resolvePending(pc.token, &wire.CtrlAck{Status: wire.StatusNoProc})
 		return
 	}
+	pc.sent = c.k.Now()
 	if c.net.Lossy() {
-		pc.sent, pc.rto = c.k.Now(), p.rtt.rto()
+		pc.rto = p.rtt.rto()
 		pc.timer = c.k.AfterCall(pc.rto, pc)
 	} else if pc.kind == callInvoke {
 		c.awaitReply(pc)
@@ -357,7 +359,7 @@ func (c *Controller) answered(token uint64, m wire.Message) {
 	if !ok {
 		return
 	}
-	if c.net.Lossy() && pc.attempt == 0 {
+	if pc.attempt == 0 {
 		c.peers[pc.peer()].rtt.sample(c.k.Now() - pc.sent)
 	}
 	delete(c.pending, token)
