@@ -178,7 +178,7 @@ type Request struct {
 // MakeRequest builds a request against batch file fileIdx with a
 // random genuine/impostor mix.
 func MakeRequest(db *DB, fileIdx, batch int, rng *rand.Rand) *Request {
-	r := &Request{FileIdx: fileIdx, Batch: batch}
+	r := &Request{FileIdx: fileIdx, Batch: batch, Probes: make([]byte, 0, batch*ProbeSize), Genuine: make([]bool, 0, batch)}
 	for i := 0; i < batch; i++ {
 		id := (fileIdx*batch + i) % db.Identities
 		genuine := rng.Intn(2) == 0
